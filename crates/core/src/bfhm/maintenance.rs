@@ -98,7 +98,7 @@ pub(crate) fn resolve_bucket_row(row: &RowResult, label: &str, m: usize) -> Resu
             continue;
         };
         records.push((ts, op, join, score));
-        consumed.push(cell.qualifier.clone());
+        consumed.push(cell.qualifier.to_vec());
     }
     if records.is_empty() {
         return Ok(ResolvedBucket {

@@ -178,9 +178,15 @@ pub fn encode_value_score(join_value: &[u8], score: f64) -> Vec<u8> {
 
 /// Inverse of [`encode_value_score`].
 pub fn decode_value_score(buf: &[u8]) -> Result<(Vec<u8>, f64), CodecError> {
+    decode_value_score_ref(buf).map(|(join_value, score)| (join_value.to_vec(), score))
+}
+
+/// [`decode_value_score`] without the copy: the join value borrows from
+/// `buf` (the read path decodes every index cell it consumes).
+pub fn decode_value_score_ref(buf: &[u8]) -> Result<(&[u8], f64), CodecError> {
     let mut r = Reader::new(buf);
     let score = r.f64()?;
-    let join_value = r.field()?.to_vec();
+    let join_value = r.field()?;
     Ok((join_value, score))
 }
 

@@ -12,8 +12,9 @@
 //!   [`RankedCursor::pause`] detaches a [`CursorState`] that resumes on
 //!   any cluster handle sharing the same data.
 //! * [`CursorState`] — the detached state: plain owned data (scan
-//!   positions, consumed-tuple logs, partial accumulators), serializable
-//!   in principle, pinned to the statistics version it was opened under.
+//!   positions, the operators' seen-tuple stores, partial accumulators),
+//!   serializable in principle, pinned to the statistics version it was
+//!   opened under.
 //! * [`IslCursor`] — ISL/HRJN as a cursor: the batched alternating
 //!   descent of [`crate::isl`] generalized from PR 5's abort seam into
 //!   first-class suspend/resume.
@@ -47,19 +48,19 @@
 //! * a drained cursor (threshold crossed or inputs exhausted) emits
 //!   everything, matching the one-shot answer.
 
-use std::collections::VecDeque;
-
 use rj_mapreduce::MapReduceEngine;
+use rj_store::cell::Cell;
 use rj_store::client::ScannerState;
 use rj_store::cluster::Cluster;
 use rj_store::keys;
 use rj_store::metrics::MetricsSnapshot;
+use rj_store::row::RowResult;
 use rj_store::scan::Scan;
 
 use crate::cancel::{StopPolicy, StopReason};
 use crate::codec;
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::{HrjnState, RankedTuple, Side};
+use crate::hrjn::{HrjnState, Side};
 use crate::isl::{BatchVerdict, IslConfig};
 use crate::query::RankJoinQuery;
 use crate::result::JoinTuple;
@@ -99,6 +100,16 @@ pub(crate) fn policy_stop(
         }
     }
     None
+}
+
+/// Clones ranks `from..to` out of a rank-ordered result buffer: a page
+/// costs its own results, never the whole buffer.
+pub(crate) fn clone_ranks<'a>(
+    results: impl Iterator<Item = &'a JoinTuple>,
+    from: usize,
+    to: usize,
+) -> Vec<JoinTuple> {
+    results.skip(from).take(to - from).cloned().collect()
 }
 
 /// One page of results pulled from a [`RankedCursor`].
@@ -184,8 +195,9 @@ impl CursorMeta {
 /// # Serialization & coherence contract
 ///
 /// The state is **plain owned data** — scan positions (start keys plus
-/// already-billed buffered rows), the consumed-tuple log, partial
-/// accumulators, counters — with no handles into any live cluster, so it
+/// already-billed buffered rows), the operator's seen-tuple stores and
+/// top-k buffer, partial accumulators, counters — with no handles into
+/// any live cluster, so it
 /// is serializable in principle (this workspace vendors no serde; the
 /// contract is that nothing in here is process-specific). Resuming on any
 /// cluster handle over the *same data* continues the execution exactly:
@@ -257,14 +269,7 @@ impl std::fmt::Debug for CursorState {
 
 impl CursorState {
     fn meta(&self) -> &CursorMeta {
-        match &self.inner {
-            StateInner::Isl(c) => &c.meta,
-            StateInner::Bfhm(c) => &c.meta,
-            StateInner::Drjn(c) => &c.meta,
-            StateInner::Materialized(c) => &c.meta,
-            StateInner::Multiway(c) => &c.meta,
-            StateInner::Auto(c) => CursorState::meta_of(&c.inner),
-        }
+        CursorState::meta_of(&self.inner)
     }
 
     fn meta_of(inner: &StateInner) -> &CursorMeta {
@@ -308,16 +313,17 @@ impl CursorState {
     /// Input depth consumed before the pause (see
     /// [`RankedCursor::consumed_depth`]).
     pub fn consumed_depth(&self) -> u64 {
-        match &self.inner {
-            StateInner::Isl(c) => c.log.len() as u64,
+        CursorState::depth_of(&self.inner)
+    }
+
+    fn depth_of(inner: &StateInner) -> u64 {
+        match inner {
+            StateInner::Isl(c) => c.state.tuples_consumed() as u64,
             StateInner::Bfhm(c) => c.consumed_depth(),
             StateInner::Drjn(c) => c.consumed_depth(),
             StateInner::Materialized(c) => c.results.as_ref().map_or(0, |r| r.len()) as u64,
             StateInner::Multiway(c) => c.log.len() as u64,
-            StateInner::Auto(c) => CursorState {
-                inner: c.inner.clone(),
-            }
-            .consumed_depth(),
+            StateInner::Auto(c) => CursorState::depth_of(&c.inner),
         }
     }
 
@@ -328,9 +334,9 @@ impl CursorState {
     }
 
     /// Whether this state can be re-targeted to a deeper `k` (the
-    /// partial-work warm-start path): the consumed-tuple log lets an ISL
-    /// state rebuild its accumulator at any larger `k`; an exhausted
-    /// materialized state already holds the whole join.
+    /// partial-work warm-start path): an ISL or multiway state keeps every
+    /// tuple it consumed, so its top-k buffer can be rebuilt at any larger
+    /// `k`.
     pub fn supports_retarget(&self) -> bool {
         match &self.inner {
             StateInner::Isl(_) | StateInner::Multiway(_) => true,
@@ -364,8 +370,8 @@ impl CursorState {
     }
 
     /// Re-targets an ISL state to a (usually deeper) `new_k` and resumes
-    /// it on `cluster` — the partial-work warm start. The consumed-tuple
-    /// log is replayed into a fresh `k = new_k` accumulator (pure
+    /// it on `cluster` — the partial-work warm start. The top-k buffer is
+    /// rebuilt at `k = new_k` from the tuples already consumed (pure
     /// in-memory work: nothing already read is re-charged), emission
     /// restarts at rank 0, and the cumulative charge resets — the warmed
     /// query is billed only what *it* consumes beyond the donor prefix.
@@ -400,8 +406,9 @@ impl CursorState {
 // ---------------------------------------------------------------------
 
 /// Detached state of an [`IslCursor`]: the exact descent position of the
-/// batched alternating loop in [`crate::isl`], plus the consumed-tuple
-/// log the HRJN accumulator is rebuilt from on resume.
+/// batched alternating loop in [`crate::isl`], plus the HRJN operator
+/// itself. Resuming attaches a cluster handle and does no other work,
+/// however deep the descent has gone.
 #[derive(Clone)]
 pub(crate) struct IslCore {
     pub meta: CursorMeta,
@@ -412,7 +419,6 @@ pub(crate) struct IslCore {
     pub config: IslConfig,
     /// Detached per-side scanner positions (`None` until first demand).
     pub scans: [Option<ScannerState>; 2],
-    pub exhausted: [bool; 2],
     /// Which side the current/next batch pulls from (0 = left).
     pub turn: usize,
     /// Batches completed or started.
@@ -422,22 +428,32 @@ pub(crate) struct IslCore {
     pub in_batch: bool,
     /// Rows consumed within the current batch.
     pub rows_taken: usize,
-    /// Decoded tuples of a partially-consumed row, not yet pushed (the
-    /// one-shot loop stops pushing the instant HRJN terminates; a deeper
-    /// re-target must push the remainder before reading on).
-    pub pending: VecDeque<RankedTuple>,
-    /// Every tuple pushed into HRJN, in push order — replaying this log
-    /// into a fresh accumulator reconstructs the full threshold state
-    /// (and, at a larger `k`, recovers results the bounded top-k had
-    /// evicted) without touching the store.
-    pub log: Vec<(Side, RankedTuple)>,
+    /// The row HRJN terminated inside and the position of its first cell
+    /// not yet pushed (the one-shot loop stops pushing the instant HRJN
+    /// terminates; a deeper re-target must push the remainder before
+    /// reading on).
+    pub pending: Option<(RowResult, usize)>,
+    /// The HRJN operator: seen tuples of both sides, bounds, exhaustion
+    /// flags and the top-k buffer.
+    pub state: HrjnState,
 }
 
 impl IslCore {
     fn retarget(&mut self, new_k: usize) {
         self.query = self.query.with_k(new_k);
         self.meta = CursorMeta::new(new_k, self.meta.pinned_version);
+        self.state.retarget(new_k);
     }
+}
+
+/// Decodes one ISL index cell — qualifier = base row key, value =
+/// `(join value, exact score)` — and feeds it to HRJN as a tuple of
+/// `side`, copying nothing. `row_score` is the row key's (rounded) score,
+/// the fallback for a value that does not decode.
+pub(crate) fn push_index_cell(state: &mut HrjnState, side: Side, cell: &Cell, row_score: f64) {
+    let (join_value, score) =
+        codec::decode_value_score_ref(&cell.value).unwrap_or((&cell.value, row_score));
+    state.push_borrowed(side, &cell.qualifier, join_value, score);
 }
 
 /// What one [`IslCursor::advance_one_batch`] call did.
@@ -461,7 +477,6 @@ pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict +
 pub struct IslCursor {
     cluster: Cluster,
     core: IslCore,
-    state: HrjnState,
     /// Per-batch observation hook (the adaptive driver's divergence
     /// watch). Called after every completed batch, like
     /// `isl::run_observed`'s observer; an `Abort` verdict ends the pump
@@ -484,20 +499,18 @@ impl IslCursor {
             .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
         Ok(IslCursor {
             cluster: cluster.clone(),
-            state: HrjnState::new(query.k, query.score_fn),
             core: IslCore {
                 meta: CursorMeta::new(query.k, pinned_version),
                 query: query.clone(),
                 table: index_table.to_owned(),
                 config,
                 scans: [None, None],
-                exhausted: [false, false],
                 turn: 0,
                 batches: 0,
                 in_batch: false,
                 rows_taken: 0,
-                pending: VecDeque::new(),
-                log: Vec::new(),
+                pending: None,
+                state: HrjnState::new(query.k, query.score_fn),
             },
             observer: None,
             observer_abort: false,
@@ -512,22 +525,11 @@ impl IslCursor {
         self
     }
 
-    /// Reattaches a detached state to `cluster`, rebuilding the HRJN
-    /// accumulator by replaying the consumed-tuple log (pure in-memory —
-    /// nothing is re-read or re-billed).
+    /// Reattaches a detached state to `cluster`. The state carries its
+    /// HRJN operator, so there is nothing to rebuild, re-read or re-bill.
     pub(crate) fn resume(cluster: &Cluster, core: IslCore) -> Self {
-        let mut state = HrjnState::new(core.query.k, core.query.score_fn);
-        for (side, tuple) in &core.log {
-            state.push(*side, tuple.clone());
-        }
-        for (i, side) in [Side::Left, Side::Right].into_iter().enumerate() {
-            if core.exhausted[i] {
-                state.exhaust(side);
-            }
-        }
         IslCursor {
             cluster: cluster.clone(),
-            state,
             core,
             observer: None,
             observer_abort: false,
@@ -546,7 +548,7 @@ impl IslCursor {
 
     /// The live HRJN threshold state.
     pub(crate) fn hrjn(&self) -> &HrjnState {
-        &self.state
+        &self.core.state
     }
 
     /// Batches fetched so far.
@@ -556,17 +558,17 @@ impl IslCursor {
 
     /// Both inputs fully consumed.
     pub(crate) fn both_exhausted(&self) -> bool {
-        self.core.exhausted[0] && self.core.exhausted[1]
+        self.core.state.is_exhausted(Side::Left) && self.core.state.is_exhausted(Side::Right)
     }
 
     /// Consumes the cursor into its HRJN state (the adaptive driver's
     /// abort handoff).
     pub(crate) fn into_hrjn(self) -> HrjnState {
-        self.state
+        self.core.state
     }
 
     fn drained(&self) -> bool {
-        self.core.meta.k == 0 || self.state.is_done() || self.both_exhausted()
+        self.core.meta.k == 0 || self.core.state.is_done() || self.both_exhausted()
     }
 
     /// Results currently certain to be final: while the descent runs,
@@ -574,17 +576,14 @@ impl IslCursor {
     /// drained, everything (see the module docs for why strictness is
     /// what makes emitted prefixes exact under score ties).
     fn certified(&self) -> usize {
+        let state = &self.core.state;
         if self.drained() {
-            return self.state.result_count();
+            return state.result_count();
         }
-        let Some(threshold) = self.state.threshold() else {
+        let Some(threshold) = state.threshold() else {
             return 0;
         };
-        self.state
-            .current_results()
-            .iter()
-            .take_while(|t| t.score > threshold)
-            .count()
+        state.results().take_while(|t| t.score > threshold).count()
     }
 
     /// Runs exactly one batch of the alternating descent (or finishes a
@@ -596,90 +595,86 @@ impl IslCursor {
             return Ok(BatchStep::Drained);
         }
         let client = self.cluster.client();
-        if !self.core.in_batch {
-            if self.core.exhausted[self.core.turn] {
-                self.core.turn = 1 - self.core.turn;
+        let core = &mut self.core;
+        if !core.in_batch {
+            if core.state.is_exhausted(Side::of(core.turn)) {
+                core.turn = 1 - core.turn;
             }
-            self.core.batches += 1;
-            self.core.rows_taken = 0;
-            self.core.in_batch = true;
+            core.batches += 1;
+            core.rows_taken = 0;
+            core.in_batch = true;
         }
-        let turn = self.core.turn;
-        let side = if turn == 0 { Side::Left } else { Side::Right };
-        let family = self
-            .core
+        let turn = core.turn;
+        let side = Side::of(turn);
+        let family = core
             .query
             .try_side(turn)
             // rjlint: allow(no-unwrap) — `turn` alternates over {0, 1} and a
             // validated binary query always has both sides.
             .expect("binary side")
             .label
-            .clone();
+            .as_str();
         let batch_size = if turn == 0 {
-            self.core.config.batch_left
+            core.config.batch_left
         } else {
-            self.core.config.batch_right
+            core.config.batch_right
         };
-
-        // Push the leftover cells of a row a previous (shallower) target
-        // stopped inside — already read and billed, never re-fetched.
-        while let Some(tuple) = self.core.pending.pop_front() {
-            self.core.log.push((side, tuple.clone()));
-            self.state.push(side, tuple);
-            if self.state.is_done() {
-                return Ok(BatchStep::Drained);
-            }
-        }
-
-        // Materialize this side's scanner at its detached position.
-        let mut scan = match self.core.scans[turn].take() {
-            Some(state) => client.resume_scan(state)?,
-            None => {
-                let spec = Scan::new().families(&[family.as_str()]).caching(batch_size);
-                client.scan(&self.core.table, spec)?
-            }
-        };
+        // The row a previous (shallower) target stopped inside goes first:
+        // its remaining cells are already read and billed, never
+        // re-fetched. The scanner is reattached at its detached position
+        // only when a further row is demanded, so a re-target that
+        // terminates again inside the leftover row leaves it untouched.
+        let mut leftover = core.pending.take();
+        let mut scan = None;
 
         let mut step = BatchStep::Completed;
-        'rows: while self.core.rows_taken < batch_size {
-            let Some(row) = scan.next() else {
-                self.core.exhausted[turn] = true;
-                self.state.exhaust(side);
-                break;
+        'rows: loop {
+            let (row, first_cell) = match leftover.take() {
+                Some(pending) => pending,
+                None if core.rows_taken < batch_size => {
+                    let scan = match &mut scan {
+                        Some(scan) => scan,
+                        none => none.insert(match core.scans[turn].take() {
+                            Some(position) => client.resume_scan(position)?,
+                            None => {
+                                let spec = Scan::new().families(&[family]).caching(batch_size);
+                                client.scan(&core.table, spec)?
+                            }
+                        }),
+                    };
+                    let Some(row) = scan.next() else {
+                        core.state.exhaust(side);
+                        break;
+                    };
+                    core.rows_taken += 1;
+                    (row, 0)
+                }
+                None => break,
             };
-            self.core.rows_taken += 1;
             // Row key = negated score; each cell = one indexed tuple.
             let Some(score) = keys::decode_score_desc(&row.key) else {
                 continue;
             };
-            let mut cells: VecDeque<RankedTuple> = row
-                .family_cells(&family)
-                .map(|cell| {
-                    let (join_value, exact_score) = codec::decode_value_score(&cell.value)
-                        .unwrap_or_else(|_| (cell.value.to_vec(), score));
-                    RankedTuple {
-                        key: cell.qualifier.clone(),
-                        join_value,
-                        score: exact_score,
-                    }
-                })
-                .collect();
-            while let Some(tuple) = cells.pop_front() {
-                self.core.log.push((side, tuple.clone()));
-                self.state.push(side, tuple);
+            for (at, cell) in row.cells.iter().enumerate().skip(first_cell) {
+                if *cell.family != *family {
+                    continue;
+                }
+                push_index_cell(&mut core.state, side, cell, score);
                 // Algorithm 4 tests inside the tuple loop; rows already
                 // fetched in this batch are paid for either way.
-                if self.state.is_done() {
-                    self.core.pending = cells;
+                if core.state.is_done() {
+                    core.pending = (at + 1 < row.cells.len()).then_some((row, at + 1));
                     step = BatchStep::Drained;
                     break 'rows;
                 }
             }
         }
-        self.core.scans[turn] = Some(scan.into_state());
+        if let Some(scan) = scan {
+            core.scans[turn] = Some(scan.into_state());
+        }
         if step == BatchStep::Completed {
-            self.core.in_batch = false;
-            self.core.turn = 1 - self.core.turn;
+            core.in_batch = false;
+            core.turn = 1 - core.turn;
         }
         Ok(step)
     }
@@ -713,7 +708,7 @@ impl IslCursor {
                     // Observation point: one batch fully paid for, HRJN
                     // not terminated — same seam as isl::run_observed.
                     if let Some(observer) = &mut self.observer {
-                        if observer(&self.state, self.core.batches) == BatchVerdict::Abort {
+                        if observer(&self.core.state, self.core.batches) == BatchVerdict::Abort {
                             self.observer_abort = true;
                             break;
                         }
@@ -742,10 +737,9 @@ impl RankedCursor for IslCursor {
             .saturating_add(n)
             .min(self.core.meta.k);
         let (stopped, metrics) = self.pump(want, policy)?;
-        let all = self.state.current_results();
-        let certified = self.certified();
-        let emit_to = certified.min(want).max(self.core.meta.emitted);
-        let results = all[self.core.meta.emitted..emit_to].to_vec();
+        let emitted = self.core.meta.emitted;
+        let emit_to = self.certified().min(want).max(emitted);
+        let results = clone_ranks(self.core.state.results(), emitted, emit_to);
         self.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,
@@ -766,7 +760,7 @@ impl RankedCursor for IslCursor {
     }
 
     fn consumed_depth(&self) -> u64 {
-        self.core.log.len() as u64
+        self.core.state.tuples_consumed() as u64
     }
 
     fn charged(&self) -> MetricsSnapshot {
@@ -774,7 +768,7 @@ impl RankedCursor for IslCursor {
     }
 
     fn is_done(&self) -> bool {
-        self.drained() && self.core.meta.emitted == self.state.result_count()
+        self.drained() && self.core.meta.emitted == self.core.state.result_count()
     }
 
     fn algorithm(&self) -> &'static str {

@@ -318,9 +318,9 @@ impl DrjnRun {
                     // Join against the other side's seen tuples.
                     for (other_key, other_score) in self.core.seen[1 - s].matches(&join) {
                         let (lk, ls, rk, rs) = if s == 0 {
-                            (cell.qualifier.as_slice(), score, other_key, other_score)
+                            (&cell.qualifier[..], score, other_key, other_score)
                         } else {
-                            (other_key, other_score, cell.qualifier.as_slice(), score)
+                            (other_key, other_score, &cell.qualifier[..], score)
                         };
                         self.core.results.offer(JoinTuple {
                             left_key: lk.to_vec(),

@@ -17,7 +17,7 @@
 
 use rj_sketch::FlatMultiMap;
 
-use crate::result::{JoinTuple, TopK};
+use crate::result::{JoinTuple, RankKey, TopK};
 use crate::score::ScoreFn;
 
 /// One input tuple: `(base key, join value, score)`.
@@ -38,6 +38,17 @@ pub enum Side {
     Left,
     /// The right relation.
     Right,
+}
+
+impl Side {
+    /// Side of a 0/1 index (0 = left).
+    pub(crate) fn of(index: usize) -> Side {
+        if index == 0 {
+            Side::Left
+        } else {
+            Side::Right
+        }
+    }
 }
 
 /// Per-side seen-tuple store in flat, cache-friendly layout.
@@ -80,14 +91,27 @@ impl SeenSide {
         self.index.push(join, id);
     }
 
+    /// The `(base key, score)` tuple recorded under id `id`.
+    fn tuple(&self, id: u32) -> (&[u8], f64) {
+        let (off, len) = self.key_spans[id as usize];
+        (
+            &self.key_arena[off as usize..(off + len) as usize],
+            self.scores[id as usize],
+        )
+    }
+
     /// All `(base key, score)` tuples seen under `join`, insertion order.
     pub(crate) fn matches<'a>(&'a self, join: &[u8]) -> impl Iterator<Item = (&'a [u8], f64)> + 'a {
-        self.index.get(join).map(move |&id| {
-            let (off, len) = self.key_spans[id as usize];
-            (
-                &self.key_arena[off as usize..(off + len) as usize],
-                self.scores[id as usize],
-            )
+        self.index.get(join).map(move |&id| self.tuple(id))
+    }
+
+    /// Every distinct join value with its tuples — the whole-side sweep.
+    fn groups(
+        &self,
+    ) -> impl Iterator<Item = (&[u8], impl Iterator<Item = (&[u8], f64)> + '_)> + '_ {
+        (0..self.index.num_keys() as u32).map(move |entry| {
+            let tuples = self.index.group(entry).map(move |&id| self.tuple(id));
+            (self.index.key(entry), tuples)
         })
     }
 
@@ -102,8 +126,66 @@ impl SeenSide {
     }
 }
 
+/// A binary join match as a [`RankKey`], both row keys still borrowed
+/// from wherever they sit (an index cell, a seen-tuple arena).
+struct MatchKey<'a> {
+    left_key: &'a [u8],
+    right_key: &'a [u8],
+    score: f64,
+}
+
+impl RankKey for MatchKey<'_> {
+    fn score(&self) -> f64 {
+        self.score
+    }
+    fn left_key(&self) -> &[u8] {
+        self.left_key
+    }
+    fn right_key(&self) -> &[u8] {
+        self.right_key
+    }
+    fn inner_len(&self) -> usize {
+        0
+    }
+    fn inner_key(&self, _: usize) -> &[u8] {
+        unreachable!("binary matches have no interior sides")
+    }
+}
+
+/// Offers the join of `left` and `right` (each `(base key, score)`) on
+/// `join`, building the owned [`JoinTuple`] only if it enters the top-k.
+fn offer_match(
+    results: &mut TopK,
+    score_fn: ScoreFn,
+    join: &[u8],
+    left: (&[u8], f64),
+    right: (&[u8], f64),
+) {
+    let score = score_fn.combine(left.1, right.1);
+    let key = MatchKey {
+        left_key: left.0,
+        right_key: right.0,
+        score,
+    };
+    if results.admits(&key) {
+        results.offer(JoinTuple {
+            left_key: left.0.to_vec(),
+            right_key: right.0.to_vec(),
+            join_value: join.to_vec(),
+            left_score: left.1,
+            right_score: right.1,
+            inner: Vec::new(),
+            score,
+        });
+    }
+}
+
 /// Incremental HRJN state machine. Feed tuples in descending score order
 /// per side (any interleaving of sides) and poll [`HrjnState::is_done`].
+///
+/// Plain columnar data throughout, so a paused cursor parks the state
+/// itself ([`Clone`]) rather than a log to rebuild it from.
+#[derive(Clone)]
 pub struct HrjnState {
     k: usize,
     score_fn: ScoreFn,
@@ -141,46 +223,64 @@ impl HrjnState {
     /// Feeds one tuple from `side`. Panics in debug builds if scores go up
     /// — inputs must be score-descending.
     pub fn push(&mut self, side: Side, tuple: RankedTuple) {
+        self.push_borrowed(side, &tuple.key, &tuple.join_value, tuple.score);
+    }
+
+    /// [`HrjnState::push`] over borrowed parts: nothing is copied except
+    /// into the seen-tuple arenas and, for a join match that enters the
+    /// top-k, its result tuple.
+    pub fn push_borrowed(&mut self, side: Side, key: &[u8], join: &[u8], score: f64) {
         let i = Self::side_index(side);
         debug_assert!(
-            self.bounds[i].is_none_or(|(_, min)| tuple.score <= min + 1e-12),
+            self.bounds[i].is_none_or(|(_, min)| score <= min + 1e-12),
             "input not score-descending"
         );
         self.bounds[i] = Some(match self.bounds[i] {
-            None => (tuple.score, tuple.score),
-            Some((max, min)) => (max, min.min(tuple.score)),
+            None => (score, score),
+            Some((max, min)) => (max, min.min(score)),
         });
 
         // Join against the other side's seen tuples (columnar probe).
-        for (other_key, other_score) in self.seen[1 - i].matches(&tuple.join_value) {
-            let (l, r) = if i == 0 {
-                (
-                    (tuple.key.as_slice(), tuple.score),
-                    (other_key, other_score),
-                )
+        for other in self.seen[1 - i].matches(join) {
+            let (left, right) = if i == 0 {
+                ((key, score), other)
             } else {
-                (
-                    (other_key, other_score),
-                    (tuple.key.as_slice(), tuple.score),
-                )
+                (other, (key, score))
             };
-            self.results.offer(JoinTuple {
-                left_key: l.0.to_vec(),
-                right_key: r.0.to_vec(),
-                join_value: tuple.join_value.clone(),
-                left_score: l.1,
-                right_score: r.1,
-                inner: Vec::new(),
-                score: self.score_fn.combine(l.1, r.1),
-            });
+            offer_match(&mut self.results, self.score_fn, join, left, right);
         }
-        self.seen[i].insert(&tuple.join_value, &tuple.key, tuple.score);
+        self.seen[i].insert(join, key, score);
         self.consumed[i] += 1;
+    }
+
+    /// Re-targets the operator to `new_k`, rebuilding the top-k buffer by
+    /// one join sweep over the two seen sides: every match among consumed
+    /// tuples is offered again, so results a shallower `k` had evicted
+    /// come back. The sweep's order is immaterial — [`TopK`] is a set
+    /// under the total [`JoinTuple::rank_cmp`] order — and consumed
+    /// counts, bounds and exhaustion are untouched, so the operator is
+    /// exactly what pushing the same tuples at `new_k` would have built.
+    pub fn retarget(&mut self, new_k: usize) {
+        self.k = new_k;
+        self.results = TopK::new(new_k);
+        let [left_side, right_side] = &self.seen;
+        for (join, lefts) in left_side.groups() {
+            for left in lefts {
+                for right in right_side.matches(join) {
+                    offer_match(&mut self.results, self.score_fn, join, left, right);
+                }
+            }
+        }
     }
 
     /// Marks a side as fully consumed.
     pub fn exhaust(&mut self, side: Side) {
         self.exhausted[Self::side_index(side)] = true;
+    }
+
+    /// Whether `side` was marked fully consumed.
+    pub fn is_exhausted(&self, side: Side) -> bool {
+        self.exhausted[Self::side_index(side)]
     }
 
     /// The HRJN threshold: the maximum attainable score of any join tuple
@@ -293,7 +393,12 @@ impl HrjnState {
     /// seed another algorithm's top-k accumulator with (every one is a
     /// real join result of tuples already paid for).
     pub fn current_results(&self) -> Vec<JoinTuple> {
-        self.results.iter().cloned().collect()
+        self.results().cloned().collect()
+    }
+
+    /// The buffered results in rank order, borrowed.
+    pub(crate) fn results(&self) -> impl Iterator<Item = &JoinTuple> {
+        self.results.iter()
     }
 }
 

@@ -36,7 +36,7 @@ impl Mapper for TopKMapper {
                 continue;
             };
             let score = f64::from_be_bytes(bytes.try_into().expect("8 bytes"));
-            if cell.family == self.left_family {
+            if *cell.family == *self.left_family {
                 left.push((&cell.qualifier, score));
             } else {
                 right.push((&cell.qualifier, score));

@@ -10,10 +10,9 @@ use rj_store::metrics::QueryMeter;
 use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask, ParallelScanner};
 use rj_store::scan::Scan;
 
-use crate::codec;
-use crate::cursor::{BatchStep, IslCursor};
+use crate::cursor::{push_index_cell, BatchStep, IslCursor};
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::{HrjnState, RankedTuple, Side};
+use crate::hrjn::{HrjnState, Side};
 use crate::query::RankJoinQuery;
 use crate::stats::QueryOutcome;
 
@@ -297,16 +296,7 @@ fn run_enumeration_parallel(
                 continue;
             };
             for cell in row.family_cells(family) {
-                let (join_value, exact_score) = codec::decode_value_score(&cell.value)
-                    .unwrap_or_else(|_| (cell.value.to_vec(), score));
-                state.push(
-                    side,
-                    RankedTuple {
-                        key: cell.qualifier.clone(),
-                        join_value,
-                        score: exact_score,
-                    },
-                );
+                push_index_cell(&mut state, side, cell, score);
             }
         }
         state.exhaust(side);

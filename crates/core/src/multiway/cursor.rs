@@ -19,8 +19,8 @@ use rj_store::scan::Scan;
 use crate::cancel::{StopPolicy, StopReason};
 use crate::codec;
 use crate::cursor::{
-    policy_stop, snap_add, BatchStep, CursorBatch, CursorMeta, CursorState, RankedCursor,
-    StateInner,
+    clone_ranks, policy_stop, snap_add, BatchStep, CursorBatch, CursorMeta, CursorState,
+    RankedCursor, StateInner,
 };
 use crate::error::{RankJoinError, Result};
 use crate::multiway::hrjn::{NaryHrjn, NaryTuple};
@@ -185,8 +185,7 @@ impl MultiwayCursor {
             return 0;
         };
         self.state
-            .current_results()
-            .iter()
+            .results()
             .take_while(|t| t.score > threshold)
             .count()
     }
@@ -226,7 +225,7 @@ impl MultiwayCursor {
                     self.push_logged(
                         i,
                         NaryTuple {
-                            key: cell.qualifier.clone(),
+                            key: cell.qualifier.to_vec(),
                             edge_values,
                             score: exact_score,
                         },
@@ -305,7 +304,7 @@ impl MultiwayCursor {
                 .filter_map(|cell| {
                     let (edge_values, score) = codec::decode_multi_value_score(&cell.value).ok()?;
                     Some(NaryTuple {
-                        key: cell.qualifier.clone(),
+                        key: cell.qualifier.to_vec(),
                         edge_values,
                         score,
                     })
@@ -372,10 +371,9 @@ impl RankedCursor for MultiwayCursor {
             .saturating_add(n)
             .min(self.core.meta.k);
         let (stopped, metrics) = self.pump(want, policy)?;
-        let all = self.state.current_results();
-        let certified = self.certified();
-        let emit_to = certified.min(want).max(self.core.meta.emitted);
-        let results = all[self.core.meta.emitted..emit_to].to_vec();
+        let emitted = self.core.meta.emitted;
+        let emit_to = self.certified().min(want).max(emitted);
+        let results = clone_ranks(self.state.results(), emitted, emit_to);
         self.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,

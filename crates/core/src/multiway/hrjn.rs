@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use crate::query::JoinSpec;
-use crate::result::{JoinTuple, TopK};
+use crate::result::{JoinTuple, RankKey, TopK};
 use crate::score::ScoreFn;
 
 /// One input tuple of side `i`: base key, one join value per edge
@@ -45,6 +45,41 @@ struct SeenNary {
     tuples: Vec<NaryTuple>,
     /// One map per incident edge, parallel to the side's incident list.
     by_edge: Vec<HashMap<Vec<u8>, Vec<u32>>>,
+}
+
+/// A complete assignment — one tuple per side — as a [`RankKey`], every
+/// key still borrowed from the seen-tuple stores.
+struct AssignmentKey<'a> {
+    hrjn: &'a NaryHrjn,
+    root: usize,
+    new: &'a NaryTuple,
+    chosen: &'a [u32],
+    score: f64,
+}
+
+impl RankKey for AssignmentKey<'_> {
+    fn score(&self) -> f64 {
+        self.score
+    }
+    fn left_key(&self) -> &[u8] {
+        &self.hrjn.tuple_at(self.root, self.new, self.chosen, 0).key
+    }
+    fn right_key(&self) -> &[u8] {
+        let last = self.hrjn.n() - 1;
+        &self
+            .hrjn
+            .tuple_at(self.root, self.new, self.chosen, last)
+            .key
+    }
+    fn inner_len(&self) -> usize {
+        self.hrjn.n() - 2
+    }
+    fn inner_key(&self, i: usize) -> &[u8] {
+        &self
+            .hrjn
+            .tuple_at(self.root, self.new, self.chosen, i + 1)
+            .key
+    }
 }
 
 /// Incremental N-way HRJN state machine. Feed tuples in descending score
@@ -183,7 +218,22 @@ impl NaryHrjn {
         out: &mut Vec<JoinTuple>,
     ) {
         if pos == order.len() {
-            out.push(self.assemble(root, new, chosen));
+            // Only an assignment that will enter the top-k is worth
+            // building. Testing against the buffer as it stood before this
+            // push is sound: the offers that follow only raise the bar.
+            let score = self
+                .score_fn
+                .combine_iter((0..self.n()).map(|i| self.tuple_at(root, new, chosen, i).score));
+            let key = AssignmentKey {
+                hrjn: self,
+                root,
+                new,
+                chosen,
+                score,
+            };
+            if self.results.admits(&key) {
+                out.push(self.assemble(root, new, chosen, score));
+            }
             return;
         }
         let (child, edge, parent) = order[pos];
@@ -203,28 +253,37 @@ impl NaryHrjn {
         }
     }
 
-    /// Builds the result tuple of a complete assignment.
-    fn assemble(&self, root: usize, new: &NaryTuple, chosen: &[u32]) -> JoinTuple {
+    /// Side `i`'s tuple in the assignment `chosen` rooted at the new
+    /// tuple of side `root`.
+    fn tuple_at<'a>(
+        &'a self,
+        root: usize,
+        new: &'a NaryTuple,
+        chosen: &[u32],
+        i: usize,
+    ) -> &'a NaryTuple {
+        if i == root {
+            new
+        } else {
+            &self.seen[i].tuples[chosen[i] as usize]
+        }
+    }
+
+    /// Builds the result tuple of a complete assignment scoring `score`.
+    fn assemble(&self, root: usize, new: &NaryTuple, chosen: &[u32], score: f64) -> JoinTuple {
         let n = self.n();
-        let tuple_at = |i: usize| -> &NaryTuple {
-            if i == root {
-                new
-            } else {
-                &self.seen[i].tuples[chosen[i] as usize]
-            }
-        };
-        let scores: Vec<f64> = (0..n).map(|i| tuple_at(i).score).collect();
+        let tuple_at = |i: usize| self.tuple_at(root, new, chosen, i);
         let (jv_side, jv_slot) = self.edge0_slot;
         JoinTuple {
             left_key: tuple_at(0).key.clone(),
             right_key: tuple_at(n - 1).key.clone(),
             join_value: tuple_at(jv_side).edge_values[jv_slot].clone(),
-            left_score: scores[0],
-            right_score: scores[n - 1],
+            left_score: tuple_at(0).score,
+            right_score: tuple_at(n - 1).score,
             inner: (1..n - 1)
-                .map(|i| (tuple_at(i).key.clone(), scores[i]))
+                .map(|i| (tuple_at(i).key.clone(), tuple_at(i).score))
                 .collect(),
-            score: self.score_fn.combine_many(&scores),
+            score,
         }
     }
 
@@ -247,22 +306,25 @@ impl NaryHrjn {
                 // Nothing pulled from an active side: unbounded.
                 return None;
             };
-            let mut args = Vec::with_capacity(n);
+            // Left-to-right fold of `f` over the sides' arguments, as
+            // `combine_many` folds them (this runs after every tuple).
+            let mut bound = 0.0;
             for j in 0..n {
-                if j == i {
-                    args.push(my_min);
-                    continue;
-                }
-                match self.bounds[j] {
-                    Some((max, _)) => args.push(max),
+                let arg = match self.bounds[j] {
+                    _ if j == i => my_min,
+                    Some((max, _)) => max,
                     // An exhausted empty side can never partner any
                     // future tuple — side i contributes no bound.
                     None if self.exhausted[j] => continue 'sides,
                     // An active side with nothing pulled: unbounded.
                     None => return None,
-                }
+                };
+                bound = if j == 0 {
+                    arg
+                } else {
+                    self.score_fn.combine(bound, arg)
+                };
             }
-            let bound = self.score_fn.combine_many(&args);
             t = Some(t.map_or(bound, |x: f64| x.max(bound)));
         }
         t.or(Some(f64::NEG_INFINITY))
@@ -297,9 +359,9 @@ impl NaryHrjn {
         self.results.kth_score()
     }
 
-    /// The genuine results buffered so far, rank-ordered.
-    pub fn current_results(&self) -> Vec<JoinTuple> {
-        self.results.iter().cloned().collect()
+    /// The genuine results buffered so far, in rank order.
+    pub(crate) fn results(&self) -> impl Iterator<Item = &JoinTuple> {
+        self.results.iter()
     }
 
     /// Finishes, returning the rank-ordered results.

@@ -473,16 +473,14 @@ mod tests {
             key: b"rk".to_vec(),
             cells: vec![
                 Cell {
-                    row: b"rk".to_vec(),
                     family: "d".into(),
-                    qualifier: b"jk".to_vec(),
+                    qualifier: Bytes::from_static(b"jk"),
                     timestamp: 1,
                     value: Bytes::copy_from_slice(&join.to_be_bytes()),
                 },
                 Cell {
-                    row: b"rk".to_vec(),
                     family: "d".into(),
-                    qualifier: b"score".to_vec(),
+                    qualifier: Bytes::from_static(b"score"),
                     timestamp: 1,
                     value: Bytes::copy_from_slice(&score.to_be_bytes()),
                 },

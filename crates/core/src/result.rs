@@ -1,5 +1,6 @@
 //! Join result tuples and the bounded top-k list.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -40,17 +41,56 @@ impl JoinTuple {
     /// tuples have empty `inner`, so their order is exactly the
     /// pre-N-ary `(left_key, right_key)` one.
     pub fn rank_cmp(&self, other: &JoinTuple) -> Ordering {
-        other
-            .score
-            .total_cmp(&self.score)
-            .then_with(|| self.left_key.cmp(&other.left_key))
-            .then_with(|| {
-                let a = self.inner.iter().map(|(k, _)| k);
-                let b = other.inner.iter().map(|(k, _)| k);
-                a.cmp(b)
-            })
-            .then_with(|| self.right_key.cmp(&other.right_key))
+        rank_cmp_keys(self, other)
     }
+}
+
+/// The fields [`JoinTuple::rank_cmp`] orders by, readable without owning
+/// them — what lets [`TopK::admits`] rank a join match while its keys
+/// still sit in the operators' seen-tuple stores, before any
+/// [`JoinTuple`] is built for it.
+pub trait RankKey {
+    /// Aggregate score.
+    fn score(&self) -> f64;
+    /// Row key of side 0.
+    fn left_key(&self) -> &[u8];
+    /// Row key of the last side.
+    fn right_key(&self) -> &[u8];
+    /// Number of interior sides (0 for binary joins).
+    fn inner_len(&self) -> usize;
+    /// Row key of interior side `i` (side `i + 1` of the join).
+    fn inner_key(&self, i: usize) -> &[u8];
+}
+
+impl RankKey for JoinTuple {
+    fn score(&self) -> f64 {
+        self.score
+    }
+    fn left_key(&self) -> &[u8] {
+        &self.left_key
+    }
+    fn right_key(&self) -> &[u8] {
+        &self.right_key
+    }
+    fn inner_len(&self) -> usize {
+        self.inner.len()
+    }
+    fn inner_key(&self, i: usize) -> &[u8] {
+        &self.inner[i].0
+    }
+}
+
+/// The one definition of the rank order, over any two [`RankKey`]s.
+fn rank_cmp_keys<A: RankKey + ?Sized, B: RankKey + ?Sized>(a: &A, b: &B) -> Ordering {
+    b.score()
+        .total_cmp(&a.score())
+        .then_with(|| a.left_key().cmp(b.left_key()))
+        .then_with(|| {
+            let a_inner = (0..a.inner_len()).map(|i| a.inner_key(i));
+            let b_inner = (0..b.inner_len()).map(|i| b.inner_key(i));
+            a_inner.cmp(b_inner)
+        })
+        .then_with(|| a.right_key().cmp(b.right_key()))
 }
 
 /// Wrapper giving `JoinTuple` the total order of [`JoinTuple::rank_cmp`].
@@ -68,6 +108,34 @@ impl PartialOrd for Ranked {
 impl Ord for Ranked {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.rank_cmp(&other.0)
+    }
+}
+
+// `BTreeSet<Ranked>` lookups by a borrowed key: `dyn RankKey` carries the
+// same order as `Ranked`, as `Borrow` requires.
+impl<'a> Borrow<dyn RankKey + 'a> for Ranked {
+    fn borrow(&self) -> &(dyn RankKey + 'a) {
+        &self.0
+    }
+}
+
+impl PartialEq for dyn RankKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn RankKey + '_ {}
+
+impl PartialOrd for dyn RankKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn RankKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank_cmp_keys(self, other)
     }
 }
 
@@ -97,6 +165,20 @@ impl TopK {
         while self.set.len() > self.k {
             self.set.pop_last();
         }
+    }
+
+    /// Whether [`TopK::offer`]ing a tuple with this rank key would change
+    /// the retained set: it is not retained already and it ranks among the
+    /// best `k` (a tie with the k-th that sorts after it does not). Callers
+    /// test this on borrowed keys and build the owned [`JoinTuple`] only
+    /// for the matches that pass.
+    pub fn admits(&self, candidate: &dyn RankKey) -> bool {
+        let room = self.set.len() < self.k;
+        let beats_last = self
+            .set
+            .last()
+            .is_some_and(|last| rank_cmp_keys(candidate, &last.0) == Ordering::Less);
+        (room || beats_last) && !self.set.contains(candidate)
     }
 
     /// Number of retained tuples (≤ k).

@@ -51,11 +51,16 @@ impl ScoreFn {
 
     /// Folds an n-ary score list left-to-right (multi-way extension).
     pub fn combine_many(&self, scores: &[f64]) -> f64 {
-        match scores {
-            [] => 0.0,
-            [only] => *only,
-            [first, rest @ ..] => rest.iter().fold(*first, |acc, &s| self.combine(acc, s)),
-        }
+        self.combine_iter(scores.iter().copied())
+    }
+
+    /// [`ScoreFn::combine_many`] over scores produced on the fly.
+    pub fn combine_iter(&self, scores: impl IntoIterator<Item = f64>) -> f64 {
+        let mut scores = scores.into_iter();
+        let Some(first) = scores.next() else {
+            return 0.0;
+        };
+        scores.fold(first, |acc, s| self.combine(acc, s))
     }
 
     /// Short name for reports.

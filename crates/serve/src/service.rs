@@ -1272,9 +1272,9 @@ fn cancelled_unserved(id: u64) -> SessFinal {
 
 /// Runs one session's query on its own fork through the cursor stack,
 /// billing it the fork's exact ledger delta. A usable `warm` entry
-/// re-targets the donated descent state to this session's `k` — the
-/// replayed consumed-tuple log charges nothing, so the session pays only
-/// the reads beyond the donor's prefix. Returns the terminal outcome,
+/// re-targets the donated descent state to this session's `k` — tuples
+/// the donor consumed are re-joined in memory and charge nothing, so the
+/// session pays only the reads beyond the donor's prefix. Returns the terminal outcome,
 /// the paused state donated back to the cache (when re-targetable), and
 /// whether the run was warm-started.
 fn execute_one(

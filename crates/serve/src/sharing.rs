@@ -17,7 +17,7 @@
 //!   *results* are never served from the cache.
 //! * `WarmEntry` — a paused [`CursorState`] at descent depth `d`. A
 //!   stopped run's results are unverified, but its *work* is not wasted:
-//!   the consumed-tuple log can be re-targeted to any deeper `k'`
+//!   the tuples it consumed can be re-targeted to any deeper `k'`
 //!   ([`CursorState::resume_retargeted`]) and the warmed execution is
 //!   billed only what it reads beyond the donor's prefix. Completed ISL
 //!   executions donate their final state too — that is what lets a later

@@ -134,6 +134,12 @@ impl<V> FlatMultiMap<V> {
         &self.key_arena[lo..hi]
     }
 
+    /// The key of entry id `entry` (ids are dense: `0..num_keys()`), so a
+    /// whole-map sweep can pair every key with its [`FlatMultiMap::group`].
+    pub fn key(&self, entry: u32) -> &[u8] {
+        self.key_of(entry as usize)
+    }
+
     /// Knuth multiplicative slot for a digest in a table of `1 << (32 -
     /// shift)` slots.
     #[inline]

@@ -7,17 +7,20 @@
 //! spirit, and the rank-join update machinery (§6) leans on timestamp
 //! ordering to discern fresh from stale tuples.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
-/// A single key-value pair as surfaced to clients.
+/// A single key-value pair as surfaced to clients. The row key lives once
+/// on the enclosing [`crate::row::RowResult`]; family name, qualifier and
+/// value are refcounted handles onto the region's own storage, so
+/// materializing a cell copies no bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
-    /// Row key.
-    pub row: Vec<u8>,
-    /// Column family name.
-    pub family: String,
+    /// Column family name (shared with the table schema).
+    pub family: Arc<str>,
     /// Column qualifier.
-    pub qualifier: Vec<u8>,
+    pub qualifier: Bytes,
     /// Write timestamp (logical; assigned by the cluster clock unless the
     /// mutation pinned one).
     pub timestamp: u64,
@@ -26,11 +29,11 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Approximate on-disk/on-wire footprint of the cell in bytes: key +
-    /// family + qualifier + timestamp + value. Used for disk-size accounting
-    /// (index-size experiment) and network billing.
-    pub fn weight(&self) -> u64 {
-        (self.row.len() + self.family.len() + self.qualifier.len() + 8 + self.value.len()) as u64
+    /// Approximate on-disk/on-wire footprint of the cell in bytes: the
+    /// row's key, family, qualifier, timestamp and value. Used for
+    /// disk-size accounting (index-size experiment) and network billing.
+    pub fn weight(&self, row_key_len: usize) -> u64 {
+        (row_key_len + self.family.len() + self.qualifier.len() + 8 + self.value.len()) as u64
     }
 }
 
@@ -131,13 +134,12 @@ mod tests {
     #[test]
     fn cell_weight_counts_all_parts() {
         let c = Cell {
-            row: vec![0; 10],
             family: "cf".into(),
-            qualifier: vec![0; 3],
+            qualifier: Bytes::from(vec![0; 3]),
             timestamp: 1,
             value: Bytes::from(vec![0; 5]),
         };
-        assert_eq!(c.weight(), 10 + 2 + 3 + 8 + 5);
+        assert_eq!(c.weight(10), 10 + 2 + 3 + 8 + 5);
     }
 
     #[test]

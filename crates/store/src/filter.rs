@@ -93,7 +93,7 @@ pub struct HasFamily(pub String);
 
 impl ServerFilter for HasFamily {
     fn accept(&self, row: &RowResult) -> bool {
-        row.cells.iter().any(|c| c.family == self.0)
+        row.cells.iter().any(|c| *c.family == *self.0)
     }
 
     fn name(&self) -> &'static str {
@@ -111,9 +111,8 @@ mod tests {
         RowResult {
             key: b"r1".to_vec(),
             cells: vec![Cell {
-                row: b"r1".to_vec(),
                 family: "cf".into(),
-                qualifier: b"score".to_vec(),
+                qualifier: Bytes::from_static(b"score"),
                 timestamp: 1,
                 value: Bytes::copy_from_slice(&score.to_be_bytes()),
             }],

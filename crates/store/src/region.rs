@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -60,9 +61,10 @@ impl Versions {
 }
 
 /// Row payload: per-family column maps, indexed by the table's family ids.
+/// Qualifiers are refcounted so reads hand them out without copying.
 #[derive(Clone, Debug)]
 pub(crate) struct RowData {
-    families: Vec<BTreeMap<Vec<u8>, Versions>>,
+    families: Vec<BTreeMap<Bytes, Versions>>,
 }
 
 impl RowData {
@@ -75,6 +77,30 @@ impl RowData {
     fn is_empty(&self) -> bool {
         self.families.iter().all(BTreeMap::is_empty)
     }
+
+    /// Adds one version to a column, returning whether the column was
+    /// visible before and is visible after. Only a column's first version
+    /// copies the qualifier.
+    fn apply(&mut self, fam_idx: usize, qualifier: &[u8], version: Version) -> (bool, bool) {
+        let columns = &mut self.families[fam_idx];
+        let add = |versions: &mut Versions| {
+            let was_visible = versions.visible().is_some();
+            versions.insert(version);
+            (was_visible, versions.visible().is_some())
+        };
+        match columns.get_mut(qualifier) {
+            Some(versions) => add(versions),
+            None => add(columns
+                .entry(Bytes::copy_from_slice(qualifier))
+                .or_default()),
+        }
+    }
+}
+
+/// The family indices a read touches: the projection, or all `n`.
+fn selected(families: Option<&[usize]>, n: usize) -> impl Iterator<Item = usize> + '_ {
+    let all = if families.is_none() { 0..n } else { 0..0 };
+    families.into_iter().flatten().copied().chain(all)
 }
 
 /// Byte/KV accounting for one region-server operation.
@@ -168,39 +194,32 @@ impl Region {
             .or_insert_with(|| RowData::new(num_families));
         let mut bytes = 0u64;
         for &(fam_idx, m) in muts {
-            match m {
+            let (qualifier, version) = match m {
                 Mutation::Put {
                     qualifier,
                     value,
                     timestamp,
                     ..
-                } => {
-                    let ts = timestamp.unwrap_or(default_ts);
-                    let versions = row.families[fam_idx].entry(qualifier.clone()).or_default();
-                    let was_visible = versions.visible().is_some();
-                    versions.insert(Version::Put(ts, value.clone()));
-                    let now_visible = versions.visible().is_some();
-                    if !was_visible && now_visible {
-                        self.kv_count += 1;
-                    }
-                    bytes += m.weight(row_key.len());
-                }
+                } => (
+                    qualifier,
+                    Version::Put(timestamp.unwrap_or(default_ts), value.clone()),
+                ),
                 Mutation::Delete {
                     qualifier,
                     timestamp,
                     ..
-                } => {
-                    let ts = timestamp.unwrap_or(default_ts);
-                    let versions = row.families[fam_idx].entry(qualifier.clone()).or_default();
-                    let was_visible = versions.visible().is_some();
-                    versions.insert(Version::Tombstone(ts));
-                    let now_visible = versions.visible().is_some();
-                    if was_visible && !now_visible {
-                        self.kv_count = self.kv_count.saturating_sub(1);
-                    }
-                    bytes += m.weight(row_key.len());
-                }
+                } => (
+                    qualifier,
+                    Version::Tombstone(timestamp.unwrap_or(default_ts)),
+                ),
+            };
+            let (was_visible, now_visible) = row.apply(fam_idx, qualifier, version);
+            if !was_visible && now_visible {
+                self.kv_count += 1;
+            } else if was_visible && !now_visible {
+                self.kv_count = self.kv_count.saturating_sub(1);
             }
+            bytes += m.weight(row_key.len());
         }
         if row.is_empty() {
             self.rows.remove(row_key);
@@ -210,64 +229,65 @@ impl Region {
     }
 
     /// Materializes the visible cells of one row, restricted to the given
-    /// family indices (`None` = all).
+    /// family indices (`None` = all). The row is `None` when no selected
+    /// column is visible, and nothing is allocated until the first visible
+    /// cell: a row that a projected scan merely walks over (all its cells
+    /// in other families) costs no heap traffic, a returned row costs its
+    /// key and its `cells` vector.
     fn materialize(
-        &self,
         key: &[u8],
         data: &RowData,
-        family_names: &[String],
+        family_names: &[Arc<str>],
         families: Option<&[usize]>,
-    ) -> (RowResult, ReadCost) {
+    ) -> (Option<RowResult>, ReadCost) {
         let mut cells = Vec::new();
         let mut cost = ReadCost::default();
-        let select: Box<dyn Iterator<Item = usize>> = match families {
-            Some(ids) => Box::new(ids.iter().copied()),
-            None => Box::new(0..data.families.len()),
-        };
-        for fam_idx in select {
+        // Stored columns in the selection: an upper bound on visible cells.
+        let columns: usize = selected(families, data.families.len())
+            .map(|fam_idx| data.families[fam_idx].len())
+            .sum();
+        for fam_idx in selected(families, data.families.len()) {
             for (qualifier, versions) in &data.families[fam_idx] {
                 // Every stored version is touched by the read path.
                 cost.kvs_scanned += 1;
                 if let Some((ts, value)) = versions.visible() {
                     let cell = Cell {
-                        row: key.to_vec(),
-                        family: family_names[fam_idx].clone(),
+                        family: Arc::clone(&family_names[fam_idx]),
                         qualifier: qualifier.clone(),
                         timestamp: ts,
                         value: value.clone(),
                     };
-                    cost.bytes_scanned += cell.weight();
+                    cost.bytes_scanned += cell.weight(key.len());
+                    if cells.is_empty() {
+                        cells.reserve_exact(columns);
+                    }
                     cells.push(cell);
                 }
             }
         }
-        (
-            RowResult {
-                key: key.to_vec(),
-                cells,
-            },
-            cost,
-        )
+        let row = (!cells.is_empty()).then(|| RowResult {
+            key: key.to_vec(),
+            cells,
+        });
+        (row, cost)
     }
 
     /// Point read of one row.
     pub(crate) fn get(
         &self,
         key: &[u8],
-        family_names: &[String],
+        family_names: &[Arc<str>],
         families: Option<&[usize]>,
     ) -> (Option<RowResult>, ReadCost) {
         match self.rows.get(key) {
             None => (None, ReadCost::default()),
             Some(data) => {
-                let (row, mut cost) = self.materialize(key, data, family_names, families);
-                if row.cells.is_empty() {
-                    (None, cost)
-                } else {
+                let (row, mut cost) = Self::materialize(key, data, family_names, families);
+                if let Some(row) = &row {
                     cost.kvs_returned = row.kv_count();
                     cost.bytes_returned = row.weight();
-                    (Some(row), cost)
                 }
+                (row, cost)
             }
         }
     }
@@ -279,7 +299,7 @@ impl Region {
         &self,
         start: &[u8],
         stop: Option<&[u8]>,
-        family_names: &[String],
+        family_names: &[Arc<str>],
         families: Option<&[usize]>,
         filter: Option<&dyn ServerFilter>,
         max_rows: usize,
@@ -305,12 +325,10 @@ impl Region {
                 resume_key = Some(key.clone());
                 break;
             }
-            let (row, c) = self.materialize(key, data, family_names, families);
+            let (row, c) = Self::materialize(key, data, family_names, families);
             cost.kvs_scanned += c.kvs_scanned;
             cost.bytes_scanned += c.bytes_scanned;
-            if row.cells.is_empty() {
-                continue;
-            }
+            let Some(row) = row else { continue };
             if filter.is_none_or(|f| f.accept(&row)) {
                 cost.kvs_returned += row.kv_count();
                 cost.bytes_returned += row.weight();
@@ -373,8 +391,8 @@ impl Region {
 mod tests {
     use super::*;
 
-    fn fams() -> Vec<String> {
-        vec!["a".to_string(), "b".to_string()]
+    fn fams() -> Vec<Arc<str>> {
+        vec!["a".into(), "b".into()]
     }
 
     fn put(region: &mut Region, key: &[u8], fam: usize, q: &[u8], v: &[u8], ts: u64) {
@@ -457,7 +475,58 @@ mod tests {
         let batch = r.scan_batch(b"", None, &fams(), Some(&[1]), None, 10);
         assert_eq!(batch.rows.len(), 1);
         assert_eq!(batch.rows[0].cells.len(), 1);
-        assert_eq!(batch.rows[0].cells[0].family, "b");
+        assert_eq!(&*batch.rows[0].cells[0].family, "b");
+    }
+
+    /// The union walk the planner's ISL cost model is calibrated against:
+    /// a projected scan visits every row of the range — rows holding only
+    /// foreign-family cells count toward the RPC's row budget and move
+    /// the resume key, but are billed nothing and returned nowhere.
+    #[test]
+    fn projected_scan_over_foreign_rows_bills_and_resumes_as_pinned() {
+        let mut r = Region::new(vec![], 0);
+        for i in 0..10u8 {
+            // Even rows: family `a` only. Odd rows: family `b` only.
+            put(&mut r, &[i], usize::from(i % 2), b"q", b"vv", 1);
+        }
+        // Row 2 also holds a dead `b` column: touched (one KV read) but
+        // invisible, so the row is still not returned.
+        put(&mut r, &[2], 1, b"dead", b"vv", 1);
+        let tombstone = Mutation::delete_at("b", b"dead", 2);
+        r.mutate_row(&[2], &[(1, &tombstone)], 0, 2);
+
+        let batch = r.scan_batch(&[0], None, &fams(), Some(&[1]), None, 4);
+        let keys: Vec<u8> = batch.rows.iter().map(|row| row.key[0]).collect();
+        assert_eq!(keys, vec![1, 3], "two of the four visited rows return");
+        assert_eq!(
+            batch.resume_key,
+            Some(vec![4]),
+            "all four visited rows count"
+        );
+        // One visible cell: key 1 + family 1 + qualifier 1 + ts 8 + value 2.
+        assert_eq!(
+            batch.cost,
+            ReadCost {
+                kvs_scanned: 3,
+                bytes_scanned: 26,
+                kvs_returned: 2,
+                bytes_returned: 26,
+            }
+        );
+
+        let rest = r.scan_batch(&[4], None, &fams(), Some(&[1]), None, 100);
+        let keys: Vec<u8> = rest.rows.iter().map(|row| row.key[0]).collect();
+        assert_eq!(keys, vec![5, 7, 9]);
+        assert_eq!(rest.resume_key, None);
+        assert_eq!(
+            rest.cost,
+            ReadCost {
+                kvs_scanned: 3,
+                bytes_scanned: 39,
+                kvs_returned: 3,
+                bytes_returned: 39,
+            }
+        );
     }
 
     #[test]

@@ -20,18 +20,18 @@ impl RowResult {
     pub fn value(&self, family: &str, qualifier: &[u8]) -> Option<&Bytes> {
         self.cells
             .iter()
-            .find(|c| c.family == family && c.qualifier == qualifier)
+            .find(|c| *c.family == *family && *c.qualifier == *qualifier)
             .map(|c| &c.value)
     }
 
     /// All cells in one family.
     pub fn family_cells<'a>(&'a self, family: &'a str) -> impl Iterator<Item = &'a Cell> + 'a {
-        self.cells.iter().filter(move |c| c.family == family)
+        self.cells.iter().filter(move |c| *c.family == *family)
     }
 
     /// Total wire weight of the row (sum of cell weights).
     pub fn weight(&self) -> u64 {
-        self.cells.iter().map(Cell::weight).sum()
+        self.cells.iter().map(|c| c.weight(self.key.len())).sum()
     }
 
     /// Number of cells (KV pairs) in the row.
@@ -46,9 +46,8 @@ mod tests {
 
     fn cell(family: &str, q: &[u8], v: &[u8]) -> Cell {
         Cell {
-            row: b"r".to_vec(),
             family: family.into(),
-            qualifier: q.to_vec(),
+            qualifier: Bytes::copy_from_slice(q),
             timestamp: 1,
             value: Bytes::copy_from_slice(v),
         }

@@ -1,6 +1,7 @@
 //! Tables: named, schema'd (column families), split into regions.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -43,7 +44,9 @@ pub struct TableScanBatch {
 /// An ordered, sharded collection of rows.
 pub struct Table {
     name: String,
-    families: Vec<String>,
+    /// Family names, shared by handle with every [`crate::cell::Cell`]
+    /// read from this table.
+    families: Vec<Arc<str>>,
     regions: RwLock<Vec<RwLock<Region>>>,
     /// Rows per region before an auto-split triggers.
     split_threshold: AtomicUsize,
@@ -72,7 +75,7 @@ impl Table {
             .collect();
         Table {
             name: name.to_owned(),
-            families: families.iter().map(|f| (*f).to_owned()).collect(),
+            families: families.iter().map(|f| Arc::from(*f)).collect(),
             regions: RwLock::new(regions),
             split_threshold: AtomicUsize::new(1 << 20),
             num_nodes,
@@ -86,7 +89,7 @@ impl Table {
     }
 
     /// Column family names, in schema order.
-    pub fn families(&self) -> &[String] {
+    pub fn families(&self) -> &[Arc<str>] {
         &self.families
     }
 
@@ -101,7 +104,7 @@ impl Table {
     pub fn family_index(&self, family: &str) -> Result<usize> {
         self.families
             .iter()
-            .position(|f| f == family)
+            .position(|f| **f == *family)
             .ok_or_else(|| StoreError::FamilyNotFound {
                 table: self.name.clone(),
                 family: family.to_owned(),

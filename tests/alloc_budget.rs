@@ -1,0 +1,238 @@
+//! Allocation budget of the ISL read path (scan → HRJN → top-k → cursor).
+//!
+//! The path is meant to copy nothing per tuple: a row the scan returns
+//! costs its key and its `cells` vector, a row it merely walks over costs
+//! nothing, a join match is materialised only when it enters the top-k,
+//! and a paused cursor carries its operator state instead of rebuilding
+//! it. These tests pin that with a counting allocator, on a tiny TPC-H
+//! load. Counts are per thread, so the other tests of this binary running
+//! beside a measured region do not disturb it (every measured call runs
+//! on the calling thread).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rankjoin::core::isl;
+use rankjoin::tpch::{loader, TpchConfig};
+use rankjoin::{
+    Algorithm, Cluster, CostModel, IslConfig, JoinSide, Mutation, RankJoinExecutor, RankJoinQuery,
+    Scan, ScoreFn, StopPolicy,
+};
+
+thread_local! {
+    /// Allocation calls made by this thread (a `realloc` counts as one).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to the system allocator, counting calls per thread.
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: a thread that is tearing down has no counter left, and
+    // nothing measured runs there.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// thread-local integer and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: the trait's contract for `alloc` is `System`'s own.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the trait's contract for `alloc_zeroed` is `System`'s own.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations are passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the trait's contract for `dealloc` is `System`'s own.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by this allocator (hence by
+        // `System`) for `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: the trait's contract for `realloc` is `System`'s own.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr`/`layout` come from this allocator and `new_size`
+        // is the caller's obligation, both passed through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const ISL_BATCH: usize = 64;
+
+fn side(table: &str, label: &str, join: &'static [u8]) -> JoinSide {
+    JoinSide::new(
+        table,
+        label,
+        (loader::FAMILY, join),
+        (loader::FAMILY, loader::cols::SCORE),
+    )
+}
+
+/// The paper's Q1 (`Part ⋈ Lineitem`, product) and Q2 (`Orders ⋈
+/// Lineitem`, sum).
+fn queries() -> [RankJoinQuery; 2] {
+    [
+        RankJoinQuery::new(
+            side(loader::PART_TABLE, "P", loader::cols::JK),
+            side(loader::LINEITEM_TABLE, "L", loader::cols::JK_PART),
+            10,
+            ScoreFn::Product,
+        ),
+        RankJoinQuery::new(
+            side(loader::ORDERS_TABLE, "O", loader::cols::JK),
+            side(loader::LINEITEM_TABLE, "L2", loader::cols::JK_ORDER),
+            10,
+            ScoreFn::Sum,
+        ),
+    ]
+}
+
+/// A tiny TPC-H cluster with the ISL index of `query` built.
+fn prepared(query: &RankJoinQuery) -> (Cluster, RankJoinExecutor) {
+    let cluster = Cluster::new(3, CostModel::test());
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    let mut ex = RankJoinExecutor::new(&cluster, query.clone());
+    ex.isl_config = IslConfig::uniform(ISL_BATCH);
+    ex.prepare_isl().unwrap();
+    (cluster, ex)
+}
+
+#[test]
+fn one_shot_isl_stays_within_four_allocations_per_kv_read() {
+    for query in queries() {
+        let (cluster, _ex) = prepared(&query);
+        let table = isl::index_table_name(&query);
+        for k in [10, 50, 200] {
+            let q = query.with_k(k);
+            let (outcome, allocs) =
+                counted(|| isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap());
+            assert_eq!(outcome.results.len(), k);
+            let reads = outcome.metrics.kv_reads;
+            assert!(
+                allocs <= 4 * reads,
+                "{} k={k}: {allocs} allocations for {reads} KV reads",
+                query.left.label
+            );
+        }
+    }
+}
+
+#[test]
+fn projected_scan_allocates_nothing_for_rows_without_a_projected_cell() {
+    // The same ten `b` rows, alone and hidden among a thousand rows that
+    // hold only `a` cells (the shape of a shared ISL index table).
+    let cluster = Cluster::new(1, CostModel::test());
+    let client = cluster.client();
+    for (table, foreign_rows) in [("alone", 0u32), ("among", 1000)] {
+        cluster.create_table(table, &["a", "b"]).unwrap();
+        for i in 0..foreign_rows {
+            let key = format!("row{:05}", i * 2 + 1);
+            client
+                .put(
+                    table,
+                    key.as_bytes(),
+                    Mutation::put("a", b"q", b"v".to_vec()),
+                )
+                .unwrap();
+        }
+        for i in 0..10u32 {
+            let key = format!("row{:05}", i * 200);
+            client
+                .put(
+                    table,
+                    key.as_bytes(),
+                    Mutation::put("b", b"q", b"v".to_vec()),
+                )
+                .unwrap();
+        }
+    }
+    let scan = |table: &'static str| {
+        counted(|| {
+            client
+                .scan(table, Scan::new().families(&["b"]).caching(4096))
+                .unwrap()
+                .count()
+        })
+    };
+    let (alone_rows, alone_allocs) = scan("alone");
+    let (among_rows, among_allocs) = scan("among");
+    assert_eq!((alone_rows, among_rows), (10, 10));
+    assert_eq!(
+        among_allocs, alone_allocs,
+        "walking 1000 rows of another family must not allocate"
+    );
+}
+
+#[test]
+fn resume_cost_does_not_depend_on_consumed_depth() {
+    let [_, q2] = queries();
+    let (_cluster, ex) = prepared(&q2);
+    let policy = StopPolicy::default();
+    let mut cursor = ex.open_cursor(Algorithm::Isl, 200).unwrap();
+    let mut resume_allocs = Vec::new();
+    let mut depths = Vec::new();
+    for pull in [1, 150] {
+        let batch = cursor.next_batch(pull, &policy).unwrap();
+        assert_eq!(batch.results.len(), pull);
+        let state = cursor.pause();
+        depths.push(state.consumed_depth());
+        let (resumed, allocs) = counted(|| ex.resume_cursor(state).unwrap());
+        cursor = resumed;
+        resume_allocs.push(allocs);
+    }
+    assert!(depths[1] > 4 * depths[0], "depths {depths:?}");
+    assert_eq!(resume_allocs[0], resume_allocs[1], "depths {depths:?}");
+    assert!(resume_allocs[1] <= 8, "resume allocated {resume_allocs:?}");
+}
+
+#[test]
+fn paged_session_costs_one_shot_plus_its_pages() {
+    let [q1, _] = queries();
+    let (_cluster, ex) = prepared(&q1);
+    let (k, page) = (200, 10);
+    let (one_shot, one_shot_allocs) = counted(|| ex.execute_with_k(Algorithm::Isl, k).unwrap());
+
+    let policy = StopPolicy::default();
+    let mut pages = 0u64;
+    let (paged, paged_allocs) = counted(|| {
+        let mut results = Vec::new();
+        let mut cursor = ex.open_cursor(Algorithm::Isl, k).unwrap();
+        loop {
+            let batch = cursor.next_batch(page, &policy).unwrap();
+            results.extend(batch.results);
+            pages += 1;
+            if batch.done {
+                return results;
+            }
+            cursor = ex.resume_cursor(cursor.pause()).unwrap();
+        }
+    });
+    assert_eq!(paged, one_shot.results);
+    // Per page: the page vector, a clone of each emitted result (three
+    // keys apiece), and the pause/resume boxes.
+    let per_page = 16 + 4 * page as u64;
+    assert!(
+        paged_allocs <= one_shot_allocs + pages * per_page,
+        "paged {paged_allocs} vs one-shot {one_shot_allocs} over {pages} pages"
+    );
+}
