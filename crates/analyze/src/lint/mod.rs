@@ -55,7 +55,8 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// Machine-readable report for the CI artifact.
+    /// Machine-readable report for the CI artifact. `suppressions` is the
+    /// count of `suppressions_used`, so the trend reads off one number.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"version\": 1,\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
@@ -84,7 +85,8 @@ impl Report {
             ));
         }
         s.push_str(&format!(
-            "\n  ],\n  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
+            "\n  ],\n  \"suppressions\": {},\n  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
+            self.suppressions_used.len(),
             self.files_scanned,
             self.clean()
         ));

@@ -242,6 +242,12 @@ fn json_report_round_trips_the_fields() {
     let clean = scan("crates/core/src/x.rs", "pub fn f() {}\n").to_json();
     assert!(clean.contains("\"clean\": true"));
     assert!(clean.contains("\"files_scanned\": 1"));
+    assert!(clean.contains("\"suppressions\": 0"));
+    let suppressed = scan(
+        "crates/core/src/x.rs",
+        "pub fn f(x: Option<u8>) -> u8 {\n    // rjlint: allow(no-unwrap) — fixture: the count below must read 1.\n    x.unwrap()\n}\n",
+    );
+    assert!(suppressed.to_json().contains("\"suppressions\": 1"));
 }
 
 #[test]

@@ -41,7 +41,7 @@
 //!    join results are genuine, so a switch to BFHM seeds the top-k
 //!    accumulator with them ([`crate::bfhm::run_seeded`]), which can only
 //!    tighten BFHM's termination bound. All reads — wasted prefix,
-//!    re-plan, switched run — are charged to one [`QueryOutcome`], so the
+//!    re-plan, switched run — are charged to one [`QueryOutcome`](crate::stats::QueryOutcome), so the
 //!    measured cost of adapting stays honest.
 //!
 //! Adaptivity only engages on ISL runs dispatched through
@@ -49,17 +49,10 @@
 //! test needs the plan's descent model, and a caller who asked for
 //! `Algorithm::Isl` by name asked for ISL, not for a planner.
 
-use rj_store::cluster::Cluster;
-use rj_store::metrics::MetricsSnapshot;
-use rj_store::parallel::ExecutionMode;
-
-use crate::error::Result;
 use crate::executor::Algorithm;
-use crate::hrjn::{HrjnState, Side};
-use crate::isl::{self, BatchVerdict, IslConfig, IslRun};
+use crate::hrjn::HrjnState;
+use crate::isl::BatchVerdict;
 use crate::planner::{DescentModel, Plan, STAT_BUCKETS};
-use crate::query::RankJoinQuery;
-use crate::stats::QueryOutcome;
 use crate::statsmaint::ObservedDescent;
 
 /// Default trust bound on observed-vs-predicted score divergence before
@@ -112,9 +105,9 @@ impl DivergenceObserver {
         self.max_divergence
     }
 
-    /// The per-batch verdict (see [`isl::run_observed`]).
+    /// The per-batch verdict (see [`crate::cursor::IslCursor::set_observer`]).
     pub(crate) fn after_batch(&mut self, state: &HrjnState, batches: u64) -> BatchVerdict {
-        for (i, side) in [Side::Left, Side::Right].into_iter().enumerate() {
+        for side in 0..2 {
             let depth = state.consumed(side);
             if depth < MIN_OBSERVED_TUPLES {
                 continue;
@@ -122,7 +115,7 @@ impl DivergenceObserver {
             let Some((_, low)) = state.side_bounds(side) else {
                 continue;
             };
-            let predicted = self.model.expected_score_at_depth(i, depth as u64);
+            let predicted = self.model.expected_score_at_depth(side, depth as u64);
             self.max_divergence = self.max_divergence.max((low - predicted).abs());
         }
         if self.force_after.is_some_and(|n| batches >= n) || self.max_divergence > self.bound {
@@ -133,70 +126,11 @@ impl DivergenceObserver {
     }
 }
 
-/// What [`run_isl`] hands back when the observer aborted: everything the
-/// executor needs to correct, re-plan, and switch.
-pub(crate) struct SwitchRequest {
-    /// Genuine join results buffered by the aborted prefix (rank-ordered)
-    /// — the reusable part of the work already paid for.
-    pub partial_results: Vec<crate::result::JoinTuple>,
-    /// Per-side observed descents, ready for
-    /// [`apply_observed_descent`](crate::statsmaint::SharedTableStats::apply_observed_descent).
-    pub observed: [Option<ObservedDescent>; 2],
-    /// The divergence that triggered the abort.
-    pub divergence: f64,
-    /// Metrics the aborted prefix charged (the wasted-read accounting).
-    pub prefix: MetricsSnapshot,
-    /// Batches the prefix ran.
-    pub batches: u64,
-}
-
-/// Outcome of one observed ISL execution.
-pub(crate) enum AdaptiveIsl {
-    /// Ran to completion — no switch was warranted.
-    Completed(QueryOutcome),
-    /// Aborted on observed divergence (or the forced hook); the executor
-    /// should correct the statistics, re-plan, and switch.
-    Switch(SwitchRequest),
-}
-
-/// Runs ISL under divergence observation with `observer` as the judge
-/// (build one with [`DivergenceObserver::new`] against the plan the run
-/// was priced on).
-pub(crate) fn run_isl(
-    cluster: &Cluster,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: IslConfig,
-    mode: ExecutionMode,
-    observer: &mut DivergenceObserver,
-) -> Result<AdaptiveIsl> {
-    match isl::run_observed(
-        cluster,
-        query,
-        index_table,
-        config,
-        mode,
-        &mut |state, batches| observer.after_batch(state, batches),
-    )? {
-        IslRun::Complete(outcome) => Ok(AdaptiveIsl::Completed(outcome)),
-        IslRun::Aborted(partial) => {
-            let observed = observed_from(&partial.state);
-            Ok(AdaptiveIsl::Switch(SwitchRequest {
-                partial_results: partial.state.current_results(),
-                observed,
-                divergence: observer.divergence(),
-                prefix: partial.metrics,
-                batches: partial.batches,
-            }))
-        }
-    }
-}
-
 /// Per-side observed descents of an aborted ISL prefix, ready for
 /// [`apply_observed_descent`](crate::statsmaint::SharedTableStats::apply_observed_descent)
 /// — shared by the one-shot abort path and the cursor switch path.
 pub(crate) fn observed_from(state: &HrjnState) -> [Option<ObservedDescent>; 2] {
-    [Side::Left, Side::Right].map(|side| {
+    [0, 1].map(|side| {
         let (max_score, low_score) = state.side_bounds(side)?;
         Some(ObservedDescent {
             hist: state.observed_histogram(side, STAT_BUCKETS),
@@ -208,7 +142,7 @@ pub(crate) fn observed_from(state: &HrjnState) -> [Option<ObservedDescent>; 2] {
 }
 
 /// Static display name of an adaptive execution that switched from ISL to
-/// `target` — what the merged [`QueryOutcome::algorithm`] reports, so
+/// `target` — what the merged [`crate::stats::QueryOutcome::algorithm`] reports, so
 /// harnesses can tell an adapted run from a native one at a glance.
 pub(crate) fn switched_name(target: Algorithm) -> &'static str {
     match target {
@@ -227,7 +161,6 @@ pub(crate) fn switched_name(target: Algorithm) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hrjn::RankedTuple;
     use crate::planner::{self, Candidates, Objective};
     use crate::testsupport::running_example_cluster;
     use rj_store::costmodel::CostModel;
@@ -242,20 +175,22 @@ mod tests {
             &CostModel::ec2(8),
             Objective::Time,
             &Candidates::all(),
-            ExecutionMode::Serial,
+            rj_store::parallel::ExecutionMode::Serial,
         )
     }
 
-    fn feed(state: &mut HrjnState, side: Side, scores: &[f64]) {
+    fn fresh_state() -> HrjnState {
+        let side = |l: &str| crate::query::JoinSide::new(l, l, ("d", b"jk"), ("d", b"score"));
+        let sides = vec![side("L"), side("R")];
+        HrjnState::new(&crate::query::JoinSpec::path(sides, 3, crate::score::ScoreFn::Sum).unwrap())
+    }
+
+    fn feed(state: &mut HrjnState, side: usize, scores: &[f64]) {
         for (i, &s) in scores.iter().enumerate() {
-            state.push(
-                side,
-                RankedTuple {
-                    key: format!("k{i}").into_bytes(),
-                    join_value: format!("j{i}").into_bytes(),
-                    score: s,
-                },
-            );
+            let (key, join) = (format!("k{i}"), format!("j{i}"));
+            state
+                .push_borrowed(side, key.as_bytes(), [join.as_bytes()], s)
+                .unwrap();
         }
     }
 
@@ -263,11 +198,11 @@ mod tests {
     fn truthful_descent_never_trips() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, DEFAULT_REPLAN_DIVERGENCE, None);
-        let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let mut state = fresh_state();
         // The real running-example descents (left: 1.0, .93, .82, .82;
         // right: .92, .91, .64, .53).
-        feed(&mut state, Side::Left, &[1.0, 0.93, 0.82, 0.82]);
-        feed(&mut state, Side::Right, &[0.92, 0.91, 0.64, 0.53]);
+        feed(&mut state, 0, &[1.0, 0.93, 0.82, 0.82]);
+        feed(&mut state, 1, &[0.92, 0.91, 0.64, 0.53]);
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Continue);
         assert!(
             obs.divergence() <= 0.02,
@@ -280,11 +215,11 @@ mod tests {
     fn lied_descent_trips_the_bound() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, DEFAULT_REPLAN_DIVERGENCE, None);
-        let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let mut state = fresh_state();
         // Reality descends to 0.3 where the histogram claims the 4th-best
         // left tuple still scores 0.82.
-        feed(&mut state, Side::Left, &[0.6, 0.5, 0.4, 0.3]);
-        feed(&mut state, Side::Right, &[0.92, 0.91, 0.64, 0.53]);
+        feed(&mut state, 0, &[0.6, 0.5, 0.4, 0.3]);
+        feed(&mut state, 1, &[0.92, 0.91, 0.64, 0.53]);
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Abort);
         assert!(obs.divergence() > DEFAULT_REPLAN_DIVERGENCE);
     }
@@ -294,9 +229,9 @@ mod tests {
         let plan = example_plan();
         for bound in [f64::INFINITY, f64::NAN] {
             let mut obs = DivergenceObserver::new(&plan, bound, None);
-            let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
-            feed(&mut state, Side::Left, &[0.2, 0.1, 0.05, 0.01]);
-            feed(&mut state, Side::Right, &[0.2, 0.1, 0.05, 0.01]);
+            let mut state = fresh_state();
+            feed(&mut state, 0, &[0.2, 0.1, 0.05, 0.01]);
+            feed(&mut state, 1, &[0.2, 0.1, 0.05, 0.01]);
             assert_eq!(obs.after_batch(&state, 9), BatchVerdict::Continue);
         }
     }
@@ -305,7 +240,7 @@ mod tests {
     fn forced_hook_aborts_regardless_of_divergence() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, f64::INFINITY, Some(2));
-        let state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let state = fresh_state();
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Continue);
         assert_eq!(obs.after_batch(&state, 2), BatchVerdict::Abort);
     }
@@ -314,9 +249,9 @@ mod tests {
     fn below_floor_observations_are_not_judged() {
         let plan = example_plan();
         let mut obs = DivergenceObserver::new(&plan, 0.01, None);
-        let mut state = HrjnState::new(3, crate::score::ScoreFn::Sum);
+        let mut state = fresh_state();
         // Three wildly diverging tuples — still under the 4-tuple floor.
-        feed(&mut state, Side::Left, &[0.1, 0.05, 0.01]);
+        feed(&mut state, 0, &[0.1, 0.05, 0.01]);
         assert_eq!(obs.after_batch(&state, 1), BatchVerdict::Continue);
         assert_eq!(obs.divergence(), 0.0);
     }

@@ -69,16 +69,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_be_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    /// Reads a raw big-endian u32 (counts, not length-prefixed fields).
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let bytes = self
-            .buf
-            .get(self.pos..self.pos + 4)
-            .ok_or(CodecError("truncated u32"))?;
-        self.pos += 4;
-        Ok(u32::from_be_bytes(bytes.try_into().expect("4 bytes")))
-    }
-
     /// Reads one raw byte.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         let b = *self.buf.get(self.pos).ok_or(CodecError("truncated u8"))?;
@@ -166,59 +156,84 @@ pub fn decode_join_tuple(buf: &[u8]) -> Result<JoinTuple, CodecError> {
     })
 }
 
-/// Encodes a `(join value, score)` pair — the BFHM reverse-mapping cell
-/// value (`{rowkey: join value, score}`, §5.1 Fig. 5) and the ISL index
-/// cell value.
-pub fn encode_value_score(join_value: &[u8], score: f64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(join_value.len() + 12);
+/// Encodes an index cell value: `score ‖ field ‖ field …` — the exact
+/// score, then one length-prefixed join value per join edge incident to
+/// the cell's side (edge order fixed by
+/// [`crate::query::JoinSpec::incident_edges`]). There is **no count
+/// word**: the reader knows the side's edge count from its spec and
+/// [`decode_values_score`] checks the cell against it, so a one-edge
+/// cell is byte-for-byte the classic `(score, join value)` pair of the
+/// paper's ISL index (Algorithm 3) and BFHM reverse mapping (§5.1
+/// Fig. 5).
+pub fn encode_values_score<V: AsRef<[u8]>>(join_values: &[V], score: f64) -> Vec<u8> {
+    let fields: usize = join_values.iter().map(|v| v.as_ref().len() + 4).sum();
+    let mut out = Vec::with_capacity(8 + fields);
     put_f64(&mut out, score);
-    put_field(&mut out, join_value);
+    for v in join_values {
+        put_field(&mut out, v.as_ref());
+    }
     out
+}
+
+/// [`encode_values_score`] for a side with exactly one join edge — every
+/// binary index cell.
+pub fn encode_value_score(join_value: &[u8], score: f64) -> Vec<u8> {
+    encode_values_score(&[join_value], score)
+}
+
+/// The join values of a cell [`decode_values_score`] already validated,
+/// borrowed from the cell in edge order.
+pub struct JoinValues<'a> {
+    reader: Reader<'a>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for JoinValues<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        self.reader.field().ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for JoinValues<'_> {}
+
+/// Inverse of [`encode_values_score`] for a side with `edges` incident
+/// join edges, copying nothing. A cell with fewer fields, more fields or
+/// trailing bytes is a [`CodecError`] — it was written for a different
+/// spec (or is corrupt) and must not be joined on.
+pub fn decode_values_score(buf: &[u8], edges: usize) -> Result<(JoinValues<'_>, f64), CodecError> {
+    let mut r = Reader::new(buf);
+    let score = r.f64()?;
+    let values = JoinValues {
+        reader: Reader {
+            buf: r.buf,
+            pos: r.pos,
+        },
+        remaining: edges,
+    };
+    for _ in 0..edges {
+        r.field()
+            .map_err(|_| CodecError("index cell has fewer join values than its side has edges"))?;
+    }
+    if !r.is_exhausted() {
+        return Err(CodecError(
+            "index cell has more join values than its side has edges",
+        ));
+    }
+    Ok((values, score))
 }
 
 /// Inverse of [`encode_value_score`].
 pub fn decode_value_score(buf: &[u8]) -> Result<(Vec<u8>, f64), CodecError> {
-    decode_value_score_ref(buf).map(|(join_value, score)| (join_value.to_vec(), score))
-}
-
-/// [`decode_value_score`] without the copy: the join value borrows from
-/// `buf` (the read path decodes every index cell it consumes).
-pub fn decode_value_score_ref(buf: &[u8]) -> Result<(&[u8], f64), CodecError> {
-    let mut r = Reader::new(buf);
-    let score = r.f64()?;
-    let join_value = r.field()?;
-    Ok((join_value, score))
-}
-
-/// Encodes a `(score, join values)` cell for the N-ary index: a side with
-/// several incident join edges carries one join value per edge (edge
-/// order fixed by [`crate::query::JoinSpec::incident_edges`]). The
-/// one-value layout is deliberately *not* byte-identical to
-/// [`encode_value_score`] — multiway cells carry a count so a truncated
-/// or mixed-up read fails loudly instead of mis-joining.
-pub fn encode_multi_value_score(join_values: &[Vec<u8>], score: f64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + join_values.iter().map(|v| v.len() + 4).sum::<usize>());
-    put_f64(&mut out, score);
-    out.extend_from_slice(&(join_values.len() as u32).to_be_bytes());
-    for v in join_values {
-        put_field(&mut out, v);
-    }
-    out
-}
-
-/// Inverse of [`encode_multi_value_score`].
-pub fn decode_multi_value_score(buf: &[u8]) -> Result<(Vec<Vec<u8>>, f64), CodecError> {
-    let mut r = Reader::new(buf);
-    let score = r.f64()?;
-    let count = r.u32()? as usize;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(r.field()?.to_vec());
-    }
-    if !r.is_exhausted() {
-        return Err(CodecError("trailing bytes in multi value/score cell"));
-    }
-    Ok((values, score))
+    let (mut values, score) = decode_values_score(buf, 1)?;
+    let join_value = values.next().ok_or(CodecError("truncated field"))?;
+    Ok((join_value.to_vec(), score))
 }
 
 #[cfg(test)]
@@ -258,21 +273,46 @@ mod tests {
     }
 
     #[test]
-    fn multi_value_score_roundtrip() {
+    fn values_score_roundtrip_against_the_edge_count() {
         let vals = vec![b"e0".to_vec(), b"edge-1".to_vec(), Vec::new()];
-        let enc = encode_multi_value_score(&vals, 0.63);
-        let (got, s) = decode_multi_value_score(&enc).unwrap();
-        assert_eq!(got, vals);
+        let enc = encode_values_score(&vals, 0.63);
+        let (got, s) = decode_values_score(&enc, 3).unwrap();
+        assert_eq!(got.len(), 3);
+        assert_eq!(got.collect::<Vec<_>>(), vals);
         assert_eq!(s, 0.63);
         // Zero edges is legal (a single-side degenerate read).
-        let (got, s) = decode_multi_value_score(&encode_multi_value_score(&[], 1.0)).unwrap();
-        assert!(got.is_empty());
+        let none: [&[u8]; 0] = [];
+        let bare = encode_values_score(&none, 1.0);
+        let (got, s) = decode_values_score(&bare, 0).unwrap();
+        assert_eq!(got.count(), 0);
         assert_eq!(s, 1.0);
-        // Trailing garbage fails loudly.
+        // The edge count the spec expects is the check the layout carries
+        // no count word for: too few, too many, trailing garbage and
+        // truncation all fail loudly.
+        assert!(
+            decode_values_score(&enc, 2).is_err(),
+            "cell has one too many"
+        );
+        assert!(
+            decode_values_score(&enc, 4).is_err(),
+            "cell has one too few"
+        );
         let mut bad = enc.clone();
         bad.push(0);
-        assert!(decode_multi_value_score(&bad).is_err());
-        assert!(decode_multi_value_score(&enc[..enc.len() - 1]).is_err());
+        assert!(decode_values_score(&bad, 3).is_err());
+        assert!(decode_values_score(&enc[..enc.len() - 1], 3).is_err());
+    }
+
+    #[test]
+    fn one_edge_cell_is_the_binary_value_score_pair() {
+        let cell = encode_values_score(&[b"dval"], 0.41);
+        assert_eq!(cell, encode_value_score(b"dval", 0.41));
+        // score ‖ u32 length ‖ bytes — nothing else.
+        assert_eq!(cell.len(), 8 + 4 + 4);
+        assert_eq!(decode_value_score(&cell), Ok((b"dval".to_vec(), 0.41)));
+        let mut trailing = cell.clone();
+        trailing.push(7);
+        assert!(decode_value_score(&trailing).is_err());
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   positions, the operators' seen-tuple stores, partial accumulators),
 //!   serializable in principle, pinned to the statistics version it was
 //!   opened under.
-//! * [`IslCursor`] — ISL/HRJN as a cursor: the batched alternating
-//!   descent of [`crate::isl`] generalized from PR 5's abort seam into
-//!   first-class suspend/resume.
+//! * [`IslCursor`] — ISL/HRJN as a cursor, over any [`JoinSpec`]: the
+//!   batched round-robin descent of [`crate::isl`] with first-class
+//!   suspend/resume. The paper's binary ISL is its two-side instance;
+//!   three or more sides are the multiway rank join, and a side may be
+//!   bulk-ingested up front instead of descended ([`SideAccess`]).
 //! * [`MaterializedCursor`] — the bulk MapReduce algorithms (Hive, Pig,
 //!   IJLMR) as cursors: the one-shot run executes on the first pull (MR
 //!   jobs are not incremental — all reads are charged then, exactly the
@@ -37,11 +39,12 @@
 //! cursor only ever emits *certified* results — results provably in their
 //! final rank position:
 //!
-//! * ISL emits a buffered result only while its score is **strictly**
-//!   above the HRJN threshold (every future tuple scores ≤ threshold, so
-//!   nothing can be inserted at or before an emitted rank — even a tie at
-//!   the threshold stays un-emitted until the run completes, because a
-//!   late tie with a smaller key would sort *before* it);
+//! * ISL (any number of sides) emits a buffered result only while its
+//!   score is **strictly** above the HRJN threshold (every future tuple
+//!   scores ≤ threshold, so nothing can be inserted at or before an
+//!   emitted rank — even a tie at the threshold stays un-emitted until
+//!   the run completes, because a late tie with a smaller key would sort
+//!   *before* it);
 //! * BFHM emits only results strictly above its threat bound, DRJN only
 //!   results strictly above the unpulled-score bound — the same strict
 //!   rule against each algorithm's "anything still out there" bound;
@@ -50,7 +53,7 @@
 
 use rj_mapreduce::MapReduceEngine;
 use rj_store::cell::Cell;
-use rj_store::client::ScannerState;
+use rj_store::client::{Client, ScannerState};
 use rj_store::cluster::Cluster;
 use rj_store::keys;
 use rj_store::metrics::MetricsSnapshot;
@@ -60,9 +63,9 @@ use rj_store::scan::Scan;
 use crate::cancel::{StopPolicy, StopReason};
 use crate::codec;
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::{HrjnState, Side};
-use crate::isl::{BatchVerdict, IslConfig};
-use crate::query::RankJoinQuery;
+use crate::hrjn::HrjnState;
+use crate::isl::BatchVerdict;
+use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
 
 /// Component-wise sum of two metric snapshots (deltas compose).
@@ -100,16 +103,6 @@ pub(crate) fn policy_stop(
         }
     }
     None
-}
-
-/// Clones ranks `from..to` out of a rank-ordered result buffer: a page
-/// costs its own results, never the whole buffer.
-pub(crate) fn clone_ranks<'a>(
-    results: impl Iterator<Item = &'a JoinTuple>,
-    from: usize,
-    to: usize,
-) -> Vec<JoinTuple> {
-    results.skip(from).take(to - from).cloned().collect()
 }
 
 /// One page of results pulled from a [`RankedCursor`].
@@ -227,7 +220,8 @@ pub struct CursorState {
 /// The per-algorithm payloads of a [`CursorState`].
 #[derive(Clone)]
 pub(crate) enum StateInner {
-    /// ISL/HRJN descent state.
+    /// ISL/HRJN descent state (binary ISL at two sides, the multiway
+    /// rank join at more).
     Isl(Box<IslCore>),
     /// BFHM guarantee-loop state.
     Bfhm(Box<crate::bfhm::BfhmCore>),
@@ -235,8 +229,6 @@ pub(crate) enum StateInner {
     Drjn(Box<crate::drjn::DrjnCore>),
     /// Bulk-MR algorithm state (buffered one-shot answer).
     Materialized(Box<MaterializedCore>),
-    /// N-ary multiway descent state.
-    Multiway(Box<crate::multiway::cursor::MultiwayCore>),
     /// An `Algorithm::Auto` cursor: the currently-driving inner state
     /// plus whether the adaptive switch already happened.
     Auto(Box<AutoCore>),
@@ -278,7 +270,6 @@ impl CursorState {
             StateInner::Bfhm(c) => &c.meta,
             StateInner::Drjn(c) => &c.meta,
             StateInner::Materialized(c) => &c.meta,
-            StateInner::Multiway(c) => &c.meta,
             StateInner::Auto(c) => CursorState::meta_of(&c.inner),
         }
     }
@@ -286,11 +277,10 @@ impl CursorState {
     /// The algorithm driving this state.
     pub fn algorithm(&self) -> &'static str {
         match &self.inner {
-            StateInner::Isl(_) => "ISL",
+            StateInner::Isl(c) => isl_algorithm_name(c.sides.len()),
             StateInner::Bfhm(_) => "BFHM",
             StateInner::Drjn(_) => "DRJN",
             StateInner::Materialized(c) => c.algorithm,
-            StateInner::Multiway(_) => "MULTIWAY",
             StateInner::Auto(_) => "AUTO",
         }
     }
@@ -322,7 +312,6 @@ impl CursorState {
             StateInner::Bfhm(c) => c.consumed_depth(),
             StateInner::Drjn(c) => c.consumed_depth(),
             StateInner::Materialized(c) => c.results.as_ref().map_or(0, |r| r.len()) as u64,
-            StateInner::Multiway(c) => c.log.len() as u64,
             StateInner::Auto(c) => CursorState::depth_of(&c.inner),
         }
     }
@@ -333,13 +322,25 @@ impl CursorState {
         self.meta().pinned_version
     }
 
+    /// Refuses the state with [`RankJoinError::StaleCursor`] when it was
+    /// pinned to a statistics version other than `found`, the backend's
+    /// current one (an unpinned state passes — the caller owns coherence).
+    pub(crate) fn check_version(&self, found: u64) -> Result<()> {
+        match self.pinned_version() {
+            Some(expected) if expected != found => {
+                Err(RankJoinError::StaleCursor { expected, found })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Whether this state can be re-targeted to a deeper `k` (the
-    /// partial-work warm-start path): an ISL or multiway state keeps every
-    /// tuple it consumed, so its top-k buffer can be rebuilt at any larger
-    /// `k`.
+    /// partial-work warm-start path): an ISL state (any number of sides)
+    /// keeps every tuple it consumed, so its top-k buffer can be rebuilt
+    /// at any larger `k`.
     pub fn supports_retarget(&self) -> bool {
         match &self.inner {
-            StateInner::Isl(_) | StateInner::Multiway(_) => true,
+            StateInner::Isl(_) => true,
             StateInner::Auto(c) => matches!(c.inner, StateInner::Isl(_)),
             _ => false,
         }
@@ -360,9 +361,6 @@ impl CursorState {
             StateInner::Materialized(core) => {
                 Ok(Box::new(MaterializedCursor::resume(cluster, *core)))
             }
-            StateInner::Multiway(core) => Ok(Box::new(
-                crate::multiway::cursor::MultiwayCursor::resume(cluster, *core),
-            )),
             StateInner::Auto(_) => Err(RankJoinError::Internal(
                 "Algorithm::Auto cursors resume through RankJoinExecutor::resume_cursor",
             )),
@@ -385,17 +383,11 @@ impl CursorState {
                 core.retarget(new_k);
                 Ok(Box::new(IslCursor::resume(cluster, *core)))
             }
-            StateInner::Multiway(mut core) => {
-                core.retarget(new_k);
-                Ok(Box::new(crate::multiway::cursor::MultiwayCursor::resume(
-                    cluster, *core,
-                )))
-            }
             StateInner::Auto(auto) if matches!(auto.inner, StateInner::Isl(_)) => {
                 CursorState { inner: auto.inner }.resume_retargeted(cluster, new_k)
             }
             _ => Err(RankJoinError::Internal(
-                "only ISL and multiway cursor states support re-targeting to a deeper k",
+                "only ISL cursor states support re-targeting to a deeper k",
             )),
         }
     }
@@ -405,21 +397,55 @@ impl CursorState {
 // ISL
 // ---------------------------------------------------------------------
 
+/// How one side of an ISL descent is consumed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SideAccess {
+    /// Batched descending-score index descent — the side participates in
+    /// the round-robin threshold race (the paper's Algorithm 4).
+    Descend,
+    /// The side's full index family is scanned and ingested before the
+    /// descent starts — materialize-then-join, the right call for a small
+    /// side whose exhaustion tightens the threshold immediately.
+    Materialize,
+}
+
+/// Display name of an ISL execution over `sides` sides: the paper's
+/// binary algorithm keeps its name, more sides report the multiway join.
+pub(crate) fn isl_algorithm_name(sides: usize) -> &'static str {
+    if sides == 2 {
+        "ISL"
+    } else {
+        "MULTIWAY"
+    }
+}
+
+/// One side of the descent: where its tuples live in the index table,
+/// how it is consumed, and where its scanner stands.
+#[derive(Clone)]
+pub(crate) struct SideScan {
+    /// The side's label — its column family in the index table.
+    pub family: String,
+    /// Index rows pulled per turn (the paper's `C_i`, §4.2.3).
+    pub batch: usize,
+    pub access: SideAccess,
+    /// Detached scanner position (`None` until first demand; always
+    /// `None` for a materialized side).
+    pub scan: Option<ScannerState>,
+}
+
 /// Detached state of an [`IslCursor`]: the exact descent position of the
-/// batched alternating loop in [`crate::isl`], plus the HRJN operator
-/// itself. Resuming attaches a cluster handle and does no other work,
-/// however deep the descent has gone.
+/// batched round-robin loop, plus the HRJN operator itself. Resuming
+/// attaches a cluster handle and does no other work, however deep the
+/// descent has gone.
 #[derive(Clone)]
 pub(crate) struct IslCore {
+    /// Bookkeeping, with `meta.k == state.k()`.
     pub meta: CursorMeta,
-    /// The query, with `query.k == meta.k`.
-    pub query: RankJoinQuery,
-    /// ISL index table name.
+    /// Index table name.
     pub table: String,
-    pub config: IslConfig,
-    /// Detached per-side scanner positions (`None` until first demand).
-    pub scans: [Option<ScannerState>; 2],
-    /// Which side the current/next batch pulls from (0 = left).
+    /// Per-side scan state, in spec side order.
+    pub sides: Vec<SideScan>,
+    /// Which side the current/next batch pulls from.
     pub turn: usize,
     /// Batches completed or started.
     pub batches: u64,
@@ -433,33 +459,53 @@ pub(crate) struct IslCore {
     /// terminates; a deeper re-target must push the remainder before
     /// reading on).
     pub pending: Option<(RowResult, usize)>,
-    /// The HRJN operator: seen tuples of both sides, bounds, exhaustion
-    /// flags and the top-k buffer.
+    /// The HRJN operator: seen tuples of every side, bounds, exhaustion
+    /// flags (the only copy of them) and the top-k buffer.
     pub state: HrjnState,
 }
 
 impl IslCore {
     fn retarget(&mut self, new_k: usize) {
-        self.query = self.query.with_k(new_k);
         self.meta = CursorMeta::new(new_k, self.meta.pinned_version);
         self.state.retarget(new_k);
     }
 }
 
-/// Decodes one ISL index cell — qualifier = base row key, value =
-/// `(join value, exact score)` — and feeds it to HRJN as a tuple of
-/// `side`, copying nothing. `row_score` is the row key's (rounded) score,
-/// the fallback for a value that does not decode.
-pub(crate) fn push_index_cell(state: &mut HrjnState, side: Side, cell: &Cell, row_score: f64) {
-    let (join_value, score) =
-        codec::decode_value_score_ref(&cell.value).unwrap_or((&cell.value, row_score));
-    state.push_borrowed(side, &cell.qualifier, join_value, score);
+/// Decodes one index cell — qualifier = base row key, value = the cell
+/// layout of [`codec::encode_values_score`] — against `side`'s edge count
+/// and feeds it to HRJN as a tuple of `side`, copying nothing. A cell that
+/// does not decode (written for a different spec, or corrupt) is a typed
+/// error: joining on it, skipping it or guessing its score would all
+/// return a wrong answer silently.
+fn push_index_cell(state: &mut HrjnState, side: usize, cell: &Cell) -> Result<()> {
+    let (join_values, score) = codec::decode_values_score(&cell.value, state.edges(side))?;
+    state.push_borrowed(side, &cell.qualifier, join_values, score)
+}
+
+/// Feeds every row of `side`'s index family in `rows` to HRJN and marks
+/// the side exhausted — a whole-side ingest.
+pub(crate) fn ingest_side(
+    state: &mut HrjnState,
+    side: usize,
+    family: &str,
+    rows: impl IntoIterator<Item = RowResult>,
+) -> Result<()> {
+    for row in rows {
+        if keys::decode_score_desc(&row.key).is_none() {
+            continue;
+        }
+        for cell in row.family_cells(family) {
+            push_index_cell(state, side, cell)?;
+        }
+    }
+    state.exhaust(side);
+    Ok(())
 }
 
 /// What one [`IslCursor::advance_one_batch`] call did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BatchStep {
-    /// Nothing left to do: HRJN terminated or both inputs exhausted
+enum BatchStep {
+    /// Nothing left to do: HRJN terminated or every input exhausted
     /// (possibly mid-batch).
     Drained,
     /// One batch completed at its boundary; the descent continues.
@@ -470,59 +516,78 @@ pub(crate) enum BatchStep {
 /// batch ordinal, and rules whether the descent continues.
 pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict + Send>;
 
-/// The ISL/HRJN rank join as a [`RankedCursor`]: the batched alternating
-/// descent of [`crate::isl::run_with_mode`], suspendable at any batch
-/// boundary. The serial one-shot driver *is* this cursor drained in one
-/// call, so results and counted metrics agree by construction.
+/// The ISL/HRJN rank join as a [`RankedCursor`]: the batched round-robin
+/// descent of [`crate::isl::run_with_mode`] over every
+/// [`SideAccess::Descend`] side of a spec's score index, with
+/// [`SideAccess::Materialize`] sides bulk-ingested up front, suspendable
+/// at any batch boundary. The serial one-shot driver *is* this cursor
+/// drained in one call, so results and counted metrics agree by
+/// construction.
 pub struct IslCursor {
     cluster: Cluster,
     core: IslCore,
     /// Per-batch observation hook (the adaptive driver's divergence
-    /// watch). Called after every completed batch, like
-    /// `isl::run_observed`'s observer; an `Abort` verdict ends the pump
-    /// and sets [`IslCursor::observer_abort`].
+    /// watch). Called after every completed batch; an `Abort` verdict
+    /// ends the pump and sets [`IslCursor::observer_abort`].
     observer: Option<BatchObserver>,
     observer_abort: bool,
 }
 
 impl IslCursor {
-    /// Opens a cursor over a previously built ISL index.
-    pub(crate) fn open(
+    /// Opens a cursor over a previously built score index
+    /// ([`crate::isl::index::build`]). `batch` and `access` give each
+    /// side's rows per turn and how it is consumed, in spec side order;
+    /// `pinned_version` is the statistics version an executor opens it
+    /// under (`None` when opened directly — the caller owns coherence, see
+    /// [`CursorState`]).
+    pub fn open(
         cluster: &Cluster,
-        query: &RankJoinQuery,
+        spec: &JoinSpec,
         index_table: &str,
-        config: IslConfig,
+        batch: &[usize],
+        access: &[SideAccess],
         pinned_version: Option<u64>,
     ) -> Result<Self> {
+        if batch.len() != spec.n() || access.len() != spec.n() {
+            return Err(RankJoinError::InvalidSpec(
+                "one batch size and one SideAccess per side required",
+            ));
+        }
         cluster
             .table(index_table)
             .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
-        Ok(IslCursor {
-            cluster: cluster.clone(),
-            core: IslCore {
-                meta: CursorMeta::new(query.k, pinned_version),
-                query: query.clone(),
+        Ok(IslCursor::resume(
+            cluster,
+            IslCore {
+                meta: CursorMeta::new(spec.k, pinned_version),
                 table: index_table.to_owned(),
-                config,
-                scans: [None, None],
+                sides: spec
+                    .sides
+                    .iter()
+                    .zip(batch.iter().zip(access))
+                    .map(|(side, (&batch, &access))| SideScan {
+                        family: side.label.clone(),
+                        batch,
+                        access,
+                        scan: None,
+                    })
+                    .collect(),
                 turn: 0,
                 batches: 0,
                 in_batch: false,
                 rows_taken: 0,
                 pending: None,
-                state: HrjnState::new(query.k, query.score_fn),
+                state: HrjnState::new(spec),
             },
-            observer: None,
-            observer_abort: false,
-        })
+        ))
     }
 
-    /// Seeds the cursor with already-opened scanner positions (the
-    /// parallel warm-up round's prefetched first RPCs).
-    pub(crate) fn with_warm_scans(mut self, scans: [ScannerState; 2]) -> Self {
-        let [l, r] = scans;
-        self.core.scans = [Some(l), Some(r)];
-        self
+    /// Seeds the cursor with already-opened scanner positions, one per
+    /// side (the parallel warm-up round's prefetched first RPCs).
+    pub(crate) fn set_warm_scans(&mut self, scans: Vec<ScannerState>) {
+        for (side, scan) in self.core.sides.iter_mut().zip(scans) {
+            side.scan = Some(scan);
+        }
     }
 
     /// Reattaches a detached state to `cluster`. The state carries its
@@ -546,19 +611,9 @@ impl IslCursor {
         self.observer_abort
     }
 
-    /// The live HRJN threshold state.
-    pub(crate) fn hrjn(&self) -> &HrjnState {
-        &self.core.state
-    }
-
     /// Batches fetched so far.
     pub(crate) fn batches(&self) -> u64 {
         self.core.batches
-    }
-
-    /// Both inputs fully consumed.
-    pub(crate) fn both_exhausted(&self) -> bool {
-        self.core.state.is_exhausted(Side::Left) && self.core.state.is_exhausted(Side::Right)
     }
 
     /// Consumes the cursor into its HRJN state (the adaptive driver's
@@ -568,7 +623,7 @@ impl IslCursor {
     }
 
     fn drained(&self) -> bool {
-        self.core.meta.k == 0 || self.core.state.is_done() || self.both_exhausted()
+        self.core.meta.k == 0 || self.core.state.is_done() || self.core.state.all_exhausted()
     }
 
     /// Results currently certain to be final: while the descent runs,
@@ -586,39 +641,59 @@ impl IslCursor {
         state.results().take_while(|t| t.score > threshold).count()
     }
 
-    /// Runs exactly one batch of the alternating descent (or finishes a
-    /// part-way batch left by an earlier re-target) — the loop body of
-    /// `isl::run_observed`, verbatim. No observer or policy evaluation
-    /// happens here; callers check at the boundary this returns at.
-    pub(crate) fn advance_one_batch(&mut self) -> Result<BatchStep> {
+    /// Bulk-ingests every [`SideAccess::Materialize`] side not ingested
+    /// yet: a full descending-score scan of its index family, all tuples
+    /// pushed and the side exhausted (which is the record that it ran).
+    /// Reads are charged like any scan — materialization is paid once, on
+    /// whichever pull triggers it.
+    fn materialize_sides(&mut self, client: &Client) -> Result<()> {
+        let IslCore {
+            table,
+            sides,
+            state,
+            ..
+        } = &mut self.core;
+        for (i, side) in sides.iter().enumerate() {
+            if side.access != SideAccess::Materialize || state.is_exhausted(i) {
+                continue;
+            }
+            let spec = Scan::new()
+                .families(&[side.family.as_str()])
+                .caching(side.batch);
+            ingest_side(state, i, &side.family, client.scan(table, spec)?)?;
+        }
+        Ok(())
+    }
+
+    /// Runs exactly one batch of the round-robin descent (after the
+    /// materialization pass on the first call), or finishes a part-way
+    /// batch left by an earlier re-target — the body of the paper's
+    /// Algorithm 4 loop. No observer or policy evaluation happens here;
+    /// the pump checks at the boundary this returns at.
+    fn advance_one_batch(&mut self) -> Result<BatchStep> {
         if self.drained() {
             return Ok(BatchStep::Drained);
         }
         let client = self.cluster.client();
+        self.materialize_sides(&client)?;
+        if self.drained() {
+            return Ok(BatchStep::Drained);
+        }
         let core = &mut self.core;
+        let n = core.sides.len();
         if !core.in_batch {
-            if core.state.is_exhausted(Side::of(core.turn)) {
-                core.turn = 1 - core.turn;
+            // On to the next side with input left: materialized sides
+            // are exhausted, and all-exhausted is `drained`, so one
+            // exists.
+            while core.state.is_exhausted(core.turn) {
+                core.turn = (core.turn + 1) % n;
             }
             core.batches += 1;
             core.rows_taken = 0;
             core.in_batch = true;
         }
         let turn = core.turn;
-        let side = Side::of(turn);
-        let family = core
-            .query
-            .try_side(turn)
-            // rjlint: allow(no-unwrap) — `turn` alternates over {0, 1} and a
-            // validated binary query always has both sides.
-            .expect("binary side")
-            .label
-            .as_str();
-        let batch_size = if turn == 0 {
-            core.config.batch_left
-        } else {
-            core.config.batch_right
-        };
+        let side = &mut core.sides[turn];
         // The row a previous (shallower) target stopped inside goes first:
         // its remaining cells are already read and billed, never
         // re-fetched. The scanner is reattached at its detached position
@@ -631,19 +706,21 @@ impl IslCursor {
         'rows: loop {
             let (row, first_cell) = match leftover.take() {
                 Some(pending) => pending,
-                None if core.rows_taken < batch_size => {
+                None if core.rows_taken < side.batch => {
                     let scan = match &mut scan {
                         Some(scan) => scan,
-                        none => none.insert(match core.scans[turn].take() {
+                        none => none.insert(match side.scan.take() {
                             Some(position) => client.resume_scan(position)?,
                             None => {
-                                let spec = Scan::new().families(&[family]).caching(batch_size);
+                                let spec = Scan::new()
+                                    .families(&[side.family.as_str()])
+                                    .caching(side.batch);
                                 client.scan(&core.table, spec)?
                             }
                         }),
                     };
                     let Some(row) = scan.next() else {
-                        core.state.exhaust(side);
+                        core.state.exhaust(turn);
                         break;
                     };
                     core.rows_taken += 1;
@@ -651,15 +728,16 @@ impl IslCursor {
                 }
                 None => break,
             };
-            // Row key = negated score; each cell = one indexed tuple.
-            let Some(score) = keys::decode_score_desc(&row.key) else {
+            // Row key = negated score (cells carry it exactly); each cell
+            // of the side's family = one indexed tuple.
+            if keys::decode_score_desc(&row.key).is_none() {
                 continue;
-            };
+            }
             for (at, cell) in row.cells.iter().enumerate().skip(first_cell) {
-                if *cell.family != *family {
+                if *cell.family != *side.family {
                     continue;
                 }
-                push_index_cell(&mut core.state, side, cell, score);
+                push_index_cell(&mut core.state, turn, cell)?;
                 // Algorithm 4 tests inside the tuple loop; rows already
                 // fetched in this batch are paid for either way.
                 if core.state.is_done() {
@@ -670,11 +748,11 @@ impl IslCursor {
             }
         }
         if let Some(scan) = scan {
-            core.scans[turn] = Some(scan.into_state());
+            side.scan = Some(scan.into_state());
         }
         if step == BatchStep::Completed {
             core.in_batch = false;
-            core.turn = 1 - core.turn;
+            core.turn = (turn + 1) % n;
         }
         Ok(step)
     }
@@ -682,7 +760,7 @@ impl IslCursor {
     /// Advances batches until `want` results are certified, the cursor
     /// drains, or a stop condition / observer abort fires at a boundary.
     /// Returns the stop reason (if any) and this call's metric delta.
-    fn pump(
+    pub(crate) fn pump(
         &mut self,
         want: usize,
         policy: &StopPolicy,
@@ -702,11 +780,11 @@ impl IslCursor {
             match self.advance_one_batch()? {
                 BatchStep::Drained => break,
                 BatchStep::Completed => {
-                    if self.both_exhausted() {
+                    if self.core.state.all_exhausted() {
                         continue; // top-of-loop drain; no boundary checks
                     }
                     // Observation point: one batch fully paid for, HRJN
-                    // not terminated — same seam as isl::run_observed.
+                    // not terminated.
                     if let Some(observer) = &mut self.observer {
                         if observer(&self.core.state, self.core.batches) == BatchVerdict::Abort {
                             self.observer_abort = true;
@@ -739,7 +817,9 @@ impl RankedCursor for IslCursor {
         let (stopped, metrics) = self.pump(want, policy)?;
         let emitted = self.core.meta.emitted;
         let emit_to = self.certified().min(want).max(emitted);
-        let results = clone_ranks(self.core.state.results(), emitted, emit_to);
+        // A page costs its own results, never the whole buffer.
+        let page = self.core.state.results().skip(emitted);
+        let results = page.take(emit_to - emitted).cloned().collect();
         self.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,
@@ -772,7 +852,7 @@ impl RankedCursor for IslCursor {
     }
 
     fn algorithm(&self) -> &'static str {
-        "ISL"
+        isl_algorithm_name(self.core.sides.len())
     }
 }
 
@@ -937,14 +1017,225 @@ impl RankedCursor for MaterializedCursor {
     }
 }
 
-/// Opens an [`IslCursor`] directly over a built ISL index — the
-/// driver-level entry point ([`crate::executor::RankJoinExecutor::open_cursor`]
-/// is the planned, version-pinned one).
-pub fn open_isl_cursor(
-    cluster: &Cluster,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: IslConfig,
-) -> Result<IslCursor> {
-    IslCursor::open(cluster, query, index_table, config, None)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::{Algorithm, RankJoinExecutor};
+    use crate::isl::{index, IslConfig};
+    use crate::multiway::{MultiwayConfig, SpecExecutor};
+    use crate::oracle;
+    use crate::testsupport::{running_example_cluster, three_way_path_cluster};
+    use rj_mapreduce::MapReduceEngine;
+
+    fn built(k: usize) -> (Cluster, JoinSpec, String) {
+        let (c, spec) = three_way_path_cluster(k);
+        let engine = MapReduceEngine::new(c.clone());
+        let table = index::index_table_name(&spec);
+        index::build(&engine, &spec, &table).unwrap();
+        (c, spec, table)
+    }
+
+    fn open(
+        c: &Cluster,
+        spec: &JoinSpec,
+        table: &str,
+        batch: usize,
+        access: &[SideAccess],
+    ) -> IslCursor {
+        IslCursor::open(c, spec, table, &vec![batch; spec.n()], access, None).unwrap()
+    }
+
+    fn drain(cursor: &mut dyn RankedCursor, page: usize) -> Vec<JoinTuple> {
+        let mut out = Vec::new();
+        loop {
+            let batch = cursor.next_batch(page, &StopPolicy::default()).unwrap();
+            out.extend(batch.results);
+            if batch.done {
+                return out;
+            }
+        }
+    }
+
+    /// `(kv_reads, rpc_calls, network_bytes)` charged since `before`.
+    fn ledger_since(c: &Cluster, before: &MetricsSnapshot) -> (u64, u64, u64) {
+        let d = c.metrics().snapshot().delta_since(before);
+        (d.kv_reads, d.rpc_calls, d.network_bytes)
+    }
+
+    #[test]
+    fn all_descend_matches_oracle() {
+        let (c, spec, table) = built(5);
+        let mut cursor = open(&c, &spec, &table, 64, &[SideAccess::Descend; 3]);
+        assert_eq!(cursor.algorithm(), "MULTIWAY");
+        let got = drain(&mut cursor, 2);
+        let want = oracle::topk_spec(&c, &spec).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn every_access_mix_matches_oracle() {
+        use SideAccess::{Descend, Materialize};
+        let want = {
+            let (c, spec, _) = built(6);
+            oracle::topk_spec(&c, &spec).unwrap()
+        };
+        for mask in 0..8u8 {
+            let (c, spec, table) = built(6);
+            let access: Vec<SideAccess> = (0..3)
+                .map(|i| {
+                    if mask & (1 << i) != 0 {
+                        Materialize
+                    } else {
+                        Descend
+                    }
+                })
+                .collect();
+            let mut cursor = open(&c, &spec, &table, 3, &access);
+            let got = drain(&mut cursor, 4);
+            assert_eq!(got, want, "access mask {mask:03b}");
+        }
+    }
+
+    #[test]
+    fn pause_resume_preserves_sequence_and_charge() {
+        let (c, spec, table) = built(6);
+        let one_shot = {
+            let before = c.metrics().snapshot();
+            let mut cursor = open(&c, &spec, &table, 2, &[SideAccess::Descend; 3]);
+            let results = drain(&mut cursor, 100);
+            (results, ledger_since(&c, &before))
+        };
+
+        let (c2, spec2, table2) = built(6);
+        let before = c2.metrics().snapshot();
+        let mut cursor: Box<dyn RankedCursor> =
+            Box::new(open(&c2, &spec2, &table2, 2, &[SideAccess::Descend; 3]));
+        let mut paged = Vec::new();
+        loop {
+            let batch = cursor.next_batch(1, &StopPolicy::default()).unwrap();
+            paged.extend(batch.results);
+            if batch.done {
+                break;
+            }
+            let state = cursor.pause();
+            assert_eq!(state.algorithm(), "MULTIWAY");
+            cursor = state.resume_on(&c2).unwrap();
+        }
+        assert_eq!(paged, one_shot.0);
+        assert_eq!(ledger_since(&c2, &before), one_shot.1);
+    }
+
+    #[test]
+    fn retarget_deepens_without_rereads() {
+        let (c, spec, table) = built(2);
+        let mut cursor = open(&c, &spec, &table, 64, &[SideAccess::Descend; 3]);
+        let top2 = drain(&mut cursor, 100);
+        assert_eq!(
+            top2.len(),
+            2.min(oracle::topk_spec(&c, &spec).unwrap().len())
+        );
+        let state = Box::new(cursor).pause();
+        assert!(state.supports_retarget());
+        let mut deeper = state.resume_retargeted(&c, 6).unwrap();
+        let got = drain(deeper.as_mut(), 10);
+        let want = oracle::topk_spec(&c, &spec.with_k(6)).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn k_zero_is_empty_and_free() {
+        let (c, spec, table) = built(0);
+        let before = c.metrics().snapshot();
+        let mut cursor = open(&c, &spec, &table, 64, &[SideAccess::Descend; 3]);
+        let batch = cursor.next_batch(5, &StopPolicy::default()).unwrap();
+        assert!(batch.results.is_empty());
+        assert!(batch.done);
+        assert_eq!(ledger_since(&c, &before), (0, 0, 0));
+    }
+
+    #[test]
+    fn one_batch_size_and_access_per_side_required() {
+        let (c, spec, table) = built(3);
+        for (batch, access) in [
+            (vec![4; 2], vec![SideAccess::Descend; 3]),
+            (vec![4; 3], vec![SideAccess::Descend; 2]),
+        ] {
+            assert!(matches!(
+                IslCursor::open(&c, &spec, &table, &batch, &access, None),
+                Err(RankJoinError::InvalidSpec(_))
+            ));
+        }
+    }
+
+    /// ISL billing on the running example, in absolute terms: `(kv_reads,
+    /// rpc_calls, network_bytes)` per `(k, batch_left, batch_right)`,
+    /// one-shot and paged by 1 with a pause/resume between pages.
+    #[test]
+    fn golden_ledger_isl_running_example() {
+        let golden = [
+            ((1, 1, 1), (8, 16, 288)),
+            ((3, 2, 2), (12, 10, 432)),
+            ((3, 1, 16), (19, 14, 684)),
+            ((40, 16, 16), (22, 12, 792)),
+        ];
+        for ((k, batch_left, batch_right), want) in golden {
+            let (c, q) = running_example_cluster();
+            let mut ex = RankJoinExecutor::new(&c, q);
+            ex.isl_config = IslConfig {
+                batch_left,
+                batch_right,
+            };
+            ex.prepare_isl().unwrap();
+
+            let before = c.metrics().snapshot();
+            let one_shot = ex.execute_with_k(Algorithm::Isl, k).unwrap().results;
+            assert_eq!(ledger_since(&c, &before), want, "one-shot k={k}");
+
+            let before = c.metrics().snapshot();
+            let mut cursor = ex.open_cursor(Algorithm::Isl, k).unwrap();
+            assert_eq!(cursor.algorithm(), "ISL");
+            let mut paged = Vec::new();
+            loop {
+                let batch = cursor.next_batch(1, &StopPolicy::never()).unwrap();
+                paged.extend(batch.results);
+                if batch.done {
+                    break;
+                }
+                cursor = ex.resume_cursor(cursor.pause()).unwrap();
+            }
+            assert_eq!(ledger_since(&c, &before), want, "paged k={k}");
+            assert_eq!(paged, one_shot);
+        }
+    }
+
+    /// The same for the 3-way path fixture at batch 2: all sides
+    /// descended, and the interior side materialized.
+    #[test]
+    fn golden_ledger_three_way_path() {
+        let golden = [
+            ((2, false), (14, 21, 482)),
+            ((2, true), (22, 34, 786)),
+            ((6, false), (15, 23, 515)),
+            ((6, true), (23, 36, 819)),
+        ];
+        for ((k, materialize), want) in golden {
+            let (c, spec) = three_way_path_cluster(k);
+            let mut ex = SpecExecutor::new(&c, spec);
+            ex.config = MultiwayConfig { batch: 2 };
+            ex.prepare().unwrap();
+            let mut access = vec![SideAccess::Descend; 3];
+            if materialize {
+                access[1] = SideAccess::Materialize;
+            }
+            ex.access_override = Some(access);
+            let before = c.metrics().snapshot();
+            let out = ex.execute_with_k(k).unwrap();
+            assert_eq!(out.results.len(), k);
+            assert_eq!(
+                ledger_since(&c, &before),
+                want,
+                "k={k} materialize={materialize}"
+            );
+        }
+    }
 }

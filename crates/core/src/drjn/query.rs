@@ -166,7 +166,7 @@ impl DrjnRun {
                 index_table: index_table.to_owned(),
                 config: *config,
                 mode,
-                seen: [crate::hrjn::SeenSide::new(), crate::hrjn::SeenSide::new()],
+                seen: [crate::hrjn::SeenSide::new(1), crate::hrjn::SeenSide::new(1)],
                 results: TopK::new(query.k),
                 rows: [Vec::new(), Vec::new()],
                 cum_estimate: 0.0,
@@ -316,7 +316,10 @@ impl DrjnRun {
                         continue;
                     };
                     // Join against the other side's seen tuples.
-                    for (other_key, other_score) in self.core.seen[1 - s].matches(&join) {
+                    let other = &self.core.seen[1 - s];
+                    for (other_key, other_score) in
+                        other.matches(0, &join).map(|id| other.tuple(id))
+                    {
                         let (lk, ls, rk, rs) = if s == 0 {
                             (&cell.qualifier[..], score, other_key, other_score)
                         } else {
@@ -332,7 +335,7 @@ impl DrjnRun {
                             score: query.score_fn.combine(ls, rs),
                         });
                     }
-                    self.core.seen[s].insert(&join, &cell.qualifier, score);
+                    self.core.seen[s].insert([&join[..]], &cell.qualifier, score);
                 }
             }
         }

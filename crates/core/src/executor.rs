@@ -14,15 +14,16 @@ use rj_store::cluster::Cluster;
 use rj_store::metrics::QueryMeter;
 use rj_store::parallel::ExecutionMode;
 
-use crate::adaptive::{self, AdaptiveIsl, DivergenceObserver, DEFAULT_REPLAN_DIVERGENCE};
+use crate::adaptive::{self, DivergenceObserver, DEFAULT_REPLAN_DIVERGENCE};
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCursor};
 use crate::cancel::StopPolicy;
 use crate::cursor::{
-    AutoCore, CursorBatch, CursorMeta, CursorState, IslCursor, MaterializedCore,
-    MaterializedCursor, MaterializedSource, RankedCursor, StateInner,
+    AutoCore, BatchObserver, CursorBatch, CursorMeta, CursorState, IslCursor, MaterializedCore,
+    MaterializedCursor, MaterializedSource, RankedCursor, SideAccess, StateInner,
 };
 use crate::drjn::{self, DrjnConfig, DrjnCursor};
 use crate::error::{RankJoinError, Result};
+use crate::hrjn::HrjnState;
 use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig};
 use crate::planner::{self, Candidates, CostEstimate, Objective, Plan};
@@ -389,7 +390,7 @@ impl RankJoinExecutor {
 
     /// The ISL index table currently prepared or attached, if any. A
     /// serving layer uses this to drive cursor-based ISL execution
-    /// ([`crate::cursor::open_isl_cursor`]) against the same index the
+    /// ([`crate::cursor::IslCursor::open`]) against the same index the
     /// executor would dispatch to.
     pub fn isl_table(&self) -> Option<&str> {
         self.isl_table.as_deref()
@@ -649,73 +650,72 @@ impl RankJoinExecutor {
         let query = self.query.with_k(k);
         let cluster = self.engine.cluster();
         let meter = QueryMeter::start(cluster.metrics());
-        let mut observer = adaptive::DivergenceObserver::new(
-            plan,
-            self.replan_divergence,
-            self.adaptive_force_switch_after,
-        );
-        match adaptive::run_isl(
+        let (observer, hook) = self.divergence_hook(plan);
+        let prefix = isl::run_observed(
             cluster,
-            &query,
+            &query.to_spec(),
             table,
-            self.isl_config,
+            &self.isl_config.batches(),
             self.execution_mode,
-            &mut observer,
-        )? {
-            AdaptiveIsl::Completed(outcome) => Ok(outcome.with_extra("adaptive_switched", 0.0)),
-            AdaptiveIsl::Switch(req) => {
-                // The mid-query correction delta: one version bump
-                // invalidates every cached plan sharing the handle.
-                self.stats
-                    .apply_observed_descent(req.observed, req.divergence);
-                // Re-plan from the corrected statistics.
-                // `stats_for_planning` re-reads live region counts (they
-                // drift under auto-splits with no delta describing it),
-                // and the algorithm that just proved mispriced is not a
-                // switch target.
-                let planned = self
-                    .stats
-                    .stats_for_planning(cluster, self.staleness_bound)?;
-                let mut switch_plan = planner::plan(
-                    &planned.stats,
-                    &self.query,
-                    k,
-                    cluster.cost_model(),
-                    self.objective,
-                    &self.candidates().without(Algorithm::Isl),
-                    self.execution_mode,
-                );
-                switch_plan.stats_source = planned.source;
-                let target = switch_plan.best().ok_or(RankJoinError::Internal(
-                    "switch planner produced no candidate (baselines missing)",
-                ))?;
-                let switched = match target {
-                    Algorithm::Bfhm => {
-                        let (t, config) = self.bfhm_table.as_ref().ok_or_else(|| {
-                            RankJoinError::MissingIndex("bfhm (unprepared)".into())
-                        })?;
-                        bfhm::run_seeded(
-                            cluster,
-                            &query,
-                            t,
-                            config,
-                            self.write_back,
-                            self.execution_mode,
-                            &req.partial_results,
-                        )?
-                    }
-                    other => self.execute_with_k(other, k)?,
-                };
-                let mut out = switched;
-                out.algorithm = adaptive::switched_name(target);
-                out.metrics = meter.finish();
-                Ok(out
-                    .with_extra("adaptive_switched", 1.0)
-                    .with_extra("adaptive_divergence", req.divergence)
-                    .with_extra("adaptive_switch_batches", req.batches as f64)
-                    .with_extra("adaptive_wasted_kv_reads", req.prefix.kv_reads as f64))
-            }
+            Some(hook),
+        )?;
+        if !prefix.aborted {
+            return Ok(prefix.into_outcome().with_extra("adaptive_switched", 0.0));
         }
+        // The mid-query correction delta: one version bump
+        // invalidates every cached plan sharing the handle.
+        let divergence = observer.lock().expect("divergence observer").divergence();
+        self.stats
+            .apply_observed_descent(adaptive::observed_from(&prefix.state), divergence);
+        // Re-plan from the corrected statistics.
+        // `stats_for_planning` re-reads live region counts (they
+        // drift under auto-splits with no delta describing it),
+        // and the algorithm that just proved mispriced is not a
+        // switch target.
+        let planned = self
+            .stats
+            .stats_for_planning(cluster, self.staleness_bound)?;
+        let mut switch_plan = planner::plan(
+            &planned.stats,
+            &self.query,
+            k,
+            cluster.cost_model(),
+            self.objective,
+            &self.candidates().without(Algorithm::Isl),
+            self.execution_mode,
+        );
+        switch_plan.stats_source = planned.source;
+        let target = switch_plan.best().ok_or(RankJoinError::Internal(
+            "switch planner produced no candidate (baselines missing)",
+        ))?;
+        let switched = match target {
+            Algorithm::Bfhm => {
+                let (t, config) = self
+                    .bfhm_table
+                    .as_ref()
+                    .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
+                bfhm::run_seeded(
+                    cluster,
+                    &query,
+                    t,
+                    config,
+                    self.write_back,
+                    self.execution_mode,
+                    // The prefix's buffered results are genuine
+                    // join tuples already paid for.
+                    &prefix.state.current_results(),
+                )?
+            }
+            other => self.execute_with_k(other, k)?,
+        };
+        let mut out = switched;
+        out.algorithm = adaptive::switched_name(target);
+        out.metrics = meter.finish();
+        Ok(out
+            .with_extra("adaptive_switched", 1.0)
+            .with_extra("adaptive_divergence", divergence)
+            .with_extra("adaptive_switch_batches", prefix.batches as f64)
+            .with_extra("adaptive_wasted_kv_reads", prefix.metrics.kv_reads as f64))
     }
 
     /// Opens a pull-based [`RankedCursor`] over `algorithm` targeting the
@@ -750,44 +750,10 @@ impl RankJoinExecutor {
                 if best != Algorithm::Isl {
                     return self.open_cursor(best, k_hint);
                 }
-                let table = self
-                    .isl_table
-                    .as_deref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                let pinned = Some(self.stats.version());
-                let mut isl = IslCursor::open(cluster, &query, table, self.isl_config, pinned)?;
-                let observer = Arc::new(Mutex::new(DivergenceObserver::new(
-                    &plan,
-                    self.replan_divergence,
-                    self.adaptive_force_switch_after,
-                )));
-                let hook = observer.clone();
-                isl.set_observer(Box::new(move |state, batches| {
-                    hook.lock()
-                        .expect("divergence observer")
-                        .after_batch(state, batches)
-                }));
-                Ok(Box::new(self.auto_cursor(
-                    query,
-                    observer,
-                    AutoInner::Isl(Box::new(isl)),
-                    false,
-                )))
+                let isl = self.open_isl_cursor(&query)?;
+                Ok(Box::new(self.auto_cursor(query, &plan, isl)))
             }
-            Algorithm::Isl => {
-                let t = self
-                    .isl_table
-                    .as_deref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                let pinned = Some(self.stats.version());
-                Ok(Box::new(IslCursor::open(
-                    cluster,
-                    &query,
-                    t,
-                    self.isl_config,
-                    pinned,
-                )?))
-            }
+            Algorithm::Isl => Ok(Box::new(self.open_isl_cursor(&query)?)),
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
@@ -849,6 +815,24 @@ impl RankJoinExecutor {
         }
     }
 
+    /// The ISL cursor of `query` — the shared spec-driven descent at two
+    /// sides, both descended — over the prepared index, pinned to the
+    /// current statistics version.
+    fn open_isl_cursor(&self, query: &RankJoinQuery) -> Result<IslCursor> {
+        let table = self
+            .isl_table
+            .as_deref()
+            .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
+        IslCursor::open(
+            self.engine.cluster(),
+            &query.to_spec(),
+            table,
+            &self.isl_config.batches(),
+            &[SideAccess::Descend; 2],
+            Some(self.stats.version()),
+        )
+    }
+
     /// Resumes a paused [`CursorState`] on this executor's cluster,
     /// refusing a statistics-version mismatch with
     /// [`RankJoinError::StaleCursor`] (see the [`CursorState`] coherence
@@ -856,34 +840,18 @@ impl RankJoinExecutor {
     /// observation against the (cached) plan when the switch has not
     /// happened yet; switched or non-adaptive states resume natively.
     pub fn resume_cursor(&self, state: CursorState) -> Result<Box<dyn RankedCursor>> {
-        self.check_cursor_version(&state)?;
+        state.check_version(self.stats.version())?;
         match state.inner {
             StateInner::Auto(auto) => {
                 match (auto.switched, auto.inner) {
                     (false, StateInner::Isl(core)) => {
-                        let query = core.query.clone();
                         let k = core.meta.k;
-                        let mut isl = IslCursor::resume(self.engine.cluster(), *core);
+                        let query = self.query.with_k(k);
+                        let isl = IslCursor::resume(self.engine.cluster(), *core);
                         // Same statistics version (just checked), so this
                         // is the cached plan the cursor was opened under.
                         let plan = self.plan_with_k(k)?;
-                        let observer = Arc::new(Mutex::new(DivergenceObserver::new(
-                            &plan,
-                            self.replan_divergence,
-                            self.adaptive_force_switch_after,
-                        )));
-                        let hook = observer.clone();
-                        isl.set_observer(Box::new(move |state, batches| {
-                            hook.lock()
-                                .expect("divergence observer")
-                                .after_batch(state, batches)
-                        }));
-                        Ok(Box::new(self.auto_cursor(
-                            query,
-                            observer,
-                            AutoInner::Isl(Box::new(isl)),
-                            false,
-                        )))
+                        Ok(Box::new(self.auto_cursor(query, &plan, isl)))
                     }
                     // Already switched (or a non-ISL inner): the adaptive
                     // context is spent — resume the driving state natively.
@@ -903,18 +871,8 @@ impl RankJoinExecutor {
         state: CursorState,
         new_k: usize,
     ) -> Result<Box<dyn RankedCursor>> {
-        self.check_cursor_version(&state)?;
+        state.check_version(self.stats.version())?;
         state.resume_retargeted(self.engine.cluster(), new_k)
-    }
-
-    fn check_cursor_version(&self, state: &CursorState) -> Result<()> {
-        if let Some(expected) = state.pinned_version() {
-            let found = self.stats.version();
-            if expected != found {
-                return Err(RankJoinError::StaleCursor { expected, found });
-            }
-        }
-        Ok(())
     }
 
     /// Prices the next page of a cursor-shaped execution: the predicted
@@ -947,15 +905,29 @@ impl RankJoinExecutor {
         deep.marginal_from(&shallow, priced).ok_or(not_candidate)
     }
 
-    /// Builds an [`AutoCursor`] carrying everything the mid-query switch
-    /// needs, detached from `self`'s lifetime.
-    fn auto_cursor(
-        &self,
-        query: RankJoinQuery,
-        observer: Arc<Mutex<DivergenceObserver>>,
-        inner: AutoInner,
-        switched: bool,
-    ) -> AutoCursor {
+    /// A divergence judge against `plan` under this executor's trust
+    /// bound, and the per-batch cursor hook that consults it.
+    fn divergence_hook(&self, plan: &Plan) -> (Arc<Mutex<DivergenceObserver>>, BatchObserver) {
+        let observer = Arc::new(Mutex::new(DivergenceObserver::new(
+            plan,
+            self.replan_divergence,
+            self.adaptive_force_switch_after,
+        )));
+        let hook = observer.clone();
+        let hook = move |state: &HrjnState, batches| {
+            hook.lock()
+                .expect("divergence observer")
+                .after_batch(state, batches)
+        };
+        (observer, Box::new(hook))
+    }
+
+    /// Builds the [`AutoCursor`] driving `isl` under divergence
+    /// observation against `plan`, carrying everything the mid-query
+    /// switch needs, detached from `self`'s lifetime.
+    fn auto_cursor(&self, query: RankJoinQuery, plan: &Plan, mut isl: IslCursor) -> AutoCursor {
+        let (observer, hook) = self.divergence_hook(plan);
+        isl.set_observer(hook);
         AutoCursor {
             cluster: self.engine.cluster().clone(),
             query,
@@ -969,8 +941,8 @@ impl RankJoinExecutor {
             drjn_table: self.drjn_table.clone(),
             ijlmr_table: self.ijlmr_table.clone(),
             observer,
-            inner,
-            switched,
+            inner: AutoInner::Isl(Box::new(isl)),
+            switched: false,
         }
     }
 }

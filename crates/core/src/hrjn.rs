@@ -1,118 +1,133 @@
-//! The centralized HRJN operator (Ilyas, Aref & Elmagarmid, VLDB 2003).
+//! The centralized HRJN operator (Ilyas, Aref & Elmagarmid, VLDB 2003),
+//! over the join tree of a [`JoinSpec`].
 //!
-//! HRJN consumes two inputs sorted by descending score, joining each newly
-//! retrieved tuple against everything seen so far. It keeps per-input
-//! minimum (`s̄_i`, the score of the last pulled tuple) and maximum
-//! (`ŝ_i`, the first pulled) scores, and stops when the k-th buffered
-//! result is at least the **threshold**
+//! HRJN consumes inputs sorted by descending score — one per side of the
+//! spec, any interleaving of sides — joining each newly retrieved tuple
+//! against everything seen so far. A new tuple of side `i` is joined by
+//! walking the spec's join tree outward from `i`: every edge constrains
+//! the neighbour side's candidates to seen tuples carrying the same value
+//! on that edge, and a complete assignment — one tuple per side — is a
+//! join result scored by [`ScoreFn::combine_many`] over the sides'
+//! individual scores in side order.
+//!
+//! The operator keeps per-input minimum (`s̄_i`, the score of the last
+//! pulled tuple) and maximum (`ŝ_i`, the first pulled) scores, and stops
+//! when the k-th buffered result is at least the **threshold**
 //!
 //! ```text
-//! S = max{ f(s̄_1, ŝ_2), f(ŝ_1, s̄_2) }
+//! S = max_i f(ŝ_1, …, s̄_i, …, ŝ_n)
 //! ```
 //!
-//! — the best score any future join tuple could achieve (§4.2.1). The ISL
-//! algorithm (§4.2) is this operator driven by batched scans over the
-//! score-ordered ISL index; this module keeps the core logic independent
-//! so it can be tested (and property-tested) in isolation.
+//! — side `i` at its minimum seen score, every other side at its maximum:
+//! the best score any future result using an *unseen* tuple of `i` could
+//! achieve. Monotonicity of `f` in every argument (which all [`ScoreFn`]s
+//! satisfy over the paper's `[0,1]` domain) makes each bound valid, and
+//! two sides give exactly the paper's `max{ f(s̄_1, ŝ_2), f(ŝ_1, s̄_2) }`
+//! (§4.2.1). The binary rank join is this operator at `n = 2`, not a
+//! separate one — the ranked-enumeration view (Tziavelis et al.) of the
+//! two-way join as the degenerate acyclic case.
+//!
+//! The ISL algorithm (§4.2) is this operator driven by batched scans over
+//! the score-ordered index ([`crate::cursor::IslCursor`]); this module
+//! keeps the core logic independent so it can be tested (and
+//! property-tested) in isolation.
 
 use rj_sketch::FlatMultiMap;
 
+use crate::error::{RankJoinError, Result};
+use crate::query::JoinSpec;
 use crate::result::{JoinTuple, RankKey, TopK};
 use crate::score::ScoreFn;
 
-/// One input tuple: `(base key, join value, score)`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RankedTuple {
-    /// Base-table row key.
-    pub key: Vec<u8>,
-    /// Join-attribute value.
-    pub join_value: Vec<u8>,
-    /// Individual score.
-    pub score: f64,
-}
-
-/// Which input a tuple came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
-    /// The left relation.
-    Left,
-    /// The right relation.
-    Right,
-}
-
-impl Side {
-    /// Side of a 0/1 index (0 = left).
-    pub(crate) fn of(index: usize) -> Side {
-        if index == 0 {
-            Side::Left
-        } else {
-            Side::Right
-        }
-    }
-}
-
 /// Per-side seen-tuple store in flat, cache-friendly layout.
 ///
-/// The old representation — `HashMap<Vec<u8>, Vec<(Vec<u8>, f64)>>` — paid
-/// a heap allocation per join value plus one per tuple group, and the
-/// descent loop chased those pointers on every probe. Here join values are
-/// interned into a [`FlatMultiMap`] whose groups hold dense tuple ids, and
-/// the tuples themselves are **columnar**: base keys back to back in one
-/// byte arena, scores in one contiguous `f64` column (which is also what
-/// the observed-descent histogram scans).
-#[derive(Clone, Default)]
+/// Join values are interned into one [`FlatMultiMap`] per incident edge,
+/// whose groups hold dense tuple ids; the tuples themselves are
+/// **columnar**: base keys back to back in one byte arena, scores in one
+/// contiguous `f64` column (which is also what the observed-descent
+/// histogram scans), and per tuple one `u32` row holding the end of its
+/// key plus, per edge, the entry id of its join value — so any tuple's
+/// value on any edge is `by_edge[slot].key(entry)` and no byte is stored
+/// twice.
+#[derive(Clone)]
 pub(crate) struct SeenSide {
-    /// Join value → group of tuple ids.
-    index: FlatMultiMap<u32>,
+    /// Per incident edge: join value on that edge → group of tuple ids.
+    by_edge: Vec<FlatMultiMap<u32>>,
     /// Tuple base keys, interned back to back.
     key_arena: Vec<u8>,
-    /// Per-tuple `(offset, len)` span into `key_arena`.
-    key_spans: Vec<(u32, u32)>,
+    /// Per tuple, `1 + edges` words: the end offset of its key in
+    /// `key_arena` (it starts where the previous tuple's ends), then its
+    /// join value's entry id in each edge's map.
+    rows: Vec<u32>,
     /// Per-tuple scores, one flat column.
     scores: Vec<f64>,
 }
 
 impl SeenSide {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// An empty store for a side with `edges` incident join edges.
+    pub(crate) fn new(edges: usize) -> Self {
+        SeenSide {
+            by_edge: (0..edges).map(|_| FlatMultiMap::new()).collect(),
+            key_arena: Vec::new(),
+            rows: Vec::new(),
+            scores: Vec::new(),
+        }
     }
 
-    /// Records one `(base key, score)` tuple under `join`.
-    pub(crate) fn insert(&mut self, join: &[u8], key: &[u8], score: f64) {
+    /// Records one `(base key, score)` tuple under one join value per
+    /// edge (the caller has checked the count) and returns its id.
+    pub(crate) fn insert<'a>(
+        &mut self,
+        join_values: impl IntoIterator<Item = &'a [u8]>,
+        key: &[u8],
+        score: f64,
+    ) -> u32 {
         // Checked narrowing: a store past 2^32 tuples or 4 GiB of key
         // bytes must panic, not silently alias spans.
         let id = u32::try_from(self.scores.len()).expect("SeenSide tuple count overflows u32");
-        self.key_spans.push((
-            u32::try_from(self.key_arena.len()).expect("SeenSide key arena overflows u32"),
-            u32::try_from(key.len()).expect("SeenSide key length overflows u32"),
-        ));
         self.key_arena.extend_from_slice(key);
+        self.rows
+            .push(u32::try_from(self.key_arena.len()).expect("SeenSide key arena overflows u32"));
+        for (index, value) in self.by_edge.iter_mut().zip(join_values) {
+            let entry = index.ensure(value);
+            index.push_to_entry(entry, id);
+            self.rows.push(entry);
+        }
         self.scores.push(score);
-        self.index.push(join, id);
+        id
+    }
+
+    /// Tuple `id`'s row in `rows`.
+    fn row(&self, id: u32) -> usize {
+        id as usize * (1 + self.by_edge.len())
     }
 
     /// The `(base key, score)` tuple recorded under id `id`.
-    fn tuple(&self, id: u32) -> (&[u8], f64) {
-        let (off, len) = self.key_spans[id as usize];
+    pub(crate) fn tuple(&self, id: u32) -> (&[u8], f64) {
+        let row = self.row(id);
+        let start = match id {
+            0 => 0,
+            _ => self.rows[row - 1 - self.by_edge.len()],
+        };
         (
-            &self.key_arena[off as usize..(off + len) as usize],
+            &self.key_arena[start as usize..self.rows[row] as usize],
             self.scores[id as usize],
         )
     }
 
-    /// All `(base key, score)` tuples seen under `join`, insertion order.
-    pub(crate) fn matches<'a>(&'a self, join: &[u8]) -> impl Iterator<Item = (&'a [u8], f64)> + 'a {
-        self.index.get(join).map(move |&id| self.tuple(id))
+    /// Tuple `id`'s join value on its `slot`-th incident edge.
+    fn join_value(&self, id: u32, slot: usize) -> &[u8] {
+        self.by_edge[slot].key(self.rows[self.row(id) + 1 + slot])
     }
 
-    /// Every distinct join value with its tuples — the whole-side sweep.
-    fn groups(
-        &self,
-    ) -> impl Iterator<Item = (&[u8], impl Iterator<Item = (&[u8], f64)> + '_)> + '_ {
-        (0..self.index.num_keys() as u32).map(move |entry| {
-            let tuples = self.index.group(entry).map(move |&id| self.tuple(id));
-            (self.index.key(entry), tuples)
-        })
+    /// Ids of all tuples seen with `join` on the `slot`-th incident edge,
+    /// insertion order.
+    pub(crate) fn matches<'a>(
+        &'a self,
+        slot: usize,
+        join: &[u8],
+    ) -> impl Iterator<Item = u32> + 'a {
+        self.by_edge[slot].get(join).copied()
     }
 
     /// Number of tuples recorded.
@@ -126,55 +141,114 @@ impl SeenSide {
     }
 }
 
-/// A binary join match as a [`RankKey`], both row keys still borrowed
-/// from wherever they sit (an index cell, a seen-tuple arena).
-struct MatchKey<'a> {
-    left_key: &'a [u8],
-    right_key: &'a [u8],
+/// One input of the operator: what it has seen plus the threshold state.
+#[derive(Clone)]
+struct Input {
+    seen: SeenSide,
+    /// `(max seen, min seen)`; `None` until the first tuple.
+    bounds: Option<(f64, f64)>,
+    exhausted: bool,
+}
+
+/// One step of a join-tree walk: `child` takes every seen tuple whose
+/// value on the shared edge equals the one `parent`'s chosen tuple
+/// carries. Slots are positions in each side's incident-edge order,
+/// resolved once at construction.
+#[derive(Clone, Copy)]
+struct Step {
+    child: usize,
+    child_slot: usize,
+    parent: usize,
+    parent_slot: usize,
+}
+
+/// A complete assignment — one seen tuple per side — as a [`RankKey`],
+/// every key still borrowed from the seen-tuple arenas.
+struct Assignment<'a> {
+    inputs: &'a [Input],
+    chosen: &'a [u32],
     score: f64,
 }
 
-impl RankKey for MatchKey<'_> {
+impl Assignment<'_> {
+    fn key(&self, side: usize) -> &[u8] {
+        self.inputs[side].seen.tuple(self.chosen[side]).0
+    }
+}
+
+impl RankKey for Assignment<'_> {
     fn score(&self) -> f64 {
         self.score
     }
     fn left_key(&self) -> &[u8] {
-        self.left_key
+        self.key(0)
     }
     fn right_key(&self) -> &[u8] {
-        self.right_key
+        self.key(self.inputs.len() - 1)
     }
     fn inner_len(&self) -> usize {
-        0
+        self.inputs.len() - 2
     }
-    fn inner_key(&self, _: usize) -> &[u8] {
-        unreachable!("binary matches have no interior sides")
+    fn inner_key(&self, i: usize) -> &[u8] {
+        self.key(i + 1)
     }
 }
 
-/// Offers the join of `left` and `right` (each `(base key, score)`) on
-/// `join`, building the owned [`JoinTuple`] only if it enters the top-k.
-fn offer_match(
-    results: &mut TopK,
+/// The read-only half of the operator during a join enumeration (the
+/// other half — the top-k buffer and the `chosen` scratch — is written).
+struct Joiner<'a> {
+    inputs: &'a [Input],
     score_fn: ScoreFn,
-    join: &[u8],
-    left: (&[u8], f64),
-    right: (&[u8], f64),
-) {
-    let score = score_fn.combine(left.1, right.1);
-    let key = MatchKey {
-        left_key: left.0,
-        right_key: right.0,
-        score,
-    };
-    if results.admits(&key) {
+    /// Side whose first incident edge is the spec's edge 0 — its value
+    /// fills the binary-compatible `join_value` field of results.
+    join_value_side: usize,
+}
+
+impl Joiner<'_> {
+    /// Backtracking walk: `walk` lists the sides still to assign, every
+    /// parent before its children; the sides before it are fixed in
+    /// `chosen`. Every complete assignment is offered to `results`.
+    fn extend(&self, walk: &[Step], chosen: &mut [u32], results: &mut TopK) {
+        let Some((step, rest)) = walk.split_first() else {
+            self.offer(chosen, results);
+            return;
+        };
+        let value = self.inputs[step.parent]
+            .seen
+            .join_value(chosen[step.parent], step.parent_slot);
+        for id in self.inputs[step.child].seen.matches(step.child_slot, value) {
+            chosen[step.child] = id;
+            self.extend(rest, chosen, results);
+        }
+    }
+
+    /// Offers one complete assignment, building the owned [`JoinTuple`]
+    /// only if it enters the top-k.
+    fn offer(&self, chosen: &[u32], results: &mut TopK) {
+        let tuple = |side: usize| self.inputs[side].seen.tuple(chosen[side]);
+        let n = self.inputs.len();
+        let score = self.score_fn.combine_iter((0..n).map(|side| tuple(side).1));
+        let candidate = Assignment {
+            inputs: self.inputs,
+            chosen,
+            score,
+        };
+        if !results.admits(&candidate) {
+            return;
+        }
+        let (left, right) = (tuple(0), tuple(n - 1));
         results.offer(JoinTuple {
             left_key: left.0.to_vec(),
             right_key: right.0.to_vec(),
-            join_value: join.to_vec(),
+            join_value: self.inputs[self.join_value_side]
+                .seen
+                .join_value(chosen[self.join_value_side], 0)
+                .to_vec(),
             left_score: left.1,
             right_score: right.1,
-            inner: Vec::new(),
+            inner: (1..n - 1)
+                .map(|side| (tuple(side).0.to_vec(), tuple(side).1))
+                .collect(),
             score,
         });
     }
@@ -184,77 +258,158 @@ fn offer_match(
 /// per side (any interleaving of sides) and poll [`HrjnState::is_done`].
 ///
 /// Plain columnar data throughout, so a paused cursor parks the state
-/// itself ([`Clone`]) rather than a log to rebuild it from.
+/// itself ([`Clone`]) rather than a log to rebuild it from. The join
+/// tree's walks and the per-push scratch are flat vectors sized once from
+/// the spec: a push allocates only arena growth and admitted results.
 #[derive(Clone)]
 pub struct HrjnState {
     k: usize,
     score_fn: ScoreFn,
     results: TopK,
-    seen: [SeenSide; 2],
-    /// Tuples pushed per side (kept separately so per-batch observers
-    /// read it in O(1) instead of walking the seen-maps).
-    consumed: [usize; 2],
-    /// (max seen, min seen) per side; `None` until the first tuple.
-    bounds: [Option<(f64, f64)>; 2],
-    exhausted: [bool; 2],
+    inputs: Vec<Input>,
+    /// Preorder walks of the join tree, one per root, back to back: the
+    /// walk rooted at side `r` is `walks[r * (n - 1)..][..n - 1]`.
+    walks: Vec<Step>,
+    /// Scratch: the tuple id chosen per side during an enumeration.
+    chosen: Vec<u32>,
+    join_value_side: usize,
 }
 
 impl HrjnState {
-    /// Fresh state for a top-k join under `score_fn`.
-    pub fn new(k: usize, score_fn: ScoreFn) -> Self {
+    /// Fresh state for `spec` at `k = spec.k` (pass a re-targeted spec
+    /// for other depths).
+    pub fn new(spec: &JoinSpec) -> Self {
+        let n = spec.n();
+        // Side `side`'s slot for edge `e`: how many earlier edges touch it.
+        let slot = |side: usize, e: usize| {
+            spec.edges[..e]
+                .iter()
+                .filter(|edge| edge.a == side || edge.b == side)
+                .count()
+        };
+        let mut walks: Vec<Step> = Vec::with_capacity(n * n.saturating_sub(1));
+        for root in 0..n {
+            // Breadth-first from `root`, the walk doubling as the queue.
+            let start = walks.len();
+            let mut expanded = start;
+            let mut at = root;
+            loop {
+                for (e, edge) in spec.edges.iter().enumerate() {
+                    let next = match (edge.a == at, edge.b == at) {
+                        (true, _) => edge.b,
+                        (_, true) => edge.a,
+                        _ => continue,
+                    };
+                    if next != root && walks[start..].iter().all(|s| s.child != next) {
+                        walks.push(Step {
+                            child: next,
+                            child_slot: slot(next, e),
+                            parent: at,
+                            parent_slot: slot(at, e),
+                        });
+                    }
+                }
+                let Some(step) = walks.get(expanded) else {
+                    break;
+                };
+                at = step.child;
+                expanded += 1;
+            }
+        }
         HrjnState {
-            k,
-            score_fn,
-            results: TopK::new(k),
-            seen: [SeenSide::new(), SeenSide::new()],
-            consumed: [0, 0],
-            bounds: [None, None],
-            exhausted: [false, false],
+            k: spec.k,
+            score_fn: spec.score_fn,
+            results: TopK::new(spec.k),
+            inputs: (0..n)
+                .map(|side| Input {
+                    seen: SeenSide::new(spec.incident_edges(side).count()),
+                    bounds: None,
+                    exhausted: false,
+                })
+                .collect(),
+            walks,
+            chosen: vec![0; n],
+            join_value_side: spec.edges.first().map_or(0, |edge| edge.a),
         }
     }
 
-    fn side_index(side: Side) -> usize {
-        match side {
-            Side::Left => 0,
-            Side::Right => 1,
+    /// Number of sides.
+    pub fn sides(&self) -> usize {
+        self.inputs.len()
+    }
+
+    /// How many join edges touch `side` — the number of join values each
+    /// of its tuples carries.
+    pub fn edges(&self, side: usize) -> usize {
+        self.inputs
+            .get(side)
+            .map_or(0, |input| input.seen.by_edge.len())
+    }
+
+    /// Everything an enumeration reads, split from what it writes.
+    fn parts(&mut self) -> (Joiner<'_>, &[Step], &mut [u32], &mut TopK) {
+        let joiner = Joiner {
+            inputs: &self.inputs,
+            score_fn: self.score_fn,
+            join_value_side: self.join_value_side,
+        };
+        (joiner, &self.walks, &mut self.chosen, &mut self.results)
+    }
+
+    /// Feeds one tuple of `side` — base key, one join value per edge
+    /// incident to the side (in [`JoinSpec::incident_edges`] order), score
+    /// — by reference: nothing is copied except into the seen-tuple arenas
+    /// and, for a join match that enters the top-k, its result tuple.
+    /// A wrong side or join-value count is a typed error and leaves the
+    /// state untouched. Panics in debug builds if scores go up — inputs
+    /// must be score-descending.
+    pub fn push_borrowed<'a, I>(
+        &mut self,
+        side: usize,
+        key: &[u8],
+        join_values: I,
+        score: f64,
+    ) -> Result<()>
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let n = self.inputs.len();
+        let input = self
+            .inputs
+            .get_mut(side)
+            .ok_or(RankJoinError::SideOutOfRange {
+                index: side,
+                sides: n,
+            })?;
+        let join_values = join_values.into_iter();
+        if join_values.len() != input.seen.by_edge.len() {
+            return Err(RankJoinError::InvalidSpec(
+                "a tuple carries exactly one join value per edge incident to its side",
+            ));
         }
-    }
-
-    /// Feeds one tuple from `side`. Panics in debug builds if scores go up
-    /// — inputs must be score-descending.
-    pub fn push(&mut self, side: Side, tuple: RankedTuple) {
-        self.push_borrowed(side, &tuple.key, &tuple.join_value, tuple.score);
-    }
-
-    /// [`HrjnState::push`] over borrowed parts: nothing is copied except
-    /// into the seen-tuple arenas and, for a join match that enters the
-    /// top-k, its result tuple.
-    pub fn push_borrowed(&mut self, side: Side, key: &[u8], join: &[u8], score: f64) {
-        let i = Self::side_index(side);
         debug_assert!(
-            self.bounds[i].is_none_or(|(_, min)| score <= min + 1e-12),
+            input.bounds.is_none_or(|(_, min)| score <= min + 1e-12),
             "input not score-descending"
         );
-        self.bounds[i] = Some(match self.bounds[i] {
+        input.bounds = Some(match input.bounds {
             None => (score, score),
             Some((max, min)) => (max, min.min(score)),
         });
+        let id = input.seen.insert(join_values, key, score);
 
-        // Join against the other side's seen tuples (columnar probe).
-        for other in self.seen[1 - i].matches(join) {
-            let (left, right) = if i == 0 {
-                ((key, score), other)
-            } else {
-                (other, (key, score))
-            };
-            offer_match(&mut self.results, self.score_fn, join, left, right);
-        }
-        self.seen[i].insert(join, key, score);
-        self.consumed[i] += 1;
+        // Every complete assignment using the new tuple: the walk rooted
+        // at its side (a side never joins itself, so having recorded the
+        // tuple first changes nothing but lets the root be read like any
+        // other side).
+        let (joiner, walks, chosen, results) = self.parts();
+        chosen[side] = id;
+        joiner.extend(&walks[side * (n - 1)..][..n - 1], chosen, results);
+        Ok(())
     }
 
     /// Re-targets the operator to `new_k`, rebuilding the top-k buffer by
-    /// one join sweep over the two seen sides: every match among consumed
+    /// one join sweep rooted at side 0: every assignment among consumed
     /// tuples is offered again, so results a shallower `k` had evicted
     /// come back. The sweep's order is immaterial — [`TopK`] is a set
     /// under the total [`JoinTuple::rank_cmp`] order — and consumed
@@ -263,51 +418,64 @@ impl HrjnState {
     pub fn retarget(&mut self, new_k: usize) {
         self.k = new_k;
         self.results = TopK::new(new_k);
-        let [left_side, right_side] = &self.seen;
-        for (join, lefts) in left_side.groups() {
-            for left in lefts {
-                for right in right_side.matches(join) {
-                    offer_match(&mut self.results, self.score_fn, join, left, right);
-                }
-            }
+        let n = self.inputs.len();
+        let (joiner, walks, chosen, results) = self.parts();
+        for id in 0..joiner.inputs[0].seen.len() as u32 {
+            chosen[0] = id;
+            joiner.extend(&walks[..n - 1], chosen, results);
         }
     }
 
     /// Marks a side as fully consumed.
-    pub fn exhaust(&mut self, side: Side) {
-        self.exhausted[Self::side_index(side)] = true;
+    pub fn exhaust(&mut self, side: usize) {
+        self.inputs[side].exhausted = true;
     }
 
     /// Whether `side` was marked fully consumed.
-    pub fn is_exhausted(&self, side: Side) -> bool {
-        self.exhausted[Self::side_index(side)]
+    pub fn is_exhausted(&self, side: usize) -> bool {
+        self.inputs[side].exhausted
     }
 
-    /// The HRJN threshold: the maximum attainable score of any join tuple
-    /// not yet produced. `None` while no bound exists yet (nothing pulled
+    /// Whether every side was marked fully consumed.
+    pub fn all_exhausted(&self) -> bool {
+        self.inputs.iter().all(|input| input.exhausted)
+    }
+
+    /// The HRJN threshold: the maximum attainable score of any result not
+    /// yet produced. `None` while no bound exists yet (nothing pulled
     /// from some non-exhausted side).
     pub fn threshold(&self) -> Option<f64> {
-        // A future join tuple needs at least one *unseen* tuple. Unseen
-        // tuples on side i score at most s̄_i; the partner is bounded by
-        // ŝ_other. Exhausted sides produce no unseen tuples.
+        // A future result needs at least one *unseen* tuple. Unseen tuples
+        // of side i score at most s̄_i; every partner is bounded by its
+        // side's ŝ. Exhausted sides produce no unseen tuples.
         let mut t: Option<f64> = None;
-        for i in 0..2 {
-            if self.exhausted[i] {
+        'sides: for (i, input) in self.inputs.iter().enumerate() {
+            if input.exhausted {
                 continue;
             }
-            let Some((_, my_min)) = self.bounds[i] else {
+            let Some((_, my_min)) = input.bounds else {
                 // Nothing pulled from an active side: unbounded.
                 return None;
             };
-            // Partner bound: the other side's max seen. If the other side
-            // has produced nothing: an exhausted empty side can never
-            // partner (skip); an active one leaves the bound open.
-            let other_max = match self.bounds[1 - i] {
-                Some((max, _)) => max,
-                None if self.exhausted[1 - i] => continue,
-                None => return None,
-            };
-            let bound = self.score_fn.combine_sided(i, my_min, other_max);
+            // Left-to-right fold of `f` over the sides' arguments, as
+            // `combine_many` folds them (this runs after every tuple).
+            let mut bound = 0.0;
+            for (j, partner) in self.inputs.iter().enumerate() {
+                let arg = match partner.bounds {
+                    _ if j == i => my_min,
+                    Some((max, _)) => max,
+                    // An exhausted empty side can never partner any
+                    // future tuple — side i contributes no bound.
+                    None if partner.exhausted => continue 'sides,
+                    // An active side with nothing pulled: unbounded.
+                    None => return None,
+                };
+                bound = if j == 0 {
+                    arg
+                } else {
+                    self.score_fn.combine(bound, arg)
+                };
+            }
             t = Some(t.map_or(bound, |x: f64| x.max(bound)));
         }
         t.or(Some(f64::NEG_INFINITY))
@@ -317,8 +485,8 @@ impl HrjnState {
     pub fn is_done(&self) -> bool {
         match (self.results.kth_score(), self.threshold()) {
             (Some(kth), Some(t)) => kth >= t,
-            // Both sides exhausted → threshold = -inf → done even if fewer
-            // than k results exist.
+            // Every side exhausted → threshold = -inf → done even if
+            // fewer than k results exist.
             (None, Some(t)) => t == f64::NEG_INFINITY,
             _ => false,
         }
@@ -329,9 +497,9 @@ impl HrjnState {
         self.results.len()
     }
 
-    /// Total tuples consumed across both sides.
+    /// Total tuples consumed across all sides.
     pub fn tuples_consumed(&self) -> usize {
-        self.consumed.iter().sum()
+        self.inputs.iter().map(|input| input.seen.len()).sum()
     }
 
     /// Finishes, returning the rank-ordered results.
@@ -352,25 +520,18 @@ impl HrjnState {
     // store.
     // ------------------------------------------------------------------
 
-    /// The k-th buffered result's score — a valid *lower bound* on the
-    /// final k-th score (buffered results are genuine join tuples), or
-    /// `None` while fewer than k are buffered.
-    pub fn kth_score(&self) -> Option<f64> {
-        self.results.kth_score()
-    }
-
     /// Tuples consumed from one side so far (O(1) — observers call this
     /// after every batch).
-    pub fn consumed(&self, side: Side) -> usize {
-        self.consumed[Self::side_index(side)]
+    pub fn consumed(&self, side: usize) -> usize {
+        self.inputs[side].seen.len()
     }
 
     /// `(max seen, min seen)` scores of one side — the `ŝ_i`/`s̄_i` pair
     /// the HRJN threshold is built from. `None` before the first pull.
     /// The max is the side's *true* maximum (inputs are score-descending);
     /// the min is how deep the descent has reached.
-    pub fn side_bounds(&self, side: Side) -> Option<(f64, f64)> {
-        self.bounds[Self::side_index(side)]
+    pub fn side_bounds(&self, side: usize) -> Option<(f64, f64)> {
+        self.inputs[side].bounds
     }
 
     /// Equi-width histogram (over `[0,1]`, `buckets` cells, out-of-range
@@ -378,11 +539,11 @@ impl HrjnState {
     /// side — the *observed* descent an adaptive driver compares against
     /// the planner's histogram-predicted descent, in the same bucket
     /// geometry as [`crate::planner::TableStats`].
-    pub fn observed_histogram(&self, side: Side, buckets: usize) -> Vec<u64> {
+    pub fn observed_histogram(&self, side: usize, buckets: usize) -> Vec<u64> {
         let buckets = buckets.max(1);
         let mut hist = vec![0u64; buckets];
         // One linear sweep over the side's contiguous score column.
-        for score in self.seen[Self::side_index(side)].scores() {
+        for score in self.inputs[side].seen.scores() {
             let b = ((score.max(0.0) * buckets as f64) as usize).min(buckets - 1);
             hist[b] += 1;
         }
@@ -402,127 +563,156 @@ impl HrjnState {
     }
 }
 
-impl ScoreFn {
-    /// `combine` with the "my side" argument placed correctly.
-    fn combine_sided(&self, my_index: usize, mine: f64, other: f64) -> f64 {
-        if my_index == 0 {
-            self.combine(mine, other)
-        } else {
-            self.combine(other, mine)
-        }
-    }
-}
+/// One in-memory input tuple of the reference driver: base key, one join
+/// value per incident edge, score.
+pub type InputTuple = (Vec<u8>, Vec<Vec<u8>>, f64);
 
-/// Runs HRJN to completion over two in-memory score-descending lists,
-/// alternating pulls (the reference driver used by tests and by the
-/// examples).
-pub fn run_hrjn(
-    k: usize,
-    score_fn: ScoreFn,
-    left: &[RankedTuple],
-    right: &[RankedTuple],
-) -> Vec<JoinTuple> {
-    let mut state = HrjnState::new(k, score_fn);
-    let mut li = 0usize;
-    let mut ri = 0usize;
-    let mut turn = Side::Left;
-    loop {
-        if state.is_done() {
-            break;
-        }
-        let (idx, tuples, side) = match turn {
-            Side::Left if li < left.len() => (&mut li, left, Side::Left),
-            Side::Left => (&mut ri, right, Side::Right),
-            Side::Right if ri < right.len() => (&mut ri, right, Side::Right),
-            Side::Right => (&mut li, left, Side::Left),
-        };
-        if *idx >= tuples.len() {
-            // Both exhausted.
-            state.exhaust(Side::Left);
-            state.exhaust(Side::Right);
-            break;
-        }
-        state.push(side, tuples[*idx].clone());
-        *idx += 1;
-        if li == left.len() {
-            state.exhaust(Side::Left);
-        }
-        if ri == right.len() {
-            state.exhaust(Side::Right);
-        }
-        turn = match turn {
-            Side::Left => Side::Right,
-            Side::Right => Side::Left,
-        };
+/// Runs HRJN to completion over in-memory score-descending per-side
+/// lists, round-robin over the sides — the reference driver used by
+/// tests.
+pub fn run_hrjn(spec: &JoinSpec, sides: &[Vec<InputTuple>]) -> Result<Vec<JoinTuple>> {
+    if sides.len() != spec.n() {
+        return Err(RankJoinError::InvalidSpec(
+            "one input list per side required",
+        ));
     }
-    state.into_results()
+    let mut state = HrjnState::new(spec);
+    let mut at = vec![0usize; sides.len()];
+    for (i, list) in sides.iter().enumerate() {
+        if list.is_empty() {
+            state.exhaust(i);
+        }
+    }
+    // Every round advances some side or finds them all exhausted (done).
+    while !state.is_done() {
+        for (i, list) in sides.iter().enumerate() {
+            let Some((key, join_values, score)) = list.get(at[i]) else {
+                continue;
+            };
+            state.push_borrowed(i, key, join_values.iter().map(Vec::as_slice), *score)?;
+            at[i] += 1;
+            if at[i] == list.len() {
+                state.exhaust(i);
+            }
+            if state.is_done() {
+                break;
+            }
+        }
+    }
+    Ok(state.into_results())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::JoinSide;
 
-    fn t(key: &[u8], join: &[u8], score: f64) -> RankedTuple {
-        RankedTuple {
-            key: key.to_vec(),
-            join_value: join.to_vec(),
+    fn side(label: &str) -> JoinSide {
+        JoinSide::new(&label.to_lowercase(), label, ("d", b"jk"), ("d", b"score"))
+    }
+
+    fn binary(k: usize, f: ScoreFn) -> JoinSpec {
+        JoinSpec::path(vec![side("L"), side("R")], k, f).unwrap()
+    }
+
+    fn path3(k: usize, f: ScoreFn) -> JoinSpec {
+        JoinSpec::path(vec![side("A"), side("B"), side("C")], k, f).unwrap()
+    }
+
+    fn t(key: &[u8], values: &[&[u8]], score: f64) -> InputTuple {
+        (
+            key.to_vec(),
+            values.iter().map(|v| v.to_vec()).collect(),
             score,
-        }
+        )
+    }
+
+    fn sorted(mut v: Vec<InputTuple>) -> Vec<InputTuple> {
+        v.sort_by(|a, b| b.2.total_cmp(&a.2));
+        v
+    }
+
+    fn push(state: &mut HrjnState, side: usize, tuple: &InputTuple) {
+        state
+            .push_borrowed(side, &tuple.0, tuple.1.iter().map(Vec::as_slice), tuple.2)
+            .unwrap();
     }
 
     /// The running example of Fig. 1, score-sorted per relation.
-    fn running_example() -> (Vec<RankedTuple>, Vec<RankedTuple>) {
-        let mut r1 = vec![
-            t(b"r1_1", b"d", 0.82),
-            t(b"r1_2", b"c", 0.93),
-            t(b"r1_3", b"c", 0.67),
-            t(b"r1_4", b"d", 0.82),
-            t(b"r1_5", b"a", 0.73),
-            t(b"r1_6", b"c", 0.79),
-            t(b"r1_7", b"b", 0.82),
-            t(b"r1_8", b"b", 0.70),
-            t(b"r1_9", b"d", 0.68),
-            t(b"r1_10", b"a", 1.00),
-            t(b"r1_11", b"b", 0.64),
+    fn running_example() -> Vec<Vec<InputTuple>> {
+        let r1 = vec![
+            t(b"r1_1", &[b"d"], 0.82),
+            t(b"r1_2", &[b"c"], 0.93),
+            t(b"r1_3", &[b"c"], 0.67),
+            t(b"r1_4", &[b"d"], 0.82),
+            t(b"r1_5", &[b"a"], 0.73),
+            t(b"r1_6", &[b"c"], 0.79),
+            t(b"r1_7", &[b"b"], 0.82),
+            t(b"r1_8", &[b"b"], 0.70),
+            t(b"r1_9", &[b"d"], 0.68),
+            t(b"r1_10", &[b"a"], 1.00),
+            t(b"r1_11", &[b"b"], 0.64),
         ];
-        let mut r2 = vec![
-            t(b"r2_1", b"a", 0.51),
-            t(b"r2_2", b"b", 0.91),
-            t(b"r2_3", b"c", 0.64),
-            t(b"r2_4", b"d", 0.53),
-            t(b"r2_5", b"d", 0.41),
-            t(b"r2_6", b"d", 0.50),
-            t(b"r2_7", b"a", 0.35),
-            t(b"r2_8", b"a", 0.38),
-            t(b"r2_9", b"a", 0.37),
-            t(b"r2_10", b"c", 0.31),
-            t(b"r2_11", b"b", 0.92),
+        let r2 = vec![
+            t(b"r2_1", &[b"a"], 0.51),
+            t(b"r2_2", &[b"b"], 0.91),
+            t(b"r2_3", &[b"c"], 0.64),
+            t(b"r2_4", &[b"d"], 0.53),
+            t(b"r2_5", &[b"d"], 0.41),
+            t(b"r2_6", &[b"d"], 0.50),
+            t(b"r2_7", &[b"a"], 0.35),
+            t(b"r2_8", &[b"a"], 0.38),
+            t(b"r2_9", &[b"a"], 0.37),
+            t(b"r2_10", &[b"c"], 0.31),
+            t(b"r2_11", &[b"b"], 0.92),
         ];
-        r1.sort_by(|a, b| b.score.total_cmp(&a.score));
-        r2.sort_by(|a, b| b.score.total_cmp(&a.score));
-        (r1, r2)
+        vec![sorted(r1), sorted(r2)]
     }
 
-    /// Brute-force top-k over the same inputs.
-    fn brute_force(
-        k: usize,
-        f: ScoreFn,
-        left: &[RankedTuple],
-        right: &[RankedTuple],
-    ) -> Vec<JoinTuple> {
-        let mut top = crate::result::TopK::new(k);
-        for l in left {
-            for r in right {
-                if l.join_value == r.join_value {
-                    top.offer(JoinTuple {
-                        left_key: l.key.clone(),
-                        right_key: r.key.clone(),
-                        join_value: l.join_value.clone(),
-                        left_score: l.score,
-                        right_score: r.score,
-                        inner: Vec::new(),
-                        score: f.combine(l.score, r.score),
-                    });
+    /// A deterministic pseudo-random side: `n` tuples, join values drawn
+    /// from `domain` letters, scores spread over (0,1].
+    fn gen_side(n: usize, domain: u8, seed: u64, edges: usize) -> Vec<InputTuple> {
+        let mut v = Vec::new();
+        let mut x = seed;
+        for i in 0..n {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let j = b'a' + (x >> 33) as u8 % domain;
+            let score = ((x >> 11) % 1000) as f64 / 1000.0;
+            v.push(t(format!("k{i}").as_bytes(), &vec![&[j][..]; edges], score));
+        }
+        sorted(v)
+    }
+
+    /// Brute-force top-k of a two- or three-side *path* spec over the
+    /// same in-memory inputs.
+    fn brute_force_path(spec: &JoinSpec, s: &[Vec<InputTuple>]) -> Vec<JoinTuple> {
+        let mut top = TopK::new(spec.k);
+        let mut offer = |tuples: &[&InputTuple]| {
+            let (a, c) = (tuples[0], tuples[tuples.len() - 1]);
+            let scores: Vec<f64> = tuples.iter().map(|t| t.2).collect();
+            top.offer(JoinTuple {
+                left_key: a.0.clone(),
+                right_key: c.0.clone(),
+                join_value: a.1[0].clone(),
+                left_score: a.2,
+                right_score: c.2,
+                inner: tuples[1..tuples.len() - 1]
+                    .iter()
+                    .map(|b| (b.0.clone(), b.2))
+                    .collect(),
+                score: spec.score_fn.combine_many(&scores),
+            });
+        };
+        for a in &s[0] {
+            for b in s[1].iter().filter(|b| a.1[0] == b.1[0]) {
+                match s.get(2) {
+                    None => offer(&[a, b]),
+                    Some(cs) => cs
+                        .iter()
+                        .filter(|c| b.1[1] == c.1[0])
+                        .for_each(|c| offer(&[a, b, c])),
                 }
             }
         }
@@ -531,12 +721,13 @@ mod tests {
 
     #[test]
     fn running_example_top3_sum() {
-        let (r1, r2) = running_example();
-        let got = run_hrjn(3, ScoreFn::Sum, &r1, &r2);
+        let got = run_hrjn(&binary(3, ScoreFn::Sum), &running_example()).unwrap();
         // All three best results come from join value b:
         // 0.82+0.92=1.74, 0.82+0.91=1.73, 0.70+0.92=1.62.
         let scores: Vec<f64> = got.iter().map(|x| x.score).collect();
         assert_eq!(scores, vec![1.74, 1.73, 1.62]);
+        assert_eq!(got[0].join_value, b"b".to_vec());
+        assert!(got[0].inner.is_empty());
     }
 
     /// Top-k is ambiguous at the k-th score boundary when several tuples
@@ -569,11 +760,11 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_example_all_k() {
-        let (r1, r2) = running_example();
+        let inputs = running_example();
         for f in [ScoreFn::Sum, ScoreFn::Product, ScoreFn::Min, ScoreFn::Max] {
-            let all = brute_force(usize::MAX / 2, f, &r1, &r2);
+            let all = brute_force_path(&binary(usize::MAX / 2, f), &inputs);
             for k in 1..=20 {
-                let got = run_hrjn(k, f, &r1, &r2);
+                let got = run_hrjn(&binary(k, f), &inputs).unwrap();
                 assert_rank_equivalent(&got, &all, k.min(all.len()));
             }
         }
@@ -582,22 +773,28 @@ mod tests {
     #[test]
     fn early_termination_consumes_less_than_everything() {
         // Two relations where the top result is obvious early.
-        let left: Vec<RankedTuple> = (0..100)
-            .map(|i| t(format!("l{i}").as_bytes(), b"x", 1.0 - i as f64 / 100.0))
-            .collect();
-        let right: Vec<RankedTuple> = (0..100)
-            .map(|i| t(format!("r{i}").as_bytes(), b"x", 1.0 - i as f64 / 100.0))
-            .collect();
-        let mut state = HrjnState::new(1, ScoreFn::Sum);
+        let list = |prefix: &str| -> Vec<InputTuple> {
+            (0..100)
+                .map(|i| {
+                    t(
+                        format!("{prefix}{i}").as_bytes(),
+                        &[b"x"],
+                        1.0 - i as f64 / 100.0,
+                    )
+                })
+                .collect()
+        };
+        let (left, right) = (list("l"), list("r"));
+        let mut state = HrjnState::new(&binary(1, ScoreFn::Sum));
         let mut consumed = 0;
         let mut li = 0;
         let mut ri = 0;
         while !state.is_done() {
             if li <= ri {
-                state.push(Side::Left, left[li].clone());
+                push(&mut state, 0, &left[li]);
                 li += 1;
             } else {
-                state.push(Side::Right, right[ri].clone());
+                push(&mut state, 1, &right[ri]);
                 ri += 1;
             }
             consumed += 1;
@@ -607,37 +804,156 @@ mod tests {
 
     #[test]
     fn empty_inputs_terminate() {
-        let got = run_hrjn(5, ScoreFn::Sum, &[], &[]);
+        let spec = binary(5, ScoreFn::Sum);
+        let got = run_hrjn(&spec, &[vec![], vec![]]).unwrap();
         assert!(got.is_empty());
-        let one = vec![t(b"a", b"x", 0.5)];
-        let got = run_hrjn(5, ScoreFn::Sum, &one, &[]);
+        let one = vec![t(b"a", &[b"x"], 0.5)];
+        let got = run_hrjn(&spec, &[one, vec![]]).unwrap();
         assert!(got.is_empty());
     }
 
     #[test]
     fn fewer_than_k_results() {
-        let left = vec![t(b"l1", b"x", 0.9)];
-        let right = vec![t(b"r1", b"x", 0.8), t(b"r2", b"y", 0.7)];
-        let got = run_hrjn(10, ScoreFn::Sum, &left, &right);
+        let left = vec![t(b"l1", &[b"x"], 0.9)];
+        let right = vec![t(b"r1", &[b"x"], 0.8), t(b"r2", &[b"y"], 0.7)];
+        let got = run_hrjn(&binary(10, ScoreFn::Sum), &[left, right]).unwrap();
         assert_eq!(got.len(), 1);
         assert!((got[0].score - 1.7).abs() < 1e-12);
     }
 
     #[test]
     fn threshold_is_none_before_both_sides_seen() {
-        let mut s = HrjnState::new(1, ScoreFn::Sum);
+        let mut s = HrjnState::new(&binary(1, ScoreFn::Sum));
         assert_eq!(s.threshold(), None);
-        s.push(Side::Left, t(b"l", b"x", 0.9));
+        push(&mut s, 0, &t(b"l", &[b"x"], 0.9));
         assert_eq!(s.threshold(), None, "right side untouched → no bound");
-        s.push(Side::Right, t(b"r", b"y", 0.8));
+        push(&mut s, 1, &t(b"r", &[b"y"], 0.8));
         assert!(s.threshold().is_some());
     }
 
     #[test]
     fn duplicate_join_values_multiply() {
-        let left = vec![t(b"l1", b"x", 0.9), t(b"l2", b"x", 0.8)];
-        let right = vec![t(b"r1", b"x", 0.7), t(b"r2", b"x", 0.6)];
-        let got = run_hrjn(10, ScoreFn::Sum, &left, &right);
+        let left = vec![t(b"l1", &[b"x"], 0.9), t(b"l2", &[b"x"], 0.8)];
+        let right = vec![t(b"r1", &[b"x"], 0.7), t(b"r2", &[b"x"], 0.6)];
+        let got = run_hrjn(&binary(10, ScoreFn::Sum), &[left, right]).unwrap();
         assert_eq!(got.len(), 4, "2×2 cartesian on shared join value");
+    }
+
+    #[test]
+    fn wrong_join_value_count_is_a_typed_error_and_a_no_op() {
+        // The interior side of a path carries two join values; one or
+        // three must be refused, never indexed out of bounds or joined on
+        // a prefix.
+        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum));
+        let wrong: [&[&[u8]]; 2] = [&[b"x"], &[b"x", b"y", b"z"]];
+        for values in wrong {
+            let err = s
+                .push_borrowed(1, b"b", values.iter().copied(), 0.5)
+                .unwrap_err();
+            assert!(matches!(err, RankJoinError::InvalidSpec(_)), "{err}");
+        }
+        assert!(matches!(
+            s.push_borrowed(3, b"b", [&b"x"[..]], 0.5),
+            Err(RankJoinError::SideOutOfRange { index: 3, sides: 3 })
+        ));
+        assert_eq!(s.tuples_consumed(), 0);
+        assert_eq!(s.side_bounds(1), None);
+    }
+
+    #[test]
+    fn path3_matches_brute_force() {
+        for f in [ScoreFn::Sum, ScoreFn::Product, ScoreFn::Min, ScoreFn::Max] {
+            let spec = path3(8, f);
+            let sides = vec![
+                gen_side(20, 3, 1, 1),
+                gen_side(18, 3, 2, 2),
+                gen_side(22, 3, 3, 1),
+            ];
+            let got = run_hrjn(&spec, &sides).unwrap();
+            let want = brute_force_path(&spec, &sides);
+            let gs: Vec<f64> = got.iter().map(|t| t.score).collect();
+            let ws: Vec<f64> = want.iter().map(|t| t.score).collect();
+            assert_eq!(gs, ws, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn star3_hub_joins_both_leaves() {
+        // Hub H joins leaves X and Y on different attributes.
+        let spec = JoinSpec::star(vec![side("H"), side("X"), side("Y")], 10, ScoreFn::Sum).unwrap();
+        // Hub tuples carry one value per incident edge (2 edges).
+        let hub = sorted(vec![
+            t(b"h1", &[b"a", b"p"], 0.9),
+            t(b"h2", &[b"a", b"q"], 0.7),
+            t(b"h3", &[b"b", b"p"], 0.5),
+        ]);
+        let x = sorted(vec![t(b"x1", &[b"a"], 0.8), t(b"x2", &[b"b"], 0.6)]);
+        let y = sorted(vec![t(b"y1", &[b"p"], 0.4), t(b"y2", &[b"q"], 0.9)]);
+        let got = run_hrjn(&spec, &[hub, x, y]).unwrap();
+        // h1⋈x1⋈y1 (0.9+0.8+0.4=2.1), h2⋈x1⋈y2 (0.7+0.8+0.9=2.4),
+        // h3⋈x2⋈y1 (0.5+0.6+0.4=1.5).
+        let scores: Vec<f64> = got.iter().map(|t| t.score).collect();
+        assert_eq!(scores, vec![2.4, 2.1, 1.5]);
+        // Hub is side 0 → result's left; inner holds side 1 (X).
+        assert_eq!(got[0].left_key, b"h2".to_vec());
+        assert_eq!(got[0].inner, vec![(b"x1".to_vec(), 0.8)]);
+        assert_eq!(got[0].right_key, b"y2".to_vec());
+        // `join_value` is the value on edge 0 (H–X).
+        assert_eq!(got[0].join_value, b"a".to_vec());
+    }
+
+    #[test]
+    fn early_termination_on_path() {
+        // Clear winner at the top: top-1 should not consume everything.
+        let mk = |prefix: &str, values: &[&[u8]]| -> Vec<InputTuple> {
+            (0..50)
+                .map(|i| {
+                    t(
+                        format!("{prefix}{i}").as_bytes(),
+                        values,
+                        1.0 - i as f64 / 50.0,
+                    )
+                })
+                .collect()
+        };
+        let mut state = HrjnState::new(&path3(1, ScoreFn::Sum));
+        let sides = [mk("a", &[b"x"]), mk("m", &[b"x", b"x"]), mk("c", &[b"x"])];
+        let mut at = [0usize; 3];
+        while !state.is_done() {
+            for i in 0..3 {
+                push(&mut state, i, &sides[i][at[i]]);
+                at[i] += 1;
+            }
+        }
+        assert!(
+            state.tuples_consumed() <= 9,
+            "top-1 needed {} pulls",
+            state.tuples_consumed()
+        );
+    }
+
+    #[test]
+    fn threshold_none_until_every_side_bounded() {
+        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum));
+        assert_eq!(s.threshold(), None);
+        push(&mut s, 0, &t(b"a", &[b"x"], 0.9));
+        push(&mut s, 1, &t(b"b", &[b"x", b"x"], 0.8));
+        assert_eq!(s.threshold(), None, "side 2 untouched → no bound");
+        push(&mut s, 2, &t(b"c", &[b"x"], 0.7));
+        assert!(s.threshold().is_some());
+    }
+
+    #[test]
+    fn exhausted_empty_side_terminates() {
+        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum));
+        push(&mut s, 0, &t(b"a", &[b"x"], 0.9));
+        push(&mut s, 2, &t(b"c", &[b"x"], 0.7));
+        s.exhaust(1);
+        s.exhaust(0);
+        s.exhaust(2);
+        assert!(s.all_exhausted());
+        assert_eq!(s.threshold(), Some(f64::NEG_INFINITY));
+        assert!(s.is_done());
+        assert_eq!(s.result_count(), 0);
     }
 }

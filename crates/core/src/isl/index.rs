@@ -1,9 +1,25 @@
-//! ISL index creation (paper Algorithm 3).
+//! Score-index creation (paper Algorithm 3), for every side of a
+//! [`JoinSpec`].
 //!
-//! One map-only job per relation, putting `{negated score: base row key,
-//! join value}` into the shared index table under the relation's column
-//! family. Scores live in `[0,1]` (§1.1), so the index table is pre-split
-//! uniformly over the order-inverted score domain — no sampling needed.
+//! One map-only job per side, putting `{negated score: base row key,
+//! join values}` into the shared index table under the side's column
+//! family (its label). Scores live in `[0,1]` (§1.1), so the index table
+//! is pre-split uniformly over the order-inverted score domain — no
+//! sampling needed.
+//!
+//! # Cell layout
+//!
+//! Row key = the negated score; per indexed tuple one cell: qualifier =
+//! base row key, value = [`codec::encode_values_score`] — the exact score
+//! followed by one length-prefixed join value per join edge incident to
+//! the side, in [`JoinSpec::incident_edges`] order, and **no count
+//! word**. A reader decodes a cell against its own spec's edge count
+//! ([`codec::decode_values_score`]) and refuses one that carries fewer or
+//! more values, so an index built for another spec over the same labels
+//! fails loudly instead of mis-joining. A side with one edge — both sides
+//! of every binary query — stores exactly the paper's `(join value,
+//! score)` pair, which is also what
+//! [`crate::maintenance::MaintainedSide::with_isl`] writes.
 
 use rj_mapreduce::job::{JobInput, JobSpec, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper};
@@ -14,69 +30,76 @@ use rj_store::keys;
 use crate::codec;
 use crate::error::Result;
 use crate::indexutil::BuildStats;
-use crate::query::{JoinSide, RankJoinQuery};
+use crate::query::{JoinSpec, SideColumns};
 
-/// Build statistics for the ISL index.
+/// Build statistics for the score index.
 pub type IslBuildStats = BuildStats;
 
-/// Canonical index-table name for a query pair.
-pub fn index_table_name(query: &RankJoinQuery) -> String {
-    format!("isl__{}__{}", query.left.label, query.right.label)
+/// Canonical index-table name for a spec: `isl__<label>__<label>…`.
+pub fn index_table_name(spec: &JoinSpec) -> String {
+    let mut name = String::from("isl");
+    for side in &spec.sides {
+        name.push_str("__");
+        name.push_str(&side.label);
+    }
+    name
 }
 
 struct IndexMapper {
-    side: JoinSide,
+    label: String,
+    /// The side's columns, resolved once for the whole job.
+    columns: SideColumns,
 }
 
 impl Mapper for IndexMapper {
     fn map(&mut self, input: InputRecord<'_>, out: &mut Emitter) {
         let Some(row) = input.row() else { return };
-        let Some((join_value, score)) = self.side.extract(row) else {
+        let Some((join_values, score)) = self.columns.extract(row) else {
             return;
         };
         // Index row: key = negated score (ascending keys ⇔ descending
         // scores); column = {CF: side label, qualifier: base row key,
-        // value: join value (+ score for exact reconstruction)}.
+        // value: score + join values (see the module docs)}.
         out.put(
             keys::encode_score_desc(score).to_vec(),
             Mutation::put(
-                &self.side.label,
+                &self.label,
                 &row.key,
-                codec::encode_value_score(&join_value, score),
+                codec::encode_values_score(&join_values, score),
             ),
         );
     }
 }
 
-/// Builds the ISL index for both sides of `query` into `table`.
-pub fn build(engine: &MapReduceEngine, query: &RankJoinQuery, table: &str) -> Result<BuildStats> {
+/// Builds the score index for every side of `spec` into `table`.
+pub fn build(engine: &MapReduceEngine, spec: &JoinSpec, table: &str) -> Result<BuildStats> {
     let cluster = engine.cluster();
     let pieces = cluster.num_nodes() * 2;
     // Known score domain [0,1]: pre-split uniformly on the inverted axis.
     let splits: Vec<Vec<u8>> = (1..pieces)
         .map(|i| keys::encode_score_desc(1.0 - i as f64 / pieces as f64).to_vec())
         .collect();
-    cluster.create_table_with_splits(
-        table,
-        &[query.left.label.as_str(), query.right.label.as_str()],
-        &splits,
-    )?;
+    let labels: Vec<&str> = spec.sides.iter().map(|s| s.label.as_str()).collect();
+    cluster.create_table_with_splits(table, &labels, &splits)?;
 
     let mut stats = BuildStats::default();
-    for side in [&query.left, &query.right] {
-        let families = [side.join_col.0.as_str(), side.score_col.0.as_str()];
-        let spec = JobSpec::new(
+    for (side, columns) in spec.sides.iter().zip(spec.side_columns()) {
+        let job = JobSpec::new(
             &format!("isl-build-{}", side.label),
-            JobInput::Tables(vec![TableInput::projected(&side.table, &families)]),
+            JobInput::Tables(vec![TableInput::projected(
+                &side.table,
+                &columns.families(),
+            )]),
             0,
         )
         .put_table(table);
-        let side_cl = side.clone();
+        let label = side.label.clone();
         let result = engine.run(
-            &spec,
+            &job,
             &move || {
                 Box::new(IndexMapper {
-                    side: side_cl.clone(),
+                    label: label.clone(),
+                    columns: columns.clone(),
                 })
             },
             None,
@@ -91,14 +114,14 @@ pub fn build(engine: &MapReduceEngine, query: &RankJoinQuery, table: &str) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::running_example_cluster;
+    use crate::testsupport::{running_example_cluster, three_way_path_cluster};
     use rj_store::scan::Scan;
 
     #[test]
     fn index_rows_sorted_by_descending_score() {
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c.clone());
-        build(&engine, &q, "isl_idx").unwrap();
+        build(&engine, &q.to_spec(), "isl_idx").unwrap();
         let client = c.client();
         let mut scores = Vec::new();
         for row in client
@@ -120,7 +143,7 @@ mod tests {
     fn equal_scores_share_one_row() {
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c.clone());
-        build(&engine, &q, "isl_idx").unwrap();
+        build(&engine, &q.to_spec(), "isl_idx").unwrap();
         let client = c.client();
         let row = client
             .get("isl_idx", &keys::encode_score_desc(0.82))
@@ -134,7 +157,7 @@ mod tests {
     fn cell_payload_roundtrips_join_value() {
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c.clone());
-        build(&engine, &q, "isl_idx").unwrap();
+        build(&engine, &q.to_spec(), "isl_idx").unwrap();
         let client = c.client();
         let row = client
             .get("isl_idx", &keys::encode_score_desc(1.0))
@@ -145,5 +168,63 @@ mod tests {
         let (join, score) = codec::decode_value_score(&cell.value).unwrap();
         assert_eq!(join, b"a".to_vec());
         assert_eq!(score, 1.0);
+    }
+
+    #[test]
+    fn index_rows_sorted_by_descending_score_per_side() {
+        let (c, spec) = three_way_path_cluster(3);
+        let engine = MapReduceEngine::new(c.clone());
+        let table = index_table_name(&spec);
+        assert_eq!(table, "isl__A__B__C");
+        build(&engine, &spec, &table).unwrap();
+        let client = c.client();
+        for label in ["A", "B", "C"] {
+            let mut scores = Vec::new();
+            for row in client.scan(&table, Scan::new().families(&[label])).unwrap() {
+                if row.family_cells(label).count() > 0 {
+                    scores.push(keys::decode_score_desc(&row.key).unwrap());
+                }
+            }
+            assert!(!scores.is_empty(), "{label} indexed");
+            assert!(
+                scores.windows(2).all(|w| w[0] >= w[1]),
+                "{label}: {scores:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn interior_side_cells_carry_both_edge_values() {
+        let (c, spec) = three_way_path_cluster(3);
+        let engine = MapReduceEngine::new(c.clone());
+        build(&engine, &spec, "mw_idx").unwrap();
+        let client = c.client();
+        let mut checked = 0usize;
+        for row in client.scan("mw_idx", Scan::new().families(&["B"])).unwrap() {
+            let score = keys::decode_score_desc(&row.key).unwrap();
+            for cell in row.family_cells("B") {
+                let (values, s) = codec::decode_values_score(&cell.value, 2).unwrap();
+                assert_eq!(values.len(), 2, "B has two incident edges");
+                assert_eq!(s, score);
+                assert!(codec::decode_values_score(&cell.value, 1).is_err());
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 12, "every tb row indexed");
+    }
+
+    #[test]
+    fn leaf_side_cells_carry_one_edge_value() {
+        let (c, spec) = three_way_path_cluster(3);
+        let engine = MapReduceEngine::new(c.clone());
+        build(&engine, &spec, "mw_idx").unwrap();
+        let client = c.client();
+        for row in client.scan("mw_idx", Scan::new().families(&["A"])).unwrap() {
+            for cell in row.family_cells("A") {
+                let (values, _) = codec::decode_values_score(&cell.value, 1).unwrap();
+                assert_eq!(values.len(), 1);
+                assert!(codec::decode_values_score(&cell.value, 2).is_err());
+            }
+        }
     }
 }

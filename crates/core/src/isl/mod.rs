@@ -4,18 +4,45 @@
 //! VLDB 2003) to NoSQL stores. The ISL index is a score-ordered inverted
 //! list per relation (Algorithm 3), stored with **negated scores** as row
 //! keys because HBase only scans ascending (§4.2.2). The coordinator
-//! alternates batched scans over the two lists (Algorithm 4), joining new
+//! takes batched scans over the lists in turn (Algorithm 4), joining new
 //! tuples against hash tables of everything seen, until the HRJN threshold
 //! falls below the current k-th result.
+//!
+//! Index ([`index`]), descent ([`crate::cursor::IslCursor`]) and operator
+//! ([`crate::hrjn`]) are written once over a [`crate::query::JoinSpec`];
+//! the paper's binary algorithm is the two-side instance, and the
+//! functions of this module that take a [`RankJoinQuery`] are its
+//! [`RankJoinQuery::to_spec`] conversions.
 //!
 //! The batch (row-cache) size trades time against bandwidth/dollar cost:
 //! "batching reads results in a lower disk I/O overhead, as well as a
 //! lower processing time due to the cost of IPC calls ... being amortized
 //! over the batch size" (§4.2.3).
 
-mod index;
+pub mod index;
 mod query;
 
-pub use index::{build, index_table_name, IslBuildStats};
+use rj_mapreduce::MapReduceEngine;
+
+use crate::error::Result;
+use crate::query::RankJoinQuery;
+
+pub use index::IslBuildStats;
 pub use query::{run, run_with_mode, IslConfig};
-pub(crate) use query::{run_observed, BatchVerdict, IslRun};
+pub(crate) use query::{run_observed, BatchVerdict};
+
+/// Canonical index-table name for a query pair: [`index::index_table_name`]
+/// of its two-side spec (`isl__<left label>__<right label>`).
+pub fn index_table_name(query: &RankJoinQuery) -> String {
+    index::index_table_name(&query.to_spec())
+}
+
+/// Builds the ISL index for both sides of `query` into `table`:
+/// [`index::build`] over its two-side spec.
+pub fn build(
+    engine: &MapReduceEngine,
+    query: &RankJoinQuery,
+    table: &str,
+) -> Result<IslBuildStats> {
+    index::build(engine, &query.to_spec(), table)
+}

@@ -1,19 +1,20 @@
 //! ISL query processing (paper Algorithm 4).
 //!
-//! The coordinator alternates batched scans over the two score lists,
-//! maintaining per-side hash tables on the join value for fast joins
-//! against newly fetched tuples, and terminating by the HRJN threshold
-//! test after every tuple.
+//! The coordinator takes batched scans over the sides' score lists in
+//! turn, maintaining per-side hash tables on the join values for fast
+//! joins against newly fetched tuples, and terminating by the HRJN
+//! threshold test after every tuple. The loop itself lives in
+//! [`IslCursor`]; the one-shot drivers here drain it in one call.
 
-use rj_store::keys;
 use rj_store::metrics::QueryMeter;
 use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask, ParallelScanner};
 use rj_store::scan::Scan;
 
-use crate::cursor::{push_index_cell, BatchStep, IslCursor};
+use crate::cancel::StopPolicy;
+use crate::cursor::{ingest_side, isl_algorithm_name, BatchObserver, IslCursor, SideAccess};
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::{HrjnState, Side};
-use crate::query::RankJoinQuery;
+use crate::hrjn::HrjnState;
+use crate::query::{JoinSpec, RankJoinQuery};
 use crate::stats::QueryOutcome;
 
 /// ISL tuning knobs.
@@ -42,6 +43,11 @@ impl IslConfig {
             batch_right: batch.max(1),
         }
     }
+
+    /// The batch sizes in side order.
+    pub(crate) fn batches(&self) -> [usize; 2] {
+        [self.batch_left, self.batch_right]
+    }
 }
 
 /// Executes the ISL rank join over a previously built index table
@@ -55,22 +61,24 @@ pub fn run(
     run_with_mode(cluster, query, index_table, config, ExecutionMode::Serial)
 }
 
-/// Executes the ISL rank join under an explicit [`ExecutionMode`].
+/// Executes the ISL rank join under an explicit [`ExecutionMode`] — the
+/// two-side instance of the spec-driven descent (the query's
+/// [`RankJoinQuery::to_spec`], both sides descended).
 ///
 /// Two read paths fan out in parallel mode, both read-for-read identical
 /// to serial execution:
 ///
 /// * the *warm-up round* — the first scan RPC of each score list — runs
-///   concurrently. HRJN can never terminate before both sides have
-///   produced tuples, so both first batches are fetched unconditionally
+///   concurrently. HRJN can never terminate before every side has
+///   produced tuples, so all first batches are fetched unconditionally
 ///   either way; only the modelled wall-clock differs (max instead of
 ///   sum, the paper's §5 parallel-round accounting). All later batches
 ///   depend on the threshold test over earlier tuples and stay
 ///   demand-driven — the inherent sequentiality of batched HRJN.
 /// * *full ranked enumeration* (`k` at least the largest possible join
 ///   cardinality, e.g. `usize::MAX / 2`): the HRJN termination test can
-///   provably never fire before both lists are exhausted, so every batch
-///   of both scans is unconditional and the whole read fans out across
+///   provably never fire before every list is exhausted, so every batch
+///   of every scan is unconditional and the whole read fans out across
 ///   regions via [`ParallelScanner`] — the any-k serving workload of the
 ///   ranked-enumeration literature.
 pub fn run_with_mode(
@@ -80,12 +88,15 @@ pub fn run_with_mode(
     config: IslConfig,
     mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
-    match run_observed(cluster, query, index_table, config, mode, &mut |_, _| {
-        BatchVerdict::Continue
-    })? {
-        IslRun::Complete(outcome) => Ok(outcome),
-        IslRun::Aborted(_) => unreachable!("a Continue-only observer never aborts"),
-    }
+    run_observed(
+        cluster,
+        &query.to_spec(),
+        index_table,
+        &config.batches(),
+        mode,
+        None,
+    )
+    .map(IslRun::into_outcome)
 }
 
 /// Verdict an ISL batch observer returns after each completed batch.
@@ -98,156 +109,133 @@ pub(crate) enum BatchVerdict {
     Abort,
 }
 
-/// The two ways an observed ISL execution can end.
-pub(crate) enum IslRun {
-    /// Ran to HRJN termination (or input exhaustion) — the normal
-    /// [`run_with_mode`] outcome.
-    Complete(QueryOutcome),
-    /// The observer aborted after a batch; the partial state carries
-    /// everything a switch needs. Boxed: the flat seen-tuple arenas make
-    /// `IslPartial` much larger than the `Complete` variant.
-    Aborted(Box<IslPartial>),
-}
-
-/// Partial state of an aborted ISL execution: the HRJN threshold state
-/// (consumed tuples, buffered genuine results, per-side score bounds),
-/// how many batches ran, and the metric delta the aborted prefix already
-/// charged (the *wasted reads* an adaptive switch must account honestly).
-pub(crate) struct IslPartial {
-    /// The part-way HRJN state (see the threshold-state handoff API on
-    /// [`HrjnState`]).
+/// How an all-sides-descending one-shot execution ended: the HRJN
+/// operator (consumed tuples, buffered genuine results, per-side score
+/// bounds — the threshold-state handoff API of [`HrjnState`]), how many
+/// batches ran, and the metric delta charged.
+pub(crate) struct IslRun {
+    /// The operator: terminated or exhausted, unless `aborted`.
     pub state: HrjnState,
-    /// Batches fetched before the abort.
+    /// Batches fetched.
     pub batches: u64,
-    /// Metrics the aborted prefix charged to the cluster ledger.
+    /// Metrics charged to the cluster ledger (for an aborted run, the
+    /// *wasted reads* an adaptive switch must account honestly).
     pub metrics: rj_store::metrics::MetricsSnapshot,
+    /// The observer aborted the descent after a batch — the mid-query
+    /// abort of the adaptive driver ([`crate::adaptive`]).
+    pub aborted: bool,
 }
 
-/// [`run_with_mode`] with a per-batch observation hook: after every
+impl IslRun {
+    /// Closes a completed run into its outcome.
+    pub(crate) fn into_outcome(self) -> QueryOutcome {
+        let algorithm = isl_algorithm_name(self.state.sides());
+        let consumed = self.state.tuples_consumed();
+        QueryOutcome::new(algorithm, self.state.into_results(), self.metrics)
+            .with_extra("tuples_consumed", consumed as f64)
+            .with_extra("batches", self.batches as f64)
+    }
+}
+
+/// The all-sides-descending one-shot run over any spec, with an optional
+/// per-batch observation hook ([`IslCursor::set_observer`]): after every
 /// completed batch (while HRJN is neither done nor exhausted) the
 /// observer sees the current [`HrjnState`] and the batch count, and can
 /// abort the descent. Observation is pure bookkeeping over tuples already
-/// fetched — a `Continue`-only observer makes this byte- and
-/// metric-identical to [`run_with_mode`].
+/// fetched — a `Continue`-only observer changes neither a byte nor a
+/// metric.
 ///
 /// The parallel *full-enumeration* fast path is never observed: every
 /// read there is provably unconditional, so no mid-query information
 /// could change the plan's remaining cost.
 pub(crate) fn run_observed(
     cluster: &rj_store::cluster::Cluster,
-    query: &RankJoinQuery,
+    spec: &JoinSpec,
     index_table: &str,
-    config: IslConfig,
+    batch: &[usize],
     mode: ExecutionMode,
-    observe: &mut dyn FnMut(&HrjnState, u64) -> BatchVerdict,
+    observer: Option<BatchObserver>,
 ) -> Result<IslRun> {
-    if query.k == 0 {
-        return Ok(IslRun::Complete(QueryOutcome::new(
-            "ISL",
-            Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
-        )));
+    if spec.k == 0 {
+        return Ok(IslRun {
+            state: HrjnState::new(spec),
+            batches: 0,
+            metrics: rj_store::metrics::MetricsSnapshot::default(),
+            aborted: false,
+        });
     }
-    let index = cluster
-        .table(index_table)
-        .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
     let meter = QueryMeter::start(cluster.metrics());
 
-    // The batched alternating descent lives in [`IslCursor`]; this
+    // The batched round-robin descent lives in [`IslCursor`]; this
     // function is that cursor drained in one call, which is what makes
     // every pause/resume schedule result- and metric-equivalent to the
     // one-shot run *by construction*. The cursor opens one scanner per
     // column family on demand; the store batches RPCs at the configured
     // row-cache size (§4.2.3).
-    let mut cursor = IslCursor::open(cluster, query, index_table, config, None)?;
+    let descend = vec![SideAccess::Descend; spec.n()];
+    let mut cursor = IslCursor::open(cluster, spec, index_table, batch, &descend, None)?;
     if mode.is_parallel() {
-        let left_spec = Scan::new()
-            .families(&[query.left.label.as_str()])
-            .caching(config.batch_left);
-        let right_spec = Scan::new()
-            .families(&[query.right.label.as_str()])
-            .caching(config.batch_right);
+        let index = cluster.table(index_table)?;
         let lane = index.serving_node(&[]);
-        let mut states = run_lanes(
+        let states = run_lanes(
             cluster,
             mode.workers(),
-            [left_spec, right_spec]
-                .into_iter()
-                .map(|spec| {
+            spec.sides
+                .iter()
+                .zip(batch)
+                .map(|(side, &batch)| {
+                    let scan = Scan::new().families(&[side.label.as_str()]).caching(batch);
                     LaneTask::new(lane, move |worker: &rj_store::client::Client| {
-                        let mut scan = worker.scan(index_table, spec)?;
+                        let mut scan = worker.scan(index_table, scan)?;
                         scan.prefetch();
                         Ok(scan.into_state())
                     })
                 })
                 .collect(),
         )?;
-        let (Some(right_state), Some(left_state)) = (states.pop(), states.pop()) else {
+        if states.len() != spec.n() {
             return Err(RankJoinError::Internal(
-                "warm-up produced fewer than two lanes",
+                "warm-up produced fewer lanes than sides",
             ));
-        };
-        // Full-enumeration fast path: with k >= (live KVs)^2 >= |L| * |R|
-        // and both sides known non-empty, the HRJN termination test can
-        // never fire before both lists exhaust, so serial execution reads
-        // both lists completely — the remainder can fan out across
-        // regions and read exactly the same. (With an empty side, serial
-        // stops after the other side's first demand, which the warm-up
-        // has already performed — the shared loop below handles it.)
+        }
+        // Full-enumeration fast path: with k >= (live KVs)^n >= the join
+        // cardinality and every side known non-empty, the HRJN
+        // termination test can never fire before every list exhausts, so
+        // serial execution reads all lists completely — the remainder can
+        // fan out across regions and read exactly the same. (With an
+        // empty side, serial stops after the other sides' first demands,
+        // which the warm-up has already performed — the shared loop below
+        // handles it.)
         let kvs = index.kv_count();
-        if query.k as u64 >= kvs.saturating_mul(kvs)
-            && left_state.has_buffered_rows()
-            && right_state.has_buffered_rows()
+        if spec.k as u64 >= kvs.saturating_pow(spec.n() as u32)
+            && states.iter().all(|s| s.has_buffered_rows())
         {
             return run_enumeration_parallel(
                 cluster,
-                query,
+                spec,
                 index_table,
-                config,
+                batch,
                 mode,
                 meter,
-                [left_state, right_state],
-            )
-            .map(IslRun::Complete);
+                states,
+            );
         }
-        cursor = cursor.with_warm_scans([left_state, right_state]);
+        cursor.set_warm_scans(states);
     }
 
-    loop {
-        match cursor.advance_one_batch()? {
-            BatchStep::Drained => break,
-            BatchStep::Completed => {
-                if cursor.both_exhausted() {
-                    continue;
-                }
-                // Observation point: one batch is fully paid for and HRJN
-                // has not terminated. The observer sees only
-                // already-fetched state, so a Continue verdict leaves
-                // execution untouched.
-                if observe(cursor.hrjn(), cursor.batches()) == BatchVerdict::Abort {
-                    let batches = cursor.batches();
-                    return Ok(IslRun::Aborted(Box::new(IslPartial {
-                        state: cursor.into_hrjn(),
-                        batches,
-                        metrics: meter.finish(),
-                    })));
-                }
-            }
-        }
+    if let Some(observer) = observer {
+        cursor.set_observer(observer);
     }
-
-    let batches = cursor.batches();
-    let state = cursor.into_hrjn();
-    let consumed = state.tuples_consumed();
-    let results = state.into_results();
-    Ok(IslRun::Complete(
-        QueryOutcome::new("ISL", results, meter.finish())
-            .with_extra("tuples_consumed", consumed as f64)
-            .with_extra("batches", batches as f64),
-    ))
+    cursor.pump(spec.k, &StopPolicy::never())?;
+    Ok(IslRun {
+        batches: cursor.batches(),
+        aborted: cursor.observer_aborted(),
+        state: cursor.into_hrjn(),
+        metrics: meter.finish(),
+    })
 }
 
-/// Full-enumeration read path: both score lists are consumed completely
+/// Full-enumeration read path: every score list is consumed completely
 /// (the caller has proven termination cannot fire first), so the
 /// remainder of each side's scan — everything past the warm-up round's
 /// buffered rows — fans out across the index table's regions. Rows arrive
@@ -256,23 +244,20 @@ pub(crate) fn run_observed(
 /// results are identical.
 fn run_enumeration_parallel(
     cluster: &rj_store::cluster::Cluster,
-    query: &RankJoinQuery,
+    spec: &JoinSpec,
     index_table: &str,
-    config: IslConfig,
+    batch: &[usize],
     mode: ExecutionMode,
     meter: QueryMeter,
-    states: [rj_store::client::ScannerState; 2],
-) -> Result<QueryOutcome> {
+    states: Vec<rj_store::client::ScannerState>,
+) -> Result<IslRun> {
     let scanner = ParallelScanner::new(cluster, mode);
-    let mut state = HrjnState::new(query.k, query.score_fn);
+    let mut state = HrjnState::new(spec);
     let mut batches = 0u64;
-    for ((side, family, batch_size), mut scan_state) in [
-        (Side::Left, query.left.label.as_str(), config.batch_left),
-        (Side::Right, query.right.label.as_str(), config.batch_right),
-    ]
-    .into_iter()
-    .zip(states)
+    for (i, ((side, &batch_size), mut scan_state)) in
+        spec.sides.iter().zip(batch).zip(states).enumerate()
     {
+        let family = side.label.as_str();
         let mut rows = scan_state.take_buffered_rows();
         if let Some(resume) = scan_state.resume_key() {
             rows.extend(
@@ -291,21 +276,14 @@ fn run_enumeration_parallel(
         // equivalence contract covers results and counted metrics, not
         // extras.
         batches += rows.len().div_ceil(batch_size.max(1)) as u64;
-        for row in rows {
-            let Some(score) = keys::decode_score_desc(&row.key) else {
-                continue;
-            };
-            for cell in row.family_cells(family) {
-                push_index_cell(&mut state, side, cell, score);
-            }
-        }
-        state.exhaust(side);
+        ingest_side(&mut state, i, family, rows)?;
     }
-    let consumed = state.tuples_consumed();
-    let results = state.into_results();
-    Ok(QueryOutcome::new("ISL", results, meter.finish())
-        .with_extra("tuples_consumed", consumed as f64)
-        .with_extra("batches", batches as f64))
+    Ok(IslRun {
+        state,
+        batches,
+        metrics: meter.finish(),
+        aborted: false,
+    })
 }
 
 #[cfg(test)]

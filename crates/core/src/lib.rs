@@ -20,13 +20,13 @@
 //! | [`hive`] | Hive-style baseline: 2 MR jobs + fetch | §3.1 |
 //! | [`pig`] | Pig-style baseline: 3 MR jobs with early projection, sampling, top-k combiners | §3.1 |
 //! | [`ijlmr`] | Inverse Join List MapReduce rank join: indexed, single MR job | §4.1 |
-//! | [`isl`] | Inverse Score List rank join: coordinator-based HRJN over score-ordered index | §4.2 |
+//! | [`isl`] | Inverse Score List rank join: coordinator-based HRJN over the score-ordered index of any [`query::JoinSpec`] — the paper's binary algorithm at two sides | §4.2 |
 //! | [`bfhm`] | Bloom Filter Histogram Matrix: statistical rank join with 100% recall | §5 |
 //! | [`drjn`] | DRJN comparator (Doulkeridis et al., ICDE 2012) as adapted in §7.1 | §7.1 |
-//! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on | §4.2.1 |
+//! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on, over a spec's join tree | §4.2.1 |
 //! | [`planner`] | cost-based adaptive selection over the suite ([`Algorithm::Auto`]) | Figs. 7–8 |
 //! | [`adaptive`] | mid-query re-planning: ISL abort-and-switch on observed score-descent divergence | Figs. 7–8 |
-//! | [`multiway`] | N-ary generalization: [`query::JoinSpec`]-driven multi-way rank joins (binary is the two-side degenerate form) | §8 outlook |
+//! | [`multiway`] | planning and the facade for three or more sides: per-side access choice, spec statistics, [`multiway::SpecExecutor`] (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
 //!
 //! Every algorithm returns the same deterministic top-k (ties broken by
 //! key) and a [`rj_store::metrics::MetricsSnapshot`] with the paper's three
@@ -73,9 +73,9 @@ pub(crate) mod testsupport;
 
 pub use adaptive::DEFAULT_REPLAN_DIVERGENCE;
 pub use cancel::{CancelToken, StopPolicy, StopReason};
-pub use cursor::{open_isl_cursor, CursorBatch, CursorState, RankedCursor};
+pub use cursor::{CursorBatch, CursorState, IslCursor, RankedCursor, SideAccess};
 pub use executor::{Algorithm, RankJoinExecutor};
-pub use multiway::{MultiwayConfig, MultiwayCursor, SharedSpecStats, SideAccess, SpecExecutor};
+pub use multiway::{MultiwayConfig, SharedSpecStats, SpecExecutor};
 pub use planner::{DescentModel, Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};

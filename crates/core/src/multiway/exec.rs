@@ -1,16 +1,15 @@
 //! [`SpecExecutor`] — the spec-driven execution facade.
 //!
-//! One entry point for any [`JoinSpec`]. A two-side spec degenerates to
-//! the existing binary [`RankJoinExecutor`] **verbatim** (the spec's
-//! [`JoinSpec::as_binary`] projection constructs the very
-//! [`crate::query::RankJoinQuery`] the binary path has always run), so a
-//! binary query's results *and* counted metrics are byte-for-byte
-//! unchanged by construction — the refactor's compatibility pin. Specs
-//! with three or more sides run the multiway path: index build
-//! ([`crate::multiway::index`]), per-side access planning
-//! ([`crate::multiway::planner`]), and the threshold-terminated
-//! [`MultiwayCursor`], pinned to the spec's [`SharedSpecStats`] version
-//! exactly like binary cursors pin their table-stats version.
+//! One entry point for any [`JoinSpec`]. A two-side spec runs through the
+//! binary [`RankJoinExecutor`] (the spec's [`JoinSpec::as_binary`]
+//! projection constructs the [`crate::query::RankJoinQuery`] it serves),
+//! which opens the same [`IslCursor`] over the same index this executor's
+//! N-ary arm opens — so a binary query's results *and* counted metrics
+//! are the same through either door. Specs with three or more sides
+//! build the score index ([`crate::isl::index`]), plan a per-side access
+//! ([`crate::multiway::planner`]) and open the cursor directly, pinned to
+//! the spec's [`SharedSpecStats`] version exactly like binary cursors pin
+//! their table-stats version.
 
 use std::sync::Arc;
 
@@ -18,23 +17,35 @@ use rj_mapreduce::MapReduceEngine;
 use rj_store::cluster::Cluster;
 
 use crate::cancel::StopPolicy;
-use crate::cursor::{CursorState, RankedCursor};
+use crate::cursor::{CursorState, IslCursor, RankedCursor, SideAccess};
 use crate::error::{RankJoinError, Result};
 use crate::executor::{Algorithm, RankJoinExecutor};
 use crate::indexutil::BuildStats;
-use crate::multiway::cursor::{MultiwayConfig, MultiwayCursor, SideAccess};
-use crate::multiway::index;
+use crate::isl::index;
 use crate::multiway::planner::{choose_access, SharedSpecStats};
 use crate::query::JoinSpec;
 use crate::stats::QueryOutcome;
 use crate::statsmaint::DEFAULT_STALENESS_BOUND;
+
+/// Knobs of the multiway descent.
+#[derive(Clone, Copy, Debug)]
+pub struct MultiwayConfig {
+    /// Rows fetched per batch from each side.
+    pub batch: usize,
+}
+
+impl Default for MultiwayConfig {
+    fn default() -> Self {
+        MultiwayConfig { batch: 64 }
+    }
+}
 
 enum SpecKind {
     /// Two sides: the binary executor, delegated to verbatim.
     Binary(Box<RankJoinExecutor>),
     /// Three or more sides: the multiway path.
     Nary {
-        /// Built/attached multiway index table.
+        /// Built/attached score index table.
         table: Option<String>,
         stats: Arc<SharedSpecStats>,
     },
@@ -135,8 +146,7 @@ impl SpecExecutor {
         }
     }
 
-    /// Builds the score index: the binary ISL index for two sides, the
-    /// multiway index ([`index::build`]) otherwise.
+    /// Builds the score index ([`index::build`]) over every side.
     pub fn prepare(&mut self) -> Result<BuildStats> {
         match &mut self.kind {
             SpecKind::Binary(b) => b.prepare_isl(),
@@ -219,12 +229,12 @@ impl SpecExecutor {
                 // as of the moment it starts reading.
                 let access = self.plan_access(k_hint)?;
                 let pinned = Some(stats.version());
-                Ok(Box::new(MultiwayCursor::open_pinned(
+                Ok(Box::new(IslCursor::open(
                     self.engine.cluster(),
                     &self.spec.with_k(k_hint),
                     table,
-                    self.config,
-                    access,
+                    &vec![self.config.batch; self.spec.n()],
+                    &access,
                     pinned,
                 )?))
             }
@@ -270,7 +280,7 @@ impl SpecExecutor {
         match &self.kind {
             SpecKind::Binary(b) => b.resume_cursor(state),
             SpecKind::Nary { .. } => {
-                self.check_cursor_version(&state)?;
+                state.check_version(self.stats_version())?;
                 state.resume_on(self.engine.cluster())
             }
         }
@@ -286,20 +296,10 @@ impl SpecExecutor {
         match &self.kind {
             SpecKind::Binary(b) => b.resume_cursor_retargeted(state, new_k),
             SpecKind::Nary { .. } => {
-                self.check_cursor_version(&state)?;
+                state.check_version(self.stats_version())?;
                 state.resume_retargeted(self.engine.cluster(), new_k)
             }
         }
-    }
-
-    fn check_cursor_version(&self, state: &CursorState) -> Result<()> {
-        if let Some(expected) = state.pinned_version() {
-            let found = self.stats_version();
-            if expected != found {
-                return Err(RankJoinError::StaleCursor { expected, found });
-            }
-        }
-        Ok(())
     }
 
     /// Clones this executor onto `cluster` (typically a
@@ -429,6 +429,36 @@ mod tests {
             exec.resume_cursor(state),
             Err(RankJoinError::StaleCursor { .. })
         ));
+    }
+
+    /// `attach` checks only that the table exists, so an index built for
+    /// a *path* over some labels can be attached to a *star* over the
+    /// same labels. Its cells carry the wrong number of join values for
+    /// two of the three sides; reading them must be a typed error — never
+    /// a panic, a mis-join, or a silently short answer.
+    #[test]
+    fn index_built_for_another_shape_is_refused_with_a_typed_error() {
+        let (c, path) = three_way_path_cluster(4);
+        let mut builder = SpecExecutor::new(&c, path.clone());
+        builder.prepare().unwrap();
+        let table = builder.index_table().unwrap().to_owned();
+
+        let star = JoinSpec::star(path.sides.clone(), 4, path.score_fn).unwrap();
+        for access in [SideAccess::Descend, SideAccess::Materialize] {
+            let mut exec = SpecExecutor::new(&c, star.clone());
+            exec.attach(&table).unwrap();
+            exec.access_override = Some(vec![access; 3]);
+            let err = exec.execute().unwrap_err();
+            assert!(matches!(err, RankJoinError::Codec(_)), "{access:?}: {err}");
+            let mut cursor = exec.open_cursor(4).unwrap();
+            assert!(matches!(
+                cursor.next_batch(1, &StopPolicy::default()),
+                Err(RankJoinError::Codec(_))
+            ));
+        }
+        // The index still serves the spec it was built for.
+        let want = oracle::topk_spec(&c, &path).unwrap();
+        assert_eq!(builder.execute().unwrap().results, want);
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! N-ary rank joins over a [`crate::query::JoinSpec`].
+//! N-ary rank joins over a [`crate::query::JoinSpec`]: planning and the
+//! spec-driven facade.
 //!
 //! The paper presents HRJN/ISL over binary equi-joins; the ranked-
 //! enumeration literature (Tziavelis et al., *Ranked Enumeration for
 //! Database Queries*; *Optimal Join Algorithms Meet Top-k*) shows the
-//! same threshold machinery covers any acyclic multi-way join. This
-//! module is that generalization, layer by layer:
+//! same threshold machinery covers any acyclic multi-way join. The read
+//! path is therefore not in this module: the operator
+//! ([`crate::hrjn::HrjnState`]), the cursor
+//! ([`crate::cursor::IslCursor`]), the index builder
+//! ([`crate::isl::index`]) and the cell codec are each written once over
+//! a spec, and the paper's binary ISL is their two-side instance. What
+//! is specific to three or more sides lives here:
 //!
-//! * [`hrjn`] — the N-way HRJN operator: per-side score bounds feeding
-//!   one global threshold over [`crate::score::ScoreFn::combine_many`],
-//!   with join enumeration along the spec's edge tree.
-//! * [`index`] — the multiway score index: every side of the spec built
-//!   into one shared table (column family per side label, rows ordered
-//!   by descending score), the N-ary sibling of [`crate::isl::build`].
-//! * [`cursor`] — [`cursor::MultiwayCursor`], the operator behind the
-//!   PR 8 [`crate::cursor::RankedCursor`] seam: pausable, resumable,
-//!   re-targetable, with the same strictly-above-threshold emission
-//!   certification as the binary cursors.
 //! * [`planner`] — per-side statistics, the per-side access choice
 //!   (batched index **descent** vs. **materialize**-then-join), and the
 //!   cost model that picks the cheapest assignment; plus
@@ -23,18 +19,14 @@
 //!   handle (any side's maintained write bumps the version plan caches,
 //!   cursors, and serving caches check).
 //! * [`exec`] — [`exec::SpecExecutor`], the spec-driven facade. A
-//!   two-side spec degenerates to the existing binary
-//!   [`crate::executor::RankJoinExecutor`] verbatim, so every binary
-//!   query's results *and* counted metrics are byte-for-byte unchanged.
+//!   two-side spec runs through the binary
+//!   [`crate::executor::RankJoinExecutor`] (every algorithm, planner and
+//!   adaptive switching); more sides plan their access and open the
+//!   shared cursor directly.
 
-pub mod cursor;
 pub mod exec;
-pub mod hrjn;
-pub mod index;
 pub mod planner;
 
-pub use cursor::{MultiwayConfig, MultiwayCursor, SideAccess};
-pub use exec::SpecExecutor;
-pub use hrjn::{run_nary_hrjn, NaryHrjn, NaryTuple};
-pub use index::{build, index_table_name};
+pub use crate::cursor::SideAccess;
+pub use exec::{MultiwayConfig, SpecExecutor};
 pub use planner::{choose_access, collect_spec_stats, SharedSpecStats, SpecSideStats, SpecStats};

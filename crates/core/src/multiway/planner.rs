@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 
 use rj_store::cluster::Cluster;
 
+use crate::cursor::SideAccess;
 use crate::error::{RankJoinError, Result};
-use crate::multiway::cursor::SideAccess;
 use crate::planner::{StatsSource, KV_OVERHEAD_BYTES, STAT_BUCKETS};
 use crate::query::JoinSpec;
 use crate::statsmaint::{join_fingerprint, DeltaOp, StatsDelta, StatsMaintainer};
@@ -96,53 +96,7 @@ impl SpecStats {
 /// admin read path — the N-ary `ANALYZE` (one pass per side; charged to
 /// [`rj_store::metrics::MetricsSnapshot::admin_kv_reads`] only).
 pub fn collect_spec_stats(cluster: &Cluster, spec: &JoinSpec) -> Result<SpecStats> {
-    let n = spec.n();
-    let mut sides = Vec::with_capacity(n);
-    // Per (edge, endpoint-slot 0/1): distinct fingerprints seen.
-    let mut edge_values: Vec<[HashMap<u64, u64>; 2]> = spec
-        .edges
-        .iter()
-        .map(|_| [HashMap::new(), HashMap::new()])
-        .collect();
-    let mut admin_reads = 0u64;
-    for i in 0..n {
-        let table = cluster.table(&spec.sides[i].table)?;
-        let incident = spec.incident_edges(i);
-        let mut s = SpecSideStats::empty();
-        let mut bytes = 0.0f64;
-        for row in table.debug_all_rows() {
-            admin_reads += 1;
-            let Some((values, score)) = spec.extract_side(i, &row) else {
-                continue;
-            };
-            s.tuples += 1;
-            s.max_score = s.max_score.max(score);
-            s.hist[SpecSideStats::bucket_of(score)] += 1;
-            bytes += crate::planner::entry_bytes_of(
-                &values.iter().map(|v| v.len()).sum::<usize>().to_be_bytes(),
-                &row.key,
-            );
-            for (slot, &(e, _)) in incident.iter().enumerate() {
-                let endpoint = usize::from(spec.edges[e].a != i);
-                *edge_values[e][endpoint]
-                    .entry(join_fingerprint(&values[slot]))
-                    .or_insert(0) += 1;
-            }
-        }
-        if s.tuples > 0 {
-            s.avg_entry_bytes = bytes / s.tuples as f64;
-        }
-        sides.push(s);
-    }
-    cluster.metrics().add_admin_kv_reads(admin_reads);
-    let edge_distinct = edge_values
-        .iter()
-        .map(|[a, b]| (a.len() as u64, b.len() as u64))
-        .collect();
-    Ok(SpecStats {
-        sides,
-        edge_distinct,
-    })
+    collect_with_sketch(cluster, spec).map(|(stats, _)| stats)
 }
 
 /// Predicted index reads of one access assignment: materialized sides
@@ -369,14 +323,13 @@ fn collect_with_sketch(cluster: &Cluster, spec: &JoinSpec) -> Result<(SpecStats,
         .map(|_| [HashMap::new(), HashMap::new()])
         .collect();
     let mut admin_reads = 0u64;
-    for i in 0..n {
-        let table = cluster.table(&spec.sides[i].table)?;
-        let incident = spec.incident_edges(i);
+    for (i, (side, columns)) in spec.sides.iter().zip(spec.side_columns()).enumerate() {
+        let table = cluster.table(&side.table)?;
         let mut s = SpecSideStats::empty();
         let mut bytes = 0.0f64;
         for row in table.debug_all_rows() {
             admin_reads += 1;
-            let Some((values, score)) = spec.extract_side(i, &row) else {
+            let Some((values, score)) = columns.extract(&row) else {
                 continue;
             };
             s.tuples += 1;
@@ -386,10 +339,10 @@ fn collect_with_sketch(cluster: &Cluster, spec: &JoinSpec) -> Result<(SpecStats,
                 &values.iter().map(|v| v.len()).sum::<usize>().to_be_bytes(),
                 &row.key,
             );
-            for (slot, &(e, _)) in incident.iter().enumerate() {
+            for ((e, _), value) in spec.incident_edges(i).zip(&values) {
                 let endpoint = usize::from(spec.edges[e].a != i);
                 *edge_values[e][endpoint]
-                    .entry(join_fingerprint(&values[slot]))
+                    .entry(join_fingerprint(value))
                     .or_insert(0) += 1;
             }
         }
@@ -424,11 +377,11 @@ impl StatsMaintainer for SharedSpecStats {
             if side.table != delta.table || side.score_col != delta.score_col {
                 continue;
             }
-            let incident = self.spec.incident_edges(i);
-            let edges: Vec<usize> = incident
-                .iter()
-                .filter(|(_, col)| *col == delta.join_col)
-                .map(|(e, _)| *e)
+            let edges: Vec<usize> = self
+                .spec
+                .incident_edges(i)
+                .filter(|(_, col)| **col == delta.join_col)
+                .map(|(e, _)| e)
                 .collect();
             if !edges.is_empty() {
                 matched.push((i, edges));

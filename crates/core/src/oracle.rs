@@ -71,11 +71,12 @@ type SideRow = (Vec<u8>, Vec<Vec<u8>>, f64);
 pub fn topk_spec(cluster: &Cluster, spec: &JoinSpec) -> Result<Vec<JoinTuple>> {
     let n = spec.n();
     let mut sides: Vec<Vec<SideRow>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let table = cluster.table(&spec.sides[i].table)?;
+    for (side, columns) in spec.sides.iter().zip(spec.side_columns()) {
+        let table = cluster.table(&side.table)?;
         let mut rows = Vec::new();
         for row in table.debug_all_rows() {
-            if let Some((values, score)) = spec.extract_side(i, &row) {
+            if let Some((values, score)) = columns.extract(&row) {
+                let values = values.into_iter().map(<[u8]>::to_vec).collect();
                 rows.push((row.key, values, score));
             }
         }
@@ -86,9 +87,8 @@ pub fn topk_spec(cluster: &Cluster, spec: &JoinSpec) -> Result<Vec<JoinTuple>> {
     let slots: Vec<HashMap<usize, usize>> = (0..n)
         .map(|i| {
             spec.incident_edges(i)
-                .iter()
                 .enumerate()
-                .map(|(slot, (e, _))| (*e, slot))
+                .map(|(slot, (e, _))| (e, slot))
                 .collect()
         })
         .collect();

@@ -57,19 +57,7 @@ impl JoinSide {
             .value(&self.join_col.0, &self.join_col.1)
             .ok_or(RankJoinError::Internal("row lacks its join column"))?
             .to_vec();
-        let score_bytes = row
-            .value(&self.score_col.0, &self.score_col.1)
-            .ok_or(RankJoinError::Internal("row lacks its score column"))?;
-        let score = f64::from_be_bytes(
-            score_bytes
-                .as_ref()
-                .get(..8)
-                .and_then(|b| b.try_into().ok())
-                .ok_or(RankJoinError::Internal("stored score is not 8 bytes"))?,
-        );
-        if !score.is_finite() {
-            return Err(RankJoinError::NonFiniteScore(score));
-        }
+        let score = read_score(row, &self.score_col)?;
         Ok((join, score))
     }
 }
@@ -179,6 +167,60 @@ impl JoinEdge {
     }
 }
 
+/// A `(family, qualifier)` column address.
+pub type Column = (String, Vec<u8>);
+
+/// One side's columns as a [`JoinSpec`] reads them: the score column plus
+/// one join column per incident edge ([`JoinSpec::side_columns`]).
+#[derive(Clone, Debug)]
+pub struct SideColumns {
+    score_col: Column,
+    edge_cols: Vec<Column>,
+}
+
+impl SideColumns {
+    /// The column families these columns live in (the store deduplicates
+    /// a projection) — what a base-table scan needs to read.
+    pub fn families(&self) -> Vec<&str> {
+        std::iter::once(&self.score_col)
+            .chain(&self.edge_cols)
+            .map(|col| col.0.as_str())
+            .collect()
+    }
+
+    /// Extracts `(edge values, score)` from a base-table row: one join
+    /// value per incident edge, in [`JoinSpec::incident_edges`] order,
+    /// borrowed from the row. `None` when any column is missing, the
+    /// score bytes are malformed, or the score is non-finite — mirroring
+    /// [`JoinSide::extract`]'s skip-don't-crash contract.
+    pub fn extract<'r>(&self, row: &'r RowResult) -> Option<(Vec<&'r [u8]>, f64)> {
+        let score = read_score(row, &self.score_col).ok()?;
+        let mut values = Vec::with_capacity(self.edge_cols.len());
+        for col in &self.edge_cols {
+            values.push(row.value(&col.0, &col.1)?.as_ref());
+        }
+        Some((values, score))
+    }
+}
+
+/// Reads the finite f64 score stored under `col`.
+fn read_score(row: &RowResult, col: &Column) -> Result<f64> {
+    let score_bytes = row
+        .value(&col.0, &col.1)
+        .ok_or(RankJoinError::Internal("row lacks its score column"))?;
+    let score = f64::from_be_bytes(
+        score_bytes
+            .as_ref()
+            .get(..8)
+            .and_then(|b| b.try_into().ok())
+            .ok_or(RankJoinError::Internal("stored score is not 8 bytes"))?,
+    );
+    if !score.is_finite() {
+        return Err(RankJoinError::NonFiniteScore(score));
+    }
+    Ok(score)
+}
+
 /// The shape of a validated [`JoinSpec`]'s join tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpecShape {
@@ -205,9 +247,10 @@ pub enum SpecShape {
 /// ```
 ///
 /// The binary [`RankJoinQuery`] is the two-side degenerate form
-/// ([`RankJoinQuery::to_spec`] / [`JoinSpec::as_binary`]); everything
-/// N-ary in the crate — the operator ([`crate::multiway`]), its planner,
-/// cursors, and the serving layer's cache keys — is driven by this type.
+/// ([`RankJoinQuery::to_spec`] / [`JoinSpec::as_binary`]); the ISL read
+/// path — operator ([`crate::hrjn`]), cursor ([`crate::cursor`]), index
+/// ([`crate::isl::index`]) — the multiway planner and the serving layer's
+/// cache keys are all driven by this type.
 #[derive(Clone, Debug)]
 pub struct JoinSpec {
     /// The joined relations, in result order: side 0 is the result's
@@ -347,44 +390,30 @@ impl JoinSpec {
     /// The edges incident to side `i`, each with the column that side
     /// contributes to it, in edge order. A side's tuples carry one join
     /// value per incident edge, in exactly this order.
-    pub fn incident_edges(&self, i: usize) -> Vec<(usize, (String, Vec<u8>))> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter_map(|(e, edge)| {
-                if edge.a == i {
-                    Some((e, edge.a_col.clone()))
-                } else if edge.b == i {
-                    Some((e, edge.b_col.clone()))
-                } else {
-                    None
-                }
-            })
-            .collect()
+    pub fn incident_edges(&self, i: usize) -> impl Iterator<Item = (usize, &Column)> {
+        self.edges.iter().enumerate().filter_map(move |(e, edge)| {
+            if edge.a == i {
+                Some((e, &edge.a_col))
+            } else if edge.b == i {
+                Some((e, &edge.b_col))
+            } else {
+                None
+            }
+        })
     }
 
-    /// Extracts side `i`'s `(edge values, score)` from a base-table row:
-    /// one join value per incident edge, in [`JoinSpec::incident_edges`]
-    /// order. `None` when any column is missing, the score bytes are
-    /// malformed, or the score is non-finite — mirroring
-    /// [`JoinSide::extract`]'s skip-don't-crash contract.
-    pub fn extract_side(&self, i: usize, row: &RowResult) -> Option<(Vec<Vec<u8>>, f64)> {
-        let side = self.sides.get(i)?;
-        let score_bytes = row.value(&side.score_col.0, &side.score_col.1)?;
-        let score = f64::from_be_bytes(
-            score_bytes
-                .as_ref()
-                .get(..8)
-                .and_then(|b| b.try_into().ok())?,
-        );
-        if !score.is_finite() {
-            return None;
-        }
-        let mut values = Vec::new();
-        for (_, col) in self.incident_edges(i) {
-            values.push(row.value(&col.0, &col.1)?.to_vec());
-        }
-        Some((values, score))
+    /// Every side's score column and incident-edge join columns, in side
+    /// order, resolved once — what a per-row loop (index build, statistics
+    /// pass, oracle) extracts with.
+    pub fn side_columns(&self) -> Vec<SideColumns> {
+        self.sides
+            .iter()
+            .enumerate()
+            .map(|(i, side)| SideColumns {
+                score_col: side.score_col.clone(),
+                edge_cols: self.incident_edges(i).map(|(_, col)| col.clone()).collect(),
+            })
+            .collect()
     }
 
     /// The two-side degenerate form as a [`RankJoinQuery`], when this
@@ -401,15 +430,13 @@ impl JoinSpec {
         } else {
             (&e.b_col, &e.a_col)
         };
-        let mut left = self.sides[li].clone();
-        let mut right = self.sides[ri].clone();
+        let left = self.sides[li].clone();
+        let right = self.sides[ri].clone();
         // The binary executors read the join value through the side's
         // own join_col; only a spec joining on those columns maps.
         if left.join_col != *lcol || right.join_col != *rcol {
             return None;
         }
-        left.join_col = lcol.clone();
-        right.join_col = rcol.clone();
         Some(RankJoinQuery::new(left, right, self.k, self.score_fn))
     }
 

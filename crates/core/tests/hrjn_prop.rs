@@ -1,67 +1,133 @@
-//! Property tests: the HRJN operator equals brute force on arbitrary
-//! score-sorted inputs (modulo tie-sibling exchange at the k-th score);
-//! `TopK::admits` predicts `TopK::offer` exactly; re-targeting an
-//! operator equals having run it at the new `k` from the start.
+//! Property tests of the one HRJN operator: it equals brute force on
+//! arbitrary score-sorted inputs over two-side, 3-path and 3-star specs
+//! (modulo tie-sibling exchange at the k-th score); `TopK::admits`
+//! predicts `TopK::offer` exactly; re-targeting a 3-way operator equals
+//! having run it at the new `k` from the start.
 
 use proptest::prelude::*;
 
-use rj_core::hrjn::{run_hrjn, HrjnState, RankedTuple, Side};
+use rj_core::hrjn::{run_hrjn, HrjnState, InputTuple};
+use rj_core::query::{JoinSide, JoinSpec};
 use rj_core::result::{JoinTuple, TopK};
 use rj_core::score::ScoreFn;
 
-fn make_side(raw: Vec<(u8, u32)>, prefix: u8) -> Vec<RankedTuple> {
-    let mut tuples: Vec<RankedTuple> = raw
-        .into_iter()
-        .enumerate()
-        .map(|(i, (j, s))| RankedTuple {
-            key: vec![prefix, i as u8],
-            join_value: vec![j],
-            score: f64::from(s) / 1000.0,
-        })
-        .collect();
-    tuples.sort_by(|a, b| b.score.total_cmp(&a.score));
-    tuples
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Binary,
+    Path3,
+    Star3,
 }
 
-fn brute_force(
-    k: usize,
-    f: ScoreFn,
-    left: &[RankedTuple],
-    right: &[RankedTuple],
-) -> Vec<JoinTuple> {
-    let mut top = TopK::new(k);
-    for l in left {
-        for r in right {
-            if l.join_value == r.join_value {
-                top.offer(JoinTuple {
-                    left_key: l.key.clone(),
-                    right_key: r.key.clone(),
-                    join_value: l.join_value.clone(),
-                    left_score: l.score,
-                    right_score: r.score,
-                    inner: Vec::new(),
-                    score: f.combine(l.score, r.score),
-                });
+fn shape() -> impl Strategy<Value = Shape> {
+    (0usize..3).prop_map(|i| [Shape::Binary, Shape::Path3, Shape::Star3][i])
+}
+
+/// A spec of `shape` (the operator reads only its topology, `k` and `f`).
+fn spec_of(shape: Shape, k: usize, f: ScoreFn) -> JoinSpec {
+    let side = |label: &str| JoinSide::new(label, label, ("d", b"jk"), ("d", b"score"));
+    match shape {
+        Shape::Binary => JoinSpec::path(vec![side("L"), side("R")], k, f),
+        Shape::Path3 => JoinSpec::path(vec![side("A"), side("B"), side("C")], k, f),
+        Shape::Star3 => JoinSpec::star(vec![side("H"), side("X"), side("Y")], k, f),
+    }
+    .unwrap()
+}
+
+/// One raw tuple: two join values (a side uses as many as it has edges)
+/// and a score in thousandths.
+type Raw = (u8, u8, u32);
+
+/// Score-sorted inputs for every side of `spec`.
+fn make_sides(spec: &JoinSpec, raw: &[Vec<Raw>]) -> Vec<Vec<InputTuple>> {
+    (0..spec.n())
+        .map(|i| {
+            let edges = spec.incident_edges(i).count();
+            let mut tuples: Vec<InputTuple> = raw[i]
+                .iter()
+                .enumerate()
+                .map(|(t, &(j0, j1, s))| {
+                    let values = [vec![j0], vec![j1]][..edges].to_vec();
+                    (vec![b'a' + i as u8, t as u8], values, f64::from(s) / 1000.0)
+                })
+                .collect();
+            tuples.sort_by(|a, b| b.2.total_cmp(&a.2));
+            tuples
+        })
+        .collect()
+}
+
+/// Exhaustive top-k: every assignment of one tuple per side whose values
+/// agree on every edge.
+fn brute_force(spec: &JoinSpec, sides: &[Vec<InputTuple>]) -> Vec<JoinTuple> {
+    fn assign<'a>(
+        spec: &JoinSpec,
+        sides: &'a [Vec<InputTuple>],
+        chosen: &mut Vec<&'a InputTuple>,
+        top: &mut TopK,
+    ) {
+        let n = spec.n();
+        if chosen.len() < n {
+            for t in &sides[chosen.len()] {
+                chosen.push(t);
+                assign(spec, sides, chosen, top);
+                chosen.pop();
             }
+            return;
+        }
+        // Side `i`'s value on edge `e`.
+        let value = |i: usize, e: usize| {
+            let slot = spec.incident_edges(i).position(|(edge, _)| edge == e);
+            &chosen[i].1[slot.expect("edge touches side")]
+        };
+        let joins = spec
+            .edges
+            .iter()
+            .enumerate()
+            .all(|(e, edge)| value(edge.a, e) == value(edge.b, e));
+        if joins {
+            let scores: Vec<f64> = chosen.iter().map(|t| t.2).collect();
+            top.offer(JoinTuple {
+                left_key: chosen[0].0.clone(),
+                right_key: chosen[n - 1].0.clone(),
+                join_value: value(spec.edges[0].a, 0).clone(),
+                left_score: scores[0],
+                right_score: scores[n - 1],
+                inner: chosen[1..n - 1]
+                    .iter()
+                    .map(|t| (t.0.clone(), t.2))
+                    .collect(),
+                score: spec.score_fn.combine_many(&scores),
+            });
         }
     }
+    let mut top = TopK::new(spec.k);
+    assign(spec, sides, &mut Vec::new(), &mut top);
     top.into_sorted_vec()
+}
+
+fn push(state: &mut HrjnState, side: usize, t: &InputTuple) {
+    state
+        .push_borrowed(side, &t.0, t.1.iter().map(Vec::as_slice), t.2)
+        .unwrap();
 }
 
 proptest! {
     #[test]
     fn hrjn_equals_brute_force(
-        left in prop::collection::vec((0u8..10, 0u32..=1000), 0..60),
-        right in prop::collection::vec((0u8..10, 0u32..=1000), 0..60),
+        shape in shape(),
+        raw in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0u8..4, 0u32..=1000), 0..24),
+            3..=3,
+        ),
         k in 1usize..30,
         product in any::<bool>(),
     ) {
         let f = if product { ScoreFn::Product } else { ScoreFn::Sum };
-        let left = make_side(left, b'l');
-        let right = make_side(right, b'r');
-        let got = run_hrjn(k, f, &left, &right);
-        let want = brute_force(k, f, &left, &right);
-        let all = brute_force(usize::MAX / 2, f, &left, &right);
+        let spec = spec_of(shape, k, f);
+        let sides = make_sides(&spec, &raw);
+        let got = run_hrjn(&spec, &sides).unwrap();
+        let want = brute_force(&spec, &sides);
+        let all = brute_force(&spec.with_k(usize::MAX / 2), &sides);
 
         // Rank equivalence: identical score sequences; exact tuples above
         // the k-th score; boundary tuples must be genuine.
@@ -73,9 +139,7 @@ proptest! {
             if Some(g.score) != boundary {
                 prop_assert_eq!(g, w);
             } else {
-                prop_assert!(all.iter().any(|t| t.score == g.score
-                    && t.left_key == g.left_key
-                    && t.right_key == g.right_key));
+                prop_assert!(all.contains(g), "boundary tuple is not a join result: {:?}", g);
             }
         }
     }
@@ -113,43 +177,48 @@ proptest! {
     /// Re-targeting by join sweep rebuilds exactly the operator a fresh
     /// run at the new `k` would hold after the same pushes — results,
     /// threshold and termination — and the two stay equal as the descent
-    /// continues.
+    /// continues. Three sides, path and star: this is what replaying a
+    /// consumed-tuple log used to guarantee.
     #[test]
     fn retarget_equals_fresh_run_at_new_k(
-        left in prop::collection::vec((0u8..6, 0u32..=20), 0..40),
-        right in prop::collection::vec((0u8..6, 0u32..=20), 0..40),
-        picks in prop::collection::vec(any::<bool>(), 0..80),
+        star in any::<bool>(),
+        raw in prop::collection::vec(
+            prop::collection::vec((0u8..3, 0u8..3, 0u32..=20), 0..16),
+            3..=3,
+        ),
+        picks in prop::collection::vec(0usize..3, 0..60),
         k in 0usize..12,
         new_k in 0usize..24,
         product in any::<bool>(),
     ) {
         let f = if product { ScoreFn::Product } else { ScoreFn::Sum };
-        let sides = [make_side(left, b'l'), make_side(right, b'r')];
-        // An arbitrary interleaving of the two score-descending inputs.
-        let mut at = [0usize; 2];
+        let shape = if star { Shape::Star3 } else { Shape::Path3 };
+        let spec = spec_of(shape, k, f);
+        let sides = make_sides(&spec, &raw);
+        // An arbitrary interleaving of the three score-descending inputs.
+        let mut at = [0usize; 3];
         let mut pushes = Vec::new();
-        for pick_right in picks {
-            let i = usize::from(pick_right);
+        for i in picks {
             if let Some(t) = sides[i].get(at[i]) {
                 at[i] += 1;
-                pushes.push((if i == 0 { Side::Left } else { Side::Right }, t.clone()));
+                pushes.push((i, t));
             }
         }
         let split = pushes.len() / 2;
 
-        let mut retargeted = HrjnState::new(k, f);
-        let mut fresh = HrjnState::new(new_k, f);
-        for (side, t) in &pushes[..split] {
-            retargeted.push(*side, t.clone());
-            fresh.push(*side, t.clone());
+        let mut retargeted = HrjnState::new(&spec);
+        let mut fresh = HrjnState::new(&spec.with_k(new_k));
+        for &(side, t) in &pushes[..split] {
+            push(&mut retargeted, side, t);
+            push(&mut fresh, side, t);
         }
         retargeted.retarget(new_k);
-        for (side, t) in &pushes[split..] {
+        for &(side, t) in &pushes[split..] {
             prop_assert_eq!(retargeted.current_results(), fresh.current_results());
             prop_assert_eq!(retargeted.threshold(), fresh.threshold());
             prop_assert_eq!(retargeted.is_done(), fresh.is_done());
-            retargeted.push(*side, t.clone());
-            fresh.push(*side, t.clone());
+            push(&mut retargeted, side, t);
+            push(&mut fresh, side, t);
         }
         prop_assert_eq!(retargeted.k(), new_k);
         prop_assert_eq!(retargeted.tuples_consumed(), fresh.tuples_consumed());

@@ -234,7 +234,9 @@ pub struct Scanner<'c> {
 /// *and* the buffered rows — both clones resume without re-billing them.
 #[derive(Clone)]
 pub struct ScannerState {
-    table: String,
+    /// The table's own name handle: detaching copies no bytes, and the
+    /// state stays plain data (resuming looks the table up by name).
+    table: Arc<str>,
     spec: Scan,
     next_key: Vec<u8>,
     done: bool,
@@ -281,7 +283,7 @@ impl Scanner<'_> {
     /// and be resumed with [`Client::resume_scan`].
     pub fn into_state(self) -> ScannerState {
         ScannerState {
-            table: self.table.name().to_owned(),
+            table: self.table.name_handle(),
             spec: self.spec,
             next_key: self.next_key,
             done: self.done,

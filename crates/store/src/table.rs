@@ -43,7 +43,8 @@ pub struct TableScanBatch {
 
 /// An ordered, sharded collection of rows.
 pub struct Table {
-    name: String,
+    /// Shared by handle with every detached [`crate::client::ScannerState`].
+    name: Arc<str>,
     /// Family names, shared by handle with every [`crate::cell::Cell`]
     /// read from this table.
     families: Vec<Arc<str>>,
@@ -74,7 +75,7 @@ impl Table {
             .map(|(i, start)| RwLock::new(Region::new(start, i % num_nodes)))
             .collect();
         Table {
-            name: name.to_owned(),
+            name: Arc::from(name),
             families: families.iter().map(|f| Arc::from(*f)).collect(),
             regions: RwLock::new(regions),
             split_threshold: AtomicUsize::new(1 << 20),
@@ -86,6 +87,12 @@ impl Table {
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The table name's shared handle (a detached scanner position names
+    /// its table without copying it).
+    pub(crate) fn name_handle(&self) -> Arc<str> {
+        self.name.clone()
     }
 
     /// Column family names, in schema order.
@@ -106,7 +113,7 @@ impl Table {
             .iter()
             .position(|f| **f == *family)
             .ok_or_else(|| StoreError::FamilyNotFound {
-                table: self.name.clone(),
+                table: self.name.to_string(),
                 family: family.to_owned(),
             })
     }

@@ -1,4 +1,5 @@
-//! Allocation budget of the ISL read path (scan → HRJN → top-k → cursor).
+//! Allocation budget of the ISL read path (scan → HRJN → top-k → cursor),
+//! binary and 3-way — one spine, so one budget.
 //!
 //! The path is meant to copy nothing per tuple: a row the scan returns
 //! costs its key and its `cells` vector, a row it merely walks over costs
@@ -12,11 +13,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rankjoin::core::cursor::{CursorState, RankedCursor};
 use rankjoin::core::isl;
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
-    Algorithm, Cluster, CostModel, IslConfig, JoinSide, Mutation, RankJoinExecutor, RankJoinQuery,
-    Scan, ScoreFn, StopPolicy,
+    Algorithm, Cluster, CostModel, IslConfig, JoinEdge, JoinSide, JoinSpec, MultiwayConfig,
+    Mutation, RankJoinExecutor, RankJoinQuery, Scan, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
 };
 
 thread_local! {
@@ -117,6 +119,83 @@ fn prepared(query: &RankJoinQuery) -> (Cluster, RankJoinExecutor) {
     (cluster, ex)
 }
 
+/// A tiny TPC-H cluster with the score index of the 3-way path
+/// `Part ⋈ Lineitem ⋈ Orders` (sum of the three scores) built, every side
+/// descended `batch` rows a turn.
+fn prepared_three_way(batch: usize) -> SpecExecutor {
+    let cluster = Cluster::new(3, CostModel::test());
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    let col = |c: &[u8]| (loader::FAMILY.to_owned(), c.to_vec());
+    let sides = vec![
+        side(loader::PART_TABLE, "P", loader::cols::JK),
+        side(loader::LINEITEM_TABLE, "L", loader::cols::JK_PART),
+        side(loader::ORDERS_TABLE, "O", loader::cols::JK),
+    ];
+    let edges = vec![
+        JoinEdge {
+            a: 0,
+            a_col: col(loader::cols::JK),
+            b: 1,
+            b_col: col(loader::cols::JK_PART),
+        },
+        JoinEdge {
+            a: 1,
+            a_col: col(loader::cols::JK_ORDER),
+            b: 2,
+            b_col: col(loader::cols::JK),
+        },
+    ];
+    let spec = JoinSpec::new(sides, edges, 10, ScoreFn::Sum).unwrap();
+    let mut ex = SpecExecutor::new(&cluster, spec);
+    ex.config = MultiwayConfig { batch };
+    // A fixed plan: the budget is the read path's, not the planner's.
+    ex.access_override = Some(vec![SideAccess::Descend; 3]);
+    ex.prepare().unwrap();
+    ex
+}
+
+/// Pulls `pulls` results one call each, pausing and resuming after every
+/// call; returns each pause's consumed depth and each resume's
+/// allocations.
+fn resume_costs(
+    mut cursor: Box<dyn RankedCursor>,
+    pulls: [usize; 2],
+    resume: impl Fn(CursorState) -> Box<dyn RankedCursor>,
+) -> ([u64; 2], [u64; 2]) {
+    let policy = StopPolicy::default();
+    let (mut depths, mut allocs) = ([0; 2], [0; 2]);
+    for (i, pull) in pulls.into_iter().enumerate() {
+        let batch = cursor.next_batch(pull, &policy).unwrap();
+        assert_eq!(batch.results.len(), pull);
+        let state = cursor.pause();
+        depths[i] = state.consumed_depth();
+        (cursor, allocs[i]) = counted(|| resume(state));
+    }
+    (depths, allocs)
+}
+
+/// Drains a fresh cursor `page` results at a time with a pause/resume
+/// between pages; returns the results and the page count.
+fn paged(
+    open: impl Fn() -> Box<dyn RankedCursor>,
+    resume: impl Fn(CursorState) -> Box<dyn RankedCursor>,
+    page: usize,
+) -> (Vec<rankjoin::JoinTuple>, u64) {
+    let policy = StopPolicy::default();
+    let mut results = Vec::new();
+    let mut pages = 0;
+    let mut cursor = open();
+    loop {
+        let batch = cursor.next_batch(page, &policy).unwrap();
+        results.extend(batch.results);
+        pages += 1;
+        if batch.done {
+            return (results, pages);
+        }
+        cursor = resume(cursor.pause());
+    }
+}
+
 #[test]
 fn one_shot_isl_stays_within_four_allocations_per_kv_read() {
     for query in queries() {
@@ -187,22 +266,21 @@ fn projected_scan_allocates_nothing_for_rows_without_a_projected_cell() {
 fn resume_cost_does_not_depend_on_consumed_depth() {
     let [_, q2] = queries();
     let (_cluster, ex) = prepared(&q2);
-    let policy = StopPolicy::default();
-    let mut cursor = ex.open_cursor(Algorithm::Isl, 200).unwrap();
-    let mut resume_allocs = Vec::new();
-    let mut depths = Vec::new();
-    for pull in [1, 150] {
-        let batch = cursor.next_batch(pull, &policy).unwrap();
-        assert_eq!(batch.results.len(), pull);
-        let state = cursor.pause();
-        depths.push(state.consumed_depth());
-        let (resumed, allocs) = counted(|| ex.resume_cursor(state).unwrap());
-        cursor = resumed;
-        resume_allocs.push(allocs);
-    }
+    let cursor = ex.open_cursor(Algorithm::Isl, 200).unwrap();
+    let (depths, allocs) = resume_costs(cursor, [1, 150], |s| ex.resume_cursor(s).unwrap());
     assert!(depths[1] > 4 * depths[0], "depths {depths:?}");
-    assert_eq!(resume_allocs[0], resume_allocs[1], "depths {depths:?}");
-    assert!(resume_allocs[1] <= 8, "resume allocated {resume_allocs:?}");
+    assert_eq!(allocs[0], allocs[1], "depths {depths:?}");
+    assert!(allocs[1] <= 8, "resume allocated {allocs:?}");
+}
+
+#[test]
+fn three_way_resume_cost_does_not_depend_on_consumed_depth() {
+    let ex = prepared_three_way(8);
+    let cursor = ex.open_cursor(200).unwrap();
+    let (depths, allocs) = resume_costs(cursor, [1, 150], |s| ex.resume_cursor(s).unwrap());
+    assert!(depths[1] > 4 * depths[0], "depths {depths:?}");
+    assert_eq!(allocs[0], allocs[1], "depths {depths:?}");
+    assert!(allocs[1] <= 8, "resume allocated {allocs:?}");
 }
 
 #[test]
@@ -211,26 +289,39 @@ fn paged_session_costs_one_shot_plus_its_pages() {
     let (_cluster, ex) = prepared(&q1);
     let (k, page) = (200, 10);
     let (one_shot, one_shot_allocs) = counted(|| ex.execute_with_k(Algorithm::Isl, k).unwrap());
-
-    let policy = StopPolicy::default();
-    let mut pages = 0u64;
-    let (paged, paged_allocs) = counted(|| {
-        let mut results = Vec::new();
-        let mut cursor = ex.open_cursor(Algorithm::Isl, k).unwrap();
-        loop {
-            let batch = cursor.next_batch(page, &policy).unwrap();
-            results.extend(batch.results);
-            pages += 1;
-            if batch.done {
-                return results;
-            }
-            cursor = ex.resume_cursor(cursor.pause()).unwrap();
-        }
+    let ((paged, pages), paged_allocs) = counted(|| {
+        paged(
+            || ex.open_cursor(Algorithm::Isl, k).unwrap(),
+            |s| ex.resume_cursor(s).unwrap(),
+            page,
+        )
     });
     assert_eq!(paged, one_shot.results);
     // Per page: the page vector, a clone of each emitted result (three
     // keys apiece), and the pause/resume boxes.
     let per_page = 16 + 4 * page as u64;
+    assert!(
+        paged_allocs <= one_shot_allocs + pages * per_page,
+        "paged {paged_allocs} vs one-shot {one_shot_allocs} over {pages} pages"
+    );
+}
+
+#[test]
+fn three_way_paged_session_costs_one_shot_plus_its_pages() {
+    let ex = prepared_three_way(ISL_BATCH);
+    let (k, page) = (200, 10);
+    let (one_shot, one_shot_allocs) = counted(|| ex.execute_with_k(k).unwrap());
+    let ((paged, pages), paged_allocs) = counted(|| {
+        paged(
+            || ex.open_cursor(k).unwrap(),
+            |s| ex.resume_cursor(s).unwrap(),
+            page,
+        )
+    });
+    assert_eq!(paged, one_shot.results);
+    // Per page as above, a 3-way result cloning two more allocations
+    // (its interior side's vector and key).
+    let per_page = 16 + 6 * page as u64;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
         "paged {paged_allocs} vs one-shot {one_shot_allocs} over {pages} pages"
