@@ -26,6 +26,7 @@ use rj_sketch::histogram::ScoreHistogram;
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::row::RowResult;
+use rj_store::Bytes;
 
 use crate::codec;
 use crate::error::Result;
@@ -49,13 +50,13 @@ pub enum WriteBackPolicy {
 const OP_INSERT: u8 = b'i';
 const OP_DELETE: u8 = b'd';
 
-/// Qualifier of a mutation record: `op ‖ ts(u64 BE) ‖ base row key`.
-fn record_qualifier(op: u8, ts: u64, row_key: &[u8]) -> Vec<u8> {
-    let mut q = Vec::with_capacity(9 + row_key.len());
-    q.push(op);
-    q.extend_from_slice(&ts.to_be_bytes());
-    q.extend_from_slice(row_key);
-    q
+/// Qualifier of a mutation record: `op ‖ ts(u64 BE) ‖ base row key`,
+/// built in the one buffer the store then keeps.
+fn record_qualifier(op: u8, ts: u64, row_key: &[u8]) -> Bytes {
+    std::iter::once(op)
+        .chain(ts.to_be_bytes())
+        .chain(row_key.iter().copied())
+        .collect()
 }
 
 fn parse_record_qualifier(q: &[u8]) -> Option<(u8, u64, &[u8])> {
@@ -74,8 +75,9 @@ pub(crate) struct ResolvedBucket {
     pub had_mutations: bool,
     /// Timestamp of the latest replayed mutation (0 when none).
     pub latest_ts: u64,
-    /// Qualifiers of the consumed records (for write-back purging).
-    pub consumed_qualifiers: Vec<Vec<u8>>,
+    /// Qualifiers of the consumed records (for write-back purging),
+    /// shared by handle with the fetched row.
+    pub consumed_qualifiers: Vec<Bytes>,
 }
 
 /// Replays a fetched bucket row: decodes the stored blob (if any) and
@@ -98,7 +100,7 @@ pub(crate) fn resolve_bucket_row(row: &RowResult, label: &str, m: usize) -> Resu
             continue;
         };
         records.push((ts, op, join, score));
-        consumed.push(cell.qualifier.to_vec());
+        consumed.push(cell.qualifier.clone());
     }
     if records.is_empty() {
         return Ok(ResolvedBucket {
@@ -144,30 +146,39 @@ pub(crate) fn resolve_bucket_row(row: &RowResult, label: &str, m: usize) -> Resu
     })
 }
 
-/// Writes a reconstructed blob back and purges the consumed records, in
-/// one atomic row mutation stamped with the latest replayed timestamp.
-#[allow(clippy::too_many_arguments)] // one call site, mirrors the row layout
+/// Writes a replayed bucket back and purges the consumed records, in one
+/// atomic row mutation stamped with the latest replayed timestamp: the
+/// reconstructed blob, or — when the replay emptied the bucket — a
+/// tombstone over the stored one. The one write-back of all three
+/// policies; without the empty arm a bucket whose last tuple was deleted
+/// would keep its records, and every later read would replay them again.
 pub(crate) fn write_back_bucket(
     cluster: &Cluster,
     table: &str,
     label: &str,
     bucket: u32,
-    blob: &BfhmBlob,
+    resolved: &ResolvedBucket,
     codec_sel: BlobCodec,
-    latest_ts: u64,
-    consumed_qualifiers: &[Vec<u8>],
 ) -> Result<()> {
-    let client = cluster.client();
-    let mut muts = vec![Mutation::put_at(
-        label,
-        BLOB_QUALIFIER,
-        blob.encode(codec_sel),
-        latest_ts,
-    )];
-    for q in consumed_qualifiers {
-        muts.push(Mutation::delete_at(label, q, latest_ts));
-    }
-    client.mutate_row(table, &blob_row_key(bucket), muts)?;
+    let ts = resolved.latest_ts;
+    let mut muts = Vec::with_capacity(1 + resolved.consumed_qualifiers.len());
+    muts.push(match &resolved.blob {
+        Some(blob) => Mutation::put_at(label, BLOB_QUALIFIER, blob.encode(codec_sel), ts),
+        None => Mutation::delete_at(label, BLOB_QUALIFIER, ts),
+    });
+    muts.extend(
+        resolved
+            .consumed_qualifiers
+            .iter()
+            .map(|qualifier| Mutation::Delete {
+                family: label.to_owned(),
+                qualifier: qualifier.clone(),
+                timestamp: Some(ts),
+            }),
+    );
+    cluster
+        .client()
+        .mutate_row(table, &blob_row_key(bucket), muts)?;
     Ok(())
 }
 
@@ -191,34 +202,8 @@ pub fn refresh_bucket(
     if !resolved.had_mutations {
         return Ok(0);
     }
-    let n = resolved.consumed_qualifiers.len();
-    match resolved.blob {
-        Some(blob) => write_back_bucket(
-            cluster,
-            table,
-            label,
-            bucket,
-            &blob,
-            codec_sel,
-            resolved.latest_ts,
-            &resolved.consumed_qualifiers,
-        )?,
-        None => {
-            // Bucket emptied entirely: drop the blob and the records.
-            let mut muts = vec![Mutation::delete_at(
-                label,
-                BLOB_QUALIFIER,
-                resolved.latest_ts,
-            )];
-            for q in &resolved.consumed_qualifiers {
-                muts.push(Mutation::delete_at(label, q, resolved.latest_ts));
-            }
-            cluster
-                .client()
-                .mutate_row(table, &blob_row_key(bucket), muts)?;
-        }
-    }
-    Ok(n)
+    write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
+    Ok(resolved.consumed_qualifiers.len())
 }
 
 /// Offline compaction sweep: refreshes every bucket whose pending-record
@@ -246,17 +231,8 @@ pub fn compact_if_pending(
             .count();
         if pending >= threshold.max(1) {
             let resolved = resolve_bucket_row(&row, label, m)?;
-            if let Some(blob) = resolved.blob {
-                write_back_bucket(
-                    cluster,
-                    table,
-                    label,
-                    bucket,
-                    &blob,
-                    codec_sel,
-                    resolved.latest_ts,
-                    &resolved.consumed_qualifiers,
-                )?;
+            if resolved.had_mutations {
+                write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
                 compacted += resolved.consumed_qualifiers.len();
             }
         }
@@ -292,6 +268,16 @@ impl BfhmMaintainer {
         self.m
     }
 
+    /// The mutation record of one base-table insert or delete.
+    fn record(&self, op: u8, row_key: &[u8], join_value: &[u8], score: f64, ts: u64) -> Mutation {
+        Mutation::Put {
+            family: self.label.clone(),
+            qualifier: record_qualifier(op, ts, row_key),
+            value: codec::encode_value_score(join_value, score).into(),
+            timestamp: Some(ts),
+        }
+    }
+
     /// Records the insertion of a base tuple: an insertion record on the
     /// bucket row plus a direct reverse-mapping put, both at `ts`.
     pub fn record_insert(
@@ -307,12 +293,7 @@ impl BfhmMaintainer {
         client.mutate_row(
             &self.table,
             &blob_row_key(bucket),
-            vec![Mutation::put_at(
-                &self.label,
-                &record_qualifier(OP_INSERT, ts, row_key),
-                codec::encode_value_score(join_value, score),
-                ts,
-            )],
+            vec![self.record(OP_INSERT, row_key, join_value, score, ts)],
         )?;
         client.mutate_row(
             &self.table,
@@ -342,12 +323,7 @@ impl BfhmMaintainer {
         client.mutate_row(
             &self.table,
             &blob_row_key(bucket),
-            vec![Mutation::put_at(
-                &self.label,
-                &record_qualifier(OP_DELETE, ts, row_key),
-                codec::encode_value_score(join_value, score),
-                ts,
-            )],
+            vec![self.record(OP_DELETE, row_key, join_value, score, ts)],
         )?;
         client.mutate_row(
             &self.table,
@@ -516,5 +492,78 @@ mod tests {
         // a-join: r1_10 (1.00) × r2_88 (0.85) = 1.85 is the new top.
         assert!((got.results[0].score - 1.85).abs() < 1e-9);
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
+    }
+
+    /// Stored mutation records of `label` in `bucket`, and the KV reads a
+    /// fetch of the bucket row bills.
+    fn bucket_row_cost(c: &Cluster, label: &str, bucket: u32) -> (usize, u64) {
+        let before = c.metrics().snapshot();
+        let fams = [label.to_owned()];
+        let row = c
+            .client()
+            .get_with_families("bfhm_idx", &blob_row_key(bucket), Some(&fams))
+            .unwrap();
+        let pending = row.map_or(0, |row| {
+            row.family_cells(label)
+                .filter(|cell| parse_record_qualifier(&cell.qualifier).is_some())
+                .count()
+        });
+        (
+            pending,
+            c.metrics().snapshot().delta_since(&before).kv_reads,
+        )
+    }
+
+    /// A bucket whose replay deletes its last tuple is written back like
+    /// any other — under every policy. It used to keep its records (only
+    /// the lazy path had the empty-bucket arm), so each later read fetched,
+    /// replayed and paid for them again.
+    #[test]
+    fn a_bucket_emptied_by_deletes_is_compacted_under_every_policy() {
+        use crate::maintenance::MaintainedSide;
+        use rj_store::region::TOMBSTONE_GRACE_TICKS;
+        for policy in [
+            WriteBackPolicy::Eager,
+            WriteBackPolicy::Lazy,
+            WriteBackPolicy::Off,
+        ] {
+            let (c, q) = running_example_cluster();
+            let config = build(&c, &q);
+            let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+            let side = MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
+            // R2 has no tuple in bucket 1 (scores in [0.8, 0.9)): this
+            // insert and delete are all the bucket holds, and cancel.
+            side.insert(b"r2_88", b"a", 0.85, vec![]).unwrap();
+            side.delete(b"r2_88").unwrap();
+            assert_eq!(bucket_row_cost(&c, "R2", 1), (2, 2), "{policy:?}");
+
+            let want = oracle::topk(&c, &q).unwrap();
+            let got = bfhm::run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            assert_eq!(got.results, want, "{policy:?}");
+            if policy == WriteBackPolicy::Off {
+                // The offline sweep is this policy's write-back.
+                let n = compact_if_pending(&c, "bfhm_idx", "R2", config.codec, 1).unwrap();
+                assert_eq!(n, 2);
+            }
+            let (pending, _) = bucket_row_cost(&c, "R2", 1);
+            assert_eq!(pending, 0, "{policy:?}: consumed records are purged");
+
+            // Once the tombstones' grace window has passed, the next write
+            // to the bucket row drops them: the row then holds that
+            // write's record and nothing else.
+            for _ in 0..=TOMBSTONE_GRACE_TICKS {
+                c.next_ts();
+            }
+            side.insert(b"r2_89", b"zz", 0.86, vec![]).unwrap();
+            assert_eq!(bucket_row_cost(&c, "R2", 1), (1, 1), "{policy:?}");
+            let again = bfhm::run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            assert_eq!(again.results, want, "{policy:?}: `zz` joins nothing");
+            assert!(
+                again.metrics.kv_reads < got.metrics.kv_reads,
+                "{policy:?}: second read {} KVs, first {}",
+                again.metrics.kv_reads,
+                got.metrics.kv_reads
+            );
+        }
     }
 }

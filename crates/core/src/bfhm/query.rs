@@ -328,21 +328,21 @@ impl BfhmRun {
             )?;
             let Some(row) = row else { continue };
             let resolved = resolve_bucket_row(&row, &label, self.core.m)?;
-            let Some(blob) = resolved.blob else { continue };
+            // Before the empty-bucket skip: a bucket its replay emptied is
+            // compacted like any other.
             if resolved.had_mutations && self.core.write_back == WriteBackPolicy::Eager {
                 super::maintenance::write_back_bucket(
                     &self.cluster,
                     &self.core.table,
                     &label,
                     bucket,
-                    &blob,
+                    &resolved,
                     self.core.config.codec,
-                    resolved.latest_ts,
-                    &resolved.consumed_qualifiers,
                 )?;
             } else if resolved.had_mutations && self.core.write_back == WriteBackPolicy::Lazy {
                 self.core.pending_write_backs.push(bucket);
             }
+            let Some(blob) = resolved.blob else { continue };
             self.core.sides[side].fetched.push((bucket, blob));
             return Ok(true);
         }

@@ -476,4 +476,64 @@ mod tests {
         let got = isl::run(&c, &q, "isl_idx", isl::IslConfig::default()).unwrap();
         assert_eq!(got.results, after);
     }
+
+    /// §6 pins one timestamp on a base write and its index writes, and the
+    /// fan-out is not atomic: a `delete` can run between a racing
+    /// `insert`'s base put and its index put, landing the index tombstone
+    /// *first*. The tombstone, newer than the late put, must still mask it.
+    /// Played here by hand: the insert's two halves around a real
+    /// `MaintainedSide::delete`.
+    #[test]
+    fn a_delete_overtaking_an_insert_converges_inside_the_grace_window() {
+        use rj_store::region::TOMBSTONE_GRACE_TICKS;
+        let (c, q) = running_example_cluster();
+        let engine = MapReduceEngine::new(c.clone());
+        isl::build(&engine, &q, "isl_idx").unwrap();
+        let side = MaintainedSide::new(&c, q.right.clone()).with_isl("isl_idx");
+        let client = c.client();
+        let base_half = |key: &[u8], ts: u64| {
+            let muts = vec![
+                Mutation::put_at("d", b"jk", b"b".to_vec(), ts),
+                Mutation::put_at("d", b"score", 0.99f64.to_be_bytes().to_vec(), ts),
+            ];
+            client.mutate_row("r2", key, muts).unwrap();
+        };
+        let index_half = |key: &[u8], ts: u64| {
+            let entry = codec::encode_value_score(b"b", 0.99);
+            let put = Mutation::put_at("R2", key, entry, ts);
+            client
+                .mutate_row("isl_idx", &keys::encode_score_desc(0.99), vec![put])
+                .unwrap();
+        };
+        let isl_top = || {
+            isl::run(&c, &q, "isl_idx", isl::IslConfig::default())
+                .unwrap()
+                .results
+        };
+
+        // Insert (base half) → delete (base and index) → insert (index
+        // half, late): the index agrees with the base table, which has no
+        // such row.
+        let ts = c.next_ts();
+        base_half(b"r2_99", ts);
+        assert!(side.delete(b"r2_99").unwrap() > ts);
+        index_half(b"r2_99", ts);
+        let want = oracle::topk(&c, &q).unwrap();
+        assert_eq!(isl_top(), want, "the tombstone masks the late index put");
+        assert!(want.iter().all(|t| t.right_key != b"r2_99"));
+
+        // The documented limit. An index put delayed past the window finds
+        // the tombstone purged (by the next write to its region) and is
+        // visible: a dangling index entry, as in HBase once a major
+        // compaction has dropped the delete marker.
+        let ts = c.next_ts();
+        base_half(b"r2_98", ts);
+        side.delete(b"r2_98").unwrap();
+        for _ in 0..=TOMBSTONE_GRACE_TICKS {
+            c.next_ts();
+        }
+        index_half(b"r2_98", ts);
+        assert_eq!(oracle::topk(&c, &q).unwrap(), want, "the base row is gone");
+        assert!(isl_top().iter().any(|t| t.right_key == b"r2_98"));
+    }
 }

@@ -3,9 +3,12 @@
 //! The paper's data model (§1): a key-value pair is the quadruplet
 //! `{key, column name, column value, timestamp}`, where the column name is
 //! a `(family, qualifier)` pair in BigTable/HBase terms. Deletes are
-//! tombstones carrying the deletion timestamp — the store is append-only in
-//! spirit, and the rank-join update machinery (§6) leans on timestamp
-//! ordering to discern fresh from stale tuples.
+//! tombstones carrying the deletion timestamp, and the rank-join update
+//! machinery (§6) leans on timestamp ordering to discern fresh from stale
+//! tuples: whichever of two writes to a column carries the newer timestamp
+//! wins, in either arrival order. The store keeps exactly that — a column's
+//! newest version — and a tombstone only for a grace window after its
+//! timestamp (the retention rule is stated in [`crate::region`]).
 
 use std::sync::Arc;
 
@@ -44,8 +47,9 @@ pub enum Mutation {
     Put {
         /// Column family.
         family: String,
-        /// Column qualifier.
-        qualifier: Vec<u8>,
+        /// Column qualifier (refcounted: the region stores this handle,
+        /// it does not copy the bytes again).
+        qualifier: Bytes,
         /// Payload.
         value: Bytes,
         /// Pinned timestamp; `None` draws from the cluster's logical clock.
@@ -58,8 +62,8 @@ pub enum Mutation {
     Delete {
         /// Column family.
         family: String,
-        /// Column qualifier.
-        qualifier: Vec<u8>,
+        /// Column qualifier (refcounted, as in [`Mutation::Put`]).
+        qualifier: Bytes,
         /// Pinned timestamp; `None` draws from the cluster clock.
         timestamp: Option<u64>,
     },
@@ -70,7 +74,7 @@ impl Mutation {
     pub fn put(family: &str, qualifier: &[u8], value: impl Into<Bytes>) -> Self {
         Mutation::Put {
             family: family.to_owned(),
-            qualifier: qualifier.to_vec(),
+            qualifier: Bytes::copy_from_slice(qualifier),
             value: value.into(),
             timestamp: None,
         }
@@ -80,7 +84,7 @@ impl Mutation {
     pub fn put_at(family: &str, qualifier: &[u8], value: impl Into<Bytes>, ts: u64) -> Self {
         Mutation::Put {
             family: family.to_owned(),
-            qualifier: qualifier.to_vec(),
+            qualifier: Bytes::copy_from_slice(qualifier),
             value: value.into(),
             timestamp: Some(ts),
         }
@@ -90,7 +94,7 @@ impl Mutation {
     pub fn delete(family: &str, qualifier: &[u8]) -> Self {
         Mutation::Delete {
             family: family.to_owned(),
-            qualifier: qualifier.to_vec(),
+            qualifier: Bytes::copy_from_slice(qualifier),
             timestamp: None,
         }
     }
@@ -99,7 +103,7 @@ impl Mutation {
     pub fn delete_at(family: &str, qualifier: &[u8], ts: u64) -> Self {
         Mutation::Delete {
             family: family.to_owned(),
-            qualifier: qualifier.to_vec(),
+            qualifier: Bytes::copy_from_slice(qualifier),
             timestamp: Some(ts),
         }
     }

@@ -14,6 +14,9 @@
 //!   batched `scan` operations; scans run in ascending key order only —
 //!   the HBase "kink" (§4.2.2) that forces score-ordered layouts to store
 //!   negated scores,
+//! * a column stores its newest version only, and a delete's tombstone for
+//!   a fixed grace window of clock ticks after its timestamp — the
+//!   retention rule, and the §6 race it protects, are in [`region`],
 //! * **server-side filters** evaluate predicates at the region server so
 //!   that filtered rows are read (and billed) but never shipped (§7.1's
 //!   DRJN optimization),
@@ -55,10 +58,14 @@ pub mod metrics;
 pub mod parallel;
 pub mod pool;
 pub mod region;
+#[cfg(test)]
+mod region_oracle;
 pub mod row;
 pub mod scan;
 pub mod table;
 
+/// The refcounted byte buffer of [`Cell`] and [`Mutation`] fields.
+pub use bytes::Bytes;
 pub use cell::{Cell, Mutation};
 pub use client::Client;
 pub use cluster::Cluster;

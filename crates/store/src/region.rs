@@ -2,11 +2,39 @@
 //!
 //! A region stores its rows in a `BTreeMap`, mirroring HBase's sorted
 //! key-value files: point reads are cheap, and scans stream rows in
-//! ascending key order. Cells are multi-versioned with tombstone deletes,
-//! newest-first, which the §6 update machinery relies on to "replay all row
-//! mutations in timestamp order".
+//! ascending key order.
+//!
+//! # Retention
+//!
+//! A region keeps only what a read can still observe. No API reads at a
+//! timestamp, so a column holds its **newest** version alone — the put or
+//! tombstone with the highest timestamp, a tombstone shadowing a put of
+//! the same timestamp. A write older than the stored version is dropped
+//! on arrival; whichever order two writes to a column arrive in, the
+//! column ends in the same state, which is what lets §6 pin one timestamp
+//! on a base write and its index writes and call the result convergent.
+//!
+//! A column whose newest version is a tombstone is stored — and, like any
+//! stored column, touched and billed by a read that walks over it — until
+//! the cluster clock has moved more than [`TOMBSTONE_GRACE_TICKS`] past the
+//! tombstone's timestamp. It is then physically removed, and its row with
+//! it once empty. The window is safety, not tuning: a concurrent
+//! `MaintainedSide::delete` may land its index tombstone *before* the
+//! index put of the racing, older `insert`, and the outcome is only
+//! correct because the tombstone still masks the late put. Inside the
+//! window that holds exactly as it did when every version was kept. A put
+//! delayed past the window finds no tombstone and becomes visible again —
+//! HBase's behaviour after a major compaction has dropped the delete
+//! marker (`hbase.hstore.time.to.purge.deletes` is the analogous knob).
+//!
+//! Expired tombstones are found through a per-region queue ordered by
+//! tombstone timestamp and drained by the next `mutate_row` on the region,
+//! which already holds the region's write lock and already receives "now":
+//! work proportional to the garbage, no region walk, no background thread.
+//! A region nobody writes to keeps its last tombstones until it is.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -16,7 +44,13 @@ use crate::cell::{Cell, Mutation};
 use crate::filter::ServerFilter;
 use crate::row::RowResult;
 
-/// One version of one column: a put or a tombstone.
+/// Cluster-clock ticks a tombstone outlives its own timestamp before the
+/// region drops it (see the module docs). Every `mutate_row` and every
+/// `Cluster::next_ts` is one tick, so a maintained insert or delete with
+/// three indices attached is about six.
+pub const TOMBSTONE_GRACE_TICKS: u64 = 1024;
+
+/// The stored version of one column: a put or a tombstone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Version {
     /// A value written at a timestamp.
@@ -27,44 +61,40 @@ pub(crate) enum Version {
 }
 
 impl Version {
-    /// Sort key: newer first; at equal timestamps tombstones shadow puts.
+    /// Newer wins; at equal timestamps tombstones shadow puts.
     fn order_key(&self) -> (u64, u8) {
         match self {
             Version::Tombstone(ts) => (*ts, 1),
             Version::Put(ts, _) => (*ts, 0),
         }
     }
-}
 
-/// All versions of one column, ordered newest-first.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Versions(Vec<Version>);
-
-impl Versions {
-    fn insert(&mut self, v: Version) {
-        let key = v.order_key();
-        // Newest first ⇒ descending order_key.
-        let pos = self
-            .0
-            .binary_search_by(|e| key.cmp(&e.order_key()))
-            .unwrap_or_else(|p| p);
-        self.0.insert(pos, v);
-    }
-
-    /// The latest visible value, if the column is live.
+    /// The value and its timestamp, if this version is a put.
     fn visible(&self) -> Option<(u64, &Bytes)> {
-        match self.0.first() {
-            Some(Version::Put(ts, v)) => Some((*ts, v)),
-            _ => None,
+        match self {
+            Version::Put(ts, v) => Some((*ts, v)),
+            Version::Tombstone(_) => None,
         }
     }
+
+    fn value_len(&self) -> u64 {
+        self.visible().map_or(0, |(_, v)| v.len() as u64)
+    }
 }
 
-/// Row payload: per-family column maps, indexed by the table's family ids.
-/// Qualifiers are refcounted so reads hand them out without copying.
+/// Stored bytes of one column: [`Cell::weight`] for a put, the same
+/// without a value for a tombstone (what [`Mutation::weight`] charged for
+/// the write that stored it).
+fn stored_weight(row_key: &[u8], family: &str, qualifier: &[u8], version: &Version) -> u64 {
+    (row_key.len() + family.len() + qualifier.len() + 8) as u64 + version.value_len()
+}
+
+/// Row payload: per-family column maps, indexed by the table's family ids,
+/// each column holding its newest version. Qualifiers are refcounted so
+/// reads hand them out without copying.
 #[derive(Clone, Debug)]
 pub(crate) struct RowData {
-    families: Vec<BTreeMap<Bytes, Versions>>,
+    families: Vec<BTreeMap<Bytes, Version>>,
 }
 
 impl RowData {
@@ -77,24 +107,16 @@ impl RowData {
     fn is_empty(&self) -> bool {
         self.families.iter().all(BTreeMap::is_empty)
     }
+}
 
-    /// Adds one version to a column, returning whether the column was
-    /// visible before and is visible after. Only a column's first version
-    /// copies the qualifier.
-    fn apply(&mut self, fam_idx: usize, qualifier: &[u8], version: Version) -> (bool, bool) {
-        let columns = &mut self.families[fam_idx];
-        let add = |versions: &mut Versions| {
-            let was_visible = versions.visible().is_some();
-            versions.insert(version);
-            (was_visible, versions.visible().is_some())
-        };
-        match columns.get_mut(qualifier) {
-            Some(versions) => add(versions),
-            None => add(columns
-                .entry(Bytes::copy_from_slice(qualifier))
-                .or_default()),
-        }
-    }
+/// A stored tombstone awaiting the end of its grace window. Ordered by
+/// timestamp first, so the purge queue's head is the next to expire.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct DeadColumn {
+    ts: u64,
+    row: Bytes,
+    family: usize,
+    qualifier: Bytes,
 }
 
 /// The family indices a read touches: the projection, or all `n`.
@@ -134,11 +156,16 @@ pub struct Region {
     pub(crate) start: Vec<u8>,
     /// Hosting node index.
     pub(crate) node: usize,
-    pub(crate) rows: BTreeMap<Vec<u8>, RowData>,
+    /// Row keys are refcounted so the purge queue names a row without
+    /// copying its key.
+    rows: BTreeMap<Bytes, RowData>,
     /// Live KV count (visible puts).
-    pub(crate) kv_count: u64,
-    /// Approximate stored bytes, including shadowed versions.
-    pub(crate) byte_size: u64,
+    kv_count: u64,
+    /// Stored bytes: live cells plus retained tombstones.
+    byte_size: u64,
+    /// Stored tombstones, soonest to expire first. An entry whose column
+    /// has since been overwritten is skipped when it surfaces.
+    purge_queue: BinaryHeap<Reverse<DeadColumn>>,
 }
 
 impl Region {
@@ -149,6 +176,7 @@ impl Region {
             rows: BTreeMap::new(),
             kv_count: 0,
             byte_size: 0,
+            purge_queue: BinaryHeap::new(),
         }
     }
 
@@ -167,7 +195,8 @@ impl Region {
         self.rows.len()
     }
 
-    /// Approximate bytes stored.
+    /// Bytes stored: live cells plus tombstones still inside their grace
+    /// window.
     pub fn byte_size(&self) -> u64 {
         self.byte_size
     }
@@ -177,55 +206,121 @@ impl Region {
         self.kv_count
     }
 
-    /// Applies mutations to one row atomically. Returns bytes written.
+    /// Applies mutations to one row atomically, after dropping the
+    /// region's tombstones whose grace window `now` has passed. Returns
+    /// bytes written (every mutation's wire size, stale ones included).
     ///
-    /// `family_ids` maps each mutation to its schema family index (resolved
-    /// by the table before routing here).
-    pub(crate) fn mutate_row(
+    /// Each mutation comes with its schema family index (validated by the
+    /// table before routing here); `now` is the timestamp of unpinned
+    /// mutations.
+    pub(crate) fn mutate_row<'m>(
         &mut self,
         row_key: &[u8],
-        muts: &[(usize, &Mutation)],
-        default_ts: u64,
-        num_families: usize,
+        muts: impl IntoIterator<Item = (usize, &'m Mutation)>,
+        now: u64,
+        family_names: &[Arc<str>],
     ) -> u64 {
-        let row = self
-            .rows
-            .entry(row_key.to_vec())
-            .or_insert_with(|| RowData::new(num_families));
+        let mut muts = muts.into_iter().peekable();
+        if muts.peek().is_none() {
+            return 0; // and no empty row is left behind
+        }
+        self.purge_tombstones(now, family_names);
+        if !self.rows.contains_key(row_key) {
+            self.rows.insert(
+                Bytes::copy_from_slice(row_key),
+                RowData::new(family_names.len()),
+            );
+        }
         let mut bytes = 0u64;
-        for &(fam_idx, m) in muts {
-            let (qualifier, version) = match m {
-                Mutation::Put {
-                    qualifier,
-                    value,
-                    timestamp,
-                    ..
-                } => (
-                    qualifier,
-                    Version::Put(timestamp.unwrap_or(default_ts), value.clone()),
-                ),
-                Mutation::Delete {
-                    qualifier,
-                    timestamp,
-                    ..
-                } => (
-                    qualifier,
-                    Version::Tombstone(timestamp.unwrap_or(default_ts)),
-                ),
-            };
-            let (was_visible, now_visible) = row.apply(fam_idx, qualifier, version);
-            if !was_visible && now_visible {
-                self.kv_count += 1;
-            } else if was_visible && !now_visible {
-                self.kv_count = self.kv_count.saturating_sub(1);
+        let one_row = (Bound::Included(row_key), Bound::Included(row_key));
+        if let Some((row_handle, row)) = self.rows.range_mut::<[u8], _>(one_row).next() {
+            for (fam_idx, m) in muts {
+                bytes += m.weight(row_key.len());
+                let (qualifier, version) = match m {
+                    Mutation::Put {
+                        qualifier,
+                        value,
+                        timestamp,
+                        ..
+                    } => (
+                        qualifier,
+                        Version::Put(timestamp.unwrap_or(now), value.clone()),
+                    ),
+                    Mutation::Delete {
+                        qualifier,
+                        timestamp,
+                        ..
+                    } => (qualifier, Version::Tombstone(timestamp.unwrap_or(now))),
+                };
+                let columns = &mut row.families[fam_idx];
+                let stored = columns.get_mut(&qualifier[..]);
+                if stored
+                    .as_ref()
+                    .is_some_and(|stored| version.order_key() < stored.order_key())
+                {
+                    continue; // stale on arrival: the stored version is newer
+                }
+                if let Version::Tombstone(ts) = version {
+                    self.purge_queue.push(Reverse(DeadColumn {
+                        ts,
+                        row: row_handle.clone(),
+                        family: fam_idx,
+                        qualifier: qualifier.clone(),
+                    }));
+                }
+                let family = &family_names[fam_idx];
+                let now_visible = version.visible().is_some();
+                let new_weight = stored_weight(row_key, family, qualifier, &version);
+                let (was_visible, old_weight) = match stored {
+                    Some(stored) => {
+                        let old = std::mem::replace(stored, version);
+                        let old_weight = stored_weight(row_key, family, qualifier, &old);
+                        (old.visible().is_some(), old_weight)
+                    }
+                    None => {
+                        columns.insert(qualifier.clone(), version);
+                        (false, 0)
+                    }
+                };
+                self.kv_count = self.kv_count + u64::from(now_visible) - u64::from(was_visible);
+                self.byte_size = self.byte_size + new_weight - old_weight;
             }
-            bytes += m.weight(row_key.len());
         }
-        if row.is_empty() {
-            self.rows.remove(row_key);
-        }
-        self.byte_size += bytes;
         bytes
+    }
+
+    /// Physically removes every column whose newest version is a tombstone
+    /// more than [`TOMBSTONE_GRACE_TICKS`] older than `now`, and its row
+    /// once empty.
+    fn purge_tombstones(&mut self, now: u64, family_names: &[Arc<str>]) {
+        let expired = |dead: &DeadColumn| dead.ts.saturating_add(TOMBSTONE_GRACE_TICKS) < now;
+        while self
+            .purge_queue
+            .peek()
+            .is_some_and(|Reverse(head)| expired(head))
+        {
+            let Some(Reverse(dead)) = self.purge_queue.pop() else {
+                return;
+            };
+            let Some(row) = self.rows.get_mut(&dead.row) else {
+                continue;
+            };
+            let columns = &mut row.families[dead.family];
+            let tombstone = Version::Tombstone(dead.ts);
+            if columns.get(&dead.qualifier) != Some(&tombstone) {
+                continue; // overwritten since; a newer tombstone has its own entry
+            }
+            columns.remove(&dead.qualifier);
+            self.byte_size -= stored_weight(
+                &dead.row,
+                &family_names[dead.family],
+                &dead.qualifier,
+                &tombstone,
+            );
+            if row.is_empty() {
+                self.rows.remove(&dead.row);
+            }
+        }
     }
 
     /// Materializes the visible cells of one row, restricted to the given
@@ -247,10 +342,11 @@ impl Region {
             .map(|fam_idx| data.families[fam_idx].len())
             .sum();
         for fam_idx in selected(families, data.families.len()) {
-            for (qualifier, versions) in &data.families[fam_idx] {
-                // Every stored version is touched by the read path.
+            for (qualifier, version) in &data.families[fam_idx] {
+                // Every stored column is touched by the read path, a
+                // retained tombstone included.
                 cost.kvs_scanned += 1;
-                if let Some((ts, value)) = versions.visible() {
+                if let Some((ts, value)) = version.visible() {
                     let cell = Cell {
                         family: Arc::clone(&family_names[fam_idx]),
                         qualifier: qualifier.clone(),
@@ -313,7 +409,7 @@ impl Region {
             .range::<[u8], _>((Bound::Included(start), Bound::Unbounded));
         for (visited, (key, data)) in range.enumerate() {
             if let Some(stop) = stop {
-                if key.as_slice() >= stop {
+                if &key[..] >= stop {
                     return ScanBatch {
                         rows,
                         cost,
@@ -322,7 +418,7 @@ impl Region {
                 }
             }
             if visited == max_rows {
-                resume_key = Some(key.clone());
+                resume_key = Some(key.to_vec());
                 break;
             }
             let (row, c) = Self::materialize(key, data, family_names, families);
@@ -343,8 +439,8 @@ impl Region {
     }
 
     /// Row keys in ascending order (rebalancing support).
-    pub(crate) fn row_keys(&self) -> impl Iterator<Item = &Vec<u8>> {
-        self.rows.keys()
+    pub(crate) fn row_keys(&self) -> impl Iterator<Item = &[u8]> {
+        self.rows.keys().map(|k| &k[..])
     }
 
     /// The median row key, used as an auto-split point. `None` if the
@@ -353,37 +449,43 @@ impl Region {
         if self.rows.len() < 2 {
             return None;
         }
-        self.rows.keys().nth(self.rows.len() / 2).cloned()
+        self.row_keys().nth(self.rows.len() / 2).map(<[u8]>::to_vec)
+    }
+
+    /// Live KV count and stored bytes by a full walk: what the
+    /// incrementally maintained `kv_count` and `byte_size` must equal.
+    pub(crate) fn recount(&self, family_names: &[Arc<str>]) -> (u64, u64) {
+        let mut kvs = 0u64;
+        let mut bytes = 0u64;
+        for (key, data) in &self.rows {
+            for (family, columns) in family_names.iter().zip(&data.families) {
+                for (qualifier, version) in columns {
+                    kvs += u64::from(version.visible().is_some());
+                    bytes += stored_weight(key, family, qualifier, version);
+                }
+            }
+        }
+        (kvs, bytes)
     }
 
     /// Splits off rows `>= split_key` into a new region hosted on `node`.
-    pub(crate) fn split_off(&mut self, split_key: &[u8], node: usize) -> Region {
-        let upper = self.rows.split_off(split_key);
-        let mut new_region = Region::new(split_key.to_vec(), node);
-        new_region.rows = upper;
+    pub(crate) fn split_off(
+        &mut self,
+        split_key: &[u8],
+        node: usize,
+        family_names: &[Arc<str>],
+    ) -> Region {
+        let mut upper = Region::new(split_key.to_vec(), node);
+        upper.rows = self.rows.split_off(split_key);
+        let (moved, kept) = std::mem::take(&mut self.purge_queue)
+            .into_iter()
+            .partition(|Reverse(dead)| &dead.row[..] >= split_key);
+        upper.purge_queue = moved;
+        self.purge_queue = kept;
         // Recompute accounting on both sides (splits are rare).
-        let recount = |rows: &BTreeMap<Vec<u8>, RowData>| -> (u64, u64) {
-            let mut kvs = 0u64;
-            let mut bytes = 0u64;
-            for (key, data) in rows {
-                for fam in &data.families {
-                    for (q, versions) in fam {
-                        if let Some((_, v)) = versions.visible() {
-                            kvs += 1;
-                            bytes += (key.len() + q.len() + 8 + v.len()) as u64;
-                        }
-                    }
-                }
-            }
-            (kvs, bytes)
-        };
-        let (kvs, bytes) = recount(&self.rows);
-        self.kv_count = kvs;
-        self.byte_size = bytes;
-        let (kvs, bytes) = recount(&new_region.rows);
-        new_region.kv_count = kvs;
-        new_region.byte_size = bytes;
-        new_region
+        (self.kv_count, self.byte_size) = self.recount(family_names);
+        (upper.kv_count, upper.byte_size) = upper.recount(family_names);
+        upper
     }
 }
 
@@ -397,7 +499,7 @@ mod tests {
 
     fn put(region: &mut Region, key: &[u8], fam: usize, q: &[u8], v: &[u8], ts: u64) {
         let m = Mutation::put_at(if fam == 0 { "a" } else { "b" }, q, v.to_vec(), ts);
-        region.mutate_row(key, &[(fam, &m)], 0, 2);
+        region.mutate_row(key, [(fam, &m)], 0, &fams());
     }
 
     #[test]
@@ -425,7 +527,7 @@ mod tests {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"k", 0, b"q", b"v", 5);
         let d = Mutation::delete_at("a", b"q", 5);
-        r.mutate_row(b"k", &[(0, &d)], 0, 2);
+        r.mutate_row(b"k", [(0, &d)], 0, &fams());
         let (row, _) = r.get(b"k", &fams(), None);
         assert!(row.is_none(), "equal-timestamp delete shadows the put");
         assert_eq!(r.kv_count(), 0);
@@ -436,7 +538,7 @@ mod tests {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"k", 0, b"q", b"v1", 1);
         let d = Mutation::delete_at("a", b"q", 2);
-        r.mutate_row(b"k", &[(0, &d)], 0, 2);
+        r.mutate_row(b"k", [(0, &d)], 0, &fams());
         put(&mut r, b"k", 0, b"q", b"v2", 3);
         let (row, _) = r.get(b"k", &fams(), None);
         assert_eq!(row.unwrap().value("a", b"q").unwrap().as_ref(), b"v2");
@@ -493,7 +595,7 @@ mod tests {
         // invisible, so the row is still not returned.
         put(&mut r, &[2], 1, b"dead", b"vv", 1);
         let tombstone = Mutation::delete_at("b", b"dead", 2);
-        r.mutate_row(&[2], &[(1, &tombstone)], 0, 2);
+        r.mutate_row(&[2], [(1, &tombstone)], 0, &fams());
 
         let batch = r.scan_batch(&[0], None, &fams(), Some(&[1]), None, 4);
         let keys: Vec<u8> = batch.rows.iter().map(|row| row.key[0]).collect();
@@ -556,11 +658,254 @@ mod tests {
             put(&mut r, &[i], 0, b"q", b"v", 1);
         }
         let split = r.split_point().unwrap();
-        let upper = r.split_off(&split, 1);
+        let upper = r.split_off(&split, 1, &fams());
         assert_eq!(r.row_count() + upper.row_count(), 10);
-        assert!(r.rows.keys().all(|k| k.as_slice() < split.as_slice()));
-        assert!(upper.rows.keys().all(|k| k.as_slice() >= split.as_slice()));
+        assert!(r.row_keys().all(|k| k < split.as_slice()));
+        assert!(upper.row_keys().all(|k| k >= split.as_slice()));
         assert_eq!(upper.node(), 1);
         assert_eq!(r.kv_count() + upper.kv_count(), 10);
+    }
+
+    /// Applies `m` (family `a`) to `key` with the cluster clock at `now`.
+    fn apply(region: &mut Region, key: &[u8], m: &Mutation, now: u64) {
+        region.mutate_row(key, [(0, m)], now, &fams());
+    }
+
+    fn value_of(region: &Region, key: &[u8]) -> Option<Vec<u8>> {
+        let (row, _) = region.get(key, &fams(), None);
+        row.and_then(|r| r.value("a", b"q").map(|v| v.to_vec()))
+    }
+
+    fn assert_accounting_matches_a_recount(region: &Region) {
+        assert_eq!(
+            (region.kv_count(), region.byte_size()),
+            region.recount(&fams())
+        );
+    }
+
+    #[test]
+    fn stale_writes_are_dropped_on_arrival() {
+        let mut r = Region::new(vec![], 0);
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"newest".to_vec(), 10),
+            10,
+        );
+        let stored = r.byte_size();
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"stale".to_vec(), 3),
+            11,
+        );
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 9), 12);
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"newest"[..]));
+        assert_eq!(r.byte_size(), stored, "nothing stale is kept");
+        let (_, cost) = r.get(b"k", &fams(), None);
+        assert_eq!(cost.kvs_scanned, 1, "one stored version, one KV read");
+        assert!(
+            r.purge_queue.is_empty(),
+            "a dropped tombstone is not queued"
+        );
+    }
+
+    #[test]
+    fn overwrite_and_delete_keep_byte_size_equal_to_a_recount() {
+        let mut r = Region::new(vec![], 0);
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", vec![0; 100], 1),
+            1,
+        );
+        let long = r.byte_size();
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", vec![0; 10], 2),
+            2,
+        );
+        assert_eq!(r.byte_size(), long - 90, "an overwrite replaces the bytes");
+        assert_accounting_matches_a_recount(&r);
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 3), 3);
+        assert_eq!(
+            r.byte_size(),
+            long - 100,
+            "a retained tombstone has no value"
+        );
+        assert_eq!(r.kv_count(), 0);
+        assert_accounting_matches_a_recount(&r);
+    }
+
+    /// §6's race: a delete's index tombstone lands before the index put
+    /// of the older insert it races with. Inside the grace window the
+    /// tombstone masks the late put, at an older and at an equal
+    /// timestamp, exactly as when every version was kept.
+    #[test]
+    fn tombstone_masks_late_and_equal_puts_inside_the_window() {
+        let mut r = Region::new(vec![], 0);
+        let ts = 5000;
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
+        let late = ts + TOMBSTONE_GRACE_TICKS; // the window's last tick
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"older".to_vec(), ts - 1),
+            late,
+        );
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"equal".to_vec(), ts),
+            late,
+        );
+        assert_eq!(value_of(&r, b"k"), None, "both puts stay masked");
+        assert_eq!(r.kv_count(), 0);
+        assert_eq!(r.row_count(), 1, "the tombstone is still stored");
+        let (_, cost) = r.get(b"k", &fams(), None);
+        assert_eq!(cost.kvs_scanned, 1, "and still touched and billed");
+        // A newer put wins, as always.
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"newer".to_vec(), ts + 1),
+            late,
+        );
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"newer"[..]));
+        assert_accounting_matches_a_recount(&r);
+    }
+
+    /// The documented limit: past the window the tombstone is gone, and a
+    /// put older than it becomes visible — HBase after a major compaction
+    /// has dropped the delete marker.
+    #[test]
+    fn a_put_delayed_past_the_window_resurfaces() {
+        let mut r = Region::new(vec![], 0);
+        let ts = 5000;
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
+        let past = ts + TOMBSTONE_GRACE_TICKS + 1;
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"older".to_vec(), ts - 1),
+            past,
+        );
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"older"[..]));
+        assert_accounting_matches_a_recount(&r);
+    }
+
+    #[test]
+    fn expired_tombstones_and_their_rows_are_removed_by_the_next_write() {
+        let mut r = Region::new(vec![], 0);
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+            1,
+        );
+        let before = (r.row_count(), r.kv_count(), r.byte_size());
+        for i in 0..10u8 {
+            let ts = 10 + u64::from(i);
+            apply(
+                &mut r,
+                &[b'k', i],
+                &Mutation::put_at("a", b"q", b"v".to_vec(), ts),
+                ts,
+            );
+        }
+        for i in 0..10u8 {
+            let ts = 20 + u64::from(i);
+            apply(&mut r, &[b'k', i], &Mutation::delete_at("a", b"q", ts), ts);
+        }
+        assert_eq!(r.row_count(), 11, "dead rows are stored inside the window");
+        assert_eq!(r.kv_count(), 1);
+        assert_accounting_matches_a_recount(&r);
+        // A write while the youngest tombstone is inside the window purges
+        // only the older ones.
+        let now = 25 + TOMBSTONE_GRACE_TICKS;
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+            now,
+        );
+        assert_eq!(r.row_count(), 1 + 5, "tombstones at 25..=29 remain");
+        assert_accounting_matches_a_recount(&r);
+        let now = 30 + TOMBSTONE_GRACE_TICKS;
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+            now,
+        );
+        assert_eq!((r.row_count(), r.kv_count(), r.byte_size()), before);
+        assert!(r.purge_queue.is_empty());
+        let scan = r.scan_batch(b"", None, &fams(), None, None, 100);
+        assert_eq!(
+            scan.cost.kvs_scanned, 1,
+            "a scan pays for the live cell only"
+        );
+    }
+
+    #[test]
+    fn a_tombstone_overwritten_by_a_put_is_not_purged_with_it() {
+        let mut r = Region::new(vec![], 0);
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 10), 10);
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), 11),
+            11,
+        );
+        let now = 12 + TOMBSTONE_GRACE_TICKS;
+        apply(
+            &mut r,
+            b"other",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+            now,
+        );
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"v"[..]));
+        assert!(r.purge_queue.is_empty(), "the stale entry was skipped");
+        assert_accounting_matches_a_recount(&r);
+    }
+
+    #[test]
+    fn split_recounts_stored_bytes_and_moves_pending_purges_with_their_rows() {
+        let mut r = Region::new(vec![], 0);
+        for i in 0..10u8 {
+            put(&mut r, &[i], 0, b"q", b"vv", 1);
+        }
+        // One dead row on each side of the split.
+        for i in [1u8, 8] {
+            apply(&mut r, &[i], &Mutation::delete_at("a", b"q", 2), 2);
+        }
+        let (kvs, bytes) = (r.kv_count(), r.byte_size());
+        let mut upper = r.split_off(&[5], 1, &fams());
+        assert_eq!(r.kv_count() + upper.kv_count(), kvs);
+        assert_eq!(
+            r.byte_size() + upper.byte_size(),
+            bytes,
+            "no history in the sum"
+        );
+        assert_accounting_matches_a_recount(&r);
+        assert_accounting_matches_a_recount(&upper);
+        // Each half purges its own dead row.
+        let now = 3 + TOMBSTONE_GRACE_TICKS;
+        apply(
+            &mut r,
+            &[0],
+            &Mutation::put_at("a", b"q", b"vv".to_vec(), now),
+            now,
+        );
+        apply(
+            &mut upper,
+            &[9],
+            &Mutation::put_at("a", b"q", b"vv".to_vec(), now),
+            now,
+        );
+        assert_eq!((r.row_count(), upper.row_count()), (4, 4));
+        assert_accounting_matches_a_recount(&r);
+        assert_accounting_matches_a_recount(&upper);
     }
 }

@@ -1,0 +1,175 @@
+//! Reference model for [`crate::region::Region`]'s retention rule, and the
+//! property test that holds the region to it.
+//!
+//! The model is the store as it was before version GC: every put and every
+//! tombstone is kept, per column, in a vector sorted newest-first, and a
+//! read touches (and bills) every column that ever received a write. The
+//! region must return the same rows and count the same live KVs while
+//! never billing more — as long as no write arrives carrying a timestamp
+//! older than a tombstone that has outlived its grace window, which is the
+//! one case the region documents as diverging.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use crate::cell::Mutation;
+use crate::region::{Region, TOMBSTONE_GRACE_TICKS};
+
+const FAMILIES: [&str; 2] = ["a", "b"];
+
+/// `(timestamp, value)`; `None` is a tombstone.
+type Version = (u64, Option<Vec<u8>>);
+
+/// All versions of one column, newest first; at equal timestamps a
+/// tombstone sorts before (shadows) a put.
+#[derive(Default)]
+struct Versions(Vec<Version>);
+
+impl Versions {
+    fn order_key(v: &Version) -> (u64, bool) {
+        (v.0, v.1.is_none())
+    }
+
+    fn insert(&mut self, v: Version) {
+        let key = Self::order_key(&v);
+        let pos = self
+            .0
+            .binary_search_by(|e| key.cmp(&Self::order_key(e)))
+            .unwrap_or_else(|p| p);
+        self.0.insert(pos, v);
+    }
+
+    fn visible(&self) -> Option<(u64, &[u8])> {
+        match self.0.first() {
+            Some((ts, Some(value))) => Some((*ts, value)),
+            _ => None,
+        }
+    }
+}
+
+/// A visible cell: `(family, qualifier, timestamp, value)`.
+type ModelCell = (usize, Vec<u8>, u64, Vec<u8>);
+
+#[derive(Default)]
+struct ReferenceRegion {
+    rows: BTreeMap<Vec<u8>, [BTreeMap<Vec<u8>, Versions>; 2]>,
+}
+
+impl ReferenceRegion {
+    fn mutate(&mut self, key: &[u8], family: usize, qualifier: &[u8], version: Version) {
+        self.rows.entry(key.to_vec()).or_default()[family]
+            .entry(qualifier.to_vec())
+            .or_default()
+            .insert(version);
+    }
+
+    /// The visible cells of `key` in `families`, and the columns touched.
+    fn read(&self, key: &[u8], families: &[usize]) -> (Vec<ModelCell>, u64) {
+        let mut cells = Vec::new();
+        let mut touched = 0;
+        for &family in families {
+            let columns = self.rows.get(key).map(|row| &row[family]);
+            for (qualifier, versions) in columns.into_iter().flatten() {
+                touched += 1;
+                if let Some((ts, value)) = versions.visible() {
+                    cells.push((family, qualifier.clone(), ts, value.to_vec()));
+                }
+            }
+        }
+        (cells, touched)
+    }
+
+    fn kv_count(&self) -> u64 {
+        let columns = self.rows.values().flatten().flat_map(BTreeMap::values);
+        columns.filter(|v| v.visible().is_some()).count() as u64
+    }
+}
+
+fn family_names() -> Vec<Arc<str>> {
+    FAMILIES.iter().map(|f| Arc::from(*f)).collect()
+}
+
+fn cells_of(row: &crate::row::RowResult) -> Vec<ModelCell> {
+    row.cells
+        .iter()
+        .map(|c| {
+            let family = FAMILIES.iter().position(|f| **f == *c.family);
+            (
+                family.unwrap_or(usize::MAX),
+                c.qualifier.to_vec(),
+                c.timestamp,
+                c.value.to_vec(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random puts and deletes, clock-stamped or pinned a little into the
+    /// past, with the clock now and then jumping a whole grace window (so
+    /// purges happen): `get`, `scan_batch` and `kv_count` agree with the
+    /// keep-everything model after every step, the maintained accounting
+    /// equals a recount, and no read bills more than the model's.
+    ///
+    /// Two puts to one column at one timestamp carry one value here, as
+    /// under §6 (one timestamp per logical write); which of two different
+    /// values would win is unspecified in HBase and in the model alike.
+    #[test]
+    fn region_matches_the_keep_everything_model(ops in prop::collection::vec(
+        (0u8..5, 0usize..2, 0u8..3, 0u8..3, 0u64..40, 0u16..1000), 1..150)) {
+        let names = family_names();
+        let mut region = Region::new(Vec::new(), 0);
+        let mut model = ReferenceRegion::default();
+        let mut now = 2 * TOMBSTONE_GRACE_TICKS;
+
+        for (row, family, qualifier, kind, lag, step) in ops {
+            // Mostly a few ticks; one step in fifty crosses the window.
+            now += if step < 20 { TOMBSTONE_GRACE_TICKS + 50 } else { 1 + u64::from(step % 3) };
+            let key = [b'r', row];
+            let qualifier = [b'q', qualifier];
+            // Pinned timestamps lag by less than the window, so none is
+            // older than a tombstone the region has already dropped.
+            let pinned = (lag < 20).then(|| now - lag);
+            let ts = pinned.unwrap_or(now);
+            let value = vec![ts as u8, row, qualifier[1]];
+            let name = FAMILIES[family];
+            let (mutation, version) = match (kind, pinned) {
+                (2, Some(at)) => (Mutation::delete_at(name, &qualifier, at), (ts, None)),
+                (2, None) => (Mutation::delete(name, &qualifier), (ts, None)),
+                (_, Some(at)) => (
+                    Mutation::put_at(name, &qualifier, value.clone(), at),
+                    (ts, Some(value)),
+                ),
+                (_, None) => (Mutation::put(name, &qualifier, value.clone()), (ts, Some(value))),
+            };
+            region.mutate_row(&key, [(family, &mutation)], now, &names);
+            model.mutate(&key, family, &qualifier, version);
+
+            prop_assert_eq!(region.kv_count(), model.kv_count());
+            prop_assert_eq!((region.kv_count(), region.byte_size()), region.recount(&names));
+            for projection in [vec![0, 1], vec![0], vec![1]] {
+                let mut scanned = Vec::new();
+                let scan = region.scan_batch(b"", None, &names, Some(&projection), None, 100);
+                let mut model_touched = 0;
+                for r in 0u8..5 {
+                    let key = [b'r', r];
+                    let (want, touched) = model.read(&key, &projection);
+                    model_touched += touched;
+                    let (got, cost) = region.get(&key, &names, Some(&projection));
+                    prop_assert_eq!(got.as_ref().map(cells_of).unwrap_or_default(), want.clone());
+                    prop_assert!(cost.kvs_scanned <= touched);
+                    if !want.is_empty() {
+                        scanned.push((key.to_vec(), want));
+                    }
+                }
+                let got: Vec<_> = scan.rows.iter().map(|r| (r.key.clone(), cells_of(r))).collect();
+                prop_assert_eq!(got, scanned);
+                prop_assert!(scan.cost.kvs_scanned <= model_touched);
+            }
+        }
+    }
+}

@@ -179,7 +179,8 @@ impl Table {
         infos
     }
 
-    /// Total approximate stored bytes (the index-size experiment metric).
+    /// Total stored bytes — live cells plus tombstones still inside their
+    /// grace window (the index-size experiment metric).
     pub fn disk_size(&self) -> u64 {
         self.regions
             .read()
@@ -217,15 +218,19 @@ impl Table {
         if key.is_empty() {
             return Err(StoreError::InvalidArgument("empty row key"));
         }
-        let resolved: Vec<(usize, &Mutation)> = muts
+        // All or nothing: an unknown family fails the call before any
+        // mutation is applied, so the second resolution below cannot miss.
+        for m in muts {
+            self.family_index(m.family())?;
+        }
+        let resolved = muts
             .iter()
-            .map(|m| self.family_index(m.family()).map(|i| (i, m)))
-            .collect::<Result<Vec<_>>>()?;
+            .filter_map(|m| Some((self.family_index(m.family()).ok()?, m)));
         let (bytes, node, needs_split) = {
             let regions = self.regions.read();
             let idx = Self::region_index(&regions, key);
             let mut region = regions[idx].write();
-            let bytes = region.mutate_row(key, &resolved, default_ts, self.families.len());
+            let bytes = region.mutate_row(key, resolved, default_ts, &self.families);
             let needs_split = region.row_count() > self.split_threshold.load(Ordering::Relaxed);
             (bytes, region.node(), needs_split)
         };
@@ -267,7 +272,7 @@ impl Table {
                 idx += 1;
             }
             if let Some(key) = regions[idx].read().row_keys().nth(offset) {
-                split_keys.push(key.clone());
+                split_keys.push(key.to_vec());
             }
         }
         split_keys.sort();
@@ -278,7 +283,9 @@ impl Table {
                 continue; // already a boundary
             }
             let node = self.next_node.fetch_add(1, Ordering::Relaxed) % self.num_nodes;
-            let new_region = regions[idx].write().split_off(&split_key, node);
+            let new_region = regions[idx]
+                .write()
+                .split_off(&split_key, node, &self.families);
             regions.insert(idx + 1, RwLock::new(new_region));
         }
     }
@@ -296,7 +303,9 @@ impl Table {
         };
         let Some(split_key) = split else { return };
         let node = self.next_node.fetch_add(1, Ordering::Relaxed) % self.num_nodes;
-        let new_region = regions[idx].write().split_off(&split_key, node);
+        let new_region = regions[idx]
+            .write()
+            .split_off(&split_key, node, &self.families);
         regions.insert(idx + 1, RwLock::new(new_region));
     }
 
@@ -557,5 +566,90 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.debug_all_rows().len(), 6);
+    }
+
+    /// `disk_size` (the §7 index-size metric) and `row_count` (the
+    /// auto-split trigger) describe what is stored, not what was ever
+    /// written: deleted rows leave no trace once their tombstones' grace
+    /// window has passed.
+    #[test]
+    fn deleted_rows_leave_no_trace_in_the_accounting_past_the_window() {
+        use crate::region::TOMBSTONE_GRACE_TICKS;
+        let t = table();
+        let scan_kvs = |t: &Table| t.scan_batch(&[], None, None, None, 1000).unwrap().cost;
+        let anchor = || [Mutation::put("cf", b"q", b"v".to_vec())];
+        t.mutate_row(b"anchor", &anchor(), 1).unwrap();
+        let before = (
+            t.row_count(),
+            t.kv_count(),
+            t.disk_size(),
+            scan_kvs(&t).kvs_scanned,
+        );
+
+        let mut now = 1;
+        for i in 0..50u32 {
+            now += 1;
+            let put = [Mutation::put("cf", b"q", vec![0u8; 20])];
+            t.mutate_row(&i.to_be_bytes(), &put, now).unwrap();
+        }
+        for i in 0..50u32 {
+            now += 1;
+            let delete = [Mutation::delete("cf", b"q")];
+            t.mutate_row(&i.to_be_bytes(), &delete, now).unwrap();
+        }
+        assert_eq!(t.kv_count(), 1);
+        assert_eq!(
+            t.row_count(),
+            51,
+            "inside the window the dead rows are stored"
+        );
+        assert!(t.disk_size() > before.2, "and so are their tombstones");
+        assert_eq!(
+            scan_kvs(&t).kvs_scanned,
+            51,
+            "which a scan touches and bills"
+        );
+
+        // The clock moves past the last tombstone's window; the next write
+        // to the region (an overwrite, itself size-neutral) collects them.
+        now += TOMBSTONE_GRACE_TICKS + 1;
+        t.mutate_row(b"anchor", &anchor(), now).unwrap();
+        let after = (
+            t.row_count(),
+            t.kv_count(),
+            t.disk_size(),
+            scan_kvs(&t).kvs_scanned,
+        );
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn disk_size_does_not_depend_on_whether_a_split_happened() {
+        let load = |t: &Table| {
+            for i in 0..40u32 {
+                let put = [Mutation::put("cf", b"q", vec![0u8; 20])];
+                t.mutate_row(&i.to_be_bytes(), &put, u64::from(i) + 1)
+                    .unwrap();
+                // Overwrite and delete some: history the size must forget.
+                if i % 4 == 0 {
+                    let put = [Mutation::put("cf", b"q", vec![0u8; 5])];
+                    t.mutate_row(&i.to_be_bytes(), &put, u64::from(i) + 100)
+                        .unwrap();
+                }
+                if i % 5 == 0 {
+                    let delete = [Mutation::delete("cf", b"q")];
+                    t.mutate_row(&i.to_be_bytes(), &delete, u64::from(i) + 200)
+                        .unwrap();
+                }
+            }
+        };
+        let (whole, split) = (table(), table());
+        load(&whole);
+        load(&split);
+        split.rebalance(4);
+        assert_eq!(split.region_count(), 4);
+        assert_eq!(split.disk_size(), whole.disk_size());
+        assert_eq!(split.kv_count(), whole.kv_count());
+        assert_eq!(split.row_count(), whole.row_count());
     }
 }

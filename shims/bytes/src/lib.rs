@@ -126,8 +126,11 @@ impl fmt::Debug for Bytes {
 }
 
 impl FromIterator<u8> for Bytes {
+    /// One allocation when the iterator reports an exact length (slices,
+    /// arrays, `once`, and chains of them), as the standard library's
+    /// `Arc<[T]>` collection does.
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Self::from(iter.into_iter().collect::<Vec<u8>>())
+        Self(iter.into_iter().collect())
     }
 }
 

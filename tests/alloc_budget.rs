@@ -9,16 +9,24 @@
 //! load. Counts are per thread, so the other tests of this binary running
 //! beside a measured region do not disturb it (every measured call runs
 //! on the calling thread).
+//!
+//! The maintained write path has a budget of the same kind: the store
+//! frees what a delete kills (after the tombstones' grace window), so a
+//! round of inserts and deletes allocates the same however many rounds
+//! came before it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rankjoin::core::bfhm::maintenance::{compact_if_pending, BfhmMaintainer};
 use rankjoin::core::cursor::{CursorState, RankedCursor};
-use rankjoin::core::isl;
+use rankjoin::core::{bfhm, isl};
+use rankjoin::sketch::blob::BlobCodec;
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
-    Algorithm, Cluster, CostModel, IslConfig, JoinEdge, JoinSide, JoinSpec, MultiwayConfig,
-    Mutation, RankJoinExecutor, RankJoinQuery, Scan, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
+    Algorithm, BfhmConfig, Cluster, CostModel, IslConfig, JoinEdge, JoinSide, JoinSpec,
+    MaintainedSide, MultiwayConfig, Mutation, RankJoinExecutor, RankJoinQuery, Scan, ScoreFn,
+    SideAccess, SpecExecutor, StopPolicy, WriteBackPolicy,
 };
 
 thread_local! {
@@ -326,4 +334,45 @@ fn three_way_paged_session_costs_one_shot_plus_its_pages() {
         paged_allocs <= one_shot_allocs + pages * per_page,
         "paged {paged_allocs} vs one-shot {one_shot_allocs} over {pages} pages"
     );
+}
+
+#[test]
+fn maintained_write_round_cost_does_not_depend_on_rounds_before_it() {
+    let [_, q2] = queries();
+    let (cluster, mut ex) = prepared(&q2);
+    ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    ex.write_back = WriteBackPolicy::Eager;
+    let index = bfhm::index_table_name(&q2);
+    let lineitems = MaintainedSide::new(&cluster, q2.right.clone())
+        .with_isl(&isl::index_table_name(&q2))
+        .with_bfhm(BfhmMaintainer::attach(&cluster, &index, "L2").unwrap());
+    // The same 120 keys every round (about 1 200 clock ticks, so each
+    // round outlasts the previous one's tombstones): a re-insert pays for
+    // the row and qualifiers the delete freed, and for nothing older.
+    let rows: Vec<(Vec<u8>, [u8; 8], f64)> = (0..120u32)
+        .map(|i| {
+            let order = u64::from(1 + (i * 7) % 200);
+            (
+                loader::rowkeys::lineitem(order, 1000),
+                rankjoin::store::keys::encode_u64(order),
+                0.05 + 0.9 * f64::from(i) / 120.0,
+            )
+        })
+        .collect();
+    let mut per_round = Vec::new();
+    for _ in 0..20 {
+        let ((), allocs) = counted(|| {
+            for (key, join, score) in &rows {
+                lineitems.insert(key, join, *score, vec![]).unwrap();
+            }
+            for (key, ..) in &rows {
+                lineitems.delete(key).unwrap();
+            }
+        });
+        per_round.push(allocs);
+        // Uncounted: the reads and the sweep that consume the records.
+        ex.execute(Algorithm::Bfhm).unwrap();
+        compact_if_pending(&cluster, &index, "L2", BlobCodec::Golomb, 1).unwrap();
+    }
+    assert_eq!(per_round[19], per_round[1], "per round: {per_round:?}");
 }

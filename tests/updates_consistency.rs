@@ -8,7 +8,7 @@ use rankjoin::sketch::blob::BlobCodec;
 use rankjoin::tpch::{generate_update_set, loader, TpchConfig};
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, JoinSide, MaintainedSide, RankJoinExecutor,
-    RankJoinQuery, ScoreFn, WriteBackPolicy,
+    RankJoinQuery, Scan, ScoreFn, WriteBackPolicy,
 };
 
 const SF: f64 = 0.0006;
@@ -169,4 +169,59 @@ fn eager_write_back_overhead_is_bounded() {
         outcome.metrics.sim_seconds,
         clean_time
     );
+}
+
+/// Columns stored in `table` — live cells and retained tombstones alike:
+/// what a full scan touches and bills.
+fn stored_columns(cluster: &Cluster, table: &str) -> u64 {
+    let before = cluster.metrics().snapshot();
+    let rows = cluster.client().scan(table, Scan::new()).unwrap().count();
+    assert!(rows > 0);
+    cluster.metrics().snapshot().delta_since(&before).kv_reads
+}
+
+/// Update rounds are exchangeable: a round of maintained inserts, the
+/// deletion of the previous round's rows and one eager BFHM read costs
+/// the same KV reads late in a stream as early, and — the offline sweep
+/// compacting the buckets no read fetched — the index stores no more. Before the store dropped consumed records and expired tombstones,
+/// every record ever written was re-scanned — and charged — by each later
+/// read of its bucket, so a read's cost grew with the stream's length.
+#[test]
+fn update_rounds_are_exchangeable() {
+    const ROUNDS: u32 = 9;
+    const PER_ROUND: u32 = 100;
+    let mut s = setup();
+    s.ex.write_back = WriteBackPolicy::Eager;
+    let query = q2(15);
+    let index = bfhm::index_table_name(&query);
+    // The same join values and scores every round, under fresh row keys.
+    let row = |round: u32, i: u32| {
+        let order = u64::from(1 + (i * 7) % 200);
+        let score = 0.05 + 0.9 * f64::from(i) / f64::from(PER_ROUND);
+        (loader::rowkeys::lineitem(order, 1000 + round), order, score)
+    };
+    let (mut reads, mut stored) = (Vec::new(), Vec::new());
+    for round in 0..ROUNDS {
+        for i in 0..PER_ROUND {
+            let (key, order, score) = row(round, i);
+            let join = rankjoin::store::keys::encode_u64(order);
+            s.lineitems.insert(&key, &join, score, vec![]).unwrap();
+        }
+        for i in 0..PER_ROUND {
+            if let Some(previous) = round.checked_sub(1) {
+                s.lineitems.delete(&row(previous, i).0).unwrap();
+            }
+        }
+        let want = oracle::topk(&s.cluster, &query).unwrap();
+        let got = s.ex.execute(Algorithm::Bfhm).unwrap();
+        assert_eq!(got.results, want, "round {round}");
+        reads.push(got.metrics.kv_reads);
+        // The read wrote back the buckets it fetched; the offline sweep
+        // owns the rest.
+        compact_if_pending(&s.cluster, &index, "L2", BlobCodec::Golomb, 1).unwrap();
+        stored.push(stored_columns(&s.cluster, &index));
+    }
+    let last = ROUNDS as usize - 1;
+    assert_eq!(reads[last], reads[2], "KV reads per round: {reads:?}");
+    assert_eq!(stored[last], stored[2], "stored columns: {stored:?}");
 }
