@@ -47,12 +47,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "thread-discipline",
         summary: "no `thread::spawn`/`thread::scope`/`thread::Builder` outside the execution core — all concurrency goes through the work-stealing pool so admission control and the 1-vs-N thread matrix stay meaningful",
-        scope: "library sources except crates/store/src/{pool,parallel}.rs, crates/mapreduce, shims",
+        scope: "library sources except crates/store/src/pool.rs and shims",
     },
     RuleInfo {
         id: "sim-time",
         summary: "no `Instant::now`/`SystemTime` in simulated-metrics paths — modelled time must be derived from the cost model only, never the host clock",
-        scope: "crates/{store,core,serve,sketch,tpch,mapreduce}/src and src/",
+        scope: "crates/{store,core,serve,sketch,tpch,mapreduce,bench}/src and src/",
     },
     RuleInfo {
         id: "suppression-contract",
@@ -183,8 +183,8 @@ pub struct FileScope {
     pub no_unwrap_scope: bool,
     /// Subject to `sim-time` (simulated-metrics crates).
     pub sim_time_scope: bool,
-    /// Exempt from `thread-discipline` (the execution core itself, the
-    /// mapreduce engine's scoped workers, and the vendored shims).
+    /// Exempt from `thread-discipline` (the pool itself and the vendored
+    /// shims).
     pub thread_allowlisted: bool,
     /// Vendored stand-in for an external crate.
     pub is_shim: bool,
@@ -210,11 +210,9 @@ impl FileScope {
                 || p.starts_with("crates/sketch/")
                 || p.starts_with("crates/tpch/")
                 || p.starts_with("crates/mapreduce/")
+                || p.starts_with("crates/bench/")
                 || p.starts_with("src/"));
-        let thread_allowlisted = is_shim
-            || p == "crates/store/src/pool.rs"
-            || p == "crates/store/src/parallel.rs"
-            || p.starts_with("crates/mapreduce/");
+        let thread_allowlisted = is_shim || p == "crates/store/src/pool.rs";
         FileScope {
             is_library_src,
             no_unwrap_scope,
@@ -350,7 +348,7 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
                     "thread-discipline",
                     line,
                     format!(
-                        "`{pat}` outside the pool/parallel/mapreduce allowlist — submit to `rj_store::pool::WorkStealingPool` instead"
+                        "`{pat}` outside `crates/store/src/pool.rs` — submit to `rj_store::pool::WorkStealingPool` instead"
                     ),
                 );
             }

@@ -40,7 +40,7 @@ use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 
-use crate::report::{json_escape, Table};
+use crate::report::{Json, Table};
 
 /// Result size every lane queries for.
 pub const K: usize = 10;
@@ -136,34 +136,32 @@ impl AdaptiveReport {
 
     /// Machine-readable JSON (the `BENCH_adaptive.json` artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"adaptive\",\n");
-        out.push_str(&format!(
-            "  \"rows_per_side\": {}, \"k\": {K}, \"no_lie_switches\": {}, \
-             \"lie_switches\": {}, \"lie_speedup\": {:.4},\n  \"cells\": [\n",
-            self.rows_per_side, self.no_lie_switches, self.lie_switches, self.lie_speedup
-        ));
-        let cells: Vec<String> = self
+        let cells = self
             .cells
             .iter()
             .map(|c| {
-                format!(
-                    "    {{\"workload\": \"{}\", \"lane\": \"{}\", \"algorithm\": \"{}\", \
-                     \"turnaround\": {:.6}, \"kv_reads\": {}, \"switched\": {}, \
-                     \"wasted_reads\": {}, \"divergence\": {:.4}}}",
-                    json_escape(c.workload),
-                    json_escape(c.lane),
-                    json_escape(&c.algorithm),
-                    c.turnaround,
-                    c.kv_reads,
-                    c.switched,
-                    c.wasted_reads,
-                    c.divergence
-                )
+                Json::Obj(vec![
+                    ("workload", c.workload.into()),
+                    ("lane", c.lane.into()),
+                    ("algorithm", c.algorithm.as_str().into()),
+                    ("turnaround", Json::fixed(c.turnaround, 6)),
+                    ("kv_reads", c.kv_reads.into()),
+                    ("switched", c.switched.into()),
+                    ("wasted_reads", c.wasted_reads.into()),
+                    ("divergence", Json::fixed(c.divergence, 4)),
+                ])
             })
             .collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        Json::Obj(vec![
+            ("experiment", "adaptive".into()),
+            ("rows_per_side", self.rows_per_side.into()),
+            ("k", K.into()),
+            ("no_lie_switches", self.no_lie_switches.into()),
+            ("lie_switches", self.lie_switches.into()),
+            ("lie_speedup", Json::fixed(self.lie_speedup, 4)),
+            ("cells", Json::Arr(cells)),
+        ])
+        .render()
     }
 }
 

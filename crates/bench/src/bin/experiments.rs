@@ -22,9 +22,6 @@
 //!   adaptive    mid-query adaptive re-planning: abort-and-switch vs
 //!               never-switch vs hindsight-oracle lanes, with and without
 //!               a planted histogram lie
-//!   pool        execution-core microbench: work-stealing pool vs scoped
-//!               threads (host rounds/sec) and FlatMultiMap vs HashMap
-//!               build/probe times
 //!   serve       multi-tenant serving front-end: open-loop zipf-tenant
 //!               workload replayed with cross-query work sharing off/on,
 //!               qps + sojourn percentiles + per-tenant metering
@@ -34,11 +31,10 @@
 //!   multiway    3-way rank joins: planner's per-side access choice vs
 //!               the measured-cheapest assignment over a (shape, k)
 //!               grid, plus the two-side-spec-equals-binary pin
+//!   ablations   design-choice ablations: ISL batch size (§4.2.3), BFHM
+//!               bucket count, single-hash vs classic Bloom false
+//!               positives and Golomb vs raw blob size (§5.1)
 //!   all         everything above
-//!
-//!   check-json DIR   validate every DIR/BENCH_*.json artifact against its
-//!                    experiment's required keys (CI schema gate); exits 2
-//!                    on any missing key
 //!
 //! flags:
 //!   --sf X            scale factor for both profiles
@@ -54,10 +50,10 @@
 use std::env;
 
 use rj_bench::{
-    run_adaptive, run_cursor, run_example_walkthrough, run_fig7, run_fig8, run_fig9, run_memory,
-    run_multiway, run_planner, run_poolbench, run_scaling, run_serve, run_sizes, run_throughput,
-    run_updates, run_updates_planner, CursorBenchConfig, MultiwayBenchConfig, ServeBenchConfig,
-    Table, ThroughputConfig,
+    run_ablations, run_adaptive, run_cursor, run_example_walkthrough, run_fig7, run_fig8, run_fig9,
+    run_memory, run_multiway, run_planner, run_scaling, run_serve, run_sizes, run_throughput,
+    run_updates, run_updates_planner, CursorBenchConfig, Json, MultiwayBenchConfig,
+    ServeBenchConfig, Table, ThroughputConfig,
 };
 
 /// Every runnable experiment name (usage text and up-front validation).
@@ -74,17 +70,15 @@ const EXPERIMENTS: &[&str] = &[
     "planner",
     "updates-planner",
     "adaptive",
-    "pool",
     "serve",
     "cursor",
     "multiway",
+    "ablations",
     "all",
 ];
 
 struct Args {
     experiment: String,
-    /// Positional argument after the experiment name (check-json's DIR).
-    operand: Option<String>,
     sf_ec2: f64,
     sf_lab: f64,
     clients: usize,
@@ -101,7 +95,6 @@ fn die(msg: &str) -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         experiment: "all".to_owned(),
-        operand: None,
         sf_ec2: 0.002,
         sf_lab: 0.01,
         clients: 8,
@@ -160,11 +153,10 @@ fn parse_args() -> Args {
             }
             other if !other.starts_with('-') => {
                 if saw_experiment {
-                    args.operand = Some(other.to_owned());
-                } else {
-                    args.experiment = other.to_owned();
-                    saw_experiment = true;
+                    die(&format!("unexpected operand {other:?}"));
                 }
+                args.experiment = other.to_owned();
+                saw_experiment = true;
             }
             other => die(&format!("unknown flag: {other}")),
         }
@@ -188,151 +180,25 @@ fn emit_json(json_out: &Option<std::path::PathBuf>, name: &str, content: &str) {
 
 /// Serializes a table list as one JSON document.
 fn tables_json(name: &str, tables: &[Table]) -> String {
-    let body: Vec<String> = tables.iter().map(Table::to_json).collect();
-    format!(
-        "{{\"experiment\": \"{name}\", \"tables\": [\n  {}\n]}}\n",
-        body.join(",\n  ")
-    )
-}
-
-/// Required top-level JSON keys per `BENCH_<name>.json` artifact. Every
-/// tables-shaped experiment shares one schema; the structured reports
-/// (throughput, planner) carry their own.
-fn required_keys(name: &str) -> Vec<&'static str> {
-    match name {
-        "throughput" => vec!["experiment", "modes", "speedup", "pool_vs_scoped"],
-        "pool" => vec!["experiment", "pool_threads", "lanes", "flatmap"],
-        "serve" => vec![
-            "experiment",
-            "arms",
-            "sharing_speedup",
-            "per_tenant",
-            "conserved",
-        ],
-        "planner" => vec!["experiment", "grid", "agreement_time", "agreement_dollars"],
-        "updates_planner" => vec!["experiment", "cells", "agreement", "collections"],
-        "cursor" => vec!["experiment", "paging", "cold_kv_reads", "warm_sweep"],
-        "multiway" => vec!["experiment", "grid", "auto_worst_ratio", "binary_identical"],
-        "adaptive" => vec!["experiment", "cells", "lie_speedup", "no_lie_switches"],
-        _ => vec!["experiment", "tables"],
-    }
-}
-
-/// Structural sanity: braces/brackets balance outside string literals
-/// and the document is a single `{...}` object. Catches truncated or
-/// concatenated artifacts that a substring key check would wave through.
-fn json_is_balanced(content: &str) -> bool {
-    let mut depth: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut closed_at_root = false;
-    for c in content.chars() {
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => {
-                if closed_at_root {
-                    return false; // trailing second document
-                }
-                depth += 1;
-            }
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-                if depth == 0 {
-                    closed_at_root = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_string && closed_at_root && content.trim_start().starts_with('{')
-}
-
-/// The CI schema gate: every `BENCH_*.json` in `dir` must be non-empty,
-/// structurally balanced JSON, and contain its experiment's required
-/// top-level keys. Exits 2 on the first violation.
-fn check_json(dir: &std::path::Path) {
-    let entries = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", dir.display())));
-    let mut checked = 0usize;
-    for entry in entries {
-        let path = entry.expect("dir entry").path();
-        let file = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let Some(name) = file
-            .strip_prefix("BENCH_")
-            .and_then(|n| n.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let content = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
-        if content.trim().is_empty() {
-            die(&format!("{}: empty artifact", path.display()));
-        }
-        if !json_is_balanced(&content) {
-            die(&format!(
-                "{}: truncated or structurally invalid JSON",
-                path.display()
-            ));
-        }
-        for key in required_keys(name) {
-            if !content.contains(&format!("\"{key}\"")) {
-                die(&format!(
-                    "{}: missing required key \"{key}\"",
-                    path.display()
-                ));
-            }
-        }
-        println!(
-            "ok: {} ({} keys checked)",
-            path.display(),
-            required_keys(name).len()
-        );
-        checked += 1;
-    }
-    if checked == 0 {
-        die(&format!(
-            "no BENCH_*.json artifacts found in {}",
-            dir.display()
-        ));
-    }
-    println!("{checked} artifact(s) pass the schema check");
+    Json::Obj(vec![
+        ("experiment", name.into()),
+        (
+            "tables",
+            Json::Arr(tables.iter().map(Table::to_json).collect()),
+        ),
+    ])
+    .render()
 }
 
 fn main() {
     let args = parse_args();
-    if args.experiment == "check-json" {
-        let dir = args
-            .operand
-            .as_deref()
-            .unwrap_or_else(|| die("check-json needs a directory"));
-        check_json(std::path::Path::new(dir));
-        return;
-    }
     // Validate the subcommand up front: a typo must exit 2 with usage
     // before any experiment spends minutes running.
     if !EXPERIMENTS.contains(&args.experiment.as_str()) {
         die(&format!(
-            "unknown experiment {:?}; run with one of: {} (or check-json DIR)",
+            "unknown experiment {:?}; run with one of: {}",
             args.experiment,
             EXPERIMENTS.join(" ")
-        ));
-    }
-    if let Some(operand) = &args.operand {
-        die(&format!(
-            "unexpected operand {:?} (only check-json takes one)",
-            operand
         ));
     }
     let ran = |name: &str| args.experiment == name || args.experiment == "all";
@@ -420,18 +286,6 @@ fn main() {
             report.lie_speedup, report.lie_switches, report.no_lie_switches
         );
     }
-    if ran("pool") {
-        let report = run_poolbench(200);
-        emit_json(&args.json_out, "pool", &report.to_json());
-        for t in report.tables() {
-            println!("{}", t.render());
-        }
-        println!(
-            "# execution core: pool/scoped host speedup {:.2}x, sim wall delta {:.1e}s\n",
-            report.substrate_speedup,
-            (report.sim_wall_pool - report.sim_wall_scoped).abs()
-        );
-    }
     if ran("serve") {
         let report = run_serve(&ServeBenchConfig::default());
         emit_json(&args.json_out, "serve", &report.to_json());
@@ -477,5 +331,8 @@ fn main() {
             report.auto_worst_ratio(),
             report.binary_identical()
         );
+    }
+    if ran("ablations") {
+        show("ablations", run_ablations(args.sf_ec2));
     }
 }

@@ -27,7 +27,7 @@ use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 
-use crate::report::Table;
+use crate::report::{Json, Table};
 
 /// `cursor` experiment knobs.
 #[derive(Clone, Debug)]
@@ -345,31 +345,34 @@ impl CursorReport {
 
     /// Machine-readable JSON (the `BENCH_cursor.json` artifact).
     pub fn to_json(&self) -> String {
-        let sweep: Vec<String> = self
+        let sweep = self
             .warm_sweep
             .iter()
             .map(|p| {
-                format!(
-                    "{{\"depth\": {}, \"warm_kv_reads\": {}}}",
-                    p.depth, p.warm_kv_reads
-                )
+                Json::Obj(vec![
+                    ("depth", p.depth.into()),
+                    ("warm_kv_reads", p.warm_kv_reads.into()),
+                ])
             })
             .collect();
-        format!(
-            "{{\n  \"experiment\": \"cursor\",\n  \"k\": {},\n  \"page\": {},\n  \
-             \"paging\": {{\"oneshot_kv_reads\": {}, \"paged_kv_reads\": {}, \"pages\": {}, \
-             \"rerun_kv_reads\": {}, \"rerun_penalty\": {:.3}}},\n  \
-             \"cold_kv_reads\": {},\n  \"warm_sweep\": [{}]\n}}\n",
-            self.config.k,
-            self.config.page,
-            self.paging.oneshot_kv_reads,
-            self.paging.paged_kv_reads,
-            self.paging.pages,
-            self.paging.rerun_kv_reads,
-            self.paging.rerun_penalty(),
-            self.cold_kv_reads,
-            sweep.join(", "),
-        )
+        Json::Obj(vec![
+            ("experiment", "cursor".into()),
+            ("k", self.config.k.into()),
+            ("page", self.config.page.into()),
+            (
+                "paging",
+                Json::Obj(vec![
+                    ("oneshot_kv_reads", self.paging.oneshot_kv_reads.into()),
+                    ("paged_kv_reads", self.paging.paged_kv_reads.into()),
+                    ("pages", self.paging.pages.into()),
+                    ("rerun_kv_reads", self.paging.rerun_kv_reads.into()),
+                    ("rerun_penalty", Json::fixed(self.paging.rerun_penalty(), 3)),
+                ]),
+            ),
+            ("cold_kv_reads", self.cold_kv_reads.into()),
+            ("warm_sweep", Json::Arr(sweep)),
+        ])
+        .render()
     }
 }
 

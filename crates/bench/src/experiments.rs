@@ -4,8 +4,12 @@ use rj_core::bfhm::maintenance::WriteBackPolicy;
 use rj_core::bfhm::BfhmConfig;
 use rj_core::error::RankJoinError;
 use rj_core::executor::{Algorithm, RankJoinExecutor};
+use rj_core::isl::IslConfig;
 use rj_core::maintenance::MaintainedSide;
 use rj_core::oracle;
+use rj_sketch::blob::{BfhmBlob, BlobCodec};
+use rj_sketch::bloom::{ClassicBloom, SingleHashBloom};
+use rj_sketch::hybrid::HybridFilter;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 use rj_tpch::{generate_update_set, loader, TpchConfig, UpdateSet};
@@ -349,6 +353,141 @@ pub fn run_scaling(scale_factor: f64) -> Vec<Table> {
     vec![table]
 }
 
+/// The design-choice ablations behind §4.2.3 and §5.1, four tables: ISL
+/// batch size, BFHM bucket count (both Q2, k=50, EC2 profile),
+/// single-hash vs classic Bloom false positives at equal space, and
+/// Golomb vs raw BFHM blob size.
+pub fn run_ablations(scale_factor: f64) -> Vec<Table> {
+    let fixture = Fixture::load(FixtureConfig::ec2(scale_factor));
+    let query = QuerySpec::Q2.query(50);
+    let want = oracle::topk(&fixture.cluster, &query).expect("oracle");
+    let mut executor = RankJoinExecutor::new(&fixture.cluster, query);
+
+    // §4.2.3: a larger row cache trades bandwidth and read units for
+    // fewer round trips.
+    let mut batches = Table::new(
+        "Ablation: ISL batch size (Q2, k=50)",
+        &["batch", "sim time", "rpc calls", "kv reads", "net bytes"],
+    );
+    executor.prepare_isl().expect("isl build");
+    for batch in [1usize, 8, 64, 512] {
+        executor.isl_config = IslConfig::uniform(batch);
+        let outcome = executor.execute(Algorithm::Isl).expect("isl query");
+        assert_eq!(
+            outcome.results, want,
+            "ISL batch={batch} returned wrong answer"
+        );
+        batches.row(vec![
+            batch.to_string(),
+            fmt_seconds(outcome.metrics.sim_seconds),
+            outcome.metrics.rpc_calls.to_string(),
+            outcome.metrics.kv_reads.to_string(),
+            outcome.metrics.network_bytes.to_string(),
+        ]);
+    }
+
+    // §7.1 runs 100/500/1000 buckets: more buckets give tighter score
+    // bounds (fewer tuples fetched) but more bucket-row gets.
+    let mut buckets = Table::new(
+        "Ablation: BFHM bucket count (Q2, k=50)",
+        &[
+            "buckets",
+            "sim time",
+            "kv reads",
+            "net bytes",
+            "bucket gets",
+            "reverse rows",
+        ],
+    );
+    for num_buckets in [10u32, 100, 500] {
+        executor
+            .prepare_bfhm(BfhmConfig::with_buckets(num_buckets))
+            .expect("bfhm build");
+        let outcome = executor.execute(Algorithm::Bfhm).expect("bfhm query");
+        assert_eq!(
+            outcome.results, want,
+            "BFHM buckets={num_buckets} returned wrong answer"
+        );
+        buckets.row(vec![
+            num_buckets.to_string(),
+            fmt_seconds(outcome.metrics.sim_seconds),
+            outcome.metrics.kv_reads.to_string(),
+            outcome.metrics.network_bytes.to_string(),
+            outcome.extra("bucket_gets").unwrap_or(0.0).to_string(),
+            outcome
+                .extra("reverse_rows_fetched")
+                .unwrap_or(0.0)
+                .to_string(),
+        ]);
+    }
+
+    // §5.1: only single-hash filters admit position→value reverse
+    // mapping; this is the false-positive premium BFHM pays for it.
+    let (filter_bits, keys, probes) = (200_000usize, 10_000u64, 100_000u64);
+    let mut single = SingleHashBloom::new(filter_bits);
+    let mut classic = ClassicBloom::new(filter_bits, 7);
+    for i in 0..keys {
+        single.insert(&i.to_be_bytes());
+        classic.insert(&i.to_be_bytes());
+    }
+    // Probe keys disjoint from the inserted ones: every hit is false.
+    let fpp = |contains: &dyn Fn(&[u8]) -> bool| {
+        let hits = (0..probes)
+            .filter(|i| contains(&(i + (1 << 40)).to_be_bytes()))
+            .count();
+        format!("{:.6}", hits as f64 / probes as f64)
+    };
+    let mut bloom = Table::new(
+        &format!(
+            "Ablation: Bloom false positives at equal space (m={filter_bits} bits, n={keys} keys)"
+        ),
+        &["filter", "hashes", "measured FPP"],
+    );
+    bloom.row(vec![
+        "single-hash".into(),
+        "1".into(),
+        fpp(&|key| single.contains(key)),
+    ]);
+    bloom.row(vec![
+        "classic".into(),
+        "7".into(),
+        fpp(&|key| classic.contains(key)),
+    ]);
+
+    // §5.1 calls Golomb compression "an integral part of our data
+    // structure": wire size of one bucket blob at 5% FPP sizing.
+    let mut golomb = Table::new(
+        "Ablation: BFHM blob size, Golomb vs raw",
+        &[
+            "items",
+            "filter bits",
+            "golomb bytes",
+            "raw bytes",
+            "raw/golomb",
+        ],
+    );
+    for items in [100u64, 1_000, 10_000] {
+        let filter_bits = items as usize * 20;
+        let mut filter = HybridFilter::new(filter_bits);
+        for i in 0..items {
+            filter.insert(&(i % (items / 2 + 1)).to_be_bytes());
+        }
+        let blob = BfhmBlob::new(filter, 0.62, 0.69);
+        let golomb_len = blob.encode(BlobCodec::Golomb).len();
+        let raw_len = blob.encode(BlobCodec::Raw).len();
+        assert!(golomb_len < raw_len, "compression must pay off");
+        golomb.row(vec![
+            items.to_string(),
+            filter_bits.to_string(),
+            golomb_len.to_string(),
+            raw_len.to_string(),
+            format!("{:.1}x", raw_len as f64 / golomb_len as f64),
+        ]);
+    }
+
+    vec![batches, buckets, bloom, golomb]
+}
+
 /// The running example (Fig. 1–6) as an experiment: every algorithm on
 /// the 11+11-tuple input.
 pub fn run_example_walkthrough() -> Vec<Table> {
@@ -453,6 +592,21 @@ mod tests {
         assert_eq!(tables[0].len(), 6, "six algorithms");
         let rendered = tables[0].render();
         assert!(rendered.contains("1.74, 1.73, 1.62"));
+    }
+
+    #[test]
+    fn ablations_show_the_tradeoff_directions() {
+        let tables = run_ablations(0.0002);
+        let rendered: Vec<String> = tables.iter().map(Table::render).collect();
+        assert_eq!(
+            tables.iter().map(Table::len).collect::<Vec<_>>(),
+            [4, 3, 2, 3],
+            "{rendered:?}"
+        );
+        // Space-equal single-hash filters pay a visible FPP premium, and
+        // Golomb coding shrinks every blob (asserted inside the run).
+        assert!(rendered[2].contains("single-hash"));
+        assert!(rendered[3].contains("raw/golomb"));
     }
 
     #[test]

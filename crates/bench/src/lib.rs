@@ -10,7 +10,11 @@
 //! Absolute numbers are not comparable to the paper's testbed (our
 //! substrate is a simulator and the scale factors are thousands of times
 //! smaller); the *shape* — who wins, by roughly what factor, where the
-//! crossovers fall — is what EXPERIMENTS.md tracks.
+//! crossovers fall — is what the tables reproduce.
+//!
+//! Everything here runs on the simulated clock and is deterministic.
+//! Host time and allocations are measured by the standalone `benchmark/`
+//! package, never in this crate.
 
 #![warn(missing_docs)]
 
@@ -20,7 +24,6 @@ pub mod experiments;
 pub mod fixture;
 pub mod multiway;
 pub mod planner;
-pub mod poolbench;
 pub mod report;
 pub mod serve;
 pub mod throughput;
@@ -29,14 +32,13 @@ pub mod updates_planner;
 pub use adaptive::{run_adaptive, AdaptiveReport};
 pub use cursor::{run_cursor, CursorBenchConfig, CursorReport};
 pub use experiments::{
-    apply_update_set, run_example_walkthrough, run_fig7, run_fig8, run_fig9, run_memory,
-    run_scaling, run_sizes, run_updates,
+    apply_update_set, run_ablations, run_example_walkthrough, run_fig7, run_fig8, run_fig9,
+    run_memory, run_scaling, run_sizes, run_updates,
 };
 pub use fixture::{Fixture, FixtureConfig, QuerySpec};
 pub use multiway::{run_multiway, MultiwayBenchConfig, MultiwayReport};
 pub use planner::{run_planner, PlannerReport};
-pub use poolbench::{run_poolbench, PoolReport};
-pub use report::Table;
+pub use report::{Json, Table};
 pub use serve::{run_serve, ServeBenchConfig, ServeReport};
 pub use throughput::{run_throughput, ThroughputConfig, ThroughputReport};
 pub use updates_planner::{run_updates_planner, UpdatesPlannerReport};

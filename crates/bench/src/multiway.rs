@@ -23,7 +23,7 @@ use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 
-use crate::report::Table;
+use crate::report::{Json, Table};
 
 /// `multiway` experiment knobs.
 #[derive(Clone, Debug)]
@@ -334,34 +334,30 @@ impl MultiwayReport {
 
     /// Machine-readable JSON (the `BENCH_multiway.json` artifact).
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
+        let grid = self
             .grid
             .iter()
             .map(|c| {
-                format!(
-                    "{{\"shape\": \"{}\", \"k\": {}, \"auto_plan\": \"{}\", \
-                     \"auto_kv_reads\": {}, \"best_plan\": \"{}\", \"best_kv_reads\": {}, \
-                     \"ratio\": {:.3}}}",
-                    c.shape,
-                    c.k,
-                    c.auto_plan,
-                    c.auto_kv_reads,
-                    c.best_plan,
-                    c.best_kv_reads,
-                    c.ratio()
-                )
+                Json::Obj(vec![
+                    ("shape", c.shape.into()),
+                    ("k", c.k.into()),
+                    ("auto_plan", c.auto_plan.as_str().into()),
+                    ("auto_kv_reads", c.auto_kv_reads.into()),
+                    ("best_plan", c.best_plan.as_str().into()),
+                    ("best_kv_reads", c.best_kv_reads.into()),
+                    ("ratio", Json::fixed(c.ratio(), 3)),
+                ])
             })
             .collect();
-        format!(
-            "{{\n  \"experiment\": \"multiway\",\n  \"grid\": [\n    {}\n  ],\n  \
-             \"auto_worst_ratio\": {:.3},\n  \"binary_identical\": {},\n  \
-             \"binary_kv_reads\": {},\n  \"spec_kv_reads\": {}\n}}\n",
-            cells.join(",\n    "),
-            self.auto_worst_ratio(),
-            self.binary_identical(),
-            self.binary_kv_reads,
-            self.spec_kv_reads,
-        )
+        Json::Obj(vec![
+            ("experiment", "multiway".into()),
+            ("grid", Json::Arr(grid)),
+            ("auto_worst_ratio", Json::fixed(self.auto_worst_ratio(), 3)),
+            ("binary_identical", self.binary_identical().into()),
+            ("binary_kv_reads", self.binary_kv_reads.into()),
+            ("spec_kv_reads", self.spec_kv_reads.into()),
+        ])
+        .render()
     }
 }
 

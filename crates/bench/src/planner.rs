@@ -18,7 +18,7 @@ use rj_core::stats::QueryOutcome;
 
 use crate::experiments::K_SWEEP;
 use crate::fixture::{Fixture, FixtureConfig, QuerySpec};
-use crate::report::{fmt_seconds, json_escape, Table};
+use crate::report::{fmt_seconds, Json, Table};
 
 /// One algorithm's predicted and measured costs in one grid cell.
 #[derive(Clone, Debug)]
@@ -142,51 +142,44 @@ impl PlannerReport {
 
     /// Machine-readable JSON (the `BENCH_planner.json` artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"planner\",\n");
-        out.push_str(&format!(
-            "  \"agreement_time\": {:.4}, \"agreement_dollars\": {:.4},\n  \"grid\": [\n",
-            self.agreement_time, self.agreement_dollars
-        ));
-        let cells: Vec<String> = self
+        let grid = self
             .grid
             .iter()
             .map(|c| {
-                let algos: Vec<String> = c
+                let algos = c
                     .algos
                     .iter()
                     .map(|a| {
-                        format!(
-                            "{{\"algo\": \"{}\", \"pred_seconds\": {:.6}, \"meas_seconds\": {:.6}, \
-                             \"pred_reads\": {:.1}, \"meas_reads\": {}}}",
-                            json_escape(a.algo),
-                            a.pred_seconds,
-                            a.meas_seconds,
-                            a.pred_reads,
-                            a.meas_reads
-                        )
+                        Json::Obj(vec![
+                            ("algo", a.algo.into()),
+                            ("pred_seconds", Json::fixed(a.pred_seconds, 6)),
+                            ("meas_seconds", Json::fixed(a.meas_seconds, 6)),
+                            ("pred_reads", Json::fixed(a.pred_reads, 1)),
+                            ("meas_reads", a.meas_reads.into()),
+                        ])
                     })
                     .collect();
-                format!(
-                    "    {{\"profile\": \"{}\", \"query\": \"{}\", \"k\": {}, \
-                     \"chosen_time\": \"{}\", \"chosen_dollars\": \"{}\", \
-                     \"cheapest_time\": \"{}\", \"cheapest_dollars\": \"{}\", \
-                     \"agree_time\": {}, \"agree_dollars\": {},\n     \"algos\": [{}]}}",
-                    json_escape(&c.profile),
-                    json_escape(&c.query),
-                    c.k,
-                    c.chosen_time,
-                    c.chosen_dollars,
-                    c.cheapest_time,
-                    c.cheapest_dollars,
-                    c.agree_time,
-                    c.agree_dollars,
-                    algos.join(", ")
-                )
+                Json::Obj(vec![
+                    ("profile", c.profile.as_str().into()),
+                    ("query", c.query.as_str().into()),
+                    ("k", c.k.into()),
+                    ("chosen_time", c.chosen_time.into()),
+                    ("chosen_dollars", c.chosen_dollars.into()),
+                    ("cheapest_time", c.cheapest_time.into()),
+                    ("cheapest_dollars", c.cheapest_dollars.into()),
+                    ("agree_time", c.agree_time.into()),
+                    ("agree_dollars", c.agree_dollars.into()),
+                    ("algos", Json::Arr(algos)),
+                ])
             })
             .collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        Json::Obj(vec![
+            ("experiment", "planner".into()),
+            ("agreement_time", Json::fixed(self.agreement_time, 4)),
+            ("agreement_dollars", Json::fixed(self.agreement_dollars, 4)),
+            ("grid", Json::Arr(grid)),
+        ])
+        .render()
     }
 }
 

@@ -1,4 +1,5 @@
-//! Aligned-column table printing for experiment output.
+//! Experiment output: aligned-column tables for the terminal and the one
+//! JSON writer behind every `BENCH_*.json` artifact.
 
 /// A simple aligned text table.
 #[derive(Clone, Debug, Default)]
@@ -34,23 +35,19 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Serializes the table as a JSON object (`title`, `header`, `rows`) —
-    /// the building block of the `BENCH_*.json` CI artifacts.
-    pub fn to_json(&self) -> String {
-        let quote_row = |cells: &[String]| -> String {
-            let quoted: Vec<String> = cells
-                .iter()
-                .map(|c| format!("\"{}\"", json_escape(c)))
-                .collect();
-            format!("[{}]", quoted.join(", "))
-        };
-        let rows: Vec<String> = self.rows.iter().map(|r| quote_row(r)).collect();
-        format!(
-            "{{\"title\": \"{}\", \"header\": {}, \"rows\": [{}]}}",
-            json_escape(&self.title),
-            quote_row(&self.header),
-            rows.join(", ")
-        )
+    /// The table as a JSON object (`title`, `header`, `rows`) — the
+    /// building block of the tables-shaped `BENCH_*.json` artifacts.
+    pub fn to_json(&self) -> Json {
+        let strings =
+            |cells: &[String]| Json::Arr(cells.iter().map(|c| c.as_str().into()).collect());
+        Json::Obj(vec![
+            ("title", self.title.as_str().into()),
+            ("header", strings(&self.header)),
+            (
+                "rows",
+                Json::Arr(self.rows.iter().map(|r| strings(r)).collect()),
+            ),
+        ])
     }
 
     /// Renders the table.
@@ -83,9 +80,96 @@ impl Table {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// A JSON value. Every artifact is built as one of these and rendered by
+/// [`Json::render`], so output is well-formed by construction: strings
+/// are escaped and non-finite numbers become `null` here and nowhere else.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `true` / `false`.
+    Bool(bool),
+    /// A count.
+    Int(u64),
+    /// A float printed with a fixed number of decimals (`None`: every
+    /// digit Rust's `Display` prints).
+    Num(f64, Option<usize>),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; members keep insertion order.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// A float printed with exactly `decimals` decimals.
+    pub fn fixed(x: f64, decimals: usize) -> Json {
+        Json::Num(x, Some(decimals))
+    }
+
+    /// Renders a document: the root container and its direct children put
+    /// one member per line, anything nested deeper stays on its line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Num(x, _) if !x.is_finite() => out.push_str("null"),
+            Json::Num(x, Some(decimals)) => out.push_str(&format!("{x:.decimals$}")),
+            Json::Num(x, None) => out.push_str(&x.to_string()),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_seq(out, depth, ['[', ']'], items, |out, item| {
+                item.write(out, depth + 1);
+            }),
+            Json::Obj(members) => {
+                write_seq(out, depth, ['{', '}'], members, |out, (key, value)| {
+                    write_str(out, key);
+                    out.push_str(": ");
+                    value.write(out, depth + 1);
+                })
+            }
+        }
+    }
+}
+
+/// Writes one bracketed, comma-separated sequence, broken one item per
+/// line at the top two nesting levels.
+fn write_seq<T>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    items: &[T],
+    mut write_item: impl FnMut(&mut String, &T),
+) {
+    let broken = depth < 2 && !items.is_empty();
+    out.push(open);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if broken {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth + 1));
+        } else if i > 0 {
+            out.push(' ');
+        }
+        write_item(out, item);
+    }
+    if broken {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
+}
+
+/// Writes `s` as an escaped JSON string literal.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -97,7 +181,31 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Int(n)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Int(n as u64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
 }
 
 /// Human-readable seconds.
@@ -168,11 +276,40 @@ mod tests {
     fn json_serialization_escapes() {
         let mut t = Table::new("demo \"x\"", &["a", "b"]);
         t.row(vec!["1\n2".into(), "back\\slash".into()]);
-        let j = t.to_json();
+        let j = t.to_json().render();
         assert!(j.contains("demo \\\"x\\\""));
         assert!(j.contains("1\\n2"));
         assert!(j.contains("back\\\\slash"));
-        assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.starts_with('{') && j.ends_with("}\n"));
+    }
+
+    #[test]
+    fn json_numbers_and_layout() {
+        let doc = Json::Obj(vec![
+            ("experiment", "demo".into()),
+            ("count", 3usize.into()),
+            ("ratio", Json::fixed(2.0 / 3.0, 4)),
+            ("scale", Json::Num(0.0005, None)),
+            ("nan", Json::fixed(f64::NAN, 2)),
+            ("inf", Json::Num(f64::INFINITY, None)),
+            ("empty", Json::Arr(vec![])),
+            (
+                "cells",
+                Json::Arr(vec![
+                    Json::Obj(vec![
+                        ("ok", true.into()),
+                        ("xs", Json::Arr(vec![1u64.into(), 2u64.into()])),
+                    ]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"experiment\": \"demo\",\n  \"count\": 3,\n  \"ratio\": 0.6667,\n  \
+             \"scale\": 0.0005,\n  \"nan\": null,\n  \"inf\": null,\n  \"empty\": [],\n  \
+             \"cells\": [\n    {\"ok\": true, \"xs\": [1, 2]},\n    {}\n  ]\n}\n"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rj_serve::{
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 
-use crate::report::Table;
+use crate::report::{Json, Table};
 
 /// `serve` experiment knobs.
 #[derive(Clone, Debug)]
@@ -402,50 +402,51 @@ impl ServeReport {
 
     /// Machine-readable JSON (the `BENCH_serve.json` artifact).
     pub fn to_json(&self) -> String {
-        let arm_json = |arm: &ServeArm| -> String {
-            format!(
-                "{{\"sharing\": {}, \"completed\": {}, \"qps\": {:.3}, \"p50\": {:.9}, \
-                 \"p99\": {:.9}, \"p999\": {:.9}, \"executions\": {}, \"coalesced\": {}, \
-                 \"cache_hits\": {}, \"ledger_kv_reads\": {}, \"billed_kv_reads\": {}, \
-                 \"clock\": {:.9}}}",
-                arm.sharing,
-                arm.completed,
-                arm.qps,
-                arm.p50,
-                arm.p99,
-                arm.p999,
-                arm.executions,
-                arm.coalesced,
-                arm.cache_hits,
-                arm.ledger_kv_reads,
-                arm.billed_kv_reads,
-                arm.clock,
-            )
+        let arm_json = |arm: &ServeArm| {
+            Json::Obj(vec![
+                ("sharing", arm.sharing.into()),
+                ("completed", arm.completed.into()),
+                ("qps", Json::fixed(arm.qps, 3)),
+                ("p50", Json::fixed(arm.p50, 9)),
+                ("p99", Json::fixed(arm.p99, 9)),
+                ("p999", Json::fixed(arm.p999, 9)),
+                ("executions", arm.executions.into()),
+                ("coalesced", arm.coalesced.into()),
+                ("cache_hits", arm.cache_hits.into()),
+                ("ledger_kv_reads", arm.ledger_kv_reads.into()),
+                ("billed_kv_reads", arm.billed_kv_reads.into()),
+                ("clock", Json::fixed(arm.clock, 9)),
+            ])
         };
-        let per_tenant: Vec<String> = self
+        let per_tenant = self
             .on
             .per_tenant
             .iter()
             .map(|(name, usage, billed)| {
-                format!(
-                    "{{\"tenant\": \"{name}\", \"ledger_kv_reads\": {usage}, \
-                     \"billed_kv_reads\": {billed}}}"
-                )
+                Json::Obj(vec![
+                    ("tenant", name.as_str().into()),
+                    ("ledger_kv_reads", (*usage).into()),
+                    ("billed_kv_reads", (*billed).into()),
+                ])
             })
             .collect();
-        format!(
-            "{{\n  \"experiment\": \"serve\",\n  \"queries\": {},\n  \"tenants\": {},\n  \
-             \"zipf_s\": {},\n  \"arms\": {{\"off\": {}, \"on\": {}}},\n  \
-             \"sharing_speedup\": {:.3},\n  \"per_tenant\": [{}],\n  \"conserved\": {}\n}}\n",
-            self.config.queries,
-            self.config.tenants,
-            self.config.zipf_s,
-            arm_json(&self.off),
-            arm_json(&self.on),
-            self.sharing_speedup(),
-            per_tenant.join(", "),
-            self.conserved,
-        )
+        Json::Obj(vec![
+            ("experiment", "serve".into()),
+            ("queries", self.config.queries.into()),
+            ("tenants", self.config.tenants.into()),
+            ("zipf_s", Json::Num(self.config.zipf_s, None)),
+            (
+                "arms",
+                Json::Obj(vec![
+                    ("off", arm_json(&self.off)),
+                    ("on", arm_json(&self.on)),
+                ]),
+            ),
+            ("sharing_speedup", Json::fixed(self.sharing_speedup(), 3)),
+            ("per_tenant", Json::Arr(per_tenant)),
+            ("conserved", self.conserved.into()),
+        ])
+        .render()
     }
 }
 

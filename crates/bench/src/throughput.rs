@@ -25,8 +25,6 @@
 //! test.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
-use std::time::Instant;
 
 use rj_core::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig};
 use rj_core::executor::{Algorithm, RankJoinExecutor};
@@ -35,11 +33,11 @@ use rj_core::oracle;
 use rj_core::result::JoinTuple;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
-use rj_store::parallel::{default_lane_backend, set_default_lane_backend, ExecutionMode};
-use rj_store::{LaneBackend, WorkStealingPool};
+use rj_store::parallel::ExecutionMode;
+use rj_store::WorkStealingPool;
 
 use crate::fixture::{Fixture, FixtureConfig, QuerySpec};
-use crate::report::{fmt_dollars, fmt_seconds, json_escape, Table};
+use crate::report::{fmt_dollars, fmt_seconds, Json, Table};
 
 /// Harness parameters.
 #[derive(Clone, Debug)]
@@ -140,47 +138,6 @@ pub struct ModeStats {
     pub pinned_network_bytes: u64,
     /// Dollar cost of the run's reads.
     pub dollars: f64,
-    /// Host-machine seconds the run took (informational only).
-    pub real_seconds: f64,
-}
-
-/// Before/after comparison of the parallel mode on the shipped
-/// work-stealing pool vs the previous per-round scoped-thread lane
-/// structure. Simulated numbers (`qps_delta`, `p99_delta_ms`) must be ~0
-/// — modelled time is substrate-independent by construction, and this
-/// field is the per-PR regression proof of that; the `real_seconds` pair
-/// shows what the host actually paid on each substrate.
-#[derive(Clone, Debug)]
-pub struct PoolComparison {
-    /// Simulated qps of the parallel run on the work-stealing pool.
-    pub pool_qps: f64,
-    /// Simulated qps of the same run on per-round scoped threads.
-    pub scoped_qps: f64,
-    /// `pool_qps - scoped_qps` — ~0 unless the substrate leaked into the
-    /// model.
-    pub qps_delta: f64,
-    /// Simulated p99 latency on the pool, milliseconds.
-    pub pool_p99_ms: f64,
-    /// `pool_p99_ms - scoped_p99_ms` — same invariant as `qps_delta`.
-    pub p99_delta_ms: f64,
-    /// Host seconds of the pool-backed run (informational).
-    pub pool_real_seconds: f64,
-    /// Host seconds of the scoped-thread run (informational).
-    pub scoped_real_seconds: f64,
-}
-
-impl PoolComparison {
-    fn new(pool: &ModeStats, scoped: &ModeStats) -> Self {
-        PoolComparison {
-            pool_qps: pool.qps,
-            scoped_qps: scoped.qps,
-            qps_delta: pool.qps - scoped.qps,
-            pool_p99_ms: pool.p99_ms,
-            p99_delta_ms: pool.p99_ms - scoped.p99_ms,
-            pool_real_seconds: pool.real_seconds,
-            scoped_real_seconds: scoped.real_seconds,
-        }
-    }
 }
 
 /// The full harness report.
@@ -190,10 +147,8 @@ pub struct ThroughputReport {
     pub config: ThroughputConfig,
     /// Worker nodes in the simulated cluster.
     pub cluster_nodes: usize,
-    /// Per-mode aggregates, serial first (both on the shipped pool).
+    /// Per-mode aggregates, serial first.
     pub modes: Vec<ModeStats>,
-    /// Parallel mode re-run on the previous scoped-thread lane structure.
-    pub pool_vs_scoped: PoolComparison,
 }
 
 impl ThroughputReport {
@@ -240,65 +195,37 @@ impl ThroughputReport {
 
     /// Machine-readable JSON (the `BENCH_throughput.json` artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"throughput\",\n");
-        out.push_str(&format!(
-            "  \"scale_factor\": {}, \"clients\": {}, \"queries_per_client\": {}, \
-             \"workers\": {}, \"cluster_nodes\": {},\n",
-            self.config.scale_factor,
-            self.config.clients,
-            self.config.queries_per_client,
-            self.config.workers,
-            self.cluster_nodes
-        ));
-        let speedup = if self.speedup().is_finite() {
-            format!("{:.4}", self.speedup())
-        } else {
-            "null".to_owned() // NaN is not valid JSON
-        };
-        out.push_str(&format!("  \"speedup\": {speedup},\n"));
-        let c = &self.pool_vs_scoped;
-        out.push_str(&format!(
-            "  \"pool_vs_scoped\": {{\"pool_qps\": {:.4}, \"scoped_qps\": {:.4}, \
-             \"qps_delta\": {:.4}, \"pool_p99_ms\": {:.4}, \"p99_delta_ms\": {:.4}, \
-             \"pool_real_seconds\": {:.3}, \"scoped_real_seconds\": {:.3}}},\n",
-            c.pool_qps,
-            c.scoped_qps,
-            c.qps_delta,
-            c.pool_p99_ms,
-            c.p99_delta_ms,
-            c.pool_real_seconds,
-            c.scoped_real_seconds
-        ));
-        out.push_str("  \"modes\": [\n");
-        let rows: Vec<String> = self
+        let modes = self
             .modes
             .iter()
             .map(|m| {
-                format!(
-                    "    {{\"mode\": \"{}\", \"queries\": {}, \"qps\": {:.4}, \
-                     \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"wall_sim_seconds\": {:.6}, \
-                     \"node_seconds\": {:.6}, \"kv_reads\": {}, \"network_bytes\": {}, \
-                     \"pinned_kv_reads\": {}, \"pinned_network_bytes\": {}, \
-                     \"dollars\": {:.8}, \"real_seconds\": {:.3}}}",
-                    json_escape(&m.mode),
-                    m.queries,
-                    m.qps,
-                    m.p50_ms,
-                    m.p99_ms,
-                    m.wall_sim_seconds,
-                    m.node_seconds,
-                    m.kv_reads,
-                    m.network_bytes,
-                    m.pinned_kv_reads,
-                    m.pinned_network_bytes,
-                    m.dollars,
-                    m.real_seconds
-                )
+                Json::Obj(vec![
+                    ("mode", m.mode.as_str().into()),
+                    ("queries", m.queries.into()),
+                    ("qps", Json::fixed(m.qps, 4)),
+                    ("p50_ms", Json::fixed(m.p50_ms, 4)),
+                    ("p99_ms", Json::fixed(m.p99_ms, 4)),
+                    ("wall_sim_seconds", Json::fixed(m.wall_sim_seconds, 6)),
+                    ("node_seconds", Json::fixed(m.node_seconds, 6)),
+                    ("kv_reads", m.kv_reads.into()),
+                    ("network_bytes", m.network_bytes.into()),
+                    ("pinned_kv_reads", m.pinned_kv_reads.into()),
+                    ("pinned_network_bytes", m.pinned_network_bytes.into()),
+                    ("dollars", Json::fixed(m.dollars, 8)),
+                ])
             })
             .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        Json::Obj(vec![
+            ("experiment", "throughput".into()),
+            ("scale_factor", Json::Num(self.config.scale_factor, None)),
+            ("clients", self.config.clients.into()),
+            ("queries_per_client", self.config.queries_per_client.into()),
+            ("workers", self.config.workers.into()),
+            ("cluster_nodes", self.cluster_nodes.into()),
+            ("speedup", Json::fixed(self.speedup(), 4)),
+            ("modes", Json::Arr(modes)),
+        ])
+        .render()
     }
 }
 
@@ -403,63 +330,27 @@ fn run_client(
     )
 }
 
-/// Runs the full workload once under `mode` against a prepared fixture,
-/// with real execution (clients *and* their queries' lane fan-out) on the
-/// given substrate.
+/// Runs the full workload once under `mode` against a prepared fixture.
+/// Clients are tasks on the shared pool — the serving shape the harness
+/// ships: nested submits (a client's parallel query fanning out from
+/// inside a pool worker) are the normal case.
 fn run_mode(
     fixture: &Fixture,
     cfg: &ThroughputConfig,
     mode: ExecutionMode,
     oracles: &[((QuerySpec, usize), Vec<JoinTuple>)],
-    backend: LaneBackend,
 ) -> ModeStats {
-    let started = Instant::now();
-    // Route the queries' inner `run_lanes` rounds through the same
-    // substrate as the clients for the duration of this run. Harmless to
-    // anything running concurrently: both substrates are result- and
-    // metric-identical.
-    let previous_backend = default_lane_backend();
-    set_default_lane_backend(backend);
     // What one client hands back: per-query latencies, its forked metric
     // ledger, and the pinned-lane read/byte totals.
     type ClientOut = (Vec<f64>, rj_store::MetricsSnapshot, u64, u64);
-    let per_thread: Vec<ClientOut> = match backend {
-        LaneBackend::Pool => {
-            // Clients are tasks on the shared pool — the serving shape the
-            // harness ships: nested submits (a client's parallel query
-            // fanning out from inside a pool worker) are the normal case.
-            let jobs = (0..cfg.clients)
-                .map(|client_id| {
-                    let job: Box<dyn FnOnce() -> ClientOut + Send + '_> =
-                        Box::new(move || run_client(fixture, cfg, mode, oracles, client_id));
-                    job
-                })
-                .collect();
-            WorkStealingPool::global().run_batch(jobs)
-        }
-        LaneBackend::ScopedThreads => {
-            // The pre-pool client loop: one OS thread per client.
-            let results: Mutex<Vec<(usize, ClientOut)>> = Mutex::new(Vec::new());
-            // rjlint: allow(thread-discipline) — this lane IS the scoped-thread
-            // baseline the pool is benchmarked against; keep it off-pool.
-            std::thread::scope(|scope| {
-                for client_id in 0..cfg.clients {
-                    let results = &results;
-                    scope.spawn(move || {
-                        let out = run_client(fixture, cfg, mode, oracles, client_id);
-                        results
-                            .lock()
-                            .expect("per-thread results poisoned")
-                            .push((client_id, out));
-                    });
-                }
-            });
-            let mut results = results.into_inner().expect("per-thread results poisoned");
-            results.sort_by_key(|(id, _)| *id);
-            results.into_iter().map(|(_, out)| out).collect()
-        }
-    };
-    set_default_lane_backend(previous_backend);
+    let jobs = (0..cfg.clients)
+        .map(|client_id| {
+            let job: Box<dyn FnOnce() -> ClientOut + Send + '_> =
+                Box::new(move || run_client(fixture, cfg, mode, oracles, client_id));
+            job
+        })
+        .collect();
+    let per_thread: Vec<ClientOut> = WorkStealingPool::global().run_batch(jobs);
 
     let mut all: Vec<f64> = Vec::new();
     let mut wall = 0.0f64;
@@ -496,7 +387,6 @@ fn run_mode(
         pinned_kv_reads,
         pinned_network_bytes,
         dollars: fixture.config.cost.dollars(kv_reads),
-        real_seconds: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -524,32 +414,13 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
         workers: cfg.workers,
     };
     let modes = vec![
-        run_mode(
-            &fixture,
-            cfg,
-            ExecutionMode::Serial,
-            &oracles,
-            LaneBackend::Pool,
-        ),
-        run_mode(&fixture, cfg, parallel, &oracles, LaneBackend::Pool),
+        run_mode(&fixture, cfg, ExecutionMode::Serial, &oracles),
+        run_mode(&fixture, cfg, parallel, &oracles),
     ];
-    // Before/after: the same parallel workload on the previous per-round
-    // scoped-thread lane structure. Its simulated numbers must match the
-    // pool run's — the comparison field in the JSON artifact is the
-    // regression gate for that.
-    let scoped = run_mode(
-        &fixture,
-        cfg,
-        parallel,
-        &oracles,
-        LaneBackend::ScopedThreads,
-    );
-    let pool_vs_scoped = PoolComparison::new(&modes[1], &scoped);
     ThroughputReport {
         config: cfg.clone(),
         cluster_nodes,
         modes,
-        pool_vs_scoped,
     }
 }
 
@@ -624,26 +495,8 @@ mod tests {
             serial.qps,
             report.speedup()
         );
-        // The substrate swap must be invisible in simulated numbers: the
-        // pool-vs-scoped comparison is the per-PR proof that the
-        // work-stealing pool changed host time only.
-        let c = &report.pool_vs_scoped;
-        assert!(
-            c.qps_delta.abs() < 1e-6,
-            "pool qps {:.4} diverged from scoped qps {:.4}",
-            c.pool_qps,
-            c.scoped_qps
-        );
-        assert!(
-            c.p99_delta_ms.abs() < 1e-6,
-            "pool p99 {:.4}ms diverged from scoped p99 {:.4}ms",
-            c.pool_p99_ms,
-            c.pool_p99_ms - c.p99_delta_ms
-        );
         let json = report.to_json();
         assert!(json.contains("\"experiment\": \"throughput\""));
         assert!(json.contains("\"modes\""));
-        assert!(json.contains("\"pool_vs_scoped\""));
-        assert!(json.contains("\"qps_delta\""));
     }
 }

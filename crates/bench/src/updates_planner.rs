@@ -24,7 +24,7 @@ use rj_tpch::{generate_update_set, TpchConfig};
 
 use crate::experiments::apply_update_set;
 use crate::fixture::{Fixture, FixtureConfig, QuerySpec};
-use crate::report::{json_escape, Table};
+use crate::report::{Json, Table};
 
 /// The `k` values planned per round (small sweep — the interesting axis
 /// here is rounds of mutations, not `k`).
@@ -104,33 +104,31 @@ impl UpdatesPlannerReport {
 
     /// Machine-readable JSON (the `BENCH_updates_planner.json` artifact).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"updates_planner\",\n");
-        out.push_str(&format!(
-            "  \"scale_factor\": {}, \"rounds\": {}, \"mutations\": {}, \
-             \"collections\": {}, \"agreement\": {:.4},\n  \"cells\": [\n",
-            self.scale_factor, self.rounds, self.mutations, self.collections, self.agreement
-        ));
-        let cells: Vec<String> = self
+        let cells = self
             .cells
             .iter()
             .map(|c| {
-                format!(
-                    "    {{\"round\": {}, \"k\": {}, \"staleness\": {:.6}, \
-                     \"source\": \"{}\", \"chosen\": \"{}\", \"oracle\": \"{}\", \
-                     \"agree\": {}}}",
-                    c.round,
-                    c.k,
-                    c.staleness,
-                    json_escape(c.source),
-                    json_escape(c.chosen),
-                    json_escape(c.oracle),
-                    c.agree
-                )
+                Json::Obj(vec![
+                    ("round", c.round.into()),
+                    ("k", c.k.into()),
+                    ("staleness", Json::fixed(c.staleness, 6)),
+                    ("source", c.source.into()),
+                    ("chosen", c.chosen.into()),
+                    ("oracle", c.oracle.into()),
+                    ("agree", c.agree.into()),
+                ])
             })
             .collect();
-        out.push_str(&cells.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        Json::Obj(vec![
+            ("experiment", "updates_planner".into()),
+            ("scale_factor", Json::Num(self.scale_factor, None)),
+            ("rounds", self.rounds.into()),
+            ("mutations", self.mutations.into()),
+            ("collections", self.collections.into()),
+            ("agreement", Json::fixed(self.agreement, 4)),
+            ("cells", Json::Arr(cells)),
+        ])
+        .render()
     }
 }
 

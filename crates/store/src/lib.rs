@@ -72,7 +72,7 @@ pub use cluster::Cluster;
 pub use costmodel::CostModel;
 pub use error::StoreError;
 pub use metrics::{MetricsSnapshot, QueryMeter};
-pub use parallel::{ExecutionMode, LaneBackend, ParallelScanner};
+pub use parallel::{ExecutionMode, ParallelScanner};
 pub use pool::{PoolPriority, WorkStealingPool};
 pub use row::RowResult;
 pub use scan::Scan;

@@ -17,11 +17,9 @@
 //!   RPCs) are charged by the worker clients exactly as a serial client
 //!   would charge them, so parallelism changes *when* work finishes,
 //!   never *how much* is read or shipped. Real execution runs on the
-//!   process-wide [`WorkStealingPool`] by default ([`LaneBackend::Pool`]);
-//!   the pre-pool per-round `std::thread::scope` substrate survives as
-//!   [`LaneBackend::ScopedThreads`] for before/after benchmarking.
-//!   Modelled time uses the *requested* `workers` width in both cases, so
-//!   the backend choice cannot change any metric.
+//!   process-wide [`WorkStealingPool`]; modelled time uses the
+//!   *requested* `workers` width, never the pool's thread count, so no
+//!   metric depends on the machine.
 //! * [`ParallelScanner`] — fans a [`Scan`] out across a table's regions
 //!   (one task per region, lane = hosting node) and merges per-region
 //!   results deterministically in key order, and fans point gets out the
@@ -35,51 +33,12 @@
 //! latency overlaps across all in-flight requests. Scans and gets use the
 //! serving node as the lane.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use crate::client::Client;
 use crate::cluster::Cluster;
 use crate::error::Result;
 use crate::pool::WorkStealingPool;
 use crate::row::RowResult;
 use crate::scan::Scan;
-
-/// Which real-execution substrate [`run_lanes`] fans out on.
-///
-/// Purely a *host performance* knob: counted metrics and modelled times are
-/// computed from per-task measurements and the requested lane width, so
-/// both backends are result- and metric-identical by construction. The
-/// scoped backend is PR 2's per-round thread spawner, kept so the
-/// throughput harness can publish a pool-vs-scoped comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneBackend {
-    /// The persistent process-wide [`WorkStealingPool`] (default).
-    Pool,
-    /// A fresh bounded `std::thread::scope` pool per round (the pre-pool
-    /// substrate; spawns and joins OS threads every call).
-    ScopedThreads,
-}
-
-/// Process-wide default backend; `0 = Pool`, `1 = ScopedThreads`.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default substrate used by [`run_lanes`].
-pub fn set_default_lane_backend(backend: LaneBackend) {
-    let v = match backend {
-        LaneBackend::Pool => 0,
-        LaneBackend::ScopedThreads => 1,
-    };
-    DEFAULT_BACKEND.store(v, Ordering::Release);
-}
-
-/// The process-wide default substrate used by [`run_lanes`].
-pub fn default_lane_backend() -> LaneBackend {
-    match DEFAULT_BACKEND.load(Ordering::Acquire) {
-        1 => LaneBackend::ScopedThreads,
-        _ => LaneBackend::Pool,
-    }
-}
 
 /// How a query executor drives multi-region reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -165,26 +124,13 @@ impl<'env, T> LaneTask<'env, T> {
 /// time is still charged (the work happened) and the first error in
 /// submission order is returned.
 ///
-/// Real execution runs on the [`default_lane_backend`] — normally the
-/// shared [`WorkStealingPool`]. The modelled charge always uses the
-/// *requested* `workers` width, not the physical thread count, so metrics
-/// do not depend on the substrate or the machine.
-pub fn run_lanes<'env, T: Send>(
+/// Real execution runs on the shared [`WorkStealingPool`]. The modelled
+/// charge always uses the *requested* `workers` width, not the physical
+/// thread count, so metrics do not depend on the machine.
+pub fn run_lanes<'env, T: Send + 'env>(
     cluster: &Cluster,
     workers: usize,
     tasks: Vec<LaneTask<'env, T>>,
-) -> Result<Vec<T>> {
-    run_lanes_on(cluster, workers, tasks, default_lane_backend())
-}
-
-/// [`run_lanes`] with an explicit execution substrate. Exposed so the
-/// throughput harness can benchmark backends against each other; query
-/// code should call [`run_lanes`].
-pub fn run_lanes_on<'env, T: Send + 'env>(
-    cluster: &Cluster,
-    workers: usize,
-    tasks: Vec<LaneTask<'env, T>>,
-    backend: LaneBackend,
 ) -> Result<Vec<T>> {
     let n = tasks.len();
     if n == 0 {
@@ -196,32 +142,26 @@ pub fn run_lanes_on<'env, T: Send + 'env>(
     // Execute: every task gets its own non-time-charging client; we record
     // (modelled elapsed, modelled node-busy, result) per task, in
     // submission order.
-    // One measured task: (modelled elapsed, modelled node-busy, result).
     type MeasuredJob<'env, T> = Box<dyn FnOnce() -> (f64, f64, Result<T>) + Send + 'env>;
-    let measured: Vec<(f64, f64, Result<T>)> = match backend {
-        LaneBackend::Pool => {
-            let jobs: Vec<MeasuredJob<'env, T>> = tasks
-                .into_iter()
-                .map(|t| {
-                    let client = cluster.round_worker_client();
-                    let run = t.run;
-                    let job: MeasuredJob<'env, T> = Box::new(move || {
-                        client.reset_elapsed();
-                        let result = run(&client);
-                        (client.elapsed_seconds(), client.node_busy_seconds(), result)
-                    });
-                    job
-                })
-                .collect();
-            WorkStealingPool::global().run_batch(jobs)
-        }
-        LaneBackend::ScopedThreads => run_scoped(cluster, workers, tasks),
-    };
+    let jobs: Vec<MeasuredJob<'env, T>> = tasks
+        .into_iter()
+        .map(|t| {
+            let client = cluster.round_worker_client();
+            let run = t.run;
+            let job: MeasuredJob<'env, T> = Box::new(move || {
+                client.reset_elapsed();
+                let result = run(&client);
+                (client.elapsed_seconds(), client.node_busy_seconds(), result)
+            });
+            job
+        })
+        .collect();
+    let measured = WorkStealingPool::global().run_batch(jobs);
 
     // Makespan accounting: per-lane busy sums serialize, RPC latency
     // overlaps across in-flight tasks, and the pool width is a hard floor.
     // Lanes are node ids — small and dense — so a flat vector indexed by
-    // lane replaces the old per-call `HashMap<usize, f64>`.
+    // lane holds the per-lane sums.
     let mut lane_busy = vec![0.0f64; lanes.iter().copied().max().unwrap_or(0) + 1];
     let mut total = 0.0f64;
     let mut max_task = 0.0f64;
@@ -247,56 +187,6 @@ pub fn run_lanes_on<'env, T: Send + 'env>(
         Some(e) => Err(e),
         None => Ok(outputs),
     }
-}
-
-/// The pre-pool substrate: spawn a bounded `std::thread::scope` pool of
-/// `workers` OS threads for this round only. Kept as the benchmarking
-/// reference for [`LaneBackend::ScopedThreads`].
-fn run_scoped<'env, T: Send>(
-    cluster: &Cluster,
-    workers: usize,
-    tasks: Vec<LaneTask<'env, T>>,
-) -> Vec<(f64, f64, Result<T>)> {
-    let n = tasks.len();
-    let pending: Mutex<Vec<Option<TaskFn<'env, T>>>> =
-        Mutex::new(tasks.into_iter().map(|t| Some(t.run)).collect());
-    type Slot<T> = Mutex<Option<(f64, f64, Result<T>)>>;
-    let slots: Vec<Slot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let client = cluster.round_worker_client();
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let task = pending.lock().expect("task queue poisoned")[idx]
-                        .take()
-                        // rjlint: allow(no-unwrap) — `idx` comes from a shared
-                        // fetch_add counter, so each slot is claimed once.
-                        .expect("task taken twice");
-                    client.reset_elapsed();
-                    let result = task(&client);
-                    *slots[idx].lock().expect("result slot poisoned") =
-                        Some((client.elapsed_seconds(), client.node_busy_seconds(), result));
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // rjlint: allow(no-unwrap) — run_lanes joins every worker before
-                // draining slots, and each worker fills its claimed slots.
-                .expect("worker pool exited before finishing all tasks")
-        })
-        .collect()
 }
 
 /// Fans scans and point gets out across a table's regions.
@@ -595,43 +485,36 @@ mod tests {
         assert!(matches!(err, crate::error::StoreError::TableNotFound(_)));
     }
 
-    /// The pool and scoped-thread substrates must be indistinguishable on
-    /// the ledger: identical counted metrics *and* identical modelled
-    /// times, because accounting uses the requested lane width, never the
-    /// physical thread count.
+    /// Modelled time depends on the *requested* width, never the physical
+    /// thread count: the same 8-task / 4-lane / width-3 round charges this
+    /// exact ledger at any `RJ_POOL_THREADS` (CI runs the suite at 1 and
+    /// 8, and both legs must reproduce these literals).
     #[test]
-    fn lane_backends_are_metric_identical() {
+    fn run_lanes_round_charges_golden_ledger() {
         let c = loaded_cluster();
-        assert_eq!(default_lane_backend(), LaneBackend::Pool);
-        let mut snaps = Vec::new();
-        for backend in [LaneBackend::Pool, LaneBackend::ScopedThreads] {
-            let before = c.metrics().snapshot();
-            let rows = run_lanes_on(
-                &c,
-                3,
-                (0..8u64)
-                    .map(|i| {
-                        LaneTask::new((i % 4) as usize, move |client: &Client| {
-                            Ok(client
-                                .scan("t", Scan::new().start(keys::encode_u64(i * 8).to_vec()))?
-                                .collect::<Vec<_>>())
-                        })
+        let before = c.metrics().snapshot();
+        let rows = run_lanes(
+            &c,
+            3,
+            (0..8u64)
+                .map(|i| {
+                    LaneTask::new((i % 4) as usize, move |client: &Client| {
+                        Ok(client
+                            .scan("t", Scan::new().start(keys::encode_u64(i * 8).to_vec()))?
+                            .collect::<Vec<_>>())
                     })
-                    .collect(),
-                backend,
-            )
-            .unwrap();
-            assert_eq!(rows.len(), 8);
-            snaps.push((rows, c.metrics().snapshot().delta_since(&before)));
-        }
-        let (pool_rows, pool_m) = &snaps[0];
-        let (scoped_rows, scoped_m) = &snaps[1];
-        assert_eq!(pool_rows, scoped_rows);
-        assert_eq!(pool_m.kv_reads, scoped_m.kv_reads);
-        assert_eq!(pool_m.network_bytes, scoped_m.network_bytes);
-        assert_eq!(pool_m.rpc_calls, scoped_m.rpc_calls);
-        assert!((pool_m.sim_seconds - scoped_m.sim_seconds).abs() < 1e-12);
-        assert!((pool_m.node_seconds - scoped_m.node_seconds).abs() < 1e-12);
+                })
+                .collect(),
+        )
+        .unwrap();
+        let scanned: Vec<usize> = rows.iter().map(Vec::len).collect();
+        assert_eq!(scanned, [64, 56, 48, 40, 32, 24, 16, 8]);
+        let m = c.metrics().snapshot().delta_since(&before);
+        // The ledger keeps time in whole nanoseconds, so the literals are exact.
+        let nanos = |seconds: f64| (seconds * 1e9).round() as u64;
+        assert_eq!((m.kv_reads, m.rpc_calls, m.network_bytes), (288, 36, 6036));
+        assert_eq!(nanos(m.sim_seconds), 114_153_651, "Σ elapsed / 3");
+        assert_eq!(nanos(m.node_seconds), 342_460_954);
     }
 
     #[test]

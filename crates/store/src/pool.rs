@@ -1,12 +1,11 @@
 //! A persistent, sized-to-the-machine work-stealing worker pool.
 //!
-//! PR 2's `rj_store::parallel` primitive spawned a bounded
-//! `std::thread::scope` lane pool *per parallel round* — every query
-//! fan-out paid thread creation and teardown, and concurrent queries each
-//! brought their own threads, oversubscribing the host. This module
-//! replaces that with **one process-wide scheduler** shared by parallel
-//! query fan-out, cross-query concurrency (the throughput harness's
-//! clients), and future background index builds:
+//! **One process-wide scheduler** runs every piece of real concurrency in
+//! the workspace: parallel query fan-out ([`crate::parallel::run_lanes`]),
+//! cross-query concurrency (the throughput harness's clients, the serving
+//! layer's rounds) and background index builds. Nothing else spawns
+//! threads, so concurrent queries share one set of workers instead of
+//! oversubscribing the host with their own:
 //!
 //! * a fixed set of worker threads, sized to the machine
 //!   ([`WorkStealingPool::global`]; override with `RJ_POOL_THREADS`),
@@ -18,8 +17,8 @@
 //! * a scoped batch-submit API ([`WorkStealingPool::run_batch`]) that
 //!   blocks until the whole batch completes and returns results in
 //!   **submission order**, so callers keep deterministic output and
-//!   borrowed (non-`'static`) task closures — the same contract
-//!   `std::thread::scope` gave the old lane pool,
+//!   borrowed (non-`'static`) task closures — the contract of
+//!   `std::thread::scope`, without a thread per task,
 //! * **help-first joining**: a thread waiting on its batch executes other
 //!   pending pool jobs instead of sleeping. This is what makes *nested*
 //!   submission safe — a pool job may itself call `run_batch` (a harness
@@ -31,8 +30,9 @@
 //! [`crate::parallel::run_lanes`] measures each task's simulated elapsed
 //! and node-busy seconds on its own non-time-charging client and charges
 //! the makespan under the *caller's* requested lane width, so counted
-//! metrics and simulated wall-clock are byte-identical whether a batch
-//! runs here, on scoped threads, or inline.
+//! metrics and simulated wall-clock are identical at every pool size
+//! (`run_lanes_round_charges_golden_ledger` pins one round in absolute
+//! terms; CI runs it at `RJ_POOL_THREADS` 1 and 8).
 //!
 //! Task panics are caught per task and re-raised on the submitting thread
 //! (first panicking task in submission order), leaving the pool healthy.
