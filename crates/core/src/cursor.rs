@@ -57,7 +57,7 @@ use rj_store::client::{Client, ScannerState};
 use rj_store::cluster::Cluster;
 use rj_store::keys;
 use rj_store::metrics::MetricsSnapshot;
-use rj_store::row::RowResult;
+use rj_store::row::{RowRef, RowResult};
 use rj_store::scan::Scan;
 
 use crate::cancel::{StopPolicy, StopReason};
@@ -457,7 +457,7 @@ pub(crate) struct IslCore {
     /// The row HRJN terminated inside and the position of its first cell
     /// not yet pushed (the one-shot loop stops pushing the instant HRJN
     /// terminates; a deeper re-target must push the remainder before
-    /// reading on).
+    /// reading on). The one row the cursor copies out of its scanner.
     pub pending: Option<(RowResult, usize)>,
     /// The HRJN operator: seen tuples of every side, bounds, exhaustion
     /// flags (the only copy of them) and the top-k buffer.
@@ -482,24 +482,58 @@ fn push_index_cell(state: &mut HrjnState, side: usize, cell: &Cell) -> Result<()
     state.push_borrowed(side, &cell.qualifier, join_values, score)
 }
 
+/// Feeds every cell of `side`'s index family in `row` to HRJN. Row key =
+/// negated score (cells carry it exactly); each cell of the side's family
+/// = one indexed tuple.
+fn ingest_row(state: &mut HrjnState, side: usize, family: &str, row: RowRef<'_>) -> Result<()> {
+    if keys::decode_score_desc(row.key).is_none() {
+        return Ok(());
+    }
+    for cell in row.family_cells(family) {
+        push_index_cell(state, side, cell)?;
+    }
+    Ok(())
+}
+
 /// Feeds every row of `side`'s index family in `rows` to HRJN and marks
 /// the side exhausted — a whole-side ingest.
-pub(crate) fn ingest_side(
+pub(crate) fn ingest_side<'r>(
     state: &mut HrjnState,
     side: usize,
     family: &str,
-    rows: impl IntoIterator<Item = RowResult>,
+    rows: impl IntoIterator<Item = RowRef<'r>>,
 ) -> Result<()> {
     for row in rows {
-        if keys::decode_score_desc(&row.key).is_none() {
-            continue;
-        }
-        for cell in row.family_cells(family) {
-            push_index_cell(state, side, cell)?;
-        }
+        ingest_row(state, side, family, row)?;
     }
     state.exhaust(side);
     Ok(())
+}
+
+/// [`ingest_row`] from cell position `first_cell` on, stopping the
+/// instant HRJN terminates (Algorithm 4 tests inside the tuple loop):
+/// `Some(next)` when it did, `next` being the position of the first cell
+/// not looked at.
+fn descend_row(
+    state: &mut HrjnState,
+    side: usize,
+    family: &str,
+    row: RowRef<'_>,
+    first_cell: usize,
+) -> Result<Option<usize>> {
+    if keys::decode_score_desc(row.key).is_none() {
+        return Ok(None);
+    }
+    for (at, cell) in row.cells.iter().enumerate().skip(first_cell) {
+        if *cell.family != *family {
+            continue;
+        }
+        push_index_cell(state, side, cell)?;
+        if state.is_done() {
+            return Ok(Some(at + 1));
+        }
+    }
+    Ok(None)
 }
 
 /// What one [`IslCursor::advance_one_batch`] call did.
@@ -660,7 +694,11 @@ impl IslCursor {
             let spec = Scan::new()
                 .families(&[side.family.as_str()])
                 .caching(side.batch);
-            ingest_side(state, i, &side.family, client.scan(table, spec)?)?;
+            let mut scan = client.scan(table, spec)?;
+            while let Some(row) = scan.next_row()? {
+                ingest_row(state, i, &side.family, row)?;
+            }
+            state.exhaust(i);
         }
         Ok(())
     }
@@ -694,62 +732,60 @@ impl IslCursor {
         }
         let turn = core.turn;
         let side = &mut core.sides[turn];
-        // The row a previous (shallower) target stopped inside goes first:
-        // its remaining cells are already read and billed, never
-        // re-fetched. The scanner is reattached at its detached position
-        // only when a further row is demanded, so a re-target that
-        // terminates again inside the leftover row leaves it untouched.
-        let mut leftover = core.pending.take();
+        // The scanner is reattached at its detached position only when a
+        // further row is demanded, and detached again whether or not the
+        // rows failed: a failed RPC leaves the descent after the last row
+        // it consumed, and the next call continues the batch from there.
         let mut scan = None;
-
-        let mut step = BatchStep::Completed;
-        'rows: loop {
-            let (row, first_cell) = match leftover.take() {
-                Some(pending) => pending,
-                None if core.rows_taken < side.batch => {
-                    let scan = match &mut scan {
-                        Some(scan) => scan,
-                        none => none.insert(match side.scan.take() {
-                            Some(position) => client.resume_scan(position)?,
-                            None => {
-                                let spec = Scan::new()
-                                    .families(&[side.family.as_str()])
-                                    .caching(side.batch);
-                                client.scan(&core.table, spec)?
-                            }
-                        }),
-                    };
-                    let Some(row) = scan.next() else {
-                        core.state.exhaust(turn);
-                        break;
-                    };
-                    core.rows_taken += 1;
-                    (row, 0)
-                }
-                None => break,
-            };
-            // Row key = negated score (cells carry it exactly); each cell
-            // of the side's family = one indexed tuple.
-            if keys::decode_score_desc(&row.key).is_none() {
-                continue;
-            }
-            for (at, cell) in row.cells.iter().enumerate().skip(first_cell) {
-                if *cell.family != *side.family {
-                    continue;
-                }
-                push_index_cell(&mut core.state, turn, cell)?;
-                // Algorithm 4 tests inside the tuple loop; rows already
-                // fetched in this batch are paid for either way.
-                if core.state.is_done() {
-                    core.pending = (at + 1 < row.cells.len()).then_some((row, at + 1));
-                    step = BatchStep::Drained;
-                    break 'rows;
+        let rows = (|| -> Result<BatchStep> {
+            // The row a previous (shallower) target stopped inside goes
+            // first: its remaining cells are already read and billed,
+            // never re-fetched — a re-target that terminates again inside
+            // it leaves the scanner untouched.
+            if let Some((row, first_cell)) = core.pending.take() {
+                let cells = row.cells.len();
+                let stopped = descend_row(
+                    &mut core.state,
+                    turn,
+                    &side.family,
+                    row.as_row_ref(),
+                    first_cell,
+                )?;
+                if let Some(next) = stopped {
+                    core.pending = (next < cells).then_some((row, next));
+                    return Ok(BatchStep::Drained);
                 }
             }
-        }
+            while core.rows_taken < side.batch {
+                let scan = match &mut scan {
+                    Some(scan) => scan,
+                    none => none.insert(match side.scan.take() {
+                        Some(position) => client.resume_scan(position)?,
+                        None => {
+                            let spec = Scan::new()
+                                .families(&[side.family.as_str()])
+                                .caching(side.batch);
+                            client.scan(&core.table, spec)?
+                        }
+                    }),
+                };
+                let Some(row) = scan.next_row()? else {
+                    core.state.exhaust(turn);
+                    break;
+                };
+                // Fetched in this batch, so paid for whatever comes of it.
+                core.rows_taken += 1;
+                if let Some(next) = descend_row(&mut core.state, turn, &side.family, row, 0)? {
+                    core.pending = (next < row.cells.len()).then(|| (row.to_owned(), next));
+                    return Ok(BatchStep::Drained);
+                }
+            }
+            Ok(BatchStep::Completed)
+        })();
         if let Some(scan) = scan {
             side.scan = Some(scan.into_state());
         }
+        let step = rows?;
         if step == BatchStep::Completed {
             core.in_batch = false;
             core.turn = (turn + 1) % n;
@@ -1140,6 +1176,42 @@ mod tests {
         let got = drain(deeper.as_mut(), 10);
         let want = oracle::topk_spec(&c, &spec.with_k(6)).unwrap();
         assert_eq!(got, want);
+    }
+
+    /// The index table vanishes under a running cursor (re-created
+    /// without its families): the pull that needs the next RPC fails —
+    /// every time, it is never taken for an exhausted input — and the
+    /// descent stands where the last consumed row left it.
+    #[test]
+    fn a_failed_scan_rpc_fails_the_pull_and_keeps_the_descent_position() {
+        let (c, spec, table) = built(6);
+        let mut cursor = open(&c, &spec, &table, 2, &[SideAccess::Descend; 3]);
+        let first = cursor.next_batch(1, &StopPolicy::default()).unwrap();
+        assert_eq!(first.results.len(), 1);
+        assert!(!first.done);
+        c.drop_table(&table).unwrap();
+        c.create_table(&table, &["other"]).unwrap();
+
+        let position = |cursor: &IslCursor| (cursor.batches(), cursor.consumed_depth());
+        let mut failed_at = None;
+        for _ in 0..2 {
+            // A buffered row or two may still be served; then the RPC fails.
+            let err = loop {
+                match cursor.next_batch(1, &StopPolicy::default()) {
+                    Ok(batch) => assert!(!batch.done, "a truncated input is not a drained one"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(
+                err,
+                RankJoinError::Store(rj_store::StoreError::FamilyNotFound { .. })
+            ));
+            assert_eq!(
+                *failed_at.get_or_insert(position(&cursor)),
+                position(&cursor)
+            );
+        }
+        assert!(!cursor.is_done());
     }
 
     #[test]

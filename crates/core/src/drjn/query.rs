@@ -307,7 +307,7 @@ impl DrjnRun {
         let pulled_rows: Vec<rj_store::row::RowResult> = if self.core.mode.is_parallel() {
             ParallelScanner::new(&self.cluster, self.core.mode).scan_collect(&tmp, &tmp_scan)?
         } else {
-            client.scan(&tmp, tmp_scan)?.collect()
+            client.scan(&tmp, tmp_scan)?.collect_rows()?
         };
         for row in pulled_rows {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {

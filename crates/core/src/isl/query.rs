@@ -8,6 +8,7 @@
 
 use rj_store::metrics::QueryMeter;
 use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask, ParallelScanner};
+use rj_store::row::RowResult;
 use rj_store::scan::Scan;
 
 use crate::cancel::StopPolicy;
@@ -187,7 +188,7 @@ pub(crate) fn run_observed(
                     let scan = Scan::new().families(&[side.label.as_str()]).caching(batch);
                     LaneTask::new(lane, move |worker: &rj_store::client::Client| {
                         let mut scan = worker.scan(index_table, scan)?;
-                        scan.prefetch();
+                        scan.prefetch()?;
                         Ok(scan.into_state())
                     })
                 })
@@ -276,7 +277,12 @@ fn run_enumeration_parallel(
         // equivalence contract covers results and counted metrics, not
         // extras.
         batches += rows.len().div_ceil(batch_size.max(1)) as u64;
-        ingest_side(&mut state, i, family, rows)?;
+        ingest_side(
+            &mut state,
+            i,
+            family,
+            rows.iter().map(RowResult::as_row_ref),
+        )?;
     }
     Ok(IslRun {
         state,

@@ -232,16 +232,16 @@ impl MaintainedSide {
             if let Some(t) = &self.ijlmr_table {
                 client.mutate_row(
                     t,
-                    &join_value,
+                    join_value,
                     vec![Mutation::delete_at(&self.side.label, row_key, ts)],
                 )?;
             }
             if let Some(b) = &self.bfhm {
-                b.record_delete(row_key, &join_value, score, ts)?;
+                b.record_delete(row_key, join_value, score, ts)?;
             }
             Ok(())
         })();
-        self.emit_delta(DeltaOp::Delete, row_key, &join_value, score);
+        self.emit_delta(DeltaOp::Delete, row_key, join_value, score);
         index_writes?;
         Ok(ts)
     }

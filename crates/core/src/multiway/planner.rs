@@ -327,17 +327,18 @@ fn collect_with_sketch(cluster: &Cluster, spec: &JoinSpec) -> Result<(SpecStats,
         let table = cluster.table(&side.table)?;
         let mut s = SpecSideStats::empty();
         let mut bytes = 0.0f64;
-        for row in table.debug_all_rows() {
+        // Streamed: each row is read in place, none is copied or kept.
+        table.for_each_row(|row| {
             admin_reads += 1;
-            let Some((values, score)) = columns.extract(&row) else {
-                continue;
+            let Some((values, score)) = columns.extract(row) else {
+                return;
             };
             s.tuples += 1;
             s.max_score = s.max_score.max(score);
             s.hist[SpecSideStats::bucket_of(score)] += 1;
             bytes += crate::planner::entry_bytes_of(
                 &values.iter().map(|v| v.len()).sum::<usize>().to_be_bytes(),
-                &row.key,
+                row.key,
             );
             for ((e, _), value) in spec.incident_edges(i).zip(&values) {
                 let endpoint = usize::from(spec.edges[e].a != i);
@@ -345,7 +346,7 @@ fn collect_with_sketch(cluster: &Cluster, spec: &JoinSpec) -> Result<(SpecStats,
                     .entry(join_fingerprint(value))
                     .or_insert(0) += 1;
             }
-        }
+        });
         if s.tuples > 0 {
             s.avg_entry_bytes = bytes / s.tuples as f64;
         }

@@ -172,20 +172,21 @@ pub(crate) fn collect_stats_detailed(
     for (i, side) in [&query.left, &query.right].into_iter().enumerate() {
         let table = cluster.table(&side.table)?;
         regions[i] = table.region_infos().len();
-        for row in table.debug_all_rows() {
+        // Streamed: each row is read in place, none is copied or kept.
+        table.for_each_row(|row| {
             admin_reads += 1;
-            let Some((join, score)) = side.extract(&row) else {
-                continue;
+            let Ok((join, score)) = side.extract_checked(row) else {
+                return;
             };
             let s = &mut sides[i];
             s.tuples += 1;
             s.max_score = s.max_score.max(score);
             s.hist[SideStats::bucket_of(score)] += 1;
-            entry_bytes[i] += entry_bytes_of(&join, &row.key);
+            entry_bytes[i] += entry_bytes_of(join, row.key);
             join_counts
-                .entry(crate::statsmaint::join_fingerprint(&join))
+                .entry(crate::statsmaint::join_fingerprint(join))
                 .or_insert([0, 0])[i] += 1;
-        }
+        });
         let s = &mut sides[i];
         if s.tuples > 0 {
             s.avg_entry_bytes = entry_bytes[i] / s.tuples as f64;

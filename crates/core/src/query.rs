@@ -1,7 +1,7 @@
 //! Rank-join query descriptors: the binary [`RankJoinQuery`] and the
 //! N-ary [`JoinSpec`] it is the two-side degenerate form of.
 
-use rj_store::row::RowResult;
+use rj_store::row::RowRef;
 
 use crate::error::{RankJoinError, Result};
 use crate::score::ScoreFn;
@@ -43,22 +43,24 @@ impl JoinSide {
     /// either column is missing, the score bytes are malformed, or the
     /// score is not finite (NaN/±∞ never enter the query path — they
     /// would poison every sort and threshold bound downstream).
-    pub fn extract(&self, row: &RowResult) -> Option<(Vec<u8>, f64)> {
-        self.extract_checked(row).ok()
+    pub fn extract<'r>(&self, row: impl Into<RowRef<'r>>) -> Option<(Vec<u8>, f64)> {
+        let (join, score) = self.extract_checked(row).ok()?;
+        Some((join.to_vec(), score))
     }
 
-    /// [`JoinSide::extract`] with typed errors instead of `None` — the
-    /// single decoder behind both: query paths skip malformed rows via
-    /// `extract`, while write paths that must *report* why a stored row
-    /// is unusable (e.g. [`crate::maintenance::MaintainedSide::delete`])
-    /// surface the cause.
-    pub fn extract_checked(&self, row: &RowResult) -> Result<(Vec<u8>, f64)> {
+    /// [`JoinSide::extract`] with typed errors instead of `None`, and the
+    /// join value borrowed from the row — the single decoder behind both:
+    /// query paths skip malformed rows via `extract`, while write paths
+    /// that must *report* why a stored row is unusable (e.g.
+    /// [`crate::maintenance::MaintainedSide::delete`]) surface the cause,
+    /// and a statistics pass reads every row without copying any.
+    pub fn extract_checked<'r>(&self, row: impl Into<RowRef<'r>>) -> Result<(&'r [u8], f64)> {
+        let row = row.into();
         let join = row
             .value(&self.join_col.0, &self.join_col.1)
-            .ok_or(RankJoinError::Internal("row lacks its join column"))?
-            .to_vec();
+            .ok_or(RankJoinError::Internal("row lacks its join column"))?;
         let score = read_score(row, &self.score_col)?;
-        Ok((join, score))
+        Ok((&join[..], score))
     }
 }
 
@@ -193,7 +195,8 @@ impl SideColumns {
     /// borrowed from the row. `None` when any column is missing, the
     /// score bytes are malformed, or the score is non-finite — mirroring
     /// [`JoinSide::extract`]'s skip-don't-crash contract.
-    pub fn extract<'r>(&self, row: &'r RowResult) -> Option<(Vec<&'r [u8]>, f64)> {
+    pub fn extract<'r>(&self, row: impl Into<RowRef<'r>>) -> Option<(Vec<&'r [u8]>, f64)> {
+        let row = row.into();
         let score = read_score(row, &self.score_col).ok()?;
         let mut values = Vec::with_capacity(self.edge_cols.len());
         for col in &self.edge_cols {
@@ -204,7 +207,7 @@ impl SideColumns {
 }
 
 /// Reads the finite f64 score stored under `col`.
-fn read_score(row: &RowResult, col: &Column) -> Result<f64> {
+fn read_score(row: RowRef<'_>, col: &Column) -> Result<f64> {
     let score_bytes = row
         .value(&col.0, &col.1)
         .ok_or(RankJoinError::Internal("row lacks its score column"))?;
@@ -494,6 +497,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use rj_store::cell::Cell;
+    use rj_store::row::RowResult;
 
     fn row(join: u64, score: f64) -> RowResult {
         RowResult {

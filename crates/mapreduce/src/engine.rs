@@ -363,11 +363,16 @@ impl MapReduceEngine {
                                 if let Some(f) = &spec.scan_filter {
                                     scan = scan.filter(f.clone());
                                 }
-                                for row in client.scan(table, scan)? {
+                                // `next_row`, not the iterator: a failed
+                                // RPC fails the task instead of ending
+                                // its input early.
+                                let mut rows = client.scan(table, scan)?;
+                                while let Some(row) = rows.next_row()? {
                                     if !mapper.wants_more() {
                                         break;
                                     }
                                     input_records += 1;
+                                    let row = row.to_owned();
                                     mapper.map(InputRecord::Row { table, row: &row }, &mut emitter);
                                 }
                                 io_seconds += client.elapsed_seconds();

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 /// A single key-value pair as surfaced to clients. The row key lives once
-/// on the enclosing [`crate::row::RowResult`]; family name, qualifier and
-/// value are refcounted handles onto the region's own storage, so
+/// on the enclosing row ([`crate::row::RowRef`]); family name, qualifier
+/// and value are refcounted handles onto the region's own storage, so
 /// materializing a cell copies no bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {

@@ -7,17 +7,29 @@
 //! (RPCs, KV read units, cross-node bytes) and accumulates modelled time in
 //! the client's own elapsed-time cell; coordinator clients also charge that
 //! time to the global simulated clock.
+//!
+//! # Scanners
+//!
+//! A [`Scanner`] owns one [`RowBatch`] and refills it per RPC, so what a
+//! scan allocates does not depend on how many rows it returns: the batch
+//! buffers and the resume key grow to the largest step seen and are then
+//! reused, and the family projection is resolved once per scanner.
+//! [`Scanner::next_row`] lends each row out of the batch as a
+//! [`RowRef`]; the `Iterator` implementation is the owned adaptor over it
+//! for consumers that keep rows. A detached [`ScannerState`] carries the
+//! batch's unread rows (already billed) and nothing it has handed out.
 
 use std::cell::Cell as StdCell;
 use std::sync::Arc;
 
 use crate::cell::Mutation;
 use crate::cluster::Shared;
-use crate::error::Result;
+use crate::error::{Result, StoreError};
 use crate::metrics::Metrics;
 use crate::region::ReadCost;
-use crate::row::RowResult;
+use crate::row::{RowBatch, RowRef, RowResult};
 use crate::scan::Scan;
+use crate::table::Table;
 
 /// Fraction of the remote RPC latency charged for a node-local call.
 const LOCAL_CALL_FACTOR: f64 = 0.05;
@@ -164,19 +176,18 @@ impl Client {
     /// `caching` rows per RPC.
     pub fn scan(&self, table: &str, scan: Scan) -> Result<Scanner<'_>> {
         let t = self.lookup(table)?;
-        // Validate family projection eagerly so errors surface here.
-        if let Some(fams) = &scan.families {
-            for f in fams {
-                t.family_index(f)?;
-            }
-        }
+        // Resolved eagerly so an unknown family surfaces here.
+        let projection = t.resolve_families(scan.families.as_deref())?;
         Ok(Scanner {
             client: self,
             table: t,
+            projection: Some(projection),
             next_key: scan.start.clone().unwrap_or_default(),
             done: false,
             returned: 0,
-            buffer: std::collections::VecDeque::new(),
+            batch: RowBatch::new(),
+            pos: 0,
+            error: None,
             spec: scan,
         })
     }
@@ -191,21 +202,27 @@ impl Client {
         Ok(Scanner {
             client: self,
             table,
+            // The table is looked up by name, so the projection is
+            // resolved against whatever schema that name has now — by the
+            // first RPC, where a failure is that RPC's error.
+            projection: None,
             spec: state.spec,
             next_key: state.next_key,
             done: state.done,
             returned: state.returned,
-            buffer: state.buffer,
+            batch: state.batch,
+            pos: 0,
+            error: None,
         })
     }
 
-    fn lookup(&self, table: &str) -> Result<Arc<crate::table::Table>> {
+    fn lookup(&self, table: &str) -> Result<Arc<Table>> {
         self.shared
             .tables
             .read()
             .get(table)
             .cloned()
-            .ok_or_else(|| crate::error::StoreError::TableNotFound(table.to_owned()))
+            .ok_or_else(|| StoreError::TableNotFound(table.to_owned()))
     }
 }
 
@@ -217,15 +234,23 @@ impl Shared {
     }
 }
 
-/// A streaming scanner over one table.
+/// A streaming scanner over one table (see the module docs).
 pub struct Scanner<'c> {
     client: &'c Client,
-    table: Arc<crate::table::Table>,
+    table: Arc<Table>,
     spec: Scan,
+    /// `spec.families` as schema indices of `table` (`Some(None)` = no
+    /// projection); `None` until a resumed scanner's first RPC.
+    projection: Option<Option<Vec<usize>>>,
+    /// Where the next RPC starts; each RPC overwrites it in place.
     next_key: Vec<u8>,
     done: bool,
     returned: usize,
-    buffer: std::collections::VecDeque<RowResult>,
+    /// The rows of the last RPC; those before `pos` have been handed out.
+    batch: RowBatch,
+    pos: usize,
+    /// The RPC failure that ended the owned [`Iterator`] adaptor early.
+    error: Option<StoreError>,
 }
 
 /// A detached scanner position: everything needed to resume a scan on
@@ -241,13 +266,14 @@ pub struct ScannerState {
     next_key: Vec<u8>,
     done: bool,
     returned: usize,
-    buffer: std::collections::VecDeque<RowResult>,
+    /// Fetched rows not handed out yet.
+    batch: RowBatch,
 }
 
 impl ScannerState {
     /// Whether fetched-but-unconsumed rows are buffered.
     pub fn has_buffered_rows(&self) -> bool {
-        !self.buffer.is_empty()
+        !self.batch.is_empty()
     }
 
     /// Whether the underlying scan has reached its end (no further RPCs
@@ -264,75 +290,117 @@ impl ScannerState {
 
     /// Removes and returns the buffered (already billed) rows.
     pub fn take_buffered_rows(&mut self) -> Vec<RowResult> {
-        std::mem::take(&mut self.buffer).into()
+        let rows = self.batch.iter().map(RowRef::to_owned).collect();
+        self.batch.clear();
+        rows
     }
 }
 
 impl Scanner<'_> {
+    /// The next row, lent out of the scanner's batch: `Ok(None)` when the
+    /// scan is complete (or its row limit reached), `Err` when the RPC
+    /// that would have fetched the row failed — a truncated scan is never
+    /// reported as a complete one. A failed call changes nothing: the
+    /// position stands, and calling again retries the RPC.
+    pub fn next_row(&mut self) -> Result<Option<RowRef<'_>>> {
+        if self.spec.limit.is_some_and(|limit| self.returned >= limit) {
+            return Ok(None);
+        }
+        self.prefetch()?;
+        let row = self.batch.get(self.pos);
+        if row.is_some() {
+            self.pos += 1;
+            self.returned += 1;
+        }
+        Ok(row)
+    }
+
+    /// Every remaining row, owned.
+    pub fn collect_rows(mut self) -> Result<Vec<RowResult>> {
+        let mut rows = Vec::new();
+        while let Some(row) = self.next_row()? {
+            rows.push(row.to_owned());
+        }
+        Ok(rows)
+    }
+
+    /// The RPC failure that ended iteration through the owned
+    /// [`Iterator`] adaptor, if one did.
+    pub fn error(&self) -> Option<&StoreError> {
+        self.error.as_ref()
+    }
+
     /// Fetches until a row is buffered or the scan is exhausted — exactly
-    /// the batch RPCs the first [`Iterator::next`] call would trigger
+    /// the batch RPCs the next [`Scanner::next_row`] call would trigger
     /// (including walking empty regions). Lets a parallel round issue the
     /// first demand of several scanners concurrently.
-    pub fn prefetch(&mut self) {
-        while self.buffer.is_empty() && !self.done {
-            self.fetch_batch();
+    pub fn prefetch(&mut self) -> Result<()> {
+        while self.pos == self.batch.len() && !self.done {
+            self.fetch_batch()?;
         }
+        Ok(())
     }
 
     /// Detaches this scanner's position so it can cross a thread boundary
-    /// and be resumed with [`Client::resume_scan`].
-    pub fn into_state(self) -> ScannerState {
+    /// and be resumed with [`Client::resume_scan`]. The state holds the
+    /// fetched rows not handed out yet, and none that were.
+    pub fn into_state(mut self) -> ScannerState {
+        self.batch.drop_front(self.pos);
         ScannerState {
             table: self.table.name_handle(),
             spec: self.spec,
             next_key: self.next_key,
             done: self.done,
             returned: self.returned,
-            buffer: self.buffer,
+            batch: self.batch,
         }
     }
 
-    fn fetch_batch(&mut self) {
-        if self.done {
-            return;
-        }
-        let batch = match self.table.scan_batch(
-            &self.next_key,
-            self.spec.stop.as_deref(),
-            self.spec.families.as_deref(),
-            self.spec.filter.as_deref(),
-            self.spec.effective_caching(),
-        ) {
-            Ok(b) => b,
-            Err(_) => {
-                self.done = true;
-                return;
+    /// One RPC: refills the (fully consumed) batch from `next_key` on.
+    /// Nothing is charged and nothing moves unless the step succeeds.
+    fn fetch_batch(&mut self) -> Result<()> {
+        let projection = match &self.projection {
+            Some(projection) => projection,
+            None => {
+                let resolved = self.table.resolve_families(self.spec.families.as_deref())?;
+                self.projection.insert(resolved)
             }
         };
-        self.client.charge_read(batch.node, &batch.cost);
-        self.buffer.extend(batch.rows);
-        match batch.resume_key {
-            Some(k) => self.next_key = k,
-            None => self.done = true,
-        }
+        self.batch.clear();
+        self.pos = 0;
+        let step = self.table.scan_batch_into(
+            &mut self.next_key,
+            self.spec.stop.as_deref(),
+            projection.as_deref(),
+            self.spec.filter.as_deref(),
+            self.spec.effective_caching(),
+            &mut self.batch,
+        )?;
+        self.client.charge_read(step.node, &step.cost);
+        self.done = !step.more;
+        Ok(())
     }
 }
 
+/// The owned adaptor over [`Scanner::next_row`]: two allocations per row.
+/// An iterator can only end, so an RPC failure ends the scan here as
+/// exhaustion would — check [`Scanner::error`] after the loop (or use
+/// [`Scanner::collect_rows`] / [`Scanner::next_row`]) where a truncated
+/// scan must not pass for a complete one.
 impl Iterator for Scanner<'_> {
     type Item = RowResult;
 
     fn next(&mut self) -> Option<RowResult> {
-        if let Some(limit) = self.spec.limit {
-            if self.returned >= limit {
-                return None;
+        if self.error.is_some() {
+            return None;
+        }
+        match self.next_row() {
+            Ok(row) => row.map(RowRef::to_owned),
+            Err(e) => {
+                self.error = Some(e);
+                None
             }
         }
-        while self.buffer.is_empty() && !self.done {
-            self.fetch_batch();
-        }
-        let row = self.buffer.pop_front()?;
-        self.returned += 1;
-        Some(row)
     }
 }
 
@@ -490,6 +558,90 @@ mod tests {
             d.network_bytes < 10 * 32,
             "only the matching row is shipped"
         );
+    }
+
+    /// Ten `cf` rows in `t`, keys `encode_u64(0..10)`.
+    fn ten_rows(cl: &Client) {
+        for i in 0..10u64 {
+            cl.put(
+                "t",
+                &keys::encode_u64(i),
+                Mutation::put("cf", b"q", b"v".to_vec()),
+            )
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn detached_state_holds_the_unread_rows_only() {
+        let c = small_cluster();
+        let cl = c.client();
+        ten_rows(&cl);
+        let mut scan = cl.scan("t", Scan::new().caching(4)).unwrap();
+        let first = scan.next_row().unwrap().unwrap().to_owned();
+        assert_eq!(first.key, keys::encode_u64(0));
+        let before = c.metrics().snapshot();
+        let mut state = scan.into_state();
+        assert!(state.has_buffered_rows());
+        assert_eq!(state.resume_key(), Some(&keys::encode_u64(4)[..]));
+        // A clone resumes on the same three rows, then fetches the rest.
+        let rest = cl
+            .resume_scan(state.clone())
+            .unwrap()
+            .collect_rows()
+            .unwrap();
+        let keys_of = |rows: &[RowResult]| -> Vec<u64> {
+            let keys = rows.iter().map(|r| keys::decode_u64(&r.key).unwrap());
+            keys.collect()
+        };
+        assert_eq!(keys_of(&rest), (1..10).collect::<Vec<_>>());
+        let d = c.metrics().snapshot().delta_since(&before);
+        assert_eq!(d.kv_reads, 6, "the buffered rows are not read again");
+        assert_eq!(keys_of(&state.take_buffered_rows()), [1, 2, 3]);
+        assert!(!state.has_buffered_rows());
+    }
+
+    /// The table a detached scanner names is dropped and re-created
+    /// without the scanner's family: the resumed scanner serves what it
+    /// had buffered (and billed), and the RPC for the next row fails —
+    /// as an error, every time, never as the end of the scan.
+    #[test]
+    fn a_failed_rpc_is_an_error_not_an_exhausted_scan() {
+        let c = small_cluster();
+        let cl = c.client();
+        ten_rows(&cl);
+        let mut scan = cl
+            .scan("t", Scan::new().families(&["cf"]).caching(4))
+            .unwrap();
+        for _ in 0..2 {
+            assert!(scan.next_row().unwrap().is_some());
+        }
+        let state = scan.into_state();
+        c.drop_table("t").unwrap();
+        c.create_table("t", &["idx"]).unwrap();
+
+        let mut resumed = cl.resume_scan(state.clone()).unwrap();
+        for _ in 0..2 {
+            assert!(resumed.next_row().unwrap().is_some());
+        }
+        for _ in 0..2 {
+            assert!(matches!(
+                resumed.next_row(),
+                Err(StoreError::FamilyNotFound { .. })
+            ));
+        }
+        let failed = cl.resume_scan(state.clone()).unwrap().collect_rows();
+        assert!(matches!(failed, Err(StoreError::FamilyNotFound { .. })));
+
+        // The owned adaptor can only end; it keeps the reason.
+        let mut owned = cl.resume_scan(state).unwrap();
+        assert!(owned.error().is_none());
+        assert_eq!(owned.by_ref().count(), 2);
+        assert!(matches!(
+            owned.error(),
+            Some(StoreError::FamilyNotFound { .. })
+        ));
+        assert!(owned.next().is_none());
     }
 
     #[test]

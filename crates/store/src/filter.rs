@@ -7,15 +7,17 @@
 //! (iv)" (§7.1) — the pull phase reads every tuple (paying dollar cost) but
 //! only tuples above the score bound cross the network.
 
-use crate::row::RowResult;
+use crate::row::RowRef;
 
-/// A predicate evaluated at the region server against a materialized row.
+/// A predicate evaluated at the region server against a row's visible
+/// cells, in place: the row is a borrowed view, so a rejected row was
+/// never copied.
 ///
 /// Returning `false` drops the row before it is shipped: the row's KV pairs
 /// still count as reads (dollar cost), but contribute no network bytes.
 pub trait ServerFilter: Send + Sync {
     /// Keep this row?
-    fn accept(&self, row: &RowResult) -> bool;
+    fn accept(&self, row: RowRef<'_>) -> bool;
 
     /// Human-readable name for diagnostics.
     fn name(&self) -> &'static str {
@@ -36,7 +38,7 @@ pub struct ScoreAtLeast {
 }
 
 impl ServerFilter for ScoreAtLeast {
-    fn accept(&self, row: &RowResult) -> bool {
+    fn accept(&self, row: RowRef<'_>) -> bool {
         row.value(&self.family, &self.qualifier)
             .and_then(|v| v.as_ref().get(..8))
             .and_then(|b| b.try_into().ok().map(f64::from_be_bytes))
@@ -62,7 +64,7 @@ pub struct ScoreInRange {
 }
 
 impl ServerFilter for ScoreInRange {
-    fn accept(&self, row: &RowResult) -> bool {
+    fn accept(&self, row: RowRef<'_>) -> bool {
         row.value(&self.family, &self.qualifier)
             .and_then(|v| v.as_ref().get(..8))
             .and_then(|b| b.try_into().ok().map(f64::from_be_bytes))
@@ -78,7 +80,7 @@ impl ServerFilter for ScoreInRange {
 pub struct KeyPrefix(pub Vec<u8>);
 
 impl ServerFilter for KeyPrefix {
-    fn accept(&self, row: &RowResult) -> bool {
+    fn accept(&self, row: RowRef<'_>) -> bool {
         row.key.starts_with(&self.0)
     }
 
@@ -92,7 +94,7 @@ impl ServerFilter for KeyPrefix {
 pub struct HasFamily(pub String);
 
 impl ServerFilter for HasFamily {
-    fn accept(&self, row: &RowResult) -> bool {
+    fn accept(&self, row: RowRef<'_>) -> bool {
         row.cells.iter().any(|c| *c.family == *self.0)
     }
 
@@ -105,6 +107,7 @@ impl ServerFilter for HasFamily {
 mod tests {
     use super::*;
     use crate::cell::Cell;
+    use crate::row::RowResult;
     use bytes::Bytes;
 
     fn row_with_score(score: f64) -> RowResult {
@@ -126,9 +129,9 @@ mod tests {
             qualifier: b"score".to_vec(),
             threshold: 0.5,
         };
-        assert!(f.accept(&row_with_score(0.5)));
-        assert!(f.accept(&row_with_score(0.9)));
-        assert!(!f.accept(&row_with_score(0.49)));
+        assert!(f.accept(row_with_score(0.5).as_row_ref()));
+        assert!(f.accept(row_with_score(0.9).as_row_ref()));
+        assert!(!f.accept(row_with_score(0.49).as_row_ref()));
     }
 
     #[test]
@@ -138,7 +141,7 @@ mod tests {
             qualifier: b"other".to_vec(),
             threshold: 0.0,
         };
-        assert!(!f.accept(&row_with_score(1.0)));
+        assert!(!f.accept(row_with_score(1.0).as_row_ref()));
     }
 
     #[test]
@@ -149,31 +152,31 @@ mod tests {
             min: 0.4,
             max: 0.6,
         };
-        assert!(f.accept(&row_with_score(0.4)));
-        assert!(f.accept(&row_with_score(0.59)));
-        assert!(!f.accept(&row_with_score(0.6)));
-        assert!(!f.accept(&row_with_score(0.39)));
+        assert!(f.accept(row_with_score(0.4).as_row_ref()));
+        assert!(f.accept(row_with_score(0.59).as_row_ref()));
+        assert!(!f.accept(row_with_score(0.6).as_row_ref()));
+        assert!(!f.accept(row_with_score(0.39).as_row_ref()));
         let open = ScoreInRange {
             family: "cf".into(),
             qualifier: b"score".to_vec(),
             min: 0.5,
             max: f64::INFINITY,
         };
-        assert!(open.accept(&row_with_score(1e9)));
+        assert!(open.accept(row_with_score(1e9).as_row_ref()));
     }
 
     #[test]
     fn prefix_filter() {
         let f = KeyPrefix(b"r".to_vec());
-        assert!(f.accept(&row_with_score(0.1)));
+        assert!(f.accept(row_with_score(0.1).as_row_ref()));
         let g = KeyPrefix(b"zz".to_vec());
-        assert!(!g.accept(&row_with_score(0.1)));
+        assert!(!g.accept(row_with_score(0.1).as_row_ref()));
     }
 
     #[test]
     fn has_family_filter() {
         let row = row_with_score(0.3);
-        assert!(HasFamily("cf".into()).accept(&row));
-        assert!(!HasFamily("other".into()).accept(&row));
+        assert!(HasFamily("cf".into()).accept(row.as_row_ref()));
+        assert!(!HasFamily("other".into()).accept(row.as_row_ref()));
     }
 }

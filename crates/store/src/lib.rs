@@ -13,7 +13,8 @@
 //! * clients issue `get` / `put` / `delete` / atomic `mutate_row` /
 //!   batched `scan` operations; scans run in ascending key order only —
 //!   the HBase "kink" (§4.2.2) that forces score-ordered layouts to store
-//!   negated scores,
+//!   negated scores — and lend their rows out of one reused batch per
+//!   scanner ([`row`]), so a scanned row costs its reader no allocation,
 //! * a column stores its newest version only, and a delete's tombstone for
 //!   a fixed grace window of clock ticks after its timestamp — the
 //!   retention rule, and the §6 race it protects, are in [`region`],
@@ -74,5 +75,5 @@ pub use error::StoreError;
 pub use metrics::{MetricsSnapshot, QueryMeter};
 pub use parallel::{ExecutionMode, ParallelScanner};
 pub use pool::{PoolPriority, WorkStealingPool};
-pub use row::RowResult;
+pub use row::{RowBatch, RowRef, RowResult};
 pub use scan::Scan;

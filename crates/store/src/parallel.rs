@@ -240,7 +240,7 @@ impl<'a> ParallelScanner<'a> {
                 self.cluster,
                 1,
                 vec![LaneTask::new(0, move |client: &Client| {
-                    Ok(client.scan(table, spec)?.collect::<Vec<_>>())
+                    client.scan(table, spec)?.collect_rows()
                 })],
             )?;
             return Ok(rows.pop().unwrap_or_default());
@@ -276,7 +276,7 @@ impl<'a> ParallelScanner<'a> {
             let mut spec = scan.clone().start(lo);
             spec.stop = hi;
             tasks.push(LaneTask::new(info.node, move |client: &Client| {
-                Ok(client.scan(table, spec)?.collect::<Vec<_>>())
+                client.scan(table, spec)?.collect_rows()
             }));
         }
         let per_region = run_lanes(self.cluster, self.workers, tasks)?;

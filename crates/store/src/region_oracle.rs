@@ -111,7 +111,7 @@ proptest! {
 
     /// Random puts and deletes, clock-stamped or pinned a little into the
     /// past, with the clock now and then jumping a whole grace window (so
-    /// purges happen): `get`, `scan_batch` and `kv_count` agree with the
+    /// purges happen): `get`, `scan_batch_into` and `kv_count` agree with the
     /// keep-everything model after every step, the maintained accounting
     /// equals a recount, and no read bills more than the model's.
     ///
@@ -153,7 +153,8 @@ proptest! {
             prop_assert_eq!((region.kv_count(), region.byte_size()), region.recount(&names));
             for projection in [vec![0, 1], vec![0], vec![1]] {
                 let mut scanned = Vec::new();
-                let scan = region.scan_batch(b"", None, &names, Some(&projection), None, 100);
+                let (scan_rows, scan_cost, _) =
+                    region.scan_owned(b"", None, &names, Some(&projection), None, 100);
                 let mut model_touched = 0;
                 for r in 0u8..5 {
                     let key = [b'r', r];
@@ -166,9 +167,9 @@ proptest! {
                         scanned.push((key.to_vec(), want));
                     }
                 }
-                let got: Vec<_> = scan.rows.iter().map(|r| (r.key.clone(), cells_of(r))).collect();
+                let got: Vec<_> = scan_rows.iter().map(|r| (r.key.clone(), cells_of(r))).collect();
                 prop_assert_eq!(got, scanned);
-                prop_assert!(scan.cost.kvs_scanned <= model_touched);
+                prop_assert!(scan_cost.kvs_scanned <= model_touched);
             }
         }
     }

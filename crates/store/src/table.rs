@@ -9,7 +9,7 @@ use crate::cell::Mutation;
 use crate::error::{Result, StoreError};
 use crate::filter::ServerFilter;
 use crate::region::{ReadCost, Region};
-use crate::row::RowResult;
+use crate::row::{RowBatch, RowRef, RowResult};
 
 /// Metadata about one region, as exposed to the MapReduce engine for
 /// locality-aware task placement.
@@ -29,17 +29,20 @@ pub struct RegionInfo {
     pub bytes: u64,
 }
 
-/// Output of one table-level scan step (possibly crossing a region edge).
-pub struct TableScanBatch {
-    /// Rows returned.
-    pub rows: Vec<RowResult>,
+/// What one table-level scan step did, beside filling the caller's
+/// [`RowBatch`].
+pub(crate) struct ScanStep {
     /// Server-side accounting.
     pub cost: ReadCost,
-    /// Node that served the batch.
+    /// Node that served the step.
     pub node: usize,
-    /// Where to resume, or `None` when the scan is complete.
-    pub resume_key: Option<Vec<u8>>,
+    /// Whether the scan continues (the caller's key then holds the resume
+    /// position).
+    pub more: bool,
 }
+
+/// Rows per step of the admin walk [`Table::for_each_row`].
+const ADMIN_WALK_ROWS: usize = 1024;
 
 /// An ordered, sharded collection of rows.
 pub struct Table {
@@ -118,7 +121,8 @@ impl Table {
             })
     }
 
-    fn resolve_families(&self, names: Option<&[String]>) -> Result<Option<Vec<usize>>> {
+    /// A family projection as sorted, distinct schema indices.
+    pub(crate) fn resolve_families(&self, names: Option<&[String]>) -> Result<Option<Vec<usize>>> {
         match names {
             None => Ok(None),
             Some(ns) => {
@@ -323,57 +327,56 @@ impl Table {
         Ok((row, cost, region.node()))
     }
 
-    /// One scan step: reads up to `max_rows` rows from the region serving
-    /// `start`, bounded by `stop`, and reports where to resume (which may be
-    /// the start of the next region).
-    pub(crate) fn scan_batch(
+    /// One scan step: visits up to `max_rows` rows of the region serving
+    /// `*next_key`, bounded by `stop`, and appends the rows it returns to
+    /// `out`. When the scan continues, `next_key` is overwritten with the
+    /// resume position (which may be the start of the next region).
+    /// `families` is a projection resolved by [`Table::resolve_families`].
+    pub(crate) fn scan_batch_into(
         &self,
-        start: &[u8],
+        next_key: &mut Vec<u8>,
         stop: Option<&[u8]>,
-        families: Option<&[String]>,
+        families: Option<&[usize]>,
         filter: Option<&dyn ServerFilter>,
         max_rows: usize,
-    ) -> Result<TableScanBatch> {
+        out: &mut RowBatch,
+    ) -> Result<ScanStep> {
         if max_rows == 0 {
             return Err(StoreError::InvalidArgument("scan batch size must be > 0"));
         }
-        let fam_ids = self.resolve_families(families)?;
         let regions = self.regions.read();
-        let idx = Self::region_index(&regions, start);
-        let next_region_start = regions.get(idx + 1).map(|r| r.read().start_key().to_vec());
+        let idx = Self::region_index(&regions, next_key);
         let region = regions[idx].read();
+        // The next region stays read-locked for the step, so its start key
+        // (this region's end) is compared in place, not copied. Locked
+        // after this one: every holder of two region locks takes them in
+        // ascending order.
+        let next_region = regions.get(idx + 1).map(|r| r.read());
+        let edge = next_region.as_deref().map(Region::start_key);
 
         // Bound the region scan by both the caller's stop key and the
         // region's end.
-        let effective_stop: Option<&[u8]> = match (&next_region_start, stop) {
-            (Some(edge), Some(s)) => Some(if edge.as_slice() < s { edge } else { s }),
-            (Some(edge), None) => Some(edge.as_slice()),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        };
-        let batch = region.scan_batch(
-            start,
-            effective_stop,
+        let edge_first = edge.filter(|edge| stop.is_none_or(|s| *edge < s));
+        let (cost, mut more) = region.scan_batch_into(
+            next_key,
+            edge_first.or(stop),
             &self.families,
-            fam_ids.as_deref(),
+            families,
             filter,
             max_rows,
+            out,
         );
-        let node = region.node();
         // If the region is exhausted, continue into the next region (unless
         // the caller's stop bound ends the scan first).
-        let resume_key = match batch.resume_key {
-            Some(k) => Some(k),
-            None => match next_region_start {
-                Some(edge) if stop.is_none_or(|s| edge.as_slice() < s) => Some(edge),
-                _ => None,
-            },
-        };
-        Ok(TableScanBatch {
-            rows: batch.rows,
-            cost: batch.cost,
-            node,
-            resume_key,
+        if let (false, Some(edge)) = (more, edge_first) {
+            next_key.clear();
+            next_key.extend_from_slice(edge);
+            more = true;
+        }
+        Ok(ScanStep {
+            cost,
+            node: region.node(),
+            more,
         })
     }
 
@@ -382,26 +385,44 @@ impl Table {
         self.regions.read().len()
     }
 
-    /// Iterates all visible rows without any cost accounting — test and
-    /// verification use only (the "omniscient" view no real client has).
-    pub fn debug_all_rows(&self) -> Vec<RowResult> {
+    /// Visits every visible row in key order without any cost accounting
+    /// — the admin walk behind a statistics pass (the "omniscient" view no
+    /// real client has). Regions are disjoint and ordered, so walking them
+    /// in turn is key order; each is read in steps of 1 024 rows into one
+    /// reused batch, so the walk's heap use does not depend on the table's
+    /// size. `visit` runs under the read lock of the region it is shown a
+    /// row of, so it must not write to this table.
+    pub fn for_each_row(&self, mut visit: impl FnMut(RowRef<'_>)) {
         let regions = self.regions.read();
-        let mut out = Vec::new();
-        for r in regions.iter() {
-            let r = r.read();
-            let batch = r.scan_batch(
-                r.start_key().to_vec().as_slice(),
-                None,
-                &self.families,
-                None,
-                None,
-                usize::MAX,
-            );
-            out.extend(batch.rows);
+        let mut batch = RowBatch::new();
+        let mut next_key = Vec::new();
+        for region in regions.iter() {
+            let region = region.read();
+            next_key.clear();
+            next_key.extend_from_slice(region.start_key());
+            let mut more = true;
+            while more {
+                batch.clear();
+                (_, more) = region.scan_batch_into(
+                    &mut next_key,
+                    None,
+                    &self.families,
+                    None,
+                    None,
+                    ADMIN_WALK_ROWS,
+                    &mut batch,
+                );
+                batch.iter().for_each(&mut visit);
+            }
         }
-        out.sort_by(|a, b| a.key.cmp(&b.key));
-        out.dedup_by(|a, b| a.key == b.key);
-        out
+    }
+
+    /// Every visible row, owned — test and verification use only; a
+    /// production pass streams through [`Table::for_each_row`].
+    pub fn debug_all_rows(&self) -> Vec<RowResult> {
+        let mut rows = Vec::new();
+        self.for_each_row(|row| rows.push(row.to_owned()));
+        rows
     }
 }
 
@@ -411,6 +432,22 @@ mod tests {
 
     fn table() -> Table {
         Table::new("t", &["cf"], &[], 3)
+    }
+
+    /// One unprojected, unfiltered scan step from `start`:
+    /// `(rows returned, cost, resume key)`.
+    fn scan_step(
+        t: &Table,
+        start: &[u8],
+        stop: Option<&[u8]>,
+        max_rows: usize,
+    ) -> (usize, ReadCost, Option<Vec<u8>>) {
+        let mut next_key = start.to_vec();
+        let mut batch = RowBatch::new();
+        let step = t
+            .scan_batch_into(&mut next_key, stop, None, None, max_rows, &mut batch)
+            .unwrap();
+        (batch.len(), step.cost, step.more.then_some(next_key))
     }
 
     #[test]
@@ -518,12 +555,12 @@ mod tests {
                 .unwrap();
         }
         // First batch in region 0 exhausts it; resume key is region 1 start.
-        let b1 = t.scan_batch(&[], None, None, None, 100).unwrap();
-        assert_eq!(b1.rows.len(), 5);
-        assert_eq!(b1.resume_key, Some(vec![5u8]));
-        let b2 = t.scan_batch(&[5], None, None, None, 100).unwrap();
-        assert_eq!(b2.rows.len(), 5);
-        assert_eq!(b2.resume_key, None);
+        let (rows, _, resume_key) = scan_step(&t, &[], None, 100);
+        assert_eq!(rows, 5);
+        assert_eq!(resume_key, Some(vec![5u8]));
+        let (rows, _, resume_key) = scan_step(&t, &[5], None, 100);
+        assert_eq!(rows, 5);
+        assert_eq!(resume_key, None);
     }
 
     #[test]
@@ -533,9 +570,9 @@ mod tests {
             t.mutate_row(&[i], &[Mutation::put("cf", b"q", vec![i])], 1)
                 .unwrap();
         }
-        let b = t.scan_batch(&[], Some(&[4u8]), None, None, 100).unwrap();
-        assert_eq!(b.rows.len(), 4);
-        assert_eq!(b.resume_key, None, "stop before region edge ends scan");
+        let (rows, _, resume_key) = scan_step(&t, &[], Some(&[4u8]), 100);
+        assert_eq!(rows, 4);
+        assert_eq!(resume_key, None, "stop before region edge ends scan");
     }
 
     #[test]
@@ -576,7 +613,7 @@ mod tests {
     fn deleted_rows_leave_no_trace_in_the_accounting_past_the_window() {
         use crate::region::TOMBSTONE_GRACE_TICKS;
         let t = table();
-        let scan_kvs = |t: &Table| t.scan_batch(&[], None, None, None, 1000).unwrap().cost;
+        let scan_kvs = |t: &Table| scan_step(t, &[], None, 1000).1;
         let anchor = || [Mutation::put("cf", b"q", b"v".to_vec())];
         t.mutate_row(b"anchor", &anchor(), 1).unwrap();
         let before = (

@@ -11,6 +11,10 @@ use rj_store::costmodel::CostModel;
 use rj_store::keys;
 use rj_store::scan::Scan;
 
+/// A row as the model of `store_matches_model` lists it: its key and its
+/// `(family, qualifier, value)` cells in order.
+type ModelRow = (Vec<u8>, Vec<(usize, u8, u8)>);
+
 proptest! {
     /// u64 encoding: byte order == numeric order.
     #[test]
@@ -52,43 +56,65 @@ proptest! {
     }
 
     /// Store reads/scans agree with a BTreeMap model under arbitrary
-    /// interleavings of puts and deletes (latest-timestamp-wins).
+    /// interleavings of puts and deletes (latest-timestamp-wins), on rows
+    /// of up to 64 columns over two families: every read returns a row's
+    /// cells in `(family, qualifier)` order whatever order they were
+    /// written in.
     #[test]
     fn store_matches_model(ops in prop::collection::vec(
-        (0u8..20, any::<bool>(), 0u8..=255), 1..120)) {
+        (0u8..4, 0usize..2, 0u8..32, any::<bool>(), 0u8..=255), 1..300)) {
+        const FAMILIES: [&str; 2] = ["cf", "dg"];
         let cluster = Cluster::new(2, CostModel::test());
-        cluster.create_table("t", &["cf"]).unwrap();
+        cluster.create_table("t", &FAMILIES).unwrap();
         let client = cluster.client();
-        let mut model: BTreeMap<Vec<u8>, u8> = BTreeMap::new();
+        // row key → (family, qualifier) → value
+        let mut model: BTreeMap<Vec<u8>, BTreeMap<(usize, u8), u8>> = BTreeMap::new();
 
-        for (key_id, is_put, value) in ops {
+        for (key_id, family, qualifier, is_put, value) in ops {
             let key = vec![b'k', key_id];
             if is_put {
-                client.put("t", &key, Mutation::put("cf", b"v", vec![value])).unwrap();
-                model.insert(key, value);
+                let put = Mutation::put(FAMILIES[family], &[qualifier], vec![value]);
+                client.put("t", &key, put).unwrap();
+                model.entry(key).or_default().insert((family, qualifier), value);
             } else {
-                client.delete("t", &key, "cf", b"v").unwrap();
-                model.remove(&key);
+                client.delete("t", &key, FAMILIES[family], &[qualifier]).unwrap();
+                if let Some(row) = model.get_mut(&key) {
+                    row.remove(&(family, qualifier));
+                }
             }
         }
+        model.retain(|_, row| !row.is_empty());
+
+        let cells_of = |row: &rj_store::RowResult| -> Vec<(usize, u8, u8)> {
+            row.cells
+                .iter()
+                .map(|c| {
+                    let family = FAMILIES.iter().position(|f| **f == *c.family).unwrap();
+                    (family, c.qualifier[0], c.value[0])
+                })
+                .collect()
+        };
+        let want: Vec<ModelRow> = model
+            .into_iter()
+            .map(|(key, row)| (key, row.into_iter().map(|((f, q), v)| (f, q, v)).collect()))
+            .collect();
 
         // Point reads agree.
-        for key_id in 0u8..20 {
+        for key_id in 0u8..4 {
             let key = vec![b'k', key_id];
-            let got = client.get("t", &key).unwrap()
-                .and_then(|r| r.value("cf", b"v").map(|v| v[0]));
-            prop_assert_eq!(got, model.get(&key).copied());
+            let got = client.get("t", &key).unwrap().map(|r| cells_of(&r));
+            let wanted = want.iter().find(|(k, _)| *k == key).map(|(_, cells)| cells.clone());
+            prop_assert_eq!(got, wanted);
         }
         // Scans agree in content and order.
-        let scanned: Vec<(Vec<u8>, u8)> = client
+        let scanned: Vec<ModelRow> = client
             .scan("t", Scan::new().caching(3))
             .unwrap()
             .map(|r| {
-                let v = r.value("cf", b"v").unwrap()[0];
-                (r.key, v)
+                let cells = cells_of(&r);
+                (r.key, cells)
             })
             .collect();
-        let want: Vec<(Vec<u8>, u8)> = model.into_iter().collect();
         prop_assert_eq!(scanned, want);
     }
 }

@@ -1,22 +1,32 @@
 //! Allocation budget of the ISL read path (scan → HRJN → top-k → cursor),
 //! binary and 3-way — one spine, so one budget.
 //!
-//! The path is meant to copy nothing per tuple: a row the scan returns
-//! costs its key and its `cells` vector, a row it merely walks over costs
-//! nothing, a join match is materialised only when it enters the top-k,
-//! and a paused cursor carries its operator state instead of rebuilding
-//! it. These tests pin that with a counting allocator, on a tiny TPC-H
-//! load. Counts are per thread, so the other tests of this binary running
-//! beside a measured region do not disturb it (every measured call runs
-//! on the calling thread).
+//! The path is meant to copy nothing per tuple: a row the scan lends out
+//! costs nothing (its batch is refilled in place), a row it merely walks
+//! over costs nothing, a join match is materialised only when it enters
+//! the top-k, and a paused cursor carries its operator state instead of
+//! rebuilding it. What remains is per RPC and per admitted result. These
+//! tests pin that with a counting allocator, on a tiny TPC-H load. Counts
+//! are per thread, so the other tests of this binary running beside a
+//! measured region do not disturb it (every such call runs on the calling
+//! thread). The one algorithm that fans out to the pool, DRJN, is counted
+//! process-wide instead, while no other test of the binary runs
+//! ([`ALONE`]).
+//!
+//! BFHM and DRJN still decode through the owning `decode_value_score` and
+//! build their hash sides by incremental pushes; their budgets here are
+//! today's figures, the baseline that work is measured against.
 //!
 //! The maintained write path has a budget of the same kind: the store
 //! frees what a delete kills (after the tombstones' grace window), so a
 //! round of inserts and deletes allocates the same however many rounds
 //! came before it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::{PoisonError, RwLock};
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{counted, counted_process_wide, CountingAlloc};
 
 use rankjoin::core::bfhm::maintenance::{compact_if_pending, BfhmMaintainer};
 use rankjoin::core::cursor::{CursorState, RankedCursor};
@@ -24,70 +34,26 @@ use rankjoin::core::{bfhm, isl};
 use rankjoin::sketch::blob::BlobCodec;
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
-    Algorithm, BfhmConfig, Cluster, CostModel, IslConfig, JoinEdge, JoinSide, JoinSpec,
+    Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinEdge, JoinSide, JoinSpec,
     MaintainedSide, MultiwayConfig, Mutation, RankJoinExecutor, RankJoinQuery, Scan, ScoreFn,
     SideAccess, SpecExecutor, StopPolicy, WriteBackPolicy,
 };
 
-thread_local! {
-    /// Allocation calls made by this thread (a `realloc` counts as one).
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Forwards to the system allocator, counting calls per thread.
-struct CountingAlloc;
-
-fn count_one() {
-    // `try_with`: a thread that is tearing down has no counter left, and
-    // nothing measured runs there.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a plain
-// thread-local integer and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: the trait's contract for `alloc` is `System`'s own.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `layout` obligations are passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: the trait's contract for `alloc_zeroed` is `System`'s own.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's `layout` obligations are passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    // SAFETY: the trait's contract for `dealloc` is `System`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by this allocator (hence by
-        // `System`) for `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: the trait's contract for `realloc` is `System`'s own.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr`/`layout` come from this allocator and `new_size`
-        // is the caller's obligation, both passed through unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns its result with the allocations it made.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
+/// Every test holds this for its whole body: shared when it counts its
+/// own thread, exclusive when it counts the process.
+static ALONE: RwLock<()> = RwLock::new(());
 
 const ISL_BATCH: usize = 64;
+/// One-shot BFHM on Q2 at k = 10: 504 allocations for 37 KV reads (point
+/// gets; blob decode and the filter intersection are most of it).
+const BFHM_ALLOCS_PER_1000_READS: u64 = 13_650;
+/// One-shot DRJN on Q2 at k = 10: 15 069 to 15 073 allocations (the
+/// order parallel map tasks write the pull table in decides a few B-tree
+/// node splits) for 115 239 KV reads.
+const DRJN_ALLOCS_PER_1000_READS: u64 = 132;
 
 fn side(table: &str, label: &str, join: &'static [u8]) -> JoinSide {
     JoinSide::new(
@@ -205,7 +171,9 @@ fn paged(
 }
 
 #[test]
-fn one_shot_isl_stays_within_four_allocations_per_kv_read() {
+fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let (mut total_allocs, mut total_reads) = (0, 0);
     for query in queries() {
         let (cluster, _ex) = prepared(&query);
         let table = isl::index_table_name(&query);
@@ -216,16 +184,56 @@ fn one_shot_isl_stays_within_four_allocations_per_kv_read() {
             assert_eq!(outcome.results.len(), k);
             let reads = outcome.metrics.kv_reads;
             assert!(
-                allocs <= 4 * reads,
+                allocs < reads,
                 "{} k={k}: {allocs} allocations for {reads} KV reads",
                 query.left.label
             );
+            total_allocs += allocs;
+            total_reads += reads;
         }
     }
+    // Measured: 5 429 allocations for 14 059 KV reads (0.39 a read; 0.90
+    // at worst, Q1 at k = 200, where the 200 admitted results dominate).
+    assert!(
+        total_allocs * 100 <= total_reads * 40,
+        "{total_allocs} allocations for {total_reads} KV reads"
+    );
+}
+
+#[test]
+fn one_shot_bfhm_allocations_per_kv_read_are_pinned() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let (_cluster, mut ex) = prepared(&q2);
+    ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    let (outcome, allocs) = counted(|| ex.execute(Algorithm::Bfhm).unwrap());
+    assert_eq!(outcome.results.len(), 10);
+    let reads = outcome.metrics.kv_reads;
+    assert!(
+        allocs <= BFHM_ALLOCS_PER_1000_READS * reads / 1000,
+        "BFHM: {allocs} allocations for {reads} KV reads"
+    );
+}
+
+#[test]
+fn one_shot_drjn_allocations_per_kv_read_are_pinned() {
+    let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let (_cluster, mut ex) = prepared(&q2);
+    ex.prepare_drjn(DrjnConfig::with_buckets(20)).unwrap();
+    // The pull phase is MapReduce jobs on the pool's threads.
+    let (outcome, allocs) = counted_process_wide(|| ex.execute(Algorithm::Drjn).unwrap());
+    assert_eq!(outcome.results.len(), 10);
+    let reads = outcome.metrics.kv_reads;
+    assert!(
+        allocs <= DRJN_ALLOCS_PER_1000_READS * reads / 1000,
+        "DRJN: {allocs} allocations for {reads} KV reads"
+    );
 }
 
 #[test]
 fn projected_scan_allocates_nothing_for_rows_without_a_projected_cell() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     // The same ten `b` rows, alone and hidden among a thousand rows that
     // hold only `a` cells (the shape of a shared ISL index table).
     let cluster = Cluster::new(1, CostModel::test());
@@ -272,6 +280,7 @@ fn projected_scan_allocates_nothing_for_rows_without_a_projected_cell() {
 
 #[test]
 fn resume_cost_does_not_depend_on_consumed_depth() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let [_, q2] = queries();
     let (_cluster, ex) = prepared(&q2);
     let cursor = ex.open_cursor(Algorithm::Isl, 200).unwrap();
@@ -283,6 +292,7 @@ fn resume_cost_does_not_depend_on_consumed_depth() {
 
 #[test]
 fn three_way_resume_cost_does_not_depend_on_consumed_depth() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let ex = prepared_three_way(8);
     let cursor = ex.open_cursor(200).unwrap();
     let (depths, allocs) = resume_costs(cursor, [1, 150], |s| ex.resume_cursor(s).unwrap());
@@ -293,6 +303,7 @@ fn three_way_resume_cost_does_not_depend_on_consumed_depth() {
 
 #[test]
 fn paged_session_costs_one_shot_plus_its_pages() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let [q1, _] = queries();
     let (_cluster, ex) = prepared(&q1);
     let (k, page) = (200, 10);
@@ -316,6 +327,7 @@ fn paged_session_costs_one_shot_plus_its_pages() {
 
 #[test]
 fn three_way_paged_session_costs_one_shot_plus_its_pages() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let ex = prepared_three_way(ISL_BATCH);
     let (k, page) = (200, 10);
     let (one_shot, one_shot_allocs) = counted(|| ex.execute_with_k(k).unwrap());
@@ -338,6 +350,7 @@ fn three_way_paged_session_costs_one_shot_plus_its_pages() {
 
 #[test]
 fn maintained_write_round_cost_does_not_depend_on_rounds_before_it() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let [_, q2] = queries();
     let (cluster, mut ex) = prepared(&q2);
     ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
@@ -374,5 +387,10 @@ fn maintained_write_round_cost_does_not_depend_on_rounds_before_it() {
         ex.execute(Algorithm::Bfhm).unwrap();
         compact_if_pending(&cluster, &index, "L2", BlobCodec::Golomb, 1).unwrap();
     }
-    assert_eq!(per_round[19], per_round[1], "per round: {per_round:?}");
+    // A widened row's column vector keeps its capacity, so the steady
+    // state starts at the third round, not the second.
+    assert!(
+        per_round[2..].iter().all(|&allocs| allocs == per_round[2]),
+        "per round: {per_round:?}"
+    );
 }

@@ -1,0 +1,67 @@
+//! Heap footprint of the store against the bytes it reports as stored.
+//!
+//! `Table::disk_size` is the paper's index-size metric: key, family,
+//! qualifier, timestamp and value of every stored column. What the
+//! process holds for them on the heap is a multiple of that — row and
+//! column headers, refcounts, B-tree slack — and the multiple is the
+//! store's own overhead, the floor under every workload's peak memory.
+//! A row is one sorted column vector (see `rj_store::region`), which keeps
+//! it near 3.5× on a TPC-H load with its indices (measured at SF 0.01
+//! with all four indices built; it was 8.6× when a row held one B-tree
+//! per family, and 13× on the one-column rows of an index table). This
+//! test holds the line at 5×.
+//!
+//! Live bytes are process-wide, so this binary has the one test.
+
+use rankjoin::tpch::{loader, TpchConfig};
+use rankjoin::{BfhmConfig, Cluster, CostModel, RankJoinExecutor};
+use rj_bench::QuerySpec;
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{live_bytes, CountingAlloc};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// `(live heap, Σ disk_size over every table)` right now.
+fn footprint(cluster: &Cluster) -> (u64, u64) {
+    let stored = cluster
+        .table_names()
+        .iter()
+        .map(|name| cluster.table(name).unwrap().disk_size())
+        .sum();
+    (live_bytes(), stored)
+}
+
+#[test]
+fn live_heap_stays_within_five_times_the_stored_bytes() {
+    let start = live_bytes();
+    let cluster = Cluster::new(3, CostModel::test());
+    let mut ex = RankJoinExecutor::new(&cluster, QuerySpec::Q2.query(10));
+    let mut before = (start, 0);
+    let mut step = |name: &str, cluster: &Cluster| {
+        let after = footprint(cluster);
+        let (heap, stored) = (after.0 - before.0, after.1 - before.1);
+        println!(
+            "{name}: {heap} B of heap for {stored} B stored ({:.2}x)",
+            heap as f64 / stored as f64
+        );
+        before = after;
+    };
+
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    step("base tables", &cluster);
+    ex.prepare_isl().unwrap();
+    step("ISL index", &cluster);
+    ex.prepare_bfhm(BfhmConfig::default()).unwrap();
+    step("BFHM index", &cluster);
+
+    let (live, stored) = footprint(&cluster);
+    let heap = live - start;
+    println!(
+        "total: {heap} B of heap for {stored} B stored ({:.2}x)",
+        heap as f64 / stored as f64
+    );
+    assert!(heap <= 5 * stored, "{heap} B of heap for {stored} B stored");
+}
