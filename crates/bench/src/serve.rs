@@ -257,22 +257,24 @@ fn run_arm(config: &ServeBenchConfig, trace: &[Arrival], sharing: bool) -> Serve
                 .expect("tenant")
         })
         .collect();
-    let mut ids: Vec<SessionId> = Vec::with_capacity(trace.len());
+    // Sessions submitted and not yet seen `Done`. Sojourns are harvested
+    // as sessions finish, not after the trace: a finished session's
+    // record is only kept for `rj_serve::FINISHED_GRACE_ROUNDS` rounds.
+    let mut in_flight: Vec<SessionId> = Vec::new();
+    let mut sojourns: Vec<f64> = Vec::with_capacity(trace.len());
     let mut next = 0usize;
     loop {
         while next < trace.len() && trace[next].at <= service.clock() {
             let a = trace[next];
             let opts = SubmitOptions::topk(a.k).with_priority(a.priority);
-            ids.push(
+            in_flight.push(
                 service
                     .submit(tenants[a.tenant], backend, opts)
                     .expect("unbounded queue"),
             );
             next += 1;
         }
-        let c = service.counters();
-        let terminal = c.completed + c.cancelled + c.deadline_expired + c.failed;
-        if c.submitted == terminal {
+        if in_flight.is_empty() {
             if next >= trace.len() {
                 break;
             }
@@ -281,14 +283,15 @@ fn run_arm(config: &ServeBenchConfig, trace: &[Arrival], sharing: bool) -> Serve
             continue;
         }
         service.run_round().expect("round");
+        in_flight.retain(|id| match service.poll(*id).expect("session") {
+            SessionStatus::Done(result) => {
+                sojourns.push(result.sojourn());
+                false
+            }
+            _ => true,
+        });
     }
-    let mut sojourns: Vec<f64> = ids
-        .iter()
-        .map(|id| match service.poll(*id).expect("session") {
-            SessionStatus::Done(result) => result.sojourn(),
-            other => panic!("trace session not terminal: {other:?}"),
-        })
-        .collect();
+    assert_eq!(sojourns.len(), trace.len(), "one sojourn per trace query");
     sojourns.sort_by(f64::total_cmp);
     let counters = service.counters();
     let mut per_tenant = Vec::with_capacity(tenants.len());
@@ -493,6 +496,25 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(report.tables().len(), 2);
+    }
+
+    #[test]
+    fn arm_longer_than_the_grace_window_still_harvests_every_sojourn() {
+        // Sharing off at width 1: one round per query, so the first
+        // sessions' records are dropped long before the trace ends.
+        let config = ServeBenchConfig {
+            queries: rj_serve::FINISHED_GRACE_ROUNDS as usize + 64,
+            round_width: 1,
+            rows_per_side: 48,
+            ..ServeBenchConfig::default()
+        };
+        let trace = generate_trace(&config);
+        // `run_arm` itself asserts one sojourn per trace query.
+        let arm = run_arm(&config, &trace, false);
+        assert_eq!(arm.completed as usize, config.queries);
+        assert_eq!(arm.executions as usize, config.queries);
+        assert!(arm.p50 > 0.0 && arm.p50 <= arm.p999);
+        assert!(arm_conserved(&arm), "ledgers must equal billing records");
     }
 
     #[test]

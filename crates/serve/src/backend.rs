@@ -35,6 +35,14 @@ pub enum BackendExec {
     Spec(SpecExecutor),
 }
 
+/// Per-(tenant, backend) execution context: a metrics fork of the base
+/// cluster and an executor clone bound to it. Everything a pool job
+/// needs, shared immutably.
+pub(crate) struct TenantFork {
+    pub cluster: Cluster,
+    pub executor: BackendExec,
+}
+
 /// The statistics handle a backend's caches version against — the
 /// table-pair handle for binary backends, the spec handle for multi-way
 /// ones. Both expose the same coherence counters.

@@ -13,6 +13,22 @@ pub enum ServeError {
     UnknownBackend,
     /// The session id does not name a submitted session.
     UnknownSession,
+    /// The session finished and its record — outcome, result rows,
+    /// billing record — was dropped after its grace window
+    /// ([`crate::FINISHED_GRACE_ROUNDS`] scheduling rounds past the round
+    /// it finished in). What it charged stays billed to its tenant; only
+    /// the per-session record is gone. Collect a result within the window.
+    SessionExpired,
+    /// A scheduling step asked for a lifecycle transition the session's
+    /// state does not allow; the session is left as it was. No client
+    /// call can cause this — it reports a bug in the service as an error,
+    /// where a panic under the service lock would take down every tenant.
+    InvalidTransition {
+        /// The transition that was refused.
+        step: &'static str,
+        /// The state the session was found in.
+        found: &'static str,
+    },
     /// Admission control rejected the submit: the tenant already has its
     /// maximum number of queued sessions.
     QueueFull {
@@ -49,6 +65,13 @@ impl fmt::Display for ServeError {
             ServeError::UnknownTenant => write!(f, "unknown tenant id"),
             ServeError::UnknownBackend => write!(f, "unknown backend id"),
             ServeError::UnknownSession => write!(f, "unknown session id"),
+            ServeError::SessionExpired => write!(
+                f,
+                "session expired: it finished and its record was dropped after the grace window"
+            ),
+            ServeError::InvalidTransition { step, found } => {
+                write!(f, "session table refused `{step}` on a {found} session")
+            }
             ServeError::QueueFull { tenant } => {
                 write!(f, "admission rejected: tenant `{tenant}` queue is full")
             }

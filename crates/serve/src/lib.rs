@@ -9,8 +9,19 @@
 //!
 //! * **Sessions** — [`RankJoinService::submit`] / [`poll`] / [`cancel`]
 //!   with per-query deadlines. Queries stop at batch boundaries via the
-//!   [`rj_core::cancel`] seam, so a cancelled or expired session charges
-//!   its tenant exactly the consumed prefix, never a torn batch.
+//!   [`rj_core::cancel`] seam, so a cancelled or deadline-stopped session
+//!   charges its tenant exactly the consumed prefix, never a torn batch.
+//!   A session lives `queued → running → [paged ⇄ running] → done →
+//!   expired`: a finished session's record stays pollable for a grace
+//!   window of [`FINISHED_GRACE_ROUNDS`] scheduling rounds and is then
+//!   dropped, after which its id answers [`ServeError::SessionExpired`].
+//!   The window is counted in rounds — not on the simulated clock, which
+//!   stands still while rounds only serve cache hits, and not in records,
+//!   which would evict a burst of cache hits before any client could
+//!   poll them. So the service holds one window's worth of finished
+//!   sessions, not every session it ever served, and a round finds its
+//!   queued work through an index instead of walking the records. Billing
+//!   is unaffected: a charge is accumulated when the session finishes.
 //! * **Metering** — every (tenant, backend) pair runs on its own
 //!   [`rj_store::cluster::Cluster::fork_metrics`] ledger. Per-tenant
 //!   usage is the sum of the tenant's forks, and the service's billing
@@ -55,6 +66,7 @@ pub mod error;
 pub mod service;
 pub mod session;
 pub mod sharing;
+mod table;
 pub mod tenant;
 
 pub use backend::BackendExec;
@@ -64,4 +76,5 @@ pub use session::{
     PageInfo, PageToken, QueryPriority, ServedBy, SessionId, SessionOutcome, SessionResult,
     SessionStatus, SubmitOptions,
 };
+pub use table::FINISHED_GRACE_ROUNDS;
 pub use tenant::{TenantId, TenantProfile};

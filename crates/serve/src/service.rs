@@ -17,6 +17,32 @@
 //! round executes on the pool, and in-flight executions observe
 //! cancellation at batch boundaries through their session's
 //! [`rj_core::cancel::CancelToken`].
+//!
+//! # Session lifecycle
+//!
+//! ```text
+//! queued → running → [paged ⇄ running] → done → expired
+//! ```
+//!
+//! `submit` queues a session; a round picks it (running) and either
+//! finishes it (done) or — a paged session — parks it after a page
+//! (paged), from where each `next_page` runs it again. A finished
+//! session's record (outcome, result rows, billing record) stays
+//! pollable for a grace window of [`crate::FINISHED_GRACE_ROUNDS`]
+//! scheduling rounds, is dropped at the top of the next round after that
+//! (expired), and from then on `poll`, `cancel` and `next_page` on its id
+//! answer [`ServeError::SessionExpired`]. What the session charged was
+//! billed to its tenant when it finished and does not leave with the
+//! record. The window counts rounds, not simulated seconds or records —
+//! the constant's docs say why. Sessions that are queued, running or
+//! parked are never dropped: a parked cursor waits for its client
+//! indefinitely (ending one is a billing event, so it is not done behind
+//! the client's back).
+//!
+//! The records and the indices a round reads instead of walking them —
+//! the queued ids in arrival order, the finished queue in round order —
+//! live in the `table` module, whose transition methods are the only
+//! code that changes a session's state.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -27,18 +53,18 @@ use rj_core::error::RankJoinError;
 use rj_core::executor::RankJoinExecutor;
 use rj_core::multiway::SpecExecutor;
 use rj_core::result::JoinTuple;
-use rj_store::cluster::Cluster;
 use rj_store::metrics::MetricsSnapshot;
 use rj_store::pool::{PoolPriority, WorkStealingPool};
 
 use crate::admission::{select_round, Candidate};
-use crate::backend::{BackendExec, StatsHandle};
+use crate::backend::{BackendExec, StatsHandle, TenantFork};
 use crate::error::ServeError;
 use crate::session::{
     PageInfo, PageToken, ServedBy, SessionId, SessionOutcome, SessionResult, SessionStatus,
     SubmitOptions,
 };
 use crate::sharing::{PartialWork, PrefixEntry, WarmEntry};
+use crate::table::{PagedSession, RecState, SessionTable};
 use crate::tenant::{accumulate, TenantId, TenantProfile, TenantState};
 
 /// Opaque handle of one registered query backend — a join spec plus the
@@ -50,7 +76,7 @@ use crate::tenant::{accumulate, TenantId, TenantProfile, TenantState};
 /// a multi-way spec extending a binary pair can never alias the pair's
 /// backend (or its caches).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BackendId(usize);
+pub struct BackendId(pub(crate) usize);
 
 /// Service-wide tuning.
 #[derive(Clone, Debug)]
@@ -123,6 +149,10 @@ pub struct ServeCounters {
     pub staleness_rebuilds: u64,
     /// Scheduling rounds run.
     pub rounds: u64,
+    /// Finished sessions whose record was dropped after its grace window
+    /// ([`crate::FINISHED_GRACE_ROUNDS`]); `submitted - reaped` is the
+    /// number of records the service holds.
+    pub reaped: u64,
     /// Background index rebuilds completed.
     pub maintenance_runs: u64,
     /// Background index rebuilds that failed.
@@ -147,14 +177,6 @@ pub struct RoundReport {
     pub maintenance_runs: usize,
 }
 
-/// Per-(tenant, backend) execution context: a metrics fork of the base
-/// cluster and an executor clone bound to it. Everything a pool job
-/// needs, shared immutably.
-struct TenantFork {
-    cluster: Cluster,
-    executor: BackendExec,
-}
-
 struct BackendState {
     /// The registered executor; mutated only by background rebuilds.
     prototype: Arc<Mutex<BackendExec>>,
@@ -169,29 +191,6 @@ struct BackendState {
     work: PartialWork,
 }
 
-/// A paged session parked between pages: the paused cursor plus
-/// everything accumulated so far.
-struct PagedSession {
-    /// The paused execution (stats-version pinned at open).
-    state: CursorState,
-    /// The session's execution fork — `next_page` resumes here.
-    fork: Arc<TenantFork>,
-    /// All results certified so far, rank order, across pages.
-    results: Arc<Vec<JoinTuple>>,
-    /// Total charge across the pages served so far (billed to the tenant
-    /// at the terminal state).
-    charged: MetricsSnapshot,
-    /// Pages served; the continuation token must match.
-    seq: u64,
-}
-
-enum RecState {
-    Queued,
-    Running,
-    Paged(PagedSession),
-    Done(SessionResult),
-}
-
 /// A coalescing group held open across rounds (satellite of PR 8): the
 /// sessions already picked for one backend, waiting to absorb later
 /// arrivals before executing as one group.
@@ -201,23 +200,11 @@ struct HeldGroup {
     age: u64,
 }
 
-struct SessionRecord {
-    tenant: TenantId,
-    backend: BackendId,
-    opts: SubmitOptions,
-    token: rj_core::cancel::CancelToken,
-    submitted_at: f64,
-    arrival: u64,
-    state: RecState,
-}
-
 struct ServiceState {
     clock: f64,
-    next_session: u64,
-    next_arrival: u64,
     tenants: Vec<TenantState>,
     backends: Vec<BackendState>,
-    sessions: HashMap<u64, SessionRecord>,
+    table: SessionTable,
     /// Registration dedupe: canonical share key → backend index.
     share_keys: HashMap<(u64, String), usize>,
     maintenance: VecDeque<usize>,
@@ -282,6 +269,8 @@ struct SessFinal {
 struct PagedFirst {
     id: u64,
     state: CursorState,
+    /// The fork the page ran on — where `next_page` resumes.
+    fork: Arc<TenantFork>,
     results: Vec<JoinTuple>,
     charged: MetricsSnapshot,
 }
@@ -323,11 +312,9 @@ impl RankJoinService {
             pool,
             state: Mutex::new(ServiceState {
                 clock: 0.0,
-                next_session: 0,
-                next_arrival: 0,
                 tenants: Vec::new(),
                 backends: Vec::new(),
-                sessions: HashMap::new(),
+                table: SessionTable::default(),
                 share_keys: HashMap::new(),
                 maintenance: VecDeque::new(),
                 held: BTreeMap::new(),
@@ -422,46 +409,28 @@ impl RankJoinService {
         if backend.0 >= st.backends.len() {
             return Err(ServeError::UnknownBackend);
         }
-        let max_queue = self.config.max_queue_per_tenant;
-        let clock = st.clock;
-        let tenant_state = st
+        let profile = &st
             .tenants
-            .get_mut(tenant.0)
-            .ok_or(ServeError::UnknownTenant)?;
-        if tenant_state.queued >= max_queue {
+            .get(tenant.0)
+            .ok_or(ServeError::UnknownTenant)?
+            .profile;
+        if st.table.queued_for(tenant) >= self.config.max_queue_per_tenant {
+            let tenant = profile.name.clone();
             st.counters.rejected += 1;
-            let name = st.tenants[tenant.0].profile.name.clone();
-            return Err(ServeError::QueueFull { tenant: name });
+            return Err(ServeError::QueueFull { tenant });
         }
-        tenant_state.queued += 1;
-        let id = st.next_session;
-        st.next_session += 1;
-        let arrival = st.next_arrival;
-        st.next_arrival += 1;
-        st.sessions.insert(
-            id,
-            SessionRecord {
-                tenant,
-                backend,
-                opts,
-                token: rj_core::cancel::CancelToken::new(),
-                submitted_at: clock,
-                arrival,
-                state: RecState::Queued,
-            },
-        );
+        let clock = st.clock;
+        let id = st.table.submit(tenant, backend, opts, clock);
         st.counters.submitted += 1;
         Ok(SessionId(id))
     }
 
-    /// Reports a session's current status.
+    /// Reports a session's current status. A finished session stays
+    /// pollable for [`crate::FINISHED_GRACE_ROUNDS`] scheduling rounds,
+    /// then answers [`ServeError::SessionExpired`].
     pub fn poll(&self, session: SessionId) -> Result<SessionStatus, ServeError> {
         let st = self.lock();
-        let record = st
-            .sessions
-            .get(&session.0)
-            .ok_or(ServeError::UnknownSession)?;
-        Ok(match &record.state {
+        Ok(match st.table.get(session.0)?.state() {
             RecState::Queued => SessionStatus::Queued,
             RecState::Running => SessionStatus::Running,
             RecState::Paged(paged) => SessionStatus::Paged(PageInfo {
@@ -480,9 +449,10 @@ impl RankJoinService {
     ///
     /// `token` must be the continuation from the session's latest
     /// [`SessionStatus::Paged`] report ([`ServeError::InvalidContinuation`]
-    /// otherwise). The resume re-checks the cursor's pinned statistics
-    /// version: if a maintained write or index rebuild moved the backend
-    /// on, the session fails terminally and
+    /// otherwise; [`ServeError::SessionExpired`] once the session has
+    /// finished and outlived its grace window). The resume re-checks the
+    /// cursor's pinned statistics version: if a maintained write or index
+    /// rebuild moved the backend on, the session fails terminally and
     /// [`ServeError::StaleContinuation`] is returned — the parked scan
     /// positions describe data that no longer exists.
     ///
@@ -493,94 +463,92 @@ impl RankJoinService {
     pub fn next_page(&self, token: PageToken) -> Result<SessionStatus, ServeError> {
         let id = token.session.0;
         // Take the parked cursor out under the lock.
-        let (paged, policy, k) = {
+        let (paged, policy, k, page_size, backend) = {
             let mut st = self.lock();
-            let record = st.sessions.get_mut(&id).ok_or(ServeError::UnknownSession)?;
-            let matches_token = matches!(&record.state, RecState::Paged(p) if p.seq == token.seq);
-            if !matches_token {
-                return Err(ServeError::InvalidContinuation);
-            }
-            let RecState::Paged(paged) = std::mem::replace(&mut record.state, RecState::Running)
-            else {
-                unreachable!("checked above");
-            };
-            let policy = StopPolicy {
-                token: record.token.clone(),
-                deadline_sim_seconds: record.opts.deadline_sim_seconds,
-                cancel_after_batches: record.opts.cancel_after_batches,
-            };
+            let (paged, record) = st.table.take_parked(id, Some(token.seq))?;
             let page_size = record.opts.page_size.unwrap_or(record.opts.k).max(1);
-            (paged, policy, (record.opts.k, page_size))
+            let (k, backend) = (record.opts.k, record.backend.0);
+            (paged, record.stop_policy(), k, page_size, backend)
         };
-        let (k, page_size) = k;
-        let page = page_size.min(k.saturating_sub(paged.results.len())).max(1);
+        let PagedSession {
+            state,
+            fork,
+            results,
+            mut charged,
+            seq,
+        } = paged;
+        let page = page_size.min(k.saturating_sub(results.len())).max(1);
 
         // Resume and pull off-lock; the version check happens inside the
         // executor's resume.
-        let before = paged.fork.cluster.metrics().snapshot();
-        let resumed = paged.fork.executor.resume_cursor(paged.state.clone());
-        let mut cursor = match resumed {
+        let before = fork.cluster.metrics().snapshot();
+        let mut cursor = match fork.executor.resume_cursor(state) {
             Ok(cursor) => cursor,
-            Err(RankJoinError::StaleCursor { expected, found }) => {
-                self.fail_paged(id, &paged, "stale continuation: backend data changed");
-                return Err(ServeError::StaleContinuation { expected, found });
-            }
             Err(e) => {
-                self.fail_paged(id, &paged, &e.to_string());
-                return Err(ServeError::Core(e));
+                // The resume failed: the session ends, billed the pages
+                // already served.
+                let (message, error) = match e {
+                    RankJoinError::StaleCursor { expected, found } => (
+                        "stale continuation: backend data changed".to_owned(),
+                        ServeError::StaleContinuation { expected, found },
+                    ),
+                    e => (e.to_string(), ServeError::Core(e)),
+                };
+                let mut st = self.lock();
+                let clock = st.clock;
+                let failed = SessFinal {
+                    id,
+                    outcome: SessionOutcome::Failed(message),
+                    results,
+                    charged,
+                    served_by: ServedBy::Execution,
+                };
+                Self::finalize(&mut st, failed, clock)?;
+                return Err(error);
             }
         };
         let pulled = cursor.next_batch(page, &policy);
-        let delta = paged.fork.cluster.metrics().snapshot().delta_since(&before);
+        let delta = fork.cluster.metrics().snapshot().delta_since(&before);
 
         // Apply under the lock.
         let mut st = self.lock();
         st.clock += delta.sim_seconds;
         st.counters.pages_served += 1;
         let clock = st.clock;
-        let mut charged = paged.charged;
         accumulate(&mut charged, &delta);
-        match pulled {
-            Err(e) => {
-                let message = e.to_string();
-                Self::finalize(
-                    &mut st,
-                    SessFinal {
-                        id,
-                        outcome: SessionOutcome::Failed(message),
-                        results: Arc::clone(&paged.results),
-                        charged,
-                        served_by: ServedBy::Execution,
-                    },
-                    clock,
-                    false,
-                );
-            }
+        let (outcome, results) = match pulled {
+            Err(e) => (Some(SessionOutcome::Failed(e.to_string())), results),
             Ok(batch) => {
-                let mut all: Vec<JoinTuple> = (*paged.results).clone();
+                // The parked rows come back out of their `Arc` and the
+                // page is pushed onto them; they are copied only while a
+                // client still holds an earlier page's `PageInfo`.
+                let mut all = Arc::try_unwrap(results).unwrap_or_else(|held| (*held).clone());
                 all.extend(batch.results);
-                let results = Arc::new(all);
-                if let Some(reason) = batch.stopped {
-                    Self::finalize(
-                        &mut st,
-                        SessFinal {
-                            id,
-                            outcome: match reason {
-                                StopReason::Cancelled => SessionOutcome::Cancelled,
-                                StopReason::DeadlineExpired => SessionOutcome::DeadlineExpired,
-                            },
-                            results,
-                            charged,
-                            served_by: ServedBy::Execution,
-                        },
-                        clock,
-                        false,
-                    );
-                } else if batch.done || results.len() >= k {
-                    // Done: the paged session completes, and its final
-                    // descent state is donated to the partial-work cache
-                    // like any completed execution's.
-                    let backend = st.sessions[&id].backend.0;
+                let outcome = match batch.stopped {
+                    Some(StopReason::Cancelled) => Some(SessionOutcome::Cancelled),
+                    Some(StopReason::DeadlineExpired) => Some(SessionOutcome::DeadlineExpired),
+                    None if batch.done || all.len() >= k => Some(SessionOutcome::Complete),
+                    None => None,
+                };
+                (outcome, Arc::new(all))
+            }
+        };
+        match outcome {
+            None => st.table.park(
+                id,
+                PagedSession {
+                    state: cursor.pause(),
+                    fork,
+                    results,
+                    charged,
+                    seq: seq + 1,
+                },
+            )?,
+            Some(outcome) => {
+                if outcome == SessionOutcome::Complete {
+                    // The paged session's final descent state is donated
+                    // to the partial-work cache like any completed
+                    // execution's.
                     let state = cursor.pause();
                     if state.supports_retarget() {
                         if let Some(pinned) = state.pinned_version() {
@@ -596,53 +564,19 @@ impl RankJoinService {
                             );
                         }
                     }
-                    Self::finalize(
-                        &mut st,
-                        SessFinal {
-                            id,
-                            outcome: SessionOutcome::Complete,
-                            results,
-                            charged,
-                            served_by: ServedBy::Execution,
-                        },
-                        clock,
-                        false,
-                    );
-                } else {
-                    let seq = paged.seq + 1;
-                    // rjlint: allow(no-unwrap) — `id` came from this round's
-                    // paged set; records are only removed at finalize.
-                    let record = st.sessions.get_mut(&id).expect("paged session exists");
-                    record.state = RecState::Paged(PagedSession {
-                        state: cursor.pause(),
-                        fork: paged.fork,
-                        results,
-                        charged,
-                        seq,
-                    });
                 }
+                let final_ = SessFinal {
+                    id,
+                    outcome,
+                    results,
+                    charged,
+                    served_by: ServedBy::Execution,
+                };
+                Self::finalize(&mut st, final_, clock)?;
             }
         }
         drop(st);
         self.poll(token.session)
-    }
-
-    /// Terminates a paged session whose resume failed.
-    fn fail_paged(&self, id: u64, paged: &PagedSession, message: &str) {
-        let mut st = self.lock();
-        let clock = st.clock;
-        Self::finalize(
-            &mut st,
-            SessFinal {
-                id,
-                outcome: SessionOutcome::Failed(message.to_owned()),
-                results: Arc::clone(&paged.results),
-                charged: paged.charged,
-                served_by: ServedBy::Execution,
-            },
-            clock,
-            false,
-        );
     }
 
     /// Cancels a session. A still-queued session terminates immediately
@@ -650,59 +584,29 @@ impl RankJoinService {
     /// (its result then reports [`SessionOutcome::Cancelled`] and the
     /// consumed prefix's charge); a parked paged session terminates
     /// immediately, billed the pages already served. Cancelling a
-    /// finished session is a no-op.
+    /// finished session is a no-op, and
+    /// [`ServeError::SessionExpired`] once its record has been dropped.
     pub fn cancel(&self, session: SessionId) -> Result<(), ServeError> {
+        let id = session.0;
         let mut st = self.lock();
         let clock = st.clock;
-        let record = st
-            .sessions
-            .get_mut(&session.0)
-            .ok_or(ServeError::UnknownSession)?;
+        let record = st.table.get(id)?;
         record.token.cancel();
-        let parked = match &record.state {
-            RecState::Queued => Some(None),
+        let final_ = match record.state() {
+            RecState::Running | RecState::Done(_) => return Ok(()),
+            RecState::Queued => cancelled_unserved(id),
             RecState::Paged(_) => {
-                let RecState::Paged(paged) =
-                    std::mem::replace(&mut record.state, RecState::Running)
-                else {
-                    unreachable!("checked above");
-                };
-                Some(Some(paged))
+                let (paged, _) = st.table.take_parked(id, None)?;
+                SessFinal {
+                    id,
+                    outcome: SessionOutcome::Cancelled,
+                    results: paged.results,
+                    charged: paged.charged,
+                    served_by: ServedBy::Execution,
+                }
             }
-            RecState::Running | RecState::Done(_) => None,
         };
-        match parked {
-            None => {}
-            Some(None) => {
-                Self::finalize(
-                    &mut st,
-                    SessFinal {
-                        id: session.0,
-                        outcome: SessionOutcome::Cancelled,
-                        results: Arc::new(Vec::new()),
-                        charged: MetricsSnapshot::default(),
-                        served_by: ServedBy::Unserved,
-                    },
-                    clock,
-                    true,
-                );
-            }
-            Some(Some(paged)) => {
-                Self::finalize(
-                    &mut st,
-                    SessFinal {
-                        id: session.0,
-                        outcome: SessionOutcome::Cancelled,
-                        results: paged.results,
-                        charged: paged.charged,
-                        served_by: ServedBy::Execution,
-                    },
-                    clock,
-                    false,
-                );
-            }
-        }
-        Ok(())
+        Self::finalize(&mut st, final_, clock)
     }
 
     /// Queues a background rebuild of the backend's ISL index. It runs at
@@ -791,11 +695,7 @@ impl RankJoinService {
         loop {
             {
                 let st = self.lock();
-                let queued = st
-                    .sessions
-                    .values()
-                    .any(|s| matches!(s.state, RecState::Queued));
-                if !queued && st.maintenance.is_empty() && st.held.is_empty() {
+                if !st.table.has_queued() && st.maintenance.is_empty() && st.held.is_empty() {
                     return Ok(reports);
                 }
             }
@@ -807,15 +707,18 @@ impl RankJoinService {
     pub fn run_round(&self) -> Result<RoundReport, ServeError> {
         let mut report = RoundReport::default();
 
-        // Phase 1 (locked): enqueue staleness-driven rebuilds, serve
-        // cache hits, select, plan groups (possibly holding some back to
-        // coalesce with later arrivals).
+        // Phase 1 (locked): drop the finished sessions whose grace window
+        // closed, enqueue staleness-driven rebuilds, serve cache hits,
+        // select, plan groups (possibly holding some back to coalesce
+        // with later arrivals).
         let (groups, maintenance) = {
             let mut st = self.lock();
             st.counters.rounds += 1;
+            let round = st.counters.rounds;
+            st.counters.reaped += st.table.reap(round);
             Self::enqueue_stale_rebuilds(&mut st);
             if self.config.sharing {
-                report.completed += Self::serve_cache_hits(&mut st);
+                report.completed += Self::serve_cache_hits(&mut st)?;
             }
             let picked = Self::pick_round(&st, self.config.round_width);
             report.dispatched = picked.len();
@@ -874,38 +777,23 @@ impl RankJoinService {
             st.counters.pages_served += output.pages;
             for final_ in output.finals {
                 report.completed += 1;
-                Self::finalize(&mut st, final_, clock, false);
+                Self::finalize(&mut st, final_, clock)?;
             }
             for first in output.paged {
-                let fork = {
-                    // rjlint: allow(no-unwrap) — `first.id` came from this
-                    // round's output; records are only removed at finalize.
-                    let record = st.sessions.get(&first.id).expect("paged session exists");
-                    let backend = record.backend.0;
-                    let tenant = record.tenant;
-                    Arc::clone(&st.backends[backend].forks[&tenant])
-                };
-                let record = st
-                    .sessions
-                    .get_mut(&first.id)
-                    // rjlint: allow(no-unwrap) — same round's output id; records
-                    // are only removed at finalize.
-                    .expect("paged session exists");
-                record.state = RecState::Paged(PagedSession {
-                    state: first.state,
-                    fork,
-                    results: Arc::new(first.results),
-                    charged: first.charged,
-                    seq: 1,
-                });
+                st.table.park(
+                    first.id,
+                    PagedSession {
+                        state: first.state,
+                        fork: first.fork,
+                        results: Arc::new(first.results),
+                        charged: first.charged,
+                        seq: 1,
+                    },
+                )?;
             }
             for id in output.requeue {
                 report.requeued += 1;
-                if let Some(record) = st.sessions.get_mut(&id) {
-                    record.state = RecState::Queued;
-                    let tenant = record.tenant.0;
-                    st.tenants[tenant].queued += 1;
-                }
+                st.table.requeue(id)?;
             }
             let backend = &mut st.backends[output.backend];
             let current = backend.stats.version();
@@ -932,18 +820,12 @@ impl RankJoinService {
     /// Serves every queued session a current-version prefix-cache entry
     /// can answer. Free work: no execution slot, no charge, completion
     /// at the current clock.
-    fn serve_cache_hits(st: &mut ServiceState) -> usize {
+    fn serve_cache_hits(st: &mut ServiceState) -> Result<usize, ServeError> {
         let clock = st.clock;
-        let mut ids: Vec<u64> = st
-            .sessions
-            .iter()
-            .filter(|(_, s)| matches!(s.state, RecState::Queued))
-            .map(|(id, _)| *id)
-            .collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = st.table.queued().map(|(id, _)| id).collect();
         let mut served = 0;
         for id in ids {
-            let record = &st.sessions[&id];
+            let record = st.table.get(id)?;
             if record.opts.page_size.is_some() {
                 // Paged sessions contract for a live cursor, not a
                 // one-shot answer — they always execute.
@@ -968,24 +850,22 @@ impl RankJoinService {
                     served_by: ServedBy::PrefixCache,
                 },
                 clock,
-                true,
-            );
+            )?;
             served += 1;
         }
-        served
+        Ok(served)
     }
 
     /// Builds the admission candidate list and picks the round.
     fn pick_round(st: &ServiceState, width: usize) -> Vec<u64> {
         let candidates: Vec<Candidate> = st
-            .sessions
-            .iter()
-            .filter(|(_, s)| matches!(s.state, RecState::Queued))
+            .table
+            .queued()
             .map(|(id, s)| Candidate {
-                index: *id as usize,
+                index: id as usize,
                 priority: s.opts.priority,
                 tenant_pass: st.tenants[s.tenant.0].pass,
-                arrival: s.arrival,
+                arrival: id,
             })
             .collect();
         select_round(candidates, width)
@@ -1031,17 +911,13 @@ impl RankJoinService {
     ) -> Result<Vec<GroupPlan>, ServeError> {
         let holding = config.sharing && config.coalesce_hold_rounds > 0;
         let mut by_backend: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for id in picked {
-            // rjlint: allow(no-unwrap) — `picked` ids were drawn from the
-            // session map under the same lock a few lines up.
-            let record = st.sessions.get_mut(id).expect("picked session exists");
-            record.state = RecState::Running;
-            st.tenants[record.tenant.0].queued -= 1;
+        for &id in picked {
+            let record = st.table.start(id)?;
             let backend = record.backend.0;
             if holding && record.opts.page_size.is_none() {
-                st.held.entry(backend).or_default().ids.push(*id);
+                st.held.entry(backend).or_default().ids.push(id);
             } else {
-                by_backend.entry(backend).or_default().push(*id);
+                by_backend.entry(backend).or_default().push(id);
             }
         }
         // Release held groups that have absorbed arrivals long enough;
@@ -1064,34 +940,27 @@ impl RankJoinService {
             }
         }
         let mut groups = Vec::with_capacity(by_backend.len());
-        for (backend_idx, mut ids) in by_backend {
-            ids.sort_by_key(|id| {
-                let s = &st.sessions[id];
-                (std::cmp::Reverse(s.opts.k), s.arrival)
-            });
+        for (backend_idx, ids) in by_backend {
             // Version captured at release time — a held group picked up
             // rounds ago still caches only against the data it ran on.
             let version = st.backends[backend_idx].stats.version();
             let warm = st.backends[backend_idx].work.usable_warm(version).cloned();
             let mut sessions = Vec::with_capacity(ids.len());
             for id in ids {
-                let (tenant, opts, token) = {
-                    let s = &st.sessions[&id];
-                    (s.tenant, s.opts.clone(), s.token.clone())
-                };
+                let record = st.table.get(id)?;
+                let (tenant, k, page_size) = (record.tenant, record.opts.k, record.opts.page_size);
+                let policy = record.stop_policy();
                 let fork = Self::fork_for(st, backend_idx, tenant)?;
                 sessions.push(SessPlan {
                     id,
-                    k: opts.k,
-                    page_size: opts.page_size,
-                    policy: StopPolicy {
-                        token,
-                        deadline_sim_seconds: opts.deadline_sim_seconds,
-                        cancel_after_batches: opts.cancel_after_batches,
-                    },
+                    k,
+                    page_size,
+                    policy,
                     fork,
                 });
             }
+            // Deepest `k` first, arrival (= id) order among equals.
+            sessions.sort_by_key(|s| (std::cmp::Reverse(s.k), s.id));
             groups.push(GroupPlan {
                 backend: backend_idx,
                 version,
@@ -1124,37 +993,41 @@ impl RankJoinService {
         Ok(fork)
     }
 
-    /// Applies one terminal outcome: stores the result, bills the
-    /// tenant, advances its stride pass, and bumps outcome counters.
-    /// `from_queue` distinguishes sessions that never left the queue
-    /// (their `queued` count still needs releasing).
-    fn finalize(st: &mut ServiceState, final_: SessFinal, clock: f64, from_queue: bool) {
-        let Some(record) = st.sessions.get_mut(&final_.id) else {
-            return;
+    /// Applies one terminal outcome: stores the result (starting the
+    /// record's grace window at the current round), bills the tenant,
+    /// advances its stride pass, and bumps outcome counters. The charge
+    /// is accumulated here and never read back from the record, so
+    /// billing does not depend on how long the record is kept.
+    fn finalize(st: &mut ServiceState, final_: SessFinal, clock: f64) -> Result<(), ServeError> {
+        let SessFinal {
+            id,
+            outcome,
+            results,
+            charged,
+            served_by,
+        } = final_;
+        let counter = match outcome {
+            SessionOutcome::Complete => &mut st.counters.completed,
+            SessionOutcome::Cancelled => &mut st.counters.cancelled,
+            SessionOutcome::DeadlineExpired => &mut st.counters.deadline_expired,
+            SessionOutcome::Failed(_) => &mut st.counters.failed,
         };
-        if from_queue {
-            st.tenants[record.tenant.0].queued -= 1;
-        }
-        let tenant = record.tenant.0;
-        let submitted_at = record.submitted_at;
-        record.state = RecState::Done(SessionResult {
-            outcome: final_.outcome.clone(),
-            results: final_.results,
-            charged: final_.charged,
-            served_by: final_.served_by,
-            submitted_at,
-            completed_at: clock,
-        });
-        accumulate(&mut st.tenants[tenant].charged, &final_.charged);
-        accumulate(&mut st.charged_total, &final_.charged);
-        let weight = st.tenants[tenant].profile.weight;
-        st.tenants[tenant].pass += final_.charged.sim_seconds / weight;
-        match final_.outcome {
-            SessionOutcome::Complete => st.counters.completed += 1,
-            SessionOutcome::Cancelled => st.counters.cancelled += 1,
-            SessionOutcome::DeadlineExpired => st.counters.deadline_expired += 1,
-            SessionOutcome::Failed(_) => st.counters.failed += 1,
-        }
+        let record = st
+            .table
+            .finish(id, st.counters.rounds, |record| SessionResult {
+                outcome,
+                results,
+                charged,
+                served_by,
+                submitted_at: record.submitted_at,
+                completed_at: clock,
+            })?;
+        *counter += 1;
+        let tenant = &mut st.tenants[record.tenant.0];
+        accumulate(&mut tenant.charged, &charged);
+        tenant.pass += charged.sim_seconds / tenant.profile.weight;
+        accumulate(&mut st.charged_total, &charged);
+        Ok(())
     }
 }
 
@@ -1421,6 +1294,7 @@ fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
                 out.paged.push(PagedFirst {
                     id: sess.id,
                     state: cursor.pause(),
+                    fork: Arc::clone(fork),
                     results: batch.results,
                     charged,
                 });

@@ -25,8 +25,6 @@ pub(crate) struct TenantState {
     /// `charged sim-seconds / weight` on every charge; the scheduler
     /// serves the smallest pass within a priority class.
     pub pass: f64,
-    /// Sessions currently queued (admission control bounds this).
-    pub queued: usize,
     /// Sum of every charge billed to this tenant's sessions.
     pub charged: MetricsSnapshot,
 }
@@ -36,7 +34,6 @@ impl TenantState {
         TenantState {
             profile,
             pass: join_pass,
-            queued: 0,
             charged: MetricsSnapshot::default(),
         }
     }

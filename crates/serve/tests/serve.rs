@@ -1,6 +1,7 @@
-//! End-to-end serving-layer tests: session lifecycle, sharing,
-//! fairness, cancellation/deadline stops, metering conservation, and
-//! prefix-cache coherence under index maintenance.
+//! End-to-end serving-layer tests: session lifecycle (through expiry),
+//! sharing, fairness, cancellation/deadline stops, metering conservation,
+//! prefix-cache coherence under index maintenance, and a scheduling
+//! golden.
 
 use rj_core::executor::RankJoinExecutor;
 use rj_core::oracle;
@@ -9,7 +10,7 @@ use rj_core::score::ScoreFn;
 use rj_core::ExecutionMode;
 use rj_serve::{
     BackendId, QueryPriority, RankJoinService, ServeConfig, ServeError, ServedBy, SessionId,
-    SessionOutcome, SessionResult, SessionStatus, SubmitOptions,
+    SessionOutcome, SessionResult, SessionStatus, SubmitOptions, FINISHED_GRACE_ROUNDS,
 };
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
@@ -900,5 +901,246 @@ fn three_way_spec_never_aliases_its_binary_prefix() {
     assert_eq!(
         *spec_result.results,
         rj_core::oracle::topk_spec(&c, &spec).unwrap()
+    );
+}
+
+#[test]
+fn finished_session_is_pollable_inside_its_grace_window_and_expired_after() {
+    let (service, backend, _c, _q) = serve_fixture(test_config());
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let plain = service
+        .submit(tenant, backend, SubmitOptions::topk(3))
+        .unwrap();
+    let paged = service
+        .submit(tenant, backend, SubmitOptions::topk(10).with_page_size(5))
+        .unwrap();
+    service.run_until_idle().unwrap();
+    let SessionStatus::Paged(info) = service.poll(paged).unwrap() else {
+        panic!("paged session should be parked after its first page");
+    };
+    let token = info.token;
+    assert!(matches!(
+        service.next_page(token).unwrap(),
+        SessionStatus::Done(_)
+    ));
+    let billed = service.tenant_charged(tenant).unwrap();
+    assert!(billed.kv_reads > 0);
+
+    // The window is FINISHED_GRACE_ROUNDS further rounds: through all of
+    // them both sessions answer `Done`, however often they are asked.
+    for _ in 0..FINISHED_GRACE_ROUNDS {
+        service.run_round().unwrap();
+        for id in [plain, paged, plain] {
+            assert_eq!(done(&service, id).outcome, SessionOutcome::Complete);
+        }
+    }
+    service.cancel(plain).unwrap(); // finished: a no-op
+    assert!(matches!(
+        service.next_page(token),
+        Err(ServeError::InvalidContinuation)
+    ));
+    assert_eq!(service.counters().reaped, 0);
+
+    // One round later the records are gone, and every call says so.
+    service.run_round().unwrap();
+    for id in [plain, paged] {
+        assert!(matches!(service.poll(id), Err(ServeError::SessionExpired)));
+        assert!(matches!(
+            service.cancel(id),
+            Err(ServeError::SessionExpired)
+        ));
+    }
+    assert!(matches!(
+        service.next_page(token),
+        Err(ServeError::SessionExpired)
+    ));
+    let counters = service.counters();
+    assert_eq!((counters.submitted, counters.reaped), (2, 2));
+    // An id this service never handed out is still unknown, not expired.
+    let (other, other_backend, _c2, _q2) = serve_fixture(test_config());
+    let other_tenant = other.register_tenant("acme", 1.0).unwrap();
+    let foreign = (0..3)
+        .map(|_| other.submit(other_tenant, other_backend, SubmitOptions::topk(1)))
+        .last()
+        .unwrap()
+        .unwrap();
+    assert!(matches!(
+        service.poll(foreign),
+        Err(ServeError::UnknownSession)
+    ));
+    // The charge was billed at finish; it does not leave with the record.
+    let after = service.tenant_charged(tenant).unwrap();
+    assert_eq!(after.kv_reads, billed.kv_reads);
+    assert_eq!(
+        after.kv_reads,
+        service.tenant_usage(tenant).unwrap().kv_reads
+    );
+}
+
+#[test]
+fn session_table_stays_bounded_and_billing_is_conserved_across_reaping() {
+    let (service, backend, _c, _q) = serve_fixture(ServeConfig {
+        round_width: 8,
+        ..test_config()
+    });
+    let tenants: Vec<_> = (0..4)
+        .map(|i| service.register_tenant(&format!("t{i}"), 1.0).unwrap())
+        .collect();
+    let waves = 10 * FINISHED_GRACE_ROUNDS;
+    for w in 0..waves {
+        for i in 0..8usize {
+            // Mostly prefix-cache hits; the last session's `k` deepens
+            // every 300 waves, so executions (and charges) keep landing
+            // long after the first records were dropped.
+            let k = if i == 7 {
+                8 + (w / 300) as usize
+            } else {
+                i + 1
+            };
+            service
+                .submit(
+                    tenants[(i + w as usize) % 4],
+                    backend,
+                    SubmitOptions::topk(k),
+                )
+                .unwrap();
+        }
+        service.run_until_idle().unwrap();
+        // What is kept: the sessions of one grace window's rounds and of
+        // the round that just ran.
+        let n = service.counters();
+        assert!(
+            n.submitted - n.reaped <= 8 * (FINISHED_GRACE_ROUNDS + 1),
+            "wave {w}: {} records live",
+            n.submitted - n.reaped
+        );
+    }
+    let n = service.counters();
+    assert_eq!(n.submitted, 8 * waves);
+    assert_eq!(n.completed, 8 * waves);
+    assert!(n.reaped >= 8 * (waves - FINISHED_GRACE_ROUNDS - 1));
+    assert!(n.executions >= 9, "a deeper k every 300 waves must execute");
+    for t in &tenants {
+        let usage = service.tenant_usage(*t).unwrap();
+        let charged = service.tenant_charged(*t).unwrap();
+        assert_eq!(usage.kv_reads, charged.kv_reads);
+        assert!((usage.sim_seconds - charged.sim_seconds).abs() < 1e-9);
+    }
+    let (total, billed) = (service.total_usage(), service.charged_total());
+    assert!(total.kv_reads > 0);
+    assert_eq!(total.kv_reads, billed.kv_reads);
+    assert!((total.sim_seconds - billed.sim_seconds).abs() < 1e-9);
+}
+
+/// FNV-1a over a byte stream — the golden test's digest of per-session
+/// `(outcome, served_by, results.len())` triples.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *hash ^= u64::from(*b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Scheduling golden: a fixed 200-wave script in the `serve_shared`
+/// benchmark's wave shape — four skewed tenants, waves of eight sessions
+/// at k = 1 … 100 alternating between two backends, a paged session every
+/// 25th wave, one maintained insert mid-way (it joins nothing, so answers
+/// stay put while backend 0's statistics version moves). The literals
+/// were recorded on the commit before the session table existed, when a
+/// round found its work by walking every record: the queued index and
+/// the reaper must not move a single scheduling decision.
+#[test]
+fn fixed_wave_script_schedules_exactly_as_recorded() {
+    const KS: [usize; 8] = [1, 5, 10, 10, 20, 20, 50, 100];
+    let (c, q) = fixture();
+    let q2 = RankJoinQuery::new(
+        JoinSide::new("l", "L2", ("d", b"jk"), ("d", b"score")),
+        JoinSide::new("r", "R2", ("d", b"jk"), ("d", b"score")),
+        3,
+        ScoreFn::Product,
+    );
+    let first = prepared_executor(&c, &q);
+    let side = rj_core::maintenance::MaintainedSide::new(&c, q.left.clone())
+        .with_isl(&rj_core::isl::index_table_name(&q))
+        .with_stats(first.stats_handle());
+    let service = RankJoinService::new(ServeConfig {
+        round_width: 8,
+        ..test_config()
+    });
+    let backends = [
+        service.register_backend(first).unwrap(),
+        service
+            .register_backend(prepared_executor(&c, &q2))
+            .unwrap(),
+    ];
+    let expected = [
+        oracle::topk(&c, &q.with_k(100)).unwrap(),
+        oracle::topk(&c, &q2.with_k(100)).unwrap(),
+    ];
+    let tenants: Vec<_> = (0..4)
+        .map(|i| service.register_tenant(&format!("t{i}"), 1.0).unwrap())
+        .collect();
+    // Skewed tenant draw: tenant 0 half the time.
+    const DRAW: [usize; 8] = [0, 0, 0, 0, 1, 1, 2, 3];
+    let mut seed = 0x5eed_cafe_f00d_u64;
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut served = [0u32; 4];
+    for w in 0..200usize {
+        if w == 100 {
+            side.insert(b"l_zzz", b"zz", 0.5, vec![]).unwrap();
+        }
+        let mut wave = Vec::with_capacity(8);
+        for slot in 0..8 {
+            let i = (slot + 3 * w) % 8;
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let tenant = tenants[DRAW[(seed >> 40) as usize % 8]];
+            let b = (i + w) % 2;
+            let mut opts = SubmitOptions::topk(KS[i]);
+            if w % 25 == 7 && i == 4 {
+                opts = opts.with_page_size(10);
+            }
+            wave.push((service.submit(tenant, backends[b], opts).unwrap(), b, KS[i]));
+        }
+        service.run_until_idle().unwrap();
+        for (id, b, k) in wave {
+            let result = loop {
+                match service.poll(id).unwrap() {
+                    SessionStatus::Paged(info) => drop(service.next_page(info.token).unwrap()),
+                    SessionStatus::Done(result) => break result,
+                    other => panic!("wave {w}: session still {other:?}"),
+                }
+            };
+            assert_eq!(result.outcome, SessionOutcome::Complete);
+            assert_eq!(result.results[..], expected[b][..k], "wave {w}, k = {k}");
+            let by = match result.served_by {
+                ServedBy::Execution => 0u8,
+                ServedBy::SharedExecution => 1,
+                ServedBy::PrefixCache => 2,
+                ServedBy::Unserved => 3,
+            };
+            served[usize::from(by)] += 1;
+            fnv1a(&mut digest, &[by]);
+            fnv1a(&mut digest, &(result.results.len() as u64).to_le_bytes());
+        }
+    }
+    let n = service.counters();
+    assert_eq!(
+        (
+            n.executions,
+            n.coalesced,
+            n.cache_hits,
+            n.warm_starts,
+            n.rounds
+        ),
+        (13, 9, 1578, 2, 200)
+    );
+    assert_eq!(n.pages_served, 16);
+    // Execution / coalesced / prefix cache / unserved.
+    assert_eq!(served, [13, 9, 1578, 0]);
+    assert_eq!(
+        digest, 0x5127_2e59_1005_72f6,
+        "per-session (served_by, rows)"
     );
 }

@@ -1,7 +1,7 @@
 //! The multi-tenant serving front-end, end to end.
 //!
 //! Loads the paper's running example (Fig. 1), registers it as a query
-//! backend, and walks three serving scenarios:
+//! backend, and walks four serving scenarios:
 //!
 //! 1. three tenants submit overlapping top-k queries in one scheduling
 //!    round — one execution serves the whole group (coalescing), and a
@@ -11,10 +11,14 @@
 //!    tenant is billed exactly the consumed prefix (ledger == billing
 //!    record);
 //! 3. a background index rebuild bumps the shared statistics version,
-//!    which coherently invalidates the prefix cache.
+//!    which coherently invalidates the prefix cache;
+//! 4. a finished session's record is kept for a grace window of
+//!    scheduling rounds and then dropped — its id answers
+//!    `ServeError::SessionExpired`, its charge stays billed.
 //!
 //! Run with: `cargo run --release --example serve`
 
+use rankjoin::serve::{ServeError, FINISHED_GRACE_ROUNDS};
 use rankjoin::{
     Cluster, CostModel, JoinSide, Mutation, QueryPriority, RankJoinExecutor, RankJoinQuery,
     RankJoinService, ScoreFn, ServeConfig, ServedBy, SessionOutcome, SessionStatus, SubmitOptions,
@@ -173,5 +177,21 @@ fn main() {
         ServedBy::Execution,
         "the rebuilt backend must not serve the stale prefix"
     );
+
+    println!("-- scenario 4: finished sessions expire after a grace window --");
+    let billed = service.tenant_charged(gold).unwrap().kv_reads;
+    for _ in 0..=FINISHED_GRACE_ROUNDS {
+        service.run_round().unwrap();
+    }
+    match service.poll(a) {
+        Err(ServeError::SessionExpired) => println!(
+            "  gold   k=4: expired {FINISHED_GRACE_ROUNDS} rounds after it finished ({} of {} records dropped)",
+            service.counters().reaped,
+            counters.submitted
+        ),
+        other => panic!("expected SessionExpired, got {other:?}"),
+    }
+    assert_eq!(service.tenant_charged(gold).unwrap().kv_reads, billed);
+    println!("  gold is still billed {billed} KV reads: charges do not leave with the record");
     println!("✓ serving layer: shared work, exact metering, coherent caches");
 }
