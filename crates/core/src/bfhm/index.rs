@@ -34,13 +34,17 @@ pub fn index_table_name(query: &RankJoinQuery) -> String {
 }
 
 /// Row key of a bucket blob row.
-pub(crate) fn blob_row_key(bucket: u32) -> Vec<u8> {
-    keys::encode_u32(bucket).to_vec()
+pub(crate) fn blob_row_key(bucket: u32) -> [u8; 4] {
+    keys::encode_u32(bucket)
 }
 
-/// Row key of a reverse-mapping row (`bucket|bitpos`, §5.1).
-pub(crate) fn reverse_row_key(bucket: u32, pos: u32) -> Vec<u8> {
-    keys::composite(&[&keys::encode_u32(bucket), &keys::encode_u32(pos)])
+/// Row key of a reverse-mapping row (`bucket|bitpos`, §5.1): the
+/// [`keys::composite`] of the two encoded numbers, on the stack.
+pub(crate) fn reverse_row_key(bucket: u32, pos: u32) -> [u8; 9] {
+    let mut key = [b'|'; 9];
+    key[..4].copy_from_slice(&keys::encode_u32(bucket));
+    key[5..].copy_from_slice(&keys::encode_u32(pos));
+    key
 }
 
 /// Qualifier of the blob cell inside a bucket row.
@@ -109,7 +113,7 @@ impl Reducer for BucketBuildReducer {
             max_score = max_score.max(score);
             // Reverse-mapping row (Algorithm 5 line 17).
             out.put(
-                reverse_row_key(bucket, pos),
+                reverse_row_key(bucket, pos).to_vec(),
                 Mutation::put(
                     &self.label,
                     row_key,
@@ -120,7 +124,7 @@ impl Reducer for BucketBuildReducer {
         // Bucket blob row (Algorithm 5 line 19).
         let blob = BfhmBlob::new(filter, min_score, max_score);
         out.put(
-            blob_row_key(bucket),
+            blob_row_key(bucket).to_vec(),
             Mutation::put(&self.label, BLOB_QUALIFIER, blob.encode(self.codec)),
         );
     }
@@ -236,6 +240,7 @@ pub fn build_pair(
     let splits: Vec<Vec<u8>> = (1..pieces)
         .map(|i| blob_row_key(config.num_buckets * i as u32 / pieces as u32))
         .filter(|k| k != &blob_row_key(0))
+        .map(|k| k.to_vec())
         .collect();
     cluster.create_table_with_splits(
         table,
@@ -369,8 +374,8 @@ mod tests {
             .expect("reverse row");
         assert_eq!(rev.family_cells("R2").count(), 2);
         let cell = rev.family_cells("R2").next().unwrap();
-        let (join, score) = codec::decode_value_score(&cell.value).unwrap();
-        assert_eq!(join, b"b".to_vec());
+        let (join, score) = codec::decode_values_score(&cell.value, 1).unwrap();
+        assert_eq!(join.collect::<Vec<_>>(), [b"b"]);
         assert!(score == 0.91 || score == 0.92);
     }
 
@@ -397,10 +402,14 @@ mod tests {
         let blob1 = blob_row_key(1);
         let rev1 = reverse_row_key(1, 999);
         let blob2 = blob_row_key(2);
-        assert!(blob1 < rev1);
-        assert!(rev1 < blob2);
+        assert!(blob1[..] < rev1[..]);
+        assert!(rev1[..] < blob2[..]);
+        assert_eq!(
+            rev1.to_vec(),
+            keys::composite(&[&keys::encode_u32(1), &keys::encode_u32(999)])
+        );
         // META_ROW sorts after any realistic bucket (buckets are far below
         // 2^24, so their keys start with a 0x00 byte).
-        assert!(META_ROW.to_vec() > reverse_row_key(1 << 20, u32::MAX));
+        assert!(META_ROW > &reverse_row_key(1 << 20, u32::MAX)[..]);
     }
 }

@@ -25,7 +25,7 @@ use rj_sketch::bloom::SingleHashBloom;
 use rj_sketch::histogram::ScoreHistogram;
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
-use rj_store::row::RowResult;
+use rj_store::row::RowRef;
 use rj_store::Bytes;
 
 use crate::codec;
@@ -82,23 +82,24 @@ pub(crate) struct ResolvedBucket {
 
 /// Replays a fetched bucket row: decodes the stored blob (if any) and
 /// applies pending insertion/tombstone records in timestamp order.
-/// `m` sizes the filter when the bucket had no blob yet.
-pub(crate) fn resolve_bucket_row(row: &RowResult, label: &str, m: usize) -> Result<ResolvedBucket> {
+/// `m` sizes the filter when the bucket had no blob yet. A record whose
+/// value does not decode is an error: replaying around it would return a
+/// blob — and from it a top-k — that silently misses a write.
+pub(crate) fn resolve_bucket_row(row: RowRef<'_>, label: &str, m: usize) -> Result<ResolvedBucket> {
     let mut blob: Option<BfhmBlob> = match row.value(label, BLOB_QUALIFIER) {
         Some(bytes) => Some(BfhmBlob::decode(bytes)?),
         None => None,
     };
 
-    // Collect pending records.
-    let mut records: Vec<(u64, u8, Vec<u8>, f64)> = Vec::new(); // (ts, op, join, score)
+    // Collect pending records, join values borrowed from the row. A cell
+    // under any other qualifier (the blob itself) is not a record.
+    let mut records: Vec<(u64, u8, &[u8], f64)> = Vec::new(); // (ts, op, join, score)
     let mut consumed = Vec::new();
     for cell in row.family_cells(label) {
         let Some((op, ts, _key)) = parse_record_qualifier(&cell.qualifier) else {
             continue;
         };
-        let Ok((join, score)) = codec::decode_value_score(&cell.value) else {
-            continue;
-        };
+        let (join, score) = codec::decode_one_value_score(&cell.value)?;
         records.push((ts, op, join, score));
         consumed.push(cell.qualifier.clone());
     }
@@ -198,7 +199,7 @@ pub fn refresh_bucket(
     let Some(row) = client.get_with_families(table, &blob_row_key(bucket), Some(&fams))? else {
         return Ok(0);
     };
-    let resolved = resolve_bucket_row(&row, label, m)?;
+    let resolved = resolve_bucket_row(row.as_row_ref(), label, m)?;
     if !resolved.had_mutations {
         return Ok(0);
     }
@@ -230,7 +231,7 @@ pub fn compact_if_pending(
             .filter(|c| parse_record_qualifier(&c.qualifier).is_some())
             .count();
         if pending >= threshold.max(1) {
-            let resolved = resolve_bucket_row(&row, label, m)?;
+            let resolved = resolve_bucket_row(row.as_row_ref(), label, m)?;
             if resolved.had_mutations {
                 write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
                 compacted += resolved.consumed_qualifiers.len();

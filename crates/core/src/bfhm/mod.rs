@@ -21,11 +21,9 @@
 //! A guarantee loop (§5.3) then re-examines purged/unfetched buckets whose
 //! maximum attainable score could still displace the k-th actual result —
 //! this is what makes the algorithm's recall provably 100% (Theorem 1)
-//! despite its probabilistic core.
-//!
-//! Set the `RJ_BFHM_DEBUG` environment variable to trace the guarantee
-//! loop's per-round state (fetched buckets, cursors, estimate counts) on
-//! stderr.
+//! despite its probabilistic core. Its per-round state is reported in
+//! [`crate::stats::QueryOutcome`]'s extras (`rounds`, `buckets_fetched`,
+//! `estimates`, `bucket_gets`, `reverse_rows_fetched`).
 
 mod index;
 pub mod maintenance;

@@ -16,9 +16,11 @@ use std::collections::HashSet;
 use rj_sketch::blob::BfhmBlob;
 use rj_sketch::histogram::ScoreHistogram;
 use rj_sketch::FlatMultiMap;
+use rj_store::client::Projection;
 use rj_store::cluster::Cluster;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask};
+use rj_store::row::{RowBatch, RowRef, RowResult};
 
 use crate::cancel::StopPolicy;
 use crate::codec;
@@ -27,21 +29,19 @@ use crate::cursor::{
 };
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
-use crate::result::{JoinTuple, TopK};
+use crate::result::{BinaryMatch, JoinTuple, TopK};
 use crate::stats::QueryOutcome;
 
-use super::index::{read_meta, reverse_row_key};
-use super::maintenance::{resolve_bucket_row, WriteBackPolicy};
+use super::index::{blob_row_key, read_meta, reverse_row_key};
+use super::maintenance::{refresh_bucket, resolve_bucket_row, write_back_bucket, WriteBackPolicy};
 use super::{BfhmConfig, BoundMode};
 
-/// Flat reverse-row cache, replacing the old
-/// `HashMap<(usize, u32, u32), Vec<(Vec<u8>, Vec<u8>, f64)>>`: cell keys
-/// pack to 9 bytes (`side ‖ bucket ‖ pos`, big-endian) interned in a
-/// [`FlatMultiMap`], and the cached tuples live in **columnar** flat
-/// arrays — base keys and join values back to back in byte arenas, scores
-/// one contiguous `f64` column — so the materialization cross-product
-/// walks sequential memory instead of cloning `Vec`s of `Vec`s. A cell
-/// interned with an empty group means "fetched, no tuples".
+/// Flat reverse-row cache: cell keys pack to 9 bytes (`side ‖ bucket ‖
+/// pos`, big-endian) interned in a [`FlatMultiMap`], and the cached tuples
+/// live in **columnar** flat arrays — base keys and join values back to
+/// back in byte arenas, scores one contiguous `f64` column — so the
+/// materialization cross-product walks sequential memory. A cell interned
+/// with an empty group means "fetched, no tuples".
 #[derive(Clone, Default)]
 struct ReverseStore {
     /// Packed cell key → group of tuple ids.
@@ -71,13 +71,50 @@ impl ReverseStore {
         self.index.contains_key(&packed_cell(side, bucket, pos))
     }
 
-    /// Interns a cell, marking it fetched; returns its entry id for
-    /// [`ReverseStore::push_tuple`].
-    fn begin_cell(&mut self, side: usize, bucket: u32, pos: u32) -> u32 {
-        self.index.ensure(&packed_cell(side, bucket, pos))
+    /// Cells fetched so far (empty ones included): every reverse-row get
+    /// the run has made.
+    fn cells_fetched(&self) -> u64 {
+        self.index.num_keys() as u64
     }
 
-    /// Appends one decoded `(base key, join value, score)` tuple to a cell.
+    /// Makes room for `cells` more cells holding at least a tuple each —
+    /// a materialization sweep knows how many positions it is about to
+    /// fetch, so the columns grow once per sweep, not by doublings inside
+    /// it. (The byte arenas are sized by their content, which it does not
+    /// know.)
+    fn reserve(&mut self, cells: usize) {
+        self.index.reserve(cells, cells * 9, cells);
+        self.key_spans.reserve(cells);
+        self.join_spans.reserve(cells);
+        self.scores.reserve(cells);
+    }
+
+    /// Records one fetched reverse row (`None` = the row does not exist)
+    /// as a cell — shared by the serial demand path and the parallel
+    /// prefetch so the two stay byte-identical in decoding and accounting.
+    /// A value that does not decode is an error, and the cell is then not
+    /// marked fetched: joining around a tuple would return a wrong top-k
+    /// silently, now or on a retry.
+    fn cache_row(
+        &mut self,
+        (side, bucket, pos): (usize, u32, u32),
+        label: &str,
+        row: Option<RowRef<'_>>,
+    ) -> Result<()> {
+        let cells = || row.into_iter().flat_map(|row| row.family_cells(label));
+        for cell in cells() {
+            codec::decode_one_value_score(&cell.value)?;
+        }
+        let entry = self.index.ensure(&packed_cell(side, bucket, pos));
+        for cell in cells() {
+            let (join, score) = codec::decode_one_value_score(&cell.value)?;
+            self.push_tuple(entry, &cell.qualifier, join, score);
+        }
+        Ok(())
+    }
+
+    /// Appends one decoded `(base key, join value, score)` tuple to the
+    /// cell interned as `entry`.
     fn push_tuple(&mut self, entry: u32, key: &[u8], join: &[u8], score: f64) {
         // Checked narrowing: a cache past 2^32 tuples or 4 GiB of arena
         // bytes must panic, not silently alias spans.
@@ -135,7 +172,7 @@ pub(crate) struct Estimate {
 }
 
 /// Per-side estimation cursor state.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct SideState {
     /// Fetched non-empty buckets, in fetch (descending-score) order.
     fetched: Vec<(u32, BfhmBlob)>,
@@ -147,15 +184,6 @@ struct SideState {
 }
 
 impl SideState {
-    fn new() -> Self {
-        SideState {
-            fetched: Vec::new(),
-            cursor: 0,
-            exhausted: false,
-            bucket_gets: 0,
-        }
-    }
-
     fn actual_max(&self) -> f64 {
         self.fetched
             .iter()
@@ -207,7 +235,11 @@ pub(crate) struct BfhmCore {
     /// Cursor bookkeeping (target k, emitted count, cumulative charge).
     pub(crate) meta: CursorMeta,
     query: RankJoinQuery,
-    table: String,
+    /// Each side's family of the index table, resolved once for every
+    /// bucket and reverse-row get of the run.
+    projections: [Projection; 2],
+    /// The row buffer every one of those gets refills.
+    batch: RowBatch,
     config: BfhmConfig,
     hist: ScoreHistogram,
     /// Filter size, from the index metadata (needed to replay mutation
@@ -221,7 +253,6 @@ pub(crate) struct BfhmCore {
     /// Reverse-row cache in flat columnar storage.
     reverse: ReverseStore,
     results: TopK,
-    reverse_rows_fetched: u64,
     rounds: u64,
     write_back: WriteBackPolicy,
     pending_write_backs: Vec<u32>,
@@ -234,10 +265,21 @@ pub(crate) struct BfhmCore {
 }
 
 impl BfhmCore {
+    /// Name of the index table.
+    fn table(&self) -> &str {
+        self.projections[0].table_name()
+    }
+
     /// Monotone progress measure: every store fetch the machine has made.
     pub(crate) fn consumed_depth(&self) -> u64 {
-        self.sides[0].bucket_gets + self.sides[1].bucket_gets + self.reverse_rows_fetched
+        self.sides[0].bucket_gets + self.sides[1].bucket_gets + self.reverse.cells_fetched()
     }
+}
+
+/// The index family of one side (0 = left), as the `String` it is: a
+/// one-family projection is `std::slice::from_ref` of it, not a copy.
+fn side_label(query: &RankJoinQuery, side: usize) -> &String {
+    [&query.left.label, &query.right.label][side.min(1)]
 }
 
 /// An owned, stepping BFHM execution over `cluster` (see the module
@@ -265,22 +307,27 @@ impl BfhmRun {
                 "config bucket count disagrees with the built index",
             ));
         }
+        let client = cluster.client();
+        let family = |side| {
+            let label = std::slice::from_ref(side_label(query, side));
+            client.projection(table, Some(label))
+        };
         Ok(BfhmRun {
             cluster: cluster.clone(),
             core: BfhmCore {
                 meta: CursorMeta::new(query.k, None),
                 query: query.clone(),
-                table: table.to_owned(),
+                projections: [family(0)?, family(1)?],
+                batch: RowBatch::new(),
                 config: config.clone(),
                 hist: ScoreHistogram::new(num_buckets),
                 m,
-                sides: [SideState::new(), SideState::new()],
+                sides: Default::default(),
                 estimates: Vec::new(),
                 total_estimated: 0.0,
                 materialized: HashSet::new(),
                 reverse: ReverseStore::default(),
                 results: TopK::new(query.k),
-                reverse_rows_fetched: 0,
                 rounds: 0,
                 write_back,
                 pending_write_backs: Vec::new(),
@@ -300,99 +347,85 @@ impl BfhmRun {
         }
     }
 
-    fn label(&self, side: usize) -> &str {
-        // rjlint: allow(no-unwrap) — `side` is 0 or 1 and a validated binary
-        // query always has both sides.
-        &self.core.query.try_side(side).expect("binary side").label
-    }
-
     /// Fetches the next non-empty bucket of `side`, resolving pending §6
     /// mutation records into the blob. Returns `false` when exhausted.
+    /// The cursor moves past a bucket once it has been read, replayed and
+    /// (under the eager policy) written back: a probe that fails is made
+    /// again by the next call, not skipped.
     fn fetch_next_bucket(&mut self, side: usize) -> Result<bool> {
         let client = self.cluster.client();
-        let label = self.label(side).to_owned();
+        let core = &mut self.core;
+        let label = side_label(&core.query, side);
         loop {
-            let state = &mut self.core.sides[side];
-            if state.cursor >= self.core.hist.num_buckets() {
+            let state = &mut core.sides[side];
+            if state.cursor >= core.hist.num_buckets() {
                 state.exhausted = true;
                 return Ok(false);
             }
             let bucket = state.cursor;
-            state.cursor += 1;
-            state.bucket_gets += 1;
-            let fams = [label.clone()];
-            let row = client.get_with_families(
-                &self.core.table,
-                &super::index::blob_row_key(bucket),
-                Some(&fams),
-            )?;
-            let Some(row) = row else { continue };
-            let resolved = resolve_bucket_row(&row, &label, self.core.m)?;
+            let row = client.get_into(
+                &mut core.batch,
+                &core.projections[side],
+                &blob_row_key(bucket),
+            );
+            let resolved = row
+                .map(|row| resolve_bucket_row(row, label, core.m))
+                .transpose()?;
             // Before the empty-bucket skip: a bucket its replay emptied is
             // compacted like any other.
-            if resolved.had_mutations && self.core.write_back == WriteBackPolicy::Eager {
-                super::maintenance::write_back_bucket(
-                    &self.cluster,
-                    &self.core.table,
-                    &label,
-                    bucket,
-                    &resolved,
-                    self.core.config.codec,
-                )?;
-            } else if resolved.had_mutations && self.core.write_back == WriteBackPolicy::Lazy {
-                self.core.pending_write_backs.push(bucket);
+            if let Some(resolved) = resolved.as_ref().filter(|r| r.had_mutations) {
+                match core.write_back {
+                    WriteBackPolicy::Eager => write_back_bucket(
+                        &self.cluster,
+                        core.table(),
+                        label,
+                        bucket,
+                        resolved,
+                        core.config.codec,
+                    )?,
+                    WriteBackPolicy::Lazy => core.pending_write_backs.push(bucket),
+                    WriteBackPolicy::Off => {}
+                }
             }
-            let Some(blob) = resolved.blob else { continue };
-            self.core.sides[side].fetched.push((bucket, blob));
-            return Ok(true);
+            let state = &mut core.sides[side];
+            state.cursor += 1;
+            state.bucket_gets += 1;
+            if let Some(blob) = resolved.and_then(|r| r.blob) {
+                state.fetched.push((bucket, blob));
+                return Ok(true);
+            }
         }
     }
 
-    /// Algorithm 7: joins the newly fetched bucket of `side` against every
-    /// fetched bucket of the other side, appending estimates.
+    /// Algorithm 7: joins the newly fetched bucket of `side` — the last
+    /// one [`BfhmRun::fetch_next_bucket`] pushed — against every fetched
+    /// bucket of the other side, appending estimates.
     fn join_new_bucket(&mut self, side: usize) {
-        let (new_bucket, new_blob) = self.core.sides[side]
-            .fetched
-            .last()
-            .map(|(b, blob)| (*b, blob.clone()))
-            // rjlint: allow(no-unwrap) — only reached from the Fetched arm,
-            // where the driver just pushed the fetched bucket.
-            .expect("called right after a successful fetch");
-        let other = 1 - side;
-        let mut new_estimates = Vec::new();
-        for (other_bucket, other_blob) in &self.core.sides[other].fetched {
+        let core = &mut self.core;
+        let Some((new_bucket, new_blob)) = core.sides[side].fetched.last() else {
+            return;
+        };
+        for (other_bucket, other_blob) in &core.sides[1 - side].fetched {
             let (lb, lblob, rb, rblob) = if side == 0 {
-                (new_bucket, &new_blob, *other_bucket, other_blob)
+                (*new_bucket, new_blob, *other_bucket, other_blob)
             } else {
-                (*other_bucket, other_blob, new_bucket, &new_blob)
+                (*other_bucket, other_blob, *new_bucket, new_blob)
             };
-            let positions = lblob.filter.common_positions(&rblob.filter);
+            let (positions, cardinality) =
+                lblob.filter.join_estimate(&rblob.filter, core.config.alpha);
             if positions.is_empty() {
                 continue; // Algorithm 7 line 5: empty AND → null
             }
-            let cardinality = lblob
-                .filter
-                .estimate_join_cardinality(&rblob.filter, self.core.config.alpha);
-            new_estimates.push(Estimate {
+            let score_fn = core.query.score_fn;
+            core.total_estimated += cardinality;
+            core.estimates.push(Estimate {
                 left_bucket: lb,
                 right_bucket: rb,
                 positions,
                 cardinality,
-                min_score: self
-                    .core
-                    .query
-                    .score_fn
-                    .combine(lblob.min_score, rblob.min_score),
-                max_score: self
-                    .core
-                    .query
-                    .score_fn
-                    .combine(lblob.max_score, rblob.max_score),
+                min_score: score_fn.combine(lblob.min_score, rblob.min_score),
+                max_score: score_fn.combine(lblob.max_score, rblob.max_score),
             });
-        }
-        for e in new_estimates {
-            self.core.total_estimated += e.cardinality;
-            self.core.estimates.push(e);
         }
     }
 
@@ -497,63 +530,38 @@ impl BfhmRun {
         Ok(())
     }
 
-    /// Decodes one fetched reverse row and records it in the cache —
-    /// shared by the serial demand path and the parallel prefetch so the
-    /// two stay byte-identical in decoding and accounting.
-    fn cache_reverse_row(
-        &mut self,
-        side: usize,
-        bucket: u32,
-        pos: u32,
-        row: Option<rj_store::row::RowResult>,
-    ) {
-        self.core.reverse_rows_fetched += 1;
-        let label = self
-            .core
-            .query
-            .try_side(side)
-            // rjlint: allow(no-unwrap) — `side` is 0 or 1 and a validated
-            // binary query always has both sides.
-            .expect("binary side")
-            .label
-            .clone();
-        let entry = self.core.reverse.begin_cell(side, bucket, pos);
-        if let Some(row) = row {
-            for cell in row.family_cells(&label) {
-                if let Ok((join, score)) = codec::decode_value_score(&cell.value) {
-                    self.core
-                        .reverse
-                        .push_tuple(entry, &cell.qualifier, &join, score);
-                }
-            }
-        }
-    }
-
     /// Ensures one `(side, bucket, position)` reverse-mapping cell is in
     /// the cache, fetching it on demand.
     fn ensure_reverse_row(&mut self, side: usize, bucket: u32, pos: u32) -> Result<()> {
-        if !self.core.reverse.contains(side, bucket, pos) {
-            let client = self.cluster.client();
-            let fams = [self.label(side).to_owned()];
-            let row = client.get_with_families(
-                &self.core.table,
-                &reverse_row_key(bucket, pos),
-                Some(&fams),
-            )?;
-            self.cache_reverse_row(side, bucket, pos, row);
+        let core = &mut self.core;
+        if core.reverse.contains(side, bucket, pos) {
+            return Ok(());
         }
-        Ok(())
+        let row = self.cluster.client().get_into(
+            &mut core.batch,
+            &core.projections[side],
+            &reverse_row_key(bucket, pos),
+        );
+        let label = side_label(&core.query, side);
+        core.reverse.cache_row((side, bucket, pos), label, row)
+    }
+
+    /// Whether phase 2 still owes this estimate's tuples at `cutoff`.
+    fn owed(&self, e: &Estimate, cutoff: f64) -> bool {
+        let pair = (e.left_bucket, e.right_bucket);
+        e.max_score >= cutoff && !self.core.materialized.contains(&pair)
     }
 
     /// Fans the reverse-row gets an upcoming materialization needs out in
     /// one parallel round (lane = serving node), filling the cache the
     /// serial join loop then hits. Fetches exactly the set of rows the
-    /// serial loop would fetch — the loop walks every estimate in `todo`
-    /// unconditionally — so the counted metrics are unchanged.
-    fn prefetch_reverse_rows(&mut self, todo: &[Estimate]) -> Result<()> {
+    /// serial loop would fetch — the loop walks every owed estimate
+    /// unconditionally — so the counted metrics are unchanged. The rows
+    /// come back from other threads, so this path keeps them owned.
+    fn prefetch_reverse_rows(&mut self, estimates: &[Estimate], cutoff: f64) -> Result<()> {
         let mut needed: Vec<(usize, u32, u32)> = Vec::new();
         let mut queued: HashSet<(usize, u32, u32)> = HashSet::new();
-        for e in todo {
+        for e in estimates.iter().filter(|e| self.owed(e, cutoff)) {
             for &pos in &e.positions {
                 for (side, bucket) in [(0usize, e.left_bucket), (1usize, e.right_bucket)] {
                     let key = (side, bucket, pos);
@@ -566,78 +574,84 @@ impl BfhmRun {
         if needed.len() < 2 {
             return Ok(()); // nothing to overlap
         }
-        let table = self.cluster.table(&self.core.table)?;
+        let table = self.cluster.table(self.core.table())?;
+        let (table_name, query) = (self.core.table(), &self.core.query);
         let tasks = needed
             .iter()
             .map(|&(side, bucket, pos)| {
                 let row_key = reverse_row_key(bucket, pos);
-                let label = self.label(side).to_owned();
-                let table_name = self.core.table.clone();
+                let family = std::slice::from_ref(side_label(query, side));
                 LaneTask::new(
                     table.serving_node(&row_key),
                     move |worker: &rj_store::client::Client| {
-                        let fams = [label];
-                        worker.get_with_families(&table_name, &row_key, Some(&fams))
+                        worker.get_with_families(table_name, &row_key, Some(family))
                     },
                 )
             })
             .collect();
         let rows = run_lanes(&self.cluster, self.core.mode.workers(), tasks)?;
-        for ((side, bucket, pos), row) in needed.into_iter().zip(rows) {
-            self.cache_reverse_row(side, bucket, pos, row);
+        for (cell, row) in needed.into_iter().zip(rows) {
+            let label = side_label(&self.core.query, cell.0);
+            let row = row.as_ref().map(RowResult::as_row_ref);
+            self.core.reverse.cache_row(cell, label, row)?;
         }
         Ok(())
     }
 
     /// Phase 2: materializes every estimate with `max_score >= cutoff`
     /// not yet materialized — fetch reverse rows, join actual tuples
-    /// (re-checking join values), offer into the running top-k.
+    /// (re-checking join values), offer into the running top-k. Returns
+    /// whether there was any.
     fn materialize(&mut self, cutoff: f64) -> Result<bool> {
-        let todo: Vec<Estimate> = self
-            .core
-            .estimates
-            .iter()
-            .filter(|e| {
-                e.max_score >= cutoff
-                    && !self
-                        .core
-                        .materialized
-                        .contains(&(e.left_bucket, e.right_bucket))
-            })
-            .cloned()
-            .collect();
-        let progressed = !todo.is_empty();
+        // Lent out for the sweep, which reads the estimates while it
+        // fills the cache and the top-k (and fetches no bucket).
+        let estimates = std::mem::take(&mut self.core.estimates);
+        let progressed = self.materialize_from(&estimates, cutoff);
+        self.core.estimates = estimates;
+        progressed
+    }
+
+    fn materialize_from(&mut self, estimates: &[Estimate], cutoff: f64) -> Result<bool> {
+        let owed = estimates.iter().filter(|e| self.owed(e, cutoff));
+        let positions: usize = owed.map(|e| e.positions.len()).sum();
+        self.core.reverse.reserve(2 * positions);
         if self.core.mode.is_parallel() {
-            self.prefetch_reverse_rows(&todo)?;
+            self.prefetch_reverse_rows(estimates, cutoff)?;
         }
-        for e in todo {
-            self.core
-                .materialized
-                .insert((e.left_bucket, e.right_bucket));
+        let mut progressed = false;
+        for e in estimates {
+            if !self.owed(e, cutoff) {
+                continue;
+            }
+            progressed = true;
             for &pos in &e.positions {
                 // Demand-fetch both cells first (mutating), then join over
-                // two shared borrows of the flat store — no `Vec` clones.
+                // two shared borrows of the flat store; a match is copied
+                // out only if it enters the top-k.
                 self.ensure_reverse_row(0, e.left_bucket, pos)?;
                 self.ensure_reverse_row(1, e.right_bucket, pos)?;
-                let score_fn = self.core.query.score_fn;
                 let core = &mut self.core;
+                let score_fn = core.query.score_fn;
                 for (lk, lj, ls) in core.reverse.tuples(0, e.left_bucket, pos) {
                     for (rk, rj, rs) in core.reverse.tuples(1, e.right_bucket, pos) {
                         if lj != rj {
                             continue; // Bloom collision on this bit
                         }
-                        core.results.offer(JoinTuple {
-                            left_key: lk.to_vec(),
-                            right_key: rk.to_vec(),
-                            join_value: lj.to_vec(),
+                        core.results.offer_match(BinaryMatch {
+                            left_key: lk,
+                            right_key: rk,
+                            join_value: lj,
                             left_score: ls,
                             right_score: rs,
-                            inner: Vec::new(),
                             score: score_fn.combine(ls, rs),
                         });
                     }
                 }
             }
+            // Once every position is joined: a sweep that failed half-way
+            // is made again, not skipped.
+            let pair = (e.left_bucket, e.right_bucket);
+            self.core.materialized.insert(pair);
         }
         Ok(progressed)
     }
@@ -679,23 +693,6 @@ impl BfhmRun {
         match self.core.phase {
             Phase::RoundStart => {
                 self.core.rounds += 1;
-                if std::env::var_os("RJ_BFHM_DEBUG").is_some() {
-                    eprintln!(
-                        "[bfhm] round={} target={} results={} est={} total_est={:.1} \
-                         fetched=({},{}) cursors=({},{}) exhausted=({},{})",
-                        self.core.rounds,
-                        self.core.target,
-                        self.core.results.len(),
-                        self.core.estimates.len(),
-                        self.core.total_estimated,
-                        self.core.sides[0].fetched.len(),
-                        self.core.sides[1].fetched.len(),
-                        self.core.sides[0].cursor,
-                        self.core.sides[1].cursor,
-                        self.core.sides[0].exhausted,
-                        self.core.sides[1].exhausted,
-                    );
-                }
                 self.core.phase = Phase::Estimation;
             }
             Phase::Estimation => {
@@ -816,15 +813,10 @@ impl BfhmRun {
         }
         let buckets = std::mem::take(&mut self.core.pending_write_backs);
         for bucket in buckets {
-            for s in 0..2 {
-                let label = self.label(s).to_owned();
-                super::maintenance::refresh_bucket(
-                    &self.cluster,
-                    &self.core.table,
-                    &label,
-                    bucket,
-                    self.core.config.codec,
-                )?;
+            for side in 0..2 {
+                let label = side_label(&self.core.query, side);
+                let codec = self.core.config.codec;
+                refresh_bucket(&self.cluster, self.core.table(), label, bucket, codec)?;
             }
         }
         Ok(())
@@ -836,7 +828,7 @@ impl BfhmRun {
             (self.core.sides[0].fetched.len() + self.core.sides[1].fetched.len()) as f64;
         let estimates = self.core.estimates.len() as f64;
         let rounds = self.core.rounds as f64;
-        let reverse_rows = self.core.reverse_rows_fetched as f64;
+        let reverse_rows = self.core.reverse.cells_fetched() as f64;
         let bucket_gets = (self.core.sides[0].bucket_gets + self.core.sides[1].bucket_gets) as f64;
         let results = std::mem::replace(&mut self.core.results, TopK::new(1)).into_sorted_vec();
         Ok(QueryOutcome::new("BFHM", results, meter.finish())
@@ -1218,6 +1210,69 @@ mod tests {
         // Estimate is per bucket pair, so those rows merge with summed
         // cardinalities.
         assert_eq!(got, want);
+    }
+
+    /// The query fails with the typed codec error: one-shot in both
+    /// execution modes, and through a cursor on every pull — the failed
+    /// step is made again, not skipped, so the error cannot decay into a
+    /// silently shorter answer.
+    fn assert_codec_error(c: &Cluster, q: &RankJoinQuery, config: &BfhmConfig) {
+        let is_codec = |e: RankJoinError| matches!(e, RankJoinError::Codec(_));
+        let policy = WriteBackPolicy::Off;
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Parallel { workers: 2 },
+        ] {
+            let one_shot = run_with_mode(c, q, "bfhm_idx", config, policy, mode);
+            assert!(is_codec(one_shot.unwrap_err()), "{mode:?}");
+            let mut cursor =
+                BfhmCursor::open(c, q, "bfhm_idx", config, policy, mode, None).unwrap();
+            for pull in 0..2 {
+                let batch = cursor.next_batch(q.k, &StopPolicy::never());
+                assert!(is_codec(batch.unwrap_err()), "{mode:?} pull {pull}");
+            }
+        }
+    }
+
+    /// A reverse-mapping cell that does not decode used to be dropped,
+    /// and the top-k built without its tuple.
+    #[test]
+    fn an_undecodable_reverse_cell_is_an_error_not_a_missing_result() {
+        let (c, q) = running_example_cluster();
+        let config = example_config();
+        build(&c, &q, &config);
+        // R2 bucket 0 holds r2_02 and r2_11, both `b`: the top-1's right
+        // tuple among them.
+        let pos = rj_sketch::SingleHashBloom::position_in(1 << 14, b"b") as u32;
+        let garbage = rj_store::Mutation::put("R2", b"r2_11", b"garbage".to_vec());
+        c.client()
+            .put("bfhm_idx", &reverse_row_key(0, pos), garbage)
+            .unwrap();
+        assert_codec_error(&c, &q, &config);
+    }
+
+    /// A §6 mutation record that does not decode used to be skipped, the
+    /// blob replayed without it, and — under a write-back policy — the
+    /// write lost for good.
+    #[test]
+    fn an_undecodable_mutation_record_is_an_error_not_a_lost_write() {
+        let (c, q) = running_example_cluster();
+        let config = example_config();
+        build(&c, &q, &config);
+        let maintainer = bfhm::maintenance::BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        maintainer
+            .record_insert(b"r2_99", b"b", 0.99, c.next_ts())
+            .unwrap();
+        // Overwrite the record's value under its own qualifier.
+        let client = c.client();
+        let row = client.get("bfhm_idx", &blob_row_key(0)).unwrap().unwrap();
+        let record = row
+            .family_cells("R2")
+            .find(|cell| cell.qualifier.ends_with(b"r2_99"))
+            .expect("the insertion record");
+        let garbage = rj_store::Mutation::put("R2", &record.qualifier, b"garbage".to_vec());
+        client.put("bfhm_idx", &blob_row_key(0), garbage).unwrap();
+        assert_codec_error(&c, &q, &config);
     }
 
     #[test]

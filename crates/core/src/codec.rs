@@ -229,11 +229,13 @@ pub fn decode_values_score(buf: &[u8], edges: usize) -> Result<(JoinValues<'_>, 
     Ok((values, score))
 }
 
-/// Inverse of [`encode_value_score`].
-pub fn decode_value_score(buf: &[u8]) -> Result<(Vec<u8>, f64), CodecError> {
+/// [`decode_values_score`] for a side with exactly one join edge — every
+/// binary index cell: the inverse of [`encode_value_score`], borrowing
+/// the join value from the cell.
+pub fn decode_one_value_score(buf: &[u8]) -> Result<(&[u8], f64), CodecError> {
     let (mut values, score) = decode_values_score(buf, 1)?;
     let join_value = values.next().ok_or(CodecError("truncated field"))?;
-    Ok((join_value.to_vec(), score))
+    Ok((join_value, score))
 }
 
 #[cfg(test)]
@@ -267,8 +269,9 @@ mod tests {
 
     #[test]
     fn value_score_roundtrip() {
-        let (j, s) = decode_value_score(&encode_value_score(b"dval", 0.41)).unwrap();
-        assert_eq!(j, b"dval".to_vec());
+        let cell = encode_value_score(b"dval", 0.41);
+        let (j, s) = decode_one_value_score(&cell).unwrap();
+        assert_eq!(j, b"dval");
         assert_eq!(s, 0.41);
     }
 
@@ -309,10 +312,10 @@ mod tests {
         assert_eq!(cell, encode_value_score(b"dval", 0.41));
         // score ‖ u32 length ‖ bytes — nothing else.
         assert_eq!(cell.len(), 8 + 4 + 4);
-        assert_eq!(decode_value_score(&cell), Ok((b"dval".to_vec(), 0.41)));
+        assert_eq!(decode_one_value_score(&cell), Ok((&b"dval"[..], 0.41)));
         let mut trailing = cell.clone();
         trailing.push(7);
-        assert!(decode_value_score(&trailing).is_err());
+        assert!(decode_one_value_score(&trailing).is_err());
     }
 
     #[test]
@@ -331,7 +334,8 @@ mod tests {
 
     #[test]
     fn empty_fields_are_fine() {
-        let (j, s) = decode_value_score(&encode_value_score(b"", 0.0)).unwrap();
+        let cell = encode_value_score(b"", 0.0);
+        let (j, s) = decode_one_value_score(&cell).unwrap();
         assert!(j.is_empty());
         assert_eq!(s, 0.0);
     }

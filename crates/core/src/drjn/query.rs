@@ -15,7 +15,7 @@ use rj_mapreduce::job::{JobInput, JobSpec, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper};
 use rj_mapreduce::MapReduceEngine;
 use rj_sketch::histogram::ScoreHistogram;
-use rj_store::cell::Mutation;
+use rj_store::cell::{Cell, Mutation};
 use rj_store::cluster::Cluster;
 use rj_store::filter::ScoreInRange;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
@@ -28,8 +28,10 @@ use crate::cursor::{
     policy_stop, snap_add, CursorBatch, CursorMeta, CursorState, RankedCursor, StateInner,
 };
 use crate::error::{RankJoinError, Result};
+use crate::hrjn::SeenSide;
 use crate::query::{JoinSide, RankJoinQuery};
-use crate::result::{JoinTuple, TopK};
+use crate::result::{BinaryMatch, JoinTuple, TopK};
+use crate::score::ScoreFn;
 use crate::stats::QueryOutcome;
 
 use super::index::bucket_row_key;
@@ -97,6 +99,39 @@ fn pull_band(
     Ok(())
 }
 
+/// Decodes one pulled temp-table cell of side `s`, joins its tuple
+/// against the other side's seen tuples (a match is copied out only if it
+/// enters the top-k) and records it as seen. A cell that does not decode
+/// is an error: skipping it would drop every result its tuple joins into,
+/// silently.
+fn join_pulled_cell(
+    seen: &mut [SeenSide; 2],
+    results: &mut TopK,
+    score_fn: ScoreFn,
+    s: usize,
+    cell: &Cell,
+) -> Result<()> {
+    let (join, score) = codec::decode_one_value_score(&cell.value)?;
+    let other = &seen[1 - s];
+    for (other_key, other_score) in other.matches(0, join).map(|id| other.tuple(id)) {
+        let (left, right) = if s == 0 {
+            ((&cell.qualifier[..], score), (other_key, other_score))
+        } else {
+            ((other_key, other_score), (&cell.qualifier[..], score))
+        };
+        results.offer_match(BinaryMatch {
+            left_key: left.0,
+            right_key: right.0,
+            join_value: join,
+            left_score: left.1,
+            right_score: right.1,
+            score: score_fn.combine(left.1, right.1),
+        });
+    }
+    seen[s].insert([join], &cell.qualifier, score);
+    Ok(())
+}
+
 /// Process-wide sequence for temp-table names: concurrent DRJN queries on
 /// one shared cluster must not collide on their pull-phase scratch tables.
 static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -113,7 +148,7 @@ pub(crate) struct DrjnCore {
     config: DrjnConfig,
     mode: ExecutionMode,
     /// Seen tuples per side, keyed by join value (flat columnar store).
-    seen: [crate::hrjn::SeenSide; 2],
+    seen: [SeenSide; 2],
     results: TopK,
     /// Per-side fetched matrix rows (bucket → per-partition counts).
     rows: [Vec<Vec<u64>>; 2],
@@ -131,10 +166,7 @@ pub(crate) struct DrjnCore {
 impl DrjnCore {
     /// Monotone progress measure: tuples pulled into the seen store.
     pub(crate) fn consumed_depth(&self) -> u64 {
-        self.seen
-            .iter()
-            .map(crate::hrjn::SeenSide::len)
-            .sum::<usize>() as u64
+        self.seen.iter().map(SeenSide::len).sum::<usize>() as u64
     }
 }
 
@@ -166,7 +198,7 @@ impl DrjnRun {
                 index_table: index_table.to_owned(),
                 config: *config,
                 mode,
-                seen: [crate::hrjn::SeenSide::new(1), crate::hrjn::SeenSide::new(1)],
+                seen: [SeenSide::new(1), SeenSide::new(1)],
                 results: TopK::new(query.k),
                 rows: [Vec::new(), Vec::new()],
                 cum_estimate: 0.0,
@@ -312,30 +344,8 @@ impl DrjnRun {
         for row in pulled_rows {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
                 for cell in row.family_cells(label) {
-                    let Ok((join, score)) = codec::decode_value_score(&cell.value) else {
-                        continue;
-                    };
-                    // Join against the other side's seen tuples.
-                    let other = &self.core.seen[1 - s];
-                    for (other_key, other_score) in
-                        other.matches(0, &join).map(|id| other.tuple(id))
-                    {
-                        let (lk, ls, rk, rs) = if s == 0 {
-                            (&cell.qualifier[..], score, other_key, other_score)
-                        } else {
-                            (other_key, other_score, &cell.qualifier[..], score)
-                        };
-                        self.core.results.offer(JoinTuple {
-                            left_key: lk.to_vec(),
-                            right_key: rk.to_vec(),
-                            join_value: join.clone(),
-                            left_score: ls,
-                            right_score: rs,
-                            inner: Vec::new(),
-                            score: query.score_fn.combine(ls, rs),
-                        });
-                    }
-                    self.core.seen[s].insert([&join[..]], &cell.qualifier, score);
+                    let core = &mut self.core;
+                    join_pulled_cell(&mut core.seen, &mut core.results, query.score_fn, s, cell)?;
                 }
             }
         }
@@ -597,6 +607,41 @@ mod tests {
             got.metrics.kv_reads > 40,
             "kv_reads = {}",
             got.metrics.kv_reads
+        );
+    }
+
+    /// The temp table lives only inside a round, so the decode-and-join
+    /// of one pulled cell is tested on its own: a value that does not
+    /// decode is the typed error (it used to be skipped, dropping every
+    /// result its tuple joins into), and a good one joins and is seen.
+    #[test]
+    fn an_undecodable_pulled_cell_is_an_error_not_a_skipped_tuple() {
+        let cell = |key: &[u8], value: Vec<u8>| Cell {
+            family: "R1".into(),
+            qualifier: key.to_vec().into(),
+            timestamp: 1,
+            value: value.into(),
+        };
+        let mut seen = [SeenSide::new(1), SeenSide::new(1)];
+        let mut results = TopK::new(3);
+        let mut pull =
+            |s, cell: &Cell| join_pulled_cell(&mut seen, &mut results, ScoreFn::Sum, s, cell);
+        pull(0, &cell(b"l1", codec::encode_value_score(b"j", 0.5))).unwrap();
+        assert!(matches!(
+            pull(1, &cell(b"r0", b"garbage".to_vec())),
+            Err(RankJoinError::Codec(_))
+        ));
+        pull(1, &cell(b"r1", codec::encode_value_score(b"j", 0.25))).unwrap();
+        assert_eq!(seen[0].len() + seen[1].len(), 2, "the bad cell is not seen");
+        let joined = results.into_sorted_vec();
+        assert_eq!(joined.len(), 1);
+        assert_eq!(
+            (&joined[0].left_key[..], &joined[0].right_key[..]),
+            (&b"l1"[..], &b"r1"[..])
+        );
+        assert_eq!(
+            (&joined[0].join_value[..], joined[0].score),
+            (&b"j"[..], 0.75)
         );
     }
 

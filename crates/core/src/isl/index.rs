@@ -165,8 +165,8 @@ mod tests {
             .expect("top row");
         let cell = row.family_cells("R1").next().expect("r1_10");
         assert_eq!(cell.qualifier, b"r1_10".to_vec());
-        let (join, score) = codec::decode_value_score(&cell.value).unwrap();
-        assert_eq!(join, b"a".to_vec());
+        let (join, score) = codec::decode_values_score(&cell.value, 1).unwrap();
+        assert_eq!(join.collect::<Vec<_>>(), [b"a"]);
         assert_eq!(score, 1.0);
     }
 

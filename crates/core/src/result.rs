@@ -80,6 +80,39 @@ impl RankKey for JoinTuple {
     }
 }
 
+/// A binary join match whose [`JoinTuple`] has not been built: its keys
+/// and join value still borrowed from wherever the operator keeps its
+/// tuples (BFHM's reverse-row cache, DRJN's seen stores and pulled
+/// cells). [`TopK::offer_match`] builds the owned tuple only if it enters
+/// the top-k.
+pub(crate) struct BinaryMatch<'a> {
+    pub left_key: &'a [u8],
+    pub right_key: &'a [u8],
+    pub join_value: &'a [u8],
+    pub left_score: f64,
+    pub right_score: f64,
+    /// `f(left_score, right_score)`.
+    pub score: f64,
+}
+
+impl RankKey for BinaryMatch<'_> {
+    fn score(&self) -> f64 {
+        self.score
+    }
+    fn left_key(&self) -> &[u8] {
+        self.left_key
+    }
+    fn right_key(&self) -> &[u8] {
+        self.right_key
+    }
+    fn inner_len(&self) -> usize {
+        0
+    }
+    fn inner_key(&self, _: usize) -> &[u8] {
+        &[]
+    }
+}
+
 /// The one definition of the rank order, over any two [`RankKey`]s.
 fn rank_cmp_keys<A: RankKey + ?Sized, B: RankKey + ?Sized>(a: &A, b: &B) -> Ordering {
     b.score()
@@ -179,6 +212,22 @@ impl TopK {
             .last()
             .is_some_and(|last| rank_cmp_keys(candidate, &last.0) == Ordering::Less);
         (room || beats_last) && !self.set.contains(candidate)
+    }
+
+    /// [`TopK::offer`] for a match still borrowed: tested with
+    /// [`TopK::admits`] first, copied out only when it passes.
+    pub(crate) fn offer_match(&mut self, m: BinaryMatch<'_>) {
+        if self.admits(&m) {
+            self.offer(JoinTuple {
+                left_key: m.left_key.to_vec(),
+                right_key: m.right_key.to_vec(),
+                join_value: m.join_value.to_vec(),
+                left_score: m.left_score,
+                right_score: m.right_score,
+                inner: Vec::new(),
+                score: m.score,
+            });
+        }
     }
 
     /// Number of retained tuples (≤ k).

@@ -7,10 +7,16 @@
 //! integral part of the design — single-hash filters need large `m` and are
 //! impractical raw — but a [`BlobCodec::Raw`] escape hatch is provided so the
 //! ablation benches can quantify exactly what Golomb coding buys.
+//!
+//! The blob is two sorted arrays — set-bit positions (as gaps) and one
+//! counter per set bit — and so is the decoded [`HybridFilter`]: decoding
+//! moves the two vectors in, encoding reads them as slices. Bytes from the
+//! store are not trusted: [`BfhmBlob::decode`] reserves nothing the bytes
+//! present cannot fill and establishes the filter's invariant (positions
+//! strictly increasing and below `m`, counters ≥ 1) or fails, typed.
 
 use crate::golomb::{
-    decode_sorted_positions, decode_values, encode_sorted_positions, encode_values, BitReader,
-    BitWriter, CodecError,
+    decode_values, encode_adaptive, encode_sorted_positions, BitReader, CodecError,
 };
 use crate::hybrid::HybridFilter;
 
@@ -61,6 +67,9 @@ pub enum BlobError {
     Truncated,
     /// Golomb stream error.
     Codec(CodecError),
+    /// The header or the decoded arrays cannot be a filter's (more set
+    /// bits than bits, a position not below `m`, a counter overflow).
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for BlobError {
@@ -69,6 +78,7 @@ impl std::fmt::Display for BlobError {
             BlobError::BadMagic => write!(f, "blob: unknown codec tag"),
             BlobError::Truncated => write!(f, "blob: truncated"),
             BlobError::Codec(e) => write!(f, "blob: {e}"),
+            BlobError::Invalid(what) => write!(f, "blob: {what}"),
         }
     }
 }
@@ -88,12 +98,25 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], BlobError> {
-        if self.pos + n > self.buf.len() {
-            return Err(BlobError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self.buf[self.pos..].get(..n).ok_or(BlobError::Truncated)?;
         self.pos += n;
         Ok(s)
+    }
+
+    /// One Rice-coded stream of `count` values: `k u8 | len u32 | bytes`.
+    fn rice_stream(&mut self, count: usize) -> Result<Vec<u32>, BlobError> {
+        let k = self.u8()?;
+        let len = self.u32()? as usize;
+        let mut bits = BitReader::new(self.take(len)?);
+        Ok(decode_values(&mut bits, count, k)?)
+    }
+
+    /// `n` big-endian `u32`s, none of them read (or reserved for) unless
+    /// all of them are there.
+    fn u32s(&mut self, n: usize) -> Result<impl Iterator<Item = u32> + 'a, BlobError> {
+        let bytes = self.take(n.checked_mul(4).ok_or(BlobError::Truncated)?)?;
+        let words = bytes.chunks_exact(4);
+        Ok(words.map(|w| u32::from_be_bytes([w[0], w[1], w[2], w[3]])))
     }
 
     fn u8(&mut self) -> Result<u8, BlobError> {
@@ -131,12 +154,9 @@ impl BfhmBlob {
     /// | counter bytes`; for Raw: `positions u32[nbits] | counters
     /// u32[nbits]`.
     pub fn encode(&self, codec: BlobCodec) -> Vec<u8> {
-        let positions: Vec<u64> = self.filter.set_positions().map(u64::from).collect();
-        let counters: Vec<u64> = self
-            .filter
-            .counters_in_order()
-            .map(|(_, c)| u64::from(c) - 1) // counters are >=1; store c-1
-            .collect();
+        let positions = self.filter.set_positions();
+        // Counters are >= 1; c - 1 is stored.
+        let stored_counts = self.filter.counts().iter().map(|&c| c - 1);
 
         let mut out = Vec::with_capacity(64 + positions.len() * 4);
         out.push(codec.tag());
@@ -148,30 +168,19 @@ impl BfhmBlob {
 
         match codec {
             BlobCodec::Golomb => {
-                let (k_pos, pos_bytes) = encode_sorted_positions(&positions);
-                out.push(k_pos);
-                out.extend_from_slice(&(pos_bytes.len() as u32).to_be_bytes());
-                out.extend_from_slice(&pos_bytes);
-
-                let mean = if counters.is_empty() {
-                    0.0
-                } else {
-                    counters.iter().sum::<u64>() as f64 / counters.len() as f64
-                };
-                let k_cnt = crate::golomb::optimal_rice_param(mean);
-                let mut w = BitWriter::new();
-                encode_values(&mut w, &counters, k_cnt);
-                let cnt_bytes = w.finish();
-                out.push(k_cnt);
-                out.extend_from_slice(&(cnt_bytes.len() as u32).to_be_bytes());
-                out.extend_from_slice(&cnt_bytes);
+                let streams = [
+                    encode_sorted_positions(positions.iter().map(|&p| u64::from(p))),
+                    encode_adaptive(stored_counts.map(u64::from)),
+                ];
+                for (k, bytes) in streams {
+                    out.push(k);
+                    out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+                    out.extend_from_slice(&bytes);
+                }
             }
             BlobCodec::Raw => {
-                for &p in &positions {
-                    out.extend_from_slice(&(p as u32).to_be_bytes());
-                }
-                for &c in &counters {
-                    out.extend_from_slice(&(c as u32).to_be_bytes());
+                for word in positions.iter().copied().chain(stored_counts) {
+                    out.extend_from_slice(&word.to_be_bytes());
                 }
             }
         }
@@ -179,6 +188,8 @@ impl BfhmBlob {
     }
 
     /// Deserializes a blob produced by [`BfhmBlob::encode`] (either codec).
+    /// Any other bytes are a [`BlobError`], never a panic and never an
+    /// allocation larger than the bytes account for.
     pub fn decode(bytes: &[u8]) -> Result<Self, BlobError> {
         let mut c = Cursor { buf: bytes, pos: 0 };
         let codec = BlobCodec::from_tag(c.u8()?)?;
@@ -187,39 +198,32 @@ impl BfhmBlob {
         let min_score = c.f64()?;
         let max_score = c.f64()?;
         let nbits = c.u32()? as usize;
+        if nbits > m {
+            return Err(BlobError::Invalid("more set bits than bits"));
+        }
 
-        let (positions, counters): (Vec<u32>, Vec<u32>) = match codec {
+        // Positions arrive as gaps (Golomb) or as they are (Raw), counters
+        // as c - 1. Arithmetic that overflows lands on a value `from_parts`
+        // refuses: a position of `u32::MAX` is not below `m`, a counter
+        // of 0 is not a counter.
+        let (positions, mut counts): (Vec<u32>, Vec<u32>) = match codec {
             BlobCodec::Golomb => {
-                let k_pos = c.u8()?;
-                let len = c.u32()? as usize;
-                let pos_bytes = c.take(len)?;
-                let positions = decode_sorted_positions(pos_bytes, nbits, k_pos)?;
-
-                let k_cnt = c.u8()?;
-                let len = c.u32()? as usize;
-                let cnt_bytes = c.take(len)?;
-                let mut r = BitReader::new(cnt_bytes);
-                let counters = decode_values(&mut r, nbits, k_cnt)?;
-                (
-                    positions.into_iter().map(|p| p as u32).collect(),
-                    counters.into_iter().map(|v| v as u32 + 1).collect(),
-                )
-            }
-            BlobCodec::Raw => {
-                let mut positions = Vec::with_capacity(nbits);
-                for _ in 0..nbits {
-                    positions.push(c.u32()?);
+                let mut positions = c.rice_stream(nbits)?;
+                let mut next = 0u32; // the smallest position a gap can land on
+                for p in &mut positions {
+                    *p = next.saturating_add(*p);
+                    next = p.saturating_add(1);
                 }
-                let mut counters = Vec::with_capacity(nbits);
-                for _ in 0..nbits {
-                    counters.push(c.u32()? + 1);
-                }
-                (positions, counters)
+                (positions, c.rice_stream(nbits)?)
             }
+            BlobCodec::Raw => (c.u32s(nbits)?.collect(), c.u32s(nbits)?.collect()),
         };
-
+        counts.iter_mut().for_each(|c| *c = c.wrapping_add(1));
+        let filter = HybridFilter::from_parts(m, n, positions, counts).ok_or(
+            BlobError::Invalid("positions not increasing below m, or a counter of 0"),
+        )?;
         Ok(BfhmBlob {
-            filter: HybridFilter::from_parts(m, n, &positions, &counters),
+            filter,
             min_score,
             max_score,
         })
@@ -299,5 +303,115 @@ mod tests {
         let got = BfhmBlob::decode(&blob.encode(BlobCodec::Golomb)).unwrap();
         assert_eq!(got.min_score, blob.min_score);
         assert_eq!(got.max_score, blob.max_score);
+    }
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits = hex.as_bytes().chunks(2);
+        digits
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The wire format is persisted: both encodings of one fixed filter
+    /// (42 set bits, counters 1, 2 and 100, so both Rice parameters are
+    /// non-trivial) equal the bytes the `BTreeMap`-and-bitmap filter
+    /// produced at commit 1956bd6, the parent of the flat layout.
+    #[test]
+    fn encodings_equal_the_bytes_recorded_before_the_flat_layout() {
+        let mut f = HybridFilter::new(4096);
+        for i in 0..60u64 {
+            f.insert(&(i % 37).to_be_bytes());
+        }
+        for key in [&b"a"[..], b"b", b"b", b"c", b"zebra"] {
+            f.insert(key);
+        }
+        for _ in 0..100 {
+            f.insert(b"hot");
+        }
+        let blob = BfhmBlob::new(f, 0.25, 0.75);
+        let golomb = "010000100000000000000000a53fd00000000000003fe80000000000000000002a070000\
+            002c3e8200ac31914362208175c0e3d27761a7c7c8484cb40825fed8436b194201294280\
+            4cae77e006b5fa1350c00200000013208209241200001248209208009049ffffff64";
+        let raw = "020000100000000000000000a53fd00000000000003fe80000000000000000002a000000\
+            3e000000c3000000c50000011e00000182000001a500000233000002c5000002ca000002\
+            d6000003b3000003c200000400000004280000049f000004ba00000537000005b4000006\
+            3e00000648000006f6000006f9000007030000078300000870000008920000097e000009\
+            98000009db000009dd00000a0700000a4a00000acb00000b7e00000c7200000d7100000d\
+            7200000dde00000e3e00000f0100000f6c00000f85000000010000000000000001000000\
+            000000000100000000000000010000000100000001000000010000000000000001000000\
+            010000000000000000000000000000000000000000000000000000000100000001000000\
+            010000000100000000000000010000000000000001000000010000000100000000000000\
+            010000000000000000000000000000000100000001000000000000000100000001000000\
+            010000006300000001";
+        for (codec, hex) in [(BlobCodec::Golomb, golomb), (BlobCodec::Raw, raw)] {
+            let recorded = unhex(hex);
+            assert_eq!(blob.encode(codec), recorded, "{codec:?}");
+            assert_eq!(BfhmBlob::decode(&recorded).unwrap(), blob, "{codec:?}");
+        }
+    }
+
+    /// `tag | m | n | min | max | nbits` with nothing after it.
+    fn header(codec: BlobCodec, m: u32, nbits: u32) -> Vec<u8> {
+        let mut bytes = vec![codec.tag()];
+        bytes.extend_from_slice(&m.to_be_bytes());
+        bytes.extend_from_slice(&7u64.to_be_bytes());
+        bytes.extend_from_slice(&0.25f64.to_be_bytes());
+        bytes.extend_from_slice(&0.75f64.to_be_bytes());
+        bytes.extend_from_slice(&nbits.to_be_bytes());
+        bytes
+    }
+
+    /// One Rice stream section: `k | len | bytes`.
+    fn stream(k: u8, bytes: &[u8]) -> Vec<u8> {
+        let mut section = vec![k];
+        section.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+        section.extend_from_slice(bytes);
+        section
+    }
+
+    /// A header is bytes from the store, not a promise: a 30-byte blob
+    /// announcing four billion set bits used to reserve 32 GB before
+    /// reading a single one.
+    #[test]
+    fn decode_does_not_trust_its_header() {
+        use BlobCodec::{Golomb, Raw};
+        let invalid = |bytes: &[u8]| matches!(BfhmBlob::decode(bytes), Err(BlobError::Invalid(_)));
+        for codec in [Golomb, Raw] {
+            let mut no_bits = header(codec, 0, 0);
+            no_bits.extend([stream(0, &[]), stream(0, &[])].concat());
+            assert!(invalid(&no_bits), "no bits at all");
+            assert!(invalid(&header(codec, 64, 65)), "more set bits than bits");
+        }
+        // nbits within m, but far beyond what the bytes hold.
+        let mut huge = header(Golomb, u32::MAX, u32::MAX);
+        huge.extend(stream(0, &[0]));
+        assert!(matches!(BfhmBlob::decode(&huge), Err(BlobError::Codec(_))));
+        let mut huge = header(Raw, u32::MAX, u32::MAX);
+        huge.extend_from_slice(&[0; 64]);
+        assert_eq!(BfhmBlob::decode(&huge), Err(BlobError::Truncated));
+        // A Rice parameter no u64 has bits for.
+        let mut wide = header(Golomb, 64, 1);
+        wide.extend(stream(200, &[0; 40]));
+        assert!(matches!(BfhmBlob::decode(&wide), Err(BlobError::Codec(_))));
+
+        // Raw positions out of order, repeated, or not below m.
+        for positions in [[5u32, 3], [3, 3], [3, 64]] {
+            let mut bytes = header(Raw, 64, 2);
+            for word in positions.into_iter().chain([0, 0]) {
+                bytes.extend_from_slice(&word.to_be_bytes());
+            }
+            assert!(invalid(&bytes), "{positions:?}");
+        }
+        // A stored counter of u32::MAX is a counter of 2^32.
+        let mut bytes = header(Raw, 64, 1);
+        bytes.extend_from_slice(&3u32.to_be_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert!(invalid(&bytes));
+        // Golomb gaps that walk past m: k = 0, gaps 62 and 1 → 62, 64.
+        let mut w = crate::golomb::BitWriter::new();
+        crate::golomb::encode_values(&mut w, [62, 1], 0);
+        let mut bytes = header(Golomb, 64, 2);
+        bytes.extend(stream(0, &w.finish()));
+        bytes.extend(stream(0, &[0]));
+        assert!(invalid(&bytes));
     }
 }

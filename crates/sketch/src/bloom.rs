@@ -94,27 +94,6 @@ impl SingleHashBloom {
         let m = self.bits.len() as f64;
         1.0 - (-(self.n_inserted as f64) / m).exp()
     }
-
-    /// Borrow of the underlying bitmap.
-    pub fn bits(&self) -> &BitVec {
-        &self.bits
-    }
-
-    /// Reconstructs a filter from its persisted parts (blob decoding).
-    pub fn from_parts(bits: BitVec, n_inserted: u64) -> Self {
-        SingleHashBloom { bits, n_inserted }
-    }
-
-    /// Records the removal of an item whose bit may still be shared: the
-    /// caller (the counting layer) decides whether the bit can be cleared.
-    pub(crate) fn clear_bit(&mut self, pos: usize) {
-        self.bits.clear(pos);
-    }
-
-    /// Decrements the insertion counter (on deletes replayed into a bucket).
-    pub(crate) fn dec_inserted(&mut self) {
-        self.n_inserted = self.n_inserted.saturating_sub(1);
-    }
 }
 
 /// A conventional Bloom filter with `k` hash functions.

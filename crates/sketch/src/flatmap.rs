@@ -168,10 +168,9 @@ impl<V> FlatMultiMap<V> {
         }
     }
 
-    /// Doubles the slot table and re-places every entry (keys are *not*
-    /// re-hashed — digests are cached).
-    fn grow(&mut self) {
-        let table = self.slots.len() * 2;
+    /// Re-places every entry in a slot table of `table` slots (a power of
+    /// two; keys are *not* re-hashed — digests are cached).
+    fn rebuild_slots(&mut self, table: usize) {
         self.shift = 32 - table.trailing_zeros();
         self.slots = vec![NIL; table];
         let mask = table - 1;
@@ -184,6 +183,23 @@ impl<V> FlatMultiMap<V> {
         }
     }
 
+    /// Makes room for `keys` more distinct keys (`key_bytes` bytes in all)
+    /// and `values` more values: each column grows at most once now and
+    /// not again while the room lasts.
+    pub fn reserve(&mut self, keys: usize, key_bytes: usize, values: usize) {
+        self.hashes.reserve(keys);
+        self.key_offsets.reserve(keys);
+        self.key_arena.reserve(key_bytes);
+        self.heads.reserve(keys);
+        self.tails.reserve(keys);
+        self.values.reserve(values);
+        self.next.reserve(values);
+        let table = ((self.heads.len() + keys) * 2).next_power_of_two();
+        if table > self.slots.len() {
+            self.rebuild_slots(table);
+        }
+    }
+
     /// The entry index for `key`, interning it if new. Stable for the
     /// map's lifetime — callers may use it as a dense key id.
     pub fn ensure(&mut self, key: &[u8]) -> u32 {
@@ -193,7 +209,7 @@ impl<V> FlatMultiMap<V> {
         }
         // ≤ 1/2 load *before* insertion keeps probe chains short.
         if (self.heads.len() + 1) * 2 > self.slots.len() {
-            self.grow();
+            self.rebuild_slots(self.slots.len() * 2);
         }
         let e = idx32(self.heads.len(), "entry count");
         self.hashes.push(hash);

@@ -52,16 +52,6 @@ impl BitWriter {
         self.push_bit(false);
     }
 
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8
-            - if self.used == 0 {
-                0
-            } else {
-                (8 - self.used) as usize
-            }
-    }
-
     /// Finishes the stream, returning the padded byte buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -143,20 +133,56 @@ pub fn optimal_rice_param(mean: f64) -> u8 {
 }
 
 /// Encodes `values` with Rice parameter `k` into `w`.
-pub fn encode_values(w: &mut BitWriter, values: &[u64], k: u8) {
-    for &v in values {
+pub fn encode_values(w: &mut BitWriter, values: impl IntoIterator<Item = u64>, k: u8) {
+    for v in values {
         w.push_unary(v >> k);
         w.push_bits(v, k);
     }
 }
 
-/// Decodes `count` Rice-coded values with parameter `k` from `r`.
-pub fn decode_values(r: &mut BitReader<'_>, count: usize, k: u8) -> Result<Vec<u64>, CodecError> {
+/// Rice-codes `values` under the parameter their mean picks
+/// ([`optimal_rice_param`]), in two passes. Returns `(rice_k, bytes)`.
+pub fn encode_adaptive(values: impl Iterator<Item = u64> + Clone) -> (u8, Vec<u8>) {
+    let (count, sum) = values
+        .clone()
+        .fold((0u64, 0u64), |(count, sum), v| (count + 1, sum + v));
+    let mean = if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
+    };
+    let k = optimal_rice_param(mean);
+    let mut w = BitWriter::new();
+    encode_values(&mut w, values, k);
+    (k, w.finish())
+}
+
+/// Decodes `count` Rice-coded values with parameter `k` from `r`, each
+/// narrowed to `T`. `count` and `k` come from an untrusted header: nothing
+/// is reserved for a count the stream is too short to hold (a value takes
+/// at least `1 + k` bits), and a value that does not fit `T` is an error.
+pub fn decode_values<T: TryFrom<u64>>(
+    r: &mut BitReader<'_>,
+    count: usize,
+    k: u8,
+) -> Result<Vec<T>, CodecError> {
+    if k > 63 {
+        return Err(CodecError("rice parameter out of range"));
+    }
+    let unread_bits = (r.buf.len() * 8).saturating_sub(r.pos);
+    if count > unread_bits / (1 + usize::from(k)) {
+        return Err(CodecError("more values announced than the stream holds"));
+    }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         let q = r.read_unary()?;
         let rem = r.read_bits(k)?;
-        out.push((q << k) | rem);
+        let value = q
+            .checked_mul(1 << k)
+            .map(|high| high | rem)
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or(CodecError("value out of range"))?;
+        out.push(value);
     }
     Ok(out)
 }
@@ -166,46 +192,35 @@ pub fn decode_values(r: &mut BitReader<'_>, count: usize, k: u8) -> Result<Vec<u
 /// Returns `(rice_k, bytes)`. Positions must be strictly increasing; the
 /// first value is encoded as-is, subsequent values as `pos[i] - pos[i-1] - 1`
 /// (gaps are ≥ 0).
-pub fn encode_sorted_positions(positions: &[u64]) -> (u8, Vec<u8>) {
-    let mut gaps = Vec::with_capacity(positions.len());
+pub fn encode_sorted_positions(positions: impl Iterator<Item = u64> + Clone) -> (u8, Vec<u8>) {
     let mut prev: Option<u64> = None;
-    for &p in positions {
-        match prev {
-            None => gaps.push(p),
+    encode_adaptive(positions.map(move |p| {
+        let gap = match prev {
+            None => p,
             Some(q) => {
                 debug_assert!(p > q, "positions must be strictly increasing");
-                gaps.push(p - q - 1);
+                p - q - 1
             }
-        }
+        };
         prev = Some(p);
-    }
-    let mean = if gaps.is_empty() {
-        0.0
-    } else {
-        gaps.iter().sum::<u64>() as f64 / gaps.len() as f64
-    };
-    let k = optimal_rice_param(mean);
-    let mut w = BitWriter::new();
-    encode_values(&mut w, &gaps, k);
-    (k, w.finish())
-}
-
-/// Inverse of [`encode_sorted_positions`].
-pub fn decode_sorted_positions(bytes: &[u8], count: usize, k: u8) -> Result<Vec<u64>, CodecError> {
-    let mut r = BitReader::new(bytes);
-    let gaps = decode_values(&mut r, count, k)?;
-    let mut out = Vec::with_capacity(count);
-    let mut acc = 0u64;
-    for (i, g) in gaps.into_iter().enumerate() {
-        acc = if i == 0 { g } else { acc + g + 1 };
-        out.push(acc);
-    }
-    Ok(out)
+        gap
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inverse of [`encode_sorted_positions`]: gaps back to positions.
+    fn decode_sorted_positions(bytes: &[u8], count: usize, k: u8) -> Vec<u64> {
+        let gaps: Vec<u64> = decode_values(&mut BitReader::new(bytes), count, k).unwrap();
+        let positions = gaps.iter().scan(0, |next, gap| {
+            let position = *next + gap;
+            *next = position + 1;
+            Some(position)
+        });
+        positions.collect()
+    }
 
     #[test]
     fn bit_writer_reader_roundtrip() {
@@ -237,31 +252,34 @@ mod tests {
         let values = [0u64, 1, 2, 7, 8, 100, 1023, 5000];
         for k in 0..=12u8 {
             let mut w = BitWriter::new();
-            encode_values(&mut w, &values, k);
+            encode_values(&mut w, values, k);
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
-            assert_eq!(decode_values(&mut r, values.len(), k).unwrap(), values);
+            assert_eq!(
+                decode_values::<u64>(&mut r, values.len(), k).unwrap(),
+                values
+            );
         }
     }
 
     #[test]
     fn positions_roundtrip() {
         let positions = [3u64, 4, 17, 64, 65, 1000, 1_000_000];
-        let (k, bytes) = encode_sorted_positions(&positions);
-        let got = decode_sorted_positions(&bytes, positions.len(), k).unwrap();
+        let (k, bytes) = encode_sorted_positions(positions.iter().copied());
+        let got = decode_sorted_positions(&bytes, positions.len(), k);
         assert_eq!(got, positions);
     }
 
     #[test]
     fn empty_positions_roundtrip() {
-        let (k, bytes) = encode_sorted_positions(&[]);
-        assert!(decode_sorted_positions(&bytes, 0, k).unwrap().is_empty());
+        let (k, bytes) = encode_sorted_positions(std::iter::empty());
+        assert!(decode_sorted_positions(&bytes, 0, k).is_empty());
     }
 
     #[test]
     fn single_position_zero() {
-        let (k, bytes) = encode_sorted_positions(&[0]);
-        assert_eq!(decode_sorted_positions(&bytes, 1, k).unwrap(), vec![0]);
+        let (k, bytes) = encode_sorted_positions(std::iter::once(0));
+        assert_eq!(decode_sorted_positions(&bytes, 1, k), vec![0]);
     }
 
     #[test]
@@ -269,7 +287,7 @@ mod tests {
         // 1000 set bits uniformly over 1M positions: a raw bitmap costs
         // 125_000 bytes; gap coding should land well under 3 bytes/position.
         let positions: Vec<u64> = (0..1000u64).map(|i| i * 997 + (i % 7)).collect();
-        let (_, bytes) = encode_sorted_positions(&positions);
+        let (_, bytes) = encode_sorted_positions(positions.iter().copied());
         assert!(
             bytes.len() < 3000,
             "golomb stream unexpectedly large: {} bytes",

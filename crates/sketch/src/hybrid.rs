@@ -1,26 +1,38 @@
 //! The paper's hybrid filter: a single-hash Bloom filter fused with a
 //! counting-filter hash table (Fig. 4, §5.1).
 //!
-//! Each BFHM bucket keeps (i) a single-hash bitmap over join values and
-//! (ii) a counter per set bit recording how many tuples hashed there. Joining
-//! two buckets ANDs the bitmaps and sums counter products over the common
-//! positions (Algorithm 7), optionally scaled by the α false-positive
-//! compensation of §5.3. The structure is "a hybrid between Golomb
-//! Compressed Sets and Counting Bloom filters"; the Golomb layer lives in
-//! [`crate::blob`].
+//! Each BFHM bucket keeps (i) which bits of an `m`-bit single-hash bitmap
+//! are set and (ii) a counter per set bit recording how many tuples hashed
+//! there. Joining two buckets ANDs the bitmaps and sums counter products
+//! over the common positions (Algorithm 7), optionally scaled by the α
+//! false-positive compensation of §5.3. The structure is "a hybrid between
+//! Golomb Compressed Sets and Counting Bloom filters"; the Golomb layer
+//! lives in [`crate::blob`].
+//!
+//! # Layout
+//!
+//! The in-memory layout *is* the blob's: two parallel vectors, the set
+//! bit positions in strictly increasing order and one counter (≥ 1) per
+//! position. A blob decode moves its two arrays in, an encode reads them
+//! as slices, a bucket join is a two-pointer merge, an insert or remove a
+//! binary search (plus a shifting insert or removal for a position's
+//! first or last tuple). The bitmap is never materialized: a bit is set
+//! exactly when its position is in the array.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
-use crate::bloom::SingleHashBloom;
-
-/// Single-hash Bloom filter + per-set-bit counters.
+/// Single-hash Bloom filter + per-set-bit counters, as two sorted
+/// parallel arrays (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct HybridFilter {
-    bloom: SingleHashBloom,
-    /// Counter per set bit position. BTreeMap so that serialization and
-    /// iteration are deterministic (counters are persisted next to the
-    /// bitmap inside the bucket blob).
-    counters: BTreeMap<u32, u32>,
+    /// Bitmap size in bits.
+    m: usize,
+    /// Insertions currently represented (`n` in `PT`).
+    n_inserted: u64,
+    /// Set bit positions, strictly increasing, each `< m`.
+    positions: Vec<u32>,
+    /// `counts[i]` tuples hashed to `positions[i]`; never 0.
+    counts: Vec<u32>,
 }
 
 /// How bucket-join cardinality estimates compensate for false positives.
@@ -36,25 +48,26 @@ pub enum AlphaMode {
 impl HybridFilter {
     /// Creates a hybrid filter whose bitmap has `m` bits.
     pub fn new(m: usize) -> Self {
+        assert!(m > 0, "Bloom filter needs at least one bit");
         HybridFilter {
-            bloom: SingleHashBloom::new(m),
-            counters: BTreeMap::new(),
-        }
-    }
-
-    /// Sizes the bitmap for `n` items at false-positive probability `fpp`
-    /// (the paper's 5% / most-populated-bucket rule).
-    pub fn with_capacity_fpp(n: usize, fpp: f64) -> Self {
-        HybridFilter {
-            bloom: SingleHashBloom::with_capacity_fpp(n, fpp),
-            counters: BTreeMap::new(),
+            m,
+            n_inserted: 0,
+            positions: Vec::new(),
+            counts: Vec::new(),
         }
     }
 
     /// Inserts a join value; returns the bit position it was recorded at.
     pub fn insert(&mut self, join_value: &[u8]) -> u32 {
-        let pos = self.bloom.insert(join_value) as u32;
-        *self.counters.entry(pos).or_insert(0) += 1;
+        let pos = self.position(join_value);
+        match self.positions.binary_search(&pos) {
+            Ok(at) => self.counts[at] += 1,
+            Err(at) => {
+                self.positions.insert(at, pos);
+                self.counts.insert(at, 1);
+            }
+        }
+        self.n_inserted += 1;
         pos
     }
 
@@ -64,133 +77,121 @@ impl HybridFilter {
     /// `None` if the counter was already zero (a tombstone for a tuple the
     /// blob never saw — ignored, matching timestamp-ordered replay).
     pub fn remove(&mut self, join_value: &[u8]) -> Option<u32> {
-        let pos = self.bloom.position(join_value) as u32;
-        match self.counters.get_mut(&pos) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                self.bloom.dec_inserted();
-                Some(pos)
-            }
-            Some(_) => {
-                self.counters.remove(&pos);
-                self.bloom.clear_bit(pos as usize);
-                self.bloom.dec_inserted();
-                Some(pos)
-            }
-            None => None,
+        let pos = self.position(join_value);
+        let at = self.positions.binary_search(&pos).ok()?;
+        if self.counts[at] > 1 {
+            self.counts[at] -= 1;
+        } else {
+            self.positions.remove(at);
+            self.counts.remove(at);
         }
+        self.n_inserted = self.n_inserted.saturating_sub(1);
+        Some(pos)
     }
 
     /// The counter at `pos` (0 when the bit is clear).
     pub fn counter(&self, pos: u32) -> u32 {
-        self.counters.get(&pos).copied().unwrap_or(0)
+        self.positions
+            .binary_search(&pos)
+            .map_or(0, |at| self.counts[at])
     }
 
     /// Bit position a join value would map to.
     pub fn position(&self, join_value: &[u8]) -> u32 {
-        self.bloom.position(join_value) as u32
+        crate::bloom::SingleHashBloom::position_in(self.m, join_value) as u32
     }
 
     /// Set bit positions in increasing order.
-    pub fn set_positions(&self) -> impl Iterator<Item = u32> + '_ {
-        self.counters.keys().copied()
+    pub fn set_positions(&self) -> &[u32] {
+        &self.positions
     }
 
-    /// Counters in bit-position order (for blob encoding).
-    pub fn counters_in_order(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.counters.iter().map(|(&p, &c)| (p, c))
+    /// The counter of each set bit, parallel to
+    /// [`HybridFilter::set_positions`].
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
     }
 
     /// Number of distinct set bits.
     pub fn set_bit_count(&self) -> usize {
-        self.counters.len()
+        self.positions.len()
     }
 
     /// Total insertions currently represented (`n` in `PT`).
     pub fn n_inserted(&self) -> u64 {
-        self.bloom.n_inserted()
+        self.n_inserted
     }
 
     /// Sum of all counters — the number of tuples recorded in this bucket.
     pub fn total_count(&self) -> u64 {
-        self.counters.values().map(|&c| u64::from(c)).sum()
+        self.counts.iter().map(|&c| u64::from(c)).sum()
     }
 
     /// Bitmap size `m`.
     pub fn m(&self) -> usize {
-        self.bloom.m()
+        self.m
     }
 
-    /// `PT = 1 - e^(-n/m)` for this filter.
+    /// `PT = 1 - (1 - 1/m)^n ≈ 1 - e^(-n/m)` for this filter (paper §5.3,
+    /// k = 1): the probability that a given bit is set.
     pub fn pt(&self) -> f64 {
-        self.bloom.pt()
+        1.0 - (-(self.n_inserted as f64) / self.m as f64).exp()
     }
 
-    /// Underlying single-hash filter.
-    pub fn bloom(&self) -> &SingleHashBloom {
-        &self.bloom
-    }
-
-    /// Common set-bit positions with `other` (the bitwise-AND of
-    /// Algorithm 7 line 4, materialized as positions).
+    /// Common set-bit positions with `other` (the bitwise AND of
+    /// Algorithm 7 line 4, materialized as positions), in increasing order.
     pub fn common_positions(&self, other: &HybridFilter) -> Vec<u32> {
-        assert_eq!(
-            self.m(),
-            other.m(),
-            "bucket join requires equal filter sizes"
-        );
-        // Both counter maps are sorted: merge-intersect.
-        let mut out = Vec::new();
-        let mut a = self.counters.keys().peekable();
-        let mut b = other.counters.keys().peekable();
-        while let (Some(&&pa), Some(&&pb)) = (a.peek(), b.peek()) {
-            match pa.cmp(&pb) {
-                std::cmp::Ordering::Less => {
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(pa);
-                    a.next();
-                    b.next();
+        self.join_estimate(other, AlphaMode::Off).0
+    }
+
+    /// One bucket join, in one two-pointer merge: the common set-bit
+    /// positions and the estimated join cardinality `Σ c_A(bit)·c_B(bit)`
+    /// over them, scaled by `α = (1-PT_A)(1-PT_B)` when compensation is on
+    /// (Algorithm 7 line 8 with §5.3's α).
+    pub fn join_estimate(&self, other: &HybridFilter, mode: AlphaMode) -> (Vec<u32>, f64) {
+        assert_eq!(self.m, other.m, "bucket join requires equal filter sizes");
+        let mut positions = Vec::new();
+        let mut raw = 0u64;
+        let (mut a, mut b) = (0, 0);
+        while a < self.positions.len() && b < other.positions.len() {
+            match self.positions[a].cmp(&other.positions[b]) {
+                Ordering::Less => a += 1,
+                Ordering::Greater => b += 1,
+                Ordering::Equal => {
+                    positions.push(self.positions[a]);
+                    raw += u64::from(self.counts[a]) * u64::from(other.counts[b]);
+                    a += 1;
+                    b += 1;
                 }
             }
         }
-        out
-    }
-
-    /// Estimated join cardinality against `other`: `Σ c_A(bit)·c_B(bit)`
-    /// over common bits, scaled by `α = (1-PT_A)(1-PT_B)` when compensation
-    /// is on (Algorithm 7 line 8 with §5.3's α).
-    pub fn estimate_join_cardinality(&self, other: &HybridFilter, mode: AlphaMode) -> f64 {
-        let raw: u64 = self
-            .common_positions(other)
-            .iter()
-            .map(|&p| u64::from(self.counter(p)) * u64::from(other.counter(p)))
-            .sum();
         let alpha = match mode {
             AlphaMode::Compensated => (1.0 - self.pt()) * (1.0 - other.pt()),
             AlphaMode::Off => 1.0,
         };
-        raw as f64 * alpha
+        (positions, raw as f64 * alpha)
     }
 
-    /// Rebuilds a filter from persisted parts; positions and counters must
-    /// be aligned and sorted (blob decoding).
-    pub fn from_parts(m: usize, n_inserted: u64, positions: &[u32], counters: &[u32]) -> Self {
-        assert_eq!(positions.len(), counters.len());
-        let ones: Vec<u64> = positions.iter().map(|&p| u64::from(p)).collect();
-        let bits = crate::bitvec::BitVec::from_ones(m, &ones);
-        HybridFilter {
-            bloom: SingleHashBloom::from_parts(bits, n_inserted),
-            counters: positions
-                .iter()
-                .zip(counters)
-                .map(|(&p, &c)| (p, c))
-                .collect(),
-        }
+    /// Builds a filter from persisted parts (blob decoding), taking the
+    /// two arrays as they are — or `None` if they cannot be a filter's:
+    /// positions must be strictly increasing and below `m`, counters at
+    /// least 1 and one per position.
+    pub fn from_parts(
+        m: usize,
+        n_inserted: u64,
+        positions: Vec<u32>,
+        counts: Vec<u32>,
+    ) -> Option<Self> {
+        let valid = positions.len() == counts.len()
+            && positions.windows(2).all(|pair| pair[0] < pair[1])
+            && positions.last().map_or(m > 0, |&last| (last as usize) < m)
+            && counts.iter().all(|&c| c > 0);
+        valid.then_some(HybridFilter {
+            m,
+            n_inserted,
+            positions,
+            counts,
+        })
     }
 }
 
@@ -226,7 +227,7 @@ mod tests {
         assert_eq!(f.counter(p), 1);
         assert_eq!(f.remove(b"d"), Some(p));
         assert_eq!(f.counter(p), 0);
-        assert!(!f.bloom().contains(b"d"));
+        assert!(f.set_positions().is_empty(), "the bit is clear again");
         assert_eq!(f.remove(b"d"), None, "over-delete is ignored");
     }
 
@@ -236,7 +237,7 @@ mod tests {
         // 2 * 2 = 4.
         let a = filter_of(1 << 20, &[b"a", b"b", b"b"]);
         let b = filter_of(1 << 20, &[b"b", b"b", b"c"]);
-        let est = a.estimate_join_cardinality(&b, AlphaMode::Off);
+        let est = a.join_estimate(&b, AlphaMode::Off).1;
         assert_eq!(est, 4.0);
     }
 
@@ -244,8 +245,8 @@ mod tests {
     fn alpha_shrinks_estimate() {
         let a = filter_of(64, &[b"a", b"b", b"c", b"d", b"e"]);
         let b = filter_of(64, &[b"b", b"c", b"x", b"y"]);
-        let raw = a.estimate_join_cardinality(&b, AlphaMode::Off);
-        let comp = a.estimate_join_cardinality(&b, AlphaMode::Compensated);
+        let raw = a.join_estimate(&b, AlphaMode::Off).1;
+        let comp = a.join_estimate(&b, AlphaMode::Compensated).1;
         assert!(comp < raw);
         assert!(comp > 0.0);
     }
@@ -255,7 +256,7 @@ mod tests {
         let a = filter_of(1 << 20, &[b"a"]);
         let b = filter_of(1 << 20, &[b"z"]);
         assert!(a.common_positions(&b).is_empty());
-        assert_eq!(a.estimate_join_cardinality(&b, AlphaMode::Off), 0.0);
+        assert_eq!(a.join_estimate(&b, AlphaMode::Off).1, 0.0);
     }
 
     #[test]
@@ -274,17 +275,22 @@ mod tests {
             b.insert(k);
         }
         // True join: 20 common values, each multiplicity 1 → 20.
-        let est = a.estimate_join_cardinality(&b, AlphaMode::Off);
+        let est = a.join_estimate(&b, AlphaMode::Off).1;
         assert!(est >= 20.0, "estimate {est} below true cardinality");
     }
 
     #[test]
     fn from_parts_roundtrip() {
         let f = filter_of(4096, &[b"a", b"b", b"b", b"c", b"zebra"]);
-        let positions: Vec<u32> = f.set_positions().collect();
-        let counters: Vec<u32> = f.counters_in_order().map(|(_, c)| c).collect();
-        let g = HybridFilter::from_parts(f.m(), f.n_inserted(), &positions, &counters);
-        assert_eq!(f, g);
+        let (positions, counts) = (f.set_positions().to_vec(), f.counts().to_vec());
+        let g = HybridFilter::from_parts(f.m(), f.n_inserted(), positions, counts);
+        assert_eq!(g, Some(f));
+        let none = |m, positions: &[u32], counts: &[u32]| {
+            HybridFilter::from_parts(m, 1, positions.to_vec(), counts.to_vec()).is_none()
+        };
+        assert!(none(64, &[3, 3], &[1, 1]) && none(64, &[5, 3], &[1, 1]));
+        assert!(none(64, &[64], &[1]) && none(64, &[3], &[0]) && none(64, &[3], &[]));
+        assert!(none(0, &[], &[]));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Property tests for the sketch substrate: every invariant the BFHM's
 //! correctness argument leans on.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use rj_sketch::blob::{BfhmBlob, BlobCodec};
 use rj_sketch::bloom::SingleHashBloom;
-use rj_sketch::golomb::{decode_sorted_positions, encode_sorted_positions};
+use rj_sketch::golomb::{decode_values, encode_sorted_positions, BitReader};
 use rj_sketch::histogram::ScoreHistogram;
 use rj_sketch::hybrid::{AlphaMode, HybridFilter};
 
@@ -14,8 +16,14 @@ proptest! {
     #[test]
     fn golomb_positions_roundtrip(position_set in prop::collection::btree_set(0u64..1_000_000, 0..300)) {
         let positions: Vec<u64> = position_set.into_iter().collect();
-        let (k, bytes) = encode_sorted_positions(&positions);
-        let decoded = decode_sorted_positions(&bytes, positions.len(), k).unwrap();
+        let (k, bytes) = encode_sorted_positions(positions.iter().copied());
+        let mut decoded: Vec<u64> =
+            decode_values(&mut BitReader::new(&bytes), positions.len(), k).unwrap();
+        let mut next = 0; // gaps back to positions
+        for p in &mut decoded {
+            *p += next;
+            next = *p + 1;
+        }
         prop_assert_eq!(decoded, positions);
     }
 
@@ -105,7 +113,7 @@ proptest! {
             .iter()
             .map(|l| right.iter().filter(|r| *r == l).count() as u64)
             .sum();
-        let est = fl.estimate_join_cardinality(&fr, AlphaMode::Off);
+        let est = fl.join_estimate(&fr, AlphaMode::Off).1;
         prop_assert!(est >= truth as f64,
             "estimate {est} below true cardinality {truth}");
     }
@@ -123,4 +131,110 @@ proptest! {
         prop_assert_eq!(f.set_bit_count(), 0);
         prop_assert_eq!(f.n_inserted(), 0);
     }
+    /// The flat filter against the `BTreeMap<position, counter>` it
+    /// replaced, over insert / remove / over-remove sequences: every
+    /// accessor agrees, a bucket join is the old two-call result bit for
+    /// bit, and the filter survives both codecs.
+    #[test]
+    fn flat_hybrid_matches_the_btreemap_model(
+        left_ops in prop::collection::vec((any::<bool>(), 0u64..48), 0..160),
+        right_ops in prop::collection::vec((any::<bool>(), 0u64..48), 0..160),
+        m_exp in 3u32..12,
+    ) {
+        let m = 1usize << m_exp;
+        let (fl, model_l) = replay(m, &left_ops);
+        let (fr, model_r) = replay(m, &right_ops);
+        for (filter, model) in [(&fl, &model_l), (&fr, &model_r)] {
+            let positions: Vec<u32> = model.keys().copied().collect();
+            let counts: Vec<u32> = model.values().copied().collect();
+            prop_assert_eq!(filter.set_positions(), &positions[..]);
+            prop_assert_eq!(filter.counts(), &counts[..]);
+            prop_assert_eq!(filter.set_bit_count(), model.len());
+            let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            prop_assert_eq!(filter.total_count(), total);
+            prop_assert_eq!(filter.n_inserted(), total);
+            for pos in 0..m as u32 {
+                prop_assert_eq!(filter.counter(pos), model.get(&pos).copied().unwrap_or(0));
+            }
+            for codec in [BlobCodec::Golomb, BlobCodec::Raw] {
+                let blob = BfhmBlob::new((*filter).clone(), 0.25, 0.75);
+                prop_assert_eq!(BfhmBlob::decode(&blob.encode(codec)).unwrap(), blob);
+            }
+        }
+        // The old bucket join: intersect the key sets, then look both
+        // counters up per common position.
+        let common: Vec<u32> = model_l.keys().filter(|p| model_r.contains_key(p)).copied().collect();
+        let raw: u64 = common.iter().map(|p| u64::from(model_l[p]) * u64::from(model_r[p])).sum();
+        prop_assert_eq!(fl.common_positions(&fr), common.clone());
+        for mode in [AlphaMode::Off, AlphaMode::Compensated] {
+            let alpha = match mode {
+                AlphaMode::Compensated => (1.0 - fl.pt()) * (1.0 - fr.pt()),
+                AlphaMode::Off => 1.0,
+            };
+            let (positions, cardinality) = fl.join_estimate(&fr, mode);
+            prop_assert_eq!(positions, common.clone());
+            prop_assert_eq!(cardinality.to_bits(), (raw as f64 * alpha).to_bits());
+        }
+    }
+
+    /// `BfhmBlob::decode` on bytes nobody encoded: a typed error or a
+    /// filter that re-encodes to bytes that decode to the same — never a
+    /// panic, never a reservation the bytes cannot back.
+    #[test]
+    fn blob_decode_survives_arbitrary_and_mutated_bytes(
+        arbitrary in prop::collection::vec(any::<u8>(), 0..96),
+        items in prop::collection::vec(0u64..500, 0..120),
+        mutations in prop::collection::vec((any::<u16>(), any::<u8>()), 1..4),
+        cut in any::<u16>(),
+        golomb in any::<bool>(),
+    ) {
+        let codec = if golomb { BlobCodec::Golomb } else { BlobCodec::Raw };
+        let mut filter = HybridFilter::new(1 << 10);
+        for item in &items {
+            filter.insert(&item.to_be_bytes());
+        }
+        let valid = BfhmBlob::new(filter, 0.1, 0.9).encode(codec);
+        let mut mutated = valid.clone();
+        for (at, byte) in &mutations {
+            let at = usize::from(*at) % mutated.len();
+            mutated[at] = *byte;
+        }
+        let truncated = &valid[..usize::from(cut) % valid.len()];
+        // A plausible header in front of arbitrary bytes gets past the tag.
+        let mut headed = valid[..29.min(valid.len())].to_vec();
+        headed.extend_from_slice(&arbitrary);
+        for bytes in [&arbitrary[..], &mutated[..], truncated, &headed[..]] {
+            if let Ok(blob) = BfhmBlob::decode(bytes) {
+                let again = blob.encode(codec);
+                let reread = BfhmBlob::decode(&again).unwrap();
+                prop_assert_eq!(reread.encode(codec), again);
+                prop_assert_eq!(reread.filter, blob.filter);
+            }
+        }
+    }
+}
+
+/// Replays `(insert?, value)` operations into a flat filter and into the
+/// `BTreeMap` model; a remove of a value whose counter is zero is ignored
+/// by both.
+fn replay(m: usize, ops: &[(bool, u64)]) -> (HybridFilter, BTreeMap<u32, u32>) {
+    let mut filter = HybridFilter::new(m);
+    let mut model = BTreeMap::new();
+    for &(insert, value) in ops {
+        let key = value.to_be_bytes();
+        let pos = filter.position(&key);
+        if insert {
+            assert_eq!(filter.insert(&key), pos);
+            *model.entry(pos).or_insert(0) += 1;
+        } else {
+            let held = model.get(&pos).copied();
+            assert_eq!(filter.remove(&key), held.map(|_| pos));
+            match held {
+                Some(1) => drop(model.remove(&pos)),
+                Some(c) => drop(model.insert(pos, c - 1)),
+                None => {}
+            }
+        }
+    }
+    (filter, model)
 }

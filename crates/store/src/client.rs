@@ -18,6 +18,17 @@
 //! [`RowRef`]; the `Iterator` implementation is the owned adaptor over it
 //! for consumers that keep rows. A detached [`ScannerState`] carries the
 //! batch's unread rows (already billed) and nothing it has handed out.
+//!
+//! # Point reads
+//!
+//! The same two shapes. [`Client::get_into`] is `next_row`'s counterpart:
+//! the caller owns one [`RowBatch`] and a [`Projection`] resolved once
+//! ([`Client::projection`]), every read refills the batch and lends the
+//! row out as a [`RowRef`], and a run of gets — BFHM's bucket and
+//! reverse-mapping reads — allocates nothing once the batch has grown to
+//! its widest row. [`Client::get`] / [`Client::get_with_families`] are the
+//! owned adaptors for one-off reads and rows that are kept: the same
+//! region walk, the same [`ReadCost`] through the same charge.
 
 use std::cell::Cell as StdCell;
 use std::sync::Arc;
@@ -154,12 +165,15 @@ impl Client {
         Ok(())
     }
 
-    /// Point read of a full row.
+    /// Point read of a full row, owned (see [`Client::get_with_families`]).
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>> {
         self.get_with_families(table, row, None)
     }
 
-    /// Point read restricted to certain families.
+    /// Point read restricted to certain families. The owning adaptor
+    /// beside [`Client::get_into`], for a caller that keeps the row or
+    /// reads once: the same region read and the same bill, plus the row's
+    /// key, its `cells` vector and the resolved projection.
     pub fn get_with_families(
         &self,
         table: &str,
@@ -170,6 +184,40 @@ impl Client {
         let (result, cost, node) = t.get(row, families)?;
         self.charge_read(node, &cost);
         Ok(result)
+    }
+
+    /// Resolves a family projection (`None` = every family) against
+    /// `table` once, for any number of [`Client::get_into`] reads. An
+    /// unknown table or family surfaces here.
+    pub fn projection(&self, table: &str, families: Option<&[String]>) -> Result<Projection> {
+        let table = self.lookup(table)?;
+        let families = match families {
+            None => Families::All,
+            Some([one]) => Families::One([table.family_index(one)?]),
+            Some(many) => Families::Many(table.resolve_families(Some(many))?.unwrap_or_default()),
+        };
+        Ok(Projection { table, families })
+    }
+
+    /// The borrowed point read: fills the caller's `batch` (cleared first)
+    /// with the projected row and lends it out, `None` when the row has no
+    /// visible projected cell. Bills exactly what [`Client::get_with_families`]
+    /// bills for the same row, and allocates nothing once `batch` has
+    /// grown to the widest row read into it.
+    pub fn get_into<'b>(
+        &self,
+        batch: &'b mut RowBatch,
+        projection: &Projection,
+        row: &[u8],
+    ) -> Option<RowRef<'b>> {
+        let families = match &projection.families {
+            Families::All => None,
+            Families::One(one) => Some(&one[..]),
+            Families::Many(many) => Some(&many[..]),
+        };
+        let (cost, node) = projection.table.get_into(row, families, batch);
+        self.charge_read(node, &cost);
+        batch.get(0)
     }
 
     /// Opens a scanner. Rows stream back in ascending key order, fetched
@@ -232,6 +280,34 @@ impl Shared {
         use std::sync::atomic::Ordering;
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
+}
+
+/// A table and a family projection resolved against its schema
+/// ([`Client::projection`]): what a run of [`Client::get_into`] reads
+/// resolves once instead of once per read, as a [`Scanner`] does for its
+/// scan. It keeps the table it was resolved against: reads through it
+/// see that table even if its name is dropped and re-created meanwhile.
+#[derive(Clone)]
+pub struct Projection {
+    table: Arc<Table>,
+    families: Families,
+}
+
+impl Projection {
+    /// Name of the table the projection reads.
+    pub fn table_name(&self) -> &str {
+        self.table.name()
+    }
+}
+
+/// Resolved schema indices, sorted and distinct. One family — what every
+/// index read projects — is held inline, so resolving it allocates
+/// nothing.
+#[derive(Clone)]
+enum Families {
+    All,
+    One([usize; 1]),
+    Many(Vec<usize>),
 }
 
 /// A streaming scanner over one table (see the module docs).

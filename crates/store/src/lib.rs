@@ -14,7 +14,8 @@
 //!   batched `scan` operations; scans run in ascending key order only —
 //!   the HBase "kink" (§4.2.2) that forces score-ordered layouts to store
 //!   negated scores — and lend their rows out of one reused batch per
-//!   scanner ([`row`]), so a scanned row costs its reader no allocation,
+//!   scanner ([`row`]), so a scanned row costs its reader no allocation;
+//!   a run of point reads does the same through [`Client::get_into`],
 //! * a column stores its newest version only, and a delete's tombstone for
 //!   a fixed grace window of clock ticks after its timestamp — the
 //!   retention rule, and the §6 race it protects, are in [`region`],
@@ -68,7 +69,7 @@ pub mod table;
 /// The refcounted byte buffer of [`Cell`] and [`Mutation`] fields.
 pub use bytes::Bytes;
 pub use cell::{Cell, Mutation};
-pub use client::Client;
+pub use client::{Client, Projection};
 pub use cluster::Cluster;
 pub use costmodel::CostModel;
 pub use error::StoreError;

@@ -388,9 +388,11 @@ impl Region {
         cost
     }
 
-    /// Point read of one row: `None` when no selected column is visible.
-    /// A returned row costs its key and its `cells` vector, the latter
-    /// sized on the first visible cell for the columns the read touches.
+    /// Point read of one row, owned: `None` when no selected column is
+    /// visible. A returned row costs its key and its `cells` vector, the
+    /// latter sized on the first visible cell for the columns the read
+    /// touches. The owning adaptor beside [`Region::get_into`]: the same
+    /// walk, the same cost.
     pub(crate) fn get(
         &self,
         key: &[u8],
@@ -416,6 +418,33 @@ impl Region {
             cost.bytes_returned = row.weight();
         }
         (row, cost)
+    }
+
+    /// Point read of one row into the caller's batch: `out` is cleared and
+    /// then holds the row, or nothing when no selected column is visible.
+    /// Once `out` has grown to the widest row read into it, a read
+    /// allocates nothing.
+    pub(crate) fn get_into(
+        &self,
+        key: &[u8],
+        family_names: &[Arc<str>],
+        families: Option<&[usize]>,
+        out: &mut RowBatch,
+    ) -> ReadCost {
+        out.clear();
+        let Some(data) = self.rows.get(key) else {
+            return ReadCost::default();
+        };
+        let mut cost = Self::read_row(key, data, family_names, families, |cell| {
+            out.push_cell(cell)
+        });
+        let row = out.open_row(key);
+        if !row.cells.is_empty() {
+            cost.kvs_returned = row.kv_count();
+            cost.bytes_returned = row.weight();
+            out.commit_row(key);
+        }
+        cost
     }
 
     /// One scan step: visits up to `max_rows` rows starting at `*next_key`
@@ -636,6 +665,38 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cells.len(), 1);
         assert_eq!(&*rows[0].cells[0].family, "b");
+    }
+
+    /// The borrowed point read is the owned one in another container: on
+    /// a present row, an absent one, one whose projected family is empty
+    /// and one holding only a tombstone, `get_into` reports the cost `get`
+    /// reports and leaves the batch holding the row `get` returns.
+    #[test]
+    fn get_into_reads_and_bills_exactly_what_get_does() {
+        let mut r = Region::new(vec![], 0);
+        put(&mut r, b"both", 0, b"q1", b"va", 1);
+        put(&mut r, b"both", 0, b"q2", b"vaa", 1);
+        put(&mut r, b"both", 1, b"q", b"vb", 1);
+        put(&mut r, b"only-a", 0, b"q", b"va", 1);
+        put(&mut r, b"dead", 1, b"q", b"vb", 1);
+        let tombstone = Mutation::delete_at("b", b"q", 2);
+        r.mutate_row(b"dead", [(1, &tombstone)], 0, &fams());
+
+        let mut batch = RowBatch::new();
+        let keys: [&[u8]; 4] = [b"both", b"only-a", b"dead", b"absent"];
+        for key in keys {
+            for families in [None, Some(&[0usize][..]), Some(&[1][..]), Some(&[0, 1][..])] {
+                let (owned, cost) = r.get(key, &fams(), families);
+                let lent = r.get_into(key, &fams(), families, &mut batch);
+                assert_eq!(lent, cost, "{key:?} {families:?}");
+                assert_eq!(batch.len(), usize::from(owned.is_some()));
+                assert_eq!(batch.get(0), owned.as_ref().map(RowResult::as_row_ref));
+            }
+        }
+        // The tombstone is touched and billed, the row is not returned.
+        let dead = r.get_into(b"dead", &fams(), Some(&[1]), &mut batch);
+        assert_eq!((dead.kvs_scanned, dead.kvs_returned), (1, 0));
+        assert!(batch.is_empty());
     }
 
     /// The union walk the planner's ISL cost model is calibrated against:

@@ -4,17 +4,18 @@
 //!
 //! * [`RowRef`] — a borrowed view, two slices (`key`, `cells`). Every
 //!   accessor lives here; it is what a server-side filter inspects and
-//!   what [`crate::client::Scanner::next_row`] lends out, so a scanned
-//!   row costs its consumer no allocation.
-//! * [`RowBatch`] — the rows of one scan step, flat: all keys
-//!   concatenated in one buffer, all cells in one vector, and one
-//!   `(key end, cell end)` pair per row. The caller owns it; a scan step
-//!   clears and refills it, so in steady state (the buffers have grown to
-//!   the largest step seen) a step allocates nothing however many rows
-//!   it returns.
+//!   what [`crate::client::Scanner::next_row`] and
+//!   [`crate::client::Client::get_into`] lend out, so a row read that way
+//!   costs its consumer no allocation.
+//! * [`RowBatch`] — the rows of one scan step (or the one row of a point
+//!   read), flat: all keys concatenated in one buffer, all cells in one
+//!   vector, and one `(key end, cell end)` pair per row. The caller owns
+//!   it; a scan step or point read clears and refills it, so in steady
+//!   state (the buffers have grown to the largest step seen) a read
+//!   allocates nothing however many rows it returns.
 //! * [`RowResult`] — an owned row (`Vec<u8>` key, `Vec<Cell>` cells):
-//!   what a point get returns and what [`RowRef::to_owned`] builds for a
-//!   consumer that keeps rows.
+//!   what the owning point get returns and what [`RowRef::to_owned`]
+//!   builds for a consumer that keeps rows.
 
 use bytes::Bytes;
 

@@ -313,18 +313,40 @@ impl Table {
         regions.insert(idx + 1, RwLock::new(new_region));
     }
 
-    /// Point read. Returns `(row, cost, serving node)`.
+    /// Runs `read` on the region serving `key`; returns what it returned
+    /// and the serving node.
+    fn read_region<T>(&self, key: &[u8], read: impl FnOnce(&Region) -> T) -> (T, usize) {
+        let regions = self.regions.read();
+        let region = regions[Self::region_index(&regions, key)].read();
+        (read(&region), region.node())
+    }
+
+    /// Point read, owned. Returns `(row, cost, serving node)`.
     pub(crate) fn get(
         &self,
         key: &[u8],
         families: Option<&[String]>,
     ) -> Result<(Option<RowResult>, ReadCost, usize)> {
         let fam_ids = self.resolve_families(families)?;
-        let regions = self.regions.read();
-        let idx = Self::region_index(&regions, key);
-        let region = regions[idx].read();
-        let (row, cost) = region.get(key, &self.families, fam_ids.as_deref());
-        Ok((row, cost, region.node()))
+        let ((row, cost), node) = self.read_region(key, |region| {
+            region.get(key, &self.families, fam_ids.as_deref())
+        });
+        Ok((row, cost, node))
+    }
+
+    /// Point read into the caller's batch (cleared first; the row is its
+    /// only row afterwards, if it has a visible selected cell). `families`
+    /// is a projection resolved by [`Table::resolve_families`]. Returns
+    /// `(cost, serving node)`.
+    pub(crate) fn get_into(
+        &self,
+        key: &[u8],
+        families: Option<&[usize]>,
+        out: &mut RowBatch,
+    ) -> (ReadCost, usize) {
+        self.read_region(key, |region| {
+            region.get_into(key, &self.families, families, out)
+        })
     }
 
     /// One scan step: visits up to `max_rows` rows of the region serving
