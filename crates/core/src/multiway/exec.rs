@@ -11,7 +11,8 @@
 //! the spec's [`SharedSpecStats`] version exactly like binary cursors pin
 //! their table-stats version.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use rj_mapreduce::MapReduceEngine;
 use rj_store::cluster::Cluster;
@@ -40,6 +41,10 @@ impl Default for MultiwayConfig {
     }
 }
 
+/// `(k, staleness-bound bits)` → the access plan and the statistics
+/// version it was made at.
+type AccessPlans = HashMap<(usize, u64), (u64, Arc<[SideAccess]>)>;
+
 enum SpecKind {
     /// Two sides: the binary executor, delegated to verbatim.
     Binary(Box<RankJoinExecutor>),
@@ -48,6 +53,12 @@ enum SpecKind {
         /// Built/attached score index table.
         table: Option<String>,
         stats: Arc<SharedSpecStats>,
+        /// Access-plan cache, as the binary executor caches its plans:
+        /// the staleness bound is in the key because it is a public field
+        /// that feeds the statistics decision, and an entry is a hit only
+        /// at the statistics version it was planned under — a maintained
+        /// write, `prepare` or `attach` makes it a miss.
+        plans: Mutex<AccessPlans>,
     },
 }
 
@@ -77,6 +88,7 @@ impl SpecExecutor {
             None => SpecKind::Nary {
                 table: None,
                 stats: SharedSpecStats::new(&spec),
+                plans: Mutex::default(),
             },
         };
         SpecExecutor {
@@ -150,7 +162,7 @@ impl SpecExecutor {
     pub fn prepare(&mut self) -> Result<BuildStats> {
         match &mut self.kind {
             SpecKind::Binary(b) => b.prepare_isl(),
-            SpecKind::Nary { table, stats } => {
+            SpecKind::Nary { table, stats, .. } => {
                 let name = index::index_table_name(&self.spec);
                 let built = index::build(&self.engine, &self.spec, &name)?;
                 *table = Some(name);
@@ -167,7 +179,7 @@ impl SpecExecutor {
     pub fn attach(&mut self, index_table: &str) -> Result<()> {
         match &mut self.kind {
             SpecKind::Binary(b) => b.attach_isl(index_table),
-            SpecKind::Nary { table, stats } => {
+            SpecKind::Nary { table, stats, .. } => {
                 self.engine
                     .cluster()
                     .table(index_table)
@@ -199,20 +211,59 @@ impl SpecExecutor {
     /// [`access_override`](SpecExecutor::access_override) if set,
     /// otherwise the planner's choice over current spec statistics
     /// (collecting within the staleness bound — see
-    /// [`SharedSpecStats::stats_for_planning`]). Binary specs descend
-    /// both sides by construction (that *is* ISL).
-    pub fn plan_access(&self, k: usize) -> Result<Vec<SideAccess>> {
+    /// [`SharedSpecStats::stats_for_planning`]), cached per `k` until the
+    /// statistics version moves. Binary specs descend both sides by
+    /// construction (that *is* ISL).
+    pub fn plan_access(&self, k: usize) -> Result<Arc<[SideAccess]>> {
         if let Some(access) = &self.access_override {
-            return Ok(access.clone());
+            return Ok(access.as_slice().into());
         }
         match &self.kind {
-            SpecKind::Binary(_) => Ok(vec![SideAccess::Descend; 2]),
-            SpecKind::Nary { stats, .. } => {
+            SpecKind::Binary(_) => Ok([SideAccess::Descend; 2].into()),
+            SpecKind::Nary { stats, plans, .. } => {
+                let key = (k, self.staleness_bound.to_bits());
+                // A plan recorded at the current version needs no
+                // statistics work: nothing was written, invalidated or
+                // collected since, so the staleness verdict stands too.
+                if let Some((version, access)) = plans.lock().expect("access plans").get(&key) {
+                    if *version == stats.version() {
+                        return Ok(access.clone());
+                    }
+                }
                 let planned =
                     stats.stats_for_planning(self.engine.cluster(), self.staleness_bound)?;
-                Ok(choose_access(&self.spec, &planned.stats, k))
+                let access: Arc<[SideAccess]> = choose_access(&self.spec, &planned.stats, k).into();
+                plans
+                    .lock()
+                    .expect("access plans")
+                    .insert(key, (planned.version, access.clone()));
+                Ok(access)
             }
         }
+    }
+
+    /// Opens the N-ary arm's cursor over `table`, pinned to `stats`.
+    fn open_nary(
+        &self,
+        table: Option<&str>,
+        stats: &SharedSpecStats,
+        k_hint: usize,
+    ) -> Result<IslCursor> {
+        let table =
+            table.ok_or_else(|| RankJoinError::MissingIndex("multiway (unprepared)".into()))?;
+        // Plan first, then pin: the access choice may run a statistics
+        // pass, and the cursor must pin the version as of the moment it
+        // starts reading.
+        let access = self.plan_access(k_hint)?;
+        let pinned = Some(stats.version());
+        IslCursor::open(
+            self.engine.cluster(),
+            &self.spec.with_k(k_hint),
+            table,
+            &vec![self.config.batch; self.spec.n()],
+            &access,
+            pinned,
+        )
     }
 
     /// Opens a pull-based [`RankedCursor`] targeting the top `k_hint` —
@@ -220,23 +271,8 @@ impl SpecExecutor {
     pub fn open_cursor(&self, k_hint: usize) -> Result<Box<dyn RankedCursor>> {
         match &self.kind {
             SpecKind::Binary(b) => b.open_cursor(Algorithm::Isl, k_hint),
-            SpecKind::Nary { table, stats } => {
-                let table = table
-                    .as_deref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("multiway (unprepared)".into()))?;
-                // Plan first, then pin: the access choice may run a
-                // statistics pass, and the cursor must pin the version
-                // as of the moment it starts reading.
-                let access = self.plan_access(k_hint)?;
-                let pinned = Some(stats.version());
-                Ok(Box::new(IslCursor::open(
-                    self.engine.cluster(),
-                    &self.spec.with_k(k_hint),
-                    table,
-                    &vec![self.config.batch; self.spec.n()],
-                    &access,
-                    pinned,
-                )?))
+            SpecKind::Nary { table, stats, .. } => {
+                Ok(Box::new(self.open_nary(table.as_deref(), stats, k_hint)?))
             }
         }
     }
@@ -251,7 +287,7 @@ impl SpecExecutor {
     pub fn execute_with_k(&self, k: usize) -> Result<QueryOutcome> {
         match &self.kind {
             SpecKind::Binary(b) => b.execute_with_k(Algorithm::Isl, k),
-            SpecKind::Nary { .. } => {
+            SpecKind::Nary { table, stats, .. } => {
                 if k == 0 {
                     return Ok(QueryOutcome::new(
                         "MULTIWAY",
@@ -259,16 +295,16 @@ impl SpecExecutor {
                         rj_store::metrics::MetricsSnapshot::default(),
                     ));
                 }
-                let mut cursor = self.open_cursor(k)?;
-                let mut results = Vec::new();
-                loop {
-                    let batch = cursor.next_batch(k, &StopPolicy::default())?;
-                    results.extend(batch.results);
-                    if batch.done {
-                        break;
-                    }
-                }
-                Ok(QueryOutcome::new("MULTIWAY", results, cursor.charged()))
+                // The cursor drained in one call; its results are moved
+                // out of the operator, as the binary one-shot moves them.
+                let mut cursor = self.open_nary(table.as_deref(), stats, k)?;
+                cursor.pump(k, &StopPolicy::never())?;
+                let charged = cursor.charged();
+                Ok(QueryOutcome::new(
+                    "MULTIWAY",
+                    cursor.into_hrjn().into_results(),
+                    charged,
+                ))
             }
         }
     }
@@ -310,7 +346,7 @@ impl SpecExecutor {
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<SpecExecutor> {
         let kind = match &self.kind {
             SpecKind::Binary(b) => SpecKind::Binary(Box::new(b.fork_onto(cluster)?)),
-            SpecKind::Nary { table, stats } => {
+            SpecKind::Nary { table, stats, .. } => {
                 if let Some(t) = table {
                     cluster
                         .table(t)
@@ -319,6 +355,7 @@ impl SpecExecutor {
                 SpecKind::Nary {
                     table: table.clone(),
                     stats: stats.clone(),
+                    plans: Mutex::default(),
                 }
             }
         };
@@ -472,11 +509,51 @@ mod tests {
             SideAccess::Materialize,
         ]);
         assert_eq!(
-            exec.plan_access(4).unwrap(),
-            exec.access_override.clone().unwrap()
+            *exec.plan_access(4).unwrap(),
+            *exec.access_override.clone().unwrap()
         );
         let outcome = exec.execute().unwrap();
         assert_eq!(outcome.results, oracle::topk_spec(&c, &spec).unwrap());
+    }
+
+    #[test]
+    fn access_plan_is_cached_until_the_statistics_version_moves() {
+        let (c, spec) = three_way_path_cluster(4);
+        let mut exec = SpecExecutor::new(&c, spec.clone());
+        let stats = exec.spec_stats().unwrap();
+        let first = exec.plan_access(4).unwrap();
+        assert!(Arc::ptr_eq(&first, &exec.plan_access(4).unwrap()));
+        assert_eq!(stats.collections(), 1);
+        assert!(!Arc::ptr_eq(&first, &exec.plan_access(5).unwrap()));
+
+        // A `prepare`, a maintained write and an `attach` each move the
+        // version: the next call plans again, and that plan is cached.
+        exec.prepare().unwrap();
+        let prepared = exec.plan_access(4).unwrap();
+        assert!(!Arc::ptr_eq(&first, &prepared));
+        assert!(Arc::ptr_eq(&prepared, &exec.plan_access(4).unwrap()));
+        let side = crate::maintenance::MaintainedSide::new(&c, spec.sides[2].clone())
+            .with_stats(stats.clone());
+        side.insert(b"c_new", b"a", 0.5, Vec::new()).unwrap();
+        let written = exec.plan_access(4).unwrap();
+        assert!(!Arc::ptr_eq(&prepared, &written));
+        let table = exec.index_table().unwrap().to_owned();
+        exec.attach(&table).unwrap();
+        // Opening plans, then pins: the cursor carries the version its
+        // plan was made at, and the plan it made is the one cached.
+        let collections = stats.collections();
+        let state = exec.open_cursor(4).unwrap().pause();
+        assert_eq!(state.pinned_version(), Some(exec.stats_version()));
+        assert_eq!(stats.collections(), collections + 1);
+        let attached = exec.plan_access(4).unwrap();
+        assert!(!Arc::ptr_eq(&written, &attached));
+        assert_eq!(stats.collections(), collections + 1);
+
+        // An override is answered as given and leaves the cache alone.
+        exec.access_override = Some(vec![SideAccess::Materialize; 3]);
+        assert_eq!(*exec.plan_access(4).unwrap(), [SideAccess::Materialize; 3]);
+        exec.access_override = None;
+        assert!(Arc::ptr_eq(&attached, &exec.plan_access(4).unwrap()));
     }
 
     #[test]

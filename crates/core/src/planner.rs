@@ -31,7 +31,7 @@
 //! algorithms, and their absolute values are only as good as the
 //! statistics are fresh (see ROADMAP: stats refresh under updates).
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
@@ -818,42 +818,109 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// One row of the score grid on the frontier of [`kth_score_bound`]'s
+/// walk: left bucket `bl`, paused at `br`, its highest right bucket not
+/// visited yet, where the cell's upper score is `upper`. The greatest
+/// cursor is the next cell in visiting order: highest `upper` by
+/// [`f64::total_cmp`], then lowest `bl`.
+struct RowCursor {
+    upper: f64,
+    bl: usize,
+    br: usize,
+}
+
+impl Ord for RowCursor {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.upper
+            .total_cmp(&other.upper)
+            .then_with(|| other.bl.cmp(&self.bl))
+    }
+}
+
+impl PartialOrd for RowCursor {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RowCursor {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for RowCursor {}
+
 /// Expected score of the k-th best join result, from the independence
 /// assumption over the two score histograms scaled to the exact expected
 /// join cardinality. `None` when the whole join is smaller than `k`.
+///
+/// A cell of the score grid is a pair of non-empty buckets `(bl, br)`
+/// holding `hist_l[bl] · hist_r[br] · scale` expected pairs under an upper
+/// score `f(upper(bl), upper(br))`. **The visiting order is the
+/// contract:** cells are visited by upper score descending
+/// ([`f64::total_cmp`]), ties by `(bl, br)` ascending, their pairs summed
+/// in that order, and the answer is the lower score of the cell the sum
+/// reaches `k` in — so the sum, and with it every plan, is the same to
+/// the bit however the order is produced. It is produced by walking the
+/// frontier: `f` is monotone, so along one row `bl` the upper score never
+/// rises as `br` falls, and a heap of one cursor per non-empty row, each
+/// descending its row from the top, merges the rows in order; the cells of
+/// one row that tie (all of `br ≥ bl` under `Min`) are one contiguous run,
+/// taken in ascending `br`. That costs the cells needed to reach `k` and
+/// one heap of at most `hist_l.len()` cursors (2.4 KB), where sorting the
+/// whole grid cost `STAT_BUCKETS`² cells (1 MB) on every cold plan.
 fn kth_score_bound(stats: &TableStats, query: &RankJoinQuery, k: usize) -> Option<f64> {
     if stats.join_pairs < k as u64 || stats.left.tuples == 0 || stats.right.tuples == 0 {
         return None;
     }
     let scale = stats.join_pairs as f64 / (stats.left.tuples as f64 * stats.right.tuples as f64);
-    // Expected pairs per bucket pair, walked in descending upper-bound
-    // order until k accumulate.
-    let mut cells: Vec<(f64, f64, f64)> = Vec::new(); // (upper, lower, pairs)
-    for (bl, nl) in stats.left.hist.iter().enumerate() {
-        if *nl == 0 {
-            continue;
-        }
-        for (br, nr) in stats.right.hist.iter().enumerate() {
-            if *nr == 0 {
-                continue;
-            }
-            let pairs = *nl as f64 * *nr as f64 * scale;
-            let upper = query
-                .score_fn
-                .combine(SideStats::upper(bl), SideStats::upper(br));
-            let lower = query.score_fn.combine(
-                bl as f64 / STAT_BUCKETS as f64,
-                br as f64 / STAT_BUCKETS as f64,
-            );
-            cells.push((upper, lower, pairs));
-        }
+    let (left, right) = (&stats.left.hist, &stats.right.hist);
+    let upper = |bl: usize, br: usize| {
+        query
+            .score_fn
+            .combine(SideStats::upper(bl), SideStats::upper(br))
+    };
+    // The highest non-empty right bucket below `br`.
+    let below = |br: usize| (0..br).rev().find(|&b| right[b] != 0);
+    let highest = below(right.len())?;
+    let mut frontier = BinaryHeap::with_capacity(left.len());
+    for (bl, _) in left.iter().enumerate().filter(|(_, nl)| **nl != 0) {
+        frontier.push(RowCursor {
+            upper: upper(bl, highest),
+            bl,
+            br: highest,
+        });
     }
-    cells.sort_by(|a, b| b.0.total_cmp(&a.0));
     let mut cum = 0.0;
-    for (_upper, lower, pairs) in cells {
-        cum += pairs;
-        if cum >= k as f64 {
-            return Some(lower);
+    while let Some(RowCursor {
+        upper: tie,
+        bl,
+        br: top,
+    }) = frontier.pop()
+    {
+        // The row's run of cells tied at `tie` is `low..=top`.
+        let mut low = top;
+        let mut next = below(top);
+        while let Some(br) = next.filter(|&br| upper(bl, br).total_cmp(&tie).is_eq()) {
+            low = br;
+            next = below(br);
+        }
+        for br in (low..=top).filter(|&br| right[br] != 0) {
+            cum += left[bl] as f64 * right[br] as f64 * scale;
+            if cum >= k as f64 {
+                return Some(query.score_fn.combine(
+                    bl as f64 / STAT_BUCKETS as f64,
+                    br as f64 / STAT_BUCKETS as f64,
+                ));
+            }
+        }
+        if let Some(br) = next {
+            frontier.push(RowCursor {
+                upper: upper(bl, br),
+                bl,
+                br,
+            });
         }
     }
     None
@@ -918,7 +985,9 @@ pub fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::ScoreFn;
     use crate::testsupport::running_example_cluster;
+    use proptest::prelude::*;
 
     fn stats_and_query() -> (TableStats, RankJoinQuery) {
         let (c, q) = running_example_cluster();
@@ -953,6 +1022,120 @@ mod tests {
         assert_eq!(after.sim_seconds, before.sim_seconds);
         // But the pass is visible on the admin-read counter (11+11 rows).
         assert_eq!(after.admin_kv_reads, before.admin_kv_reads + 22);
+    }
+
+    /// The oracle for [`kth_score_bound`]: every cell of the grid, stably
+    /// sorted by upper score — the visiting order by construction.
+    fn kth_score_bound_sorted(stats: &TableStats, query: &RankJoinQuery, k: usize) -> Option<f64> {
+        if stats.join_pairs < k as u64 || stats.left.tuples == 0 || stats.right.tuples == 0 {
+            return None;
+        }
+        let scale =
+            stats.join_pairs as f64 / (stats.left.tuples as f64 * stats.right.tuples as f64);
+        // Expected pairs per bucket pair, walked in descending upper-bound
+        // order until k accumulate.
+        let mut cells: Vec<(f64, f64, f64)> = Vec::new(); // (upper, lower, pairs)
+        for (bl, nl) in stats.left.hist.iter().enumerate() {
+            if *nl == 0 {
+                continue;
+            }
+            for (br, nr) in stats.right.hist.iter().enumerate() {
+                if *nr == 0 {
+                    continue;
+                }
+                let pairs = *nl as f64 * *nr as f64 * scale;
+                let upper = query
+                    .score_fn
+                    .combine(SideStats::upper(bl), SideStats::upper(br));
+                let lower = query.score_fn.combine(
+                    bl as f64 / STAT_BUCKETS as f64,
+                    br as f64 / STAT_BUCKETS as f64,
+                );
+                cells.push((upper, lower, pairs));
+            }
+        }
+        cells.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut cum = 0.0;
+        for (_upper, lower, pairs) in cells {
+            cum += pairs;
+            if cum >= k as f64 {
+                return Some(lower);
+            }
+        }
+        None
+    }
+
+    /// One side's histogram: a single bucket, a sparse one (long zero
+    /// runs) or a dense one.
+    fn hist() -> impl Strategy<Value = Vec<u64>> {
+        (
+            0u8..3,
+            0usize..STAT_BUCKETS,
+            prop::collection::vec((0u8..10, 1u64..40), STAT_BUCKETS),
+        )
+            .prop_map(|(shape, single, buckets)| {
+                let keep = [0, 3, 9][shape as usize];
+                let mut hist: Vec<u64> = buckets
+                    .iter()
+                    .map(|&(gate, n)| if gate < keep { n } else { 0 })
+                    .collect();
+                if hist.iter().all(|n| *n == 0) {
+                    hist[single] = buckets[single].1;
+                }
+                hist
+            })
+    }
+
+    fn side(hist: Vec<u64>) -> SideStats {
+        SideStats {
+            tuples: hist.iter().sum(),
+            hist,
+            ..SideStats::empty()
+        }
+    }
+
+    proptest! {
+        /// The frontier walk returns what sorting the whole grid returned,
+        /// to the bit: under every score function (`Min` / `Max` tie whole
+        /// stretches of a row, a zero weight ties whole rows or makes a
+        /// row flat), any join size from empty to the full product, and
+        /// `k` from 1 to past the join.
+        #[test]
+        fn frontier_walk_equals_the_sorted_grid(
+            left in hist(),
+            right in hist(),
+            (f, wl, wr) in (0u8..7, 0.0f64..2.0, 0.0f64..2.0),
+            (extreme, fill) in (0u8..8, 0.0f64..=1.0),
+            (small_k, deep_k) in (1usize..60, 0.0f64..1.2),
+        ) {
+            let (left, right) = (side(left), side(right));
+            let product = left.tuples * right.tuples;
+            let join_pairs = match extreme {
+                0 => 0,
+                1 => product,
+                _ => (product as f64 * fill) as u64,
+            };
+            let stats = TableStats { left, right, join_pairs, left_regions: 1, right_regions: 1 };
+            let mut query = running_example_cluster().1;
+            query.score_fn = match f {
+                0 => ScoreFn::Sum,
+                1 => ScoreFn::Product,
+                2 => ScoreFn::Min,
+                3 => ScoreFn::Max,
+                4 => ScoreFn::WeightedSum { wl, wr },
+                5 => ScoreFn::WeightedSum { wl: 0.0, wr },
+                _ => ScoreFn::WeightedSum { wl, wr: 0.0 },
+            };
+            let (deep_k, all) = ((join_pairs as f64 * deep_k) as usize, join_pairs as usize);
+            for k in [1, small_k, deep_k / 16, deep_k / 4, deep_k, all, all + 1] {
+                let k = k.max(1);
+                prop_assert_eq!(
+                    kth_score_bound(&stats, &query, k).map(f64::to_bits),
+                    kth_score_bound_sorted(&stats, &query, k).map(f64::to_bits),
+                    "{:?} k={} join_pairs={}", query.score_fn, k, join_pairs
+                );
+            }
+        }
     }
 
     #[test]

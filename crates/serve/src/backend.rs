@@ -32,7 +32,7 @@ pub enum BackendExec {
     Binary(Box<RankJoinExecutor>),
     /// The spec-driven executor: a two-side spec delegates to the binary
     /// path verbatim; three or more sides run the multiway cursor.
-    Spec(SpecExecutor),
+    Spec(Box<SpecExecutor>),
 }
 
 /// Per-(tenant, backend) execution context: a metrics fork of the base
@@ -149,7 +149,7 @@ impl BackendExec {
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<BackendExec> {
         Ok(match self {
             BackendExec::Binary(b) => BackendExec::Binary(Box::new(b.fork_onto(cluster)?)),
-            BackendExec::Spec(s) => BackendExec::Spec(s.fork_onto(cluster)?),
+            BackendExec::Spec(s) => BackendExec::Spec(Box::new(s.fork_onto(cluster)?)),
         })
     }
 

@@ -137,6 +137,10 @@ pub struct ServeCounters {
     pub coalesced: u64,
     /// Sessions served from the result-prefix cache.
     pub cache_hits: u64,
+    /// Prefix hits and coalesced followers whose rows had to be copied
+    /// out of the shared answer; the other `cache_hits + coalesced -
+    /// cuts_built` were handed an allocation something already held.
+    pub cuts_built: u64,
     /// Executions warm-started from a donated cursor state in the
     /// partial-work cache (they paid only the reads beyond the donor's
     /// consumed prefix).
@@ -289,6 +293,7 @@ struct GroupOutput {
     warm: Option<WarmEntry>,
     executions: u64,
     coalesced: u64,
+    cuts_built: u64,
     warm_starts: u64,
     pages: u64,
 }
@@ -342,7 +347,7 @@ impl RankJoinService {
     /// spec shares keys (and therefore caches) with the equivalent
     /// binary registration, because it *is* the same execution.
     pub fn register_spec_backend(&self, executor: SpecExecutor) -> Result<BackendId, ServeError> {
-        self.register_exec(BackendExec::Spec(executor))
+        self.register_exec(BackendExec::Spec(Box::new(executor)))
     }
 
     fn register_exec(&self, exec: BackendExec) -> Result<BackendId, ServeError> {
@@ -519,18 +524,18 @@ impl RankJoinService {
         let (outcome, results) = match pulled {
             Err(e) => (Some(SessionOutcome::Failed(e.to_string())), results),
             Ok(batch) => {
-                // The parked rows come back out of their `Arc` and the
-                // page is pushed onto them; they are copied only while a
-                // client still holds an earlier page's `PageInfo`.
-                let mut all = Arc::try_unwrap(results).unwrap_or_else(|held| (*held).clone());
-                all.extend(batch.results);
+                // The page is pushed onto the parked rows in place; they
+                // are copied only while a client still holds an earlier
+                // page's `PageInfo`.
+                let mut all = results;
+                Arc::make_mut(&mut all).extend(batch.results);
                 let outcome = match batch.stopped {
                     Some(StopReason::Cancelled) => Some(SessionOutcome::Cancelled),
                     Some(StopReason::DeadlineExpired) => Some(SessionOutcome::DeadlineExpired),
                     None if batch.done || all.len() >= k => Some(SessionOutcome::Complete),
                     None => None,
                 };
-                (outcome, Arc::new(all))
+                (outcome, all)
             }
         };
         match outcome {
@@ -773,6 +778,7 @@ impl RankJoinService {
         for output in outputs {
             st.counters.executions += output.executions;
             st.counters.coalesced += output.coalesced;
+            st.counters.cuts_built += output.cuts_built;
             st.counters.warm_starts += output.warm_starts;
             st.counters.pages_served += output.pages;
             for final_ in output.finals {
@@ -831,15 +837,18 @@ impl RankJoinService {
                 // one-shot answer — they always execute.
                 continue;
             }
-            let backend = &st.backends[record.backend.0];
-            let Some(prefix) = backend.work.completed.as_ref() else {
+            let k = record.opts.k;
+            let backend = &mut st.backends[record.backend.0];
+            let version = backend.stats.version();
+            let Some(prefix) = backend.work.completed.as_mut() else {
                 continue;
             };
-            if !prefix.serves(record.opts.k, backend.stats.version()) {
+            if !prefix.serves(k, version) {
                 continue;
             }
-            let results = prefix.prefix(record.opts.k);
+            let (results, built) = prefix.prefix(k);
             st.counters.cache_hits += 1;
+            st.counters.cuts_built += u64::from(built);
             Self::finalize(
                 st,
                 SessFinal {
@@ -1050,6 +1059,7 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
         warm: None,
         executions: 0,
         coalesced: 0,
+        cuts_built: 0,
         warm_starts: 0,
         pages: 0,
     };
@@ -1063,7 +1073,6 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
         execute_first_page(sess, &mut out);
     }
     let warm = plan.warm.as_ref().filter(|_| plan.sharing);
-    let mut leader: Option<(usize, Arc<Vec<JoinTuple>>)> = None;
     let mut rest = plain.into_iter();
     for sess in rest.by_ref() {
         if sess.policy.token.is_cancelled() {
@@ -1089,7 +1098,6 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
         }
         let complete = matches!(final_.outcome, SessionOutcome::Complete);
         if complete {
-            leader = Some((sess.k, Arc::clone(&final_.results)));
             out.prefix = Some(PrefixEntry::from_completed(
                 sess.k,
                 Arc::clone(&final_.results),
@@ -1113,18 +1121,21 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
         }
         return out;
     }
-    if let Some((leader_k, results)) = leader {
-        let entry = PrefixEntry::from_completed(leader_k, results, plan.version);
+    // Followers cut from the entry the cache is about to be offered, so a
+    // later hit at a follower's `k` shares the follower's rows.
+    if let Some(entry) = out.prefix.as_mut() {
         for sess in rest {
             if sess.policy.token.is_cancelled() {
                 out.finals.push(cancelled_unserved(sess.id));
                 continue;
             }
+            let (results, built) = entry.prefix(sess.k);
             out.coalesced += 1;
+            out.cuts_built += u64::from(built);
             out.finals.push(SessFinal {
                 id: sess.id,
                 outcome: SessionOutcome::Complete,
-                results: entry.prefix(sess.k),
+                results,
                 charged: MetricsSnapshot::default(),
                 served_by: ServedBy::SharedExecution,
             });

@@ -11,7 +11,8 @@
 //! Since PR 8 the cache holds two kinds of reusable work per backend:
 //!
 //! * `PrefixEntry` — a *completed* answer at depth `k`. Serves any
-//!   later `k' ≤ k` query for free. Built only from complete executions:
+//!   later `k' ≤ k` query for free (see *How long a cut lives* below).
+//!   Built only from complete executions:
 //!   a cancelled or deadline-stopped run holds unverified candidates
 //!   (HRJN has not proven them against the threshold), so stopped
 //!   *results* are never served from the cache.
@@ -28,8 +29,25 @@
 //! index (re-)preparation bumps its version, and both entry kinds store
 //! the version they were computed under — a version mismatch refuses the
 //! entry, so work computed before a write is never reused after it.
+//!
+//! # How long a cut lives
+//!
+//! A session's result is an `Arc<Vec<JoinTuple>>`, so a hit at a `k`
+//! below the cached depth needs the first `k` rows as a vector of their
+//! own — a *cut*. The entry builds a cut once and remembers it by a
+//! [`Weak`], one slot per `k` it has cut: the next hit at that `k`
+//! upgrades the slot and shares the allocation. The `Weak` is the whole
+//! lifetime rule. The entry keeps no cut alive on its own account, so a
+//! cut lives exactly as long as something shows it — a finished session's
+//! record (at most [`crate::FINISHED_GRACE_ROUNDS`] after the last hit
+//! that took it) or a client holding the `SessionResult` — and the hit
+//! after that builds it again. There is nothing to evict and no size to
+//! tune: a slot whose cut is gone holds one dangling pointer (and the
+//! emptied 40-byte block behind it, until the slot is cut again), there
+//! are never more slots than the answer has rows, and the slots go when
+//! the entry is replaced.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use rj_core::cursor::CursorState;
 use rj_core::result::JoinTuple;
@@ -46,6 +64,10 @@ pub(crate) struct PrefixEntry {
     pub results: Arc<Vec<JoinTuple>>,
     /// [`rj_core::SharedTableStats::version`] at execution time.
     pub version: u64,
+    /// The cuts handed out, by `k` ascending, each only as alive as its
+    /// last holder (see the module docs). Every `k` here is below
+    /// `results.len()`.
+    cuts: Vec<(usize, Weak<Vec<JoinTuple>>)>,
 }
 
 impl PrefixEntry {
@@ -56,6 +78,7 @@ impl PrefixEntry {
             exhausted: results.len() < k,
             results,
             version,
+            cuts: Vec::new(),
         }
     }
 
@@ -65,14 +88,29 @@ impl PrefixEntry {
         self.version == current_version && (k <= self.k || self.exhausted)
     }
 
-    /// The first `k` rows (everything, if the join has fewer results).
-    /// Full-depth requests alias the cached allocation.
-    pub fn prefix(&self, k: usize) -> Arc<Vec<JoinTuple>> {
+    /// The first `k` rows (everything, if the join has fewer results),
+    /// and whether this call had to copy them. Full-depth requests alias
+    /// the cached allocation; a shallower one shares the cut an earlier
+    /// request at the same `k` was given while anything still holds it.
+    pub fn prefix(&mut self, k: usize) -> (Arc<Vec<JoinTuple>>, bool) {
         if k >= self.results.len() {
-            Arc::clone(&self.results)
-        } else {
-            Arc::new(self.results[..k].to_vec())
+            return (Arc::clone(&self.results), false);
         }
+        let slot = match self.cuts.binary_search_by_key(&k, |(cut_k, _)| *cut_k) {
+            Ok(slot) => {
+                if let Some(cut) = self.cuts[slot].1.upgrade() {
+                    return (cut, false);
+                }
+                slot
+            }
+            Err(slot) => {
+                self.cuts.insert(slot, (k, Weak::new()));
+                slot
+            }
+        };
+        let cut = Arc::new(self.results[..k].to_vec());
+        self.cuts[slot].1 = Arc::downgrade(&cut);
+        (cut, true)
     }
 
     /// Whether `candidate` should replace `current` as the cached entry:
@@ -190,21 +228,81 @@ mod tests {
     #[test]
     fn exhausted_answer_serves_any_depth() {
         // Asked for 100, got 7: the whole join is 7 rows.
-        let e = entry(100, 7, 0);
+        let mut e = entry(100, 7, 0);
         assert!(e.exhausted);
         assert!(e.serves(5000, 0));
-        assert_eq!(e.prefix(5000).len(), 7);
+        assert_eq!(e.prefix(5000).0.len(), 7);
     }
 
     #[test]
     fn prefix_is_the_leading_rows() {
-        let e = entry(10, 10, 0);
-        let p = e.prefix(3);
+        let mut e = entry(10, 10, 0);
+        let (p, built) = e.prefix(3);
+        assert!(built);
         assert_eq!(p.len(), 3);
         assert_eq!(p[0], e.results[0]);
         assert_eq!(p[2], e.results[2]);
         // Full-depth requests share the allocation instead of copying.
-        assert!(Arc::ptr_eq(&e.prefix(10), &e.results));
+        let (full, built) = e.prefix(10);
+        assert!(Arc::ptr_eq(&full, &e.results) && !built);
+        assert_eq!(e.cuts.len(), 1, "a full-depth request takes no slot");
+    }
+
+    #[test]
+    fn a_cut_is_shared_while_held_and_rebuilt_once_dropped() {
+        let mut e = entry(10, 10, 0);
+        let (first, built) = e.prefix(4);
+        assert!(built);
+        let (second, built) = e.prefix(4);
+        assert!(!built, "the first holder keeps the cut alive");
+        assert!(Arc::ptr_eq(&first, &second));
+        // The entry holds nothing on its own account: the last holder
+        // gone, the rows are gone, and the next request builds again —
+        // into the slot it already had.
+        let gone = Arc::downgrade(&first);
+        drop((first, second));
+        assert!(gone.upgrade().is_none());
+        let (third, built) = e.prefix(4);
+        assert!(built);
+        assert_eq!(*third, e.results[..4]);
+        assert_eq!(e.cuts.len(), 1);
+    }
+
+    #[test]
+    fn slots_are_sorted_distinct_and_never_outnumber_the_rows() {
+        let mut e = entry(12, 12, 0);
+        let mut held = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for step in 0..500 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = (x % 20) as usize;
+            let (cut, _) = e.prefix(k);
+            assert_eq!(*cut, e.results[..k.min(12)], "k = {k}");
+            if step % 3 == 0 {
+                held.push(cut);
+            }
+            if step % 7 == 0 {
+                held.clear();
+            }
+            assert!(e.cuts.len() <= e.results.len());
+            assert!(e.cuts.windows(2).all(|w| w[0].0 < w[1].0));
+        }
+    }
+
+    #[test]
+    fn a_replacement_entry_starts_with_no_cuts() {
+        let mut work = PartialWork::default();
+        work.offer_completed(entry(5, 5, 1), 1);
+        let shallow = work.completed.as_mut().unwrap();
+        let (held, _) = shallow.prefix(2);
+        work.offer_completed(entry(9, 9, 1), 1);
+        let deep = work.completed.as_mut().unwrap();
+        assert_eq!(deep.k, 9);
+        assert!(deep.cuts.is_empty());
+        let (again, built) = deep.prefix(2);
+        assert!(built && !Arc::ptr_eq(&held, &again));
     }
 
     #[test]

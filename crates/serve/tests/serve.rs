@@ -3,6 +3,8 @@
 //! prefix-cache coherence under index maintenance, and a scheduling
 //! golden.
 
+use std::sync::Arc;
+
 use rj_core::executor::RankJoinExecutor;
 use rj_core::oracle;
 use rj_core::query::{JoinSide, RankJoinQuery};
@@ -10,7 +12,7 @@ use rj_core::score::ScoreFn;
 use rj_core::ExecutionMode;
 use rj_serve::{
     BackendId, QueryPriority, RankJoinService, ServeConfig, ServeError, ServedBy, SessionId,
-    SessionOutcome, SessionResult, SessionStatus, SubmitOptions, FINISHED_GRACE_ROUNDS,
+    SessionOutcome, SessionResult, SessionStatus, SubmitOptions, TenantId, FINISHED_GRACE_ROUNDS,
 };
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
@@ -1030,6 +1032,107 @@ fn session_table_stays_bounded_and_billing_is_conserved_across_reaping() {
     assert!(total.kv_reads > 0);
     assert_eq!(total.kv_reads, billed.kv_reads);
     assert!((total.sim_seconds - billed.sim_seconds).abs() < 1e-9);
+}
+
+/// Submits one top-`k` session, runs one round, returns its result.
+fn served_in_one_round(
+    service: &RankJoinService,
+    tenant: TenantId,
+    backend: BackendId,
+    k: usize,
+) -> SessionResult {
+    let id = service
+        .submit(tenant, backend, SubmitOptions::topk(k))
+        .unwrap();
+    service.run_round().unwrap();
+    done(service, id)
+}
+
+#[test]
+fn a_prefix_cut_is_shared_while_shown_and_rebuilt_after() {
+    let (c, q) = fixture();
+    let executor = prepared_executor(&c, &q);
+    let stats = executor.stats_handle();
+    let service = RankJoinService::new(test_config());
+    let backend = service.register_backend(executor).unwrap();
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let want = oracle::topk(&c, &q.with_k(8)).unwrap();
+    let hit = |k: usize| {
+        let result = served_in_one_round(&service, tenant, backend, k);
+        assert_eq!(result.served_by, ServedBy::PrefixCache);
+        assert_eq!(*result.results, want[..k]);
+        result
+    };
+
+    let deep = served_in_one_round(&service, tenant, backend, 8);
+    assert_eq!(deep.served_by, ServedBy::Execution);
+    assert_eq!(service.counters().cuts_built, 0);
+
+    // Two hits at one `k`, the first still shown: one copy between them.
+    let first = hit(3);
+    assert_eq!(service.counters().cuts_built, 1);
+    let second = hit(3);
+    assert!(Arc::ptr_eq(&first.results, &second.results));
+    // Full depth shares the cached answer itself.
+    assert!(Arc::ptr_eq(&hit(8).results, &deep.results));
+    let n = service.counters();
+    assert_eq!((n.cache_hits, n.cuts_built), (3, 1));
+
+    // Every holder gone — the client's results dropped, the records past
+    // their window — and the rows are gone: the next hit copies again.
+    let gone = Arc::downgrade(&first.results);
+    drop((first, second));
+    for _ in 0..=FINISHED_GRACE_ROUNDS {
+        service.run_round().unwrap();
+    }
+    assert_eq!(service.counters().reaped, 4);
+    assert!(
+        gone.upgrade().is_none(),
+        "the cache kept a cut nobody shows"
+    );
+    let rebuilt = hit(3);
+    assert_eq!(service.counters().cuts_built, 2);
+
+    // A version bump refuses the entry, its cuts with it: the next
+    // session executes, and the entry that replaces it starts empty —
+    // a hit copies even though `rebuilt` still shows the old rows.
+    stats.invalidate();
+    let fresh = served_in_one_round(&service, tenant, backend, 8);
+    assert_eq!(fresh.served_by, ServedBy::Execution);
+    let after = hit(3);
+    assert!(!Arc::ptr_eq(&rebuilt.results, &after.results));
+    let n = service.counters();
+    assert_eq!((n.cache_hits, n.cuts_built, n.executions), (5, 3, 2));
+    assert_eq!(
+        service.tenant_charged(tenant).unwrap().kv_reads,
+        service.tenant_usage(tenant).unwrap().kv_reads
+    );
+}
+
+#[test]
+fn coalesced_followers_and_later_hits_share_one_cut() {
+    let (service, backend, c, q) = serve_fixture(test_config());
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let ids: Vec<_> = [8, 3, 3]
+        .iter()
+        .map(|&k| {
+            service
+                .submit(tenant, backend, SubmitOptions::topk(k))
+                .unwrap()
+        })
+        .collect();
+    service.run_round().unwrap();
+    let followers = [done(&service, ids[1]), done(&service, ids[2])];
+    assert_eq!(followers[0].served_by, ServedBy::SharedExecution);
+    assert!(Arc::ptr_eq(&followers[0].results, &followers[1].results));
+    // The followers were cut from the entry the cache then took, so a
+    // hit at their `k` is handed their rows.
+    let later = served_in_one_round(&service, tenant, backend, 3);
+    assert_eq!(later.served_by, ServedBy::PrefixCache);
+    assert!(Arc::ptr_eq(&later.results, &followers[0].results));
+    assert_eq!(*later.results, oracle::topk(&c, &q.with_k(3)).unwrap());
+    let n = service.counters();
+    assert_eq!((n.coalesced, n.cache_hits, n.cuts_built), (2, 1, 1));
 }
 
 /// FNV-1a over a byte stream — the golden test's digest of per-session

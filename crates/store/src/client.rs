@@ -13,7 +13,11 @@
 //! A [`Scanner`] owns one [`RowBatch`] and refills it per RPC, so what a
 //! scan allocates does not depend on how many rows it returns: the batch
 //! buffers and the resume key grow to the largest step seen and are then
-//! reused, and the family projection is resolved once per scanner.
+//! reused. The family projection is resolved when the scanner opens and,
+//! a detached state being plain data, again at the first RPC after every
+//! [`Client::resume_scan`] — against whatever schema the table's name has
+//! by then; the one-family projection every index scan uses is held
+//! inline, so neither resolution allocates.
 //! [`Scanner::next_row`] lends each row out of the batch as a
 //! [`RowRef`]; the `Iterator` implementation is the owned adaptor over it
 //! for consumers that keep rows. A detached [`ScannerState`] carries the
@@ -40,7 +44,7 @@ use crate::metrics::Metrics;
 use crate::region::ReadCost;
 use crate::row::{RowBatch, RowRef, RowResult};
 use crate::scan::Scan;
-use crate::table::Table;
+use crate::table::{Families, Table};
 
 /// Fraction of the remote RPC latency charged for a node-local call.
 const LOCAL_CALL_FACTOR: f64 = 0.05;
@@ -191,11 +195,7 @@ impl Client {
     /// unknown table or family surfaces here.
     pub fn projection(&self, table: &str, families: Option<&[String]>) -> Result<Projection> {
         let table = self.lookup(table)?;
-        let families = match families {
-            None => Families::All,
-            Some([one]) => Families::One([table.family_index(one)?]),
-            Some(many) => Families::Many(table.resolve_families(Some(many))?.unwrap_or_default()),
-        };
+        let families = table.resolve_families(families)?;
         Ok(Projection { table, families })
     }
 
@@ -210,12 +210,9 @@ impl Client {
         projection: &Projection,
         row: &[u8],
     ) -> Option<RowRef<'b>> {
-        let families = match &projection.families {
-            Families::All => None,
-            Families::One(one) => Some(&one[..]),
-            Families::Many(many) => Some(&many[..]),
-        };
-        let (cost, node) = projection.table.get_into(row, families, batch);
+        let (cost, node) = projection
+            .table
+            .get_into(row, projection.families.indices(), batch);
         self.charge_read(node, &cost);
         batch.get(0)
     }
@@ -300,24 +297,14 @@ impl Projection {
     }
 }
 
-/// Resolved schema indices, sorted and distinct. One family — what every
-/// index read projects — is held inline, so resolving it allocates
-/// nothing.
-#[derive(Clone)]
-enum Families {
-    All,
-    One([usize; 1]),
-    Many(Vec<usize>),
-}
-
 /// A streaming scanner over one table (see the module docs).
 pub struct Scanner<'c> {
     client: &'c Client,
     table: Arc<Table>,
     spec: Scan,
-    /// `spec.families` as schema indices of `table` (`Some(None)` = no
-    /// projection); `None` until a resumed scanner's first RPC.
-    projection: Option<Option<Vec<usize>>>,
+    /// `spec.families` resolved against `table`; `None` until a resumed
+    /// scanner's first RPC.
+    projection: Option<Families>,
     /// Where the next RPC starts; each RPC overwrites it in place.
     next_key: Vec<u8>,
     done: bool,
@@ -447,7 +434,7 @@ impl Scanner<'_> {
         let step = self.table.scan_batch_into(
             &mut self.next_key,
             self.spec.stop.as_deref(),
-            projection.as_deref(),
+            projection.indices(),
             self.spec.filter.as_deref(),
             self.spec.effective_caching(),
             &mut self.batch,

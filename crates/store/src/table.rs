@@ -44,6 +44,28 @@ pub(crate) struct ScanStep {
 /// Rows per step of the admin walk [`Table::for_each_row`].
 const ADMIN_WALK_ROWS: usize = 1024;
 
+/// A family projection resolved to schema indices, sorted and distinct
+/// ([`Table::resolve_families`]). One family — what every index read and
+/// index scan projects — is held inline, so resolving it allocates
+/// nothing.
+#[derive(Clone)]
+pub(crate) enum Families {
+    All,
+    One([usize; 1]),
+    Many(Vec<usize>),
+}
+
+impl Families {
+    /// The projected schema indices, `None` for every family.
+    pub(crate) fn indices(&self) -> Option<&[usize]> {
+        match self {
+            Families::All => None,
+            Families::One(one) => Some(one),
+            Families::Many(many) => Some(many),
+        }
+    }
+}
+
 /// An ordered, sharded collection of rows.
 pub struct Table {
     /// Shared by handle with every detached [`crate::client::ScannerState`].
@@ -121,10 +143,12 @@ impl Table {
             })
     }
 
-    /// A family projection as sorted, distinct schema indices.
-    pub(crate) fn resolve_families(&self, names: Option<&[String]>) -> Result<Option<Vec<usize>>> {
+    /// A family projection (`None` = every family) resolved against this
+    /// table's schema.
+    pub(crate) fn resolve_families(&self, names: Option<&[String]>) -> Result<Families> {
         match names {
-            None => Ok(None),
+            None => Ok(Families::All),
+            Some([one]) => Ok(Families::One([self.family_index(one)?])),
             Some(ns) => {
                 let mut ids = ns
                     .iter()
@@ -135,7 +159,7 @@ impl Table {
                 // would double both results and billing.
                 ids.sort_unstable();
                 ids.dedup();
-                Ok(Some(ids))
+                Ok(Families::Many(ids))
             }
         }
     }
@@ -329,7 +353,7 @@ impl Table {
     ) -> Result<(Option<RowResult>, ReadCost, usize)> {
         let fam_ids = self.resolve_families(families)?;
         let ((row, cost), node) = self.read_region(key, |region| {
-            region.get(key, &self.families, fam_ids.as_deref())
+            region.get(key, &self.families, fam_ids.indices())
         });
         Ok((row, cost, node))
     }

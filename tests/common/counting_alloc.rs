@@ -11,6 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 thread_local! {
     /// Allocation calls made by this thread (a `realloc` counts as one).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for (a `realloc` counts its new size).
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // Statistics: neither publishes other data, so `Relaxed`.
@@ -26,6 +28,7 @@ fn on_alloc(size: usize) {
     // `try_with`: a thread that is tearing down has no counter left, and
     // nothing measured runs there.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|n| n.set(n.get() + size as u64));
     PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
     LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed);
 }
@@ -76,6 +79,14 @@ pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the bytes it asked the allocator
+/// for on this thread.
+pub fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOC_BYTES.with(Cell::get);
+    let out = f();
+    (out, ALLOC_BYTES.with(Cell::get) - before)
 }
 
 /// Runs `f` and returns its result with the allocations the process made
