@@ -40,12 +40,13 @@ use super::{BfhmConfig, BoundMode};
 /// pos`, big-endian) interned in a [`FlatMultiMap`], and the cached tuples
 /// live in **columnar** flat arrays — base keys and join values back to
 /// back in byte arenas, scores one contiguous `f64` column — so the
-/// materialization cross-product walks sequential memory. A cell interned
-/// with an empty group means "fetched, no tuples".
+/// materialization cross-product walks sequential memory. A tuple's id is
+/// its position in the map (one value per tuple, pushed in tuple order).
+/// A cell interned with an empty group means "fetched, no tuples".
 #[derive(Clone, Default)]
 struct ReverseStore {
-    /// Packed cell key → group of tuple ids.
-    index: FlatMultiMap<u32>,
+    /// Packed cell key → group of tuple ids (the group's positions).
+    index: FlatMultiMap<()>,
     /// Tuple base keys, back to back, spanned by `key_spans`.
     key_arena: Vec<u8>,
     key_spans: Vec<(u32, u32)>,
@@ -116,9 +117,8 @@ impl ReverseStore {
     /// Appends one decoded `(base key, join value, score)` tuple to the
     /// cell interned as `entry`.
     fn push_tuple(&mut self, entry: u32, key: &[u8], join: &[u8], score: f64) {
-        // Checked narrowing: a cache past 2^32 tuples or 4 GiB of arena
-        // bytes must panic, not silently alias spans.
-        let id = u32::try_from(self.scores.len()).expect("ReverseStore tuple count overflows u32");
+        // Checked narrowing: a cache past 4 GiB of arena bytes must panic,
+        // not silently alias spans (the map checks the tuple count).
         self.key_spans.push((
             u32::try_from(self.key_arena.len()).expect("ReverseStore key arena overflows u32"),
             u32::try_from(key.len()).expect("ReverseStore key length overflows u32"),
@@ -130,7 +130,7 @@ impl ReverseStore {
         ));
         self.join_arena.extend_from_slice(join);
         self.scores.push(score);
-        self.index.push_to_entry(entry, id);
+        self.index.push_to_entry(entry, ()); // at position `scores.len() - 1`
     }
 
     /// The cached tuples of one cell: `(base key, join value, score)`,
@@ -142,8 +142,8 @@ impl ReverseStore {
         pos: u32,
     ) -> impl Iterator<Item = (&'a [u8], &'a [u8], f64)> + 'a {
         self.index
-            .get(&packed_cell(side, bucket, pos))
-            .map(move |&id| {
+            .positions(&packed_cell(side, bucket, pos))
+            .map(move |id| {
                 let i = id as usize;
                 let (ko, kl) = self.key_spans[i];
                 let (jo, jl) = self.join_spans[i];

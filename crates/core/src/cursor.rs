@@ -672,7 +672,7 @@ impl IslCursor {
         let Some(threshold) = state.threshold() else {
             return 0;
         };
-        state.results().take_while(|t| t.score > threshold).count()
+        state.results_above(threshold)
     }
 
     /// Bulk-ingests every [`SideAccess::Materialize`] side not ingested
@@ -853,9 +853,8 @@ impl RankedCursor for IslCursor {
         let (stopped, metrics) = self.pump(want, policy)?;
         let emitted = self.core.meta.emitted;
         let emit_to = self.certified().min(want).max(emitted);
-        // A page costs its own results, never the whole buffer.
-        let page = self.core.state.results().skip(emitted);
-        let results = page.take(emit_to - emitted).cloned().collect();
+        // A page builds its own results, never the whole buffer.
+        let results = self.core.state.results(emitted..emit_to);
         self.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,

@@ -31,28 +31,43 @@
 //! the score-ordered index ([`crate::cursor::IslCursor`]); this module
 //! keeps the core logic independent so it can be tested (and
 //! property-tested) in isolation.
+//!
+//! **Results are ids until they leave.** The operator must keep every
+//! tuple it has pulled, but hands back only `k` results, and most matches
+//! a join enumeration admits to the top-k are evicted again before the
+//! descent ends. So a buffered result is what the ranked-enumeration view
+//! (Tziavelis et al.) makes it: a tuple of pointers into the inputs — its
+//! score and one seen-tuple id per side — ranked by reading key bytes out
+//! of the seen-tuple arenas. A [`JoinTuple`] is built in one place, the
+//! operator's private `result` builder, when a result leaves the operator:
+//! a cursor's page, [`HrjnState::into_results`],
+//! [`HrjnState::current_results`] (the adaptive handoff).
+
+use std::cmp::Ordering;
 
 use rj_sketch::FlatMultiMap;
 
 use crate::error::{RankJoinError, Result};
 use crate::query::JoinSpec;
-use crate::result::{JoinTuple, RankKey, TopK};
+use crate::result::JoinTuple;
 use crate::score::ScoreFn;
 
 /// Per-side seen-tuple store in flat, cache-friendly layout.
 ///
-/// Join values are interned into one [`FlatMultiMap`] per incident edge,
-/// whose groups hold dense tuple ids; the tuples themselves are
+/// Join values are interned into one [`FlatMultiMap`] per incident edge;
+/// every tuple pushes one value onto its join value's group in every map,
+/// in tuple order, so a value's flat-array position *is* its tuple's id
+/// and the maps store nothing else (`V = ()`). The tuples themselves are
 /// **columnar**: base keys back to back in one byte arena, scores in one
 /// contiguous `f64` column (which is also what the observed-descent
 /// histogram scans), and per tuple one `u32` row holding the end of its
 /// key plus, per edge, the entry id of its join value — so any tuple's
 /// value on any edge is `by_edge[slot].key(entry)` and no byte is stored
-/// twice.
+/// twice. A buffered HRJN result is one id per side into these columns.
 #[derive(Clone)]
 pub(crate) struct SeenSide {
     /// Per incident edge: join value on that edge → group of tuple ids.
-    by_edge: Vec<FlatMultiMap<u32>>,
+    by_edge: Vec<FlatMultiMap<()>>,
     /// Tuple base keys, interned back to back.
     key_arena: Vec<u8>,
     /// Per tuple, `1 + edges` words: the end offset of its key in
@@ -90,7 +105,8 @@ impl SeenSide {
             .push(u32::try_from(self.key_arena.len()).expect("SeenSide key arena overflows u32"));
         for (index, value) in self.by_edge.iter_mut().zip(join_values) {
             let entry = index.ensure(value);
-            index.push_to_entry(entry, id);
+            let position = index.push_to_entry(entry, ());
+            debug_assert_eq!(position, id, "one value per tuple, in tuple order");
             self.rows.push(entry);
         }
         self.scores.push(score);
@@ -127,7 +143,7 @@ impl SeenSide {
         slot: usize,
         join: &[u8],
     ) -> impl Iterator<Item = u32> + 'a {
-        self.by_edge[slot].get(join).copied()
+        self.by_edge[slot].positions(join)
     }
 
     /// Number of tuples recorded.
@@ -162,95 +178,138 @@ struct Step {
     parent_slot: usize,
 }
 
-/// A complete assignment — one seen tuple per side — as a [`RankKey`],
-/// every key still borrowed from the seen-tuple arenas.
-struct Assignment<'a> {
-    inputs: &'a [Input],
-    chosen: &'a [u32],
-    score: f64,
+/// The top-k buffer — the paper's `SortedList results; results.trim(k)`
+/// (Algorithm 2) — over complete assignments kept as ids: per entry the
+/// result's score and one seen-tuple id per side, ranked in
+/// [`JoinTuple::rank_cmp`] order. It admits, deduplicates and evicts
+/// exactly as [`crate::result::TopK`] does over the built tuples (a
+/// rank-equal duplicate is kept once, the first offered): a full buffer
+/// rejects by one comparison with its last entry, anything else costs
+/// `O(log k)` rank comparisons.
+///
+/// Entries stay in the slot they were written to — an admission into a
+/// full buffer overwrites the evicted entry's — and rank order is a column
+/// of slot numbers, so an admission shifts the slot numbers ranked after
+/// it: `O(k)` four-byte moves. That is cheap because the operator meets
+/// results roughly in rank order (its inputs descend in score), so most
+/// admissions land near the tail; a full enumeration (`k` past the join
+/// size, every result admitted: 59 940 on SF 0.01's Q2) measured no slower
+/// than the B-tree of built tuples this buffer replaced.
+#[derive(Clone)]
+struct TopIds {
+    k: usize,
+    /// Words per entry: `1 + n`.
+    stride: usize,
+    /// Entries by slot: the score's bits, then the chosen tuple's id on
+    /// every side in side order.
+    entries: Vec<u64>,
+    /// Slot of the entry at each rank.
+    ranked: Vec<u32>,
 }
 
-impl Assignment<'_> {
-    fn key(&self, side: usize) -> &[u8] {
-        self.inputs[side].seen.tuple(self.chosen[side]).0
-    }
-}
-
-impl RankKey for Assignment<'_> {
-    fn score(&self) -> f64 {
-        self.score
-    }
-    fn left_key(&self) -> &[u8] {
-        self.key(0)
-    }
-    fn right_key(&self) -> &[u8] {
-        self.key(self.inputs.len() - 1)
-    }
-    fn inner_len(&self) -> usize {
-        self.inputs.len() - 2
-    }
-    fn inner_key(&self, i: usize) -> &[u8] {
-        self.key(i + 1)
-    }
-}
-
-/// The read-only half of the operator during a join enumeration (the
-/// other half — the top-k buffer and the `chosen` scratch — is written).
-struct Joiner<'a> {
-    inputs: &'a [Input],
-    score_fn: ScoreFn,
-    /// Side whose first incident edge is the spec's edge 0 — its value
-    /// fills the binary-compatible `join_value` field of results.
-    join_value_side: usize,
-}
-
-impl Joiner<'_> {
-    /// Backtracking walk: `walk` lists the sides still to assign, every
-    /// parent before its children; the sides before it are fixed in
-    /// `chosen`. Every complete assignment is offered to `results`.
-    fn extend(&self, walk: &[Step], chosen: &mut [u32], results: &mut TopK) {
-        let Some((step, rest)) = walk.split_first() else {
-            self.offer(chosen, results);
-            return;
-        };
-        let value = self.inputs[step.parent]
-            .seen
-            .join_value(chosen[step.parent], step.parent_slot);
-        for id in self.inputs[step.child].seen.matches(step.child_slot, value) {
-            chosen[step.child] = id;
-            self.extend(rest, chosen, results);
+impl TopIds {
+    /// An empty buffer of the best `k` results over `sides` sides.
+    fn new(k: usize, sides: usize) -> Self {
+        TopIds {
+            k,
+            stride: 1 + sides,
+            entries: Vec::new(),
+            ranked: Vec::new(),
         }
     }
 
-    /// Offers one complete assignment, building the owned [`JoinTuple`]
-    /// only if it enters the top-k.
-    fn offer(&self, chosen: &[u32], results: &mut TopK) {
-        let tuple = |side: usize| self.inputs[side].seen.tuple(chosen[side]);
-        let n = self.inputs.len();
-        let score = self.score_fn.combine_iter((0..n).map(|side| tuple(side).1));
-        let candidate = Assignment {
-            inputs: self.inputs,
-            chosen,
-            score,
-        };
-        if !results.admits(&candidate) {
+    fn len(&self) -> usize {
+        self.ranked.len()
+    }
+
+    /// The words of the entry at `rank`.
+    fn entry(&self, rank: usize) -> &[u64] {
+        &self.entries[self.ranked[rank] as usize * self.stride..][..self.stride]
+    }
+
+    /// Entry `rank`'s score.
+    fn score(&self, rank: usize) -> f64 {
+        f64::from_bits(self.entry(rank)[0])
+    }
+
+    /// Entry `rank`'s seen-tuple id on `side`.
+    fn id(&self, rank: usize, side: usize) -> u32 {
+        self.entry(rank)[1 + side] as u32
+    }
+
+    /// The k-th (worst buffered) score, or `None` while fewer than `k`
+    /// results are buffered.
+    fn kth_score(&self) -> Option<f64> {
+        let len = self.len();
+        (len > 0 && len == self.k).then(|| self.score(len - 1))
+    }
+
+    /// [`JoinTuple::rank_cmp`] of the assignment `(score, chosen)` against
+    /// entry `rank`: score descending, then the sides' base keys — for a
+    /// fixed `n`, `(left, inner…, right)` is just sides `0..n`.
+    fn cmp(&self, inputs: &[Input], score: f64, chosen: &[u32], rank: usize) -> Ordering {
+        self.score(rank).total_cmp(&score).then_with(|| {
+            let key = |side: usize, id| inputs[side].seen.tuple(id).0;
+            (0..inputs.len())
+                .map(|side| key(side, chosen[side]).cmp(key(side, self.id(rank, side))))
+                .find(|order| order.is_ne())
+                .unwrap_or(Ordering::Equal)
+        })
+    }
+
+    /// Offers the assignment `(score, chosen)`: kept if it ranks among the
+    /// best `k` and no rank-equal entry is buffered already.
+    fn offer(&mut self, inputs: &[Input], chosen: &[u32], score: f64) {
+        let full = self.len() >= self.k;
+        if full && (self.k == 0 || self.cmp(inputs, score, chosen, self.k - 1).is_ge()) {
             return;
         }
-        let (left, right) = (tuple(0), tuple(n - 1));
-        results.offer(JoinTuple {
-            left_key: left.0.to_vec(),
-            right_key: right.0.to_vec(),
-            join_value: self.inputs[self.join_value_side]
-                .seen
-                .join_value(chosen[self.join_value_side], 0)
-                .to_vec(),
-            left_score: left.1,
-            right_score: right.1,
-            inner: (1..n - 1)
-                .map(|side| (tuple(side).0.to_vec(), tuple(side).1))
-                .collect(),
-            score,
+        let (mut at, mut end) = (0, self.len());
+        while at < end {
+            let mid = (at + end) / 2;
+            match self.cmp(inputs, score, chosen, mid) {
+                Ordering::Less => end = mid,
+                Ordering::Equal => return,
+                Ordering::Greater => at = mid + 1,
+            }
+        }
+        // A full buffer evicts its last entry and reuses its slot.
+        let evicted = if full { self.ranked.pop() } else { None };
+        let slot = evicted.unwrap_or_else(|| {
+            self.entries.resize(self.entries.len() + self.stride, 0);
+            u32::try_from(self.len()).expect("HRJN top-k past 2^32 results")
         });
+        let entry = &mut self.entries[slot as usize * self.stride..][..self.stride];
+        entry[0] = score.to_bits();
+        for (word, &id) in entry[1..].iter_mut().zip(chosen) {
+            *word = u64::from(id);
+        }
+        self.ranked.insert(at, slot);
+    }
+}
+
+/// Backtracking walk: `walk` lists the sides still to assign, every parent
+/// before its children; the sides before it are fixed in `chosen`. Every
+/// complete assignment is offered, as ids, to `results`.
+fn extend(
+    inputs: &[Input],
+    score_fn: ScoreFn,
+    walk: &[Step],
+    chosen: &mut [u32],
+    results: &mut TopIds,
+) {
+    let Some((step, rest)) = walk.split_first() else {
+        let scores = inputs.iter().zip(&*chosen);
+        let score = score_fn.combine_iter(scores.map(|(side, &id)| side.seen.tuple(id).1));
+        results.offer(inputs, chosen, score);
+        return;
+    };
+    let value = inputs[step.parent]
+        .seen
+        .join_value(chosen[step.parent], step.parent_slot);
+    for id in inputs[step.child].seen.matches(step.child_slot, value) {
+        chosen[step.child] = id;
+        extend(inputs, score_fn, rest, chosen, results);
     }
 }
 
@@ -260,18 +319,21 @@ impl Joiner<'_> {
 /// Plain columnar data throughout, so a paused cursor parks the state
 /// itself ([`Clone`]) rather than a log to rebuild it from. The join
 /// tree's walks and the per-push scratch are flat vectors sized once from
-/// the spec: a push allocates only arena growth and admitted results.
+/// the spec, and the top-k buffers results as seen-tuple ids (see the
+/// module docs): a push allocates only arena and buffer growth. A
+/// [`JoinTuple`] is built only for a result leaving the operator.
 #[derive(Clone)]
 pub struct HrjnState {
-    k: usize,
     score_fn: ScoreFn,
-    results: TopK,
+    results: TopIds,
     inputs: Vec<Input>,
     /// Preorder walks of the join tree, one per root, back to back: the
     /// walk rooted at side `r` is `walks[r * (n - 1)..][..n - 1]`.
     walks: Vec<Step>,
     /// Scratch: the tuple id chosen per side during an enumeration.
     chosen: Vec<u32>,
+    /// Side whose first incident edge is the spec's edge 0 — its value
+    /// fills the binary-compatible `join_value` field of results.
     join_value_side: usize,
 }
 
@@ -317,9 +379,8 @@ impl HrjnState {
             }
         }
         HrjnState {
-            k: spec.k,
             score_fn: spec.score_fn,
-            results: TopK::new(spec.k),
+            results: TopIds::new(spec.k, n),
             inputs: (0..n)
                 .map(|side| Input {
                     seen: SeenSide::new(spec.incident_edges(side).count()),
@@ -346,20 +407,20 @@ impl HrjnState {
             .map_or(0, |input| input.seen.by_edge.len())
     }
 
-    /// Everything an enumeration reads, split from what it writes.
-    fn parts(&mut self) -> (Joiner<'_>, &[Step], &mut [u32], &mut TopK) {
-        let joiner = Joiner {
-            inputs: &self.inputs,
-            score_fn: self.score_fn,
-            join_value_side: self.join_value_side,
-        };
-        (joiner, &self.walks, &mut self.chosen, &mut self.results)
+    /// Offers every complete assignment that takes tuple `id` of side
+    /// `root`: the join-tree walk rooted at `root`.
+    fn join(&mut self, root: usize, id: u32) {
+        let n = self.inputs.len();
+        self.chosen[root] = id;
+        let walk = &self.walks[root * (n - 1)..][..n - 1];
+        let (inputs, score_fn) = (&self.inputs, self.score_fn);
+        extend(inputs, score_fn, walk, &mut self.chosen, &mut self.results);
     }
 
     /// Feeds one tuple of `side` — base key, one join value per edge
     /// incident to the side (in [`JoinSpec::incident_edges`] order), score
     /// — by reference: nothing is copied except into the seen-tuple arenas
-    /// and, for a join match that enters the top-k, its result tuple.
+    /// and, for a join match that enters the top-k, its ids.
     /// A wrong side or join-value count is a typed error and leaves the
     /// state untouched. Panics in debug builds if scores go up — inputs
     /// must be score-descending.
@@ -402,27 +463,21 @@ impl HrjnState {
         // at its side (a side never joins itself, so having recorded the
         // tuple first changes nothing but lets the root be read like any
         // other side).
-        let (joiner, walks, chosen, results) = self.parts();
-        chosen[side] = id;
-        joiner.extend(&walks[side * (n - 1)..][..n - 1], chosen, results);
+        self.join(side, id);
         Ok(())
     }
 
-    /// Re-targets the operator to `new_k`, rebuilding the top-k buffer by
-    /// one join sweep rooted at side 0: every assignment among consumed
-    /// tuples is offered again, so results a shallower `k` had evicted
-    /// come back. The sweep's order is immaterial — [`TopK`] is a set
-    /// under the total [`JoinTuple::rank_cmp`] order — and consumed
+    /// Re-targets the operator to `new_k`, rebuilding the top-k buffer's
+    /// ids by one join sweep rooted at side 0: every assignment among
+    /// consumed tuples is offered again, so results a shallower `k` had
+    /// evicted come back. The sweep's order is immaterial — the buffer is
+    /// a set under the total [`JoinTuple::rank_cmp`] order — and consumed
     /// counts, bounds and exhaustion are untouched, so the operator is
     /// exactly what pushing the same tuples at `new_k` would have built.
     pub fn retarget(&mut self, new_k: usize) {
-        self.k = new_k;
-        self.results = TopK::new(new_k);
-        let n = self.inputs.len();
-        let (joiner, walks, chosen, results) = self.parts();
-        for id in 0..joiner.inputs[0].seen.len() as u32 {
-            chosen[0] = id;
-            joiner.extend(&walks[..n - 1], chosen, results);
+        self.results = TopIds::new(new_k, self.inputs.len());
+        for id in 0..self.inputs[0].seen.len() as u32 {
+            self.join(0, id);
         }
     }
 
@@ -504,12 +559,12 @@ impl HrjnState {
 
     /// Finishes, returning the rank-ordered results.
     pub fn into_results(self) -> Vec<JoinTuple> {
-        self.results.into_sorted_vec()
+        self.current_results()
     }
 
     /// Requested k.
     pub fn k(&self) -> usize {
-        self.k
+        self.results.k
     }
 
     // ------------------------------------------------------------------
@@ -554,12 +609,44 @@ impl HrjnState {
     /// seed another algorithm's top-k accumulator with (every one is a
     /// real join result of tuples already paid for).
     pub fn current_results(&self) -> Vec<JoinTuple> {
-        self.results().cloned().collect()
+        self.results(0..self.result_count())
     }
 
-    /// The buffered results in rank order, borrowed.
-    pub(crate) fn results(&self) -> impl Iterator<Item = &JoinTuple> {
-        self.results.iter()
+    /// The buffered results of ranks `ranks`, built.
+    pub(crate) fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+        ranks.map(|rank| self.result(rank)).collect()
+    }
+
+    /// How many buffered results score strictly above `threshold` (they
+    /// are buffered in rank order, so they are a prefix).
+    pub(crate) fn results_above(&self, threshold: f64) -> usize {
+        (0..self.result_count())
+            .take_while(|&rank| self.results.score(rank) > threshold)
+            .count()
+    }
+
+    /// The one [`JoinTuple`] builder: the buffered result of rank `rank`,
+    /// its keys and join value copied out of the seen-tuple arenas. Runs
+    /// only for a result leaving the operator.
+    fn result(&self, rank: usize) -> JoinTuple {
+        let id = |side: usize| self.results.id(rank, side);
+        let tuple = |side: usize| self.inputs[side].seen.tuple(id(side));
+        let n = self.inputs.len();
+        let (left, right) = (tuple(0), tuple(n - 1));
+        let join_value = self.inputs[self.join_value_side]
+            .seen
+            .join_value(id(self.join_value_side), 0);
+        JoinTuple {
+            left_key: left.0.to_vec(),
+            right_key: right.0.to_vec(),
+            join_value: join_value.to_vec(),
+            left_score: left.1,
+            right_score: right.1,
+            inner: (1..n - 1)
+                .map(|side| (tuple(side).0.to_vec(), tuple(side).1))
+                .collect(),
+            score: self.results.score(rank),
+        }
     }
 }
 
@@ -688,7 +775,7 @@ mod tests {
     /// Brute-force top-k of a two- or three-side *path* spec over the
     /// same in-memory inputs.
     fn brute_force_path(spec: &JoinSpec, s: &[Vec<InputTuple>]) -> Vec<JoinTuple> {
-        let mut top = TopK::new(spec.k);
+        let mut top = crate::result::TopK::new(spec.k);
         let mut offer = |tuples: &[&InputTuple]| {
             let (a, c) = (tuples[0], tuples[tuples.len() - 1]);
             let scores: Vec<f64> = tuples.iter().map(|t| t.2).collect();

@@ -47,8 +47,9 @@ impl JoinTuple {
 
 /// The fields [`JoinTuple::rank_cmp`] orders by, readable without owning
 /// them — what lets [`TopK::admits`] rank a join match while its keys
-/// still sit in the operators' seen-tuple stores, before any
-/// [`JoinTuple`] is built for it.
+/// still sit in BFHM's reverse-row cache or DRJN's seen stores, before
+/// any [`JoinTuple`] is built for it. (HRJN ranks matches without it: its
+/// top-k buffers seen-tuple ids, see [`crate::hrjn`].)
 pub trait RankKey {
     /// Aggregate score.
     fn score(&self) -> f64;
@@ -202,9 +203,10 @@ impl TopK {
 
     /// Whether [`TopK::offer`]ing a tuple with this rank key would change
     /// the retained set: it is not retained already and it ranks among the
-    /// best `k` (a tie with the k-th that sorts after it does not). Callers
-    /// test this on borrowed keys and build the owned [`JoinTuple`] only
-    /// for the matches that pass.
+    /// best `k` (a tie with the k-th that sorts after it does not). BFHM's
+    /// materialization and DRJN's pull join test this on borrowed keys
+    /// (`TopK::offer_match`) and build the owned [`JoinTuple`] only for
+    /// the matches that pass.
     pub fn admits(&self, candidate: &dyn RankKey) -> bool {
         let room = self.set.len() < self.k;
         let beats_last = self

@@ -1,8 +1,9 @@
 //! Property tests of the one HRJN operator: it equals brute force on
 //! arbitrary score-sorted inputs over two-side, 3-path and 3-star specs
-//! (modulo tie-sibling exchange at the k-th score); `TopK::admits`
-//! predicts `TopK::offer` exactly; re-targeting a 3-way operator equals
-//! having run it at the new `k` from the start.
+//! (modulo tie-sibling exchange at the k-th score); its top-k of
+//! seen-tuple ids is `TopK` to the bit, duplicate base keys included;
+//! `TopK::admits` predicts `TopK::offer` exactly; re-targeting a 3-way
+//! operator equals having run it at the new `k` from the start.
 
 use proptest::prelude::*;
 
@@ -111,6 +112,36 @@ fn push(state: &mut HrjnState, side: usize, t: &InputTuple) {
         .unwrap();
 }
 
+/// Every score function the operator folds with.
+fn score_fn() -> impl Strategy<Value = ScoreFn> {
+    (0usize..5).prop_map(|i| {
+        [
+            ScoreFn::Sum,
+            ScoreFn::Product,
+            ScoreFn::Min,
+            ScoreFn::Max,
+            ScoreFn::WeightedSum { wl: 0.25, wr: 2.0 },
+        ][i]
+    })
+}
+
+/// `sides` with one more copy of each tuple `dups` names (side, which) —
+/// the same base key, join values and score — kept score-descending. A
+/// side with a duplicate base key is how two different assignments come
+/// to rank equal, which the top-k must keep once.
+fn with_duplicates(mut sides: Vec<Vec<InputTuple>>, dups: &[(usize, u16)]) -> Vec<Vec<InputTuple>> {
+    for &(side, which) in dups {
+        let n = sides.len();
+        let list = &mut sides[side % n];
+        if !list.is_empty() {
+            let copy = list[usize::from(which) % list.len()].clone();
+            list.push(copy);
+            list.sort_by(|a, b| b.2.total_cmp(&a.2));
+        }
+    }
+    sides
+}
+
 proptest! {
     #[test]
     fn hrjn_equals_brute_force(
@@ -141,6 +172,63 @@ proptest! {
             } else {
                 prop_assert!(all.contains(g), "boundary tuple is not a join result: {:?}", g);
             }
+        }
+    }
+
+    /// The operator's top-k keeps seen-tuple ids and builds a `JoinTuple`
+    /// only when a result leaves; it must admit, deduplicate and evict
+    /// exactly as `TopK` does over built tuples. After every push of an
+    /// arbitrary interleaving, its results equal — exactly — `TopK` over
+    /// every join result among the tuples pushed so far, for every score
+    /// function, shape and `k` from 0 past the join size, with duplicate
+    /// base keys on a side. The early-terminating `run_hrjn` equals the
+    /// same brute force exactly wherever the top-k is one set (no tie
+    /// straddles the k-th score, or `k` reaches the join size).
+    #[test]
+    fn id_top_k_is_top_k_to_the_bit(
+        shape in shape(),
+        raw in prop::collection::vec(
+            prop::collection::vec((0u8..3, 0u8..3, 0u32..=8), 0..10),
+            3..=3,
+        ),
+        dups in prop::collection::vec((0usize..3, any::<u16>()), 0..6),
+        picks in prop::collection::vec(0usize..3, 0..90),
+        k in 0usize..48,
+        f in score_fn(),
+    ) {
+        let spec = spec_of(shape, k, f);
+        // Scores in eighths: ties at every rank, broken by keys.
+        let raw: Vec<Vec<Raw>> = raw
+            .into_iter()
+            .map(|side| side.into_iter().map(|(a, b, s)| (a, b, s * 125)).collect())
+            .collect();
+        let sides = with_duplicates(make_sides(&spec, &raw), &dups);
+        let n = spec.n();
+        let mut state = HrjnState::new(&spec);
+        let mut at = vec![0usize; n];
+        // The picked interleaving, then whatever it left, side by side.
+        let rest = (0..n).flat_map(|i| std::iter::repeat_n(i, sides[i].len()));
+        for i in picks.into_iter().map(|i| i % n).chain(rest) {
+            let Some(t) = sides[i].get(at[i]) else { continue };
+            push(&mut state, i, t);
+            at[i] += 1;
+            let pushed: Vec<Vec<InputTuple>> =
+                (0..n).map(|j| sides[j][..at[j]].to_vec()).collect();
+            prop_assert_eq!(state.current_results(), brute_force(&spec, &pushed));
+        }
+        prop_assert_eq!(state.result_count(), state.current_results().len());
+
+        let want = brute_force(&spec, &sides);
+        let all = brute_force(&spec.with_k(usize::MAX / 2), &sides);
+        prop_assert_eq!(state.into_results(), want.clone());
+        let got = run_hrjn(&spec, &sides).unwrap();
+        let unique = k == 0 || all.len() <= k || all[k - 1].score > all[k].score;
+        if unique {
+            prop_assert_eq!(got, want);
+        } else {
+            let scores = |v: &[JoinTuple]| v.iter().map(|t| t.score).collect::<Vec<_>>();
+            prop_assert_eq!(scores(&got), scores(&want));
+            prop_assert!(got.iter().all(|g| all.contains(g)));
         }
     }
 

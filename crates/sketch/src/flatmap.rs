@@ -5,27 +5,23 @@
 //! built on `HashMap<Vec<u8>, Vec<V>>`: every key a separate heap
 //! allocation, every value group another, and SipHash on top. This module
 //! replaces that with the layout of SNIPPETS.md's cluster map (and of
-//! classic open-addressing literature): **one contiguous allocation per
-//! column**, an open-addressed slot table using the Knuth multiplicative
-//! hash, keys interned into a shared byte arena, and values in one flat
-//! array grouped per key.
+//! classic open-addressing literature): an open-addressed slot table using
+//! the Knuth multiplicative hash, keys interned back to back into one byte
+//! arena, **one 16-byte entry per key** (its folded digest, where its key
+//! ends, its group's head and tail), and values in one flat array, each
+//! group a linked list threaded through it (`next` indices) in insertion
+//! order.
 //!
-//! Two construction regimes share the same probe and iteration code:
-//!
-//! * **incremental** ([`FlatMultiMap::push`]) — value groups are linked
-//!   lists threaded through the flat value array (`next` indices), append
-//!   order preserved. This is what a streaming consumer like HRJN needs.
-//! * **two-pass** ([`FlatMultiMap::from_pairs`]) — count group sizes,
-//!   prefix-sum them into offsets, then place every value into its final
-//!   position: each group ends up *contiguous* in the value array (the
-//!   `next` links simply point one step right), so bulk probes walk
-//!   sequential memory.
+//! A value's position in the flat array is the number of values pushed
+//! before it. A caller that pushes one value per record, in record order,
+//! can therefore read a group's positions ([`FlatMultiMap::positions`]) as
+//! record ids and store `V = ()`, a column that costs nothing — HRJN's and
+//! DRJN's seen sides and BFHM's reverse-row cache do.
 //!
 //! Determinism: hashing is [`crate::hash::hash_bytes`] (stable across
-//! platforms and releases) finished with Knuth's multiplicative constant;
-//! iteration order of a group is insertion order; [`FlatMultiMap::values`]
-//! exposes the backing array directly so whole-map sweeps (histograms,
-//! spills) are a linear scan.
+//! platforms and releases) folded to 32 bits and finished with Knuth's
+//! multiplicative constant; iteration order of a group is insertion order.
+//! An empty map allocates nothing.
 
 use crate::hash::hash_bytes;
 
@@ -48,27 +44,42 @@ fn idx32(n: usize, what: &str) -> u32 {
     n as u32
 }
 
+/// The stable 64-bit digest of `key`, folded to the 32 bits slot
+/// placement reads.
+fn digest(key: &[u8]) -> u32 {
+    let hash = hash_bytes(SEED, key);
+    (hash ^ (hash >> 32)) as u32
+}
+
+/// One interned key: all a probe, a growth or a group walk reads of it.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// The key's folded digest: growth re-places entries without
+    /// re-hashing keys, and a probe compares key bytes only on a match.
+    digest: u32,
+    /// End of the key in the arena (it starts where the previous entry's
+    /// key ends).
+    key_end: u32,
+    /// First and last value position of the group, [`NIL`] when empty.
+    head: u32,
+    tail: u32,
+}
+
 /// A multimap `[u8] → group of V` in flat storage. See the module docs.
 ///
-/// `V` is expected to be small and `Copy` (indices, packed ids, scores);
-/// groups preserve insertion order.
+/// `V` is expected to be small and `Copy` (indices, packed ids, scores —
+/// or `()` when the position is the id); groups preserve insertion order.
 #[derive(Clone, Debug)]
 pub struct FlatMultiMap<V> {
     /// Open-addressed table: slot → entry index, [`NIL`] when empty.
-    /// Length is a power of two, load factor kept ≤ 1/2.
+    /// Empty until the first key, then a power of two at ≤ 1/2 load.
     slots: Vec<u32>,
     /// `32 - log2(slots.len())`: the Knuth multiplicative shift.
     shift: u32,
-    /// Per-entry cached digest (avoids re-hashing keys on growth and
-    /// short-circuits probe comparisons).
-    hashes: Vec<u64>,
-    /// Per-entry key span: `key_offsets[e]..key_offsets[e+1]` in the arena.
-    key_offsets: Vec<u32>,
+    /// Per key, in interning order (entry ids are dense).
+    entries: Vec<Entry>,
     /// All keys, back to back.
     key_arena: Vec<u8>,
-    /// Per-entry first/last value index into `values`, [`NIL`] when empty.
-    heads: Vec<u32>,
-    tails: Vec<u32>,
     /// All values, in one flat array.
     values: Vec<V>,
     /// Successor of `values[i]` within its group, [`NIL`] at group end.
@@ -82,32 +93,21 @@ impl<V> Default for FlatMultiMap<V> {
 }
 
 impl<V> FlatMultiMap<V> {
-    /// An empty map.
+    /// An empty map; it allocates nothing until the first key.
     pub fn new() -> Self {
-        Self::with_capacity(0, 0)
-    }
-
-    /// An empty map pre-sized for `keys` distinct keys and `values` total
-    /// values.
-    pub fn with_capacity(keys: usize, values: usize) -> Self {
-        // Smallest power of two holding `keys` at ≤ 1/2 load, minimum 8.
-        let table = (keys.max(1) * 2).next_power_of_two().max(8);
         FlatMultiMap {
-            slots: vec![NIL; table],
-            shift: 32 - table.trailing_zeros(),
-            hashes: Vec::with_capacity(keys),
-            key_offsets: vec![0],
+            slots: Vec::new(),
+            shift: 32,
+            entries: Vec::new(),
             key_arena: Vec::new(),
-            heads: Vec::with_capacity(keys),
-            tails: Vec::with_capacity(keys),
-            values: Vec::with_capacity(values),
-            next: Vec::with_capacity(values),
+            values: Vec::new(),
+            next: Vec::new(),
         }
     }
 
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
-        self.heads.len()
+        self.entries.len()
     }
 
     /// Total number of values across all groups.
@@ -120,66 +120,59 @@ impl<V> FlatMultiMap<V> {
         self.values.is_empty()
     }
 
-    /// The flat value array, all groups back to back (grouped contiguously
-    /// after [`FlatMultiMap::from_pairs`], insertion-interleaved under
-    /// incremental construction). Whole-map sweeps should scan this.
-    pub fn values(&self) -> &[V] {
-        &self.values
-    }
-
-    /// The key bytes of entry `e`.
-    fn key_of(&self, e: usize) -> &[u8] {
-        let lo = self.key_offsets[e] as usize;
-        let hi = self.key_offsets[e + 1] as usize;
-        &self.key_arena[lo..hi]
-    }
-
-    /// The key of entry id `entry` (ids are dense: `0..num_keys()`), so a
-    /// whole-map sweep can pair every key with its [`FlatMultiMap::group`].
+    /// The key of entry id `entry` (ids are dense: `0..num_keys()`, in
+    /// interning order).
     pub fn key(&self, entry: u32) -> &[u8] {
-        self.key_of(entry as usize)
+        let e = entry as usize;
+        let start = match e {
+            0 => 0,
+            _ => self.entries[e - 1].key_end as usize,
+        };
+        &self.key_arena[start..self.entries[e].key_end as usize]
     }
 
     /// Knuth multiplicative slot for a digest in a table of `1 << (32 -
     /// shift)` slots.
     #[inline]
-    fn slot_for(hash: u64, shift: u32) -> usize {
-        // Fold the stable 64-bit digest to 32 bits, then Knuth-multiply;
-        // the top bits index the table.
-        let h32 = (hash ^ (hash >> 32)) as u32;
-        (h32.wrapping_mul(KNUTH) >> shift) as usize
+    fn slot_for(digest: u32, shift: u32) -> usize {
+        (digest.wrapping_mul(KNUTH) >> shift) as usize
     }
 
     /// Finds the entry for `key`, if present.
-    fn find(&self, hash: u64, key: &[u8]) -> Option<usize> {
+    fn find(&self, digest: u32, key: &[u8]) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
         let mask = self.slots.len() - 1;
-        let mut slot = Self::slot_for(hash, self.shift);
+        let mut slot = Self::slot_for(digest, self.shift);
         loop {
             match self.slots[slot] {
                 NIL => return None,
-                e => {
-                    let e = e as usize;
-                    if self.hashes[e] == hash && self.key_of(e) == key {
-                        return Some(e);
-                    }
+                e if self.entries[e as usize].digest == digest && self.key(e) == key => {
+                    return Some(e)
                 }
+                _ => slot = (slot + 1) & mask, // linear probe
             }
-            slot = (slot + 1) & mask; // linear probe
         }
     }
 
+    /// Puts entry `e` into the first free slot of its probe sequence.
+    fn place(&mut self, digest: u32, e: u32) {
+        let mask = self.slots.len() - 1;
+        let mut slot = Self::slot_for(digest, self.shift);
+        while self.slots[slot] != NIL {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = e;
+    }
+
     /// Re-places every entry in a slot table of `table` slots (a power of
-    /// two; keys are *not* re-hashed — digests are cached).
+    /// two; keys are *not* re-hashed — digests are kept).
     fn rebuild_slots(&mut self, table: usize) {
         self.shift = 32 - table.trailing_zeros();
         self.slots = vec![NIL; table];
-        let mask = table - 1;
-        for (e, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = Self::slot_for(hash, self.shift);
-            while self.slots[slot] != NIL {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = e as u32;
+        for e in 0..self.entries.len() {
+            self.place(self.entries[e].digest, e as u32);
         }
     }
 
@@ -187,14 +180,12 @@ impl<V> FlatMultiMap<V> {
     /// and `values` more values: each column grows at most once now and
     /// not again while the room lasts.
     pub fn reserve(&mut self, keys: usize, key_bytes: usize, values: usize) {
-        self.hashes.reserve(keys);
-        self.key_offsets.reserve(keys);
+        self.entries.reserve(keys);
         self.key_arena.reserve(key_bytes);
-        self.heads.reserve(keys);
-        self.tails.reserve(keys);
         self.values.reserve(values);
         self.next.reserve(values);
-        let table = ((self.heads.len() + keys) * 2).next_power_of_two();
+        // ≤ 1/2 load keeps probe chains short; the first table has 8 slots.
+        let table = ((self.entries.len() + keys) * 2).next_power_of_two().max(8);
         if table > self.slots.len() {
             self.rebuild_slots(table);
         }
@@ -203,50 +194,44 @@ impl<V> FlatMultiMap<V> {
     /// The entry index for `key`, interning it if new. Stable for the
     /// map's lifetime — callers may use it as a dense key id.
     pub fn ensure(&mut self, key: &[u8]) -> u32 {
-        let hash = hash_bytes(SEED, key);
-        if let Some(e) = self.find(hash, key) {
-            return e as u32;
+        let digest = digest(key);
+        if let Some(e) = self.find(digest, key) {
+            return e;
         }
-        // ≤ 1/2 load *before* insertion keeps probe chains short.
-        if (self.heads.len() + 1) * 2 > self.slots.len() {
-            self.rebuild_slots(self.slots.len() * 2);
-        }
-        let e = idx32(self.heads.len(), "entry count");
-        self.hashes.push(hash);
+        // Room *before* insertion, growing as pushes would.
+        self.reserve(1, key.len(), 0);
+        let e = idx32(self.entries.len(), "entry count");
         self.key_arena.extend_from_slice(key);
-        self.key_offsets
-            .push(idx32(self.key_arena.len(), "key arena size"));
-        self.heads.push(NIL);
-        self.tails.push(NIL);
-        let mask = self.slots.len() - 1;
-        let mut slot = Self::slot_for(hash, self.shift);
-        while self.slots[slot] != NIL {
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = e;
+        self.entries.push(Entry {
+            digest,
+            key_end: idx32(self.key_arena.len(), "key arena size"),
+            head: NIL,
+            tail: NIL,
+        });
+        self.place(digest, e);
         e
     }
 
     /// Appends `value` to `key`'s group (interning the key if new) and
-    /// returns the value's index in the flat array.
+    /// returns the value's position in the flat array.
     pub fn push(&mut self, key: &[u8], value: V) -> u32 {
         let e = self.ensure(key);
         self.push_to_entry(e, value)
     }
 
     /// Appends `value` to the group of an entry id previously returned by
-    /// [`FlatMultiMap::ensure`] / [`FlatMultiMap::push`].
+    /// [`FlatMultiMap::ensure`] and returns the value's position in the
+    /// flat array: the number of values pushed before it.
     pub fn push_to_entry(&mut self, entry: u32, value: V) -> u32 {
-        let e = entry as usize;
         let v = idx32(self.values.len(), "value count");
         self.values.push(value);
         self.next.push(NIL);
-        if self.tails[e] == NIL {
-            self.heads[e] = v;
-        } else {
-            self.next[self.tails[e] as usize] = v;
+        let group = &mut self.entries[entry as usize];
+        match group.tail {
+            NIL => group.head = v,
+            tail => self.next[tail as usize] = v,
         }
-        self.tails[e] = v;
+        group.tail = v;
         v
     }
 
@@ -254,138 +239,61 @@ impl<V> FlatMultiMap<V> {
     /// empty, which is how a cache distinguishes "fetched, no tuples"
     /// from "never fetched".
     pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.find(hash_bytes(SEED, key), key).is_some()
+        self.find(digest(key), key).is_some()
+    }
+
+    /// The flat-array positions of `key`'s group, in insertion order
+    /// (empty if absent).
+    pub fn positions<'a>(&'a self, key: &[u8]) -> Positions<'a> {
+        let at = self
+            .find(digest(key), key)
+            .map_or(NIL, |e| self.entries[e as usize].head);
+        Positions {
+            next: &self.next,
+            at,
+        }
     }
 
     /// Iterates `key`'s group in insertion order (empty if absent).
     pub fn get<'a>(&'a self, key: &[u8]) -> GroupIter<'a, V> {
-        let head = self
-            .find(hash_bytes(SEED, key), key)
-            .map_or(NIL, |e| self.heads[e]);
         GroupIter {
-            map: self,
-            at: head,
-        }
-    }
-
-    /// Iterates the group of entry id `entry` in insertion order.
-    pub fn group(&self, entry: u32) -> GroupIter<'_, V> {
-        GroupIter {
-            map: self,
-            at: self.heads[entry as usize],
+            values: &self.values,
+            positions: self.positions(key),
         }
     }
 }
 
-impl<V: Copy> FlatMultiMap<V> {
-    /// Builds the map in two passes from `(key, value)` pairs, following
-    /// SNIPPETS.md's cluster-map recipe: first count each key's group
-    /// size, prefix-sum the counts into placement offsets, then write
-    /// every value into its final position — each group lands
-    /// **contiguous** in the value array (in pair order), so probes walk
-    /// sequential memory.
-    ///
-    /// `pairs` is cloned and consumed **three times** (count, placeholder
-    /// fill, placement), so every clone must yield the same sequence — as
-    /// any pure iterator over stored data does. An impure iterator (side
-    /// effects, interior mutability) whose passes disagree would corrupt
-    /// the map silently, so the passes are cross-checked: any divergence
-    /// in item count or per-group size panics.
-    pub fn from_pairs<'a, I>(pairs: I) -> Self
-    where
-        I: Iterator<Item = (&'a [u8], V)> + Clone,
-        V: 'a,
-    {
-        // Pass 1: intern keys and count group sizes.
-        let mut map = Self::new();
-        let mut counts: Vec<u32> = Vec::new();
-        let mut total = 0usize;
-        for (key, _) in pairs.clone() {
-            let e = map.ensure(key) as usize;
-            if e == counts.len() {
-                counts.push(0);
-            }
-            counts[e] += 1;
-            total += 1;
+/// Iterator over the flat-array positions of one key's group, in
+/// insertion order.
+pub struct Positions<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for Positions<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let at = self.at;
+        if at == NIL {
+            return None;
         }
-        let total = idx32(total, "value count");
-        // Prefix-sum: counts[e] becomes the group's next write cursor.
-        let mut acc = 0u32;
-        let mut starts = vec![0u32; counts.len()];
-        for (e, c) in counts.iter_mut().enumerate() {
-            starts[e] = acc;
-            let n = *c;
-            *c = acc;
-            acc += n;
-        }
-        // Pass 2: place values; groups are contiguous, links point right.
-        let nil_v = NIL;
-        map.values.reserve_exact(total as usize);
-        // SAFETY-free placement: pre-fill then overwrite via cursors.
-        map.values.extend(pairs.clone().map(|(_, v)| v)); // placeholder fill
-        assert_eq!(
-            map.values.len(),
-            total as usize,
-            "from_pairs: placeholder pass disagrees with the count pass"
-        );
-        map.next = vec![nil_v; total as usize];
-        let mut placed = 0usize;
-        for (key, value) in pairs {
-            let e = map.ensure(key) as usize; // already interned: lookup only
-            assert!(
-                e < counts.len(),
-                "from_pairs: placement pass yielded a key absent from the count pass"
-            );
-            let at = counts[e];
-            counts[e] += 1;
-            map.values[at as usize] = value;
-            placed += 1;
-        }
-        assert_eq!(
-            placed, total as usize,
-            "from_pairs: placement pass disagrees with the count pass"
-        );
-        for (e, &start) in starts.iter().enumerate() {
-            let end = counts[e]; // one past the group's last element
-                                 // Each cursor must land exactly on its group's end (the next
-                                 // group's start) — anything else means the clone passes
-                                 // yielded different key sequences.
-            let expected_end = starts.get(e + 1).copied().unwrap_or(total);
-            assert_eq!(
-                end, expected_end,
-                "from_pairs: group {e} placement cursor off its group end"
-            );
-            if end == start {
-                map.heads[e] = NIL;
-                map.tails[e] = NIL;
-                continue;
-            }
-            map.heads[e] = start;
-            map.tails[e] = end - 1;
-            for v in start..end - 1 {
-                map.next[v as usize] = v + 1;
-            }
-        }
-        map
+        self.at = self.next[at as usize];
+        Some(at)
     }
 }
 
 /// Iterator over one key's value group, in insertion order.
 pub struct GroupIter<'a, V> {
-    map: &'a FlatMultiMap<V>,
-    at: u32,
+    values: &'a [V],
+    positions: Positions<'a>,
 }
 
 impl<'a, V> Iterator for GroupIter<'a, V> {
     type Item = &'a V;
 
     fn next(&mut self) -> Option<&'a V> {
-        if self.at == NIL {
-            return None;
-        }
-        let v = &self.map.values[self.at as usize];
-        self.at = self.map.next[self.at as usize];
-        Some(v)
+        self.positions.next().map(|at| &self.values[at as usize])
     }
 }
 
@@ -400,6 +308,32 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.num_keys(), 0);
         assert_eq!(m.get(b"anything").count(), 0);
+        assert_eq!(m.positions(b"anything").count(), 0);
+        assert!(!m.contains_key(b""));
+    }
+
+    #[test]
+    fn an_empty_map_allocates_nothing() {
+        let m: FlatMultiMap<u32> = FlatMultiMap::new();
+        let capacities = [
+            m.slots.capacity(),
+            m.entries.capacity(),
+            m.key_arena.capacity(),
+            m.values.capacity(),
+            m.next.capacity(),
+        ];
+        assert_eq!(capacities, [0; 5]);
+        // A reservation for nothing still yields a table a probe can use.
+        let mut m: FlatMultiMap<u32> = FlatMultiMap::new();
+        m.reserve(0, 0, 0);
+        assert_eq!(m.slots.len(), 8);
+        m.push(b"k", 1);
+        assert_eq!(m.get(b"k").copied().collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn an_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
     }
 
     #[test]
@@ -415,6 +349,27 @@ mod tests {
         assert_eq!(m.get(b"c").count(), 0);
         assert_eq!(m.len(), 5);
         assert_eq!(m.num_keys(), 2);
+    }
+
+    /// Pushing `0..n` in order makes every value its own position, so a
+    /// group's positions are its values — what lets a caller store `()`.
+    #[test]
+    fn positions_are_get_order_for_identity_pushes() {
+        let mut m = FlatMultiMap::new();
+        let mut ids: FlatMultiMap<()> = FlatMultiMap::new();
+        let key = |i: u32| format!("k{}", (i * 7) % 23).into_bytes();
+        for i in 0..500u32 {
+            assert_eq!(m.push(&key(i), i), i);
+            assert_eq!(ids.push(&key(i), ()), i);
+        }
+        for g in 0..23u32 {
+            let want: Vec<u32> = m.get(&key(g)).copied().collect();
+            assert!(!want.is_empty());
+            assert_eq!(m.positions(&key(g)).collect::<Vec<_>>(), want);
+            assert_eq!(ids.positions(&key(g)).collect::<Vec<_>>(), want);
+        }
+        assert_eq!(ids.len(), 500);
+        assert_eq!(ids.positions(b"absent").count(), 0);
     }
 
     #[test]
@@ -437,6 +392,8 @@ mod tests {
         }
         assert_eq!(m.ensure(b"a"), 0, "growth must not move entries");
         assert_eq!(m.ensure(b"b"), 1);
+        assert_eq!(m.key(0), b"a");
+        assert_eq!(m.key(101), b"k101");
     }
 
     #[test]
@@ -467,40 +424,6 @@ mod tests {
         assert_eq!(m.get(b"").copied().collect::<Vec<_>>(), vec![0]);
         assert_eq!(m.get(b"\0").copied().collect::<Vec<_>>(), vec![1]);
         assert_eq!(m.get(b"\0\0").copied().collect::<Vec<_>>(), vec![2]);
-    }
-
-    #[test]
-    fn from_pairs_matches_incremental_and_is_contiguous() {
-        let pairs: Vec<(Vec<u8>, u32)> = (0..300u32)
-            .map(|i| (format!("k{}", i % 37).into_bytes(), i))
-            .collect();
-        let two_pass = FlatMultiMap::from_pairs(pairs.iter().map(|(k, v)| (k.as_slice(), *v)));
-        let mut incremental = FlatMultiMap::new();
-        for (k, v) in &pairs {
-            incremental.push(k, *v);
-        }
-        for g in 0..37u32 {
-            let key = format!("k{g}").into_bytes();
-            let a: Vec<u32> = two_pass.get(&key).copied().collect();
-            let b: Vec<u32> = incremental.get(&key).copied().collect();
-            assert_eq!(a, b, "group {g} differs between construction modes");
-        }
-        // Contiguity: in the two-pass map, each group occupies one dense
-        // run of the flat value array, so group values appear in a single
-        // ascending index run. Verify via the values() layout: group k0 is
-        // values[0..len0], k1 follows, etc.
-        let mut offset = 0usize;
-        for g in 0..37u32 {
-            let key = format!("k{g}").into_bytes();
-            let group: Vec<u32> = two_pass.get(&key).copied().collect();
-            assert_eq!(
-                &two_pass.values()[offset..offset + group.len()],
-                group.as_slice(),
-                "group {g} not contiguous at offset {offset}"
-            );
-            offset += group.len();
-        }
-        assert_eq!(offset, two_pass.len());
     }
 
     #[test]

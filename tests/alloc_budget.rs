@@ -3,9 +3,10 @@
 //!
 //! The path is meant to copy nothing per tuple: a row the scan lends out
 //! costs nothing (its batch is refilled in place), a row it merely walks
-//! over costs nothing, a join match is materialised only when it enters
-//! the top-k, and a paused cursor carries its operator state instead of
-//! rebuilding it. What remains is per RPC and per admitted result. These
+//! over costs nothing, the top-k buffers a join match as seen-tuple ids
+//! (admitting and evicting reuse its slots) and builds a result only when
+//! it leaves the operator, and a paused cursor carries its operator state
+//! instead of rebuilding it. What remains is per RPC and per result. These
 //! tests pin that with a counting allocator, on a tiny TPC-H load. Counts
 //! are per thread, so the other tests of this binary running beside a
 //! measured region do not disturb it (every such call runs on the calling
@@ -61,7 +62,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static ALONE: RwLock<()> = RwLock::new(());
 
 const ISL_BATCH: usize = 64;
-/// One-shot BFHM on Q2 at k = 10: 118 allocations for 37 KV reads (504
+/// One-shot BFHM on Q2 at k = 10: 109 allocations for 37 KV reads (504
 /// when a blob decoded into a B-tree and a bitmap and every get built an
 /// owned row).
 const BFHM_ALLOCS_PER_1000_READS: u64 = 3_300;
@@ -209,11 +210,65 @@ fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
             total_reads += reads;
         }
     }
-    // Measured: 5 429 allocations for 14 059 KV reads (0.39 a read; 0.90
-    // at worst, Q1 at k = 200, where the 200 admitted results dominate).
+    // Measured: 2 841 allocations for 14 059 KV reads (0.20 a read; 0.38
+    // at worst, Q1 at k = 200, where building the 200 results dominates:
+    // 809, against 1 872 when every admitted match was copied into the
+    // top-k and 5 429 in all).
     assert!(
-        total_allocs * 100 <= total_reads * 40,
+        total_allocs * 100 <= total_reads * 25,
         "{total_allocs} allocations for {total_reads} KV reads"
+    );
+}
+
+/// A binary HRJN at `k` (min of the two scores) fed 40 right tuples, then
+/// 40 left ones, all on one join value and each side at one score, so
+/// every match ties and ranks by its keys alone. With `descending_keys`
+/// each side arrives in descending key order, which makes every match
+/// outrank all the ones before it; otherwise every match after the first
+/// `k` ranks below them. Returns the results and the pushes' allocations.
+fn hrjn_over_ties(k: usize, descending_keys: bool) -> (Vec<rankjoin::JoinTuple>, u64) {
+    use rankjoin::core::hrjn::HrjnState;
+    let spec = JoinSpec::path(
+        vec![side("l", "L", b"j"), side("r", "R", b"j")],
+        k,
+        ScoreFn::Min,
+    )
+    .unwrap();
+    let key = |prefix: &str, i: u32| {
+        let i = if descending_keys { 39 - i } else { i };
+        format!("{prefix}{i:02}").into_bytes()
+    };
+    let inputs: Vec<(usize, Vec<u8>, f64)> = (0..40)
+        .map(|i| (1, key("r", i), 0.5))
+        .chain((0..40).map(|i| (0, key("l", i), 1.0)))
+        .collect();
+    let mut state = HrjnState::new(&spec);
+    let ((), allocs) = counted(|| {
+        for (side, key, score) in &inputs {
+            state
+                .push_borrowed(*side, key, [&b"x"[..]], *score)
+                .unwrap();
+        }
+    });
+    (state.into_results(), allocs)
+}
+
+#[test]
+fn top_k_churn_allocates_nothing_beyond_the_final_k() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let k = 10;
+    // The same tuples, arenas and final answer; the top-k admits only its
+    // final ten matches in one run, and all 1 600 (evicting 1 590) in the
+    // other.
+    let (calm, calm_allocs) = hrjn_over_ties(k, false);
+    let (churn, churn_allocs) = hrjn_over_ties(k, true);
+    assert_eq!(churn, calm);
+    assert_eq!(churn.len(), k);
+    // Measured: 55 each. When an admission built a `JoinTuple`, the churn
+    // cost three allocations an admission.
+    assert!(
+        churn_allocs <= calm_allocs,
+        "churning top-k: {churn_allocs} allocations, calm one: {calm_allocs}"
     );
 }
 
@@ -255,7 +310,7 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     // What the deeper run may pay for: three keys per extra admitted
     // result, a few more estimates (a position vector each) and blobs (two
     // arrays each), and regrowth of the cache's columns — not the gets.
-    // Measured: 118 and 311 allocations, 33 and 171 gets; at seven
+    // Measured: 109 and 298 allocations, 33 and 171 gets; at seven
     // allocations a get the difference alone was 966.
     let budget = 3 * 40 + 100;
     assert!(
@@ -447,9 +502,10 @@ fn paged_session_costs_one_shot_plus_its_pages() {
         )
     });
     assert_eq!(paged, one_shot.results);
-    // Per page: the page vector, a clone of each emitted result (three
-    // keys apiece), and the pause/resume boxes.
-    let per_page = 16 + 4 * page as u64;
+    // Both build each result once, as it leaves the operator; per page
+    // the paged session adds the page vector and the pause/resume boxes.
+    // Measured: 821 against 883 over 20 pages.
+    let per_page = 16;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
         "paged {paged_allocs} vs one-shot {one_shot_allocs} over {pages} pages"
@@ -470,18 +526,14 @@ fn three_way_paged_session_costs_one_shot_plus_its_pages() {
         )
     });
     assert_eq!(paged, one_shot.results);
-    // Per page as above, a 3-way result cloning two more allocations
-    // (its interior side's vector and key).
-    let per_page = 16 + 6 * page as u64;
+    // As for the binary join: a result is built once either way, when it
+    // leaves the operator. Measured: 1 378 against 1 442 over 20 pages
+    // (2 838 against 3 902 when the operator buffered built tuples, the
+    // one-shot moved them out and every page cloned its own).
+    let per_page = 16;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
         "paged {paged_allocs} vs one-shot {one_shot_allocs} over {pages} pages"
-    );
-    // The one-shot moves its results out of the operator, so those clones
-    // are the paged session's alone. Measured: 2 838 against 3 902.
-    assert!(
-        one_shot_allocs + 4 * k as u64 <= paged_allocs,
-        "one-shot {one_shot_allocs} vs paged {paged_allocs}: the one-shot cloned its results"
     );
 }
 
@@ -517,9 +569,10 @@ fn served_page_cost_does_not_depend_on_pages_before_it() {
     }
     assert_eq!(per_page.len(), 9, "pages 2 to 10");
     // Page 9 holds 80 earlier rows where page 2 held 10; what may differ
-    // is one regrowth of the row vector. Measured: 91, 70, 60, 48, 41, 47,
-    // 47, 39, 36 (how many RPCs a page needs varies); when each page
-    // copied its predecessors and the parked cursor, 488 rising to 680.
+    // is one regrowth of the row vector. Measured: 34, 34, 33, 34, 33, 37,
+    // 33, 34, 34 (88 falling to 34 while the operator buffered built
+    // tuples); when each page copied its predecessors and the parked
+    // cursor, 488 rising to 680.
     let (second, ninth) = (per_page[0], per_page[7]);
     assert!(
         ninth <= second + 4,
