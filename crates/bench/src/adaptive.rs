@@ -245,9 +245,9 @@ pub fn plant_lie(ex: &RankJoinExecutor, query: &RankJoinQuery, fakes: usize) {
         let join = format!("hot{}", f % 4).into_bytes();
         for side in [&query.left, &query.right] {
             handle.apply_delta(&StatsDelta {
-                table: side.table.clone(),
-                join_col: side.join_col.clone(),
-                score_col: side.score_col.clone(),
+                table: &side.table,
+                join_col: &side.join_col,
+                score_col: &side.score_col,
                 op: DeltaOp::Insert,
                 join_fingerprint: join_fingerprint(&join),
                 score: 0.97,

@@ -18,10 +18,10 @@
 //!
 //! 1. **Observe.** Every ISL batch descends each score list; after `d`
 //!    pulled tuples a side sits at its lowest-seen score `s̄`. The plan's
-//!    [`DescentModel`] predicts that score from the histograms the plan
-//!    was priced on. The absolute gap is the *divergence* — in the
-//!    normalized `[0,1]` score domain, so one bound works for every
-//!    query.
+//!    [`DescentModel`](crate::planner::DescentModel) predicts that score
+//!    from the histograms the plan was priced on. The absolute gap is the
+//!    *divergence* — in the normalized `[0,1]` score domain, so one bound
+//!    works for every query.
 //! 2. **Abort.** When the divergence crosses the executor's trust bound
 //!    (`replan_divergence`, the runtime sibling of the staleness bound),
 //!    the descent stops at a batch boundary: the tuples already fetched
@@ -39,8 +39,8 @@
 //!    algorithm that just proved mispriced is not a switch) and runs the
 //!    new winner. The aborted prefix is not wasted twice: its buffered
 //!    join results are genuine, so a switch to BFHM seeds the top-k
-//!    accumulator with them ([`crate::bfhm::run_seeded`]), which can only
-//!    tighten BFHM's termination bound. All reads — wasted prefix,
+//!    accumulator with them, which can only tighten BFHM's termination
+//!    bound. All reads — wasted prefix,
 //!    re-plan, switched run — are charged to one [`QueryOutcome`](crate::stats::QueryOutcome), so the
 //!    measured cost of adapting stays honest.
 //!
@@ -49,10 +49,12 @@
 //! test needs the plan's descent model, and a caller who asked for
 //! `Algorithm::Isl` by name asked for ISL, not for a planner.
 
+use std::sync::Arc;
+
 use crate::executor::Algorithm;
 use crate::hrjn::HrjnState;
 use crate::isl::BatchVerdict;
-use crate::planner::{DescentModel, Plan, STAT_BUCKETS};
+use crate::planner::{Plan, STAT_BUCKETS};
 use crate::statsmaint::ObservedDescent;
 
 /// Default trust bound on observed-vs-predicted score divergence before
@@ -71,11 +73,11 @@ pub const DEFAULT_REPLAN_DIVERGENCE: f64 = 0.2;
 const MIN_OBSERVED_TUPLES: usize = 4;
 
 /// The per-batch divergence judge an adaptive ISL execution runs with.
-/// Owns a snapshot of the plan's descent model, so it can also live
-/// inside the long-lived observer hook of an executor-opened Auto cursor
-/// (which outlives the plan borrow).
+/// Shares the (immutable, cached) plan whose descent model it judges
+/// against, so it can also live inside the long-lived observer hook of an
+/// executor-opened Auto cursor without copying the model's histograms.
 pub(crate) struct DivergenceObserver {
-    model: DescentModel,
+    plan: Arc<Plan>,
     bound: f64,
     /// Fault-injection hook: abort unconditionally once this many batches
     /// ran (regardless of divergence). Drives the any-switch-point
@@ -86,9 +88,9 @@ pub(crate) struct DivergenceObserver {
 
 impl DivergenceObserver {
     /// A judge against `plan`'s descent model with the executor's bound.
-    pub(crate) fn new(plan: &Plan, bound: f64, force_after: Option<u64>) -> Self {
+    pub(crate) fn new(plan: &Arc<Plan>, bound: f64, force_after: Option<u64>) -> Self {
         DivergenceObserver {
-            model: plan.descent.clone(),
+            plan: plan.clone(),
             // NaN bounds read as "never trust" would abort every query;
             // the conservative reading for a *divergence* bound is the
             // opposite of the staleness bound's: garbage in, adaptivity
@@ -115,7 +117,10 @@ impl DivergenceObserver {
             let Some((_, low)) = state.side_bounds(side) else {
                 continue;
             };
-            let predicted = self.model.expected_score_at_depth(side, depth as u64);
+            let predicted = self
+                .plan
+                .descent
+                .expected_score_at_depth(side, depth as u64);
             self.max_divergence = self.max_divergence.max((low - predicted).abs());
         }
         if self.force_after.is_some_and(|n| batches >= n) || self.max_divergence > self.bound {
@@ -165,10 +170,10 @@ mod tests {
     use crate::testsupport::running_example_cluster;
     use rj_store::costmodel::CostModel;
 
-    fn example_plan() -> Plan {
+    fn example_plan() -> Arc<Plan> {
         let (c, q) = running_example_cluster();
         let stats = planner::collect_stats(&c, &q).unwrap();
-        planner::plan(
+        Arc::new(planner::plan(
             &stats,
             &q,
             3,
@@ -176,13 +181,14 @@ mod tests {
             Objective::Time,
             &Candidates::all(),
             rj_store::parallel::ExecutionMode::Serial,
-        )
+        ))
     }
 
     fn fresh_state() -> HrjnState {
         let side = |l: &str| crate::query::JoinSide::new(l, l, ("d", b"jk"), ("d", b"score"));
         let sides = vec![side("L"), side("R")];
-        HrjnState::new(&crate::query::JoinSpec::path(sides, 3, crate::score::ScoreFn::Sum).unwrap())
+        let spec = crate::query::JoinSpec::path(sides, 3, crate::score::ScoreFn::Sum).unwrap();
+        HrjnState::new(&spec, 3)
     }
 
     fn feed(state: &mut HrjnState, side: usize, scores: &[f64]) {

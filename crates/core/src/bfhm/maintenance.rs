@@ -451,6 +451,37 @@ mod tests {
         assert_eq!(blob.filter.n_inserted(), 3);
     }
 
+    /// A lazy write-back happens once the result is ready, and a cursor's
+    /// result is ready when it has emitted its `k`-th result — the page
+    /// that reports `done`, before the guarantee loop has ended.
+    #[test]
+    fn lazy_write_back_lands_on_the_cursor_page_that_is_done() {
+        use crate::cancel::StopPolicy;
+        use crate::cursor::RankedCursor;
+        use rj_store::parallel::ExecutionMode;
+        let (c, q) = running_example_cluster();
+        let config = build(&c, &q);
+        let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        let side =
+            crate::maintenance::MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
+        // Into R2's bucket 0, which the top-1 (0.82 + 0.99) must fetch.
+        side.insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
+        assert_eq!(bucket_row_cost(&c, "R2", 0).0, 1);
+
+        let query = std::sync::Arc::new(q.clone());
+        let (policy, mode) = (WriteBackPolicy::Lazy, ExecutionMode::Serial);
+        let mut cursor =
+            bfhm::BfhmCursor::open(&c, &query, 1, "bfhm_idx", &config, policy, mode, None).unwrap();
+        let page = cursor.next_batch(1, &StopPolicy::never()).unwrap();
+        assert!(page.done);
+        assert_eq!(page.results, oracle::topk(&c, &q.with_k(1)).unwrap());
+        assert_eq!(
+            bucket_row_cost(&c, "R2", 0).0,
+            0,
+            "the record was written back"
+        );
+    }
+
     #[test]
     fn offline_compaction_with_threshold() {
         let (c, q) = running_example_cluster();

@@ -30,8 +30,8 @@ pub mod maintenance;
 mod query;
 
 pub use index::{build_pair, index_table_name, BfhmBuildStats};
-pub use query::{run, run_seeded, run_with_mode};
-pub(crate) use query::{BfhmCore, BfhmCursor};
+pub use query::{run, run_with_mode};
+pub(crate) use query::{run_shared, BfhmCore, BfhmCursor};
 
 use rj_sketch::blob::BlobCodec;
 use rj_sketch::hybrid::AlphaMode;

@@ -6,12 +6,13 @@
 //! one bucket probe + estimate join, one materialization sweep, one
 //! re-examination iteration — and the machine's whole position lives in
 //! a plain-data [`BfhmCore`]. The one-shot entry points
-//! ([`run`]/[`run_with_mode`]/[`run_seeded`]) simply drain the machine,
+//! ([`run`]/[`run_with_mode`]/[`run_shared`]) simply drain the machine,
 //! and [`BfhmCursor`] pumps the *same* machine on demand, which is what
 //! makes any pause/resume schedule result- and metric-equivalent to the
 //! one-shot run by construction.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use rj_sketch::blob::BfhmBlob;
 use rj_sketch::histogram::ScoreHistogram;
@@ -232,9 +233,12 @@ enum Phase {
 /// handle over the same index.
 #[derive(Clone)]
 pub(crate) struct BfhmCore {
-    /// Cursor bookkeeping (target k, emitted count, cumulative charge).
+    /// Cursor bookkeeping (target k, emitted count, cumulative charge) —
+    /// the run's `k` lives here, not in the query.
     pub(crate) meta: CursorMeta,
-    query: RankJoinQuery,
+    /// The executor's query, shared: the sides' labels (their index
+    /// families) and the score function.
+    query: Arc<RankJoinQuery>,
     /// Each side's family of the index table, resolved once for every
     /// bucket and reverse-row get of the run.
     projections: [Projection; 2],
@@ -290,9 +294,11 @@ pub(crate) struct BfhmRun {
 }
 
 impl BfhmRun {
+    /// A machine for the top `k` of `query` (whose own `k` is not read).
     pub(crate) fn new(
         cluster: &Cluster,
-        query: &RankJoinQuery,
+        query: &Arc<RankJoinQuery>,
+        k: usize,
         table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
@@ -315,7 +321,7 @@ impl BfhmRun {
         Ok(BfhmRun {
             cluster: cluster.clone(),
             core: BfhmCore {
-                meta: CursorMeta::new(query.k, None),
+                meta: CursorMeta::new(k, None),
                 query: query.clone(),
                 projections: [family(0)?, family(1)?],
                 batch: RowBatch::new(),
@@ -327,13 +333,13 @@ impl BfhmRun {
                 total_estimated: 0.0,
                 materialized: HashSet::new(),
                 reverse: ReverseStore::default(),
-                results: TopK::new(query.k),
+                results: TopK::new(k),
                 rounds: 0,
                 write_back,
                 pending_write_backs: Vec::new(),
                 mode,
                 phase: Phase::RoundStart,
-                target: query.k,
+                target: k,
                 steps: 0,
             },
         })
@@ -688,7 +694,7 @@ impl BfhmRun {
     /// loop, in the same order — the phases are its loop structure made
     /// explicit.
     fn advance(&mut self) -> Result<bool> {
-        let k = self.core.query.k;
+        let k = self.core.meta.k;
         self.core.steps += 1;
         match self.core.phase {
             Phase::RoundStart => {
@@ -850,12 +856,14 @@ pub(crate) struct BfhmCursor {
 }
 
 impl BfhmCursor {
-    /// Opens a cursor over a previously built BFHM index pair. The index
-    /// metadata read is charged to the cursor (it is part of the one-shot
-    /// run's metered cost).
+    /// Opens a cursor for the top `k` of `query` over a previously built
+    /// BFHM index pair. The index metadata read is charged to the cursor
+    /// (it is part of the one-shot run's metered cost).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn open(
         cluster: &Cluster,
-        query: &RankJoinQuery,
+        query: &Arc<RankJoinQuery>,
+        k: usize,
         index_table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
@@ -864,8 +872,8 @@ impl BfhmCursor {
     ) -> Result<Self> {
         let ledger = cluster.metrics();
         let before = ledger.snapshot();
-        let mut run = BfhmRun::new(cluster, query, index_table, config, write_back, mode)?;
-        run.core.meta = CursorMeta::new(query.k, pinned_version);
+        let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back, mode)?;
+        run.core.meta = CursorMeta::new(k, pinned_version);
         run.core.meta.charged = ledger.snapshot().delta_since(&before);
         Ok(BfhmCursor { run })
     }
@@ -873,7 +881,7 @@ impl BfhmCursor {
     /// Seeds the top-k accumulator with *genuine* join results of the
     /// current data and fast-forwards emission past `already_emitted` of
     /// them — the adaptive cursor's ISL → BFHM switch handoff (see
-    /// [`super::run_seeded`] for why seeding is result-transparent).
+    /// [`run_shared`] for why seeding is result-transparent).
     pub(crate) fn seed(&mut self, seed: &[JoinTuple], already_emitted: usize) {
         for t in seed {
             self.run.core.results.offer(t.clone());
@@ -933,9 +941,14 @@ impl RankedCursor for BfhmCursor {
                 break;
             }
         }
+        let emit_to = self.certified().min(want).max(self.run.core.meta.emitted);
+        if emit_to == meta_k {
+            // The result is ready: lazy write-backs happen now (§6), as
+            // they do when the guarantee loop ends.
+            self.run.flush_lazy_write_backs()?;
+        }
         let delta = ledger.snapshot().delta_since(&before);
         self.run.core.meta.charged = snap_add(self.run.core.meta.charged, delta);
-        let emit_to = self.certified().min(want).max(self.run.core.meta.emitted);
         let results: Vec<JoinTuple> = self
             .run
             .core
@@ -972,8 +985,13 @@ impl RankedCursor for BfhmCursor {
         self.run.core.meta.charged
     }
 
+    /// Done once every result of the one-shot run is out: all `k` of
+    /// them (each was certified final, so the guarantee loop's remaining
+    /// steps could only confirm them), or everything a finished loop
+    /// found.
     fn is_done(&self) -> bool {
-        self.drained() && self.run.core.meta.emitted == self.run.core.results.len()
+        let meta = &self.run.core.meta;
+        meta.emitted == meta.k || (self.drained() && meta.emitted == self.run.core.results.len())
     }
 
     fn algorithm(&self) -> &'static str {
@@ -981,8 +999,8 @@ impl RankedCursor for BfhmCursor {
     }
 }
 
-/// Executes the BFHM rank join over a previously built index (serial
-/// execution; see [`run_with_mode`]).
+/// Executes the BFHM rank join over a previously built index at the
+/// query's own `k` (serial execution; see [`run_with_mode`]).
 pub fn run(
     cluster: &Cluster,
     query: &RankJoinQuery,
@@ -1015,10 +1033,23 @@ pub fn run_with_mode(
     write_back: WriteBackPolicy,
     mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
-    run_seeded(cluster, query, index_table, config, write_back, mode, &[])
+    let shared = Arc::new(query.clone());
+    run_shared(
+        cluster,
+        &shared,
+        query.k,
+        index_table,
+        config,
+        write_back,
+        mode,
+        &[],
+    )
 }
 
-/// [`run_with_mode`] with the top-k accumulator pre-seeded.
+/// [`run_with_mode`] for the top `k` of a shared query, whose own `k` is
+/// not read, with the top-k accumulator pre-seeded — the executor's
+/// entry point. The direct entry points above share their query for
+/// their one call; an executor shares one query across every run.
 ///
 /// `seed` must contain only *genuine* join results of the current data —
 /// e.g. the buffered results of an aborted ISL prefix over the same query
@@ -1029,16 +1060,18 @@ pub fn run_with_mode(
 /// top-k is identical to an unseeded run, while a seed that already
 /// covers part of the top-k can only raise the k-th bound earlier and
 /// *prune* bucket fetches and materializations.
-pub fn run_seeded(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_shared(
     cluster: &Cluster,
-    query: &RankJoinQuery,
+    query: &Arc<RankJoinQuery>,
+    k: usize,
     index_table: &str,
     config: &BfhmConfig,
     write_back: WriteBackPolicy,
     mode: ExecutionMode,
     seed: &[JoinTuple],
 ) -> Result<QueryOutcome> {
-    if query.k == 0 {
+    if k == 0 {
         return Ok(QueryOutcome::new(
             "BFHM",
             Vec::new(),
@@ -1046,7 +1079,7 @@ pub fn run_seeded(
         ));
     }
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = BfhmRun::new(cluster, query, index_table, config, write_back, mode)?;
+    let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back, mode)?;
     for t in seed {
         run.core.results.offer(t.clone());
     }
@@ -1154,10 +1187,10 @@ mod tests {
         let (c, q) = running_example_cluster();
         let config = example_config();
         build(&c, &q, &config);
-        let q_all = q.with_k(1000); // force exhaustion
         let mut run_state = BfhmRun::new(
             &c,
-            &q_all,
+            &Arc::new(q),
+            1000, // force exhaustion
             "bfhm_idx",
             &config,
             WriteBackPolicy::Off,
@@ -1225,8 +1258,9 @@ mod tests {
         ] {
             let one_shot = run_with_mode(c, q, "bfhm_idx", config, policy, mode);
             assert!(is_codec(one_shot.unwrap_err()), "{mode:?}");
+            let shared = Arc::new(q.clone());
             let mut cursor =
-                BfhmCursor::open(c, q, "bfhm_idx", config, policy, mode, None).unwrap();
+                BfhmCursor::open(c, &shared, q.k, "bfhm_idx", config, policy, mode, None).unwrap();
             for pull in 0..2 {
                 let batch = cursor.next_batch(q.k, &StopPolicy::never());
                 assert!(is_codec(batch.unwrap_err()), "{mode:?} pull {pull}");

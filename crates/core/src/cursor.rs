@@ -51,6 +51,8 @@
 //! * a drained cursor (threshold crossed or inputs exhausted) emits
 //!   everything, matching the one-shot answer.
 
+use std::sync::Arc;
+
 use rj_mapreduce::MapReduceEngine;
 use rj_store::cell::Cell;
 use rj_store::client::{Client, ScannerState};
@@ -161,7 +163,8 @@ pub trait RankedCursor: Send {
 /// detached state.
 #[derive(Clone, Debug)]
 pub(crate) struct CursorMeta {
-    /// Target result count (the cursor's `k`).
+    /// Target result count — the cursor's `k`, kept here and in the
+    /// operator, never in the (shared) query descriptor.
     pub k: usize,
     /// Results emitted so far.
     pub emitted: usize,
@@ -192,7 +195,12 @@ impl CursorMeta {
 /// top-k buffer, partial accumulators, counters — with no handles into
 /// any live cluster, so it
 /// is serializable in principle (this workspace vendors no serde; the
-/// contract is that nothing in here is process-specific). Resuming on any
+/// contract is that nothing in here is process-specific). The query
+/// descriptor is the one exception to "owned": a state shares its
+/// executor's `Arc` of it and reads the index families and score
+/// function through that, while its `k` belongs to the run (the state's
+/// own bookkeeping and operator), not to the descriptor — so parking,
+/// cloning or resuming a state copies no descriptor. Resuming on any
 /// cluster handle over the *same data* continues the execution exactly:
 /// same remaining result sequence, remaining reads billed to the resuming
 /// handle's ledger (a resume on a different [`Cluster::fork_metrics`]
@@ -419,12 +427,11 @@ pub(crate) fn isl_algorithm_name(sides: usize) -> &'static str {
     }
 }
 
-/// One side of the descent: where its tuples live in the index table,
-/// how it is consumed, and where its scanner stands.
+/// One side of the descent: how it is consumed and where its scanner
+/// stands (its tuples live under the side's label, read through the
+/// shared spec).
 #[derive(Clone)]
 pub(crate) struct SideScan {
-    /// The side's label — its column family in the index table.
-    pub family: String,
     /// Index rows pulled per turn (the paper's `C_i`, §4.2.3).
     pub batch: usize,
     pub access: SideAccess,
@@ -441,8 +448,11 @@ pub(crate) struct SideScan {
 pub(crate) struct IslCore {
     /// Bookkeeping, with `meta.k == state.k()`.
     pub meta: CursorMeta,
-    /// Index table name.
-    pub table: String,
+    /// The spec the descent serves, shared with whoever opened it: each
+    /// side's label is its column family in the index table.
+    pub spec: Arc<JoinSpec>,
+    /// Index table name, the table's own handle.
+    pub table: Arc<str>,
     /// Per-side scan state, in spec side order.
     pub sides: Vec<SideScan>,
     /// Which side the current/next batch pulls from.
@@ -568,15 +578,17 @@ pub struct IslCursor {
 }
 
 impl IslCursor {
-    /// Opens a cursor over a previously built score index
-    /// ([`crate::isl::index::build`]). `batch` and `access` give each
+    /// Opens a cursor for the top `k` of `spec` over a previously built
+    /// score index ([`crate::isl::index::build`]). The spec is shared, not
+    /// copied, and its own `k` is not read. `batch` and `access` give each
     /// side's rows per turn and how it is consumed, in spec side order;
     /// `pinned_version` is the statistics version an executor opens it
     /// under (`None` when opened directly — the caller owns coherence, see
     /// [`CursorState`]).
     pub fn open(
         cluster: &Cluster,
-        spec: &JoinSpec,
+        spec: &Arc<JoinSpec>,
+        k: usize,
         index_table: &str,
         batch: &[usize],
         access: &[SideAccess],
@@ -587,20 +599,20 @@ impl IslCursor {
                 "one batch size and one SideAccess per side required",
             ));
         }
-        cluster
+        let table = cluster
             .table(index_table)
-            .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
+            .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?
+            .name_handle();
         Ok(IslCursor::resume(
             cluster,
             IslCore {
-                meta: CursorMeta::new(spec.k, pinned_version),
-                table: index_table.to_owned(),
-                sides: spec
-                    .sides
+                meta: CursorMeta::new(k, pinned_version),
+                spec: spec.clone(),
+                table,
+                sides: batch
                     .iter()
-                    .zip(batch.iter().zip(access))
-                    .map(|(side, (&batch, &access))| SideScan {
-                        family: side.label.clone(),
+                    .zip(access)
+                    .map(|(&batch, &access)| SideScan {
                         batch,
                         access,
                         scan: None,
@@ -611,7 +623,7 @@ impl IslCursor {
                 in_batch: false,
                 rows_taken: 0,
                 pending: None,
-                state: HrjnState::new(spec),
+                state: HrjnState::new(spec, k),
             },
         ))
     }
@@ -682,6 +694,7 @@ impl IslCursor {
     /// whichever pull triggers it.
     fn materialize_sides(&mut self, client: &Client) -> Result<()> {
         let IslCore {
+            spec,
             table,
             sides,
             state,
@@ -691,12 +704,11 @@ impl IslCursor {
             if side.access != SideAccess::Materialize || state.is_exhausted(i) {
                 continue;
             }
-            let spec = Scan::new()
-                .families(&[side.family.as_str()])
-                .caching(side.batch);
-            let mut scan = client.scan(table, spec)?;
+            let family = spec.sides[i].label.as_str();
+            let mut scan =
+                client.scan(table, Scan::new().families(&[family]).caching(side.batch))?;
             while let Some(row) = scan.next_row()? {
-                ingest_row(state, i, &side.family, row)?;
+                ingest_row(state, i, family, row)?;
             }
             state.exhaust(i);
         }
@@ -732,6 +744,7 @@ impl IslCursor {
         }
         let turn = core.turn;
         let side = &mut core.sides[turn];
+        let family = core.spec.sides[turn].label.as_str();
         // The scanner is reattached at its detached position only when a
         // further row is demanded, and detached again whether or not the
         // rows failed: a failed RPC leaves the descent after the last row
@@ -744,13 +757,8 @@ impl IslCursor {
             // it leaves the scanner untouched.
             if let Some((row, first_cell)) = core.pending.take() {
                 let cells = row.cells.len();
-                let stopped = descend_row(
-                    &mut core.state,
-                    turn,
-                    &side.family,
-                    row.as_row_ref(),
-                    first_cell,
-                )?;
+                let stopped =
+                    descend_row(&mut core.state, turn, family, row.as_row_ref(), first_cell)?;
                 if let Some(next) = stopped {
                     core.pending = (next < cells).then_some((row, next));
                     return Ok(BatchStep::Drained);
@@ -762,9 +770,7 @@ impl IslCursor {
                     none => none.insert(match side.scan.take() {
                         Some(position) => client.resume_scan(position)?,
                         None => {
-                            let spec = Scan::new()
-                                .families(&[side.family.as_str()])
-                                .caching(side.batch);
+                            let spec = Scan::new().families(&[family]).caching(side.batch);
                             client.scan(&core.table, spec)?
                         }
                     }),
@@ -775,7 +781,7 @@ impl IslCursor {
                 };
                 // Fetched in this batch, so paid for whatever comes of it.
                 core.rows_taken += 1;
-                if let Some(next) = descend_row(&mut core.state, turn, &side.family, row, 0)? {
+                if let Some(next) = descend_row(&mut core.state, turn, family, row, 0)? {
                     core.pending = (next < row.cells.len()).then(|| (row.to_owned(), next));
                     return Ok(BatchStep::Drained);
                 }
@@ -903,12 +909,12 @@ pub(crate) enum MaterializedSource {
     /// Pig-style baseline (3 MR jobs).
     Pig,
     /// IJLMR over its prepared index table.
-    Ijlmr(String),
+    Ijlmr(Arc<str>),
     /// DRJN over its prepared matrices — only as an adaptive *switch
     /// target* (native DRJN cursors run the incremental
     /// [`crate::drjn`] round machine instead).
     Drjn(
-        String,
+        Arc<str>,
         crate::drjn::DrjnConfig,
         rj_store::parallel::ExecutionMode,
     ),
@@ -921,7 +927,8 @@ pub(crate) enum MaterializedSource {
 #[derive(Clone)]
 pub(crate) struct MaterializedCore {
     pub meta: CursorMeta,
-    pub query: RankJoinQuery,
+    /// The executor's query, shared; the run's `k` is `meta.k`.
+    pub query: Arc<RankJoinQuery>,
     pub source: MaterializedSource,
     /// The one-shot answer, once the first pull has executed it.
     pub results: Option<Vec<JoinTuple>>,
@@ -940,7 +947,8 @@ pub struct MaterializedCursor {
 impl MaterializedCursor {
     pub(crate) fn open(
         cluster: &Cluster,
-        query: &RankJoinQuery,
+        query: &Arc<RankJoinQuery>,
+        k: usize,
         source: MaterializedSource,
         algorithm: &'static str,
         pinned_version: Option<u64>,
@@ -948,7 +956,7 @@ impl MaterializedCursor {
         MaterializedCursor {
             cluster: cluster.clone(),
             core: MaterializedCore {
-                meta: CursorMeta::new(query.k, pinned_version),
+                meta: CursorMeta::new(k, pinned_version),
                 query: query.clone(),
                 source,
                 results: None,
@@ -971,14 +979,16 @@ impl MaterializedCursor {
         let ledger = self.cluster.metrics();
         let before = ledger.snapshot();
         let engine = MapReduceEngine::new(self.cluster.clone());
+        let (query, k) = (&self.core.query, self.core.meta.k);
+        // The MapReduce baselines take the query with its `k` inside.
         let outcome = match &self.core.source {
-            MaterializedSource::Hive => crate::hive::run(&engine, &self.core.query)?,
-            MaterializedSource::Pig => crate::pig::run(&engine, &self.core.query)?,
+            MaterializedSource::Hive => crate::hive::run(&engine, &query.with_k(k))?,
+            MaterializedSource::Pig => crate::pig::run(&engine, &query.with_k(k))?,
             MaterializedSource::Ijlmr(table) => {
-                crate::ijlmr::run(&engine, &self.core.query, table)?
+                crate::ijlmr::run(&engine, &query.with_k(k), table)?
             }
             MaterializedSource::Drjn(table, config, mode) => {
-                crate::drjn::run_with_mode(&engine, &self.core.query, table, config, *mode)?
+                crate::drjn::run_shared(&engine, query, k, table, config, *mode)?
             }
             MaterializedSource::Buffered => {
                 return Err(RankJoinError::Internal("buffered cursor lost its results"))
@@ -1077,7 +1087,9 @@ mod tests {
         batch: usize,
         access: &[SideAccess],
     ) -> IslCursor {
-        IslCursor::open(c, spec, table, &vec![batch; spec.n()], access, None).unwrap()
+        let batch = vec![batch; spec.n()];
+        let shared = Arc::new(spec.clone());
+        IslCursor::open(c, &shared, spec.k, table, &batch, access, None).unwrap()
     }
 
     fn drain(cursor: &mut dyn RankedCursor, page: usize) -> Vec<JoinTuple> {
@@ -1232,7 +1244,15 @@ mod tests {
             (vec![4; 3], vec![SideAccess::Descend; 2]),
         ] {
             assert!(matches!(
-                IslCursor::open(&c, &spec, &table, &batch, &access, None),
+                IslCursor::open(
+                    &c,
+                    &Arc::new(spec.clone()),
+                    3,
+                    &table,
+                    &batch,
+                    &access,
+                    None
+                ),
                 Err(RankJoinError::InvalidSpec(_))
             ));
         }

@@ -29,7 +29,7 @@ use crate::cursor::{
 };
 use crate::error::{RankJoinError, Result};
 use crate::hrjn::SeenSide;
-use crate::query::{JoinSide, RankJoinQuery};
+use crate::query::RankJoinQuery;
 use crate::result::{BinaryMatch, JoinTuple, TopK};
 use crate::score::ScoreFn;
 use crate::stats::QueryOutcome;
@@ -37,39 +37,46 @@ use crate::stats::QueryOutcome;
 use super::index::bucket_row_key;
 use super::DrjnConfig;
 
+/// Maps one side's base rows to temp-table tuples; the side is read
+/// through the shared query.
 struct PullMapper {
-    side: JoinSide,
+    query: Arc<RankJoinQuery>,
+    side: usize,
 }
 
 impl Mapper for PullMapper {
     fn map(&mut self, input: InputRecord<'_>, out: &mut Emitter) {
-        let Some(row) = input.row() else { return };
-        let Some((join_value, score)) = self.side.extract(row) else {
+        let (Some(row), Ok(side)) = (input.row(), self.query.try_side(self.side)) else {
+            return;
+        };
+        let Ok((join_value, score)) = side.extract_checked(row) else {
             return;
         };
         // Temp-table row: key = join value ‖ base key (unique), one cell
         // carrying the tuple.
-        let key = rj_store::keys::composite(&[&join_value, &row.key]);
+        let key = rj_store::keys::composite(&[join_value, &row.key]);
         out.put(
             key,
             Mutation::put(
-                &self.side.label,
+                &side.label,
                 &row.key,
-                codec::encode_value_score(&join_value, score),
+                codec::encode_value_score(join_value, score),
             ),
         );
     }
 }
 
-/// Pulls tuples of `side` with scores in `[lo, hi)` into `tmp_table` via a
-/// map-only job with a server-side score filter.
+/// Pulls tuples of side `s` of `query` with scores in `[lo, hi)` into
+/// `tmp_table` via a map-only job with a server-side score filter.
 fn pull_band(
     engine: &MapReduceEngine,
-    side: &JoinSide,
+    query: &Arc<RankJoinQuery>,
+    s: usize,
     lo: f64,
     hi: f64,
     tmp_table: &str,
 ) -> Result<()> {
+    let side = query.try_side(s)?;
     let spec = JobSpec::new(
         &format!("drjn-pull-{}", side.label),
         JobInput::Tables(vec![TableInput::projected(
@@ -85,12 +92,12 @@ fn pull_band(
         min: lo,
         max: hi,
     }));
-    let side_cl = side.clone();
     engine.run(
         &spec,
-        &move || {
+        &|| {
             Box::new(PullMapper {
-                side: side_cl.clone(),
+                query: query.clone(),
+                side: s,
             })
         },
         None,
@@ -141,10 +148,13 @@ static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new
 /// on any cluster handle over the same data.
 #[derive(Clone)]
 pub(crate) struct DrjnCore {
-    /// Cursor bookkeeping (target k, emitted count, cumulative charge).
+    /// Cursor bookkeeping (target k, emitted count, cumulative charge) —
+    /// the run's `k` lives here, not in the query.
     pub(crate) meta: CursorMeta,
-    query: RankJoinQuery,
-    index_table: String,
+    /// The executor's query, shared.
+    query: Arc<RankJoinQuery>,
+    /// The matrices' table name, the table's own handle.
+    index_table: Arc<str>,
     config: DrjnConfig,
     mode: ExecutionMode,
     /// Seen tuples per side, keyed by join value (flat columnar store).
@@ -180,26 +190,29 @@ pub(crate) struct DrjnRun {
 }
 
 impl DrjnRun {
+    /// A machine for the top `k` of `query` (whose own `k` is not read).
     pub(crate) fn new(
         cluster: &Cluster,
-        query: &RankJoinQuery,
+        query: &Arc<RankJoinQuery>,
+        k: usize,
         index_table: &str,
         config: &DrjnConfig,
         mode: ExecutionMode,
     ) -> Result<Self> {
-        cluster
+        let index_table = cluster
             .table(index_table)
-            .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
+            .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?
+            .name_handle();
         Ok(DrjnRun {
             cluster: cluster.clone(),
             core: DrjnCore {
-                meta: CursorMeta::new(query.k, None),
+                meta: CursorMeta::new(k, None),
                 query: query.clone(),
-                index_table: index_table.to_owned(),
+                index_table,
                 config: *config,
                 mode,
                 seen: [SeenSide::new(1), SeenSide::new(1)],
-                results: TopK::new(query.k),
+                results: TopK::new(k),
                 rows: [Vec::new(), Vec::new()],
                 cum_estimate: 0.0,
                 pulled_to: [f64::INFINITY, f64::INFINITY],
@@ -258,13 +271,14 @@ impl DrjnRun {
         self.core.rounds += 1;
         // (i) fetch matrix rows until the cumulative estimate reaches k or
         // the histogram is exhausted.
-        while self.core.cum_estimate < query.k as f64 && self.core.depth < config.num_buckets {
+        while self.core.cum_estimate < self.core.meta.k as f64
+            && self.core.depth < config.num_buckets
+        {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
-                let fams = [(*label).clone()];
                 let row = client.get_with_families(
                     &self.core.index_table,
                     &bucket_row_key(self.core.depth),
-                    Some(&fams),
+                    Some(std::slice::from_ref(*label)),
                 )?;
                 let counts: Vec<u64> = match row {
                     Some(r) => {
@@ -320,9 +334,9 @@ impl DrjnRun {
         // layout (hence RPC counts) nondeterministic. The deterministic
         // rebalance below shards instead.
         tmp_table.set_split_threshold(usize::MAX);
-        for (s, side) in [&query.left, &query.right].iter().enumerate() {
+        for s in 0..2 {
             if bound < self.core.pulled_to[s] {
-                pull_band(&engine, side, bound, self.core.pulled_to[s], &tmp)?;
+                pull_band(&engine, &query, s, bound, self.core.pulled_to[s], &tmp)?;
                 self.core.pulled_to[s] = bound;
                 self.core.pull_jobs += 1;
             }
@@ -397,17 +411,19 @@ pub(crate) struct DrjnCursor {
 }
 
 impl DrjnCursor {
-    /// Opens a cursor over previously built DRJN matrices.
+    /// Opens a cursor for the top `k` of `query` over previously built
+    /// DRJN matrices.
     pub(crate) fn open(
         cluster: &Cluster,
-        query: &RankJoinQuery,
+        query: &Arc<RankJoinQuery>,
+        k: usize,
         index_table: &str,
         config: &DrjnConfig,
         mode: ExecutionMode,
         pinned_version: Option<u64>,
     ) -> Result<Self> {
-        let mut run = DrjnRun::new(cluster, query, index_table, config, mode)?;
-        run.core.meta = CursorMeta::new(query.k, pinned_version);
+        let mut run = DrjnRun::new(cluster, query, k, index_table, config, mode)?;
+        run.core.meta = CursorMeta::new(k, pinned_version);
         Ok(DrjnCursor { run })
     }
 
@@ -496,8 +512,12 @@ impl RankedCursor for DrjnCursor {
         self.run.core.meta.charged
     }
 
+    /// Done once every result of the one-shot run is out: all `k` of
+    /// them (each certified final), or everything a finished machine
+    /// found.
     fn is_done(&self) -> bool {
-        self.drained() && self.run.core.meta.emitted == self.run.core.results.len()
+        let meta = &self.run.core.meta;
+        meta.emitted == meta.k || (self.drained() && meta.emitted == self.run.core.results.len())
     }
 
     fn algorithm(&self) -> &'static str {
@@ -505,8 +525,8 @@ impl RankedCursor for DrjnCursor {
     }
 }
 
-/// Executes the DRJN rank join over previously built matrices (serial
-/// execution; see [`run_with_mode`]).
+/// Executes the DRJN rank join over previously built matrices at the
+/// query's own `k` (serial execution; see [`run_with_mode`]).
 pub fn run(
     engine: &MapReduceEngine,
     query: &RankJoinQuery,
@@ -521,7 +541,8 @@ pub fn run(
 /// The parallel mode fans the coordinator's scan of each round's pulled
 /// temp table out across its regions; matrix-row fetches and the MapReduce
 /// pull jobs are unchanged. Results and counted metrics are identical to
-/// serial execution.
+/// serial execution. This direct entry point shares its query for the
+/// one call; an executor shares one query across every run.
 pub fn run_with_mode(
     engine: &MapReduceEngine,
     query: &RankJoinQuery,
@@ -529,7 +550,21 @@ pub fn run_with_mode(
     config: &DrjnConfig,
     mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
-    if query.k == 0 {
+    let shared = Arc::new(query.clone());
+    run_shared(engine, &shared, query.k, index_table, config, mode)
+}
+
+/// [`run_with_mode`] for the top `k` of a shared query, whose own `k` is
+/// not read — the executor's entry point.
+pub(crate) fn run_shared(
+    engine: &MapReduceEngine,
+    query: &Arc<RankJoinQuery>,
+    k: usize,
+    index_table: &str,
+    config: &DrjnConfig,
+    mode: ExecutionMode,
+) -> Result<QueryOutcome> {
+    if k == 0 {
         return Ok(QueryOutcome::new(
             "DRJN",
             Vec::new(),
@@ -541,7 +576,7 @@ pub fn run_with_mode(
         .table(index_table)
         .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = DrjnRun::new(cluster, query, index_table, config, mode)?;
+    let mut run = DrjnRun::new(cluster, query, k, index_table, config, mode)?;
     while run.advance_round()? {}
     run.finish(meter)
 }

@@ -4,6 +4,15 @@
 //! have been built for a query pair, and dispatches [`Algorithm`] choices
 //! to the right module — the shape the experiment harness and the
 //! examples drive everything through.
+//!
+//! **`k` belongs to the run, not the descriptor.** The executor builds its
+//! query and the query's two-side spec once, in
+//! [`RankJoinExecutor::new`], behind `Arc`s that every run, cursor, parked
+//! [`CursorState`] and [`RankJoinExecutor::fork_onto`] fork shares. A run
+//! at any `k` passes `(descriptor, k)` to the driver; the descriptor's own
+//! `k` is only the default of [`RankJoinExecutor::execute`] and
+//! [`RankJoinExecutor::plan`]. Only the MapReduce baselines (HIVE, PIG,
+//! IJLMR) still take a copy of the query with its `k` inside.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,9 +34,9 @@ use crate::drjn::{self, DrjnConfig, DrjnCursor};
 use crate::error::{RankJoinError, Result};
 use crate::hrjn::HrjnState;
 use crate::indexutil::BuildStats;
-use crate::isl::{self, IslConfig};
+use crate::isl::{self, IslConfig, IslRun};
 use crate::planner::{self, Candidates, CostEstimate, Objective, Plan};
-use crate::query::RankJoinQuery;
+use crate::query::{JoinSpec, RankJoinQuery};
 use crate::stats::QueryOutcome;
 use crate::statsmaint::{SharedTableStats, DEFAULT_STALENESS_BOUND};
 use crate::{hive, ijlmr, pig};
@@ -87,14 +96,20 @@ impl Algorithm {
     }
 }
 
-/// Facade over engine + indices for one query pair.
+/// Facade over engine + indices for one query pair (see the module docs
+/// for why `k` is an argument of every run rather than part of the
+/// query).
 pub struct RankJoinExecutor {
     engine: MapReduceEngine,
-    query: RankJoinQuery,
-    ijlmr_table: Option<String>,
-    isl_table: Option<String>,
-    bfhm_table: Option<(String, BfhmConfig)>,
-    drjn_table: Option<(String, DrjnConfig)>,
+    /// The query, built once and shared by every run, cursor and fork.
+    query: Arc<RankJoinQuery>,
+    /// The query's two-side spec — the ISL descent's descriptor — built
+    /// once with it.
+    spec: Arc<JoinSpec>,
+    ijlmr_table: Option<Arc<str>>,
+    isl_table: Option<Arc<str>>,
+    bfhm_table: Option<(Arc<str>, BfhmConfig)>,
+    drjn_table: Option<(Arc<str>, DrjnConfig)>,
     /// ISL batch sizes used at query time.
     pub isl_config: IslConfig,
     /// BFHM write-back policy used at query time.
@@ -159,12 +174,28 @@ pub struct RankJoinExecutor {
 }
 
 impl RankJoinExecutor {
-    /// Creates an executor for `query` on `cluster`.
+    /// Creates an executor for `query` on `cluster`. The query and its
+    /// two-side spec are built here, once; `query.k` is the default depth
+    /// of [`RankJoinExecutor::execute`] and [`RankJoinExecutor::plan`].
     pub fn new(cluster: &Cluster, query: RankJoinQuery) -> Self {
-        let stats = SharedTableStats::new(&query);
+        let spec = Arc::new(query.to_spec());
+        let query = Arc::new(query);
+        let stats = SharedTableStats::new(query.clone());
+        RankJoinExecutor::over(cluster, query, spec, stats)
+    }
+
+    /// An executor with no index and default tuning over an already
+    /// shared query, spec and statistics handle.
+    fn over(
+        cluster: &Cluster,
+        query: Arc<RankJoinQuery>,
+        spec: Arc<JoinSpec>,
+        stats: Arc<SharedTableStats>,
+    ) -> Self {
         RankJoinExecutor {
             engine: MapReduceEngine::new(cluster.clone()),
             query,
+            spec,
             ijlmr_table: None,
             isl_table: None,
             bfhm_table: None,
@@ -203,6 +234,12 @@ impl RankJoinExecutor {
     /// The query this executor serves.
     pub fn query(&self) -> &RankJoinQuery {
         &self.query
+    }
+
+    /// The query's two-side spec ([`RankJoinQuery::to_spec`]), built once
+    /// in [`RankJoinExecutor::new`].
+    pub fn spec(&self) -> &JoinSpec {
+        &self.spec
     }
 
     /// The shared statistics handle. Register it on a
@@ -300,19 +337,19 @@ impl RankJoinExecutor {
         self.ijlmr_table = None;
         self.drop_stale(&table)?;
         let stats = ijlmr::build(&self.engine, &self.query, &table)?;
-        self.ijlmr_table = Some(table);
+        self.ijlmr_table = Some(table.into());
         Ok(stats)
     }
 
     /// Builds the ISL index. Calling this again drops and rebuilds the
     /// index from the current base data (safe re-preparation).
     pub fn prepare_isl(&mut self) -> Result<BuildStats> {
-        let table = isl::index_table_name(&self.query);
+        let table = isl::index::index_table_name(&self.spec);
         self.invalidate_plans();
         self.isl_table = None;
         self.drop_stale(&table)?;
-        let stats = isl::build(&self.engine, &self.query, &table)?;
-        self.isl_table = Some(table);
+        let stats = isl::index::build(&self.engine, &self.spec, &table)?;
+        self.isl_table = Some(table.into());
         Ok(stats)
     }
 
@@ -324,7 +361,7 @@ impl RankJoinExecutor {
         self.bfhm_table = None;
         self.drop_stale(&table)?;
         let (stats, _m) = bfhm::build_pair(&self.engine, &self.query, &table, &config)?;
-        self.bfhm_table = Some((table, config));
+        self.bfhm_table = Some((table.into(), config));
         Ok(stats)
     }
 
@@ -336,7 +373,7 @@ impl RankJoinExecutor {
         self.drjn_table = None;
         self.drop_stale(&table)?;
         let stats = drjn::build_pair(&self.engine, &self.query, &table, &config)?;
-        self.drjn_table = Some((table, config));
+        self.drjn_table = Some((table.into(), config));
         Ok(stats)
     }
 
@@ -348,7 +385,7 @@ impl RankJoinExecutor {
             .table(table)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
         self.refresh_candidates();
-        self.ijlmr_table = Some(table.to_owned());
+        self.ijlmr_table = Some(table.into());
         Ok(())
     }
 
@@ -359,7 +396,7 @@ impl RankJoinExecutor {
             .table(table)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
         self.refresh_candidates();
-        self.isl_table = Some(table.to_owned());
+        self.isl_table = Some(table.into());
         Ok(())
     }
 
@@ -372,7 +409,7 @@ impl RankJoinExecutor {
             .table(table)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
         self.refresh_candidates();
-        self.bfhm_table = Some((table.to_owned(), config));
+        self.bfhm_table = Some((table.into(), config));
         Ok(())
     }
 
@@ -384,7 +421,7 @@ impl RankJoinExecutor {
             .table(table)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
         self.refresh_candidates();
-        self.drjn_table = Some((table.to_owned(), config));
+        self.drjn_table = Some((table.into(), config));
         Ok(())
     }
 
@@ -398,13 +435,38 @@ impl RankJoinExecutor {
 
     /// Clones this executor onto `cluster` — typically a
     /// [`Cluster::fork_metrics`] fork, giving the clone its own metering
-    /// ledger over the same shared data. The clone adopts every attached
-    /// index table, all tuning fields (`isl_config`, `execution_mode`,
-    /// `objective`, ...), and the *same* shared statistics handle, so
-    /// plans and maintained-write invalidations stay coherent across all
-    /// forks while each fork's work is billed to its own ledger.
+    /// ledger over the same shared data. The clone shares the query, its
+    /// spec and every attached index table, copies all tuning fields
+    /// (`isl_config`, `execution_mode`, `objective`, ...), and shares the
+    /// *same* statistics handle, so plans and maintained-write
+    /// invalidations stay coherent across all forks while each fork's work
+    /// is billed to its own ledger.
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<RankJoinExecutor> {
-        let mut fork = RankJoinExecutor::new(cluster, self.query.clone());
+        let bfhm = self.bfhm_table.as_ref().map(|(table, _)| table);
+        let drjn = self.drjn_table.as_ref().map(|(table, _)| table);
+        for table in [
+            self.ijlmr_table.as_ref(),
+            self.isl_table.as_ref(),
+            bfhm,
+            drjn,
+        ]
+        .into_iter()
+        .flatten()
+        {
+            cluster
+                .table(table)
+                .map_err(|_| RankJoinError::MissingIndex(table.to_string()))?;
+        }
+        let mut fork = RankJoinExecutor::over(
+            cluster,
+            self.query.clone(),
+            self.spec.clone(),
+            self.stats.clone(),
+        );
+        fork.ijlmr_table = self.ijlmr_table.clone();
+        fork.isl_table = self.isl_table.clone();
+        fork.bfhm_table = self.bfhm_table.clone();
+        fork.drjn_table = self.drjn_table.clone();
         fork.isl_config = self.isl_config;
         fork.write_back = self.write_back;
         fork.execution_mode = self.execution_mode;
@@ -412,19 +474,6 @@ impl RankJoinExecutor {
         fork.staleness_bound = self.staleness_bound;
         fork.replan_divergence = self.replan_divergence;
         fork.adaptive_force_switch_after = self.adaptive_force_switch_after;
-        if let Some(table) = &self.ijlmr_table {
-            fork.attach_ijlmr(table)?;
-        }
-        if let Some(table) = &self.isl_table {
-            fork.attach_isl(table)?;
-        }
-        if let Some((table, config)) = &self.bfhm_table {
-            fork.attach_bfhm(table, config.clone())?;
-        }
-        if let Some((table, config)) = &self.drjn_table {
-            fork.attach_drjn(table, *config)?;
-        }
-        fork.attach_stats(self.stats_handle())?;
         Ok(fork)
     }
 
@@ -551,7 +600,8 @@ impl RankJoinExecutor {
         self.execute_with_k(algorithm, self.query.k)
     }
 
-    /// Executes `algorithm` with an overridden `k`.
+    /// Executes `algorithm` with an overridden `k` — over the shared
+    /// query, which is not copied (the MapReduce baselines excepted).
     ///
     /// `k = 0` short-circuits to an empty, zero-cost outcome for every
     /// algorithm (the [`RankJoinQuery::with_k`] contract) — no store
@@ -564,7 +614,7 @@ impl RankJoinExecutor {
                 rj_store::metrics::MetricsSnapshot::default(),
             ));
         }
-        let query = self.query.with_k(k);
+        let cluster = self.engine.cluster();
         match algorithm {
             Algorithm::Auto => {
                 let plan = self.plan_with_k(k)?;
@@ -583,40 +633,47 @@ impl RankJoinExecutor {
                 };
                 Ok(outcome.with_extra("planner_candidates", rank))
             }
-            Algorithm::Hive => hive::run(&self.engine, &query),
-            Algorithm::Pig => pig::run(&self.engine, &query),
+            // The MapReduce baselines take the query with its `k` inside.
+            Algorithm::Hive => hive::run(&self.engine, &self.query.with_k(k)),
+            Algorithm::Pig => pig::run(&self.engine, &self.query.with_k(k)),
             Algorithm::Ijlmr => {
                 let t = self
                     .ijlmr_table
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("ijlmr (unprepared)".into()))?;
-                ijlmr::run(&self.engine, &query, t)
+                ijlmr::run(&self.engine, &self.query.with_k(k), t)
             }
             Algorithm::Isl => {
                 let t = self
                     .isl_table
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                isl::run_with_mode(
-                    self.engine.cluster(),
-                    &query,
+                let batches = self.isl_config.batches();
+                isl::run_observed(
+                    cluster,
+                    &self.spec,
+                    k,
                     t,
-                    self.isl_config,
+                    &batches,
                     self.execution_mode,
+                    None,
                 )
+                .map(IslRun::into_outcome)
             }
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                bfhm::run_with_mode(
-                    self.engine.cluster(),
-                    &query,
+                bfhm::run_shared(
+                    cluster,
+                    &self.query,
+                    k,
                     t,
                     config,
                     self.write_back,
                     self.execution_mode,
+                    &[],
                 )
             }
             Algorithm::Drjn => {
@@ -624,7 +681,7 @@ impl RankJoinExecutor {
                     .drjn_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("drjn (unprepared)".into()))?;
-                drjn::run_with_mode(&self.engine, &query, t, config, self.execution_mode)
+                drjn::run_shared(&self.engine, &self.query, k, t, config, self.execution_mode)
             }
         }
     }
@@ -642,18 +699,18 @@ impl RankJoinExecutor {
     /// top-k accumulator with them). The wasted prefix, the re-plan, and
     /// the switched run are all charged to the one returned
     /// [`QueryOutcome`], whose `algorithm` reads `"ISL→<TARGET>"`.
-    fn execute_adaptive_isl(&self, plan: &Plan, k: usize) -> Result<QueryOutcome> {
+    fn execute_adaptive_isl(&self, plan: &Arc<Plan>, k: usize) -> Result<QueryOutcome> {
         let table = self
             .isl_table
             .as_deref()
             .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-        let query = self.query.with_k(k);
         let cluster = self.engine.cluster();
         let meter = QueryMeter::start(cluster.metrics());
         let (observer, hook) = self.divergence_hook(plan);
         let prefix = isl::run_observed(
             cluster,
-            &query.to_spec(),
+            &self.spec,
+            k,
             table,
             &self.isl_config.batches(),
             self.execution_mode,
@@ -694,9 +751,10 @@ impl RankJoinExecutor {
                     .bfhm_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                bfhm::run_seeded(
+                bfhm::run_shared(
                     cluster,
-                    &query,
+                    &self.query,
+                    k,
                     t,
                     config,
                     self.write_back,
@@ -737,7 +795,6 @@ impl RankJoinExecutor {
         algorithm: Algorithm,
         k_hint: usize,
     ) -> Result<Box<dyn RankedCursor>> {
-        let query = self.query.with_k(k_hint);
         let cluster = self.engine.cluster();
         match algorithm {
             Algorithm::Auto => {
@@ -750,10 +807,10 @@ impl RankJoinExecutor {
                 if best != Algorithm::Isl {
                     return self.open_cursor(best, k_hint);
                 }
-                let isl = self.open_isl_cursor(&query)?;
-                Ok(Box::new(self.auto_cursor(query, &plan, isl)))
+                let isl = self.open_isl_cursor(k_hint)?;
+                Ok(Box::new(self.auto_cursor(k_hint, &plan, isl)))
             }
-            Algorithm::Isl => Ok(Box::new(self.open_isl_cursor(&query)?)),
+            Algorithm::Isl => Ok(Box::new(self.open_isl_cursor(k_hint)?)),
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
@@ -762,7 +819,8 @@ impl RankJoinExecutor {
                 let pinned = Some(self.stats.version());
                 Ok(Box::new(BfhmCursor::open(
                     cluster,
-                    &query,
+                    &self.query,
+                    k_hint,
                     t,
                     config,
                     self.write_back,
@@ -778,7 +836,8 @@ impl RankJoinExecutor {
                 let pinned = Some(self.stats.version());
                 Ok(Box::new(DrjnCursor::open(
                     cluster,
-                    &query,
+                    &self.query,
+                    k_hint,
                     t,
                     config,
                     self.execution_mode,
@@ -787,14 +846,16 @@ impl RankJoinExecutor {
             }
             Algorithm::Hive => Ok(Box::new(MaterializedCursor::open(
                 cluster,
-                &query,
+                &self.query,
+                k_hint,
                 MaterializedSource::Hive,
                 "HIVE",
                 Some(self.stats.version()),
             ))),
             Algorithm::Pig => Ok(Box::new(MaterializedCursor::open(
                 cluster,
-                &query,
+                &self.query,
+                k_hint,
                 MaterializedSource::Pig,
                 "PIG",
                 Some(self.stats.version()),
@@ -806,7 +867,8 @@ impl RankJoinExecutor {
                     .ok_or_else(|| RankJoinError::MissingIndex("ijlmr (unprepared)".into()))?;
                 Ok(Box::new(MaterializedCursor::open(
                     cluster,
-                    &query,
+                    &self.query,
+                    k_hint,
                     MaterializedSource::Ijlmr(t),
                     "IJLMR",
                     Some(self.stats.version()),
@@ -815,17 +877,18 @@ impl RankJoinExecutor {
         }
     }
 
-    /// The ISL cursor of `query` — the shared spec-driven descent at two
-    /// sides, both descended — over the prepared index, pinned to the
+    /// The ISL cursor for the top `k` — the shared spec-driven descent at
+    /// two sides, both descended — over the prepared index, pinned to the
     /// current statistics version.
-    fn open_isl_cursor(&self, query: &RankJoinQuery) -> Result<IslCursor> {
+    fn open_isl_cursor(&self, k: usize) -> Result<IslCursor> {
         let table = self
             .isl_table
             .as_deref()
             .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
         IslCursor::open(
             self.engine.cluster(),
-            &query.to_spec(),
+            &self.spec,
+            k,
             table,
             &self.isl_config.batches(),
             &[SideAccess::Descend; 2],
@@ -846,12 +909,11 @@ impl RankJoinExecutor {
                 match (auto.switched, auto.inner) {
                     (false, StateInner::Isl(core)) => {
                         let k = core.meta.k;
-                        let query = self.query.with_k(k);
                         let isl = IslCursor::resume(self.engine.cluster(), *core);
                         // Same statistics version (just checked), so this
                         // is the cached plan the cursor was opened under.
                         let plan = self.plan_with_k(k)?;
-                        Ok(Box::new(self.auto_cursor(query, &plan, isl)))
+                        Ok(Box::new(self.auto_cursor(k, &plan, isl)))
                     }
                     // Already switched (or a non-ISL inner): the adaptive
                     // context is spent — resume the driving state natively.
@@ -907,7 +969,7 @@ impl RankJoinExecutor {
 
     /// A divergence judge against `plan` under this executor's trust
     /// bound, and the per-batch cursor hook that consults it.
-    fn divergence_hook(&self, plan: &Plan) -> (Arc<Mutex<DivergenceObserver>>, BatchObserver) {
+    fn divergence_hook(&self, plan: &Arc<Plan>) -> (Arc<Mutex<DivergenceObserver>>, BatchObserver) {
         let observer = Arc::new(Mutex::new(DivergenceObserver::new(
             plan,
             self.replan_divergence,
@@ -922,15 +984,17 @@ impl RankJoinExecutor {
         (observer, Box::new(hook))
     }
 
-    /// Builds the [`AutoCursor`] driving `isl` under divergence
-    /// observation against `plan`, carrying everything the mid-query
-    /// switch needs, detached from `self`'s lifetime.
-    fn auto_cursor(&self, query: RankJoinQuery, plan: &Plan, mut isl: IslCursor) -> AutoCursor {
+    /// Builds the [`AutoCursor`] for the top `k` driving `isl` under
+    /// divergence observation against `plan`, carrying everything the
+    /// mid-query switch needs — shared, not copied — detached from
+    /// `self`'s lifetime.
+    fn auto_cursor(&self, k: usize, plan: &Arc<Plan>, mut isl: IslCursor) -> AutoCursor {
         let (observer, hook) = self.divergence_hook(plan);
         isl.set_observer(hook);
         AutoCursor {
             cluster: self.engine.cluster().clone(),
-            query,
+            query: self.query.clone(),
+            k,
             stats: self.stats.clone(),
             candidates: self.candidates(),
             objective: self.objective,
@@ -968,16 +1032,18 @@ enum AutoInner {
 /// inside the same `next_batch` call.
 struct AutoCursor {
     cluster: Cluster,
-    query: RankJoinQuery,
+    /// The executor's query, shared; the cursor's depth is `k`.
+    query: Arc<RankJoinQuery>,
+    k: usize,
     stats: Arc<SharedTableStats>,
     candidates: Candidates,
     objective: Objective,
     staleness_bound: f64,
     write_back: WriteBackPolicy,
     execution_mode: ExecutionMode,
-    bfhm_table: Option<(String, BfhmConfig)>,
-    drjn_table: Option<(String, DrjnConfig)>,
-    ijlmr_table: Option<String>,
+    bfhm_table: Option<(Arc<str>, BfhmConfig)>,
+    drjn_table: Option<(Arc<str>, DrjnConfig)>,
+    ijlmr_table: Option<Arc<str>>,
     observer: Arc<Mutex<DivergenceObserver>>,
     inner: AutoInner,
     switched: bool,
@@ -1006,7 +1072,7 @@ impl AutoCursor {
         let switch_plan = planner::plan(
             &planned.stats,
             &self.query,
-            self.query.k,
+            self.k,
             self.cluster.cost_model(),
             self.objective,
             &self.candidates.clone().without(Algorithm::Isl),
@@ -1028,6 +1094,7 @@ impl AutoCursor {
                 let mut cur = BfhmCursor::open(
                     &self.cluster,
                     &self.query,
+                    self.k,
                     t,
                     config,
                     self.write_back,
@@ -1060,7 +1127,7 @@ impl AutoCursor {
                         return Err(RankJoinError::Internal("impossible switch target"))
                     }
                 };
-                let mut meta = CursorMeta::new(self.query.k, pinned);
+                let mut meta = CursorMeta::new(self.k, pinned);
                 meta.emitted = emitted;
                 meta.charged = charged;
                 Box::new(MaterializedCursor::resume(
@@ -1430,9 +1497,9 @@ mod tests {
         // One mutation on an 11-tuple side ≈ 9% staleness.
         ex.stats_handle()
             .apply_delta(&crate::statsmaint::StatsDelta {
-                table: q.left.table.clone(),
-                join_col: q.left.join_col.clone(),
-                score_col: q.left.score_col.clone(),
+                table: &q.left.table,
+                join_col: &q.left.join_col,
+                score_col: &q.left.score_col,
                 op: crate::statsmaint::DeltaOp::Insert,
                 join_fingerprint: 7,
                 score: 0.5,

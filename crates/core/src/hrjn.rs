@@ -338,9 +338,10 @@ pub struct HrjnState {
 }
 
 impl HrjnState {
-    /// Fresh state for `spec` at `k = spec.k` (pass a re-targeted spec
-    /// for other depths).
-    pub fn new(spec: &JoinSpec) -> Self {
+    /// Fresh state for `spec`'s join tree, keeping the best `k` results.
+    /// The depth is the run's, not the descriptor's: `spec.k` is not read,
+    /// so one shared spec serves runs at every `k`.
+    pub fn new(spec: &JoinSpec, k: usize) -> Self {
         let n = spec.n();
         // Side `side`'s slot for edge `e`: how many earlier edges touch it.
         let slot = |side: usize, e: usize| {
@@ -380,7 +381,7 @@ impl HrjnState {
         }
         HrjnState {
             score_fn: spec.score_fn,
-            results: TopIds::new(spec.k, n),
+            results: TopIds::new(k, n),
             inputs: (0..n)
                 .map(|side| Input {
                     seen: SeenSide::new(spec.incident_edges(side).count()),
@@ -656,14 +657,14 @@ pub type InputTuple = (Vec<u8>, Vec<Vec<u8>>, f64);
 
 /// Runs HRJN to completion over in-memory score-descending per-side
 /// lists, round-robin over the sides — the reference driver used by
-/// tests.
+/// tests, at the spec's own `k`.
 pub fn run_hrjn(spec: &JoinSpec, sides: &[Vec<InputTuple>]) -> Result<Vec<JoinTuple>> {
     if sides.len() != spec.n() {
         return Err(RankJoinError::InvalidSpec(
             "one input list per side required",
         ));
     }
-    let mut state = HrjnState::new(spec);
+    let mut state = HrjnState::new(spec, spec.k);
     let mut at = vec![0usize; sides.len()];
     for (i, list) in sides.iter().enumerate() {
         if list.is_empty() {
@@ -872,7 +873,7 @@ mod tests {
                 .collect()
         };
         let (left, right) = (list("l"), list("r"));
-        let mut state = HrjnState::new(&binary(1, ScoreFn::Sum));
+        let mut state = HrjnState::new(&binary(1, ScoreFn::Sum), 1);
         let mut consumed = 0;
         let mut li = 0;
         let mut ri = 0;
@@ -910,7 +911,7 @@ mod tests {
 
     #[test]
     fn threshold_is_none_before_both_sides_seen() {
-        let mut s = HrjnState::new(&binary(1, ScoreFn::Sum));
+        let mut s = HrjnState::new(&binary(1, ScoreFn::Sum), 1);
         assert_eq!(s.threshold(), None);
         push(&mut s, 0, &t(b"l", &[b"x"], 0.9));
         assert_eq!(s.threshold(), None, "right side untouched → no bound");
@@ -931,7 +932,7 @@ mod tests {
         // The interior side of a path carries two join values; one or
         // three must be refused, never indexed out of bounds or joined on
         // a prefix.
-        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum));
+        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum), 2);
         let wrong: [&[&[u8]]; 2] = [&[b"x"], &[b"x", b"y", b"z"]];
         for values in wrong {
             let err = s
@@ -1003,7 +1004,7 @@ mod tests {
                 })
                 .collect()
         };
-        let mut state = HrjnState::new(&path3(1, ScoreFn::Sum));
+        let mut state = HrjnState::new(&path3(1, ScoreFn::Sum), 1);
         let sides = [mk("a", &[b"x"]), mk("m", &[b"x", b"x"]), mk("c", &[b"x"])];
         let mut at = [0usize; 3];
         while !state.is_done() {
@@ -1021,7 +1022,7 @@ mod tests {
 
     #[test]
     fn threshold_none_until_every_side_bounded() {
-        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum));
+        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum), 2);
         assert_eq!(s.threshold(), None);
         push(&mut s, 0, &t(b"a", &[b"x"], 0.9));
         push(&mut s, 1, &t(b"b", &[b"x", b"x"], 0.8));
@@ -1032,7 +1033,7 @@ mod tests {
 
     #[test]
     fn exhausted_empty_side_terminates() {
-        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum));
+        let mut s = HrjnState::new(&path3(2, ScoreFn::Sum), 2);
         push(&mut s, 0, &t(b"a", &[b"x"], 0.9));
         push(&mut s, 2, &t(b"c", &[b"x"], 0.7));
         s.exhaust(1);

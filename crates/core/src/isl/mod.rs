@@ -29,7 +29,7 @@ use crate::query::RankJoinQuery;
 
 pub use index::IslBuildStats;
 pub use query::{run, run_with_mode, IslConfig};
-pub(crate) use query::{run_observed, BatchVerdict};
+pub(crate) use query::{run_observed, BatchVerdict, IslRun};
 
 /// Canonical index-table name for a query pair: [`index::index_table_name`]
 /// of its two-side spec (`isl__<left label>__<right label>`).

@@ -6,6 +6,8 @@
 //! threshold test after every tuple. The loop itself lives in
 //! [`IslCursor`]; the one-shot drivers here drain it in one call.
 
+use std::sync::Arc;
+
 use rj_store::metrics::QueryMeter;
 use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask, ParallelScanner};
 use rj_store::row::RowResult;
@@ -64,7 +66,9 @@ pub fn run(
 
 /// Executes the ISL rank join under an explicit [`ExecutionMode`] — the
 /// two-side instance of the spec-driven descent (the query's
-/// [`RankJoinQuery::to_spec`], both sides descended).
+/// [`RankJoinQuery::to_spec`], both sides descended) at the query's own
+/// `k`. This direct entry point builds that spec for its one call; an
+/// executor builds its spec once and runs every `k` against it.
 ///
 /// Two read paths fan out in parallel mode, both read-for-read identical
 /// to serial execution:
@@ -89,9 +93,11 @@ pub fn run_with_mode(
     config: IslConfig,
     mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
+    let spec = Arc::new(query.to_spec());
     run_observed(
         cluster,
-        &query.to_spec(),
+        &spec,
+        query.k,
         index_table,
         &config.batches(),
         mode,
@@ -138,8 +144,9 @@ impl IslRun {
     }
 }
 
-/// The all-sides-descending one-shot run over any spec, with an optional
-/// per-batch observation hook ([`IslCursor::set_observer`]): after every
+/// The all-sides-descending one-shot run for the top `k` of a shared
+/// spec (whose own `k` is not read), with an optional per-batch
+/// observation hook ([`IslCursor::set_observer`]): after every
 /// completed batch (while HRJN is neither done nor exhausted) the
 /// observer sees the current [`HrjnState`] and the batch count, and can
 /// abort the descent. Observation is pure bookkeeping over tuples already
@@ -151,15 +158,16 @@ impl IslRun {
 /// could change the plan's remaining cost.
 pub(crate) fn run_observed(
     cluster: &rj_store::cluster::Cluster,
-    spec: &JoinSpec,
+    spec: &Arc<JoinSpec>,
+    k: usize,
     index_table: &str,
     batch: &[usize],
     mode: ExecutionMode,
     observer: Option<BatchObserver>,
 ) -> Result<IslRun> {
-    if spec.k == 0 {
+    if k == 0 {
         return Ok(IslRun {
-            state: HrjnState::new(spec),
+            state: HrjnState::new(spec, 0),
             batches: 0,
             metrics: rj_store::metrics::MetricsSnapshot::default(),
             aborted: false,
@@ -174,7 +182,7 @@ pub(crate) fn run_observed(
     // column family on demand; the store batches RPCs at the configured
     // row-cache size (§4.2.3).
     let descend = vec![SideAccess::Descend; spec.n()];
-    let mut cursor = IslCursor::open(cluster, spec, index_table, batch, &descend, None)?;
+    let mut cursor = IslCursor::open(cluster, spec, k, index_table, batch, &descend, None)?;
     if mode.is_parallel() {
         let index = cluster.table(index_table)?;
         let lane = index.serving_node(&[]);
@@ -208,18 +216,19 @@ pub(crate) fn run_observed(
         // which the warm-up has already performed — the shared loop below
         // handles it.)
         let kvs = index.kv_count();
-        if spec.k as u64 >= kvs.saturating_pow(spec.n() as u32)
+        if k as u64 >= kvs.saturating_pow(spec.n() as u32)
             && states.iter().all(|s| s.has_buffered_rows())
         {
-            return run_enumeration_parallel(
-                cluster,
-                spec,
-                index_table,
-                batch,
-                mode,
-                meter,
-                states,
-            );
+            // The fast path feeds the cursor's fresh operator directly.
+            let state = cursor.into_hrjn();
+            let (state, batches) =
+                run_enumeration_parallel(cluster, spec, index_table, batch, mode, states, state)?;
+            return Ok(IslRun {
+                state,
+                batches,
+                metrics: meter.finish(),
+                aborted: false,
+            });
         }
         cursor.set_warm_scans(states);
     }
@@ -227,7 +236,7 @@ pub(crate) fn run_observed(
     if let Some(observer) = observer {
         cursor.set_observer(observer);
     }
-    cursor.pump(spec.k, &StopPolicy::never())?;
+    cursor.pump(k, &StopPolicy::never())?;
     Ok(IslRun {
         batches: cursor.batches(),
         aborted: cursor.observer_aborted(),
@@ -242,18 +251,18 @@ pub(crate) fn run_observed(
 /// buffered rows — fans out across the index table's regions. Rows arrive
 /// in the same per-side score-descending order as serial batched scans,
 /// and HRJN over the complete inputs is interleaving-independent, so
-/// results are identical.
+/// results are identical. Feeds every side into `state` and returns it
+/// with the batch count.
 fn run_enumeration_parallel(
     cluster: &rj_store::cluster::Cluster,
     spec: &JoinSpec,
     index_table: &str,
     batch: &[usize],
     mode: ExecutionMode,
-    meter: QueryMeter,
     states: Vec<rj_store::client::ScannerState>,
-) -> Result<IslRun> {
+    mut state: HrjnState,
+) -> Result<(HrjnState, u64)> {
     let scanner = ParallelScanner::new(cluster, mode);
-    let mut state = HrjnState::new(spec);
     let mut batches = 0u64;
     for (i, ((side, &batch_size), mut scan_state)) in
         spec.sides.iter().zip(batch).zip(states).enumerate()
@@ -284,12 +293,7 @@ fn run_enumeration_parallel(
             rows.iter().map(RowResult::as_row_ref),
         )?;
     }
-    Ok(IslRun {
-        state,
-        batches,
-        metrics: meter.finish(),
-        aborted: false,
-    })
+    Ok((state, batches))
 }
 
 #[cfg(test)]

@@ -10,6 +10,10 @@
 //! ([`crate::multiway::planner`]) and open the cursor directly, pinned to
 //! the spec's [`SharedSpecStats`] version exactly like binary cursors pin
 //! their table-stats version.
+//!
+//! As in the binary executor, `k` belongs to the run, not the
+//! descriptor: the spec is built once, in [`SpecExecutor::new`], and every
+//! cursor, run and fork shares it, taking `k` as an argument.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -65,7 +69,8 @@ enum SpecKind {
 /// Executes any [`JoinSpec`] (see the module docs).
 pub struct SpecExecutor {
     engine: MapReduceEngine,
-    spec: JoinSpec,
+    /// The spec, shared by every cursor, run and fork.
+    spec: Arc<JoinSpec>,
     kind: SpecKind,
     /// Multiway descent knobs (N-ary path; the binary path keeps its own
     /// [`RankJoinExecutor::isl_config`], reachable via
@@ -83,11 +88,12 @@ pub struct SpecExecutor {
 impl SpecExecutor {
     /// Creates an executor for `spec` on `cluster`.
     pub fn new(cluster: &Cluster, spec: JoinSpec) -> Self {
+        let spec = Arc::new(spec);
         let kind = match spec.as_binary() {
             Some(query) => SpecKind::Binary(Box::new(RankJoinExecutor::new(cluster, query))),
             None => SpecKind::Nary {
                 table: None,
-                stats: SharedSpecStats::new(&spec),
+                stats: SharedSpecStats::new(spec.clone()),
                 plans: Mutex::default(),
             },
         };
@@ -258,7 +264,8 @@ impl SpecExecutor {
         let pinned = Some(stats.version());
         IslCursor::open(
             self.engine.cluster(),
-            &self.spec.with_k(k_hint),
+            &self.spec,
+            k_hint,
             table,
             &vec![self.config.batch; self.spec.n()],
             &access,

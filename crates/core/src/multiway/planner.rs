@@ -214,7 +214,8 @@ impl MaintainedSpec {
 /// until the staleness bound forces a re-collection, exactly the drift
 /// the bound exists to bound).
 pub struct SharedSpecStats {
-    spec: JoinSpec,
+    /// The spec, shared with the executor that created the handle.
+    spec: Arc<JoinSpec>,
     version: AtomicU64,
     collections: AtomicU64,
     maintained: Mutex<Option<MaintainedSpec>>,
@@ -222,10 +223,10 @@ pub struct SharedSpecStats {
 
 impl SharedSpecStats {
     /// A handle for one spec (no snapshot yet; the first planning call
-    /// collects).
-    pub fn new(spec: &JoinSpec) -> Arc<Self> {
+    /// collects), sharing the caller's spec.
+    pub fn new(spec: Arc<JoinSpec>) -> Arc<Self> {
         Arc::new(SharedSpecStats {
-            spec: spec.clone(),
+            spec,
             version: AtomicU64::new(0),
             collections: AtomicU64::new(0),
             maintained: Mutex::new(None),
@@ -371,29 +372,26 @@ impl StatsMaintainer for SharedSpecStats {
     /// type docs for the matching rule). Deltas for foreign schemas are
     /// ignored; deltas arriving before the first collection only bump
     /// the version.
-    fn apply_delta(&self, delta: &StatsDelta) {
-        // (side, incident edges whose column the delta names).
-        let mut matched: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, side) in self.spec.sides.iter().enumerate() {
-            if side.table != delta.table || side.score_col != delta.score_col {
-                continue;
-            }
-            let edges: Vec<usize> = self
-                .spec
+    fn apply_delta(&self, delta: &StatsDelta<'_>) {
+        // The incident edges of side `i` whose column the delta names.
+        let edges = |i: usize| {
+            self.spec
                 .incident_edges(i)
-                .filter(|(_, col)| **col == delta.join_col)
+                .filter(|(_, col)| *col == delta.join_col)
                 .map(|(e, _)| e)
-                .collect();
-            if !edges.is_empty() {
-                matched.push((i, edges));
-            }
-        }
-        if matched.is_empty() {
+        };
+        let matches = |i: usize| {
+            let side = &self.spec.sides[i];
+            side.table == delta.table
+                && side.score_col == *delta.score_col
+                && edges(i).next().is_some()
+        };
+        if !(0..self.spec.n()).any(matches) {
             return;
         }
         if let Some(m) = self.maintained.lock().expect("spec stats handle").as_mut() {
-            for (i, edges) in &matched {
-                let s = &mut m.stats.sides[*i];
+            for i in (0..self.spec.n()).filter(|&i| matches(i)) {
+                let s = &mut m.stats.sides[i];
                 let bucket = SpecSideStats::bucket_of(delta.score);
                 match delta.op {
                     DeltaOp::Insert => {
@@ -409,8 +407,8 @@ impl StatsMaintainer for SharedSpecStats {
                         }
                     }
                 }
-                for &e in edges {
-                    let endpoint = usize::from(self.spec.edges[e].a != *i);
+                for e in edges(i) {
+                    let endpoint = usize::from(self.spec.edges[e].a != i);
                     let sketch = &mut m.edge_values[e][endpoint];
                     match delta.op {
                         DeltaOp::Insert => {
@@ -431,7 +429,7 @@ impl StatsMaintainer for SharedSpecStats {
                     );
                     m.stats.edge_distinct[e] = (a, b);
                 }
-                m.mutations[*i] += 1;
+                m.mutations[i] += 1;
             }
         }
         self.version.fetch_add(1, Ordering::AcqRel);
@@ -520,7 +518,7 @@ mod tests {
     #[test]
     fn maintained_deltas_track_and_staleness_bounds() {
         let (c, spec) = three_way_path_cluster(3);
-        let h = SharedSpecStats::new(&spec);
+        let h = SharedSpecStats::new(Arc::new(spec.clone()));
         assert!(h.staleness().is_infinite());
         let p = h.stats_for_planning(&c, 0.1).unwrap();
         assert_eq!(p.source, StatsSource::Exact);
@@ -532,9 +530,9 @@ mod tests {
         // A delta against side 2 (table tc, column jk).
         let v = h.version();
         h.apply_delta(&StatsDelta {
-            table: "tc".into(),
-            join_col: ("d".into(), b"jk".to_vec()),
-            score_col: ("d".into(), b"score".to_vec()),
+            table: "tc",
+            join_col: &("d".into(), b"jk".to_vec()),
+            score_col: &("d".into(), b"score".to_vec()),
             op: DeltaOp::Insert,
             join_fingerprint: join_fingerprint(b"zz"),
             score: 0.95,
@@ -551,9 +549,9 @@ mod tests {
         // Churn past the bound forces a re-collection.
         for _ in 0..3 {
             h.apply_delta(&StatsDelta {
-                table: "tc".into(),
-                join_col: ("d".into(), b"jk".to_vec()),
-                score_col: ("d".into(), b"score".to_vec()),
+                table: "tc",
+                join_col: &("d".into(), b"jk".to_vec()),
+                score_col: &("d".into(), b"score".to_vec()),
                 op: DeltaOp::Insert,
                 join_fingerprint: join_fingerprint(b"zz"),
                 score: 0.95,
@@ -570,14 +568,14 @@ mod tests {
     #[test]
     fn interior_side_matches_either_edge_column() {
         let (c, spec) = three_way_path_cluster(3);
-        let h = SharedSpecStats::new(&spec);
+        let h = SharedSpecStats::new(Arc::new(spec.clone()));
         h.stats_for_planning(&c, 1.0).unwrap();
         // Side B joins A on jk1 and C on jk2; a delta naming jk2 must
         // land on B (tuples) and on edge 1's B endpoint (distinct).
         h.apply_delta(&StatsDelta {
-            table: "tb".into(),
-            join_col: ("d".into(), b"jk2".to_vec()),
-            score_col: ("d".into(), b"score".to_vec()),
+            table: "tb",
+            join_col: &("d".into(), b"jk2".to_vec()),
+            score_col: &("d".into(), b"score".to_vec()),
             op: DeltaOp::Insert,
             join_fingerprint: join_fingerprint(b"qq"),
             score: 0.5,
@@ -596,13 +594,13 @@ mod tests {
     #[test]
     fn foreign_deltas_are_ignored() {
         let (c, spec) = three_way_path_cluster(3);
-        let h = SharedSpecStats::new(&spec);
+        let h = SharedSpecStats::new(Arc::new(spec.clone()));
         h.stats_for_planning(&c, 0.1).unwrap();
         let v = h.version();
         h.apply_delta(&StatsDelta {
-            table: "unrelated".into(),
-            join_col: ("d".into(), b"jk".to_vec()),
-            score_col: ("d".into(), b"score".to_vec()),
+            table: "unrelated",
+            join_col: &("d".into(), b"jk".to_vec()),
+            score_col: &("d".into(), b"score".to_vec()),
             op: DeltaOp::Insert,
             join_fingerprint: 7,
             score: 0.5,
@@ -615,7 +613,7 @@ mod tests {
     #[test]
     fn invalidate_forces_fresh_pass() {
         let (c, spec) = three_way_path_cluster(3);
-        let h = SharedSpecStats::new(&spec);
+        let h = SharedSpecStats::new(Arc::new(spec.clone()));
         h.stats_for_planning(&c, 0.1).unwrap();
         h.invalidate();
         assert!(h.maintained_stats().is_none());

@@ -76,7 +76,7 @@ use crate::planner::{
     collect_stats_detailed, DetailedStats, SideStats, StatsSource, TableStats, KV_OVERHEAD_BYTES,
     STAT_BUCKETS,
 };
-use crate::query::RankJoinQuery;
+use crate::query::{Column, JoinSide, RankJoinQuery};
 
 /// Default fraction of a side's tuples that may mutate before the planner
 /// stops trusting incrementally-maintained statistics and re-collects.
@@ -124,14 +124,17 @@ pub enum DeltaOp {
 /// both sides (exactly as a full `collect_stats` pass would); a
 /// self-join ranking the two sides by *different* columns only updates
 /// the side whose columns the write actually carried.
-#[derive(Clone, Debug)]
-pub struct StatsDelta {
+///
+/// The schema is borrowed from the writing [`JoinSide`]: a delta owns
+/// nothing, so emitting one allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct StatsDelta<'a> {
     /// Base table the mutation hit.
-    pub table: String,
+    pub table: &'a str,
     /// `(family, qualifier)` of the join-attribute column written.
-    pub join_col: (String, Vec<u8>),
+    pub join_col: &'a Column,
     /// `(family, qualifier)` of the score column written.
-    pub score_col: (String, Vec<u8>),
+    pub score_col: &'a Column,
     /// Insert or delete.
     pub op: DeltaOp,
     /// Fingerprint of the tuple's join value (see [`join_fingerprint`]).
@@ -143,12 +146,21 @@ pub struct StatsDelta {
     pub entry_bytes: f64,
 }
 
+impl StatsDelta<'_> {
+    /// Whether this delta writes `side`'s statistics schema.
+    fn describes(&self, side: &JoinSide) -> bool {
+        side.table == self.table
+            && side.join_col == *self.join_col
+            && side.score_col == *self.score_col
+    }
+}
+
 /// Anything that wants to observe maintained-write deltas — the §6 write
 /// path fans each mutation out to every registered maintainer, mirroring
 /// how it fans the mutation itself out to the attached indices.
 pub trait StatsMaintainer: Send + Sync {
     /// Folds one write's delta in.
-    fn apply_delta(&self, delta: &StatsDelta);
+    fn apply_delta(&self, delta: &StatsDelta<'_>);
 }
 
 /// The maintained snapshot plus the bookkeeping deltas need to merge
@@ -185,7 +197,7 @@ impl Maintained {
     /// two applications compose to exactly the full-pass arithmetic
     /// (`(c+1)² − c² = 2c+1` pairs per inserted value, symmetrically for
     /// deletes).
-    fn apply(&mut self, side: usize, delta: &StatsDelta) {
+    fn apply(&mut self, side: usize, delta: &StatsDelta<'_>) {
         let other = 1 - side;
         let counts = self
             .detail
@@ -294,7 +306,8 @@ pub struct PlannedStats {
 /// register it on the write path with
 /// [`MaintainedSide::with_stats`](crate::maintenance::MaintainedSide::with_stats).
 pub struct SharedTableStats {
-    query: RankJoinQuery,
+    /// The query pair, shared with the executor that created the handle.
+    query: Arc<RankJoinQuery>,
     /// Bumped by every delta, invalidation, and collection — the
     /// plan-cache coherence token. Atomic so readers never block on the
     /// snapshot lock.
@@ -307,10 +320,10 @@ pub struct SharedTableStats {
 
 impl SharedTableStats {
     /// A handle for one query pair (no snapshot yet; the first planning
-    /// call collects).
-    pub fn new(query: &RankJoinQuery) -> Arc<Self> {
+    /// call collects), sharing the caller's query.
+    pub fn new(query: Arc<RankJoinQuery>) -> Arc<Self> {
         Arc::new(SharedTableStats {
-            query: query.clone(),
+            query,
             version: AtomicU64::new(0),
             collections: AtomicU64::new(0),
             maintained: Mutex::new(None),
@@ -514,23 +527,16 @@ impl StatsMaintainer for SharedTableStats {
     /// of several queries); deltas arriving before the first collection
     /// only bump the version (there is nothing to merge into — the first
     /// planning call collects them anyway).
-    fn apply_delta(&self, delta: &StatsDelta) {
-        let sides: Vec<usize> = [&self.query.left, &self.query.right]
-            .into_iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.table == delta.table
-                    && s.join_col == delta.join_col
-                    && s.score_col == delta.score_col
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if sides.is_empty() {
+    fn apply_delta(&self, delta: &StatsDelta<'_>) {
+        let sides = [&self.query.left, &self.query.right];
+        if !sides.iter().any(|side| delta.describes(side)) {
             return;
         }
         if let Some(m) = self.maintained.lock().expect("stats handle").as_mut() {
-            for side in &sides {
-                m.apply(*side, delta);
+            for (i, side) in sides.into_iter().enumerate() {
+                if delta.describes(side) {
+                    m.apply(i, delta);
+                }
             }
         }
         self.version.fetch_add(1, Ordering::AcqRel);
@@ -543,12 +549,18 @@ mod tests {
     use crate::planner::{collect_stats, entry_bytes_of};
     use crate::testsupport::running_example_cluster;
 
-    fn delta(q: &RankJoinQuery, side: usize, op: DeltaOp, join: &[u8], score: f64) -> StatsDelta {
+    fn delta<'q>(
+        q: &'q RankJoinQuery,
+        side: usize,
+        op: DeltaOp,
+        join: &[u8],
+        score: f64,
+    ) -> StatsDelta<'q> {
         let s = q.try_side(side).expect("binary side");
         StatsDelta {
-            table: s.table.clone(),
-            join_col: s.join_col.clone(),
-            score_col: s.score_col.clone(),
+            table: &s.table,
+            join_col: &s.join_col,
+            score_col: &s.score_col,
             op,
             join_fingerprint: join_fingerprint(join),
             score,
@@ -559,7 +571,7 @@ mod tests {
     #[test]
     fn first_planning_call_collects_then_maintains() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         assert_eq!(h.collections(), 0);
         assert!(h.staleness().is_infinite());
         let p = h.stats_for_planning(&c, 0.1).unwrap();
@@ -576,7 +588,7 @@ mod tests {
     #[test]
     fn deltas_merge_exactly_against_a_fresh_pass() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 1.0).unwrap();
         // Mirror two real mutations on the base table + the handle.
         let client = c.client();
@@ -610,7 +622,7 @@ mod tests {
     #[test]
     fn delete_clamps_max_score_conservatively() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 1.0).unwrap();
         // r2's max is 0.92 (r2_11); delete it from the sketch.
         h.apply_delta(&delta(&q, 1, DeltaOp::Delete, b"b", 0.92));
@@ -625,7 +637,7 @@ mod tests {
     #[test]
     fn crossing_the_bound_recollects() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 0.1).unwrap();
         // 2 mutations on an 11-tuple side ≈ 18% > 10% bound. Cancelling
         // ops still count: staleness measures churn, not net size change.
@@ -641,7 +653,7 @@ mod tests {
     #[test]
     fn deleting_an_unseen_join_value_cannot_understate_the_sketch() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 1.0).unwrap();
         let before = h.maintained_stats().unwrap();
         // A delete whose join value never entered the sketch (e.g. the
@@ -685,7 +697,7 @@ mod tests {
             3,
             ScoreFn::Sum,
         );
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 1.0).unwrap();
         // Mirror a real insert on the table + one delta through side A's
         // write path.
@@ -700,9 +712,9 @@ mod tests {
             )
             .unwrap();
         h.apply_delta(&StatsDelta {
-            table: "t".into(),
-            join_col: ("d".into(), b"jk".to_vec()),
-            score_col: ("d".into(), b"score".to_vec()),
+            table: "t",
+            join_col: &("d".into(), b"jk".to_vec()),
+            score_col: &("d".into(), b"score".to_vec()),
             op: DeltaOp::Insert,
             join_fingerprint: join_fingerprint(b"x"),
             score: 0.9,
@@ -722,13 +734,13 @@ mod tests {
     #[test]
     fn foreign_deltas_are_ignored() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 0.1).unwrap();
         let v = h.version();
         h.apply_delta(&StatsDelta {
-            table: "some_other_table".into(),
-            join_col: ("d".into(), b"jk".to_vec()),
-            score_col: ("d".into(), b"score".to_vec()),
+            table: "some_other_table",
+            join_col: &("d".into(), b"jk".to_vec()),
+            score_col: &("d".into(), b"score".to_vec()),
             op: DeltaOp::Insert,
             join_fingerprint: 7,
             score: 0.5,
@@ -741,7 +753,7 @@ mod tests {
     #[test]
     fn observed_descent_corrects_the_lied_prefix_without_recollecting() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 0.1).unwrap();
         // Plant a lie: one fake high-score insert per left tuple bucket.
         h.apply_delta(&delta(&q, 0, DeltaOp::Insert, b"ghost", 0.975));
@@ -794,7 +806,7 @@ mod tests {
     #[test]
     fn observed_descent_without_a_snapshot_is_a_no_op() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         assert!(!h.apply_observed_descent(
             [
                 Some(ObservedDescent {
@@ -814,7 +826,7 @@ mod tests {
     #[test]
     fn invalidate_forces_a_fresh_pass() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(&q);
+        let h = SharedTableStats::new(Arc::new(q.clone()));
         h.stats_for_planning(&c, 0.1).unwrap();
         h.invalidate();
         assert!(h.maintained_stats().is_none());

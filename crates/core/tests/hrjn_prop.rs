@@ -204,7 +204,7 @@ proptest! {
             .collect();
         let sides = with_duplicates(make_sides(&spec, &raw), &dups);
         let n = spec.n();
-        let mut state = HrjnState::new(&spec);
+        let mut state = HrjnState::new(&spec, k);
         let mut at = vec![0usize; n];
         // The picked interleaving, then whatever it left, side by side.
         let rest = (0..n).flat_map(|i| std::iter::repeat_n(i, sides[i].len()));
@@ -294,8 +294,8 @@ proptest! {
         }
         let split = pushes.len() / 2;
 
-        let mut retargeted = HrjnState::new(&spec);
-        let mut fresh = HrjnState::new(&spec.with_k(new_k));
+        let mut retargeted = HrjnState::new(&spec, spec.k);
+        let mut fresh = HrjnState::new(&spec, new_k);
         for &(side, t) in &pushes[..split] {
             push(&mut retargeted, side, t);
             push(&mut fresh, side, t);

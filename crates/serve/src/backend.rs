@@ -89,7 +89,7 @@ impl BackendExec {
     /// share key (see the module docs).
     pub fn fingerprint(&self) -> u64 {
         match self {
-            BackendExec::Binary(b) => b.query().to_spec().fingerprint(),
+            BackendExec::Binary(b) => b.spec().fingerprint(),
             BackendExec::Spec(s) => s.fingerprint(),
         }
     }

@@ -114,9 +114,9 @@ impl Table {
         &self.name
     }
 
-    /// The table name's shared handle (a detached scanner position names
-    /// its table without copying it).
-    pub(crate) fn name_handle(&self) -> Arc<str> {
+    /// The table name's shared handle (a detached scanner position or a
+    /// parked query names its table without copying it).
+    pub fn name_handle(&self) -> Arc<str> {
         self.name.clone()
     }
 

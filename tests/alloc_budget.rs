@@ -25,11 +25,18 @@
 //! pull join tests admission on borrowed keys too, but its pulled rows are
 //! still collected owned and its seen sides built by incremental pushes.
 //!
+//! No run copies its query: an executor shares one query (and its
+//! two-side spec) with every run and cursor and passes `k` as an
+//! argument, so `Auto` on a cached plan costs exactly what the algorithm
+//! it picks costs.
+//!
 //! The maintained write path has a budget of the same kind: the store
 //! frees what a delete kills (after the tombstones' grace window), so a
 //! round of inserts and deletes allocates the same however many rounds
-//! came before it. So has the serving layer's `next_page`: a page costs
-//! its own rows, not a copy of every page served before it.
+//! came before it, and a statistics delta borrows its schema, so a
+//! statistics handle adds nothing to a write. So has the serving layer's
+//! `next_page`: a page costs its own rows, not a copy of every page
+//! served before it.
 //!
 //! And the caches cost what they save: a prefix-cache hit shares the cut
 //! an earlier hit was given, a cold plan walks the score grid's frontier
@@ -62,14 +69,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static ALONE: RwLock<()> = RwLock::new(());
 
 const ISL_BATCH: usize = 64;
-/// One-shot BFHM on Q2 at k = 10: 109 allocations for 37 KV reads (504
-/// when a blob decoded into a B-tree and a bitmap and every get built an
-/// owned row).
-const BFHM_ALLOCS_PER_1000_READS: u64 = 3_300;
-/// One-shot DRJN on Q2 at k = 10: 14 051 allocations, give or take a few
+/// One-shot BFHM on Q2 at k = 10: 85 allocations for 37 KV reads (109
+/// when every run copied the query twice, 504 when a blob decoded into a
+/// B-tree and a bitmap and every get built an owned row).
+const BFHM_ALLOCS_PER_1000_READS: u64 = 2_400;
+/// One-shot DRJN on Q2 at k = 10: 12 815 allocations, give or take a few
 /// (the order parallel map tasks write the pull table in decides a few
-/// B-tree node splits), for 115 239 KV reads.
-const DRJN_ALLOCS_PER_1000_READS: u64 = 123;
+/// B-tree node splits), for 115 239 KV reads (14 051 when each round
+/// copied the query and each pulled row its join value).
+const DRJN_ALLOCS_PER_1000_READS: u64 = 115;
 
 fn side(table: &str, label: &str, join: &'static [u8]) -> JoinSide {
     JoinSide::new(
@@ -166,8 +174,6 @@ fn resume_costs(
 
 /// Drains a fresh cursor over `k` results `page` at a time with a
 /// pause/resume between pages; returns the results and the page count.
-/// (A BFHM cursor that has certified and emitted all `k` does not report
-/// `done` until its guarantee loop would have ended too.)
 fn paged(
     open: impl Fn() -> Box<dyn RankedCursor>,
     resume: impl Fn(CursorState) -> Box<dyn RankedCursor>,
@@ -181,7 +187,8 @@ fn paged(
         let batch = cursor.next_batch(page, &policy).unwrap();
         results.extend(batch.results);
         pages += 1;
-        if batch.done || results.len() >= k {
+        if batch.done {
+            assert_eq!(results.len(), k);
             return (results, pages);
         }
         cursor = resume(cursor.pause());
@@ -210,9 +217,9 @@ fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
             total_reads += reads;
         }
     }
-    // Measured: 2 841 allocations for 14 059 KV reads (0.20 a read; 0.38
+    // Measured: 2 829 allocations for 14 059 KV reads (0.20 a read; 0.38
     // at worst, Q1 at k = 200, where building the 200 results dominates:
-    // 809, against 1 872 when every admitted match was copied into the
+    // 807, against 1 872 when every admitted match was copied into the
     // top-k and 5 429 in all).
     assert!(
         total_allocs * 100 <= total_reads * 25,
@@ -242,7 +249,7 @@ fn hrjn_over_ties(k: usize, descending_keys: bool) -> (Vec<rankjoin::JoinTuple>,
         .map(|i| (1, key("r", i), 0.5))
         .chain((0..40).map(|i| (0, key("l", i), 1.0)))
         .collect();
-    let mut state = HrjnState::new(&spec);
+    let mut state = HrjnState::new(&spec, k);
     let ((), allocs) = counted(|| {
         for (side, key, score) in &inputs {
             state
@@ -287,6 +294,31 @@ fn one_shot_bfhm_allocations_per_kv_read_are_pinned() {
     );
 }
 
+#[test]
+fn auto_on_a_cached_plan_allocates_exactly_what_its_choice_allocates() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    // The lab profile, where Auto picks BFHM over ISL and the MapReduce
+    // baselines, as in the benchmark's `bfhm_auto`.
+    let cluster = Cluster::with_profile(CostModel::lab());
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    let mut ex = RankJoinExecutor::new(&cluster, q2);
+    ex.isl_config = IslConfig::uniform(ISL_BATCH);
+    ex.prepare_isl().unwrap();
+    ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    for k in [1, 10, 50] {
+        let choice = ex.plan_with_k(k).unwrap().best().unwrap();
+        assert_eq!(choice, Algorithm::Bfhm, "k = {k}");
+        let (chosen, chosen_allocs) = counted(|| ex.execute_with_k(choice, k).unwrap());
+        let (auto, auto_allocs) = counted(|| ex.execute_with_k(Algorithm::Auto, k).unwrap());
+        assert_eq!(auto.results, chosen.results, "k = {k}");
+        // The cached plan, the shared query and the outcome's spare room
+        // for one more extra: Auto adds no allocation to its choice's
+        // (it added a copy of the query when it took one per run).
+        assert_eq!(auto_allocs, chosen_allocs, "k = {k}");
+    }
+}
+
 /// One-shot BFHM at `k` and the allocations it made.
 fn bfhm_run(ex: &RankJoinExecutor, k: usize) -> (rankjoin::QueryOutcome, u64) {
     let (outcome, allocs) = counted(|| ex.execute_with_k(Algorithm::Bfhm, k).unwrap());
@@ -310,7 +342,7 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     // What the deeper run may pay for: three keys per extra admitted
     // result, a few more estimates (a position vector each) and blobs (two
     // arrays each), and regrowth of the cache's columns — not the gets.
-    // Measured: 109 and 298 allocations, 33 and 171 gets; at seven
+    // Measured: 85 and 274 allocations, 33 and 171 gets; at seven
     // allocations a get the difference alone was 966.
     let budget = 3 * 40 + 100;
     assert!(
@@ -504,7 +536,8 @@ fn paged_session_costs_one_shot_plus_its_pages() {
     assert_eq!(paged, one_shot.results);
     // Both build each result once, as it leaves the operator; per page
     // the paged session adds the page vector and the pause/resume boxes.
-    // Measured: 821 against 883 over 20 pages.
+    // Measured: 787 against 849 over 20 pages (821 against 883 when each
+    // open copied the query into a spec).
     let per_page = 16;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
@@ -527,9 +560,10 @@ fn three_way_paged_session_costs_one_shot_plus_its_pages() {
     });
     assert_eq!(paged, one_shot.results);
     // As for the binary join: a result is built once either way, when it
-    // leaves the operator. Measured: 1 378 against 1 442 over 20 pages
-    // (2 838 against 3 902 when the operator buffered built tuples, the
-    // one-shot moved them out and every page cloned its own).
+    // leaves the operator. Measured: 1 346 against 1 410 over 20 pages
+    // (1 378 against 1 442 when each open copied the spec, 2 838 against
+    // 3 902 when the operator buffered built tuples, the one-shot moved
+    // them out and every page cloned its own).
     let per_page = 16;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
@@ -680,6 +714,53 @@ fn a_resumed_one_family_scanner_allocates_nothing_beyond_its_batch() {
             assert_eq!(allocs, 0, "turn {turn} allocated");
         }
     }
+}
+
+#[test]
+fn a_statistics_handle_adds_nothing_to_a_maintained_write() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let (cluster, ex) = prepared(&q2);
+    // A collected snapshot, so every delta merges into it.
+    ex.plan().unwrap();
+    let isl = isl::index_table_name(&q2);
+    let plain = MaintainedSide::new(&cluster, q2.right.clone()).with_isl(&isl);
+    let tracked = MaintainedSide::new(&cluster, q2.right.clone())
+        .with_isl(&isl)
+        .with_stats(ex.stats_handle());
+    // The same 60 keys each round, through one side or the other.
+    let rows: Vec<(Vec<u8>, [u8; 8], f64)> = (0..60u32)
+        .map(|i| {
+            let order = u64::from(1 + (i * 7) % 200);
+            (
+                loader::rowkeys::lineitem(order, 2000),
+                rankjoin::store::keys::encode_u64(order),
+                0.05 + 0.9 * f64::from(i) / 60.0,
+            )
+        })
+        .collect();
+    let round = |side: &MaintainedSide| {
+        counted(|| {
+            for (key, join, score) in &rows {
+                side.insert(key, join, *score, vec![]).unwrap();
+                side.delete(key).unwrap();
+            }
+        })
+        .1
+    };
+    let version = ex.stats_handle().version();
+    let per_round: Vec<(u64, u64)> = (0..6).map(|_| (round(&plain), round(&tracked))).collect();
+    assert_eq!(ex.stats_handle().version(), version + 6 * 2 * 60);
+    // Past the first rounds' warm-up, an insert + delete pair costs the
+    // same with the handle as without it (the delta borrows its schema
+    // and the handle matches sides in place — 12 allocations a pair when
+    // the delta owned copies of the schema).
+    assert!(
+        per_round[2..]
+            .iter()
+            .all(|&(plain, tracked)| plain == tracked),
+        "(without, with) the handle, per round: {per_round:?}"
+    );
 }
 
 #[test]

@@ -12,6 +12,8 @@
 //!   [`RankJoinError::StaleCursor`] instead of silently mixing epochs;
 //!   the same paused state re-targeted to a deeper `k` replays its
 //!   consumed prefix for free.
+//! * Every schedule here drains a cursor on `batch.done` alone: a cursor
+//!   that has emitted all `k` results says so.
 
 use proptest::prelude::*;
 
@@ -161,7 +163,7 @@ fn run_schedule(
     let mut results = Vec::new();
     let mut done = false;
     for op in ops {
-        if done || results.len() >= k {
+        if done {
             break;
         }
         match op {
@@ -185,7 +187,7 @@ fn run_schedule(
             }
         }
     }
-    while !done && results.len() < k {
+    while !done {
         let batch = cursor.next_batch(k - results.len(), &policy).unwrap();
         results.extend(batch.results);
         done = batch.done;
@@ -330,4 +332,40 @@ fn retargeted_resume_replays_the_consumed_prefix_for_free() {
         warm_reads < cold_reads,
         "warm retarget read {warm_reads} kv entries, cold k=12 read {cold_reads}"
     );
+}
+
+/// A BFHM or DRJN cursor that has emitted all `k` results reports `done`
+/// on the page that emitted the last one — it used to wait for its
+/// guarantee loop to end, so a loop draining on `done` alone spun on
+/// empty pages. Pulled one result a page, `k + 1` pages always suffice.
+#[test]
+fn bfhm_and_drjn_cursors_are_done_once_all_k_results_are_out() {
+    let rows: Vec<(u8, f64)> = (0..40u32)
+        .map(|i| ((i % 4) as u8, f64::from(i * 7 % 41) / 41.0))
+        .collect();
+    let (cluster, query) = load_pair(&rows, &rows, 5);
+    let ex = prepared(&cluster, &query, 3);
+    let all = oracle::full_join(&cluster, &query).unwrap();
+    for algorithm in [Algorithm::Bfhm, Algorithm::Drjn] {
+        for k in [1, 5, 12] {
+            let want = oracle::topk(&cluster, &query.with_k(k)).unwrap();
+            let mut cursor = ex.open_cursor(algorithm, k).unwrap();
+            let mut results = Vec::new();
+            let mut pages = 0;
+            loop {
+                let batch = cursor.next_batch(1, &StopPolicy::never()).unwrap();
+                results.extend(batch.results);
+                pages += 1;
+                if batch.done {
+                    break;
+                }
+                assert!(
+                    pages <= k,
+                    "{algorithm:?} k={k}: no `done` after {pages} pages"
+                );
+            }
+            assert_eq!(results.len(), k, "{algorithm:?} k={k}");
+            assert_rank_equivalent(&format!("{algorithm:?} k={k}"), &results, &want, &all);
+        }
+    }
 }

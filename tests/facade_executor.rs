@@ -1,12 +1,13 @@
 //! Facade coverage: every [`Algorithm`] variant is executable through
 //! [`RankJoinExecutor`] re-exported at the crate root, and agrees exactly
 //! with the oracle on a tiny fixed two-table fixture — the fast,
-//! deterministic companion to the `cross_algorithm` property suite.
+//! deterministic companion to the `cross_algorithm` property suite — at
+//! the executor's own `k` and at any other `k` it is asked for.
 
 use rankjoin::core::oracle;
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinSide, Mutation,
-    RankJoinExecutor, RankJoinQuery, ScoreFn,
+    RankJoinExecutor, RankJoinQuery, ScoreFn, StopPolicy,
 };
 
 /// Two relations with distinct scores (no ties, so equality is exact):
@@ -104,4 +105,49 @@ fn executor_reports_metrics_for_every_algorithm() {
             algo.name()
         );
     }
+}
+
+/// `k` is an argument of every run, not a field read off the executor's
+/// query: one executor built at k = 3 serves each algorithm one-shot,
+/// and ISL / BFHM / DRJN / Auto as cursors paged one result at a time
+/// through pause and resume, at depths below, at and past the fixture's
+/// four join tuples. Every answer must be the oracle's at that depth — a
+/// leftover read of the built-in k = 3 shows up as a wrong length.
+#[test]
+fn one_executor_answers_every_k_it_is_asked_for() {
+    let (cluster, query) = fixture(3, ScoreFn::Sum);
+    let ex = prepared_executor(&cluster, query.clone());
+    for k in [1, 2, 4, 10] {
+        let want = oracle::topk(&cluster, &query.with_k(k)).unwrap();
+        assert_eq!(want.len(), k.min(4));
+        for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {
+            let got = ex.execute_with_k(algo, k).unwrap();
+            assert_eq!(got.results, want, "{} one-shot at k={k}", algo.name());
+        }
+        for algo in [
+            Algorithm::Isl,
+            Algorithm::Bfhm,
+            Algorithm::Drjn,
+            Algorithm::Auto,
+        ] {
+            let mut cursor = ex.open_cursor(algo, k).unwrap();
+            let mut got = Vec::new();
+            // One result a page, so k + 1 pages always reach `done`.
+            for _ in 0..=k {
+                let batch = cursor.next_batch(1, &StopPolicy::never()).unwrap();
+                got.extend(batch.results);
+                if batch.done {
+                    break;
+                }
+                cursor = ex.resume_cursor(cursor.pause()).unwrap();
+            }
+            assert!(cursor.is_done(), "{} paged at k={k}: not done", algo.name());
+            assert_eq!(got, want, "{} paged at k={k}", algo.name());
+        }
+    }
+    assert_eq!(
+        ex.query().k,
+        3,
+        "serving other depths leaves the query alone"
+    );
 }
