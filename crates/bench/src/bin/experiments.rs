@@ -1,6 +1,6 @@
 //! The experiment driver: regenerates every table and figure of the
-//! paper's evaluation section, plus the concurrent-query throughput
-//! harness.
+//! paper's evaluation section, plus the studies of the extensions built
+//! on it (planner, adaptive re-planning, serving, cursors, multi-way).
 //!
 //! ```text
 //! cargo run -p rj_bench --release --bin experiments -- [experiment] [flags]
@@ -14,7 +14,6 @@
 //!   memory      index-build reducer memory footprints (§7.2)
 //!   updates     online-updates overhead study (§7.2)
 //!   scaling     EC2 cluster-size scaling note (§7.1)
-//!   throughput  concurrent-query throughput, serial vs parallel execution
 //!   planner     cost-based planner: predicted vs measured cost per algorithm,
 //!               planner agreement with the measured-cheapest choice
 //!   updates-planner  interleaved refresh sets vs Auto planning: maintained
@@ -40,9 +39,6 @@
 //!   --sf X            scale factor for both profiles
 //!   --sf-ec2 X        EC2-profile scale factor
 //!   --sf-lab X        lab-profile scale factor
-//!   --clients N       throughput: concurrent client threads (default 8)
-//!   --queries N       throughput: queries per client (default 16)
-//!   --workers N       throughput: parallel pool width (default 4)
 //!   --json-out DIR    also write each experiment's output as
 //!                     DIR/BENCH_<experiment>.json (machine-readable)
 //! ```
@@ -51,9 +47,8 @@ use std::env;
 
 use rj_bench::{
     run_ablations, run_adaptive, run_cursor, run_example_walkthrough, run_fig7, run_fig8, run_fig9,
-    run_memory, run_multiway, run_planner, run_scaling, run_serve, run_sizes, run_throughput,
-    run_updates, run_updates_planner, CursorBenchConfig, Json, MultiwayBenchConfig,
-    ServeBenchConfig, Table, ThroughputConfig,
+    run_memory, run_multiway, run_planner, run_scaling, run_serve, run_sizes, run_updates,
+    run_updates_planner, CursorBenchConfig, Json, MultiwayBenchConfig, ServeBenchConfig, Table,
 };
 
 /// Every runnable experiment name (usage text and up-front validation).
@@ -66,7 +61,6 @@ const EXPERIMENTS: &[&str] = &[
     "memory",
     "updates",
     "scaling",
-    "throughput",
     "planner",
     "updates-planner",
     "adaptive",
@@ -81,9 +75,6 @@ struct Args {
     experiment: String,
     sf_ec2: f64,
     sf_lab: f64,
-    clients: usize,
-    queries: usize,
-    workers: usize,
     json_out: Option<std::path::PathBuf>,
 }
 
@@ -97,9 +88,6 @@ fn parse_args() -> Args {
         experiment: "all".to_owned(),
         sf_ec2: 0.002,
         sf_lab: 0.01,
-        clients: 8,
-        queries: 16,
-        workers: 4,
         json_out: None,
     };
     let mut saw_experiment = false;
@@ -109,12 +97,6 @@ fn parse_args() -> Args {
         argv.get(i)
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| die(&format!("{flag} needs a number")))
-    };
-    let parse_usize = |argv: &[String], i: usize, flag: &str| -> usize {
-        argv.get(i)
-            .and_then(|s| s.parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .unwrap_or_else(|| die(&format!("{flag} needs a positive integer")))
     };
     while i < argv.len() {
         match argv[i].as_str() {
@@ -131,18 +113,6 @@ fn parse_args() -> Args {
             "--sf-lab" => {
                 i += 1;
                 args.sf_lab = parse_f64(&argv, i, "--sf-lab");
-            }
-            "--clients" => {
-                i += 1;
-                args.clients = parse_usize(&argv, i, "--clients");
-            }
-            "--queries" => {
-                i += 1;
-                args.queries = parse_usize(&argv, i, "--queries");
-            }
-            "--workers" => {
-                i += 1;
-                args.workers = parse_usize(&argv, i, "--workers");
             }
             "--json-out" => {
                 i += 1;
@@ -239,17 +209,6 @@ fn main() {
         // Larger scale factor so per-node data work (which is what shrinks
         // with more workers) is visible over the fixed job startup.
         show("scaling", run_scaling(args.sf_ec2 * 10.0));
-    }
-    if ran("throughput") {
-        let report = run_throughput(&ThroughputConfig {
-            scale_factor: args.sf_ec2,
-            clients: args.clients,
-            queries_per_client: args.queries,
-            workers: args.workers,
-        });
-        emit_json(&args.json_out, "throughput", &report.to_json());
-        println!("{}", report.table().render());
-        println!("# parallel-over-serial speedup: {:.2}x\n", report.speedup());
     }
     if ran("planner") {
         let report = run_planner(args.sf_ec2, args.sf_lab);

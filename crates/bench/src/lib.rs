@@ -26,7 +26,6 @@ pub mod multiway;
 pub mod planner;
 pub mod report;
 pub mod serve;
-pub mod throughput;
 pub mod updates_planner;
 
 pub use adaptive::{run_adaptive, AdaptiveReport};
@@ -40,5 +39,4 @@ pub use multiway::{run_multiway, MultiwayBenchConfig, MultiwayReport};
 pub use planner::{run_planner, PlannerReport};
 pub use report::{Json, Table};
 pub use serve::{run_serve, ServeBenchConfig, ServeReport};
-pub use throughput::{run_throughput, ThroughputConfig, ThroughputReport};
 pub use updates_planner::{run_updates_planner, UpdatesPlannerReport};

@@ -198,7 +198,6 @@ pub fn run_updates_planner(scale_factor: f64, rounds: usize) -> UpdatesPlannerRe
                 fixture.cluster.cost_model(),
                 Objective::Time,
                 &ex.candidates(),
-                rj_core::ExecutionMode::Serial,
             );
             let chosen = plan.best().expect("candidates").name();
             let oracle_best = oracle_plan.best().expect("candidates").name();

@@ -180,7 +180,6 @@ mod tests {
             &CostModel::ec2(8),
             Objective::Time,
             &Candidates::all(),
-            rj_store::parallel::ExecutionMode::Serial,
         ))
     }
 

@@ -458,7 +458,6 @@ mod tests {
     fn lazy_write_back_lands_on_the_cursor_page_that_is_done() {
         use crate::cancel::StopPolicy;
         use crate::cursor::RankedCursor;
-        use rj_store::parallel::ExecutionMode;
         let (c, q) = running_example_cluster();
         let config = build(&c, &q);
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
@@ -469,9 +468,9 @@ mod tests {
         assert_eq!(bucket_row_cost(&c, "R2", 0).0, 1);
 
         let query = std::sync::Arc::new(q.clone());
-        let (policy, mode) = (WriteBackPolicy::Lazy, ExecutionMode::Serial);
+        let policy = WriteBackPolicy::Lazy;
         let mut cursor =
-            bfhm::BfhmCursor::open(&c, &query, 1, "bfhm_idx", &config, policy, mode, None).unwrap();
+            bfhm::BfhmCursor::open(&c, &query, 1, "bfhm_idx", &config, policy, None).unwrap();
         let page = cursor.next_batch(1, &StopPolicy::never()).unwrap();
         assert!(page.done);
         assert_eq!(page.results, oracle::topk(&c, &q.with_k(1)).unwrap());

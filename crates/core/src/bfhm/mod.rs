@@ -30,7 +30,7 @@ pub mod maintenance;
 mod query;
 
 pub use index::{build_pair, index_table_name, BfhmBuildStats};
-pub use query::{run, run_with_mode};
+pub use query::run;
 pub(crate) use query::{run_shared, BfhmCore, BfhmCursor};
 
 use rj_sketch::blob::BlobCodec;

@@ -5,8 +5,8 @@
 //! every [`BfhmRun::advance`] call performs one bounded unit of work —
 //! one bucket probe + estimate join, one materialization sweep, one
 //! re-examination iteration — and the machine's whole position lives in
-//! a plain-data [`BfhmCore`]. The one-shot entry points
-//! ([`run`]/[`run_with_mode`]/[`run_shared`]) simply drain the machine,
+//! a plain-data [`BfhmCore`]. The one-shot entry points ([`run`] and
+//! [`run_shared`]) simply drain the machine,
 //! and [`BfhmCursor`] pumps the *same* machine on demand, which is what
 //! makes any pause/resume schedule result- and metric-equivalent to the
 //! one-shot run by construction.
@@ -20,8 +20,7 @@ use rj_sketch::FlatMultiMap;
 use rj_store::client::Projection;
 use rj_store::cluster::Cluster;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
-use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask};
-use rj_store::row::{RowBatch, RowRef, RowResult};
+use rj_store::row::{RowBatch, RowRef};
 
 use crate::cancel::StopPolicy;
 use crate::codec;
@@ -92,11 +91,9 @@ impl ReverseStore {
     }
 
     /// Records one fetched reverse row (`None` = the row does not exist)
-    /// as a cell — shared by the serial demand path and the parallel
-    /// prefetch so the two stay byte-identical in decoding and accounting.
-    /// A value that does not decode is an error, and the cell is then not
-    /// marked fetched: joining around a tuple would return a wrong top-k
-    /// silently, now or on a retry.
+    /// as a cell. A value that does not decode is an error, and the cell
+    /// is then not marked fetched: joining around a tuple would return a
+    /// wrong top-k silently, now or on a retry.
     fn cache_row(
         &mut self,
         (side, bucket, pos): (usize, u32, u32),
@@ -260,7 +257,6 @@ pub(crate) struct BfhmCore {
     rounds: u64,
     write_back: WriteBackPolicy,
     pending_write_backs: Vec<u32>,
-    mode: ExecutionMode,
     phase: Phase,
     /// The guarantee loop's (monotone) estimation target.
     target: usize,
@@ -302,7 +298,6 @@ impl BfhmRun {
         table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
-        mode: ExecutionMode,
     ) -> Result<Self> {
         cluster
             .table(table)
@@ -337,7 +332,6 @@ impl BfhmRun {
                 rounds: 0,
                 write_back,
                 pending_write_backs: Vec::new(),
-                mode,
                 phase: Phase::RoundStart,
                 target: k,
                 steps: 0,
@@ -558,52 +552,6 @@ impl BfhmRun {
         e.max_score >= cutoff && !self.core.materialized.contains(&pair)
     }
 
-    /// Fans the reverse-row gets an upcoming materialization needs out in
-    /// one parallel round (lane = serving node), filling the cache the
-    /// serial join loop then hits. Fetches exactly the set of rows the
-    /// serial loop would fetch — the loop walks every owed estimate
-    /// unconditionally — so the counted metrics are unchanged. The rows
-    /// come back from other threads, so this path keeps them owned.
-    fn prefetch_reverse_rows(&mut self, estimates: &[Estimate], cutoff: f64) -> Result<()> {
-        let mut needed: Vec<(usize, u32, u32)> = Vec::new();
-        let mut queued: HashSet<(usize, u32, u32)> = HashSet::new();
-        for e in estimates.iter().filter(|e| self.owed(e, cutoff)) {
-            for &pos in &e.positions {
-                for (side, bucket) in [(0usize, e.left_bucket), (1usize, e.right_bucket)] {
-                    let key = (side, bucket, pos);
-                    if !self.core.reverse.contains(side, bucket, pos) && queued.insert(key) {
-                        needed.push(key);
-                    }
-                }
-            }
-        }
-        if needed.len() < 2 {
-            return Ok(()); // nothing to overlap
-        }
-        let table = self.cluster.table(self.core.table())?;
-        let (table_name, query) = (self.core.table(), &self.core.query);
-        let tasks = needed
-            .iter()
-            .map(|&(side, bucket, pos)| {
-                let row_key = reverse_row_key(bucket, pos);
-                let family = std::slice::from_ref(side_label(query, side));
-                LaneTask::new(
-                    table.serving_node(&row_key),
-                    move |worker: &rj_store::client::Client| {
-                        worker.get_with_families(table_name, &row_key, Some(family))
-                    },
-                )
-            })
-            .collect();
-        let rows = run_lanes(&self.cluster, self.core.mode.workers(), tasks)?;
-        for (cell, row) in needed.into_iter().zip(rows) {
-            let label = side_label(&self.core.query, cell.0);
-            let row = row.as_ref().map(RowResult::as_row_ref);
-            self.core.reverse.cache_row(cell, label, row)?;
-        }
-        Ok(())
-    }
-
     /// Phase 2: materializes every estimate with `max_score >= cutoff`
     /// not yet materialized — fetch reverse rows, join actual tuples
     /// (re-checking join values), offer into the running top-k. Returns
@@ -621,9 +569,6 @@ impl BfhmRun {
         let owed = estimates.iter().filter(|e| self.owed(e, cutoff));
         let positions: usize = owed.map(|e| e.positions.len()).sum();
         self.core.reverse.reserve(2 * positions);
-        if self.core.mode.is_parallel() {
-            self.prefetch_reverse_rows(estimates, cutoff)?;
-        }
         let mut progressed = false;
         for e in estimates {
             if !self.owed(e, cutoff) {
@@ -859,7 +804,6 @@ impl BfhmCursor {
     /// Opens a cursor for the top `k` of `query` over a previously built
     /// BFHM index pair. The index metadata read is charged to the cursor
     /// (it is part of the one-shot run's metered cost).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn open(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
@@ -867,12 +811,11 @@ impl BfhmCursor {
         index_table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
-        mode: ExecutionMode,
         pinned_version: Option<u64>,
     ) -> Result<Self> {
         let ledger = cluster.metrics();
         let before = ledger.snapshot();
-        let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back, mode)?;
+        let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back)?;
         run.core.meta = CursorMeta::new(k, pinned_version);
         run.core.meta.charged = ledger.snapshot().delta_since(&before);
         Ok(BfhmCursor { run })
@@ -1000,38 +943,14 @@ impl RankedCursor for BfhmCursor {
 }
 
 /// Executes the BFHM rank join over a previously built index at the
-/// query's own `k` (serial execution; see [`run_with_mode`]).
+/// query's own `k`. This direct entry point shares its query for its one
+/// call; an executor shares one query across every run.
 pub fn run(
     cluster: &Cluster,
     query: &RankJoinQuery,
     index_table: &str,
     config: &BfhmConfig,
     write_back: WriteBackPolicy,
-) -> Result<QueryOutcome> {
-    run_with_mode(
-        cluster,
-        query,
-        index_table,
-        config,
-        write_back,
-        ExecutionMode::Serial,
-    )
-}
-
-/// Executes the BFHM rank join under an explicit [`ExecutionMode`].
-///
-/// The parallel mode fans each materialization round's reverse-row gets
-/// out across region servers (the bulk of BFHM's reads); bucket probing
-/// stays demand-driven because each probe depends on the estimates
-/// accumulated so far. Results and counted metrics (KV reads, bytes,
-/// RPCs) are identical to serial execution.
-pub fn run_with_mode(
-    cluster: &Cluster,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: &BfhmConfig,
-    write_back: WriteBackPolicy,
-    mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
     let shared = Arc::new(query.clone());
     run_shared(
@@ -1041,15 +960,12 @@ pub fn run_with_mode(
         index_table,
         config,
         write_back,
-        mode,
         &[],
     )
 }
 
-/// [`run_with_mode`] for the top `k` of a shared query, whose own `k` is
-/// not read, with the top-k accumulator pre-seeded — the executor's
-/// entry point. The direct entry points above share their query for
-/// their one call; an executor shares one query across every run.
+/// [`run`] for the top `k` of a shared query, whose own `k` is not read,
+/// with the top-k accumulator pre-seeded — the executor's entry point.
 ///
 /// `seed` must contain only *genuine* join results of the current data —
 /// e.g. the buffered results of an aborted ISL prefix over the same query
@@ -1060,7 +976,6 @@ pub fn run_with_mode(
 /// top-k is identical to an unseeded run, while a seed that already
 /// covers part of the top-k can only raise the k-th bound earlier and
 /// *prune* bucket fetches and materializations.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shared(
     cluster: &Cluster,
     query: &Arc<RankJoinQuery>,
@@ -1068,7 +983,6 @@ pub(crate) fn run_shared(
     index_table: &str,
     config: &BfhmConfig,
     write_back: WriteBackPolicy,
-    mode: ExecutionMode,
     seed: &[JoinTuple],
 ) -> Result<QueryOutcome> {
     if k == 0 {
@@ -1079,7 +993,7 @@ pub(crate) fn run_shared(
         ));
     }
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back, mode)?;
+    let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back)?;
     for t in seed {
         run.core.results.offer(t.clone());
     }
@@ -1194,7 +1108,6 @@ mod tests {
             "bfhm_idx",
             &config,
             WriteBackPolicy::Off,
-            ExecutionMode::Serial,
         )
         .unwrap();
         run_state.run_estimation(1000).unwrap();
@@ -1245,26 +1158,20 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// The query fails with the typed codec error: one-shot in both
-    /// execution modes, and through a cursor on every pull — the failed
-    /// step is made again, not skipped, so the error cannot decay into a
-    /// silently shorter answer.
+    /// The query fails with the typed codec error: one-shot, and through
+    /// a cursor on every pull — the failed step is made again, not
+    /// skipped, so the error cannot decay into a silently shorter answer.
     fn assert_codec_error(c: &Cluster, q: &RankJoinQuery, config: &BfhmConfig) {
         let is_codec = |e: RankJoinError| matches!(e, RankJoinError::Codec(_));
         let policy = WriteBackPolicy::Off;
-        for mode in [
-            ExecutionMode::Serial,
-            ExecutionMode::Parallel { workers: 2 },
-        ] {
-            let one_shot = run_with_mode(c, q, "bfhm_idx", config, policy, mode);
-            assert!(is_codec(one_shot.unwrap_err()), "{mode:?}");
-            let shared = Arc::new(q.clone());
-            let mut cursor =
-                BfhmCursor::open(c, &shared, q.k, "bfhm_idx", config, policy, mode, None).unwrap();
-            for pull in 0..2 {
-                let batch = cursor.next_batch(q.k, &StopPolicy::never());
-                assert!(is_codec(batch.unwrap_err()), "{mode:?} pull {pull}");
-            }
+        let one_shot = run(c, q, "bfhm_idx", config, policy);
+        assert!(is_codec(one_shot.unwrap_err()));
+        let shared = Arc::new(q.clone());
+        let mut cursor =
+            BfhmCursor::open(c, &shared, q.k, "bfhm_idx", config, policy, None).unwrap();
+        for pull in 0..2 {
+            let batch = cursor.next_batch(q.k, &StopPolicy::never());
+            assert!(is_codec(batch.unwrap_err()), "pull {pull}");
         }
     }
 

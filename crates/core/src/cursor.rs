@@ -505,21 +505,6 @@ fn ingest_row(state: &mut HrjnState, side: usize, family: &str, row: RowRef<'_>)
     Ok(())
 }
 
-/// Feeds every row of `side`'s index family in `rows` to HRJN and marks
-/// the side exhausted — a whole-side ingest.
-pub(crate) fn ingest_side<'r>(
-    state: &mut HrjnState,
-    side: usize,
-    family: &str,
-    rows: impl IntoIterator<Item = RowRef<'r>>,
-) -> Result<()> {
-    for row in rows {
-        ingest_row(state, side, family, row)?;
-    }
-    state.exhaust(side);
-    Ok(())
-}
-
 /// [`ingest_row`] from cell position `first_cell` on, stopping the
 /// instant HRJN terminates (Algorithm 4 tests inside the tuple loop):
 /// `Some(next)` when it did, `next` being the position of the first cell
@@ -561,10 +546,10 @@ enum BatchStep {
 pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict + Send>;
 
 /// The ISL/HRJN rank join as a [`RankedCursor`]: the batched round-robin
-/// descent of [`crate::isl::run_with_mode`] over every
+/// descent of [`crate::isl::run`] over every
 /// [`SideAccess::Descend`] side of a spec's score index, with
 /// [`SideAccess::Materialize`] sides bulk-ingested up front, suspendable
-/// at any batch boundary. The serial one-shot driver *is* this cursor
+/// at any batch boundary. The one-shot driver *is* this cursor
 /// drained in one call, so results and counted metrics agree by
 /// construction.
 pub struct IslCursor {
@@ -626,14 +611,6 @@ impl IslCursor {
                 state: HrjnState::new(spec, k),
             },
         ))
-    }
-
-    /// Seeds the cursor with already-opened scanner positions, one per
-    /// side (the parallel warm-up round's prefetched first RPCs).
-    pub(crate) fn set_warm_scans(&mut self, scans: Vec<ScannerState>) {
-        for (side, scan) in self.core.sides.iter_mut().zip(scans) {
-            side.scan = Some(scan);
-        }
     }
 
     /// Reattaches a detached state to `cluster`. The state carries its
@@ -913,11 +890,7 @@ pub(crate) enum MaterializedSource {
     /// DRJN over its prepared matrices — only as an adaptive *switch
     /// target* (native DRJN cursors run the incremental
     /// [`crate::drjn`] round machine instead).
-    Drjn(
-        Arc<str>,
-        crate::drjn::DrjnConfig,
-        rj_store::parallel::ExecutionMode,
-    ),
+    Drjn(Arc<str>, crate::drjn::DrjnConfig),
     /// A pre-computed answer handed in directly (the adaptive switch
     /// path parks its switched run's results here).
     Buffered,
@@ -987,8 +960,8 @@ impl MaterializedCursor {
             MaterializedSource::Ijlmr(table) => {
                 crate::ijlmr::run(&engine, &query.with_k(k), table)?
             }
-            MaterializedSource::Drjn(table, config, mode) => {
-                crate::drjn::run_shared(&engine, query, k, table, config, *mode)?
+            MaterializedSource::Drjn(table, config) => {
+                crate::drjn::run_shared(&engine, query, k, table, config)?
             }
             MaterializedSource::Buffered => {
                 return Err(RankJoinError::Internal("buffered cursor lost its results"))

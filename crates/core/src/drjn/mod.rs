@@ -24,7 +24,7 @@ mod index;
 mod query;
 
 pub use index::{build_pair, index_table_name, DrjnBuildStats};
-pub use query::{run, run_with_mode};
+pub use query::run;
 pub(crate) use query::{run_shared, DrjnCore, DrjnCursor};
 
 /// DRJN configuration.

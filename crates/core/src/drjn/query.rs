@@ -19,7 +19,6 @@ use rj_store::cell::{Cell, Mutation};
 use rj_store::cluster::Cluster;
 use rj_store::filter::ScoreInRange;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
-use rj_store::parallel::{ExecutionMode, ParallelScanner};
 use rj_store::scan::Scan;
 
 use crate::cancel::StopPolicy;
@@ -156,7 +155,6 @@ pub(crate) struct DrjnCore {
     /// The matrices' table name, the table's own handle.
     index_table: Arc<str>,
     config: DrjnConfig,
-    mode: ExecutionMode,
     /// Seen tuples per side, keyed by join value (flat columnar store).
     seen: [SeenSide; 2],
     results: TopK,
@@ -197,7 +195,6 @@ impl DrjnRun {
         k: usize,
         index_table: &str,
         config: &DrjnConfig,
-        mode: ExecutionMode,
     ) -> Result<Self> {
         let index_table = cluster
             .table(index_table)
@@ -210,7 +207,6 @@ impl DrjnRun {
                 query: query.clone(),
                 index_table,
                 config: *config,
-                mode,
                 seen: [SeenSide::new(1), SeenSide::new(1)],
                 results: TopK::new(k),
                 rows: [Vec::new(), Vec::new()],
@@ -329,10 +325,12 @@ impl DrjnRun {
             &tmp,
             &[query.left.label.as_str(), query.right.label.as_str()],
         )?;
-        // No mid-load auto-splits: MR tasks write concurrently, so an
-        // auto-split would land at an order-dependent median and make the
-        // layout (hence RPC counts) nondeterministic. The deterministic
-        // rebalance below shards instead.
+        // The temp table's region layout decides how many RPCs the
+        // coordinator's scan below takes, so it must depend on the pulled
+        // content alone for DRJN's RPC counts (and simulated time) to be
+        // deterministic. MR tasks write concurrently, so an auto-split
+        // would land at a write-order-dependent median: no mid-load
+        // splits, and the rebalance below shards instead.
         tmp_table.set_split_threshold(usize::MAX);
         for s in 0..2 {
             if bound < self.core.pulled_to[s] {
@@ -342,19 +340,13 @@ impl DrjnRun {
             }
         }
         // The temp table's key domain (join value ‖ base key) is unknown
-        // before the pull, so re-shard it afterwards: the layout depends
-        // only on the pulled content (not the MR tasks' write order), both
-        // modes produce identical regions, and the parallel-mode fetch
-        // below gets a genuine multi-region fan-out.
+        // before the pull, so it is re-sharded afterwards, into a layout
+        // that depends only on the pulled content.
         tmp_table.rebalance(self.cluster.num_nodes() * 2);
-        // Coordinator fetches the temp table and joins; in parallel mode
-        // the fetch fans out across the temp table's regions.
-        let tmp_scan = Scan::new().caching(1000);
-        let pulled_rows: Vec<rj_store::row::RowResult> = if self.core.mode.is_parallel() {
-            ParallelScanner::new(&self.cluster, self.core.mode).scan_collect(&tmp, &tmp_scan)?
-        } else {
-            client.scan(&tmp, tmp_scan)?.collect_rows()?
-        };
+        // Coordinator fetches the temp table and joins.
+        let pulled_rows = client
+            .scan(&tmp, Scan::new().caching(1000))?
+            .collect_rows()?;
         for row in pulled_rows {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
                 for cell in row.family_cells(label) {
@@ -419,10 +411,9 @@ impl DrjnCursor {
         k: usize,
         index_table: &str,
         config: &DrjnConfig,
-        mode: ExecutionMode,
         pinned_version: Option<u64>,
     ) -> Result<Self> {
-        let mut run = DrjnRun::new(cluster, query, k, index_table, config, mode)?;
+        let mut run = DrjnRun::new(cluster, query, k, index_table, config)?;
         run.core.meta = CursorMeta::new(k, pinned_version);
         Ok(DrjnCursor { run })
     }
@@ -526,43 +517,26 @@ impl RankedCursor for DrjnCursor {
 }
 
 /// Executes the DRJN rank join over previously built matrices at the
-/// query's own `k` (serial execution; see [`run_with_mode`]).
+/// query's own `k`. This direct entry point shares its query for the one
+/// call; an executor shares one query across every run.
 pub fn run(
     engine: &MapReduceEngine,
     query: &RankJoinQuery,
     index_table: &str,
     config: &DrjnConfig,
 ) -> Result<QueryOutcome> {
-    run_with_mode(engine, query, index_table, config, ExecutionMode::Serial)
-}
-
-/// Executes the DRJN rank join under an explicit [`ExecutionMode`].
-///
-/// The parallel mode fans the coordinator's scan of each round's pulled
-/// temp table out across its regions; matrix-row fetches and the MapReduce
-/// pull jobs are unchanged. Results and counted metrics are identical to
-/// serial execution. This direct entry point shares its query for the
-/// one call; an executor shares one query across every run.
-pub fn run_with_mode(
-    engine: &MapReduceEngine,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: &DrjnConfig,
-    mode: ExecutionMode,
-) -> Result<QueryOutcome> {
     let shared = Arc::new(query.clone());
-    run_shared(engine, &shared, query.k, index_table, config, mode)
+    run_shared(engine, &shared, query.k, index_table, config)
 }
 
-/// [`run_with_mode`] for the top `k` of a shared query, whose own `k` is
-/// not read — the executor's entry point.
+/// [`run`] for the top `k` of a shared query, whose own `k` is not read —
+/// the executor's entry point.
 pub(crate) fn run_shared(
     engine: &MapReduceEngine,
     query: &Arc<RankJoinQuery>,
     k: usize,
     index_table: &str,
     config: &DrjnConfig,
-    mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
     if k == 0 {
         return Ok(QueryOutcome::new(
@@ -576,7 +550,7 @@ pub(crate) fn run_shared(
         .table(index_table)
         .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = DrjnRun::new(cluster, query, k, index_table, config, mode)?;
+    let mut run = DrjnRun::new(cluster, query, k, index_table, config)?;
     while run.advance_round()? {}
     run.finish(meter)
 }

@@ -21,7 +21,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use rj_mapreduce::MapReduceEngine;
 use rj_store::cluster::Cluster;
 use rj_store::metrics::QueryMeter;
-use rj_store::parallel::ExecutionMode;
 
 use crate::adaptive::{self, DivergenceObserver, DEFAULT_REPLAN_DIVERGENCE};
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCursor};
@@ -114,11 +113,6 @@ pub struct RankJoinExecutor {
     pub isl_config: IslConfig,
     /// BFHM write-back policy used at query time.
     pub write_back: WriteBackPolicy,
-    /// How multi-region reads execute (ISL, BFHM, and DRJN honour this;
-    /// the MapReduce-driven algorithms model task parallelism already).
-    /// Defaults to [`ExecutionMode::Serial`], whose results *and* counted
-    /// metrics the parallel mode reproduces exactly.
-    pub execution_mode: ExecutionMode,
     /// What [`Algorithm::Auto`] optimizes for (default: turnaround time).
     pub objective: Objective,
     /// Largest fraction of either side's tuples that may mutate (through
@@ -147,7 +141,7 @@ pub struct RankJoinExecutor {
     /// attached. `Arc`-shared so `fork_metrics` clones serving the same
     /// query pair reuse one snapshot instead of each re-collecting.
     stats: Arc<SharedTableStats>,
-    /// Plan cache: repeated `(k, mode, objective)` queries skip
+    /// Plan cache: repeated `(k, objective)` queries skip
     /// estimation entirely. The ISL batch config and the staleness bound
     /// (bit-exact) are part of the key because they are public fields
     /// that feed the estimate/statistics decision — a caller mutating
@@ -156,7 +150,7 @@ pub struct RankJoinExecutor {
     /// at, so maintained writes coherently invalidate plans across every
     /// executor sharing the handle.
     #[allow(clippy::type_complexity)]
-    plan_cache: Mutex<HashMap<(usize, ExecutionMode, Objective, IslConfig, u64), (u64, Arc<Plan>)>>,
+    plan_cache: Mutex<HashMap<(usize, Objective, IslConfig, u64), (u64, Arc<Plan>)>>,
     /// Candidacy cache: which algorithms are executable right now, both
     /// positive ("ISL prepared, with this config") and negative ("BFHM
     /// not prepared — don't re-check until a `prepare_*`/`attach_*`
@@ -202,7 +196,6 @@ impl RankJoinExecutor {
             drjn_table: None,
             isl_config: IslConfig::default(),
             write_back: WriteBackPolicy::Off,
-            execution_mode: ExecutionMode::Serial,
             objective: Objective::Time,
             staleness_bound: DEFAULT_STALENESS_BOUND,
             replan_divergence: DEFAULT_REPLAN_DIVERGENCE,
@@ -212,12 +205,6 @@ impl RankJoinExecutor {
             candidates_cache: Mutex::new(None),
             candidate_evaluations: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the execution mode, builder-style.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
     }
 
     /// Sets the planning objective, builder-style.
@@ -437,7 +424,7 @@ impl RankJoinExecutor {
     /// [`Cluster::fork_metrics`] fork, giving the clone its own metering
     /// ledger over the same shared data. The clone shares the query, its
     /// spec and every attached index table, copies all tuning fields
-    /// (`isl_config`, `execution_mode`, `objective`, ...), and shares the
+    /// (`isl_config`, `write_back`, `objective`, ...), and shares the
     /// *same* statistics handle, so plans and maintained-write
     /// invalidations stay coherent across all forks while each fork's work
     /// is billed to its own ledger.
@@ -469,7 +456,6 @@ impl RankJoinExecutor {
         fork.drjn_table = self.drjn_table.clone();
         fork.isl_config = self.isl_config;
         fork.write_back = self.write_back;
-        fork.execution_mode = self.execution_mode;
         fork.objective = self.objective;
         fork.staleness_bound = self.staleness_bound;
         fork.replan_divergence = self.replan_divergence;
@@ -519,8 +505,7 @@ impl RankJoinExecutor {
     }
 
     /// Returns the ranked cost-based plan for this query at `k`,
-    /// computing and caching it (keyed by `(k, execution mode,
-    /// objective)`) on first use.
+    /// computing and caching it (keyed by `(k, objective)`) on first use.
     ///
     /// Statistics come from the shared handle: the first call collects
     /// them through the metric-free admin path; maintained writes
@@ -532,16 +517,8 @@ impl RankJoinExecutor {
     /// [`Plan::explain`](crate::planner::Plan::explain) reports which
     /// statistics path the plan used.
     pub fn plan_with_k(&self, k: usize) -> Result<Arc<Plan>> {
-        self.plan_with_k_mode(k, self.execution_mode)
-    }
-
-    /// [`RankJoinExecutor::plan_with_k`] under an explicit execution mode
-    /// (predictions are mode-aware — see [`planner::plan`]). Shares the
-    /// same cache, keyed by the mode.
-    pub fn plan_with_k_mode(&self, k: usize, mode: ExecutionMode) -> Result<Arc<Plan>> {
         let key = (
             k,
-            mode,
             self.objective,
             self.isl_config,
             self.staleness_bound.to_bits(),
@@ -565,7 +542,6 @@ impl RankJoinExecutor {
             self.engine.cluster().cost_model(),
             self.objective,
             &self.cached_candidates(),
-            mode,
         );
         plan.stats_source = planned.source;
         let plan = Arc::new(plan);
@@ -574,25 +550,6 @@ impl RankJoinExecutor {
             .expect("plan cache")
             .insert(key, (planned.version, plan.clone()));
         Ok(plan)
-    }
-
-    /// Compares mode-aware plans for `k` under [`ExecutionMode::Serial`]
-    /// and `Parallel` (pool width = the profile's worker-node count) and
-    /// returns the cheaper `(mode, plan)` under the executor's objective
-    /// — the planner *recommending a mode*, not just an algorithm. Serial
-    /// wins ties (parallelism that buys nothing is pure thread overhead);
-    /// under [`Objective::Dollars`] read counts never depend on the mode,
-    /// so predicted time breaks the tie.
-    pub fn recommend_mode(&self, k: usize) -> Result<(ExecutionMode, Arc<Plan>)> {
-        let workers = self.engine.cluster().cost_model().worker_nodes.max(1);
-        let serial = self.plan_with_k_mode(k, ExecutionMode::Serial)?;
-        let parallel = self.plan_with_k_mode(k, ExecutionMode::Parallel { workers })?;
-        let seconds = |p: &Arc<Plan>| p.ranked.first().map_or(f64::INFINITY, |e| e.seconds);
-        if seconds(&parallel) < seconds(&serial) {
-            Ok((ExecutionMode::Parallel { workers }, parallel))
-        } else {
-            Ok((ExecutionMode::Serial, serial))
-        }
     }
 
     /// Executes `algorithm` with the stored `k`.
@@ -648,40 +605,22 @@ impl RankJoinExecutor {
                     .isl_table
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                let batches = self.isl_config.batches();
-                isl::run_observed(
-                    cluster,
-                    &self.spec,
-                    k,
-                    t,
-                    &batches,
-                    self.execution_mode,
-                    None,
-                )
-                .map(IslRun::into_outcome)
+                isl::run_observed(cluster, &self.spec, k, t, &self.isl_config.batches(), None)
+                    .map(IslRun::into_outcome)
             }
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                bfhm::run_shared(
-                    cluster,
-                    &self.query,
-                    k,
-                    t,
-                    config,
-                    self.write_back,
-                    self.execution_mode,
-                    &[],
-                )
+                bfhm::run_shared(cluster, &self.query, k, t, config, self.write_back, &[])
             }
             Algorithm::Drjn => {
                 let (t, config) = self
                     .drjn_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("drjn (unprepared)".into()))?;
-                drjn::run_shared(&self.engine, &self.query, k, t, config, self.execution_mode)
+                drjn::run_shared(&self.engine, &self.query, k, t, config)
             }
         }
     }
@@ -713,7 +652,6 @@ impl RankJoinExecutor {
             k,
             table,
             &self.isl_config.batches(),
-            self.execution_mode,
             Some(hook),
         )?;
         if !prefix.aborted {
@@ -739,7 +677,6 @@ impl RankJoinExecutor {
             cluster.cost_model(),
             self.objective,
             &self.candidates().without(Algorithm::Isl),
-            self.execution_mode,
         );
         switch_plan.stats_source = planned.source;
         let target = switch_plan.best().ok_or(RankJoinError::Internal(
@@ -758,7 +695,6 @@ impl RankJoinExecutor {
                     t,
                     config,
                     self.write_back,
-                    self.execution_mode,
                     // The prefix's buffered results are genuine
                     // join tuples already paid for.
                     &prefix.state.current_results(),
@@ -824,7 +760,6 @@ impl RankJoinExecutor {
                     t,
                     config,
                     self.write_back,
-                    self.execution_mode,
                     pinned,
                 )?))
             }
@@ -840,7 +775,6 @@ impl RankJoinExecutor {
                     k_hint,
                     t,
                     config,
-                    self.execution_mode,
                     pinned,
                 )?))
             }
@@ -1000,7 +934,6 @@ impl RankJoinExecutor {
             objective: self.objective,
             staleness_bound: self.staleness_bound,
             write_back: self.write_back,
-            execution_mode: self.execution_mode,
             bfhm_table: self.bfhm_table.clone(),
             drjn_table: self.drjn_table.clone(),
             ijlmr_table: self.ijlmr_table.clone(),
@@ -1040,7 +973,6 @@ struct AutoCursor {
     objective: Objective,
     staleness_bound: f64,
     write_back: WriteBackPolicy,
-    execution_mode: ExecutionMode,
     bfhm_table: Option<(Arc<str>, BfhmConfig)>,
     drjn_table: Option<(Arc<str>, DrjnConfig)>,
     ijlmr_table: Option<Arc<str>>,
@@ -1076,7 +1008,6 @@ impl AutoCursor {
             self.cluster.cost_model(),
             self.objective,
             &self.candidates.clone().without(Algorithm::Isl),
-            self.execution_mode,
         );
         let target = switch_plan.best().ok_or(RankJoinError::Internal(
             "switch planner produced no candidate (baselines missing)",
@@ -1098,7 +1029,6 @@ impl AutoCursor {
                     t,
                     config,
                     self.write_back,
-                    self.execution_mode,
                     pinned,
                 )?;
                 cur.seed(&partial_results, emitted);
@@ -1119,7 +1049,7 @@ impl AutoCursor {
                         let (t, config) = self.drjn_table.as_ref().ok_or_else(|| {
                             RankJoinError::MissingIndex("drjn (unprepared)".into())
                         })?;
-                        MaterializedSource::Drjn(t.clone(), *config, self.execution_mode)
+                        MaterializedSource::Drjn(t.clone(), *config)
                     }
                     // `without(Isl)` excludes ISL; the planner never
                     // ranks Auto or Bfhm here (Bfhm handled above).
@@ -1284,52 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_matches_serial_results_and_counted_costs() {
-        let (c, q) = running_example_cluster();
-        let mut ex = RankJoinExecutor::new(&c, q.clone());
-        ex.prepare_isl().unwrap();
-        ex.prepare_bfhm(BfhmConfig {
-            num_buckets: 10,
-            filter_bits: Some(1 << 14),
-            ..Default::default()
-        })
-        .unwrap();
-        ex.prepare_drjn(DrjnConfig {
-            num_buckets: 10,
-            num_partitions: 64,
-        })
-        .unwrap();
-        for algo in [Algorithm::Isl, Algorithm::Bfhm, Algorithm::Drjn] {
-            ex.execution_mode = ExecutionMode::Serial;
-            let serial = ex.execute(algo).unwrap();
-            ex.execution_mode = ExecutionMode::Parallel { workers: 4 };
-            let parallel = ex.execute(algo).unwrap();
-            let name = algo.name();
-            assert_eq!(parallel.results, serial.results, "{name}: results");
-            assert_eq!(
-                parallel.metrics.kv_reads, serial.metrics.kv_reads,
-                "{name}: dollar cost must not depend on execution mode"
-            );
-            assert_eq!(
-                parallel.metrics.network_bytes, serial.metrics.network_bytes,
-                "{name}: bandwidth must not depend on execution mode"
-            );
-            assert_eq!(
-                parallel.metrics.rpc_calls, serial.metrics.rpc_calls,
-                "{name}: RPC count must not depend on execution mode"
-            );
-            assert!(
-                parallel.metrics.sim_seconds <= serial.metrics.sim_seconds + 1e-9,
-                "{name}: parallel wall-clock must not exceed serial"
-            );
-            assert!(
-                parallel.metrics.sim_seconds <= parallel.metrics.node_seconds + 1e-9,
-                "{name}: wall <= total node-seconds"
-            );
-        }
-    }
-
-    #[test]
     fn unprepared_index_errors() {
         let (c, q) = running_example_cluster();
         let ex = RankJoinExecutor::new(&c, q);
@@ -1373,7 +1257,7 @@ mod tests {
             assert_eq!(got.results, oracle::topk(&c, &qk).unwrap(), "k={k}");
             assert!(got.extra("planner_candidates").unwrap() >= 4.0);
         }
-        // Cached: the same (k, mode, objective) returns the same Arc.
+        // Cached: the same (k, objective) returns the same Arc.
         let p1 = ex.plan_with_k(3).unwrap();
         let p2 = ex.plan_with_k(3).unwrap();
         assert!(std::sync::Arc::ptr_eq(&p1, &p2), "plan must be cached");
@@ -1613,32 +1497,6 @@ mod tests {
         // Mutating the public ISL config must not serve a stale cache.
         ex.isl_config = IslConfig::uniform(7);
         assert_eq!(ex.candidates().isl, Some(IslConfig::uniform(7)));
-    }
-
-    #[test]
-    fn recommend_mode_prefers_parallel_only_when_it_pays() {
-        let (c, q) = crate::testsupport::running_example_cluster_with(
-            rj_store::costmodel::CostModel::ec2(8),
-        );
-        let mut ex = RankJoinExecutor::new(&c, q.clone());
-        // Baselines only: MR jobs model their own parallelism, the mode
-        // changes nothing, and serial wins the tie.
-        let (mode, _) = ex.recommend_mode(3).unwrap();
-        assert_eq!(mode, ExecutionMode::Serial);
-        // With BFHM the only coordinator candidate, it wins both modes
-        // (MR startup dwarfs it) and its reverse-get share fans out — the
-        // parallel plan is strictly cheaper in predicted time.
-        ex.prepare_bfhm(BfhmConfig {
-            num_buckets: 10,
-            filter_bits: Some(1 << 14),
-            ..Default::default()
-        })
-        .unwrap();
-        let (mode, plan) = ex.recommend_mode(3).unwrap();
-        assert!(mode.is_parallel(), "got {mode:?}");
-        assert_eq!(plan.mode, mode);
-        assert_eq!(plan.best(), Some(Algorithm::Bfhm));
-        assert!(plan.explain().contains("parallel"));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::error::Result;
 use crate::query::RankJoinQuery;
 
 pub use index::IslBuildStats;
-pub use query::{run, run_with_mode, IslConfig};
+pub use query::{run, IslConfig};
 pub(crate) use query::{run_observed, BatchVerdict, IslRun};
 
 /// Canonical index-table name for a query pair: [`index::index_table_name`]

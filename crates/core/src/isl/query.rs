@@ -9,13 +9,10 @@
 use std::sync::Arc;
 
 use rj_store::metrics::QueryMeter;
-use rj_store::parallel::{run_lanes, ExecutionMode, LaneTask, ParallelScanner};
-use rj_store::row::RowResult;
-use rj_store::scan::Scan;
 
 use crate::cancel::StopPolicy;
-use crate::cursor::{ingest_side, isl_algorithm_name, BatchObserver, IslCursor, SideAccess};
-use crate::error::{RankJoinError, Result};
+use crate::cursor::{isl_algorithm_name, BatchObserver, IslCursor, SideAccess};
+use crate::error::Result;
 use crate::hrjn::HrjnState;
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::stats::QueryOutcome;
@@ -53,45 +50,16 @@ impl IslConfig {
     }
 }
 
-/// Executes the ISL rank join over a previously built index table
-/// (serial execution; see [`run_with_mode`]).
+/// Executes the ISL rank join over a previously built index table — the
+/// two-side instance of the spec-driven descent (the query's
+/// [`RankJoinQuery::to_spec`], both sides descended) at the query's own
+/// `k`. This direct entry point builds that spec for its one call; an
+/// executor builds its spec once and runs every `k` against it.
 pub fn run(
     cluster: &rj_store::cluster::Cluster,
     query: &RankJoinQuery,
     index_table: &str,
     config: IslConfig,
-) -> Result<QueryOutcome> {
-    run_with_mode(cluster, query, index_table, config, ExecutionMode::Serial)
-}
-
-/// Executes the ISL rank join under an explicit [`ExecutionMode`] — the
-/// two-side instance of the spec-driven descent (the query's
-/// [`RankJoinQuery::to_spec`], both sides descended) at the query's own
-/// `k`. This direct entry point builds that spec for its one call; an
-/// executor builds its spec once and runs every `k` against it.
-///
-/// Two read paths fan out in parallel mode, both read-for-read identical
-/// to serial execution:
-///
-/// * the *warm-up round* — the first scan RPC of each score list — runs
-///   concurrently. HRJN can never terminate before every side has
-///   produced tuples, so all first batches are fetched unconditionally
-///   either way; only the modelled wall-clock differs (max instead of
-///   sum, the paper's §5 parallel-round accounting). All later batches
-///   depend on the threshold test over earlier tuples and stay
-///   demand-driven — the inherent sequentiality of batched HRJN.
-/// * *full ranked enumeration* (`k` at least the largest possible join
-///   cardinality, e.g. `usize::MAX / 2`): the HRJN termination test can
-///   provably never fire before every list is exhausted, so every batch
-///   of every scan is unconditional and the whole read fans out across
-///   regions via [`ParallelScanner`] — the any-k serving workload of the
-///   ranked-enumeration literature.
-pub fn run_with_mode(
-    cluster: &rj_store::cluster::Cluster,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: IslConfig,
-    mode: ExecutionMode,
 ) -> Result<QueryOutcome> {
     let spec = Arc::new(query.to_spec());
     run_observed(
@@ -100,7 +68,6 @@ pub fn run_with_mode(
         query.k,
         index_table,
         &config.batches(),
-        mode,
         None,
     )
     .map(IslRun::into_outcome)
@@ -152,17 +119,12 @@ impl IslRun {
 /// abort the descent. Observation is pure bookkeeping over tuples already
 /// fetched — a `Continue`-only observer changes neither a byte nor a
 /// metric.
-///
-/// The parallel *full-enumeration* fast path is never observed: every
-/// read there is provably unconditional, so no mid-query information
-/// could change the plan's remaining cost.
 pub(crate) fn run_observed(
     cluster: &rj_store::cluster::Cluster,
     spec: &Arc<JoinSpec>,
     k: usize,
     index_table: &str,
     batch: &[usize],
-    mode: ExecutionMode,
     observer: Option<BatchObserver>,
 ) -> Result<IslRun> {
     if k == 0 {
@@ -183,56 +145,6 @@ pub(crate) fn run_observed(
     // row-cache size (§4.2.3).
     let descend = vec![SideAccess::Descend; spec.n()];
     let mut cursor = IslCursor::open(cluster, spec, k, index_table, batch, &descend, None)?;
-    if mode.is_parallel() {
-        let index = cluster.table(index_table)?;
-        let lane = index.serving_node(&[]);
-        let states = run_lanes(
-            cluster,
-            mode.workers(),
-            spec.sides
-                .iter()
-                .zip(batch)
-                .map(|(side, &batch)| {
-                    let scan = Scan::new().families(&[side.label.as_str()]).caching(batch);
-                    LaneTask::new(lane, move |worker: &rj_store::client::Client| {
-                        let mut scan = worker.scan(index_table, scan)?;
-                        scan.prefetch()?;
-                        Ok(scan.into_state())
-                    })
-                })
-                .collect(),
-        )?;
-        if states.len() != spec.n() {
-            return Err(RankJoinError::Internal(
-                "warm-up produced fewer lanes than sides",
-            ));
-        }
-        // Full-enumeration fast path: with k >= (live KVs)^n >= the join
-        // cardinality and every side known non-empty, the HRJN
-        // termination test can never fire before every list exhausts, so
-        // serial execution reads all lists completely — the remainder can
-        // fan out across regions and read exactly the same. (With an
-        // empty side, serial stops after the other sides' first demands,
-        // which the warm-up has already performed — the shared loop below
-        // handles it.)
-        let kvs = index.kv_count();
-        if k as u64 >= kvs.saturating_pow(spec.n() as u32)
-            && states.iter().all(|s| s.has_buffered_rows())
-        {
-            // The fast path feeds the cursor's fresh operator directly.
-            let state = cursor.into_hrjn();
-            let (state, batches) =
-                run_enumeration_parallel(cluster, spec, index_table, batch, mode, states, state)?;
-            return Ok(IslRun {
-                state,
-                batches,
-                metrics: meter.finish(),
-                aborted: false,
-            });
-        }
-        cursor.set_warm_scans(states);
-    }
-
     if let Some(observer) = observer {
         cursor.set_observer(observer);
     }
@@ -245,60 +157,10 @@ pub(crate) fn run_observed(
     })
 }
 
-/// Full-enumeration read path: every score list is consumed completely
-/// (the caller has proven termination cannot fire first), so the
-/// remainder of each side's scan — everything past the warm-up round's
-/// buffered rows — fans out across the index table's regions. Rows arrive
-/// in the same per-side score-descending order as serial batched scans,
-/// and HRJN over the complete inputs is interleaving-independent, so
-/// results are identical. Feeds every side into `state` and returns it
-/// with the batch count.
-fn run_enumeration_parallel(
-    cluster: &rj_store::cluster::Cluster,
-    spec: &JoinSpec,
-    index_table: &str,
-    batch: &[usize],
-    mode: ExecutionMode,
-    states: Vec<rj_store::client::ScannerState>,
-    mut state: HrjnState,
-) -> Result<(HrjnState, u64)> {
-    let scanner = ParallelScanner::new(cluster, mode);
-    let mut batches = 0u64;
-    for (i, ((side, &batch_size), mut scan_state)) in
-        spec.sides.iter().zip(batch).zip(states).enumerate()
-    {
-        let family = side.label.as_str();
-        let mut rows = scan_state.take_buffered_rows();
-        if let Some(resume) = scan_state.resume_key() {
-            rows.extend(
-                scanner.scan_collect(
-                    index_table,
-                    &Scan::new()
-                        .families(&[family])
-                        .caching(batch_size)
-                        .start(resume.to_vec()),
-                )?,
-            );
-        }
-        // Informational only: the per-side turn count a serial driver
-        // would need for this many rows. The serial path's demand-driven
-        // count can differ by its exhaustion-discovery demands; the
-        // equivalence contract covers results and counted metrics, not
-        // extras.
-        batches += rows.len().div_ceil(batch_size.max(1)) as u64;
-        ingest_side(
-            &mut state,
-            i,
-            family,
-            rows.iter().map(RowResult::as_row_ref),
-        )?;
-    }
-    Ok((state, batches))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RankJoinError;
     use crate::testsupport::running_example_cluster;
     use crate::{isl, oracle};
     use rj_mapreduce::MapReduceEngine;

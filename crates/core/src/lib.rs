@@ -79,7 +79,6 @@ pub use multiway::{MultiwayConfig, SharedSpecStats, SpecExecutor};
 pub use planner::{DescentModel, Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};
-pub use rj_store::parallel::ExecutionMode;
 pub use score::ScoreFn;
 pub use stats::QueryOutcome;
 pub use statsmaint::{

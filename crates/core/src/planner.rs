@@ -24,8 +24,7 @@
 //!    `est_batched_scan`, `est_mr_job`) over access-shape models of each
 //!    algorithm, then ranks them under an [`Objective`].
 //! 3. [`Plan::explain`] renders the prediction table; the executor caches
-//!    plans per `(k, execution mode, objective)` so repeated queries skip
-//!    estimation.
+//!    plans per `(k, objective)` so repeated queries skip estimation.
 //!
 //! Estimates are *models*, not measurements: they exist to rank
 //! algorithms, and their absolute values are only as good as the
@@ -35,7 +34,6 @@ use std::collections::{BinaryHeap, HashMap};
 
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
-use rj_store::parallel::ExecutionMode;
 
 use crate::bfhm::BfhmConfig;
 use crate::drjn::DrjnConfig;
@@ -421,17 +419,13 @@ impl DescentModel {
     }
 }
 
-/// A ranked physical plan for one `(query, k, execution mode)`.
+/// A ranked physical plan for one `(query, k)`.
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// The objective the ranking used.
     pub objective: Objective,
     /// The `k` the estimates assume.
     pub k: usize,
-    /// The execution mode the time predictions assume (dollar cost and
-    /// read counts never depend on it — parallelism changes *when* work
-    /// finishes, not how much is read).
-    pub mode: ExecutionMode,
     /// Cost-model profile name the prediction used ("EC2", "LC", ...).
     pub profile: &'static str,
     /// Where the statistics behind the estimates came from. [`plan`]
@@ -480,11 +474,10 @@ impl Plan {
     /// rank-join world.
     pub fn explain(&self) -> String {
         let mut out = format!(
-            "plan (k={}, objective={}, profile={}, mode={}, stats={}):\n",
+            "plan (k={}, objective={}, profile={}, stats={}):\n",
             self.k,
             self.objective.name(),
             self.profile,
-            self.mode.label(),
             self.stats_source
         );
         for (rank, e) in self.ranked.iter().enumerate() {
@@ -516,43 +509,20 @@ struct Estimator<'a> {
     query: &'a RankJoinQuery,
     k: usize,
     cost: &'a CostModel,
-    mode: ExecutionMode,
     /// Score bound of the k-th expected result (`None`: the whole join is
     /// smaller than `k` — every algorithm must exhaust its input).
     kth_bound: Option<f64>,
 }
 
 impl<'a> Estimator<'a> {
-    fn new(
-        stats: &'a TableStats,
-        query: &'a RankJoinQuery,
-        k: usize,
-        cost: &'a CostModel,
-        mode: ExecutionMode,
-    ) -> Self {
+    fn new(stats: &'a TableStats, query: &'a RankJoinQuery, k: usize, cost: &'a CostModel) -> Self {
         Estimator {
             stats,
             query,
             k,
             cost,
-            mode,
             kth_bound: kth_score_bound(stats, query, k),
         }
-    }
-
-    /// Effective fan-out lanes the coordinator algorithms' parallelizable
-    /// read shares divide by: bounded by the worker pool *and* by how many
-    /// regions there are to fan out over (`min(workers, regions)` — a
-    /// 2-region table cannot keep 8 workers busy). `Serial` is 1, so
-    /// serial predictions are untouched.
-    ///
-    /// The MapReduce algorithms (HIVE/PIG/IJLMR, and DRJN's pull jobs)
-    /// model cluster parallelism inside [`CostModel::est_mr_job`] already
-    /// and ignore the client-side execution mode, exactly like their
-    /// executors do.
-    fn lanes(&self) -> f64 {
-        let regions = (self.stats.left_regions + self.stats.right_regions).max(1);
-        self.mode.workers().min(regions).max(1) as f64
     }
 
     /// Per-side threshold depth and score bound: a score-descending
@@ -621,20 +591,9 @@ impl<'a> Estimator<'a> {
         let rpcs = walk(l, r, consumed_l, bl) + walk(r, l, consumed_r, br);
         let kvs = consumed_l + consumed_r;
         let bytes = consumed_l as f64 * l.avg_entry_bytes + consumed_r as f64 * r.avg_entry_bytes;
-        // Mode modelling: batched HRJN is demand-driven — each batch
-        // depends on the threshold over earlier tuples — so its
-        // node-serialized share is the whole scan and parallel lanes buy
-        // nothing. Only full ranked enumeration (every read provably
-        // unconditional) fans out across regions, mirroring the ISL
-        // executor's parallel fast path.
-        let fan = if self.kth_bound.is_none() {
-            self.lanes()
-        } else {
-            1.0
-        };
         CostEstimate {
             algorithm: Algorithm::Isl,
-            seconds: self.cost.est_batched_scan(rpcs, kvs, bytes as u64) / fan,
+            seconds: self.cost.est_batched_scan(rpcs, kvs, bytes as u64),
             kv_reads: kvs as f64,
             dollars: self.cost.dollars(kvs),
         }
@@ -659,12 +618,6 @@ impl<'a> Estimator<'a> {
         let kv_reads = gets; // ≈ one KV per blob get / reverse row / meta
         let probe_bytes = bucket_gets * 64.0;
         let reverse_bytes = reverse_gets * (l.avg_entry_bytes + r.avg_entry_bytes) / 2.0;
-        // Mode modelling: bucket probing is demand-driven (each probe
-        // depends on the estimates so far — node-serialized), while the
-        // reverse-row materialization fans out across region servers in
-        // parallel mode, exactly like the BFHM executor's prefetch.
-        // `est_point_gets` is linear in every argument, so the split sums
-        // to the serial estimate when lanes = 1.
         let probe_secs = self.cost.est_point_gets(
             (bucket_gets + 1.0) as u64,
             (bucket_gets + 1.0) as u64,
@@ -677,7 +630,7 @@ impl<'a> Estimator<'a> {
         );
         CostEstimate {
             algorithm: Algorithm::Bfhm,
-            seconds: probe_secs + reverse_secs / self.lanes(),
+            seconds: probe_secs + reverse_secs,
             kv_reads,
             dollars: self.cost.dollars(kv_reads.round() as u64),
         }
@@ -790,18 +743,14 @@ impl<'a> Estimator<'a> {
             0,
             0,
         );
-        // Pulled tuples land in a temp table the coordinator then scans —
-        // in parallel mode that scan fans out across the temp table's
-        // regions (the DRJN executor's parallel path), so its share
-        // divides by the effective lanes; the demand-driven matrix gets
-        // and the MR pull jobs do not.
+        // Pulled tuples land in a temp table the coordinator then scans.
         let pulled = self.scan_depth(0) + self.scan_depth(1);
         let temp_scan = self.cost.est_batched_scan(
             pulled.div_ceil(1000) + 1,
             pulled,
             (pulled as f64 * (self.stats.left.avg_entry_bytes + self.stats.right.avg_entry_bytes)
                 / 2.0) as u64,
-        ) / self.lanes();
+        );
         let kv_reads = matrix_kvs + projected_kvs as f64 + pulled as f64;
         CostEstimate {
             algorithm: Algorithm::Drjn,
@@ -926,16 +875,7 @@ fn kth_score_bound(stats: &TableStats, query: &RankJoinQuery, k: usize) -> Optio
     None
 }
 
-/// Predicts the cost of every candidate under one [`ExecutionMode`] and
-/// returns the ranked [`Plan`].
-///
-/// Time predictions are mode-aware: each coordinator algorithm's
-/// parallelizable read share divides by the effective lanes
-/// (`min(workers, regions)`), so plans for `Serial` and `Parallel` modes
-/// differ honestly and a caller can compare them to *recommend* a mode
-/// (see [`crate::executor::RankJoinExecutor::recommend_mode`]). Read
-/// counts and dollar cost are mode-independent, matching the executors'
-/// counted-metric equivalence contract.
+/// Predicts the cost of every candidate and returns the ranked [`Plan`].
 pub fn plan(
     stats: &TableStats,
     query: &RankJoinQuery,
@@ -943,9 +883,8 @@ pub fn plan(
     cost: &CostModel,
     objective: Objective,
     candidates: &Candidates,
-    mode: ExecutionMode,
 ) -> Plan {
-    let est = Estimator::new(stats, query, k, cost, mode);
+    let est = Estimator::new(stats, query, k, cost);
     let mut ranked = Vec::new();
     if candidates.baselines {
         ranked.push(est.hive());
@@ -974,7 +913,6 @@ pub fn plan(
     Plan {
         objective,
         k,
-        mode,
         profile: cost.name,
         stats_source: StatsSource::Exact,
         descent: DescentModel::from_stats(stats),
@@ -1152,15 +1090,7 @@ mod tests {
     fn plan_ranks_coordinators_over_mapreduce_at_small_scale() {
         let (s, q) = stats_and_query();
         let cost = CostModel::ec2(8);
-        let p = plan(
-            &s,
-            &q,
-            3,
-            &cost,
-            Objective::Time,
-            &Candidates::all(),
-            ExecutionMode::Serial,
-        );
+        let p = plan(&s, &q, 3, &cost, Objective::Time, &Candidates::all());
         assert_eq!(p.ranked.len(), 6);
         let best = p.best().unwrap();
         assert!(
@@ -1177,15 +1107,7 @@ mod tests {
     fn dollar_objective_prefers_frugal_reads() {
         let (s, q) = stats_and_query();
         let cost = CostModel::ec2(8);
-        let p = plan(
-            &s,
-            &q,
-            3,
-            &cost,
-            Objective::Dollars,
-            &Candidates::all(),
-            ExecutionMode::Serial,
-        );
+        let p = plan(&s, &q, 3, &cost, Objective::Dollars, &Candidates::all());
         let best = p.ranked.first().unwrap();
         for e in &p.ranked {
             assert!(best.dollars <= e.dollars + 1e-15);
@@ -1196,8 +1118,8 @@ mod tests {
     fn depth_grows_with_k() {
         let (s, q) = stats_and_query();
         let cost = CostModel::ec2(8);
-        let e1 = Estimator::new(&s, &q, 1, &cost, ExecutionMode::Serial);
-        let e9 = Estimator::new(&s, &q, 9, &cost, ExecutionMode::Serial);
+        let e1 = Estimator::new(&s, &q, 1, &cost);
+        let e9 = Estimator::new(&s, &q, 9, &cost);
         assert!(e9.scan_depth(0) >= e1.scan_depth(0));
         assert!(e9.scan_depth(1) >= e1.scan_depth(1));
     }
@@ -1206,112 +1128,16 @@ mod tests {
     fn empty_candidates_yield_empty_plan() {
         let (s, q) = stats_and_query();
         let cost = CostModel::test();
-        let p = plan(
-            &s,
-            &q,
-            3,
-            &cost,
-            Objective::Time,
-            &Candidates::default(),
-            ExecutionMode::Serial,
-        );
+        let p = plan(&s, &q, 3, &cost, Objective::Time, &Candidates::default());
         assert!(p.best().is_none());
         assert!(p.ranked.is_empty());
-    }
-
-    #[test]
-    fn parallel_mode_speeds_up_fan_out_shares_but_never_reads() {
-        let (s, q) = stats_and_query();
-        let cost = CostModel::ec2(8);
-        let serial = plan(
-            &s,
-            &q,
-            3,
-            &cost,
-            Objective::Time,
-            &Candidates::all(),
-            ExecutionMode::Serial,
-        );
-        let parallel = plan(
-            &s,
-            &q,
-            3,
-            &cost,
-            Objective::Time,
-            &Candidates::all(),
-            ExecutionMode::Parallel { workers: 4 },
-        );
-        for algo in [
-            Algorithm::Hive,
-            Algorithm::Pig,
-            Algorithm::Ijlmr,
-            Algorithm::Isl,
-            Algorithm::Bfhm,
-            Algorithm::Drjn,
-        ] {
-            let ps = parallel.estimate(algo).unwrap();
-            let ss = serial.estimate(algo).unwrap();
-            // Counted predictions never depend on the mode.
-            assert_eq!(ps.kv_reads, ss.kv_reads, "{}", algo.name());
-            assert_eq!(ps.dollars, ss.dollars, "{}", algo.name());
-            // Time can only improve.
-            assert!(ps.seconds <= ss.seconds + 1e-12, "{}", algo.name());
-        }
-        // BFHM's reverse-row share and DRJN's temp scan genuinely fan
-        // out; demand-driven batched ISL does not (only full enumeration
-        // would).
-        let gain = |algo: Algorithm| {
-            serial.estimate(algo).unwrap().seconds - parallel.estimate(algo).unwrap().seconds
-        };
-        assert!(gain(Algorithm::Bfhm) > 0.0);
-        assert!(gain(Algorithm::Drjn) > 0.0);
-        assert_eq!(gain(Algorithm::Isl), 0.0, "batched HRJN is sequential");
-        assert!(parallel.explain().contains("parallel(4)"));
-    }
-
-    #[test]
-    fn full_enumeration_isl_fans_out_in_parallel_mode() {
-        let (s, q) = stats_and_query();
-        let cost = CostModel::ec2(8);
-        // k beyond the join cardinality: every ISL read is unconditional.
-        let k = 10_000;
-        let serial = plan(
-            &s,
-            &q,
-            k,
-            &cost,
-            Objective::Time,
-            &Candidates::all(),
-            ExecutionMode::Serial,
-        );
-        let parallel = plan(
-            &s,
-            &q,
-            k,
-            &cost,
-            Objective::Time,
-            &Candidates::all(),
-            ExecutionMode::Parallel { workers: 4 },
-        );
-        assert!(
-            parallel.estimate(Algorithm::Isl).unwrap().seconds
-                < serial.estimate(Algorithm::Isl).unwrap().seconds
-        );
     }
 
     #[test]
     fn descent_model_matches_histogram_walk() {
         let (s, q) = stats_and_query();
         let cost = CostModel::ec2(8);
-        let p = plan(
-            &s,
-            &q,
-            3,
-            &cost,
-            Objective::Time,
-            &Candidates::all(),
-            ExecutionMode::Serial,
-        );
+        let p = plan(&s, &q, 3, &cost, Objective::Time, &Candidates::all());
         // Depth 0 is the open bound; depth 1 must sit at the side's top
         // bucket; beyond the side's tuples the curve hits zero.
         assert_eq!(p.descent.expected_score_at_depth(0, 0), 1.0);

@@ -299,8 +299,8 @@ pub struct PlannedStats {
 /// One query pair's `Arc`-shared, incrementally-maintained statistics.
 ///
 /// Created by [`crate::executor::RankJoinExecutor::new`]; share it across
-/// executors serving the same pair (e.g. `fork_metrics` clones in the
-/// throughput harness) via
+/// executors serving the same pair (e.g. the serving layer's
+/// `fork_metrics` clones) via
 /// [`stats_handle`](crate::executor::RankJoinExecutor::stats_handle) /
 /// [`attach_stats`](crate::executor::RankJoinExecutor::attach_stats), and
 /// register it on the write path with

@@ -542,7 +542,7 @@ impl MapReduceEngine {
             .read(name)
             .ok_or_else(|| EngineError::NoSuchFile(name.to_owned()))?;
         let cost = self.cluster.cost_model();
-        let mut out = Vec::with_capacity(limit);
+        let mut out = Vec::with_capacity(limit.min(file.record_count()));
         let mut bytes = 0u64;
         for rec in file.iter_records() {
             if out.len() == limit {

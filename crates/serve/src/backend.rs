@@ -98,11 +98,9 @@ impl BackendExec {
     /// share work only if both the spec *and* the way it executes match.
     pub fn config_sig(&self) -> String {
         match self {
-            BackendExec::Binary(b) => {
-                format!("isl:{:?}:{:?}", b.isl_config, b.execution_mode)
-            }
+            BackendExec::Binary(b) => format!("isl:{:?}", b.isl_config),
             BackendExec::Spec(s) => match s.binary() {
-                Some(b) => format!("isl:{:?}:{:?}", b.isl_config, b.execution_mode),
+                Some(b) => format!("isl:{:?}", b.isl_config),
                 None => format!("mw:{:?}:{:?}", s.config, s.access_override),
             },
         }

@@ -9,7 +9,6 @@ use rj_core::executor::RankJoinExecutor;
 use rj_core::oracle;
 use rj_core::query::{JoinSide, RankJoinQuery};
 use rj_core::score::ScoreFn;
-use rj_core::ExecutionMode;
 use rj_serve::{
     BackendId, QueryPriority, RankJoinService, ServeConfig, ServeError, ServedBy, SessionId,
     SessionOutcome, SessionResult, SessionStatus, SubmitOptions, TenantId, FINISHED_GRACE_ROUNDS,
@@ -62,7 +61,6 @@ fn fixture() -> (Cluster, RankJoinQuery) {
 fn prepared_executor(c: &Cluster, q: &RankJoinQuery) -> RankJoinExecutor {
     let mut executor = RankJoinExecutor::new(c, q.clone());
     executor.isl_config = rj_core::isl::IslConfig::uniform(4);
-    executor.execution_mode = ExecutionMode::Serial;
     executor.prepare_isl().unwrap();
     executor
 }

@@ -49,38 +49,26 @@ use crate::table::{Families, Table};
 /// Fraction of the remote RPC latency charged for a node-local call.
 const LOCAL_CALL_FACTOR: f64 = 0.05;
 
-/// A client handle. Not `Sync`: create one per logical actor (coordinator,
-/// MR task, parallel-round worker).
+/// A client handle. Not `Sync`: create one per logical actor (coordinator
+/// or MR task).
 pub struct Client {
     shared: Arc<Shared>,
     /// The ledger this client charges (the creating handle's ledger).
     metrics: Arc<Metrics>,
-    /// `None` = external coordinator; `Some(n)` = pinned to node `n`.
+    /// `None` = external coordinator, whose ops immediately advance the
+    /// cluster's simulated clock; `Some(n)` = pinned to node `n`.
     location: Option<usize>,
     /// Modelled seconds spent in this client's operations.
     elapsed: StdCell<f64>,
-    /// The node-serialized share of `elapsed`: server disk/CPU work and
-    /// network transfer, excluding RPC round-trip latency (which overlaps
-    /// across concurrent in-flight requests).
-    node_busy: StdCell<f64>,
-    /// Whether ops immediately advance the cluster's simulated clock.
-    charge_global_time: bool,
 }
 
 impl Client {
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        metrics: Arc<Metrics>,
-        location: Option<usize>,
-        charge_global_time: bool,
-    ) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>, metrics: Arc<Metrics>, location: Option<usize>) -> Self {
         Client {
             shared,
             metrics,
             location,
             elapsed: StdCell::new(0.0),
-            node_busy: StdCell::new(0.0),
-            charge_global_time,
         }
     }
 
@@ -92,19 +80,6 @@ impl Client {
     /// Modelled seconds consumed by this client so far.
     pub fn elapsed_seconds(&self) -> f64 {
         self.elapsed.get()
-    }
-
-    /// The node-serialized share of [`Client::elapsed_seconds`]: server
-    /// read/write work plus network transfer, excluding RPC round-trip
-    /// latency. Parallel rounds serialize this share per node lane.
-    pub fn node_busy_seconds(&self) -> f64 {
-        self.node_busy.get()
-    }
-
-    /// Resets the elapsed-time accumulators (MR engine / round-worker reuse).
-    pub fn reset_elapsed(&self) {
-        self.elapsed.set(0.0);
-        self.node_busy.set(0.0);
     }
 
     fn is_local(&self, node: usize) -> bool {
@@ -126,13 +101,11 @@ impl Client {
         };
         let total = rpc + server_time + transfer;
         self.elapsed.set(self.elapsed.get() + total);
-        self.node_busy
-            .set(self.node_busy.get() + server_time + transfer);
         self.metrics.add_rpc();
         if !local {
             self.metrics.add_network_bytes(shipped_bytes);
         }
-        if self.charge_global_time {
+        if self.location.is_none() {
             self.metrics.add_sim_seconds(total);
         }
     }
@@ -239,9 +212,8 @@ impl Client {
 
     /// Reattaches a scanner detached with [`Scanner::into_state`] to this
     /// client. The resumed scanner continues exactly where the original
-    /// left off, including rows already fetched into its buffer — parallel
-    /// warm-up rounds prefetch on worker clients and hand the state to the
-    /// coordinator without re-reading (or re-billing) anything.
+    /// left off, including rows already fetched into its buffer, without
+    /// re-reading (or re-billing) anything.
     pub fn resume_scan(&self, state: ScannerState) -> Result<Scanner<'_>> {
         let table = self.lookup(&state.table)?;
         Ok(Scanner {
@@ -334,28 +306,10 @@ pub struct ScannerState {
 }
 
 impl ScannerState {
-    /// Whether fetched-but-unconsumed rows are buffered.
-    pub fn has_buffered_rows(&self) -> bool {
-        !self.batch.is_empty()
-    }
-
     /// Whether the underlying scan has reached its end (no further RPCs
     /// would be issued; buffered rows may remain).
     pub fn is_exhausted(&self) -> bool {
         self.done
-    }
-
-    /// The key the next batch RPC would start from, or `None` if the scan
-    /// is exhausted.
-    pub fn resume_key(&self) -> Option<&[u8]> {
-        (!self.done).then_some(self.next_key.as_slice())
-    }
-
-    /// Removes and returns the buffered (already billed) rows.
-    pub fn take_buffered_rows(&mut self) -> Vec<RowResult> {
-        let rows = self.batch.iter().map(RowRef::to_owned).collect();
-        self.batch.clear();
-        rows
     }
 }
 
@@ -393,11 +347,10 @@ impl Scanner<'_> {
         self.error.as_ref()
     }
 
-    /// Fetches until a row is buffered or the scan is exhausted — exactly
-    /// the batch RPCs the next [`Scanner::next_row`] call would trigger
-    /// (including walking empty regions). Lets a parallel round issue the
-    /// first demand of several scanners concurrently.
-    pub fn prefetch(&mut self) -> Result<()> {
+    /// Fetches until a row is buffered or the scan is exhausted — the
+    /// batch RPCs [`Scanner::next_row`] triggers (including walking empty
+    /// regions).
+    fn prefetch(&mut self) -> Result<()> {
         while self.pos == self.batch.len() && !self.done {
             self.fetch_batch()?;
         }
@@ -644,24 +597,16 @@ mod tests {
         let first = scan.next_row().unwrap().unwrap().to_owned();
         assert_eq!(first.key, keys::encode_u64(0));
         let before = c.metrics().snapshot();
-        let mut state = scan.into_state();
-        assert!(state.has_buffered_rows());
-        assert_eq!(state.resume_key(), Some(&keys::encode_u64(4)[..]));
-        // A clone resumes on the same three rows, then fetches the rest.
-        let rest = cl
-            .resume_scan(state.clone())
-            .unwrap()
-            .collect_rows()
-            .unwrap();
-        let keys_of = |rows: &[RowResult]| -> Vec<u64> {
-            let keys = rows.iter().map(|r| keys::decode_u64(&r.key).unwrap());
-            keys.collect()
-        };
-        assert_eq!(keys_of(&rest), (1..10).collect::<Vec<_>>());
+        let state = scan.into_state();
+        // It resumes on the three rows it buffered, then fetches the rest.
+        let rest = cl.resume_scan(state).unwrap().collect_rows().unwrap();
+        let resumed: Vec<u64> = rest
+            .iter()
+            .map(|r| keys::decode_u64(&r.key).unwrap())
+            .collect();
+        assert_eq!(resumed, (1..10).collect::<Vec<_>>());
         let d = c.metrics().snapshot().delta_since(&before);
         assert_eq!(d.kv_reads, 6, "the buffered rows are not read again");
-        assert_eq!(keys_of(&state.take_buffered_rows()), [1, 2, 3]);
-        assert!(!state.has_buffered_rows());
     }
 
     /// The table a detached scanner names is dropped and re-created

@@ -147,7 +147,7 @@ impl Cluster {
     /// access is remote) and charging simulated time to the global ledger —
     /// this is "the querying node" of the paper's coordinator algorithms.
     pub fn client(&self) -> Client {
-        Client::new(self.shared.clone(), self.metrics.clone(), None, true)
+        Client::new(self.shared.clone(), self.metrics.clone(), None)
     }
 
     /// A client pinned to a node, e.g. a MapReduce task reading its local
@@ -155,14 +155,7 @@ impl Cluster {
     /// accounts critical-path job time itself.
     pub fn task_client(&self, node: usize) -> Client {
         assert!(node < self.shared.num_nodes, "no such node: {node}");
-        Client::new(self.shared.clone(), self.metrics.clone(), Some(node), false)
-    }
-
-    /// A coordinator-located client that does **not** charge wall-clock
-    /// time as it goes — used by parallel rounds, which account elapsed
-    /// time themselves as `max` over lanes (see [`crate::parallel`]).
-    pub(crate) fn round_worker_client(&self) -> Client {
-        Client::new(self.shared.clone(), self.metrics.clone(), None, false)
+        Client::new(self.shared.clone(), self.metrics.clone(), Some(node))
     }
 }
 

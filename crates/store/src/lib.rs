@@ -57,7 +57,6 @@ pub mod error;
 pub mod filter;
 pub mod keys;
 pub mod metrics;
-pub mod parallel;
 pub mod pool;
 pub mod region;
 #[cfg(test)]
@@ -74,7 +73,6 @@ pub use cluster::Cluster;
 pub use costmodel::CostModel;
 pub use error::StoreError;
 pub use metrics::{MetricsSnapshot, QueryMeter};
-pub use parallel::{ExecutionMode, ParallelScanner};
 pub use pool::{PoolPriority, WorkStealingPool};
 pub use row::{RowBatch, RowRef, RowResult};
 pub use scan::Scan;

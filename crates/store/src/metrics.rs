@@ -1,19 +1,11 @@
 //! Metric accounting: the ledgers behind the paper's three evaluation
 //! metrics (§7.1) — turnaround time, network bandwidth, and dollar cost.
 //!
-//! Time is tracked on two axes since the parallel-execution work:
-//!
-//! * **wall-clock seconds** (`sim_seconds`) — simulated elapsed time as a
-//!   coordinator would observe it. A parallel round over several region
-//!   servers advances this by the *maximum* per-node time (the paper's §5
-//!   parallel-round accounting).
-//! * **node-seconds** (`node_seconds`) — total busy time summed over every
-//!   node/worker that did the work. This is what the dollar-style cost of
-//!   rented compute scales with, and it is charged as a *sum* regardless of
-//!   parallelism.
-//!
-//! Serial operations advance both equally, so `wall == total` until a
-//! parallel round runs; the invariant `wall <= total` holds always.
+//! Simulated time has one clock, advanced by [`Metrics::add_sim_seconds`]:
+//! a [`MetricsSnapshot`] reports it as both `sim_seconds` and
+//! `node_seconds`, so the two fields are always equal. `node_seconds`
+//! stays because callers outside this workspace build the snapshot by
+//! literal.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,12 +23,8 @@ pub struct Metrics {
     network_bytes: AtomicU64,
     /// Client RPC invocations.
     rpc_calls: AtomicU64,
-    /// Simulated wall-clock time, nanoseconds (parallel rounds charge the
-    /// per-node maximum here).
+    /// Simulated wall-clock time, nanoseconds.
     sim_nanos: AtomicU64,
-    /// Total node busy time, nanoseconds (parallel rounds charge the sum
-    /// here). Always >= `sim_nanos`.
-    node_nanos: AtomicU64,
     /// KV pairs read through *admin* paths — statistics collection and
     /// other master-side bookkeeping. Never billed (no time, bytes, or
     /// dollar cost), but counted so tests and operators can see when a
@@ -78,43 +66,27 @@ impl Metrics {
         self.rpc_calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Advances simulated time by `seconds` of *serial* work: wall-clock
-    /// and node-seconds advance together.
+    /// Advances the simulated clock by `seconds`.
     ///
     /// The simulator executes operations instantly and *models* their
     /// duration; sequential client operations accumulate here, while the
     /// MapReduce engine charges whole-job critical-path times.
     pub fn add_sim_seconds(&self, seconds: f64) {
         debug_assert!(seconds >= 0.0 && seconds.is_finite());
-        let nanos = (seconds * 1e9) as u64;
-        self.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.node_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Charges one parallel round: `wall` seconds of simulated elapsed time
-    /// (the slowest lane) and `total` node-seconds of aggregate busy time
-    /// (the sum over all lanes). Requires `wall <= total`.
-    pub fn add_parallel_round(&self, wall: f64, total: f64) {
-        debug_assert!(wall >= 0.0 && wall.is_finite());
-        debug_assert!(
-            total >= wall - 1e-12,
-            "parallel round must have wall ({wall}) <= total ({total})"
-        );
         self.sim_nanos
-            .fetch_add((wall * 1e9) as u64, Ordering::Relaxed);
-        self.node_nanos
-            .fetch_add((total.max(wall) * 1e9) as u64, Ordering::Relaxed);
+            .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
     /// Current totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let sim_seconds = self.sim_nanos.load(Ordering::Relaxed) as f64 / 1e9;
         MetricsSnapshot {
             kv_reads: self.kv_reads.load(Ordering::Relaxed),
             kv_writes: self.kv_writes.load(Ordering::Relaxed),
             network_bytes: self.network_bytes.load(Ordering::Relaxed),
             rpc_calls: self.rpc_calls.load(Ordering::Relaxed),
-            sim_seconds: self.sim_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            node_seconds: self.node_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            sim_seconds,
+            node_seconds: sim_seconds,
             admin_kv_reads: self.admin_kv_reads.load(Ordering::Relaxed),
         }
     }
@@ -131,11 +103,9 @@ pub struct MetricsSnapshot {
     pub network_bytes: u64,
     /// Client RPC invocations.
     pub rpc_calls: u64,
-    /// Simulated elapsed wall-clock seconds (parallel rounds count the
-    /// slowest lane only).
+    /// Simulated elapsed wall-clock seconds.
     pub sim_seconds: f64,
-    /// Total node busy seconds (parallel rounds count the sum of all
-    /// lanes). Invariant: `sim_seconds <= node_seconds`.
+    /// Node busy seconds: always equal to `sim_seconds`.
     pub node_seconds: f64,
     /// KV pairs read through metric-free admin paths (statistics
     /// collection). Not part of any billed metric — purely observational.
@@ -230,30 +200,5 @@ mod tests {
         let s = m.snapshot();
         assert!((s.sim_seconds - 1.5).abs() < 1e-9);
         assert!((s.node_seconds - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_round_charges_max_as_wall_and_sum_as_total() {
-        let m = Metrics::new();
-        // Three lanes of 1s, 2s, 3s on a wide-enough pool: wall = 3, total = 6.
-        m.add_parallel_round(3.0, 6.0);
-        let s = m.snapshot();
-        assert!((s.sim_seconds - 3.0).abs() < 1e-9);
-        assert!((s.node_seconds - 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wall_never_exceeds_total() {
-        let m = Metrics::new();
-        m.add_sim_seconds(0.25);
-        m.add_parallel_round(0.5, 1.75);
-        m.add_sim_seconds(0.1);
-        let s = m.snapshot();
-        assert!(
-            s.sim_seconds <= s.node_seconds + 1e-9,
-            "wall {} > total {}",
-            s.sim_seconds,
-            s.node_seconds
-        );
     }
 }

@@ -1,11 +1,10 @@
 //! A persistent, sized-to-the-machine work-stealing worker pool.
 //!
 //! **One process-wide scheduler** runs every piece of real concurrency in
-//! the workspace: parallel query fan-out ([`crate::parallel::run_lanes`]),
-//! cross-query concurrency (the throughput harness's clients, the serving
-//! layer's rounds) and background index builds. Nothing else spawns
-//! threads, so concurrent queries share one set of workers instead of
-//! oversubscribing the host with their own:
+//! the workspace: the serving layer's rounds, MapReduce tasks and
+//! background index builds. Nothing else spawns threads, so concurrent
+//! queries share one set of workers instead of oversubscribing the host
+//! with their own:
 //!
 //! * a fixed set of worker threads, sized to the machine
 //!   ([`WorkStealingPool::global`]; override with `RJ_POOL_THREADS`),
@@ -21,24 +20,22 @@
 //!   `std::thread::scope`, without a thread per task,
 //! * **help-first joining**: a thread waiting on its batch executes other
 //!   pending pool jobs instead of sleeping. This is what makes *nested*
-//!   submission safe — a pool job may itself call `run_batch` (a harness
-//!   client running a parallel ISL query, say) without deadlocking even
-//!   when every worker is occupied, because each waiter doubles as a
-//!   worker.
+//!   submission safe — a pool job may itself call `run_batch` (a serving
+//!   round running a query whose MapReduce job fans its tasks out, say)
+//!   without deadlocking even when every worker is occupied, because each
+//!   waiter doubles as a worker.
 //!
-//! The pool schedules *real* execution only. Modelled time is unaffected:
-//! [`crate::parallel::run_lanes`] measures each task's simulated elapsed
-//! and node-busy seconds on its own non-time-charging client and charges
-//! the makespan under the *caller's* requested lane width, so counted
-//! metrics and simulated wall-clock are identical at every pool size
-//! (`run_lanes_round_charges_golden_ledger` pins one round in absolute
-//! terms; CI runs it at `RJ_POOL_THREADS` 1 and 8).
+//! The pool schedules *real* execution only. Modelled time never depends
+//! on it: the MapReduce engine charges each job's critical path from its
+//! tasks' own clients, so counted metrics and simulated wall-clock are
+//! identical at every pool size (CI runs the suite at `RJ_POOL_THREADS` 1
+//! and 8).
 //!
 //! Task panics are caught per task and re-raised on the submitting thread
 //! (first panicking task in submission order), leaving the pool healthy.
 //!
 //! **Priority classes.** The pool runs two classes of work. *Foreground*
-//! jobs (query execution, parallel fan-out) go to the per-worker deques
+//! jobs (query execution) go to the per-worker deques
 //! and are claimed first. *Background* jobs (index builds, maintenance)
 //! sit in a single FIFO that workers only drain when every foreground
 //! deque is dry — so a burst of interactive queries never queues behind a
@@ -77,7 +74,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// capacity. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolPriority {
-    /// Latency-sensitive work: query execution, parallel fan-out rounds.
+    /// Latency-sensitive work: query execution, serving rounds.
     Foreground,
     /// Bulk/deferrable work: index builds, maintenance sweeps.
     Background,
@@ -386,9 +383,9 @@ impl WorkStealingPool {
 
     /// The process-wide pool, created on first use and sized to the
     /// machine (`std::thread::available_parallelism`, overridable with the
-    /// `RJ_POOL_THREADS` environment variable). All parallel rounds and
-    /// harness clients share it, so total real concurrency tracks the
-    /// hardware no matter how many queries fan out at once.
+    /// `RJ_POOL_THREADS` environment variable). Every serving round and
+    /// MapReduce job shares it, so total real concurrency tracks the
+    /// hardware no matter how many queries run at once.
     pub fn global() -> &'static WorkStealingPool {
         static GLOBAL: OnceLock<WorkStealingPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {

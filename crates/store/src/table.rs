@@ -180,14 +180,6 @@ impl Table {
         lo
     }
 
-    /// Node currently serving `key` — parallel rounds group per-lane time
-    /// by serving node (the paper's §5 per-node round accounting).
-    pub fn serving_node(&self, key: &[u8]) -> usize {
-        let regions = self.regions.read();
-        let node = regions[Self::region_index(&regions, key)].read().node();
-        node
-    }
-
     /// Region metadata snapshot, in key order.
     pub fn region_infos(&self) -> Vec<RegionInfo> {
         let regions = self.regions.read();

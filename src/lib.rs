@@ -94,5 +94,4 @@ pub use rj_serve::{
     QueryPriority, RankJoinService, ServeConfig, ServedBy, SessionOutcome, SessionStatus,
     SubmitOptions,
 };
-pub use rj_store::parallel::{ExecutionMode, ParallelScanner};
 pub use rj_store::{Cell, Client, Cluster, CostModel, Mutation, Scan};

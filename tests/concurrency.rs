@@ -1,18 +1,11 @@
-//! Concurrency guarantees of the parallel execution subsystem:
-//!
-//! * many threads running queries against one shared cluster all get the
-//!   oracle answer (the serving scenario of the throughput harness);
-//! * `Parallel` and `Serial` execution modes are equivalent on random
-//!   inputs — identical `TopK` *and* identical counted metrics (KV read
-//!   units / dollars, network bytes, RPCs), with parallel wall-clock never
-//!   above serial and never above total node-seconds.
-
-use proptest::prelude::*;
+//! Concurrency guarantees of serving many queries over one shared
+//! cluster: every thread, each on its own forked ledger, gets the oracle
+//! answer, and concurrent DRJN runs keep their scratch tables apart.
 
 use rankjoin::core::{bfhm, isl, oracle};
 use rankjoin::{
-    Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, ExecutionMode, IslConfig, JoinSide,
-    Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, WriteBackPolicy,
+    BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, RankJoinExecutor, RankJoinQuery,
+    ScoreFn, WriteBackPolicy,
 };
 
 mod common;
@@ -24,8 +17,9 @@ fn fig1_cluster() -> (Cluster, RankJoinQuery) {
 }
 
 /// Eight threads fire the same query concurrently at one shared cluster —
-/// half through ISL, half through BFHM, alternating serial and parallel
-/// modes — and every single one must get the oracle answer.
+/// alternating ISL and BFHM, each thread on its own forked ledger, as a
+/// serving layer's tenants do — and every single one must get the oracle
+/// answer.
 #[test]
 fn eight_threads_share_a_cluster_and_agree_with_the_oracle() {
     let (cluster, query) = fig1_cluster();
@@ -46,18 +40,12 @@ fn eight_threads_share_a_cluster_and_agree_with_the_oracle() {
             let (cluster, query, want) = (&cluster, &query, &want);
             let (isl_table, bfhm_table) = (&isl_table, &bfhm_table);
             scope.spawn(move || {
-                // Each thread forks its own ledger, as harness clients do.
                 let fork = cluster.fork_metrics();
-                let mode = if thread_id % 2 == 0 {
-                    ExecutionMode::Serial
-                } else {
-                    ExecutionMode::Parallel { workers: 4 }
-                };
                 for round in 0..4 {
-                    let got = if (thread_id / 2 + round) % 2 == 0 {
-                        isl::run_with_mode(&fork, query, isl_table, IslConfig::uniform(4), mode)
+                    let got = if (thread_id + round) % 2 == 0 {
+                        isl::run(&fork, query, isl_table, IslConfig::uniform(4))
                     } else {
-                        bfhm::run_with_mode(
+                        bfhm::run(
                             &fork,
                             query,
                             bfhm_table,
@@ -67,17 +55,12 @@ fn eight_threads_share_a_cluster_and_agree_with_the_oracle() {
                                 ..Default::default()
                             },
                             WriteBackPolicy::Off,
-                            mode,
                         )
                     }
                     .unwrap_or_else(|e| panic!("thread {thread_id} round {round}: {e}"));
                     assert_eq!(
                         &got.results, want,
                         "thread {thread_id} round {round} diverged from the oracle"
-                    );
-                    assert!(
-                        got.metrics.sim_seconds <= got.metrics.node_seconds + 1e-9,
-                        "thread {thread_id}: wall exceeded node-seconds"
                     );
                 }
             });
@@ -117,169 +100,4 @@ fn concurrent_drjn_queries_do_not_collide() {
             });
         }
     });
-}
-
-/// A randomized relation pair plus query parameters.
-#[derive(Clone, Debug)]
-struct Dataset {
-    left: Vec<(u8, f64)>,
-    right: Vec<(u8, f64)>,
-    k: usize,
-    product: bool,
-    workers: usize,
-}
-
-fn dataset_strategy() -> impl Strategy<Value = Dataset> {
-    let tuple = (0u8..12, 0u32..=1000).prop_map(|(j, s)| (j, f64::from(s) / 1000.0));
-    (
-        prop::collection::vec(tuple.clone(), 0..60),
-        prop::collection::vec(tuple, 0..60),
-        1usize..25,
-        any::<bool>(),
-        2usize..6,
-    )
-        .prop_map(|(left, right, k, product, workers)| Dataset {
-            left,
-            right,
-            k,
-            product,
-            workers,
-        })
-}
-
-fn load(data: &Dataset) -> (Cluster, RankJoinQuery) {
-    // Pre-split both base tables across the row-key range actually used
-    // (l000..l059 / r000..r059), so every read path that touches base
-    // tables — oracle scans, index-build MR jobs, DRJN pulls — sees a
-    // multi-region layout.
-    let cluster = Cluster::new(3, CostModel::test());
-    for table in ["l", "r"] {
-        let splits: Vec<Vec<u8>> = (1..4usize)
-            .map(|i| format!("{table}{:03}", i * 15).into_bytes())
-            .collect();
-        cluster
-            .create_table_with_splits(table, &["d"], &splits)
-            .unwrap();
-    }
-    let client = cluster.client();
-    for (rows, table) in [(&data.left, "l"), (&data.right, "r")] {
-        for (i, (j, s)) in rows.iter().enumerate() {
-            client
-                .mutate_row(
-                    table,
-                    format!("{table}{i:03}").as_bytes(),
-                    vec![
-                        Mutation::put("d", b"jk", vec![*j]),
-                        Mutation::put("d", b"score", s.to_be_bytes().to_vec()),
-                    ],
-                )
-                .unwrap();
-        }
-    }
-    let query = RankJoinQuery::new(
-        JoinSide::new("l", "L", ("d", b"jk"), ("d", b"score")),
-        JoinSide::new("r", "R", ("d", b"jk"), ("d", b"score")),
-        data.k,
-        if data.product {
-            ScoreFn::Product
-        } else {
-            ScoreFn::Sum
-        },
-    );
-    (cluster, query)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12, // each case runs 6 algorithms + Auto x 2 modes incl. 4 index builds
-        .. ProptestConfig::default()
-    })]
-
-    /// The satellite invariant: for every algorithm, `Parallel` returns the
-    /// identical `TopK` with identical total bandwidth and dollar metrics
-    /// as `Serial`, and wall-clock obeys `parallel <= serial` and
-    /// `wall <= total node-seconds`.
-    #[test]
-    fn parallel_and_serial_modes_are_equivalent(data in dataset_strategy()) {
-        let (cluster, query) = load(&data);
-        let mut ex = RankJoinExecutor::new(&cluster, query.clone());
-        ex.isl_config = IslConfig::uniform(7);
-        ex.prepare_ijlmr().unwrap();
-        ex.prepare_isl().unwrap();
-        ex.prepare_bfhm(BfhmConfig {
-            num_buckets: 10,
-            ..Default::default()
-        }).unwrap();
-        ex.prepare_drjn(DrjnConfig { num_buckets: 10, num_partitions: 32 }).unwrap();
-
-        for algo in Algorithm::ALL {
-            ex.execution_mode = ExecutionMode::Serial;
-            let serial = ex.execute(algo).unwrap();
-            ex.execution_mode = ExecutionMode::Parallel { workers: data.workers };
-            let parallel = ex.execute(algo).unwrap();
-            let name = algo.name();
-            prop_assert_eq!(&parallel.results, &serial.results, "{}: TopK differs", name);
-            prop_assert_eq!(
-                parallel.metrics.kv_reads, serial.metrics.kv_reads,
-                "{}: KV read units (dollars) differ", name
-            );
-            prop_assert_eq!(
-                parallel.metrics.network_bytes, serial.metrics.network_bytes,
-                "{}: network bytes differ", name
-            );
-            prop_assert_eq!(
-                parallel.metrics.rpc_calls, serial.metrics.rpc_calls,
-                "{}: RPC counts differ", name
-            );
-            prop_assert!(
-                parallel.metrics.sim_seconds <= serial.metrics.sim_seconds + 1e-9,
-                "{}: parallel wall {} above serial {}",
-                name, parallel.metrics.sim_seconds, serial.metrics.sim_seconds
-            );
-            for outcome in [&serial, &parallel] {
-                prop_assert!(
-                    outcome.metrics.sim_seconds <= outcome.metrics.node_seconds + 1e-9,
-                    "{}: wall {} above node-seconds {}",
-                    name, outcome.metrics.sim_seconds, outcome.metrics.node_seconds
-                );
-            }
-        }
-
-        // Auto on the work-stealing pool: the mode-aware planner may pick a
-        // *different* algorithm per mode (parallelism shifts the predicted
-        // cheapest), so only the answer and the wall-clock invariants are
-        // asserted — not the per-algorithm read/byte counts.
-        ex.execution_mode = ExecutionMode::Serial;
-        let auto_serial = ex.execute(Algorithm::Auto).unwrap();
-        ex.execution_mode = ExecutionMode::Parallel { workers: data.workers };
-        let auto_parallel = ex.execute(Algorithm::Auto).unwrap();
-        prop_assert_eq!(&auto_parallel.results, &auto_serial.results, "AUTO: TopK differs");
-        for outcome in [&auto_serial, &auto_parallel] {
-            prop_assert!(
-                outcome.metrics.sim_seconds <= outcome.metrics.node_seconds + 1e-9,
-                "AUTO: wall {} above node-seconds {}",
-                outcome.metrics.sim_seconds, outcome.metrics.node_seconds
-            );
-        }
-
-        // The ISL full-enumeration fast path (k beyond any join size) must
-        // also be read-for-read identical.
-        let enum_query = query.with_k(usize::MAX / 2);
-        let table = rankjoin::core::isl::index_table_name(&query);
-        let fork = cluster.fork_metrics();
-        let serial = isl::run_with_mode(
-            &fork, &enum_query, &table, IslConfig::uniform(7), ExecutionMode::Serial,
-        ).unwrap();
-        let parallel = isl::run_with_mode(
-            &fork, &enum_query, &table, IslConfig::uniform(7),
-            ExecutionMode::Parallel { workers: data.workers },
-        ).unwrap();
-        prop_assert_eq!(&parallel.results, &serial.results, "ISL enumeration: TopK differs");
-        prop_assert_eq!(parallel.metrics.kv_reads, serial.metrics.kv_reads,
-            "ISL enumeration: KV reads differ");
-        prop_assert_eq!(parallel.metrics.network_bytes, serial.metrics.network_bytes,
-            "ISL enumeration: network bytes differ");
-        prop_assert_eq!(parallel.metrics.rpc_calls, serial.metrics.rpc_calls,
-            "ISL enumeration: RPC counts differ");
-    }
 }

@@ -111,13 +111,14 @@ fn executor_reports_metrics_for_every_algorithm() {
 /// query: one executor built at k = 3 serves each algorithm one-shot,
 /// and ISL / BFHM / DRJN / Auto as cursors paged one result at a time
 /// through pause and resume, at depths below, at and past the fixture's
-/// four join tuples. Every answer must be the oracle's at that depth — a
-/// leftover read of the built-in k = 3 shows up as a wrong length.
+/// four join tuples — up to `usize::MAX / 2`, full enumeration. Every
+/// answer must be the oracle's at that depth — a leftover read of the
+/// built-in k = 3 shows up as a wrong length.
 #[test]
 fn one_executor_answers_every_k_it_is_asked_for() {
     let (cluster, query) = fixture(3, ScoreFn::Sum);
     let ex = prepared_executor(&cluster, query.clone());
-    for k in [1, 2, 4, 10] {
+    for k in [1, 2, 4, 10, usize::MAX / 2] {
         let want = oracle::topk(&cluster, &query.with_k(k)).unwrap();
         assert_eq!(want.len(), k.min(4));
         for algo in Algorithm::ALL.into_iter().chain([Algorithm::Auto]) {

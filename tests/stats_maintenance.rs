@@ -245,7 +245,6 @@ fn fresh_oracle_plan(cluster: &Cluster, query: &RankJoinQuery, ex: &RankJoinExec
         cluster.cost_model(),
         Objective::Time,
         &ex.candidates(),
-        rankjoin::ExecutionMode::Serial,
     )
 }
 
@@ -367,7 +366,7 @@ fn forked_executors_share_statistics_and_invalidate_coherently() {
     let _ = owner.plan().unwrap();
     assert_eq!(owner.stats_handle().collections(), 1);
 
-    // A fork (the throughput-harness shape): attaches indices and the
+    // A fork (the serving layer's shape): attaches indices and the
     // owner's statistics handle instead of re-collecting.
     let fork = cluster.fork_metrics();
     let mut worker = RankJoinExecutor::new(&fork, query.clone());
