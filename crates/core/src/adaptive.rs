@@ -27,8 +27,9 @@
 //!    the descent stops at a batch boundary: the tuples already fetched
 //!    are paid for either way, everything else is still demand-driven.
 //! 3. **Correct.** The observed per-side descent is folded back through
-//!    the shared [`SharedTableStats`](crate::statsmaint::SharedTableStats)
-//!    handle
+//!    the executor's one statistics handle,
+//!    [`SharedTableStats`](crate::statsmaint::SharedTableStats) over the
+//!    query's two-side spec
 //!    ([`apply_observed_descent`](crate::statsmaint::SharedTableStats::apply_observed_descent))
 //!    — a mid-query
 //!    correction is just another delta plus a version bump, so every

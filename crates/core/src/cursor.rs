@@ -208,10 +208,13 @@ impl CursorMeta {
 /// re-charged).
 ///
 /// **Stats-version pinning.** A cursor opened through
-/// [`crate::executor::RankJoinExecutor::open_cursor`] records the
-/// backend's [`crate::statsmaint::SharedTableStats::version`]. Every
-/// maintained write and every index (re-)preparation bumps that version,
-/// and `RankJoinExecutor::resume_cursor` refuses a version mismatch with
+/// [`crate::executor::RankJoinExecutor::open_cursor`] or
+/// [`crate::multiway::SpecExecutor::open_cursor`] records the version of
+/// the executor's one statistics handle
+/// ([`crate::statsmaint::SharedTableStats::version`], the same handle for
+/// every arity). Every maintained write, every index (re-)preparation
+/// and every statistics pass bumps that version, and `resume_cursor`
+/// refuses a version mismatch with
 /// [`RankJoinError::StaleCursor`]: the buffered tuples and scan positions
 /// were computed against the old data, so the token is permanently
 /// invalid and the query must re-run. A state with no pinned version

@@ -173,9 +173,8 @@ impl RankJoinExecutor {
     /// of [`RankJoinExecutor::execute`] and [`RankJoinExecutor::plan`].
     pub fn new(cluster: &Cluster, query: RankJoinQuery) -> Self {
         let spec = Arc::new(query.to_spec());
-        let query = Arc::new(query);
-        let stats = SharedTableStats::new(query.clone());
-        RankJoinExecutor::over(cluster, query, spec, stats)
+        let stats = SharedTableStats::new(spec.clone());
+        RankJoinExecutor::over(cluster, Arc::new(query), spec, stats)
     }
 
     /// An executor with no index and default tuning over an already
@@ -229,6 +228,12 @@ impl RankJoinExecutor {
         &self.spec
     }
 
+    /// The shared spec itself — what a wrapping
+    /// [`crate::multiway::SpecExecutor`] keys on.
+    pub(crate) fn spec_handle(&self) -> Arc<JoinSpec> {
+        self.spec.clone()
+    }
+
     /// The shared statistics handle. Register it on a
     /// [`crate::maintenance::MaintainedSide`] (via
     /// [`with_stats`](crate::maintenance::MaintainedSide::with_stats)) so
@@ -255,8 +260,10 @@ impl RankJoinExecutor {
                 && a.join_col == b.join_col
                 && a.score_col == b.score_col
         };
-        if !same_side(&handle.query().left, &self.query.left)
-            || !same_side(&handle.query().right, &self.query.right)
+        let theirs = &handle.spec().sides;
+        if theirs.len() != 2
+            || !same_side(&theirs[0], &self.query.left)
+            || !same_side(&theirs[1], &self.query.right)
         {
             return Err(RankJoinError::Internal(
                 "stats handle describes a different query pair",
@@ -1407,6 +1414,38 @@ mod tests {
             p2.stats_source
         );
         assert_eq!(ex.stats_handle().collections(), 2);
+
+        // The same contract on a three-way spec's access plans. The
+        // re-collection under the tighter bound moves the version, so
+        // the looser-bound plan cached before it is planned again from
+        // the new snapshot instead of served from the old one.
+        let (c, spec) = crate::testsupport::three_way_path_cluster(3);
+        let mut exec = crate::multiway::SpecExecutor::new(&c, spec.clone());
+        let stats = exec.stats_handle();
+        exec.plan_access(3).unwrap();
+        // One mutation on the 13-tuple side C ≈ 8% staleness.
+        let c_side = &spec.sides[2];
+        stats.apply_delta(&crate::statsmaint::StatsDelta {
+            table: &c_side.table,
+            join_col: &c_side.join_col,
+            score_col: &c_side.score_col,
+            op: crate::statsmaint::DeltaOp::Insert,
+            join_fingerprint: 7,
+            score: 0.5,
+            entry_bytes: 32.0,
+        });
+        let loose = exec.plan_access(3).unwrap();
+        assert_eq!(stats.collections(), 1);
+        exec.staleness_bound = 0.01;
+        let version = stats.version();
+        exec.plan_access(3).unwrap();
+        assert_eq!(stats.collections(), 2);
+        assert!(stats.version() > version, "a collection moves the version");
+        exec.staleness_bound = DEFAULT_STALENESS_BOUND;
+        assert!(
+            !Arc::ptr_eq(&loose, &exec.plan_access(3).unwrap()),
+            "a plan from before the re-collection was served"
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on, over a spec's join tree | §4.2.1 |
 //! | [`planner`] | cost-based adaptive selection over the suite ([`Algorithm::Auto`]) | Figs. 7–8 |
 //! | [`adaptive`] | mid-query re-planning: ISL abort-and-switch on observed score-descent divergence | Figs. 7–8 |
-//! | [`multiway`] | planning and the facade for three or more sides: per-side access choice, spec statistics, [`multiway::SpecExecutor`] (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
+//! | [`multiway`] | planning and the facade for three or more sides: per-side access choice and [`multiway::SpecExecutor`] (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
 //!
 //! Every algorithm returns the same deterministic top-k (ties broken by
 //! key) and a [`rj_store::metrics::MetricsSnapshot`] with the paper's three
@@ -75,7 +75,7 @@ pub use adaptive::DEFAULT_REPLAN_DIVERGENCE;
 pub use cancel::{CancelToken, StopPolicy, StopReason};
 pub use cursor::{CursorBatch, CursorState, IslCursor, RankedCursor, SideAccess};
 pub use executor::{Algorithm, RankJoinExecutor};
-pub use multiway::{MultiwayConfig, SharedSpecStats, SpecExecutor};
+pub use multiway::{MultiwayConfig, SpecExecutor};
 pub use planner::{DescentModel, Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};

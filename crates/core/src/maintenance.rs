@@ -437,19 +437,21 @@ mod tests {
         ));
     }
 
+    /// Records each delta's op and table.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<(DeltaOp, String)>>);
+
+    impl StatsMaintainer for Recorder {
+        fn apply_delta(&self, delta: &StatsDelta<'_>) {
+            let seen = (delta.op, delta.table.to_owned());
+            self.0.lock().unwrap().push(seen);
+        }
+    }
+
     #[test]
     fn index_write_failure_still_emits_the_stats_delta() {
-        use std::sync::Mutex;
-        /// Records each delta's op and table.
-        struct Recorder(Mutex<Vec<(DeltaOp, String)>>);
-        impl StatsMaintainer for Recorder {
-            fn apply_delta(&self, delta: &StatsDelta<'_>) {
-                let seen = (delta.op, delta.table.to_owned());
-                self.0.lock().unwrap().push(seen);
-            }
-        }
         let (c, q) = running_example_cluster();
-        let recorder = Arc::new(Recorder(Mutex::new(Vec::new())));
+        let recorder = Arc::new(Recorder::default());
         // ISL table never built: the index write fails after the base
         // write lands. Statistics describe base tables, so the delta
         // must be emitted anyway — otherwise the staleness counter goes
@@ -462,6 +464,29 @@ mod tests {
         let seen = recorder.0.lock().unwrap();
         assert_eq!(seen.len(), 1, "base write landed, delta must follow");
         assert_eq!(seen[0], (DeltaOp::Insert, "r1".to_owned()));
+    }
+
+    #[test]
+    fn base_write_failure_emits_no_stats_delta() {
+        let (c, q) = running_example_cluster();
+        let recorder = Arc::new(Recorder::default());
+        let handle = crate::statsmaint::SharedTableStats::new(Arc::new(q.to_spec()));
+        handle.stats_for_planning(&c, 0.1).unwrap();
+        let (version, staleness) = (handle.version(), handle.staleness());
+        let side = MaintainedSide::new(&c, q.left.clone())
+            .with_stats(recorder.clone())
+            .with_stats(handle.clone());
+        // The base table is gone, so the base put fails and nothing was
+        // written: a delta would bill the statistics for a row that does
+        // not exist.
+        c.drop_table("r1").unwrap();
+        assert!(side.insert(b"r1_99", b"a", 0.5, vec![]).is_err());
+        assert!(
+            recorder.0.lock().unwrap().is_empty(),
+            "no base write, no delta"
+        );
+        assert_eq!(handle.version(), version);
+        assert_eq!(handle.staleness(), staleness);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! projection constructs the [`crate::query::RankJoinQuery`] it serves),
 //! which opens the same [`IslCursor`] over the same index this executor's
 //! N-ary arm opens — so a binary query's results *and* counted metrics
-//! are the same through either door. Specs with three or more sides
-//! build the score index ([`crate::isl::index`]), plan a per-side access
-//! ([`crate::multiway::planner`]) and open the cursor directly, pinned to
-//! the spec's [`SharedSpecStats`] version exactly like binary cursors pin
-//! their table-stats version.
+//! are the same through either door; `From<RankJoinExecutor>` wraps an
+//! existing binary executor the same way, sharing its spec. Specs with
+//! three or more sides build the score index ([`crate::isl::index`]),
+//! plan a per-side access ([`crate::multiway::planner`]) and open the
+//! cursor directly. Either way the executor has one statistics handle,
+//! [`SpecExecutor::stats_handle`] — a [`SharedTableStats`] over the spec
+//! — and every cursor it opens is pinned to that handle's version.
 //!
 //! As in the binary executor, `k` belongs to the run, not the
 //! descriptor: the spec is built once, in [`SpecExecutor::new`], and every
@@ -27,10 +29,10 @@ use crate::error::{RankJoinError, Result};
 use crate::executor::{Algorithm, RankJoinExecutor};
 use crate::indexutil::BuildStats;
 use crate::isl::index;
-use crate::multiway::planner::{choose_access, SharedSpecStats};
+use crate::multiway::planner::choose_access;
 use crate::query::JoinSpec;
 use crate::stats::QueryOutcome;
-use crate::statsmaint::DEFAULT_STALENESS_BOUND;
+use crate::statsmaint::{SharedTableStats, DEFAULT_STALENESS_BOUND};
 
 /// Knobs of the multiway descent.
 #[derive(Clone, Copy, Debug)]
@@ -56,7 +58,7 @@ enum SpecKind {
     Nary {
         /// Built/attached score index table.
         table: Option<String>,
-        stats: Arc<SharedSpecStats>,
+        stats: Arc<SharedTableStats>,
         /// Access-plan cache, as the binary executor caches its plans:
         /// the staleness bound is in the key because it is a public field
         /// that feeds the statistics decision, and an entry is a hit only
@@ -93,7 +95,7 @@ impl SpecExecutor {
             Some(query) => SpecKind::Binary(Box::new(RankJoinExecutor::new(cluster, query))),
             None => SpecKind::Nary {
                 table: None,
-                stats: SharedSpecStats::new(spec.clone()),
+                stats: SharedTableStats::new(spec.clone()),
                 plans: Mutex::default(),
             },
         };
@@ -145,22 +147,14 @@ impl SpecExecutor {
         &self.engine
     }
 
-    /// The spec-statistics handle (N-ary path only) — register it on the
-    /// maintained write path so all-sides deltas keep plans fresh, share
-    /// it across forks.
-    pub fn spec_stats(&self) -> Option<Arc<SharedSpecStats>> {
+    /// The spec's shared statistics handle, for either arity — register
+    /// it on the maintained write path so every side's deltas keep plans
+    /// fresh; its version is the one every cursor and serving cache over
+    /// this executor pins.
+    pub fn stats_handle(&self) -> Arc<SharedTableStats> {
         match &self.kind {
-            SpecKind::Binary(_) => None,
-            SpecKind::Nary { stats, .. } => Some(stats.clone()),
-        }
-    }
-
-    /// Current statistics coherence version — binary delegates to the
-    /// table-stats handle, N-ary to the spec-stats handle.
-    pub fn stats_version(&self) -> u64 {
-        match &self.kind {
-            SpecKind::Binary(b) => b.stats_handle().version(),
-            SpecKind::Nary { stats, .. } => stats.version(),
+            SpecKind::Binary(b) => b.stats_handle(),
+            SpecKind::Nary { stats, .. } => stats.clone(),
         }
     }
 
@@ -217,7 +211,7 @@ impl SpecExecutor {
     /// [`access_override`](SpecExecutor::access_override) if set,
     /// otherwise the planner's choice over current spec statistics
     /// (collecting within the staleness bound — see
-    /// [`SharedSpecStats::stats_for_planning`]), cached per `k` until the
+    /// [`SharedTableStats::stats_for_planning`]), cached per `k` until the
     /// statistics version moves. Binary specs descend both sides by
     /// construction (that *is* ISL).
     pub fn plan_access(&self, k: usize) -> Result<Arc<[SideAccess]>> {
@@ -252,7 +246,7 @@ impl SpecExecutor {
     fn open_nary(
         &self,
         table: Option<&str>,
-        stats: &SharedSpecStats,
+        stats: &SharedTableStats,
         k_hint: usize,
     ) -> Result<IslCursor> {
         let table =
@@ -322,8 +316,8 @@ impl SpecExecutor {
     pub fn resume_cursor(&self, state: CursorState) -> Result<Box<dyn RankedCursor>> {
         match &self.kind {
             SpecKind::Binary(b) => b.resume_cursor(state),
-            SpecKind::Nary { .. } => {
-                state.check_version(self.stats_version())?;
+            SpecKind::Nary { stats, .. } => {
+                state.check_version(stats.version())?;
                 state.resume_on(self.engine.cluster())
             }
         }
@@ -338,8 +332,8 @@ impl SpecExecutor {
     ) -> Result<Box<dyn RankedCursor>> {
         match &self.kind {
             SpecKind::Binary(b) => b.resume_cursor_retargeted(state, new_k),
-            SpecKind::Nary { .. } => {
-                state.check_version(self.stats_version())?;
+            SpecKind::Nary { stats, .. } => {
+                state.check_version(stats.version())?;
                 state.resume_retargeted(self.engine.cluster(), new_k)
             }
         }
@@ -351,29 +345,49 @@ impl SpecExecutor {
     /// maintained-write invalidations stay coherent across forks while
     /// each fork bills its own ledger.
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<SpecExecutor> {
-        let kind = match &self.kind {
-            SpecKind::Binary(b) => SpecKind::Binary(Box::new(b.fork_onto(cluster)?)),
+        let (engine, kind) = match &self.kind {
+            SpecKind::Binary(b) => {
+                let fork = b.fork_onto(cluster)?;
+                (fork.engine().clone(), SpecKind::Binary(Box::new(fork)))
+            }
             SpecKind::Nary { table, stats, .. } => {
                 if let Some(t) = table {
                     cluster
                         .table(t)
                         .map_err(|_| RankJoinError::MissingIndex(t.clone()))?;
                 }
-                SpecKind::Nary {
+                let kind = SpecKind::Nary {
                     table: table.clone(),
                     stats: stats.clone(),
                     plans: Mutex::default(),
-                }
+                };
+                (MapReduceEngine::new(cluster.clone()), kind)
             }
         };
         Ok(SpecExecutor {
-            engine: MapReduceEngine::new(cluster.clone()),
+            engine,
             spec: self.spec.clone(),
             kind,
             config: self.config,
             access_override: self.access_override.clone(),
             staleness_bound: self.staleness_bound,
         })
+    }
+}
+
+impl From<RankJoinExecutor> for SpecExecutor {
+    /// Wraps a binary executor — its indices, tuning and statistics
+    /// handle — as the two-side spec executor, sharing its spec so the
+    /// fingerprint (and every cache key built from it) is the same.
+    fn from(binary: RankJoinExecutor) -> Self {
+        SpecExecutor {
+            engine: binary.engine().clone(),
+            spec: binary.spec_handle(),
+            kind: SpecKind::Binary(Box::new(binary)),
+            config: MultiwayConfig::default(),
+            access_override: None,
+            staleness_bound: DEFAULT_STALENESS_BOUND,
+        }
     }
 }
 
@@ -468,7 +482,7 @@ mod tests {
         let mut cursor = exec.open_cursor(6).unwrap();
         cursor.next_batch(1, &StopPolicy::default()).unwrap();
         let state = cursor.pause();
-        exec.spec_stats().unwrap().invalidate();
+        exec.stats_handle().invalidate();
         assert!(matches!(
             exec.resume_cursor(state),
             Err(RankJoinError::StaleCursor { .. })
@@ -527,7 +541,7 @@ mod tests {
     fn access_plan_is_cached_until_the_statistics_version_moves() {
         let (c, spec) = three_way_path_cluster(4);
         let mut exec = SpecExecutor::new(&c, spec.clone());
-        let stats = exec.spec_stats().unwrap();
+        let stats = exec.stats_handle();
         let first = exec.plan_access(4).unwrap();
         assert!(Arc::ptr_eq(&first, &exec.plan_access(4).unwrap()));
         assert_eq!(stats.collections(), 1);
@@ -550,7 +564,7 @@ mod tests {
         // plan was made at, and the plan it made is the one cached.
         let collections = stats.collections();
         let state = exec.open_cursor(4).unwrap().pause();
-        assert_eq!(state.pinned_version(), Some(exec.stats_version()));
+        assert_eq!(state.pinned_version(), Some(stats.version()));
         assert_eq!(stats.collections(), collections + 1);
         let attached = exec.plan_access(4).unwrap();
         assert!(!Arc::ptr_eq(&written, &attached));
@@ -569,7 +583,7 @@ mod tests {
         let mut exec = SpecExecutor::new(&c, spec);
         exec.prepare().unwrap();
         exec.execute().unwrap();
-        let collections = exec.spec_stats().unwrap().collections();
+        let collections = exec.stats_handle().collections();
         let fork_cluster = c.fork_metrics();
         let fork = exec.fork_onto(&fork_cluster).unwrap();
         let before_parent = c.metrics().snapshot();
@@ -581,7 +595,7 @@ mod tests {
             "fork work billed to the fork's ledger"
         );
         assert_eq!(
-            fork.spec_stats().unwrap().collections(),
+            fork.stats_handle().collections(),
             collections,
             "fork reuses the shared snapshot instead of re-collecting"
         );

@@ -12,12 +12,13 @@
 //! a spec, and the paper's binary ISL is their two-side instance. What
 //! is specific to three or more sides lives here:
 //!
-//! * [`planner`] — per-side statistics, the per-side access choice
-//!   (batched index **descent** vs. **materialize**-then-join), and the
-//!   cost model that picks the cheapest assignment; plus
-//!   [`planner::SharedSpecStats`], the N-side staleness/versioning
-//!   handle (any side's maintained write bumps the version plan caches,
-//!   cursors, and serving caches check).
+//! * [`planner`] — the per-side access choice (batched index **descent**
+//!   vs. **materialize**-then-join) and the cost model that picks the
+//!   cheapest assignment. Its statistics are not specific to three or
+//!   more sides: they are the [`crate::planner::TableStats`] snapshot
+//!   behind the one [`crate::statsmaint::SharedTableStats`] handle, which
+//!   serves every arity (any side's maintained write bumps the version
+//!   plan caches, cursors, and serving caches check).
 //! * [`exec`] — [`exec::SpecExecutor`], the spec-driven facade. A
 //!   two-side spec runs through the binary
 //!   [`crate::executor::RankJoinExecutor`] (every algorithm, planner and
@@ -29,4 +30,4 @@ pub mod planner;
 
 pub use crate::cursor::SideAccess;
 pub use exec::{MultiwayConfig, SpecExecutor};
-pub use planner::{choose_access, collect_spec_stats, SharedSpecStats, SpecSideStats, SpecStats};
+pub use planner::choose_access;

@@ -40,7 +40,7 @@ use crate::drjn::DrjnConfig;
 use crate::error::Result;
 use crate::executor::Algorithm;
 use crate::isl::IslConfig;
-use crate::query::RankJoinQuery;
+use crate::query::{read_score, JoinSpec, RankJoinQuery};
 
 /// Resolution of the planner's per-side score histograms (equi-width over
 /// the paper's normalized `[0,1]` score domain, §1.1).
@@ -53,28 +53,28 @@ pub(crate) const KV_OVERHEAD_BYTES: f64 = 24.0;
 /// Per-input statistics for one join side.
 #[derive(Clone, Debug)]
 pub struct SideStats {
-    /// Tuples with a valid `(join value, score)` pair.
+    /// Tuples with a valid `(join values, score)` extraction.
     pub tuples: u64,
-    /// Distinct join values.
-    pub distinct_joins: u64,
     /// Highest score seen (0.0 when empty).
     pub max_score: f64,
     /// Score histogram: `hist[b]` counts tuples with score in
     /// `[b/S, (b+1)/S)` (top bucket closed at 1.0; out-of-range scores
     /// clamp to the edge buckets).
     pub hist: Vec<u64>,
-    /// Average bytes per indexed entry (join value + score + key framing).
+    /// Average bytes per indexed entry (join values + score + key framing).
     pub avg_entry_bytes: f64,
+    /// Regions of the side's base table (MR map-task fan-out).
+    pub regions: usize,
 }
 
 impl SideStats {
-    fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         SideStats {
             tuples: 0,
-            distinct_joins: 0,
             max_score: 0.0,
             hist: vec![0; STAT_BUCKETS],
             avg_entry_bytes: KV_OVERHEAD_BYTES,
+            regions: 0,
         }
     }
 
@@ -115,19 +115,41 @@ impl SideStats {
     }
 }
 
-/// A statistics snapshot over one query's two inputs.
+/// Statistics for one join edge of a [`JoinSpec`].
+#[derive(Clone, Debug)]
+pub struct EdgeStats {
+    /// Distinct join values at each endpoint: `[side a, side b]`.
+    pub distinct: [u64; 2],
+    /// Exact expected join cardinality of the edge alone:
+    /// `Σ_v a_v·b_v` over the join values `v`.
+    pub pairs: u64,
+}
+
+/// A statistics snapshot over a join's inputs, for any arity: one
+/// [`SideStats`] per side and one [`EdgeStats`] per edge of the
+/// [`JoinSpec`] it was collected for. A binary query is its two-side
+/// spec ([`RankJoinQuery::to_spec`]): side 0 is the left input, side 1
+/// the right, and edge 0 joins them.
 #[derive(Clone, Debug)]
 pub struct TableStats {
-    /// Left-input statistics.
-    pub left: SideStats,
-    /// Right-input statistics.
-    pub right: SideStats,
-    /// Exact expected join cardinality: `Σ_v |L_v|·|R_v|`.
-    pub join_pairs: u64,
-    /// Regions of the left base table (MR map-task fan-out).
-    pub left_regions: usize,
-    /// Regions of the right base table.
-    pub right_regions: usize,
+    /// Per-side statistics, in side order.
+    pub sides: Vec<SideStats>,
+    /// Per-edge statistics, in edge order.
+    pub edges: Vec<EdgeStats>,
+}
+
+impl TableStats {
+    /// Collects a snapshot for any [`JoinSpec`] — what [`collect_stats`]
+    /// does for a binary query.
+    pub fn collect(cluster: &Cluster, spec: &JoinSpec) -> Result<TableStats> {
+        collect_detailed(cluster, spec).map(|d| d.stats)
+    }
+
+    /// The binary view: left side, right side, and the join cardinality
+    /// of the one edge.
+    fn binary(&self) -> (&SideStats, &SideStats, u64) {
+        (&self.sides[0], &self.sides[1], self.edges[0].pairs)
+    }
 }
 
 /// A full statistics pass plus the per-join-value bookkeeping the
@@ -136,13 +158,13 @@ pub struct TableStats {
 pub(crate) struct DetailedStats {
     /// The planner-facing snapshot.
     pub stats: TableStats,
-    /// Per-join-value fingerprint → per-side tuple counts (the
-    /// distinct-join-value sketch; fingerprints come from
+    /// Per edge: join-value fingerprint → tuple count at each endpoint
+    /// (the distinct-join-value sketch; fingerprints come from
     /// [`crate::statsmaint::join_fingerprint`]).
-    pub join_counts: HashMap<u64, [u64; 2]>,
+    pub join_counts: Vec<HashMap<u64, [u64; 2]>>,
     /// Per-side total indexed-entry bytes (the numerator behind
     /// `avg_entry_bytes`).
-    pub entry_bytes: [f64; 2],
+    pub entry_bytes: Vec<f64>,
 }
 
 /// Collects a [`TableStats`] snapshot for `query` through the store's
@@ -154,66 +176,76 @@ pub(crate) struct DetailedStats {
 /// reads cost nothing, but tests and operators can see when a full
 /// statistics pass actually ran (the staleness-bound contract).
 pub fn collect_stats(cluster: &Cluster, query: &RankJoinQuery) -> Result<TableStats> {
-    collect_stats_detailed(cluster, query).map(|d| d.stats)
+    TableStats::collect(cluster, &query.to_spec())
 }
 
-/// [`collect_stats`] keeping the join-value sketch and byte totals.
-pub(crate) fn collect_stats_detailed(
-    cluster: &Cluster,
-    query: &RankJoinQuery,
-) -> Result<DetailedStats> {
-    let mut join_counts: HashMap<u64, [u64; 2]> = HashMap::new();
-    let mut sides = [SideStats::empty(), SideStats::empty()];
-    let mut regions = [0usize; 2];
-    let mut entry_bytes = [0.0f64; 2];
+/// The one statistics pass: streams every side's base table once,
+/// keeping the join-value sketch and byte totals. A row counts when it
+/// carries a finite score and one join value per incident edge — the
+/// rows every read path extracts.
+pub(crate) fn collect_detailed(cluster: &Cluster, spec: &JoinSpec) -> Result<DetailedStats> {
+    let mut join_counts: Vec<HashMap<u64, [u64; 2]>> =
+        spec.edges.iter().map(|_| HashMap::new()).collect();
+    let mut sides = Vec::with_capacity(spec.n());
+    let mut side_bytes = Vec::with_capacity(spec.n());
+    let mut fingerprints = Vec::new();
     let mut admin_reads = 0u64;
-    for (i, side) in [&query.left, &query.right].into_iter().enumerate() {
+    for (i, side) in spec.sides.iter().enumerate() {
         let table = cluster.table(&side.table)?;
-        regions[i] = table.region_infos().len();
+        let mut s = SideStats::empty();
+        s.regions = table.region_infos().len();
+        let mut bytes = 0.0f64;
         // Streamed: each row is read in place, none is copied or kept.
         table.for_each_row(|row| {
             admin_reads += 1;
-            let Ok((join, score)) = side.extract_checked(row) else {
+            fingerprints.clear();
+            let mut join_len = 0;
+            for (_, col) in spec.incident_edges(i) {
+                let Some(value) = row.value(&col.0, &col.1) else {
+                    return;
+                };
+                join_len += value.len();
+                fingerprints.push(crate::statsmaint::join_fingerprint(value));
+            }
+            let Ok(score) = read_score(row, &side.score_col) else {
                 return;
             };
-            let s = &mut sides[i];
             s.tuples += 1;
             s.max_score = s.max_score.max(score);
             s.hist[SideStats::bucket_of(score)] += 1;
-            entry_bytes[i] += entry_bytes_of(join, row.key);
-            join_counts
-                .entry(crate::statsmaint::join_fingerprint(join))
-                .or_insert([0, 0])[i] += 1;
+            bytes += entry_bytes(join_len, row.key.len());
+            for ((e, _), &fingerprint) in spec.incident_edges(i).zip(&fingerprints) {
+                let endpoint = usize::from(spec.edges[e].a != i);
+                join_counts[e].entry(fingerprint).or_insert([0, 0])[endpoint] += 1;
+            }
         });
-        let s = &mut sides[i];
         if s.tuples > 0 {
-            s.avg_entry_bytes = entry_bytes[i] / s.tuples as f64;
+            s.avg_entry_bytes = bytes / s.tuples as f64;
         }
+        sides.push(s);
+        side_bytes.push(bytes);
     }
     cluster.metrics().add_admin_kv_reads(admin_reads);
-    let mut join_pairs = 0u64;
-    let mut distinct = [0u64; 2];
-    for counts in join_counts.values() {
-        join_pairs += counts[0] * counts[1];
-        for (i, &n) in counts.iter().enumerate() {
-            if n > 0 {
-                distinct[i] += 1;
+    let edges = join_counts
+        .iter()
+        .map(|counts| {
+            let mut edge = EdgeStats {
+                distinct: [0, 0],
+                pairs: 0,
+            };
+            for c in counts.values() {
+                edge.pairs += c[0] * c[1];
+                for (distinct, &n) in edge.distinct.iter_mut().zip(c) {
+                    *distinct += u64::from(n > 0);
+                }
             }
-        }
-    }
-    let [mut left, mut right] = sides;
-    left.distinct_joins = distinct[0];
-    right.distinct_joins = distinct[1];
+            edge
+        })
+        .collect();
     Ok(DetailedStats {
-        stats: TableStats {
-            left,
-            right,
-            join_pairs,
-            left_regions: regions[0],
-            right_regions: regions[1],
-        },
+        stats: TableStats { sides, edges },
         join_counts,
-        entry_bytes,
+        entry_bytes: side_bytes,
     })
 }
 
@@ -224,7 +256,13 @@ pub(crate) fn collect_stats_detailed(
 /// custom write paths) fill [`crate::statsmaint::StatsDelta::entry_bytes`]
 /// with the same arithmetic.
 pub fn entry_bytes_of(join_value: &[u8], row_key: &[u8]) -> f64 {
-    (join_value.len() + row_key.len() + 8) as f64 + KV_OVERHEAD_BYTES
+    entry_bytes(join_value.len(), row_key.len())
+}
+
+/// [`entry_bytes_of`] by length: `join_len` is the bytes of every join
+/// value the entry carries.
+fn entry_bytes(join_len: usize, key_len: usize) -> f64 {
+    (join_len + key_len + 8) as f64 + KV_OVERHEAD_BYTES
 }
 
 /// What the planner optimizes for.
@@ -393,9 +431,10 @@ pub struct DescentModel {
 impl DescentModel {
     /// Snapshots the descent curves of a statistics snapshot.
     pub fn from_stats(stats: &TableStats) -> Self {
+        let (left, right, _) = stats.binary();
         DescentModel {
-            hist: [stats.left.hist.clone(), stats.right.hist.clone()],
-            tuples: [stats.left.tuples, stats.right.tuples],
+            hist: [left.hist.clone(), right.hist.clone()],
+            tuples: [left.tuples, right.tuples],
         }
     }
 
@@ -505,7 +544,10 @@ fn format_seconds(s: f64) -> String {
 
 /// Internal: everything the per-algorithm estimators share.
 struct Estimator<'a> {
-    stats: &'a TableStats,
+    left: &'a SideStats,
+    right: &'a SideStats,
+    /// Exact expected join cardinality.
+    join_pairs: u64,
     query: &'a RankJoinQuery,
     k: usize,
     cost: &'a CostModel,
@@ -516,8 +558,11 @@ struct Estimator<'a> {
 
 impl<'a> Estimator<'a> {
     fn new(stats: &'a TableStats, query: &'a RankJoinQuery, k: usize, cost: &'a CostModel) -> Self {
+        let (left, right, join_pairs) = stats.binary();
         Estimator {
-            stats,
+            left,
+            right,
+            join_pairs,
             query,
             k,
             cost,
@@ -532,9 +577,9 @@ impl<'a> Estimator<'a> {
     /// `(all tuples, 0.0)` under full enumeration.
     fn depth_and_bound(&self, i: usize) -> (u64, f64) {
         let (own, other) = if i == 0 {
-            (&self.stats.left, &self.stats.right)
+            (self.left, self.right)
         } else {
-            (&self.stats.right, &self.stats.left)
+            (self.right, self.left)
         };
         let Some(kth) = self.kth_bound else {
             return (own.tuples, 0.0); // full enumeration
@@ -575,8 +620,8 @@ impl<'a> Estimator<'a> {
     ///   relation pays one RPC per `batch` union rows to harvest few of
     ///   its own.
     fn isl(&self, config: IslConfig) -> CostEstimate {
-        let l = &self.stats.left;
-        let r = &self.stats.right;
+        let l = self.left;
+        let r = self.right;
         let (dl, dr) = (self.scan_depth(0), self.scan_depth(1));
         let bl = config.batch_left.max(1) as u64;
         let br = config.batch_right.max(1) as u64;
@@ -610,9 +655,9 @@ impl<'a> Estimator<'a> {
             ((1.0 - bound) * buckets).ceil().clamp(1.0, buckets)
         };
         let bucket_gets = bucket_depth(0) + bucket_depth(1);
-        let l = &self.stats.left;
-        let r = &self.stats.right;
-        let pairs = (self.stats.join_pairs.min(self.k as u64)).max(1) as f64;
+        let l = self.left;
+        let r = self.right;
+        let pairs = (self.join_pairs.min(self.k as u64)).max(1) as f64;
         let reverse_gets = 2.0 * pairs + 2.0;
         let gets = bucket_gets + reverse_gets + 1.0; // + metadata row
         let kv_reads = gets; // ≈ one KV per blob get / reverse row / meta
@@ -638,10 +683,10 @@ impl<'a> Estimator<'a> {
 
     /// IJLMR: one MR job scanning the whole join-value index.
     fn ijlmr(&self) -> CostEstimate {
-        let kvs = self.stats.left.tuples + self.stats.right.tuples;
-        let bytes = self.stats.left.tuples as f64 * self.stats.left.avg_entry_bytes
-            + self.stats.right.tuples as f64 * self.stats.right.avg_entry_bytes;
-        let maps = (self.stats.left_regions + self.stats.right_regions).max(1);
+        let kvs = self.left.tuples + self.right.tuples;
+        let bytes = self.left.tuples as f64 * self.left.avg_entry_bytes
+            + self.right.tuples as f64 * self.right.avg_entry_bytes;
+        let maps = (self.left.regions + self.right.regions).max(1);
         let shuffle = (self.k as f64 * 64.0 * maps as f64) as u64;
         CostEstimate {
             algorithm: Algorithm::Ijlmr,
@@ -655,12 +700,12 @@ impl<'a> Estimator<'a> {
     fn hive(&self) -> CostEstimate {
         // The baseline scans every cell (no projection): approximate the
         // full row as twice the projected entry.
-        let kvs = 2 * (self.stats.left.tuples + self.stats.right.tuples);
+        let kvs = 2 * (self.left.tuples + self.right.tuples);
         let bytes = 2.0
-            * (self.stats.left.tuples as f64 * self.stats.left.avg_entry_bytes
-                + self.stats.right.tuples as f64 * self.stats.right.avg_entry_bytes);
-        let maps = (self.stats.left_regions + self.stats.right_regions).max(1);
-        let join_bytes = self.stats.join_pairs.saturating_mul(96);
+            * (self.left.tuples as f64 * self.left.avg_entry_bytes
+                + self.right.tuples as f64 * self.right.avg_entry_bytes);
+        let maps = (self.left.regions + self.right.regions).max(1);
+        let join_bytes = self.join_pairs.saturating_mul(96);
         let join_job = self.cost.est_mr_job(
             maps,
             kvs,
@@ -670,7 +715,7 @@ impl<'a> Estimator<'a> {
         );
         let rank_job = self.cost.est_mr_job(
             self.cost.worker_nodes,
-            self.stats.join_pairs,
+            self.join_pairs,
             join_bytes,
             join_bytes,
             1,
@@ -685,25 +730,25 @@ impl<'a> Estimator<'a> {
 
     /// PIG: three jobs, but the first projects early (§3.1).
     fn pig(&self) -> CostEstimate {
-        let kvs = 2 * (self.stats.left.tuples + self.stats.right.tuples);
-        let bytes = self.stats.left.tuples as f64 * self.stats.left.avg_entry_bytes
-            + self.stats.right.tuples as f64 * self.stats.right.avg_entry_bytes;
-        let maps = (self.stats.left_regions + self.stats.right_regions).max(1);
-        let join_bytes = self.stats.join_pairs.saturating_mul(32);
+        let kvs = 2 * (self.left.tuples + self.right.tuples);
+        let bytes = self.left.tuples as f64 * self.left.avg_entry_bytes
+            + self.right.tuples as f64 * self.right.avg_entry_bytes;
+        let maps = (self.left.regions + self.right.regions).max(1);
+        let join_bytes = self.join_pairs.saturating_mul(32);
         let join_job =
             self.cost
                 .est_mr_job(maps, kvs, bytes as u64, join_bytes, self.cost.worker_nodes);
         // Sampling + top-k jobs over the (projected, combined) join result.
         let order_job = self.cost.est_mr_job(
             self.cost.worker_nodes,
-            self.stats.join_pairs,
+            self.join_pairs,
             join_bytes,
             (self.k as u64).saturating_mul(64),
             1,
         );
         let sample_job = self.cost.est_mr_job(
             self.cost.worker_nodes,
-            self.stats.join_pairs / 10,
+            self.join_pairs / 10,
             join_bytes / 10,
             1024,
             1,
@@ -728,18 +773,18 @@ impl<'a> Estimator<'a> {
         let matrix_kvs = matrix_gets * config.num_partitions.max(1) as f64;
         // One pull job per side, each scanning its full projected input
         // (the server-side score filter reduces shipping, not reading).
-        let projected_kvs = 2 * (self.stats.left.tuples + self.stats.right.tuples);
+        let projected_kvs = 2 * (self.left.tuples + self.right.tuples);
         let pull_l = self.cost.est_mr_job(
-            self.stats.left_regions.max(1),
-            2 * self.stats.left.tuples,
-            (self.stats.left.tuples as f64 * self.stats.left.avg_entry_bytes) as u64,
+            self.left.regions.max(1),
+            2 * self.left.tuples,
+            (self.left.tuples as f64 * self.left.avg_entry_bytes) as u64,
             0,
             0,
         );
         let pull_r = self.cost.est_mr_job(
-            self.stats.right_regions.max(1),
-            2 * self.stats.right.tuples,
-            (self.stats.right.tuples as f64 * self.stats.right.avg_entry_bytes) as u64,
+            self.right.regions.max(1),
+            2 * self.right.tuples,
+            (self.right.tuples as f64 * self.right.avg_entry_bytes) as u64,
             0,
             0,
         );
@@ -748,8 +793,7 @@ impl<'a> Estimator<'a> {
         let temp_scan = self.cost.est_batched_scan(
             pulled.div_ceil(1000) + 1,
             pulled,
-            (pulled as f64 * (self.stats.left.avg_entry_bytes + self.stats.right.avg_entry_bytes)
-                / 2.0) as u64,
+            (pulled as f64 * (self.left.avg_entry_bytes + self.right.avg_entry_bytes) / 2.0) as u64,
         );
         let kv_reads = matrix_kvs + projected_kvs as f64 + pulled as f64;
         CostEstimate {
@@ -820,11 +864,12 @@ impl Eq for RowCursor {}
 /// one heap of at most `hist_l.len()` cursors (2.4 KB), where sorting the
 /// whole grid cost `STAT_BUCKETS`² cells (1 MB) on every cold plan.
 fn kth_score_bound(stats: &TableStats, query: &RankJoinQuery, k: usize) -> Option<f64> {
-    if stats.join_pairs < k as u64 || stats.left.tuples == 0 || stats.right.tuples == 0 {
+    let (l, r, join_pairs) = stats.binary();
+    if join_pairs < k as u64 || l.tuples == 0 || r.tuples == 0 {
         return None;
     }
-    let scale = stats.join_pairs as f64 / (stats.left.tuples as f64 * stats.right.tuples as f64);
-    let (left, right) = (&stats.left.hist, &stats.right.hist);
+    let scale = join_pairs as f64 / (l.tuples as f64 * r.tuples as f64);
+    let (left, right) = (&l.hist, &r.hist);
     let upper = |bl: usize, br: usize| {
         query
             .score_fn
@@ -935,15 +980,14 @@ mod tests {
     #[test]
     fn stats_snapshot_is_exact_on_the_running_example() {
         let (s, _q) = stats_and_query();
-        assert_eq!(s.left.tuples, 11);
-        assert_eq!(s.right.tuples, 11);
-        assert_eq!(s.left.distinct_joins, 4);
-        assert_eq!(s.right.distinct_joins, 4);
+        assert_eq!(s.sides[0].tuples, 11);
+        assert_eq!(s.sides[1].tuples, 11);
+        assert_eq!(s.edges[0].distinct, [4, 4]);
         // Fig. 1 fan-outs — R1: a×2, b×3, c×3, d×3; R2: a×4, b×2, c×2,
         // d×3 → 2·4 + 3·2 + 3·2 + 3·3 = 29 join pairs.
-        assert_eq!(s.join_pairs, 29);
-        assert_eq!(s.left.max_score, 1.0);
-        assert!((s.right.max_score - 0.92).abs() < 1e-12);
+        assert_eq!(s.edges[0].pairs, 29);
+        assert_eq!(s.sides[0].max_score, 1.0);
+        assert!((s.sides[1].max_score - 0.92).abs() < 1e-12);
     }
 
     #[test]
@@ -965,19 +1009,19 @@ mod tests {
     /// The oracle for [`kth_score_bound`]: every cell of the grid, stably
     /// sorted by upper score — the visiting order by construction.
     fn kth_score_bound_sorted(stats: &TableStats, query: &RankJoinQuery, k: usize) -> Option<f64> {
-        if stats.join_pairs < k as u64 || stats.left.tuples == 0 || stats.right.tuples == 0 {
+        let (l, r, join_pairs) = stats.binary();
+        if join_pairs < k as u64 || l.tuples == 0 || r.tuples == 0 {
             return None;
         }
-        let scale =
-            stats.join_pairs as f64 / (stats.left.tuples as f64 * stats.right.tuples as f64);
+        let scale = join_pairs as f64 / (l.tuples as f64 * r.tuples as f64);
         // Expected pairs per bucket pair, walked in descending upper-bound
         // order until k accumulate.
         let mut cells: Vec<(f64, f64, f64)> = Vec::new(); // (upper, lower, pairs)
-        for (bl, nl) in stats.left.hist.iter().enumerate() {
+        for (bl, nl) in l.hist.iter().enumerate() {
             if *nl == 0 {
                 continue;
             }
-            for (br, nr) in stats.right.hist.iter().enumerate() {
+            for (br, nr) in r.hist.iter().enumerate() {
                 if *nr == 0 {
                     continue;
                 }
@@ -1053,7 +1097,8 @@ mod tests {
                 1 => product,
                 _ => (product as f64 * fill) as u64,
             };
-            let stats = TableStats { left, right, join_pairs, left_regions: 1, right_regions: 1 };
+            let edges = vec![EdgeStats { distinct: [0, 0], pairs: join_pairs }];
+            let stats = TableStats { sides: vec![left, right], edges };
             let mut query = running_example_cluster().1;
             query.score_fn = match f {
                 0 => ScoreFn::Sum,

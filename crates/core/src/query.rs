@@ -207,7 +207,7 @@ impl SideColumns {
 }
 
 /// Reads the finite f64 score stored under `col`.
-fn read_score(row: RowRef<'_>, col: &Column) -> Result<f64> {
+pub(crate) fn read_score(row: RowRef<'_>, col: &Column) -> Result<f64> {
     let score_bytes = row
         .value(&col.0, &col.1)
         .ok_or(RankJoinError::Internal("row lacks its score column"))?;

@@ -1,28 +1,33 @@
 //! Incremental statistics maintenance: keeping the planner's
 //! [`TableStats`] fresh under the §6 maintained write path.
 //!
-//! The cost-based planner ([`crate::planner`]) is only as good as the
-//! freshness of the statistics behind it — the adaptive-operator
-//! literature (Tziavelis et al., *Ranked Enumeration for Database
-//! Queries*; *Optimal Join Algorithms Meet Top-k*) makes the same point
-//! for every cost-based ranked-query choice. Before this module, an
-//! executor snapshotted statistics once and only invalidated them on
-//! `prepare_*`/`attach_*`; a workload mixing [`crate::maintenance::MaintainedSide`]
-//! writes with [`crate::executor::Algorithm::Auto`] queries silently
-//! planned against histograms that no longer described the data.
+//! The cost-based planners ([`crate::planner`] for binary queries,
+//! [`crate::multiway::planner`] for the per-side access choice of wider
+//! specs) are only as good as the freshness of the statistics behind
+//! them — the adaptive-operator literature (Tziavelis et al., *Ranked
+//! Enumeration for Database Queries*; *Optimal Join Algorithms Meet
+//! Top-k*) makes the same point for every cost-based ranked-query
+//! choice. Before this module, an executor snapshotted statistics once
+//! and only invalidated them on `prepare_*`/`attach_*`; a workload mixing
+//! [`crate::maintenance::MaintainedSide`] writes with
+//! [`crate::executor::Algorithm::Auto`] queries silently planned against
+//! histograms that no longer described the data.
 //!
-//! The fix has three parts:
+//! There is one handle for every arity: [`SharedTableStats`], keyed by
+//! the [`JoinSpec`] it describes. A binary query's handle is the one over
+//! its two-side spec ([`crate::query::RankJoinQuery::to_spec`]). It has
+//! three parts:
 //!
 //! * **Deltas.** Every maintained insert/delete is reduced to a
-//!   [`StatsDelta`] — which side, which join value, which score, how many
-//!   bytes — and fanned out to the registered [`StatsMaintainer`]s,
-//!   exactly like the §6 index maintenance fans base mutations out to the
-//!   attached indices.
-//! * **In-place merge.** [`SharedTableStats`] holds one maintained
-//!   [`TableStats`] snapshot per query pair plus the bookkeeping a delta
-//!   needs to merge *exactly*: a per-join-value fingerprint sketch (so
-//!   `distinct_joins` and the exact expected join cardinality
-//!   `Σ_v |L_v|·|R_v|` adjust incrementally) and per-side byte totals.
+//!   [`StatsDelta`] — which table and columns, which join value, which
+//!   score, how many bytes — and fanned out to the registered
+//!   [`StatsMaintainer`]s, exactly like the §6 index maintenance fans
+//!   base mutations out to the attached indices.
+//! * **In-place merge.** The handle holds one maintained [`TableStats`]
+//!   snapshot per spec plus the bookkeeping a delta needs to merge
+//!   *exactly*: per edge, a join-value fingerprint sketch (so each
+//!   endpoint's distinct count and the edge's join cardinality
+//!   `Σ_v a_v·b_v` adjust incrementally), and per side a byte total.
 //!   Tuple counts, histograms, distinct counts, and join cardinality stay
 //!   exact under any interleaving; only `max_score` degrades to
 //!   bucket-granular after deletes (the true maximum of the survivors is
@@ -30,25 +35,28 @@
 //!   blob maintenance documents, and conservative in the same direction:
 //!   bounds only widen).
 //! * **A staleness bound the planner can reason about.** The handle
-//!   tracks the fraction of either side's tuples mutated since the last
+//!   tracks the fraction of any side's tuples mutated since the last
 //!   full [`crate::planner::collect_stats`] pass. Below the executor's bound, planning
 //!   trusts the maintained snapshot (no table pass — asserted in tests
 //!   via the store's admin-read accounting); above it, the executor
 //!   transparently re-collects, and [`Plan::explain`](crate::planner::Plan::explain)
 //!   reports which path was taken via [`StatsSource`].
 //!
-//! The handle is `Arc`-shared: the executor that owns a query pair, any
-//! `fork_metrics` clones serving the same pair concurrently, and the
+//! The handle is `Arc`-shared: the executor that owns a spec, any
+//! `fork_metrics` clones serving the same spec concurrently, and the
 //! maintained write paths all see one set of statistics, and plan-cache
-//! entries are versioned against it so every delta coherently invalidates
-//! stale plans everywhere.
+//! entries, parked cursors and the serving layer's caches are versioned
+//! against it, so every delta, invalidation and collection coherently
+//! invalidates stale plans everywhere.
 //!
 //! **What the bound can and cannot see.** The mutation counter advances
 //! only on deltas, i.e. on writes routed through `MaintainedSide` — so
 //! the bound covers the maintained path's *own* imperfections (the
 //! bucket-granular `max_score` after deletes, the double-count race
-//! below, partial-failure retries), all of which do advance the counter
-//! and therefore eventually force a re-collection. Writes that bypass
+//! below, partial-failure retries, the join columns of a side with
+//! several incident edges that a one-column delta does not name), all of
+//! which do advance the counter and therefore eventually force a
+//! re-collection. Writes that bypass
 //! `MaintainedSide` entirely (raw `Client::mutate_row`) are invisible to
 //! the counter, exactly as they are invisible to the §6 index
 //! maintenance: the contract is that online mutations go through the
@@ -65,6 +73,7 @@
 //! such delta still advances the mutation counter, and the next
 //! bound-crossing re-collection erases it.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -73,10 +82,10 @@ use rj_store::cluster::Cluster;
 
 use crate::error::{RankJoinError, Result};
 use crate::planner::{
-    collect_stats_detailed, DetailedStats, SideStats, StatsSource, TableStats, KV_OVERHEAD_BYTES,
+    collect_detailed, DetailedStats, SideStats, StatsSource, TableStats, KV_OVERHEAD_BYTES,
     STAT_BUCKETS,
 };
-use crate::query::{Column, JoinSide, RankJoinQuery};
+use crate::query::{Column, JoinSpec};
 
 /// Default fraction of a side's tuples that may mutate before the planner
 /// stops trusting incrementally-maintained statistics and re-collects.
@@ -113,20 +122,28 @@ pub enum DeltaOp {
 }
 
 /// The statistics-relevant residue of one maintained base-table mutation,
-/// emitted by [`crate::maintenance::MaintainedSide`] after the §6 write
-/// fan-out succeeds.
+/// emitted by [`crate::maintenance::MaintainedSide`] after its base write
+/// lands.
 ///
 /// A delta identifies the write by the *statistics schema* it touched —
 /// base table plus join/score columns — not by side label: statistics
-/// are a function of `(table, join_col, score_col)`, so a handle applies
-/// a matching delta to **every** side with that schema. In particular, a
-/// self-join over one table with identical columns sees each write on
-/// both sides (exactly as a full `collect_stats` pass would); a
-/// self-join ranking the two sides by *different* columns only updates
-/// the side whose columns the write actually carried.
+/// are a function of `(table, join columns, score column)`, so a handle
+/// applies a matching delta to **every** side with that schema. A side
+/// matches when its table and score column are the delta's and the
+/// delta's join column is one of the side's incident edge columns. In
+/// particular, a self-join over one table with identical columns sees
+/// each write on both sides (exactly as a full `collect_stats` pass
+/// would); a self-join ranking the two sides by *different* columns only
+/// updates the side whose columns the write actually carried.
 ///
-/// The schema is borrowed from the writing [`JoinSide`]: a delta owns
-/// nothing, so emitting one allocates nothing.
+/// The write-path contract for a side with several incident edges: emit
+/// **one** delta per row mutation, keyed by whichever join column the
+/// writer maintains. The other edges' distinct counts drift until the
+/// staleness bound forces a re-collection — exactly the drift the bound
+/// exists to bound.
+///
+/// The schema is borrowed from the writing [`crate::query::JoinSide`]: a
+/// delta owns nothing, so emitting one allocates nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct StatsDelta<'a> {
     /// Base table the mutation hit.
@@ -147,11 +164,12 @@ pub struct StatsDelta<'a> {
 }
 
 impl StatsDelta<'_> {
-    /// Whether this delta writes `side`'s statistics schema.
-    fn describes(&self, side: &JoinSide) -> bool {
+    /// Whether this delta writes side `i` of `spec` (see the type docs).
+    fn describes(&self, spec: &JoinSpec, i: usize) -> bool {
+        let side = &spec.sides[i];
         side.table == self.table
-            && side.join_col == *self.join_col
             && side.score_col == *self.score_col
+            && spec.incident_edges(i).any(|(_, col)| col == self.join_col)
     }
 }
 
@@ -164,14 +182,20 @@ pub trait StatsMaintainer: Send + Sync {
 }
 
 /// The maintained snapshot plus the bookkeeping deltas need to merge
-/// exactly. Embeds the full pass's [`DetailedStats`] verbatim, so the
+/// exactly — the fields of the full pass's [`DetailedStats`], so the
 /// collect path and the merge path stay structurally in sync.
 struct Maintained {
-    detail: DetailedStats,
+    /// The snapshot, shared with the planning calls that read it: a
+    /// delta copies it only while one of them still holds it.
+    stats: Arc<TableStats>,
+    /// Per edge: fingerprint → tuple count at each endpoint.
+    join_counts: Vec<HashMap<u64, [u64; 2]>>,
+    /// Per-side total indexed-entry bytes.
+    entry_bytes: Vec<f64>,
     /// Per-side mutations folded in since the last full pass.
-    mutations: [u64; 2],
+    mutations: Vec<u64>,
     /// Per-side tuple counts at the last full pass (staleness denominator).
-    baseline_tuples: [u64; 2],
+    baseline_tuples: Vec<u64>,
     /// Divergence of the last mid-query descent correction folded in
     /// (`None` when the snapshot carries no runtime corrections).
     /// Corrections are *not* mutations: they bring the snapshot closer to
@@ -182,67 +206,89 @@ struct Maintained {
 }
 
 impl Maintained {
-    /// Fraction of tuples mutated since the last full pass — the larger
-    /// of the two sides' fractions, so mutating 10% of a small side is as
+    fn new(detail: DetailedStats) -> Self {
+        let baseline_tuples: Vec<u64> = detail.stats.sides.iter().map(|s| s.tuples).collect();
+        Maintained {
+            mutations: vec![0; baseline_tuples.len()],
+            baseline_tuples,
+            stats: Arc::new(detail.stats),
+            join_counts: detail.join_counts,
+            entry_bytes: detail.entry_bytes,
+            midquery_divergence: None,
+        }
+    }
+
+    /// Fraction of tuples mutated since the last full pass — the largest
+    /// of the sides' fractions, so mutating 10% of a small side is as
     /// stale as mutating 10% of a large one.
     fn staleness(&self) -> f64 {
-        (0..2)
-            .map(|i| self.mutations[i] as f64 / self.baseline_tuples[i].max(1) as f64)
+        self.mutations
+            .iter()
+            .zip(&self.baseline_tuples)
+            .map(|(&m, &b)| m as f64 / b.max(1) as f64)
             .fold(0.0, f64::max)
     }
 
-    /// Merges one delta into one side in place. Everything but
+    /// Merges one delta into side `side` of `spec` in place: the side's
+    /// tuples, histogram and bytes once, and every incident edge whose
+    /// column the delta names at that edge's endpoint. Everything but
     /// `max_score` stays exact. For a same-schema self-join this runs
-    /// once per side; the order-sensitive `partner_count` reads make the
+    /// once per side; the order-sensitive partner-count reads make the
     /// two applications compose to exactly the full-pass arithmetic
     /// (`(c+1)² − c² = 2c+1` pairs per inserted value, symmetrically for
     /// deletes).
-    fn apply(&mut self, side: usize, delta: &StatsDelta<'_>) {
-        let other = 1 - side;
-        let counts = self
-            .detail
-            .join_counts
-            .entry(delta.join_fingerprint)
-            .or_insert([0, 0]);
-        let partner_count = counts[other];
+    fn apply(&mut self, spec: &JoinSpec, side: usize, delta: &StatsDelta<'_>) {
+        let stats = Arc::make_mut(&mut self.stats);
+        let fingerprint = delta.join_fingerprint;
+        for (e, col) in spec.incident_edges(side) {
+            if col != delta.join_col {
+                continue;
+            }
+            let end = usize::from(spec.edges[e].a != side);
+            let edge = &mut stats.edges[e];
+            let sketch = &mut self.join_counts[e];
+            let counts = sketch.entry(fingerprint).or_insert([0, 0]);
+            let partner_count = counts[1 - end];
+            match delta.op {
+                DeltaOp::Insert => {
+                    if counts[end] == 0 {
+                        edge.distinct[end] += 1;
+                    }
+                    counts[end] += 1;
+                    edge.pairs += partner_count;
+                }
+                DeltaOp::Delete => {
+                    // Only a tuple the sketch has actually seen can retire
+                    // a distinct join value or join pairs — deleting a row
+                    // that arrived outside the maintained path
+                    // (fingerprint absent or already zero) must not push
+                    // these *below* the truth.
+                    if counts[end] > 0 {
+                        counts[end] -= 1;
+                        if counts[end] == 0 {
+                            edge.distinct[end] = edge.distinct[end].saturating_sub(1);
+                        }
+                        edge.pairs = edge.pairs.saturating_sub(partner_count);
+                    }
+                    if *counts == [0, 0] {
+                        sketch.remove(&fingerprint);
+                    }
+                }
+            }
+        }
+        let s = &mut stats.sides[side];
         let bucket = SideStats::bucket_of(delta.score);
-        let s = if side == 0 {
-            &mut self.detail.stats.left
-        } else {
-            &mut self.detail.stats.right
-        };
         match delta.op {
             DeltaOp::Insert => {
                 s.tuples += 1;
                 s.hist[bucket] += 1;
                 s.max_score = s.max_score.max(delta.score);
-                self.detail.entry_bytes[side] += delta.entry_bytes;
-                if counts[side] == 0 {
-                    s.distinct_joins += 1;
-                }
-                counts[side] += 1;
-                self.detail.stats.join_pairs += partner_count;
+                self.entry_bytes[side] += delta.entry_bytes;
             }
             DeltaOp::Delete => {
                 s.tuples = s.tuples.saturating_sub(1);
                 s.hist[bucket] = s.hist[bucket].saturating_sub(1);
-                self.detail.entry_bytes[side] =
-                    (self.detail.entry_bytes[side] - delta.entry_bytes).max(0.0);
-                // Only a tuple the sketch has actually seen can retire a
-                // distinct join value or join pairs — deleting a row that
-                // arrived outside the maintained path (fingerprint absent
-                // or already zero) must not push these *below* the truth.
-                if counts[side] > 0 {
-                    counts[side] -= 1;
-                    if counts[side] == 0 {
-                        s.distinct_joins = s.distinct_joins.saturating_sub(1);
-                    }
-                    self.detail.stats.join_pairs =
-                        self.detail.stats.join_pairs.saturating_sub(partner_count);
-                }
-                if *counts == [0, 0] {
-                    self.detail.join_counts.remove(&delta.join_fingerprint);
-                }
+                self.entry_bytes[side] = (self.entry_bytes[side] - delta.entry_bytes).max(0.0);
                 // The true max of the survivors is unknown; clamp to the
                 // highest non-empty bucket's upper bound (conservative:
                 // never below the true max, at most one bucket above it).
@@ -255,7 +301,7 @@ impl Maintained {
             }
         }
         if s.tuples > 0 {
-            s.avg_entry_bytes = self.detail.entry_bytes[side] / s.tuples as f64;
+            s.avg_entry_bytes = self.entry_bytes[side] / s.tuples as f64;
         } else {
             s.avg_entry_bytes = KV_OVERHEAD_BYTES;
         }
@@ -296,18 +342,19 @@ pub struct PlannedStats {
     pub version: u64,
 }
 
-/// One query pair's `Arc`-shared, incrementally-maintained statistics.
+/// One spec's `Arc`-shared, incrementally-maintained statistics, for any
+/// arity (see the module docs).
 ///
-/// Created by [`crate::executor::RankJoinExecutor::new`]; share it across
-/// executors serving the same pair (e.g. the serving layer's
-/// `fork_metrics` clones) via
-/// [`stats_handle`](crate::executor::RankJoinExecutor::stats_handle) /
+/// Created by [`crate::executor::RankJoinExecutor::new`] and
+/// [`crate::multiway::SpecExecutor::new`]; share it across executors
+/// serving the same spec (e.g. the serving layer's `fork_metrics` clones)
+/// via `stats_handle` /
 /// [`attach_stats`](crate::executor::RankJoinExecutor::attach_stats), and
 /// register it on the write path with
 /// [`MaintainedSide::with_stats`](crate::maintenance::MaintainedSide::with_stats).
 pub struct SharedTableStats {
-    /// The query pair, shared with the executor that created the handle.
-    query: Arc<RankJoinQuery>,
+    /// The spec, shared with the executor that created the handle.
+    spec: Arc<JoinSpec>,
     /// Bumped by every delta, invalidation, and collection — the
     /// plan-cache coherence token. Atomic so readers never block on the
     /// snapshot lock.
@@ -319,20 +366,20 @@ pub struct SharedTableStats {
 }
 
 impl SharedTableStats {
-    /// A handle for one query pair (no snapshot yet; the first planning
-    /// call collects), sharing the caller's query.
-    pub fn new(query: Arc<RankJoinQuery>) -> Arc<Self> {
+    /// A handle for one spec (no snapshot yet; the first planning call
+    /// collects), sharing the caller's spec.
+    pub fn new(spec: Arc<JoinSpec>) -> Arc<Self> {
         Arc::new(SharedTableStats {
-            query,
+            spec,
             version: AtomicU64::new(0),
             collections: AtomicU64::new(0),
             maintained: Mutex::new(None),
         })
     }
 
-    /// The query pair this handle describes.
-    pub fn query(&self) -> &RankJoinQuery {
-        &self.query
+    /// The spec this handle describes.
+    pub fn spec(&self) -> &JoinSpec {
+        &self.spec
     }
 
     /// Current coherence version (bumped by deltas, invalidations, and
@@ -346,7 +393,7 @@ impl SharedTableStats {
         self.collections.load(Ordering::Relaxed)
     }
 
-    /// Fraction of either side's tuples mutated since the last full pass
+    /// Fraction of any side's tuples mutated since the last full pass
     /// (`f64::INFINITY` when no snapshot exists yet).
     pub fn staleness(&self) -> f64 {
         self.maintained
@@ -365,7 +412,7 @@ impl SharedTableStats {
             .lock()
             .expect("stats handle")
             .as_ref()
-            .map(|m| m.detail.stats.clone())
+            .map(|m| TableStats::clone(&m.stats))
     }
 
     /// Drops the snapshot entirely — index (re-)preparation changed the
@@ -386,9 +433,10 @@ impl SharedTableStats {
             .is_some_and(|m| m.midquery_divergence.is_some())
     }
 
-    /// Folds an aborted execution's observed score descent back into the
-    /// maintained snapshot — the mid-query correction delta of the
-    /// adaptive driver ([`crate::adaptive`]).
+    /// Folds an aborted binary execution's observed score descent back
+    /// into the maintained snapshot — the mid-query correction delta of
+    /// the adaptive driver ([`crate::adaptive`]); `observed[i]` describes
+    /// side `i`.
     ///
     /// Per side with an observation: the histogram's fully-observed
     /// prefix (every bucket strictly above the boundary bucket of
@@ -397,10 +445,10 @@ impl SharedTableStats {
     /// boundary bucket keeps the larger of the two counts (conservative),
     /// `max_score` snaps to the observed maximum (exact for a
     /// score-ordered scan), and the tuple total is re-derived from the
-    /// corrected histogram. Join-correlation statistics (`distinct_joins`,
-    /// the join-cardinality sketch) are *not* touched: a per-side descent
-    /// observes score marginals only (feeding measured join rates back is
-    /// the ROADMAP "learned correction" item).
+    /// corrected histogram. Join-correlation statistics (the edges'
+    /// distinct counts and join-cardinality sketch) are *not* touched: a
+    /// per-side descent observes score marginals only (feeding measured
+    /// join rates back is the ROADMAP "learned correction" item).
     ///
     /// Corrections never advance the staleness clock (they move the
     /// snapshot *toward* the truth), never trigger a full pass, and bump
@@ -428,16 +476,13 @@ impl SharedTableStats {
         let Some(m) = guard.as_mut() else {
             return false;
         };
+        let stats = Arc::make_mut(&mut m.stats);
         for (side, obs) in observed.into_iter().enumerate() {
             let Some(obs) = obs else { continue };
             if obs.tuples == 0 || obs.hist.len() != STAT_BUCKETS {
                 continue;
             }
-            let s = if side == 0 {
-                &mut m.detail.stats.left
-            } else {
-                &mut m.detail.stats.right
-            };
+            let s = &mut stats.sides[side];
             let boundary = SideStats::bucket_of(obs.low_score);
             for b in 0..STAT_BUCKETS {
                 match b.cmp(&boundary) {
@@ -455,10 +500,10 @@ impl SharedTableStats {
             // the corrected count would inflate every later per-entry
             // byte estimate.
             if s.tuples > 0 {
-                m.detail.entry_bytes[side] = s.avg_entry_bytes * s.tuples as f64;
+                m.entry_bytes[side] = s.avg_entry_bytes * s.tuples as f64;
             } else {
                 s.avg_entry_bytes = KV_OVERHEAD_BYTES;
-                m.detail.entry_bytes[side] = 0.0;
+                m.entry_bytes[side] = 0.0;
             }
         }
         m.midquery_divergence = Some(divergence);
@@ -492,14 +537,7 @@ impl SharedTableStats {
             (None, _) => StatsSource::Exact,
         };
         if matches!(source, StatsSource::Exact | StatsSource::Recollected { .. }) {
-            let detail = collect_stats_detailed(cluster, &self.query)?;
-            let baseline_tuples = [detail.stats.left.tuples, detail.stats.right.tuples];
-            *guard = Some(Maintained {
-                detail,
-                mutations: [0, 0],
-                baseline_tuples,
-                midquery_divergence: None,
-            });
+            *guard = Some(Maintained::new(collect_detailed(cluster, &self.spec)?));
             self.collections.fetch_add(1, Ordering::Relaxed);
             self.version.fetch_add(1, Ordering::AcqRel);
         }
@@ -508,10 +546,14 @@ impl SharedTableStats {
         ))?;
         // Region counts can drift under maintained inserts (auto-splits)
         // without any delta describing it; they are free to re-read.
-        m.detail.stats.left_regions = cluster.table(&self.query.left.table)?.region_infos().len();
-        m.detail.stats.right_regions = cluster.table(&self.query.right.table)?.region_infos().len();
+        for (i, side) in self.spec.sides.iter().enumerate() {
+            let regions = cluster.table(&side.table)?.region_infos().len();
+            if m.stats.sides[i].regions != regions {
+                Arc::make_mut(&mut m.stats).sides[i].regions = regions;
+            }
+        }
         Ok(PlannedStats {
-            stats: Arc::new(m.detail.stats.clone()),
+            stats: m.stats.clone(),
             source,
             version: self.version(),
         })
@@ -520,23 +562,21 @@ impl SharedTableStats {
 
 impl StatsMaintainer for SharedTableStats {
     /// Folds a maintained write into **every** side whose statistics
-    /// schema `(table, join_col, score_col)` the delta describes — both
-    /// sides of a same-schema self-join, exactly as a full collection
-    /// pass would count the row. Deltas for schemas this query pair does
-    /// not touch are ignored (a write path may broadcast to maintainers
-    /// of several queries); deltas arriving before the first collection
-    /// only bump the version (there is nothing to merge into — the first
-    /// planning call collects them anyway).
+    /// schema the delta describes (see [`StatsDelta`]) — both sides of a
+    /// same-schema self-join, exactly as a full collection pass would
+    /// count the row. Deltas for schemas this spec does not touch are
+    /// ignored (a write path may broadcast to maintainers of several
+    /// specs); deltas arriving before the first collection only bump the
+    /// version (there is nothing to merge into — the first planning call
+    /// collects them anyway).
     fn apply_delta(&self, delta: &StatsDelta<'_>) {
-        let sides = [&self.query.left, &self.query.right];
-        if !sides.iter().any(|side| delta.describes(side)) {
+        let spec = &self.spec;
+        if !(0..spec.n()).any(|i| delta.describes(spec, i)) {
             return;
         }
         if let Some(m) = self.maintained.lock().expect("stats handle").as_mut() {
-            for (i, side) in sides.into_iter().enumerate() {
-                if delta.describes(side) {
-                    m.apply(i, delta);
-                }
+            for i in (0..spec.n()).filter(|&i| delta.describes(spec, i)) {
+                m.apply(spec, i, delta);
             }
         }
         self.version.fetch_add(1, Ordering::AcqRel);
@@ -544,19 +584,21 @@ impl StatsMaintainer for SharedTableStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::planner::{collect_stats, entry_bytes_of};
-    use crate::testsupport::running_example_cluster;
+    use crate::query::RankJoinQuery;
+    use crate::testsupport::{running_example_cluster, three_way_path_cluster};
 
+    /// A delta written through side `side`'s own join column.
     fn delta<'q>(
-        q: &'q RankJoinQuery,
+        spec: &'q JoinSpec,
         side: usize,
         op: DeltaOp,
         join: &[u8],
         score: f64,
     ) -> StatsDelta<'q> {
-        let s = q.try_side(side).expect("binary side");
+        let s = spec.try_side(side).expect("spec side");
         StatsDelta {
             table: &s.table,
             join_col: &s.join_col,
@@ -568,16 +610,22 @@ mod tests {
         }
     }
 
+    /// A handle over `q`'s two-side spec, and the spec.
+    fn binary_handle(q: &RankJoinQuery) -> (Arc<SharedTableStats>, Arc<JoinSpec>) {
+        let spec = Arc::new(q.to_spec());
+        (SharedTableStats::new(spec.clone()), spec)
+    }
+
     #[test]
     fn first_planning_call_collects_then_maintains() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, _) = binary_handle(&q);
         assert_eq!(h.collections(), 0);
         assert!(h.staleness().is_infinite());
         let p = h.stats_for_planning(&c, 0.1).unwrap();
         assert_eq!(p.source, StatsSource::Exact);
         assert_eq!(h.collections(), 1);
-        assert_eq!(p.stats.join_pairs, 29);
+        assert_eq!(p.stats.edges[0].pairs, 29);
         // Second call: maintained path, no new collection.
         let p2 = h.stats_for_planning(&c, 0.1).unwrap();
         assert_eq!(p2.source, StatsSource::Maintained { staleness: 0.0 });
@@ -588,7 +636,7 @@ mod tests {
     #[test]
     fn deltas_merge_exactly_against_a_fresh_pass() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, spec) = binary_handle(&q);
         h.stats_for_planning(&c, 1.0).unwrap();
         // Mirror two real mutations on the base table + the handle.
         let client = c.client();
@@ -608,61 +656,114 @@ mod tests {
                 ],
             )
             .unwrap();
-        h.apply_delta(&delta(&q, 1, DeltaOp::Insert, b"b", 0.99));
+        h.apply_delta(&delta(&spec, 1, DeltaOp::Insert, b"b", 0.99));
         let fresh = collect_stats(&c, &q).unwrap();
         let maintained = h.maintained_stats().unwrap();
-        assert_eq!(maintained.right.tuples, fresh.right.tuples);
-        assert_eq!(maintained.right.hist, fresh.right.hist);
-        assert_eq!(maintained.right.distinct_joins, fresh.right.distinct_joins);
-        assert_eq!(maintained.join_pairs, fresh.join_pairs);
-        assert_eq!(maintained.right.max_score, fresh.right.max_score);
+        let (m, f) = (&maintained.sides[1], &fresh.sides[1]);
+        assert_eq!(m.tuples, f.tuples);
+        assert_eq!(m.hist, f.hist);
+        assert_eq!(maintained.edges[0].distinct, fresh.edges[0].distinct);
+        assert_eq!(maintained.edges[0].pairs, fresh.edges[0].pairs);
+        assert_eq!(m.max_score, f.max_score);
         assert!(h.staleness() > 0.0 && h.staleness() < 0.1);
     }
 
     #[test]
     fn delete_clamps_max_score_conservatively() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, spec) = binary_handle(&q);
         h.stats_for_planning(&c, 1.0).unwrap();
         // r2's max is 0.92 (r2_11); delete it from the sketch.
-        h.apply_delta(&delta(&q, 1, DeltaOp::Delete, b"b", 0.92));
-        let m = h.maintained_stats().unwrap();
+        h.apply_delta(&delta(&spec, 1, DeltaOp::Delete, b"b", 0.92));
+        let m = &h.maintained_stats().unwrap().sides[1];
         // True new max is 0.91 (r2_02); bucket-granular clamp gives 0.92
         // (the upper bound of bucket 91) — never below the truth.
-        assert!(m.right.max_score >= 0.91);
-        assert!(m.right.max_score <= 0.92 + 1e-12);
-        assert_eq!(m.right.tuples, 10);
+        assert!(m.max_score >= 0.91);
+        assert!(m.max_score <= 0.92 + 1e-12);
+        assert_eq!(m.tuples, 10);
+    }
+
+    /// Writes through `side` (one incident edge) past a 10% bound; the
+    /// handle must re-collect. Also run over the three-way path.
+    pub(crate) fn check_crossing_the_bound(c: &Cluster, spec: &JoinSpec, side: usize) {
+        let h = SharedTableStats::new(Arc::new(spec.clone()));
+        h.stats_for_planning(c, 0.1).unwrap();
+        let fresh = TableStats::collect(c, spec).unwrap();
+        let edge = spec.incident_edges(side).next().unwrap().0;
+        let end = usize::from(spec.edges[edge].a != side);
+        // A new join value lands on the side and on its edge's endpoint,
+        // and moves the version.
+        let v = h.version();
+        h.apply_delta(&delta(spec, side, DeltaOp::Insert, b"zz", 0.95));
+        assert!(h.version() > v, "a delta bumps the coherence version");
+        let m = h.maintained_stats().unwrap();
+        assert_eq!(m.sides[side].tuples, fresh.sides[side].tuples + 1);
+        assert_eq!(m.sides[side].hist[95], fresh.sides[side].hist[95] + 1);
+        let distinct = |s: &TableStats| s.edges[edge].distinct[end];
+        assert_eq!(distinct(&m), distinct(&fresh) + 1);
+        assert!(h.staleness() > 0.0 && h.staleness() < 0.1);
+        // A second mutation on an 11- or 13-tuple side is > 10%.
+        // Cancelling ops still count: staleness measures churn, not net
+        // size change.
+        h.apply_delta(&delta(spec, side, DeltaOp::Delete, b"zz", 0.95));
+        assert!(h.staleness() > 0.1);
+        let v = h.version();
+        let p = h.stats_for_planning(c, 0.1).unwrap();
+        assert!(matches!(p.source, StatsSource::Recollected { .. }));
+        assert_eq!(h.collections(), 2);
+        assert!(h.version() > v, "a collection bumps the coherence version");
+        assert_eq!(p.version, h.version());
+        assert_eq!(h.staleness(), 0.0, "re-collection resets the clock");
+    }
+
+    /// A delta for a table outside `spec` moves nothing.
+    pub(crate) fn check_foreign_deltas_are_ignored(c: &Cluster, spec: &JoinSpec) {
+        let h = SharedTableStats::new(Arc::new(spec.clone()));
+        h.stats_for_planning(c, 0.1).unwrap();
+        let v = h.version();
+        h.apply_delta(&StatsDelta {
+            table: "some_other_table",
+            join_col: &("d".into(), b"jk".to_vec()),
+            score_col: &("d".into(), b"score".to_vec()),
+            op: DeltaOp::Insert,
+            join_fingerprint: 7,
+            score: 0.5,
+            entry_bytes: 32.0,
+        });
+        assert_eq!(h.staleness(), 0.0);
+        assert_eq!(h.version(), v, "unrelated writes must not thrash plans");
+    }
+
+    /// `invalidate` drops the snapshot; the next planning call collects.
+    pub(crate) fn check_invalidate_forces_a_fresh_pass(c: &Cluster, spec: &JoinSpec) {
+        let h = SharedTableStats::new(Arc::new(spec.clone()));
+        h.stats_for_planning(c, 0.1).unwrap();
+        h.invalidate();
+        assert!(h.maintained_stats().is_none());
+        let p = h.stats_for_planning(c, 0.1).unwrap();
+        assert_eq!(p.source, StatsSource::Exact);
+        assert_eq!(h.collections(), 2);
     }
 
     #[test]
     fn crossing_the_bound_recollects() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
-        h.stats_for_planning(&c, 0.1).unwrap();
-        // 2 mutations on an 11-tuple side ≈ 18% > 10% bound. Cancelling
-        // ops still count: staleness measures churn, not net size change.
-        h.apply_delta(&delta(&q, 0, DeltaOp::Insert, b"zz", 0.5));
-        h.apply_delta(&delta(&q, 0, DeltaOp::Delete, b"zz", 0.5));
-        assert!(h.staleness() > 0.1);
-        let p = h.stats_for_planning(&c, 0.1).unwrap();
-        assert!(matches!(p.source, StatsSource::Recollected { .. }));
-        assert_eq!(h.collections(), 2);
-        assert_eq!(h.staleness(), 0.0, "re-collection resets the clock");
+        check_crossing_the_bound(&c, &q.to_spec(), 0);
     }
 
     #[test]
     fn deleting_an_unseen_join_value_cannot_understate_the_sketch() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, spec) = binary_handle(&q);
         h.stats_for_planning(&c, 1.0).unwrap();
         let before = h.maintained_stats().unwrap();
         // A delete whose join value never entered the sketch (e.g. the
         // row was written by a client bypassing MaintainedSide after the
         // collection): distinct joins and join cardinality must hold.
-        h.apply_delta(&delta(&q, 0, DeltaOp::Delete, b"never_seen", 0.3));
+        h.apply_delta(&delta(&spec, 0, DeltaOp::Delete, b"never_seen", 0.3));
         let after = h.maintained_stats().unwrap();
-        assert_eq!(after.left.distinct_joins, before.left.distinct_joins);
-        assert_eq!(after.join_pairs, before.join_pairs);
+        assert_eq!(after.edges[0].distinct, before.edges[0].distinct);
+        assert_eq!(after.edges[0].pairs, before.edges[0].pairs);
         // The churn still counts toward staleness.
         assert!(h.staleness() > 0.0);
     }
@@ -697,7 +798,7 @@ mod tests {
             3,
             ScoreFn::Sum,
         );
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, _) = binary_handle(&q);
         h.stats_for_planning(&c, 1.0).unwrap();
         // Mirror a real insert on the table + one delta through side A's
         // write path.
@@ -722,49 +823,63 @@ mod tests {
         });
         let fresh = collect_stats(&c, &q).unwrap();
         let m = h.maintained_stats().unwrap();
-        assert_eq!(m.left.tuples, fresh.left.tuples, "left sees the write");
-        assert_eq!(m.right.tuples, fresh.right.tuples, "right sees the write");
-        assert_eq!(m.left.hist, fresh.left.hist);
-        assert_eq!(m.right.hist, fresh.right.hist);
+        for (side, name) in [(0, "left"), (1, "right")] {
+            let (ms, fs) = (&m.sides[side], &fresh.sides[side]);
+            assert_eq!(ms.tuples, fs.tuples, "{name} sees the write");
+            assert_eq!(ms.hist, fs.hist);
+        }
         // (2+1)² + 1² = 10 pairs for x/y fan-outs 3/1 joined with itself.
-        assert_eq!(fresh.join_pairs, 10);
-        assert_eq!(m.join_pairs, fresh.join_pairs, "self-join cardinality");
+        assert_eq!(fresh.edges[0].pairs, 10);
+        assert_eq!(m.edges[0].pairs, 10, "self-join cardinality");
     }
 
     #[test]
     fn foreign_deltas_are_ignored() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
-        h.stats_for_planning(&c, 0.1).unwrap();
-        let v = h.version();
+        check_foreign_deltas_are_ignored(&c, &q.to_spec());
+    }
+
+    #[test]
+    fn interior_side_matches_either_edge_column() {
+        let (c, spec) = three_way_path_cluster(3);
+        let h = SharedTableStats::new(Arc::new(spec.clone()));
+        h.stats_for_planning(&c, 1.0).unwrap();
+        // Side B joins A on jk1 and C on jk2; a delta naming jk2 must
+        // land on B (tuples) and on edge 1's B endpoint (distinct).
         h.apply_delta(&StatsDelta {
-            table: "some_other_table",
-            join_col: &("d".into(), b"jk".to_vec()),
+            table: "tb",
+            join_col: &("d".into(), b"jk2".to_vec()),
             score_col: &("d".into(), b"score".to_vec()),
             op: DeltaOp::Insert,
-            join_fingerprint: 7,
+            join_fingerprint: join_fingerprint(b"qq"),
             score: 0.5,
             entry_bytes: 32.0,
         });
-        assert_eq!(h.staleness(), 0.0);
-        assert_eq!(h.version(), v, "unrelated writes must not thrash plans");
+        let m = h.maintained_stats().unwrap();
+        assert_eq!(m.sides[1].tuples, 13);
+        let fresh = TableStats::collect(&c, &spec).unwrap();
+        assert_eq!(m.edges[1].distinct[0], fresh.edges[1].distinct[0] + 1);
+        assert_eq!(
+            m.edges[0].distinct, fresh.edges[0].distinct,
+            "edge 0 untouched"
+        );
     }
 
     #[test]
     fn observed_descent_corrects_the_lied_prefix_without_recollecting() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, spec) = binary_handle(&q);
         h.stats_for_planning(&c, 0.1).unwrap();
         // Plant a lie: one fake high-score insert per left tuple bucket.
-        h.apply_delta(&delta(&q, 0, DeltaOp::Insert, b"ghost", 0.975));
+        h.apply_delta(&delta(&spec, 0, DeltaOp::Insert, b"ghost", 0.975));
         let lied = h.maintained_stats().unwrap();
-        assert_eq!(lied.left.hist[97], 1, "lie landed");
+        assert_eq!(lied.sides[0].hist[97], 1, "lie landed");
         // Mid-query observation: the scan walked the real data down to
         // 0.80 and saw the true prefix (no 0.97 tuple exists).
-        let fresh = collect_stats(&c, &q).unwrap();
+        let fresh = &collect_stats(&c, &q).unwrap().sides[0];
         let mut obs_hist = vec![0u64; STAT_BUCKETS];
         let mut tuples = 0u64;
-        for (slot, &n) in obs_hist.iter_mut().zip(&fresh.left.hist).skip(80) {
+        for (slot, &n) in obs_hist.iter_mut().zip(&fresh.hist).skip(80) {
             *slot = n;
             tuples += n;
         }
@@ -783,14 +898,14 @@ mod tests {
         ));
         assert!(h.version() > before_version, "plans must invalidate");
         assert!(h.midquery_corrected());
-        let corrected = h.maintained_stats().unwrap();
-        assert_eq!(corrected.left.hist[97], 0, "ghost tuple retired");
+        let corrected = &h.maintained_stats().unwrap().sides[0];
+        assert_eq!(corrected.hist[97], 0, "ghost tuple retired");
         for b in 81..STAT_BUCKETS {
-            assert_eq!(corrected.left.hist[b], fresh.left.hist[b], "bucket {b}");
+            assert_eq!(corrected.hist[b], fresh.hist[b], "bucket {b}");
         }
-        assert_eq!(corrected.left.max_score, 1.0);
+        assert_eq!(corrected.max_score, 1.0);
         // Below the observed boundary the old histogram survives.
-        assert_eq!(corrected.left.hist[67], fresh.left.hist[67]);
+        assert_eq!(corrected.hist[67], fresh.hist[67]);
         // The correction is not churn: staleness unchanged, and the next
         // planning call stays on the maintained snapshot (no full pass)
         // while reporting the mid-query source.
@@ -806,7 +921,7 @@ mod tests {
     #[test]
     fn observed_descent_without_a_snapshot_is_a_no_op() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
+        let (h, _) = binary_handle(&q);
         assert!(!h.apply_observed_descent(
             [
                 Some(ObservedDescent {
@@ -826,12 +941,6 @@ mod tests {
     #[test]
     fn invalidate_forces_a_fresh_pass() {
         let (c, q) = running_example_cluster();
-        let h = SharedTableStats::new(Arc::new(q.clone()));
-        h.stats_for_planning(&c, 0.1).unwrap();
-        h.invalidate();
-        assert!(h.maintained_stats().is_none());
-        let p = h.stats_for_planning(&c, 0.1).unwrap();
-        assert_eq!(p.source, StatsSource::Exact);
-        assert_eq!(h.collections(), 2);
+        check_invalidate_forces_a_fresh_pass(&c, &q.to_spec());
     }
 }

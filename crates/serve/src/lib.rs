@@ -40,11 +40,14 @@
 //!   requested `k`; because every algorithm returns one deterministic
 //!   total order (score, then key), a completed depth-`k'` answer serves
 //!   any later `k ≤ k'` session straight from the **result-prefix
-//!   cache**. Cache entries are versioned against the backend's
-//!   statistics handle ([`rj_core::SharedTableStats`] for binary pairs,
-//!   [`rj_core::SharedSpecStats`] for multi-way specs) — the same
-//!   version counter maintained writes bump — so a stale prefix is
-//!   never served.
+//!   cache**. Cache entries are versioned against the backend's one
+//!   statistics handle ([`rj_core::SharedTableStats`], for a binary pair
+//!   and a multi-way spec alike) — the same version counter maintained
+//!   writes, rebuilds and statistics passes bump — so a stale prefix is
+//!   never served. A backend is a [`rj_core::SpecExecutor`] whichever
+//!   way it was registered: [`RankJoinService::register_backend`] wraps
+//!   a binary executor as its two-side spec, so everything above
+//!   registration is join-arity agnostic.
 //! * **Background maintenance** — index rebuilds run at the pool's
 //!   [`rj_store::PoolPriority::Background`] class: they soak idle
 //!   capacity and never queue ahead of interactive query batches.
@@ -61,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod backend;
 pub mod error;
 pub mod service;
 pub mod session;
@@ -69,7 +71,6 @@ pub mod sharing;
 mod table;
 pub mod tenant;
 
-pub use backend::BackendExec;
 pub use error::ServeError;
 pub use service::{BackendId, RankJoinService, RoundReport, ServeConfig, ServeCounters};
 pub use session::{

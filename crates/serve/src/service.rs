@@ -11,6 +11,11 @@
 //! store's parallel-round accounting), which is what makes fairness and
 //! sharing effects measurable: sojourn = completion clock − submit clock.
 //!
+//! Every backend is a prototype [`SpecExecutor`] —
+//! [`RankJoinService::register_backend`] wraps a binary executor as its
+//! two-side spec — and its caches are versioned against that executor's
+//! one statistics handle ([`SharedTableStats`]), whatever the arity.
+//!
 //! Rounds are intended to be driven from one thread (a benchmark loop or
 //! a dispatcher); `submit`, `poll`, and `cancel` may be called
 //! concurrently from any thread — the service lock is *released* while a
@@ -53,11 +58,12 @@ use rj_core::error::RankJoinError;
 use rj_core::executor::RankJoinExecutor;
 use rj_core::multiway::SpecExecutor;
 use rj_core::result::JoinTuple;
+use rj_core::statsmaint::SharedTableStats;
+use rj_store::cluster::Cluster;
 use rj_store::metrics::MetricsSnapshot;
 use rj_store::pool::{PoolPriority, WorkStealingPool};
 
 use crate::admission::{select_round, Candidate};
-use crate::backend::{BackendExec, StatsHandle, TenantFork};
 use crate::error::ServeError;
 use crate::session::{
     PageInfo, PageToken, ServedBy, SessionId, SessionOutcome, SessionResult, SessionStatus,
@@ -181,13 +187,21 @@ pub struct RoundReport {
     pub maintenance_runs: usize,
 }
 
+/// Per-(tenant, backend) execution context: a metrics fork of the base
+/// cluster and an executor clone bound to it. Everything a pool job
+/// needs, shared immutably.
+pub(crate) struct TenantFork {
+    pub cluster: Cluster,
+    pub executor: SpecExecutor,
+}
+
 struct BackendState {
     /// The registered executor; mutated only by background rebuilds.
-    prototype: Arc<Mutex<BackendExec>>,
+    prototype: Arc<Mutex<SpecExecutor>>,
     /// The spec's shared statistics handle — the coherence backbone:
-    /// maintained writes and re-preparations bump its version, which
-    /// invalidates the prefix entry below.
-    stats: StatsHandle,
+    /// maintained writes, re-preparations and collections bump its
+    /// version, which invalidates the prefix entry below.
+    stats: Arc<SharedTableStats>,
     /// Lazily created per-tenant execution forks.
     forks: HashMap<TenantId, Arc<TenantFork>>,
     /// The partial-work cache: deepest completed answer plus deepest
@@ -338,7 +352,7 @@ impl RankJoinService {
     /// returns the existing backend (so its sessions share work), and a
     /// multi-way spec extending the same pair gets a different key.
     pub fn register_backend(&self, executor: RankJoinExecutor) -> Result<BackendId, ServeError> {
-        self.register_exec(BackendExec::Binary(Box::new(executor)))
+        self.register_spec_backend(executor.into())
     }
 
     /// Registers a spec-driven backend — binary or multi-way — from a
@@ -346,16 +360,12 @@ impl RankJoinService {
     /// semantics as [`RankJoinService::register_backend`]; a two-side
     /// spec shares keys (and therefore caches) with the equivalent
     /// binary registration, because it *is* the same execution.
-    pub fn register_spec_backend(&self, executor: SpecExecutor) -> Result<BackendId, ServeError> {
-        self.register_exec(BackendExec::Spec(Box::new(executor)))
-    }
-
-    fn register_exec(&self, exec: BackendExec) -> Result<BackendId, ServeError> {
+    pub fn register_spec_backend(&self, exec: SpecExecutor) -> Result<BackendId, ServeError> {
         if !exec.prepared() {
             return Err(ServeError::NotIslPrepared);
         }
-        let key = (exec.fingerprint(), exec.config_sig());
-        let stats = exec.stats();
+        let key = (exec.fingerprint(), config_sig(&exec));
+        let stats = exec.stats_handle();
         let mut st = self.lock();
         if let Some(&existing) = st.share_keys.get(&key) {
             return Ok(BackendId(existing));
@@ -729,7 +739,7 @@ impl RankJoinService {
             report.dispatched = picked.len();
             let groups = Self::plan_groups(&mut st, &picked, &self.config)?;
             let pending: Vec<usize> = st.maintenance.drain(..).collect();
-            let maintenance: Vec<(usize, Arc<Mutex<BackendExec>>)> = pending
+            let maintenance: Vec<(usize, Arc<Mutex<SpecExecutor>>)> = pending
                 .into_iter()
                 .map(|b| (b, Arc::clone(&st.backends[b].prototype)))
                 .collect();
@@ -756,13 +766,7 @@ impl RankJoinService {
                 .map(|(_, prototype)| {
                     Box::new(move || {
                         let mut proto = prototype.lock().expect("backend prototype poisoned");
-                        // Rebuild + fresh statistics pass: the rebuild
-                        // invalidated the maintained snapshot, and the
-                        // pass restarts the staleness clock at zero
-                        // instead of leaving it unbounded (which would
-                        // re-trigger the staleness-driven rebuild every
-                        // round).
-                        proto.rebuild().map_err(|e| e.to_string())
+                        rebuild(&mut proto).map_err(|e| e.to_string())
                     }) as Box<dyn FnOnce() -> Result<(), String> + Send>
                 })
                 .collect(),
@@ -895,11 +899,12 @@ impl RankJoinService {
             if !staleness.is_finite() {
                 continue; // nothing maintained — nothing measurably stale
             }
-            let bound = st.backends[idx]
-                .prototype
-                .lock()
-                .expect("backend prototype poisoned")
-                .staleness_bound();
+            let bound = staleness_bound(
+                &st.backends[idx]
+                    .prototype
+                    .lock()
+                    .expect("backend prototype poisoned"),
+            );
             if staleness > bound && !st.maintenance.contains(&idx) {
                 st.maintenance.push_back(idx);
                 st.counters.staleness_rebuilds += 1;
@@ -992,7 +997,7 @@ impl RankJoinService {
         }
         let prototype = Arc::clone(&st.backends[backend_idx].prototype);
         let proto = prototype.lock().expect("backend prototype poisoned");
-        let cluster = proto.cluster().fork_metrics();
+        let cluster = proto.engine().cluster().fork_metrics();
         let executor = proto.fork_onto(&cluster)?;
         drop(proto);
         let fork = Arc::new(TenantFork { cluster, executor });
@@ -1040,6 +1045,35 @@ impl RankJoinService {
     }
 }
 
+/// The execution-configuration half of a backend's share key: two
+/// backends share work only if both the spec *and* the way it executes
+/// match.
+fn config_sig(exec: &SpecExecutor) -> String {
+    match exec.binary() {
+        Some(b) => format!("isl:{:?}", b.isl_config),
+        None => format!("mw:{:?}:{:?}", exec.config, exec.access_override),
+    }
+}
+
+/// The staleness bound the executor plans under (a two-side spec plans
+/// through its binary executor's), which also drives the serving layer's
+/// staleness-triggered background rebuilds.
+fn staleness_bound(exec: &SpecExecutor) -> f64 {
+    exec.binary()
+        .map_or(exec.staleness_bound, |b| b.staleness_bound)
+}
+
+/// Rebuilds the score index, then runs one statistics pass through the
+/// handle: the rebuild invalidated the maintained snapshot, and the pass
+/// restarts the staleness clock at zero instead of leaving it unbounded
+/// (which would re-trigger the staleness-driven rebuild every round).
+fn rebuild(exec: &mut SpecExecutor) -> rj_core::error::Result<()> {
+    exec.prepare()?;
+    exec.stats_handle()
+        .stats_for_planning(exec.engine().cluster(), staleness_bound(exec))
+        .map(drop)
+}
+
 /// Executes one backend group on the calling pool worker. Paged sessions
 /// run individually (their cursor belongs to one client) and serve their
 /// first page. Sharing on: the first non-cancelled plain session (deepest
@@ -1079,7 +1113,7 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
             out.finals.push(cancelled_unserved(sess.id));
             continue;
         }
-        let (final_, donated, warmed) = execute_one(sess, plan.version, warm);
+        let (final_, donated, warmed, version) = execute_one(sess, plan.version, warm);
         out.executions += 1;
         if warmed {
             out.warm_starts += 1;
@@ -1087,7 +1121,7 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
         out.sim += final_.charged.sim_seconds;
         if plan.sharing {
             if let Some(entry) = donated {
-                if entry.improves_on(out.warm.as_ref(), plan.version) {
+                if entry.improves_on(out.warm.as_ref(), version) {
                     out.warm = Some(entry);
                 }
             }
@@ -1101,7 +1135,7 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
             out.prefix = Some(PrefixEntry::from_completed(
                 sess.k,
                 Arc::clone(&final_.results),
-                plan.version,
+                version,
             ));
         }
         out.finals.push(final_);
@@ -1159,13 +1193,16 @@ fn cancelled_unserved(id: u64) -> SessFinal {
 /// re-targets the donated descent state to this session's `k` — tuples
 /// the donor consumed are re-joined in memory and charge nothing, so the
 /// session pays only the reads beyond the donor's prefix. Returns the terminal outcome,
-/// the paused state donated back to the cache (when re-targetable), and
-/// whether the run was warm-started.
+/// the paused state donated back to the cache (when re-targetable),
+/// whether the run was warm-started, and the statistics version the run
+/// read at: the cursor's pinned version, which is newer than the dispatch
+/// `version` when opening the cursor ran a statistics pass (or raced a
+/// write). Work is cached under that version.
 fn execute_one(
     sess: &SessPlan,
-    version: u64,
+    mut version: u64,
     warm: Option<&WarmEntry>,
-) -> (SessFinal, Option<WarmEntry>, bool) {
+) -> (SessFinal, Option<WarmEntry>, bool, u64) {
     let fork = &sess.fork;
     let before = fork.cluster.metrics().snapshot();
     let mut warmed = false;
@@ -1187,7 +1224,7 @@ fn execute_one(
                 charged,
                 served_by: ServedBy::Execution,
             };
-            return (final_, None, warmed);
+            return (final_, None, warmed, version);
         }
     };
     let mut results: Vec<JoinTuple> = Vec::new();
@@ -1214,6 +1251,7 @@ fn execute_one(
     let charged = fork.cluster.metrics().snapshot().delta_since(&before);
     let donated = if failed.is_none() {
         let state = cursor.pause();
+        version = state.pinned_version().unwrap_or(version);
         state.supports_retarget().then(|| WarmEntry {
             depth: state.consumed_depth(),
             version,
@@ -1237,7 +1275,7 @@ fn execute_one(
         charged,
         served_by: ServedBy::Execution,
     };
-    (final_, donated, warmed)
+    (final_, donated, warmed, version)
 }
 
 /// Serves a paged session's first page on its own fork: opens an

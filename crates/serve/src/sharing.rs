@@ -24,11 +24,13 @@
 //!   executions donate their final state too — that is what lets a later
 //!   `k' > k` query warm-start instead of descending from scratch.
 //!
-//! Coherence rides on the pair's shared statistics handle
-//! ([`rj_core::SharedTableStats`]): every maintained write and every
-//! index (re-)preparation bumps its version, and both entry kinds store
-//! the version they were computed under — a version mismatch refuses the
-//! entry, so work computed before a write is never reused after it.
+//! Coherence rides on the backend's one statistics handle
+//! ([`rj_core::SharedTableStats`], the same for a binary pair and a
+//! multi-way spec): every maintained write, every index (re-)preparation
+//! and every statistics pass bumps its version, and both entry kinds
+//! store the version their execution's cursor was pinned to — a version
+//! mismatch refuses the entry, so work computed before a write is never
+//! reused after it.
 //!
 //! # How long a cut lives
 //!
@@ -62,7 +64,7 @@ pub(crate) struct PrefixEntry {
     pub exhausted: bool,
     /// The completed answer, rank-ordered.
     pub results: Arc<Vec<JoinTuple>>,
-    /// [`rj_core::SharedTableStats::version`] at execution time.
+    /// The [`rj_core::SharedTableStats::version`] the execution read at.
     pub version: u64,
     /// The cuts handed out, by `k` ascending, each only as alive as its
     /// last holder (see the module docs). Every `k` here is below
@@ -134,7 +136,7 @@ impl PrefixEntry {
 pub(crate) struct WarmEntry {
     /// The donated descent state; always [`CursorState::supports_retarget`].
     pub state: CursorState,
-    /// [`rj_core::SharedTableStats::version`] at execution time.
+    /// The [`rj_core::SharedTableStats::version`] the state is pinned to.
     pub version: u64,
     /// Input depth the donor consumed — deeper donors warm more.
     pub depth: u64,

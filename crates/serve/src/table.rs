@@ -39,9 +39,9 @@ use rj_core::cursor::CursorState;
 use rj_core::result::JoinTuple;
 use rj_store::metrics::MetricsSnapshot;
 
-use crate::backend::TenantFork;
 use crate::error::ServeError;
 use crate::service::BackendId;
+use crate::service::TenantFork;
 use crate::session::{SessionResult, SubmitOptions};
 use crate::tenant::TenantId;
 
@@ -330,7 +330,6 @@ mod tests {
     use rj_store::costmodel::CostModel;
 
     use super::*;
-    use crate::backend::BackendExec;
     use crate::session::{ServedBy, SessionOutcome};
 
     /// A parked cursor over a four-row join — what `park` is handed.
@@ -365,7 +364,7 @@ mod tests {
         );
         let mut executor = RankJoinExecutor::new(&cluster, query);
         executor.prepare_isl().unwrap();
-        let executor = BackendExec::Binary(Box::new(executor));
+        let executor = rj_core::multiway::SpecExecutor::from(executor);
         let state = executor.open_cursor(4).unwrap().pause();
         (state, Arc::new(TenantFork { cluster, executor }))
     }

@@ -290,7 +290,8 @@ fn replanning_reads_live_region_counts_after_auto_splits() {
         .stats_for_planning(&cluster, 0.1)
         .unwrap()
         .stats
-        .left_regions;
+        .sides[0]
+        .regions;
 
     // Trigger auto-splits on the left base table with raw writes (which
     // emit no delta and never advance the staleness clock).
@@ -316,6 +317,6 @@ fn replanning_reads_live_region_counts_after_auto_splits() {
     // planning entry point reports the live region count — and stays on
     // the maintained path (no re-collection).
     let planned = handle.stats_for_planning(&cluster, 0.1).unwrap();
-    assert_eq!(planned.stats.left_regions, live);
+    assert_eq!(planned.stats.sides[0].regions, live);
     assert_eq!(handle.collections(), 1);
 }

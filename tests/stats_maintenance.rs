@@ -9,16 +9,19 @@
 //! pass (asserted via the store's admin-read accounting); above it the
 //! executor transparently re-collects; and in both regimes
 //! `Algorithm::Auto` re-plans to match a fresh-statistics oracle instead
-//! of serving the pre-mutation plan forever.
+//! of serving the pre-mutation plan forever. The handle is the same for
+//! a three-way spec, whose maintained statistics the property test checks
+//! the same way.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use rankjoin::core::error::RankJoinError;
-use rankjoin::core::planner::{self, Objective};
+use rankjoin::core::planner::{self, Objective, TableStats};
 use rankjoin::core::{ijlmr, isl, oracle};
 use rankjoin::{
-    Algorithm, BfhmConfig, Cluster, CostModel, JoinSide, MaintainedSide, Mutation, Plan,
-    RankJoinExecutor, RankJoinQuery, ScoreFn, StatsSource,
+    Algorithm, BfhmConfig, Cluster, CostModel, JoinEdge, JoinSide, JoinSpec, MaintainedSide,
+    Mutation, Plan, RankJoinExecutor, RankJoinQuery, ScoreFn, SpecExecutor, StatsSource,
 };
 
 /// Loads `left`/`right` `(join, score)` tuples into a fresh cluster.
@@ -48,6 +51,49 @@ fn load(left: &[(u8, f64)], right: &[(u8, f64)], k: usize) -> (Cluster, RankJoin
         ScoreFn::Sum,
     );
     (cluster, query)
+}
+
+/// Loads a three-way path `L ⋈ M ⋈ R`: `left` and `right` as [`load`]
+/// does, and a middle side `M` joining `L` on `jk1` and `R` on `jk2`.
+fn load_path(
+    left: &[(u8, f64)],
+    middle: &[(u8, u8, f64)],
+    right: &[(u8, f64)],
+) -> (Cluster, JoinSpec) {
+    let (cluster, query) = load(left, right, 5);
+    cluster.create_table("m", &["d"]).unwrap();
+    let client = cluster.client();
+    for (i, (j1, j2, score)) in middle.iter().enumerate() {
+        client
+            .mutate_row(
+                "m",
+                format!("m{i:03}").as_bytes(),
+                vec![
+                    Mutation::put("d", b"jk1", vec![*j1]),
+                    Mutation::put("d", b"jk2", vec![*j2]),
+                    Mutation::put("d", b"score", score.to_be_bytes().to_vec()),
+                ],
+            )
+            .unwrap();
+    }
+    let sides = vec![
+        query.left,
+        JoinSide::new("m", "M", ("d", b"jk1"), ("d", b"score")),
+        query.right,
+    ];
+    let edges = vec![
+        JoinEdge::on_join_cols(&sides, 0, 1),
+        JoinEdge {
+            a: 1,
+            a_col: ("d".into(), b"jk2".to_vec()),
+            b: 2,
+            b_col: ("d".into(), b"jk".to_vec()),
+        },
+    ];
+    (
+        cluster,
+        JoinSpec::new(sides, edges, 5, ScoreFn::Sum).unwrap(),
+    )
 }
 
 /// Prepares the three maintainable indices (ISL, IJLMR, BFHM — DRJN has
@@ -115,6 +161,81 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         })
 }
 
+/// Plays `ops` through the two maintained sides over the rows [`load`]
+/// wrote (`lens` of them per side).
+fn apply_ops(sides: &[MaintainedSide; 2], ops: &[Op], lens: [usize; 2]) {
+    let mut live: [Vec<Vec<u8>>; 2] = [
+        (0..lens[0])
+            .map(|i| format!("l{i:03}").into_bytes())
+            .collect(),
+        (0..lens[1])
+            .map(|i| format!("r{i:03}").into_bytes())
+            .collect(),
+    ];
+    for (n, op) in ops.iter().enumerate() {
+        match op {
+            Op::Insert { side, join, score } => {
+                let i = usize::from(*side);
+                let key = format!("n{n:03}").into_bytes();
+                sides[i].insert(&key, &[*join], *score, vec![]).unwrap();
+                live[i].push(key);
+            }
+            Op::Delete { side, pick } => {
+                let i = usize::from(*side);
+                if live[i].is_empty() {
+                    continue;
+                }
+                let key = live[i].remove(pick % live[i].len());
+                match sides[i].delete(&key) {
+                    Ok(_) => {}
+                    Err(RankJoinError::MissingRow) => {}
+                    Err(e) => panic!("maintained delete failed: {e}"),
+                }
+            }
+        }
+    }
+}
+
+/// Maintained statistics agree with a fresh collection: exactly for every
+/// side's tuples, histogram and entry bytes and every edge's distinct
+/// counts and join cardinality; within one histogram bucket for
+/// `max_score` (the documented conservative clamp after deletes).
+fn assert_stats_agree(maintained: &TableStats, fresh: &TableStats) -> Result<(), TestCaseError> {
+    prop_assert_eq!(maintained.sides.len(), fresh.sides.len());
+    for (i, (m, f)) in maintained.sides.iter().zip(&fresh.sides).enumerate() {
+        prop_assert_eq!(m.tuples, f.tuples, "side {} tuples", i);
+        prop_assert_eq!(&m.hist, &f.hist, "side {} histogram", i);
+        prop_assert!(
+            (m.avg_entry_bytes - f.avg_entry_bytes).abs() < 1e-6,
+            "side {} avg bytes {} vs {}",
+            i,
+            m.avg_entry_bytes,
+            f.avg_entry_bytes
+        );
+        // max_score: never below the truth, at most one bucket above.
+        prop_assert!(
+            m.max_score >= f.max_score - 1e-12,
+            "side {} max {} below truth {}",
+            i,
+            m.max_score,
+            f.max_score
+        );
+        prop_assert!(
+            m.max_score <= f.max_score + 0.01 + 1e-12,
+            "side {} max {} above bucket bound of {}",
+            i,
+            m.max_score,
+            f.max_score
+        );
+    }
+    prop_assert_eq!(maintained.edges.len(), fresh.edges.len());
+    for (e, (m, f)) in maintained.edges.iter().zip(&fresh.edges).enumerate() {
+        prop_assert_eq!(m.distinct, f.distinct, "edge {} distinct", e);
+        prop_assert_eq!(m.pairs, f.pairs, "edge {} join cardinality", e);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 16,
@@ -127,11 +248,14 @@ proptest! {
     /// distinct join values, and the expected join cardinality; within
     /// one histogram bucket for `max_score` (the documented conservative
     /// clamp after deletes) — and `Auto` stays oracle-equivalent
-    /// throughout.
+    /// throughout. The same ops, written through the two end sides of a
+    /// three-way path over the same rows plus a `middle` side, keep that
+    /// spec's statistics in the same agreement.
     #[test]
     fn maintained_stats_agree_with_fresh_collection(
         left in prop::collection::vec((0u8..10, 0u32..=1000).prop_map(|(j, s)| (j, f64::from(s) / 1000.0)), 3..25),
         right in prop::collection::vec((0u8..10, 0u32..=1000).prop_map(|(j, s)| (j, f64::from(s) / 1000.0)), 3..25),
+        middle in prop::collection::vec((0u8..10, 0u8..10, 0u32..=1000).prop_map(|(a, b, s)| (a, b, f64::from(s) / 1000.0)), 3..25),
         ops in prop::collection::vec(op_strategy(), 1..30),
     ) {
         let (cluster, query) = load(&left, &right, 5);
@@ -144,51 +268,10 @@ proptest! {
             maintained_side(&cluster, &query, &query.left, &ex),
             maintained_side(&cluster, &query, &query.right, &ex),
         ];
-        let mut live: [Vec<Vec<u8>>; 2] = [
-            (0..left.len()).map(|i| format!("l{i:03}").into_bytes()).collect(),
-            (0..right.len()).map(|i| format!("r{i:03}").into_bytes()).collect(),
-        ];
-        for (n, op) in ops.iter().enumerate() {
-            match op {
-                Op::Insert { side, join, score } => {
-                    let i = usize::from(*side);
-                    let key = format!("n{n:03}").into_bytes();
-                    sides[i].insert(&key, &[*join], *score, vec![]).unwrap();
-                    live[i].push(key);
-                }
-                Op::Delete { side, pick } => {
-                    let i = usize::from(*side);
-                    if live[i].is_empty() {
-                        continue;
-                    }
-                    let key = live[i].remove(pick % live[i].len());
-                    match sides[i].delete(&key) {
-                        Ok(_) => {}
-                        Err(RankJoinError::MissingRow) => {}
-                        Err(e) => panic!("maintained delete failed: {e}"),
-                    }
-                }
-            }
-        }
-
-        let fresh = planner::collect_stats(&cluster.fork_metrics(), &query).unwrap();
+        apply_ops(&sides, &ops, [left.len(), right.len()]);
+        let pair = planner::collect_stats(&cluster.fork_metrics(), &query).unwrap();
         let maintained = ex.stats_handle().maintained_stats().expect("primed snapshot");
-        for (m, f, name) in [
-            (&maintained.left, &fresh.left, "left"),
-            (&maintained.right, &fresh.right, "right"),
-        ] {
-            prop_assert_eq!(m.tuples, f.tuples, "{} tuples", name);
-            prop_assert_eq!(&m.hist, &f.hist, "{} histogram", name);
-            prop_assert_eq!(m.distinct_joins, f.distinct_joins, "{} distinct", name);
-            prop_assert!((m.avg_entry_bytes - f.avg_entry_bytes).abs() < 1e-6,
-                "{} avg bytes {} vs {}", name, m.avg_entry_bytes, f.avg_entry_bytes);
-            // max_score: never below the truth, at most one bucket above.
-            prop_assert!(m.max_score >= f.max_score - 1e-12,
-                "{} max {} below truth {}", name, m.max_score, f.max_score);
-            prop_assert!(m.max_score <= f.max_score + 0.01 + 1e-12,
-                "{} max {} above bucket bound of {}", name, m.max_score, f.max_score);
-        }
-        prop_assert_eq!(maintained.join_pairs, fresh.join_pairs, "join cardinality");
+        assert_stats_agree(&maintained, &pair)?;
 
         // Auto answers from fresh plans: rank-equivalent to the oracle.
         let want = oracle::topk(&cluster, &query).unwrap();
@@ -196,6 +279,28 @@ proptest! {
         let got_scores: Vec<f64> = got.results.iter().map(|t| t.score).collect();
         let want_scores: Vec<f64> = want.iter().map(|t| t.score).collect();
         prop_assert_eq!(got_scores, want_scores, "AUTO diverged from the oracle");
+
+        // The three-way path: its end sides have one incident edge each,
+        // so every delta names all of a written row's join values.
+        let (cluster, spec) = load_path(&left, &middle, &right);
+        let exec = SpecExecutor::new(&cluster, spec.clone());
+        exec.plan_access(5).unwrap();
+        let ends = [&spec.sides[0], &spec.sides[2]]
+            .map(|side| MaintainedSide::new(&cluster, side.clone()).with_stats(exec.stats_handle()));
+        apply_ops(&ends, &ops, [left.len(), right.len()]);
+        let fresh = TableStats::collect(&cluster.fork_metrics(), &spec).unwrap();
+        let maintained = exec.stats_handle().maintained_stats().expect("primed snapshot");
+        assert_stats_agree(&maintained, &fresh)?;
+        // The end sides hold the pair's rows, and one collector reads both
+        // specs: the same rows give the same side statistics, entry bytes
+        // included (a join value is sized by its own bytes at any arity).
+        for (end, side) in [(0, 0), (2, 1)] {
+            let (e, p) = (&fresh.sides[end], &pair.sides[side]);
+            prop_assert_eq!(e.tuples, p.tuples, "end {} tuples", end);
+            prop_assert_eq!(&e.hist, &p.hist, "end {} histogram", end);
+            prop_assert_eq!(e.avg_entry_bytes.to_bits(), p.avg_entry_bytes.to_bits(),
+                "end {} avg bytes {} vs the pair's {}", end, e.avg_entry_bytes, p.avg_entry_bytes);
+        }
     }
 }
 
