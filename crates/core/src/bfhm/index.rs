@@ -17,6 +17,7 @@ use rj_sketch::histogram::ScoreHistogram;
 use rj_sketch::hybrid::HybridFilter;
 use rj_store::cell::Mutation;
 use rj_store::keys;
+use rj_store::row::{RowRef, RowResult};
 
 use crate::codec;
 use crate::error::{RankJoinError, Result};
@@ -311,10 +312,13 @@ pub(crate) fn read_meta(
     table: &str,
     left_label: &str,
 ) -> Result<(usize, u32)> {
-    let client = cluster.client();
-    let row = client
-        .get(table, META_ROW)?
-        .ok_or(RankJoinError::Internal("BFHM meta row missing"))?;
+    let row = cluster.client().get(table, META_ROW)?;
+    meta_of(row.as_ref().map(RowResult::as_row_ref), left_label)
+}
+
+/// `(m, num_buckets)` of a metadata row read under `left_label`.
+pub(crate) fn meta_of(row: Option<RowRef<'_>>, left_label: &str) -> Result<(usize, u32)> {
+    let row = row.ok_or(RankJoinError::Internal("BFHM meta row missing"))?;
     let m = row
         .value(left_label, META_M)
         .and_then(|v| v.as_ref().try_into().ok().map(u64::from_be_bytes))

@@ -11,9 +11,10 @@
 //! records are purged **in a single row-level-atomic operation**.
 //!
 //! Write-back can run eagerly (when query processing fetches the bucket),
-//! lazily (after results are returned), or offline ([`refresh_bucket`] /
-//! [`compact_if_pending`], the "thread periodically probing bucket rows"
-//! variant, optionally gated by a mutation-count threshold).
+//! lazily (after results are returned, once per side and bucket the read
+//! resolved), or offline ([`compact_if_pending`], the "thread periodically
+//! probing bucket rows" variant, optionally gated by a mutation-count
+//! threshold).
 //!
 //! One conservative deviation, documented in DESIGN.md: replayed deletes
 //! do not shrink the bucket's min/max score range (the true extrema of
@@ -183,26 +184,32 @@ pub(crate) fn write_back_bucket(
     Ok(())
 }
 
-/// Reads one bucket row and compacts it if mutation records are pending
-/// (the lazy/offline write-back path). Returns the number of records
-/// compacted.
-pub fn refresh_bucket(
+/// Reads one bucket row of an index whose filters have `m` bits and, if at
+/// least `threshold` (≥ 1) mutation records are pending, replays and
+/// writes it back (the lazy and offline write-back). Returns the number
+/// of records compacted.
+pub(crate) fn refresh_bucket(
     cluster: &Cluster,
     table: &str,
     label: &str,
     bucket: u32,
+    m: usize,
     codec_sel: BlobCodec,
+    threshold: usize,
 ) -> Result<usize> {
-    let (m, _buckets) = read_meta(cluster, table, label)?;
-    let client = cluster.client();
     let fams = [label.to_owned()];
+    let client = cluster.client();
     let Some(row) = client.get_with_families(table, &blob_row_key(bucket), Some(&fams))? else {
         return Ok(0);
     };
-    let resolved = resolve_bucket_row(row.as_row_ref(), label, m)?;
-    if !resolved.had_mutations {
+    let pending = row
+        .family_cells(label)
+        .filter(|c| parse_record_qualifier(&c.qualifier).is_some())
+        .count();
+    if pending < threshold.max(1) {
         return Ok(0);
     }
+    let resolved = resolve_bucket_row(row.as_row_ref(), label, m)?;
     write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
     Ok(resolved.consumed_qualifiers.len())
 }
@@ -219,24 +226,9 @@ pub fn compact_if_pending(
     threshold: usize,
 ) -> Result<usize> {
     let (m, buckets) = read_meta(cluster, table, label)?;
-    let client = cluster.client();
     let mut compacted = 0;
     for bucket in 0..buckets {
-        let fams = [label.to_owned()];
-        let Some(row) = client.get_with_families(table, &blob_row_key(bucket), Some(&fams))? else {
-            continue;
-        };
-        let pending = row
-            .family_cells(label)
-            .filter(|c| parse_record_qualifier(&c.qualifier).is_some())
-            .count();
-        if pending >= threshold.max(1) {
-            let resolved = resolve_bucket_row(row.as_row_ref(), label, m)?;
-            if resolved.had_mutations {
-                write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
-                compacted += resolved.consumed_qualifiers.len();
-            }
-        }
+        compacted += refresh_bucket(cluster, table, label, bucket, m, codec_sel, threshold)?;
     }
     Ok(compacted)
 }
@@ -478,6 +470,55 @@ mod tests {
             bucket_row_cost(&c, "R2", 0).0,
             0,
             "the record was written back"
+        );
+    }
+
+    /// A lazy write-back refreshes what the read resolved, once: the one
+    /// `(side, bucket)` that had records, by one get of its row and one
+    /// write. It used to refresh both sides of a pending bucket, each with
+    /// a metadata read besides, so the clean side billed two reads.
+    #[test]
+    fn a_lazy_write_back_bills_one_get_and_one_write_for_the_side_it_resolved() {
+        use crate::cancel::StopPolicy;
+        use crate::cursor::RankedCursor;
+        let (c, q) = running_example_cluster();
+        let config = build(&c, &q);
+        let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        let side =
+            crate::maintenance::MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
+        // Into R2's bucket 0, which the top-1 fetches with R1's clean one.
+        side.insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
+        let (pending, row_reads) = bucket_row_cost(&c, "R2", 0);
+        assert_eq!(pending, 1);
+
+        let query = std::sync::Arc::new(q.clone());
+        let open = |policy| {
+            bfhm::BfhmCursor::open(&c, &query, 1, "bfhm_idx", &config, policy, None).unwrap()
+        };
+        let never = StopPolicy::never();
+        // The same read without a write-back, then with the lazy one.
+        let off = open(WriteBackPolicy::Off).next_batch(1, &never).unwrap();
+        let mut cursor = open(WriteBackPolicy::Lazy);
+        let lazy = cursor.next_batch(1, &never).unwrap();
+        assert!(lazy.done);
+        assert_eq!(lazy.results, off.results);
+        let flush = lazy.metrics.delta_since(&off.metrics);
+        assert_eq!(
+            (flush.rpc_calls, flush.kv_reads, flush.kv_writes),
+            (2, row_reads, 2),
+            "one get of R2's bucket row, one write of its blob and record"
+        );
+        assert_eq!(
+            bucket_row_cost(&c, "R2", 0).0,
+            0,
+            "the record was written back"
+        );
+        let again = cursor.next_batch(1, &never).unwrap();
+        assert!(again.results.is_empty());
+        assert_eq!(
+            again.metrics,
+            Default::default(),
+            "a second flush bills nothing"
         );
     }
 

@@ -10,17 +10,23 @@
 //! and [`BfhmCursor`] pumps the *same* machine on demand, which is what
 //! makes any pause/resume schedule result- and metric-equivalent to the
 //! one-shot run by construction.
+//!
+//! A run keeps ids, not copies. Every fetched tuple is held once, in the
+//! reverse-row cache's columns ([`ReverseStore`]); an [`Estimate`] is a
+//! bucket pair and its numbers, and materializing it re-derives the
+//! positions the pair shares from the two blobs the run holds; the running
+//! top-k is the shared id buffer ([`TopIds`]) over the cache's tuple ids,
+//! and a [`JoinTuple`] is built only for a result leaving the run.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rj_sketch::blob::BfhmBlob;
 use rj_sketch::histogram::ScoreHistogram;
 use rj_sketch::FlatMultiMap;
-use rj_store::client::Projection;
+use rj_store::client::{Client, Projection};
 use rj_store::cluster::Cluster;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
-use rj_store::row::{RowBatch, RowRef};
+use rj_store::row::RowBatch;
 
 use crate::cancel::StopPolicy;
 use crate::codec;
@@ -29,30 +35,35 @@ use crate::cursor::{
 };
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
-use crate::result::{BinaryMatch, JoinTuple, TopK};
+use crate::result::{JoinTuple, TopIds};
 use crate::stats::QueryOutcome;
 
-use super::index::{blob_row_key, read_meta, reverse_row_key};
+use super::index::{blob_row_key, meta_of, reverse_row_key, META_ROW};
 use super::maintenance::{refresh_bucket, resolve_bucket_row, write_back_bucket, WriteBackPolicy};
 use super::{BfhmConfig, BoundMode};
 
+/// The cache key of seeded results' tuples: no cell's (every cell key is
+/// nine bytes), so seeds are never joined or counted as fetched.
+const SEEDS: &[u8] = &[];
+
 /// Flat reverse-row cache: cell keys pack to 9 bytes (`side ‖ bucket ‖
 /// pos`, big-endian) interned in a [`FlatMultiMap`], and the cached tuples
-/// live in **columnar** flat arrays — base keys and join values back to
-/// back in byte arenas, scores one contiguous `f64` column — so the
-/// materialization cross-product walks sequential memory. A tuple's id is
-/// its position in the map (one value per tuple, pushed in tuple order).
-/// A cell interned with an empty group means "fetched, no tuples".
+/// live in three **columnar** flat arrays — every tuple's base key and
+/// join value back to back in one byte arena, where each of them ends,
+/// and the scores in one `f64` column — so the materialization
+/// cross-product walks sequential memory. A tuple's id is its position in
+/// the map (one value per tuple, pushed in tuple order); the run's top-k
+/// holds these ids. A cell interned with an empty group means "fetched, no
+/// tuples".
 #[derive(Clone, Default)]
 struct ReverseStore {
     /// Packed cell key → group of tuple ids (the group's positions).
     index: FlatMultiMap<()>,
-    /// Tuple base keys, back to back, spanned by `key_spans`.
-    key_arena: Vec<u8>,
-    key_spans: Vec<(u32, u32)>,
-    /// Tuple join values, back to back, spanned by `join_spans`.
-    join_arena: Vec<u8>,
-    join_spans: Vec<(u32, u32)>,
+    /// Per tuple, its base key and then its join value.
+    arena: Vec<u8>,
+    /// Per tuple, where its key and where its join value end in `arena`
+    /// (its key starts where the previous tuple's join value ends).
+    ends: Vec<u32>,
     /// Per-tuple scores, one flat column.
     scores: Vec<f64>,
 }
@@ -67,106 +78,115 @@ fn packed_cell(side: usize, bucket: u32, pos: u32) -> [u8; 9] {
 }
 
 impl ReverseStore {
-    /// Whether this cell has been fetched (possibly empty).
-    fn contains(&self, side: usize, bucket: u32, pos: u32) -> bool {
-        self.index.contains_key(&packed_cell(side, bucket, pos))
-    }
-
     /// Cells fetched so far (empty ones included): every reverse-row get
     /// the run has made.
     fn cells_fetched(&self) -> u64 {
-        self.index.num_keys() as u64
+        let seeded = usize::from(self.index.contains_key(SEEDS));
+        (self.index.num_keys() - seeded) as u64
     }
 
     /// Makes room for `cells` more cells holding at least a tuple each —
     /// a materialization sweep knows how many positions it is about to
     /// fetch, so the columns grow once per sweep, not by doublings inside
-    /// it. (The byte arenas are sized by their content, which it does not
+    /// it. (The byte arena is sized by its content, which it does not
     /// know.)
     fn reserve(&mut self, cells: usize) {
         self.index.reserve(cells, cells * 9, cells);
-        self.key_spans.reserve(cells);
-        self.join_spans.reserve(cells);
+        self.ends.reserve(2 * cells);
         self.scores.reserve(cells);
     }
 
-    /// Records one fetched reverse row (`None` = the row does not exist)
-    /// as a cell. A value that does not decode is an error, and the cell
-    /// is then not marked fetched: joining around a tuple would return a
-    /// wrong top-k silently, now or on a retry.
-    fn cache_row(
+    /// Ensures one `(side, bucket, position)` reverse-mapping cell is
+    /// cached, reading its row into `batch` on demand. A value that does
+    /// not decode is an error, and the cell is then not marked fetched:
+    /// joining around a tuple would return a wrong top-k silently, now or
+    /// on a retry.
+    fn ensure(
         &mut self,
-        (side, bucket, pos): (usize, u32, u32),
+        client: &Client,
+        batch: &mut RowBatch,
+        projection: &Projection,
         label: &str,
-        row: Option<RowRef<'_>>,
+        (side, bucket, pos): (usize, u32, u32),
     ) -> Result<()> {
+        let key = packed_cell(side, bucket, pos);
+        if self.index.contains_key(&key) {
+            return Ok(());
+        }
+        let row = client.get_into(batch, projection, &reverse_row_key(bucket, pos));
         let cells = || row.into_iter().flat_map(|row| row.family_cells(label));
         for cell in cells() {
             codec::decode_one_value_score(&cell.value)?;
         }
-        let entry = self.index.ensure(&packed_cell(side, bucket, pos));
+        let entry = self.index.ensure(&key);
         for cell in cells() {
             let (join, score) = codec::decode_one_value_score(&cell.value)?;
-            self.push_tuple(entry, &cell.qualifier, join, score);
+            self.push(entry, &cell.qualifier, join, score);
         }
         Ok(())
     }
 
-    /// Appends one decoded `(base key, join value, score)` tuple to the
-    /// cell interned as `entry`.
-    fn push_tuple(&mut self, entry: u32, key: &[u8], join: &[u8], score: f64) {
+    /// Appends one `(base key, join value, score)` tuple to the group of
+    /// the interned key `entry` and returns its id.
+    fn push(&mut self, entry: u32, key: &[u8], join: &[u8], score: f64) -> u32 {
         // Checked narrowing: a cache past 4 GiB of arena bytes must panic,
-        // not silently alias spans (the map checks the tuple count).
-        self.key_spans.push((
-            u32::try_from(self.key_arena.len()).expect("ReverseStore key arena overflows u32"),
-            u32::try_from(key.len()).expect("ReverseStore key length overflows u32"),
-        ));
-        self.key_arena.extend_from_slice(key);
-        self.join_spans.push((
-            u32::try_from(self.join_arena.len()).expect("ReverseStore join arena overflows u32"),
-            u32::try_from(join.len()).expect("ReverseStore join length overflows u32"),
-        ));
-        self.join_arena.extend_from_slice(join);
+        // not silently alias tuples (the map checks the tuple count).
+        for bytes in [key, join] {
+            self.arena.extend_from_slice(bytes);
+            let end = u32::try_from(self.arena.len()).expect("ReverseStore arena overflows u32");
+            self.ends.push(end);
+        }
         self.scores.push(score);
-        self.index.push_to_entry(entry, ()); // at position `scores.len() - 1`
+        self.index.push_to_entry(entry, ())
     }
 
-    /// The cached tuples of one cell: `(base key, join value, score)`,
-    /// in decode order. Empty for unfetched cells.
-    fn tuples<'a>(
-        &'a self,
-        side: usize,
-        bucket: u32,
-        pos: u32,
-    ) -> impl Iterator<Item = (&'a [u8], &'a [u8], f64)> + 'a {
-        self.index
-            .positions(&packed_cell(side, bucket, pos))
-            .map(move |id| {
-                let i = id as usize;
-                let (ko, kl) = self.key_spans[i];
-                let (jo, jl) = self.join_spans[i];
-                (
-                    &self.key_arena[ko as usize..(ko + kl) as usize],
-                    &self.join_arena[jo as usize..(jo + jl) as usize],
-                    self.scores[i],
-                )
-            })
+    /// Tuple `id`: `(base key, join value, score)`.
+    fn tuple(&self, id: u32) -> (&[u8], &[u8], f64) {
+        let i = id as usize;
+        let start = match i {
+            0 => 0,
+            _ => self.ends[2 * i - 1] as usize,
+        };
+        let (key_end, end) = (self.ends[2 * i] as usize, self.ends[2 * i + 1] as usize);
+        (
+            &self.arena[start..key_end],
+            &self.arena[key_end..end],
+            self.scores[i],
+        )
+    }
+
+    /// Ids of one cell's cached tuples, in decode order. Empty for
+    /// unfetched cells.
+    fn ids(&self, side: usize, bucket: u32, pos: u32) -> impl Iterator<Item = u32> + '_ {
+        self.index.positions(&packed_cell(side, bucket, pos))
     }
 }
 
-/// One estimated bucket-join result (a row of Fig. 6(c)).
+/// One estimated bucket-join result (a row of Fig. 6(c)): a bucket pair
+/// and its numbers. Every pair of fetched buckets whose filters share a
+/// set bit has exactly one; the shared positions themselves are
+/// re-derived from the two blobs when it is materialized.
 #[derive(Clone, Debug)]
 pub(crate) struct Estimate {
     pub left_bucket: u32,
     pub right_bucket: u32,
-    /// Common set-bit positions of the two bucket filters.
-    pub positions: Vec<u32>,
+    /// How many set-bit positions the two bucket filters share.
+    pub common: usize,
     /// α-compensated cardinality estimate.
     pub cardinality: f64,
     /// Lower bound on any represented join tuple's score.
     pub min_score: f64,
     /// Upper bound on any represented join tuple's score.
     pub max_score: f64,
+    /// Whether phase 2 has joined its tuples.
+    pub materialized: bool,
+}
+
+impl Estimate {
+    /// Whether phase 2 still owes this estimate's tuples at `cutoff`.
+    fn owed(&self, cutoff: f64) -> bool {
+        self.max_score >= cutoff && !self.materialized
+    }
 }
 
 /// Per-side estimation cursor state.
@@ -195,6 +215,14 @@ impl SideState {
             .first()
             .map(|(b, _)| hist.upper_bound(*b))
             .unwrap_or(f64::NEG_INFINITY)
+    }
+
+    /// The fetched blob of `bucket` (buckets are fetched in increasing
+    /// order).
+    fn blob(&self, bucket: u32) -> Result<&BfhmBlob> {
+        let at = self.fetched.binary_search_by_key(&bucket, |(b, _)| *b);
+        at.map(|at| &self.fetched[at].1)
+            .map_err(|_| RankJoinError::Internal("an estimate's bucket blob is not held"))
     }
 }
 
@@ -225,9 +253,9 @@ enum Phase {
 
 /// The full position of a BFHM execution between two
 /// [`BfhmRun::advance`] steps — plain owned data (blobs, estimates, the
-/// reverse-row cache, the running top-k, phase + counters), detachable
-/// into a [`crate::cursor::CursorState`] and resumable on any cluster
-/// handle over the same index.
+/// reverse-row cache, the running top-k of its ids, phase + counters),
+/// detachable into a [`crate::cursor::CursorState`] and resumable on any
+/// cluster handle over the same index.
 #[derive(Clone)]
 pub(crate) struct BfhmCore {
     /// Cursor bookkeeping (target k, emitted count, cumulative charge) —
@@ -247,16 +275,17 @@ pub(crate) struct BfhmCore {
     /// records into buckets that have no blob yet).
     m: usize,
     sides: [SideState; 2],
+    /// One per bucket pair that shares a set bit, in the order made.
     pub(crate) estimates: Vec<Estimate>,
     total_estimated: f64,
-    /// Bucket pairs already materialized in phase 2.
-    materialized: HashSet<(u32, u32)>,
     /// Reverse-row cache in flat columnar storage.
     reverse: ReverseStore,
-    results: TopK,
+    /// The running top-k: a cache tuple id per side.
+    results: TopIds,
     rounds: u64,
     write_back: WriteBackPolicy,
-    pending_write_backs: Vec<u32>,
+    /// `(side, bucket)` pairs the lazy policy still owes a write-back.
+    pending_write_backs: Vec<(usize, u32)>,
     phase: Phase,
     /// The guarantee loop's (monotone) estimation target.
     target: usize,
@@ -273,6 +302,30 @@ impl BfhmCore {
     /// Monotone progress measure: every store fetch the machine has made.
     pub(crate) fn consumed_depth(&self) -> u64 {
         self.sides[0].bucket_gets + self.sides[1].bucket_gets + self.reverse.cells_fetched()
+    }
+
+    /// Offers a seeded result (see [`run_shared`]): its two tuples join the
+    /// cache's columns under a key no cell has, so nothing is fetched or
+    /// counted.
+    fn seed(&mut self, t: &JoinTuple) {
+        let entry = self.reverse.index.ensure(SEEDS);
+        let ids = [
+            self.reverse
+                .push(entry, &t.left_key, &t.join_value, t.left_score),
+            self.reverse
+                .push(entry, &t.right_key, &t.join_value, t.right_score),
+        ];
+        let reverse = &self.reverse;
+        self.results
+            .offer(t.score, &ids, |_, id| reverse.tuple(id).0);
+    }
+
+    /// The buffered results of ranks `ranks`, built: keys and join values
+    /// copied out of the cache for results leaving the run.
+    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+        let reverse = &self.reverse;
+        self.results
+            .binary_results(ranks, |_, id| reverse.tuple(id))
     }
 }
 
@@ -299,16 +352,19 @@ impl BfhmRun {
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
     ) -> Result<Self> {
-        cluster
-            .table(table)
+        let client = cluster.client();
+        let all = client
+            .projection(table, None)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
-        let (m, num_buckets) = read_meta(cluster, table, &query.left.label)?;
+        // The metadata row, into the batch every later get refills.
+        let mut batch = RowBatch::new();
+        let meta = client.get_into(&mut batch, &all, META_ROW);
+        let (m, num_buckets) = meta_of(meta, &query.left.label)?;
         if num_buckets != config.num_buckets {
             return Err(RankJoinError::Internal(
                 "config bucket count disagrees with the built index",
             ));
         }
-        let client = cluster.client();
         let family = |side| {
             let label = std::slice::from_ref(side_label(query, side));
             client.projection(table, Some(label))
@@ -319,16 +375,15 @@ impl BfhmRun {
                 meta: CursorMeta::new(k, None),
                 query: query.clone(),
                 projections: [family(0)?, family(1)?],
-                batch: RowBatch::new(),
+                batch,
                 config: config.clone(),
                 hist: ScoreHistogram::new(num_buckets),
                 m,
                 sides: Default::default(),
                 estimates: Vec::new(),
                 total_estimated: 0.0,
-                materialized: HashSet::new(),
                 reverse: ReverseStore::default(),
-                results: TopK::new(k),
+                results: TopIds::new(k, 2),
                 rounds: 0,
                 write_back,
                 pending_write_backs: Vec::new(),
@@ -383,7 +438,8 @@ impl BfhmRun {
                         resolved,
                         core.config.codec,
                     )?,
-                    WriteBackPolicy::Lazy => core.pending_write_backs.push(bucket),
+                    // Once per `(side, bucket)`: the cursor moves past it.
+                    WriteBackPolicy::Lazy => core.pending_write_backs.push((side, bucket)),
                     WriteBackPolicy::Off => {}
                 }
             }
@@ -411,9 +467,9 @@ impl BfhmRun {
             } else {
                 (*other_bucket, other_blob, *new_bucket, new_blob)
             };
-            let (positions, cardinality) =
+            let (common, cardinality) =
                 lblob.filter.join_estimate(&rblob.filter, core.config.alpha);
-            if positions.is_empty() {
+            if common == 0 {
                 continue; // Algorithm 7 line 5: empty AND → null
             }
             let score_fn = core.query.score_fn;
@@ -421,24 +477,38 @@ impl BfhmRun {
             core.estimates.push(Estimate {
                 left_bucket: lb,
                 right_bucket: rb,
-                positions,
+                common,
                 cardinality,
                 min_score: score_fn.combine(lblob.min_score, rblob.min_score),
                 max_score: score_fn.combine(lblob.max_score, rblob.max_score),
+                materialized: false,
             });
         }
     }
 
-    /// The k-th estimated result's score bound (walks estimates in
-    /// descending max-score order, accumulating cardinalities).
+    /// The k-th estimated result's score bound: walks the estimates in
+    /// descending max-score order — equal max scores in the order they
+    /// were made, as a stable sort leaves them — accumulating
+    /// cardinalities. Each step finds the next estimate in that order with
+    /// one sweep, so the walk allocates nothing; it stops at the target,
+    /// usually a few estimates in.
     fn kth_estimate_bound(&self, target: usize) -> Option<f64> {
         if self.core.total_estimated < target as f64 {
             return None;
         }
-        let mut order: Vec<&Estimate> = self.core.estimates.iter().collect();
-        order.sort_by(|a, b| b.max_score.total_cmp(&a.max_score));
+        let estimates = &self.core.estimates;
+        let order = |a: usize, b: usize| {
+            let (ea, eb) = (&estimates[a], &estimates[b]);
+            eb.max_score.total_cmp(&ea.max_score).then(a.cmp(&b))
+        };
         let mut cum = 0.0;
-        for e in order {
+        let mut last = None;
+        while let Some(i) = (0..estimates.len())
+            .filter(|&i| last.is_none_or(|last| order(last, i).is_lt()))
+            .min_by(|&a, &b| order(a, b))
+        {
+            let e = &estimates[i];
+            last = Some(i);
             cum += e.cardinality;
             if cum >= target as f64 {
                 return Some(match self.core.config.bound_mode {
@@ -530,79 +600,53 @@ impl BfhmRun {
         Ok(())
     }
 
-    /// Ensures one `(side, bucket, position)` reverse-mapping cell is in
-    /// the cache, fetching it on demand.
-    fn ensure_reverse_row(&mut self, side: usize, bucket: u32, pos: u32) -> Result<()> {
-        let core = &mut self.core;
-        if core.reverse.contains(side, bucket, pos) {
-            return Ok(());
-        }
-        let row = self.cluster.client().get_into(
-            &mut core.batch,
-            &core.projections[side],
-            &reverse_row_key(bucket, pos),
-        );
-        let label = side_label(&core.query, side);
-        core.reverse.cache_row((side, bucket, pos), label, row)
-    }
-
-    /// Whether phase 2 still owes this estimate's tuples at `cutoff`.
-    fn owed(&self, e: &Estimate, cutoff: f64) -> bool {
-        let pair = (e.left_bucket, e.right_bucket);
-        e.max_score >= cutoff && !self.core.materialized.contains(&pair)
-    }
-
     /// Phase 2: materializes every estimate with `max_score >= cutoff`
-    /// not yet materialized — fetch reverse rows, join actual tuples
-    /// (re-checking join values), offer into the running top-k. Returns
-    /// whether there was any.
+    /// not yet materialized — fetch the reverse rows at the positions its
+    /// two blobs share (one merge, in increasing order), join actual
+    /// tuples (re-checking join values) and offer their ids into the
+    /// running top-k. Returns whether there was any.
     fn materialize(&mut self, cutoff: f64) -> Result<bool> {
-        // Lent out for the sweep, which reads the estimates while it
-        // fills the cache and the top-k (and fetches no bucket).
-        let estimates = std::mem::take(&mut self.core.estimates);
-        let progressed = self.materialize_from(&estimates, cutoff);
-        self.core.estimates = estimates;
-        progressed
-    }
-
-    fn materialize_from(&mut self, estimates: &[Estimate], cutoff: f64) -> Result<bool> {
-        let owed = estimates.iter().filter(|e| self.owed(e, cutoff));
-        let positions: usize = owed.map(|e| e.positions.len()).sum();
-        self.core.reverse.reserve(2 * positions);
+        let client = self.cluster.client();
+        let BfhmCore {
+            query,
+            projections,
+            batch,
+            sides,
+            estimates,
+            reverse,
+            results,
+            ..
+        } = &mut self.core;
+        let owed = estimates.iter().filter(|e| e.owed(cutoff));
+        reverse.reserve(2 * owed.map(|e| e.common).sum::<usize>());
         let mut progressed = false;
-        for e in estimates {
-            if !self.owed(e, cutoff) {
-                continue;
-            }
+        for e in estimates.iter_mut().filter(|e| e.owed(cutoff)) {
             progressed = true;
-            for &pos in &e.positions {
-                // Demand-fetch both cells first (mutating), then join over
-                // two shared borrows of the flat store; a match is copied
-                // out only if it enters the top-k.
-                self.ensure_reverse_row(0, e.left_bucket, pos)?;
-                self.ensure_reverse_row(1, e.right_bucket, pos)?;
-                let core = &mut self.core;
-                let score_fn = core.query.score_fn;
-                for (lk, lj, ls) in core.reverse.tuples(0, e.left_bucket, pos) {
-                    for (rk, rj, rs) in core.reverse.tuples(1, e.right_bucket, pos) {
+            let buckets = [e.left_bucket, e.right_bucket];
+            let (left, right) = (sides[0].blob(buckets[0])?, sides[1].blob(buckets[1])?);
+            for (pos, ..) in left.filter.common(&right.filter) {
+                // Demand-fetch both cells first, then join over the cache;
+                // a match enters the top-k as its two ids.
+                for side in 0..2 {
+                    let label = side_label(query, side);
+                    let cell = (side, buckets[side], pos);
+                    reverse.ensure(&client, batch, &projections[side], label, cell)?;
+                }
+                for l in reverse.ids(0, buckets[0], pos) {
+                    let (_, lj, ls) = reverse.tuple(l);
+                    for r in reverse.ids(1, buckets[1], pos) {
+                        let (_, rj, rs) = reverse.tuple(r);
                         if lj != rj {
                             continue; // Bloom collision on this bit
                         }
-                        core.results.offer_match(BinaryMatch {
-                            left_key: lk,
-                            right_key: rk,
-                            join_value: lj,
-                            left_score: ls,
-                            right_score: rs,
-                            score: score_fn.combine(ls, rs),
-                        });
+                        let score = query.score_fn.combine(ls, rs);
+                        results.offer(score, &[l, r], |_, id| reverse.tuple(id).0);
                     }
                 }
             }
             // Once every position is joined: a sweep that failed half-way
             // is made again, not skipped.
-            let pair = (e.left_bucket, e.right_bucket);
-            self.core.materialized.insert(pair);
+            e.materialized = true;
         }
         Ok(progressed)
     }
@@ -617,12 +661,7 @@ impl BfhmRun {
             .core
             .estimates
             .iter()
-            .filter(|e| {
-                !self
-                    .core
-                    .materialized
-                    .contains(&(e.left_bucket, e.right_bucket))
-            })
+            .filter(|e| !e.materialized)
             .map(|e| e.max_score)
             .fold(f64::NEG_INFINITY, f64::max);
         est.max(self.unexamined_bound(true))
@@ -663,14 +702,16 @@ impl BfhmRun {
                     Phase::FillInit
                 };
             }
-            Phase::Reexamine => {
+            Phase::Reexamine => 'step: {
                 // Re-examine: anything (purged estimate or unexamined
                 // combination) that could still reach the top-k? The k-th
                 // score is recomputed every step — materialization can
-                // only raise it, tightening the loop.
-                // rjlint: allow(no-unwrap) — guarded by the enclosing
-                // `results.is_full()` branch: the k-th score exists.
-                let kth = self.core.results.kth_score().expect("full");
+                // only raise it, tightening the loop. `Cutoff` came here
+                // with k results, so it exists; without it, fill.
+                let Some(kth) = self.core.results.kth_score() else {
+                    self.core.phase = Phase::FillInit;
+                    break 'step;
+                };
                 if self.threat_bound() < kth {
                     self.core.phase = Phase::Done;
                 } else {
@@ -719,12 +760,7 @@ impl BfhmRun {
                         .core
                         .estimates
                         .iter()
-                        .filter(|e| {
-                            !self
-                                .core
-                                .materialized
-                                .contains(&(e.left_bucket, e.right_bucket))
-                        })
+                        .filter(|e| !e.materialized)
                         .map(|e| e.max_score)
                         .fold(f64::NEG_INFINITY, f64::max);
                     let unexamined = self.unexamined_bound(true);
@@ -757,18 +793,17 @@ impl BfhmRun {
         Ok(())
     }
 
-    /// Flushes pending lazy write-backs (idempotent).
+    /// Flushes pending lazy write-backs (idempotent): each `(side,
+    /// bucket)` the run resolved is re-read and compacted once, with the
+    /// run's `m`. A write-back that fails stays pending, with every one
+    /// after it.
     fn flush_lazy_write_backs(&mut self) -> Result<()> {
-        if self.core.write_back != WriteBackPolicy::Lazy {
-            return Ok(());
-        }
-        let buckets = std::mem::take(&mut self.core.pending_write_backs);
-        for bucket in buckets {
-            for side in 0..2 {
-                let label = side_label(&self.core.query, side);
-                let codec = self.core.config.codec;
-                refresh_bucket(&self.cluster, self.core.table(), label, bucket, codec)?;
-            }
+        let core = &mut self.core;
+        while let Some(&(side, bucket)) = core.pending_write_backs.first() {
+            let label = side_label(&core.query, side);
+            let (m, codec) = (core.m, core.config.codec);
+            refresh_bucket(&self.cluster, core.table(), label, bucket, m, codec, 1)?;
+            core.pending_write_backs.remove(0);
         }
         Ok(())
     }
@@ -781,7 +816,7 @@ impl BfhmRun {
         let rounds = self.core.rounds as f64;
         let reverse_rows = self.core.reverse.cells_fetched() as f64;
         let bucket_gets = (self.core.sides[0].bucket_gets + self.core.sides[1].bucket_gets) as f64;
-        let results = std::mem::replace(&mut self.core.results, TopK::new(1)).into_sorted_vec();
+        let results = self.core.results(0..self.core.results.len());
         Ok(QueryOutcome::new("BFHM", results, meter.finish())
             .with_extra("buckets_fetched", buckets_fetched)
             .with_extra("bucket_gets", bucket_gets)
@@ -827,7 +862,7 @@ impl BfhmCursor {
     /// [`run_shared`] for why seeding is result-transparent).
     pub(crate) fn seed(&mut self, seed: &[JoinTuple], already_emitted: usize) {
         for t in seed {
-            self.run.core.results.offer(t.clone());
+            self.run.core.seed(t);
         }
         self.run.core.meta.emitted = already_emitted;
     }
@@ -855,13 +890,7 @@ impl BfhmCursor {
         if self.drained() {
             return self.run.core.results.len();
         }
-        let threat = self.run.threat_bound();
-        self.run
-            .core
-            .results
-            .iter()
-            .take_while(|t| t.score > threat)
-            .count()
+        self.run.core.results.count_above(self.run.threat_bound())
     }
 }
 
@@ -892,15 +921,7 @@ impl RankedCursor for BfhmCursor {
         }
         let delta = ledger.snapshot().delta_since(&before);
         self.run.core.meta.charged = snap_add(self.run.core.meta.charged, delta);
-        let results: Vec<JoinTuple> = self
-            .run
-            .core
-            .results
-            .iter()
-            .skip(self.run.core.meta.emitted)
-            .take(emit_to - self.run.core.meta.emitted)
-            .cloned()
-            .collect();
+        let results = self.run.core.results(self.run.core.meta.emitted..emit_to);
         self.run.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,
@@ -971,8 +992,11 @@ pub fn run(
 /// e.g. the buffered results of an aborted ISL prefix over the same query
 /// (the adaptive driver's reuse path, [`crate::adaptive`]). Seeding is
 /// result-transparent: the accumulator deduplicates, every seed is a real
-/// join tuple, and the §5.3 guarantee loop's termination test only ever
-/// compares against the k-th *genuine* buffered score — so the returned
+/// join tuple (its two tuples join the cache's columns without counting
+/// as fetched cells, so `reverse_rows_fetched` and the consumed depth
+/// count only the run's own gets), and the §5.3 guarantee loop's
+/// termination test only ever compares against the k-th *genuine*
+/// buffered score — so the returned
 /// top-k is identical to an unseeded run, while a seed that already
 /// covers part of the top-k can only raise the k-th bound earlier and
 /// *prune* bucket fetches and materializations.
@@ -995,7 +1019,7 @@ pub(crate) fn run_shared(
     let meter = QueryMeter::start(cluster.metrics());
     let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back)?;
     for t in seed {
-        run.core.results.offer(t.clone());
+        run.core.seed(t);
     }
     run.run_to_completion()?;
     run.finish(meter)
@@ -1156,6 +1180,64 @@ mod tests {
         // Estimate is per bucket pair, so those rows merge with summed
         // cardinalities.
         assert_eq!(got, want);
+    }
+
+    /// Seeding with an ISL prefix's results (the adaptive handoff) changes
+    /// no result, one-shot or through a cursor, and the seed's tuples are
+    /// not counted as fetched: a seeded cursor has consumed nothing, and a
+    /// run's gets are exactly the RPCs it billed after its metadata read.
+    #[test]
+    fn a_seeded_run_equals_the_unseeded_one_and_counts_only_its_own_gets() {
+        use crate::hrjn::{HrjnState, InputTuple};
+        use crate::testsupport::{fig1_r1, fig1_r2};
+        let (c, q) = running_example_cluster();
+        let config = example_config();
+        build(&c, &q, &config);
+        // The ISL prefix: HRJN over the best four tuples of each side.
+        let best_four = |rows: Vec<(&str, &[u8], f64)>| {
+            let mut rows: Vec<InputTuple> = rows
+                .into_iter()
+                .map(|(key, join, s)| (key.as_bytes().to_vec(), vec![join.to_vec()], s))
+                .collect();
+            rows.sort_by(|a, b| b.2.total_cmp(&a.2));
+            rows.truncate(4);
+            rows
+        };
+        let mut prefix = HrjnState::new(&q.to_spec(), 10);
+        for (side, rows) in [best_four(fig1_r1()), best_four(fig1_r2())]
+            .iter()
+            .enumerate()
+        {
+            for (key, joins, score) in rows {
+                let joins = joins.iter().map(Vec::as_slice);
+                prefix.push_borrowed(side, key, joins, *score).unwrap();
+            }
+        }
+        let seed = prefix.current_results();
+        assert_eq!(seed.len(), 3, "c: 0.93 + 0.64; d: 0.82 + 0.53, twice");
+
+        let query = Arc::new(q.clone());
+        let policy = WriteBackPolicy::Off;
+        for k in [1, 3, 5, 10] {
+            let run = |seed| run_shared(&c, &query, k, "bfhm_idx", &config, policy, seed).unwrap();
+            let (plain, seeded) = (run(&[]), run(&seed));
+            assert_eq!(seeded.results, plain.results, "k = {k}");
+            assert_eq!(seeded.results, oracle::topk(&c, &q.with_k(k)).unwrap());
+            for outcome in [&plain, &seeded] {
+                let gets = outcome.extra("bucket_gets").unwrap()
+                    + outcome.extra("reverse_rows_fetched").unwrap();
+                assert_eq!(outcome.metrics.rpc_calls, 1 + gets as u64, "k = {k}");
+            }
+            let reverse = |o: &QueryOutcome| o.extra("reverse_rows_fetched").unwrap();
+            assert!(reverse(&seeded) <= reverse(&plain), "k = {k}");
+
+            let mut cursor =
+                BfhmCursor::open(&c, &query, k, "bfhm_idx", &config, policy, None).unwrap();
+            cursor.seed(&seed, 0);
+            assert_eq!(cursor.consumed_depth(), 0, "k = {k}");
+            let page = cursor.next_batch(k, &StopPolicy::never()).unwrap();
+            assert_eq!(page.results, plain.results, "k = {k}");
+        }
     }
 
     /// The query fails with the typed codec error: one-shot, and through

@@ -8,6 +8,11 @@
 //! [`DrjnCore`]. The one-shot entry points drain the machine;
 //! [`DrjnCursor`] pumps the same machine on demand and yields certified
 //! results from the materialized joins between rounds.
+//!
+//! Every pulled tuple is held once, in its side's seen store
+//! ([`SeenSide`]); the running top-k is the shared id buffer ([`TopIds`])
+//! over the two stores' tuple ids, and a [`JoinTuple`] is built only for a
+//! result leaving the run.
 
 use std::sync::Arc;
 
@@ -29,7 +34,7 @@ use crate::cursor::{
 use crate::error::{RankJoinError, Result};
 use crate::hrjn::SeenSide;
 use crate::query::RankJoinQuery;
-use crate::result::{BinaryMatch, JoinTuple, TopK};
+use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
 use crate::stats::QueryOutcome;
 
@@ -105,37 +110,34 @@ fn pull_band(
     Ok(())
 }
 
-/// Decodes one pulled temp-table cell of side `s`, joins its tuple
-/// against the other side's seen tuples (a match is copied out only if it
-/// enters the top-k) and records it as seen. A cell that does not decode
-/// is an error: skipping it would drop every result its tuple joins into,
-/// silently.
+/// Decodes one pulled temp-table cell of side `s`, records its tuple as
+/// seen, and offers its joins with the other side's seen tuples to the
+/// top-k as id pairs (matches come only from the other side, so recording
+/// the tuple first changes nothing but gives it its id). A cell that does
+/// not decode is an error: skipping it would drop every result its tuple
+/// joins into, silently.
 fn join_pulled_cell(
     seen: &mut [SeenSide; 2],
-    results: &mut TopK,
+    results: &mut TopIds,
     score_fn: ScoreFn,
     s: usize,
     cell: &Cell,
 ) -> Result<()> {
     let (join, score) = codec::decode_one_value_score(&cell.value)?;
-    let other = &seen[1 - s];
-    for (other_key, other_score) in other.matches(0, join).map(|id| other.tuple(id)) {
-        let (left, right) = if s == 0 {
-            ((&cell.qualifier[..], score), (other_key, other_score))
-        } else {
-            ((other_key, other_score), (&cell.qualifier[..], score))
-        };
-        results.offer_match(BinaryMatch {
-            left_key: left.0,
-            right_key: right.0,
-            join_value: join,
-            left_score: left.1,
-            right_score: right.1,
-            score: score_fn.combine(left.1, right.1),
-        });
+    let id = seen[s].insert([join], &cell.qualifier, score);
+    let seen = &*seen;
+    for other in seen[1 - s].matches(0, join) {
+        let ids = if s == 0 { [id, other] } else { [other, id] };
+        let score = score_fn.combine(seen[0].tuple(ids[0]).1, seen[1].tuple(ids[1]).1);
+        results.offer(score, &ids, |side, id| seen[side].tuple(id).0);
     }
-    seen[s].insert([join], &cell.qualifier, score);
     Ok(())
+}
+
+/// Tuple `id` of `side`: base key, join value, score.
+fn tuple(seen: &[SeenSide; 2], side: usize, id: u32) -> (&[u8], &[u8], f64) {
+    let (key, score) = seen[side].tuple(id);
+    (key, seen[side].join_value(id, 0), score)
 }
 
 /// Process-wide sequence for temp-table names: concurrent DRJN queries on
@@ -157,7 +159,8 @@ pub(crate) struct DrjnCore {
     config: DrjnConfig,
     /// Seen tuples per side, keyed by join value (flat columnar store).
     seen: [SeenSide; 2],
-    results: TopK,
+    /// The running top-k: a seen-tuple id per side.
+    results: TopIds,
     /// Per-side fetched matrix rows (bucket → per-partition counts).
     rows: [Vec<Vec<u64>>; 2],
     cum_estimate: f64,
@@ -175,6 +178,13 @@ impl DrjnCore {
     /// Monotone progress measure: tuples pulled into the seen store.
     pub(crate) fn consumed_depth(&self) -> u64 {
         self.seen.iter().map(SeenSide::len).sum::<usize>() as u64
+    }
+
+    /// The buffered results of ranks `ranks`, built.
+    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+        let seen = &self.seen;
+        self.results
+            .binary_results(ranks, |side, id| tuple(seen, side, id))
     }
 }
 
@@ -208,7 +218,7 @@ impl DrjnRun {
                 index_table,
                 config: *config,
                 seen: [SeenSide::new(1), SeenSide::new(1)],
-                results: TopK::new(k),
+                results: TopIds::new(k, 2),
                 rows: [Vec::new(), Vec::new()],
                 cum_estimate: 0.0,
                 pulled_to: [f64::INFINITY, f64::INFINITY],
@@ -383,9 +393,9 @@ impl DrjnRun {
         Ok(true)
     }
 
-    fn finish(mut self, meter: QueryMeter) -> Result<QueryOutcome> {
+    fn finish(self, meter: QueryMeter) -> Result<QueryOutcome> {
         let consumed = self.core.consumed_depth();
-        let results = std::mem::replace(&mut self.core.results, TopK::new(1)).into_sorted_vec();
+        let results = self.core.results(0..self.core.results.len());
         Ok(QueryOutcome::new("DRJN", results, meter.finish())
             .with_extra("rounds", self.core.rounds as f64)
             .with_extra("histogram_depth", self.core.depth as f64)
@@ -435,13 +445,7 @@ impl DrjnCursor {
         if self.drained() {
             return self.run.core.results.len();
         }
-        let threat = self.run.threat_bound();
-        self.run
-            .core
-            .results
-            .iter()
-            .take_while(|t| t.score > threat)
-            .count()
+        self.run.core.results.count_above(self.run.threat_bound())
     }
 }
 
@@ -467,15 +471,7 @@ impl RankedCursor for DrjnCursor {
         let delta = ledger.snapshot().delta_since(&before);
         self.run.core.meta.charged = snap_add(self.run.core.meta.charged, delta);
         let emit_to = self.certified().min(want).max(self.run.core.meta.emitted);
-        let results: Vec<JoinTuple> = self
-            .run
-            .core
-            .results
-            .iter()
-            .skip(self.run.core.meta.emitted)
-            .take(emit_to - self.run.core.meta.emitted)
-            .cloned()
-            .collect();
+        let results = self.run.core.results(self.run.core.meta.emitted..emit_to);
         self.run.core.meta.emitted = emit_to;
         Ok(CursorBatch {
             results,
@@ -632,7 +628,7 @@ mod tests {
             value: value.into(),
         };
         let mut seen = [SeenSide::new(1), SeenSide::new(1)];
-        let mut results = TopK::new(3);
+        let mut results = TopIds::new(3, 2);
         let mut pull =
             |s, cell: &Cell| join_pulled_cell(&mut seen, &mut results, ScoreFn::Sum, s, cell);
         pull(0, &cell(b"l1", codec::encode_value_score(b"j", 0.5))).unwrap();
@@ -642,7 +638,7 @@ mod tests {
         ));
         pull(1, &cell(b"r1", codec::encode_value_score(b"j", 0.25))).unwrap();
         assert_eq!(seen[0].len() + seen[1].len(), 2, "the bad cell is not seen");
-        let joined = results.into_sorted_vec();
+        let joined = results.binary_results(0..results.len(), |side, id| tuple(&seen, side, id));
         assert_eq!(joined.len(), 1);
         assert_eq!(
             (&joined[0].left_key[..], &joined[0].right_key[..]),

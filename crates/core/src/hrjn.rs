@@ -33,23 +33,19 @@
 //! property-tested) in isolation.
 //!
 //! **Results are ids until they leave.** The operator must keep every
-//! tuple it has pulled, but hands back only `k` results, and most matches
-//! a join enumeration admits to the top-k are evicted again before the
-//! descent ends. So a buffered result is what the ranked-enumeration view
-//! (Tziavelis et al.) makes it: a tuple of pointers into the inputs — its
-//! score and one seen-tuple id per side — ranked by reading key bytes out
-//! of the seen-tuple arenas. A [`JoinTuple`] is built in one place, the
+//! tuple it has pulled, but hands back only `k` results, so it ranks into
+//! the shared id top-k ([`TopIds`]): a result is its score and one
+//! seen-tuple id per side, ranked by reading key bytes out of the
+//! seen-tuple arenas. A [`JoinTuple`] is built in one place, the
 //! operator's private `result` builder, when a result leaves the operator:
 //! a cursor's page, [`HrjnState::into_results`],
 //! [`HrjnState::current_results`] (the adaptive handoff).
-
-use std::cmp::Ordering;
 
 use rj_sketch::FlatMultiMap;
 
 use crate::error::{RankJoinError, Result};
 use crate::query::JoinSpec;
-use crate::result::JoinTuple;
+use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
 
 /// Per-side seen-tuple store in flat, cache-friendly layout.
@@ -63,7 +59,8 @@ use crate::score::ScoreFn;
 /// histogram scans), and per tuple one `u32` row holding the end of its
 /// key plus, per edge, the entry id of its join value — so any tuple's
 /// value on any edge is `by_edge[slot].key(entry)` and no byte is stored
-/// twice. A buffered HRJN result is one id per side into these columns.
+/// twice. A buffered HRJN or DRJN result is one id per side into these
+/// columns.
 #[derive(Clone)]
 pub(crate) struct SeenSide {
     /// Per incident edge: join value on that edge → group of tuple ids.
@@ -132,7 +129,7 @@ impl SeenSide {
     }
 
     /// Tuple `id`'s join value on its `slot`-th incident edge.
-    fn join_value(&self, id: u32, slot: usize) -> &[u8] {
+    pub(crate) fn join_value(&self, id: u32, slot: usize) -> &[u8] {
         self.by_edge[slot].key(self.rows[self.row(id) + 1 + slot])
     }
 
@@ -178,116 +175,6 @@ struct Step {
     parent_slot: usize,
 }
 
-/// The top-k buffer — the paper's `SortedList results; results.trim(k)`
-/// (Algorithm 2) — over complete assignments kept as ids: per entry the
-/// result's score and one seen-tuple id per side, ranked in
-/// [`JoinTuple::rank_cmp`] order. It admits, deduplicates and evicts
-/// exactly as [`crate::result::TopK`] does over the built tuples (a
-/// rank-equal duplicate is kept once, the first offered): a full buffer
-/// rejects by one comparison with its last entry, anything else costs
-/// `O(log k)` rank comparisons.
-///
-/// Entries stay in the slot they were written to — an admission into a
-/// full buffer overwrites the evicted entry's — and rank order is a column
-/// of slot numbers, so an admission shifts the slot numbers ranked after
-/// it: `O(k)` four-byte moves. That is cheap because the operator meets
-/// results roughly in rank order (its inputs descend in score), so most
-/// admissions land near the tail; a full enumeration (`k` past the join
-/// size, every result admitted: 59 940 on SF 0.01's Q2) measured no slower
-/// than the B-tree of built tuples this buffer replaced.
-#[derive(Clone)]
-struct TopIds {
-    k: usize,
-    /// Words per entry: `1 + n`.
-    stride: usize,
-    /// Entries by slot: the score's bits, then the chosen tuple's id on
-    /// every side in side order.
-    entries: Vec<u64>,
-    /// Slot of the entry at each rank.
-    ranked: Vec<u32>,
-}
-
-impl TopIds {
-    /// An empty buffer of the best `k` results over `sides` sides.
-    fn new(k: usize, sides: usize) -> Self {
-        TopIds {
-            k,
-            stride: 1 + sides,
-            entries: Vec::new(),
-            ranked: Vec::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ranked.len()
-    }
-
-    /// The words of the entry at `rank`.
-    fn entry(&self, rank: usize) -> &[u64] {
-        &self.entries[self.ranked[rank] as usize * self.stride..][..self.stride]
-    }
-
-    /// Entry `rank`'s score.
-    fn score(&self, rank: usize) -> f64 {
-        f64::from_bits(self.entry(rank)[0])
-    }
-
-    /// Entry `rank`'s seen-tuple id on `side`.
-    fn id(&self, rank: usize, side: usize) -> u32 {
-        self.entry(rank)[1 + side] as u32
-    }
-
-    /// The k-th (worst buffered) score, or `None` while fewer than `k`
-    /// results are buffered.
-    fn kth_score(&self) -> Option<f64> {
-        let len = self.len();
-        (len > 0 && len == self.k).then(|| self.score(len - 1))
-    }
-
-    /// [`JoinTuple::rank_cmp`] of the assignment `(score, chosen)` against
-    /// entry `rank`: score descending, then the sides' base keys — for a
-    /// fixed `n`, `(left, inner…, right)` is just sides `0..n`.
-    fn cmp(&self, inputs: &[Input], score: f64, chosen: &[u32], rank: usize) -> Ordering {
-        self.score(rank).total_cmp(&score).then_with(|| {
-            let key = |side: usize, id| inputs[side].seen.tuple(id).0;
-            (0..inputs.len())
-                .map(|side| key(side, chosen[side]).cmp(key(side, self.id(rank, side))))
-                .find(|order| order.is_ne())
-                .unwrap_or(Ordering::Equal)
-        })
-    }
-
-    /// Offers the assignment `(score, chosen)`: kept if it ranks among the
-    /// best `k` and no rank-equal entry is buffered already.
-    fn offer(&mut self, inputs: &[Input], chosen: &[u32], score: f64) {
-        let full = self.len() >= self.k;
-        if full && (self.k == 0 || self.cmp(inputs, score, chosen, self.k - 1).is_ge()) {
-            return;
-        }
-        let (mut at, mut end) = (0, self.len());
-        while at < end {
-            let mid = (at + end) / 2;
-            match self.cmp(inputs, score, chosen, mid) {
-                Ordering::Less => end = mid,
-                Ordering::Equal => return,
-                Ordering::Greater => at = mid + 1,
-            }
-        }
-        // A full buffer evicts its last entry and reuses its slot.
-        let evicted = if full { self.ranked.pop() } else { None };
-        let slot = evicted.unwrap_or_else(|| {
-            self.entries.resize(self.entries.len() + self.stride, 0);
-            u32::try_from(self.len()).expect("HRJN top-k past 2^32 results")
-        });
-        let entry = &mut self.entries[slot as usize * self.stride..][..self.stride];
-        entry[0] = score.to_bits();
-        for (word, &id) in entry[1..].iter_mut().zip(chosen) {
-            *word = u64::from(id);
-        }
-        self.ranked.insert(at, slot);
-    }
-}
-
 /// Backtracking walk: `walk` lists the sides still to assign, every parent
 /// before its children; the sides before it are fixed in `chosen`. Every
 /// complete assignment is offered, as ids, to `results`.
@@ -301,7 +188,7 @@ fn extend(
     let Some((step, rest)) = walk.split_first() else {
         let scores = inputs.iter().zip(&*chosen);
         let score = score_fn.combine_iter(scores.map(|(side, &id)| side.seen.tuple(id).1));
-        results.offer(inputs, chosen, score);
+        results.offer(score, chosen, |side, id| inputs[side].seen.tuple(id).0);
         return;
     };
     let value = inputs[step.parent]
@@ -565,7 +452,7 @@ impl HrjnState {
 
     /// Requested k.
     pub fn k(&self) -> usize {
-        self.results.k
+        self.results.k()
     }
 
     // ------------------------------------------------------------------
@@ -621,9 +508,7 @@ impl HrjnState {
     /// How many buffered results score strictly above `threshold` (they
     /// are buffered in rank order, so they are a prefix).
     pub(crate) fn results_above(&self, threshold: f64) -> usize {
-        (0..self.result_count())
-            .take_while(|&rank| self.results.score(rank) > threshold)
-            .count()
+        self.results.count_above(threshold)
     }
 
     /// The one [`JoinTuple`] builder: the buffered result of rank `rank`,

@@ -1,8 +1,18 @@
-//! Join result tuples and the bounded top-k list.
+//! Join result tuples and the two top-k buffers.
+//!
+//! Every coordinator algorithm — HRJN (ISL and the N-ary spine), BFHM and
+//! DRJN — ranks into one buffer, [`TopIds`]: a result is its score and one
+//! id per side into the tuple store the algorithm already keeps (HRJN's
+//! and DRJN's seen sides, BFHM's reverse-row cache), the ranked-enumeration
+//! view (Tziavelis et al.) of an answer as a tuple of pointers into the
+//! inputs. Most matches a join enumeration admits are evicted again before
+//! it ends, so a [`JoinTuple`] is built only when a result leaves the
+//! operator. [`TopK`] ranks owned tuples; it stays where the tuples are
+//! owned already: the MapReduce baselines and the oracle.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// One joined result tuple.
 ///
@@ -41,90 +51,181 @@ impl JoinTuple {
     /// tuples have empty `inner`, so their order is exactly the
     /// pre-N-ary `(left_key, right_key)` one.
     pub fn rank_cmp(&self, other: &JoinTuple) -> Ordering {
-        rank_cmp_keys(self, other)
+        let (inner, other_inner) = (self.inner.iter(), other.inner.iter());
+        other
+            .score
+            .total_cmp(&self.score)
+            .then_with(|| self.left_key.cmp(&other.left_key))
+            .then_with(|| {
+                inner
+                    .map(|(key, _)| key)
+                    .cmp(other_inner.map(|(key, _)| key))
+            })
+            .then_with(|| self.right_key.cmp(&other.right_key))
     }
 }
 
-/// The fields [`JoinTuple::rank_cmp`] orders by, readable without owning
-/// them — what lets [`TopK::admits`] rank a join match while its keys
-/// still sit in BFHM's reverse-row cache or DRJN's seen stores, before
-/// any [`JoinTuple`] is built for it. (HRJN ranks matches without it: its
-/// top-k buffers seen-tuple ids, see [`crate::hrjn`].)
-pub trait RankKey {
-    /// Aggregate score.
-    fn score(&self) -> f64;
-    /// Row key of side 0.
-    fn left_key(&self) -> &[u8];
-    /// Row key of the last side.
-    fn right_key(&self) -> &[u8];
-    /// Number of interior sides (0 for binary joins).
-    fn inner_len(&self) -> usize;
-    /// Row key of interior side `i` (side `i + 1` of the join).
-    fn inner_key(&self, i: usize) -> &[u8];
+/// The top-k buffer of every coordinator algorithm — the paper's
+/// `SortedList results; results.trim(k)` (Algorithm 2) — over results kept
+/// as ids: per entry the result's score and one id per side into the
+/// caller's tuple store, ranked in [`JoinTuple::rank_cmp`] order by reading
+/// the sides' base keys through the caller's key function (for a fixed
+/// side count, `(left, inner…, right)` is just sides `0..n`). It admits,
+/// deduplicates and evicts exactly as [`TopK`] does over the built tuples
+/// (a rank-equal duplicate is kept once, the first offered): a full buffer
+/// rejects by one comparison with its last entry, anything else costs
+/// `O(log k)` rank comparisons.
+///
+/// Entries stay in the slot they were written to — an admission into a
+/// full buffer overwrites the evicted entry's — and rank order is a column
+/// of slot numbers, so an admission shifts the slot numbers ranked after
+/// it: `O(k)` four-byte moves. That is cheap because the algorithms meet
+/// results roughly in rank order (their inputs descend in score), so most
+/// admissions land near the tail; a full enumeration (`k` past the join
+/// size, every result admitted: 59 940 on SF 0.01's Q2) measured no slower
+/// than the B-tree of built tuples this buffer replaced. Nothing is sized
+/// from `k`: the buffer grows with what it holds.
+#[derive(Clone, Debug)]
+pub struct TopIds {
+    k: usize,
+    /// Words per entry: `1 + sides`.
+    stride: usize,
+    /// Entries by slot: the score's bits, then the chosen tuple's id on
+    /// every side in side order.
+    entries: Vec<u64>,
+    /// Slot of the entry at each rank.
+    ranked: Vec<u32>,
 }
 
-impl RankKey for JoinTuple {
-    fn score(&self) -> f64 {
-        self.score
+impl TopIds {
+    /// An empty buffer of the best `k` results, each one id per side of
+    /// `sides`. `k = 0` is valid and retains nothing.
+    pub fn new(k: usize, sides: usize) -> Self {
+        TopIds {
+            k,
+            stride: 1 + sides,
+            entries: Vec::new(),
+            ranked: Vec::new(),
+        }
     }
-    fn left_key(&self) -> &[u8] {
-        &self.left_key
-    }
-    fn right_key(&self) -> &[u8] {
-        &self.right_key
-    }
-    fn inner_len(&self) -> usize {
-        self.inner.len()
-    }
-    fn inner_key(&self, i: usize) -> &[u8] {
-        &self.inner[i].0
-    }
-}
 
-/// A binary join match whose [`JoinTuple`] has not been built: its keys
-/// and join value still borrowed from wherever the operator keeps its
-/// tuples (BFHM's reverse-row cache, DRJN's seen stores and pulled
-/// cells). [`TopK::offer_match`] builds the owned tuple only if it enters
-/// the top-k.
-pub(crate) struct BinaryMatch<'a> {
-    pub left_key: &'a [u8],
-    pub right_key: &'a [u8],
-    pub join_value: &'a [u8],
-    pub left_score: f64,
-    pub right_score: f64,
-    /// `f(left_score, right_score)`.
-    pub score: f64,
-}
+    /// The `k` it keeps.
+    pub fn k(&self) -> usize {
+        self.k
+    }
 
-impl RankKey for BinaryMatch<'_> {
-    fn score(&self) -> f64 {
-        self.score
+    /// Number of buffered results (≤ k).
+    pub fn len(&self) -> usize {
+        self.ranked.len()
     }
-    fn left_key(&self) -> &[u8] {
-        self.left_key
-    }
-    fn right_key(&self) -> &[u8] {
-        self.right_key
-    }
-    fn inner_len(&self) -> usize {
-        0
-    }
-    fn inner_key(&self, _: usize) -> &[u8] {
-        &[]
-    }
-}
 
-/// The one definition of the rank order, over any two [`RankKey`]s.
-fn rank_cmp_keys<A: RankKey + ?Sized, B: RankKey + ?Sized>(a: &A, b: &B) -> Ordering {
-    b.score()
-        .total_cmp(&a.score())
-        .then_with(|| a.left_key().cmp(b.left_key()))
-        .then_with(|| {
-            let a_inner = (0..a.inner_len()).map(|i| a.inner_key(i));
-            let b_inner = (0..b.inner_len()).map(|i| b.inner_key(i));
-            a_inner.cmp(b_inner)
+    /// Whether nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.ranked.is_empty()
+    }
+
+    /// The words of the entry in `slot`.
+    fn slot(&self, slot: u32) -> &[u64] {
+        &self.entries[slot as usize * self.stride..][..self.stride]
+    }
+
+    /// The score of the result at `rank`.
+    pub fn score(&self, rank: usize) -> f64 {
+        f64::from_bits(self.slot(self.ranked[rank])[0])
+    }
+
+    /// The id on `side` of the result at `rank`.
+    pub fn id(&self, rank: usize, side: usize) -> u32 {
+        self.slot(self.ranked[rank])[1 + side] as u32
+    }
+
+    /// The k-th (worst buffered) score, or `None` while fewer than `k`
+    /// results are buffered — what the termination tests compare their
+    /// thresholds against.
+    pub fn kth_score(&self) -> Option<f64> {
+        let len = self.len();
+        (len > 0 && len == self.k).then(|| self.score(len - 1))
+    }
+
+    /// How many buffered results score strictly above `threshold`: a
+    /// prefix of the ranks, which a cursor may emit as final.
+    pub fn count_above(&self, threshold: f64) -> usize {
+        let score = |slot: u32| f64::from_bits(self.slot(slot)[0]);
+        self.ranked.partition_point(|&slot| score(slot) > threshold)
+    }
+
+    /// [`JoinTuple::rank_cmp`] of the result `(score, ids)` against the
+    /// one at `rank`.
+    fn cmp<'a>(
+        &self,
+        score: f64,
+        ids: &[u32],
+        key: &impl Fn(usize, u32) -> &'a [u8],
+        rank: usize,
+    ) -> Ordering {
+        self.score(rank).total_cmp(&score).then_with(|| {
+            (0..ids.len())
+                .map(|side| key(side, ids[side]).cmp(key(side, self.id(rank, side))))
+                .find(|order| order.is_ne())
+                .unwrap_or(Ordering::Equal)
         })
-        .then_with(|| a.right_key().cmp(b.right_key()))
+    }
+
+    /// Offers the result `(score, ids)` — one id per side, `key(side, id)`
+    /// the base key of tuple `id` of `side` — kept if it ranks among the
+    /// best `k` and no rank-equal result is buffered already.
+    pub fn offer<'a>(&mut self, score: f64, ids: &[u32], key: impl Fn(usize, u32) -> &'a [u8]) {
+        debug_assert_eq!(ids.len() + 1, self.stride, "one id per side");
+        let full = self.len() >= self.k;
+        if full && (self.k == 0 || self.cmp(score, ids, &key, self.k - 1).is_ge()) {
+            return;
+        }
+        let (mut at, mut end) = (0, self.len());
+        while at < end {
+            let mid = (at + end) / 2;
+            match self.cmp(score, ids, &key, mid) {
+                Ordering::Less => end = mid,
+                Ordering::Equal => return,
+                Ordering::Greater => at = mid + 1,
+            }
+        }
+        // A full buffer evicts its last entry and reuses its slot.
+        let evicted = if full { self.ranked.pop() } else { None };
+        let slot = evicted.unwrap_or_else(|| {
+            self.entries.resize(self.entries.len() + self.stride, 0);
+            u32::try_from(self.len()).expect("top-k past 2^32 results")
+        });
+        let entry = &mut self.entries[slot as usize * self.stride..][..self.stride];
+        entry[0] = score.to_bits();
+        for (word, &id) in entry[1..].iter_mut().zip(ids) {
+            *word = u64::from(id);
+        }
+        self.ranked.insert(at, slot);
+    }
+
+    /// The results of ranks `ranks` of a two-side join, built — where
+    /// BFHM and DRJN copy bytes out of their tuple stores, and only for
+    /// results leaving the run: `tuple(side, id)` reads a tuple's base
+    /// key, join value and score.
+    pub fn binary_results<'a>(
+        &self,
+        ranks: Range<usize>,
+        tuple: impl Fn(usize, u32) -> (&'a [u8], &'a [u8], f64),
+    ) -> Vec<JoinTuple> {
+        let result = |rank| {
+            let (left, right) = (tuple(0, self.id(rank, 0)), tuple(1, self.id(rank, 1)));
+            JoinTuple {
+                left_key: left.0.to_vec(),
+                right_key: right.0.to_vec(),
+                join_value: left.1.to_vec(),
+                left_score: left.2,
+                right_score: right.2,
+                inner: Vec::new(),
+                score: self.score(rank),
+            }
+        };
+        ranks.map(result).collect()
+    }
 }
 
 /// Wrapper giving `JoinTuple` the total order of [`JoinTuple::rank_cmp`].
@@ -145,36 +246,9 @@ impl Ord for Ranked {
     }
 }
 
-// `BTreeSet<Ranked>` lookups by a borrowed key: `dyn RankKey` carries the
-// same order as `Ranked`, as `Borrow` requires.
-impl<'a> Borrow<dyn RankKey + 'a> for Ranked {
-    fn borrow(&self) -> &(dyn RankKey + 'a) {
-        &self.0
-    }
-}
-
-impl PartialEq for dyn RankKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for dyn RankKey + '_ {}
-
-impl PartialOrd for dyn RankKey + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for dyn RankKey + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        rank_cmp_keys(self, other)
-    }
-}
-
-/// A bounded, deduplicating top-k accumulator — the paper's
-/// `SortedList results; results.trim(k)` idiom (Algorithm 2).
+/// A bounded, deduplicating top-k of owned tuples — the paper's
+/// `SortedList results; results.trim(k)` idiom (Algorithm 2) where the
+/// tuples already exist: the MapReduce baselines and the oracle.
 #[derive(Clone, Debug)]
 pub struct TopK {
     k: usize,
@@ -201,37 +275,6 @@ impl TopK {
         }
     }
 
-    /// Whether [`TopK::offer`]ing a tuple with this rank key would change
-    /// the retained set: it is not retained already and it ranks among the
-    /// best `k` (a tie with the k-th that sorts after it does not). BFHM's
-    /// materialization and DRJN's pull join test this on borrowed keys
-    /// (`TopK::offer_match`) and build the owned [`JoinTuple`] only for
-    /// the matches that pass.
-    pub fn admits(&self, candidate: &dyn RankKey) -> bool {
-        let room = self.set.len() < self.k;
-        let beats_last = self
-            .set
-            .last()
-            .is_some_and(|last| rank_cmp_keys(candidate, &last.0) == Ordering::Less);
-        (room || beats_last) && !self.set.contains(candidate)
-    }
-
-    /// [`TopK::offer`] for a match still borrowed: tested with
-    /// [`TopK::admits`] first, copied out only when it passes.
-    pub(crate) fn offer_match(&mut self, m: BinaryMatch<'_>) {
-        if self.admits(&m) {
-            self.offer(JoinTuple {
-                left_key: m.left_key.to_vec(),
-                right_key: m.right_key.to_vec(),
-                join_value: m.join_value.to_vec(),
-                left_score: m.left_score,
-                right_score: m.right_score,
-                inner: Vec::new(),
-                score: m.score,
-            });
-        }
-    }
-
     /// Number of retained tuples (≤ k).
     pub fn len(&self) -> usize {
         self.set.len()
@@ -243,8 +286,7 @@ impl TopK {
     }
 
     /// The k-th (worst retained) score, or `None` when fewer than k tuples
-    /// are held. This is the score the HRJN/BFHM termination tests compare
-    /// thresholds against.
+    /// are held.
     pub fn kth_score(&self) -> Option<f64> {
         if self.set.len() < self.k {
             None

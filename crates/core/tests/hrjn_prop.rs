@@ -1,15 +1,15 @@
 //! Property tests of the one HRJN operator: it equals brute force on
 //! arbitrary score-sorted inputs over two-side, 3-path and 3-star specs
-//! (modulo tie-sibling exchange at the k-th score); its top-k of
-//! seen-tuple ids is `TopK` to the bit, duplicate base keys included;
-//! `TopK::admits` predicts `TopK::offer` exactly; re-targeting a 3-way
-//! operator equals having run it at the new `k` from the start.
+//! (modulo tie-sibling exchange at the k-th score); the id top-k every
+//! coordinator algorithm ranks into is `TopK` to the bit, duplicate base
+//! keys included, under HRJN's, BFHM's and DRJN's offers; re-targeting a
+//! 3-way operator equals having run it at the new `k` from the start.
 
 use proptest::prelude::*;
 
 use rj_core::hrjn::{run_hrjn, HrjnState, InputTuple};
 use rj_core::query::{JoinSide, JoinSpec};
-use rj_core::result::{JoinTuple, TopK};
+use rj_core::result::{JoinTuple, TopIds, TopK};
 use rj_core::score::ScoreFn;
 
 #[derive(Clone, Copy, Debug)]
@@ -142,6 +142,74 @@ fn with_duplicates(mut sides: Vec<Vec<InputTuple>>, dups: &[(usize, u16)]) -> Ve
     sides
 }
 
+/// A binary tuple as BFHM's cache and DRJN's seen sides hold it: base
+/// key, join value, score.
+type Tuple = (Vec<u8>, Vec<u8>, f64);
+
+/// Offers every join match of `sides[0] × sides[1]` as a pull join meets
+/// them — `pulls` names the side that pulls its next tuple, which is then
+/// recorded and joined against the other side's recorded tuples — to a
+/// `TopIds` at `k` and to a `TopK` at `k` over the built tuples. Ids index
+/// one store per side (DRJN's seen sides) or, with `one_store`, a single
+/// store both sides push into (BFHM's reverse-row cache). Returns the
+/// `TopIds` results built, the `TopK` results, and how many matches were
+/// offered.
+fn rank_pull_join(
+    k: usize,
+    f: ScoreFn,
+    sides: [&[Tuple]; 2],
+    pulls: &[usize],
+    one_store: bool,
+) -> (Vec<JoinTuple>, Vec<JoinTuple>, usize) {
+    let mut stores: [Vec<&Tuple>; 2] = [Vec::new(), Vec::new()];
+    let mut recorded: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+    let (mut top_ids, mut top) = (TopIds::new(k, 2), TopK::new(k));
+    let mut offered = 0;
+    let mut at = [0usize; 2];
+    let rest = (0..2).flat_map(|i| std::iter::repeat_n(i, sides[i].len()));
+    for side in pulls.iter().map(|i| i % 2).chain(rest) {
+        let Some(t) = sides[side].get(at[side]) else {
+            continue;
+        };
+        at[side] += 1;
+        let store = if one_store { 0 } else { side };
+        recorded[side].push(stores[store].len() as u32);
+        stores[store].push(t);
+        let id = *recorded[side].last().unwrap();
+        let tuple = |side: usize, id: u32| stores[if one_store { 0 } else { side }][id as usize];
+        for &other in &recorded[1 - side] {
+            let ids = if side == 0 { [id, other] } else { [other, id] };
+            let (l, r) = (tuple(0, ids[0]), tuple(1, ids[1]));
+            if l.1 != r.1 {
+                continue;
+            }
+            offered += 1;
+            let score = f.combine(l.2, r.2);
+            top_ids.offer(score, &ids, |side, id| &tuple(side, id).0);
+            top.offer(built(l, r, score));
+        }
+    }
+    let tuple = |side: usize, id: u32| stores[if one_store { 0 } else { side }][id as usize];
+    let ranked = (0..top_ids.len()).map(|rank| {
+        let (l, r) = (tuple(0, top_ids.id(rank, 0)), tuple(1, top_ids.id(rank, 1)));
+        built(l, r, top_ids.score(rank))
+    });
+    (ranked.collect(), top.into_sorted_vec(), offered)
+}
+
+/// The result tuple of the binary match `l ⋈ r` scoring `score`.
+fn built(l: &Tuple, r: &Tuple, score: f64) -> JoinTuple {
+    JoinTuple {
+        left_key: l.0.clone(),
+        right_key: r.0.clone(),
+        join_value: l.1.clone(),
+        left_score: l.2,
+        right_score: r.2,
+        inner: Vec::new(),
+        score,
+    }
+}
+
 proptest! {
     #[test]
     fn hrjn_equals_brute_force(
@@ -175,15 +243,19 @@ proptest! {
         }
     }
 
-    /// The operator's top-k keeps seen-tuple ids and builds a `JoinTuple`
-    /// only when a result leaves; it must admit, deduplicate and evict
-    /// exactly as `TopK` does over built tuples. After every push of an
-    /// arbitrary interleaving, its results equal — exactly — `TopK` over
-    /// every join result among the tuples pushed so far, for every score
-    /// function, shape and `k` from 0 past the join size, with duplicate
-    /// base keys on a side. The early-terminating `run_hrjn` equals the
-    /// same brute force exactly wherever the top-k is one set (no tie
-    /// straddles the k-th score, or `k` reaches the join size).
+    /// The id top-k keeps tuple ids and builds a `JoinTuple` only when a
+    /// result leaves; it must admit, deduplicate and evict exactly as
+    /// `TopK` does over built tuples. In the HRJN operator: after every
+    /// push of an arbitrary interleaving, its results equal — exactly —
+    /// `TopK` over every join result among the tuples pushed so far, for
+    /// every score function, shape and `k` from 0 past the join size, with
+    /// duplicate base keys on a side. The early-terminating `run_hrjn`
+    /// equals the same brute force exactly wherever the top-k is one set
+    /// (no tie straddles the k-th score, or `k` reaches the join size).
+    /// Under BFHM's offers (one id space for both sides) and DRJN's (one
+    /// per side, each tuple recorded before its matches are offered), at
+    /// `k` of 0, 1, below and above the match count, the built results
+    /// equal `TopK`'s exactly.
     #[test]
     fn id_top_k_is_top_k_to_the_bit(
         shape in shape(),
@@ -208,7 +280,7 @@ proptest! {
         let mut at = vec![0usize; n];
         // The picked interleaving, then whatever it left, side by side.
         let rest = (0..n).flat_map(|i| std::iter::repeat_n(i, sides[i].len()));
-        for i in picks.into_iter().map(|i| i % n).chain(rest) {
+        for i in picks.iter().map(|i| i % n).chain(rest) {
             let Some(t) = sides[i].get(at[i]) else { continue };
             push(&mut state, i, t);
             at[i] += 1;
@@ -230,35 +302,20 @@ proptest! {
             prop_assert_eq!(scores(&got), scores(&want));
             prop_assert!(got.iter().all(|g| all.contains(g)));
         }
-    }
 
-    /// The borrowed admission test is true exactly when `offer` would
-    /// change the retained set — ties at the k-th score, duplicates and
-    /// `k = 0` included.
-    #[test]
-    fn topk_admits_iff_offer_changes_the_set(
-        k in 0usize..6,
-        // (score, left key, interior key, right key): tiny domains, so
-        // ties at every rank and exact duplicates are common.
-        offers in prop::collection::vec((0u32..4, 0u8..3, 0u8..3, 0u8..3), 0..40),
-        nary in any::<bool>(),
-    ) {
-        let mut top = TopK::new(k);
-        for (score, l, m, r) in offers {
-            let t = JoinTuple {
-                left_key: vec![l],
-                right_key: vec![r],
-                join_value: vec![b'j'],
-                left_score: 0.0,
-                right_score: 0.0,
-                inner: if nary { vec![(vec![m], 0.0)] } else { Vec::new() },
-                score: f64::from(score),
-            };
-            let before: Vec<JoinTuple> = top.iter().cloned().collect();
-            let admitted = top.admits(&t);
-            top.offer(t);
-            let after: Vec<JoinTuple> = top.iter().cloned().collect();
-            prop_assert_eq!(admitted, before != after);
+        // BFHM- and DRJN-shaped offers over the first two sides' tuples
+        // (their first join value), duplicates included.
+        let binary = with_duplicates(make_sides(&spec_of(Shape::Binary, k, f), &raw), &dups);
+        let tuples = |side: &Vec<InputTuple>| -> Vec<Tuple> {
+            side.iter().map(|(key, values, s)| (key.clone(), values[0].clone(), *s)).collect()
+        };
+        let (left, right) = (tuples(&binary[0]), tuples(&binary[1]));
+        let matches = rank_pull_join(0, f, [&left, &right], &picks, true).2;
+        for k in [0, 1, k, matches.saturating_sub(1), matches + 1] {
+            for one_store in [true, false] {
+                let (ids, owned, _) = rank_pull_join(k, f, [&left, &right], &picks, one_store);
+                prop_assert_eq!(ids, owned, "k = {}, one store: {}", k, one_store);
+            }
         }
     }
 

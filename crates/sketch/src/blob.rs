@@ -8,15 +8,16 @@
 //! impractical raw — but a [`BlobCodec::Raw`] escape hatch is provided so the
 //! ablation benches can quantify exactly what Golomb coding buys.
 //!
-//! The blob is two sorted arrays — set-bit positions (as gaps) and one
-//! counter per set bit — and so is the decoded [`HybridFilter`]: decoding
-//! moves the two vectors in, encoding reads them as slices. Bytes from the
-//! store are not trusted: [`BfhmBlob::decode`] reserves nothing the bytes
-//! present cannot fill and establishes the filter's invariant (positions
-//! strictly increasing and below `m`, counters ≥ 1) or fails, typed.
+//! The blob is the set-bit positions (as gaps) followed by one counter per
+//! set bit, and so is the decoded [`HybridFilter`]: one array, positions
+//! then counters. Decoding fills that array in one allocation and moves it
+//! in, encoding reads its two halves as slices. Bytes from the store are
+//! not trusted: [`BfhmBlob::decode`] reserves nothing the bytes present
+//! cannot fill and establishes the filter's invariant (positions strictly
+//! increasing and below `m`, counters ≥ 1) or fails, typed.
 
 use crate::golomb::{
-    decode_values, encode_adaptive, encode_sorted_positions, BitReader, CodecError,
+    check_count, decode_values, encode_adaptive, encode_sorted_positions, BitReader, CodecError,
 };
 use crate::hybrid::HybridFilter;
 
@@ -103,12 +104,14 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    /// One Rice-coded stream of `count` values: `k u8 | len u32 | bytes`.
-    fn rice_stream(&mut self, count: usize) -> Result<Vec<u32>, BlobError> {
+    /// One Rice-coded stream of `count` values, `k u8 | len u32 | bytes`,
+    /// checked to hold them but not yet decoded: its bits and `k`.
+    fn rice_stream(&mut self, count: usize) -> Result<(BitReader<'a>, u8), BlobError> {
         let k = self.u8()?;
         let len = self.u32()? as usize;
-        let mut bits = BitReader::new(self.take(len)?);
-        Ok(decode_values(&mut bits, count, k)?)
+        let bits = BitReader::new(self.take(len)?);
+        check_count(&bits, count, k)?;
+        Ok((bits, k))
     }
 
     /// `n` big-endian `u32`s, none of them read (or reserved for) unless
@@ -203,25 +206,35 @@ impl BfhmBlob {
         }
 
         // Positions arrive as gaps (Golomb) or as they are (Raw), counters
-        // as c - 1. Arithmetic that overflows lands on a value `from_parts`
-        // refuses: a position of `u32::MAX` is not below `m`, a counter
-        // of 0 is not a counter.
-        let (positions, mut counts): (Vec<u32>, Vec<u32>) = match codec {
+        // as c - 1, into the filter's one array: both halves are checked
+        // against the bytes before its one reservation. Arithmetic that
+        // overflows lands on a value `from_parts` refuses: a position of
+        // `u32::MAX` is not below `m`, a counter of 0 is not a counter.
+        let mut words: Vec<u32> = match codec {
             BlobCodec::Golomb => {
-                let mut positions = c.rice_stream(nbits)?;
+                let streams = [c.rice_stream(nbits)?, c.rice_stream(nbits)?];
+                let mut words = Vec::with_capacity(2 * nbits);
+                for (mut bits, k) in streams {
+                    decode_values(&mut bits, nbits, k, &mut words)?;
+                }
                 let mut next = 0u32; // the smallest position a gap can land on
-                for p in &mut positions {
+                for p in &mut words[..nbits] {
                     *p = next.saturating_add(*p);
                     next = p.saturating_add(1);
                 }
-                (positions, c.rice_stream(nbits)?)
+                words
             }
-            BlobCodec::Raw => (c.u32s(nbits)?.collect(), c.u32s(nbits)?.collect()),
+            BlobCodec::Raw => {
+                let positions = c.u32s(nbits)?;
+                positions.chain(c.u32s(nbits)?).collect()
+            }
         };
-        counts.iter_mut().for_each(|c| *c = c.wrapping_add(1));
-        let filter = HybridFilter::from_parts(m, n, positions, counts).ok_or(
-            BlobError::Invalid("positions not increasing below m, or a counter of 0"),
-        )?;
+        words[nbits..]
+            .iter_mut()
+            .for_each(|c| *c = c.wrapping_add(1));
+        let filter = HybridFilter::from_parts(m, n, words).ok_or(BlobError::Invalid(
+            "positions not increasing below m, or a counter of 0",
+        ))?;
         Ok(BfhmBlob {
             filter,
             min_score,

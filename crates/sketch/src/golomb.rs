@@ -157,15 +157,10 @@ pub fn encode_adaptive(values: impl Iterator<Item = u64> + Clone) -> (u8, Vec<u8
     (k, w.finish())
 }
 
-/// Decodes `count` Rice-coded values with parameter `k` from `r`, each
-/// narrowed to `T`. `count` and `k` come from an untrusted header: nothing
-/// is reserved for a count the stream is too short to hold (a value takes
-/// at least `1 + k` bits), and a value that does not fit `T` is an error.
-pub fn decode_values<T: TryFrom<u64>>(
-    r: &mut BitReader<'_>,
-    count: usize,
-    k: u8,
-) -> Result<Vec<T>, CodecError> {
+/// Checks that `r` can hold `count` more Rice-coded values with
+/// parameter `k` — a value takes at least `1 + k` bits — before anything
+/// is reserved for them. `count` and `k` come from an untrusted header.
+pub fn check_count(r: &BitReader<'_>, count: usize, k: u8) -> Result<(), CodecError> {
     if k > 63 {
         return Err(CodecError("rice parameter out of range"));
     }
@@ -173,7 +168,21 @@ pub fn decode_values<T: TryFrom<u64>>(
     if count > unread_bits / (1 + usize::from(k)) {
         return Err(CodecError("more values announced than the stream holds"));
     }
-    let mut out = Vec::with_capacity(count);
+    Ok(())
+}
+
+/// Decodes `count` Rice-coded values with parameter `k` from `r` onto the
+/// end of `out`, each narrowed to `T`. Nothing is reserved for a count the
+/// stream is too short to hold ([`check_count`]), and a value that does
+/// not fit `T` is an error.
+pub fn decode_values<T: TryFrom<u64>>(
+    r: &mut BitReader<'_>,
+    count: usize,
+    k: u8,
+    out: &mut Vec<T>,
+) -> Result<(), CodecError> {
+    check_count(r, count, k)?;
+    out.reserve(count);
     for _ in 0..count {
         let q = r.read_unary()?;
         let rem = r.read_bits(k)?;
@@ -184,7 +193,7 @@ pub fn decode_values<T: TryFrom<u64>>(
             .ok_or(CodecError("value out of range"))?;
         out.push(value);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compresses a sorted list of set-bit positions as first-order gaps.
@@ -213,7 +222,8 @@ mod tests {
 
     /// Inverse of [`encode_sorted_positions`]: gaps back to positions.
     fn decode_sorted_positions(bytes: &[u8], count: usize, k: u8) -> Vec<u64> {
-        let gaps: Vec<u64> = decode_values(&mut BitReader::new(bytes), count, k).unwrap();
+        let mut gaps: Vec<u64> = Vec::new();
+        decode_values(&mut BitReader::new(bytes), count, k, &mut gaps).unwrap();
         let positions = gaps.iter().scan(0, |next, gap| {
             let position = *next + gap;
             *next = position + 1;
@@ -254,11 +264,9 @@ mod tests {
             let mut w = BitWriter::new();
             encode_values(&mut w, values, k);
             let bytes = w.finish();
-            let mut r = BitReader::new(&bytes);
-            assert_eq!(
-                decode_values::<u64>(&mut r, values.len(), k).unwrap(),
-                values
-            );
+            let mut decoded: Vec<u64> = Vec::new();
+            decode_values(&mut BitReader::new(&bytes), values.len(), k, &mut decoded).unwrap();
+            assert_eq!(decoded, values);
         }
     }
 

@@ -11,28 +11,29 @@
 //!
 //! # Layout
 //!
-//! The in-memory layout *is* the blob's: two parallel vectors, the set
-//! bit positions in strictly increasing order and one counter (≥ 1) per
-//! position. A blob decode moves its two arrays in, an encode reads them
-//! as slices, a bucket join is a two-pointer merge, an insert or remove a
-//! binary search (plus a shifting insert or removal for a position's
-//! first or last tuple). The bitmap is never materialized: a bit is set
-//! exactly when its position is in the array.
+//! The in-memory layout *is* the blob's: one array holding the set bit
+//! positions in strictly increasing order, then one counter (≥ 1) per
+//! position, in the same order. A blob decode moves the array in, an
+//! encode reads its two halves as slices, a bucket join is a two-pointer
+//! merge that allocates nothing ([`HybridFilter::common`]), an insert or
+//! remove a binary search (plus a shifting insert or removal for a
+//! position's first or last tuple). The bitmap is never materialized: a
+//! bit is set exactly when its position is in the array.
 
 use std::cmp::Ordering;
 
-/// Single-hash Bloom filter + per-set-bit counters, as two sorted
-/// parallel arrays (see the module docs).
+/// Single-hash Bloom filter + per-set-bit counters, as one sorted array
+/// of positions followed by their counters (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct HybridFilter {
     /// Bitmap size in bits.
     m: usize,
     /// Insertions currently represented (`n` in `PT`).
     n_inserted: u64,
-    /// Set bit positions, strictly increasing, each `< m`.
-    positions: Vec<u32>,
-    /// `counts[i]` tuples hashed to `positions[i]`; never 0.
-    counts: Vec<u32>,
+    /// The set bit positions, strictly increasing and each `< m`, then
+    /// the counter of each (never 0): `words[..len / 2]` and
+    /// `words[len / 2..]`.
+    words: Vec<u32>,
 }
 
 /// How bucket-join cardinality estimates compensate for false positives.
@@ -52,19 +53,21 @@ impl HybridFilter {
         HybridFilter {
             m,
             n_inserted: 0,
-            positions: Vec::new(),
-            counts: Vec::new(),
+            words: Vec::new(),
         }
     }
 
     /// Inserts a join value; returns the bit position it was recorded at.
     pub fn insert(&mut self, join_value: &[u8]) -> u32 {
         let pos = self.position(join_value);
-        match self.positions.binary_search(&pos) {
-            Ok(at) => self.counts[at] += 1,
+        let half = self.set_bit_count();
+        match self.set_positions().binary_search(&pos) {
+            Ok(at) => self.words[half + at] += 1,
             Err(at) => {
-                self.positions.insert(at, pos);
-                self.counts.insert(at, 1);
+                // The counter first, so the position's shift moves it into
+                // place.
+                self.words.insert(half + at, 1);
+                self.words.insert(at, pos);
             }
         }
         self.n_inserted += 1;
@@ -78,12 +81,13 @@ impl HybridFilter {
     /// blob never saw — ignored, matching timestamp-ordered replay).
     pub fn remove(&mut self, join_value: &[u8]) -> Option<u32> {
         let pos = self.position(join_value);
-        let at = self.positions.binary_search(&pos).ok()?;
-        if self.counts[at] > 1 {
-            self.counts[at] -= 1;
+        let half = self.set_bit_count();
+        let at = self.set_positions().binary_search(&pos).ok()?;
+        if self.words[half + at] > 1 {
+            self.words[half + at] -= 1;
         } else {
-            self.positions.remove(at);
-            self.counts.remove(at);
+            self.words.remove(half + at);
+            self.words.remove(at);
         }
         self.n_inserted = self.n_inserted.saturating_sub(1);
         Some(pos)
@@ -91,9 +95,9 @@ impl HybridFilter {
 
     /// The counter at `pos` (0 when the bit is clear).
     pub fn counter(&self, pos: u32) -> u32 {
-        self.positions
+        self.set_positions()
             .binary_search(&pos)
-            .map_or(0, |at| self.counts[at])
+            .map_or(0, |at| self.counts()[at])
     }
 
     /// Bit position a join value would map to.
@@ -103,18 +107,18 @@ impl HybridFilter {
 
     /// Set bit positions in increasing order.
     pub fn set_positions(&self) -> &[u32] {
-        &self.positions
+        &self.words[..self.set_bit_count()]
     }
 
     /// The counter of each set bit, parallel to
     /// [`HybridFilter::set_positions`].
     pub fn counts(&self) -> &[u32] {
-        &self.counts
+        &self.words[self.set_bit_count()..]
     }
 
     /// Number of distinct set bits.
     pub fn set_bit_count(&self) -> usize {
-        self.positions.len()
+        self.words.len() / 2
     }
 
     /// Total insertions currently represented (`n` in `PT`).
@@ -124,7 +128,7 @@ impl HybridFilter {
 
     /// Sum of all counters — the number of tuples recorded in this bucket.
     pub fn total_count(&self) -> u64 {
-        self.counts.iter().map(|&c| u64::from(c)).sum()
+        self.counts().iter().map(|&c| u64::from(c)).sum()
     }
 
     /// Bitmap size `m`.
@@ -138,60 +142,69 @@ impl HybridFilter {
         1.0 - (-(self.n_inserted as f64) / self.m as f64).exp()
     }
 
-    /// Common set-bit positions with `other` (the bitwise AND of
-    /// Algorithm 7 line 4, materialized as positions), in increasing order.
-    pub fn common_positions(&self, other: &HybridFilter) -> Vec<u32> {
-        self.join_estimate(other, AlphaMode::Off).0
-    }
-
-    /// One bucket join, in one two-pointer merge: the common set-bit
-    /// positions and the estimated join cardinality `Σ c_A(bit)·c_B(bit)`
-    /// over them, scaled by `α = (1-PT_A)(1-PT_B)` when compensation is on
-    /// (Algorithm 7 line 8 with §5.3's α).
-    pub fn join_estimate(&self, other: &HybridFilter, mode: AlphaMode) -> (Vec<u32>, f64) {
+    /// The common set-bit positions with `other` (the bitwise AND of
+    /// Algorithm 7 line 4) as `(position, counter here, counter there)`,
+    /// in increasing order: a two-pointer merge that allocates nothing.
+    pub fn common<'a>(
+        &'a self,
+        other: &'a HybridFilter,
+    ) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
         assert_eq!(self.m, other.m, "bucket join requires equal filter sizes");
-        let mut positions = Vec::new();
-        let mut raw = 0u64;
-        let (mut a, mut b) = (0, 0);
-        while a < self.positions.len() && b < other.positions.len() {
-            match self.positions[a].cmp(&other.positions[b]) {
-                Ordering::Less => a += 1,
-                Ordering::Greater => b += 1,
-                Ordering::Equal => {
-                    positions.push(self.positions[a]);
-                    raw += u64::from(self.counts[a]) * u64::from(other.counts[b]);
-                    a += 1;
-                    b += 1;
+        let (a, b) = (self.set_positions(), other.set_positions());
+        let (mut i, mut j) = (0, 0);
+        std::iter::from_fn(move || {
+            while i < a.len() && j < b.len() {
+                match a[i].cmp(&b[j]) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        (i, j) = (i + 1, j + 1);
+                        return Some((a[i - 1], self.counts()[i - 1], other.counts()[j - 1]));
+                    }
                 }
             }
-        }
+            None
+        })
+    }
+
+    /// Common set-bit positions with `other`, in increasing order.
+    pub fn common_positions(&self, other: &HybridFilter) -> Vec<u32> {
+        self.common(other).map(|(pos, ..)| pos).collect()
+    }
+
+    /// One bucket join: how many set bits the two filters share, and the
+    /// estimated join cardinality `Σ c_A(bit)·c_B(bit)` over them, scaled
+    /// by `α = (1-PT_A)(1-PT_B)` when compensation is on (Algorithm 7 line
+    /// 8 with §5.3's α).
+    pub fn join_estimate(&self, other: &HybridFilter, mode: AlphaMode) -> (usize, f64) {
+        let (common, raw) = self
+            .common(other)
+            .fold((0, 0u64), |(common, raw), (_, a, b)| {
+                (common + 1, raw + u64::from(a) * u64::from(b))
+            });
         let alpha = match mode {
             AlphaMode::Compensated => (1.0 - self.pt()) * (1.0 - other.pt()),
             AlphaMode::Off => 1.0,
         };
-        (positions, raw as f64 * alpha)
+        (common, raw as f64 * alpha)
     }
 
-    /// Builds a filter from persisted parts (blob decoding), taking the
-    /// two arrays as they are — or `None` if they cannot be a filter's:
-    /// positions must be strictly increasing and below `m`, counters at
-    /// least 1 and one per position.
-    pub fn from_parts(
-        m: usize,
-        n_inserted: u64,
-        positions: Vec<u32>,
-        counts: Vec<u32>,
-    ) -> Option<Self> {
-        let valid = positions.len() == counts.len()
-            && positions.windows(2).all(|pair| pair[0] < pair[1])
-            && positions.last().map_or(m > 0, |&last| (last as usize) < m)
-            && counts.iter().all(|&c| c > 0);
-        valid.then_some(HybridFilter {
+    /// Builds a filter from its persisted array (blob decoding), taken as
+    /// it is — or `None` if it cannot be a filter's: one counter per
+    /// position, positions strictly increasing and below `m`, counters at
+    /// least 1.
+    pub fn from_parts(m: usize, n_inserted: u64, words: Vec<u32>) -> Option<Self> {
+        let filter = HybridFilter {
             m,
             n_inserted,
-            positions,
-            counts,
-        })
+            words,
+        };
+        let positions = filter.set_positions();
+        let valid = filter.words.len().is_multiple_of(2)
+            && positions.windows(2).all(|pair| pair[0] < pair[1])
+            && positions.last().map_or(m > 0, |&last| (last as usize) < m)
+            && filter.counts().iter().all(|&c| c > 0);
+        valid.then_some(filter)
     }
 }
 
@@ -282,11 +295,11 @@ mod tests {
     #[test]
     fn from_parts_roundtrip() {
         let f = filter_of(4096, &[b"a", b"b", b"b", b"c", b"zebra"]);
-        let (positions, counts) = (f.set_positions().to_vec(), f.counts().to_vec());
-        let g = HybridFilter::from_parts(f.m(), f.n_inserted(), positions, counts);
+        let words = [f.set_positions(), f.counts()].concat();
+        let g = HybridFilter::from_parts(f.m(), f.n_inserted(), words);
         assert_eq!(g, Some(f));
         let none = |m, positions: &[u32], counts: &[u32]| {
-            HybridFilter::from_parts(m, 1, positions.to_vec(), counts.to_vec()).is_none()
+            HybridFilter::from_parts(m, 1, [positions, counts].concat()).is_none()
         };
         assert!(none(64, &[3, 3], &[1, 1]) && none(64, &[5, 3], &[1, 1]));
         assert!(none(64, &[64], &[1]) && none(64, &[3], &[0]) && none(64, &[3], &[]));

@@ -17,8 +17,8 @@ proptest! {
     fn golomb_positions_roundtrip(position_set in prop::collection::btree_set(0u64..1_000_000, 0..300)) {
         let positions: Vec<u64> = position_set.into_iter().collect();
         let (k, bytes) = encode_sorted_positions(positions.iter().copied());
-        let mut decoded: Vec<u64> =
-            decode_values(&mut BitReader::new(&bytes), positions.len(), k).unwrap();
+        let mut decoded: Vec<u64> = Vec::new();
+        decode_values(&mut BitReader::new(&bytes), positions.len(), k, &mut decoded).unwrap();
         let mut next = 0; // gaps back to positions
         for p in &mut decoded {
             *p += next;
@@ -166,13 +166,16 @@ proptest! {
         let common: Vec<u32> = model_l.keys().filter(|p| model_r.contains_key(p)).copied().collect();
         let raw: u64 = common.iter().map(|p| u64::from(model_l[p]) * u64::from(model_r[p])).sum();
         prop_assert_eq!(fl.common_positions(&fr), common.clone());
+        let with_counters: Vec<(u32, u32, u32)> =
+            common.iter().map(|p| (*p, model_l[p], model_r[p])).collect();
+        prop_assert_eq!(fl.common(&fr).collect::<Vec<_>>(), with_counters);
         for mode in [AlphaMode::Off, AlphaMode::Compensated] {
             let alpha = match mode {
                 AlphaMode::Compensated => (1.0 - fl.pt()) * (1.0 - fr.pt()),
                 AlphaMode::Off => 1.0,
             };
-            let (positions, cardinality) = fl.join_estimate(&fr, mode);
-            prop_assert_eq!(positions, common.clone());
+            let (shared, cardinality) = fl.join_estimate(&fr, mode);
+            prop_assert_eq!(shared, common.len());
             prop_assert_eq!(cardinality.to_bits(), (raw as f64 * alpha).to_bits());
         }
     }

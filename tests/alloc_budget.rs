@@ -14,16 +14,19 @@
 //! process-wide instead, while no other test of the binary runs
 //! ([`ALONE`]).
 //!
-//! BFHM's read path borrows in the same way: a run resolves its two
-//! family projections once and refills one row batch for every bucket and
-//! reverse-mapping get (`Client::get_into`), a decoded blob *is* the
-//! hybrid filter's two arrays, cells are decoded in place, and a match is
-//! materialised only when it enters the top-k. What it still pays per
-//! step is an estimate's position vector, a fetched blob's two arrays and
-//! the cache's column growth; its one-shot budget below is that figure,
-//! and two shape tests pin that a get itself allocates nothing. DRJN's
-//! pull join tests admission on borrowed keys too, but its pulled rows are
-//! still collected owned and its seen sides built by incremental pushes.
+//! BFHM's read path borrows in the same way: a run resolves its
+//! projections once and refills one row batch for every get, the
+//! metadata row's included (`Client::get_into`); a decoded blob *is* the
+//! hybrid filter's one array; an estimate is a bucket pair and its
+//! numbers, whose shared positions a merge re-derives without allocating;
+//! cells are decoded in place into the cache's columns, and the top-k
+//! ranks the cache's tuple ids, so a match is built only when it leaves
+//! the run. What it still pays is one array per fetched blob, the cache's
+//! column growth and the results it hands back; its one-shot budget below
+//! is that figure, and shape tests pin that a get, a blob decode beyond
+//! its array and an estimate allocate nothing. DRJN's pull join ranks ids
+//! into its seen sides the same way, but its pulled rows are still
+//! collected owned and its seen sides built by incremental pushes.
 //!
 //! No run copies its query: an executor shares one query (and its
 //! two-side spec) with every run and cursor and passes `k` as an
@@ -52,7 +55,8 @@ use counting_alloc::{counted, counted_bytes, counted_process_wide, CountingAlloc
 use rankjoin::core::bfhm::maintenance::{compact_if_pending, BfhmMaintainer};
 use rankjoin::core::cursor::{CursorState, RankedCursor};
 use rankjoin::core::{bfhm, isl};
-use rankjoin::sketch::blob::BlobCodec;
+use rankjoin::sketch::blob::{BfhmBlob, BlobCodec};
+use rankjoin::sketch::hybrid::{AlphaMode, HybridFilter};
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinEdge, JoinSide, JoinSpec,
@@ -69,10 +73,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static ALONE: RwLock<()> = RwLock::new(());
 
 const ISL_BATCH: usize = 64;
-/// One-shot BFHM on Q2 at k = 10: 85 allocations for 37 KV reads (109
-/// when every run copied the query twice, 504 when a blob decoded into a
-/// B-tree and a bitmap and every get built an owned row).
-const BFHM_ALLOCS_PER_1000_READS: u64 = 2_400;
+/// One-shot BFHM on Q2 at k = 10: 64 allocations for 37 KV reads (85 when
+/// a blob decoded into two arrays, an estimate kept its positions and the
+/// top-k built every match it admitted; 109 when every run copied the
+/// query twice, 504 when a blob decoded into a B-tree and a bitmap and
+/// every get built an owned row).
+const BFHM_ALLOCS_PER_1000_READS: u64 = 1_800;
 /// One-shot DRJN on Q2 at k = 10: 12 815 allocations, give or take a few
 /// (the order parallel map tasks write the pull table in decides a few
 /// B-tree node splits), for 115 239 KV reads (14 051 when each round
@@ -339,16 +345,50 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     };
     let extra_gets = (gets(&deep) - gets(&shallow)) as u64;
     assert!(extra_gets >= 100, "k = 50 made only {extra_gets} more gets");
-    // What the deeper run may pay for: three keys per extra admitted
-    // result, a few more estimates (a position vector each) and blobs (two
-    // arrays each), and regrowth of the cache's columns — not the gets.
-    // Measured: 85 and 274 allocations, 33 and 171 gets; at seven
-    // allocations a get the difference alone was 966.
-    let budget = 3 * 40 + 100;
+    // What the deeper run may pay for: three keys per extra result, a few
+    // more blobs (one array each) and regrowth of the cache's columns and
+    // the top-k — not the gets. Measured: 64 and 204 allocations, 33 and 171
+    // gets (85 and 274 while estimates kept position vectors, blobs
+    // decoded into two arrays and the top-k copied admitted matches); at
+    // seven allocations a get the difference alone was 966.
+    let budget = 3 * 40 + 24;
     assert!(
         deep_allocs <= shallow_allocs + budget,
         "k = 10: {shallow_allocs} allocations, k = 50: {deep_allocs}, for {extra_gets} more gets"
     );
+}
+
+/// Two hybrid filters over 400 join values, 200 of them shared.
+fn bucket_filters() -> [HybridFilter; 2] {
+    let mut filters = [HybridFilter::new(1 << 16), HybridFilter::new(1 << 16)];
+    for i in 0..400u64 {
+        filters[0].insert(&i.to_be_bytes());
+        filters[1].insert(&(i + 200).to_be_bytes());
+    }
+    filters
+}
+
+#[test]
+fn a_golomb_blob_decode_is_one_allocation() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [filter, _] = bucket_filters();
+    let bytes = BfhmBlob::new(filter.clone(), 0.25, 0.75).encode(BlobCodec::Golomb);
+    // The filter's one array: positions, then counters (it was two).
+    let (blob, allocs) = counted(|| BfhmBlob::decode(&bytes).unwrap());
+    assert_eq!(blob.filter, filter);
+    assert_eq!(allocs, 1);
+}
+
+#[test]
+fn a_bucket_pair_estimate_allocates_nothing() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [left, right] = bucket_filters();
+    // A merge over the two arrays; it used to collect the shared positions.
+    let ((common, cardinality), allocs) =
+        counted(|| left.join_estimate(&right, AlphaMode::Compensated));
+    assert_eq!(common, left.common_positions(&right).len());
+    assert!(common >= 200 && cardinality > 0.0);
+    assert_eq!(allocs, 0);
 }
 
 #[test]
