@@ -55,6 +55,11 @@ pub const RULES: &[RuleInfo] = &[
         scope: "crates/{store,core,serve,sketch,tpch,mapreduce,bench}/src and src/",
     },
     RuleInfo {
+        id: "thread-local",
+        summary: "no `thread_local!` outside the recycler module — per-thread state stays in one audited file (`crates/core/src/spare.rs`), so nothing else a run leaves behind depends on which thread ran it",
+        scope: "non-test code in crates/{core,serve,store,sketch}/src except crates/core/src/spare.rs",
+    },
+    RuleInfo {
         id: "suppression-contract",
         summary: "every `// rjlint: allow(<rule>)` names a known rule and carries a non-empty justification",
         scope: "all workspace sources",
@@ -186,6 +191,9 @@ pub struct FileScope {
     /// Exempt from `thread-discipline` (the pool itself and the vendored
     /// shims).
     pub thread_allowlisted: bool,
+    /// Subject to `thread-local` (the library crates, minus the recycler
+    /// module).
+    pub thread_local_scope: bool,
     /// Vendored stand-in for an external crate.
     pub is_shim: bool,
 }
@@ -213,11 +221,18 @@ impl FileScope {
                 || p.starts_with("crates/bench/")
                 || p.starts_with("src/"));
         let thread_allowlisted = is_shim || p == "crates/store/src/pool.rs";
+        let thread_local_scope = is_library_src
+            && (p.starts_with("crates/core/src/")
+                || p.starts_with("crates/serve/src/")
+                || p.starts_with("crates/store/src/")
+                || p.starts_with("crates/sketch/src/"))
+            && p != "crates/core/src/spare.rs";
         FileScope {
             is_library_src,
             no_unwrap_scope,
             sim_time_scope,
             thread_allowlisted,
+            thread_local_scope,
             is_shim,
         }
     }
@@ -352,6 +367,22 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
                     ),
                 );
             }
+        }
+    }
+
+    // thread-local: per-thread state outside the recycler module.
+    if scope.thread_local_scope {
+        for at in word_occurrences(&flat, "thread_local") {
+            let line = file.line_of_offset(at);
+            let is_macro = flat[skip_ws(&flat, at + "thread_local".len())..].starts_with('!');
+            if !is_macro || is_test_line(line) {
+                continue;
+            }
+            push(
+                "thread-local",
+                line,
+                "`thread_local!` outside `crates/core/src/spare.rs` — keep per-thread state in the recycler module".to_string(),
+            );
         }
     }
 

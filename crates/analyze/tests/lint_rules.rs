@@ -158,6 +158,48 @@ fn thread_allowlist_and_tests_are_accepted() {
     assert!(scan("crates/serve/src/x.rs", in_test).clean());
 }
 
+// ----------------------------------------------------------- thread-local
+
+#[test]
+fn thread_local_outside_the_recycler_fires() {
+    let src = "thread_local! {\n    static N: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };\n}\n";
+    for path in [
+        "crates/core/src/x.rs",
+        "crates/serve/src/x.rs",
+        "crates/store/src/x.rs",
+        "crates/sketch/src/x.rs",
+    ] {
+        let r = scan(path, src);
+        assert_eq!(rules_of(&r), ["thread-local"], "{path}");
+        assert_eq!(r.findings[0].line, 1);
+    }
+    // The path form of the macro too.
+    let pathed = "std::thread_local! { static N: u32 = 0; }\n";
+    assert_eq!(
+        rules_of(&scan("crates/core/src/x.rs", pathed)),
+        ["thread-local"]
+    );
+}
+
+#[test]
+fn the_recycler_tests_and_other_crates_may_hold_thread_locals() {
+    let src = "thread_local! {\n    static N: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };\n}\n";
+    for path in [
+        "crates/core/src/spare.rs",      // the one audited file
+        "crates/analyze/src/chk/mod.rs", // the model checker's scheduler
+        "crates/core/tests/x.rs",
+        "tests/common/counting_alloc.rs",
+        "crates/bench/src/x.rs",
+    ] {
+        assert!(scan(path, src).clean(), "{path}");
+    }
+    let in_test = "#[cfg(test)]\nmod tests {\n    thread_local! { static N: u32 = 0; }\n}\n";
+    assert!(scan("crates/store/src/x.rs", in_test).clean());
+    // A mention that is not the macro is not a finding.
+    let mention = "pub fn thread_local() {}\n";
+    assert!(scan("crates/core/src/x.rs", mention).clean());
+}
+
 // --------------------------------------------------------------- sim-time
 
 #[test]

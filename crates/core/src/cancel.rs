@@ -32,9 +32,22 @@ use std::sync::Arc;
 
 /// A shared cancellation flag. Clones observe the same flag; tripping it
 /// is sticky (there is no reset — mint a fresh token per query).
-#[derive(Clone, Debug, Default)]
+///
+/// The token of [`StopPolicy::never`] has no flag: it is never
+/// cancelled, [`CancelToken::cancel`] on it (or a clone) does nothing, and
+/// making it allocates nothing.
+#[derive(Clone, Debug)]
 pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
+    /// `None` for the flagless token of [`StopPolicy::never`].
+    cancelled: Option<Arc<AtomicBool>>,
+}
+
+impl Default for CancelToken {
+    fn default() -> Self {
+        CancelToken {
+            cancelled: Some(Arc::default()),
+        }
+    }
 }
 
 impl CancelToken {
@@ -43,14 +56,20 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Trips the flag. Idempotent; visible to every clone.
+    /// Trips the flag. Idempotent; visible to every clone. A no-op on the
+    /// flagless token of [`StopPolicy::never`].
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
+        if let Some(flag) = &self.cancelled {
+            flag.store(true, Ordering::Release);
+        }
     }
 
-    /// Whether [`CancelToken::cancel`] has been called on any clone.
+    /// Whether [`CancelToken::cancel`] has been called on any clone;
+    /// always `false` for the flagless token of [`StopPolicy::never`].
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
+        self.cancelled
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Acquire))
     }
 }
 
@@ -78,9 +97,15 @@ pub struct StopPolicy {
 
 impl StopPolicy {
     /// A policy that never stops: execution is identical to the plain,
-    /// uncancellable path.
+    /// uncancellable path. Its token has no flag (cancelling it does
+    /// nothing), so the policy costs no allocation — the one-shot drivers
+    /// make one per run.
     pub fn never() -> Self {
-        StopPolicy::default()
+        StopPolicy {
+            token: CancelToken { cancelled: None },
+            deadline_sim_seconds: None,
+            cancel_after_batches: None,
+        }
     }
 
     /// Policy stopping only via `token`.
@@ -112,6 +137,7 @@ pub enum StopReason {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::policy_stop;
 
     #[test]
     fn token_is_sticky_and_shared_across_clones() {
@@ -134,6 +160,34 @@ mod tests {
             StopPolicy::with_deadline(2.5).deadline_sim_seconds,
             Some(2.5)
         );
+    }
+
+    #[test]
+    fn a_never_policy_never_stops_and_a_token_policy_stops_on_cancel() {
+        let never = StopPolicy::never();
+        never.token.clone().cancel();
+        assert!(!never.token.is_cancelled(), "cancelling `never` is a no-op");
+        assert_eq!(policy_stop(&never, u64::MAX, f64::MAX), None);
+
+        let token = CancelToken::new();
+        let policy = StopPolicy::with_token(token.clone());
+        assert_eq!(policy_stop(&policy, 1, 0.0), None);
+        token.cancel();
+        assert_eq!(policy_stop(&policy, 1, 0.0), Some(StopReason::Cancelled));
+        assert!(StopPolicy::default().token.cancelled.is_some());
+        let deadline = StopPolicy::with_deadline(1.0);
+        assert_eq!(
+            policy_stop(&deadline, 1, 1.0),
+            Some(StopReason::DeadlineExpired)
+        );
+
+        // The batch-count hook stops even a policy built on `never`.
+        let hooked = StopPolicy {
+            cancel_after_batches: Some(2),
+            ..StopPolicy::never()
+        };
+        assert_eq!(policy_stop(&hooked, 1, 0.0), None);
+        assert_eq!(policy_stop(&hooked, 2, 0.0), Some(StopReason::Cancelled));
     }
 }
 

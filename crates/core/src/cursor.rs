@@ -85,18 +85,21 @@ pub(crate) fn snap_add(a: MetricsSnapshot, b: MetricsSnapshot) -> MetricsSnapsho
 
 /// Evaluates a [`StopPolicy`] at a cursor step boundary. `charged_sim` is
 /// the cursor's *cumulative* simulated-seconds charge (all calls since
-/// open), so a deadline bounds the whole query, not one page.
+/// open), so a deadline bounds the whole query, not one page. The
+/// batch-count hook trips the token and stops by itself, so it stops a
+/// policy whose token has no flag too.
 pub(crate) fn policy_stop(
     policy: &StopPolicy,
     batches: u64,
     charged_sim: f64,
 ) -> Option<StopReason> {
-    if let Some(trip_at) = policy.cancel_after_batches {
-        if batches >= trip_at {
-            policy.token.cancel();
-        }
+    let tripped = policy
+        .cancel_after_batches
+        .is_some_and(|trip_at| batches >= trip_at);
+    if tripped {
+        policy.token.cancel();
     }
-    if policy.token.is_cancelled() {
+    if tripped || policy.token.is_cancelled() {
         return Some(StopReason::Cancelled);
     }
     if let Some(budget) = policy.deadline_sim_seconds {

@@ -47,6 +47,7 @@ use crate::error::{RankJoinError, Result};
 use crate::query::JoinSpec;
 use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
+use crate::spare::{self, SideColumns};
 
 /// Per-side seen-tuple store in flat, cache-friendly layout.
 ///
@@ -61,6 +62,9 @@ use crate::score::ScoreFn;
 /// value on any edge is `by_edge[slot].key(entry)` and no byte is stored
 /// twice. A buffered HRJN or DRJN result is one id per side into these
 /// columns.
+///
+/// A new store starts from the columns a store this thread dropped grew,
+/// cleared (`crate::spare`); dropping one gives its columns back.
 #[derive(Clone)]
 pub(crate) struct SeenSide {
     /// Per incident edge: join value on that edge → group of tuple ids.
@@ -78,11 +82,17 @@ pub(crate) struct SeenSide {
 impl SeenSide {
     /// An empty store for a side with `edges` incident join edges.
     pub(crate) fn new(edges: usize) -> Self {
+        let SideColumns {
+            by_edge,
+            key_arena,
+            rows,
+            scores,
+        } = spare::side(edges);
         SeenSide {
-            by_edge: (0..edges).map(|_| FlatMultiMap::new()).collect(),
-            key_arena: Vec::new(),
-            rows: Vec::new(),
-            scores: Vec::new(),
+            by_edge,
+            key_arena,
+            rows,
+            scores,
         }
     }
 
@@ -154,6 +164,17 @@ impl SeenSide {
     }
 }
 
+impl Drop for SeenSide {
+    fn drop(&mut self) {
+        spare::give_side(SideColumns {
+            by_edge: std::mem::take(&mut self.by_edge),
+            key_arena: std::mem::take(&mut self.key_arena),
+            rows: std::mem::take(&mut self.rows),
+            scores: std::mem::take(&mut self.scores),
+        });
+    }
+}
+
 /// One input of the operator: what it has seen plus the threshold state.
 #[derive(Clone)]
 struct Input {
@@ -207,8 +228,11 @@ fn extend(
 /// itself ([`Clone`]) rather than a log to rebuild it from. The join
 /// tree's walks and the per-push scratch are flat vectors sized once from
 /// the spec, and the top-k buffers results as seen-tuple ids (see the
-/// module docs): a push allocates only arena and buffer growth. A
-/// [`JoinTuple`] is built only for a result leaving the operator.
+/// module docs): a push allocates only arena and buffer growth. The seen
+/// sides and the top-k start from the buffers the thread's last dropped
+/// operator grew, so that growth happens only where a run outgrows the
+/// runs before it. A [`JoinTuple`] is built only for a result leaving the
+/// operator.
 #[derive(Clone)]
 pub struct HrjnState {
     score_fn: ScoreFn,

@@ -65,6 +65,7 @@ pub mod planner;
 pub mod query;
 pub mod result;
 pub mod score;
+mod spare;
 pub mod stats;
 pub mod statsmaint;
 
@@ -80,6 +81,7 @@ pub use planner::{DescentModel, Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};
 pub use score::ScoreFn;
+pub use spare::without_spares;
 pub use stats::QueryOutcome;
 pub use statsmaint::{
     ObservedDescent, SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND,

@@ -3,14 +3,24 @@
 //! (modulo tie-sibling exchange at the k-th score); the id top-k every
 //! coordinator algorithm ranks into is `TopK` to the bit, duplicate base
 //! keys included, under HRJN's, BFHM's and DRJN's offers; re-targeting a
-//! 3-way operator equals having run it at the new `k` from the start.
+//! 3-way operator equals having run it at the new `k` from the start; and
+//! a run whose seen sides and top-k are recycled from earlier runs on its
+//! thread answers exactly as a fresh one.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use rj_core::drjn::{self, DrjnConfig};
 use rj_core::hrjn::{run_hrjn, HrjnState, InputTuple};
-use rj_core::query::{JoinSide, JoinSpec};
+use rj_core::oracle;
+use rj_core::query::{JoinSide, JoinSpec, RankJoinQuery};
 use rj_core::result::{JoinTuple, TopIds, TopK};
 use rj_core::score::ScoreFn;
+use rj_mapreduce::MapReduceEngine;
+use rj_store::cell::Mutation;
+use rj_store::cluster::Cluster;
+use rj_store::costmodel::CostModel;
 
 #[derive(Clone, Copy, Debug)]
 enum Shape {
@@ -210,6 +220,60 @@ fn built(l: &Tuple, r: &Tuple, score: f64) -> JoinTuple {
     }
 }
 
+/// `k` of kind `kind` for a join of `size` results: 0, 1, below the join
+/// size, above it.
+fn k_of(kind: usize, offset: usize, size: usize) -> usize {
+    match kind {
+        0 => 0,
+        1 => 1,
+        2 => offset % size.max(1),
+        _ => size + 1 + offset,
+    }
+}
+
+/// A binary join loaded into a cluster with DRJN's matrices built, and
+/// its whole answer: the DRJN runs of [`a_recycled_store_answers_as_a_fresh_one`]
+/// record their pulled tuples into the same per-thread stores HRJN does.
+fn drjn_fixture() -> &'static (Cluster, RankJoinQuery, Vec<JoinTuple>) {
+    static FIXTURE: OnceLock<(Cluster, RankJoinQuery, Vec<JoinTuple>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let cluster = Cluster::new(2, CostModel::test());
+        let client = cluster.client();
+        let mut x = 0x5eed_u64;
+        for table in ["l", "r"] {
+            cluster.create_table(table, &["d"]).unwrap();
+            for i in 0..24 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let join = [b'a' + (x >> 33) as u8 % 6];
+                // Eighths: ties at every score.
+                let score = ((x >> 11) % 9) as f64 / 8.0;
+                let puts = vec![
+                    Mutation::put("d", b"jk", join.to_vec()),
+                    Mutation::put("d", b"score", score.to_be_bytes().to_vec()),
+                ];
+                client
+                    .mutate_row(table, format!("{table}{i:02}").as_bytes(), puts)
+                    .unwrap();
+            }
+        }
+        let side = |table: &str| JoinSide::new(table, table, ("d", b"jk"), ("d", b"score"));
+        let query = RankJoinQuery::new(side("l"), side("r"), 1, ScoreFn::Sum);
+        let engine = MapReduceEngine::new(cluster.clone());
+        drjn::build_pair(&engine, &query, "drjn", &drjn_config()).unwrap();
+        let all = oracle::topk(&cluster, &query.with_k(usize::MAX / 2)).unwrap();
+        (cluster, query, all)
+    })
+}
+
+fn drjn_config() -> DrjnConfig {
+    DrjnConfig {
+        num_buckets: 8,
+        num_partitions: 16,
+    }
+}
+
 proptest! {
     #[test]
     fn hrjn_equals_brute_force(
@@ -368,5 +432,74 @@ proptest! {
         prop_assert_eq!(retargeted.k(), new_k);
         prop_assert_eq!(retargeted.tuples_consumed(), fresh.tuples_consumed());
         prop_assert_eq!(retargeted.into_results(), fresh.into_results());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Every case runs on the test's one thread, so each run starts from
+    /// the seen sides and top-k the runs before it dropped — earlier cases
+    /// included. Runs alternate between two- and three-side specs whose
+    /// sides have one or two edges (a path's middle, a star's hub), so a
+    /// recycled store's `by_edge` is reshaped both ways; some are parked
+    /// while later runs take spares and dropped in another order, and DRJN
+    /// runs interleave theirs. Each run's answer, taken after every tuple
+    /// was pushed, must equal the brute-force top-k to the bit at every
+    /// `k` kind: 0, 1, below and above the join size.
+    #[test]
+    fn a_recycled_store_answers_as_a_fresh_one(
+        runs in prop::collection::vec(
+            (
+                shape(),
+                prop::collection::vec(
+                    prop::collection::vec((0u8..3, 0u8..3, 0u32..=8), 0..12),
+                    3..=3,
+                ),
+                (0usize..4, 0usize..64),
+                score_fn(),
+                any::<bool>(),
+                (any::<bool>(), 0usize..4, 0usize..64),
+            ),
+            1..6,
+        ),
+    ) {
+        let mut parked: Vec<(HrjnState, Vec<JoinTuple>)> = Vec::new();
+        for (shape, raw, (kind, offset), f, park, (with_drjn, drjn_kind, drjn_offset)) in runs {
+            let raw: Vec<Vec<Raw>> = raw
+                .into_iter()
+                .map(|side| side.into_iter().map(|(a, b, s)| (a, b, s * 125)).collect())
+                .collect();
+            let spec = spec_of(shape, 0, f);
+            let sides = make_sides(&spec, &raw);
+            let size = brute_force(&spec.with_k(usize::MAX / 2), &sides).len();
+            let k = k_of(kind, offset, size);
+            let want = brute_force(&spec.with_k(k), &sides);
+            let mut state = HrjnState::new(&spec, k);
+            for (i, side) in sides.iter().enumerate() {
+                side.iter().for_each(|t| push(&mut state, i, t));
+            }
+            prop_assert_eq!(state.current_results(), want.clone(), "k = {}", k);
+            if park {
+                parked.push((state, want));
+            }
+            if with_drjn {
+                let (cluster, query, all) = drjn_fixture();
+                let k = k_of(drjn_kind, drjn_offset, all.len());
+                let engine = MapReduceEngine::new(cluster.clone());
+                let got = drjn::run(&engine, &query.with_k(k), "drjn", &drjn_config()).unwrap();
+                prop_assert_eq!(&got.results[..], &all[..k.min(all.len())], "DRJN k = {}", k);
+            }
+            // Past two parked states, drop the oldest: drops in another
+            // order than the takes.
+            if parked.len() > 2 {
+                let (state, want) = parked.remove(0);
+                prop_assert_eq!(state.current_results(), want);
+            }
+        }
+        // Newest first.
+        while let Some((state, want)) = parked.pop() {
+            prop_assert_eq!(state.current_results(), want);
+        }
     }
 }

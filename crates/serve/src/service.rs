@@ -59,6 +59,7 @@ use rj_core::executor::RankJoinExecutor;
 use rj_core::multiway::SpecExecutor;
 use rj_core::result::JoinTuple;
 use rj_core::statsmaint::SharedTableStats;
+use rj_core::without_spares;
 use rj_store::cluster::Cluster;
 use rj_store::metrics::MetricsSnapshot;
 use rj_store::pool::{PoolPriority, WorkStealingPool};
@@ -749,12 +750,15 @@ impl RankJoinService {
         // Phase 2 (unlocked): query groups at foreground, then index
         // rebuilds at background. The pool parallelizes across groups;
         // sessions within a group run sequentially on their forks so
-        // per-session ledger deltas never interleave.
+        // per-session ledger deltas never interleave. A group recycles no
+        // buffers (`without_spares`), so what it allocates does not depend
+        // on which thread ran it or what that thread ran before.
         let outputs: Vec<GroupOutput> = self.pool.get().run_batch(
             groups
                 .into_iter()
                 .map(|group| {
-                    Box::new(move || run_group(group)) as Box<dyn FnOnce() -> GroupOutput + Send>
+                    Box::new(move || without_spares(|| run_group(group)))
+                        as Box<dyn FnOnce() -> GroupOutput + Send>
                 })
                 .collect(),
         );

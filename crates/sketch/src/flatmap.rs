@@ -21,7 +21,8 @@
 //! Determinism: hashing is [`crate::hash::hash_bytes`] (stable across
 //! platforms and releases) folded to 32 bits and finished with Knuth's
 //! multiplicative constant; iteration order of a group is insertion order.
-//! An empty map allocates nothing.
+//! An empty map allocates nothing, and a cleared one
+//! ([`FlatMultiMap::clear`]) keeps what it grew.
 
 use crate::hash::hash_bytes;
 
@@ -103,6 +104,19 @@ impl<V> FlatMultiMap<V> {
             values: Vec::new(),
             next: Vec::new(),
         }
+    }
+
+    /// Empties the map but keeps its capacity: every slot is reset to
+    /// empty (the table keeps its size) and every column is cleared. The
+    /// map then answers exactly as a [`FlatMultiMap::new`] one does —
+    /// entry ids dense from 0, groups in insertion order, no old key
+    /// present — and grows nothing until it outgrows what it held.
+    pub fn clear(&mut self) {
+        self.slots.fill(NIL);
+        self.entries.clear();
+        self.key_arena.clear();
+        self.values.clear();
+        self.next.clear();
     }
 
     /// Number of distinct keys.
@@ -394,6 +408,45 @@ mod tests {
         assert_eq!(m.ensure(b"b"), 1);
         assert_eq!(m.key(0), b"a");
         assert_eq!(m.key(101), b"k101");
+    }
+
+    /// A cleared map keeps its table and columns but answers as a new one:
+    /// the same entry ids, keys and positions for the same pushes, and no
+    /// old key found — a slot left pointing at an old entry would alias
+    /// whatever key took that entry id next.
+    #[test]
+    fn a_cleared_map_answers_as_a_new_one() {
+        let old = |i: u32| format!("old-{i}").into_bytes();
+        let key = |i: u32| format!("k{}", (i * 7) % 31).into_bytes();
+        let mut cleared: FlatMultiMap<()> = FlatMultiMap::new();
+        for i in 0..3_000u32 {
+            cleared.push(&old(i), ());
+        }
+        let (slots, entries) = (cleared.slots.len(), cleared.entries.capacity());
+        cleared.clear();
+        assert!(cleared.is_empty());
+        assert_eq!(cleared.num_keys(), 0);
+        assert_eq!(cleared.positions(&old(0)).count(), 0);
+
+        let mut fresh: FlatMultiMap<()> = FlatMultiMap::new();
+        for i in 0..400u32 {
+            let (a, b) = (cleared.ensure(&key(i)), fresh.ensure(&key(i)));
+            assert_eq!(a, b, "entry id of push {i}");
+            assert_eq!(cleared.push_to_entry(a, ()), fresh.push_to_entry(b, ()));
+        }
+        assert_eq!((cleared.num_keys(), cleared.len()), (31, 400));
+        for g in 0..31u32 {
+            assert_eq!(cleared.key(g), fresh.key(g));
+            let want: Vec<u32> = fresh.positions(&key(g)).collect();
+            assert_eq!(cleared.positions(&key(g)).collect::<Vec<_>>(), want);
+        }
+        for i in (0..3_000u32).step_by(7) {
+            assert!(!cleared.contains_key(&old(i)), "old key {i} still found");
+            assert_eq!(cleared.positions(&old(i)).count(), 0);
+        }
+        // Nothing was given back: the table and columns kept their size.
+        assert_eq!(cleared.slots.len(), slots);
+        assert_eq!(cleared.entries.capacity(), entries);
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! over costs nothing, the top-k buffers a join match as seen-tuple ids
 //! (admitting and evicting reuse its slots) and builds a result only when
 //! it leaves the operator, and a paused cursor carries its operator state
-//! instead of rebuilding it. What remains is per RPC and per result. These
-//! tests pin that with a counting allocator, on a tiny TPC-H load. Counts
-//! are per thread, so the other tests of this binary running beside a
-//! measured region do not disturb it (every such call runs on the calling
-//! thread). The one algorithm that fans out to the pool, DRJN, is counted
-//! process-wide instead, while no other test of the binary runs
-//! ([`ALONE`]).
+//! instead of rebuilding it. The seen-tuple stores and the top-k a run
+//! keeps are not grown from empty either: a run starts from the buffers
+//! the thread's last run grew and gives them back when it is dropped. So
+//! the steady state is the warm run, which pays for its result keys and a
+//! small constant (scanners, cursor, result vector) and leaves the live
+//! heap where the run before it did; a thread's first run also pays its
+//! buffers' growth, and the budgets below that a cold run meets still
+//! hold. These tests pin that with a counting allocator, on a tiny TPC-H
+//! load. Counts are per thread, so the other tests of this binary running
+//! beside a measured region do not disturb it (every such call runs on the
+//! calling thread), and a test comparing two runs makes both warm, or says
+//! which one is cold. What is counted process-wide — DRJN, whose pulls fan
+//! out to the pool, and the live heap — is counted while no other test of
+//! the binary runs ([`ALONE`]).
 //!
 //! BFHM's read path borrows in the same way: a run resolves its
 //! projections once and refills one row batch for every get, the
@@ -84,6 +91,15 @@ const BFHM_ALLOCS_PER_1000_READS: u64 = 1_800;
 /// B-tree node splits), for 115 239 KV reads (14 051 when each round
 /// copied the query and each pulled row its join value).
 const DRJN_ALLOCS_PER_1000_READS: u64 = 115;
+/// What a warm one-shot ISL run at k = 200 allocates beyond its result
+/// keys: two fresh scanners' row batches and projections, the cursor and
+/// the result vector. Measured: 58 on Q1 and 67 on Q2; the thread's
+/// first Q1 run, growing its seen sides and top-k from empty, allocates
+/// 150 more.
+const WARM_ISL_CONSTANT: u64 = 72;
+/// The same for the 3-way path, with three scanners. Measured: 58; the
+/// thread's first run allocates 289 more.
+const WARM_THREE_WAY_CONSTANT: u64 = 64;
 
 fn side(table: &str, label: &str, join: &'static [u8]) -> JoinSide {
     JoinSide::new(
@@ -201,6 +217,14 @@ fn paged(
     }
 }
 
+/// Runs `f` on a thread of its own, which has no spare buffers: a cold
+/// run.
+fn cold<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| scope.spawn(f).join().unwrap())
+}
+
+/// The cold budget: every run on a fresh thread, growing its seen sides
+/// and top-k from empty.
 #[test]
 fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
@@ -210,8 +234,8 @@ fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
         let table = isl::index_table_name(&query);
         for k in [10, 50, 200] {
             let q = query.with_k(k);
-            let (outcome, allocs) =
-                counted(|| isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap());
+            let run = || isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap();
+            let (outcome, allocs) = cold(|| counted(run));
             assert_eq!(outcome.results.len(), k);
             let reads = outcome.metrics.kv_reads;
             assert!(
@@ -223,14 +247,99 @@ fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
             total_reads += reads;
         }
     }
-    // Measured: 2 829 allocations for 14 059 KV reads (0.20 a read; 0.38
+    // Measured: 2 835 allocations for 14 059 KV reads (0.20 a read; 0.38
     // at worst, Q1 at k = 200, where building the 200 results dominates:
-    // 807, against 1 872 when every admitted match was copied into the
+    // 808, against 1 872 when every admitted match was copied into the
     // top-k and 5 429 in all).
     assert!(
         total_allocs * 100 <= total_reads * 25,
         "{total_allocs} allocations for {total_reads} KV reads"
     );
+}
+
+/// The warm steady state: a run that starts from the seen sides and top-k
+/// a run before it grew pays for its results and a small constant, not
+/// for the thousands of tuples it keeps.
+#[test]
+fn a_warm_one_shot_isl_run_allocates_its_result_keys_and_a_constant() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let k = 200;
+    for query in queries() {
+        let (cluster, _ex) = prepared(&query);
+        let (table, q) = (isl::index_table_name(&query), query.with_k(k));
+        let run = || isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap();
+        // Q1's first run is the thread's first; Q2's starts from Q1's.
+        let (first, first_allocs) = counted(run);
+        let (warm, warm_allocs) = counted(run);
+        assert_eq!(warm.results, first.results);
+        assert_eq!(warm.metrics.kv_reads, first.metrics.kv_reads);
+        // Three keys a result (left, right, join value).
+        assert!(
+            warm_allocs <= 3 * k as u64 + WARM_ISL_CONSTANT,
+            "{}: a warm run allocated {warm_allocs} (the first: {first_allocs})",
+            query.left.label
+        );
+    }
+}
+
+#[test]
+fn a_warm_three_way_run_allocates_its_result_keys_and_a_constant() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let ex = prepared_three_way(ISL_BATCH);
+    let k = 200;
+    let (cold, cold_allocs) = counted(|| ex.execute_with_k(k).unwrap());
+    let (warm, warm_allocs) = counted(|| ex.execute_with_k(k).unwrap());
+    assert_eq!(warm.results, cold.results);
+    // Five a result: three keys, the interior side's key and the vector
+    // holding it.
+    assert!(
+        warm_allocs <= 5 * k as u64 + WARM_THREE_WAY_CONSTANT,
+        "a warm 3-way run allocated {warm_allocs} (cold: {cold_allocs})"
+    );
+}
+
+/// A thread's spare buffers are what its runs grew, and no more: after a
+/// one-shot run and a paged session, ten more of each leave the live heap
+/// exactly where the first pair left it — nothing accumulates.
+#[test]
+fn warm_runs_leave_the_live_heap_where_the_first_left_it() {
+    let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
+    let [q1, _] = queries();
+    let (cluster, ex) = prepared(&q1);
+    let table = isl::index_table_name(&q1);
+    let q = q1.with_k(200);
+    let run = || {
+        let one_shot = isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap();
+        let (paged, _) = paged(
+            || ex.open_cursor(Algorithm::Isl, 200).unwrap(),
+            |s| ex.resume_cursor(s).unwrap(),
+            (200, 10),
+        );
+        assert_eq!(paged, one_shot.results);
+    };
+    // On the stack: a vector of readings would be live heap too.
+    let mut after = [0; 10];
+    let before = counting_alloc::live_bytes();
+    run();
+    let first = counting_alloc::live_bytes();
+    for live in &mut after {
+        run();
+        *live = counting_alloc::live_bytes();
+    }
+    assert!(
+        after.iter().all(|&live| live == first),
+        "the first run left {} bytes live; each of 10 more: {:?}",
+        first - before,
+        after.map(|live| live as i64 - before as i64)
+    );
+}
+
+#[test]
+fn a_never_policy_allocates_nothing() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let (policy, allocs) = counted(StopPolicy::never);
+    assert_eq!(allocs, 0, "`StopPolicy::never` allocated");
+    assert!(!policy.token.is_cancelled());
 }
 
 /// A binary HRJN at `k` (min of the two scores) fed 40 right tuples, then
@@ -270,6 +379,8 @@ fn hrjn_over_ties(k: usize, descending_keys: bool) -> (Vec<rankjoin::JoinTuple>,
 fn top_k_churn_allocates_nothing_beyond_the_final_k() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let k = 10;
+    // Uncounted: both counted runs start from the buffers it grew.
+    hrjn_over_ties(k, true);
     // The same tuples, arenas and final answer; the top-k admits only its
     // final ten matches in one run, and all 1 600 (evicting 1 590) in the
     // other.
@@ -277,8 +388,9 @@ fn top_k_churn_allocates_nothing_beyond_the_final_k() {
     let (churn, churn_allocs) = hrjn_over_ties(k, true);
     assert_eq!(churn, calm);
     assert_eq!(churn.len(), k);
-    // Measured: 55 each. When an admission built a `JoinTuple`, the churn
-    // cost three allocations an admission.
+    // Measured: 0 each (55 each on a thread's first run, which grows the
+    // arenas). When an admission built a `JoinTuple`, the churn cost three
+    // allocations an admission.
     assert!(
         churn_allocs <= calm_allocs,
         "churning top-k: {churn_allocs} allocations, calm one: {calm_allocs}"
@@ -315,6 +427,9 @@ fn auto_on_a_cached_plan_allocates_exactly_what_its_choice_allocates() {
     for k in [1, 10, 50] {
         let choice = ex.plan_with_k(k).unwrap().best().unwrap();
         assert_eq!(choice, Algorithm::Bfhm, "k = {k}");
+        // Uncounted, so both counted runs start from a top-k this thread
+        // grew at this `k`: otherwise the first one pays the growth.
+        ex.execute_with_k(choice, k).unwrap();
         let (chosen, chosen_allocs) = counted(|| ex.execute_with_k(choice, k).unwrap());
         let (auto, auto_allocs) = counted(|| ex.execute_with_k(Algorithm::Auto, k).unwrap());
         assert_eq!(auto.results, chosen.results, "k = {k}");
@@ -338,6 +453,8 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     let [_, q2] = queries();
     let (_cluster, mut ex) = prepared(&q2);
     ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    // Uncounted: both counted runs start from the top-k it grew.
+    bfhm_run(&ex, 50);
     let (shallow, shallow_allocs) = bfhm_run(&ex, 10);
     let (deep, deep_allocs) = bfhm_run(&ex, 50);
     let gets = |o: &rankjoin::QueryOutcome| {
@@ -347,10 +464,11 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     assert!(extra_gets >= 100, "k = 50 made only {extra_gets} more gets");
     // What the deeper run may pay for: three keys per extra result, a few
     // more blobs (one array each) and regrowth of the cache's columns and
-    // the top-k — not the gets. Measured: 64 and 204 allocations, 33 and 171
-    // gets (85 and 274 while estimates kept position vectors, blobs
-    // decoded into two arrays and the top-k copied admitted matches); at
-    // seven allocations a get the difference alone was 966.
+    // the top-k — not the gets. Measured: 57 and 192 allocations, 33 and 171
+    // gets (64 and 204 when the shallow run was the thread's first; 85 and
+    // 274 while estimates kept position vectors, blobs decoded into two
+    // arrays and the top-k copied admitted matches); at seven allocations a
+    // get the difference alone was 966.
     let budget = 3 * 40 + 24;
     assert!(
         deep_allocs <= shallow_allocs + budget,
@@ -398,6 +516,8 @@ fn bfhm_paged_session_costs_one_shot_plus_its_pages() {
     let (_cluster, mut ex) = prepared(&q2);
     ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
     let (k, page) = (50, 10);
+    // Uncounted: both counted runs start from the top-k it grew.
+    bfhm_run(&ex, k);
     let (one_shot, one_shot_allocs) = bfhm_run(&ex, k);
     let ((paged, pages), paged_allocs) = counted(|| {
         paged(
@@ -409,6 +529,7 @@ fn bfhm_paged_session_costs_one_shot_plus_its_pages() {
     assert_eq!(paged, one_shot.results);
     // Per page as for ISL: the page vector, a clone of each emitted result
     // and the pause/resume boxes. The parked machine is moved, not copied.
+    // Measured: 192 against 208 over 5 pages.
     let per_page = 16 + 4 * page as u64;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
@@ -565,6 +686,8 @@ fn paged_session_costs_one_shot_plus_its_pages() {
     let [q1, _] = queries();
     let (_cluster, ex) = prepared(&q1);
     let (k, page) = (200, 10);
+    // Uncounted: both counted runs start from the buffers it grew.
+    ex.execute_with_k(Algorithm::Isl, k).unwrap();
     let (one_shot, one_shot_allocs) = counted(|| ex.execute_with_k(Algorithm::Isl, k).unwrap());
     let ((paged, pages), paged_allocs) = counted(|| {
         paged(
@@ -576,8 +699,9 @@ fn paged_session_costs_one_shot_plus_its_pages() {
     assert_eq!(paged, one_shot.results);
     // Both build each result once, as it leaves the operator; per page
     // the paged session adds the page vector and the pause/resume boxes.
-    // Measured: 787 against 849 over 20 pages (821 against 883 when each
-    // open copied the query into a spec).
+    // Measured: 638 against 701 over 20 pages (787 against 849 before a
+    // run started from the buffers of the run before it, 821 against 883
+    // when each open copied the query into a spec).
     let per_page = 16;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
@@ -590,6 +714,8 @@ fn three_way_paged_session_costs_one_shot_plus_its_pages() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let ex = prepared_three_way(ISL_BATCH);
     let (k, page) = (200, 10);
+    // Uncounted: both counted runs start from the buffers it grew.
+    ex.execute_with_k(k).unwrap();
     let (one_shot, one_shot_allocs) = counted(|| ex.execute_with_k(k).unwrap());
     let ((paged, pages), paged_allocs) = counted(|| {
         paged(
@@ -600,10 +726,11 @@ fn three_way_paged_session_costs_one_shot_plus_its_pages() {
     });
     assert_eq!(paged, one_shot.results);
     // As for the binary join: a result is built once either way, when it
-    // leaves the operator. Measured: 1 346 against 1 410 over 20 pages
-    // (1 378 against 1 442 when each open copied the spec, 2 838 against
-    // 3 902 when the operator buffered built tuples, the one-shot moved
-    // them out and every page cloned its own).
+    // leaves the operator. Measured: 1 058 against 1 123 over 20 pages
+    // (1 346 against 1 410 before a run started from the buffers of the
+    // run before it, 1 378 against 1 442 when each open copied the spec,
+    // 2 838 against 3 902 when the operator buffered built tuples, the
+    // one-shot moved them out and every page cloned its own).
     let per_page = 16;
     assert!(
         paged_allocs <= one_shot_allocs + pages * per_page,
