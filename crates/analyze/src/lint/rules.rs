@@ -60,6 +60,11 @@ pub const RULES: &[RuleInfo] = &[
         scope: "non-test code in crates/{core,serve,store,sketch}/src except crates/core/src/spare.rs",
     },
     RuleInfo {
+        id: "env-knob",
+        summary: "no `std::env::var`/`var_os` in library code — behaviour is chosen by typed config, never by an environment variable; the pool width (`RJ_POOL_THREADS`, read in `crates/store/src/pool.rs`) is the one exception",
+        scope: "non-test code in crates/{core,serve,store,sketch}/src except crates/store/src/pool.rs",
+    },
+    RuleInfo {
         id: "suppression-contract",
         summary: "every `// rjlint: allow(<rule>)` names a known rule and carries a non-empty justification",
         scope: "all workspace sources",
@@ -194,6 +199,8 @@ pub struct FileScope {
     /// Subject to `thread-local` (the library crates, minus the recycler
     /// module).
     pub thread_local_scope: bool,
+    /// Subject to `env-knob` (the library crates, minus the pool).
+    pub env_knob_scope: bool,
     /// Vendored stand-in for an external crate.
     pub is_shim: bool,
 }
@@ -221,18 +228,20 @@ impl FileScope {
                 || p.starts_with("crates/bench/")
                 || p.starts_with("src/"));
         let thread_allowlisted = is_shim || p == "crates/store/src/pool.rs";
-        let thread_local_scope = is_library_src
+        let library_crate = is_library_src
             && (p.starts_with("crates/core/src/")
                 || p.starts_with("crates/serve/src/")
                 || p.starts_with("crates/store/src/")
-                || p.starts_with("crates/sketch/src/"))
-            && p != "crates/core/src/spare.rs";
+                || p.starts_with("crates/sketch/src/"));
+        let thread_local_scope = library_crate && p != "crates/core/src/spare.rs";
+        let env_knob_scope = library_crate && p != "crates/store/src/pool.rs";
         FileScope {
             is_library_src,
             no_unwrap_scope,
             sim_time_scope,
             thread_allowlisted,
             thread_local_scope,
+            env_knob_scope,
             is_shim,
         }
     }
@@ -383,6 +392,23 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
                 line,
                 "`thread_local!` outside `crates/core/src/spare.rs` — keep per-thread state in the recycler module".to_string(),
             );
+        }
+    }
+
+    // env-knob: environment variables read by library code.
+    if scope.env_knob_scope {
+        for word in ["var", "var_os"] {
+            for at in word_occurrences(&flat, word) {
+                let line = file.line_of_offset(at);
+                if !flat[..at].ends_with("env::") || is_test_line(line) {
+                    continue;
+                }
+                push(
+                    "env-knob",
+                    line,
+                    format!("`env::{word}` in a library path — add a typed config field instead; only the pool width is read from the environment"),
+                );
+            }
         }
     }
 

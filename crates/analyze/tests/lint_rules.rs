@@ -200,6 +200,51 @@ fn the_recycler_tests_and_other_crates_may_hold_thread_locals() {
     assert!(scan("crates/core/src/x.rs", mention).clean());
 }
 
+// ---------------------------------------------------------------- env-knob
+
+#[test]
+fn env_var_in_a_library_path_fires() {
+    let src = "pub fn f() -> bool {\n    std::env::var(\"RJ_PULL_ORDER\").is_ok()\n}\n";
+    for path in [
+        "crates/core/src/x.rs",
+        "crates/serve/src/x.rs",
+        "crates/store/src/x.rs",
+        "crates/sketch/src/x.rs",
+    ] {
+        let r = scan(path, src);
+        assert_eq!(rules_of(&r), ["env-knob"], "{path}");
+        assert_eq!(r.findings[0].line, 2);
+    }
+    // `var_os`, and the `use std::env;` form.
+    let var_os = "use std::env;\npub fn f() -> bool { env::var_os(\"X\").is_some() }\n";
+    assert_eq!(
+        rules_of(&scan("crates/core/src/x.rs", var_os)),
+        ["env-knob"]
+    );
+}
+
+#[test]
+fn the_pool_width_tests_and_other_crates_may_read_the_environment() {
+    let src = "pub fn f() -> bool { std::env::var(\"RJ_POOL_THREADS\").is_ok() }\n";
+    for path in [
+        "crates/store/src/pool.rs", // the one knob
+        "crates/store/tests/x.rs",
+        "crates/bench/src/x.rs",
+        "crates/analyze/src/x.rs",
+        "benchmark/src/x.rs",
+        "shims/proptest/src/lib.rs",
+    ] {
+        assert!(scan(path, src).clean(), "{path}");
+    }
+    let in_test =
+        "#[cfg(test)]\nmod tests {\n    fn t() -> bool { std::env::var(\"X\").is_ok() }\n}\n";
+    assert!(scan("crates/core/src/x.rs", in_test).clean());
+    // A variable named `var`, or `env::vars`, is not a knob read.
+    let other =
+        "pub fn f(var: u32) -> u32 { var }\npub fn g() -> usize { std::env::vars().count() }\n";
+    assert!(scan("crates/core/src/x.rs", other).clean());
+}
+
 // --------------------------------------------------------------- sim-time
 
 #[test]

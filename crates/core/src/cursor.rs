@@ -16,10 +16,10 @@
 //!   serializable in principle, pinned to the statistics version it was
 //!   opened under.
 //! * [`IslCursor`] — ISL/HRJN as a cursor, over any [`JoinSpec`]: the
-//!   batched round-robin descent of [`crate::isl`] with first-class
-//!   suspend/resume. The paper's binary ISL is its two-side instance;
-//!   three or more sides are the multiway rank join, and a side may be
-//!   bulk-ingested up front instead of descended ([`SideAccess`]).
+//!   batched descent of [`crate::isl`] with first-class suspend/resume.
+//!   The paper's binary ISL is its two-side instance; three or more sides
+//!   are the multiway rank join (each batch from the side that sets the
+//!   threshold), and a side may be bulk-ingested up front ([`SideAccess`]).
 //! * [`MaterializedCursor`] — the bulk MapReduce algorithms (Hive, Pig,
 //!   IJLMR) as cursors: the one-shot run executes on the first pull (MR
 //!   jobs are not incremental — all reads are charged then, exactly the
@@ -414,8 +414,8 @@ impl CursorState {
 /// How one side of an ISL descent is consumed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SideAccess {
-    /// Batched descending-score index descent — the side participates in
-    /// the round-robin threshold race (the paper's Algorithm 4).
+    /// Batched descending-score index descent — the side takes turns in
+    /// the threshold race (the paper's Algorithm 4 at two sides).
     Descend,
     /// The side's full index family is scanned and ingested before the
     /// descent starts — materialize-then-join, the right call for a small
@@ -446,10 +446,9 @@ pub(crate) struct SideScan {
     pub scan: Option<ScannerState>,
 }
 
-/// Detached state of an [`IslCursor`]: the exact descent position of the
-/// batched round-robin loop, plus the HRJN operator itself. Resuming
-/// attaches a cluster handle and does no other work, however deep the
-/// descent has gone.
+/// Detached state of an [`IslCursor`]: the exact position of the batched
+/// descent, plus the HRJN operator itself. Resuming attaches a cluster
+/// handle and does no other work, however deep the descent has gone.
 #[derive(Clone)]
 pub(crate) struct IslCore {
     /// Bookkeeping, with `meta.k == state.k()`.
@@ -461,7 +460,8 @@ pub(crate) struct IslCore {
     pub table: Arc<str>,
     /// Per-side scan state, in spec side order.
     pub sides: Vec<SideScan>,
-    /// Which side the current/next batch pulls from.
+    /// Which side the current batch pulls from, picked at its start (see
+    /// [`IslCursor::advance_one_batch`]).
     pub turn: usize,
     /// Batches completed or started.
     pub batches: u64,
@@ -551,12 +551,11 @@ enum BatchStep {
 /// batch ordinal, and rules whether the descent continues.
 pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict + Send>;
 
-/// The ISL/HRJN rank join as a [`RankedCursor`]: the batched round-robin
-/// descent of [`crate::isl::run`] over every
-/// [`SideAccess::Descend`] side of a spec's score index, with
-/// [`SideAccess::Materialize`] sides bulk-ingested up front, suspendable
-/// at any batch boundary. The one-shot driver *is* this cursor
-/// drained in one call, so results and counted metrics agree by
+/// The ISL/HRJN rank join as a [`RankedCursor`]: the batched descent of
+/// [`crate::isl::run`] over every [`SideAccess::Descend`] side of a spec's
+/// score index, with [`SideAccess::Materialize`] sides bulk-ingested up
+/// front, suspendable at any batch boundary. The one-shot driver *is* this
+/// cursor drained in one call, so results and counted metrics agree by
 /// construction.
 pub struct IslCursor {
     cluster: Cluster,
@@ -698,11 +697,11 @@ impl IslCursor {
         Ok(())
     }
 
-    /// Runs exactly one batch of the round-robin descent (after the
-    /// materialization pass on the first call), or finishes a part-way
-    /// batch left by an earlier re-target — the body of the paper's
-    /// Algorithm 4 loop. No observer or policy evaluation happens here;
-    /// the pump checks at the boundary this returns at.
+    /// Runs exactly one batch of the descent (after the materialization
+    /// pass on the first call), or finishes a part-way batch left by an
+    /// earlier re-target — the body of the paper's Algorithm 4 loop. No
+    /// observer or policy evaluation happens here; the pump checks at the
+    /// boundary this returns at.
     fn advance_one_batch(&mut self) -> Result<BatchStep> {
         if self.drained() {
             return Ok(BatchStep::Drained);
@@ -715,11 +714,16 @@ impl IslCursor {
         let core = &mut self.core;
         let n = core.sides.len();
         if !core.in_batch {
-            // On to the next side with input left: materialized sides
-            // are exhausted, and all-exhausted is `drained`, so one
-            // exists.
-            while core.state.is_exhausted(core.turn) {
-                core.turn = (core.turn + 1) % n;
+            // Three or more sides pull the side that sets the threshold,
+            // two alternate (Algorithm 4); materialized sides are exhausted,
+            // and all-exhausted is `drained`, so a side with input exists.
+            match core.state.pull_side() {
+                Some(side) if n > 2 => core.turn = side,
+                _ => {
+                    while core.state.is_exhausted(core.turn) {
+                        core.turn = (core.turn + 1) % n;
+                    }
+                }
             }
             core.batches += 1;
             core.rows_taken = 0;
@@ -1048,7 +1052,9 @@ mod tests {
     use crate::isl::{index, IslConfig};
     use crate::multiway::{MultiwayConfig, SpecExecutor};
     use crate::oracle;
-    use crate::testsupport::{running_example_cluster, three_way_path_cluster};
+    use crate::testsupport::{
+        running_example_cluster, three_way_path_cluster, three_way_path_sized,
+    };
     use rj_mapreduce::MapReduceEngine;
 
     fn built(k: usize) -> (Cluster, JoinSpec, String) {
@@ -1279,17 +1285,22 @@ mod tests {
     }
 
     /// The same for the 3-way path fixture at batch 2: all sides
-    /// descended, and the interior side materialized.
+    /// descended, and the interior side materialized. The last row skews
+    /// the side sizes: the descent pulls the side whose term is the
+    /// threshold and leaves A, the 4-tuple end side, unexhausted at k = 1
+    /// (cycling the sides drains it and bills `(28, 67, 984)`).
     #[test]
     fn golden_ledger_three_way_path() {
+        const UNIFORM: [usize; 3] = [14, 12, 13];
         let golden = [
-            ((2, false), (14, 21, 482)),
-            ((2, true), (22, 34, 786)),
-            ((6, false), (15, 23, 515)),
-            ((6, true), (23, 36, 819)),
+            ((2, false, UNIFORM), (14, 21, 482)),
+            ((2, true, UNIFORM), (22, 34, 786)),
+            ((6, false, UNIFORM), (15, 23, 515)),
+            ((6, true, UNIFORM), (23, 36, 819)),
+            ((1, false, [4, 12, 40]), (21, 44, 723)),
         ];
-        for ((k, materialize), want) in golden {
-            let (c, spec) = three_way_path_cluster(k);
+        for ((k, materialize, sizes), want) in golden {
+            let (c, spec) = three_way_path_sized(k, sizes);
             let mut ex = SpecExecutor::new(&c, spec);
             ex.config = MultiwayConfig { batch: 2 };
             ex.prepare().unwrap();
@@ -1304,7 +1315,7 @@ mod tests {
             assert_eq!(
                 ledger_since(&c, &before),
                 want,
-                "k={k} materialize={materialize}"
+                "k={k} materialize={materialize} sizes={sizes:?}"
             );
         }
     }

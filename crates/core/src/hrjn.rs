@@ -412,17 +412,32 @@ impl HrjnState {
     /// yet produced. `None` while no bound exists yet (nothing pulled
     /// from some non-exhausted side).
     pub fn threshold(&self) -> Option<f64> {
+        let top = self.terms().ok()?;
+        Some(top.map_or(f64::NEG_INFINITY, |(t, _)| t))
+    }
+
+    /// The side HRJN* pulls next: the first active side with nothing
+    /// pulled, else the side whose term is the threshold (pulling it is
+    /// the only way to lower that term). `None` once no side has a term.
+    pub(crate) fn pull_side(&self) -> Option<usize> {
+        self.terms().map_or_else(Some, |top| top.map(|t| t.1))
+    }
+
+    /// One pass over the per-side terms `f(ŝ_1, …, s̄_i, …, ŝ_n)`:
+    /// `Err(i)` while the active side `i` (the first such) has nothing
+    /// pulled, else the largest term and its side, lowest index on ties.
+    fn terms(&self) -> std::result::Result<Option<(f64, usize)>, usize> {
         // A future result needs at least one *unseen* tuple. Unseen tuples
         // of side i score at most s̄_i; every partner is bounded by its
         // side's ŝ. Exhausted sides produce no unseen tuples.
-        let mut t: Option<f64> = None;
+        let mut top: Option<(f64, usize)> = None;
         'sides: for (i, input) in self.inputs.iter().enumerate() {
             if input.exhausted {
                 continue;
             }
             let Some((_, my_min)) = input.bounds else {
                 // Nothing pulled from an active side: unbounded.
-                return None;
+                return Err(i);
             };
             // Left-to-right fold of `f` over the sides' arguments, as
             // `combine_many` folds them (this runs after every tuple).
@@ -435,7 +450,7 @@ impl HrjnState {
                     // future tuple — side i contributes no bound.
                     None if partner.exhausted => continue 'sides,
                     // An active side with nothing pulled: unbounded.
-                    None => return None,
+                    None => return Err(j),
                 };
                 bound = if j == 0 {
                     arg
@@ -443,9 +458,11 @@ impl HrjnState {
                     self.score_fn.combine(bound, arg)
                 };
             }
-            t = Some(t.map_or(bound, |x: f64| x.max(bound)));
+            if top.is_none_or(|(t, _)| bound > t) {
+                top = Some((bound, i));
+            }
         }
-        t.or(Some(f64::NEG_INFINITY))
+        Ok(top)
     }
 
     /// Termination test: k results buffered and the k-th ≥ threshold.
@@ -565,8 +582,10 @@ impl HrjnState {
 pub type InputTuple = (Vec<u8>, Vec<Vec<u8>>, f64);
 
 /// Runs HRJN to completion over in-memory score-descending per-side
-/// lists, round-robin over the sides — the reference driver used by
-/// tests, at the spec's own `k`.
+/// lists — the reference driver used by tests, at the spec's own `k`.
+/// Two sides alternate, one tuple each; three or more pull one tuple at a
+/// time from `HrjnState::pull_side`, the order the N-way cursor's
+/// batches follow.
 pub fn run_hrjn(spec: &JoinSpec, sides: &[Vec<InputTuple>]) -> Result<Vec<JoinTuple>> {
     if sides.len() != spec.n() {
         return Err(RankJoinError::InvalidSpec(
@@ -580,21 +599,24 @@ pub fn run_hrjn(spec: &JoinSpec, sides: &[Vec<InputTuple>]) -> Result<Vec<JoinTu
             state.exhaust(i);
         }
     }
-    // Every round advances some side or finds them all exhausted (done).
+    let (n, mut turn) = (sides.len(), 0);
+    // Every pull advances a side; all of them exhausted is done.
     while !state.is_done() {
-        for (i, list) in sides.iter().enumerate() {
-            let Some((key, join_values, score)) = list.get(at[i]) else {
-                continue;
-            };
-            state.push_borrowed(i, key, join_values.iter().map(Vec::as_slice), *score)?;
-            at[i] += 1;
-            if at[i] == list.len() {
-                state.exhaust(i);
-            }
-            if state.is_done() {
-                break;
+        match state.pull_side() {
+            Some(side) if n > 2 => turn = side,
+            _ => {
+                while state.is_exhausted(turn) {
+                    turn = (turn + 1) % n;
+                }
             }
         }
+        let (key, join_values, score) = &sides[turn][at[turn]];
+        state.push_borrowed(turn, key, join_values.iter().map(Vec::as_slice), *score)?;
+        at[turn] += 1;
+        if at[turn] == sides[turn].len() {
+            state.exhaust(turn);
+        }
+        turn = (turn + 1) % n;
     }
     Ok(state.into_results())
 }
@@ -938,6 +960,68 @@ mod tests {
         assert_eq!(s.threshold(), None, "side 2 untouched → no bound");
         push(&mut s, 2, &t(b"c", &[b"x"], 0.7));
         assert!(s.threshold().is_some());
+    }
+
+    /// A 3-path operator under `f` whose side `i` has seen the scores
+    /// `bounds[i] = (max, min)`, in eighths (exact, so ties are ties).
+    fn with_bounds(f: ScoreFn, bounds: [(u8, u8); 3]) -> HrjnState {
+        let mut s = HrjnState::new(&path3(1, f), 1);
+        for (side, (max, min)) in bounds.into_iter().enumerate() {
+            let values: &[&[u8]] = if side == 1 { &[b"x", b"y"] } else { &[b"z"] };
+            for score in [max, min] {
+                push(&mut s, side, &t(b"k", values, f64::from(score) / 8.0));
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn pull_side_takes_an_unbounded_side_first_in_side_order() {
+        let mut s = HrjnState::new(&path3(1, ScoreFn::Sum), 1);
+        assert_eq!(s.pull_side(), Some(0));
+        push(&mut s, 1, &t(b"b", &[b"x", b"x"], 0.9));
+        assert_eq!(s.pull_side(), Some(0), "side 0 is still unbounded");
+        push(&mut s, 0, &t(b"a", &[b"x"], 0.1));
+        assert_eq!(s.pull_side(), Some(2));
+        assert_eq!(s.threshold(), None);
+    }
+
+    #[test]
+    fn pull_side_is_the_side_whose_term_is_the_threshold() {
+        // (f, per-side (max, min) in eighths, the side picked, its term).
+        let cases = [
+            (ScoreFn::Sum, [(7, 3), (6, 3), (5, 4)], 2, 17.0 / 8.0),
+            (ScoreFn::Product, [(7, 2), (6, 5), (5, 4)], 1, 175.0 / 512.0),
+            (ScoreFn::Min, [(7, 6), (4, 1), (5, 2)], 0, 4.0 / 8.0),
+            // Max: sides 1 and 2 tie at side 0's max; the lower index wins.
+            (ScoreFn::Max, [(7, 1), (4, 3), (5, 2)], 1, 7.0 / 8.0),
+            // Sum: sides 1 and 2 tie at 17/8.
+            (ScoreFn::Sum, [(7, 3), (6, 5), (5, 4)], 1, 17.0 / 8.0),
+        ];
+        for (f, bounds, side, term) in cases {
+            let s = with_bounds(f, bounds);
+            assert_eq!(s.pull_side(), Some(side), "{f:?} {bounds:?}");
+            assert_eq!(s.threshold(), Some(term), "{f:?} {bounds:?}");
+        }
+    }
+
+    #[test]
+    fn pull_side_skips_exhausted_sides_and_empty_exhausted_partners() {
+        let mut s = with_bounds(ScoreFn::Sum, [(7, 3), (6, 3), (5, 4)]);
+        s.exhaust(2);
+        assert_eq!(s.pull_side(), Some(1), "side 2's 17/8 no longer counts");
+        assert_eq!(s.threshold(), Some(15.0 / 8.0));
+
+        // Side 1 exhausted empty: no future result exists, but side 2 is
+        // still unbounded until its first pull.
+        let mut s = HrjnState::new(&path3(1, ScoreFn::Sum), 1);
+        push(&mut s, 0, &t(b"a", &[b"x"], 0.5));
+        s.exhaust(1);
+        assert_eq!(s.pull_side(), Some(2));
+        push(&mut s, 2, &t(b"c", &[b"x"], 0.5));
+        assert_eq!(s.pull_side(), None, "no side has a term");
+        assert_eq!(s.threshold(), Some(f64::NEG_INFINITY));
+        assert!(s.is_done());
     }
 
     #[test]

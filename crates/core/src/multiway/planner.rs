@@ -39,7 +39,8 @@ fn expected_results(stats: &TableStats, seen: &[f64]) -> f64 {
 
 /// Predicted index reads of one access assignment: materialized sides
 /// pay their full tuple count up front; descending sides pay the uniform
-/// round-robin depth at which the expected result count reaches `k`.
+/// depth at which the expected result count reaches `k` — only a model of
+/// the threshold-led descent (see ROADMAP: fitting the planner constants).
 pub(crate) fn predicted_reads(stats: &TableStats, access: &[SideAccess], k: usize) -> f64 {
     let n = access.len();
     let totals: Vec<f64> = stats.sides.iter().map(|s| s.tuples as f64).collect();
@@ -140,7 +141,7 @@ mod tests {
         // selective join (distinct ~100 per edge): paying the 50-row
         // ingest up front yields the side's full contribution at once,
         // halving the depth the big sides must descend to — strictly
-        // cheaper than round-robining all three.
+        // cheaper than descending all three.
         let (_, spec) = three_way_path_cluster(50);
         let side = |tuples| SideStats {
             tuples,

@@ -51,6 +51,12 @@ pub(crate) fn running_example_cluster_with(cost: CostModel) -> (Cluster, RankJoi
 /// values over `{a, b, c}` and scores over `(0, 1]`. Returns the loaded
 /// cluster and the top-`k` sum-scored path spec.
 pub(crate) fn three_way_path_cluster(k: usize) -> (Cluster, JoinSpec) {
+    three_way_path_sized(k, [14, 12, 13])
+}
+
+/// [`three_way_path_cluster`] with `sizes[i]` tuples on side `i` — the
+/// generator's stream is the same, so the default sizes give that fixture.
+pub(crate) fn three_way_path_sized(k: usize, sizes: [usize; 3]) -> (Cluster, JoinSpec) {
     let c = Cluster::new(3, CostModel::test());
     c.create_table("ta", &["d"]).unwrap();
     c.create_table("tb", &["d"]).unwrap();
@@ -63,7 +69,7 @@ pub(crate) fn three_way_path_cluster(k: usize) -> (Cluster, JoinSpec) {
             .wrapping_add(1442695040888963407);
         x
     };
-    for i in 0..14 {
+    for i in 0..sizes[0] {
         let j = [b'a' + (step() >> 33) as u8 % 3];
         let s = ((step() >> 11) % 1000 + 1) as f64 / 1000.0;
         client
@@ -77,7 +83,7 @@ pub(crate) fn three_way_path_cluster(k: usize) -> (Cluster, JoinSpec) {
             )
             .unwrap();
     }
-    for i in 0..12 {
+    for i in 0..sizes[1] {
         let j1 = [b'a' + (step() >> 33) as u8 % 3];
         let j2 = [b'a' + (step() >> 33) as u8 % 3];
         let s = ((step() >> 11) % 1000 + 1) as f64 / 1000.0;
@@ -93,7 +99,7 @@ pub(crate) fn three_way_path_cluster(k: usize) -> (Cluster, JoinSpec) {
             )
             .unwrap();
     }
-    for i in 0..13 {
+    for i in 0..sizes[2] {
         let j = [b'a' + (step() >> 33) as u8 % 3];
         let s = ((step() >> 11) % 1000 + 1) as f64 / 1000.0;
         client

@@ -1,6 +1,8 @@
 //! Property tests of the one HRJN operator: it equals brute force on
 //! arbitrary score-sorted inputs over two-side, 3-path and 3-star specs
-//! (modulo tie-sibling exchange at the k-th score); the id top-k every
+//! (modulo tie-sibling exchange at the k-th score), driven by `run_hrjn`
+//! — which pulls three sides one tuple at a time from the side whose
+//! term is the threshold, the N-way cursor's order; the id top-k every
 //! coordinator algorithm ranks into is `TopK` to the bit, duplicate base
 //! keys included, under HRJN's, BFHM's and DRJN's offers; re-targeting a
 //! 3-way operator equals having run it at the new `k` from the start; and

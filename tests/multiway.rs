@@ -1,11 +1,14 @@
 //! Multi-way rank-join integration suite (`rj_core::multiway`).
 //!
-//! * Proptest: 3-way **path** and **star** specs over arbitrary data are
+//! * Proptest: 3- and 4-way **path** and **star** specs over arbitrary
+//!   data, at batches of 1–3 rows over sides of up to 39 rows (so the
+//!   descent's pull order decides which side is read when), are
 //!   rank-equivalent to the exhaustive N-ary oracle under every access
 //!   plan — the planner's own choice, forced all-descend, and a forced
 //!   materialization — and an *arbitrary* interleaving of `next_batch`
 //!   pulls, pause/resume round-trips, and resumes on a different
-//!   executor fork charges exactly the one-shot run's `kv_reads`.
+//!   executor fork charges exactly the one-shot run's ledger (`kv_reads`,
+//!   `rpc_calls`, `network_bytes`).
 //! * Proptest: the **binary compatibility pin** — a two-side
 //!   [`rankjoin::JoinSpec`] through [`rankjoin::SpecExecutor`] is
 //!   byte-for-byte the binary ISL execution: identical results,
@@ -14,9 +17,10 @@
 use proptest::prelude::*;
 
 use rankjoin::core::oracle;
+use rankjoin::store::metrics::MetricsSnapshot;
 use rankjoin::{
-    Algorithm, Cluster, CostModel, JoinSide, JoinSpec, JoinTuple, Mutation, RankJoinExecutor,
-    ScoreFn, SideAccess, SpecExecutor, StopPolicy,
+    Algorithm, Cluster, CostModel, JoinSide, JoinSpec, JoinTuple, MultiwayConfig, Mutation,
+    RankJoinExecutor, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
 };
 
 type SideRows = Vec<(u8, f64)>;
@@ -106,17 +110,30 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 struct Scenario {
     sides: Vec<SideRows>,
     k: usize,
+    batch: usize,
     ops: Vec<Op>,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     let tuple = (0u8..5, 0u32..=1000).prop_map(|(j, s)| (j, f64::from(s) / 1000.0));
     (
-        prop::collection::vec(prop::collection::vec(tuple, 1..14), 3..=3),
+        prop::collection::vec(prop::collection::vec(tuple, 1..40), 3..=4),
         1usize..8,
+        1usize..=3,
         prop::collection::vec(op_strategy(), 1..10),
     )
-        .prop_map(|(sides, k, ops)| Scenario { sides, k, ops })
+        .prop_map(|(sides, k, batch, ops)| Scenario {
+            sides,
+            k,
+            batch,
+            ops,
+        })
+}
+
+/// `(kv_reads, rpc_calls, network_bytes)` charged to `fork` since `before`.
+fn ledger(fork: &Cluster, before: &MetricsSnapshot) -> (u64, u64, u64) {
+    let d = fork.metrics().snapshot().delta_since(before);
+    (d.kv_reads, d.rpc_calls, d.network_bytes)
 }
 
 /// Drives one cursor through the schedule across two executor forks,
@@ -168,17 +185,18 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// 3-way path and star specs on arbitrary data: every access plan
-    /// (planner's choice, forced all-descend, forced materialization)
-    /// is rank-equivalent to the exhaustive oracle, and an arbitrary
-    /// pull/pause/resume/refork schedule charges exactly the one-shot
-    /// run's `kv_reads`.
+    /// 3- and 4-way path and star specs on arbitrary data: every access
+    /// plan (planner's choice, forced all-descend, forced
+    /// materialization) is rank-equivalent to the exhaustive oracle, and
+    /// an arbitrary pull/pause/resume/refork schedule charges exactly the
+    /// one-shot run's ledger.
     #[test]
     fn three_way_specs_match_oracle_across_plans_and_schedules(s in scenario()) {
         for shape in [Shape::Path, Shape::Star] {
             let (cluster, spec) = load_spec(&s.sides, shape, s.k);
             let mut proto = SpecExecutor::new(&cluster, spec.clone());
             prop_assert!(!proto.is_binary());
+            proto.config = MultiwayConfig { batch: s.batch };
             proto.prepare().unwrap();
             // Prime the statistics snapshot so no fork pays an
             // asymmetric collection pass.
@@ -210,7 +228,7 @@ proptest! {
             let ex_ref = proto.fork_onto(&fork_ref).unwrap();
             let before = fork_ref.metrics().snapshot();
             ex_ref.execute_with_k(s.k).unwrap();
-            let ref_reads = fork_ref.metrics().snapshot().delta_since(&before).kv_reads;
+            let one_shot = ledger(&fork_ref, &before);
 
             // The same query through the scheduled cursor, hopping
             // between two further forks.
@@ -221,13 +239,13 @@ proptest! {
             let before_a = fork_a.metrics().snapshot();
             let before_b = fork_b.metrics().snapshot();
             let paged = run_schedule(&ex_a, &ex_b, s.k, &s.ops);
-            let paged_reads = fork_a.metrics().snapshot().delta_since(&before_a).kv_reads
-                + fork_b.metrics().snapshot().delta_since(&before_b).kv_reads;
+            let (a, b) = (ledger(&fork_a, &before_a), ledger(&fork_b, &before_b));
+            let scheduled = (a.0 + b.0, a.1 + b.1, a.2 + b.2);
 
             assert_rank_equivalent(&format!("{shape:?} scheduled"), &paged, &want, &all);
             prop_assert_eq!(
-                paged_reads, ref_reads,
-                "{:?}: scheduled run must charge exactly the one-shot reads", shape
+                scheduled, one_shot,
+                "{:?}: scheduled run must charge exactly the one-shot ledger", shape
             );
         }
     }
