@@ -1,6 +1,6 @@
 //! The experiment driver: regenerates every table and figure of the
 //! paper's evaluation section, plus the studies of the extensions built
-//! on it (planner, adaptive re-planning, serving, cursors, multi-way).
+//! on it (planner, statistics maintenance, serving, cursors, multi-way).
 //!
 //! ```text
 //! cargo run -p rj_bench --release --bin experiments -- [experiment] [flags]
@@ -18,9 +18,6 @@
 //!               planner agreement with the measured-cheapest choice
 //!   updates-planner  interleaved refresh sets vs Auto planning: maintained
 //!                    statistics against a fresh-stats oracle per round
-//!   adaptive    mid-query adaptive re-planning: abort-and-switch vs
-//!               never-switch vs hindsight-oracle lanes, with and without
-//!               a planted histogram lie
 //!   serve       multi-tenant serving front-end: open-loop zipf-tenant
 //!               workload replayed with cross-query work sharing off/on,
 //!               qps + sojourn percentiles + per-tenant metering
@@ -46,9 +43,9 @@
 use std::env;
 
 use rj_bench::{
-    run_ablations, run_adaptive, run_cursor, run_example_walkthrough, run_fig7, run_fig8, run_fig9,
-    run_memory, run_multiway, run_planner, run_scaling, run_serve, run_sizes, run_updates,
-    run_updates_planner, CursorBenchConfig, Json, MultiwayBenchConfig, ServeBenchConfig, Table,
+    run_ablations, run_cursor, run_example_walkthrough, run_fig7, run_fig8, run_fig9, run_memory,
+    run_multiway, run_planner, run_scaling, run_serve, run_sizes, run_updates, run_updates_planner,
+    CursorBenchConfig, Json, MultiwayBenchConfig, ServeBenchConfig, Table,
 };
 
 /// Every runnable experiment name (usage text and up-front validation).
@@ -63,7 +60,6 @@ const EXPERIMENTS: &[&str] = &[
     "scaling",
     "planner",
     "updates-planner",
-    "adaptive",
     "serve",
     "cursor",
     "multiway",
@@ -231,18 +227,6 @@ fn main() {
             report.agreement * 100.0,
             report.mutations,
             report.collections
-        );
-    }
-    if ran("adaptive") {
-        // Rows per side scale with the lab scale factor so the CI smoke
-        // stays quick while `--sf` sweeps still bite (SF 0.002 → 1500).
-        let rows = ((args.sf_lab * 750_000.0) as usize).clamp(400, 20_000);
-        let report = run_adaptive(rows);
-        emit_json(&args.json_out, "adaptive", &report.to_json());
-        println!("{}", report.table().render());
-        println!(
-            "# adaptive: lie speedup {:.2}x, switches lie/no-lie {}/{}\n",
-            report.lie_speedup, report.lie_switches, report.no_lie_switches
         );
     }
     if ran("serve") {

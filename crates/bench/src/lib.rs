@@ -18,7 +18,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod cursor;
 pub mod experiments;
 pub mod fixture;
@@ -28,7 +27,6 @@ pub mod report;
 pub mod serve;
 pub mod updates_planner;
 
-pub use adaptive::{run_adaptive, AdaptiveReport};
 pub use cursor::{run_cursor, CursorBenchConfig, CursorReport};
 pub use experiments::{
     apply_update_set, run_ablations, run_example_walkthrough, run_fig7, run_fig8, run_fig9,

@@ -42,10 +42,6 @@ use super::index::{blob_row_key, meta_of, reverse_row_key, META_ROW};
 use super::maintenance::{refresh_bucket, resolve_bucket_row, write_back_bucket, WriteBackPolicy};
 use super::{BfhmConfig, BoundMode};
 
-/// The cache key of seeded results' tuples: no cell's (every cell key is
-/// nine bytes), so seeds are never joined or counted as fetched.
-const SEEDS: &[u8] = &[];
-
 /// Flat reverse-row cache: cell keys pack to 9 bytes (`side ‖ bucket ‖
 /// pos`, big-endian) interned in a [`FlatMultiMap`], and the cached tuples
 /// live in three **columnar** flat arrays — every tuple's base key and
@@ -81,8 +77,7 @@ impl ReverseStore {
     /// Cells fetched so far (empty ones included): every reverse-row get
     /// the run has made.
     fn cells_fetched(&self) -> u64 {
-        let seeded = usize::from(self.index.contains_key(SEEDS));
-        (self.index.num_keys() - seeded) as u64
+        self.index.num_keys() as u64
     }
 
     /// Makes room for `cells` more cells holding at least a tuple each —
@@ -302,22 +297,6 @@ impl BfhmCore {
     /// Monotone progress measure: every store fetch the machine has made.
     pub(crate) fn consumed_depth(&self) -> u64 {
         self.sides[0].bucket_gets + self.sides[1].bucket_gets + self.reverse.cells_fetched()
-    }
-
-    /// Offers a seeded result (see [`run_shared`]): its two tuples join the
-    /// cache's columns under a key no cell has, so nothing is fetched or
-    /// counted.
-    fn seed(&mut self, t: &JoinTuple) {
-        let entry = self.reverse.index.ensure(SEEDS);
-        let ids = [
-            self.reverse
-                .push(entry, &t.left_key, &t.join_value, t.left_score),
-            self.reverse
-                .push(entry, &t.right_key, &t.join_value, t.right_score),
-        ];
-        let reverse = &self.reverse;
-        self.results
-            .offer(t.score, &ids, |_, id| reverse.tuple(id).0);
     }
 
     /// The buffered results of ranks `ranks`, built: keys and join values
@@ -856,23 +835,6 @@ impl BfhmCursor {
         Ok(BfhmCursor { run })
     }
 
-    /// Seeds the top-k accumulator with *genuine* join results of the
-    /// current data and fast-forwards emission past `already_emitted` of
-    /// them — the adaptive cursor's ISL → BFHM switch handoff (see
-    /// [`run_shared`] for why seeding is result-transparent).
-    pub(crate) fn seed(&mut self, seed: &[JoinTuple], already_emitted: usize) {
-        for t in seed {
-            self.run.core.seed(t);
-        }
-        self.run.core.meta.emitted = already_emitted;
-    }
-
-    /// Folds a predecessor's metric charge into this cursor's cumulative
-    /// charge (the adaptive switch bills the aborted ISL prefix here).
-    pub(crate) fn add_charge(&mut self, prior: MetricsSnapshot) {
-        self.run.core.meta.charged = snap_add(self.run.core.meta.charged, prior);
-    }
-
     /// Reattaches a detached state to `cluster`.
     pub(crate) fn resume(cluster: &Cluster, core: BfhmCore) -> Self {
         BfhmCursor {
@@ -974,32 +936,11 @@ pub fn run(
     write_back: WriteBackPolicy,
 ) -> Result<QueryOutcome> {
     let shared = Arc::new(query.clone());
-    run_shared(
-        cluster,
-        &shared,
-        query.k,
-        index_table,
-        config,
-        write_back,
-        &[],
-    )
+    run_shared(cluster, &shared, query.k, index_table, config, write_back)
 }
 
-/// [`run`] for the top `k` of a shared query, whose own `k` is not read,
-/// with the top-k accumulator pre-seeded — the executor's entry point.
-///
-/// `seed` must contain only *genuine* join results of the current data —
-/// e.g. the buffered results of an aborted ISL prefix over the same query
-/// (the adaptive driver's reuse path, [`crate::adaptive`]). Seeding is
-/// result-transparent: the accumulator deduplicates, every seed is a real
-/// join tuple (its two tuples join the cache's columns without counting
-/// as fetched cells, so `reverse_rows_fetched` and the consumed depth
-/// count only the run's own gets), and the §5.3 guarantee loop's
-/// termination test only ever compares against the k-th *genuine*
-/// buffered score — so the returned
-/// top-k is identical to an unseeded run, while a seed that already
-/// covers part of the top-k can only raise the k-th bound earlier and
-/// *prune* bucket fetches and materializations.
+/// [`run`] for the top `k` of a shared query, whose own `k` is not read —
+/// the executor's entry point.
 pub(crate) fn run_shared(
     cluster: &Cluster,
     query: &Arc<RankJoinQuery>,
@@ -1007,7 +948,6 @@ pub(crate) fn run_shared(
     index_table: &str,
     config: &BfhmConfig,
     write_back: WriteBackPolicy,
-    seed: &[JoinTuple],
 ) -> Result<QueryOutcome> {
     if k == 0 {
         return Ok(QueryOutcome::new(
@@ -1018,9 +958,6 @@ pub(crate) fn run_shared(
     }
     let meter = QueryMeter::start(cluster.metrics());
     let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back)?;
-    for t in seed {
-        run.core.seed(t);
-    }
     run.run_to_completion()?;
     run.finish(meter)
 }
@@ -1180,64 +1117,6 @@ mod tests {
         // Estimate is per bucket pair, so those rows merge with summed
         // cardinalities.
         assert_eq!(got, want);
-    }
-
-    /// Seeding with an ISL prefix's results (the adaptive handoff) changes
-    /// no result, one-shot or through a cursor, and the seed's tuples are
-    /// not counted as fetched: a seeded cursor has consumed nothing, and a
-    /// run's gets are exactly the RPCs it billed after its metadata read.
-    #[test]
-    fn a_seeded_run_equals_the_unseeded_one_and_counts_only_its_own_gets() {
-        use crate::hrjn::{HrjnState, InputTuple};
-        use crate::testsupport::{fig1_r1, fig1_r2};
-        let (c, q) = running_example_cluster();
-        let config = example_config();
-        build(&c, &q, &config);
-        // The ISL prefix: HRJN over the best four tuples of each side.
-        let best_four = |rows: Vec<(&str, &[u8], f64)>| {
-            let mut rows: Vec<InputTuple> = rows
-                .into_iter()
-                .map(|(key, join, s)| (key.as_bytes().to_vec(), vec![join.to_vec()], s))
-                .collect();
-            rows.sort_by(|a, b| b.2.total_cmp(&a.2));
-            rows.truncate(4);
-            rows
-        };
-        let mut prefix = HrjnState::new(&q.to_spec(), 10);
-        for (side, rows) in [best_four(fig1_r1()), best_four(fig1_r2())]
-            .iter()
-            .enumerate()
-        {
-            for (key, joins, score) in rows {
-                let joins = joins.iter().map(Vec::as_slice);
-                prefix.push_borrowed(side, key, joins, *score).unwrap();
-            }
-        }
-        let seed = prefix.current_results();
-        assert_eq!(seed.len(), 3, "c: 0.93 + 0.64; d: 0.82 + 0.53, twice");
-
-        let query = Arc::new(q.clone());
-        let policy = WriteBackPolicy::Off;
-        for k in [1, 3, 5, 10] {
-            let run = |seed| run_shared(&c, &query, k, "bfhm_idx", &config, policy, seed).unwrap();
-            let (plain, seeded) = (run(&[]), run(&seed));
-            assert_eq!(seeded.results, plain.results, "k = {k}");
-            assert_eq!(seeded.results, oracle::topk(&c, &q.with_k(k)).unwrap());
-            for outcome in [&plain, &seeded] {
-                let gets = outcome.extra("bucket_gets").unwrap()
-                    + outcome.extra("reverse_rows_fetched").unwrap();
-                assert_eq!(outcome.metrics.rpc_calls, 1 + gets as u64, "k = {k}");
-            }
-            let reverse = |o: &QueryOutcome| o.extra("reverse_rows_fetched").unwrap();
-            assert!(reverse(&seeded) <= reverse(&plain), "k = {k}");
-
-            let mut cursor =
-                BfhmCursor::open(&c, &query, k, "bfhm_idx", &config, policy, None).unwrap();
-            cursor.seed(&seed, 0);
-            assert_eq!(cursor.consumed_depth(), 0, "k = {k}");
-            let page = cursor.next_batch(k, &StopPolicy::never()).unwrap();
-            assert_eq!(page.results, plain.results, "k = {k}");
-        }
     }
 
     /// The query fails with the typed codec error: one-shot, and through

@@ -89,9 +89,8 @@ pub struct StopPolicy {
     pub deadline_sim_seconds: Option<f64>,
     /// Fault-injection hook: trip the token after this many batches, as
     /// if a client cancelled exactly there. Exercises mid-query
-    /// cancellation deterministically in tests (the sibling of
-    /// [`crate::executor::RankJoinExecutor::adaptive_force_switch_after`]);
-    /// leave `None` in production.
+    /// cancellation deterministically in tests; leave `None` in
+    /// production.
     pub cancel_after_batches: Option<u64>,
 }
 

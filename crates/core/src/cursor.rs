@@ -66,7 +66,6 @@ use crate::cancel::{StopPolicy, StopReason};
 use crate::codec;
 use crate::error::{RankJoinError, Result};
 use crate::hrjn::HrjnState;
-use crate::isl::BatchVerdict;
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
 
@@ -243,22 +242,6 @@ pub(crate) enum StateInner {
     Drjn(Box<crate::drjn::DrjnCore>),
     /// Bulk-MR algorithm state (buffered one-shot answer).
     Materialized(Box<MaterializedCore>),
-    /// An `Algorithm::Auto` cursor: the currently-driving inner state
-    /// plus whether the adaptive switch already happened.
-    Auto(Box<AutoCore>),
-}
-
-/// Detached state of an executor-level adaptive (`Algorithm::Auto`)
-/// cursor: the inner driving cursor plus the switch flag. Resumable only
-/// through [`crate::executor::RankJoinExecutor::resume_cursor`] (the
-/// re-planning context lives on the executor).
-#[derive(Clone)]
-pub(crate) struct AutoCore {
-    /// The currently-driving inner state.
-    pub inner: StateInner,
-    /// Whether the mid-query switch away from ISL already happened (a
-    /// switched cursor never re-arms observation).
-    pub switched: bool,
 }
 
 impl std::fmt::Debug for CursorState {
@@ -275,16 +258,11 @@ impl std::fmt::Debug for CursorState {
 
 impl CursorState {
     fn meta(&self) -> &CursorMeta {
-        CursorState::meta_of(&self.inner)
-    }
-
-    fn meta_of(inner: &StateInner) -> &CursorMeta {
-        match inner {
+        match &self.inner {
             StateInner::Isl(c) => &c.meta,
             StateInner::Bfhm(c) => &c.meta,
             StateInner::Drjn(c) => &c.meta,
             StateInner::Materialized(c) => &c.meta,
-            StateInner::Auto(c) => CursorState::meta_of(&c.inner),
         }
     }
 
@@ -295,7 +273,6 @@ impl CursorState {
             StateInner::Bfhm(_) => "BFHM",
             StateInner::Drjn(_) => "DRJN",
             StateInner::Materialized(c) => c.algorithm,
-            StateInner::Auto(_) => "AUTO",
         }
     }
 
@@ -317,16 +294,11 @@ impl CursorState {
     /// Input depth consumed before the pause (see
     /// [`RankedCursor::consumed_depth`]).
     pub fn consumed_depth(&self) -> u64 {
-        CursorState::depth_of(&self.inner)
-    }
-
-    fn depth_of(inner: &StateInner) -> u64 {
-        match inner {
+        match &self.inner {
             StateInner::Isl(c) => c.state.tuples_consumed() as u64,
             StateInner::Bfhm(c) => c.consumed_depth(),
             StateInner::Drjn(c) => c.consumed_depth(),
             StateInner::Materialized(c) => c.results.as_ref().map_or(0, |r| r.len()) as u64,
-            StateInner::Auto(c) => CursorState::depth_of(&c.inner),
         }
     }
 
@@ -353,20 +325,12 @@ impl CursorState {
     /// keeps every tuple it consumed, so its top-k buffer can be rebuilt
     /// at any larger `k`.
     pub fn supports_retarget(&self) -> bool {
-        match &self.inner {
-            StateInner::Isl(_) => true,
-            StateInner::Auto(c) => matches!(c.inner, StateInner::Isl(_)),
-            _ => false,
-        }
+        matches!(self.inner, StateInner::Isl(_))
     }
 
     /// Resumes the paused execution on `cluster` (which must hold the
     /// same data the cursor was consuming — see the coherence contract).
     /// Remaining work is billed to `cluster`'s metric ledger.
-    ///
-    /// `Algorithm::Auto` states must resume through
-    /// [`crate::executor::RankJoinExecutor::resume_cursor`] — the
-    /// re-planning context lives on the executor.
     pub fn resume_on(self, cluster: &Cluster) -> Result<Box<dyn RankedCursor>> {
         match self.inner {
             StateInner::Isl(core) => Ok(Box::new(IslCursor::resume(cluster, *core))),
@@ -375,9 +339,6 @@ impl CursorState {
             StateInner::Materialized(core) => {
                 Ok(Box::new(MaterializedCursor::resume(cluster, *core)))
             }
-            StateInner::Auto(_) => Err(RankJoinError::Internal(
-                "Algorithm::Auto cursors resume through RankJoinExecutor::resume_cursor",
-            )),
         }
     }
 
@@ -396,9 +357,6 @@ impl CursorState {
             StateInner::Isl(mut core) => {
                 core.retarget(new_k);
                 Ok(Box::new(IslCursor::resume(cluster, *core)))
-            }
-            StateInner::Auto(auto) if matches!(auto.inner, StateInner::Isl(_)) => {
-                CursorState { inner: auto.inner }.resume_retargeted(cluster, new_k)
             }
             _ => Err(RankJoinError::Internal(
                 "only ISL cursor states support re-targeting to a deeper k",
@@ -547,10 +505,6 @@ enum BatchStep {
     Completed,
 }
 
-/// Per-batch observation callback: sees the live HRJN state and the
-/// batch ordinal, and rules whether the descent continues.
-pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict + Send>;
-
 /// The ISL/HRJN rank join as a [`RankedCursor`]: the batched descent of
 /// [`crate::isl::run`] over every [`SideAccess::Descend`] side of a spec's
 /// score index, with [`SideAccess::Materialize`] sides bulk-ingested up
@@ -560,11 +514,6 @@ pub(crate) type BatchObserver = Box<dyn FnMut(&HrjnState, u64) -> BatchVerdict +
 pub struct IslCursor {
     cluster: Cluster,
     core: IslCore,
-    /// Per-batch observation hook (the adaptive driver's divergence
-    /// watch). Called after every completed batch; an `Abort` verdict
-    /// ends the pump and sets [`IslCursor::observer_abort`].
-    observer: Option<BatchObserver>,
-    observer_abort: bool,
 }
 
 impl IslCursor {
@@ -624,19 +573,7 @@ impl IslCursor {
         IslCursor {
             cluster: cluster.clone(),
             core,
-            observer: None,
-            observer_abort: false,
         }
-    }
-
-    /// Installs the per-batch observation hook (see [`IslCursor::observer`]).
-    pub(crate) fn set_observer(&mut self, observer: BatchObserver) {
-        self.observer = Some(observer);
-    }
-
-    /// Whether the last pump ended on the observer's `Abort` verdict.
-    pub(crate) fn observer_aborted(&self) -> bool {
-        self.observer_abort
     }
 
     /// Batches fetched so far.
@@ -644,8 +581,8 @@ impl IslCursor {
         self.core.batches
     }
 
-    /// Consumes the cursor into its HRJN state (the adaptive driver's
-    /// abort handoff).
+    /// Consumes the cursor into its HRJN state (what a one-shot run
+    /// closes its outcome from).
     pub(crate) fn into_hrjn(self) -> HrjnState {
         self.core.state
     }
@@ -700,8 +637,8 @@ impl IslCursor {
     /// Runs exactly one batch of the descent (after the materialization
     /// pass on the first call), or finishes a part-way batch left by an
     /// earlier re-target — the body of the paper's Algorithm 4 loop. No
-    /// observer or policy evaluation happens here; the pump checks at the
-    /// boundary this returns at.
+    /// policy evaluation happens here; the pump checks at the boundary
+    /// this returns at.
     fn advance_one_batch(&mut self) -> Result<BatchStep> {
         if self.drained() {
             return Ok(BatchStep::Drained);
@@ -787,8 +724,8 @@ impl IslCursor {
     }
 
     /// Advances batches until `want` results are certified, the cursor
-    /// drains, or a stop condition / observer abort fires at a boundary.
-    /// Returns the stop reason (if any) and this call's metric delta.
+    /// drains, or a stop condition fires at a boundary. Returns the stop
+    /// reason (if any) and this call's metric delta.
     pub(crate) fn pump(
         &mut self,
         want: usize,
@@ -796,7 +733,6 @@ impl IslCursor {
     ) -> Result<(Option<StopReason>, MetricsSnapshot)> {
         let ledger = self.cluster.metrics();
         let before = ledger.snapshot();
-        self.observer_abort = false;
         let mut stopped = None;
         loop {
             // `certified() >= want` can hold part-way through a batch only
@@ -811,14 +747,6 @@ impl IslCursor {
                 BatchStep::Completed => {
                     if self.core.state.all_exhausted() {
                         continue; // top-of-loop drain; no boundary checks
-                    }
-                    // Observation point: one batch fully paid for, HRJN
-                    // not terminated.
-                    if let Some(observer) = &mut self.observer {
-                        if observer(&self.core.state, self.core.batches) == BatchVerdict::Abort {
-                            self.observer_abort = true;
-                            break;
-                        }
                     }
                     let sim_so_far = self.core.meta.charged.sim_seconds
                         + ledger.snapshot().delta_since(&before).sim_seconds;
@@ -897,13 +825,6 @@ pub(crate) enum MaterializedSource {
     Pig,
     /// IJLMR over its prepared index table.
     Ijlmr(Arc<str>),
-    /// DRJN over its prepared matrices — only as an adaptive *switch
-    /// target* (native DRJN cursors run the incremental
-    /// [`crate::drjn`] round machine instead).
-    Drjn(Arc<str>, crate::drjn::DrjnConfig),
-    /// A pre-computed answer handed in directly (the adaptive switch
-    /// path parks its switched run's results here).
-    Buffered,
 }
 
 /// Detached state of a [`MaterializedCursor`].
@@ -969,12 +890,6 @@ impl MaterializedCursor {
             MaterializedSource::Pig => crate::pig::run(&engine, &query.with_k(k))?,
             MaterializedSource::Ijlmr(table) => {
                 crate::ijlmr::run(&engine, &query.with_k(k), table)?
-            }
-            MaterializedSource::Drjn(table, config) => {
-                crate::drjn::run_shared(&engine, query, k, table, config)?
-            }
-            MaterializedSource::Buffered => {
-                return Err(RankJoinError::Internal("buffered cursor lost its results"))
             }
         };
         self.core.results = Some(outcome.results);

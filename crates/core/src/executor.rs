@@ -20,20 +20,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use rj_mapreduce::MapReduceEngine;
 use rj_store::cluster::Cluster;
-use rj_store::metrics::QueryMeter;
 
-use crate::adaptive::{self, DivergenceObserver, DEFAULT_REPLAN_DIVERGENCE};
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCursor};
-use crate::cancel::StopPolicy;
 use crate::cursor::{
-    AutoCore, BatchObserver, CursorBatch, CursorMeta, CursorState, IslCursor, MaterializedCore,
-    MaterializedCursor, MaterializedSource, RankedCursor, SideAccess, StateInner,
+    CursorState, IslCursor, MaterializedCursor, MaterializedSource, RankedCursor, SideAccess,
 };
 use crate::drjn::{self, DrjnConfig, DrjnCursor};
 use crate::error::{RankJoinError, Result};
-use crate::hrjn::HrjnState;
 use crate::indexutil::BuildStats;
-use crate::isl::{self, IslConfig, IslRun};
+use crate::isl::{self, IslConfig};
 use crate::planner::{self, Candidates, CostEstimate, Objective, Plan};
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::stats::QueryOutcome;
@@ -55,12 +50,13 @@ pub enum Algorithm {
     Bfhm,
     /// DRJN comparator (§7.1).
     Drjn,
-    /// Cost-based adaptive selection ([`crate::planner`]): predicts every
+    /// Cost-based selection ([`crate::planner`]): predicts every
     /// prepared algorithm's cost from table statistics and the cluster's
     /// [`rj_store::costmodel::CostModel`], then runs the cheapest under
-    /// the executor's [`Objective`]. Unprepared indices are simply not
-    /// candidates; the index-free HIVE/PIG baselines always are, so Auto
-    /// never fails for lack of preparation.
+    /// the executor's [`Objective`], exactly as if it had been named.
+    /// Unprepared indices are simply not candidates; the index-free
+    /// HIVE/PIG baselines always are, so Auto never fails for lack of
+    /// preparation.
     Auto,
 }
 
@@ -120,20 +116,6 @@ pub struct RankJoinExecutor {
     /// incrementally-maintained statistics and re-collects. See
     /// [`crate::statsmaint`].
     pub staleness_bound: f64,
-    /// Largest observed-vs-predicted score divergence (absolute, in the
-    /// normalized `[0,1]` score domain) an [`Algorithm::Auto`]-dispatched
-    /// ISL execution tolerates before it aborts, corrects the shared
-    /// statistics from what it saw, re-plans, and switches algorithms
-    /// mid-query — the runtime sibling of
-    /// [`staleness_bound`](RankJoinExecutor::staleness_bound). See
-    /// [`crate::adaptive`]. `f64::INFINITY` disables mid-query switching.
-    pub replan_divergence: f64,
-    /// Fault-injection hook for the adaptive driver: force an
-    /// `Auto`-dispatched ISL execution to abort-and-switch after this
-    /// many batches even with zero divergence. Exercises the
-    /// switch-at-any-point equivalence contract in tests; leave `None` in
-    /// production.
-    pub adaptive_force_switch_after: Option<u64>,
     /// Shared, incrementally-maintained statistics handle. Collected
     /// lazily on the first `Auto` plan, updated in place by
     /// [`crate::maintenance::MaintainedSide`] writes registered on it,
@@ -197,8 +179,6 @@ impl RankJoinExecutor {
             write_back: WriteBackPolicy::Off,
             objective: Objective::Time,
             staleness_bound: DEFAULT_STALENESS_BOUND,
-            replan_divergence: DEFAULT_REPLAN_DIVERGENCE,
-            adaptive_force_switch_after: None,
             stats,
             plan_cache: Mutex::new(HashMap::new()),
             candidates_cache: Mutex::new(None),
@@ -465,8 +445,6 @@ impl RankJoinExecutor {
         fork.write_back = self.write_back;
         fork.objective = self.objective;
         fork.staleness_bound = self.staleness_bound;
-        fork.replan_divergence = self.replan_divergence;
-        fork.adaptive_force_switch_after = self.adaptive_force_switch_after;
         Ok(fork)
     }
 
@@ -586,16 +564,9 @@ impl RankJoinExecutor {
                     "planner produced no candidate (baselines missing)",
                 ))?;
                 let rank = plan.ranked.len() as f64;
-                // An Auto-chosen ISL runs under divergence observation —
-                // the mid-query adaptive path (a no-op wrapper while the
-                // observed descent tracks the plan's histograms). Every
-                // other choice runs natively.
-                let outcome = if best == Algorithm::Isl {
-                    self.execute_adaptive_isl(&plan, k)?
-                } else {
-                    self.execute_with_k(best, k)?
-                };
-                Ok(outcome.with_extra("planner_candidates", rank))
+                Ok(self
+                    .execute_with_k(best, k)?
+                    .with_extra("planner_candidates", rank))
             }
             // The MapReduce baselines take the query with its `k` inside.
             Algorithm::Hive => hive::run(&self.engine, &self.query.with_k(k)),
@@ -612,15 +583,14 @@ impl RankJoinExecutor {
                     .isl_table
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                isl::run_observed(cluster, &self.spec, k, t, &self.isl_config.batches(), None)
-                    .map(IslRun::into_outcome)
+                isl::run_spec(cluster, &self.spec, k, t, &self.isl_config.batches())
             }
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                bfhm::run_shared(cluster, &self.query, k, t, config, self.write_back, &[])
+                bfhm::run_shared(cluster, &self.query, k, t, config, self.write_back)
             }
             Algorithm::Drjn => {
                 let (t, config) = self
@@ -632,93 +602,6 @@ impl RankJoinExecutor {
         }
     }
 
-    /// Runs an [`Algorithm::Auto`]-chosen ISL under divergence
-    /// observation ([`crate::adaptive`]). While the observed per-batch
-    /// score descent tracks the plan's histogram prediction this is
-    /// exactly an ISL run; when the divergence crosses
-    /// [`replan_divergence`](RankJoinExecutor::replan_divergence) it
-    /// aborts, feeds the observation back through the shared statistics
-    /// handle (version bump → every sharer's cached plans invalidate
-    /// coherently), re-plans over the corrected statistics — live region
-    /// counts re-read, candidates minus ISL — and switches, re-using the
-    /// prefix's genuine results where the target permits (BFHM seeds its
-    /// top-k accumulator with them). The wasted prefix, the re-plan, and
-    /// the switched run are all charged to the one returned
-    /// [`QueryOutcome`], whose `algorithm` reads `"ISL→<TARGET>"`.
-    fn execute_adaptive_isl(&self, plan: &Arc<Plan>, k: usize) -> Result<QueryOutcome> {
-        let table = self
-            .isl_table
-            .as_deref()
-            .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-        let cluster = self.engine.cluster();
-        let meter = QueryMeter::start(cluster.metrics());
-        let (observer, hook) = self.divergence_hook(plan);
-        let prefix = isl::run_observed(
-            cluster,
-            &self.spec,
-            k,
-            table,
-            &self.isl_config.batches(),
-            Some(hook),
-        )?;
-        if !prefix.aborted {
-            return Ok(prefix.into_outcome().with_extra("adaptive_switched", 0.0));
-        }
-        // The mid-query correction delta: one version bump
-        // invalidates every cached plan sharing the handle.
-        let divergence = observer.lock().expect("divergence observer").divergence();
-        self.stats
-            .apply_observed_descent(adaptive::observed_from(&prefix.state), divergence);
-        // Re-plan from the corrected statistics.
-        // `stats_for_planning` re-reads live region counts (they
-        // drift under auto-splits with no delta describing it),
-        // and the algorithm that just proved mispriced is not a
-        // switch target.
-        let planned = self
-            .stats
-            .stats_for_planning(cluster, self.staleness_bound)?;
-        let mut switch_plan = planner::plan(
-            &planned.stats,
-            &self.query,
-            k,
-            cluster.cost_model(),
-            self.objective,
-            &self.candidates().without(Algorithm::Isl),
-        );
-        switch_plan.stats_source = planned.source;
-        let target = switch_plan.best().ok_or(RankJoinError::Internal(
-            "switch planner produced no candidate (baselines missing)",
-        ))?;
-        let switched = match target {
-            Algorithm::Bfhm => {
-                let (t, config) = self
-                    .bfhm_table
-                    .as_ref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                bfhm::run_shared(
-                    cluster,
-                    &self.query,
-                    k,
-                    t,
-                    config,
-                    self.write_back,
-                    // The prefix's buffered results are genuine
-                    // join tuples already paid for.
-                    &prefix.state.current_results(),
-                )?
-            }
-            other => self.execute_with_k(other, k)?,
-        };
-        let mut out = switched;
-        out.algorithm = adaptive::switched_name(target);
-        out.metrics = meter.finish();
-        Ok(out
-            .with_extra("adaptive_switched", 1.0)
-            .with_extra("adaptive_divergence", divergence)
-            .with_extra("adaptive_switch_batches", prefix.batches as f64)
-            .with_extra("adaptive_wasted_kv_reads", prefix.metrics.kv_reads as f64))
-    }
-
     /// Opens a pull-based [`RankedCursor`] over `algorithm` targeting the
     /// top `k_hint` results — the cursor-shaped sibling of
     /// [`RankJoinExecutor::execute_with_k`]. The cursor is pinned to the
@@ -727,12 +610,9 @@ impl RankJoinExecutor {
     /// maintained write or re-preparation fails with
     /// [`RankJoinError::StaleCursor`] instead of silently mixing epochs.
     ///
-    /// `Algorithm::Auto` plans once at open (priced at `k_hint`); an
-    /// ISL-chosen plan runs under the same divergence observation as
-    /// [`RankJoinExecutor::execute_with_k`]`(Auto, ..)`, and a mid-query
-    /// abort becomes a *cursor swap*: the remaining ranks are served by
-    /// the re-planned target, seeded with the prefix's genuine results
-    /// and carrying its full metric charge.
+    /// `Algorithm::Auto` plans once at open (priced at `k_hint`) and opens
+    /// the chosen algorithm's cursor: it reports, parks and resumes as
+    /// that algorithm.
     pub fn open_cursor(
         &self,
         algorithm: Algorithm,
@@ -743,17 +623,30 @@ impl RankJoinExecutor {
             Algorithm::Auto => {
                 // Plan first: the first plan may run the statistics pass,
                 // which bumps the handle version the cursor pins.
-                let plan = self.plan_with_k(k_hint)?;
-                let best = plan.best().ok_or(RankJoinError::Internal(
-                    "planner produced no candidate (baselines missing)",
-                ))?;
-                if best != Algorithm::Isl {
-                    return self.open_cursor(best, k_hint);
-                }
-                let isl = self.open_isl_cursor(k_hint)?;
-                Ok(Box::new(self.auto_cursor(k_hint, &plan, isl)))
+                let best = self
+                    .plan_with_k(k_hint)?
+                    .best()
+                    .ok_or(RankJoinError::Internal(
+                        "planner produced no candidate (baselines missing)",
+                    ))?;
+                self.open_cursor(best, k_hint)
             }
-            Algorithm::Isl => Ok(Box::new(self.open_isl_cursor(k_hint)?)),
+            Algorithm::Isl => {
+                let t = self
+                    .isl_table
+                    .as_deref()
+                    .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
+                // The shared two-side spec, both sides descended.
+                Ok(Box::new(IslCursor::open(
+                    cluster,
+                    &self.spec,
+                    k_hint,
+                    t,
+                    &self.isl_config.batches(),
+                    &[SideAccess::Descend; 2],
+                    Some(self.stats.version()),
+                )?))
+            }
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
@@ -818,51 +711,13 @@ impl RankJoinExecutor {
         }
     }
 
-    /// The ISL cursor for the top `k` — the shared spec-driven descent at
-    /// two sides, both descended — over the prepared index, pinned to the
-    /// current statistics version.
-    fn open_isl_cursor(&self, k: usize) -> Result<IslCursor> {
-        let table = self
-            .isl_table
-            .as_deref()
-            .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-        IslCursor::open(
-            self.engine.cluster(),
-            &self.spec,
-            k,
-            table,
-            &self.isl_config.batches(),
-            &[SideAccess::Descend; 2],
-            Some(self.stats.version()),
-        )
-    }
-
     /// Resumes a paused [`CursorState`] on this executor's cluster,
     /// refusing a statistics-version mismatch with
     /// [`RankJoinError::StaleCursor`] (see the [`CursorState`] coherence
-    /// contract). `Algorithm::Auto` states re-arm the divergence
-    /// observation against the (cached) plan when the switch has not
-    /// happened yet; switched or non-adaptive states resume natively.
+    /// contract).
     pub fn resume_cursor(&self, state: CursorState) -> Result<Box<dyn RankedCursor>> {
         state.check_version(self.stats.version())?;
-        match state.inner {
-            StateInner::Auto(auto) => {
-                match (auto.switched, auto.inner) {
-                    (false, StateInner::Isl(core)) => {
-                        let k = core.meta.k;
-                        let isl = IslCursor::resume(self.engine.cluster(), *core);
-                        // Same statistics version (just checked), so this
-                        // is the cached plan the cursor was opened under.
-                        let plan = self.plan_with_k(k)?;
-                        Ok(Box::new(self.auto_cursor(k, &plan, isl)))
-                    }
-                    // Already switched (or a non-ISL inner): the adaptive
-                    // context is spent — resume the driving state natively.
-                    (_, inner) => CursorState { inner }.resume_on(self.engine.cluster()),
-                }
-            }
-            inner => CursorState { inner }.resume_on(self.engine.cluster()),
-        }
+        state.resume_on(self.engine.cluster())
     }
 
     /// Re-targets a paused ISL state to a deeper `new_k` and resumes it —
@@ -906,284 +761,6 @@ impl RankJoinExecutor {
         }
         let shallow = self.plan_with_k(k_consumed)?;
         deep.marginal_from(&shallow, priced).ok_or(not_candidate)
-    }
-
-    /// A divergence judge against `plan` under this executor's trust
-    /// bound, and the per-batch cursor hook that consults it.
-    fn divergence_hook(&self, plan: &Arc<Plan>) -> (Arc<Mutex<DivergenceObserver>>, BatchObserver) {
-        let observer = Arc::new(Mutex::new(DivergenceObserver::new(
-            plan,
-            self.replan_divergence,
-            self.adaptive_force_switch_after,
-        )));
-        let hook = observer.clone();
-        let hook = move |state: &HrjnState, batches| {
-            hook.lock()
-                .expect("divergence observer")
-                .after_batch(state, batches)
-        };
-        (observer, Box::new(hook))
-    }
-
-    /// Builds the [`AutoCursor`] for the top `k` driving `isl` under
-    /// divergence observation against `plan`, carrying everything the
-    /// mid-query switch needs — shared, not copied — detached from
-    /// `self`'s lifetime.
-    fn auto_cursor(&self, k: usize, plan: &Arc<Plan>, mut isl: IslCursor) -> AutoCursor {
-        let (observer, hook) = self.divergence_hook(plan);
-        isl.set_observer(hook);
-        AutoCursor {
-            cluster: self.engine.cluster().clone(),
-            query: self.query.clone(),
-            k,
-            stats: self.stats.clone(),
-            candidates: self.candidates(),
-            objective: self.objective,
-            staleness_bound: self.staleness_bound,
-            write_back: self.write_back,
-            bfhm_table: self.bfhm_table.clone(),
-            drjn_table: self.drjn_table.clone(),
-            ijlmr_table: self.ijlmr_table.clone(),
-            observer,
-            inner: AutoInner::Isl(Box::new(isl)),
-            switched: false,
-        }
-    }
-}
-
-/// The currently-driving execution inside an [`AutoCursor`].
-enum AutoInner {
-    /// The planned ISL descent, under divergence observation.
-    Isl(Box<IslCursor>),
-    /// The post-switch target cursor.
-    Swapped(Box<dyn RankedCursor>),
-    /// Transient placeholder while a switch is in flight; observable only
-    /// after a switch error already surfaced to the caller.
-    Midswitch,
-}
-
-/// An [`Algorithm::Auto`] execution as a [`RankedCursor`]: plans at open,
-/// pulls from the chosen driver, and turns the mid-query adaptive
-/// re-planning of [`crate::adaptive`] into a cursor swap — when the
-/// divergence observer aborts the ISL descent, the statistics are
-/// corrected, a switch plan is computed, and the remaining ranks are
-/// served by the target's cursor (BFHM seeded with the prefix's genuine
-/// results; bulk targets parked behind a [`MaterializedCursor`]), all
-/// inside the same `next_batch` call.
-struct AutoCursor {
-    cluster: Cluster,
-    /// The executor's query, shared; the cursor's depth is `k`.
-    query: Arc<RankJoinQuery>,
-    k: usize,
-    stats: Arc<SharedTableStats>,
-    candidates: Candidates,
-    objective: Objective,
-    staleness_bound: f64,
-    write_back: WriteBackPolicy,
-    bfhm_table: Option<(Arc<str>, BfhmConfig)>,
-    drjn_table: Option<(Arc<str>, DrjnConfig)>,
-    ijlmr_table: Option<Arc<str>>,
-    observer: Arc<Mutex<DivergenceObserver>>,
-    inner: AutoInner,
-    switched: bool,
-}
-
-impl AutoCursor {
-    /// Performs the abort-and-switch on the consumed ISL cursor: correct
-    /// the shared statistics, re-plan without ISL, and install the target
-    /// cursor seeded/charged with the prefix. Mirrors
-    /// [`RankJoinExecutor::execute_adaptive_isl`]'s switch arm.
-    fn switch_now(&mut self, isl: IslCursor) -> Result<()> {
-        let emitted = isl.emitted();
-        let charged = isl.charged();
-        let hrjn = isl.into_hrjn();
-        let partial_results = hrjn.current_results();
-        let divergence = self
-            .observer
-            .lock()
-            .expect("divergence observer")
-            .divergence();
-        self.stats
-            .apply_observed_descent(adaptive::observed_from(&hrjn), divergence);
-        let planned = self
-            .stats
-            .stats_for_planning(&self.cluster, self.staleness_bound)?;
-        let switch_plan = planner::plan(
-            &planned.stats,
-            &self.query,
-            self.k,
-            self.cluster.cost_model(),
-            self.objective,
-            &self.candidates.clone().without(Algorithm::Isl),
-        );
-        let target = switch_plan.best().ok_or(RankJoinError::Internal(
-            "switch planner produced no candidate (baselines missing)",
-        ))?;
-        // The correction bump came from this very cursor, so the swapped
-        // cursor pins the *new* version — its buffered prefix is still
-        // coherent with the data (only the statistics moved).
-        let pinned = Some(self.stats.version());
-        let swapped: Box<dyn RankedCursor> = match target {
-            Algorithm::Bfhm => {
-                let (t, config) = self
-                    .bfhm_table
-                    .as_ref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                let mut cur = BfhmCursor::open(
-                    &self.cluster,
-                    &self.query,
-                    self.k,
-                    t,
-                    config,
-                    self.write_back,
-                    pinned,
-                )?;
-                cur.seed(&partial_results, emitted);
-                cur.add_charge(charged);
-                Box::new(cur)
-            }
-            other => {
-                let source = match other {
-                    Algorithm::Hive => MaterializedSource::Hive,
-                    Algorithm::Pig => MaterializedSource::Pig,
-                    Algorithm::Ijlmr => {
-                        let t = self.ijlmr_table.clone().ok_or_else(|| {
-                            RankJoinError::MissingIndex("ijlmr (unprepared)".into())
-                        })?;
-                        MaterializedSource::Ijlmr(t)
-                    }
-                    Algorithm::Drjn => {
-                        let (t, config) = self.drjn_table.as_ref().ok_or_else(|| {
-                            RankJoinError::MissingIndex("drjn (unprepared)".into())
-                        })?;
-                        MaterializedSource::Drjn(t.clone(), *config)
-                    }
-                    // `without(Isl)` excludes ISL; the planner never
-                    // ranks Auto or Bfhm here (Bfhm handled above).
-                    Algorithm::Isl | Algorithm::Auto | Algorithm::Bfhm => {
-                        return Err(RankJoinError::Internal("impossible switch target"))
-                    }
-                };
-                let mut meta = CursorMeta::new(self.k, pinned);
-                meta.emitted = emitted;
-                meta.charged = charged;
-                Box::new(MaterializedCursor::resume(
-                    &self.cluster,
-                    MaterializedCore {
-                        meta,
-                        query: self.query.clone(),
-                        source,
-                        results: None,
-                        algorithm: adaptive::switched_name(other),
-                    },
-                ))
-            }
-        };
-        self.inner = AutoInner::Swapped(swapped);
-        self.switched = true;
-        Ok(())
-    }
-}
-
-impl RankedCursor for AutoCursor {
-    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
-        let ledger = self.cluster.metrics();
-        let before = ledger.snapshot();
-        let mut out = match &mut self.inner {
-            AutoInner::Isl(cursor) => {
-                let batch = cursor.next_batch(n, policy)?;
-                if cursor.observer_aborted() {
-                    let AutoInner::Isl(isl) =
-                        std::mem::replace(&mut self.inner, AutoInner::Midswitch)
-                    else {
-                        unreachable!("just matched Isl");
-                    };
-                    self.switch_now(*isl)?;
-                    let mut merged = batch;
-                    let want_more = n.saturating_sub(merged.results.len());
-                    if want_more > 0 && merged.stopped.is_none() {
-                        let AutoInner::Swapped(swapped) = &mut self.inner else {
-                            unreachable!("switch_now installed the target");
-                        };
-                        let more = swapped.next_batch(want_more, policy)?;
-                        merged.results.extend(more.results);
-                        merged.done = more.done;
-                        merged.stopped = more.stopped;
-                    }
-                    merged
-                } else {
-                    batch
-                }
-            }
-            AutoInner::Swapped(cursor) => cursor.next_batch(n, policy)?,
-            AutoInner::Midswitch => {
-                return Err(RankJoinError::Internal(
-                    "Auto cursor unusable after a failed switch",
-                ))
-            }
-        };
-        // The whole call — prefix pull, statistics correction, re-plan,
-        // and target pull — is this page's consumed delta.
-        out.metrics = ledger.snapshot().delta_since(&before);
-        Ok(out)
-    }
-
-    fn pause(self: Box<Self>) -> CursorState {
-        let inner = match self.inner {
-            AutoInner::Isl(cursor) => cursor.pause().inner,
-            AutoInner::Swapped(cursor) => cursor.pause().inner,
-            // Unreachable without a prior switch error; park an empty,
-            // already-done buffer so pause stays infallible.
-            AutoInner::Midswitch => StateInner::Materialized(Box::new(MaterializedCore {
-                meta: CursorMeta::new(0, None),
-                query: self.query.clone(),
-                source: MaterializedSource::Buffered,
-                results: Some(Vec::new()),
-                algorithm: "AUTO",
-            })),
-        };
-        CursorState {
-            inner: StateInner::Auto(Box::new(AutoCore {
-                inner,
-                switched: self.switched,
-            })),
-        }
-    }
-
-    fn emitted(&self) -> usize {
-        match &self.inner {
-            AutoInner::Isl(c) => c.emitted(),
-            AutoInner::Swapped(c) => c.emitted(),
-            AutoInner::Midswitch => 0,
-        }
-    }
-
-    fn consumed_depth(&self) -> u64 {
-        match &self.inner {
-            AutoInner::Isl(c) => c.consumed_depth(),
-            AutoInner::Swapped(c) => c.consumed_depth(),
-            AutoInner::Midswitch => 0,
-        }
-    }
-
-    fn charged(&self) -> rj_store::metrics::MetricsSnapshot {
-        match &self.inner {
-            AutoInner::Isl(c) => c.charged(),
-            AutoInner::Swapped(c) => c.charged(),
-            AutoInner::Midswitch => rj_store::metrics::MetricsSnapshot::default(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match &self.inner {
-            AutoInner::Isl(c) => RankedCursor::is_done(c.as_ref()),
-            AutoInner::Swapped(c) => c.is_done(),
-            AutoInner::Midswitch => false,
-        }
-    }
-
-    fn algorithm(&self) -> &'static str {
-        "AUTO"
     }
 }
 
@@ -1456,55 +1033,6 @@ mod tests {
         std::mem::swap(&mut swapped.left, &mut swapped.right);
         let mut other = RankJoinExecutor::new(&c, swapped);
         assert!(other.attach_stats(ex.stats_handle()).is_err());
-    }
-
-    #[test]
-    fn auto_isl_with_truthful_stats_never_switches() {
-        let (c, q) = running_example_cluster();
-        let mut ex = RankJoinExecutor::new(&c, q.clone());
-        ex.prepare_isl().unwrap();
-        ex.prepare_bfhm(BfhmConfig {
-            num_buckets: 10,
-            filter_bits: Some(1 << 14),
-            ..Default::default()
-        })
-        .unwrap();
-        // Fresh statistics are exact, so the observed descent tracks the
-        // predicted one and the adaptive wrapper is a no-op ISL run.
-        let plan = ex.plan().unwrap();
-        if plan.best() == Some(Algorithm::Isl) {
-            let got = ex.execute(Algorithm::Auto).unwrap();
-            assert_eq!(got.algorithm, "ISL");
-            assert_eq!(got.extra("adaptive_switched"), Some(0.0));
-            assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
-        }
-        assert!(!ex.stats_handle().midquery_corrected());
-    }
-
-    #[test]
-    fn forced_switch_returns_the_oracle_answer_and_marks_the_outcome() {
-        // EC2 constants: the 12s MR job startup guarantees Auto picks the
-        // only coordinator candidate (ISL) at 11-tuple scale.
-        let (c, q) = crate::testsupport::running_example_cluster_with(
-            rj_store::costmodel::CostModel::ec2(8),
-        );
-        let mut ex = RankJoinExecutor::new(&c, q.clone());
-        ex.prepare_isl().unwrap();
-        ex.isl_config = IslConfig::uniform(2);
-        ex.adaptive_force_switch_after = Some(1);
-        let plan = ex.plan().unwrap();
-        assert_eq!(
-            plan.best(),
-            Some(Algorithm::Isl),
-            "precondition: Auto must pick ISL"
-        );
-        let got = ex.execute(Algorithm::Auto).unwrap();
-        assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
-        assert_eq!(got.extra("adaptive_switched"), Some(1.0));
-        assert!(got.algorithm.starts_with("ISL→"), "{}", got.algorithm);
-        assert!(got.extra("adaptive_wasted_kv_reads").unwrap() > 0.0);
-        // The correction delta landed on the shared handle and marked it.
-        assert!(ex.stats_handle().midquery_corrected());
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! seen-tuple arenas. A [`JoinTuple`] is built in one place, the
 //! operator's private `result` builder, when a result leaves the operator:
 //! a cursor's page, [`HrjnState::into_results`],
-//! [`HrjnState::current_results`] (the adaptive handoff).
+//! [`HrjnState::current_results`].
 
 use rj_sketch::FlatMultiMap;
 
@@ -56,12 +56,11 @@ use crate::spare::{self, SideColumns};
 /// in tuple order, so a value's flat-array position *is* its tuple's id
 /// and the maps store nothing else (`V = ()`). The tuples themselves are
 /// **columnar**: base keys back to back in one byte arena, scores in one
-/// contiguous `f64` column (which is also what the observed-descent
-/// histogram scans), and per tuple one `u32` row holding the end of its
-/// key plus, per edge, the entry id of its join value — so any tuple's
-/// value on any edge is `by_edge[slot].key(entry)` and no byte is stored
-/// twice. A buffered HRJN or DRJN result is one id per side into these
-/// columns.
+/// contiguous `f64` column, and per tuple one `u32` row holding the end
+/// of its key plus, per edge, the entry id of its join value — so any
+/// tuple's value on any edge is `by_edge[slot].key(entry)` and no byte is
+/// stored twice. A buffered HRJN or DRJN result is one id per side into
+/// these columns.
 ///
 /// A new store starts from the columns a store this thread dropped grew,
 /// cleared (`crate::spare`); dropping one gives its columns back.
@@ -156,11 +155,6 @@ impl SeenSide {
     /// Number of tuples recorded.
     pub(crate) fn len(&self) -> usize {
         self.scores.len()
-    }
-
-    /// The contiguous score column (for whole-side sweeps).
-    pub(crate) fn scores(&self) -> &[f64] {
-        &self.scores
     }
 }
 
@@ -496,47 +490,8 @@ impl HrjnState {
         self.results.k()
     }
 
-    // ------------------------------------------------------------------
-    // Threshold-state handoff — what an adaptive driver
-    // ([`crate::adaptive`]) reads out of a part-way HRJN execution when it
-    // aborts ISL and switches algorithms mid-query. Everything here is
-    // derived from tuples already consumed; no handoff call touches the
-    // store.
-    // ------------------------------------------------------------------
-
-    /// Tuples consumed from one side so far (O(1) — observers call this
-    /// after every batch).
-    pub fn consumed(&self, side: usize) -> usize {
-        self.inputs[side].seen.len()
-    }
-
-    /// `(max seen, min seen)` scores of one side — the `ŝ_i`/`s̄_i` pair
-    /// the HRJN threshold is built from. `None` before the first pull.
-    /// The max is the side's *true* maximum (inputs are score-descending);
-    /// the min is how deep the descent has reached.
-    pub fn side_bounds(&self, side: usize) -> Option<(f64, f64)> {
-        self.inputs[side].bounds
-    }
-
-    /// Equi-width histogram (over `[0,1]`, `buckets` cells, out-of-range
-    /// scores clamped to the edge cells) of the scores consumed from one
-    /// side — the *observed* descent an adaptive driver compares against
-    /// the planner's histogram-predicted descent, in the same bucket
-    /// geometry as [`crate::planner::TableStats`].
-    pub fn observed_histogram(&self, side: usize, buckets: usize) -> Vec<u64> {
-        let buckets = buckets.max(1);
-        let mut hist = vec![0u64; buckets];
-        // One linear sweep over the side's contiguous score column.
-        for score in self.inputs[side].seen.scores() {
-            let b = ((score.max(0.0) * buckets as f64) as usize).min(buckets - 1);
-            hist[b] += 1;
-        }
-        hist
-    }
-
-    /// The genuine join tuples buffered so far, rank-ordered — safe to
-    /// seed another algorithm's top-k accumulator with (every one is a
-    /// real join result of tuples already paid for).
+    /// The join tuples buffered so far, rank-ordered, without consuming
+    /// the operator.
     pub fn current_results(&self) -> Vec<JoinTuple> {
         self.results(0..self.result_count())
     }
@@ -864,6 +819,8 @@ mod tests {
         // three must be refused, never indexed out of bounds or joined on
         // a prefix.
         let mut s = HrjnState::new(&path3(2, ScoreFn::Sum), 2);
+        push(&mut s, 0, &t(b"a", &[b"x"], 0.9));
+        push(&mut s, 2, &t(b"c", &[b"y"], 0.8));
         let wrong: [&[&[u8]]; 2] = [&[b"x"], &[b"x", b"y", b"z"]];
         for values in wrong {
             let err = s
@@ -875,8 +832,11 @@ mod tests {
             s.push_borrowed(3, b"b", [&b"x"[..]], 0.5),
             Err(RankJoinError::SideOutOfRange { index: 3, sides: 3 })
         ));
-        assert_eq!(s.tuples_consumed(), 0);
-        assert_eq!(s.side_bounds(1), None);
+        // Side B still has nothing pulled: no bound exists, and B is the
+        // side the descent must pull next.
+        assert_eq!(s.tuples_consumed(), 2);
+        assert_eq!(s.threshold(), None);
+        assert_eq!(s.pull_side(), Some(1));
     }
 
     #[test]

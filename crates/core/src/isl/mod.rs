@@ -28,8 +28,8 @@ use crate::error::Result;
 use crate::query::RankJoinQuery;
 
 pub use index::IslBuildStats;
+pub(crate) use query::run_spec;
 pub use query::{run, IslConfig};
-pub(crate) use query::{run_observed, BatchVerdict, IslRun};
 
 /// Canonical index-table name for a query pair: [`index::index_table_name`]
 /// of its two-side spec (`isl__<left label>__<right label>`).

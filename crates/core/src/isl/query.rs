@@ -11,9 +11,8 @@ use std::sync::Arc;
 use rj_store::metrics::QueryMeter;
 
 use crate::cancel::StopPolicy;
-use crate::cursor::{isl_algorithm_name, BatchObserver, IslCursor, SideAccess};
+use crate::cursor::{isl_algorithm_name, IslCursor, SideAccess};
 use crate::error::Result;
-use crate::hrjn::HrjnState;
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::stats::QueryOutcome;
 
@@ -62,78 +61,28 @@ pub fn run(
     config: IslConfig,
 ) -> Result<QueryOutcome> {
     let spec = Arc::new(query.to_spec());
-    run_observed(
-        cluster,
-        &spec,
-        query.k,
-        index_table,
-        &config.batches(),
-        None,
-    )
-    .map(IslRun::into_outcome)
-}
-
-/// Verdict an ISL batch observer returns after each completed batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BatchVerdict {
-    /// Keep descending the score lists.
-    Continue,
-    /// Stop fetching and hand the partial HRJN state back — the
-    /// mid-query abort of the adaptive driver ([`crate::adaptive`]).
-    Abort,
-}
-
-/// How an all-sides-descending one-shot execution ended: the HRJN
-/// operator (consumed tuples, buffered genuine results, per-side score
-/// bounds — the threshold-state handoff API of [`HrjnState`]), how many
-/// batches ran, and the metric delta charged.
-pub(crate) struct IslRun {
-    /// The operator: terminated or exhausted, unless `aborted`.
-    pub state: HrjnState,
-    /// Batches fetched.
-    pub batches: u64,
-    /// Metrics charged to the cluster ledger (for an aborted run, the
-    /// *wasted reads* an adaptive switch must account honestly).
-    pub metrics: rj_store::metrics::MetricsSnapshot,
-    /// The observer aborted the descent after a batch — the mid-query
-    /// abort of the adaptive driver ([`crate::adaptive`]).
-    pub aborted: bool,
-}
-
-impl IslRun {
-    /// Closes a completed run into its outcome.
-    pub(crate) fn into_outcome(self) -> QueryOutcome {
-        let algorithm = isl_algorithm_name(self.state.sides());
-        let consumed = self.state.tuples_consumed();
-        QueryOutcome::new(algorithm, self.state.into_results(), self.metrics)
-            .with_extra("tuples_consumed", consumed as f64)
-            .with_extra("batches", self.batches as f64)
-    }
+    run_spec(cluster, &spec, query.k, index_table, &config.batches())
 }
 
 /// The all-sides-descending one-shot run for the top `k` of a shared
-/// spec (whose own `k` is not read), with an optional per-batch
-/// observation hook ([`IslCursor::set_observer`]): after every
-/// completed batch (while HRJN is neither done nor exhausted) the
-/// observer sees the current [`HrjnState`] and the batch count, and can
-/// abort the descent. Observation is pure bookkeeping over tuples already
-/// fetched — a `Continue`-only observer changes neither a byte nor a
-/// metric.
-pub(crate) fn run_observed(
+/// spec (whose own `k` is not read): the cursor drained in one call,
+/// reporting the tuples it consumed and the batches it fetched.
+pub(crate) fn run_spec(
     cluster: &rj_store::cluster::Cluster,
     spec: &Arc<JoinSpec>,
     k: usize,
     index_table: &str,
     batch: &[usize],
-    observer: Option<BatchObserver>,
-) -> Result<IslRun> {
+) -> Result<QueryOutcome> {
+    let algorithm = isl_algorithm_name(spec.n());
     if k == 0 {
-        return Ok(IslRun {
-            state: HrjnState::new(spec, 0),
-            batches: 0,
-            metrics: rj_store::metrics::MetricsSnapshot::default(),
-            aborted: false,
-        });
+        return Ok(QueryOutcome::new(
+            algorithm,
+            Vec::new(),
+            rj_store::metrics::MetricsSnapshot::default(),
+        )
+        .with_extra("tuples_consumed", 0.0)
+        .with_extra("batches", 0.0));
     }
     let meter = QueryMeter::start(cluster.metrics());
 
@@ -145,16 +94,15 @@ pub(crate) fn run_observed(
     // row-cache size (§4.2.3).
     let descend = vec![SideAccess::Descend; spec.n()];
     let mut cursor = IslCursor::open(cluster, spec, k, index_table, batch, &descend, None)?;
-    if let Some(observer) = observer {
-        cursor.set_observer(observer);
-    }
     cursor.pump(k, &StopPolicy::never())?;
-    Ok(IslRun {
-        batches: cursor.batches(),
-        aborted: cursor.observer_aborted(),
-        state: cursor.into_hrjn(),
-        metrics: meter.finish(),
-    })
+    let batches = cursor.batches();
+    let state = cursor.into_hrjn();
+    let consumed = state.tuples_consumed();
+    Ok(
+        QueryOutcome::new(algorithm, state.into_results(), meter.finish())
+            .with_extra("tuples_consumed", consumed as f64)
+            .with_extra("batches", batches as f64),
+    )
 }
 
 #[cfg(test)]

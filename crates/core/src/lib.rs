@@ -24,8 +24,7 @@
 //! | [`bfhm`] | Bloom Filter Histogram Matrix: statistical rank join with 100% recall | §5 |
 //! | [`drjn`] | DRJN comparator (Doulkeridis et al., ICDE 2012) as adapted in §7.1 | §7.1 |
 //! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on, over a spec's join tree | §4.2.1 |
-//! | [`planner`] | cost-based adaptive selection over the suite ([`Algorithm::Auto`]) | Figs. 7–8 |
-//! | [`adaptive`] | mid-query re-planning: ISL abort-and-switch on observed score-descent divergence | Figs. 7–8 |
+//! | [`planner`] | cost-based selection over the suite, once per query at plan time ([`Algorithm::Auto`]) | Figs. 7–8 |
 //! | [`multiway`] | planning and the facade for three or more sides: per-side access choice and [`multiway::SpecExecutor`] (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
 //!
 //! Every algorithm returns the same deterministic top-k (ties broken by
@@ -44,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod bfhm;
 pub mod cancel;
 pub mod codec;
@@ -72,17 +70,14 @@ pub mod statsmaint;
 #[cfg(test)]
 pub(crate) mod testsupport;
 
-pub use adaptive::DEFAULT_REPLAN_DIVERGENCE;
 pub use cancel::{CancelToken, StopPolicy, StopReason};
 pub use cursor::{CursorBatch, CursorState, IslCursor, RankedCursor, SideAccess};
 pub use executor::{Algorithm, RankJoinExecutor};
 pub use multiway::{MultiwayConfig, SpecExecutor};
-pub use planner::{DescentModel, Objective, Plan, StatsSource, TableStats};
+pub use planner::{Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};
 pub use score::ScoreFn;
 pub use spare::without_spares;
 pub use stats::QueryOutcome;
-pub use statsmaint::{
-    ObservedDescent, SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND,
-};
+pub use statsmaint::{SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND};

@@ -126,7 +126,7 @@ impl SpecExecutor {
     }
 
     /// The delegated binary executor, when two-sided (full binary API:
-    /// every algorithm, planner, adaptive switching).
+    /// every algorithm and the planner).
     pub fn binary(&self) -> Option<&RankJoinExecutor> {
         match &self.kind {
             SpecKind::Binary(b) => Some(b),

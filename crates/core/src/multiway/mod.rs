@@ -21,8 +21,8 @@
 //!   plan caches, cursors, and serving caches check).
 //! * [`exec`] — [`exec::SpecExecutor`], the spec-driven facade. A
 //!   two-side spec runs through the binary
-//!   [`crate::executor::RankJoinExecutor`] (every algorithm, planner and
-//!   adaptive switching); more sides plan their access and open the
+//!   [`crate::executor::RankJoinExecutor`] (every algorithm and the
+//!   planner); more sides plan their access and open the
 //!   shared cursor directly.
 
 pub mod exec;

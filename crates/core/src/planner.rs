@@ -1,4 +1,4 @@
-//! The cost-based adaptive planner behind [`Algorithm::Auto`].
+//! The cost-based planner behind [`Algorithm::Auto`].
 //!
 //! The paper's central empirical finding (Figs. 7–8) is that no single
 //! rank-join algorithm wins everywhere: BFHM's frugal point gets win where
@@ -25,6 +25,9 @@
 //!    algorithm, then ranks them under an [`Objective`].
 //! 3. [`Plan::explain`] renders the prediction table; the executor caches
 //!    plans per `(k, objective)` so repeated queries skip estimation.
+//!
+//! The choice is made once, at plan time: `Auto` then runs the chosen
+//! algorithm exactly as if the caller had named it.
 //!
 //! Estimates are *models*, not measurements: they exist to rank
 //! algorithms, and their absolute values are only as good as the
@@ -326,23 +329,6 @@ impl Candidates {
             drjn: Some(DrjnConfig::default()),
         }
     }
-
-    /// The same candidate set with one algorithm removed — the mid-query
-    /// re-plan entry point's shape: an adaptive driver that just aborted
-    /// ISL must not be offered ISL-from-scratch as the switch target
-    /// (removing `Hive`/`Pig` removes both baselines; removing `Auto` is
-    /// a no-op, the planner never ranks itself).
-    pub fn without(mut self, algorithm: Algorithm) -> Self {
-        match algorithm {
-            Algorithm::Hive | Algorithm::Pig => self.baselines = false,
-            Algorithm::Ijlmr => self.ijlmr = false,
-            Algorithm::Isl => self.isl = None,
-            Algorithm::Bfhm => self.bfhm = None,
-            Algorithm::Drjn => self.drjn = None,
-            Algorithm::Auto => {}
-        }
-        self
-    }
 }
 
 /// Where the statistics behind a [`Plan`] came from — the freshness
@@ -366,18 +352,6 @@ pub enum StatsSource {
         /// The staleness that forced the re-collection.
         staleness: f64,
     },
-    /// The statistics were corrected mid-query: an adaptive execution
-    /// ([`crate::adaptive`]) observed the actual score descent diverging
-    /// from the histogram prediction, aborted, and folded the observation
-    /// back into the maintained snapshot (the plan stopped trusting its
-    /// statistics *during* execution, not just between queries — the
-    /// runtime sibling of [`StatsSource::Recollected`]). Sticky until the
-    /// next full pass or invalidation.
-    MidQuery {
-        /// The observed-vs-predicted score divergence that triggered the
-        /// correction (absolute, in the normalized `[0,1]` score domain).
-        divergence: f64,
-    },
 }
 
 impl StatsSource {
@@ -387,7 +361,6 @@ impl StatsSource {
             StatsSource::Exact => "exact",
             StatsSource::Maintained { .. } => "maintained",
             StatsSource::Recollected { .. } => "recollected",
-            StatsSource::MidQuery { .. } => "midquery",
         }
     }
 }
@@ -406,55 +379,7 @@ impl std::fmt::Display for StatsSource {
                     staleness * 100.0
                 )
             }
-            StatsSource::MidQuery { divergence } => {
-                write!(f, "midquery-corrected (divergence {divergence:.2})")
-            }
         }
-    }
-}
-
-/// The per-side score-descent curves a plan's estimates were costed
-/// from — the histogram-predicted descent an adaptive ISL execution
-/// compares its *observed* descent against after every batch
-/// ([`crate::adaptive`]). Snapshotted into every [`Plan`] so the check
-/// runs against exactly the statistics the plan was priced on, even if
-/// the shared handle has moved since.
-#[derive(Clone, Debug, Default)]
-pub struct DescentModel {
-    /// Per-side score histograms (`[left, right]`, 100-bucket resolution
-    /// over the normalized `[0,1]` score domain).
-    pub hist: [Vec<u64>; 2],
-    /// Per-side tuple totals.
-    pub tuples: [u64; 2],
-}
-
-impl DescentModel {
-    /// Snapshots the descent curves of a statistics snapshot.
-    pub fn from_stats(stats: &TableStats) -> Self {
-        let (left, right, _) = stats.binary();
-        DescentModel {
-            hist: [left.hist.clone(), right.hist.clone()],
-            tuples: [left.tuples, right.tuples],
-        }
-    }
-
-    /// Predicted score of side `i`'s `depth`-th best tuple (bucket lower
-    /// bound, like [`SideStats`]'s depth walk): `1.0` at depth 0, `0.0`
-    /// once the histogram claims the side is exhausted. A score-ordered
-    /// consumer that has pulled `depth` tuples should be sitting near
-    /// this score if the histogram told the truth.
-    pub fn expected_score_at_depth(&self, side: usize, depth: u64) -> f64 {
-        if depth == 0 {
-            return 1.0;
-        }
-        let mut cum = 0u64;
-        for b in (0..STAT_BUCKETS).rev() {
-            cum += self.hist[side][b];
-            if cum >= depth {
-                return b as f64 / STAT_BUCKETS as f64;
-            }
-        }
-        0.0
     }
 }
 
@@ -472,9 +397,6 @@ pub struct Plan {
     /// snapshot); the executor overwrites this with the path its shared
     /// statistics handle actually took.
     pub stats_source: StatsSource,
-    /// The per-side descent curves the estimates were costed from (what
-    /// adaptive ISL execution checks its observed descent against).
-    pub descent: DescentModel,
     /// Per-algorithm estimates, cheapest first under `objective`.
     pub ranked: Vec<CostEstimate>,
 }
@@ -960,7 +882,6 @@ pub fn plan(
         k,
         profile: cost.name,
         stats_source: StatsSource::Exact,
-        descent: DescentModel::from_stats(stats),
         ranked,
     }
 }
@@ -1176,37 +1097,5 @@ mod tests {
         let p = plan(&s, &q, 3, &cost, Objective::Time, &Candidates::default());
         assert!(p.best().is_none());
         assert!(p.ranked.is_empty());
-    }
-
-    #[test]
-    fn descent_model_matches_histogram_walk() {
-        let (s, q) = stats_and_query();
-        let cost = CostModel::ec2(8);
-        let p = plan(&s, &q, 3, &cost, Objective::Time, &Candidates::all());
-        // Depth 0 is the open bound; depth 1 must sit at the side's top
-        // bucket; beyond the side's tuples the curve hits zero.
-        assert_eq!(p.descent.expected_score_at_depth(0, 0), 1.0);
-        let top = p.descent.expected_score_at_depth(0, 1);
-        assert!((top - 0.99).abs() < 1e-12, "max score 1.0 → bucket 99");
-        assert_eq!(p.descent.expected_score_at_depth(0, 1000), 0.0);
-        // Monotone non-increasing in depth.
-        let mut last = 1.0;
-        for d in 0..30 {
-            let v = p.descent.expected_score_at_depth(1, d);
-            assert!(v <= last + 1e-12);
-            last = v;
-        }
-    }
-
-    #[test]
-    fn candidates_without_removes_exactly_one() {
-        let all = Candidates::all();
-        assert!(all.clone().without(Algorithm::Isl).isl.is_none());
-        assert!(all.clone().without(Algorithm::Bfhm).bfhm.is_none());
-        assert!(all.clone().without(Algorithm::Drjn).drjn.is_none());
-        assert!(!all.clone().without(Algorithm::Ijlmr).ijlmr);
-        assert!(!all.clone().without(Algorithm::Hive).baselines);
-        let unchanged = all.clone().without(Algorithm::Auto);
-        assert!(unchanged.baselines && unchanged.ijlmr && unchanged.isl.is_some());
     }
 }

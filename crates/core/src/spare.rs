@@ -7,7 +7,7 @@
 //! into the inputs), and grew both from empty every time. Instead, a store
 //! or buffer is given back here when its owner drops it — a one-shot run
 //! ending, a drained or abandoned cursor, a parked state the serving layer
-//! lets go of, the ISL half of an adaptive handoff — and the thread's next
+//! lets go of — and the thread's next
 //! run starts from it, so it reuses the capacity its last run actually
 //! grew. Nothing is sized from a guess and there is nothing to set.
 //!

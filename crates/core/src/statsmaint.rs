@@ -196,13 +196,6 @@ struct Maintained {
     mutations: Vec<u64>,
     /// Per-side tuple counts at the last full pass (staleness denominator).
     baseline_tuples: Vec<u64>,
-    /// Divergence of the last mid-query descent correction folded in
-    /// (`None` when the snapshot carries no runtime corrections).
-    /// Corrections are *not* mutations: they bring the snapshot closer to
-    /// the truth, so they never advance the staleness clock — but plans
-    /// built on a corrected snapshot report it via
-    /// [`StatsSource::MidQuery`] until the next full pass resets it.
-    midquery_divergence: Option<f64>,
 }
 
 impl Maintained {
@@ -214,7 +207,6 @@ impl Maintained {
             stats: Arc::new(detail.stats),
             join_counts: detail.join_counts,
             entry_bytes: detail.entry_bytes,
-            midquery_divergence: None,
         }
     }
 
@@ -307,27 +299,6 @@ impl Maintained {
         }
         self.mutations[side] += 1;
     }
-}
-
-/// One side's *observed* score descent, read out of an aborted ISL
-/// execution by the adaptive driver ([`crate::adaptive`]): the exact
-/// bucket counts of every tuple the score-ordered scan consumed, down to
-/// `low_score`. Ground truth for the score region `[low_score, 1]` — a
-/// mid-query correction replaces the maintained histogram's prefix with
-/// it (see [`SharedTableStats::apply_observed_descent`]).
-#[derive(Clone, Debug)]
-pub struct ObservedDescent {
-    /// Observed bucket counts (100-bucket resolution, same geometry as
-    /// the planner histograms).
-    pub hist: Vec<u64>,
-    /// Lowest score the descent reached (the boundary bucket is only
-    /// partially observed).
-    pub low_score: f64,
-    /// Highest score seen. Score-ordered scans see the side's true
-    /// maximum first, so this is exact.
-    pub max_score: f64,
-    /// Tuples consumed.
-    pub tuples: u64,
 }
 
 /// What [`SharedTableStats::stats_for_planning`] hands the executor.
@@ -423,95 +394,6 @@ impl SharedTableStats {
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Whether the maintained snapshot currently carries a mid-query
-    /// descent correction (reset by the next full pass or invalidation).
-    pub fn midquery_corrected(&self) -> bool {
-        self.maintained
-            .lock()
-            .expect("stats handle")
-            .as_ref()
-            .is_some_and(|m| m.midquery_divergence.is_some())
-    }
-
-    /// Folds an aborted binary execution's observed score descent back
-    /// into the maintained snapshot — the mid-query correction delta of
-    /// the adaptive driver ([`crate::adaptive`]); `observed[i]` describes
-    /// side `i`.
-    ///
-    /// Per side with an observation: the histogram's fully-observed
-    /// prefix (every bucket strictly above the boundary bucket of
-    /// `low_score`) is *replaced* by the observed counts — ground truth,
-    /// the scan consumed every tuple there — the partially-observed
-    /// boundary bucket keeps the larger of the two counts (conservative),
-    /// `max_score` snaps to the observed maximum (exact for a
-    /// score-ordered scan), and the tuple total is re-derived from the
-    /// corrected histogram. Join-correlation statistics (the edges'
-    /// distinct counts and join-cardinality sketch) are *not* touched: a
-    /// per-side descent observes score marginals only (feeding measured
-    /// join rates back is the ROADMAP "learned correction" item).
-    ///
-    /// Corrections never advance the staleness clock (they move the
-    /// snapshot *toward* the truth), never trigger a full pass, and bump
-    /// the coherence version exactly once — so every cached plan sharing
-    /// the handle invalidates, and subsequent plans report
-    /// [`StatsSource::MidQuery`] until the next full pass. Returns `false`
-    /// (and changes nothing) when no snapshot exists — there is nothing
-    /// to correct, and the next planning call collects fresh statistics
-    /// anyway.
-    ///
-    /// **Concurrency caveat** (the correction-side sibling of the module
-    /// docs' collection race): a maintained write racing the observed
-    /// scan — its delta lands after the scan's tuples were read but
-    /// before this correction — is overwritten if it falls in the
-    /// fully-observed prefix (the scan predates it). The drift is
-    /// bounded by writes in flight during the aborted prefix, every such
-    /// delta still advanced the mutation counter, and the next
-    /// bound-crossing re-collection erases it.
-    pub fn apply_observed_descent(
-        &self,
-        observed: [Option<ObservedDescent>; 2],
-        divergence: f64,
-    ) -> bool {
-        let mut guard = self.maintained.lock().expect("stats handle");
-        let Some(m) = guard.as_mut() else {
-            return false;
-        };
-        let stats = Arc::make_mut(&mut m.stats);
-        for (side, obs) in observed.into_iter().enumerate() {
-            let Some(obs) = obs else { continue };
-            if obs.tuples == 0 || obs.hist.len() != STAT_BUCKETS {
-                continue;
-            }
-            let s = &mut stats.sides[side];
-            let boundary = SideStats::bucket_of(obs.low_score);
-            for b in 0..STAT_BUCKETS {
-                match b.cmp(&boundary) {
-                    std::cmp::Ordering::Greater => s.hist[b] = obs.hist[b],
-                    std::cmp::Ordering::Equal => s.hist[b] = s.hist[b].max(obs.hist[b]),
-                    std::cmp::Ordering::Less => {}
-                }
-            }
-            s.tuples = s.hist.iter().sum();
-            s.max_score = obs.max_score;
-            // The observation carries no byte information, so keep the
-            // *average* entry size and re-derive the side's byte total
-            // from the corrected tuple count — dividing the stale total
-            // (which still includes any retired ghost tuples' bytes) by
-            // the corrected count would inflate every later per-entry
-            // byte estimate.
-            if s.tuples > 0 {
-                m.entry_bytes[side] = s.avg_entry_bytes * s.tuples as f64;
-            } else {
-                s.avg_entry_bytes = KV_OVERHEAD_BYTES;
-                m.entry_bytes[side] = 0.0;
-            }
-        }
-        m.midquery_divergence = Some(divergence);
-        drop(guard);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        true
-    }
-
     /// The planner entry point: returns maintained statistics when the
     /// mutated fraction is within `staleness_bound`, and transparently
     /// runs a full pass otherwise (or when no snapshot exists yet).
@@ -528,13 +410,10 @@ impl SharedTableStats {
         // f64::max(NaN, 0.0) = 0.0, which also clamps negatives.
         let staleness_bound = staleness_bound.max(0.0);
         let mut guard = self.maintained.lock().expect("stats handle");
-        let staleness = guard.as_ref().map(Maintained::staleness);
-        let corrected = guard.as_ref().and_then(|m| m.midquery_divergence);
-        let source = match (staleness, corrected) {
-            (Some(s), Some(d)) if s <= staleness_bound => StatsSource::MidQuery { divergence: d },
-            (Some(s), _) if s <= staleness_bound => StatsSource::Maintained { staleness: s },
-            (Some(s), _) => StatsSource::Recollected { staleness: s },
-            (None, _) => StatsSource::Exact,
+        let source = match guard.as_ref().map(Maintained::staleness) {
+            Some(s) if s <= staleness_bound => StatsSource::Maintained { staleness: s },
+            Some(s) => StatsSource::Recollected { staleness: s },
+            None => StatsSource::Exact,
         };
         if matches!(source, StatsSource::Exact | StatsSource::Recollected { .. }) {
             *guard = Some(Maintained::new(collect_detailed(cluster, &self.spec)?));
@@ -863,79 +742,6 @@ pub(crate) mod tests {
             m.edges[0].distinct, fresh.edges[0].distinct,
             "edge 0 untouched"
         );
-    }
-
-    #[test]
-    fn observed_descent_corrects_the_lied_prefix_without_recollecting() {
-        let (c, q) = running_example_cluster();
-        let (h, spec) = binary_handle(&q);
-        h.stats_for_planning(&c, 0.1).unwrap();
-        // Plant a lie: one fake high-score insert per left tuple bucket.
-        h.apply_delta(&delta(&spec, 0, DeltaOp::Insert, b"ghost", 0.975));
-        let lied = h.maintained_stats().unwrap();
-        assert_eq!(lied.sides[0].hist[97], 1, "lie landed");
-        // Mid-query observation: the scan walked the real data down to
-        // 0.80 and saw the true prefix (no 0.97 tuple exists).
-        let fresh = &collect_stats(&c, &q).unwrap().sides[0];
-        let mut obs_hist = vec![0u64; STAT_BUCKETS];
-        let mut tuples = 0u64;
-        for (slot, &n) in obs_hist.iter_mut().zip(&fresh.hist).skip(80) {
-            *slot = n;
-            tuples += n;
-        }
-        let before_version = h.version();
-        assert!(h.apply_observed_descent(
-            [
-                Some(ObservedDescent {
-                    hist: obs_hist,
-                    low_score: 0.80,
-                    max_score: 1.0,
-                    tuples,
-                }),
-                None,
-            ],
-            0.42,
-        ));
-        assert!(h.version() > before_version, "plans must invalidate");
-        assert!(h.midquery_corrected());
-        let corrected = &h.maintained_stats().unwrap().sides[0];
-        assert_eq!(corrected.hist[97], 0, "ghost tuple retired");
-        for b in 81..STAT_BUCKETS {
-            assert_eq!(corrected.hist[b], fresh.hist[b], "bucket {b}");
-        }
-        assert_eq!(corrected.max_score, 1.0);
-        // Below the observed boundary the old histogram survives.
-        assert_eq!(corrected.hist[67], fresh.hist[67]);
-        // The correction is not churn: staleness unchanged, and the next
-        // planning call stays on the maintained snapshot (no full pass)
-        // while reporting the mid-query source.
-        let p = h.stats_for_planning(&c, 0.1).unwrap();
-        assert_eq!(p.source, StatsSource::MidQuery { divergence: 0.42 });
-        assert_eq!(h.collections(), 1);
-        // A full pass resets the corrected flag.
-        h.invalidate();
-        h.stats_for_planning(&c, 0.1).unwrap();
-        assert!(!h.midquery_corrected());
-    }
-
-    #[test]
-    fn observed_descent_without_a_snapshot_is_a_no_op() {
-        let (c, q) = running_example_cluster();
-        let (h, _) = binary_handle(&q);
-        assert!(!h.apply_observed_descent(
-            [
-                Some(ObservedDescent {
-                    hist: vec![0; STAT_BUCKETS],
-                    low_score: 0.5,
-                    max_score: 0.9,
-                    tuples: 0,
-                }),
-                None,
-            ],
-            0.3,
-        ));
-        let p = h.stats_for_planning(&c, 0.1).unwrap();
-        assert_eq!(p.source, StatsSource::Exact);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Multi-tenant serving front-end for rank-join queries.
 //!
 //! The lower layers answer *how* to run one top-k join well: indexed
-//! algorithms ([`rj_core`]), cost-based and adaptive planning, and a
+//! algorithms ([`rj_core`]), cost-based planning, and a
 //! process-wide work-stealing pool ([`rj_store::pool`]). This crate
 //! arbitrates *who* gets to use that machine when "heavy traffic from
 //! millions of users" (the paper's cloud-store setting, §1) lands on one

@@ -1,4 +1,4 @@
-//! The cost-based adaptive planner (`Algorithm::Auto`), end to end.
+//! The cost-based planner (`Algorithm::Auto`), end to end.
 //!
 //! Loads the paper's running example (Fig. 1) onto two clusters — one per
 //! testbed cost profile (EC2 vs lab cluster) — builds the indices, prints

@@ -73,7 +73,6 @@ pub use rj_sketch as sketch;
 pub use rj_store as store;
 pub use rj_tpch as tpch;
 
-pub use rj_core::adaptive::DEFAULT_REPLAN_DIVERGENCE;
 pub use rj_core::bfhm::{maintenance::WriteBackPolicy, BfhmConfig, BoundMode};
 pub use rj_core::cancel::{CancelToken, StopPolicy, StopReason};
 pub use rj_core::drjn::DrjnConfig;
@@ -87,7 +86,7 @@ pub use rj_core::result::{JoinTuple, TopK};
 pub use rj_core::score::ScoreFn;
 pub use rj_core::stats::QueryOutcome;
 pub use rj_core::statsmaint::{
-    ObservedDescent, SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND,
+    SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND,
 };
 pub use rj_mapreduce::MapReduceEngine;
 pub use rj_serve::{

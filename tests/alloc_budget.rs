@@ -440,6 +440,33 @@ fn auto_on_a_cached_plan_allocates_exactly_what_its_choice_allocates() {
     }
 }
 
+/// The ISL twin of the test above: an `Auto` run whose plan picks ISL is
+/// that ISL run, with nothing wrapped around it.
+#[test]
+fn auto_choosing_isl_allocates_exactly_what_isl_allocates() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    // EC2 constants with only ISL prepared: a MapReduce job's startup
+    // prices the baselines out, so Auto picks ISL.
+    let cluster = Cluster::with_profile(CostModel::ec2(3));
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    let mut ex = RankJoinExecutor::new(&cluster, q2);
+    ex.isl_config = IslConfig::uniform(ISL_BATCH);
+    ex.prepare_isl().unwrap();
+    for k in [1, 10, 50] {
+        let choice = ex.plan_with_k(k).unwrap().best().unwrap();
+        assert_eq!(choice, Algorithm::Isl, "k = {k}");
+        // Uncounted, so both counted runs start from the buffers this
+        // thread grew at this `k`.
+        ex.execute_with_k(choice, k).unwrap();
+        let (chosen, chosen_allocs) = counted(|| ex.execute_with_k(choice, k).unwrap());
+        let (auto, auto_allocs) = counted(|| ex.execute_with_k(Algorithm::Auto, k).unwrap());
+        assert_eq!(auto.results, chosen.results, "k = {k}");
+        assert_eq!(auto.algorithm, "ISL", "k = {k}");
+        assert_eq!(auto_allocs, chosen_allocs, "k = {k}");
+    }
+}
+
 /// One-shot BFHM at `k` and the allocations it made.
 fn bfhm_run(ex: &RankJoinExecutor, k: usize) -> (rankjoin::QueryOutcome, u64) {
     let (outcome, allocs) = counted(|| ex.execute_with_k(Algorithm::Bfhm, k).unwrap());

@@ -11,7 +11,8 @@
 //!   shared statistics version, and the resume is refused with the typed
 //!   [`RankJoinError::StaleCursor`] instead of silently mixing epochs;
 //!   the same paused state re-targeted to a deeper `k` replays its
-//!   consumed prefix for free.
+//!   consumed prefix for free; an `Auto` cursor is the cursor of the
+//!   algorithm its plan chose.
 //! * Every schedule here drains a cursor on `batch.done` alone: a cursor
 //!   that has emitted all `k` results says so.
 
@@ -26,7 +27,17 @@ use rankjoin::{
 
 /// Loads two relations and returns the top-k sum query over them.
 fn load_pair(left: &[(u8, f64)], right: &[(u8, f64)], k: usize) -> (Cluster, RankJoinQuery) {
-    let cluster = Cluster::new(3, CostModel::test());
+    load_pair_with(CostModel::test(), left, right, k)
+}
+
+/// [`load_pair`] under the `cost` profile.
+fn load_pair_with(
+    cost: CostModel,
+    left: &[(u8, f64)],
+    right: &[(u8, f64)],
+    k: usize,
+) -> (Cluster, RankJoinQuery) {
+    let cluster = Cluster::new(3, cost);
     cluster.create_table("l", &["d"]).unwrap();
     cluster.create_table("r", &["d"]).unwrap();
     let client = cluster.client();
@@ -332,6 +343,64 @@ fn retargeted_resume_replays_the_consumed_prefix_for_free() {
         warm_reads < cold_reads,
         "warm retarget read {warm_reads} kv entries, cold k=12 read {cold_reads}"
     );
+}
+
+/// `Algorithm::Auto` chooses once, at open: its cursor is the chosen
+/// algorithm's cursor. It reports that algorithm, parks as its state and
+/// resumes through `CursorState::resume_on` like any cursor of it, paging
+/// to the one-shot answer for the one-shot reads.
+#[test]
+fn an_auto_cursor_is_the_cursor_of_its_choice() {
+    let rows: Vec<(u8, f64)> = (0..40u32)
+        .map(|i| ((i % 4) as u8, f64::from(i * 7 % 41) / 41.0))
+        .collect();
+    let k = 6;
+    for choice in [Algorithm::Isl, Algorithm::Bfhm] {
+        // EC2 constants with only `choice` prepared: a MapReduce job's
+        // startup prices the baselines out, so the plan picks `choice`.
+        let (cluster, query) = load_pair_with(CostModel::ec2(3), &rows, &rows, k);
+        let mut ex = RankJoinExecutor::new(&cluster, query);
+        ex.isl_config = IslConfig::uniform(3);
+        if choice == Algorithm::Isl {
+            ex.prepare_isl().unwrap();
+        } else {
+            ex.prepare_bfhm(BfhmConfig {
+                num_buckets: 10,
+                ..Default::default()
+            })
+            .unwrap();
+        }
+        let plan = ex.plan_with_k(k).unwrap();
+        assert_eq!(
+            plan.best(),
+            Some(choice),
+            "precondition:\n{}",
+            plan.explain()
+        );
+
+        let before = cluster.metrics().snapshot();
+        let one_shot = ex.execute_with_k(choice, k).unwrap();
+        let one_shot_reads = cluster.metrics().snapshot().delta_since(&before).kv_reads;
+
+        let before = cluster.metrics().snapshot();
+        let mut cursor = ex.open_cursor(Algorithm::Auto, k).unwrap();
+        assert_eq!(cursor.algorithm(), choice.name());
+        let mut results = Vec::new();
+        loop {
+            let batch = cursor.next_batch(1, &StopPolicy::never()).unwrap();
+            results.extend(batch.results);
+            if batch.done {
+                break;
+            }
+            let state = cursor.pause();
+            assert_eq!(state.algorithm(), choice.name());
+            assert_eq!(state.supports_retarget(), choice == Algorithm::Isl);
+            cursor = state.resume_on(&cluster).unwrap();
+        }
+        let paged_reads = cluster.metrics().snapshot().delta_since(&before).kv_reads;
+        assert_eq!(results, one_shot.results, "{choice:?}");
+        assert_eq!(paged_reads, one_shot_reads, "{choice:?}");
+    }
 }
 
 /// A BFHM or DRJN cursor that has emitted all `k` results reports `done`

@@ -26,7 +26,17 @@ use rankjoin::{
 
 /// Loads `left`/`right` `(join, score)` tuples into a fresh cluster.
 fn load(left: &[(u8, f64)], right: &[(u8, f64)], k: usize) -> (Cluster, RankJoinQuery) {
-    let cluster = Cluster::new(3, CostModel::test());
+    load_pair(left, right, k, CostModel::test())
+}
+
+/// [`load`] under the `cost` profile.
+fn load_pair(
+    left: &[(u8, f64)],
+    right: &[(u8, f64)],
+    k: usize,
+    cost: CostModel,
+) -> (Cluster, RankJoinQuery) {
+    let cluster = Cluster::new(3, cost);
     cluster.create_table("l", &["d"]).unwrap();
     cluster.create_table("r", &["d"]).unwrap();
     let client = cluster.client();
@@ -507,4 +517,52 @@ fn forked_executors_share_statistics_and_invalidate_coherently() {
     let want = oracle::topk(&cluster, &query).unwrap();
     assert_eq!(owner.execute(Algorithm::Auto).unwrap().results, want);
     assert_eq!(worker.execute(Algorithm::Auto).unwrap().results, want);
+}
+
+/// Region counts drift under auto-splits with no stats delta describing
+/// them; every planning call must read the live counts, not the
+/// snapshot's.
+#[test]
+fn replanning_reads_live_region_counts_after_auto_splits() {
+    let (cluster, query) = load_pair(
+        &[(1, 0.9), (2, 0.8), (3, 0.7)],
+        &[(1, 0.6), (2, 0.5), (3, 0.4)],
+        2,
+        CostModel::ec2(8),
+    );
+    let ex = RankJoinExecutor::new(&cluster, query.clone());
+    let handle = ex.stats_handle();
+    let first = handle
+        .stats_for_planning(&cluster, 0.1)
+        .unwrap()
+        .stats
+        .sides[0]
+        .regions;
+
+    // Trigger auto-splits on the left base table with raw writes (which
+    // emit no delta and never advance the staleness clock).
+    let table = cluster.table("l").unwrap();
+    table.set_split_threshold(8);
+    let client = cluster.client();
+    for i in 0..64 {
+        client
+            .mutate_row(
+                "l",
+                format!("zz{i:04}").as_bytes(),
+                vec![
+                    Mutation::put("d", b"jk", vec![1]),
+                    Mutation::put("d", b"score", 0.1f64.to_be_bytes().to_vec()),
+                ],
+            )
+            .unwrap();
+    }
+    let live = cluster.table("l").unwrap().region_infos().len();
+    assert!(live > first, "precondition: the writes must split regions");
+
+    // The maintained snapshot was never told about any of this, yet the
+    // planning entry point reports the live region count — and stays on
+    // the maintained path (no re-collection).
+    let planned = handle.stats_for_planning(&cluster, 0.1).unwrap();
+    assert_eq!(planned.stats.sides[0].regions, live);
+    assert_eq!(handle.collections(), 1);
 }
