@@ -36,6 +36,7 @@ use crate::cursor::{
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
+use crate::spare::{self, BfhmColumns};
 use crate::stats::QueryOutcome;
 
 use super::index::{blob_row_key, meta_of, reverse_row_key, META_ROW};
@@ -250,7 +251,8 @@ enum Phase {
 /// [`BfhmRun::advance`] steps — plain owned data (blobs, estimates, the
 /// reverse-row cache, the running top-k of its ids, phase + counters),
 /// detachable into a [`crate::cursor::CursorState`] and resumable on any
-/// cluster handle over the same index.
+/// cluster handle over the same index. Its buffers come from the thread's
+/// spares and go back there when it drops ([`crate::spare`]).
 #[derive(Clone)]
 pub(crate) struct BfhmCore {
     /// Cursor bookkeeping (target k, emitted count, cumulative charge) —
@@ -308,6 +310,29 @@ impl BfhmCore {
     }
 }
 
+impl Drop for BfhmCore {
+    fn drop(&mut self) {
+        let ReverseStore {
+            index,
+            arena,
+            ends,
+            scores,
+        } = std::mem::take(&mut self.reverse);
+        spare::give_bfhm(BfhmColumns {
+            index,
+            arena,
+            ends,
+            scores,
+            estimates: std::mem::take(&mut self.estimates),
+            fetched: self
+                .sides
+                .each_mut()
+                .map(|side| std::mem::take(&mut side.fetched)),
+            batch: std::mem::take(&mut self.batch),
+        });
+    }
+}
+
 /// The index family of one side (0 = left), as the `String` it is: a
 /// one-family projection is `std::slice::from_ref` of it, not a copy.
 fn side_label(query: &RankJoinQuery, side: usize) -> &String {
@@ -335,8 +360,16 @@ impl BfhmRun {
         let all = client
             .projection(table, None)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
+        let BfhmColumns {
+            index,
+            arena,
+            ends,
+            scores,
+            estimates,
+            fetched: [left, right],
+            mut batch,
+        } = spare::bfhm();
         // The metadata row, into the batch every later get refills.
-        let mut batch = RowBatch::new();
         let meta = client.get_into(&mut batch, &all, META_ROW);
         let (m, num_buckets) = meta_of(meta, &query.left.label)?;
         if num_buckets != config.num_buckets {
@@ -358,10 +391,18 @@ impl BfhmRun {
                 config: config.clone(),
                 hist: ScoreHistogram::new(num_buckets),
                 m,
-                sides: Default::default(),
-                estimates: Vec::new(),
+                sides: [left, right].map(|fetched| SideState {
+                    fetched,
+                    ..SideState::default()
+                }),
+                estimates,
                 total_estimated: 0.0,
-                reverse: ReverseStore::default(),
+                reverse: ReverseStore {
+                    index,
+                    arena,
+                    ends,
+                    scores,
+                },
                 results: TopIds::new(k, 2),
                 rounds: 0,
                 write_back,

@@ -26,6 +26,11 @@ pub enum RankJoinError {
     /// them at ingest keeps NaN out of every sort and bound computation
     /// on the query path.
     NonFiniteScore(f64),
+    /// A finite score outside `[0, 1]` offered at ingest. The paper
+    /// normalizes scores to `[0, 1]` (§1.1), and the statistics' score
+    /// histograms bucket that interval: a score past either end would
+    /// land in an edge bucket, misdescribing the data they plan from.
+    ScoreOutOfRange(f64),
     /// A side accessor was asked for an index the query does not have —
     /// the checked replacement for the old panicking
     /// `RankJoinQuery::side`.
@@ -67,6 +72,12 @@ impl std::fmt::Display for RankJoinError {
             RankJoinError::MissingRow => write!(f, "delete of a missing row"),
             RankJoinError::NonFiniteScore(s) => {
                 write!(f, "non-finite score {s} rejected — scores must be finite")
+            }
+            RankJoinError::ScoreOutOfRange(s) => {
+                write!(
+                    f,
+                    "score {s} outside [0, 1] rejected — scores must be in [0, 1]"
+                )
             }
             RankJoinError::SideOutOfRange { index, sides } => {
                 write!(f, "side index {index} out of range for a {sides}-way join")
@@ -123,5 +134,7 @@ mod tests {
         assert!(e.to_string().contains("isl_idx"));
         let e = RankJoinError::NonFiniteScore(f64::NAN);
         assert!(e.to_string().contains("non-finite"));
+        let e = RankJoinError::ScoreOutOfRange(1.5);
+        assert!(e.to_string().contains("outside [0, 1]"));
     }
 }

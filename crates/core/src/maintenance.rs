@@ -110,7 +110,9 @@ impl MaintainedSide {
     /// Non-finite scores are rejected with
     /// [`RankJoinError::NonFiniteScore`] before anything is written: a
     /// NaN admitted here would panic much later, deep inside a score-list
-    /// key encoding or a query-time sort.
+    /// key encoding or a query-time sort. So are finite scores outside the
+    /// paper's `[0, 1]` (§1.1), with [`RankJoinError::ScoreOutOfRange`]:
+    /// the statistics would file one under an edge bucket.
     ///
     /// **Contract: `row_key` must be new.** Like the paper's §6 write
     /// interception, this is an *insert*, not an upsert — writing an
@@ -129,6 +131,9 @@ impl MaintainedSide {
     ) -> Result<u64> {
         if !score.is_finite() {
             return Err(RankJoinError::NonFiniteScore(score));
+        }
+        if !(0.0..=1.0).contains(&score) {
+            return Err(RankJoinError::ScoreOutOfRange(score));
         }
         let ts = self.cluster.next_ts();
         let client = self.cluster.client();
@@ -336,6 +341,62 @@ mod tests {
         }
         // Nothing landed: the base table has no such row.
         assert!(c.client().get("r1", b"r1_bad").unwrap().is_none());
+    }
+
+    #[test]
+    fn scores_outside_the_unit_interval_are_rejected_before_any_write() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        use crate::bfhm::{self, BfhmConfig};
+        use crate::statsmaint::StatsDelta;
+
+        /// Counts the statistics deltas a write emits.
+        struct Deltas(AtomicUsize);
+        impl StatsMaintainer for Deltas {
+            fn apply_delta(&self, _: &StatsDelta<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let (c, q) = running_example_cluster();
+        let engine = MapReduceEngine::new(c.clone());
+        isl::build(&engine, &q, "isl_idx").unwrap();
+        ijlmr::build(&engine, &q, "ijlmr_idx").unwrap();
+        let config = BfhmConfig {
+            num_buckets: 10,
+            filter_bits: Some(1 << 14),
+            ..Default::default()
+        };
+        bfhm::build_pair(&engine, &q, "bfhm_idx", &config).unwrap();
+        let deltas = Arc::new(Deltas(AtomicUsize::new(0)));
+        let side = MaintainedSide::new(&c, q.left.clone())
+            .with_isl("isl_idx")
+            .with_ijlmr("ijlmr_idx")
+            .with_bfhm(BfhmMaintainer::attach(&c, "bfhm_idx", &q.left.label).unwrap())
+            .with_stats(deltas.clone());
+        let footprint = || {
+            ["r1", "isl_idx", "ijlmr_idx", "bfhm_idx"].map(|name| {
+                let table = c.table(name).unwrap();
+                (table.kv_count(), table.disk_size())
+            })
+        };
+        let before = footprint();
+        for bad in [1.5, -0.1] {
+            let err = side.insert(b"r1_bad", b"a", bad, vec![]).unwrap_err();
+            assert!(
+                matches!(err, RankJoinError::ScoreOutOfRange(s) if s == bad),
+                "{bad} must yield a typed error, got {err}"
+            );
+        }
+        // Nothing landed: no base row, no index entry, no delta.
+        assert!(c.client().get("r1", b"r1_bad").unwrap().is_none());
+        assert_eq!(footprint(), before);
+        assert_eq!(deltas.0.load(Ordering::Relaxed), 0);
+
+        // Both ends of the domain are in it.
+        side.insert(b"r1_zero", b"a", 0.0, vec![]).unwrap();
+        side.insert(b"r1_one", b"a", 1.0, vec![]).unwrap();
+        assert_eq!(deltas.0.load(Ordering::Relaxed), 2);
     }
 
     #[test]

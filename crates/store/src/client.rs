@@ -13,7 +13,9 @@
 //! A [`Scanner`] owns one [`RowBatch`] and refills it per RPC, so what a
 //! scan allocates does not depend on how many rows it returns: the batch
 //! buffers and the resume key grow to the largest step seen and are then
-//! reused. The family projection is resolved when the scanner opens and,
+//! reused. A caller that runs many scans can open each on the batch the
+//! last one grew ([`Client::scan_with_batch`], [`ScannerState::into_batch`]).
+//! The family projection is resolved when the scanner opens and,
 //! a detached state being plain data, again at the first RPC after every
 //! [`Client::resume_scan`] — against whatever schema the table's name has
 //! by then; the one-family projection every index scan uses is held
@@ -193,6 +195,19 @@ impl Client {
     /// Opens a scanner. Rows stream back in ascending key order, fetched
     /// `caching` rows per RPC.
     pub fn scan(&self, table: &str, scan: Scan) -> Result<Scanner<'_>> {
+        self.scan_with_batch(table, scan, RowBatch::new())
+    }
+
+    /// [`Client::scan`] refilling `batch` per RPC instead of a new one:
+    /// a batch a finished scan grew ([`ScannerState::into_batch`]) starts
+    /// the next at the capacity it reached. Its rows are dropped first.
+    pub fn scan_with_batch(
+        &self,
+        table: &str,
+        scan: Scan,
+        mut batch: RowBatch,
+    ) -> Result<Scanner<'_>> {
+        batch.clear();
         let t = self.lookup(table)?;
         // Resolved eagerly so an unknown family surfaces here.
         let projection = t.resolve_families(scan.families.as_deref())?;
@@ -203,7 +218,7 @@ impl Client {
             next_key: scan.start.clone().unwrap_or_default(),
             done: false,
             returned: 0,
-            batch: RowBatch::new(),
+            batch,
             pos: 0,
             error: None,
             spec: scan,
@@ -310,6 +325,12 @@ impl ScannerState {
     /// would be issued; buffered rows may remain).
     pub fn is_exhausted(&self) -> bool {
         self.done
+    }
+
+    /// Ends the scan and hands back its row batch, unread rows included,
+    /// for [`Client::scan_with_batch`] to refill.
+    pub fn into_batch(self) -> RowBatch {
+        self.batch
     }
 }
 

@@ -6,12 +6,12 @@
 //! over costs nothing, the top-k buffers a join match as seen-tuple ids
 //! (admitting and evicting reuse its slots) and builds a result only when
 //! it leaves the operator, and a paused cursor carries its operator state
-//! instead of rebuilding it. The seen-tuple stores and the top-k a run
-//! keeps are not grown from empty either: a run starts from the buffers
-//! the thread's last run grew and gives them back when it is dropped. So
-//! the steady state is the warm run, which pays for its result keys and a
-//! small constant (scanners, cursor, result vector) and leaves the live
-//! heap where the run before it did; a thread's first run also pays its
+//! instead of rebuilding it. The seen-tuple stores, the top-k and the
+//! scanners' row batches a run keeps are not grown from empty either: a
+//! run starts from the buffers the thread's last run grew and gives them
+//! back when it is dropped. So the steady state is the warm run, which
+//! pays for its result keys and a small constant (scanner specs, cursor,
+//! result vector) and leaves the live heap where the run before it did; a thread's first run also pays its
 //! buffers' growth, and the budgets below that a cold run meets still
 //! hold. These tests pin that with a counting allocator, on a tiny TPC-H
 //! load. Counts are per thread, so the other tests of this binary running
@@ -30,8 +30,10 @@
 //! ranks the cache's tuple ids, so a match is built only when it leaves
 //! the run. What it still pays is one array per fetched blob, the cache's
 //! column growth and the results it hands back; its one-shot budget below
-//! is that figure, and shape tests pin that a get, a blob decode beyond
-//! its array and an estimate allocate nothing. DRJN's pull join ranks ids
+//! is that figure. A warm run starts from the cache, estimates and fetched
+//! lists its thread's last run gave back, so it pays only the blobs, the
+//! results and a constant. Shape tests pin that a get, a blob decode
+//! beyond its array and an estimate allocate nothing. DRJN's pull join ranks ids
 //! into its seen sides the same way, but its pulled rows are still
 //! collected owned and its seen sides built by incremental pushes.
 //!
@@ -92,14 +94,22 @@ const BFHM_ALLOCS_PER_1000_READS: u64 = 1_800;
 /// copied the query and each pulled row its join value).
 const DRJN_ALLOCS_PER_1000_READS: u64 = 115;
 /// What a warm one-shot ISL run at k = 200 allocates beyond its result
-/// keys: two fresh scanners' row batches and projections, the cursor and
-/// the result vector. Measured: 58 on Q1 and 67 on Q2; the thread's
-/// first Q1 run, growing its seen sides and top-k from empty, allocates
-/// 150 more.
-const WARM_ISL_CONSTANT: u64 = 72;
-/// The same for the 3-way path, with three scanners. Measured: 58; the
-/// thread's first run allocates 289 more.
-const WARM_THREE_WAY_CONSTANT: u64 = 64;
+/// keys: opening the cursor and its two scanners (scan specs, resume
+/// keys) and the result vector; the scanners refill the row batches the
+/// run before gave back. Measured: 33 on Q1 and on Q2 (58 and 67 when every scanner
+/// grew a new batch); the thread's first Q1 run, growing its seen sides,
+/// top-k and batches from empty, allocates 176 more.
+const WARM_ISL_CONSTANT: u64 = 36;
+/// The same for the 3-way path, with three scanners. Measured: 16 at
+/// every `k` (58 with new batches); the thread's first run allocates 315
+/// more.
+const WARM_THREE_WAY_CONSTANT: u64 = 20;
+/// What a warm one-shot BFHM run on Q2 allocates beyond its result keys
+/// and one array per decoded blob: the result vector and the outcome's
+/// extras. Measured: 3 at k = 1, 10 and 50. The first run at each `k`,
+/// growing its reverse-row cache, estimates and fetched lists from the
+/// smaller `k`'s (from empty at k = 1), allocates 25, 5 and 21 more.
+const WARM_BFHM_CONSTANT: u64 = 4;
 
 fn side(table: &str, label: &str, join: &'static [u8]) -> JoinSide {
     JoinSide::new(
@@ -286,16 +296,23 @@ fn a_warm_one_shot_isl_run_allocates_its_result_keys_and_a_constant() {
 fn a_warm_three_way_run_allocates_its_result_keys_and_a_constant() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let ex = prepared_three_way(ISL_BATCH);
-    let k = 200;
-    let (cold, cold_allocs) = counted(|| ex.execute_with_k(k).unwrap());
-    let (warm, warm_allocs) = counted(|| ex.execute_with_k(k).unwrap());
-    assert_eq!(warm.results, cold.results);
-    // Five a result: three keys, the interior side's key and the vector
-    // holding it.
-    assert!(
-        warm_allocs <= 5 * k as u64 + WARM_THREE_WAY_CONSTANT,
-        "a warm 3-way run allocated {warm_allocs} (cold: {cold_allocs})"
-    );
+    // The thread's first run, then the `k`s of the `multiway_path`
+    // benchmark workload and a deep one, each run twice.
+    let (cold, cold_allocs) = counted(|| ex.execute_with_k(200).unwrap());
+    for k in [1, 10, 25, 200] {
+        let (first, first_allocs) = counted(|| ex.execute_with_k(k).unwrap());
+        let (warm, warm_allocs) = counted(|| ex.execute_with_k(k).unwrap());
+        assert_eq!(warm.results, first.results, "k = {k}");
+        assert_eq!(warm.results.len(), k);
+        // Five a result: three keys, the interior side's key and the
+        // vector holding it.
+        assert!(
+            warm_allocs <= 5 * k as u64 + WARM_THREE_WAY_CONSTANT,
+            "k = {k}: a warm 3-way run allocated {warm_allocs} (the first: {first_allocs})"
+        );
+    }
+    assert_eq!(ex.execute_with_k(200).unwrap().results, cold.results);
+    assert!(cold_allocs > 5 * 200 + WARM_THREE_WAY_CONSTANT);
 }
 
 /// A thread's spare buffers are what its runs grew, and no more: after a
@@ -412,6 +429,28 @@ fn one_shot_bfhm_allocations_per_kv_read_are_pinned() {
     );
 }
 
+/// The warm steady state of BFHM: a run that starts from the buffers a
+/// run before it grew pays for its results, one array per decoded blob
+/// and a small constant.
+#[test]
+fn a_warm_one_shot_bfhm_run_allocates_its_result_keys_blobs_and_a_constant() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let (_cluster, mut ex) = prepared(&q2);
+    ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    for k in [1, 10, 50] {
+        let (first, first_allocs) = bfhm_run(&ex, k);
+        let (warm, warm_allocs) = bfhm_run(&ex, k);
+        assert_eq!(warm.results, first.results, "k = {k}");
+        let blobs = warm.extra("buckets_fetched").unwrap() as u64;
+        // Three keys a result (left, right, join value).
+        assert!(
+            warm_allocs <= 3 * k as u64 + blobs + WARM_BFHM_CONSTANT,
+            "k = {k}: a warm run allocated {warm_allocs} for {blobs} blobs (the first: {first_allocs})"
+        );
+    }
+}
+
 #[test]
 fn auto_on_a_cached_plan_allocates_exactly_what_its_choice_allocates() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
@@ -464,6 +503,38 @@ fn auto_choosing_isl_allocates_exactly_what_isl_allocates() {
         assert_eq!(auto.results, chosen.results, "k = {k}");
         assert_eq!(auto.algorithm, "ISL", "k = {k}");
         assert_eq!(auto_allocs, chosen_allocs, "k = {k}");
+    }
+}
+
+/// Equal runs allocate equally whatever their thread ran before: each
+/// side's scans refill the batch that side gave back, so the spares a
+/// wider run left do not rotate through a narrower run's sides. (Taking
+/// the oldest spare instead, the runs below allocated 55, 52 and 43 at
+/// k = 10; taking the newest, the Auto/ISL equality above read 16 against
+/// 22 at k = 1.)
+#[test]
+fn equal_warm_runs_allocate_equally_after_a_wider_run() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let three = prepared_three_way(ISL_BATCH);
+    let [_, q2] = queries();
+    let (_cluster, mut ex) = prepared(&q2);
+    // Sides of unequal batch sizes grow unequal row batches.
+    ex.isl_config = IslConfig {
+        batch_left: 4,
+        batch_right: 128,
+    };
+    for k in [10, 50, 200] {
+        // Leaves three batches, then one run warms the binary sides.
+        three.execute_with_k(25).unwrap();
+        ex.execute_with_k(Algorithm::Isl, k).unwrap();
+        let runs: [_; 3] =
+            std::array::from_fn(|_| counted(|| ex.execute_with_k(Algorithm::Isl, k).unwrap()));
+        let allocs = runs.each_ref().map(|(_, allocs)| *allocs);
+        assert!(
+            allocs.iter().all(|&a| a == allocs[0]),
+            "k = {k}: {allocs:?}"
+        );
+        assert!(runs.iter().all(|(run, _)| run.results == runs[0].0.results));
     }
 }
 
