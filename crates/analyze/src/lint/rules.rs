@@ -56,8 +56,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "thread-local",
-        summary: "no `thread_local!` outside the recycler module — per-thread state stays in one audited file (`crates/core/src/spare.rs`), so nothing else a run leaves behind depends on which thread ran it",
-        scope: "non-test code in crates/{core,serve,store,sketch}/src except crates/core/src/spare.rs",
+        summary: "no `thread_local!` in library code — what a run leaves behind belongs to the executor that ran it (the spare buffers included), so nothing depends on which thread ran it",
+        scope: "non-test code in crates/{core,serve,store,sketch}/src",
     },
     RuleInfo {
         id: "env-knob",
@@ -196,8 +196,7 @@ pub struct FileScope {
     /// Exempt from `thread-discipline` (the pool itself and the vendored
     /// shims).
     pub thread_allowlisted: bool,
-    /// Subject to `thread-local` (the library crates, minus the recycler
-    /// module).
+    /// Subject to `thread-local` (the library crates).
     pub thread_local_scope: bool,
     /// Subject to `env-knob` (the library crates, minus the pool).
     pub env_knob_scope: bool,
@@ -233,14 +232,13 @@ impl FileScope {
                 || p.starts_with("crates/serve/src/")
                 || p.starts_with("crates/store/src/")
                 || p.starts_with("crates/sketch/src/"));
-        let thread_local_scope = library_crate && p != "crates/core/src/spare.rs";
         let env_knob_scope = library_crate && p != "crates/store/src/pool.rs";
         FileScope {
             is_library_src,
             no_unwrap_scope,
             sim_time_scope,
             thread_allowlisted,
-            thread_local_scope,
+            thread_local_scope: library_crate,
             env_knob_scope,
             is_shim,
         }
@@ -379,7 +377,7 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
         }
     }
 
-    // thread-local: per-thread state outside the recycler module.
+    // thread-local: per-thread state in library code.
     if scope.thread_local_scope {
         for at in word_occurrences(&flat, "thread_local") {
             let line = file.line_of_offset(at);
@@ -390,7 +388,7 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
             push(
                 "thread-local",
                 line,
-                "`thread_local!` outside `crates/core/src/spare.rs` — keep per-thread state in the recycler module".to_string(),
+                "`thread_local!` in library code — keep state on the executor or the value that owns it".to_string(),
             );
         }
     }

@@ -331,7 +331,9 @@ impl BfhmMaintainer {
 mod tests {
     use super::*;
     use crate::bfhm::{self, BfhmConfig};
+    use crate::cursor::CursorMeta;
     use crate::oracle;
+    use crate::spare::Spares;
     use crate::testsupport::running_example_cluster;
     use rj_mapreduce::MapReduceEngine;
 
@@ -461,8 +463,9 @@ mod tests {
 
         let query = std::sync::Arc::new(q.clone());
         let policy = WriteBackPolicy::Lazy;
+        let meta = CursorMeta::new(1, None, Spares::default());
         let mut cursor =
-            bfhm::BfhmCursor::open(&c, &query, 1, "bfhm_idx", &config, policy, None).unwrap();
+            bfhm::BfhmCursor::open(&c, &query, meta, "bfhm_idx", &config, policy).unwrap();
         let page = cursor.next_batch(1, &StopPolicy::never()).unwrap();
         assert!(page.done);
         assert_eq!(page.results, oracle::topk(&c, &q.with_k(1)).unwrap());
@@ -493,7 +496,8 @@ mod tests {
 
         let query = std::sync::Arc::new(q.clone());
         let open = |policy| {
-            bfhm::BfhmCursor::open(&c, &query, 1, "bfhm_idx", &config, policy, None).unwrap()
+            let meta = CursorMeta::new(1, None, Spares::default());
+            bfhm::BfhmCursor::open(&c, &query, meta, "bfhm_idx", &config, policy).unwrap()
         };
         let never = StopPolicy::never();
         // The same read without a write-back, then with the lazy one.

@@ -36,7 +36,7 @@ use crate::cursor::{
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
-use crate::spare::{self, BfhmColumns};
+use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 
 use super::index::{blob_row_key, meta_of, reverse_row_key, META_ROW};
@@ -72,6 +72,32 @@ fn packed_cell(side: usize, bucket: u32, pos: u32) -> [u8; 9] {
     k[1..5].copy_from_slice(&bucket.to_be_bytes());
     k[5..9].copy_from_slice(&pos.to_be_bytes());
     k
+}
+
+/// The buffers of one BFHM run that its executor's spares keep
+/// ([`crate::spare`]): the reverse-row cache, the estimates, each side's
+/// fetched buckets and the batch its gets refill.
+#[derive(Default)]
+pub(crate) struct BfhmBuffers {
+    reverse: ReverseStore,
+    pub(crate) estimates: Vec<Estimate>,
+    pub(crate) fetched: [Vec<(u32, BfhmBlob)>; 2],
+    pub(crate) batch: RowBatch,
+}
+
+impl BfhmBuffers {
+    /// Empties every buffer, keeping its capacity; a fetched bucket's
+    /// decoded filter is freed.
+    pub(crate) fn clear(&mut self) {
+        let reverse = &mut self.reverse;
+        reverse.index.clear();
+        reverse.arena.clear();
+        reverse.ends.clear();
+        reverse.scores.clear();
+        self.estimates.clear();
+        self.fetched.iter_mut().for_each(Vec::clear);
+        self.batch.clear();
+    }
 }
 
 impl ReverseStore {
@@ -251,12 +277,12 @@ enum Phase {
 /// [`BfhmRun::advance`] steps — plain owned data (blobs, estimates, the
 /// reverse-row cache, the running top-k of its ids, phase + counters),
 /// detachable into a [`crate::cursor::CursorState`] and resumable on any
-/// cluster handle over the same index. Its buffers come from the thread's
-/// spares and go back there when it drops ([`crate::spare`]).
+/// cluster handle over the same index. Its buffers come from its
+/// executor's spares and go back there when it drops ([`crate::spare`]).
 #[derive(Clone)]
 pub(crate) struct BfhmCore {
-    /// Cursor bookkeeping (target k, emitted count, cumulative charge) —
-    /// the run's `k` lives here, not in the query.
+    /// Cursor bookkeeping (target k, emitted count, cumulative charge,
+    /// spares) — the run's `k` lives here, not in the query.
     pub(crate) meta: CursorMeta,
     /// The executor's query, shared: the sides' labels (their index
     /// families) and the score function.
@@ -311,18 +337,11 @@ impl BfhmCore {
 }
 
 impl Drop for BfhmCore {
+    /// Gives the run's buffers and top-k back to its spares.
     fn drop(&mut self) {
-        let ReverseStore {
-            index,
-            arena,
-            ends,
-            scores,
-        } = std::mem::take(&mut self.reverse);
-        spare::give_bfhm(BfhmColumns {
-            index,
-            arena,
-            ends,
-            scores,
+        let spares = &self.meta.spares;
+        spares.give_bfhm(BfhmBuffers {
+            reverse: std::mem::take(&mut self.reverse),
             estimates: std::mem::take(&mut self.estimates),
             fetched: self
                 .sides
@@ -330,6 +349,7 @@ impl Drop for BfhmCore {
                 .map(|side| std::mem::take(&mut side.fetched)),
             batch: std::mem::take(&mut self.batch),
         });
+        spares.give_top(std::mem::replace(&mut self.results, TopIds::new(0, 0)));
     }
 }
 
@@ -347,11 +367,12 @@ pub(crate) struct BfhmRun {
 }
 
 impl BfhmRun {
-    /// A machine for the top `k` of `query` (whose own `k` is not read).
+    /// A machine for the top `meta.k` of `query` (whose own `k` is not
+    /// read), its buffers taken from and given back to `meta.spares`.
     pub(crate) fn new(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
-        k: usize,
+        meta: CursorMeta,
         table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
@@ -360,18 +381,15 @@ impl BfhmRun {
         let all = client
             .projection(table, None)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
-        let BfhmColumns {
-            index,
-            arena,
-            ends,
-            scores,
+        let BfhmBuffers {
+            reverse,
             estimates,
             fetched: [left, right],
             mut batch,
-        } = spare::bfhm();
+        } = meta.spares.bfhm();
         // The metadata row, into the batch every later get refills.
-        let meta = client.get_into(&mut batch, &all, META_ROW);
-        let (m, num_buckets) = meta_of(meta, &query.left.label)?;
+        let meta_row = client.get_into(&mut batch, &all, META_ROW);
+        let (m, num_buckets) = meta_of(meta_row, &query.left.label)?;
         if num_buckets != config.num_buckets {
             return Err(RankJoinError::Internal(
                 "config bucket count disagrees with the built index",
@@ -384,7 +402,9 @@ impl BfhmRun {
         Ok(BfhmRun {
             cluster: cluster.clone(),
             core: BfhmCore {
-                meta: CursorMeta::new(k, None),
+                results: meta.spares.top(meta.k, 2),
+                target: meta.k,
+                meta,
                 query: query.clone(),
                 projections: [family(0)?, family(1)?],
                 batch,
@@ -397,18 +417,11 @@ impl BfhmRun {
                 }),
                 estimates,
                 total_estimated: 0.0,
-                reverse: ReverseStore {
-                    index,
-                    arena,
-                    ends,
-                    scores,
-                },
-                results: TopIds::new(k, 2),
+                reverse,
                 rounds: 0,
                 write_back,
                 pending_write_backs: Vec::new(),
                 phase: Phase::RoundStart,
-                target: k,
                 steps: 0,
             },
         })
@@ -856,22 +869,21 @@ pub(crate) struct BfhmCursor {
 }
 
 impl BfhmCursor {
-    /// Opens a cursor for the top `k` of `query` over a previously built
-    /// BFHM index pair. The index metadata read is charged to the cursor
-    /// (it is part of the one-shot run's metered cost).
+    /// Opens a cursor for the top `meta.k` of `query` over a previously
+    /// built BFHM index pair, its buffers taken from and given back to
+    /// `meta.spares`. The index metadata read is charged to the cursor (it
+    /// is part of the one-shot run's metered cost).
     pub(crate) fn open(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
-        k: usize,
+        meta: CursorMeta,
         index_table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
-        pinned_version: Option<u64>,
     ) -> Result<Self> {
         let ledger = cluster.metrics();
         let before = ledger.snapshot();
-        let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back)?;
-        run.core.meta = CursorMeta::new(k, pinned_version);
+        let mut run = BfhmRun::new(cluster, query, meta, index_table, config, write_back)?;
         run.core.meta.charged = ledger.snapshot().delta_since(&before);
         Ok(BfhmCursor { run })
     }
@@ -968,7 +980,8 @@ impl RankedCursor for BfhmCursor {
 
 /// Executes the BFHM rank join over a previously built index at the
 /// query's own `k`. This direct entry point shares its query for its one
-/// call; an executor shares one query across every run.
+/// call and recycles no buffer; an executor shares one query across every
+/// run and recycles its runs' buffers.
 pub fn run(
     cluster: &Cluster,
     query: &RankJoinQuery,
@@ -977,20 +990,22 @@ pub fn run(
     write_back: WriteBackPolicy,
 ) -> Result<QueryOutcome> {
     let shared = Arc::new(query.clone());
-    run_shared(cluster, &shared, query.k, index_table, config, write_back)
+    let meta = CursorMeta::new(query.k, None, Spares::default());
+    run_shared(cluster, &shared, meta, index_table, config, write_back)
 }
 
-/// [`run`] for the top `k` of a shared query, whose own `k` is not read —
-/// the executor's entry point.
+/// [`run`] for the top `meta.k` of a shared query, whose own `k` is not
+/// read, its buffers taken from and given back to `meta.spares` — the
+/// executor's entry point.
 pub(crate) fn run_shared(
     cluster: &Cluster,
     query: &Arc<RankJoinQuery>,
-    k: usize,
+    meta: CursorMeta,
     index_table: &str,
     config: &BfhmConfig,
     write_back: WriteBackPolicy,
 ) -> Result<QueryOutcome> {
-    if k == 0 {
+    if meta.k == 0 {
         return Ok(QueryOutcome::new(
             "BFHM",
             Vec::new(),
@@ -998,7 +1013,7 @@ pub(crate) fn run_shared(
         ));
     }
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = BfhmRun::new(cluster, query, k, index_table, config, write_back)?;
+    let mut run = BfhmRun::new(cluster, query, meta, index_table, config, write_back)?;
     run.run_to_completion()?;
     run.finish(meter)
 }
@@ -1106,7 +1121,7 @@ mod tests {
         let mut run_state = BfhmRun::new(
             &c,
             &Arc::new(q),
-            1000, // force exhaustion
+            CursorMeta::new(1000, None, Spares::default()), // force exhaustion
             "bfhm_idx",
             &config,
             WriteBackPolicy::Off,
@@ -1169,8 +1184,8 @@ mod tests {
         let one_shot = run(c, q, "bfhm_idx", config, policy);
         assert!(is_codec(one_shot.unwrap_err()));
         let shared = Arc::new(q.clone());
-        let mut cursor =
-            BfhmCursor::open(c, &shared, q.k, "bfhm_idx", config, policy, None).unwrap();
+        let meta = CursorMeta::new(q.k, None, Spares::default());
+        let mut cursor = BfhmCursor::open(c, &shared, meta, "bfhm_idx", config, policy).unwrap();
         for pull in 0..2 {
             let batch = cursor.next_batch(q.k, &StopPolicy::never());
             assert!(is_codec(batch.unwrap_err()), "pull {pull}");

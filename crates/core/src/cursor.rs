@@ -68,7 +68,7 @@ use crate::error::{RankJoinError, Result};
 use crate::hrjn::HrjnState;
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
-use crate::spare;
+use crate::spare::Spares;
 
 /// Component-wise sum of two metric snapshots (deltas compose).
 pub(crate) fn snap_add(a: MetricsSnapshot, b: MetricsSnapshot) -> MetricsSnapshot {
@@ -162,9 +162,9 @@ pub trait RankedCursor: Send {
     fn algorithm(&self) -> &'static str;
 }
 
-/// Common bookkeeping carried by every cursor implementation and its
+/// Common bookkeeping carried by every run, cursor implementation and
 /// detached state.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub(crate) struct CursorMeta {
     /// Target result count — the cursor's `k`, kept here and in the
     /// operator, never in the (shared) query descriptor.
@@ -176,15 +176,20 @@ pub(crate) struct CursorMeta {
     /// Statistics version pinned at open (`None` when opened outside an
     /// executor — no coherence tracking available).
     pub pinned_version: Option<u64>,
+    /// The spare list of the executor that opened the run: where its
+    /// buffers came from and go back to when it drops (no list when
+    /// opened outside an executor; [`crate::spare`]).
+    pub spares: Spares,
 }
 
 impl CursorMeta {
-    pub(crate) fn new(k: usize, pinned_version: Option<u64>) -> Self {
+    pub(crate) fn new(k: usize, pinned_version: Option<u64>, spares: Spares) -> Self {
         CursorMeta {
             k,
             emitted: 0,
             charged: MetricsSnapshot::default(),
             pinned_version,
+            spares,
         }
     }
 }
@@ -394,14 +399,11 @@ pub(crate) fn isl_algorithm_name(sides: usize) -> &'static str {
 
 /// One side of the descent: how it is consumed and where its scanner
 /// stands (its tuples live under the side's label, read through the
-/// shared spec). Its scans refill a row batch taken from the thread's
-/// spares when the cursor opens, and given back when this drops
+/// shared spec). Its scans refill a row batch taken from the run's
+/// spares when the cursor opens, and given back when the cursor drops
 /// ([`crate::spare`]).
 #[derive(Clone)]
 pub(crate) struct SideScan {
-    /// The side's position in the spec (the spare batch goes back under
-    /// it).
-    position: u32,
     /// Index rows pulled per turn (the paper's `C_i`, §4.2.3).
     pub batch: usize,
     pub access: SideAccess,
@@ -430,13 +432,6 @@ impl SideRows {
             SideRows::Unopened(rows) => rows,
             SideRows::Open(scan) => scan.into_batch(),
         }
-    }
-}
-
-impl Drop for SideScan {
-    fn drop(&mut self) {
-        let rows = std::mem::take(&mut self.scan).into_batch();
-        spare::give_batch(self.position as usize, rows);
     }
 }
 
@@ -474,9 +469,21 @@ pub(crate) struct IslCore {
     pub state: HrjnState,
 }
 
+impl Drop for IslCore {
+    /// Gives each side's row batch and the operator's buffers back.
+    fn drop(&mut self) {
+        let spares = &self.meta.spares;
+        for (position, side) in self.sides.iter_mut().enumerate() {
+            spares.give_batch(position, std::mem::take(&mut side.scan).into_batch());
+        }
+        self.state.give_back(spares);
+    }
+}
+
 impl IslCore {
     fn retarget(&mut self, new_k: usize) {
-        self.meta = CursorMeta::new(new_k, self.meta.pinned_version);
+        let spares = std::mem::take(&mut self.meta.spares);
+        self.meta = CursorMeta::new(new_k, self.meta.pinned_version, spares);
         self.state.retarget(new_k);
     }
 }
@@ -569,6 +576,21 @@ impl IslCursor {
         access: &[SideAccess],
         pinned_version: Option<u64>,
     ) -> Result<Self> {
+        let meta = CursorMeta::new(k, pinned_version, Spares::default());
+        IslCursor::open_on(cluster, spec, meta, index_table, batch, access)
+    }
+
+    /// [`IslCursor::open`] for the top `meta.k`: the operator and the
+    /// scans take their buffers from `meta.spares`, and give them back
+    /// there.
+    pub(crate) fn open_on(
+        cluster: &Cluster,
+        spec: &Arc<JoinSpec>,
+        meta: CursorMeta,
+        index_table: &str,
+        batch: &[usize],
+        access: &[SideAccess],
+    ) -> Result<Self> {
         if batch.len() != spec.n() || access.len() != spec.n() {
             return Err(RankJoinError::InvalidSpec(
                 "one batch size and one SideAccess per side required",
@@ -581,26 +603,25 @@ impl IslCursor {
         Ok(IslCursor::resume(
             cluster,
             IslCore {
-                meta: CursorMeta::new(k, pinned_version),
-                spec: spec.clone(),
-                table,
                 sides: batch
                     .iter()
                     .zip(access)
                     .enumerate()
                     .map(|(position, (&batch, &access))| SideScan {
-                        position: position as u32,
                         batch,
                         access,
-                        scan: SideRows::Unopened(spare::batch(position)),
+                        scan: SideRows::Unopened(meta.spares.batch(position)),
                     })
                     .collect(),
+                state: HrjnState::from_spares(&meta.spares, spec, meta.k),
+                meta,
+                spec: spec.clone(),
+                table,
                 turn: 0,
                 batches: 0,
                 in_batch: false,
                 rows_taken: 0,
                 pending: None,
-                state: HrjnState::new(spec, k),
             },
         ))
     }
@@ -619,10 +640,9 @@ impl IslCursor {
         self.core.batches
     }
 
-    /// Consumes the cursor into its HRJN state (what a one-shot run
-    /// closes its outcome from).
-    pub(crate) fn into_hrjn(self) -> HrjnState {
-        self.core.state
+    /// The HRJN operator (what a one-shot run closes its outcome from).
+    pub(crate) fn hrjn(&self) -> &HrjnState {
+        &self.core.state
     }
 
     fn drained(&self) -> bool {
@@ -903,7 +923,7 @@ impl MaterializedCursor {
         MaterializedCursor {
             cluster: cluster.clone(),
             core: MaterializedCore {
-                meta: CursorMeta::new(k, pinned_version),
+                meta: CursorMeta::new(k, pinned_version, Spares::default()),
                 query: query.clone(),
                 source,
                 results: None,

@@ -36,6 +36,7 @@ use crate::hrjn::SeenSide;
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
+use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 
 use super::index::bucket_row_key;
@@ -188,6 +189,17 @@ impl DrjnCore {
     }
 }
 
+impl Drop for DrjnCore {
+    /// Gives the seen sides and the top-k back to the run's spares.
+    fn drop(&mut self) {
+        let spares = &self.meta.spares;
+        for seen in &mut self.seen {
+            spares.give_side(std::mem::take(seen));
+        }
+        spares.give_top(std::mem::replace(&mut self.results, TopIds::new(0, 0)));
+    }
+}
+
 /// An owned, stepping DRJN execution over `cluster` (see the module
 /// docs). The MapReduce engine for pull jobs is rebuilt from the cluster
 /// handle, so a resumed machine bills its pulls to the resuming handle's
@@ -198,11 +210,12 @@ pub(crate) struct DrjnRun {
 }
 
 impl DrjnRun {
-    /// A machine for the top `k` of `query` (whose own `k` is not read).
+    /// A machine for the top `meta.k` of `query` (whose own `k` is not
+    /// read), its buffers taken from and given back to `meta.spares`.
     pub(crate) fn new(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
-        k: usize,
+        meta: CursorMeta,
         index_table: &str,
         config: &DrjnConfig,
     ) -> Result<Self> {
@@ -213,12 +226,12 @@ impl DrjnRun {
         Ok(DrjnRun {
             cluster: cluster.clone(),
             core: DrjnCore {
-                meta: CursorMeta::new(k, None),
+                seen: [meta.spares.side(1), meta.spares.side(1)],
+                results: meta.spares.top(meta.k, 2),
+                meta,
                 query: query.clone(),
                 index_table,
                 config: *config,
-                seen: [SeenSide::new(1), SeenSide::new(1)],
-                results: TopIds::new(k, 2),
                 rows: [Vec::new(), Vec::new()],
                 cum_estimate: 0.0,
                 pulled_to: [f64::INFINITY, f64::INFINITY],
@@ -413,18 +426,17 @@ pub(crate) struct DrjnCursor {
 }
 
 impl DrjnCursor {
-    /// Opens a cursor for the top `k` of `query` over previously built
-    /// DRJN matrices.
+    /// Opens a cursor for the top `meta.k` of `query` over previously
+    /// built DRJN matrices, its buffers taken from and given back to
+    /// `meta.spares`.
     pub(crate) fn open(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
-        k: usize,
+        meta: CursorMeta,
         index_table: &str,
         config: &DrjnConfig,
-        pinned_version: Option<u64>,
     ) -> Result<Self> {
-        let mut run = DrjnRun::new(cluster, query, k, index_table, config)?;
-        run.core.meta = CursorMeta::new(k, pinned_version);
+        let run = DrjnRun::new(cluster, query, meta, index_table, config)?;
         Ok(DrjnCursor { run })
     }
 
@@ -514,7 +526,8 @@ impl RankedCursor for DrjnCursor {
 
 /// Executes the DRJN rank join over previously built matrices at the
 /// query's own `k`. This direct entry point shares its query for the one
-/// call; an executor shares one query across every run.
+/// call and recycles no buffer; an executor shares one query across every
+/// run and recycles its runs' buffers.
 pub fn run(
     engine: &MapReduceEngine,
     query: &RankJoinQuery,
@@ -522,19 +535,21 @@ pub fn run(
     config: &DrjnConfig,
 ) -> Result<QueryOutcome> {
     let shared = Arc::new(query.clone());
-    run_shared(engine, &shared, query.k, index_table, config)
+    let meta = CursorMeta::new(query.k, None, Spares::default());
+    run_shared(engine, &shared, meta, index_table, config)
 }
 
-/// [`run`] for the top `k` of a shared query, whose own `k` is not read —
-/// the executor's entry point.
+/// [`run`] for the top `meta.k` of a shared query, whose own `k` is not
+/// read, its buffers taken from and given back to `meta.spares` — the
+/// executor's entry point.
 pub(crate) fn run_shared(
     engine: &MapReduceEngine,
     query: &Arc<RankJoinQuery>,
-    k: usize,
+    meta: CursorMeta,
     index_table: &str,
     config: &DrjnConfig,
 ) -> Result<QueryOutcome> {
-    if k == 0 {
+    if meta.k == 0 {
         return Ok(QueryOutcome::new(
             "DRJN",
             Vec::new(),
@@ -546,7 +561,7 @@ pub(crate) fn run_shared(
         .table(index_table)
         .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = DrjnRun::new(cluster, query, k, index_table, config)?;
+    let mut run = DrjnRun::new(cluster, query, meta, index_table, config)?;
     while run.advance_round()? {}
     run.finish(meter)
 }

@@ -13,6 +13,12 @@
 //! `k` is only the default of [`RankJoinExecutor::execute`] and
 //! [`RankJoinExecutor::plan`]. Only the MapReduce baselines (HIVE, PIG,
 //! IJLMR) still take a copy of the query with its `k` inside.
+//!
+//! **Spares belong to the executor.** Every ISL, BFHM and DRJN run or
+//! cursor an executor opens takes its buffers from the executor's spare
+//! list and gives them back when it drops (`crate::spare`); a
+//! [`RankJoinExecutor::fork_onto`] fork is the same executor over another
+//! ledger and recycles through the same list.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +29,8 @@ use rj_store::cluster::Cluster;
 
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCursor};
 use crate::cursor::{
-    CursorState, IslCursor, MaterializedCursor, MaterializedSource, RankedCursor, SideAccess,
+    CursorMeta, CursorState, IslCursor, MaterializedCursor, MaterializedSource, RankedCursor,
+    SideAccess,
 };
 use crate::drjn::{self, DrjnConfig, DrjnCursor};
 use crate::error::{RankJoinError, Result};
@@ -31,6 +38,7 @@ use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig};
 use crate::planner::{self, Candidates, CostEstimate, Objective, Plan};
 use crate::query::{JoinSpec, RankJoinQuery};
+use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 use crate::statsmaint::{SharedTableStats, DEFAULT_STALENESS_BOUND};
 use crate::{hive, ijlmr, pig};
@@ -147,6 +155,9 @@ pub struct RankJoinExecutor {
     /// the observable the negative-candidacy caching contract is tested
     /// against (grows on preparation changes only).
     candidate_evaluations: AtomicU64,
+    /// The buffers this executor's (and its forks') runs gave back, for
+    /// their next runs.
+    pub(crate) spares: Spares,
 }
 
 impl RankJoinExecutor {
@@ -183,6 +194,7 @@ impl RankJoinExecutor {
             plan_cache: Mutex::new(HashMap::new()),
             candidates_cache: Mutex::new(None),
             candidate_evaluations: AtomicU64::new(0),
+            spares: Spares::new(),
         }
     }
 
@@ -414,7 +426,9 @@ impl RankJoinExecutor {
     /// (`isl_config`, `write_back`, `objective`, ...), and shares the
     /// *same* statistics handle, so plans and maintained-write
     /// invalidations stay coherent across all forks while each fork's work
-    /// is billed to its own ledger.
+    /// is billed to its own ledger. The clone also shares this executor's
+    /// spare list: its runs recycle the buffers this executor's runs gave
+    /// back, and the other way round.
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<RankJoinExecutor> {
         let bfhm = self.bfhm_table.as_ref().map(|(table, _)| table);
         let drjn = self.drjn_table.as_ref().map(|(table, _)| table);
@@ -445,6 +459,7 @@ impl RankJoinExecutor {
         fork.write_back = self.write_back;
         fork.objective = self.objective;
         fork.staleness_bound = self.staleness_bound;
+        fork.spares = self.spares.clone();
         Ok(fork)
     }
 
@@ -537,6 +552,12 @@ impl RankJoinExecutor {
         Ok(plan)
     }
 
+    /// The bookkeeping of a run for the top `k`, pinned to
+    /// `pinned_version`, recycling through this executor's spares.
+    fn meta(&self, k: usize, pinned_version: Option<u64>) -> CursorMeta {
+        CursorMeta::new(k, pinned_version, self.spares.clone())
+    }
+
     /// Executes `algorithm` with the stored `k`.
     pub fn execute(&self, algorithm: Algorithm) -> Result<QueryOutcome> {
         self.execute_with_k(algorithm, self.query.k)
@@ -583,21 +604,23 @@ impl RankJoinExecutor {
                     .isl_table
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                isl::run_spec(cluster, &self.spec, k, t, &self.isl_config.batches())
+                let batch = self.isl_config.batches();
+                isl::run_spec(cluster, &self.spec, self.meta(k, None), t, &batch)
             }
             Algorithm::Bfhm => {
                 let (t, config) = self
                     .bfhm_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                bfhm::run_shared(cluster, &self.query, k, t, config, self.write_back)
+                let meta = self.meta(k, None);
+                bfhm::run_shared(cluster, &self.query, meta, t, config, self.write_back)
             }
             Algorithm::Drjn => {
                 let (t, config) = self
                     .drjn_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("drjn (unprepared)".into()))?;
-                drjn::run_shared(&self.engine, &self.query, k, t, config)
+                drjn::run_shared(&self.engine, &self.query, self.meta(k, None), t, config)
             }
         }
     }
@@ -637,14 +660,13 @@ impl RankJoinExecutor {
                     .as_deref()
                     .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
                 // The shared two-side spec, both sides descended.
-                Ok(Box::new(IslCursor::open(
+                Ok(Box::new(IslCursor::open_on(
                     cluster,
                     &self.spec,
-                    k_hint,
+                    self.meta(k_hint, Some(self.stats.version())),
                     t,
                     &self.isl_config.batches(),
                     &[SideAccess::Descend; 2],
-                    Some(self.stats.version()),
                 )?))
             }
             Algorithm::Bfhm => {
@@ -652,15 +674,13 @@ impl RankJoinExecutor {
                     .bfhm_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
-                let pinned = Some(self.stats.version());
                 Ok(Box::new(BfhmCursor::open(
                     cluster,
                     &self.query,
-                    k_hint,
+                    self.meta(k_hint, Some(self.stats.version())),
                     t,
                     config,
                     self.write_back,
-                    pinned,
                 )?))
             }
             Algorithm::Drjn => {
@@ -668,14 +688,12 @@ impl RankJoinExecutor {
                     .drjn_table
                     .as_ref()
                     .ok_or_else(|| RankJoinError::MissingIndex("drjn (unprepared)".into()))?;
-                let pinned = Some(self.stats.version());
                 Ok(Box::new(DrjnCursor::open(
                     cluster,
                     &self.query,
-                    k_hint,
+                    self.meta(k_hint, Some(self.stats.version())),
                     t,
                     config,
-                    pinned,
                 )?))
             }
             Algorithm::Hive => Ok(Box::new(MaterializedCursor::open(

@@ -47,7 +47,7 @@ use crate::error::{RankJoinError, Result};
 use crate::query::JoinSpec;
 use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
-use crate::spare::{self, SideColumns};
+use crate::spare::Spares;
 
 /// Per-side seen-tuple store in flat, cache-friendly layout.
 ///
@@ -62,9 +62,9 @@ use crate::spare::{self, SideColumns};
 /// stored twice. A buffered HRJN or DRJN result is one id per side into
 /// these columns.
 ///
-/// A new store starts from the columns a store this thread dropped grew,
-/// cleared (`crate::spare`); dropping one gives its columns back.
-#[derive(Clone)]
+/// A run's store comes from its executor's spares and goes back there
+/// when the run drops ([`crate::spare`]).
+#[derive(Clone, Default)]
 pub(crate) struct SeenSide {
     /// Per incident edge: join value on that edge → group of tuple ids.
     by_edge: Vec<FlatMultiMap<()>>,
@@ -81,18 +81,25 @@ pub(crate) struct SeenSide {
 impl SeenSide {
     /// An empty store for a side with `edges` incident join edges.
     pub(crate) fn new(edges: usize) -> Self {
-        let SideColumns {
-            by_edge,
-            key_arena,
-            rows,
-            scores,
-        } = spare::side(edges);
         SeenSide {
-            by_edge,
-            key_arena,
-            rows,
-            scores,
+            by_edge: (0..edges).map(|_| FlatMultiMap::new()).collect(),
+            key_arena: Vec::new(),
+            rows: Vec::new(),
+            scores: Vec::new(),
         }
+    }
+
+    /// How many join edges its tuples carry a value of.
+    pub(crate) fn edges(&self) -> usize {
+        self.by_edge.len()
+    }
+
+    /// Forgets every tuple, keeping the columns' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.by_edge.iter_mut().for_each(FlatMultiMap::clear);
+        self.key_arena.clear();
+        self.rows.clear();
+        self.scores.clear();
     }
 
     /// Records one `(base key, score)` tuple under one join value per
@@ -158,17 +165,6 @@ impl SeenSide {
     }
 }
 
-impl Drop for SeenSide {
-    fn drop(&mut self) {
-        spare::give_side(SideColumns {
-            by_edge: std::mem::take(&mut self.by_edge),
-            key_arena: std::mem::take(&mut self.key_arena),
-            rows: std::mem::take(&mut self.rows),
-            scores: std::mem::take(&mut self.scores),
-        });
-    }
-}
-
 /// One input of the operator: what it has seen plus the threshold state.
 #[derive(Clone)]
 struct Input {
@@ -222,11 +218,12 @@ fn extend(
 /// itself ([`Clone`]) rather than a log to rebuild it from. The join
 /// tree's walks and the per-push scratch are flat vectors sized once from
 /// the spec, and the top-k buffers results as seen-tuple ids (see the
-/// module docs): a push allocates only arena and buffer growth. The seen
-/// sides and the top-k start from the buffers the thread's last dropped
-/// operator grew, so that growth happens only where a run outgrows the
-/// runs before it. A [`JoinTuple`] is built only for a result leaving the
-/// operator.
+/// module docs): a push allocates only arena and buffer growth. An
+/// executor's cursor takes the operator's seen sides and top-k from the
+/// executor's spares and gives them back when it drops
+/// (`crate::spare`), so that growth happens only where a run outgrows
+/// the runs before it. A [`JoinTuple`] is built only for a result leaving
+/// the operator.
 #[derive(Clone)]
 pub struct HrjnState {
     score_fn: ScoreFn,
@@ -234,7 +231,7 @@ pub struct HrjnState {
     inputs: Vec<Input>,
     /// Preorder walks of the join tree, one per root, back to back: the
     /// walk rooted at side `r` is `walks[r * (n - 1)..][..n - 1]`.
-    walks: Vec<Step>,
+    walks: Box<[Step]>,
     /// Scratch: the tuple id chosen per side during an enumeration.
     chosen: Vec<u32>,
     /// Side whose first incident edge is the spec's edge 0 — its value
@@ -245,8 +242,14 @@ pub struct HrjnState {
 impl HrjnState {
     /// Fresh state for `spec`'s join tree, keeping the best `k` results.
     /// The depth is the run's, not the descriptor's: `spec.k` is not read,
-    /// so one shared spec serves runs at every `k`.
+    /// so one shared spec serves runs at every `k`. Its buffers start
+    /// empty.
     pub fn new(spec: &JoinSpec, k: usize) -> Self {
+        HrjnState::from_spares(&Spares::default(), spec, k)
+    }
+
+    /// [`HrjnState::new`] with its buffers taken from `spares`.
+    pub(crate) fn from_spares(spares: &Spares, spec: &JoinSpec, k: usize) -> Self {
         let n = spec.n();
         // Side `side`'s slot for edge `e`: how many earlier edges touch it.
         let slot = |side: usize, e: usize| {
@@ -286,18 +289,27 @@ impl HrjnState {
         }
         HrjnState {
             score_fn: spec.score_fn,
-            results: TopIds::new(k, n),
+            results: spares.top(k, n),
             inputs: (0..n)
                 .map(|side| Input {
-                    seen: SeenSide::new(spec.incident_edges(side).count()),
+                    seen: spares.side(spec.incident_edges(side).count()),
                     bounds: None,
                     exhausted: false,
                 })
                 .collect(),
-            walks,
+            walks: walks.into_boxed_slice(),
             chosen: vec![0; n],
             join_value_side: spec.edges.first().map_or(0, |edge| edge.a),
         }
+    }
+
+    /// Gives the seen sides and the top-k to `spares`, leaving the
+    /// operator empty: a dropping run's last act.
+    pub(crate) fn give_back(&mut self, spares: &Spares) {
+        for input in &mut self.inputs {
+            spares.give_side(std::mem::take(&mut input.seen));
+        }
+        spares.give_top(std::mem::replace(&mut self.results, TopIds::new(0, 0)));
     }
 
     /// Number of sides.
@@ -381,7 +393,7 @@ impl HrjnState {
     /// counts, bounds and exhaustion are untouched, so the operator is
     /// exactly what pushing the same tuples at `new_k` would have built.
     pub fn retarget(&mut self, new_k: usize) {
-        self.results = TopIds::new(new_k, self.inputs.len());
+        self.results.reset(new_k, self.inputs.len());
         for id in 0..self.inputs[0].seen.len() as u32 {
             self.join(0, id);
         }

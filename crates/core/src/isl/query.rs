@@ -11,9 +11,10 @@ use std::sync::Arc;
 use rj_store::metrics::QueryMeter;
 
 use crate::cancel::StopPolicy;
-use crate::cursor::{isl_algorithm_name, IslCursor, SideAccess};
+use crate::cursor::{isl_algorithm_name, CursorMeta, IslCursor, SideAccess};
 use crate::error::Result;
 use crate::query::{JoinSpec, RankJoinQuery};
+use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 
 /// ISL tuning knobs.
@@ -52,8 +53,9 @@ impl IslConfig {
 /// Executes the ISL rank join over a previously built index table — the
 /// two-side instance of the spec-driven descent (the query's
 /// [`RankJoinQuery::to_spec`], both sides descended) at the query's own
-/// `k`. This direct entry point builds that spec for its one call; an
-/// executor builds its spec once and runs every `k` against it.
+/// `k`. This direct entry point builds that spec for its one call and
+/// recycles no buffer; an executor builds its spec once, runs every `k`
+/// against it and recycles its runs' buffers.
 pub fn run(
     cluster: &rj_store::cluster::Cluster,
     query: &RankJoinQuery,
@@ -61,20 +63,22 @@ pub fn run(
     config: IslConfig,
 ) -> Result<QueryOutcome> {
     let spec = Arc::new(query.to_spec());
-    run_spec(cluster, &spec, query.k, index_table, &config.batches())
+    let meta = CursorMeta::new(query.k, None, Spares::default());
+    run_spec(cluster, &spec, meta, index_table, &config.batches())
 }
 
-/// The all-sides-descending one-shot run for the top `k` of a shared
-/// spec (whose own `k` is not read): the cursor drained in one call,
-/// reporting the tuples it consumed and the batches it fetched.
+/// The all-sides-descending one-shot run for the top `meta.k` of a
+/// shared spec (whose own `k` is not read), its buffers taken from and
+/// given back to `meta.spares`: the cursor drained in one call, reporting
+/// the tuples it consumed and the batches it fetched.
 pub(crate) fn run_spec(
     cluster: &rj_store::cluster::Cluster,
     spec: &Arc<JoinSpec>,
-    k: usize,
+    meta: CursorMeta,
     index_table: &str,
     batch: &[usize],
 ) -> Result<QueryOutcome> {
-    let algorithm = isl_algorithm_name(spec.n());
+    let (algorithm, k) = (isl_algorithm_name(spec.n()), meta.k);
     if k == 0 {
         return Ok(QueryOutcome::new(
             algorithm,
@@ -93,15 +97,13 @@ pub(crate) fn run_spec(
     // column family on demand; the store batches RPCs at the configured
     // row-cache size (§4.2.3).
     let descend = vec![SideAccess::Descend; spec.n()];
-    let mut cursor = IslCursor::open(cluster, spec, k, index_table, batch, &descend, None)?;
+    let mut cursor = IslCursor::open_on(cluster, spec, meta, index_table, batch, &descend)?;
     cursor.pump(k, &StopPolicy::never())?;
-    let batches = cursor.batches();
-    let state = cursor.into_hrjn();
-    let consumed = state.tuples_consumed();
+    let state = cursor.hrjn();
     Ok(
-        QueryOutcome::new(algorithm, state.into_results(), meter.finish())
-            .with_extra("tuples_consumed", consumed as f64)
-            .with_extra("batches", batches as f64),
+        QueryOutcome::new(algorithm, state.current_results(), meter.finish())
+            .with_extra("tuples_consumed", state.tuples_consumed() as f64)
+            .with_extra("batches", cursor.batches() as f64),
     )
 }
 

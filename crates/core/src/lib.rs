@@ -78,6 +78,5 @@ pub use planner::{Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};
 pub use score::ScoreFn;
-pub use spare::without_spares;
 pub use stats::QueryOutcome;
 pub use statsmaint::{SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND};

@@ -15,7 +15,10 @@
 //!
 //! As in the binary executor, `k` belongs to the run, not the
 //! descriptor: the spec is built once, in [`SpecExecutor::new`], and every
-//! cursor, run and fork shares it, taking `k` as an argument.
+//! cursor, run and fork shares it, taking `k` as an argument. And as
+//! there, spares belong to the executor (`crate::spare`): the N-ary arm
+//! owns one list, a two-side spec recycles through its binary executor's,
+//! and a fork shares the list of the executor it was forked from.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -24,13 +27,14 @@ use rj_mapreduce::MapReduceEngine;
 use rj_store::cluster::Cluster;
 
 use crate::cancel::StopPolicy;
-use crate::cursor::{CursorState, IslCursor, RankedCursor, SideAccess};
+use crate::cursor::{CursorMeta, CursorState, IslCursor, RankedCursor, SideAccess};
 use crate::error::{RankJoinError, Result};
 use crate::executor::{Algorithm, RankJoinExecutor};
 use crate::indexutil::BuildStats;
 use crate::isl::index;
 use crate::multiway::planner::choose_access;
 use crate::query::JoinSpec;
+use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 use crate::statsmaint::{SharedTableStats, DEFAULT_STALENESS_BOUND};
 
@@ -65,6 +69,8 @@ enum SpecKind {
         /// at the statistics version it was planned under — a maintained
         /// write, `prepare` or `attach` makes it a miss.
         plans: Mutex<AccessPlans>,
+        /// The buffers this arm's runs gave back, for its next runs.
+        spares: Spares,
     },
 }
 
@@ -97,6 +103,7 @@ impl SpecExecutor {
                 table: None,
                 stats: SharedTableStats::new(spec.clone()),
                 plans: Mutex::default(),
+                spares: Spares::new(),
             },
         };
         SpecExecutor {
@@ -242,11 +249,13 @@ impl SpecExecutor {
         }
     }
 
-    /// Opens the N-ary arm's cursor over `table`, pinned to `stats`.
+    /// Opens the N-ary arm's cursor over `table`, pinned to `stats`, its
+    /// buffers taken from and given back to `spares`.
     fn open_nary(
         &self,
         table: Option<&str>,
         stats: &SharedTableStats,
+        spares: &Spares,
         k_hint: usize,
     ) -> Result<IslCursor> {
         let table =
@@ -255,15 +264,13 @@ impl SpecExecutor {
         // pass, and the cursor must pin the version as of the moment it
         // starts reading.
         let access = self.plan_access(k_hint)?;
-        let pinned = Some(stats.version());
-        IslCursor::open(
+        IslCursor::open_on(
             self.engine.cluster(),
             &self.spec,
-            k_hint,
+            CursorMeta::new(k_hint, Some(stats.version()), spares.clone()),
             table,
             &vec![self.config.batch; self.spec.n()],
             &access,
-            pinned,
         )
     }
 
@@ -272,9 +279,17 @@ impl SpecExecutor {
     pub fn open_cursor(&self, k_hint: usize) -> Result<Box<dyn RankedCursor>> {
         match &self.kind {
             SpecKind::Binary(b) => b.open_cursor(Algorithm::Isl, k_hint),
-            SpecKind::Nary { table, stats, .. } => {
-                Ok(Box::new(self.open_nary(table.as_deref(), stats, k_hint)?))
-            }
+            SpecKind::Nary {
+                table,
+                stats,
+                spares,
+                ..
+            } => Ok(Box::new(self.open_nary(
+                table.as_deref(),
+                stats,
+                spares,
+                k_hint,
+            )?)),
         }
     }
 
@@ -288,7 +303,12 @@ impl SpecExecutor {
     pub fn execute_with_k(&self, k: usize) -> Result<QueryOutcome> {
         match &self.kind {
             SpecKind::Binary(b) => b.execute_with_k(Algorithm::Isl, k),
-            SpecKind::Nary { table, stats, .. } => {
+            SpecKind::Nary {
+                table,
+                stats,
+                spares,
+                ..
+            } => {
                 if k == 0 {
                     return Ok(QueryOutcome::new(
                         "MULTIWAY",
@@ -296,16 +316,12 @@ impl SpecExecutor {
                         rj_store::metrics::MetricsSnapshot::default(),
                     ));
                 }
-                // The cursor drained in one call; its results are moved
-                // out of the operator, as the binary one-shot moves them.
-                let mut cursor = self.open_nary(table.as_deref(), stats, k)?;
+                // The cursor drained in one call, as the binary one-shot
+                // drains it.
+                let mut cursor = self.open_nary(table.as_deref(), stats, spares, k)?;
                 cursor.pump(k, &StopPolicy::never())?;
-                let charged = cursor.charged();
-                Ok(QueryOutcome::new(
-                    "MULTIWAY",
-                    cursor.into_hrjn().into_results(),
-                    charged,
-                ))
+                let results = cursor.hrjn().current_results();
+                Ok(QueryOutcome::new("MULTIWAY", results, cursor.charged()))
             }
         }
     }
@@ -343,14 +359,20 @@ impl SpecExecutor {
     /// [`Cluster::fork_metrics`] fork): same spec, same attached index,
     /// same tuning, and the *same* shared statistics handle, so
     /// maintained-write invalidations stay coherent across forks while
-    /// each fork bills its own ledger.
+    /// each fork bills its own ledger. The clone recycles through this
+    /// executor's spare list.
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<SpecExecutor> {
         let (engine, kind) = match &self.kind {
             SpecKind::Binary(b) => {
                 let fork = b.fork_onto(cluster)?;
                 (fork.engine().clone(), SpecKind::Binary(Box::new(fork)))
             }
-            SpecKind::Nary { table, stats, .. } => {
+            SpecKind::Nary {
+                table,
+                stats,
+                spares,
+                ..
+            } => {
                 if let Some(t) = table {
                     cluster
                         .table(t)
@@ -360,6 +382,7 @@ impl SpecExecutor {
                     table: table.clone(),
                     stats: stats.clone(),
                     plans: Mutex::default(),
+                    spares: spares.clone(),
                 };
                 (MapReduceEngine::new(cluster.clone()), kind)
             }

@@ -14,8 +14,6 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use crate::spare::{self, TopColumns};
-
 /// One joined result tuple.
 ///
 /// Binary joins fill `left_key`/`right_key` and leave `inner` empty; an
@@ -86,9 +84,9 @@ impl JoinTuple {
 /// admissions land near the tail; a full enumeration (`k` past the join
 /// size, every result admitted: 59 940 on SF 0.01's Q2) measured no slower
 /// than the B-tree of built tuples this buffer replaced. Nothing is sized
-/// from `k`: the buffer grows with what it holds, starting from the
-/// capacity of a buffer the thread dropped before (cleared; dropping one
-/// gives its columns back), so a run regrows only past what an earlier
+/// from `k`: the buffer grows with what it holds. An executor's run starts
+/// from the capacity of a buffer one of the executor's runs grew before
+/// (cleared; `crate::spare`), so it regrows only past what an earlier
 /// run grew. A clone is an exact-size copy.
 #[derive(Clone, Debug)]
 pub struct TopIds {
@@ -106,13 +104,21 @@ impl TopIds {
     /// An empty buffer of the best `k` results, each one id per side of
     /// `sides`. `k = 0` is valid and retains nothing.
     pub fn new(k: usize, sides: usize) -> Self {
-        let TopColumns { entries, ranked } = spare::top();
         TopIds {
             k,
             stride: 1 + sides,
-            entries,
-            ranked,
+            entries: Vec::new(),
+            ranked: Vec::new(),
         }
+    }
+
+    /// Empties the buffer, keeping its capacity, to keep the best `k`
+    /// results of one id per side of `sides`.
+    pub(crate) fn reset(&mut self, k: usize, sides: usize) {
+        self.k = k;
+        self.stride = 1 + sides;
+        self.entries.clear();
+        self.ranked.clear();
     }
 
     /// The `k` it keeps.
@@ -231,15 +237,6 @@ impl TopIds {
             }
         };
         ranks.map(result).collect()
-    }
-}
-
-impl Drop for TopIds {
-    fn drop(&mut self) {
-        spare::give_top(TopColumns {
-            entries: std::mem::take(&mut self.entries),
-            ranked: std::mem::take(&mut self.ranked),
-        });
     }
 }
 

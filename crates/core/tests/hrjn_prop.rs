@@ -6,20 +6,20 @@
 //! coordinator algorithm ranks into is `TopK` to the bit, duplicate base
 //! keys included, under HRJN's, BFHM's and DRJN's offers; re-targeting a
 //! 3-way operator equals having run it at the new `k` from the start; and
-//! a run whose seen sides and top-k are recycled from earlier runs on its
-//! thread answers exactly as a fresh one.
+//! a DRJN run whose seen sides and top-k are recycled from earlier runs of
+//! its executor answers exactly as a fresh one.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use rj_core::drjn::{self, DrjnConfig};
+use rj_core::drjn::DrjnConfig;
+use rj_core::executor::{Algorithm, RankJoinExecutor};
 use rj_core::hrjn::{run_hrjn, HrjnState, InputTuple};
 use rj_core::oracle;
 use rj_core::query::{JoinSide, JoinSpec, RankJoinQuery};
 use rj_core::result::{JoinTuple, TopIds, TopK};
 use rj_core::score::ScoreFn;
-use rj_mapreduce::MapReduceEngine;
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
@@ -233,11 +233,13 @@ fn k_of(kind: usize, offset: usize, size: usize) -> usize {
     }
 }
 
-/// A binary join loaded into a cluster with DRJN's matrices built, and
-/// its whole answer: the DRJN runs of [`a_recycled_store_answers_as_a_fresh_one`]
-/// record their pulled tuples into the same per-thread stores HRJN does.
-fn drjn_fixture() -> &'static (Cluster, RankJoinQuery, Vec<JoinTuple>) {
-    static FIXTURE: OnceLock<(Cluster, RankJoinQuery, Vec<JoinTuple>)> = OnceLock::new();
+/// A binary join loaded into a cluster with DRJN's matrices built, an
+/// executor over them, and the join's whole answer: the DRJN runs of
+/// [`a_recycled_store_answers_as_a_fresh_one`] record their pulled tuples
+/// into seen stores and rank into a top-k the executor recycles from case
+/// to case.
+fn drjn_fixture() -> &'static (RankJoinExecutor, Vec<JoinTuple>) {
+    static FIXTURE: OnceLock<(RankJoinExecutor, Vec<JoinTuple>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let cluster = Cluster::new(2, CostModel::test());
         let client = cluster.client();
@@ -262,10 +264,10 @@ fn drjn_fixture() -> &'static (Cluster, RankJoinQuery, Vec<JoinTuple>) {
         }
         let side = |table: &str| JoinSide::new(table, table, ("d", b"jk"), ("d", b"score"));
         let query = RankJoinQuery::new(side("l"), side("r"), 1, ScoreFn::Sum);
-        let engine = MapReduceEngine::new(cluster.clone());
-        drjn::build_pair(&engine, &query, "drjn", &drjn_config()).unwrap();
         let all = oracle::topk(&cluster, &query.with_k(usize::MAX / 2)).unwrap();
-        (cluster, query, all)
+        let mut ex = RankJoinExecutor::new(&cluster, query);
+        ex.prepare_drjn(drjn_config()).unwrap();
+        (ex, all)
     })
 }
 
@@ -440,13 +442,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Every case runs on the test's one thread, so each run starts from
-    /// the seen sides and top-k the runs before it dropped — earlier cases
-    /// included. Runs alternate between two- and three-side specs whose
-    /// sides have one or two edges (a path's middle, a star's hub), so a
-    /// recycled store's `by_edge` is reshaped both ways; some are parked
-    /// while later runs take spares and dropped in another order, and DRJN
-    /// runs interleave theirs. Each run's answer, taken after every tuple
+    /// Every DRJN run goes through one executor, so it starts from the
+    /// seen sides and top-k the DRJN runs before it dropped — earlier
+    /// cases included. Between them run HRJN operators made directly,
+    /// which have no executor and recycle nothing, over two- and
+    /// three-side specs whose sides have one or two edges (a path's
+    /// middle, a star's hub); some are parked and dropped in another order
+    /// than made. Each run's answer, taken after every tuple
     /// was pushed, must equal the brute-force top-k to the bit at every
     /// `k` kind: 0, 1, below and above the join size.
     #[test]
@@ -486,10 +488,9 @@ proptest! {
                 parked.push((state, want));
             }
             if with_drjn {
-                let (cluster, query, all) = drjn_fixture();
+                let (ex, all) = drjn_fixture();
                 let k = k_of(drjn_kind, drjn_offset, all.len());
-                let engine = MapReduceEngine::new(cluster.clone());
-                let got = drjn::run(&engine, &query.with_k(k), "drjn", &drjn_config()).unwrap();
+                let got = ex.execute_with_k(Algorithm::Drjn, k).unwrap();
                 prop_assert_eq!(&got.results[..], &all[..k.min(all.len())], "DRJN k = {}", k);
             }
             // Past two parked states, drop the oldest: drops in another

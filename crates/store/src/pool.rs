@@ -355,7 +355,12 @@ impl WorkStealingPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            // Each deque starts with the room its first push would grow,
+            // so a deque's first job allocates nothing and the pool width
+            // does not change what a batch allocates.
+            queues: (0..threads)
+                .map(|_| Mutex::new(VecDeque::with_capacity(4)))
+                .collect(),
             background: Mutex::new(VecDeque::new()),
             next_queue: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),

@@ -8,13 +8,15 @@
 //! it leaves the operator, and a paused cursor carries its operator state
 //! instead of rebuilding it. The seen-tuple stores, the top-k and the
 //! scanners' row batches a run keeps are not grown from empty either: a
-//! run starts from the buffers the thread's last run grew and gives them
-//! back when it is dropped. So the steady state is the warm run, which
-//! pays for its result keys and a small constant (scanner specs, cursor,
-//! result vector) and leaves the live heap where the run before it did; a thread's first run also pays its
-//! buffers' growth, and the budgets below that a cold run meets still
-//! hold. These tests pin that with a counting allocator, on a tiny TPC-H
-//! load. Counts are per thread, so the other tests of this binary running
+//! run starts from the buffers its executor's last run grew and gives
+//! them back when it is dropped. So the steady state is the warm run,
+//! which pays for its result keys and a small constant (scanner specs,
+//! cursor, result vector) and leaves the live heap where the run before
+//! it did; an executor's first run also pays its buffers' growth, and the
+//! budgets below that a cold run meets still hold. Dropping the executor
+//! with everything it opened frees what it kept. These tests pin that
+//! with a counting allocator, on a tiny TPC-H load. Counts are per
+//! thread, so the other tests of this binary running
 //! beside a measured region do not disturb it (every such call runs on the
 //! calling thread), and a test comparing two runs makes both warm, or says
 //! which one is cold. What is counted process-wide — DRJN, whose pulls fan
@@ -31,7 +33,7 @@
 //! the run. What it still pays is one array per fetched blob, the cache's
 //! column growth and the results it hands back; its one-shot budget below
 //! is that figure. A warm run starts from the cache, estimates and fetched
-//! lists its thread's last run gave back, so it pays only the blobs, the
+//! lists its executor's last run gave back, so it pays only the blobs, the
 //! results and a constant. Shape tests pin that a get, a blob decode
 //! beyond its array and an estimate allocate nothing. DRJN's pull join ranks ids
 //! into its seen sides the same way, but its pulled rows are still
@@ -96,13 +98,14 @@ const DRJN_ALLOCS_PER_1000_READS: u64 = 115;
 /// What a warm one-shot ISL run at k = 200 allocates beyond its result
 /// keys: opening the cursor and its two scanners (scan specs, resume
 /// keys) and the result vector; the scanners refill the row batches the
-/// run before gave back. Measured: 33 on Q1 and on Q2 (58 and 67 when every scanner
-/// grew a new batch); the thread's first Q1 run, growing its seen sides,
-/// top-k and batches from empty, allocates 176 more.
+/// run before gave back. Measured: 13 on Q1 and on Q2 (33 when each run
+/// built its own spec, 58 and 67 when every scanner also grew a new
+/// batch); an executor's first run, growing its seen sides, top-k and
+/// batches from empty, allocates 176 more on Q1 and 216 more on Q2.
 const WARM_ISL_CONSTANT: u64 = 36;
 /// The same for the 3-way path, with three scanners. Measured: 16 at
-/// every `k` (58 with new batches); the thread's first run allocates 315
-/// more.
+/// every `k` (58 with new batches); the executor's first run allocates
+/// 315 more.
 const WARM_THREE_WAY_CONSTANT: u64 = 20;
 /// What a warm one-shot BFHM run on Q2 allocates beyond its result keys
 /// and one array per decoded blob: the result vector and the outcome's
@@ -227,25 +230,27 @@ fn paged(
     }
 }
 
-/// Runs `f` on a thread of its own, which has no spare buffers: a cold
-/// run.
-fn cold<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|scope| scope.spawn(f).join().unwrap())
+/// A new executor over `ex`'s cluster, query and ISL index, with its ISL
+/// tuning, whose spare list is empty: its first run is a cold run. (A
+/// fork would recycle `ex`'s list.)
+fn cold(ex: &RankJoinExecutor) -> RankJoinExecutor {
+    let mut fresh = RankJoinExecutor::new(ex.engine().cluster(), ex.query().clone());
+    fresh.isl_config = ex.isl_config;
+    fresh.attach_isl(ex.isl_table().unwrap()).unwrap();
+    fresh
 }
 
-/// The cold budget: every run on a fresh thread, growing its seen sides
+/// The cold budget: every run on a fresh executor, growing its seen sides
 /// and top-k from empty.
 #[test]
 fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let (mut total_allocs, mut total_reads) = (0, 0);
     for query in queries() {
-        let (cluster, _ex) = prepared(&query);
-        let table = isl::index_table_name(&query);
+        let (_cluster, ex) = prepared(&query);
         for k in [10, 50, 200] {
-            let q = query.with_k(k);
-            let run = || isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap();
-            let (outcome, allocs) = cold(|| counted(run));
+            let fresh = cold(&ex);
+            let (outcome, allocs) = counted(|| fresh.execute_with_k(Algorithm::Isl, k).unwrap());
             assert_eq!(outcome.results.len(), k);
             let reads = outcome.metrics.kv_reads;
             assert!(
@@ -257,9 +262,9 @@ fn one_shot_isl_stays_below_one_allocation_per_kv_read() {
             total_reads += reads;
         }
     }
-    // Measured: 2 835 allocations for 14 059 KV reads (0.20 a read; 0.38
+    // Measured: 2 721 allocations for 14 059 KV reads (0.19 a read; 0.37
     // at worst, Q1 at k = 200, where building the 200 results dominates:
-    // 808, against 1 872 when every admitted match was copied into the
+    // 789, against 1 872 when every admitted match was copied into the
     // top-k and 5 429 in all).
     assert!(
         total_allocs * 100 <= total_reads * 25,
@@ -275,10 +280,9 @@ fn a_warm_one_shot_isl_run_allocates_its_result_keys_and_a_constant() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let k = 200;
     for query in queries() {
-        let (cluster, _ex) = prepared(&query);
-        let (table, q) = (isl::index_table_name(&query), query.with_k(k));
-        let run = || isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap();
-        // Q1's first run is the thread's first; Q2's starts from Q1's.
+        let (_cluster, ex) = prepared(&query);
+        let run = || ex.execute_with_k(Algorithm::Isl, k).unwrap();
+        // The executor's first run, then one from the buffers it grew.
         let (first, first_allocs) = counted(run);
         let (warm, warm_allocs) = counted(run);
         assert_eq!(warm.results, first.results);
@@ -296,7 +300,7 @@ fn a_warm_one_shot_isl_run_allocates_its_result_keys_and_a_constant() {
 fn a_warm_three_way_run_allocates_its_result_keys_and_a_constant() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let ex = prepared_three_way(ISL_BATCH);
-    // The thread's first run, then the `k`s of the `multiway_path`
+    // The executor's first run, then the `k`s of the `multiway_path`
     // benchmark workload and a deep one, each run twice.
     let (cold, cold_allocs) = counted(|| ex.execute_with_k(200).unwrap());
     for k in [1, 10, 25, 200] {
@@ -315,18 +319,16 @@ fn a_warm_three_way_run_allocates_its_result_keys_and_a_constant() {
     assert!(cold_allocs > 5 * 200 + WARM_THREE_WAY_CONSTANT);
 }
 
-/// A thread's spare buffers are what its runs grew, and no more: after a
-/// one-shot run and a paged session, ten more of each leave the live heap
-/// exactly where the first pair left it — nothing accumulates.
+/// An executor's spare buffers are what its runs grew, and no more: after
+/// a one-shot run and a paged session, ten more of each leave the live
+/// heap exactly where the first pair left it — nothing accumulates.
 #[test]
 fn warm_runs_leave_the_live_heap_where_the_first_left_it() {
     let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
     let [q1, _] = queries();
-    let (cluster, ex) = prepared(&q1);
-    let table = isl::index_table_name(&q1);
-    let q = q1.with_k(200);
+    let (_cluster, ex) = prepared(&q1);
     let run = || {
-        let one_shot = isl::run(&cluster, &q, &table, IslConfig::uniform(ISL_BATCH)).unwrap();
+        let one_shot = ex.execute_with_k(Algorithm::Isl, 200).unwrap();
         let (paged, _) = paged(
             || ex.open_cursor(Algorithm::Isl, 200).unwrap(),
             |s| ex.resume_cursor(s).unwrap(),
@@ -349,6 +351,47 @@ fn warm_runs_leave_the_live_heap_where_the_first_left_it() {
         first - before,
         after.map(|live| live as i64 - before as i64)
     );
+}
+
+/// What an executor keeps is freed with it: after one-shot, paged and
+/// parked ISL and BFHM runs, dropping the executor with every cursor and
+/// parked state it opened leaves the live heap where it was before the
+/// executor was made.
+#[test]
+fn dropping_an_executor_frees_its_spares() {
+    let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let (_cluster, mut prototype) = prepared(&q2);
+    let (config, policy) = (BfhmConfig::with_buckets(20), StopPolicy::default());
+    prototype.prepare_bfhm(config.clone()).unwrap();
+    // The cluster's first reads free a little of what the index builds
+    // left, so they run before the reading.
+    for algorithm in [Algorithm::Isl, Algorithm::Bfhm] {
+        prototype.execute_with_k(algorithm, 50).unwrap();
+    }
+    let before = counting_alloc::live_bytes();
+    let mut ex = cold(&prototype);
+    ex.attach_bfhm(&bfhm::index_table_name(prototype.query()), config)
+        .unwrap();
+    let mut parked = Vec::new();
+    for algorithm in [Algorithm::Isl, Algorithm::Bfhm] {
+        for k in [10, 50] {
+            let one_shot = ex.execute_with_k(algorithm, k).unwrap();
+            let (paged, _) = paged(
+                || ex.open_cursor(algorithm, k).unwrap(),
+                |s| ex.resume_cursor(s).unwrap(),
+                (k, 7),
+            );
+            assert_eq!(paged, one_shot.results);
+            let mut cursor = ex.open_cursor(algorithm, k).unwrap();
+            cursor.next_batch(3, &policy).unwrap();
+            parked.push(cursor.pause());
+        }
+    }
+    let open = ex.open_cursor(Algorithm::Isl, 10).unwrap();
+    assert!(counting_alloc::live_bytes() > before);
+    drop((ex, open, parked));
+    assert_eq!(counting_alloc::live_bytes(), before);
 }
 
 #[test]
@@ -396,8 +439,6 @@ fn hrjn_over_ties(k: usize, descending_keys: bool) -> (Vec<rankjoin::JoinTuple>,
 fn top_k_churn_allocates_nothing_beyond_the_final_k() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let k = 10;
-    // Uncounted: both counted runs start from the buffers it grew.
-    hrjn_over_ties(k, true);
     // The same tuples, arenas and final answer; the top-k admits only its
     // final ten matches in one run, and all 1 600 (evicting 1 590) in the
     // other.
@@ -405,9 +446,9 @@ fn top_k_churn_allocates_nothing_beyond_the_final_k() {
     let (churn, churn_allocs) = hrjn_over_ties(k, true);
     assert_eq!(churn, calm);
     assert_eq!(churn.len(), k);
-    // Measured: 0 each (55 each on a thread's first run, which grows the
-    // arenas). When an admission built a `JoinTuple`, the churn cost three
-    // allocations an admission.
+    // Measured: 55 each, the arenas' and the top-k's growth. When an
+    // admission built a `JoinTuple`, the churn cost three allocations an
+    // admission.
     assert!(
         churn_allocs <= calm_allocs,
         "churning top-k: {churn_allocs} allocations, calm one: {calm_allocs}"
@@ -466,7 +507,7 @@ fn auto_on_a_cached_plan_allocates_exactly_what_its_choice_allocates() {
     for k in [1, 10, 50] {
         let choice = ex.plan_with_k(k).unwrap().best().unwrap();
         assert_eq!(choice, Algorithm::Bfhm, "k = {k}");
-        // Uncounted, so both counted runs start from a top-k this thread
+        // Uncounted, so both counted runs start from a top-k this executor
         // grew at this `k`: otherwise the first one pays the growth.
         ex.execute_with_k(choice, k).unwrap();
         let (chosen, chosen_allocs) = counted(|| ex.execute_with_k(choice, k).unwrap());
@@ -496,7 +537,7 @@ fn auto_choosing_isl_allocates_exactly_what_isl_allocates() {
         let choice = ex.plan_with_k(k).unwrap().best().unwrap();
         assert_eq!(choice, Algorithm::Isl, "k = {k}");
         // Uncounted, so both counted runs start from the buffers this
-        // thread grew at this `k`.
+        // executor grew at this `k`.
         ex.execute_with_k(choice, k).unwrap();
         let (chosen, chosen_allocs) = counted(|| ex.execute_with_k(choice, k).unwrap());
         let (auto, auto_allocs) = counted(|| ex.execute_with_k(Algorithm::Auto, k).unwrap());
@@ -506,9 +547,10 @@ fn auto_choosing_isl_allocates_exactly_what_isl_allocates() {
     }
 }
 
-/// Equal runs allocate equally whatever their thread ran before: each
-/// side's scans refill the batch that side gave back, so the spares a
-/// wider run left do not rotate through a narrower run's sides. (Taking
+/// Equal runs allocate equally: each side's scans refill the batch that
+/// side gave back, so sides of unequal batch sizes do not trade batches
+/// from run to run, and a wider run on another executor leaves its
+/// batches in that executor's list. (Taking
 /// the oldest spare instead, the runs below allocated 55, 52 and 43 at
 /// k = 10; taking the newest, the Auto/ISL equality above read 16 against
 /// 22 at k = 1.)
@@ -524,7 +566,8 @@ fn equal_warm_runs_allocate_equally_after_a_wider_run() {
         batch_right: 128,
     };
     for k in [10, 50, 200] {
-        // Leaves three batches, then one run warms the binary sides.
+        // Three batches to the 3-way list, then one run warms the binary
+        // sides.
         three.execute_with_k(25).unwrap();
         ex.execute_with_k(Algorithm::Isl, k).unwrap();
         let runs: [_; 3] =
@@ -563,7 +606,7 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     // What the deeper run may pay for: three keys per extra result, a few
     // more blobs (one array each) and regrowth of the cache's columns and
     // the top-k — not the gets. Measured: 57 and 192 allocations, 33 and 171
-    // gets (64 and 204 when the shallow run was the thread's first; 85 and
+    // gets (64 and 204 when the shallow run was the executor's first; 85 and
     // 274 while estimates kept position vectors, blobs decoded into two
     // arrays and the top-k copied admitted matches); at seven allocations a
     // get the difference alone was 966.

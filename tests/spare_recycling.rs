@@ -1,19 +1,29 @@
-//! A run that starts from the buffers an earlier run on its thread gave
-//! back answers and bills exactly as one that starts from nothing.
+//! A run that starts from the buffers an earlier run of its executor gave
+//! back answers and bills exactly as one that starts from nothing, and
+//! executors do not share those buffers (an executor's forks do).
 //!
-//! A thread keeps the seen sides, the id top-k, the row batches of an ISL
-//! cursor's index scans and the buffers of a BFHM run that its runs drop
-//! (`rj_core`'s spare lists), cleared, and hands them to its next run. A
-//! kept batch that still held rows, or a BFHM cache that still held a
-//! tuple, would show up here as a wrong answer or a different bill. So
-//! every test runs each `k` once on a thread of its own (no spares), then
-//! runs the `k`s again on one thread in an order that grows and shrinks
-//! the buffers — with paged cursors parked in between, some finished and
-//! some abandoned, in another order than they were opened — and checks
-//! that every one-shot run's results, `kv_reads`, `rpc_calls` and
-//! `network_bytes`, and every finished cursor's results, equal the fresh
-//! thread's.
+//! An executor keeps the seen sides, the id top-k, the row batches of an
+//! ISL cursor's index scans and the buffers of a BFHM run that its runs
+//! drop (`rj_core`'s spare lists), cleared, and hands them to its next
+//! run. A kept batch that still held rows, or a BFHM cache that still held
+//! a tuple, would show up here as a wrong answer or a different bill. So
+//! every test runs each `k` once on a fresh executor of its own (no
+//! spares), then runs the `k`s again on one executor in an order that
+//! grows and shrinks the buffers — with paged cursors parked in between,
+//! some finished and some abandoned, in another order than they were
+//! opened — and checks that every one-shot run's results, `kv_reads`,
+//! `rpc_calls` and `network_bytes`, and every finished cursor's results,
+//! equal the fresh executor's. Everything runs on the test's one thread.
+//!
+//! And what a run allocates depends on its executor and its forks alone:
+//! another executor's runs and parked cursors in between do not change it
+//! (counted by this binary's counting allocator).
 
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{counted, CountingAlloc};
+
+use rankjoin::core::bfhm;
 use rankjoin::core::cursor::{CursorState, RankedCursor};
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
@@ -22,9 +32,12 @@ use rankjoin::{
     SpecExecutor, StopPolicy,
 };
 
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
 /// The `k`s every test runs.
 const KS: [usize; 3] = [1, 10, 50];
-/// The order they run in on the recycling thread: every `k` follows
+/// The order they run in on the recycling executors: every `k` follows
 /// every other one at least once.
 const SCHEDULE: [usize; 7] = [1, 10, 50, 1, 50, 10, 1];
 
@@ -49,7 +62,10 @@ impl Bill {
 }
 
 /// One executor and algorithm under test.
-trait Subject: Sync {
+trait Subject {
+    /// A new executor like this one, with no spares (a fork would share
+    /// this one's).
+    fn fresh(&self) -> Box<dyn Subject>;
     fn one_shot(&self, k: usize) -> QueryOutcome;
     fn open(&self, k: usize) -> Box<dyn RankedCursor>;
     fn resume(&self, state: CursorState) -> Box<dyn RankedCursor>;
@@ -59,6 +75,12 @@ trait Subject: Sync {
 struct Binary(RankJoinExecutor, Algorithm);
 
 impl Subject for Binary {
+    fn fresh(&self) -> Box<dyn Subject> {
+        let mut fresh = new_like(&self.0);
+        let table = bfhm::index_table_name(self.0.query());
+        fresh.attach_bfhm(&table, bfhm_config()).unwrap();
+        Box::new(Binary(fresh, self.1))
+    }
     fn one_shot(&self, k: usize) -> QueryOutcome {
         self.0.execute_with_k(self.1, k).unwrap()
     }
@@ -71,6 +93,13 @@ impl Subject for Binary {
 }
 
 impl Subject for SpecExecutor {
+    fn fresh(&self) -> Box<dyn Subject> {
+        let mut fresh = SpecExecutor::new(self.engine().cluster(), self.spec().clone());
+        fresh.config = self.config;
+        fresh.access_override = self.access_override.clone();
+        fresh.attach(self.index_table().unwrap()).unwrap();
+        Box::new(fresh)
+    }
     fn one_shot(&self, k: usize) -> QueryOutcome {
         self.execute_with_k(k).unwrap()
     }
@@ -101,22 +130,14 @@ fn finish(
     }
 }
 
-/// Runs [`SCHEDULE`] on this thread, step `i` on subject `i % n`, and
-/// checks every run against a fresh thread's run of the same subject and
-/// `k`.
+/// Runs [`SCHEDULE`], step `i` on subject `i % n`, and checks every run
+/// against a fresh executor's run of the same subject and `k`.
 fn recycled_runs_match_fresh_ones(subjects: &[&dyn Subject]) {
     let fresh: Vec<Vec<Bill>> = subjects
         .iter()
         .map(|subject| {
             KS.iter()
-                .map(|&k| {
-                    std::thread::scope(|scope| {
-                        scope
-                            .spawn(|| Bill::of(subject.one_shot(k)))
-                            .join()
-                            .unwrap()
-                    })
-                })
+                .map(|&k| Bill::of(subject.fresh().one_shot(k)))
                 .collect()
         })
         .collect();
@@ -174,6 +195,20 @@ fn loaded() -> Cluster {
     cluster
 }
 
+/// The BFHM index every executor here builds.
+fn bfhm_config() -> BfhmConfig {
+    BfhmConfig::with_buckets(20)
+}
+
+/// A new executor over `ex`'s query, cluster and ISL index, with its ISL
+/// tuning: a list of its own, empty.
+fn new_like(ex: &RankJoinExecutor) -> RankJoinExecutor {
+    let mut fresh = RankJoinExecutor::new(ex.engine().cluster(), ex.query().clone());
+    fresh.isl_config = ex.isl_config;
+    fresh.attach_isl(ex.isl_table().unwrap()).unwrap();
+    fresh
+}
+
 /// The paper's Q1 (`Part ⋈ Lineitem`, product) and Q2 (`Orders ⋈
 /// Lineitem`, sum) over `cluster`, each with its ISL and BFHM indices.
 fn executors(cluster: &Cluster) -> [RankJoinExecutor; 2] {
@@ -195,7 +230,7 @@ fn executors(cluster: &Cluster) -> [RankJoinExecutor; 2] {
         let mut ex = RankJoinExecutor::new(cluster, query);
         ex.isl_config = IslConfig::uniform(64);
         ex.prepare_isl().unwrap();
-        ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+        ex.prepare_bfhm(bfhm_config()).unwrap();
         ex
     })
 }
@@ -218,7 +253,7 @@ fn a_recycled_isl_scan_batch_answers_and_bills_as_a_fresh_one() {
 
 /// The 3-way path `Part ⋈ Lineitem ⋈ Orders`, sum of the three scores,
 /// every side descended 64 rows a turn — and, interleaved with it, binary
-/// ISL on Q2, so batches pass between two- and three-side cursors.
+/// ISL on Q2, whose executor keeps its own spares.
 #[test]
 fn a_recycled_three_way_scan_batch_answers_and_bills_as_a_fresh_one() {
     let cluster = loaded();
@@ -251,4 +286,43 @@ fn a_recycled_three_way_scan_batch_answers_and_bills_as_a_fresh_one() {
     let q2 = Binary(q2, Algorithm::Isl);
     recycled_runs_match_fresh_ones(&[&three]);
     recycled_runs_match_fresh_ones(&[&three, &q2]);
+}
+
+/// One-shot ISL at k = 50 on `ex`: the allocations it made, after
+/// checking its answer against `answer` (when given).
+fn isl_run(ex: &RankJoinExecutor, answer: Option<&[JoinTuple]>) -> u64 {
+    let (outcome, allocs) = counted(|| ex.execute_with_k(Algorithm::Isl, 50).unwrap());
+    assert_eq!(outcome.results.len(), 50);
+    assert!(answer.is_none_or(|answer| outcome.results == answer));
+    allocs
+}
+
+/// What a run allocates depends on its executor's runs alone. A warm run
+/// on executor B allocates the same whether or not executor A, over the
+/// other query, ran and parked a cursor in between, and a new executor
+/// over B's query and index starts from nothing. A fork of B is B over
+/// another ledger: its first run recycles what B's runs gave back, and
+/// B's next warm run is what it was before the fork ran.
+#[test]
+fn executors_do_not_share_spares() {
+    let cluster = loaded();
+    let [a, b] = executors(&cluster);
+    let results = b.execute_with_k(Algorithm::Isl, 50).unwrap().results;
+    let answer = Some(&results[..]);
+    let warm = isl_run(&b, answer);
+    let first = isl_run(&new_like(&b), answer);
+    assert!(first > warm, "first run {first}, warm run {warm}");
+
+    isl_run(&a, None);
+    let mut cursor = a.open_cursor(Algorithm::Isl, 50).unwrap();
+    cursor.next_batch(10, &StopPolicy::default()).unwrap();
+    let parked = cursor.pause();
+    assert_eq!(isl_run(&b, answer), warm, "after A's runs");
+
+    let fork = b.fork_onto(&cluster.fork_metrics()).unwrap();
+    assert_eq!(isl_run(&fork, answer), warm, "a fork's first run");
+    assert_eq!(isl_run(&b, answer), warm, "after the fork's run");
+    drop(fork);
+    assert_eq!(isl_run(&b, answer), warm, "after the fork dropped");
+    drop(parked);
 }
