@@ -69,6 +69,7 @@ use crate::hrjn::HrjnState;
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
 use crate::spare::Spares;
+use crate::stats::QueryOutcome;
 
 /// Component-wise sum of two metric snapshots (deltas compose).
 pub(crate) fn snap_add(a: MetricsSnapshot, b: MetricsSnapshot) -> MetricsSnapshot {
@@ -216,9 +217,8 @@ impl CursorMeta {
 /// re-charged).
 ///
 /// **Stats-version pinning.** A cursor opened through
-/// [`crate::executor::RankJoinExecutor::open_cursor`] or
-/// [`crate::multiway::SpecExecutor::open_cursor`] records the version of
-/// the executor's one statistics handle
+/// [`crate::executor::RankJoinExecutor::open_cursor`] records the version
+/// of the executor's one statistics handle
 /// ([`crate::statsmaint::SharedTableStats::version`], the same handle for
 /// every arity). Every maintained write, every index (re-)preparation
 /// and every statistics pass bumps that version, and `resume_cursor`
@@ -386,6 +386,11 @@ pub enum SideAccess {
     /// side whose exhaustion tightens the threshold immediately.
     Materialize,
 }
+
+/// What opening an ISL cursor with the wrong number of per-side
+/// arguments answers.
+const ONE_PER_SIDE: RankJoinError =
+    RankJoinError::InvalidSpec("one batch size and one SideAccess per side required");
 
 /// Display name of an ISL execution over `sides` sides: the paper's
 /// binary algorithm keeps its name, more sides report the multiway join.
@@ -576,25 +581,26 @@ impl IslCursor {
         access: &[SideAccess],
         pinned_version: Option<u64>,
     ) -> Result<Self> {
+        if batch.len() != access.len() {
+            return Err(ONE_PER_SIDE);
+        }
         let meta = CursorMeta::new(k, pinned_version, Spares::default());
-        IslCursor::open_on(cluster, spec, meta, index_table, batch, access)
+        IslCursor::open_on(cluster, spec, meta, index_table, |side| batch[side], access)
     }
 
-    /// [`IslCursor::open`] for the top `meta.k`: the operator and the
-    /// scans take their buffers from `meta.spares`, and give them back
-    /// there.
+    /// [`IslCursor::open`] for the top `meta.k`, side `i` pulling
+    /// `batch(i)` rows per turn: the operator and the scans take their
+    /// buffers from `meta.spares`, and give them back there.
     pub(crate) fn open_on(
         cluster: &Cluster,
         spec: &Arc<JoinSpec>,
         meta: CursorMeta,
         index_table: &str,
-        batch: &[usize],
+        batch: impl Fn(usize) -> usize,
         access: &[SideAccess],
     ) -> Result<Self> {
-        if batch.len() != spec.n() || access.len() != spec.n() {
-            return Err(RankJoinError::InvalidSpec(
-                "one batch size and one SideAccess per side required",
-            ));
+        if access.len() != spec.n() {
+            return Err(ONE_PER_SIDE);
         }
         let table = cluster
             .table(index_table)
@@ -603,12 +609,11 @@ impl IslCursor {
         Ok(IslCursor::resume(
             cluster,
             IslCore {
-                sides: batch
+                sides: access
                     .iter()
-                    .zip(access)
                     .enumerate()
-                    .map(|(position, (&batch, &access))| SideScan {
-                        batch,
+                    .map(|(position, &access)| SideScan {
+                        batch: batch(position),
                         access,
                         scan: SideRows::Unopened(meta.spares.batch(position)),
                     })
@@ -635,14 +640,19 @@ impl IslCursor {
         }
     }
 
-    /// Batches fetched so far.
-    pub(crate) fn batches(&self) -> u64 {
-        self.core.batches
-    }
-
-    /// The HRJN operator (what a one-shot run closes its outcome from).
-    pub(crate) fn hrjn(&self) -> &HrjnState {
-        &self.core.state
+    /// The cursor drained in one call: the one-shot run. The paper's
+    /// binary ISL also reports the tuples it consumed and the batches it
+    /// fetched.
+    pub(crate) fn drain(mut self) -> Result<QueryOutcome> {
+        let (_, metrics) = self.pump(self.core.meta.k, &StopPolicy::never())?;
+        let state = &self.core.state;
+        let outcome = QueryOutcome::new(self.algorithm(), state.current_results(), metrics);
+        if self.core.sides.len() != 2 {
+            return Ok(outcome);
+        }
+        Ok(outcome
+            .with_extra("tuples_consumed", state.tuples_consumed() as f64)
+            .with_extra("batches", self.core.batches as f64))
     }
 
     fn drained(&self) -> bool {
@@ -1028,7 +1038,7 @@ mod tests {
     use super::*;
     use crate::executor::{Algorithm, RankJoinExecutor};
     use crate::isl::{index, IslConfig};
-    use crate::multiway::{MultiwayConfig, SpecExecutor};
+    use crate::multiway::SpecExecutor;
     use crate::oracle;
     use crate::testsupport::{
         running_example_cluster, three_way_path_cluster, three_way_path_sized,
@@ -1166,7 +1176,7 @@ mod tests {
         c.drop_table(&table).unwrap();
         c.create_table(&table, &["other"]).unwrap();
 
-        let position = |cursor: &IslCursor| (cursor.batches(), cursor.consumed_depth());
+        let position = |cursor: &IslCursor| (cursor.core.batches, cursor.consumed_depth());
         let mut failed_at = None;
         for _ in 0..2 {
             // A buffered row or two may still be served; then the RPC fails.
@@ -1280,7 +1290,7 @@ mod tests {
         for ((k, materialize, sizes), want) in golden {
             let (c, spec) = three_way_path_sized(k, sizes);
             let mut ex = SpecExecutor::new(&c, spec);
-            ex.config = MultiwayConfig { batch: 2 };
+            ex.isl_config = IslConfig::uniform(2);
             ex.prepare().unwrap();
             let mut access = vec![SideAccess::Descend; 3];
             if materialize {

@@ -1,18 +1,27 @@
-//! A uniform entry point over all six rank-join algorithms.
+//! The one executor: a uniform entry point over all six rank-join
+//! algorithms, for a join spec of any arity.
 //!
 //! The executor owns the MapReduce engine handle, remembers which indices
-//! have been built for a query pair, and dispatches [`Algorithm`] choices
-//! to the right module — the shape the experiment harness and the
-//! examples drive everything through.
+//! have been built for its spec, and dispatches [`Algorithm`] choices to
+//! the right module — the shape the experiment harness, the serving layer
+//! and the examples drive everything through. ISL (§4.2) is the one
+//! algorithm whose index and HRJN descent serve any join tree, so it runs
+//! every arity: two sides descend both score lists (the paper's
+//! algorithm), three or more take the per-side access
+//! [`crate::multiway::planner`] chooses. BFHM, DRJN, IJLMR, Hive and Pig
+//! are binary algorithms: they read the spec's binary form
+//! ([`JoinSpec::as_binary`]) and answer [`RankJoinError::InvalidSpec`]
+//! for a spec without one, where [`Algorithm::Auto`] has one candidate,
+//! ISL.
 //!
 //! **`k` belongs to the run, not the descriptor.** The executor builds its
-//! query and the query's two-side spec once, in
-//! [`RankJoinExecutor::new`], behind `Arc`s that every run, cursor, parked
-//! [`CursorState`] and [`RankJoinExecutor::fork_onto`] fork shares. A run
-//! at any `k` passes `(descriptor, k)` to the driver; the descriptor's own
-//! `k` is only the default of [`RankJoinExecutor::execute`] and
-//! [`RankJoinExecutor::plan`]. Only the MapReduce baselines (HIVE, PIG,
-//! IJLMR) still take a copy of the query with its `k` inside.
+//! spec (and its binary query) once, behind `Arc`s that every run,
+//! cursor, parked [`CursorState`] and [`RankJoinExecutor::fork_onto`]
+//! fork shares. A run at any `k` passes `(descriptor, k)` to the driver;
+//! the descriptor's own `k` is only the default of
+//! [`RankJoinExecutor::execute`] and [`RankJoinExecutor::plan`]. Only the
+//! MapReduce baselines (HIVE, PIG, IJLMR) still take a copy of the query
+//! with its `k` inside.
 //!
 //! **Spares belong to the executor.** Every ISL, BFHM and DRJN run or
 //! cursor an executor opens takes its buffers from the executor's spare
@@ -36,8 +45,9 @@ use crate::drjn::{self, DrjnConfig, DrjnCursor};
 use crate::error::{RankJoinError, Result};
 use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig};
-use crate::planner::{self, Candidates, CostEstimate, Objective, Plan};
-use crate::query::{JoinSpec, RankJoinQuery};
+use crate::multiway::planner::choose_access;
+use crate::planner::{self, Candidates, Objective, Plan};
+use crate::query::{JoinSide, JoinSpec, RankJoinQuery};
 use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 use crate::statsmaint::{SharedTableStats, DEFAULT_STALENESS_BOUND};
@@ -64,7 +74,7 @@ pub enum Algorithm {
     /// the executor's [`Objective`], exactly as if it had been named.
     /// Unprepared indices are simply not candidates; the index-free
     /// HIVE/PIG baselines always are, so Auto never fails for lack of
-    /// preparation.
+    /// preparation. A spec without a binary form has one candidate, ISL.
     Auto,
 }
 
@@ -99,48 +109,110 @@ impl Algorithm {
     }
 }
 
-/// Facade over engine + indices for one query pair (see the module docs
+/// One of the four indices, with the configuration a query over it
+/// needs.
+enum Index {
+    Ijlmr,
+    Isl,
+    Bfhm(BfhmConfig),
+    Drjn(DrjnConfig),
+}
+
+/// The index tables an executor prepared or attached.
+#[derive(Clone, Default)]
+struct Indices {
+    ijlmr: Option<Arc<str>>,
+    isl: Option<Arc<str>>,
+    bfhm: Option<(Arc<str>, BfhmConfig)>,
+    drjn: Option<(Arc<str>, DrjnConfig)>,
+}
+
+impl Indices {
+    /// Records `table` as `index`'s table, or forgets the index.
+    fn set(&mut self, index: &Index, table: Option<Arc<str>>) {
+        match index {
+            Index::Ijlmr => self.ijlmr = table,
+            Index::Isl => self.isl = table,
+            Index::Bfhm(config) => self.bfhm = table.map(|t| (t, config.clone())),
+            Index::Drjn(config) => self.drjn = table.map(|t| (t, *config)),
+        }
+    }
+
+    fn tables(&self) -> impl Iterator<Item = &Arc<str>> {
+        let bfhm = self.bfhm.as_ref().map(|(table, _)| table);
+        let drjn = self.drjn.as_ref().map(|(table, _)| table);
+        [self.ijlmr.as_ref(), self.isl.as_ref(), bfhm, drjn]
+            .into_iter()
+            .flatten()
+    }
+}
+
+/// The index in `slot`, or [`RankJoinError::MissingIndex`].
+fn prepared<'a, T>(slot: &'a Option<T>, name: &str) -> Result<&'a T> {
+    slot.as_ref()
+        .ok_or_else(|| RankJoinError::MissingIndex(format!("{name} (unprepared)")))
+}
+
+/// `(k, objective, ISL batch config, staleness-bound bits)`.
+type PlanKey = (usize, Objective, IslConfig, u64);
+
+/// What planning a top-`k` run decided.
+#[derive(Clone)]
+enum Planned {
+    /// A spec with a binary form: every prepared algorithm, ranked.
+    Ranked(Arc<Plan>),
+    /// A spec without one: the per-side access of its ISL run.
+    Access(Arc<[SideAccess]>),
+}
+
+/// What the binary algorithms and the cost-based planner answer for a
+/// spec without a binary form.
+const NOT_BINARY: RankJoinError = RankJoinError::InvalidSpec(
+    "BFHM, DRJN, IJLMR, Hive, Pig and the cost-based planner join two sides",
+);
+
+/// Facade over engine + indices for one join spec (see the module docs
 /// for why `k` is an argument of every run rather than part of the
-/// query).
+/// spec).
 pub struct RankJoinExecutor {
     engine: MapReduceEngine,
-    /// The query, built once and shared by every run, cursor and fork.
-    query: Arc<RankJoinQuery>,
-    /// The query's two-side spec — the ISL descent's descriptor — built
-    /// once with it.
+    /// The spec, built once and shared by every run, cursor and fork.
     spec: Arc<JoinSpec>,
-    ijlmr_table: Option<Arc<str>>,
-    isl_table: Option<Arc<str>>,
-    bfhm_table: Option<(Arc<str>, BfhmConfig)>,
-    drjn_table: Option<(Arc<str>, DrjnConfig)>,
-    /// ISL batch sizes used at query time.
+    /// The spec's binary form, which the binary algorithms and the
+    /// planner read; `None` for a spec without one.
+    query: Option<Arc<RankJoinQuery>>,
+    indices: Indices,
+    /// ISL batch sizes used at query time: side 0 pulls `batch_left`
+    /// rows per turn, every other side `batch_right`.
     pub isl_config: IslConfig,
     /// BFHM write-back policy used at query time.
     pub write_back: WriteBackPolicy,
     /// What [`Algorithm::Auto`] optimizes for (default: turnaround time).
     pub objective: Objective,
-    /// Largest fraction of either side's tuples that may mutate (through
+    /// Largest fraction of any side's tuples that may mutate (through
     /// the maintained write path) before planning stops trusting the
     /// incrementally-maintained statistics and re-collects. See
     /// [`crate::statsmaint`].
     pub staleness_bound: f64,
+    /// Forces the per-side access of ISL runs (one [`SideAccess`] per
+    /// side) instead of planning it.
+    pub access_override: Option<Vec<SideAccess>>,
     /// Shared, incrementally-maintained statistics handle. Collected
-    /// lazily on the first `Auto` plan, updated in place by
+    /// lazily on the first plan, updated in place by
     /// [`crate::maintenance::MaintainedSide`] writes registered on it,
-    /// and invalidated wholesale whenever an index is (re-)prepared or
-    /// attached. `Arc`-shared so `fork_metrics` clones serving the same
-    /// query pair reuse one snapshot instead of each re-collecting.
+    /// and invalidated wholesale whenever an index is (re-)prepared.
+    /// `Arc`-shared so `fork_metrics` clones serving the same spec reuse
+    /// one snapshot instead of each re-collecting.
     stats: Arc<SharedTableStats>,
-    /// Plan cache: repeated `(k, objective)` queries skip
-    /// estimation entirely. The ISL batch config and the staleness bound
+    /// Plan cache: repeated `(k, objective)` queries skip planning
+    /// entirely. The ISL batch config and the staleness bound
     /// (bit-exact) are part of the key because they are public fields
     /// that feed the estimate/statistics decision — a caller mutating
     /// either must not be served a plan computed under the old value.
     /// Each entry records the statistics-handle version it was computed
     /// at, so maintained writes coherently invalidate plans across every
     /// executor sharing the handle.
-    #[allow(clippy::type_complexity)]
-    plan_cache: Mutex<HashMap<(usize, Objective, IslConfig, u64), (u64, Arc<Plan>)>>,
+    plan_cache: Mutex<HashMap<PlanKey, (u64, Planned)>>,
     /// Candidacy cache: which algorithms are executable right now, both
     /// positive ("ISL prepared, with this config") and negative ("BFHM
     /// not prepared — don't re-check until a `prepare_*`/`attach_*`
@@ -167,29 +239,38 @@ impl RankJoinExecutor {
     pub fn new(cluster: &Cluster, query: RankJoinQuery) -> Self {
         let spec = Arc::new(query.to_spec());
         let stats = SharedTableStats::new(spec.clone());
-        RankJoinExecutor::over(cluster, Arc::new(query), spec, stats)
+        RankJoinExecutor::over(cluster, spec, Some(Arc::new(query)), stats)
+    }
+
+    /// Creates an executor for `spec` of any arity on `cluster`. A spec
+    /// with a binary form is served as that query
+    /// ([`RankJoinExecutor::new`]).
+    pub(crate) fn for_spec(cluster: &Cluster, spec: JoinSpec) -> Self {
+        if let Some(query) = spec.as_binary() {
+            return RankJoinExecutor::new(cluster, query);
+        }
+        let spec = Arc::new(spec);
+        RankJoinExecutor::over(cluster, spec.clone(), None, SharedTableStats::new(spec))
     }
 
     /// An executor with no index and default tuning over an already
-    /// shared query, spec and statistics handle.
+    /// shared spec, query and statistics handle.
     fn over(
         cluster: &Cluster,
-        query: Arc<RankJoinQuery>,
         spec: Arc<JoinSpec>,
+        query: Option<Arc<RankJoinQuery>>,
         stats: Arc<SharedTableStats>,
     ) -> Self {
         RankJoinExecutor {
             engine: MapReduceEngine::new(cluster.clone()),
-            query,
             spec,
-            ijlmr_table: None,
-            isl_table: None,
-            bfhm_table: None,
-            drjn_table: None,
+            query,
+            indices: Indices::default(),
             isl_config: IslConfig::default(),
             write_back: WriteBackPolicy::Off,
             objective: Objective::Time,
             staleness_bound: DEFAULT_STALENESS_BOUND,
+            access_override: None,
             stats,
             plan_cache: Mutex::new(HashMap::new()),
             candidates_cache: Mutex::new(None),
@@ -198,65 +279,70 @@ impl RankJoinExecutor {
         }
     }
 
-    /// Sets the planning objective, builder-style.
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
     /// The underlying engine (for direct module calls).
     pub fn engine(&self) -> &MapReduceEngine {
         &self.engine
     }
 
-    /// The query this executor serves.
+    /// The binary query this executor serves.
+    ///
+    /// # Panics
+    ///
+    /// When the spec has no binary form (three or more sides, see
+    /// [`JoinSpec::as_binary`]); [`RankJoinExecutor::spec`] describes
+    /// every executor.
     pub fn query(&self) -> &RankJoinQuery {
-        &self.query
+        match &self.query {
+            Some(query) => query,
+            None => panic!("a spec without a binary form has no binary query"),
+        }
     }
 
-    /// The query's two-side spec ([`RankJoinQuery::to_spec`]), built once
-    /// in [`RankJoinExecutor::new`].
+    /// The binary form the binary algorithms read.
+    fn binary_query(&self) -> Result<&Arc<RankJoinQuery>> {
+        self.query.as_ref().ok_or(NOT_BINARY)
+    }
+
+    /// The spec this executor serves, built once.
     pub fn spec(&self) -> &JoinSpec {
         &self.spec
     }
 
-    /// The shared spec itself — what a wrapping
-    /// [`crate::multiway::SpecExecutor`] keys on.
-    pub(crate) fn spec_handle(&self) -> Arc<JoinSpec> {
-        self.spec.clone()
+    /// The spec's canonical fingerprint ([`JoinSpec::fingerprint`]) —
+    /// the sharing/caching key serving layers coalesce on.
+    pub fn fingerprint(&self) -> u64 {
+        self.spec.fingerprint()
     }
 
     /// The shared statistics handle. Register it on a
     /// [`crate::maintenance::MaintainedSide`] (via
     /// [`with_stats`](crate::maintenance::MaintainedSide::with_stats)) so
     /// writes keep plans fresh, and hand it to other executors for the
-    /// same query pair (via [`RankJoinExecutor::attach_stats`]) so they
-    /// share one snapshot.
+    /// same spec (via [`RankJoinExecutor::attach_stats`]) so they share
+    /// one snapshot; its version is the one every cursor and serving
+    /// cache over this executor pins.
     pub fn stats_handle(&self) -> Arc<SharedTableStats> {
         self.stats.clone()
     }
 
     /// Adopts another executor's statistics handle (it must describe the
-    /// same query pair). `fork_metrics`-cloned executors serving one
-    /// query pair attach the original's handle so statistics are
-    /// collected once and maintained coherently, instead of every fork
-    /// re-collecting identical snapshots.
+    /// same sides). `fork_metrics`-cloned executors serving one spec
+    /// attach the original's handle so statistics are collected once and
+    /// maintained coherently, instead of every fork re-collecting
+    /// identical snapshots.
     pub fn attach_stats(&mut self, handle: Arc<SharedTableStats>) -> Result<()> {
         // Statistics are a function of (table, join column, score column)
         // per side; the label keys the deltas. All must match — two
         // queries over the same tables ranking by different columns have
         // different histograms.
-        let same_side = |a: &crate::query::JoinSide, b: &crate::query::JoinSide| {
+        let same_side = |a: &JoinSide, b: &JoinSide| {
             a.table == b.table
                 && a.label == b.label
                 && a.join_col == b.join_col
                 && a.score_col == b.score_col
         };
-        let theirs = &handle.spec().sides;
-        if theirs.len() != 2
-            || !same_side(&theirs[0], &self.query.left)
-            || !same_side(&theirs[1], &self.query.right)
-        {
+        let (ours, theirs) = (&self.spec.sides, &handle.spec().sides);
+        if ours.len() != theirs.len() || !ours.iter().zip(theirs).all(|(a, b)| same_side(a, b)) {
             return Err(RankJoinError::Internal(
                 "stats handle describes a different query pair",
             ));
@@ -277,14 +363,7 @@ impl RankJoinExecutor {
     /// stale with it).
     fn invalidate_plans(&mut self) {
         self.stats.invalidate();
-        self.plan_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        *self
-            .candidates_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
+        self.refresh_candidates();
     }
 
     /// Drops only this executor's cached plans — used by `attach_*`:
@@ -303,126 +382,102 @@ impl RankJoinExecutor {
             .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
-    /// Drops a stale index table before a rebuild. Re-preparation
-    /// replaces the index rather than writing into the survivor; every
-    /// `prepare_*` clears its table slot before calling this and restores
-    /// it only after the fresh build completes, so a planner that
-    /// triggers lazy builds can never dispatch to a half-rebuilt index.
-    fn drop_stale(&mut self, table: &str) -> Result<()> {
-        if self.engine.cluster().table(table).is_ok() {
-            self.engine.cluster().drop_table(table)?;
+    /// Builds `index` from the current base data, dropping and replacing
+    /// any earlier build (safe re-preparation). The index is forgotten
+    /// while it rebuilds, so a failed build leaves no table behind that a
+    /// run could dispatch to.
+    fn prepare(&mut self, index: Index) -> Result<BuildStats> {
+        let table = match &index {
+            Index::Isl => isl::index::index_table_name(&self.spec),
+            Index::Ijlmr => ijlmr::index_table_name(self.binary_query()?),
+            Index::Bfhm(_) => bfhm::index_table_name(self.binary_query()?),
+            Index::Drjn(_) => drjn::index_table_name(self.binary_query()?),
+        };
+        self.invalidate_plans();
+        self.indices.set(&index, None);
+        if self.engine.cluster().table(&table).is_ok() {
+            self.engine.cluster().drop_table(&table)?;
         }
-        Ok(())
+        let engine = &self.engine;
+        let built = match &index {
+            Index::Isl => isl::index::build(engine, &self.spec, &table)?,
+            Index::Ijlmr => ijlmr::build(engine, self.binary_query()?, &table)?,
+            Index::Bfhm(config) => {
+                bfhm::build_pair(engine, self.binary_query()?, &table, config)?.0
+            }
+            Index::Drjn(config) => drjn::build_pair(engine, self.binary_query()?, &table, config)?,
+        };
+        self.indices.set(&index, Some(table.into()));
+        Ok(built)
     }
 
-    /// Builds the IJLMR index. Calling this again drops and rebuilds the
-    /// index from the current base data (safe re-preparation).
-    pub fn prepare_ijlmr(&mut self) -> Result<BuildStats> {
-        let table = ijlmr::index_table_name(&self.query);
-        self.invalidate_plans();
-        self.ijlmr_table = None;
-        self.drop_stale(&table)?;
-        let stats = ijlmr::build(&self.engine, &self.query, &table)?;
-        self.ijlmr_table = Some(table.into());
-        Ok(stats)
-    }
-
-    /// Builds the ISL index. Calling this again drops and rebuilds the
-    /// index from the current base data (safe re-preparation).
-    pub fn prepare_isl(&mut self) -> Result<BuildStats> {
-        let table = isl::index::index_table_name(&self.spec);
-        self.invalidate_plans();
-        self.isl_table = None;
-        self.drop_stale(&table)?;
-        let stats = isl::index::build(&self.engine, &self.spec, &table)?;
-        self.isl_table = Some(table.into());
-        Ok(stats)
-    }
-
-    /// Builds the BFHM index. Calling this again drops and rebuilds the
-    /// index from the current base data (safe re-preparation).
-    pub fn prepare_bfhm(&mut self, config: BfhmConfig) -> Result<BuildStats> {
-        let table = bfhm::index_table_name(&self.query);
-        self.invalidate_plans();
-        self.bfhm_table = None;
-        self.drop_stale(&table)?;
-        let (stats, _m) = bfhm::build_pair(&self.engine, &self.query, &table, &config)?;
-        self.bfhm_table = Some((table.into(), config));
-        Ok(stats)
-    }
-
-    /// Builds the DRJN matrices. Calling this again drops and rebuilds
-    /// the index from the current base data (safe re-preparation).
-    pub fn prepare_drjn(&mut self, config: DrjnConfig) -> Result<BuildStats> {
-        let table = drjn::index_table_name(&self.query);
-        self.invalidate_plans();
-        self.drjn_table = None;
-        self.drop_stale(&table)?;
-        let stats = drjn::build_pair(&self.engine, &self.query, &table, &config)?;
-        self.drjn_table = Some((table.into(), config));
-        Ok(stats)
-    }
-
-    /// Adopts an already-built IJLMR index table (e.g. one another
-    /// executor for the same query pair prepared) without rebuilding.
-    pub fn attach_ijlmr(&mut self, table: &str) -> Result<()> {
+    /// Adopts `table`, an already-built `index` (e.g. one another
+    /// executor for the same spec prepared), without rebuilding.
+    fn attach(&mut self, index: Index, table: &str) -> Result<()> {
+        if !matches!(index, Index::Isl) {
+            self.binary_query()?;
+        }
         self.engine
             .cluster()
             .table(table)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
         self.refresh_candidates();
-        self.ijlmr_table = Some(table.into());
+        self.indices.set(&index, Some(table.into()));
         Ok(())
+    }
+
+    /// Builds the IJLMR index, replacing any earlier build.
+    pub fn prepare_ijlmr(&mut self) -> Result<BuildStats> {
+        self.prepare(Index::Ijlmr)
+    }
+
+    /// Builds the ISL index over every side, replacing any earlier build.
+    pub fn prepare_isl(&mut self) -> Result<BuildStats> {
+        self.prepare(Index::Isl)
+    }
+
+    /// Builds the BFHM index, replacing any earlier build.
+    pub fn prepare_bfhm(&mut self, config: BfhmConfig) -> Result<BuildStats> {
+        self.prepare(Index::Bfhm(config))
+    }
+
+    /// Builds the DRJN matrices, replacing any earlier build.
+    pub fn prepare_drjn(&mut self, config: DrjnConfig) -> Result<BuildStats> {
+        self.prepare(Index::Drjn(config))
+    }
+
+    /// Adopts an already-built IJLMR index table without rebuilding.
+    pub fn attach_ijlmr(&mut self, table: &str) -> Result<()> {
+        self.attach(Index::Ijlmr, table)
     }
 
     /// Adopts an already-built ISL index table without rebuilding.
     pub fn attach_isl(&mut self, table: &str) -> Result<()> {
-        self.engine
-            .cluster()
-            .table(table)
-            .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
-        self.refresh_candidates();
-        self.isl_table = Some(table.into());
-        Ok(())
+        self.attach(Index::Isl, table)
     }
 
     /// Adopts an already-built BFHM index table without rebuilding.
     /// `config` must match the build (bucket count is verified at query
     /// time against the index metadata).
     pub fn attach_bfhm(&mut self, table: &str, config: BfhmConfig) -> Result<()> {
-        self.engine
-            .cluster()
-            .table(table)
-            .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
-        self.refresh_candidates();
-        self.bfhm_table = Some((table.into(), config));
-        Ok(())
+        self.attach(Index::Bfhm(config), table)
     }
 
     /// Adopts already-built DRJN matrices without rebuilding. `config`
     /// must match the build.
     pub fn attach_drjn(&mut self, table: &str, config: DrjnConfig) -> Result<()> {
-        self.engine
-            .cluster()
-            .table(table)
-            .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
-        self.refresh_candidates();
-        self.drjn_table = Some((table.into(), config));
-        Ok(())
+        self.attach(Index::Drjn(config), table)
     }
 
-    /// The ISL index table currently prepared or attached, if any. A
-    /// serving layer uses this to drive cursor-based ISL execution
-    /// ([`crate::cursor::IslCursor::open`]) against the same index the
-    /// executor would dispatch to.
+    /// The ISL index table currently prepared or attached, if any.
     pub fn isl_table(&self) -> Option<&str> {
-        self.isl_table.as_deref()
+        self.indices.isl.as_deref()
     }
 
     /// Clones this executor onto `cluster` — typically a
     /// [`Cluster::fork_metrics`] fork, giving the clone its own metering
-    /// ledger over the same shared data. The clone shares the query, its
-    /// spec and every attached index table, copies all tuning fields
+    /// ledger over the same shared data. The clone shares the spec and
+    /// every attached index table, copies all tuning fields
     /// (`isl_config`, `write_back`, `objective`, ...), and shares the
     /// *same* statistics handle, so plans and maintained-write
     /// invalidations stay coherent across all forks while each fork's work
@@ -430,35 +485,23 @@ impl RankJoinExecutor {
     /// spare list: its runs recycle the buffers this executor's runs gave
     /// back, and the other way round.
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<RankJoinExecutor> {
-        let bfhm = self.bfhm_table.as_ref().map(|(table, _)| table);
-        let drjn = self.drjn_table.as_ref().map(|(table, _)| table);
-        for table in [
-            self.ijlmr_table.as_ref(),
-            self.isl_table.as_ref(),
-            bfhm,
-            drjn,
-        ]
-        .into_iter()
-        .flatten()
-        {
+        for table in self.indices.tables() {
             cluster
                 .table(table)
                 .map_err(|_| RankJoinError::MissingIndex(table.to_string()))?;
         }
         let mut fork = RankJoinExecutor::over(
             cluster,
-            self.query.clone(),
             self.spec.clone(),
+            self.query.clone(),
             self.stats.clone(),
         );
-        fork.ijlmr_table = self.ijlmr_table.clone();
-        fork.isl_table = self.isl_table.clone();
-        fork.bfhm_table = self.bfhm_table.clone();
-        fork.drjn_table = self.drjn_table.clone();
+        fork.indices = self.indices.clone();
         fork.isl_config = self.isl_config;
         fork.write_back = self.write_back;
         fork.objective = self.objective;
         fork.staleness_bound = self.staleness_bound;
+        fork.access_override = self.access_override.clone();
         fork.spares = self.spares.clone();
         Ok(fork)
     }
@@ -488,10 +531,10 @@ impl RankJoinExecutor {
                 self.candidate_evaluations.fetch_add(1, Ordering::Relaxed);
                 let fresh = Arc::new(Candidates {
                     baselines: true,
-                    ijlmr: self.ijlmr_table.is_some(),
-                    isl: self.isl_table.as_ref().map(|_| self.isl_config),
-                    bfhm: self.bfhm_table.as_ref().map(|(_, c)| c.clone()),
-                    drjn: self.drjn_table.as_ref().map(|(_, c)| *c),
+                    ijlmr: self.indices.ijlmr.is_some(),
+                    isl: self.indices.isl.as_ref().map(|_| self.isl_config),
+                    bfhm: self.indices.bfhm.as_ref().map(|(_, c)| c.clone()),
+                    drjn: self.indices.drjn.as_ref().map(|(_, c)| *c),
                 });
                 *guard = Some((self.isl_config, fresh.clone()));
                 fresh
@@ -501,11 +544,12 @@ impl RankJoinExecutor {
 
     /// The ranked plan for the stored `k` (see [`RankJoinExecutor::plan_with_k`]).
     pub fn plan(&self) -> Result<Arc<Plan>> {
-        self.plan_with_k(self.query.k)
+        self.plan_with_k(self.spec.k)
     }
 
     /// Returns the ranked cost-based plan for this query at `k`,
-    /// computing and caching it (keyed by `(k, objective)`) on first use.
+    /// computing and caching it (keyed by `(k, objective)`) on first use;
+    /// [`RankJoinError::InvalidSpec`] for a spec without a binary form.
     ///
     /// Statistics come from the shared handle: the first call collects
     /// them through the metric-free admin path; maintained writes
@@ -517,6 +561,46 @@ impl RankJoinExecutor {
     /// [`Plan::explain`](crate::planner::Plan::explain) reports which
     /// statistics path the plan used.
     pub fn plan_with_k(&self, k: usize) -> Result<Arc<Plan>> {
+        self.binary_query()?;
+        match self.planned(k)? {
+            Planned::Ranked(plan) => Ok(plan),
+            Planned::Access(_) => Err(NOT_BINARY),
+        }
+    }
+
+    /// The per-side access assignment a top-`k` ISL run uses:
+    /// [`access_override`](RankJoinExecutor::access_override) if set,
+    /// both sides descended at two sides (that *is* the paper's ISL),
+    /// and otherwise the multiway planner's choice over current
+    /// statistics, cached per `k` until the statistics version moves.
+    pub fn plan_access(&self, k: usize) -> Result<Arc<[SideAccess]>> {
+        match self.fixed_access() {
+            Some(access) => Ok(access.into()),
+            None => self.planned_access(k),
+        }
+    }
+
+    /// The per-side access that needs no planning: the override, or
+    /// both sides descended at two sides.
+    fn fixed_access(&self) -> Option<&[SideAccess]> {
+        match &self.access_override {
+            Some(access) => Some(access),
+            None if self.spec.n() == 2 => Some(&[SideAccess::Descend; 2]),
+            None => None,
+        }
+    }
+
+    fn planned_access(&self, k: usize) -> Result<Arc<[SideAccess]>> {
+        match self.planned(k)? {
+            Planned::Access(access) => Ok(access),
+            Planned::Ranked(_) => Err(RankJoinError::Internal(
+                "a spec with a binary form descends both sides unplanned",
+            )),
+        }
+    }
+
+    /// The versioned plan cache's answer at `k`, planned on a miss.
+    fn planned(&self, k: usize) -> Result<Planned> {
         let key = (
             k,
             self.objective,
@@ -527,29 +611,47 @@ impl RankJoinExecutor {
         // current needs no statistics work at all (version equality means
         // no delta, invalidation, or collection happened since it was
         // computed — so the staleness verdict is unchanged too).
-        if let Some((version, plan)) = self.plan_cache.lock().expect("plan cache").get(&key) {
+        if let Some((version, planned)) = self.plan_cache.lock().expect("plan cache").get(&key) {
             if *version == self.stats.version() {
-                return Ok(plan.clone());
+                return Ok(planned.clone());
             }
         }
-        let planned = self
+        let fresh = self
             .stats
             .stats_for_planning(self.engine.cluster(), self.staleness_bound)?;
-        let mut plan = planner::plan(
-            &planned.stats,
-            &self.query,
-            k,
-            self.engine.cluster().cost_model(),
-            self.objective,
-            &self.cached_candidates(),
-        );
-        plan.stats_source = planned.source;
-        let plan = Arc::new(plan);
+        let planned = match &self.query {
+            Some(query) => {
+                let mut plan = planner::plan(
+                    &fresh.stats,
+                    query,
+                    k,
+                    self.engine.cluster().cost_model(),
+                    self.objective,
+                    &self.cached_candidates(),
+                );
+                plan.stats_source = fresh.source;
+                Planned::Ranked(Arc::new(plan))
+            }
+            None => Planned::Access(choose_access(&self.spec, &fresh.stats, k).into()),
+        };
         self.plan_cache
             .lock()
             .expect("plan cache")
-            .insert(key, (planned.version, plan.clone()));
-        Ok(plan)
+            .insert(key, (fresh.version, planned.clone()));
+        Ok(planned)
+    }
+
+    /// What [`Algorithm::Auto`] runs at `k`, out of how many candidates:
+    /// the planner's cheapest for a spec with a binary form, ISL otherwise.
+    fn choose(&self, k: usize) -> Result<(Algorithm, usize)> {
+        if self.query.is_none() {
+            return Ok((Algorithm::Isl, 1));
+        }
+        let plan = self.plan_with_k(k)?;
+        let best = plan.best().ok_or(RankJoinError::Internal(
+            "planner produced no candidate (baselines missing)",
+        ))?;
+        Ok((best, plan.ranked.len()))
     }
 
     /// The bookkeeping of a run for the top `k`, pinned to
@@ -558,13 +660,37 @@ impl RankJoinExecutor {
         CursorMeta::new(k, pinned_version, self.spares.clone())
     }
 
+    /// Opens the ISL descent for the top `k` with its per-side access,
+    /// pinned to the statistics version. It plans first, then pins: the
+    /// access choice may run a statistics pass, and the cursor must pin
+    /// the version as of the moment it starts reading.
+    fn open_isl(&self, k: usize) -> Result<IslCursor> {
+        let table = prepared(&self.indices.isl, "isl")?;
+        let planned;
+        let access = match self.fixed_access() {
+            Some(access) => access,
+            None => {
+                planned = self.planned_access(k)?;
+                &planned[..]
+            }
+        };
+        IslCursor::open_on(
+            self.engine.cluster(),
+            &self.spec,
+            self.meta(k, Some(self.stats.version())),
+            table,
+            |side| self.isl_config.batch(side),
+            access,
+        )
+    }
+
     /// Executes `algorithm` with the stored `k`.
     pub fn execute(&self, algorithm: Algorithm) -> Result<QueryOutcome> {
-        self.execute_with_k(algorithm, self.query.k)
+        self.execute_with_k(algorithm, self.spec.k)
     }
 
     /// Executes `algorithm` with an overridden `k` — over the shared
-    /// query, which is not copied (the MapReduce baselines excepted).
+    /// spec, which is not copied (the MapReduce baselines excepted).
     ///
     /// `k = 0` short-circuits to an empty, zero-cost outcome for every
     /// algorithm (the [`RankJoinQuery::with_k`] contract) — no store
@@ -580,47 +706,30 @@ impl RankJoinExecutor {
         let cluster = self.engine.cluster();
         match algorithm {
             Algorithm::Auto => {
-                let plan = self.plan_with_k(k)?;
-                let best = plan.best().ok_or(RankJoinError::Internal(
-                    "planner produced no candidate (baselines missing)",
-                ))?;
-                let rank = plan.ranked.len() as f64;
+                let (best, candidates) = self.choose(k)?;
                 Ok(self
                     .execute_with_k(best, k)?
-                    .with_extra("planner_candidates", rank))
+                    .with_extra("planner_candidates", candidates as f64))
             }
+            Algorithm::Isl => self.open_isl(k)?.drain(),
             // The MapReduce baselines take the query with its `k` inside.
-            Algorithm::Hive => hive::run(&self.engine, &self.query.with_k(k)),
-            Algorithm::Pig => pig::run(&self.engine, &self.query.with_k(k)),
+            Algorithm::Hive => hive::run(&self.engine, &self.binary_query()?.with_k(k)),
+            Algorithm::Pig => pig::run(&self.engine, &self.binary_query()?.with_k(k)),
             Algorithm::Ijlmr => {
-                let t = self
-                    .ijlmr_table
-                    .as_deref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("ijlmr (unprepared)".into()))?;
-                ijlmr::run(&self.engine, &self.query.with_k(k), t)
-            }
-            Algorithm::Isl => {
-                let t = self
-                    .isl_table
-                    .as_deref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                let batch = self.isl_config.batches();
-                isl::run_spec(cluster, &self.spec, self.meta(k, None), t, &batch)
+                let query = self.binary_query()?.with_k(k);
+                let t = prepared(&self.indices.ijlmr, "ijlmr")?;
+                ijlmr::run(&self.engine, &query, t)
             }
             Algorithm::Bfhm => {
-                let (t, config) = self
-                    .bfhm_table
-                    .as_ref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
+                let query = self.binary_query()?;
+                let (t, config) = prepared(&self.indices.bfhm, "bfhm")?;
                 let meta = self.meta(k, None);
-                bfhm::run_shared(cluster, &self.query, meta, t, config, self.write_back)
+                bfhm::run_shared(cluster, query, meta, t, config, self.write_back)
             }
             Algorithm::Drjn => {
-                let (t, config) = self
-                    .drjn_table
-                    .as_ref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("drjn (unprepared)".into()))?;
-                drjn::run_shared(&self.engine, &self.query, self.meta(k, None), t, config)
+                let query = self.binary_query()?;
+                let (t, config) = prepared(&self.indices.drjn, "drjn")?;
+                drjn::run_shared(&self.engine, query, self.meta(k, None), t, config)
             }
         }
     }
@@ -642,41 +751,27 @@ impl RankJoinExecutor {
         k_hint: usize,
     ) -> Result<Box<dyn RankedCursor>> {
         let cluster = self.engine.cluster();
+        let materialized = |source, name| -> Result<Box<dyn RankedCursor>> {
+            Ok(Box::new(MaterializedCursor::open(
+                cluster,
+                self.binary_query()?,
+                k_hint,
+                source,
+                name,
+                Some(self.stats.version()),
+            )))
+        };
         match algorithm {
-            Algorithm::Auto => {
-                // Plan first: the first plan may run the statistics pass,
-                // which bumps the handle version the cursor pins.
-                let best = self
-                    .plan_with_k(k_hint)?
-                    .best()
-                    .ok_or(RankJoinError::Internal(
-                        "planner produced no candidate (baselines missing)",
-                    ))?;
-                self.open_cursor(best, k_hint)
-            }
-            Algorithm::Isl => {
-                let t = self
-                    .isl_table
-                    .as_deref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("isl (unprepared)".into()))?;
-                // The shared two-side spec, both sides descended.
-                Ok(Box::new(IslCursor::open_on(
-                    cluster,
-                    &self.spec,
-                    self.meta(k_hint, Some(self.stats.version())),
-                    t,
-                    &self.isl_config.batches(),
-                    &[SideAccess::Descend; 2],
-                )?))
-            }
+            // Plan first: the first plan may run the statistics pass,
+            // which bumps the handle version the cursor pins.
+            Algorithm::Auto => self.open_cursor(self.choose(k_hint)?.0, k_hint),
+            Algorithm::Isl => Ok(Box::new(self.open_isl(k_hint)?)),
             Algorithm::Bfhm => {
-                let (t, config) = self
-                    .bfhm_table
-                    .as_ref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("bfhm (unprepared)".into()))?;
+                let query = self.binary_query()?;
+                let (t, config) = prepared(&self.indices.bfhm, "bfhm")?;
                 Ok(Box::new(BfhmCursor::open(
                     cluster,
-                    &self.query,
+                    query,
                     self.meta(k_hint, Some(self.stats.version())),
                     t,
                     config,
@@ -684,47 +779,22 @@ impl RankJoinExecutor {
                 )?))
             }
             Algorithm::Drjn => {
-                let (t, config) = self
-                    .drjn_table
-                    .as_ref()
-                    .ok_or_else(|| RankJoinError::MissingIndex("drjn (unprepared)".into()))?;
+                let query = self.binary_query()?;
+                let (t, config) = prepared(&self.indices.drjn, "drjn")?;
                 Ok(Box::new(DrjnCursor::open(
                     cluster,
-                    &self.query,
+                    query,
                     self.meta(k_hint, Some(self.stats.version())),
                     t,
                     config,
                 )?))
             }
-            Algorithm::Hive => Ok(Box::new(MaterializedCursor::open(
-                cluster,
-                &self.query,
-                k_hint,
-                MaterializedSource::Hive,
-                "HIVE",
-                Some(self.stats.version()),
-            ))),
-            Algorithm::Pig => Ok(Box::new(MaterializedCursor::open(
-                cluster,
-                &self.query,
-                k_hint,
-                MaterializedSource::Pig,
-                "PIG",
-                Some(self.stats.version()),
-            ))),
+            Algorithm::Hive => materialized(MaterializedSource::Hive, "HIVE"),
+            Algorithm::Pig => materialized(MaterializedSource::Pig, "PIG"),
             Algorithm::Ijlmr => {
-                let t = self
-                    .ijlmr_table
-                    .clone()
-                    .ok_or_else(|| RankJoinError::MissingIndex("ijlmr (unprepared)".into()))?;
-                Ok(Box::new(MaterializedCursor::open(
-                    cluster,
-                    &self.query,
-                    k_hint,
-                    MaterializedSource::Ijlmr(t),
-                    "IJLMR",
-                    Some(self.stats.version()),
-                )))
+                self.binary_query()?;
+                let t = prepared(&self.indices.ijlmr, "ijlmr")?.clone();
+                materialized(MaterializedSource::Ijlmr(t), "IJLMR")
             }
         }
     }
@@ -749,36 +819,6 @@ impl RankJoinExecutor {
     ) -> Result<Box<dyn RankedCursor>> {
         state.check_version(self.stats.version())?;
         state.resume_retargeted(self.engine.cluster(), new_k)
-    }
-
-    /// Prices the next page of a cursor-shaped execution: the predicted
-    /// *marginal* cost of deepening `algorithm` from `k_consumed` ranks
-    /// to `k_consumed + page` — plans priced per-batch instead of
-    /// per-query. Served from the same versioned plan cache as
-    /// [`RankJoinExecutor::plan_with_k`]; `Algorithm::Auto` prices the
-    /// deeper plan's winner.
-    pub fn price_page(
-        &self,
-        algorithm: Algorithm,
-        k_consumed: usize,
-        page: usize,
-    ) -> Result<CostEstimate> {
-        let to = k_consumed.saturating_add(page).max(1);
-        let deep = self.plan_with_k(to)?;
-        let priced = if algorithm == Algorithm::Auto {
-            deep.best().ok_or(RankJoinError::Internal(
-                "planner produced no candidate (baselines missing)",
-            ))?
-        } else {
-            algorithm
-        };
-        let not_candidate =
-            RankJoinError::Internal("algorithm is not a candidate under the current preparation");
-        if k_consumed == 0 {
-            return deep.estimate(priced).cloned().ok_or(not_candidate);
-        }
-        let shallow = self.plan_with_k(k_consumed)?;
-        deep.marginal_from(&shallow, priced).ok_or(not_candidate)
     }
 }
 
@@ -832,6 +872,37 @@ mod tests {
             assert!(algo.needs_index());
         }
         assert!(!Algorithm::Hive.needs_index());
+    }
+
+    /// BFHM, DRJN, IJLMR, Hive and Pig join two sides: on a three-side
+    /// spec each one's preparation, run and cursor is a typed error, and
+    /// `Auto` runs ISL, its one candidate.
+    #[test]
+    fn binary_algorithms_refuse_a_spec_without_a_binary_form() {
+        let (c, spec) = crate::testsupport::three_way_path_cluster(4);
+        let mut ex = crate::multiway::SpecExecutor::new(&c, spec.clone());
+        let invalid = |r: Result<()>| matches!(r, Err(RankJoinError::InvalidSpec(_)));
+        assert!(invalid(ex.prepare_ijlmr().map(drop)));
+        assert!(invalid(ex.prepare_bfhm(BfhmConfig::default()).map(drop)));
+        assert!(invalid(ex.prepare_drjn(DrjnConfig::default()).map(drop)));
+        assert!(invalid(ex.attach_ijlmr("isl__A__B__C")));
+        assert!(invalid(ex.plan().map(drop)));
+        ex.prepare().unwrap();
+        let ex = RankJoinExecutor::from(ex);
+        for algo in [
+            Algorithm::Hive,
+            Algorithm::Pig,
+            Algorithm::Ijlmr,
+            Algorithm::Bfhm,
+            Algorithm::Drjn,
+        ] {
+            assert!(invalid(ex.execute_with_k(algo, 4).map(drop)), "{algo:?}");
+            assert!(invalid(ex.open_cursor(algo, 4).map(drop)), "{algo:?}");
+        }
+        let auto = ex.execute_with_k(Algorithm::Auto, 4).unwrap();
+        assert_eq!(auto.algorithm, "MULTIWAY");
+        assert_eq!(auto.extra("planner_candidates"), Some(1.0));
+        assert_eq!(auto.results, oracle::topk_spec(&c, &spec).unwrap());
     }
 
     #[test]

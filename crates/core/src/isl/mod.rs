@@ -28,7 +28,6 @@ use crate::error::Result;
 use crate::query::RankJoinQuery;
 
 pub use index::IslBuildStats;
-pub(crate) use query::run_spec;
 pub use query::{run, IslConfig};
 
 /// Canonical index-table name for a query pair: [`index::index_table_name`]

@@ -4,25 +4,24 @@
 //! turn, maintaining per-side hash tables on the join values for fast
 //! joins against newly fetched tuples, and terminating by the HRJN
 //! threshold test after every tuple. The loop itself lives in
-//! [`IslCursor`]; the one-shot drivers here drain it in one call.
+//! [`IslCursor`]; the one-shot driver here drains it in one call.
 
 use std::sync::Arc;
 
-use rj_store::metrics::QueryMeter;
-
-use crate::cancel::StopPolicy;
-use crate::cursor::{isl_algorithm_name, CursorMeta, IslCursor, SideAccess};
+use crate::cursor::{CursorMeta, IslCursor, SideAccess};
 use crate::error::Result;
-use crate::query::{JoinSpec, RankJoinQuery};
+use crate::query::RankJoinQuery;
 use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 
-/// ISL tuning knobs.
+/// ISL tuning knobs, for any arity: side 0 pulls `batch_left` rows per
+/// turn, every other side `batch_right`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct IslConfig {
     /// Index rows pulled per turn from the left list (`C_A`).
     pub batch_left: usize,
-    /// Index rows pulled per turn from the right list (`C_B`).
+    /// Index rows pulled per turn from the right list (`C_B`), and from
+    /// every further side's.
     pub batch_right: usize,
 }
 
@@ -36,7 +35,7 @@ impl Default for IslConfig {
 }
 
 impl IslConfig {
-    /// Same batch size for both sides.
+    /// Same batch size for every side.
     pub fn uniform(batch: usize) -> Self {
         IslConfig {
             batch_left: batch.max(1),
@@ -44,9 +43,13 @@ impl IslConfig {
         }
     }
 
-    /// The batch sizes in side order.
-    pub(crate) fn batches(&self) -> [usize; 2] {
-        [self.batch_left, self.batch_right]
+    /// The batch size of side `side`.
+    pub(crate) fn batch(&self, side: usize) -> usize {
+        if side == 0 {
+            self.batch_left
+        } else {
+            self.batch_right
+        }
     }
 }
 
@@ -62,49 +65,17 @@ pub fn run(
     index_table: &str,
     config: IslConfig,
 ) -> Result<QueryOutcome> {
-    let spec = Arc::new(query.to_spec());
-    let meta = CursorMeta::new(query.k, None, Spares::default());
-    run_spec(cluster, &spec, meta, index_table, &config.batches())
-}
-
-/// The all-sides-descending one-shot run for the top `meta.k` of a
-/// shared spec (whose own `k` is not read), its buffers taken from and
-/// given back to `meta.spares`: the cursor drained in one call, reporting
-/// the tuples it consumed and the batches it fetched.
-pub(crate) fn run_spec(
-    cluster: &rj_store::cluster::Cluster,
-    spec: &Arc<JoinSpec>,
-    meta: CursorMeta,
-    index_table: &str,
-    batch: &[usize],
-) -> Result<QueryOutcome> {
-    let (algorithm, k) = (isl_algorithm_name(spec.n()), meta.k);
-    if k == 0 {
-        return Ok(QueryOutcome::new(
-            algorithm,
-            Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
-        )
-        .with_extra("tuples_consumed", 0.0)
-        .with_extra("batches", 0.0));
-    }
-    let meter = QueryMeter::start(cluster.metrics());
-
-    // The batched round-robin descent lives in [`IslCursor`]; this
-    // function is that cursor drained in one call, which is what makes
-    // every pause/resume schedule result- and metric-equivalent to the
+    // The batched round-robin descent lives in [`IslCursor`]; a run is
+    // that cursor drained in one call, which is what makes every
+    // pause/resume schedule result- and metric-equivalent to the
     // one-shot run *by construction*. The cursor opens one scanner per
     // column family on demand; the store batches RPCs at the configured
     // row-cache size (§4.2.3).
-    let descend = vec![SideAccess::Descend; spec.n()];
-    let mut cursor = IslCursor::open_on(cluster, spec, meta, index_table, batch, &descend)?;
-    cursor.pump(k, &StopPolicy::never())?;
-    let state = cursor.hrjn();
-    Ok(
-        QueryOutcome::new(algorithm, state.current_results(), meter.finish())
-            .with_extra("tuples_consumed", state.tuples_consumed() as f64)
-            .with_extra("batches", cursor.batches() as f64),
-    )
+    let spec = Arc::new(query.to_spec());
+    let meta = CursorMeta::new(query.k, None, Spares::default());
+    let batch = |side| config.batch(side);
+    let descend = [SideAccess::Descend; 2];
+    IslCursor::open_on(cluster, &spec, meta, index_table, batch, &descend)?.drain()
 }
 
 #[cfg(test)]

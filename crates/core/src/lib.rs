@@ -25,7 +25,7 @@
 //! | [`drjn`] | DRJN comparator (Doulkeridis et al., ICDE 2012) as adapted in §7.1 | §7.1 |
 //! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on, over a spec's join tree | §4.2.1 |
 //! | [`planner`] | cost-based selection over the suite, once per query at plan time ([`Algorithm::Auto`]) | Figs. 7–8 |
-//! | [`multiway`] | planning and the facade for three or more sides: per-side access choice and [`multiway::SpecExecutor`] (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
+//! | [`multiway`] | the per-side access choice for three or more sides and [`multiway::SpecExecutor`], the executor's spec-shaped face (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
 //!
 //! Every algorithm returns the same deterministic top-k (ties broken by
 //! key) and a [`rj_store::metrics::MetricsSnapshot`] with the paper's three
@@ -38,8 +38,8 @@
 //! statistics, so [`executor::Algorithm::Auto`] keeps choosing from fresh
 //! histograms under maintained writes (with an explicit staleness bound).
 //!
-//! Start with [`executor::RankJoinExecutor`] for a uniform entry point, or
-//! call each algorithm module directly.
+//! Start with [`executor::RankJoinExecutor`], the one entry point for a
+//! join spec of any arity, or call each algorithm module directly.
 
 #![warn(missing_docs)]
 
@@ -73,7 +73,7 @@ pub(crate) mod testsupport;
 pub use cancel::{CancelToken, StopPolicy, StopReason};
 pub use cursor::{CursorBatch, CursorState, IslCursor, RankedCursor, SideAccess};
 pub use executor::{Algorithm, RankJoinExecutor};
-pub use multiway::{MultiwayConfig, SpecExecutor};
+pub use multiway::SpecExecutor;
 pub use planner::{Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};

@@ -1,5 +1,5 @@
-//! N-ary rank joins over a [`crate::query::JoinSpec`]: planning and the
-//! spec-driven facade.
+//! N-ary rank joins over a [`crate::query::JoinSpec`]: access planning
+//! and the spec-shaped facade.
 //!
 //! The paper presents HRJN/ISL over binary equi-joins; the ranked-
 //! enumeration literature (Tziavelis et al., *Ranked Enumeration for
@@ -14,20 +14,19 @@
 //!
 //! * [`planner`] — the per-side access choice (batched index **descent**
 //!   vs. **materialize**-then-join) and the cost model that picks the
-//!   cheapest assignment. Its statistics are not specific to three or
+//!   cheapest assignment, which the one executor
+//!   ([`crate::executor::RankJoinExecutor`]) consults for an ISL run over
+//!   three or more sides. Its statistics are not specific to three or
 //!   more sides: they are the [`crate::planner::TableStats`] snapshot
 //!   behind the one [`crate::statsmaint::SharedTableStats`] handle, which
 //!   serves every arity (any side's maintained write bumps the version
 //!   plan caches, cursors, and serving caches check).
-//! * [`exec`] — [`exec::SpecExecutor`], the spec-driven facade. A
-//!   two-side spec runs through the binary
-//!   [`crate::executor::RankJoinExecutor`] (every algorithm and the
-//!   planner); more sides plan their access and open the
-//!   shared cursor directly.
+//! * [`exec`] — [`exec::SpecExecutor`], the spec-shaped face of that
+//!   executor: the same executor, with ISL as its one algorithm.
 
 pub mod exec;
 pub mod planner;
 
 pub use crate::cursor::SideAccess;
-pub use exec::{MultiwayConfig, SpecExecutor};
+pub use exec::SpecExecutor;
 pub use planner::choose_access;

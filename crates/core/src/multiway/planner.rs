@@ -1,4 +1,6 @@
-//! The per-side access choice behind [`crate::multiway::SpecExecutor`].
+//! The per-side access choice of an ISL run over three or more sides,
+//! which [`crate::executor::RankJoinExecutor::plan_access`] makes and
+//! caches.
 //!
 //! The binary planner ([`crate::planner`]) ranks whole algorithms; the
 //! multiway planner's unit of choice is finer — **per side**, descend
@@ -84,25 +86,21 @@ pub(crate) fn predicted_reads(stats: &TableStats, access: &[SideAccess], k: usiz
 /// all-descend on ties).
 pub fn choose_access(spec: &JoinSpec, stats: &TableStats, k: usize) -> Vec<SideAccess> {
     let n = spec.n();
-    let mut best: Option<(f64, Vec<SideAccess>)> = None;
-    for mask in 0..(1u32 << n) {
-        let access: Vec<SideAccess> = (0..n)
-            .map(|i| {
-                if mask & (1 << i) != 0 {
-                    SideAccess::Materialize
-                } else {
-                    SideAccess::Descend
-                }
-            })
-            .collect();
+    let side = |mask: u32, i| match mask >> i & 1 {
+        0 => SideAccess::Descend,
+        _ => SideAccess::Materialize,
+    };
+    let assignment = |mask| (0..n).map(|i| side(mask, i)).collect::<Vec<_>>();
+    let mut best = assignment(0);
+    let mut best_cost = predicted_reads(stats, &best, k);
+    for mask in 1..(1u32 << n) {
+        let access = assignment(mask);
         let cost = predicted_reads(stats, &access, k);
-        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            best = Some((cost, access));
+        if cost < best_cost {
+            (best, best_cost) = (access, cost);
         }
     }
-    // rjlint: allow(no-unwrap) — the assignment enumeration always yields at
-    // least one candidate (every side has a non-empty access-choice set).
-    best.expect("at least one assignment").1
+    best
 }
 
 #[cfg(test)]

@@ -413,24 +413,6 @@ impl Plan {
         self.ranked.iter().find(|e| e.algorithm == algorithm)
     }
 
-    /// The predicted *marginal* cost of deepening `algorithm` from
-    /// `shallower`'s `k` to this plan's `k` — what the next page of a
-    /// pull-based cursor should cost, given the shallower prefix is
-    /// already paid for. Clamped at zero: a deeper target can never be
-    /// predicted cheaper than its own prefix, but independent estimates
-    /// may cross by rounding. `None` when `algorithm` was not a
-    /// candidate in either plan.
-    pub fn marginal_from(&self, shallower: &Plan, algorithm: Algorithm) -> Option<CostEstimate> {
-        let deep = self.estimate(algorithm)?;
-        let shallow = shallower.estimate(algorithm)?;
-        Some(CostEstimate {
-            algorithm,
-            seconds: (deep.seconds - shallow.seconds).max(0.0),
-            kv_reads: (deep.kv_reads - shallow.kv_reads).max(0.0),
-            dollars: (deep.dollars - shallow.dollars).max(0.0),
-        })
-    }
-
     /// Renders the predicted costs, cheapest first — the `EXPLAIN` of the
     /// rank-join world.
     pub fn explain(&self) -> String {

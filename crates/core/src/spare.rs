@@ -14,15 +14,13 @@
 //! sized from a guess and there is nothing to set.
 //!
 //! **Retention contract.**
-//! - The owner is the executor. Each executor made by `new` — a
-//!   [`RankJoinExecutor`], or the N-ary arm of a [`SpecExecutor`] (a
-//!   two-side `SpecExecutor` uses its binary executor's) — owns one list,
-//!   and its `fork_onto` forks share it: a fork is the same executor over
-//!   another ledger. A run or cursor holds its executor's list in its
-//!   bookkeeping, so what it allocates depends on what that executor and
-//!   its forks ran before, never on which thread runs it. Forks that run
-//!   at the same time on different threads draw from one list in
-//!   whichever order they reach it.
+//! - The owner is the executor. Each [`RankJoinExecutor`] made by `new` (a
+//!   [`SpecExecutor`] is one) owns one list, and its `fork_onto` forks
+//!   share it: a fork is the same executor over another ledger. A run or
+//!   cursor holds its executor's list in its bookkeeping, so what it
+//!   allocates depends on what that executor and its forks ran before,
+//!   never on which thread runs it. Forks that run at the same time on
+//!   different threads draw from one list in whichever order they reach it.
 //! - The direct entry points (`isl::run`, `bfhm::run`, `drjn::run`,
 //!   [`IslCursor::open`], `HrjnState::new`, `TopIds::new`) have no
 //!   executor: they take nothing and keep nothing, like an executor's

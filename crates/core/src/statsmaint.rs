@@ -316,8 +316,8 @@ pub struct PlannedStats {
 /// One spec's `Arc`-shared, incrementally-maintained statistics, for any
 /// arity (see the module docs).
 ///
-/// Created by [`crate::executor::RankJoinExecutor::new`] and
-/// [`crate::multiway::SpecExecutor::new`]; share it across executors
+/// Created with each [`crate::executor::RankJoinExecutor`] (and
+/// [`crate::multiway::SpecExecutor`]); share it across executors
 /// serving the same spec (e.g. the serving layer's `fork_metrics` clones)
 /// via `stats_handle` /
 /// [`attach_stats`](crate::executor::RankJoinExecutor::attach_stats), and

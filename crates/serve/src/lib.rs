@@ -44,9 +44,8 @@
 //!   statistics handle ([`rj_core::SharedTableStats`], for a binary pair
 //!   and a multi-way spec alike) — the same version counter maintained
 //!   writes, rebuilds and statistics passes bump — so a stale prefix is
-//!   never served. A backend is a [`rj_core::SpecExecutor`] whichever
-//!   way it was registered: [`RankJoinService::register_backend`] wraps
-//!   a binary executor as its two-side spec, so everything above
+//!   never served. A backend is a [`rj_core::RankJoinExecutor`] running
+//!   ISL, whose one code path serves every arity, so everything above
 //!   registration is join-arity agnostic.
 //! * **Background maintenance** — index rebuilds run at the pool's
 //!   [`rj_store::PoolPriority::Background`] class: they soak idle

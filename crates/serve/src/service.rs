@@ -11,10 +11,9 @@
 //! store's parallel-round accounting), which is what makes fairness and
 //! sharing effects measurable: sojourn = completion clock − submit clock.
 //!
-//! Every backend is a prototype [`SpecExecutor`] —
-//! [`RankJoinService::register_backend`] wraps a binary executor as its
-//! two-side spec — and its caches are versioned against that executor's
-//! one statistics handle ([`SharedTableStats`]), whatever the arity.
+//! Every backend is a prototype [`RankJoinExecutor`] over a join spec of
+//! any arity, running ISL, and its caches are versioned against that
+//! executor's one statistics handle ([`SharedTableStats`]).
 //!
 //! Rounds are intended to be driven from one thread (a benchmark loop or
 //! a dispatcher); `submit`, `poll`, and `cancel` may be called
@@ -55,8 +54,7 @@ use std::sync::{Arc, Mutex};
 use rj_core::cancel::{StopPolicy, StopReason};
 use rj_core::cursor::CursorState;
 use rj_core::error::RankJoinError;
-use rj_core::executor::RankJoinExecutor;
-use rj_core::multiway::SpecExecutor;
+use rj_core::executor::{Algorithm, RankJoinExecutor};
 use rj_core::result::JoinTuple;
 use rj_core::statsmaint::SharedTableStats;
 use rj_store::cluster::Cluster;
@@ -192,12 +190,12 @@ pub struct RoundReport {
 /// needs, shared immutably.
 pub(crate) struct TenantFork {
     pub cluster: Cluster,
-    pub executor: SpecExecutor,
+    pub executor: RankJoinExecutor,
 }
 
 struct BackendState {
     /// The registered executor; mutated only by background rebuilds.
-    prototype: Arc<Mutex<SpecExecutor>>,
+    prototype: Arc<Mutex<RankJoinExecutor>>,
     /// The spec's shared statistics handle — the coherence backbone:
     /// maintained writes, re-preparations and collections bump its
     /// version, which invalidates the prefix entry below.
@@ -343,25 +341,22 @@ impl RankJoinService {
         }
     }
 
-    /// Registers a binary query backend from a prototype executor. The
-    /// executor must have an ISL index prepared or attached (the serving
-    /// layer executes through batch-boundary-stoppable cursors over the
-    /// index). The backend's share key for coalescing and the prefix
-    /// cache is the canonical spec fingerprint of its query plus its
-    /// execution config; registering an equivalent executor again
-    /// returns the existing backend (so its sessions share work), and a
-    /// multi-way spec extending the same pair gets a different key.
-    pub fn register_backend(&self, executor: RankJoinExecutor) -> Result<BackendId, ServeError> {
-        self.register_spec_backend(executor.into())
-    }
-
-    /// Registers a spec-driven backend — binary or multi-way — from a
-    /// prototype [`SpecExecutor`]. Same preconditions and share-key
-    /// semantics as [`RankJoinService::register_backend`]; a two-side
-    /// spec shares keys (and therefore caches) with the equivalent
-    /// binary registration, because it *is* the same execution.
-    pub fn register_spec_backend(&self, exec: SpecExecutor) -> Result<BackendId, ServeError> {
-        if !exec.prepared() {
+    /// Registers a backend from a prototype executor — a
+    /// [`RankJoinExecutor`] or a [`rj_core::SpecExecutor`], over a join
+    /// spec of any arity. The executor must have an ISL index prepared or
+    /// attached (the serving layer executes through
+    /// batch-boundary-stoppable cursors over the index). The backend's
+    /// share key for coalescing and the prefix cache is the canonical
+    /// spec fingerprint plus the execution config; registering an
+    /// equivalent executor again, through either type, returns the
+    /// existing backend (so its sessions share work), and a multi-way spec
+    /// extending the same pair gets a different key.
+    pub fn register_backend(
+        &self,
+        exec: impl Into<RankJoinExecutor>,
+    ) -> Result<BackendId, ServeError> {
+        let exec = exec.into();
+        if exec.isl_table().is_none() {
             return Err(ServeError::NotIslPrepared);
         }
         let key = (exec.fingerprint(), config_sig(&exec));
@@ -739,7 +734,7 @@ impl RankJoinService {
             report.dispatched = picked.len();
             let groups = Self::plan_groups(&mut st, &picked, &self.config)?;
             let pending: Vec<usize> = st.maintenance.drain(..).collect();
-            let maintenance: Vec<(usize, Arc<Mutex<SpecExecutor>>)> = pending
+            let maintenance: Vec<(usize, Arc<Mutex<RankJoinExecutor>>)> = pending
                 .into_iter()
                 .map(|b| (b, Arc::clone(&st.backends[b].prototype)))
                 .collect();
@@ -906,12 +901,11 @@ impl RankJoinService {
             if !staleness.is_finite() {
                 continue; // nothing maintained — nothing measurably stale
             }
-            let bound = staleness_bound(
-                &st.backends[idx]
-                    .prototype
-                    .lock()
-                    .expect("backend prototype poisoned"),
-            );
+            let bound = st.backends[idx]
+                .prototype
+                .lock()
+                .expect("backend prototype poisoned")
+                .staleness_bound;
             if staleness > bound && !st.maintenance.contains(&idx) {
                 st.maintenance.push_back(idx);
                 st.counters.staleness_rebuilds += 1;
@@ -1055,29 +1049,18 @@ impl RankJoinService {
 /// The execution-configuration half of a backend's share key: two
 /// backends share work only if both the spec *and* the way it executes
 /// match.
-fn config_sig(exec: &SpecExecutor) -> String {
-    match exec.binary() {
-        Some(b) => format!("isl:{:?}", b.isl_config),
-        None => format!("mw:{:?}:{:?}", exec.config, exec.access_override),
-    }
-}
-
-/// The staleness bound the executor plans under (a two-side spec plans
-/// through its binary executor's), which also drives the serving layer's
-/// staleness-triggered background rebuilds.
-fn staleness_bound(exec: &SpecExecutor) -> f64 {
-    exec.binary()
-        .map_or(exec.staleness_bound, |b| b.staleness_bound)
+fn config_sig(exec: &RankJoinExecutor) -> String {
+    format!("isl:{:?}:{:?}", exec.isl_config, exec.access_override)
 }
 
 /// Rebuilds the score index, then runs one statistics pass through the
 /// handle: the rebuild invalidated the maintained snapshot, and the pass
 /// restarts the staleness clock at zero instead of leaving it unbounded
 /// (which would re-trigger the staleness-driven rebuild every round).
-fn rebuild(exec: &mut SpecExecutor) -> rj_core::error::Result<()> {
-    exec.prepare()?;
+fn rebuild(exec: &mut RankJoinExecutor) -> rj_core::error::Result<()> {
+    exec.prepare_isl()?;
     exec.stats_handle()
-        .stats_for_planning(exec.engine().cluster(), staleness_bound(exec))
+        .stats_for_planning(exec.engine().cluster(), exec.staleness_bound)
         .map(drop)
 }
 
@@ -1218,7 +1201,7 @@ fn execute_one(
             warmed = true;
             entry.state.clone().resume_retargeted(&fork.cluster, sess.k)
         }
-        None => fork.executor.open_cursor(sess.k),
+        None => fork.executor.open_cursor(Algorithm::Isl, sess.k),
     };
     let mut cursor = match opened {
         Ok(cursor) => cursor,
@@ -1309,7 +1292,7 @@ fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
             served_by: ServedBy::Execution,
         });
     };
-    let mut cursor = match fork.executor.open_cursor(sess.k) {
+    let mut cursor = match fork.executor.open_cursor(Algorithm::Isl, sess.k) {
         Ok(cursor) => cursor,
         Err(e) => {
             let charged = fork.cluster.metrics().snapshot().delta_since(&before);

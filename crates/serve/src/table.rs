@@ -364,8 +364,10 @@ mod tests {
         );
         let mut executor = RankJoinExecutor::new(&cluster, query);
         executor.prepare_isl().unwrap();
-        let executor = rj_core::multiway::SpecExecutor::from(executor);
-        let state = executor.open_cursor(4).unwrap().pause();
+        let state = executor
+            .open_cursor(rj_core::executor::Algorithm::Isl, 4)
+            .unwrap()
+            .pause();
         (state, Arc::new(TenantFork { cluster, executor }))
     }
 

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use rj_core::executor::RankJoinExecutor;
+use rj_core::multiway::SpecExecutor;
 use rj_core::oracle;
 use rj_core::query::{JoinSide, RankJoinQuery};
 use rj_core::score::ScoreFn;
@@ -678,53 +679,69 @@ fn held_group_absorbs_later_arrivals_into_one_execution() {
 
 #[test]
 fn staleness_bound_crossing_enqueues_automatic_rebuild() {
-    let (c, q) = fixture();
-    let mut executor = prepared_executor(&c, &q);
-    executor.staleness_bound = 0.05;
-    executor.plan().unwrap(); // prime the maintained snapshot
-    let stats = executor.stats_handle();
-    let side = rj_core::maintenance::MaintainedSide::new(&c, q.left.clone())
-        .with_isl(&rj_core::isl::index_table_name(&q))
-        .with_stats(stats.clone());
-    let service = RankJoinService::new(test_config());
-    let backend = service.register_backend(executor).unwrap();
-    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    // Through both doors: the binary executor, and the spec executor over
+    // the query's two-side spec. Each plans under its own bound.
+    for spec_door in [false, true] {
+        let (c, q) = fixture();
+        let tune = |executor: &mut RankJoinExecutor| {
+            executor.staleness_bound = 0.05;
+            executor.plan().unwrap(); // prime the maintained snapshot
+            executor.stats_handle()
+        };
+        let service = RankJoinService::new(test_config());
+        let (backend, stats) = if spec_door {
+            let mut executor = SpecExecutor::new(&c, q.to_spec());
+            executor.isl_config = rj_core::isl::IslConfig::uniform(4);
+            executor.prepare().unwrap();
+            let stats = tune(&mut executor);
+            (service.register_backend(executor).unwrap(), stats)
+        } else {
+            let mut executor = prepared_executor(&c, &q);
+            let stats = tune(&mut executor);
+            (service.register_backend(executor).unwrap(), stats)
+        };
+        let side = rj_core::maintenance::MaintainedSide::new(&c, q.left.clone())
+            .with_isl(&rj_core::isl::index_table_name(&q))
+            .with_stats(stats.clone());
+        let tenant = service.register_tenant("acme", 1.0).unwrap();
 
-    // Below the bound (1 of 60 left tuples): no automatic rebuild.
-    side.insert(b"m_000", b"a", 0.91, vec![]).unwrap();
-    let below = service
-        .submit(tenant, backend, SubmitOptions::topk(2))
-        .unwrap();
-    service.run_until_idle().unwrap();
-    assert_eq!(done(&service, below).outcome, SessionOutcome::Complete);
-    assert_eq!(service.counters().staleness_rebuilds, 0);
-    assert_eq!(service.counters().maintenance_runs, 0);
-
-    // Cross the bound (5 of 60 ≈ 8% > 5%): the next round enqueues and
-    // runs the rebuild in the background class.
-    for i in 1..5u32 {
-        let key = format!("m_{i:03}");
-        side.insert(key.as_bytes(), b"b", 0.5 + f64::from(i) * 0.05, vec![])
+        // Below the bound (1 of 60 left tuples): no automatic rebuild.
+        side.insert(b"m_000", b"a", 0.91, vec![]).unwrap();
+        let below = service
+            .submit(tenant, backend, SubmitOptions::topk(2))
             .unwrap();
+        service.run_until_idle().unwrap();
+        assert_eq!(done(&service, below).outcome, SessionOutcome::Complete);
+        assert_eq!(service.counters().staleness_rebuilds, 0);
+        assert_eq!(service.counters().maintenance_runs, 0);
+
+        // Cross the bound (5 of 60 ≈ 8% > 5%): the next round enqueues and
+        // runs the rebuild in the background class.
+        for i in 1..5u32 {
+            let key = format!("m_{i:03}");
+            side.insert(key.as_bytes(), b"b", 0.5 + f64::from(i) * 0.05, vec![])
+                .unwrap();
+        }
+        assert!(stats.staleness() > 0.05);
+        service.run_round().unwrap();
+        let counters = service.counters();
+        assert_eq!(counters.staleness_rebuilds, 1, "spec door: {spec_door}");
+        assert_eq!(counters.maintenance_runs, 1, "spec door: {spec_door}");
+        // The rebuild re-collected statistics: the staleness clock
+        // restarted, so the trigger stays quiet until new churn
+        // accumulates.
+        assert_eq!(stats.staleness(), 0.0);
+        service.run_round().unwrap();
+        assert_eq!(service.counters().staleness_rebuilds, 1);
+        // And the served answers reflect the maintained writes.
+        let fresh = service
+            .submit(tenant, backend, SubmitOptions::topk(3))
+            .unwrap();
+        service.run_until_idle().unwrap();
+        let result = done(&service, fresh);
+        assert_eq!(result.outcome, SessionOutcome::Complete);
+        assert_eq!(*result.results, oracle::topk(&c, &q.with_k(3)).unwrap());
     }
-    assert!(stats.staleness() > 0.05);
-    service.run_round().unwrap();
-    let counters = service.counters();
-    assert_eq!(counters.staleness_rebuilds, 1);
-    assert_eq!(counters.maintenance_runs, 1);
-    // The rebuild re-collected statistics: the staleness clock restarted,
-    // so the trigger stays quiet until new churn accumulates.
-    assert_eq!(stats.staleness(), 0.0);
-    service.run_round().unwrap();
-    assert_eq!(service.counters().staleness_rebuilds, 1);
-    // And the served answers reflect the maintained writes.
-    let fresh = service
-        .submit(tenant, backend, SubmitOptions::topk(3))
-        .unwrap();
-    service.run_until_idle().unwrap();
-    let result = done(&service, fresh);
-    assert_eq!(result.outcome, SessionOutcome::Complete);
-    assert_eq!(*result.results, oracle::topk(&c, &q.with_k(3)).unwrap());
 }
 
 #[test]
@@ -829,10 +846,10 @@ fn equivalent_registrations_share_one_backend() {
 #[test]
 fn spec_backend_serves_three_way_sessions() {
     let (c, spec) = three_way_fixture();
-    let mut exec = rj_core::multiway::SpecExecutor::new(&c, spec.clone());
+    let mut exec = SpecExecutor::new(&c, spec.clone());
     exec.prepare().unwrap();
     let service = RankJoinService::new(test_config());
-    let backend = service.register_spec_backend(exec).unwrap();
+    let backend = service.register_backend(exec).unwrap();
     let tenant = service.register_tenant("acme", 1.0).unwrap();
     let id = service
         .submit(tenant, backend, SubmitOptions::topk(5))
@@ -873,12 +890,12 @@ fn three_way_spec_never_aliases_its_binary_prefix() {
     );
     let mut binary = RankJoinExecutor::new(&c, q.clone());
     binary.prepare_isl().unwrap();
-    let mut spec_exec = rj_core::multiway::SpecExecutor::new(&c, spec.clone());
+    let mut spec_exec = SpecExecutor::new(&c, spec.clone());
     spec_exec.prepare().unwrap();
 
     let service = RankJoinService::new(test_config());
     let pair_backend = service.register_backend(binary).unwrap();
-    let spec_backend = service.register_spec_backend(spec_exec).unwrap();
+    let spec_backend = service.register_backend(spec_exec).unwrap();
     assert_ne!(
         pair_backend, spec_backend,
         "a three-way spec must not share the binary pair's backend"

@@ -71,8 +71,8 @@ use rankjoin::sketch::hybrid::{AlphaMode, HybridFilter};
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinEdge, JoinSide, JoinSpec,
-    MaintainedSide, MultiwayConfig, Mutation, RankJoinExecutor, RankJoinQuery, RankJoinService,
-    Scan, ScoreFn, ServeConfig, SessionStatus, SideAccess, SpecExecutor, StopPolicy, SubmitOptions,
+    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, RankJoinService, Scan, ScoreFn,
+    ServeConfig, SessionStatus, SideAccess, SpecExecutor, StopPolicy, SubmitOptions,
     WriteBackPolicy,
 };
 
@@ -180,7 +180,7 @@ fn prepared_three_way(batch: usize) -> SpecExecutor {
     ];
     let spec = JoinSpec::new(sides, edges, 10, ScoreFn::Sum).unwrap();
     let mut ex = SpecExecutor::new(&cluster, spec);
-    ex.config = MultiwayConfig { batch };
+    ex.isl_config = IslConfig::uniform(batch);
     // A fixed plan: the budget is the read path's, not the planner's.
     ex.access_override = Some(vec![SideAccess::Descend; 3]);
     ex.prepare().unwrap();

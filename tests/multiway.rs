@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rankjoin::core::oracle;
 use rankjoin::store::metrics::MetricsSnapshot;
 use rankjoin::{
-    Algorithm, Cluster, CostModel, JoinSide, JoinSpec, JoinTuple, MultiwayConfig, Mutation,
+    Algorithm, Cluster, CostModel, IslConfig, JoinSide, JoinSpec, JoinTuple, Mutation,
     RankJoinExecutor, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
 };
 
@@ -195,8 +195,7 @@ proptest! {
         for shape in [Shape::Path, Shape::Star] {
             let (cluster, spec) = load_spec(&s.sides, shape, s.k);
             let mut proto = SpecExecutor::new(&cluster, spec.clone());
-            prop_assert!(!proto.is_binary());
-            proto.config = MultiwayConfig { batch: s.batch };
+            proto.isl_config = IslConfig::uniform(s.batch);
             proto.prepare().unwrap();
             // Prime the statistics snapshot so no fork pays an
             // asymmetric collection pass.
@@ -279,7 +278,6 @@ proptest! {
 
         let (c2, spec2) = load_spec(&sides, Shape::Path, k);
         let mut spec_exec = SpecExecutor::new(&c2, spec2);
-        prop_assert!(spec_exec.is_binary());
         spec_exec.prepare().unwrap();
         let before2 = c2.metrics().snapshot();
         let via_spec = spec_exec.execute_with_k(k).unwrap();

@@ -28,8 +28,7 @@ use rankjoin::core::cursor::{CursorState, RankedCursor};
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, IslConfig, JoinEdge, JoinSide, JoinSpec, JoinTuple,
-    MultiwayConfig, QueryOutcome, RankJoinExecutor, RankJoinQuery, ScoreFn, SideAccess,
-    SpecExecutor, StopPolicy,
+    QueryOutcome, RankJoinExecutor, RankJoinQuery, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
 };
 
 #[global_allocator]
@@ -95,9 +94,9 @@ impl Subject for Binary {
 impl Subject for SpecExecutor {
     fn fresh(&self) -> Box<dyn Subject> {
         let mut fresh = SpecExecutor::new(self.engine().cluster(), self.spec().clone());
-        fresh.config = self.config;
+        fresh.isl_config = self.isl_config;
         fresh.access_override = self.access_override.clone();
-        fresh.attach(self.index_table().unwrap()).unwrap();
+        fresh.attach(self.isl_table().unwrap()).unwrap();
         Box::new(fresh)
     }
     fn one_shot(&self, k: usize) -> QueryOutcome {
@@ -279,7 +278,7 @@ fn a_recycled_three_way_scan_batch_answers_and_bills_as_a_fresh_one() {
     ];
     let spec = JoinSpec::new(sides, edges, 10, ScoreFn::Sum).unwrap();
     let mut three = SpecExecutor::new(&cluster, spec);
-    three.config = MultiwayConfig { batch: 64 };
+    three.isl_config = IslConfig::uniform(64);
     three.access_override = Some(vec![SideAccess::Descend; 3]);
     three.prepare().unwrap();
     let [_, q2] = executors(&cluster);
