@@ -1,6 +1,6 @@
 //! The experiment driver: regenerates every table and figure of the
 //! paper's evaluation section, plus the studies of the extensions built
-//! on it (planner, statistics maintenance, serving, cursors, multi-way).
+//! on it (planner, statistics maintenance, multi-way).
 //!
 //! ```text
 //! cargo run -p rj_bench --release --bin experiments -- [experiment] [flags]
@@ -18,12 +18,6 @@
 //!               planner agreement with the measured-cheapest choice
 //!   updates-planner  interleaved refresh sets vs Auto planning: maintained
 //!                    statistics against a fresh-stats oracle per round
-//!   serve       multi-tenant serving front-end: open-loop zipf-tenant
-//!               workload replayed with cross-query work sharing off/on,
-//!               qps + sojourn percentiles + per-tenant metering
-//!   cursor      pull-based cursors: paging a top-k answer through
-//!               pause/resume vs re-running per page, plus the
-//!               warm-start donor-depth sweep
 //!   multiway    3-way rank joins: planner's per-side access choice vs
 //!               the measured-cheapest assignment over a (shape, k)
 //!               grid, plus the two-side-spec-equals-binary pin
@@ -43,9 +37,9 @@
 use std::env;
 
 use rj_bench::{
-    run_ablations, run_cursor, run_example_walkthrough, run_fig7, run_fig8, run_fig9, run_memory,
-    run_multiway, run_planner, run_scaling, run_serve, run_sizes, run_updates, run_updates_planner,
-    CursorBenchConfig, Json, MultiwayBenchConfig, ServeBenchConfig, Table,
+    run_ablations, run_example_walkthrough, run_fig7, run_fig8, run_fig9, run_memory, run_multiway,
+    run_planner, run_scaling, run_sizes, run_updates, run_updates_planner, Json,
+    MultiwayBenchConfig, Table,
 };
 
 /// Every runnable experiment name (usage text and up-front validation).
@@ -60,8 +54,6 @@ const EXPERIMENTS: &[&str] = &[
     "scaling",
     "planner",
     "updates-planner",
-    "serve",
-    "cursor",
     "multiway",
     "ablations",
     "all",
@@ -227,40 +219,6 @@ fn main() {
             report.agreement * 100.0,
             report.mutations,
             report.collections
-        );
-    }
-    if ran("serve") {
-        let report = run_serve(&ServeBenchConfig::default());
-        emit_json(&args.json_out, "serve", &report.to_json());
-        for t in report.tables() {
-            println!("{}", t.render());
-        }
-        println!(
-            "# serving: sharing qps speedup {:.2}x (p99 {:.6}s -> {:.6}s), work conserved: {}\n",
-            report.sharing_speedup(),
-            report.off.p99,
-            report.on.p99,
-            report.conserved
-        );
-    }
-    if ran("cursor") {
-        let report = run_cursor(&CursorBenchConfig::default());
-        emit_json(&args.json_out, "cursor", &report.to_json());
-        for t in report.tables() {
-            println!("{}", t.render());
-        }
-        println!(
-            "# cursors: paged/one-shot reads {}/{}, re-run penalty {:.2}x, \
-             deepest warm start pays {} of {} cold reads\n",
-            report.paging.paged_kv_reads,
-            report.paging.oneshot_kv_reads,
-            report.paging.rerun_penalty(),
-            report
-                .warm_sweep
-                .last()
-                .map(|p| p.warm_kv_reads)
-                .unwrap_or(0),
-            report.cold_kv_reads
         );
     }
     if ran("multiway") {

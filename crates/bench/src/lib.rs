@@ -1,5 +1,6 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§7).
+//! evaluation (§7), plus the studies of three extensions built on it: the
+//! cost-based planner, statistics maintenance and multi-way joins.
 //!
 //! The harness builds a cluster under one of the paper's two testbed
 //! profiles (EC2 / lab cluster), loads TPC-H-style data at a laptop-scaled
@@ -18,16 +19,13 @@
 
 #![warn(missing_docs)]
 
-pub mod cursor;
 pub mod experiments;
 pub mod fixture;
 pub mod multiway;
 pub mod planner;
 pub mod report;
-pub mod serve;
 pub mod updates_planner;
 
-pub use cursor::{run_cursor, CursorBenchConfig, CursorReport};
 pub use experiments::{
     apply_update_set, run_ablations, run_example_walkthrough, run_fig7, run_fig8, run_fig9,
     run_memory, run_scaling, run_sizes, run_updates,
@@ -36,5 +34,4 @@ pub use fixture::{Fixture, FixtureConfig, QuerySpec};
 pub use multiway::{run_multiway, MultiwayBenchConfig, MultiwayReport};
 pub use planner::{run_planner, PlannerReport};
 pub use report::{Json, Table};
-pub use serve::{run_serve, ServeBenchConfig, ServeReport};
 pub use updates_planner::{run_updates_planner, UpdatesPlannerReport};

@@ -354,6 +354,8 @@ impl CursorState {
     /// in-memory work: nothing already read is re-charged), emission
     /// restarts at rank 0, and the cumulative charge resets — the warmed
     /// query is billed only what *it* consumes beyond the donor prefix.
+    /// No statistics version is checked, pinned or not: the caller owns
+    /// coherence.
     pub fn resume_retargeted(
         self,
         cluster: &Cluster,

@@ -807,19 +807,6 @@ impl RankJoinExecutor {
         state.check_version(self.stats.version())?;
         state.resume_on(self.engine.cluster())
     }
-
-    /// Re-targets a paused ISL state to a deeper `new_k` and resumes it —
-    /// the partial-work warm start (see
-    /// [`CursorState::resume_retargeted`]), with the same staleness check
-    /// as [`RankJoinExecutor::resume_cursor`].
-    pub fn resume_cursor_retargeted(
-        &self,
-        state: CursorState,
-        new_k: usize,
-    ) -> Result<Box<dyn RankedCursor>> {
-        state.check_version(self.stats.version())?;
-        state.resume_retargeted(self.engine.cluster(), new_k)
-    }
 }
 
 #[cfg(test)]

@@ -788,6 +788,32 @@ fn donated_cursor_state_warm_starts_deeper_queries() {
     );
 }
 
+#[test]
+fn donated_warm_state_is_never_used_across_a_stats_version_bump() {
+    let (c, q) = fixture();
+    let executor = prepared_executor(&c, &q);
+    let stats = executor.stats_handle();
+    let service = RankJoinService::new(test_config());
+    let backend = service.register_backend(executor).unwrap();
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let mut opts = SubmitOptions::topk(50);
+    opts.cancel_after_batches = Some(2);
+    let stopped = service.submit(tenant, backend, opts).unwrap();
+    service.run_round().unwrap();
+    assert_eq!(done(&service, stopped).outcome, SessionOutcome::Cancelled);
+
+    stats.invalidate(); // what any maintained write does, minus the write
+    let retry = service
+        .submit(tenant, backend, SubmitOptions::topk(50))
+        .unwrap();
+    service.run_until_idle().unwrap();
+    let result = done(&service, retry);
+    assert_eq!(result.outcome, SessionOutcome::Complete);
+    assert_eq!(result.served_by, ServedBy::Execution);
+    assert_eq!(service.counters().warm_starts, 0);
+    assert_eq!(*result.results, oracle::topk(&c, &q.with_k(50)).unwrap());
+}
+
 /// A small three-table path join (A–B–C on one shared join column set)
 /// for the multi-way serving tests.
 fn three_way_fixture() -> (Cluster, rj_core::query::JoinSpec) {

@@ -10,9 +10,9 @@
 //! * Acceptance: a maintained write between pause and resume bumps the
 //!   shared statistics version, and the resume is refused with the typed
 //!   [`RankJoinError::StaleCursor`] instead of silently mixing epochs;
-//!   the same paused state re-targeted to a deeper `k` replays its
-//!   consumed prefix for free; an `Auto` cursor is the cursor of the
-//!   algorithm its plan chose.
+//!   a completed cursor's state re-targeted to a deeper `k` replays its
+//!   consumed prefix for free and leaves less to pay the deeper it went;
+//!   an `Auto` cursor is the cursor of the algorithm its plan chose.
 //! * Every schedule here drains a cursor on `batch.done` alone: a cursor
 //!   that has emitted all `k` results says so.
 
@@ -282,7 +282,7 @@ fn maintained_write_invalidates_paused_cursor_with_typed_error() {
     side.insert(b"fresh", &[2], 0.97, vec![]).unwrap();
 
     // …so the parked scan positions describe a dead epoch: typed refusal.
-    match ex.resume_cursor(state.clone()) {
+    match ex.resume_cursor(state) {
         Err(RankJoinError::StaleCursor { expected, found }) => {
             assert!(
                 found > expected,
@@ -292,56 +292,101 @@ fn maintained_write_invalidates_paused_cursor_with_typed_error() {
         Ok(_) => panic!("stale cursor must not resume"),
         Err(e) => panic!("expected StaleCursor, got {e}"),
     }
-    // The retargeting resume enforces the same contract.
-    assert!(matches!(
-        ex.resume_cursor_retargeted(state, 20),
-        Err(RankJoinError::StaleCursor { .. })
-    ));
 }
 
+/// The warm-start donor sweep over an ISL-prepared executor with `batch`:
+/// the cold reads of a depth-`k` run, then, per donor depth, the reads a
+/// completed donor cursor's paused state pays once re-targeted to `k` to
+/// finish the answer. Every continuation must answer the oracle, pay less
+/// than the cold run, and pay no more than a shallower donor's.
+fn warm_sweep(
+    cluster: &Cluster,
+    query: &RankJoinQuery,
+    batch: usize,
+    k: usize,
+    donors: &[usize],
+) -> (u64, Vec<u64>) {
+    let policy = StopPolicy::never();
+    let proto = prepared(cluster, query, batch);
+    let want = oracle::topk(cluster, &query.with_k(k)).unwrap();
+    let all = oracle::full_join(cluster, query).unwrap();
+
+    let fork_cold = cluster.fork_metrics();
+    let ex_cold = proto.fork_onto(&fork_cold).unwrap();
+    let before = fork_cold.metrics().snapshot();
+    ex_cold.execute_with_k(Algorithm::Isl, k).unwrap();
+    let cold = fork_cold.metrics().snapshot().delta_since(&before).kv_reads;
+
+    let warm: Vec<u64> = donors
+        .iter()
+        .map(|&depth| {
+            let fork = cluster.fork_metrics();
+            let ex = proto.fork_onto(&fork).unwrap();
+            let mut donor = ex.open_cursor(Algorithm::Isl, depth).unwrap();
+            while !donor.next_batch(depth, &policy).unwrap().done {}
+            let state = donor.pause();
+            assert!(state.supports_retarget());
+
+            let before = fork.metrics().snapshot();
+            let mut cursor = state.resume_retargeted(&fork, k).unwrap();
+            let mut results = Vec::new();
+            loop {
+                let batch = cursor.next_batch(k - results.len(), &policy).unwrap();
+                results.extend(batch.results);
+                if batch.done {
+                    break;
+                }
+            }
+            assert_rank_equivalent(
+                &format!("donor {depth} retargeted to k={k}"),
+                &results,
+                &want,
+                &all,
+            );
+            let reads = fork.metrics().snapshot().delta_since(&before).kv_reads;
+            assert!(
+                reads < cold,
+                "donor {depth}: warm k={k} read {reads} kv entries, cold read {cold}"
+            );
+            reads
+        })
+        .collect();
+    assert!(
+        warm.windows(2).all(|w| w[1] <= w[0]),
+        "deeper donors must not leave more to pay: {warm:?} over donors {donors:?}"
+    );
+    (cold, warm)
+}
+
+/// A completed donor cursor's state, re-targeted to a deeper `k`, pays
+/// only the reads beyond the donor's consumed prefix.
 #[test]
 fn retargeted_resume_replays_the_consumed_prefix_for_free() {
     let rows: Vec<(u8, f64)> = (0..40u32)
         .map(|i| ((i % 4) as u8, f64::from(i * 7 % 41) / 41.0))
         .collect();
-    let (cluster, query) = load_pair(&rows, &rows, 4);
-    let proto = prepared(&cluster, &query, 3);
-    let want = oracle::topk(&cluster, &query.with_k(12)).unwrap();
-    let all = oracle::full_join(&cluster, &query).unwrap();
+    let (cluster, query) = load_pair(&rows, &rows, 12);
+    warm_sweep(&cluster, &query, 3, 12, &[1, 2, 4, 6, 8, 10]);
 
-    // Cold k=12 reference cost.
-    let fork_cold = cluster.fork_metrics();
-    let ex_cold = proto.fork_onto(&fork_cold).unwrap();
-    let before = fork_cold.metrics().snapshot();
-    ex_cold.execute_with_k(Algorithm::Isl, 12).unwrap();
-    let cold_reads = fork_cold.metrics().snapshot().delta_since(&before).kv_reads;
-
-    // A completed k=4 cursor donates its state; the k=12 retarget pays
-    // only the reads beyond the donor's consumed prefix.
-    let fork = cluster.fork_metrics();
-    let ex = proto.fork_onto(&fork).unwrap();
-    let mut cursor = ex.open_cursor(Algorithm::Isl, 4).unwrap();
-    cursor.next_batch(4, &StopPolicy::never()).unwrap();
-    let state = cursor.pause();
-    assert!(state.supports_retarget());
-
-    let warm_before = fork.metrics().snapshot();
-    let mut warm = ex.resume_cursor_retargeted(state, 12).unwrap();
-    let mut results = Vec::new();
-    loop {
-        let batch = warm
-            .next_batch(12 - results.len(), &StopPolicy::never())
-            .unwrap();
-        results.extend(batch.results);
-        if batch.done || results.len() >= 12 {
-            break;
-        }
-    }
-    let warm_reads = fork.metrics().snapshot().delta_since(&warm_before).kv_reads;
-    assert_rank_equivalent("retargeted k=12", &results, &want, &all);
-    assert!(
-        warm_reads < cold_reads,
-        "warm retarget read {warm_reads} kv entries, cold k=12 read {cold_reads}"
+    // 96 × 100 LCG-scored rows over eight join values: reads pinned.
+    let mut seed = 0xc01d_5eed_u64;
+    let mut lcg_rows = |n: usize| -> Vec<(u8, f64)> {
+        (0..n)
+            .map(|i| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let score = ((seed >> 33) + 1) as f64 / (1u64 << 31) as f64;
+                (b'a' + (i % 8) as u8, score)
+            })
+            .collect()
+    };
+    let left = lcg_rows(96);
+    let right = lcg_rows(100);
+    let (cluster, query) = load_pair(&left, &right, 50);
+    assert_eq!(
+        warm_sweep(&cluster, &query, 8, 50, &[10, 20, 30, 40]),
+        (77, vec![46, 37, 26, 13])
     );
 }
 
