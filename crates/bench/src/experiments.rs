@@ -7,6 +7,7 @@ use rj_core::executor::{Algorithm, RankJoinExecutor};
 use rj_core::isl::IslConfig;
 use rj_core::maintenance::MaintainedSide;
 use rj_core::oracle;
+use rj_core::stats::Extras;
 use rj_sketch::blob::{BfhmBlob, BlobCodec};
 use rj_sketch::bloom::{ClassicBloom, SingleHashBloom};
 use rj_sketch::hybrid::HybridFilter;
@@ -408,16 +409,21 @@ pub fn run_ablations(scale_factor: f64) -> Vec<Table> {
             outcome.results, want,
             "BFHM buckets={num_buckets} returned wrong answer"
         );
+        let Extras::Bfhm {
+            bucket_gets,
+            reverse_rows_fetched,
+            ..
+        } = outcome.extras
+        else {
+            panic!("a BFHM run counts as BFHM: {:?}", outcome.extras)
+        };
         buckets.row(vec![
             num_buckets.to_string(),
             fmt_seconds(outcome.metrics.sim_seconds),
             outcome.metrics.kv_reads.to_string(),
             outcome.metrics.network_bytes.to_string(),
-            outcome.extra("bucket_gets").unwrap_or(0.0).to_string(),
-            outcome
-                .extra("reverse_rows_fetched")
-                .unwrap_or(0.0)
-                .to_string(),
+            bucket_gets.to_string(),
+            reverse_rows_fetched.to_string(),
         ]);
     }
 

@@ -81,14 +81,20 @@ pub(crate) struct ResolvedBucket {
     pub consumed_qualifiers: Vec<Bytes>,
 }
 
-/// Replays a fetched bucket row: decodes the stored blob (if any) and
-/// applies pending insertion/tombstone records in timestamp order.
-/// `m` sizes the filter when the bucket had no blob yet. A record whose
-/// value does not decode is an error: replaying around it would return a
-/// blob — and from it a top-k — that silently misses a write.
-pub(crate) fn resolve_bucket_row(row: RowRef<'_>, label: &str, m: usize) -> Result<ResolvedBucket> {
+/// Replays a fetched bucket row: decodes the stored blob (if any) into
+/// the array `array` picks ([`BfhmBlob::decode_into`]) and applies
+/// pending insertion/tombstone records in timestamp order. `m` sizes the
+/// filter when the bucket had no blob yet. A record whose value does not
+/// decode is an error: replaying around it would return a blob — and
+/// from it a top-k — that silently misses a write.
+pub(crate) fn resolve_bucket_row(
+    row: RowRef<'_>,
+    label: &str,
+    m: usize,
+    array: impl FnOnce(usize) -> Vec<u32>,
+) -> Result<ResolvedBucket> {
     let mut blob: Option<BfhmBlob> = match row.value(label, BLOB_QUALIFIER) {
-        Some(bytes) => Some(BfhmBlob::decode(bytes)?),
+        Some(bytes) => Some(BfhmBlob::decode_into(bytes, array)?),
         None => None,
     };
 
@@ -209,7 +215,7 @@ pub(crate) fn refresh_bucket(
     if pending < threshold.max(1) {
         return Ok(0);
     }
-    let resolved = resolve_bucket_row(row.as_row_ref(), label, m)?;
+    let resolved = resolve_bucket_row(row.as_row_ref(), label, m, Vec::with_capacity)?;
     write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
     Ok(resolved.consumed_qualifiers.len())
 }

@@ -21,8 +21,8 @@
 //! A guarantee loop (§5.3) then re-examines purged/unfetched buckets whose
 //! maximum attainable score could still displace the k-th actual result —
 //! this is what makes the algorithm's recall provably 100% (Theorem 1)
-//! despite its probabilistic core. Its per-round state is reported in
-//! [`crate::stats::QueryOutcome`]'s extras (`rounds`, `buckets_fetched`,
+//! despite its probabilistic core. Its per-round state is reported as
+//! [`crate::stats::Extras::Bfhm`] (`rounds`, `buckets_fetched`,
 //! `estimates`, `bucket_gets`, `reverse_rows_fetched`).
 
 mod index;

@@ -37,7 +37,7 @@ use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
 use crate::spare::Spares;
-use crate::stats::QueryOutcome;
+use crate::stats::{Extras, QueryOutcome};
 
 use super::index::{blob_row_key, meta_of, reverse_row_key, META_ROW};
 use super::maintenance::{refresh_bucket, resolve_bucket_row, write_back_bucket, WriteBackPolicy};
@@ -76,18 +76,20 @@ fn packed_cell(side: usize, bucket: u32, pos: u32) -> [u8; 9] {
 
 /// The buffers of one BFHM run that its executor's spares keep
 /// ([`crate::spare`]): the reverse-row cache, the estimates, each side's
-/// fetched buckets and the batch its gets refill.
+/// fetched buckets, the arrays of the filters they were decoded into and
+/// the batch its gets refill.
 #[derive(Default)]
 pub(crate) struct BfhmBuffers {
     reverse: ReverseStore,
     pub(crate) estimates: Vec<Estimate>,
     pub(crate) fetched: [Vec<(u32, BfhmBlob)>; 2],
+    pub(crate) arrays: Arrays,
     pub(crate) batch: RowBatch,
 }
 
 impl BfhmBuffers {
     /// Empties every buffer, keeping its capacity; a fetched bucket's
-    /// decoded filter is freed.
+    /// decoded filter leaves its array to the next run's decodes.
     pub(crate) fn clear(&mut self) {
         let reverse = &mut self.reverse;
         reverse.index.clear();
@@ -95,8 +97,37 @@ impl BfhmBuffers {
         reverse.ends.clear();
         reverse.scores.clear();
         self.estimates.clear();
-        self.fetched.iter_mut().for_each(Vec::clear);
+        for (_, blob) in self.fetched.iter_mut().flat_map(|f| f.drain(..)) {
+            self.arrays.0.push(blob.filter.into_words());
+        }
         self.batch.clear();
+    }
+}
+
+/// Filter arrays a run's blobs may decode into ([`BfhmBlob::decode_into`]):
+/// those of the blobs earlier runs fetched. A clone is empty — a clone of
+/// a parked run is a fresh copy, and takes nothing from its original's
+/// spares.
+#[derive(Default)]
+pub(crate) struct Arrays(pub(crate) Vec<Vec<u32>>);
+
+impl Clone for Arrays {
+    fn clone(&self) -> Self {
+        Arrays::default()
+    }
+}
+
+impl Arrays {
+    /// The smallest kept array with room for `words`, else a new one. So
+    /// a run that fetched a set of blobs before leaves arrays enough for
+    /// all of them, whatever order it fetches them in, and fetching them
+    /// again allocates none.
+    fn take(&mut self, words: usize) -> Vec<u32> {
+        let room = |at: &usize| self.0[*at].capacity() >= words;
+        let best = (0..self.0.len())
+            .filter(room)
+            .min_by_key(|&at| self.0[at].capacity());
+        best.map_or_else(|| Vec::with_capacity(words), |at| self.0.swap_remove(at))
     }
 }
 
@@ -300,6 +331,8 @@ pub(crate) struct BfhmCore {
     sides: [SideState; 2],
     /// One per bucket pair that shares a set bit, in the order made.
     pub(crate) estimates: Vec<Estimate>,
+    /// Arrays the run's blobs decode into.
+    arrays: Arrays,
     total_estimated: f64,
     /// Reverse-row cache in flat columnar storage.
     reverse: ReverseStore,
@@ -347,6 +380,7 @@ impl Drop for BfhmCore {
                 .sides
                 .each_mut()
                 .map(|side| std::mem::take(&mut side.fetched)),
+            arrays: std::mem::take(&mut self.arrays),
             batch: std::mem::take(&mut self.batch),
         });
         spares.give_top(std::mem::replace(&mut self.results, TopIds::new(0, 0)));
@@ -385,6 +419,7 @@ impl BfhmRun {
             reverse,
             estimates,
             fetched: [left, right],
+            arrays,
             mut batch,
         } = meta.spares.bfhm();
         // The metadata row, into the batch every later get refills.
@@ -416,6 +451,7 @@ impl BfhmRun {
                     ..SideState::default()
                 }),
                 estimates,
+                arrays,
                 total_estimated: 0.0,
                 reverse,
                 rounds: 0,
@@ -457,7 +493,7 @@ impl BfhmRun {
                 &blob_row_key(bucket),
             );
             let resolved = row
-                .map(|row| resolve_bucket_row(row, label, core.m))
+                .map(|row| resolve_bucket_row(row, label, core.m, |n| core.arrays.take(n)))
                 .transpose()?;
             // Before the empty-bucket skip: a bucket its replay emptied is
             // compacted like any other.
@@ -843,19 +879,18 @@ impl BfhmRun {
 
     fn finish(mut self, meter: QueryMeter) -> Result<QueryOutcome> {
         self.flush_lazy_write_backs()?;
-        let buckets_fetched =
-            (self.core.sides[0].fetched.len() + self.core.sides[1].fetched.len()) as f64;
-        let estimates = self.core.estimates.len() as f64;
-        let rounds = self.core.rounds as f64;
-        let reverse_rows = self.core.reverse.cells_fetched() as f64;
-        let bucket_gets = (self.core.sides[0].bucket_gets + self.core.sides[1].bucket_gets) as f64;
-        let results = self.core.results(0..self.core.results.len());
-        Ok(QueryOutcome::new("BFHM", results, meter.finish())
-            .with_extra("buckets_fetched", buckets_fetched)
-            .with_extra("bucket_gets", bucket_gets)
-            .with_extra("estimates", estimates)
-            .with_extra("reverse_rows_fetched", reverse_rows)
-            .with_extra("rounds", rounds))
+        let core = &self.core;
+        let [left, right] = &core.sides;
+        Ok(QueryOutcome {
+            extras: Extras::Bfhm {
+                buckets_fetched: (left.fetched.len() + right.fetched.len()) as u64,
+                bucket_gets: left.bucket_gets + right.bucket_gets,
+                estimates: core.estimates.len() as u64,
+                reverse_rows_fetched: core.reverse.cells_fetched(),
+                rounds: core.rounds,
+            },
+            ..QueryOutcome::new("BFHM", core.results(0..core.results.len()), meter.finish())
+        })
     }
 }
 
@@ -1103,7 +1138,14 @@ mod tests {
         let config = example_config();
         build(&c, &q, &config);
         let got = run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
-        assert!(got.extra("buckets_fetched").unwrap() <= 8.0);
+        let fetched = matches!(
+            got.extras,
+            Extras::Bfhm {
+                buckets_fetched: ..=8,
+                ..
+            }
+        );
+        assert!(fetched, "{:?}", got.extras);
         assert!(
             got.metrics.kv_reads <= 22,
             "read {} KVs — should be surgical",

@@ -69,7 +69,7 @@ use crate::hrjn::HrjnState;
 use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
 use crate::spare::Spares;
-use crate::stats::QueryOutcome;
+use crate::stats::{Extras, QueryOutcome};
 
 /// Component-wise sum of two metric snapshots (deltas compose).
 pub(crate) fn snap_add(a: MetricsSnapshot, b: MetricsSnapshot) -> MetricsSnapshot {
@@ -648,13 +648,14 @@ impl IslCursor {
     pub(crate) fn drain(mut self) -> Result<QueryOutcome> {
         let (_, metrics) = self.pump(self.core.meta.k, &StopPolicy::never())?;
         let state = &self.core.state;
-        let outcome = QueryOutcome::new(self.algorithm(), state.current_results(), metrics);
-        if self.core.sides.len() != 2 {
-            return Ok(outcome);
+        let mut outcome = QueryOutcome::new(self.algorithm(), state.current_results(), metrics);
+        if self.core.sides.len() == 2 {
+            outcome.extras = Extras::Isl {
+                tuples_consumed: state.tuples_consumed() as u64,
+                batches: self.core.batches,
+            };
         }
-        Ok(outcome
-            .with_extra("tuples_consumed", state.tuples_consumed() as f64)
-            .with_extra("batches", self.core.batches as f64))
+        Ok(outcome)
     }
 
     fn drained(&self) -> bool {

@@ -37,7 +37,7 @@ use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
 use crate::spare::Spares;
-use crate::stats::QueryOutcome;
+use crate::stats::{Extras, QueryOutcome};
 
 use super::index::bucket_row_key;
 use super::DrjnConfig;
@@ -409,11 +409,15 @@ impl DrjnRun {
     fn finish(self, meter: QueryMeter) -> Result<QueryOutcome> {
         let consumed = self.core.consumed_depth();
         let results = self.core.results(0..self.core.results.len());
-        Ok(QueryOutcome::new("DRJN", results, meter.finish())
-            .with_extra("rounds", self.core.rounds as f64)
-            .with_extra("histogram_depth", self.core.depth as f64)
-            .with_extra("pull_jobs", self.core.pull_jobs as f64)
-            .with_extra("tuples_pulled", consumed as f64))
+        Ok(QueryOutcome {
+            extras: Extras::Drjn {
+                rounds: self.core.rounds,
+                histogram_depth: u64::from(self.core.depth),
+                pull_jobs: self.core.pull_jobs,
+                tuples_pulled: consumed,
+            },
+            ..QueryOutcome::new("DRJN", results, meter.finish())
+        })
     }
 }
 
@@ -621,7 +625,7 @@ mod tests {
         build(&c, &q, &config);
         let engine = MapReduceEngine::new(c.clone());
         let got = run(&engine, &q, "drjn_idx", &config).unwrap();
-        assert!(got.extra("pull_jobs").unwrap() >= 2.0);
+        assert!(matches!(got.extras, Extras::Drjn { pull_jobs: 2.., .. }));
         // Each pull job scans both relations' projected columns fully.
         assert!(
             got.metrics.kv_reads > 40,

@@ -707,9 +707,9 @@ impl RankJoinExecutor {
         match algorithm {
             Algorithm::Auto => {
                 let (best, candidates) = self.choose(k)?;
-                Ok(self
-                    .execute_with_k(best, k)?
-                    .with_extra("planner_candidates", candidates as f64))
+                let mut outcome = self.execute_with_k(best, k)?;
+                outcome.planner_candidates = Some(candidates);
+                Ok(outcome)
             }
             Algorithm::Isl => self.open_isl(k)?.drain(),
             // The MapReduce baselines take the query with its `k` inside.
@@ -888,7 +888,7 @@ mod tests {
         }
         let auto = ex.execute_with_k(Algorithm::Auto, 4).unwrap();
         assert_eq!(auto.algorithm, "MULTIWAY");
-        assert_eq!(auto.extra("planner_candidates"), Some(1.0));
+        assert_eq!(auto.planner_candidates, Some(1));
         assert_eq!(auto.results, oracle::topk_spec(&c, &spec).unwrap());
     }
 
@@ -915,7 +915,7 @@ mod tests {
             let qk = q.with_k(k);
             let got = ex.execute_with_k(Algorithm::Auto, k).unwrap();
             assert_eq!(got.results, oracle::topk(&c, &qk).unwrap(), "k={k}");
-            assert!(got.extra("planner_candidates").unwrap() >= 4.0);
+            assert!(got.planner_candidates.unwrap() >= 4);
         }
         // Cached: the same (k, objective) returns the same Arc.
         let p1 = ex.plan_with_k(3).unwrap();

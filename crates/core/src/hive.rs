@@ -22,7 +22,7 @@ use crate::codec::{self, TaggedTuple};
 use crate::error::Result;
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopK};
-use crate::stats::QueryOutcome;
+use crate::stats::{Extras, QueryOutcome};
 
 /// DFS path of the materialized join result.
 const JOINED_FILE: &str = "hive/__joined";
@@ -188,15 +188,14 @@ pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutco
     engine.dfs().remove(JOINED_FILE);
     engine.dfs().remove(SORTED_FILE);
 
-    Ok(
-        QueryOutcome::new("HIVE", top.into_sorted_vec(), meter.finish())
-            .with_extra("mr_jobs", 2.0)
-            .with_extra(
-                "join_result_records",
-                join_result.counters.output_records as f64,
-            )
-            .with_extra("sorted_records", sort_result.counters.output_records as f64),
-    )
+    Ok(QueryOutcome {
+        extras: Extras::Hive {
+            mr_jobs: 2,
+            join_result_records: join_result.counters.output_records,
+            sorted_records: sort_result.counters.output_records,
+        },
+        ..QueryOutcome::new("HIVE", top.into_sorted_vec(), meter.finish())
+    })
 }
 
 #[cfg(test)]
@@ -277,7 +276,7 @@ mod tests {
         let (c, q) = setup(&[("l1", b"a", 0.9)], &[("r1", b"a", 0.7)]);
         let engine = MapReduceEngine::new(c.clone());
         let got = run(&engine, &q).unwrap();
-        assert_eq!(got.extra("mr_jobs"), Some(2.0));
+        assert!(matches!(got.extras, Extras::Hive { mr_jobs: 2, .. }));
         assert!(got.metrics.kv_reads >= 6, "scans both tables fully");
         assert!(!engine.dfs().exists(JOINED_FILE));
         assert!(!engine.dfs().exists(SORTED_FILE));

@@ -16,7 +16,7 @@ use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopK};
 use crate::score::ScoreFn;
-use crate::stats::QueryOutcome;
+use crate::stats::{Extras, QueryOutcome};
 
 struct TopKMapper {
     left_family: String,
@@ -131,14 +131,13 @@ pub fn run(
     for (_k, v) in &result.collected {
         top.offer(codec::decode_join_tuple(v)?);
     }
-    Ok(
-        QueryOutcome::new("IJLMR", top.into_sorted_vec(), meter.finish())
-            .with_extra("mr_jobs", 1.0)
-            .with_extra(
-                "map_input_records",
-                result.counters.map_input_records as f64,
-            ),
-    )
+    Ok(QueryOutcome {
+        extras: Extras::Ijlmr {
+            mr_jobs: 1,
+            map_input_records: result.counters.map_input_records,
+        },
+        ..QueryOutcome::new("IJLMR", top.into_sorted_vec(), meter.finish())
+    })
 }
 
 #[cfg(test)]

@@ -78,5 +78,5 @@ pub use planner::{Objective, Plan, StatsSource, TableStats};
 pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};
 pub use score::ScoreFn;
-pub use stats::QueryOutcome;
+pub use stats::{Extras, QueryOutcome};
 pub use statsmaint::{SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND};

@@ -33,7 +33,7 @@ use crate::codec::{self, TaggedTuple};
 use crate::error::Result;
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopK};
-use crate::stats::QueryOutcome;
+use crate::stats::{Extras, QueryOutcome};
 
 /// DFS path of the (projected) join result.
 const JOINED_FILE: &str = "pig/__joined";
@@ -258,18 +258,14 @@ pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutco
 
     engine.dfs().remove(JOINED_FILE);
 
-    Ok(
-        QueryOutcome::new("PIG", top.into_sorted_vec(), meter.finish())
-            .with_extra("mr_jobs", 3.0)
-            .with_extra(
-                "join_result_records",
-                join_result.counters.output_records as f64,
-            )
-            .with_extra(
-                "order_shuffle_bytes",
-                order_result.counters.shuffle_bytes as f64,
-            ),
-    )
+    Ok(QueryOutcome {
+        extras: Extras::Pig {
+            mr_jobs: 3,
+            join_result_records: join_result.counters.output_records,
+            order_shuffle_bytes: order_result.counters.shuffle_bytes,
+        },
+        ..QueryOutcome::new("PIG", top.into_sorted_vec(), meter.finish())
+    })
 }
 
 #[cfg(test)]
@@ -354,7 +350,7 @@ mod tests {
         let (c, q) = setup(20);
         let engine = MapReduceEngine::new(c);
         let got = run(&engine, &q).unwrap();
-        assert_eq!(got.extra("mr_jobs"), Some(3.0));
+        assert!(matches!(got.extras, Extras::Pig { mr_jobs: 3, .. }));
     }
 
     #[test]

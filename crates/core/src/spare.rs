@@ -31,8 +31,10 @@
 //!   MapReduce task's map scan and the index builds open their own) and
 //!   BFHM run buffers (the reverse-row cache, the estimates, both sides'
 //!   fetched-bucket lists and the row batch of its gets; a fetched
-//!   bucket's decoded filter is freed, not kept). One given back past
-//!   that is freed.
+//!   bucket's decoded filter is kept too, as an array a later run's blob
+//!   decodes into: the smallest kept one with room, else a new one, so a
+//!   run over blobs its set has decoded before allocates no array). One
+//!   given back past that is freed.
 //! - A spare keeps the capacity of the run that gave it back; nothing
 //!   trims it. A fork or a parked [`CursorState`] holds its list, so it
 //!   keeps the list — at most 4 of each kind — alive after its executor
@@ -45,7 +47,8 @@
 //!   newest one, when it opens. A BFHM run takes the newest set. So equal
 //!   runs in a row find equal buffers, and allocate equally.
 //! - Clones never come from here: a clone is a fresh, exact-size copy
-//!   that gives its buffers back to its original's list.
+//!   that gives its buffers back to its original's list. A clone of a
+//!   BFHM run copies none of the arrays its set keeps for later decodes.
 //! - The list sits behind a [`Mutex`] taken only when a run opens and
 //!   when it drops. Nothing here panics: a list whose lock a panic
 //!   poisoned is used as it stands (every update leaves it whole).
@@ -267,10 +270,12 @@ mod tests {
         drop((isl, bfhm_cursor));
         assert_eq!(held(&ex.spares)[2..], [MAX_SPARES; 2]);
 
-        // A taken set is cleared and still grown.
+        // A taken set is cleared and still grown, and keeps its fetched
+        // blobs' arrays.
         let run = ex.spares.bfhm();
         assert!(run.estimates.is_empty() && run.estimates.capacity() > 0);
         assert!(run.fetched.iter().all(|f| f.is_empty() && f.capacity() > 0));
+        assert!(!run.arrays.0.is_empty());
         assert!(run.batch.is_empty());
         ex.spares.give_bfhm(run);
         assert_eq!(held(&ex.spares)[3], MAX_SPARES);

@@ -1,5 +1,5 @@
 //! Per-query statistics: the paper's three evaluation metrics plus
-//! algorithm-specific extras.
+//! algorithm-specific counters.
 
 use rj_store::metrics::MetricsSnapshot;
 
@@ -15,27 +15,86 @@ pub struct QueryOutcome {
     /// Metric deltas for the execution: `sim_seconds` (turnaround time),
     /// `network_bytes` (bandwidth), `kv_reads` (dollar cost in read units).
     pub metrics: MetricsSnapshot,
-    /// Algorithm-specific counters (estimation rounds, buckets fetched,
-    /// tuples pulled, MR jobs run, ...). Sorted key order for stable
-    /// reports.
-    pub extras: Vec<(&'static str, f64)>,
+    /// The counters of the algorithm that ran.
+    pub extras: Extras,
+    /// How many algorithms `Algorithm::Auto`'s plan costed before it
+    /// picked this run's; `None` for a run named directly.
+    pub planner_candidates: Option<usize>,
+}
+
+/// What an algorithm counts beside the ledger, one variant per algorithm.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Extras {
+    /// No counters: an N-ary ISL run, or `k = 0`.
+    None,
+    /// Binary ISL.
+    Isl {
+        /// Tuples pulled off the two score indices.
+        tuples_consumed: u64,
+        /// Index scan batches fetched.
+        batches: u64,
+    },
+    /// BFHM.
+    Bfhm {
+        /// Non-empty buckets fetched, both sides.
+        buckets_fetched: u64,
+        /// Bucket gets issued, empty buckets included.
+        bucket_gets: u64,
+        /// Bucket-pair estimates made.
+        estimates: u64,
+        /// Reverse-mapping rows fetched.
+        reverse_rows_fetched: u64,
+        /// §5.3 guarantee rounds.
+        rounds: u64,
+    },
+    /// DRJN.
+    Drjn {
+        /// Estimation rounds.
+        rounds: u64,
+        /// Histogram matrix rows fetched (the same depth on both sides).
+        histogram_depth: u64,
+        /// Pull jobs run.
+        pull_jobs: u64,
+        /// Tuples pulled.
+        tuples_pulled: u64,
+    },
+    /// Hive's join-then-sort.
+    Hive {
+        /// MapReduce jobs run.
+        mr_jobs: u64,
+        /// Records the join job wrote.
+        join_result_records: u64,
+        /// Records the sort job wrote.
+        sorted_records: u64,
+    },
+    /// Pig's join-then-order.
+    Pig {
+        /// MapReduce jobs run.
+        mr_jobs: u64,
+        /// Records the join job wrote.
+        join_result_records: u64,
+        /// Bytes the order job shuffled.
+        order_shuffle_bytes: u64,
+    },
+    /// IJLMR's one map-only job.
+    Ijlmr {
+        /// MapReduce jobs run.
+        mr_jobs: u64,
+        /// Index records the job's maps read.
+        map_input_records: u64,
+    },
 }
 
 impl QueryOutcome {
-    /// Creates an outcome.
+    /// Creates an outcome with no counters.
     pub fn new(algorithm: &'static str, results: Vec<JoinTuple>, metrics: MetricsSnapshot) -> Self {
         QueryOutcome {
             algorithm,
             results,
             metrics,
-            extras: Vec::new(),
+            extras: Extras::None,
+            planner_candidates: None,
         }
-    }
-
-    /// Attaches an extra counter.
-    pub fn with_extra(mut self, key: &'static str, value: f64) -> Self {
-        self.extras.push((key, value));
-        self
     }
 
     /// Dollar cost under the DynamoDB model (§7.1 footnote): read units
@@ -43,25 +102,11 @@ impl QueryOutcome {
     pub fn dollar_cost(&self, dollar_per_read_unit: f64) -> f64 {
         self.metrics.kv_reads as f64 * dollar_per_read_unit
     }
-
-    /// Extra counter lookup.
-    pub fn extra(&self, key: &str) -> Option<f64> {
-        self.extras.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn extras_roundtrip() {
-        let o = QueryOutcome::new("BFHM", vec![], MetricsSnapshot::default())
-            .with_extra("buckets_fetched", 7.0)
-            .with_extra("rounds", 2.0);
-        assert_eq!(o.extra("buckets_fetched"), Some(7.0));
-        assert_eq!(o.extra("missing"), None);
-    }
 
     #[test]
     fn dollar_cost_scales_with_reads() {

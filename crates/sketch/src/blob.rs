@@ -10,9 +10,10 @@
 //!
 //! The blob is the set-bit positions (as gaps) followed by one counter per
 //! set bit, and so is the decoded [`HybridFilter`]: one array, positions
-//! then counters. Decoding fills that array in one allocation and moves it
+//! then counters. Decoding fills that array in one allocation — or in an
+//! array the caller hands it ([`BfhmBlob::decode_into`]) — and moves it
 //! in, encoding reads its two halves as slices. Bytes from the store are
-//! not trusted: [`BfhmBlob::decode`] reserves nothing the bytes present
+//! not trusted: a decode reserves (or asks for) nothing the bytes present
 //! cannot fill and establishes the filter's invariant (positions strictly
 //! increasing and below `m`, counters ≥ 1) or fails, typed.
 
@@ -194,6 +195,19 @@ impl BfhmBlob {
     /// Any other bytes are a [`BlobError`], never a panic and never an
     /// allocation larger than the bytes account for.
     pub fn decode(bytes: &[u8]) -> Result<Self, BlobError> {
+        Self::decode_into(bytes, Vec::with_capacity)
+    }
+
+    /// [`BfhmBlob::decode`] into the array `array` returns when called
+    /// with the number of words the filter needs: so a caller can hand
+    /// back the array of a filter it is done with. It is called at most
+    /// once, and only after the bytes are checked to hold that many words,
+    /// so a lying header never reaches it; what it returns is cleared
+    /// before use, and grown if it is too small.
+    pub fn decode_into(
+        bytes: &[u8],
+        array: impl FnOnce(usize) -> Vec<u32>,
+    ) -> Result<Self, BlobError> {
         let mut c = Cursor { buf: bytes, pos: 0 };
         let codec = BlobCodec::from_tag(c.u8()?)?;
         let m = c.u32()? as usize;
@@ -201,19 +215,27 @@ impl BfhmBlob {
         let min_score = c.f64()?;
         let max_score = c.f64()?;
         let nbits = c.u32()? as usize;
+        if m == 0 {
+            return Err(BlobError::Invalid("a filter of no bits"));
+        }
         if nbits > m {
             return Err(BlobError::Invalid("more set bits than bits"));
         }
 
         // Positions arrive as gaps (Golomb) or as they are (Raw), counters
         // as c - 1, into the filter's one array: both halves are checked
-        // against the bytes before its one reservation. Arithmetic that
+        // against the bytes before it is asked for. Arithmetic that
         // overflows lands on a value `from_parts` refuses: a position of
         // `u32::MAX` is not below `m`, a counter of 0 is not a counter.
+        let array = || {
+            let mut words = array(2 * nbits);
+            words.clear();
+            words
+        };
         let mut words: Vec<u32> = match codec {
             BlobCodec::Golomb => {
                 let streams = [c.rice_stream(nbits)?, c.rice_stream(nbits)?];
-                let mut words = Vec::with_capacity(2 * nbits);
+                let mut words = array();
                 for (mut bits, k) in streams {
                     decode_values(&mut bits, nbits, k, &mut words)?;
                 }
@@ -226,7 +248,10 @@ impl BfhmBlob {
             }
             BlobCodec::Raw => {
                 let positions = c.u32s(nbits)?;
-                positions.chain(c.u32s(nbits)?).collect()
+                let counters = c.u32s(nbits)?;
+                let mut words = array();
+                words.extend(positions.chain(counters));
+                words
             }
         };
         words[nbits..]
@@ -383,11 +408,17 @@ mod tests {
 
     /// A header is bytes from the store, not a promise: a 30-byte blob
     /// announcing four billion set bits used to reserve 32 GB before
-    /// reading a single one.
+    /// reading a single one. Nor does a lying header get an array from
+    /// [`BfhmBlob::decode_into`]: its picker is never called.
     #[test]
     fn decode_does_not_trust_its_header() {
         use BlobCodec::{Golomb, Raw};
-        let invalid = |bytes: &[u8]| matches!(BfhmBlob::decode(bytes), Err(BlobError::Invalid(_)));
+        let decode = |bytes: &[u8]| {
+            BfhmBlob::decode_into(bytes, |words| {
+                panic!("a lying header asked for {words} words")
+            })
+        };
+        let invalid = |bytes: &[u8]| matches!(decode(bytes), Err(BlobError::Invalid(_)));
         for codec in [Golomb, Raw] {
             let mut no_bits = header(codec, 0, 0);
             no_bits.extend([stream(0, &[]), stream(0, &[])].concat());
@@ -397,16 +428,26 @@ mod tests {
         // nbits within m, but far beyond what the bytes hold.
         let mut huge = header(Golomb, u32::MAX, u32::MAX);
         huge.extend(stream(0, &[0]));
-        assert!(matches!(BfhmBlob::decode(&huge), Err(BlobError::Codec(_))));
+        assert!(matches!(decode(&huge), Err(BlobError::Codec(_))));
         let mut huge = header(Raw, u32::MAX, u32::MAX);
         huge.extend_from_slice(&[0; 64]);
-        assert_eq!(BfhmBlob::decode(&huge), Err(BlobError::Truncated));
+        assert_eq!(decode(&huge), Err(BlobError::Truncated));
+        // The positions' stream holds them, the counters' does not.
+        let mut half = header(Golomb, 64, 2);
+        half.extend([stream(0, &[0]), stream(0, &[])].concat());
+        assert!(matches!(decode(&half), Err(BlobError::Codec(_))));
+        let mut half = header(Raw, 64, 2);
+        half.extend_from_slice(&[0; 12]);
+        assert_eq!(decode(&half), Err(BlobError::Truncated));
         // A Rice parameter no u64 has bits for.
         let mut wide = header(Golomb, 64, 1);
         wide.extend(stream(200, &[0; 40]));
-        assert!(matches!(BfhmBlob::decode(&wide), Err(BlobError::Codec(_))));
+        assert!(matches!(decode(&wide), Err(BlobError::Codec(_))));
 
-        // Raw positions out of order, repeated, or not below m.
+        // The arrays below are all there, so they get one; what is in
+        // them cannot be a filter's. Raw positions out of order,
+        // repeated, or not below m.
+        let invalid = |bytes: &[u8]| matches!(BfhmBlob::decode(bytes), Err(BlobError::Invalid(_)));
         for positions in [[5u32, 3], [3, 3], [3, 64]] {
             let mut bytes = header(Raw, 64, 2);
             for word in positions.into_iter().chain([0, 0]) {

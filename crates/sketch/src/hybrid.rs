@@ -13,7 +13,8 @@
 //!
 //! The in-memory layout *is* the blob's: one array holding the set bit
 //! positions in strictly increasing order, then one counter (≥ 1) per
-//! position, in the same order. A blob decode moves the array in, an
+//! position, in the same order. A blob decode moves the array in (and
+//! [`HybridFilter::into_words`] moves it out for the next decode), an
 //! encode reads its two halves as slices, a bucket join is a two-pointer
 //! merge that allocates nothing ([`HybridFilter::common`]), an insert or
 //! remove a binary search (plus a shifting insert or removal for a
@@ -205,6 +206,12 @@ impl HybridFilter {
             && positions.last().map_or(m > 0, |&last| (last as usize) < m)
             && filter.counts().iter().all(|&c| c > 0);
         valid.then_some(filter)
+    }
+
+    /// The filter's one array, for another blob to decode into
+    /// ([`crate::blob::BfhmBlob::decode_into`]).
+    pub fn into_words(self) -> Vec<u32> {
+        self.words
     }
 }
 

@@ -50,6 +50,36 @@ proptest! {
         prop_assert_eq!(decoded, blob);
     }
 
+    /// Decoding into a dirty array (a recycled filter's), over-sized or
+    /// too small, is decoding into a new one, under both codecs: same
+    /// filter, same extrema, and the array asked for is exactly the
+    /// filter's.
+    #[test]
+    fn decode_into_a_dirty_array_equals_decode(
+        items in prop::collection::vec(0u64..500, 0..200),
+        m_exp in 6u32..16,
+        dirt in prop::collection::vec(any::<u32>(), 0..600),
+        room in 0usize..600,
+    ) {
+        let mut filter = HybridFilter::new(1 << m_exp);
+        for item in &items {
+            filter.insert(&item.to_be_bytes());
+        }
+        let blob = BfhmBlob::new(filter, 0.25, 0.75);
+        for codec in [BlobCodec::Golomb, BlobCodec::Raw] {
+            let bytes = blob.encode(codec);
+            let mut asked = None;
+            let into = BfhmBlob::decode_into(&bytes, |words| {
+                asked = Some(words);
+                let mut array = dirt.clone();
+                array.reserve_exact(room);
+                array
+            });
+            prop_assert_eq!(asked, Some(2 * blob.filter.set_bit_count()));
+            prop_assert_eq!(into.unwrap(), BfhmBlob::decode(&bytes).unwrap());
+        }
+    }
+
     /// Bloom filters never produce false negatives.
     #[test]
     fn bloom_no_false_negatives(

@@ -84,7 +84,7 @@ pub use rj_core::planner::{Objective, Plan, StatsSource};
 pub use rj_core::query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use rj_core::result::{JoinTuple, TopK};
 pub use rj_core::score::ScoreFn;
-pub use rj_core::stats::QueryOutcome;
+pub use rj_core::stats::{Extras, QueryOutcome};
 pub use rj_core::statsmaint::{
     SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND,
 };

@@ -32,10 +32,12 @@
 //! ranks the cache's tuple ids, so a match is built only when it leaves
 //! the run. What it still pays is one array per fetched blob, the cache's
 //! column growth and the results it hands back; its one-shot budget below
-//! is that figure. A warm run starts from the cache, estimates and fetched
-//! lists its executor's last run gave back, so it pays only the blobs, the
-//! results and a constant. Shape tests pin that a get, a blob decode
-//! beyond its array and an estimate allocate nothing. DRJN's pull join ranks ids
+//! is that figure. A warm run starts from the cache, estimates, fetched
+//! lists and blob arrays its executor's last run gave back — a blob decodes
+//! into the smallest kept array with room — and its outcome's counters are
+//! plain fields, so it pays for its results and nothing else. Shape tests
+//! pin that a get, a blob decode beyond its array and an estimate allocate
+//! nothing. DRJN's pull join ranks ids
 //! into its seen sides the same way, but its pulled rows are still
 //! collected owned and its seen sides built by incremental pushes.
 //!
@@ -70,9 +72,9 @@ use rankjoin::sketch::blob::{BfhmBlob, BlobCodec};
 use rankjoin::sketch::hybrid::{AlphaMode, HybridFilter};
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
-    Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinEdge, JoinSide, JoinSpec,
-    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, RankJoinService, Scan, ScoreFn,
-    ServeConfig, SessionStatus, SideAccess, SpecExecutor, StopPolicy, SubmitOptions,
+    Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, Extras, IslConfig, JoinEdge, JoinSide,
+    JoinSpec, MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, RankJoinService, Scan,
+    ScoreFn, ServeConfig, SessionStatus, SideAccess, SpecExecutor, StopPolicy, SubmitOptions,
     WriteBackPolicy,
 };
 
@@ -84,11 +86,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 static ALONE: RwLock<()> = RwLock::new(());
 
 const ISL_BATCH: usize = 64;
-/// One-shot BFHM on Q2 at k = 10: 64 allocations for 37 KV reads (85 when
-/// a blob decoded into two arrays, an estimate kept its positions and the
-/// top-k built every match it admitted; 109 when every run copied the
-/// query twice, 504 when a blob decoded into a B-tree and a bitmap and
-/// every get built an owned row).
+/// One-shot BFHM on Q2 at k = 10, an executor's first run: 65 allocations
+/// for 37 KV reads, the list its three blobs' arrays are kept in included
+/// (66 while the outcome's counters were a growing vector; 85 when a blob
+/// decoded into two arrays, an estimate kept its positions and the top-k
+/// built every match it admitted; 109 when every run copied the query
+/// twice, 504 when a blob decoded into a B-tree and a bitmap and every get
+/// built an owned row).
 const BFHM_ALLOCS_PER_1000_READS: u64 = 1_800;
 /// One-shot DRJN on Q2 at k = 10: 12 815 allocations, give or take a few
 /// (the order parallel map tasks write the pull table in decides a few
@@ -107,12 +111,6 @@ const WARM_ISL_CONSTANT: u64 = 36;
 /// every `k` (58 with new batches); the executor's first run allocates
 /// 315 more.
 const WARM_THREE_WAY_CONSTANT: u64 = 20;
-/// What a warm one-shot BFHM run on Q2 allocates beyond its result keys
-/// and one array per decoded blob: the result vector and the outcome's
-/// extras. Measured: 3 at k = 1, 10 and 50. The first run at each `k`,
-/// growing its reverse-row cache, estimates and fetched lists from the
-/// smaller `k`'s (from empty at k = 1), allocates 25, 5 and 21 more.
-const WARM_BFHM_CONSTANT: u64 = 4;
 
 fn side(table: &str, label: &str, join: &'static [u8]) -> JoinSide {
     JoinSide::new(
@@ -320,22 +318,38 @@ fn a_warm_three_way_run_allocates_its_result_keys_and_a_constant() {
 }
 
 /// An executor's spare buffers are what its runs grew, and no more: after
-/// a one-shot run and a paged session, ten more of each leave the live
-/// heap exactly where the first pair left it — nothing accumulates.
+/// an ISL one-shot run and a paged session, ten more of each leave the
+/// live heap exactly where the first pair left it, and after a cycle of
+/// BFHM runs over mixed `k`s, whose blobs decode into the arrays the runs
+/// before kept, so do ten more cycles — nothing accumulates.
 #[test]
 fn warm_runs_leave_the_live_heap_where_the_first_left_it() {
     let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
-    let [q1, _] = queries();
-    let (_cluster, ex) = prepared(&q1);
-    let run = || {
-        let one_shot = ex.execute_with_k(Algorithm::Isl, 200).unwrap();
+    let [q1, q2] = queries();
+    let (_cluster, isl) = prepared(&q1);
+    let isl_runs = || {
+        let one_shot = isl.execute_with_k(Algorithm::Isl, 200).unwrap();
         let (paged, _) = paged(
-            || ex.open_cursor(Algorithm::Isl, 200).unwrap(),
-            |s| ex.resume_cursor(s).unwrap(),
+            || isl.open_cursor(Algorithm::Isl, 200).unwrap(),
+            |s| isl.resume_cursor(s).unwrap(),
             (200, 10),
         );
         assert_eq!(paged, one_shot.results);
     };
+    assert_live_heap_flat("ISL", isl_runs);
+    let (_cluster, mut bfhm) = prepared(&q2);
+    bfhm.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    let bfhm_cycle = || {
+        for k in [50, 1, 10, 50, 10, 1] {
+            bfhm_run(&bfhm, k);
+        }
+    };
+    assert_live_heap_flat("BFHM", bfhm_cycle);
+}
+
+/// Asserts that ten more calls of `run` leave the live heap where its
+/// first call left it. Measured: 0 bytes each time, ISL and BFHM.
+fn assert_live_heap_flat(what: &str, run: impl Fn()) {
     // On the stack: a vector of readings would be live heap too.
     let mut after = [0; 10];
     let before = counting_alloc::live_bytes();
@@ -347,7 +361,7 @@ fn warm_runs_leave_the_live_heap_where_the_first_left_it() {
     }
     assert!(
         after.iter().all(|&live| live == first),
-        "the first run left {} bytes live; each of 10 more: {:?}",
+        "{what}: the first run left {} bytes live; each of 10 more: {:?}",
         first - before,
         after.map(|live| live as i64 - before as i64)
     );
@@ -471,25 +485,52 @@ fn one_shot_bfhm_allocations_per_kv_read_are_pinned() {
 }
 
 /// The warm steady state of BFHM: a run that starts from the buffers a
-/// run before it grew pays for its results, one array per decoded blob
-/// and a small constant.
+/// run before it grew, its blobs decoding into the arrays that run's
+/// blobs left, pays for its results and nothing else.
 #[test]
-fn a_warm_one_shot_bfhm_run_allocates_its_result_keys_blobs_and_a_constant() {
+fn a_warm_one_shot_bfhm_run_allocates_only_its_results() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    for query in queries() {
+        let (_cluster, mut ex) = prepared(&query);
+        ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+        for k in [1, 10, 50] {
+            let (first, first_allocs) = bfhm_run(&ex, k);
+            let (warm, warm_allocs) = bfhm_run(&ex, k);
+            assert_eq!(warm.results, first.results, "k = {k}");
+            // Three keys a result (left, right, join value) and the
+            // vector holding them.
+            assert_eq!(
+                warm_allocs,
+                3 * k as u64 + 1,
+                "{} k = {k}: a warm run allocated {warm_allocs} (the first: {first_allocs})",
+                query.left.label
+            );
+        }
+    }
+}
+
+/// A parked BFHM state copied into a cache (as `rj_serve`'s partial-work
+/// cache copies one) copies the run, not the arrays its executor kept for
+/// later decodes: the copy costs the same whether they are kept or not.
+#[test]
+fn a_parked_bfhm_state_clones_without_its_executors_kept_arrays() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let [_, q2] = queries();
     let (_cluster, mut ex) = prepared(&q2);
     ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
-    for k in [1, 10, 50] {
-        let (first, first_allocs) = bfhm_run(&ex, k);
-        let (warm, warm_allocs) = bfhm_run(&ex, k);
-        assert_eq!(warm.results, first.results, "k = {k}");
-        let blobs = warm.extra("buckets_fetched").unwrap() as u64;
-        // Three keys a result (left, right, join value).
-        assert!(
-            warm_allocs <= 3 * k as u64 + blobs + WARM_BFHM_CONSTANT,
-            "k = {k}: a warm run allocated {warm_allocs} for {blobs} blobs (the first: {first_allocs})"
-        );
-    }
+    let policy = StopPolicy::default();
+    let clone_of_parked = |ex: &RankJoinExecutor| {
+        let mut cursor = ex.open_cursor(Algorithm::Bfhm, 10).unwrap();
+        assert_eq!(cursor.next_batch(3, &policy).unwrap().results.len(), 3);
+        let state = cursor.pause();
+        counted(|| state.clone()).1
+    };
+    // The executor's first cursor: nothing kept yet.
+    let cold = clone_of_parked(&ex);
+    // A deeper run leaves arrays for more blobs than the cursor fetches.
+    bfhm_run(&ex, 50);
+    let warm = clone_of_parked(&ex);
+    assert_eq!(warm, cold);
 }
 
 #[test]
@@ -513,9 +554,9 @@ fn auto_on_a_cached_plan_allocates_exactly_what_its_choice_allocates() {
         let (chosen, chosen_allocs) = counted(|| ex.execute_with_k(choice, k).unwrap());
         let (auto, auto_allocs) = counted(|| ex.execute_with_k(Algorithm::Auto, k).unwrap());
         assert_eq!(auto.results, chosen.results, "k = {k}");
-        // The cached plan, the shared query and the outcome's spare room
-        // for one more extra: Auto adds no allocation to its choice's
-        // (it added a copy of the query when it took one per run).
+        // The cached plan, the shared query and the outcome's plain
+        // `planner_candidates` field: Auto adds no allocation to its
+        // choice's (it added a copy of the query when it took one per run).
         assert_eq!(auto_allocs, chosen_allocs, "k = {k}");
     }
 }
@@ -598,19 +639,25 @@ fn a_reverse_row_get_allocates_nothing_once_the_runs_buffers_exist() {
     bfhm_run(&ex, 50);
     let (shallow, shallow_allocs) = bfhm_run(&ex, 10);
     let (deep, deep_allocs) = bfhm_run(&ex, 50);
-    let gets = |o: &rankjoin::QueryOutcome| {
-        o.extra("bucket_gets").unwrap() + o.extra("reverse_rows_fetched").unwrap()
+    let gets = |o: &rankjoin::QueryOutcome| match o.extras {
+        Extras::Bfhm {
+            bucket_gets,
+            reverse_rows_fetched,
+            ..
+        } => bucket_gets + reverse_rows_fetched,
+        other => panic!("a BFHM run counts as BFHM: {other:?}"),
     };
-    let extra_gets = (gets(&deep) - gets(&shallow)) as u64;
+    let extra_gets = gets(&deep) - gets(&shallow);
     assert!(extra_gets >= 100, "k = 50 made only {extra_gets} more gets");
-    // What the deeper run may pay for: three keys per extra result, a few
-    // more blobs (one array each) and regrowth of the cache's columns and
-    // the top-k — not the gets. Measured: 57 and 192 allocations, 33 and 171
-    // gets (64 and 204 when the shallow run was the executor's first; 85 and
-    // 274 while estimates kept position vectors, blobs decoded into two
-    // arrays and the top-k copied admitted matches); at seven allocations a
-    // get the difference alone was 966.
-    let budget = 3 * 40 + 24;
+    // What the deeper run pays for: three keys per extra result — not the
+    // gets, nor its extra blobs, which decode into the arrays the first
+    // run's left. Measured: 31 and 151 allocations, 33 and 171 gets (57
+    // and 192 while blob arrays were freed and the outcome's counters were
+    // a growing vector; 64 and 204 when the shallow run was the executor's
+    // first; 85 and 274 while estimates kept position vectors, blobs
+    // decoded into two arrays and the top-k copied admitted matches); at
+    // seven allocations a get the difference alone was 966.
+    let budget = 3 * 40;
     assert!(
         deep_allocs <= shallow_allocs + budget,
         "k = 10: {shallow_allocs} allocations, k = 50: {deep_allocs}, for {extra_gets} more gets"
