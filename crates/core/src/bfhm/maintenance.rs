@@ -21,6 +21,8 @@
 //! the survivors are unknown without a recount). Stale extrema only ever
 //! widen bounds — termination tests stay sound, at worst fetching more.
 
+use std::sync::Arc;
+
 use rj_sketch::blob::{BfhmBlob, BlobCodec};
 use rj_sketch::bloom::SingleHashBloom;
 use rj_sketch::histogram::ScoreHistogram;
@@ -169,20 +171,21 @@ pub(crate) fn write_back_bucket(
     codec_sel: BlobCodec,
 ) -> Result<()> {
     let ts = resolved.latest_ts;
+    // One family handle for the blob and every purged record.
+    let family: Arc<str> = label.into();
     let mut muts = Vec::with_capacity(1 + resolved.consumed_qualifiers.len());
     muts.push(match &resolved.blob {
-        Some(blob) => Mutation::put_at(label, BLOB_QUALIFIER, blob.encode(codec_sel), ts),
-        None => Mutation::delete_at(label, BLOB_QUALIFIER, ts),
+        Some(blob) => {
+            let value = blob.encode(codec_sel).into();
+            Mutation::put_shared(family.clone(), BLOB_QUALIFIER.into(), value, ts)
+        }
+        None => Mutation::delete_shared(family.clone(), BLOB_QUALIFIER.into(), ts),
     });
     muts.extend(
         resolved
             .consumed_qualifiers
             .iter()
-            .map(|qualifier| Mutation::Delete {
-                family: label.to_owned(),
-                qualifier: qualifier.clone(),
-                timestamp: Some(ts),
-            }),
+            .map(|qualifier| Mutation::delete_shared(family.clone(), qualifier.clone(), ts)),
     );
     cluster
         .client()
@@ -243,7 +246,8 @@ pub fn compact_if_pending(
 pub struct BfhmMaintainer {
     cluster: Cluster,
     table: String,
-    label: String,
+    /// The side's label: the family of its records and reverse cells.
+    label: Arc<str>,
     hist: ScoreHistogram,
     m: usize,
 }
@@ -256,7 +260,7 @@ impl BfhmMaintainer {
         Ok(BfhmMaintainer {
             cluster: cluster.clone(),
             table: table.to_owned(),
-            label: label.to_owned(),
+            label: label.into(),
             hist: ScoreHistogram::new(buckets),
             m,
         })
@@ -267,43 +271,32 @@ impl BfhmMaintainer {
         self.m
     }
 
-    /// The mutation record of one base-table insert or delete.
-    fn record(&self, op: u8, row_key: &[u8], join_value: &[u8], score: f64, ts: u64) -> Mutation {
-        Mutation::Put {
-            family: self.label.clone(),
-            qualifier: record_qualifier(op, ts, row_key),
-            value: codec::encode_value_score(join_value, score).into(),
-            timestamp: Some(ts),
-        }
+    /// The bucket row and reverse-mapping row a tuple's entries live in.
+    fn rows(&self, join_value: &[u8], score: f64) -> ([u8; 4], [u8; 9]) {
+        let bucket = self.hist.bucket_of(score);
+        let pos = SingleHashBloom::position_in(self.m, join_value) as u32;
+        (blob_row_key(bucket), reverse_row_key(bucket, pos))
     }
 
     /// Records the insertion of a base tuple: an insertion record on the
-    /// bucket row plus a direct reverse-mapping put, both at `ts`.
+    /// bucket row plus a direct reverse-mapping put, both at `ts`, both
+    /// storing the caller's `entry` handle (the tuple's
+    /// [`codec::encode_value_score`]) and the put its `row_key`.
     pub fn record_insert(
         &self,
-        row_key: &[u8],
+        row_key: &Bytes,
         join_value: &[u8],
         score: f64,
+        entry: &Bytes,
         ts: u64,
     ) -> Result<()> {
-        let bucket = self.hist.bucket_of(score);
-        let pos = SingleHashBloom::position_in(self.m, join_value) as u32;
+        let (bucket_row, reverse_row) = self.rows(join_value, score);
         let client = self.cluster.client();
-        client.mutate_row(
-            &self.table,
-            &blob_row_key(bucket),
-            vec![self.record(OP_INSERT, row_key, join_value, score, ts)],
-        )?;
-        client.mutate_row(
-            &self.table,
-            &reverse_row_key(bucket, pos),
-            vec![Mutation::put_at(
-                &self.label,
-                row_key,
-                codec::encode_value_score(join_value, score),
-                ts,
-            )],
-        )?;
+        let qualifier = record_qualifier(OP_INSERT, ts, row_key);
+        let record = Mutation::put_shared(self.label.clone(), qualifier, entry.clone(), ts);
+        client.mutate_row(&self.table, &bucket_row, [record])?;
+        let reverse = Mutation::put_shared(self.label.clone(), row_key.clone(), entry.clone(), ts);
+        client.mutate_row(&self.table, &reverse_row, [reverse])?;
         Ok(())
     }
 
@@ -311,24 +304,19 @@ impl BfhmMaintainer {
     /// bucket row plus a vanilla reverse-mapping delete, both at `ts`.
     pub fn record_delete(
         &self,
-        row_key: &[u8],
+        row_key: &Bytes,
         join_value: &[u8],
         score: f64,
         ts: u64,
     ) -> Result<()> {
-        let bucket = self.hist.bucket_of(score);
-        let pos = SingleHashBloom::position_in(self.m, join_value) as u32;
+        let (bucket_row, reverse_row) = self.rows(join_value, score);
         let client = self.cluster.client();
-        client.mutate_row(
-            &self.table,
-            &blob_row_key(bucket),
-            vec![self.record(OP_DELETE, row_key, join_value, score, ts)],
-        )?;
-        client.mutate_row(
-            &self.table,
-            &reverse_row_key(bucket, pos),
-            vec![Mutation::delete_at(&self.label, row_key, ts)],
-        )?;
+        let qualifier = record_qualifier(OP_DELETE, ts, row_key);
+        let entry = codec::encode_value_score(join_value, score);
+        let record = Mutation::put_shared(self.label.clone(), qualifier, entry, ts);
+        client.mutate_row(&self.table, &bucket_row, [record])?;
+        let reverse = Mutation::delete_shared(self.label.clone(), row_key.clone(), ts);
+        client.mutate_row(&self.table, &reverse_row, [reverse])?;
         Ok(())
     }
 }
@@ -352,6 +340,13 @@ mod tests {
         let engine = MapReduceEngine::new(c.clone());
         bfhm::build_pair(&engine, q, "bfhm_idx", &config).unwrap();
         config
+    }
+
+    /// [`BfhmMaintainer::record_insert`] of a tuple given as slices.
+    fn insert_record(m: &BfhmMaintainer, key: &[u8], join: &[u8], score: f64, ts: u64) {
+        let entry = codec::encode_value_score(join, score);
+        m.record_insert(&Bytes::copy_from_slice(key), join, score, &entry, ts)
+            .unwrap();
     }
 
     #[test]
@@ -382,7 +377,7 @@ mod tests {
         )
         .unwrap();
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
-        maintainer.record_insert(b"r2_99", b"b", 0.99, ts).unwrap();
+        insert_record(&maintainer, b"r2_99", b"b", 0.99, ts);
 
         let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
@@ -406,7 +401,9 @@ mod tests {
         )
         .unwrap();
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
-        maintainer.record_delete(b"r2_11", b"b", 0.92, ts).unwrap();
+        maintainer
+            .record_delete(&Bytes::from_static(b"r2_11"), b"b", 0.92, ts)
+            .unwrap();
 
         let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
@@ -429,7 +426,7 @@ mod tests {
             )
             .unwrap();
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
-        maintainer.record_insert(b"r2_99", b"b", 0.99, ts).unwrap();
+        insert_record(&maintainer, b"r2_99", b"b", 0.99, ts);
 
         // Eager query: reconstructs + writes back bucket 0 of R2.
         let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
@@ -540,7 +537,7 @@ mod tests {
         // Two inserts into bucket 0 (scores >= 0.9).
         for (key, score) in [(b"x1", 0.95), (b"x2", 0.96)] {
             let ts = c.next_ts();
-            maintainer.record_insert(key, b"a", score, ts).unwrap();
+            insert_record(&maintainer, key, b"a", score, ts);
         }
         // Threshold 3: nothing compacts.
         let n = compact_if_pending(&c, "bfhm_idx", "R1", BlobCodec::Golomb, 3).unwrap();
@@ -569,7 +566,7 @@ mod tests {
             )
             .unwrap();
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
-        maintainer.record_insert(b"r2_88", b"a", 0.85, ts).unwrap();
+        insert_record(&maintainer, b"r2_88", b"a", 0.85, ts);
         let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
         // a-join: r1_10 (1.00) × r2_88 (0.85) = 1.85 is the new top.
         assert!((got.results[0].score - 1.85).abs() < 1e-9);

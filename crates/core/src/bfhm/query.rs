@@ -1260,8 +1260,10 @@ mod tests {
         let config = example_config();
         build(&c, &q, &config);
         let maintainer = bfhm::maintenance::BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        let key = rj_store::Bytes::from_static(b"r2_99");
+        let entry = codec::encode_value_score(b"b", 0.99);
         maintainer
-            .record_insert(b"r2_99", b"b", 0.99, c.next_ts())
+            .record_insert(&key, b"b", 0.99, &entry, c.next_ts())
             .unwrap();
         // Overwrite the record's value under its own qualifier.
         let client = c.client();

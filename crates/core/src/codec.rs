@@ -6,6 +6,8 @@
 //! deliberately byte-exact — network/byte metrics in the experiments are
 //! only meaningful if record sizes are real.
 
+use rj_store::Bytes;
+
 use crate::result::JoinTuple;
 
 /// Encoding/decoding failures.
@@ -165,19 +167,23 @@ pub fn decode_join_tuple(buf: &[u8]) -> Result<JoinTuple, CodecError> {
 /// cell is byte-for-byte the classic `(score, join value)` pair of the
 /// paper's ISL index (Algorithm 3) and BFHM reverse mapping (§5.1
 /// Fig. 5).
-pub fn encode_values_score<V: AsRef<[u8]>>(join_values: &[V], score: f64) -> Vec<u8> {
-    let fields: usize = join_values.iter().map(|v| v.as_ref().len() + 4).sum();
-    let mut out = Vec::with_capacity(8 + fields);
-    put_f64(&mut out, score);
-    for v in join_values {
-        put_field(&mut out, v.as_ref());
-    }
-    out
+/// One allocation: the buffer the store keeps, which a §6 insert shares
+/// among its ISL cell, BFHM record and reverse-mapping cell.
+pub fn encode_values_score<V: AsRef<[u8]>>(join_values: &[V], score: f64) -> Bytes {
+    let values = join_values.iter().map(AsRef::as_ref);
+    let len = 8 + values.clone().map(|v| 4 + v.len()).sum::<usize>();
+    let fields = values.flat_map(|v| {
+        let prefix = (v.len() as u32).to_be_bytes();
+        prefix.into_iter().chain(v.iter().copied())
+    });
+    let mut bytes = score.to_be_bytes().into_iter().chain(fields);
+    // Drawn through an exact-length range: allocated once, at its size.
+    (0..len).map(|_| bytes.next().unwrap_or_default()).collect()
 }
 
 /// [`encode_values_score`] for a side with exactly one join edge — every
 /// binary index cell.
-pub fn encode_value_score(join_value: &[u8], score: f64) -> Vec<u8> {
+pub fn encode_value_score(join_value: &[u8], score: f64) -> Bytes {
     encode_values_score(&[join_value], score)
 }
 
@@ -300,7 +306,7 @@ mod tests {
             decode_values_score(&enc, 4).is_err(),
             "cell has one too few"
         );
-        let mut bad = enc.clone();
+        let mut bad = enc.to_vec();
         bad.push(0);
         assert!(decode_values_score(&bad, 3).is_err());
         assert!(decode_values_score(&enc[..enc.len() - 1], 3).is_err());
@@ -313,7 +319,7 @@ mod tests {
         // score ‖ u32 length ‖ bytes — nothing else.
         assert_eq!(cell.len(), 8 + 4 + 4);
         assert_eq!(decode_one_value_score(&cell), Ok((&b"dval"[..], 0.41)));
-        let mut trailing = cell.clone();
+        let mut trailing = cell.to_vec();
         trailing.push(7);
         assert!(decode_one_value_score(&trailing).is_err());
     }

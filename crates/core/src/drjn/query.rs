@@ -640,9 +640,9 @@ mod tests {
     /// result its tuple joins into), and a good one joins and is seen.
     #[test]
     fn an_undecodable_pulled_cell_is_an_error_not_a_skipped_tuple() {
-        let cell = |key: &[u8], value: Vec<u8>| Cell {
+        let cell = |key: &[u8], value: &[u8]| Cell {
             family: "R1".into(),
-            qualifier: key.to_vec().into(),
+            qualifier: key.into(),
             timestamp: 1,
             value: value.into(),
         };
@@ -650,12 +650,12 @@ mod tests {
         let mut results = TopIds::new(3, 2);
         let mut pull =
             |s, cell: &Cell| join_pulled_cell(&mut seen, &mut results, ScoreFn::Sum, s, cell);
-        pull(0, &cell(b"l1", codec::encode_value_score(b"j", 0.5))).unwrap();
+        pull(0, &cell(b"l1", &codec::encode_value_score(b"j", 0.5))).unwrap();
         assert!(matches!(
-            pull(1, &cell(b"r0", b"garbage".to_vec())),
+            pull(1, &cell(b"r0", b"garbage")),
             Err(RankJoinError::Codec(_))
         ));
-        pull(1, &cell(b"r1", codec::encode_value_score(b"j", 0.25))).unwrap();
+        pull(1, &cell(b"r1", &codec::encode_value_score(b"j", 0.25))).unwrap();
         assert_eq!(seen[0].len() + seen[1].len(), 2, "the bad cell is not seen");
         let joined = results.binary_results(0..results.len(), |side, id| tuple(&seen, side, id));
         assert_eq!(joined.len(), 1);

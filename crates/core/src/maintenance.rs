@@ -20,6 +20,7 @@ use std::sync::Arc;
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::keys;
+use rj_store::Bytes;
 
 use crate::bfhm::maintenance::BfhmMaintainer;
 use crate::codec;
@@ -28,9 +29,21 @@ use crate::query::JoinSide;
 use crate::statsmaint::{join_fingerprint, DeltaOp, StatsDelta, StatsMaintainer};
 
 /// Intercepted write path for one relation and its indices.
+///
+/// A write allocates what the store keeps. The label and column handles
+/// are resolved once, here; an insert builds its values, row-key qualifier
+/// and value-score payload once each and hands every table that stores
+/// one the same handle. A delete tombstones the base columns with the
+/// handles its read lent and shares one row-key handle across its index
+/// tombstones.
 pub struct MaintainedSide {
     cluster: Cluster,
     side: JoinSide,
+    /// `side.label`: the family of the side's index cells.
+    label: Arc<str>,
+    /// `side.join_col` and `side.score_col`.
+    join_col: (Arc<str>, Bytes),
+    score_col: (Arc<str>, Bytes),
     isl_table: Option<String>,
     ijlmr_table: Option<String>,
     bfhm: Option<BfhmMaintainer>,
@@ -40,8 +53,14 @@ pub struct MaintainedSide {
 impl MaintainedSide {
     /// Wraps a relation with no indices attached yet.
     pub fn new(cluster: &Cluster, side: JoinSide) -> Self {
+        let column = |(family, qualifier): &(String, Vec<u8>)| {
+            (family.as_str().into(), Bytes::copy_from_slice(qualifier))
+        };
         MaintainedSide {
             cluster: cluster.clone(),
+            label: side.label.as_str().into(),
+            join_col: column(&side.join_col),
+            score_col: column(&side.score_col),
             side,
             isl_table: None,
             ijlmr_table: None,
@@ -138,23 +157,21 @@ impl MaintainedSide {
         let ts = self.cluster.next_ts();
         let client = self.cluster.client();
 
-        let mut base = vec![
-            Mutation::put_at(
-                &self.side.join_col.0,
-                &self.side.join_col.1,
-                join_value.to_vec(),
-                ts,
-            ),
-            Mutation::put_at(
-                &self.side.score_col.0,
-                &self.side.score_col.1,
-                score.to_be_bytes().to_vec(),
-                ts,
-            ),
-        ];
+        let score_value = Bytes::from(score.to_be_bytes());
+        let column = |(family, qualifier): &(Arc<str>, Bytes), value| {
+            Mutation::put_shared(family.clone(), qualifier.clone(), value, ts)
+        };
+        let mut base = Vec::with_capacity(2 + extra.len());
+        base.push(column(&self.join_col, Bytes::copy_from_slice(join_value)));
+        base.push(column(&self.score_col, score_value.clone()));
         base.extend(extra.into_iter().map(|m| pin_ts(m, ts)));
         client.mutate_row(&self.side.table, row_key, base)?;
 
+        let row_key = Bytes::copy_from_slice(row_key);
+        let entry = codec::encode_value_score(join_value, score);
+        let cell = |value: &Bytes| {
+            Mutation::put_shared(self.label.clone(), row_key.clone(), value.clone(), ts)
+        };
         // From here on the base row exists, so the statistics delta is
         // emitted even if an index write fails below: planner statistics
         // describe the *base tables* (what `collect_stats` scans), and
@@ -162,35 +179,17 @@ impl MaintainedSide {
         // staleness counter blind to drift it exists to bound.
         let index_writes = (|| -> Result<()> {
             if let Some(t) = &self.isl_table {
-                client.mutate_row(
-                    t,
-                    &keys::encode_score_desc(score),
-                    vec![Mutation::put_at(
-                        &self.side.label,
-                        row_key,
-                        codec::encode_value_score(join_value, score),
-                        ts,
-                    )],
-                )?;
+                client.mutate_row(t, &keys::encode_score_desc(score), [cell(&entry)])?;
             }
             if let Some(t) = &self.ijlmr_table {
-                client.mutate_row(
-                    t,
-                    join_value,
-                    vec![Mutation::put_at(
-                        &self.side.label,
-                        row_key,
-                        score.to_be_bytes().to_vec(),
-                        ts,
-                    )],
-                )?;
+                client.mutate_row(t, join_value, [cell(&score_value)])?;
             }
             if let Some(b) = &self.bfhm {
-                b.record_insert(row_key, join_value, score, ts)?;
+                b.record_insert(&row_key, join_value, score, &entry, ts)?;
             }
             Ok(())
         })();
-        self.emit_delta(DeltaOp::Insert, row_key, join_value, score);
+        self.emit_delta(DeltaOp::Insert, &row_key, join_value, score);
         index_writes?;
         Ok(ts)
     }
@@ -217,37 +216,31 @@ impl MaintainedSide {
         let (join_value, score) = self.side.extract_checked(&row)?;
         let ts = self.cluster.next_ts();
 
-        // Tombstone every base column.
+        // Tombstone every base column, with the handles the read lent.
         let muts: Vec<Mutation> = row
             .cells
             .iter()
-            .map(|c| Mutation::delete_at(&c.family, &c.qualifier, ts))
+            .map(|c| Mutation::delete_shared(c.family.clone(), c.qualifier.clone(), ts))
             .collect();
         client.mutate_row(&self.side.table, row_key, muts)?;
 
+        let row_key = Bytes::copy_from_slice(row_key);
+        let tombstone = || Mutation::delete_shared(self.label.clone(), row_key.clone(), ts);
         // As in `insert`: the base row is gone, so the delta is emitted
         // even if an index tombstone fails below.
         let index_writes = (|| -> Result<()> {
             if let Some(t) = &self.isl_table {
-                client.mutate_row(
-                    t,
-                    &keys::encode_score_desc(score),
-                    vec![Mutation::delete_at(&self.side.label, row_key, ts)],
-                )?;
+                client.mutate_row(t, &keys::encode_score_desc(score), [tombstone()])?;
             }
             if let Some(t) = &self.ijlmr_table {
-                client.mutate_row(
-                    t,
-                    join_value,
-                    vec![Mutation::delete_at(&self.side.label, row_key, ts)],
-                )?;
+                client.mutate_row(t, join_value, [tombstone()])?;
             }
             if let Some(b) = &self.bfhm {
-                b.record_delete(row_key, join_value, score, ts)?;
+                b.record_delete(&row_key, join_value, score, ts)?;
             }
             Ok(())
         })();
-        self.emit_delta(DeltaOp::Delete, row_key, join_value, score);
+        self.emit_delta(DeltaOp::Delete, &row_key, join_value, score);
         index_writes?;
         Ok(ts)
     }

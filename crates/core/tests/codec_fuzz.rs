@@ -25,7 +25,7 @@ proptest! {
         prop_assert_eq!(fields.collect::<Vec<_>>(), values.iter().map(Vec::as_slice).collect::<Vec<_>>());
         prop_assert_eq!(score.to_bits(), score_bits);
 
-        let mut mutated = valid.clone();
+        let mut mutated = valid.to_vec();
         for (at, byte) in &mutations {
             let at = usize::from(*at) % mutated.len();
             mutated[at] = *byte;

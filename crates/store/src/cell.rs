@@ -41,14 +41,21 @@ impl Cell {
 }
 
 /// A single-column mutation applied to some row.
+///
+/// Every field is a refcounted handle, and the region keeps the qualifier
+/// and value handles it is given, not copies: a writer that puts the same
+/// family, qualifier or value into several tables (§6's base write and
+/// its index writes) builds each once and clones the handle, and a delete
+/// can tombstone a column with the handles its read of the row handed
+/// out. How the bytes are held moves neither [`Mutation::weight`] nor
+/// what the store bills.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// Insert/overwrite one cell.
     Put {
-        /// Column family.
-        family: String,
-        /// Column qualifier (refcounted: the region stores this handle,
-        /// it does not copy the bytes again).
+        /// Column family (shared, like [`Cell::family`]).
+        family: Arc<str>,
+        /// Column qualifier.
         qualifier: Bytes,
         /// Payload.
         value: Bytes,
@@ -61,8 +68,8 @@ pub enum Mutation {
     /// become invisible).
     Delete {
         /// Column family.
-        family: String,
-        /// Column qualifier (refcounted, as in [`Mutation::Put`]).
+        family: Arc<str>,
+        /// Column qualifier.
         qualifier: Bytes,
         /// Pinned timestamp; `None` draws from the cluster clock.
         timestamp: Option<u64>,
@@ -73,7 +80,7 @@ impl Mutation {
     /// Convenience constructor for a clock-timestamped put.
     pub fn put(family: &str, qualifier: &[u8], value: impl Into<Bytes>) -> Self {
         Mutation::Put {
-            family: family.to_owned(),
+            family: family.into(),
             qualifier: Bytes::copy_from_slice(qualifier),
             value: value.into(),
             timestamp: None,
@@ -83,7 +90,7 @@ impl Mutation {
     /// Convenience constructor for a put with a pinned timestamp.
     pub fn put_at(family: &str, qualifier: &[u8], value: impl Into<Bytes>, ts: u64) -> Self {
         Mutation::Put {
-            family: family.to_owned(),
+            family: family.into(),
             qualifier: Bytes::copy_from_slice(qualifier),
             value: value.into(),
             timestamp: Some(ts),
@@ -93,7 +100,7 @@ impl Mutation {
     /// Convenience constructor for a clock-timestamped delete.
     pub fn delete(family: &str, qualifier: &[u8]) -> Self {
         Mutation::Delete {
-            family: family.to_owned(),
+            family: family.into(),
             qualifier: Bytes::copy_from_slice(qualifier),
             timestamp: None,
         }
@@ -102,8 +109,28 @@ impl Mutation {
     /// Convenience constructor for a delete with a pinned timestamp.
     pub fn delete_at(family: &str, qualifier: &[u8], ts: u64) -> Self {
         Mutation::Delete {
-            family: family.to_owned(),
+            family: family.into(),
             qualifier: Bytes::copy_from_slice(qualifier),
+            timestamp: Some(ts),
+        }
+    }
+
+    /// A put at a pinned timestamp of handles the caller already holds:
+    /// nothing is copied.
+    pub fn put_shared(family: Arc<str>, qualifier: Bytes, value: Bytes, ts: u64) -> Self {
+        Mutation::Put {
+            family,
+            qualifier,
+            value,
+            timestamp: Some(ts),
+        }
+    }
+
+    /// A delete at a pinned timestamp of handles the caller already holds.
+    pub fn delete_shared(family: Arc<str>, qualifier: Bytes, ts: u64) -> Self {
+        Mutation::Delete {
+            family,
+            qualifier,
             timestamp: Some(ts),
         }
     }

@@ -123,20 +123,31 @@ impl Client {
 
     /// Applies one mutation to a row.
     pub fn put(&self, table: &str, row: &[u8], mutation: Mutation) -> Result<()> {
-        self.mutate_row(table, row, vec![mutation])
+        self.mutate_row(table, row, [mutation])
     }
 
     /// Tombstones one column of a row.
     pub fn delete(&self, table: &str, row: &[u8], family: &str, qualifier: &[u8]) -> Result<()> {
-        self.mutate_row(table, row, vec![Mutation::delete(family, qualifier)])
+        self.mutate_row(table, row, [Mutation::delete(family, qualifier)])
     }
 
     /// Applies a batch of mutations to one row **atomically** (HBase
     /// row-level atomicity — the §6 update algorithms depend on it).
-    pub fn mutate_row(&self, table: &str, row: &[u8], mutations: Vec<Mutation>) -> Result<()> {
+    ///
+    /// `mutations` is anything that lends a slice: a `Vec`, or an array
+    /// for a one-mutation write, which then allocates no vector. The region
+    /// keeps the qualifier and value handles of each mutation it stores
+    /// (clones, not copies) and copies only a new row's key.
+    pub fn mutate_row(
+        &self,
+        table: &str,
+        row: &[u8],
+        mutations: impl AsRef<[Mutation]>,
+    ) -> Result<()> {
+        let mutations = mutations.as_ref();
         let t = self.lookup(table)?;
         let ts = self.shared.clock_next();
-        let (bytes, node) = t.mutate_row(row, &mutations, ts)?;
+        let (bytes, node) = t.mutate_row(row, mutations, ts)?;
         self.metrics.add_kv_writes(mutations.len() as u64);
         // Writes pay an append (sequential) disk cost plus shipping.
         let server_time = bytes as f64 / self.shared.cost.disk_bandwidth;

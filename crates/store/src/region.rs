@@ -19,6 +19,15 @@
 //! leaf per family — at TPC-H SF 0.01 with every index built, live heap
 //! went from 8.6× the stored bytes ([`Region::byte_size`]) to about 3.5×.
 //!
+//! A column stores the qualifier and value handles of the mutation that
+//! wrote it, not copies, and its family as an index into the table's
+//! names. So a write allocates here only a new row's key and column
+//! vector, or the growth of a widened row's vector or of the tombstone
+//! queue; the bytes behind a handle the writer shared across tables (a
+//! §6 insert's row-key qualifier and value-score payload) are held once
+//! for all of them. Billing and [`Region::byte_size`] count every
+//! column's bytes as its own, however they are held.
+//!
 //! # Retention
 //!
 //! A region keeps only what a read can still observe. No API reads at a

@@ -46,11 +46,17 @@
 //! argument, so `Auto` on a cached plan costs exactly what the algorithm
 //! it picks costs.
 //!
-//! The maintained write path has a budget of the same kind: the store
-//! frees what a delete kills (after the tombstones' grace window), so a
-//! round of inserts and deletes allocates the same however many rounds
-//! came before it, and a statistics delta borrows its schema, so a
-//! statistics handle adds nothing to a write. So has the serving layer's
+//! The maintained write path has a budget of the same kind. A write
+//! allocates what the store keeps — a new row's key and column vector,
+//! the values, and one row-key and one value-score handle that every index
+//! cell and BFHM record of the write shares — plus the vectors it is made
+//! of: an insert 12 allocations, a delete 6, pinned exactly. A one-mutation
+//! index write passes an array, a delete's tombstones reuse the handles
+//! its read of the row lent, and a statistics delta borrows its schema, so
+//! a statistics handle adds nothing to a write. The store frees what a
+//! delete kills (after the tombstones' grace window), so a round of
+//! inserts and deletes allocates the same however many rounds came before
+//! it. So has the serving layer's
 //! `next_page`: a page costs its own rows, not a copy of every page
 //! served before it.
 //!
@@ -1107,9 +1113,11 @@ fn a_statistics_handle_adds_nothing_to_a_maintained_write() {
     let per_round: Vec<(u64, u64)> = (0..6).map(|_| (round(&plain), round(&tracked))).collect();
     assert_eq!(ex.stats_handle().version(), version + 6 * 2 * 60);
     // Past the first rounds' warm-up, an insert + delete pair costs the
-    // same with the handle as without it (the delta borrows its schema
-    // and the handle matches sides in place — 12 allocations a pair when
-    // the delta owned copies of the schema).
+    // same with the handle as without it: 9 allocations here, where each
+    // key is written again inside its tombstones' grace window (24 before
+    // a write shared its handles). The delta borrows its schema and the
+    // handle matches sides in place; it added 12 allocations a pair when
+    // the delta owned copies of the schema.
     assert!(
         per_round[2..]
             .iter()
@@ -1162,5 +1170,72 @@ fn maintained_write_round_cost_does_not_depend_on_rounds_before_it() {
     assert!(
         per_round[2..].iter().all(|&allocs| allocs == per_round[2]),
         "per round: {per_round:?}"
+    );
+}
+
+/// A warm maintained insert and delete of one Lineitem row on Q2's side,
+/// with ISL, BFHM and the executor's statistics handle attached, pay for
+/// what the store keeps and for the vectors the write is made of.
+///
+/// The insert's 12 allocations: the base mutations' vector (passed to the
+/// store, dropped when it returns); the base row's key and column vector
+/// and its join and score values; the row-key qualifier and value-score
+/// payload handles, which the ISL cell, the BFHM record and the BFHM
+/// reverse cell all store; the ISL row's key and column vector; the BFHM
+/// record's qualifier; the reverse row's key and column vector.
+///
+/// The delete's 6: the base row the delete reads (its key and cell
+/// vector), the tombstones' vector, the row-key handle its ISL and reverse
+/// tombstones share, and the BFHM tombstone record's qualifier and
+/// payload. Every tombstone of a base column is built from the handles the
+/// read lent.
+///
+/// 31 and 18 while a mutation owned its family as a `String`, a value was
+/// copied from a `Vec` into its buffer, each index write copied the row
+/// key and value-score payload again and wrapped its one mutation in a
+/// vector, and each base tombstone copied the family and qualifier its
+/// read had handed out.
+const MAINTAINED_INSERT_ALLOCS: u64 = 12;
+const MAINTAINED_DELETE_ALLOCS: u64 = 6;
+
+#[test]
+fn a_maintained_write_allocates_only_what_it_stores() {
+    use rankjoin::store::region::TOMBSTONE_GRACE_TICKS;
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let (cluster, mut ex) = prepared(&q2);
+    ex.prepare_bfhm(BfhmConfig::with_buckets(20)).unwrap();
+    // A collected snapshot, so every delta merges into it.
+    ex.plan().unwrap();
+    let index = bfhm::index_table_name(&q2);
+    let lineitems = MaintainedSide::new(&cluster, q2.right.clone())
+        .with_isl(&isl::index_table_name(&q2))
+        .with_bfhm(BfhmMaintainer::attach(&cluster, &index, "L2").unwrap())
+        .with_stats(ex.stats_handle());
+    let key = loader::rowkeys::lineitem(900_000, 1);
+    let join = rankjoin::store::keys::encode_u64(900_000);
+    let mut costs = Vec::new();
+    for _ in 0..3 {
+        let ((), insert) = counted(|| {
+            lineitems.insert(&key, &join, 0.123_456, vec![]).unwrap();
+        });
+        let ((), delete) = counted(|| {
+            lineitems.delete(&key).unwrap();
+        });
+        costs.push((insert, delete));
+        // Uncounted: the sweep that consumes the two records, and a clock
+        // past the tombstones' grace window, so the next write to each of
+        // the rows' regions drops what this round left behind.
+        compact_if_pending(&cluster, &index, "L2", BlobCodec::Golomb, 1).unwrap();
+        for _ in 0..=TOMBSTONE_GRACE_TICKS {
+            cluster.next_ts();
+        }
+    }
+    // The first delete also allocates the purge queues of the three
+    // regions it leaves tombstones in.
+    assert_eq!(
+        costs[1..],
+        [(MAINTAINED_INSERT_ALLOCS, MAINTAINED_DELETE_ALLOCS); 2],
+        "(insert, delete) per round: {costs:?}"
     );
 }

@@ -225,3 +225,131 @@ fn update_rounds_are_exchangeable() {
     assert_eq!(reads[last], reads[2], "KV reads per round: {reads:?}");
     assert_eq!(stored[last], stored[2], "stored columns: {stored:?}");
 }
+
+/// The bill of a fixed stream of maintained writes, and what it leaves
+/// stored: inserts (with a filler column riding along) and deletes on both
+/// sides with ISL, IJLMR and BFHM attached, then the offline BFHM sweep.
+/// Every figure was recorded before the write path shared its family,
+/// row-key and value-score handles across the tables it writes; how a
+/// mutation's bytes are held must move neither `Mutation::weight` nor any
+/// table's `disk_size`.
+#[test]
+fn a_fixed_write_stream_bills_and_stores_exactly_as_recorded() {
+    let s = setup();
+    let query = q2(15);
+    let before = s.cluster.metrics().snapshot();
+    for i in 0..40u32 {
+        let order = u64::from(1 + (i * 7) % 50);
+        let join = rankjoin::store::keys::encode_u64(order);
+        let score = 0.02 + 0.96 * f64::from(i) / 40.0;
+        let key = loader::rowkeys::lineitem(order, 3000 + i);
+        let filler = vec![rankjoin::Mutation::put(
+            loader::FAMILY,
+            loader::cols::JK_PART,
+            vec![b'p'; 1 + i as usize % 5],
+        )];
+        s.lineitems.insert(&key, &join, score, filler).unwrap();
+        let order_key = loader::rowkeys::order(90_000 + u64::from(i));
+        s.orders
+            .insert(&order_key, &order_key, 1.0 - score, vec![])
+            .unwrap();
+        if i % 3 == 0 {
+            s.lineitems.delete(&key).unwrap();
+        }
+        if i % 4 == 1 {
+            s.orders.delete(&order_key).unwrap();
+        }
+    }
+    let index = bfhm::index_table_name(&query);
+    for label in ["O", "L2"] {
+        compact_if_pending(&s.cluster, &index, label, BlobCodec::Golomb, 1).unwrap();
+    }
+    let bill = s.cluster.metrics().snapshot().delta_since(&before);
+    assert_eq!(
+        (bill.kv_writes, bill.rpc_calls, bill.network_bytes),
+        (822, 626, 51_216),
+        "(kv_writes, rpc_calls, network_bytes)"
+    );
+    let mut names = s.cluster.table_names();
+    names.sort();
+    let sizes: Vec<(String, u64)> = names
+        .into_iter()
+        .map(|name| {
+            let size = s.cluster.table(&name).unwrap().disk_size();
+            (name, size)
+        })
+        .collect();
+    let want = [
+        ("bfhm__O__L2", 239_956),
+        ("ijlmr__O__L2", 170_922),
+        ("isl__O__L2", 225_018),
+        ("lineitem", 686_056),
+        ("orders", 122_290),
+        ("part", 22_430),
+    ];
+    assert_eq!(sizes, want.map(|(name, size)| (name.to_owned(), size)));
+}
+
+/// A maintained insert hands one row-key handle and one value-score
+/// payload to the ISL cell, the BFHM record and the reverse cell. One
+/// table dropping its copy — the ISL cell tombstoned, then purged once
+/// its grace window has passed — leaves the others' bytes as they were.
+#[test]
+fn a_purged_index_cell_leaves_the_handles_it_shared_intact() {
+    use rankjoin::store::keys::{encode_score_desc, encode_u64};
+    use rankjoin::store::region::TOMBSTONE_GRACE_TICKS;
+    let s = setup();
+    let query = q2(15);
+    let (isl_table, bfhm_table) = (
+        isl::index_table_name(&query),
+        bfhm::index_table_name(&query),
+    );
+    // A lineitem joining the top order, with a near-perfect score: the
+    // new top-1.
+    let top = oracle::topk(&s.cluster, &query).unwrap().remove(0);
+    let key = loader::rowkeys::lineitem(1, 7000);
+    s.lineitems
+        .insert(&key, &top.join_value, 0.999, vec![])
+        .unwrap();
+    let entry = rankjoin::core::codec::encode_value_score(&top.join_value, 0.999);
+    let client = s.cluster.client();
+    let reverse_cell = || {
+        let scan = Scan::new().families(&["L2"]);
+        let mut cells = client
+            .scan(&bfhm_table, scan)
+            .unwrap()
+            .flat_map(|row| row.cells);
+        cells
+            .find(|cell| cell.qualifier == key)
+            .map(|cell| cell.value)
+    };
+    assert_eq!(reverse_cell(), Some(entry.clone()));
+
+    // Tombstone the ISL cell; past the window, the next write to its
+    // region (an insert whose score sorts beside it) drops the column
+    // and its row, so a read of the row touches nothing.
+    let isl_row = encode_score_desc(0.999);
+    client.delete(&isl_table, &isl_row, "L2", &key).unwrap();
+    for _ in 0..=TOMBSTONE_GRACE_TICKS {
+        s.cluster.next_ts();
+    }
+    let neighbour = loader::rowkeys::lineitem(900_000, 1);
+    s.lineitems
+        .insert(&neighbour, &encode_u64(900_000), 0.9985, vec![])
+        .unwrap();
+    let before = s.cluster.metrics().snapshot();
+    assert!(client.get(&isl_table, &isl_row).unwrap().is_none());
+    assert_eq!(
+        s.cluster.metrics().snapshot().delta_since(&before).kv_reads,
+        0
+    );
+
+    assert_eq!(reverse_cell(), Some(entry.clone()), "the reverse cell");
+    let want = oracle::topk(&s.cluster, &query).unwrap();
+    assert_eq!(want[0].right_key, key);
+    assert_eq!(s.ex.execute(Algorithm::Bfhm).unwrap().results, want);
+    // The ISL cell written again, from a copy of the payload.
+    let cell = rankjoin::Mutation::put("L2", &key, entry.to_vec());
+    client.put(&isl_table, &isl_row, cell).unwrap();
+    assert_eq!(s.ex.execute(Algorithm::Isl).unwrap().results, want);
+}
