@@ -9,6 +9,8 @@
 //! (§7.1's configuration rule) — both sides must share `m` for bitmaps to
 //! be AND-able.
 
+use std::sync::Arc;
+
 use rj_mapreduce::job::{JobInput, JobSpec, OutputSink, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper, Reducer};
 use rj_mapreduce::MapReduceEngine;
@@ -21,7 +23,7 @@ use rj_store::row::{RowRef, RowResult};
 
 use crate::codec;
 use crate::error::{RankJoinError, Result};
-use crate::indexutil::BuildStats;
+use crate::indexutil::{index_put, BuildStats};
 use crate::query::{JoinSide, RankJoinQuery};
 
 use super::BfhmConfig;
@@ -91,7 +93,8 @@ impl Reducer for SumReducer {
 }
 
 struct BucketBuildReducer {
-    label: String,
+    /// The side's label, the index family: one handle for the whole job.
+    label: Arc<str>,
     m: usize,
     codec: BlobCodec,
 }
@@ -115,7 +118,7 @@ impl Reducer for BucketBuildReducer {
             // Reverse-mapping row (Algorithm 5 line 17).
             out.put(
                 reverse_row_key(bucket, pos).to_vec(),
-                Mutation::put(
+                index_put(
                     &self.label,
                     row_key,
                     codec::encode_value_score(join_value, score),
@@ -126,7 +129,7 @@ impl Reducer for BucketBuildReducer {
         let blob = BfhmBlob::new(filter, min_score, max_score);
         out.put(
             blob_row_key(bucket).to_vec(),
-            Mutation::put(&self.label, BLOB_QUALIFIER, blob.encode(self.codec)),
+            index_put(&self.label, BLOB_QUALIFIER, blob.encode(self.codec).into()),
         );
     }
 
@@ -261,7 +264,7 @@ pub fn build_pair(
         )
         .put_table(table);
         let side_cl = side.clone();
-        let label = side.label.clone();
+        let label: Arc<str> = side.label.as_str().into();
         let codec_sel = config.codec;
         let result = engine.run(
             &spec,
@@ -273,7 +276,7 @@ pub fn build_pair(
             },
             Some(&move || {
                 Box::new(BucketBuildReducer {
-                    label: label.clone(),
+                    label: Arc::clone(&label),
                     m,
                     codec: codec_sel,
                 })

@@ -170,7 +170,7 @@ pub(crate) fn write_back_bucket(
     resolved: &ResolvedBucket,
     codec_sel: BlobCodec,
 ) -> Result<()> {
-    let ts = resolved.latest_ts;
+    let ts = Some(resolved.latest_ts);
     // One family handle for the blob and every purged record.
     let family: Arc<str> = label.into();
     let mut muts = Vec::with_capacity(1 + resolved.consumed_qualifiers.len());
@@ -293,9 +293,10 @@ impl BfhmMaintainer {
         let (bucket_row, reverse_row) = self.rows(join_value, score);
         let client = self.cluster.client();
         let qualifier = record_qualifier(OP_INSERT, ts, row_key);
-        let record = Mutation::put_shared(self.label.clone(), qualifier, entry.clone(), ts);
+        let record = Mutation::put_shared(self.label.clone(), qualifier, entry.clone(), Some(ts));
         client.mutate_row(&self.table, &bucket_row, [record])?;
-        let reverse = Mutation::put_shared(self.label.clone(), row_key.clone(), entry.clone(), ts);
+        let reverse =
+            Mutation::put_shared(self.label.clone(), row_key.clone(), entry.clone(), Some(ts));
         client.mutate_row(&self.table, &reverse_row, [reverse])?;
         Ok(())
     }
@@ -313,9 +314,9 @@ impl BfhmMaintainer {
         let client = self.cluster.client();
         let qualifier = record_qualifier(OP_DELETE, ts, row_key);
         let entry = codec::encode_value_score(join_value, score);
-        let record = Mutation::put_shared(self.label.clone(), qualifier, entry, ts);
+        let record = Mutation::put_shared(self.label.clone(), qualifier, entry, Some(ts));
         client.mutate_row(&self.table, &bucket_row, [record])?;
-        let reverse = Mutation::delete_shared(self.label.clone(), row_key.clone(), ts);
+        let reverse = Mutation::delete_shared(self.label.clone(), row_key.clone(), Some(ts));
         client.mutate_row(&self.table, &reverse_row, [reverse])?;
         Ok(())
     }

@@ -1,16 +1,18 @@
 //! DRJN index creation: the 2-D (score × join-partition) count matrix,
 //! stored one row per score bucket with one column per partition.
 
+use std::sync::Arc;
+
 use rj_mapreduce::job::{JobInput, JobSpec, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper, Reducer};
 use rj_mapreduce::MapReduceEngine;
 use rj_sketch::hist2d::partition_for;
 use rj_sketch::histogram::ScoreHistogram;
-use rj_store::cell::Mutation;
 use rj_store::keys;
+use rj_store::Bytes;
 
 use crate::error::Result;
-use crate::indexutil::BuildStats;
+use crate::indexutil::{index_put, BuildStats};
 use crate::query::{JoinSide, RankJoinQuery};
 
 use super::DrjnConfig;
@@ -48,7 +50,8 @@ impl Mapper for CellCountMapper {
 }
 
 struct CellSumReducer {
-    label: String,
+    /// The side's label, the index family: one handle for the whole job.
+    label: Arc<str>,
 }
 
 impl Reducer for CellSumReducer {
@@ -64,7 +67,7 @@ impl Reducer for CellSumReducer {
         let partition = &key[5..9];
         out.put(
             bucket_row_key(bucket),
-            Mutation::put(&self.label, partition, total.to_be_bytes().to_vec()),
+            index_put(&self.label, partition, Bytes::from(total.to_be_bytes())),
         );
     }
 }
@@ -95,7 +98,7 @@ pub fn build_pair(
         )
         .put_table(table);
         let side_cl = side.clone();
-        let label = side.label.clone();
+        let label: Arc<str> = side.label.as_str().into();
         let partitions = config.num_partitions;
         let result = engine.run(
             &spec,
@@ -108,7 +111,7 @@ pub fn build_pair(
             },
             Some(&move || {
                 Box::new(CellSumReducer {
-                    label: label.clone(),
+                    label: Arc::clone(&label),
                 })
             }),
             // The combiner collapses per-mapper duplicates — counts, so

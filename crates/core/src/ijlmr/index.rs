@@ -7,13 +7,15 @@
 //! are no reducers and the output of mappers is written directly into the
 //! NoSQL store" (§4.1.1).
 
+use std::sync::Arc;
+
 use rj_mapreduce::job::{JobInput, JobSpec, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper};
 use rj_mapreduce::MapReduceEngine;
-use rj_store::cell::Mutation;
+use rj_store::Bytes;
 
 use crate::error::Result;
-use crate::indexutil::{sample_join_splits, BuildStats};
+use crate::indexutil::{index_put, sample_join_splits, BuildStats};
 use crate::query::{JoinSide, RankJoinQuery};
 
 /// Build statistics for the IJLMR index.
@@ -26,6 +28,8 @@ pub fn index_table_name(query: &RankJoinQuery) -> String {
 
 struct IndexMapper {
     side: JoinSide,
+    /// The side's label, the index family: one handle for the whole job.
+    label: Arc<str>,
 }
 
 impl Mapper for IndexMapper {
@@ -36,10 +40,8 @@ impl Mapper for IndexMapper {
         };
         // Index row: key = join value; column = {CF: side label,
         // qualifier: base row key, value: score}.
-        out.put(
-            join_value,
-            Mutation::put(&self.side.label, &row.key, score.to_be_bytes().to_vec()),
-        );
+        let score = Bytes::from(score.to_be_bytes());
+        out.put(join_value, index_put(&self.label, &row.key, score));
     }
 }
 
@@ -69,11 +71,13 @@ pub fn build(engine: &MapReduceEngine, query: &RankJoinQuery, table: &str) -> Re
         )
         .put_table(table);
         let side_cl = side.clone();
+        let label: Arc<str> = side.label.as_str().into();
         let result = engine.run(
             &spec,
             &move || {
                 Box::new(IndexMapper {
                     side: side_cl.clone(),
+                    label: Arc::clone(&label),
                 })
             },
             None,
@@ -89,6 +93,7 @@ pub fn build(engine: &MapReduceEngine, query: &RankJoinQuery, table: &str) -> Re
 mod tests {
     use super::*;
     use crate::score::ScoreFn;
+    use crate::testsupport::put_tuple;
     use rj_store::cluster::Cluster;
     use rj_store::costmodel::CostModel;
     use rj_store::scan::Scan;
@@ -106,16 +111,7 @@ mod tests {
             ("r", "r3", b"c", 0.5),
         ];
         for (t, k, j, s) in data {
-            client
-                .mutate_row(
-                    t,
-                    k.as_bytes(),
-                    vec![
-                        Mutation::put("d", b"jk", j.to_vec()),
-                        Mutation::put("d", b"score", s.to_be_bytes().to_vec()),
-                    ],
-                )
-                .unwrap();
+            put_tuple(&client, t, k.as_bytes(), j, *s);
         }
         let q = RankJoinQuery::new(
             JoinSide::new("l", "L", ("d", b"jk"), ("d", b"score")),

@@ -1,12 +1,22 @@
-//! Shared helpers for index builders: split-point sampling and build
-//! statistics.
+//! Shared helpers for index builders: their puts, split-point sampling
+//! and build statistics.
+
+use std::sync::Arc;
 
 use rj_mapreduce::job::{JobInput, JobSpec, OutputSink, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper};
 use rj_mapreduce::{Counters, MapReduceEngine};
+use rj_store::cell::Mutation;
+use rj_store::Bytes;
 
 use crate::error::Result;
 use crate::query::JoinSide;
+
+/// An index build's put under `family`, the one handle its task resolved,
+/// timestamped by the cluster clock.
+pub(crate) fn index_put(family: &Arc<str>, qualifier: &[u8], value: Bytes) -> Mutation {
+    Mutation::put_shared(Arc::clone(family), qualifier.into(), value, None)
+}
 
 /// Rows each sampling mapper reads from the head of its region.
 const SAMPLE_ROWS_PER_REGION: usize = 256;
@@ -109,7 +119,7 @@ pub fn sample_join_splits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rj_store::cell::Mutation;
+    use crate::testsupport::put_tuple;
     use rj_store::cluster::Cluster;
     use rj_store::costmodel::CostModel;
 
@@ -120,16 +130,7 @@ mod tests {
             .unwrap();
         let client = c.client();
         for i in 0..1000u64 {
-            client
-                .mutate_row(
-                    "t",
-                    &i.to_be_bytes(),
-                    vec![
-                        Mutation::put("d", b"jk", i.to_be_bytes().to_vec()),
-                        Mutation::put("d", b"score", 0.5f64.to_be_bytes().to_vec()),
-                    ],
-                )
-                .unwrap();
+            put_tuple(&client, "t", &i.to_be_bytes(), &i.to_be_bytes(), 0.5f64);
         }
         let engine = MapReduceEngine::new(c);
         let side = JoinSide::new("t", "L", ("d", b"jk"), ("d", b"score"));

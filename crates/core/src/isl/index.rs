@@ -21,15 +21,16 @@
 //! score)` pair, which is also what
 //! [`crate::maintenance::MaintainedSide::with_isl`] writes.
 
+use std::sync::Arc;
+
 use rj_mapreduce::job::{JobInput, JobSpec, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper};
 use rj_mapreduce::MapReduceEngine;
-use rj_store::cell::Mutation;
 use rj_store::keys;
 
 use crate::codec;
 use crate::error::Result;
-use crate::indexutil::BuildStats;
+use crate::indexutil::{index_put, BuildStats};
 use crate::query::{JoinSpec, SideColumns};
 
 /// Build statistics for the score index.
@@ -46,7 +47,8 @@ pub fn index_table_name(spec: &JoinSpec) -> String {
 }
 
 struct IndexMapper {
-    label: String,
+    /// The side's label, the index family: one handle for the whole job.
+    label: Arc<str>,
     /// The side's columns, resolved once for the whole job.
     columns: SideColumns,
 }
@@ -62,7 +64,7 @@ impl Mapper for IndexMapper {
         // value: score + join values (see the module docs)}.
         out.put(
             keys::encode_score_desc(score).to_vec(),
-            Mutation::put(
+            index_put(
                 &self.label,
                 &row.key,
                 codec::encode_values_score(&join_values, score),
@@ -93,12 +95,12 @@ pub fn build(engine: &MapReduceEngine, spec: &JoinSpec, table: &str) -> Result<B
             0,
         )
         .put_table(table);
-        let label = side.label.clone();
+        let label: Arc<str> = side.label.as_str().into();
         let result = engine.run(
             &job,
             &move || {
                 Box::new(IndexMapper {
-                    label: label.clone(),
+                    label: Arc::clone(&label),
                     columns: columns.clone(),
                 })
             },

@@ -159,7 +159,7 @@ impl MaintainedSide {
 
         let score_value = Bytes::from(score.to_be_bytes());
         let column = |(family, qualifier): &(Arc<str>, Bytes), value| {
-            Mutation::put_shared(family.clone(), qualifier.clone(), value, ts)
+            Mutation::put_shared(family.clone(), qualifier.clone(), value, Some(ts))
         };
         let mut base = Vec::with_capacity(2 + extra.len());
         base.push(column(&self.join_col, Bytes::copy_from_slice(join_value)));
@@ -170,7 +170,7 @@ impl MaintainedSide {
         let row_key = Bytes::copy_from_slice(row_key);
         let entry = codec::encode_value_score(join_value, score);
         let cell = |value: &Bytes| {
-            Mutation::put_shared(self.label.clone(), row_key.clone(), value.clone(), ts)
+            Mutation::put_shared(self.label.clone(), row_key.clone(), value.clone(), Some(ts))
         };
         // From here on the base row exists, so the statistics delta is
         // emitted even if an index write fails below: planner statistics
@@ -220,12 +220,12 @@ impl MaintainedSide {
         let muts: Vec<Mutation> = row
             .cells
             .iter()
-            .map(|c| Mutation::delete_shared(c.family.clone(), c.qualifier.clone(), ts))
+            .map(|c| Mutation::delete_shared(c.family.clone(), c.qualifier.clone(), Some(ts)))
             .collect();
         client.mutate_row(&self.side.table, row_key, muts)?;
 
         let row_key = Bytes::copy_from_slice(row_key);
-        let tombstone = || Mutation::delete_shared(self.label.clone(), row_key.clone(), ts);
+        let tombstone = || Mutation::delete_shared(self.label.clone(), row_key.clone(), Some(ts));
         // As in `insert`: the base row is gone, so the delta is emitted
         // even if an index tombstone fails below.
         let index_writes = (|| -> Result<()> {
@@ -273,7 +273,7 @@ fn pin_ts(m: Mutation, ts: u64) -> Mutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::running_example_cluster;
+    use crate::testsupport::{put_tuple, running_example_cluster};
     use crate::{ijlmr, isl, oracle};
     use rj_mapreduce::MapReduceEngine;
 
@@ -448,16 +448,7 @@ mod tests {
         // A non-finite score planted by a writer bypassing the maintained
         // path: delete must reject it exactly like insert would, not
         // panic inside a key encoding.
-        client
-            .mutate_row(
-                "r1",
-                b"r1_nan",
-                vec![
-                    Mutation::put("d", b"jk", b"a".to_vec()),
-                    Mutation::put("d", b"score", f64::NAN.to_be_bytes().to_vec()),
-                ],
-            )
-            .unwrap();
+        put_tuple(&client, "r1", b"r1_nan", b"a", f64::NAN);
         assert!(matches!(
             side.delete(b"r1_nan").unwrap_err(),
             RankJoinError::NonFiniteScore(_)

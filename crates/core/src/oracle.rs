@@ -147,7 +147,7 @@ mod tests {
     use super::*;
     use crate::query::JoinSide;
     use crate::score::ScoreFn;
-    use rj_store::cell::Mutation;
+    use crate::testsupport::put_tuple;
     use rj_store::costmodel::CostModel;
 
     fn setup() -> (Cluster, RankJoinQuery) {
@@ -166,16 +166,7 @@ mod tests {
             ("r", "k5", b"c", 1.0),
         ];
         for (t, k, j, s) in rows {
-            client
-                .mutate_row(
-                    t,
-                    k.as_bytes(),
-                    vec![
-                        Mutation::put("d", b"jk", j.to_vec()),
-                        Mutation::put("d", b"score", s.to_be_bytes().to_vec()),
-                    ],
-                )
-                .unwrap();
+            put_tuple(&client, t, k.as_bytes(), j, s);
         }
         let q = RankJoinQuery::new(
             JoinSide::new("l", "L", ("d", b"jk"), ("d", b"score")),

@@ -467,7 +467,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::planner::{collect_stats, entry_bytes_of};
     use crate::query::RankJoinQuery;
-    use crate::testsupport::{running_example_cluster, three_way_path_cluster};
+    use crate::testsupport::{put_tuple, running_example_cluster, three_way_path_cluster};
 
     /// A delta written through side `side`'s own join column.
     fn delta<'q>(
@@ -651,7 +651,6 @@ pub(crate) mod tests {
     fn self_join_deltas_update_both_sides() {
         use crate::query::JoinSide;
         use crate::score::ScoreFn;
-        use rj_store::cell::Mutation;
         use rj_store::costmodel::CostModel;
         // One table ranked against itself (same join/score columns, two
         // labels): a maintained write must land on BOTH sides' stats,
@@ -660,16 +659,7 @@ pub(crate) mod tests {
         c.create_table("t", &["d"]).unwrap();
         let client = c.client();
         for (key, j, score) in [("t0", b'x', 0.4f64), ("t1", b'x', 0.6), ("t2", b'y', 0.8)] {
-            client
-                .mutate_row(
-                    "t",
-                    key.as_bytes(),
-                    vec![
-                        Mutation::put("d", b"jk", vec![j]),
-                        Mutation::put("d", b"score", score.to_be_bytes().to_vec()),
-                    ],
-                )
-                .unwrap();
+            put_tuple(&client, "t", key.as_bytes(), &[j], score);
         }
         let q = RankJoinQuery::new(
             JoinSide::new("t", "A", ("d", b"jk"), ("d", b"score")),
@@ -681,16 +671,7 @@ pub(crate) mod tests {
         h.stats_for_planning(&c, 1.0).unwrap();
         // Mirror a real insert on the table + one delta through side A's
         // write path.
-        client
-            .mutate_row(
-                "t",
-                b"t3",
-                vec![
-                    Mutation::put("d", b"jk", vec![b'x']),
-                    Mutation::put("d", b"score", 0.9f64.to_be_bytes().to_vec()),
-                ],
-            )
-            .unwrap();
+        put_tuple(&client, "t", b"t3", b"x", 0.9);
         h.apply_delta(&StatsDelta {
             table: "t",
             join_col: &("d".into(), b"jk".to_vec()),

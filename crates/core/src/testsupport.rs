@@ -1,11 +1,22 @@
 //! Unit-test fixtures shared across algorithm modules.
 
 use rj_store::cell::Mutation;
+use rj_store::client::Client;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 
 use crate::query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery};
 use crate::score::ScoreFn;
+
+/// Writes one tuple in the layout every fixture here uses: family `d`,
+/// the join value under `jk`, the score (f64 BE) under `score`.
+pub(crate) fn put_tuple(client: &Client, table: &str, key: &[u8], join: &[u8], score: f64) {
+    let columns = [
+        Mutation::put("d", b"jk", join.to_vec()),
+        Mutation::put("d", b"score", score.to_be_bytes().to_vec()),
+    ];
+    client.mutate_row(table, key, columns).unwrap();
+}
 
 /// The paper's Fig. 1 running example: relations R1 and R2 with 11 tuples
 /// each, join values a–d, scores as printed. Returns a loaded cluster and
@@ -24,16 +35,7 @@ pub(crate) fn running_example_cluster_with(cost: CostModel) -> (Cluster, RankJoi
     let client = c.client();
     for (rows, t) in [(fig1_r1(), "r1"), (fig1_r2(), "r2")] {
         for (k, j, s) in rows {
-            client
-                .mutate_row(
-                    t,
-                    k.as_bytes(),
-                    vec![
-                        Mutation::put("d", b"jk", j.to_vec()),
-                        Mutation::put("d", b"score", s.to_be_bytes().to_vec()),
-                    ],
-                )
-                .unwrap();
+            put_tuple(&client, t, k.as_bytes(), j, s);
         }
     }
     let q = RankJoinQuery::new(
@@ -72,16 +74,7 @@ pub(crate) fn three_way_path_sized(k: usize, sizes: [usize; 3]) -> (Cluster, Joi
     for i in 0..sizes[0] {
         let j = [b'a' + (step() >> 33) as u8 % 3];
         let s = ((step() >> 11) % 1000 + 1) as f64 / 1000.0;
-        client
-            .mutate_row(
-                "ta",
-                format!("a{i:02}").as_bytes(),
-                vec![
-                    Mutation::put("d", b"jk", j.to_vec()),
-                    Mutation::put("d", b"score", s.to_be_bytes().to_vec()),
-                ],
-            )
-            .unwrap();
+        put_tuple(&client, "ta", format!("a{i:02}").as_bytes(), &j, s);
     }
     for i in 0..sizes[1] {
         let j1 = [b'a' + (step() >> 33) as u8 % 3];
@@ -102,16 +95,7 @@ pub(crate) fn three_way_path_sized(k: usize, sizes: [usize; 3]) -> (Cluster, Joi
     for i in 0..sizes[2] {
         let j = [b'a' + (step() >> 33) as u8 % 3];
         let s = ((step() >> 11) % 1000 + 1) as f64 / 1000.0;
-        client
-            .mutate_row(
-                "tc",
-                format!("c{i:02}").as_bytes(),
-                vec![
-                    Mutation::put("d", b"jk", j.to_vec()),
-                    Mutation::put("d", b"score", s.to_be_bytes().to_vec()),
-                ],
-            )
-            .unwrap();
+        put_tuple(&client, "tc", format!("c{i:02}").as_bytes(), &j, s);
     }
     let sides = vec![
         JoinSide::new("ta", "A", ("d", b"jk"), ("d", b"score")),

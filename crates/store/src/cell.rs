@@ -79,59 +79,42 @@ pub enum Mutation {
 impl Mutation {
     /// Convenience constructor for a clock-timestamped put.
     pub fn put(family: &str, qualifier: &[u8], value: impl Into<Bytes>) -> Self {
-        Mutation::Put {
-            family: family.into(),
-            qualifier: Bytes::copy_from_slice(qualifier),
-            value: value.into(),
-            timestamp: None,
-        }
+        Self::put_shared(family.into(), qualifier.into(), value.into(), None)
     }
 
     /// Convenience constructor for a put with a pinned timestamp.
     pub fn put_at(family: &str, qualifier: &[u8], value: impl Into<Bytes>, ts: u64) -> Self {
-        Mutation::Put {
-            family: family.into(),
-            qualifier: Bytes::copy_from_slice(qualifier),
-            value: value.into(),
-            timestamp: Some(ts),
-        }
+        Self::put_shared(family.into(), qualifier.into(), value.into(), Some(ts))
     }
 
     /// Convenience constructor for a clock-timestamped delete.
     pub fn delete(family: &str, qualifier: &[u8]) -> Self {
-        Mutation::Delete {
-            family: family.into(),
-            qualifier: Bytes::copy_from_slice(qualifier),
-            timestamp: None,
-        }
+        Self::delete_shared(family.into(), qualifier.into(), None)
     }
 
     /// Convenience constructor for a delete with a pinned timestamp.
     pub fn delete_at(family: &str, qualifier: &[u8], ts: u64) -> Self {
-        Mutation::Delete {
-            family: family.into(),
-            qualifier: Bytes::copy_from_slice(qualifier),
-            timestamp: Some(ts),
-        }
+        Self::delete_shared(family.into(), qualifier.into(), Some(ts))
     }
 
-    /// A put at a pinned timestamp of handles the caller already holds:
-    /// nothing is copied.
-    pub fn put_shared(family: Arc<str>, qualifier: Bytes, value: Bytes, ts: u64) -> Self {
+    /// A put of handles the caller already holds: nothing is copied.
+    /// `ts` pins a timestamp; `None` draws from the cluster clock.
+    pub fn put_shared(family: Arc<str>, qualifier: Bytes, value: Bytes, ts: Option<u64>) -> Self {
         Mutation::Put {
             family,
             qualifier,
             value,
-            timestamp: Some(ts),
+            timestamp: ts,
         }
     }
 
-    /// A delete at a pinned timestamp of handles the caller already holds.
-    pub fn delete_shared(family: Arc<str>, qualifier: Bytes, ts: u64) -> Self {
+    /// A delete of handles the caller already holds (`ts` as for
+    /// [`Mutation::put_shared`]).
+    pub fn delete_shared(family: Arc<str>, qualifier: Bytes, ts: Option<u64>) -> Self {
         Mutation::Delete {
             family,
             qualifier,
-            timestamp: Some(ts),
+            timestamp: ts,
         }
     }
 

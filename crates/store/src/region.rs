@@ -16,8 +16,10 @@
 //! dozen bytes; a 2 000-column row still costs only milliseconds in total.
 //! What the layout buys is the heap: a one-column index row costs one
 //! 48-byte allocation here where a per-family `BTreeMap` cost a ≈ 540-byte
-//! leaf per family — at TPC-H SF 0.01 with every index built, live heap
-//! went from 8.6× the stored bytes ([`Region::byte_size`]) to about 3.5×.
+//! leaf per family — at TPC-H SF 0.01 with Q1's and Q2's four indices
+//! built, live heap went from 8.6× the stored bytes
+//! ([`Region::byte_size`]) to 3.6×, and to 3.3× once the loader shared
+//! its column names and join keys (the base tables alone: 2.9× → 2.2×).
 //!
 //! A column stores the qualifier and value handles of the mutation that
 //! wrote it, not copies, and its family as an index into the table's

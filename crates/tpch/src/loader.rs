@@ -13,11 +13,24 @@
 //! variants are an index concern, not a base-table one. Tables are
 //! pre-split into `2 × nodes` regions over the key domain so mappers get
 //! balanced, deterministic splits.
+//!
+//! A load holds each byte string once. It builds the family handle and
+//! one qualifier handle per column name, which every row's columns share,
+//! and one `jk` value per part and per order: a lineitem's `jk_part` value
+//! *is* its part's `jk` value, and its `jk_order` its order's. Every other
+//! value is built straight into its one `Bytes`. The store keeps the
+//! handles it is given (see `rj_store::region`), so what stays resident
+//! per row is its key, its column vector and its own values; what the
+//! store bills is unchanged, since every column is billed for its bytes
+//! however they are held.
+
+use std::sync::Arc;
 
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::error::Result;
 use rj_store::keys;
+use rj_store::Bytes;
 
 use crate::gen::{self, TpchConfig};
 
@@ -83,45 +96,79 @@ fn uniform_splits(max_key: u64, pieces: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Mutations materializing one Part row.
-pub fn part_mutations(row: &gen::PartRow) -> Vec<Mutation> {
-    vec![
-        Mutation::put(FAMILY, cols::JK, keys::encode_u64(row.part_key).to_vec()),
-        Mutation::put(FAMILY, cols::SCORE, row.retail_score.to_be_bytes().to_vec()),
-        Mutation::put(FAMILY, cols::NAME, row.name.clone().into_bytes()),
-        Mutation::put(FAMILY, cols::COMMENT, row.comment.clone().into_bytes()),
-    ]
+/// The handles a load shares across its rows (see the module docs): the
+/// family, one qualifier per column name, and each part's and order's
+/// join-key value, which the lineitems referencing it store too.
+struct Handles {
+    family: Arc<str>,
+    jk: Bytes,
+    jk_part: Bytes,
+    jk_order: Bytes,
+    score: Bytes,
+    name: Bytes,
+    comment: Bytes,
+    /// `part_keys[k - 1]` is part `k`'s `jk` value.
+    part_keys: Vec<Bytes>,
+    /// `order_keys[k - 1]` is order `k`'s `jk` value.
+    order_keys: Vec<Bytes>,
 }
 
-/// Mutations materializing one Orders row.
-pub fn order_mutations(row: &gen::OrderRow) -> Vec<Mutation> {
-    vec![
-        Mutation::put(FAMILY, cols::JK, keys::encode_u64(row.order_key).to_vec()),
-        Mutation::put(FAMILY, cols::SCORE, row.total_score.to_be_bytes().to_vec()),
-        Mutation::put(FAMILY, cols::COMMENT, row.comment.clone().into_bytes()),
-    ]
-}
+impl Handles {
+    fn new(cfg: &TpchConfig) -> Self {
+        let jk = |key| Bytes::from(keys::encode_u64(key));
+        Handles {
+            family: FAMILY.into(),
+            jk: cols::JK.into(),
+            jk_part: cols::JK_PART.into(),
+            jk_order: cols::JK_ORDER.into(),
+            score: cols::SCORE.into(),
+            name: cols::NAME.into(),
+            comment: cols::COMMENT.into(),
+            part_keys: (1..=cfg.part_count()).map(jk).collect(),
+            order_keys: (1..=cfg.order_count()).map(jk).collect(),
+        }
+    }
 
-/// Mutations materializing one Lineitem row.
-pub fn lineitem_mutations(row: &gen::LineitemRow) -> Vec<Mutation> {
-    vec![
-        Mutation::put(
-            FAMILY,
-            cols::JK_PART,
-            keys::encode_u64(row.part_key).to_vec(),
-        ),
-        Mutation::put(
-            FAMILY,
-            cols::JK_ORDER,
-            keys::encode_u64(row.order_key).to_vec(),
-        ),
-        Mutation::put(
-            FAMILY,
-            cols::SCORE,
-            row.extended_score.to_be_bytes().to_vec(),
-        ),
-        Mutation::put(FAMILY, cols::COMMENT, row.comment.clone().into_bytes()),
-    ]
+    /// A clock-timestamped put of `qualifier`, sharing the family handle.
+    fn put(&self, qualifier: &Bytes, value: Bytes) -> Mutation {
+        Mutation::put_shared(Arc::clone(&self.family), qualifier.clone(), value, None)
+    }
+
+    fn part(&self, row: &gen::PartRow) -> [Mutation; 4] {
+        [
+            self.put(&self.jk, self.part_key(row.part_key)),
+            self.put(&self.score, Bytes::from(row.retail_score.to_be_bytes())),
+            self.put(&self.name, row.name.as_str().into()),
+            self.put(&self.comment, row.comment.as_str().into()),
+        ]
+    }
+
+    fn order(&self, row: &gen::OrderRow) -> [Mutation; 3] {
+        [
+            self.put(&self.jk, self.order_key(row.order_key)),
+            self.put(&self.score, Bytes::from(row.total_score.to_be_bytes())),
+            self.put(&self.comment, row.comment.as_str().into()),
+        ]
+    }
+
+    fn lineitem(&self, row: &gen::LineitemRow) -> [Mutation; 4] {
+        [
+            self.put(&self.jk_part, self.part_key(row.part_key)),
+            self.put(&self.jk_order, self.order_key(row.order_key)),
+            self.put(&self.score, Bytes::from(row.extended_score.to_be_bytes())),
+            self.put(&self.comment, row.comment.as_str().into()),
+        ]
+    }
+
+    /// Part `key`'s shared `jk` value (generated keys run `1..=count`).
+    fn part_key(&self, key: u64) -> Bytes {
+        self.part_keys[key as usize - 1].clone()
+    }
+
+    /// Order `key`'s shared `jk` value.
+    fn order_key(&self, key: u64) -> Bytes {
+        self.order_keys[key as usize - 1].clone()
+    }
 }
 
 /// Creates and loads all three base tables.
@@ -144,20 +191,21 @@ pub fn load_all(cluster: &Cluster, cfg: &TpchConfig) -> Result<LoadStats> {
     cluster.create_table_with_splits(LINEITEM_TABLE, &[FAMILY], &li_splits)?;
 
     let client = cluster.client();
+    let handles = Handles::new(cfg);
     let mut stats = LoadStats::default();
     for row in gen::parts(cfg) {
         client.mutate_row(
             PART_TABLE,
-            &rowkeys::part(row.part_key),
-            part_mutations(&row),
+            &keys::encode_u64(row.part_key),
+            handles.part(&row),
         )?;
         stats.parts += 1;
     }
     for row in gen::orders(cfg) {
         client.mutate_row(
             ORDERS_TABLE,
-            &rowkeys::order(row.order_key),
-            order_mutations(&row),
+            &keys::encode_u64(row.order_key),
+            handles.order(&row),
         )?;
         stats.orders += 1;
     }
@@ -165,7 +213,7 @@ pub fn load_all(cluster: &Cluster, cfg: &TpchConfig) -> Result<LoadStats> {
         client.mutate_row(
             LINEITEM_TABLE,
             &rowkeys::lineitem(row.order_key, row.line_number),
-            lineitem_mutations(&row),
+            handles.lineitem(&row),
         )?;
         stats.lineitems += 1;
     }

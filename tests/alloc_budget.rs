@@ -64,6 +64,11 @@
 //! an earlier hit was given, a cold plan walks the score grid's frontier
 //! instead of materializing the grid, a cached 3-way access plan and a
 //! resumed scanner's projection allocate nothing.
+//!
+//! Under all of it sits what the store keeps resident. A load builds each
+//! column name and each join key once and the store keeps the handles it
+//! is given, so a loaded store with both binary ISL indices holds a
+//! ratcheted heap per stored byte, counted process-wide.
 
 use std::sync::{PoisonError, RwLock};
 
@@ -370,6 +375,39 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
         "{what}: the first run left {} bytes live; each of 10 more: {:?}",
         first - before,
         after.map(|live| live as i64 - before as i64)
+    );
+}
+
+/// The store's own footprint: a loaded SF-0.002 store with both binary
+/// ISL indices built holds at most this many hundredths of a heap byte
+/// per byte its tables report stored (`Table::disk_size`). Measured:
+/// 2.819–2.823 (3.299–3.301 when every loaded row copied its column
+/// names and each lineitem its join keys).
+const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 283;
+
+/// A load shares its column names and join keys across rows and tables
+/// (`rj_tpch::loader`), and the store keeps the handles it is given: the
+/// live heap of a loaded, indexed store stays at the ratio that buys.
+#[test]
+fn a_loaded_store_holds_a_bounded_heap_per_stored_byte() {
+    let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
+    let before = counting_alloc::live_bytes();
+    let cluster = Cluster::new(3, CostModel::test());
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    for query in queries() {
+        RankJoinExecutor::new(&cluster, query)
+            .prepare_isl()
+            .unwrap();
+    }
+    let heap = counting_alloc::live_bytes() - before;
+    let stored: u64 = cluster
+        .table_names()
+        .iter()
+        .map(|name| cluster.table(name).unwrap().disk_size())
+        .sum();
+    assert!(
+        heap * 100 <= STORE_HEAP_PER_STORED_BYTE_X100 * stored,
+        "{heap} B of heap for {stored} B stored"
     );
 }
 

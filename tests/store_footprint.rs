@@ -5,11 +5,13 @@
 //! process holds for them on the heap is a multiple of that — row and
 //! column headers, refcounts, B-tree slack — and the multiple is the
 //! store's own overhead, the floor under every workload's peak memory.
-//! A row is one sorted column vector (see `rj_store::region`), which keeps
-//! it near 3.5× on a TPC-H load with its indices (measured at SF 0.01
-//! with all four indices built; it was 8.6× when a row held one B-tree
-//! per family, and 13× on the one-column rows of an index table). This
-//! test holds the line at 5×.
+//! A row is one sorted column vector (see `rj_store::region`) and the
+//! loader shares its column names and join keys across rows, which keeps
+//! it near 3.3× on a TPC-H load with its indices (measured at SF 0.01
+//! with Q1's and Q2's four indices built; 3.6× while every row copied its
+//! names and keys, 8.6× when a row held one B-tree per family, and 13× on
+//! the one-column rows of an index table). This test holds the line at
+//! 5×; `tests/alloc_budget.rs` ratchets the loaded store's own ratio.
 //!
 //! Live bytes are process-wide, so this binary has the one test.
 
