@@ -65,6 +65,11 @@ pub const RULES: &[RuleInfo] = &[
         scope: "non-test code in crates/{core,serve,store,sketch}/src except crates/store/src/pool.rs",
     },
     RuleInfo {
+        id: "ledger-delta",
+        summary: "no `delta_since(` in library code — a run measures its charge with one `rj_store::QueryMeter` (`so_far` mid-run, `finish` at the end), never by hand-taken ledger snapshots",
+        scope: "non-test code in crates/{core,serve}/src",
+    },
+    RuleInfo {
         id: "suppression-contract",
         summary: "every `// rjlint: allow(<rule>)` names a known rule and carries a non-empty justification",
         scope: "all workspace sources",
@@ -200,6 +205,8 @@ pub struct FileScope {
     pub thread_local_scope: bool,
     /// Subject to `env-knob` (the library crates, minus the pool).
     pub env_knob_scope: bool,
+    /// Subject to `ledger-delta` (the crates that run and serve queries).
+    pub ledger_delta_scope: bool,
     /// Vendored stand-in for an external crate.
     pub is_shim: bool,
 }
@@ -240,6 +247,8 @@ impl FileScope {
             thread_allowlisted,
             thread_local_scope: library_crate,
             env_knob_scope,
+            ledger_delta_scope: is_library_src
+                && (p.starts_with("crates/core/src/") || p.starts_with("crates/serve/src/")),
             is_shim,
         }
     }
@@ -407,6 +416,22 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
                     format!("`env::{word}` in a library path — add a typed config field instead; only the pool width is read from the environment"),
                 );
             }
+        }
+    }
+
+    // ledger-delta: a charge measured by hand instead of by a meter.
+    if scope.ledger_delta_scope {
+        for at in word_occurrences(&flat, "delta_since") {
+            let line = file.line_of_offset(at);
+            let after = skip_ws(&flat, at + "delta_since".len());
+            if !flat[after..].starts_with('(') || is_test_line(line) {
+                continue;
+            }
+            push(
+                "ledger-delta",
+                line,
+                "`delta_since(` in a library path — measure the charge with `rj_store::QueryMeter` (`so_far` / `finish`)".to_string(),
+            );
         }
     }
 

@@ -245,6 +245,36 @@ fn the_pool_width_tests_and_other_crates_may_read_the_environment() {
     assert!(scan("crates/core/src/x.rs", other).clean());
 }
 
+// ------------------------------------------------------------ ledger-delta
+
+#[test]
+fn a_hand_taken_ledger_delta_in_a_library_path_fires() {
+    let src = "pub fn f(c: &Cluster, before: &MetricsSnapshot) -> u64 {\n    c.metrics().snapshot().delta_since(before).kv_reads\n}\n";
+    for path in ["crates/core/src/x.rs", "crates/serve/src/x.rs"] {
+        let r = scan(path, src);
+        assert_eq!(rules_of(&r), ["ledger-delta"], "{path}");
+        assert_eq!(r.findings[0].line, 2);
+    }
+}
+
+#[test]
+fn the_meter_tests_and_other_crates_may_take_ledger_deltas() {
+    let src = "pub fn f(c: &Cluster, before: &MetricsSnapshot) -> u64 {\n    c.metrics().snapshot().delta_since(before).kv_reads\n}\n";
+    for path in [
+        "crates/store/src/metrics.rs", // where the meter takes it
+        "crates/bench/src/x.rs",
+        "crates/core/tests/x.rs",
+        "tests/cursor.rs",
+    ] {
+        assert!(scan(path, src).clean(), "{path}");
+    }
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn t(a: &MetricsSnapshot, b: &MetricsSnapshot) -> u64 { a.delta_since(b).kv_reads }\n}\n";
+    assert!(scan("crates/core/src/x.rs", in_test).clean());
+    // The idiomatic form: one meter, read mid-run and finished.
+    let metered = "pub fn f(c: &Cluster) -> u64 {\n    let meter = QueryMeter::start(c.metrics());\n    let _ = meter.so_far();\n    meter.finish().kv_reads\n}\n";
+    assert!(scan("crates/serve/src/x.rs", metered).clean());
+}
+
 // --------------------------------------------------------------- sim-time
 
 #[test]

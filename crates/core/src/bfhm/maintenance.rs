@@ -326,7 +326,7 @@ impl BfhmMaintainer {
 mod tests {
     use super::*;
     use crate::bfhm::{self, BfhmConfig};
-    use crate::cursor::CursorMeta;
+    use crate::cursor::{CursorMeta, StepCursor};
     use crate::oracle;
     use crate::spare::Spares;
     use crate::testsupport::running_example_cluster;
@@ -468,8 +468,8 @@ mod tests {
         let query = std::sync::Arc::new(q.clone());
         let policy = WriteBackPolicy::Lazy;
         let meta = CursorMeta::new(1, None, Spares::default());
-        let mut cursor =
-            bfhm::BfhmCursor::open(&c, &query, meta, "bfhm_idx", &config, policy).unwrap();
+        let core = bfhm::BfhmCore::open(&c, &query, meta, "bfhm_idx", &config, policy).unwrap();
+        let mut cursor = StepCursor::new(&c, core);
         let page = cursor.next_batch(1, &StopPolicy::never()).unwrap();
         assert!(page.done);
         assert_eq!(page.results, oracle::topk(&c, &q.with_k(1)).unwrap());
@@ -501,7 +501,8 @@ mod tests {
         let query = std::sync::Arc::new(q.clone());
         let open = |policy| {
             let meta = CursorMeta::new(1, None, Spares::default());
-            bfhm::BfhmCursor::open(&c, &query, meta, "bfhm_idx", &config, policy).unwrap()
+            let core = bfhm::BfhmCore::open(&c, &query, meta, "bfhm_idx", &config, policy);
+            StepCursor::new(&c, core.unwrap())
         };
         let never = StopPolicy::never();
         // The same read without a write-back, then with the lazy one.

@@ -31,7 +31,7 @@ mod query;
 
 pub use index::{build_pair, index_table_name, BfhmBuildStats};
 pub use query::run;
-pub(crate) use query::{run_shared, BfhmBuffers, BfhmCore, BfhmCursor};
+pub(crate) use query::{run_shared, BfhmBuffers, BfhmCore};
 
 use rj_sketch::blob::BlobCodec;
 use rj_sketch::hybrid::AlphaMode;

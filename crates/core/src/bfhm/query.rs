@@ -1,15 +1,16 @@
 //! BFHM query processing (paper §5.2, Algorithms 6–7) with the §5.3
 //! recall-guarantee loop.
 //!
-//! The driver is structured as an owned *step machine* ([`BfhmRun`]):
-//! every [`BfhmRun::advance`] call performs one bounded unit of work —
-//! one bucket probe + estimate join, one materialization sweep, one
-//! re-examination iteration — and the machine's whole position lives in
-//! a plain-data [`BfhmCore`]. The one-shot entry points ([`run`] and
-//! [`run_shared`]) simply drain the machine,
-//! and [`BfhmCursor`] pumps the *same* machine on demand, which is what
-//! makes any pause/resume schedule result- and metric-equivalent to the
-//! one-shot run by construction.
+//! The driver is an owned *step machine* ([`BfhmCore`]): every
+//! [`BfhmCore::advance`] call performs one bounded unit of work — one
+//! bucket probe + estimate join, one materialization sweep, one
+//! re-examination iteration — and the machine's whole position is plain
+//! data. The one-shot entry points ([`run`] and [`run_shared`]) drain the
+//! machine until the guarantee loop ends; a cursor is the machine behind
+//! the crate's one cursor ([`crate::cursor`]'s `StepCursor`, through the
+//! `Step` trait), which pumps the *same* steps on demand, one step per
+//! stop-policy boundary. That is what makes any pause/resume schedule
+//! result- and metric-equivalent to the one-shot run by construction.
 //!
 //! A run keeps ids, not copies. Every fetched tuple is held once, in the
 //! reverse-row cache's columns ([`ReverseStore`]); an [`Estimate`] is a
@@ -28,11 +29,8 @@ use rj_store::cluster::Cluster;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::row::RowBatch;
 
-use crate::cancel::StopPolicy;
 use crate::codec;
-use crate::cursor::{
-    policy_stop, snap_add, CursorBatch, CursorMeta, CursorState, RankedCursor, StateInner,
-};
+use crate::cursor::{CursorMeta, StateInner, Step};
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
@@ -305,7 +303,7 @@ enum Phase {
 }
 
 /// The full position of a BFHM execution between two
-/// [`BfhmRun::advance`] steps — plain owned data (blobs, estimates, the
+/// [`BfhmCore::advance`] steps — plain owned data (blobs, estimates, the
 /// reverse-row cache, the running top-k of its ids, phase + counters),
 /// detachable into a [`crate::cursor::CursorState`] and resumable on any
 /// cluster handle over the same index. Its buffers come from its
@@ -349,26 +347,6 @@ pub(crate) struct BfhmCore {
     steps: u64,
 }
 
-impl BfhmCore {
-    /// Name of the index table.
-    fn table(&self) -> &str {
-        self.projections[0].table_name()
-    }
-
-    /// Monotone progress measure: every store fetch the machine has made.
-    pub(crate) fn consumed_depth(&self) -> u64 {
-        self.sides[0].bucket_gets + self.sides[1].bucket_gets + self.reverse.cells_fetched()
-    }
-
-    /// The buffered results of ranks `ranks`, built: keys and join values
-    /// copied out of the cache for results leaving the run.
-    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
-        let reverse = &self.reverse;
-        self.results
-            .binary_results(ranks, |_, id| reverse.tuple(id))
-    }
-}
-
 impl Drop for BfhmCore {
     /// Gives the run's buffers and top-k back to its spares.
     fn drop(&mut self) {
@@ -393,24 +371,21 @@ fn side_label(query: &RankJoinQuery, side: usize) -> &String {
     [&query.left.label, &query.right.label][side.min(1)]
 }
 
-/// An owned, stepping BFHM execution over `cluster` (see the module
-/// docs). `core` holds every byte of position; `advance()` moves it.
-pub(crate) struct BfhmRun {
-    cluster: Cluster,
-    pub(crate) core: BfhmCore,
-}
-
-impl BfhmRun {
+impl BfhmCore {
     /// A machine for the top `meta.k` of `query` (whose own `k` is not
-    /// read), its buffers taken from and given back to `meta.spares`.
-    pub(crate) fn new(
+    /// read) over a previously built BFHM index pair, its buffers taken
+    /// from and given back to `meta.spares`. The index metadata read is
+    /// charged to `meta.charged` (it is part of the one-shot run's metered
+    /// cost).
+    pub(crate) fn open(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
-        meta: CursorMeta,
+        mut meta: CursorMeta,
         table: &str,
         config: &BfhmConfig,
         write_back: WriteBackPolicy,
     ) -> Result<Self> {
+        let meter = QueryMeter::start(cluster.metrics());
         let client = cluster.client();
         let all = client
             .projection(table, None)
@@ -434,41 +409,36 @@ impl BfhmRun {
             let label = std::slice::from_ref(side_label(query, side));
             client.projection(table, Some(label))
         };
-        Ok(BfhmRun {
-            cluster: cluster.clone(),
-            core: BfhmCore {
-                results: meta.spares.top(meta.k, 2),
-                target: meta.k,
-                meta,
-                query: query.clone(),
-                projections: [family(0)?, family(1)?],
-                batch,
-                config: config.clone(),
-                hist: ScoreHistogram::new(num_buckets),
-                m,
-                sides: [left, right].map(|fetched| SideState {
-                    fetched,
-                    ..SideState::default()
-                }),
-                estimates,
-                arrays,
-                total_estimated: 0.0,
-                reverse,
-                rounds: 0,
-                write_back,
-                pending_write_backs: Vec::new(),
-                phase: Phase::RoundStart,
-                steps: 0,
-            },
+        meta.charged = meter.finish();
+        Ok(BfhmCore {
+            results: meta.spares.top(meta.k, 2),
+            target: meta.k,
+            meta,
+            query: query.clone(),
+            projections: [family(0)?, family(1)?],
+            batch,
+            config: config.clone(),
+            hist: ScoreHistogram::new(num_buckets),
+            m,
+            sides: [left, right].map(|fetched| SideState {
+                fetched,
+                ..SideState::default()
+            }),
+            estimates,
+            arrays,
+            total_estimated: 0.0,
+            reverse,
+            rounds: 0,
+            write_back,
+            pending_write_backs: Vec::new(),
+            phase: Phase::RoundStart,
+            steps: 0,
         })
     }
 
-    /// Reattaches a detached machine to `cluster`.
-    pub(crate) fn resume(cluster: &Cluster, core: BfhmCore) -> Self {
-        BfhmRun {
-            cluster: cluster.clone(),
-            core,
-        }
+    /// Name of the index table.
+    fn table(&self) -> &str {
+        self.projections[0].table_name()
     }
 
     /// Fetches the next non-empty bucket of `side`, resolving pending §6
@@ -476,43 +446,42 @@ impl BfhmRun {
     /// The cursor moves past a bucket once it has been read, replayed and
     /// (under the eager policy) written back: a probe that fails is made
     /// again by the next call, not skipped.
-    fn fetch_next_bucket(&mut self, side: usize) -> Result<bool> {
-        let client = self.cluster.client();
-        let core = &mut self.core;
-        let label = side_label(&core.query, side);
+    fn fetch_next_bucket(&mut self, cluster: &Cluster, side: usize) -> Result<bool> {
+        let client = cluster.client();
+        let label = side_label(&self.query, side);
         loop {
-            let state = &mut core.sides[side];
-            if state.cursor >= core.hist.num_buckets() {
+            let state = &mut self.sides[side];
+            if state.cursor >= self.hist.num_buckets() {
                 state.exhausted = true;
                 return Ok(false);
             }
             let bucket = state.cursor;
             let row = client.get_into(
-                &mut core.batch,
-                &core.projections[side],
+                &mut self.batch,
+                &self.projections[side],
                 &blob_row_key(bucket),
             );
             let resolved = row
-                .map(|row| resolve_bucket_row(row, label, core.m, |n| core.arrays.take(n)))
+                .map(|row| resolve_bucket_row(row, label, self.m, |n| self.arrays.take(n)))
                 .transpose()?;
             // Before the empty-bucket skip: a bucket its replay emptied is
             // compacted like any other.
             if let Some(resolved) = resolved.as_ref().filter(|r| r.had_mutations) {
-                match core.write_back {
+                match self.write_back {
                     WriteBackPolicy::Eager => write_back_bucket(
-                        &self.cluster,
-                        core.table(),
+                        cluster,
+                        self.table(),
                         label,
                         bucket,
                         resolved,
-                        core.config.codec,
+                        self.config.codec,
                     )?,
                     // Once per `(side, bucket)`: the cursor moves past it.
-                    WriteBackPolicy::Lazy => core.pending_write_backs.push((side, bucket)),
+                    WriteBackPolicy::Lazy => self.pending_write_backs.push((side, bucket)),
                     WriteBackPolicy::Off => {}
                 }
             }
-            let state = &mut core.sides[side];
+            let state = &mut self.sides[side];
             state.cursor += 1;
             state.bucket_gets += 1;
             if let Some(blob) = resolved.and_then(|r| r.blob) {
@@ -523,27 +492,26 @@ impl BfhmRun {
     }
 
     /// Algorithm 7: joins the newly fetched bucket of `side` — the last
-    /// one [`BfhmRun::fetch_next_bucket`] pushed — against every fetched
+    /// one [`BfhmCore::fetch_next_bucket`] pushed — against every fetched
     /// bucket of the other side, appending estimates.
     fn join_new_bucket(&mut self, side: usize) {
-        let core = &mut self.core;
-        let Some((new_bucket, new_blob)) = core.sides[side].fetched.last() else {
+        let Some((new_bucket, new_blob)) = self.sides[side].fetched.last() else {
             return;
         };
-        for (other_bucket, other_blob) in &core.sides[1 - side].fetched {
+        for (other_bucket, other_blob) in &self.sides[1 - side].fetched {
             let (lb, lblob, rb, rblob) = if side == 0 {
                 (*new_bucket, new_blob, *other_bucket, other_blob)
             } else {
                 (*other_bucket, other_blob, *new_bucket, new_blob)
             };
             let (common, cardinality) =
-                lblob.filter.join_estimate(&rblob.filter, core.config.alpha);
+                lblob.filter.join_estimate(&rblob.filter, self.config.alpha);
             if common == 0 {
                 continue; // Algorithm 7 line 5: empty AND → null
             }
-            let score_fn = core.query.score_fn;
-            core.total_estimated += cardinality;
-            core.estimates.push(Estimate {
+            let score_fn = self.query.score_fn;
+            self.total_estimated += cardinality;
+            self.estimates.push(Estimate {
                 left_bucket: lb,
                 right_bucket: rb,
                 common,
@@ -562,10 +530,10 @@ impl BfhmRun {
     /// one sweep, so the walk allocates nothing; it stops at the target,
     /// usually a few estimates in.
     fn kth_estimate_bound(&self, target: usize) -> Option<f64> {
-        if self.core.total_estimated < target as f64 {
+        if self.total_estimated < target as f64 {
             return None;
         }
-        let estimates = &self.core.estimates;
+        let estimates = &self.estimates;
         let order = |a: usize, b: usize| {
             let (ea, eb) = (&estimates[a], &estimates[b]);
             eb.max_score.total_cmp(&ea.max_score).then(a.cmp(&b))
@@ -580,7 +548,7 @@ impl BfhmRun {
             last = Some(i);
             cum += e.cardinality;
             if cum >= target as f64 {
-                return Some(match self.core.config.bound_mode {
+                return Some(match self.config.bound_mode {
                     BoundMode::PaperFigure => e.max_score,
                     BoundMode::Conservative => e.min_score,
                 });
@@ -594,31 +562,30 @@ impl BfhmRun {
     fn unexamined_bound(&self, conservative: bool) -> f64 {
         let mut best = f64::NEG_INFINITY;
         for s in 0..2 {
-            let state = &self.core.sides[s];
-            if state.exhausted || state.cursor >= self.core.hist.num_buckets() {
+            let state = &self.sides[s];
+            if state.exhausted || state.cursor >= self.hist.num_buckets() {
                 continue;
             }
-            let my_upper = self.core.hist.upper_bound(state.cursor);
-            let other = &self.core.sides[1 - s];
-            let other_unfetched = if !other.exhausted && other.cursor < self.core.hist.num_buckets()
-            {
-                self.core.hist.upper_bound(other.cursor)
+            let my_upper = self.hist.upper_bound(state.cursor);
+            let other = &self.sides[1 - s];
+            let other_unfetched = if !other.exhausted && other.cursor < self.hist.num_buckets() {
+                self.hist.upper_bound(other.cursor)
             } else {
                 f64::NEG_INFINITY
             };
             let other_fetched = if conservative {
                 other.actual_max()
             } else {
-                other.best_fetched_boundary(&self.core.hist)
+                other.best_fetched_boundary(&self.hist)
             };
             let other_best = other_fetched.max(other_unfetched);
             if other_best == f64::NEG_INFINITY {
                 continue;
             }
             let bound = if s == 0 {
-                self.core.query.score_fn.combine(my_upper, other_best)
+                self.query.score_fn.combine(my_upper, other_best)
             } else {
-                self.core.query.score_fn.combine(other_best, my_upper)
+                self.query.score_fn.combine(other_best, my_upper)
             };
             best = best.max(bound);
         }
@@ -628,14 +595,14 @@ impl BfhmRun {
     /// One iteration of the phase-1 (Algorithm 6) estimation loop: checks
     /// the exit conditions, then probes one bucket and joins it. Returns
     /// `false` when estimation for `target` has converged.
-    fn estimation_step(&mut self, target: usize) -> Result<bool> {
-        if self.core.sides[0].exhausted && self.core.sides[1].exhausted {
+    fn estimation_step(&mut self, cluster: &Cluster, target: usize) -> Result<bool> {
+        if self.sides[0].exhausted && self.sides[1].exhausted {
             return Ok(false);
         }
-        if self.core.total_estimated >= target as f64 {
+        if self.total_estimated >= target as f64 {
             if let Some(bound) = self.kth_estimate_bound(target) {
                 let unexamined =
-                    self.unexamined_bound(self.core.config.bound_mode == BoundMode::Conservative);
+                    self.unexamined_bound(self.config.bound_mode == BoundMode::Conservative);
                 if unexamined < bound {
                     return Ok(false);
                 }
@@ -643,17 +610,17 @@ impl BfhmRun {
         }
         // Resume alternation from whichever side has fetched fewer buckets.
         let side = match (
-            self.core.sides[0].exhausted,
-            self.core.sides[1].exhausted,
-            self.core.sides[0].fetched.len() + (self.core.sides[0].cursor as usize),
-            self.core.sides[1].fetched.len() + (self.core.sides[1].cursor as usize),
+            self.sides[0].exhausted,
+            self.sides[1].exhausted,
+            self.sides[0].fetched.len() + (self.sides[0].cursor as usize),
+            self.sides[1].fetched.len() + (self.sides[1].cursor as usize),
         ) {
             (true, false, _, _) => 1,
             (false, true, _, _) => 0,
             (_, _, a, b) if a <= b => 0,
             _ => 1,
         };
-        if self.fetch_next_bucket(side)? {
+        if self.fetch_next_bucket(cluster, side)? {
             self.join_new_bucket(side);
         }
         Ok(true)
@@ -664,8 +631,8 @@ impl BfhmRun {
     /// estimation-accuracy harness (Fig. 6c) drives phase 1 in isolation
     /// through this.
     #[cfg(test)]
-    pub(crate) fn run_estimation(&mut self, target: usize) -> Result<()> {
-        while self.estimation_step(target)? {}
+    pub(crate) fn run_estimation(&mut self, cluster: &Cluster, target: usize) -> Result<()> {
+        while self.estimation_step(cluster, target)? {}
         Ok(())
     }
 
@@ -674,8 +641,8 @@ impl BfhmRun {
     /// two blobs share (one merge, in increasing order), join actual
     /// tuples (re-checking join values) and offer their ids into the
     /// running top-k. Returns whether there was any.
-    fn materialize(&mut self, cutoff: f64) -> Result<bool> {
-        let client = self.cluster.client();
+    fn materialize(&mut self, cluster: &Cluster, cutoff: f64) -> Result<bool> {
+        let client = cluster.client();
         let BfhmCore {
             query,
             projections,
@@ -685,7 +652,7 @@ impl BfhmRun {
             reverse,
             results,
             ..
-        } = &mut self.core;
+        } = self;
         let owed = estimates.iter().filter(|e| e.owed(cutoff));
         reverse.reserve(2 * owed.map(|e| e.common).sum::<usize>());
         let mut progressed = false;
@@ -722,12 +689,11 @@ impl BfhmRun {
 
     /// Conservative bound on anything not yet in `results`: the best
     /// non-materialized estimate and any unexamined bucket combination.
-    /// Non-increasing across [`BfhmRun::advance`] steps — new estimates
+    /// Non-increasing across [`BfhmCore::advance`] steps — new estimates
     /// are bounded by the prior unexamined bound — which is what lets a
     /// cursor emit everything strictly above it as final.
     fn threat_bound(&self) -> f64 {
         let est = self
-            .core
             .estimates
             .iter()
             .filter(|e| !e.materialized)
@@ -736,36 +702,30 @@ impl BfhmRun {
         est.max(self.unexamined_bound(true))
     }
 
-    /// Whether the guarantee loop has terminated.
-    fn done(&self) -> bool {
-        self.core.phase == Phase::Done
-    }
-
     /// Performs one bounded step of the §5.3 guarantee loop and returns
     /// whether the machine still has work. Stringing `advance` calls
     /// together performs exactly the fetches of the old run-to-completion
     /// loop, in the same order — the phases are its loop structure made
     /// explicit.
-    fn advance(&mut self) -> Result<bool> {
-        let k = self.core.meta.k;
-        self.core.steps += 1;
-        match self.core.phase {
+    fn advance(&mut self, cluster: &Cluster) -> Result<bool> {
+        let k = self.meta.k;
+        self.steps += 1;
+        match self.phase {
             Phase::RoundStart => {
-                self.core.rounds += 1;
-                self.core.phase = Phase::Estimation;
+                self.rounds += 1;
+                self.phase = Phase::Estimation;
             }
             Phase::Estimation => {
-                let target = self.core.target;
-                if !self.estimation_step(target)? {
-                    self.core.phase = Phase::Cutoff;
+                if !self.estimation_step(cluster, self.target)? {
+                    self.phase = Phase::Cutoff;
                 }
             }
             Phase::Cutoff => {
                 let cutoff = self
-                    .kth_estimate_bound(self.core.target)
+                    .kth_estimate_bound(self.target)
                     .unwrap_or(f64::NEG_INFINITY);
-                self.materialize(cutoff)?;
-                self.core.phase = if self.core.results.len() >= k {
+                self.materialize(cluster, cutoff)?;
+                self.phase = if self.results.len() >= k {
                     Phase::Reexamine
                 } else {
                     Phase::FillInit
@@ -777,24 +737,24 @@ impl BfhmRun {
                 // score is recomputed every step — materialization can
                 // only raise it, tightening the loop. `Cutoff` came here
                 // with k results, so it exists; without it, fill.
-                let Some(kth) = self.core.results.kth_score() else {
-                    self.core.phase = Phase::FillInit;
+                let Some(kth) = self.results.kth_score() else {
+                    self.phase = Phase::FillInit;
                     break 'step;
                 };
                 if self.threat_bound() < kth {
-                    self.core.phase = Phase::Done;
+                    self.phase = Phase::Done;
                 } else {
                     let mut stepped = false;
                     // Materialize estimates above the actual kth score.
-                    if self.materialize(kth)? {
+                    if self.materialize(cluster, kth)? {
                         stepped = true;
                     }
                     // Extend the frontier one bucket on the side bounding
                     // the threat.
                     for s in 0..2 {
                         if self.unexamined_bound(true) >= kth
-                            && !self.core.sides[s].exhausted
-                            && self.fetch_next_bucket(s)?
+                            && !self.sides[s].exhausted
+                            && self.fetch_next_bucket(cluster, s)?
                         {
                             self.join_new_bucket(s);
                             stepped = true;
@@ -803,7 +763,7 @@ impl BfhmRun {
                     if !stepped {
                         // Nothing left to examine: the threat is only
                         // tied estimates that cannot materialize further.
-                        self.core.phase = Phase::Done;
+                        self.phase = Phase::Done;
                     }
                 }
             }
@@ -811,13 +771,13 @@ impl BfhmRun {
                 // Fewer than k results (k' < k): "resume the query
                 // processing algorithm ... looking for the top-k + (k -
                 // k') results".
-                let missing = k - self.core.results.len();
-                self.core.target = self.core.target.max(k + missing);
-                self.core.phase = Phase::Fill;
+                let missing = k - self.results.len();
+                self.target = self.target.max(k + missing);
+                self.phase = Phase::Fill;
             }
             Phase::Fill => {
-                if self.core.results.len() >= k {
-                    self.core.phase = Phase::RoundStart;
+                if self.results.len() >= k {
+                    self.phase = Phase::RoundStart;
                 } else {
                     // Estimated cardinalities overcount (Bloom collisions,
                     // bucket pairs without true joins), so drive the fill
@@ -826,7 +786,6 @@ impl BfhmRun {
                     // fetching new buckets only when unexamined
                     // combinations could outscore every known estimate.
                     let best_estimate = self
-                        .core
                         .estimates
                         .iter()
                         .filter(|e| !e.materialized)
@@ -834,12 +793,12 @@ impl BfhmRun {
                         .fold(f64::NEG_INFINITY, f64::max);
                     let unexamined = self.unexamined_bound(true);
                     if best_estimate == f64::NEG_INFINITY && unexamined == f64::NEG_INFINITY {
-                        self.core.phase = Phase::Done; // the whole join has < k results
+                        self.phase = Phase::Done; // the whole join has < k results
                     } else if best_estimate >= unexamined {
-                        self.materialize(best_estimate)?;
+                        self.materialize(cluster, best_estimate)?;
                     } else {
                         for s in 0..2 {
-                            if !self.core.sides[s].exhausted && self.fetch_next_bucket(s)? {
+                            if !self.sides[s].exhausted && self.fetch_next_bucket(cluster, s)? {
                                 self.join_new_bucket(s);
                             }
                         }
@@ -848,168 +807,105 @@ impl BfhmRun {
             }
             Phase::Done => {}
         }
-        if self.done() {
+        let done = self.phase == Phase::Done;
+        if done {
             // Lazy write-backs happen once the result is ready (§6),
             // whether the machine was drained in one call or paged.
-            self.flush_lazy_write_backs()?;
+            self.flush_lazy_write_backs(cluster)?;
         }
-        Ok(!self.done())
-    }
-
-    /// The §5.3 guarantee loop: the machine drained in one call.
-    fn run_to_completion(&mut self) -> Result<()> {
-        while self.advance()? {}
-        Ok(())
+        Ok(!done)
     }
 
     /// Flushes pending lazy write-backs (idempotent): each `(side,
     /// bucket)` the run resolved is re-read and compacted once, with the
     /// run's `m`. A write-back that fails stays pending, with every one
     /// after it.
-    fn flush_lazy_write_backs(&mut self) -> Result<()> {
-        let core = &mut self.core;
-        while let Some(&(side, bucket)) = core.pending_write_backs.first() {
-            let label = side_label(&core.query, side);
-            let (m, codec) = (core.m, core.config.codec);
-            refresh_bucket(&self.cluster, core.table(), label, bucket, m, codec, 1)?;
-            core.pending_write_backs.remove(0);
+    fn flush_lazy_write_backs(&mut self, cluster: &Cluster) -> Result<()> {
+        while let Some(&(side, bucket)) = self.pending_write_backs.first() {
+            let label = side_label(&self.query, side);
+            let (m, codec) = (self.m, self.config.codec);
+            refresh_bucket(cluster, self.table(), label, bucket, m, codec, 1)?;
+            self.pending_write_backs.remove(0);
         }
         Ok(())
     }
 
-    fn finish(mut self, meter: QueryMeter) -> Result<QueryOutcome> {
-        self.flush_lazy_write_backs()?;
-        let core = &self.core;
-        let [left, right] = &core.sides;
+    fn finish(mut self, cluster: &Cluster, meter: QueryMeter) -> Result<QueryOutcome> {
+        self.flush_lazy_write_backs(cluster)?;
+        let [left, right] = &self.sides;
         Ok(QueryOutcome {
             extras: Extras::Bfhm {
                 buckets_fetched: (left.fetched.len() + right.fetched.len()) as u64,
                 bucket_gets: left.bucket_gets + right.bucket_gets,
-                estimates: core.estimates.len() as u64,
-                reverse_rows_fetched: core.reverse.cells_fetched(),
-                rounds: core.rounds,
+                estimates: self.estimates.len() as u64,
+                reverse_rows_fetched: self.reverse.cells_fetched(),
+                rounds: self.rounds,
             },
-            ..QueryOutcome::new("BFHM", core.results(0..core.results.len()), meter.finish())
+            ..QueryOutcome::new("BFHM", self.results(0..self.results.len()), meter.finish())
         })
     }
 }
 
-/// The BFHM guarantee loop as a [`RankedCursor`]: pumps the same
-/// [`BfhmRun`] step machine the one-shot entry points drain, stopping as
-/// soon as enough results are *certified* — strictly above the machine's
-/// threat bound, which is non-increasing across steps, so an emitted
-/// result can never be displaced or preceded by later work.
-pub(crate) struct BfhmCursor {
-    run: BfhmRun,
-}
-
-impl BfhmCursor {
-    /// Opens a cursor for the top `meta.k` of `query` over a previously
-    /// built BFHM index pair, its buffers taken from and given back to
-    /// `meta.spares`. The index metadata read is charged to the cursor (it
-    /// is part of the one-shot run's metered cost).
-    pub(crate) fn open(
-        cluster: &Cluster,
-        query: &Arc<RankJoinQuery>,
-        meta: CursorMeta,
-        index_table: &str,
-        config: &BfhmConfig,
-        write_back: WriteBackPolicy,
-    ) -> Result<Self> {
-        let ledger = cluster.metrics();
-        let before = ledger.snapshot();
-        let mut run = BfhmRun::new(cluster, query, meta, index_table, config, write_back)?;
-        run.core.meta.charged = ledger.snapshot().delta_since(&before);
-        Ok(BfhmCursor { run })
-    }
-
-    /// Reattaches a detached state to `cluster`.
-    pub(crate) fn resume(cluster: &Cluster, core: BfhmCore) -> Self {
-        BfhmCursor {
-            run: BfhmRun::resume(cluster, core),
-        }
+/// The guarantee loop behind the one cursor: it emits only results
+/// strictly above the machine's threat bound, which is non-increasing
+/// across steps, so an emitted result can never be displaced or preceded
+/// by later work.
+impl Step for BfhmCore {
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
+        self.advance(cluster)
     }
 
     fn drained(&self) -> bool {
-        self.run.core.meta.k == 0 || self.run.done()
+        self.meta.k == 0 || self.phase == Phase::Done
     }
 
-    /// Results certain to be final (strictly above the threat bound;
-    /// everything once the guarantee loop terminates).
+    /// Strictly above the threat bound; everything once the guarantee
+    /// loop terminates.
     fn certified(&self) -> usize {
         if self.drained() {
-            return self.run.core.results.len();
+            return self.results.len();
         }
-        self.run.core.results.count_above(self.run.threat_bound())
-    }
-}
-
-impl RankedCursor for BfhmCursor {
-    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
-        let meta_k = self.run.core.meta.k;
-        let want = self.run.core.meta.emitted.saturating_add(n).min(meta_k);
-        let ledger = self.run.cluster.metrics();
-        let before = ledger.snapshot();
-        let mut stopped = None;
-        while !self.drained() && self.certified() < want {
-            self.run.advance()?;
-            if self.drained() {
-                break;
-            }
-            let sim_so_far = self.run.core.meta.charged.sim_seconds
-                + ledger.snapshot().delta_since(&before).sim_seconds;
-            if let Some(reason) = policy_stop(policy, self.run.core.steps, sim_so_far) {
-                stopped = Some(reason);
-                break;
-            }
-        }
-        let emit_to = self.certified().min(want).max(self.run.core.meta.emitted);
-        if emit_to == meta_k {
-            // The result is ready: lazy write-backs happen now (§6), as
-            // they do when the guarantee loop ends.
-            self.run.flush_lazy_write_backs()?;
-        }
-        let delta = ledger.snapshot().delta_since(&before);
-        self.run.core.meta.charged = snap_add(self.run.core.meta.charged, delta);
-        let results = self.run.core.results(self.run.core.meta.emitted..emit_to);
-        self.run.core.meta.emitted = emit_to;
-        Ok(CursorBatch {
-            results,
-            done: self.is_done(),
-            stopped,
-            metrics: delta,
-        })
+        self.results.count_above(self.threat_bound())
     }
 
-    fn pause(self: Box<Self>) -> CursorState {
-        CursorState {
-            inner: StateInner::Bfhm(Box::new(self.run.core)),
-        }
+    /// Keys and join values copied out of the cache for results leaving
+    /// the run.
+    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+        let reverse = &self.reverse;
+        self.results
+            .binary_results(ranks, |_, id| reverse.tuple(id))
     }
 
-    fn emitted(&self) -> usize {
-        self.run.core.meta.emitted
-    }
-
+    /// Every store fetch the machine has made: bucket and reverse-row
+    /// gets.
     fn consumed_depth(&self) -> u64 {
-        self.run.core.consumed_depth()
+        self.sides[0].bucket_gets + self.sides[1].bucket_gets + self.reverse.cells_fetched()
     }
 
-    fn charged(&self) -> MetricsSnapshot {
-        self.run.core.meta.charged
+    fn boundaries(&self) -> u64 {
+        self.steps
     }
 
-    /// Done once every result of the one-shot run is out: all `k` of
-    /// them (each was certified final, so the guarantee loop's remaining
-    /// steps could only confirm them), or everything a finished loop
-    /// found.
-    fn is_done(&self) -> bool {
-        let meta = &self.run.core.meta;
-        meta.emitted == meta.k || (self.drained() && meta.emitted == self.run.core.results.len())
+    fn meta(&self) -> &CursorMeta {
+        &self.meta
+    }
+
+    fn meta_mut(&mut self) -> &mut CursorMeta {
+        &mut self.meta
+    }
+
+    fn paused(self) -> StateInner {
+        StateInner::Bfhm(Box::new(self))
     }
 
     fn algorithm(&self) -> &'static str {
         "BFHM"
+    }
+
+    /// The result is ready: lazy write-backs happen now (§6), as they do
+    /// when the guarantee loop ends.
+    fn ready(&mut self, cluster: &Cluster) -> Result<()> {
+        self.flush_lazy_write_backs(cluster)
     }
 }
 
@@ -1031,7 +927,8 @@ pub fn run(
 
 /// [`run`] for the top `meta.k` of a shared query, whose own `k` is not
 /// read, its buffers taken from and given back to `meta.spares` — the
-/// executor's entry point.
+/// executor's entry point. It drains the machine until the guarantee
+/// loop ends, and its counters count the whole loop.
 pub(crate) fn run_shared(
     cluster: &Cluster,
     query: &Arc<RankJoinQuery>,
@@ -1044,19 +941,21 @@ pub(crate) fn run_shared(
         return Ok(QueryOutcome::new(
             "BFHM",
             Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
+            MetricsSnapshot::default(),
         ));
     }
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = BfhmRun::new(cluster, query, meta, index_table, config, write_back)?;
-    run.run_to_completion()?;
-    run.finish(meter)
+    let mut core = BfhmCore::open(cluster, query, meta, index_table, config, write_back)?;
+    while core.advance(cluster)? {}
+    core.finish(cluster, meter)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfhm;
+    use crate::cancel::StopPolicy;
+    use crate::cursor::{RankedCursor, StepCursor};
     use crate::oracle;
     use crate::testsupport::running_example_cluster;
     use rj_mapreduce::MapReduceEngine;
@@ -1160,7 +1059,7 @@ mod tests {
         let (c, q) = running_example_cluster();
         let config = example_config();
         build(&c, &q, &config);
-        let mut run_state = BfhmRun::new(
+        let mut run_state = BfhmCore::open(
             &c,
             &Arc::new(q),
             CursorMeta::new(1000, None, Spares::default()), // force exhaustion
@@ -1169,9 +1068,8 @@ mod tests {
             WriteBackPolicy::Off,
         )
         .unwrap();
-        run_state.run_estimation(1000).unwrap();
+        run_state.run_estimation(&c, 1000).unwrap();
         let mut got: Vec<(u32, u32, u64, f64, f64)> = run_state
-            .core
             .estimates
             .iter()
             .map(|e| {
@@ -1227,7 +1125,8 @@ mod tests {
         assert!(is_codec(one_shot.unwrap_err()));
         let shared = Arc::new(q.clone());
         let meta = CursorMeta::new(q.k, None, Spares::default());
-        let mut cursor = BfhmCursor::open(c, &shared, meta, "bfhm_idx", config, policy).unwrap();
+        let core = BfhmCore::open(c, &shared, meta, "bfhm_idx", config, policy).unwrap();
+        let mut cursor = StepCursor::new(c, core);
         for pull in 0..2 {
             let batch = cursor.next_batch(q.k, &StopPolicy::never());
             assert!(is_codec(batch.unwrap_err()), "pull {pull}");

@@ -14,7 +14,10 @@
 //! * [`CancelToken`] — a cheaply cloneable flag the *requester* trips;
 //!   the executing side polls it at batch boundaries only, so a stop
 //!   never tears a half-fetched batch (every batch is fully paid for and
-//!   fully accounted before the check).
+//!   fully accounted before the check). A "batch" is each algorithm's
+//!   own boundary unit, all checked by the one cursor pump: an ISL
+//!   batch of index rows, a BFHM guarantee-loop step, a DRJN round; a
+//!   MapReduce baseline's cursor checks once, before its one run.
 //! * [`StopPolicy`] — token, simulated-time deadline, and a
 //!   fault-injection hook, all checked at batch boundaries.
 //! * [`StopReason`] — why a pull stopped early, reported in
@@ -87,8 +90,9 @@ pub struct StopPolicy {
     /// [`rj_store::cluster::Cluster::fork_metrics`] fork so concurrent
     /// work cannot eat the budget. `None` disables the deadline.
     pub deadline_sim_seconds: Option<f64>,
-    /// Fault-injection hook: trip the token after this many batches, as
-    /// if a client cancelled exactly there. Exercises mid-query
+    /// Fault-injection hook: trip the token after this many batches
+    /// (ISL batches, BFHM steps or DRJN rounds), as if a client cancelled
+    /// exactly there. Exercises mid-query
     /// cancellation deterministically in tests; leave `None` in
     /// production.
     pub cancel_after_batches: Option<u64>,

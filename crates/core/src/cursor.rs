@@ -15,19 +15,25 @@
 //!   positions, the operators' seen-tuple stores, partial accumulators),
 //!   serializable in principle, pinned to the statistics version it was
 //!   opened under.
-//! * [`IslCursor`] — ISL/HRJN as a cursor, over any [`JoinSpec`]: the
-//!   batched descent of [`crate::isl`] with first-class suspend/resume.
-//!   The paper's binary ISL is its two-side instance; three or more sides
-//!   are the multiway rank join (each batch from the side that sets the
-//!   threshold), and a side may be bulk-ingested up front ([`SideAccess`]).
+//! * `StepCursor` — the one cursor over the three incremental
+//!   algorithms. Each is a step machine behind the crate-private `Step`
+//!   trait: ISL's batched descent (`IslCore`, here; any number of sides —
+//!   at three or more, the multiway rank join, each batch from the side
+//!   that sets the threshold, a side optionally bulk-ingested up front,
+//!   [`SideAccess`]), BFHM's §5.3 guarantee loop (`BfhmCore`, in
+//!   [`crate::bfhm`]) and DRJN's rounds (`DrjnCore`, in [`crate::drjn`]).
+//!   Its one `next_batch` is the one pump: it pages, meters every pull
+//!   with one [`rj_store::QueryMeter`] and stops at the algorithm's own
+//!   boundary unit (an ISL batch, a BFHM step, a DRJN round).
+//!   [`IslCursor`] is its public ISL face.
 //! * [`MaterializedCursor`] — the bulk MapReduce algorithms (Hive, Pig,
 //!   IJLMR) as cursors: the one-shot run executes on the first pull (MR
 //!   jobs are not incremental — all reads are charged then, exactly the
-//!   one-shot amount) and later pulls page from the buffer for free.
+//!   one-shot amount) and later pulls page from the buffer for free. It
+//!   is also every algorithm's `k = 0` cursor, empty from the start.
 //!
-//! The BFHM and DRJN cursors live in their driver modules (they share the
-//! drivers' private machinery); [`crate::executor::RankJoinExecutor`] has
-//! the uniform entry points (`open_cursor` / `resume_cursor`).
+//! [`crate::executor::RankJoinExecutor`] has the uniform entry points
+//! (`open_cursor` / `resume_cursor`).
 //!
 //! # The equivalence contract
 //!
@@ -51,6 +57,7 @@
 //! * a drained cursor (threshold crossed or inputs exhausted) emits
 //!   everything, matching the one-shot answer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rj_mapreduce::MapReduceEngine;
@@ -58,7 +65,7 @@ use rj_store::cell::Cell;
 use rj_store::client::{Client, ScannerState};
 use rj_store::cluster::Cluster;
 use rj_store::keys;
-use rj_store::metrics::MetricsSnapshot;
+use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::row::{RowBatch, RowRef, RowResult};
 use rj_store::scan::Scan;
 
@@ -70,19 +77,6 @@ use crate::query::{JoinSpec, RankJoinQuery};
 use crate::result::JoinTuple;
 use crate::spare::Spares;
 use crate::stats::{Extras, QueryOutcome};
-
-/// Component-wise sum of two metric snapshots (deltas compose).
-pub(crate) fn snap_add(a: MetricsSnapshot, b: MetricsSnapshot) -> MetricsSnapshot {
-    MetricsSnapshot {
-        kv_reads: a.kv_reads + b.kv_reads,
-        kv_writes: a.kv_writes + b.kv_writes,
-        network_bytes: a.network_bytes + b.network_bytes,
-        rpc_calls: a.rpc_calls + b.rpc_calls,
-        sim_seconds: a.sim_seconds + b.sim_seconds,
-        node_seconds: a.node_seconds + b.node_seconds,
-        admin_kv_reads: a.admin_kv_reads + b.admin_kv_reads,
-    }
-}
 
 /// Evaluates a [`StopPolicy`] at a cursor step boundary. `charged_sim` is
 /// the cursor's *cumulative* simulated-seconds charge (all calls since
@@ -275,9 +269,9 @@ impl CursorState {
     /// The algorithm driving this state.
     pub fn algorithm(&self) -> &'static str {
         match &self.inner {
-            StateInner::Isl(c) => isl_algorithm_name(c.sides.len()),
-            StateInner::Bfhm(_) => "BFHM",
-            StateInner::Drjn(_) => "DRJN",
+            StateInner::Isl(c) => c.algorithm(),
+            StateInner::Bfhm(c) => c.algorithm(),
+            StateInner::Drjn(c) => c.algorithm(),
             StateInner::Materialized(c) => c.algorithm,
         }
     }
@@ -301,7 +295,7 @@ impl CursorState {
     /// [`RankedCursor::consumed_depth`]).
     pub fn consumed_depth(&self) -> u64 {
         match &self.inner {
-            StateInner::Isl(c) => c.state.tuples_consumed() as u64,
+            StateInner::Isl(c) => c.consumed_depth(),
             StateInner::Bfhm(c) => c.consumed_depth(),
             StateInner::Drjn(c) => c.consumed_depth(),
             StateInner::Materialized(c) => c.results.as_ref().map_or(0, |r| r.len()) as u64,
@@ -339,9 +333,9 @@ impl CursorState {
     /// Remaining work is billed to `cluster`'s metric ledger.
     pub fn resume_on(self, cluster: &Cluster) -> Result<Box<dyn RankedCursor>> {
         match self.inner {
-            StateInner::Isl(core) => Ok(Box::new(IslCursor::resume(cluster, *core))),
-            StateInner::Bfhm(core) => Ok(Box::new(crate::bfhm::BfhmCursor::resume(cluster, *core))),
-            StateInner::Drjn(core) => Ok(Box::new(crate::drjn::DrjnCursor::resume(cluster, *core))),
+            StateInner::Isl(core) => Ok(Box::new(StepCursor::new(cluster, *core))),
+            StateInner::Bfhm(core) => Ok(Box::new(StepCursor::new(cluster, *core))),
+            StateInner::Drjn(core) => Ok(Box::new(StepCursor::new(cluster, *core))),
             StateInner::Materialized(core) => {
                 Ok(Box::new(MaterializedCursor::resume(cluster, *core)))
             }
@@ -364,12 +358,149 @@ impl CursorState {
         match self.inner {
             StateInner::Isl(mut core) => {
                 core.retarget(new_k);
-                Ok(Box::new(IslCursor::resume(cluster, *core)))
+                Ok(Box::new(StepCursor::new(cluster, *core)))
             }
             _ => Err(RankJoinError::Internal(
                 "only ISL cursor states support re-targeting to a deeper k",
             )),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The one pump (ISL, BFHM, DRJN)
+// ---------------------------------------------------------------------
+
+/// A run the one cursor pumps: ISL's batched descent, BFHM's guarantee
+/// loop or DRJN's rounds, advanced one boundary unit at a time. Results
+/// are buffered in rank order; a run emits only the prefix it has
+/// certified final.
+pub(crate) trait Step: Send + Sized {
+    /// Advances one boundary unit on `cluster`: whether work remains (a
+    /// stop policy is evaluated only then).
+    fn step(&mut self, cluster: &Cluster) -> Result<bool>;
+
+    /// Whether the run has nothing left to do (`k = 0` included).
+    fn drained(&self) -> bool;
+
+    /// How many buffered results are certain to be final: all of them
+    /// once the run is drained.
+    fn certified(&self) -> usize;
+
+    /// The buffered results of ranks `ranks`, built.
+    fn results(&self, ranks: Range<usize>) -> Vec<JoinTuple>;
+
+    /// See [`RankedCursor::consumed_depth`].
+    fn consumed_depth(&self) -> u64;
+
+    /// Boundary units taken, the counter `cancel_after_batches` reads: ISL
+    /// batches, BFHM steps, DRJN rounds.
+    fn boundaries(&self) -> u64;
+
+    /// The run's bookkeeping.
+    fn meta(&self) -> &CursorMeta;
+
+    /// The run's bookkeeping, to update.
+    fn meta_mut(&mut self) -> &mut CursorMeta;
+
+    /// The run as its paused [`CursorState`] payload.
+    fn paused(self) -> StateInner;
+
+    /// The driving algorithm's display name.
+    fn algorithm(&self) -> &'static str;
+
+    /// Runs once the page that emits the `k`-th result is decided, before
+    /// its charge is taken: BFHM's lazy write-backs (§6).
+    fn ready(&mut self, _cluster: &Cluster) -> Result<()> {
+        Ok(())
+    }
+}
+
+/// The one cursor over a [`Step`] run: a fresh run, or a detached one
+/// resumed, attached to the cluster handle whose ledger its pulls bill.
+pub(crate) struct StepCursor<C> {
+    cluster: Cluster,
+    core: C,
+}
+
+impl<C: Step> StepCursor<C> {
+    /// Attaches `core` to `cluster`. A detached run carries its whole
+    /// position, so there is nothing to rebuild, re-read or re-bill.
+    pub(crate) fn new(cluster: &Cluster, core: C) -> Self {
+        StepCursor {
+            cluster: cluster.clone(),
+            core,
+        }
+    }
+}
+
+impl<C: Step> RankedCursor for StepCursor<C> {
+    /// Steps until `want` results are certified, the run drains, or the
+    /// policy fires at a boundary; then emits the certified part of the
+    /// page. The page's charge is one meter's delta.
+    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
+        let core = &mut self.core;
+        let (k, emitted) = (core.meta().k, core.meta().emitted);
+        let want = emitted.saturating_add(n).min(k);
+        let meter = QueryMeter::start(self.cluster.metrics());
+        let mut stopped = None;
+        // A re-targeted ISL run may certify `want` part-way through a
+        // batch; its state is consistent there, so it reads no further.
+        while !core.drained() && core.certified() < want {
+            if !core.step(&self.cluster)? {
+                break;
+            }
+            let charged_sim = core.meta().charged.sim_seconds + meter.so_far().sim_seconds;
+            stopped = policy_stop(policy, core.boundaries(), charged_sim);
+            if stopped.is_some() {
+                break;
+            }
+        }
+        let emit_to = core.certified().min(want).max(emitted);
+        if emit_to == k {
+            core.ready(&self.cluster)?;
+        }
+        let metrics = meter.finish();
+        let meta = core.meta_mut();
+        meta.charged += metrics;
+        meta.emitted = emit_to;
+        Ok(CursorBatch {
+            // A page builds its own results, never the whole buffer.
+            results: core.results(emitted..emit_to),
+            done: self.is_done(),
+            stopped,
+            metrics,
+        })
+    }
+
+    fn pause(self: Box<Self>) -> CursorState {
+        CursorState {
+            inner: self.core.paused(),
+        }
+    }
+
+    fn emitted(&self) -> usize {
+        self.core.meta().emitted
+    }
+
+    fn consumed_depth(&self) -> u64 {
+        self.core.consumed_depth()
+    }
+
+    fn charged(&self) -> MetricsSnapshot {
+        self.core.meta().charged
+    }
+
+    /// Done once every result of the one-shot run is out: all `k` of
+    /// them (each was certified final, so the run's remaining steps could
+    /// only confirm them), or everything a drained run found.
+    fn is_done(&self) -> bool {
+        let meta = self.core.meta();
+        meta.emitted == meta.k || (self.core.drained() && meta.emitted == self.core.certified())
+    }
+
+    fn algorithm(&self) -> &'static str {
+        self.core.algorithm()
     }
 }
 
@@ -393,16 +524,6 @@ pub enum SideAccess {
 /// arguments answers.
 const ONE_PER_SIDE: RankJoinError =
     RankJoinError::InvalidSpec("one batch size and one SideAccess per side required");
-
-/// Display name of an ISL execution over `sides` sides: the paper's
-/// binary algorithm keeps its name, more sides report the multiway join.
-pub(crate) fn isl_algorithm_name(sides: usize) -> &'static str {
-    if sides == 2 {
-        "ISL"
-    } else {
-        "MULTIWAY"
-    }
-}
 
 /// One side of the descent: how it is consumed and where its scanner
 /// stands (its tuples live under the side's label, read through the
@@ -442,7 +563,7 @@ impl SideRows {
     }
 }
 
-/// Detached state of an [`IslCursor`]: the exact position of the batched
+/// Detached state of an ISL cursor: the exact position of the batched
 /// descent, plus the HRJN operator itself. Resuming attaches a cluster
 /// handle and does no other work, however deep the descent has gone.
 #[derive(Clone)]
@@ -457,7 +578,7 @@ pub(crate) struct IslCore {
     /// Per-side scan state, in spec side order.
     pub sides: Vec<SideScan>,
     /// Which side the current batch pulls from, picked at its start (see
-    /// [`IslCursor::advance_one_batch`]).
+    /// [`IslCore::advance_one_batch`]).
     pub turn: usize,
     /// Batches completed or started.
     pub batches: u64,
@@ -484,14 +605,6 @@ impl Drop for IslCore {
             spares.give_batch(position, std::mem::take(&mut side.scan).into_batch());
         }
         self.state.give_back(spares);
-    }
-}
-
-impl IslCore {
-    fn retarget(&mut self, new_k: usize) {
-        let spares = std::mem::take(&mut self.meta.spares);
-        self.meta = CursorMeta::new(new_k, self.meta.pinned_version, spares);
-        self.state.retarget(new_k);
     }
 }
 
@@ -545,26 +658,13 @@ fn descend_row(
     Ok(None)
 }
 
-/// What one [`IslCursor::advance_one_batch`] call did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BatchStep {
-    /// Nothing left to do: HRJN terminated or every input exhausted
-    /// (possibly mid-batch).
-    Drained,
-    /// One batch completed at its boundary; the descent continues.
-    Completed,
-}
-
 /// The ISL/HRJN rank join as a [`RankedCursor`]: the batched descent of
 /// [`crate::isl::run`] over every [`SideAccess::Descend`] side of a spec's
 /// score index, with [`SideAccess::Materialize`] sides bulk-ingested up
 /// front, suspendable at any batch boundary. The one-shot driver *is* this
 /// cursor drained in one call, so results and counted metrics agree by
 /// construction.
-pub struct IslCursor {
-    cluster: Cluster,
-    core: IslCore,
-}
+pub struct IslCursor(pub(crate) StepCursor<IslCore>);
 
 impl IslCursor {
     /// Opens a cursor for the top `k` of `spec` over a previously built
@@ -587,13 +687,46 @@ impl IslCursor {
             return Err(ONE_PER_SIDE);
         }
         let meta = CursorMeta::new(k, pinned_version, Spares::default());
-        IslCursor::open_on(cluster, spec, meta, index_table, |side| batch[side], access)
+        let core = IslCore::open(cluster, spec, meta, index_table, |side| batch[side], access)?;
+        Ok(IslCursor(StepCursor::new(cluster, core)))
+    }
+}
+
+impl RankedCursor for IslCursor {
+    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
+        self.0.next_batch(n, policy)
     }
 
-    /// [`IslCursor::open`] for the top `meta.k`, side `i` pulling
+    fn pause(self: Box<Self>) -> CursorState {
+        Box::new(self.0).pause()
+    }
+
+    fn emitted(&self) -> usize {
+        self.0.emitted()
+    }
+
+    fn consumed_depth(&self) -> u64 {
+        self.0.consumed_depth()
+    }
+
+    fn charged(&self) -> MetricsSnapshot {
+        self.0.charged()
+    }
+
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+
+    fn algorithm(&self) -> &'static str {
+        self.0.algorithm()
+    }
+}
+
+impl IslCore {
+    /// The descent for the top `meta.k` of `spec`, side `i` pulling
     /// `batch(i)` rows per turn: the operator and the scans take their
     /// buffers from `meta.spares`, and give them back there.
-    pub(crate) fn open_on(
+    pub(crate) fn open(
         cluster: &Cluster,
         spec: &Arc<JoinSpec>,
         meta: CursorMeta,
@@ -608,73 +741,32 @@ impl IslCursor {
             .table(index_table)
             .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?
             .name_handle();
-        Ok(IslCursor::resume(
-            cluster,
-            IslCore {
-                sides: access
-                    .iter()
-                    .enumerate()
-                    .map(|(position, &access)| SideScan {
-                        batch: batch(position),
-                        access,
-                        scan: SideRows::Unopened(meta.spares.batch(position)),
-                    })
-                    .collect(),
-                state: HrjnState::from_spares(&meta.spares, spec, meta.k),
-                meta,
-                spec: spec.clone(),
-                table,
-                turn: 0,
-                batches: 0,
-                in_batch: false,
-                rows_taken: 0,
-                pending: None,
-            },
-        ))
+        Ok(IslCore {
+            sides: access
+                .iter()
+                .enumerate()
+                .map(|(position, &access)| SideScan {
+                    batch: batch(position),
+                    access,
+                    scan: SideRows::Unopened(meta.spares.batch(position)),
+                })
+                .collect(),
+            state: HrjnState::from_spares(&meta.spares, spec, meta.k),
+            meta,
+            spec: spec.clone(),
+            table,
+            turn: 0,
+            batches: 0,
+            in_batch: false,
+            rows_taken: 0,
+            pending: None,
+        })
     }
 
-    /// Reattaches a detached state to `cluster`. The state carries its
-    /// HRJN operator, so there is nothing to rebuild, re-read or re-bill.
-    pub(crate) fn resume(cluster: &Cluster, core: IslCore) -> Self {
-        IslCursor {
-            cluster: cluster.clone(),
-            core,
-        }
-    }
-
-    /// The cursor drained in one call: the one-shot run. The paper's
-    /// binary ISL also reports the tuples it consumed and the batches it
-    /// fetched.
-    pub(crate) fn drain(mut self) -> Result<QueryOutcome> {
-        let (_, metrics) = self.pump(self.core.meta.k, &StopPolicy::never())?;
-        let state = &self.core.state;
-        let mut outcome = QueryOutcome::new(self.algorithm(), state.current_results(), metrics);
-        if self.core.sides.len() == 2 {
-            outcome.extras = Extras::Isl {
-                tuples_consumed: state.tuples_consumed() as u64,
-                batches: self.core.batches,
-            };
-        }
-        Ok(outcome)
-    }
-
-    fn drained(&self) -> bool {
-        self.core.meta.k == 0 || self.core.state.is_done() || self.core.state.all_exhausted()
-    }
-
-    /// Results currently certain to be final: while the descent runs,
-    /// the buffered prefix **strictly** above the HRJN threshold; once
-    /// drained, everything (see the module docs for why strictness is
-    /// what makes emitted prefixes exact under score ties).
-    fn certified(&self) -> usize {
-        let state = &self.core.state;
-        if self.drained() {
-            return state.result_count();
-        }
-        let Some(threshold) = state.threshold() else {
-            return 0;
-        };
-        state.results_above(threshold)
+    fn retarget(&mut self, new_k: usize) {
+        let spares = std::mem::take(&mut self.meta.spares);
+        self.meta = CursorMeta::new(new_k, self.meta.pinned_version, spares);
+        self.state.retarget(new_k);
     }
 
     /// Bulk-ingests every [`SideAccess::Materialize`] side not ingested
@@ -689,7 +781,7 @@ impl IslCursor {
             sides,
             state,
             ..
-        } = &mut self.core;
+        } = self;
         for (i, side) in sides.iter_mut().enumerate() {
             if side.access != SideAccess::Materialize || state.is_exhausted(i) {
                 continue;
@@ -709,182 +801,174 @@ impl IslCursor {
 
     /// Runs exactly one batch of the descent (after the materialization
     /// pass on the first call), or finishes a part-way batch left by an
-    /// earlier re-target — the body of the paper's Algorithm 4 loop. No
-    /// policy evaluation happens here; the pump checks at the boundary
-    /// this returns at.
-    fn advance_one_batch(&mut self) -> Result<BatchStep> {
+    /// earlier re-target — the body of the paper's Algorithm 4 loop.
+    /// Returns whether a batch completed at its boundary; `false` when
+    /// nothing is left to do (HRJN terminated or every input exhausted,
+    /// possibly mid-batch). No policy evaluation happens here; the pump
+    /// checks at the boundary this returns at.
+    fn advance_one_batch(&mut self, cluster: &Cluster) -> Result<bool> {
         if self.drained() {
-            return Ok(BatchStep::Drained);
+            return Ok(false);
         }
-        let client = self.cluster.client();
+        let client = cluster.client();
         self.materialize_sides(&client)?;
         if self.drained() {
-            return Ok(BatchStep::Drained);
+            return Ok(false);
         }
-        let core = &mut self.core;
-        let n = core.sides.len();
-        if !core.in_batch {
+        let n = self.sides.len();
+        if !self.in_batch {
             // Three or more sides pull the side that sets the threshold,
             // two alternate (Algorithm 4); materialized sides are exhausted,
             // and all-exhausted is `drained`, so a side with input exists.
             // Two sides pulled by the threshold would read about 40 % less
             // but put ISL ahead of BFHM where the paper's Figure 7 has
             // BFHM lead, so the binary descent keeps the paper's order.
-            match core.state.pull_side() {
-                Some(side) if n > 2 => core.turn = side,
+            match self.state.pull_side() {
+                Some(side) if n > 2 => self.turn = side,
                 _ => {
-                    while core.state.is_exhausted(core.turn) {
-                        core.turn = (core.turn + 1) % n;
+                    while self.state.is_exhausted(self.turn) {
+                        self.turn = (self.turn + 1) % n;
                     }
                 }
             }
-            core.batches += 1;
-            core.rows_taken = 0;
-            core.in_batch = true;
+            self.batches += 1;
+            self.rows_taken = 0;
+            self.in_batch = true;
         }
-        let turn = core.turn;
-        let side = &mut core.sides[turn];
-        let family = core.spec.sides[turn].label.as_str();
+        let turn = self.turn;
+        let side = &mut self.sides[turn];
+        let family = self.spec.sides[turn].label.as_str();
         // The scanner is reattached at its detached position only when a
         // further row is demanded, and detached again whether or not the
         // rows failed: a failed RPC leaves the descent after the last row
         // it consumed, and the next call continues the batch from there.
         let mut scan = None;
-        let rows = (|| -> Result<BatchStep> {
+        let rows = (|| -> Result<bool> {
             // The row a previous (shallower) target stopped inside goes
             // first: its remaining cells are already read and billed,
             // never re-fetched — a re-target that terminates again inside
             // it leaves the scanner untouched.
-            if let Some((row, first_cell)) = core.pending.take() {
+            if let Some((row, first_cell)) = self.pending.take() {
                 let cells = row.cells.len();
                 let stopped =
-                    descend_row(&mut core.state, turn, family, row.as_row_ref(), first_cell)?;
+                    descend_row(&mut self.state, turn, family, row.as_row_ref(), first_cell)?;
                 if let Some(next) = stopped {
-                    core.pending = (next < cells).then_some((row, next));
-                    return Ok(BatchStep::Drained);
+                    self.pending = (next < cells).then_some((row, next));
+                    return Ok(false);
                 }
             }
-            while core.rows_taken < side.batch {
+            while self.rows_taken < side.batch {
                 let scan = match &mut scan {
                     Some(scan) => scan,
                     none => none.insert(match std::mem::take(&mut side.scan) {
                         SideRows::Open(position) => client.resume_scan(position)?,
                         SideRows::Unopened(rows) => {
                             let spec = Scan::new().families(&[family]).caching(side.batch);
-                            client.scan_with_batch(&core.table, spec, rows)?
+                            client.scan_with_batch(&self.table, spec, rows)?
                         }
                     }),
                 };
                 let Some(row) = scan.next_row()? else {
-                    core.state.exhaust(turn);
+                    self.state.exhaust(turn);
                     break;
                 };
                 // Fetched in this batch, so paid for whatever comes of it.
-                core.rows_taken += 1;
-                if let Some(next) = descend_row(&mut core.state, turn, family, row, 0)? {
-                    core.pending = (next < row.cells.len()).then(|| (row.to_owned(), next));
-                    return Ok(BatchStep::Drained);
+                self.rows_taken += 1;
+                if let Some(next) = descend_row(&mut self.state, turn, family, row, 0)? {
+                    self.pending = (next < row.cells.len()).then(|| (row.to_owned(), next));
+                    return Ok(false);
                 }
             }
-            Ok(BatchStep::Completed)
+            Ok(true)
         })();
         if let Some(scan) = scan {
             side.scan = SideRows::Open(scan.into_state());
         }
-        let step = rows?;
-        if step == BatchStep::Completed {
-            core.in_batch = false;
-            core.turn = (turn + 1) % n;
+        let completed = rows?;
+        if completed {
+            self.in_batch = false;
+            self.turn = (turn + 1) % n;
         }
-        Ok(step)
-    }
-
-    /// Advances batches until `want` results are certified, the cursor
-    /// drains, or a stop condition fires at a boundary. Returns the stop
-    /// reason (if any) and this call's metric delta.
-    pub(crate) fn pump(
-        &mut self,
-        want: usize,
-        policy: &StopPolicy,
-    ) -> Result<(Option<StopReason>, MetricsSnapshot)> {
-        let ledger = self.cluster.metrics();
-        let before = ledger.snapshot();
-        let mut stopped = None;
-        loop {
-            // `certified() >= want` can hold part-way through a batch only
-            // right after a re-target (advance_one_batch never yields
-            // mid-batch otherwise); the detached state is consistent there
-            // too, so stop without demanding further reads.
-            if self.drained() || self.certified() >= want {
-                break;
-            }
-            match self.advance_one_batch()? {
-                BatchStep::Drained => break,
-                BatchStep::Completed => {
-                    if self.core.state.all_exhausted() {
-                        continue; // top-of-loop drain; no boundary checks
-                    }
-                    let sim_so_far = self.core.meta.charged.sim_seconds
-                        + ledger.snapshot().delta_since(&before).sim_seconds;
-                    if let Some(reason) = policy_stop(policy, self.core.batches, sim_so_far) {
-                        stopped = Some(reason);
-                        break;
-                    }
-                }
-            }
-        }
-        let delta = ledger.snapshot().delta_since(&before);
-        self.core.meta.charged = snap_add(self.core.meta.charged, delta);
-        Ok((stopped, delta))
+        Ok(completed)
     }
 }
 
-impl RankedCursor for IslCursor {
-    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
-        let want = self
-            .core
-            .meta
-            .emitted
-            .saturating_add(n)
-            .min(self.core.meta.k);
-        let (stopped, metrics) = self.pump(want, policy)?;
-        let emitted = self.core.meta.emitted;
-        let emit_to = self.certified().min(want).max(emitted);
-        // A page builds its own results, never the whole buffer.
-        let results = self.core.state.results(emitted..emit_to);
-        self.core.meta.emitted = emit_to;
-        Ok(CursorBatch {
-            results,
-            done: self.is_done(),
-            stopped,
-            metrics,
-        })
+impl Step for IslCore {
+    /// One batch; a batch that exhausts every side is the last, so no
+    /// policy is evaluated after it.
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
+        Ok(self.advance_one_batch(cluster)? && !self.state.all_exhausted())
     }
 
-    fn pause(self: Box<Self>) -> CursorState {
-        CursorState {
-            inner: StateInner::Isl(Box::new(self.core)),
+    fn drained(&self) -> bool {
+        self.meta.k == 0 || self.state.is_done() || self.state.all_exhausted()
+    }
+
+    /// While the descent runs, the buffered prefix **strictly** above the
+    /// HRJN threshold; once drained, everything (see the module docs for
+    /// why strictness is what makes emitted prefixes exact under score
+    /// ties).
+    fn certified(&self) -> usize {
+        if self.drained() {
+            return self.state.result_count();
+        }
+        let Some(threshold) = self.state.threshold() else {
+            return 0;
+        };
+        self.state.results_above(threshold)
+    }
+
+    fn results(&self, ranks: Range<usize>) -> Vec<JoinTuple> {
+        self.state.results(ranks)
+    }
+
+    /// Tuples consumed from the score lists.
+    fn consumed_depth(&self) -> u64 {
+        self.state.tuples_consumed() as u64
+    }
+
+    fn boundaries(&self) -> u64 {
+        self.batches
+    }
+
+    fn meta(&self) -> &CursorMeta {
+        &self.meta
+    }
+
+    fn meta_mut(&mut self) -> &mut CursorMeta {
+        &mut self.meta
+    }
+
+    fn paused(self) -> StateInner {
+        StateInner::Isl(Box::new(self))
+    }
+
+    /// The paper's binary algorithm keeps its name; more sides report
+    /// the multiway join.
+    fn algorithm(&self) -> &'static str {
+        if self.sides.len() == 2 {
+            "ISL"
+        } else {
+            "MULTIWAY"
         }
     }
+}
 
-    fn emitted(&self) -> usize {
-        self.core.meta.emitted
-    }
-
-    fn consumed_depth(&self) -> u64 {
-        self.core.state.tuples_consumed() as u64
-    }
-
-    fn charged(&self) -> MetricsSnapshot {
-        self.core.meta.charged
-    }
-
-    fn is_done(&self) -> bool {
-        self.drained() && self.core.meta.emitted == self.core.state.result_count()
-    }
-
-    fn algorithm(&self) -> &'static str {
-        isl_algorithm_name(self.core.sides.len())
+impl StepCursor<IslCore> {
+    /// The cursor drained in one call: the one-shot run. The paper's
+    /// binary ISL also reports the tuples it consumed and the batches it
+    /// fetched.
+    pub(crate) fn drain(mut self) -> Result<QueryOutcome> {
+        let page = self.next_batch(self.core.meta.k, &StopPolicy::never())?;
+        let core = &self.core;
+        let mut outcome = QueryOutcome::new(core.algorithm(), page.results, page.metrics);
+        if core.sides.len() == 2 {
+            outcome.extras = Extras::Isl {
+                tuples_consumed: core.consumed_depth(),
+                batches: core.batches,
+            };
+        }
+        Ok(outcome)
     }
 }
 
@@ -907,9 +991,9 @@ pub(crate) enum MaterializedSource {
 #[derive(Clone)]
 pub(crate) struct MaterializedCore {
     pub meta: CursorMeta,
-    /// The executor's query, shared; the run's `k` is `meta.k`.
-    pub query: Arc<RankJoinQuery>,
-    pub source: MaterializedSource,
+    /// What the first pull runs: the executor's query, shared (the run's
+    /// `k` is `meta.k`), and the algorithm. `None` for a `k = 0` cursor.
+    pub run: Option<(Arc<RankJoinQuery>, MaterializedSource)>,
     /// The one-shot answer, once the first pull has executed it.
     pub results: Option<Vec<JoinTuple>>,
     pub algorithm: &'static str,
@@ -937,9 +1021,23 @@ impl MaterializedCursor {
             cluster: cluster.clone(),
             core: MaterializedCore {
                 meta: CursorMeta::new(k, pinned_version, Spares::default()),
-                query: query.clone(),
-                source,
+                run: Some((query.clone(), source)),
                 results: None,
+                algorithm,
+            },
+        }
+    }
+
+    /// The `k = 0` cursor of `algorithm`, any arity: empty from the start
+    /// and free, as the one-shot run at `k = 0` is. It pins no version —
+    /// there is nothing to go stale.
+    pub(crate) fn empty(cluster: &Cluster, algorithm: &'static str) -> Self {
+        MaterializedCursor {
+            cluster: cluster.clone(),
+            core: MaterializedCore {
+                meta: CursorMeta::new(0, None, Spares::default()),
+                run: None,
+                results: Some(Vec::new()),
                 algorithm,
             },
         }
@@ -953,24 +1051,21 @@ impl MaterializedCursor {
     }
 
     fn ensure_materialized(&mut self) -> Result<MetricsSnapshot> {
-        if self.core.results.is_some() {
+        let (None, Some((query, source))) = (&self.core.results, &self.core.run) else {
             return Ok(MetricsSnapshot::default());
-        }
-        let ledger = self.cluster.metrics();
-        let before = ledger.snapshot();
+        };
+        let meter = QueryMeter::start(self.cluster.metrics());
         let engine = MapReduceEngine::new(self.cluster.clone());
-        let (query, k) = (&self.core.query, self.core.meta.k);
         // The MapReduce baselines take the query with its `k` inside.
-        let outcome = match &self.core.source {
-            MaterializedSource::Hive => crate::hive::run(&engine, &query.with_k(k))?,
-            MaterializedSource::Pig => crate::pig::run(&engine, &query.with_k(k))?,
-            MaterializedSource::Ijlmr(table) => {
-                crate::ijlmr::run(&engine, &query.with_k(k), table)?
-            }
+        let query = query.with_k(self.core.meta.k);
+        let outcome = match source {
+            MaterializedSource::Hive => crate::hive::run(&engine, &query)?,
+            MaterializedSource::Pig => crate::pig::run(&engine, &query)?,
+            MaterializedSource::Ijlmr(table) => crate::ijlmr::run(&engine, &query, table)?,
         };
         self.core.results = Some(outcome.results);
-        let delta = ledger.snapshot().delta_since(&before);
-        self.core.meta.charged = snap_add(self.core.meta.charged, delta);
+        let delta = meter.finish();
+        self.core.meta.charged += delta;
         Ok(delta)
     }
 }
@@ -1179,7 +1274,7 @@ mod tests {
         c.drop_table(&table).unwrap();
         c.create_table(&table, &["other"]).unwrap();
 
-        let position = |cursor: &IslCursor| (cursor.core.batches, cursor.consumed_depth());
+        let position = |cursor: &IslCursor| (cursor.0.core.batches, cursor.consumed_depth());
         let mut failed_at = None;
         for _ in 0..2 {
             // A buffered row or two may still be served; then the RPC fails.

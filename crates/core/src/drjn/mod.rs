@@ -25,7 +25,7 @@ mod query;
 
 pub use index::{build_pair, index_table_name, DrjnBuildStats};
 pub use query::run;
-pub(crate) use query::{run_shared, DrjnCore, DrjnCursor};
+pub(crate) use query::{run_shared, DrjnCore};
 
 /// DRJN configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,13 +1,15 @@
 //! DRJN query processing: histogram-driven bound estimation plus
 //! map-job tuple pulls through server-side filters (paper §2/§7.1).
 //!
-//! The driver is an owned *round machine* ([`DrjnRun`]): each
-//! [`DrjnRun::advance_round`] call performs one full estimate → pull →
+//! The driver is an owned *round machine* ([`DrjnCore`]): each
+//! [`DrjnCore::advance_round`] call performs one full estimate → pull →
 //! join → re-check round, and the machine's position (seen tuples, the
-//! running top-k, matrix rows, pulled depth) lives in a plain-data
-//! [`DrjnCore`]. The one-shot entry points drain the machine;
-//! [`DrjnCursor`] pumps the same machine on demand and yields certified
-//! results from the materialized joins between rounds.
+//! running top-k, matrix rows, pulled depth) is plain data. The one-shot
+//! entry points drain the machine; a cursor is the machine behind the
+//! crate's one cursor ([`crate::cursor`]'s `StepCursor`, through the
+//! `Step` trait), which pumps the same rounds on demand — one round per
+//! stop-policy boundary — and yields certified results from the
+//! materialized joins between rounds.
 //!
 //! Every pulled tuple is held once, in its side's seen store
 //! ([`SeenSide`]); the running top-k is the shared id buffer ([`TopIds`])
@@ -26,11 +28,8 @@ use rj_store::filter::ScoreInRange;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::scan::Scan;
 
-use crate::cancel::StopPolicy;
 use crate::codec;
-use crate::cursor::{
-    policy_stop, snap_add, CursorBatch, CursorMeta, CursorState, RankedCursor, StateInner,
-};
+use crate::cursor::{CursorMeta, StateInner, Step};
 use crate::error::{RankJoinError, Result};
 use crate::hrjn::SeenSide;
 use crate::query::RankJoinQuery;
@@ -175,20 +174,6 @@ pub(crate) struct DrjnCore {
     done: bool,
 }
 
-impl DrjnCore {
-    /// Monotone progress measure: tuples pulled into the seen store.
-    pub(crate) fn consumed_depth(&self) -> u64 {
-        self.seen.iter().map(SeenSide::len).sum::<usize>() as u64
-    }
-
-    /// The buffered results of ranks `ranks`, built.
-    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
-        let seen = &self.seen;
-        self.results
-            .binary_results(ranks, |side, id| tuple(seen, side, id))
-    }
-}
-
 impl Drop for DrjnCore {
     /// Gives the seen sides and the top-k back to the run's spares.
     fn drop(&mut self) {
@@ -200,18 +185,12 @@ impl Drop for DrjnCore {
     }
 }
 
-/// An owned, stepping DRJN execution over `cluster` (see the module
-/// docs). The MapReduce engine for pull jobs is rebuilt from the cluster
-/// handle, so a resumed machine bills its pulls to the resuming handle's
-/// ledger.
-pub(crate) struct DrjnRun {
-    cluster: Cluster,
-    pub(crate) core: DrjnCore,
-}
-
-impl DrjnRun {
+impl DrjnCore {
     /// A machine for the top `meta.k` of `query` (whose own `k` is not
-    /// read), its buffers taken from and given back to `meta.spares`.
+    /// read) over previously built DRJN matrices, its buffers taken from
+    /// and given back to `meta.spares`. The MapReduce engine for pull jobs
+    /// is rebuilt from the cluster handle each round, so a resumed machine
+    /// bills its pulls to the resuming handle's ledger.
     pub(crate) fn new(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
@@ -223,41 +202,30 @@ impl DrjnRun {
             .table(index_table)
             .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?
             .name_handle();
-        Ok(DrjnRun {
-            cluster: cluster.clone(),
-            core: DrjnCore {
-                seen: [meta.spares.side(1), meta.spares.side(1)],
-                results: meta.spares.top(meta.k, 2),
-                meta,
-                query: query.clone(),
-                index_table,
-                config: *config,
-                rows: [Vec::new(), Vec::new()],
-                cum_estimate: 0.0,
-                pulled_to: [f64::INFINITY, f64::INFINITY],
-                rounds: 0,
-                pull_jobs: 0,
-                depth: 0,
-                done: false,
-            },
+        Ok(DrjnCore {
+            seen: [meta.spares.side(1), meta.spares.side(1)],
+            results: meta.spares.top(meta.k, 2),
+            meta,
+            query: query.clone(),
+            index_table,
+            config: *config,
+            rows: [Vec::new(), Vec::new()],
+            cum_estimate: 0.0,
+            pulled_to: [f64::INFINITY, f64::INFINITY],
+            rounds: 0,
+            pull_jobs: 0,
+            depth: 0,
+            done: false,
         })
-    }
-
-    /// Reattaches a detached machine to `cluster`.
-    pub(crate) fn resume(cluster: &Cluster, core: DrjnCore) -> Self {
-        DrjnRun {
-            cluster: cluster.clone(),
-            core,
-        }
     }
 
     /// The score bound of the last completed round: everything above it
     /// (on both sides) has been pulled and joined.
     fn pulled_bound(&self) -> f64 {
-        if self.core.depth == 0 {
+        if self.depth == 0 {
             1.0
         } else {
-            ScoreHistogram::new(self.core.config.num_buckets).lower_bound(self.core.depth - 1)
+            ScoreHistogram::new(self.config.num_buckets).lower_bound(self.depth - 1)
         }
     }
 
@@ -266,37 +234,33 @@ impl DrjnRun {
     /// most the domain max (1.0). Non-increasing across rounds.
     fn threat_bound(&self) -> f64 {
         let bound = self.pulled_bound();
-        self.core
-            .query
+        self.query
             .score_fn
             .combine(bound, 1.0)
-            .max(self.core.query.score_fn.combine(1.0, bound))
+            .max(self.query.score_fn.combine(1.0, bound))
     }
 
     /// One estimate → pull → join → re-check round (the loop body of the
     /// old run-to-completion driver, verbatim). Returns `false` once the
     /// k-th real result provably beats anything still unpulled (or the
     /// histogram is exhausted).
-    pub(crate) fn advance_round(&mut self) -> Result<bool> {
-        if self.core.done {
+    fn advance_round(&mut self, cluster: &Cluster) -> Result<bool> {
+        if self.done {
             return Ok(false);
         }
-        let engine = MapReduceEngine::new(self.cluster.clone());
-        let client = self.cluster.client();
-        let hist = ScoreHistogram::new(self.core.config.num_buckets);
-        let query = self.core.query.clone();
-        let config = self.core.config;
+        let engine = MapReduceEngine::new(cluster.clone());
+        let client = cluster.client();
+        let query = self.query.clone();
+        let config = self.config;
 
-        self.core.rounds += 1;
+        self.rounds += 1;
         // (i) fetch matrix rows until the cumulative estimate reaches k or
         // the histogram is exhausted.
-        while self.core.cum_estimate < self.core.meta.k as f64
-            && self.core.depth < config.num_buckets
-        {
+        while self.cum_estimate < self.meta.k as f64 && self.depth < config.num_buckets {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
                 let row = client.get_with_families(
-                    &self.core.index_table,
-                    &bucket_row_key(self.core.depth),
+                    &self.index_table,
+                    &bucket_row_key(self.depth),
                     Some(std::slice::from_ref(*label)),
                 )?;
                 let counts: Vec<u64> = match row {
@@ -316,35 +280,31 @@ impl DrjnRun {
                     }
                     None => vec![0u64; config.num_partitions as usize],
                 };
-                self.core.rows[s].push(counts);
+                self.rows[s].push(counts);
             }
             // (ii) join the new depth's rows against everything fetched:
             // new pairs are (d, j) for j ≤ d and (i, d) for i < d.
-            let d = self.core.depth as usize;
+            let d = self.depth as usize;
             let dot = |a: &[u64], b: &[u64]| -> f64 {
                 a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
             };
             for j in 0..=d {
-                self.core.cum_estimate += dot(&self.core.rows[0][d], &self.core.rows[1][j]);
+                self.cum_estimate += dot(&self.rows[0][d], &self.rows[1][j]);
             }
             for i in 0..d {
-                self.core.cum_estimate += dot(&self.core.rows[0][i], &self.core.rows[1][d]);
+                self.cum_estimate += dot(&self.rows[0][i], &self.rows[1][d]);
             }
-            self.core.depth += 1;
+            self.depth += 1;
         }
 
         // (iii) pull all tuples above the lower boundary of the last
         // fetched bucket and join.
-        let bound = if self.core.depth == 0 {
-            1.0
-        } else {
-            hist.lower_bound(self.core.depth - 1)
-        };
+        let bound = self.pulled_bound();
         let tmp = format!(
             "drjn_tmp_{}",
             TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         );
-        let tmp_table = self.cluster.create_table(
+        let tmp_table = cluster.create_table(
             &tmp,
             &[query.left.label.as_str(), query.right.label.as_str()],
         )?;
@@ -356,16 +316,16 @@ impl DrjnRun {
         // splits, and the rebalance below shards instead.
         tmp_table.set_split_threshold(usize::MAX);
         for s in 0..2 {
-            if bound < self.core.pulled_to[s] {
-                pull_band(&engine, &query, s, bound, self.core.pulled_to[s], &tmp)?;
-                self.core.pulled_to[s] = bound;
-                self.core.pull_jobs += 1;
+            if bound < self.pulled_to[s] {
+                pull_band(&engine, &query, s, bound, self.pulled_to[s], &tmp)?;
+                self.pulled_to[s] = bound;
+                self.pull_jobs += 1;
             }
         }
         // The temp table's key domain (join value ‖ base key) is unknown
         // before the pull, so it is re-sharded afterwards, into a layout
         // that depends only on the pulled content.
-        tmp_table.rebalance(self.cluster.num_nodes() * 2);
+        tmp_table.rebalance(cluster.num_nodes() * 2);
         // Coordinator fetches the temp table and joins.
         let pulled_rows = client
             .scan(&tmp, Scan::new().caching(1000))?
@@ -373,154 +333,91 @@ impl DrjnRun {
         for row in pulled_rows {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
                 for cell in row.family_cells(label) {
-                    let core = &mut self.core;
-                    join_pulled_cell(&mut core.seen, &mut core.results, query.score_fn, s, cell)?;
+                    join_pulled_cell(&mut self.seen, &mut self.results, query.score_fn, s, cell)?;
                 }
             }
         }
-        self.cluster.drop_table(&tmp)?;
+        cluster.drop_table(&tmp)?;
 
         // (iv) terminate when the k-th real result beats anything still
-        // unpulled: a missing pair has one side below `bound`, the other
-        // at most the domain max (1.0).
-        let unpulled_max = query
-            .score_fn
-            .combine(bound, 1.0)
-            .max(query.score_fn.combine(1.0, bound));
+        // unpulled (a missing pair has one side below `bound`), or the
+        // histogram is exhausted.
+        let unpulled_max = self.threat_bound();
         let done_by_score = self
-            .core
             .results
             .kth_score()
             .is_some_and(|kth| kth >= unpulled_max);
-        let exhausted = self.core.depth >= config.num_buckets && bound <= 0.0;
+        let exhausted = self.depth >= config.num_buckets && bound <= 0.0;
         if done_by_score || exhausted {
-            self.core.done = true;
+            self.done = true;
             return Ok(false);
         }
         // Not enough: deepen the estimate and loop.
-        self.core.cum_estimate = 0.0; // force at least one more histogram row
-        if self.core.depth >= config.num_buckets && bound <= 0.0 {
-            self.core.done = true;
-            return Ok(false);
-        }
+        self.cum_estimate = 0.0; // force at least one more histogram row
         Ok(true)
     }
 
     fn finish(self, meter: QueryMeter) -> Result<QueryOutcome> {
-        let consumed = self.core.consumed_depth();
-        let results = self.core.results(0..self.core.results.len());
+        let results = self.results(0..self.results.len());
         Ok(QueryOutcome {
             extras: Extras::Drjn {
-                rounds: self.core.rounds,
-                histogram_depth: u64::from(self.core.depth),
-                pull_jobs: self.core.pull_jobs,
-                tuples_pulled: consumed,
+                rounds: self.rounds,
+                histogram_depth: u64::from(self.depth),
+                pull_jobs: self.pull_jobs,
+                tuples_pulled: self.consumed_depth(),
             },
             ..QueryOutcome::new("DRJN", results, meter.finish())
         })
     }
 }
 
-/// DRJN as a [`RankedCursor`]: pumps the round machine and yields, from
-/// the tuples each round materialized out of its temp table, the prefix
-/// strictly above the unpulled-score bound — which is non-increasing
-/// across rounds, so emitted results are final.
-pub(crate) struct DrjnCursor {
-    run: DrjnRun,
-}
-
-impl DrjnCursor {
-    /// Opens a cursor for the top `meta.k` of `query` over previously
-    /// built DRJN matrices, its buffers taken from and given back to
-    /// `meta.spares`.
-    pub(crate) fn open(
-        cluster: &Cluster,
-        query: &Arc<RankJoinQuery>,
-        meta: CursorMeta,
-        index_table: &str,
-        config: &DrjnConfig,
-    ) -> Result<Self> {
-        let run = DrjnRun::new(cluster, query, meta, index_table, config)?;
-        Ok(DrjnCursor { run })
-    }
-
-    /// Reattaches a detached state to `cluster`.
-    pub(crate) fn resume(cluster: &Cluster, core: DrjnCore) -> Self {
-        DrjnCursor {
-            run: DrjnRun::resume(cluster, core),
-        }
+/// The rounds behind the one cursor: from the tuples each round
+/// materialized out of its temp table, it emits the prefix strictly above
+/// the unpulled-score bound — which is non-increasing across rounds, so
+/// emitted results are final.
+impl Step for DrjnCore {
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
+        self.advance_round(cluster)
     }
 
     fn drained(&self) -> bool {
-        self.run.core.meta.k == 0 || self.run.core.done
+        self.meta.k == 0 || self.done
     }
 
-    /// Results certain to be final (strictly above the unpulled bound;
-    /// everything once the machine terminates).
+    /// Strictly above the unpulled bound; everything once the machine
+    /// terminates.
     fn certified(&self) -> usize {
         if self.drained() {
-            return self.run.core.results.len();
+            return self.results.len();
         }
-        self.run.core.results.count_above(self.run.threat_bound())
-    }
-}
-
-impl RankedCursor for DrjnCursor {
-    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
-        let meta_k = self.run.core.meta.k;
-        let want = self.run.core.meta.emitted.saturating_add(n).min(meta_k);
-        let ledger = self.run.cluster.metrics();
-        let before = ledger.snapshot();
-        let mut stopped = None;
-        while !self.drained() && self.certified() < want {
-            let more = self.run.advance_round()?;
-            if !more {
-                break;
-            }
-            let sim_so_far = self.run.core.meta.charged.sim_seconds
-                + ledger.snapshot().delta_since(&before).sim_seconds;
-            if let Some(reason) = policy_stop(policy, self.run.core.rounds, sim_so_far) {
-                stopped = Some(reason);
-                break;
-            }
-        }
-        let delta = ledger.snapshot().delta_since(&before);
-        self.run.core.meta.charged = snap_add(self.run.core.meta.charged, delta);
-        let emit_to = self.certified().min(want).max(self.run.core.meta.emitted);
-        let results = self.run.core.results(self.run.core.meta.emitted..emit_to);
-        self.run.core.meta.emitted = emit_to;
-        Ok(CursorBatch {
-            results,
-            done: self.is_done(),
-            stopped,
-            metrics: delta,
-        })
+        self.results.count_above(self.threat_bound())
     }
 
-    fn pause(self: Box<Self>) -> CursorState {
-        CursorState {
-            inner: StateInner::Drjn(Box::new(self.run.core)),
-        }
+    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+        let seen = &self.seen;
+        self.results
+            .binary_results(ranks, |side, id| tuple(seen, side, id))
     }
 
-    fn emitted(&self) -> usize {
-        self.run.core.meta.emitted
-    }
-
+    /// Tuples pulled into the seen store.
     fn consumed_depth(&self) -> u64 {
-        self.run.core.consumed_depth()
+        self.seen.iter().map(SeenSide::len).sum::<usize>() as u64
     }
 
-    fn charged(&self) -> MetricsSnapshot {
-        self.run.core.meta.charged
+    fn boundaries(&self) -> u64 {
+        self.rounds
     }
 
-    /// Done once every result of the one-shot run is out: all `k` of
-    /// them (each certified final), or everything a finished machine
-    /// found.
-    fn is_done(&self) -> bool {
-        let meta = &self.run.core.meta;
-        meta.emitted == meta.k || (self.drained() && meta.emitted == self.run.core.results.len())
+    fn meta(&self) -> &CursorMeta {
+        &self.meta
+    }
+
+    fn meta_mut(&mut self) -> &mut CursorMeta {
+        &mut self.meta
+    }
+
+    fn paused(self) -> StateInner {
+        StateInner::Drjn(Box::new(self))
     }
 
     fn algorithm(&self) -> &'static str {
@@ -545,7 +442,8 @@ pub fn run(
 
 /// [`run`] for the top `meta.k` of a shared query, whose own `k` is not
 /// read, its buffers taken from and given back to `meta.spares` — the
-/// executor's entry point.
+/// executor's entry point. It runs rounds until the machine terminates,
+/// and its counters count every round.
 pub(crate) fn run_shared(
     engine: &MapReduceEngine,
     query: &Arc<RankJoinQuery>,
@@ -557,17 +455,14 @@ pub(crate) fn run_shared(
         return Ok(QueryOutcome::new(
             "DRJN",
             Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
+            MetricsSnapshot::default(),
         ));
     }
     let cluster = engine.cluster();
-    cluster
-        .table(index_table)
-        .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
     let meter = QueryMeter::start(cluster.metrics());
-    let mut run = DrjnRun::new(cluster, query, meta, index_table, config)?;
-    while run.advance_round()? {}
-    run.finish(meter)
+    let mut core = DrjnCore::new(cluster, query, meta, index_table, config)?;
+    while core.advance_round(cluster)? {}
+    core.finish(meter)
 }
 
 #[cfg(test)]

@@ -36,12 +36,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 use rj_mapreduce::MapReduceEngine;
 use rj_store::cluster::Cluster;
 
-use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCursor};
+use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCore};
 use crate::cursor::{
-    CursorMeta, CursorState, IslCursor, MaterializedCursor, MaterializedSource, RankedCursor,
-    SideAccess,
+    CursorMeta, CursorState, IslCore, MaterializedCursor, MaterializedSource, RankedCursor,
+    SideAccess, StepCursor,
 };
-use crate::drjn::{self, DrjnConfig, DrjnCursor};
+use crate::drjn::{self, DrjnConfig, DrjnCore};
 use crate::error::{RankJoinError, Result};
 use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig};
@@ -664,7 +664,7 @@ impl RankJoinExecutor {
     /// pinned to the statistics version. It plans first, then pins: the
     /// access choice may run a statistics pass, and the cursor must pin
     /// the version as of the moment it starts reading.
-    fn open_isl(&self, k: usize) -> Result<IslCursor> {
+    fn open_isl(&self, k: usize) -> Result<StepCursor<IslCore>> {
         let table = prepared(&self.indices.isl, "isl")?;
         let planned;
         let access = match self.fixed_access() {
@@ -674,14 +674,16 @@ impl RankJoinExecutor {
                 &planned[..]
             }
         };
-        IslCursor::open_on(
-            self.engine.cluster(),
+        let cluster = self.engine.cluster();
+        let core = IslCore::open(
+            cluster,
             &self.spec,
             self.meta(k, Some(self.stats.version())),
             table,
             |side| self.isl_config.batch(side),
             access,
-        )
+        )?;
+        Ok(StepCursor::new(cluster, core))
     }
 
     /// Executes `algorithm` with the stored `k`.
@@ -745,12 +747,22 @@ impl RankJoinExecutor {
     /// `Algorithm::Auto` plans once at open (priced at `k_hint`) and opens
     /// the chosen algorithm's cursor: it reports, parks and resumes as
     /// that algorithm.
+    ///
+    /// `k_hint = 0` opens an empty, zero-cost cursor for every algorithm,
+    /// as [`RankJoinExecutor::execute_with_k`] answers `k = 0` — no store
+    /// access, no planning.
     pub fn open_cursor(
         &self,
         algorithm: Algorithm,
         k_hint: usize,
     ) -> Result<Box<dyn RankedCursor>> {
         let cluster = self.engine.cluster();
+        if k_hint == 0 {
+            return Ok(Box::new(MaterializedCursor::empty(
+                cluster,
+                algorithm.name(),
+            )));
+        }
         let materialized = |source, name| -> Result<Box<dyn RankedCursor>> {
             Ok(Box::new(MaterializedCursor::open(
                 cluster,
@@ -769,25 +781,16 @@ impl RankJoinExecutor {
             Algorithm::Bfhm => {
                 let query = self.binary_query()?;
                 let (t, config) = prepared(&self.indices.bfhm, "bfhm")?;
-                Ok(Box::new(BfhmCursor::open(
-                    cluster,
-                    query,
-                    self.meta(k_hint, Some(self.stats.version())),
-                    t,
-                    config,
-                    self.write_back,
-                )?))
+                let meta = self.meta(k_hint, Some(self.stats.version()));
+                let core = BfhmCore::open(cluster, query, meta, t, config, self.write_back)?;
+                Ok(Box::new(StepCursor::new(cluster, core)))
             }
             Algorithm::Drjn => {
                 let query = self.binary_query()?;
                 let (t, config) = prepared(&self.indices.drjn, "drjn")?;
-                Ok(Box::new(DrjnCursor::open(
-                    cluster,
-                    query,
-                    self.meta(k_hint, Some(self.stats.version())),
-                    t,
-                    config,
-                )?))
+                let meta = self.meta(k_hint, Some(self.stats.version()));
+                let core = DrjnCore::new(cluster, query, meta, t, config)?;
+                Ok(Box::new(StepCursor::new(cluster, core)))
             }
             Algorithm::Hive => materialized(MaterializedSource::Hive, "HIVE"),
             Algorithm::Pig => materialized(MaterializedSource::Pig, "PIG"),

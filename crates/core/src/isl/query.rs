@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::cursor::{CursorMeta, IslCursor, SideAccess};
+use crate::cursor::{CursorMeta, IslCore, SideAccess, StepCursor};
 use crate::error::Result;
 use crate::query::RankJoinQuery;
 use crate::spare::Spares;
@@ -75,7 +75,8 @@ pub fn run(
     let meta = CursorMeta::new(query.k, None, Spares::default());
     let batch = |side| config.batch(side);
     let descend = [SideAccess::Descend; 2];
-    IslCursor::open_on(cluster, &spec, meta, index_table, batch, &descend)?.drain()
+    let core = IslCore::open(cluster, &spec, meta, index_table, batch, &descend)?;
+    StepCursor::new(cluster, core).drain()
 }
 
 #[cfg(test)]

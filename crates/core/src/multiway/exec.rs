@@ -252,6 +252,7 @@ mod tests {
             for k in [1, 3, 10, 40] {
                 let direct = IslCursor::open(&c, &spec, k, &table, &[4, 4], &access, None)
                     .unwrap()
+                    .0
                     .drain()
                     .unwrap();
                 let got = exec.execute_with_k(k).unwrap();

@@ -58,7 +58,7 @@ use rj_core::executor::{Algorithm, RankJoinExecutor};
 use rj_core::result::JoinTuple;
 use rj_core::statsmaint::SharedTableStats;
 use rj_store::cluster::Cluster;
-use rj_store::metrics::MetricsSnapshot;
+use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::pool::{PoolPriority, WorkStealingPool};
 
 use crate::admission::{select_round, Candidate};
@@ -69,7 +69,7 @@ use crate::session::{
 };
 use crate::sharing::{PartialWork, PrefixEntry, WarmEntry};
 use crate::table::{PagedSession, RecState, SessionTable};
-use crate::tenant::{accumulate, TenantId, TenantProfile, TenantState};
+use crate::tenant::{TenantId, TenantProfile, TenantState};
 
 /// Opaque handle of one registered query backend — a join spec plus the
 /// execution configuration of the prototype executor it was registered
@@ -491,7 +491,7 @@ impl RankJoinService {
 
         // Resume and pull off-lock; the version check happens inside the
         // executor's resume.
-        let before = fork.cluster.metrics().snapshot();
+        let meter = QueryMeter::start(fork.cluster.metrics());
         let mut cursor = match fork.executor.resume_cursor(state) {
             Ok(cursor) => cursor,
             Err(e) => {
@@ -518,14 +518,14 @@ impl RankJoinService {
             }
         };
         let pulled = cursor.next_batch(page, &policy);
-        let delta = fork.cluster.metrics().snapshot().delta_since(&before);
+        let delta = meter.finish();
 
         // Apply under the lock.
         let mut st = self.lock();
         st.clock += delta.sim_seconds;
         st.counters.pages_served += 1;
         let clock = st.clock;
-        accumulate(&mut charged, &delta);
+        charged += delta;
         let (outcome, results) = match pulled {
             Err(e) => (Some(SessionOutcome::Failed(e.to_string())), results),
             Ok(batch) => {
@@ -659,7 +659,7 @@ impl RankJoinService {
         let mut total = MetricsSnapshot::default();
         for backend in &st.backends {
             if let Some(fork) = backend.forks.get(&tenant) {
-                accumulate(&mut total, &fork.cluster.metrics().snapshot());
+                total += fork.cluster.metrics().snapshot();
             }
         }
         Ok(total)
@@ -672,7 +672,7 @@ impl RankJoinService {
         let mut total = MetricsSnapshot::default();
         for backend in &st.backends {
             for fork in backend.forks.values() {
-                accumulate(&mut total, &fork.cluster.metrics().snapshot());
+                total += fork.cluster.metrics().snapshot();
             }
         }
         total
@@ -1039,9 +1039,9 @@ impl RankJoinService {
             })?;
         *counter += 1;
         let tenant = &mut st.tenants[record.tenant.0];
-        accumulate(&mut tenant.charged, &charged);
+        tenant.charged += charged;
         tenant.pass += charged.sim_seconds / tenant.profile.weight;
-        accumulate(&mut st.charged_total, &charged);
+        st.charged_total += charged;
         Ok(())
     }
 }
@@ -1194,7 +1194,7 @@ fn execute_one(
     warm: Option<&WarmEntry>,
 ) -> (SessFinal, Option<WarmEntry>, bool, u64) {
     let fork = &sess.fork;
-    let before = fork.cluster.metrics().snapshot();
+    let meter = QueryMeter::start(fork.cluster.metrics());
     let mut warmed = false;
     let opened = match warm {
         Some(entry) => {
@@ -1206,12 +1206,11 @@ fn execute_one(
     let mut cursor = match opened {
         Ok(cursor) => cursor,
         Err(e) => {
-            let charged = fork.cluster.metrics().snapshot().delta_since(&before);
             let final_ = SessFinal {
                 id: sess.id,
                 outcome: SessionOutcome::Failed(e.to_string()),
                 results: Arc::new(Vec::new()),
-                charged,
+                charged: meter.finish(),
                 served_by: ServedBy::Execution,
             };
             return (final_, None, warmed, version);
@@ -1238,7 +1237,7 @@ fn execute_one(
             }
         }
     }
-    let charged = fork.cluster.metrics().snapshot().delta_since(&before);
+    let charged = meter.finish();
     let donated = if failed.is_none() {
         let state = cursor.pause();
         version = state.pinned_version().unwrap_or(version);
@@ -1282,7 +1281,7 @@ fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
         .expect("paged session has a page size")
         .min(sess.k)
         .max(1);
-    let before = fork.cluster.metrics().snapshot();
+    let meter = QueryMeter::start(fork.cluster.metrics());
     let fail = |charged: MetricsSnapshot, message: String, out: &mut GroupOutput| {
         out.finals.push(SessFinal {
             id: sess.id,
@@ -1295,7 +1294,7 @@ fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
     let mut cursor = match fork.executor.open_cursor(Algorithm::Isl, sess.k) {
         Ok(cursor) => cursor,
         Err(e) => {
-            let charged = fork.cluster.metrics().snapshot().delta_since(&before);
+            let charged = meter.finish();
             out.executions += 1;
             out.sim += charged.sim_seconds;
             fail(charged, e.to_string(), out);
@@ -1303,7 +1302,7 @@ fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
         }
     };
     let pulled = cursor.next_batch(page, &sess.policy);
-    let charged = fork.cluster.metrics().snapshot().delta_since(&before);
+    let charged = meter.finish();
     out.executions += 1;
     out.sim += charged.sim_seconds;
     match pulled {

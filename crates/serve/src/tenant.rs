@@ -38,15 +38,3 @@ impl TenantState {
         }
     }
 }
-
-/// Component-wise accumulation of metric snapshots (the store type is a
-/// plain value; summing ledgers is the serving layer's job).
-pub(crate) fn accumulate(into: &mut MetricsSnapshot, delta: &MetricsSnapshot) {
-    into.kv_reads += delta.kv_reads;
-    into.kv_writes += delta.kv_writes;
-    into.network_bytes += delta.network_bytes;
-    into.rpc_calls += delta.rpc_calls;
-    into.sim_seconds += delta.sim_seconds;
-    into.node_seconds += delta.node_seconds;
-    into.admin_kv_reads += delta.admin_kv_reads;
-}

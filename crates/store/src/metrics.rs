@@ -127,7 +127,25 @@ impl MetricsSnapshot {
     }
 }
 
-/// Measures the metric delta of one query execution.
+impl std::ops::AddAssign for MetricsSnapshot {
+    /// Component-wise sum: deltas compose into a cumulative charge.
+    fn add_assign(&mut self, delta: MetricsSnapshot) {
+        self.kv_reads += delta.kv_reads;
+        self.kv_writes += delta.kv_writes;
+        self.network_bytes += delta.network_bytes;
+        self.rpc_calls += delta.rpc_calls;
+        self.sim_seconds += delta.sim_seconds;
+        self.node_seconds += delta.node_seconds;
+        self.admin_kv_reads += delta.admin_kv_reads;
+    }
+}
+
+/// Measures the metric delta of one execution on one ledger: a query, a
+/// cursor page or a serving session. It is the one way a run measures
+/// its charge — taking ledger deltas by hand is linted out of `rj_core`
+/// and `rj_serve` (rjlint's `ledger-delta` rule). The delta is the whole
+/// ledger's, so concurrent work on the same ledger lands in it too: run
+/// metered work on its own [`crate::cluster::Cluster::fork_metrics`] fork.
 pub struct QueryMeter {
     metrics: Arc<Metrics>,
     start: MetricsSnapshot,
@@ -140,9 +158,14 @@ impl QueryMeter {
         QueryMeter { metrics, start }
     }
 
+    /// The delta so far, measuring on (a deadline reads it mid-run).
+    pub fn so_far(&self) -> MetricsSnapshot {
+        self.metrics.snapshot().delta_since(&self.start)
+    }
+
     /// Stops measuring and returns the delta.
     pub fn finish(self) -> MetricsSnapshot {
-        self.metrics.snapshot().delta_since(&self.start)
+        self.so_far()
     }
 }
 
@@ -185,11 +208,20 @@ mod tests {
         m.add_kv_reads(100);
         let meter = QueryMeter::start(m.clone());
         m.add_kv_reads(7);
+        assert_eq!(meter.so_far().kv_reads, 7);
         m.add_kv_writes(2);
         let d = meter.finish();
         assert_eq!(d.kv_reads, 7);
         assert_eq!(d.kv_writes, 2);
         assert_eq!(d.network_bytes, 0);
+        // Deltas compose: two consecutive meters add up to one over both.
+        let (whole, first) = (QueryMeter::start(m.clone()), QueryMeter::start(m.clone()));
+        m.add_kv_reads(3);
+        let mut sum = first.finish();
+        let second = QueryMeter::start(m.clone());
+        m.add_sim_seconds(0.25);
+        sum += second.finish();
+        assert_eq!(sum, whole.finish());
     }
 
     #[test]

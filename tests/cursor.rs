@@ -15,14 +15,21 @@
 //!   an `Auto` cursor is the cursor of the algorithm its plan chose.
 //! * Every schedule here drains a cursor on `batch.done` alone: a cursor
 //!   that has emitted all `k` results says so.
+//! * Golden: where a stop fires — each page's result count, `done`,
+//!   `stopped` and ledger charge under `cancel_after_batches` 1 and 2 and
+//!   a deadline, for ISL (also over a pair it exhausts), BFHM, DRJN and a
+//!   3-way path — is pinned; and a `k = 0` cursor of every algorithm is
+//!   empty and free.
 
 use proptest::prelude::*;
 
+use rankjoin::core::cursor::RankedCursor;
 use rankjoin::core::error::RankJoinError;
 use rankjoin::core::oracle;
+use rankjoin::store::metrics::MetricsSnapshot;
 use rankjoin::{
-    Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinSide, MaintainedSide,
-    Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, StopPolicy,
+    Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinSide, JoinSpec,
+    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, SpecExecutor, StopPolicy,
 };
 
 /// Loads two relations and returns the top-k sum query over them.
@@ -121,13 +128,17 @@ enum Op {
     /// Pause and resume on a *different* executor fork (the state is
     /// plain owned data — it outlives the executor that minted it).
     Refork,
+    /// Pull the rest under `cancel_after_batches: Some(n)`: the pull stops
+    /// at a step boundary, and later ops pull under `never()` again.
+    Stop(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..5).prop_map(|v| match v {
+    (0usize..6, 0u64..8).prop_map(|(v, n)| match v {
         0..=2 => Op::Pull(v + 1),
         3 => Op::Reopen,
-        _ => Op::Refork,
+        4 => Op::Refork,
+        _ => Op::Stop(n),
     })
 }
 
@@ -185,6 +196,15 @@ fn run_schedule(
                 results.extend(batch.results);
                 done = batch.done;
             }
+            Op::Stop(n) => {
+                let stop = StopPolicy {
+                    cancel_after_batches: Some(*n),
+                    ..StopPolicy::never()
+                };
+                let batch = cursor.next_batch(k - results.len(), &stop).unwrap();
+                results.extend(batch.results);
+                done = batch.done;
+            }
             Op::Reopen => {
                 let state = cursor.pause();
                 let ex = if on_a { ex_a } else { ex_b };
@@ -214,7 +234,8 @@ proptest! {
 
     /// The PR's core invariant, on arbitrary data and arbitrary split
     /// schedules: splitting an execution across `next_batch` pulls,
-    /// pause/resume round-trips, and executor-fork hops changes neither
+    /// pause/resume round-trips, executor-fork hops and pulls stopped at
+    /// a step boundary (then resumed unstopped) changes neither
     /// the answer (rank-equivalent to the one-shot run and the oracle)
     /// nor the metered cost (identical total `kv_reads` on the cluster
     /// ledgers).
@@ -482,4 +503,260 @@ fn bfhm_and_drjn_cursors_are_done_once_all_k_results_are_out() {
             assert_rank_equivalent(&format!("{algorithm:?} k={k}"), &results, &want, &all);
         }
     }
+}
+
+/// A `k = 0` cursor is empty and free for every algorithm, as the
+/// one-shot `execute_with_k(_, 0)` is: its drained ledger delta equals the
+/// one-shot's, which is zero. Opening the algorithm's own cursor would
+/// not be: BFHM's reads the index metadata row, and `Auto`'s plans (here
+/// over statistics that IJLMR's preparation made stale).
+#[test]
+fn a_k_zero_cursor_is_empty_and_free_for_every_algorithm() {
+    let rows: Vec<(u8, f64)> = (0..40u32)
+        .map(|i| ((i % 4) as u8, f64::from(i * 7 % 41) / 41.0))
+        .collect();
+    let (cluster, query) = load_pair(&rows, &rows, 5);
+    let mut proto = prepared(&cluster, &query, 3);
+    proto.prepare_ijlmr().unwrap();
+    for algorithm in [
+        Algorithm::Isl,
+        Algorithm::Bfhm,
+        Algorithm::Drjn,
+        Algorithm::Hive,
+        Algorithm::Pig,
+        Algorithm::Ijlmr,
+        Algorithm::Auto,
+    ] {
+        let fork = cluster.fork_metrics();
+        let ex = proto.fork_onto(&fork).unwrap();
+        let before = fork.metrics().snapshot();
+        let one_shot = ex.execute_with_k(algorithm, 0).unwrap();
+        let one_shot_delta = fork.metrics().snapshot().delta_since(&before);
+        assert!(one_shot.results.is_empty(), "{algorithm:?}");
+
+        let before = fork.metrics().snapshot();
+        let cursor = ex.open_cursor(algorithm, 0).unwrap();
+        assert_eq!(cursor.algorithm(), one_shot.algorithm);
+        let mut cursor = ex.resume_cursor(cursor.pause()).unwrap();
+        let batch = cursor.next_batch(5, &StopPolicy::never()).unwrap();
+        let cursor_delta = fork.metrics().snapshot().delta_since(&before);
+        assert!(batch.results.is_empty(), "{algorithm:?}");
+        assert!(batch.done, "{algorithm:?}");
+        assert_eq!(cursor_delta, one_shot_delta, "{algorithm:?}");
+        assert_eq!(cursor_delta, MetricsSnapshot::default(), "{algorithm:?}");
+        assert_eq!(
+            cursor.charged(),
+            MetricsSnapshot::default(),
+            "{algorithm:?}"
+        );
+    }
+}
+
+/// Loads a 3-way path `t0 ⋈ t1 ⋈ t2` (join value + score per row) and
+/// returns its top-k sum spec.
+fn load_path3(sides: [&[(u8, f64)]; 3], k: usize) -> (Cluster, JoinSpec) {
+    let cluster = Cluster::new(3, CostModel::test());
+    let client = cluster.client();
+    let mut spec_sides = Vec::new();
+    for (i, rows) in sides.iter().enumerate() {
+        let (table, label) = (format!("t{i}"), format!("S{i}"));
+        cluster.create_table(&table, &["d"]).unwrap();
+        for (r, (j, score)) in rows.iter().enumerate() {
+            client
+                .mutate_row(
+                    &table,
+                    format!("{table}_{r:04}").as_bytes(),
+                    vec![
+                        Mutation::put("d", b"jk", vec![*j]),
+                        Mutation::put("d", b"score", score.to_be_bytes().to_vec()),
+                    ],
+                )
+                .unwrap();
+        }
+        spec_sides.push(JoinSide::new(&table, &label, ("d", b"jk"), ("d", b"score")));
+    }
+    (
+        cluster,
+        JoinSpec::path(spec_sides, k, ScoreFn::Sum).unwrap(),
+    )
+}
+
+/// Pulls pages of 3 from `open()`'s cursor: two under `stop`, then under
+/// `never()` until done. One line per page: results, `done`, `stopped`,
+/// and the page's `kv_reads` / `rpc_calls` / `network_bytes` /
+/// `sim_seconds` bits.
+fn stop_pages(fork: &Cluster, mut cursor: Box<dyn RankedCursor>, stop: &StopPolicy) -> Vec<String> {
+    let mut pages = Vec::new();
+    loop {
+        let before = fork.metrics().snapshot();
+        let policy = if pages.len() < 2 {
+            stop.clone()
+        } else {
+            StopPolicy::never()
+        };
+        let batch = cursor.next_batch(3, &policy).unwrap();
+        let d = fork.metrics().snapshot().delta_since(&before);
+        assert_eq!(d, batch.metrics, "a page reports exactly its own charge");
+        pages.push(format!(
+            "{} {} {:?} {} {} {} {:x}",
+            batch.results.len(),
+            batch.done,
+            batch.stopped,
+            d.kv_reads,
+            d.rpc_calls,
+            d.network_bytes,
+            d.sim_seconds.to_bits()
+        ));
+        if batch.done {
+            return pages;
+        }
+        assert!(pages.len() < 64, "no `done` after 64 pages");
+    }
+}
+
+/// The golden of where a stop fires: ISL (batches), BFHM (steps), DRJN
+/// (rounds), a 3-way path and an ISL pair it exhausts, under
+/// `cancel_after_batches` 1 and 2 and a deadline at half the one-shot's
+/// simulated seconds. Every page's result count, `done`, `stopped` and
+/// charge is pinned: a change to how a run is paged, metered or stopped
+/// moves it.
+#[test]
+fn stop_boundaries_fire_exactly_where_recorded() {
+    let rows: Vec<(u8, f64)> = (0..40u32)
+        .map(|i| ((i % 4) as u8, f64::from(i * 7 % 41) / 41.0))
+        .collect();
+    let k = 8;
+    let (cluster, query) = load_pair(&rows, &rows, k);
+    let proto = prepared(&cluster, &query, 3);
+    // Two rows a side at batch 3: ISL exhausts both sides in its second
+    // batch, and no policy is evaluated after that batch.
+    let (tiny_cluster, tiny_query) = load_pair(&rows[..2], &rows[..2], k);
+    let tiny = prepared(&tiny_cluster, &tiny_query, 3);
+    let (path_cluster, spec) = load_path3([&rows[..12], &rows[5..25], &rows[20..]], k);
+    let mut path = SpecExecutor::new(&path_cluster, spec);
+    path.isl_config = IslConfig::uniform(3);
+    path.prepare().unwrap();
+    let _ = path.plan_access(k).unwrap();
+
+    let mut got = Vec::new();
+    for run in ["ISL", "BFHM", "DRJN", "PATH3", "ISL TINY"] {
+        let algorithm = match run {
+            "BFHM" => Algorithm::Bfhm,
+            "DRJN" => Algorithm::Drjn,
+            _ => Algorithm::Isl,
+        };
+        let fresh = || match run {
+            "PATH3" => {
+                let fork = path_cluster.fork_metrics();
+                let ex = path.fork_onto(&fork).unwrap();
+                (fork, RankJoinExecutor::from(ex))
+            }
+            "ISL TINY" => {
+                let fork = tiny_cluster.fork_metrics();
+                let ex = tiny.fork_onto(&fork).unwrap();
+                (fork, ex)
+            }
+            _ => {
+                let fork = cluster.fork_metrics();
+                let ex = proto.fork_onto(&fork).unwrap();
+                (fork, ex)
+            }
+        };
+        let (fork, ex) = fresh();
+        let before = fork.metrics().snapshot();
+        ex.execute_with_k(algorithm, k).unwrap();
+        let one_shot_sim = fork.metrics().snapshot().delta_since(&before).sim_seconds;
+        let stops = [
+            StopPolicy {
+                cancel_after_batches: Some(1),
+                ..StopPolicy::never()
+            },
+            StopPolicy {
+                cancel_after_batches: Some(2),
+                ..StopPolicy::never()
+            },
+            StopPolicy::with_deadline(one_shot_sim / 2.0),
+        ];
+        for (name, stop) in ["after 1", "after 2", "deadline"].iter().zip(stops) {
+            let (fork, ex) = fresh();
+            let cursor = ex.open_cursor(algorithm, k).unwrap();
+            got.push(format!("{run} {name}"));
+            got.extend(stop_pages(&fork, cursor, &stop));
+        }
+    }
+    // Recorded before the three cursors became one.
+    let golden = [
+        "ISL after 1",
+        "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
+        "1 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
+        "3 false None 6 2 210 3ec0c6f7a0b5ed8d",
+        "3 false None 0 0 0 0",
+        "1 true None 0 0 0 0",
+        "ISL after 2",
+        "1 false Some(Cancelled) 6 2 210 3ec0c6f7a0b5ed8d",
+        "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8e",
+        "3 false None 3 1 105 3eb0c6f7a0b5ed8c",
+        "3 false None 0 0 0 0",
+        "1 true None 0 0 0 0",
+        "ISL deadline",
+        "1 false Some(DeadlineExpired) 6 2 210 3ec0c6f7a0b5ed8d",
+        "0 false Some(DeadlineExpired) 3 1 105 3eb0c6f7a0b5ed8e",
+        "3 false None 3 1 105 3eb0c6f7a0b5ed8c",
+        "3 false None 0 0 0 0",
+        "1 true None 0 0 0 0",
+        "BFHM after 1",
+        "0 false Some(Cancelled) 0 0 0 0",
+        "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8d",
+        "3 false None 15 11 623 3ee711947cfa26a2",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "BFHM after 2",
+        "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8d",
+        "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8e",
+        "3 false None 14 10 560 3ee4f8b588e368f0",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "BFHM deadline",
+        "3 false Some(DeadlineExpired) 16 12 686 3ee92a737110e453",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "DRJN after 1",
+        "3 false Some(Cancelled) 172 18 372 3ee1098a0ed9840d",
+        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "2 true None 0 0 0 0",
+        "DRJN after 2",
+        "3 false None 172 18 372 3ee1098a0ed9840d",
+        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "2 true None 0 0 0 0",
+        "DRJN deadline",
+        "3 false Some(DeadlineExpired) 172 18 372 3ee1098a0ed9840d",
+        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "2 true None 0 0 0 0",
+        "PATH3 after 1",
+        "0 false Some(Cancelled) 16 18 628 3ef2dfd694ccab3f",
+        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed90",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 true None 0 0 0 0",
+        "PATH3 after 2",
+        "1 false Some(Cancelled) 19 19 742 3ef3ec460ed80a18",
+        "1 false Some(Cancelled) 3 2 114 3ec0c6f7a0b5ed88",
+        "3 false None 3 2 129 3ec0c6f7a0b5ed90",
+        "3 true None 6 4 243 3ed0c6f7a0b5ed8c",
+        "PATH3 deadline",
+        "0 false Some(DeadlineExpired) 16 18 628 3ef2dfd694ccab3f",
+        "1 false Some(DeadlineExpired) 3 1 114 3eb0c6f7a0b5ed90",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 true None 0 0 0 0",
+        "ISL TINY after 1",
+        "0 false Some(Cancelled) 2 6 70 3ed92a737110e454",
+        "2 true None 2 6 70 3ed92a737110e454",
+        "ISL TINY after 2",
+        "2 true None 4 12 140 3ee92a737110e454",
+        "ISL TINY deadline",
+        "0 false Some(DeadlineExpired) 2 6 70 3ed92a737110e454",
+        "2 true None 2 6 70 3ed92a737110e454",
+    ];
+    assert_eq!(got, golden);
 }
