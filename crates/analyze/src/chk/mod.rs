@@ -15,11 +15,10 @@
 //! finished* thread are free; switches away from a still-runnable thread
 //! are *preemptions*, and each schedule may contain at most
 //! [`Config::max_preemptions`] of them (CHESS-style context bounding —
-//! most concurrency bugs, including both historical pool bugs this module
-//! exists to catch, need only one or two preemptions).
+//! most concurrency bugs need only one or two preemptions).
 //!
-//! **Fair scheduling.** Recheck loops (the pool's claim-recheck, say) are
-//! unbounded only under an unfair scheduler. After
+//! **Fair scheduling.** Recheck loops (a claim that re-checks a queue
+//! under a lock, say) are unbounded only under an unfair scheduler. After
 //! [`Config::fair_yield_after`] consecutive scheduling points on one
 //! thread while a sibling is runnable, the explorer forces a free switch
 //! away and prunes the keep-spinning continuation — the standard
@@ -36,7 +35,7 @@
 //! execution is sequentially consistent and `Ordering` arguments are
 //! recorded but not weakened. Model code must be deterministic given the
 //! schedule (no host time, no randomness) and must synchronize only
-//! through the shims; a panic *caught inside* the model (e.g. the pool's
+//! through the shims; a panic *caught inside* the model (e.g. by a
 //! per-task `catch_unwind`) is not modelled.
 
 pub mod sync;
@@ -61,8 +60,8 @@ pub struct Config {
     /// on one thread while a sibling is runnable, the scheduler forces a
     /// free (non-preemption-charged) switch away and prunes the
     /// keep-running continuation. Real protocols contain recheck loops
-    /// that are unbounded only under an unfair scheduler (e.g. the pool's
-    /// claim-recheck while an inject is suspended mid-flight); this is
+    /// that are unbounded only under an unfair scheduler (e.g. a claim
+    /// re-check while a push is suspended mid-flight); this is
     /// the standard fair-scheduler assumption that keeps them explorable.
     /// Bugs requiring a longer uninterrupted run of a single thread are
     /// outside the bound.
@@ -675,7 +674,7 @@ impl Run {
     ) {
         let run = Arc::clone(self);
         // rjlint: allow(thread-discipline) — the model checker's carrier
-        // threads ARE the machinery that checks the pool; they never run
+        // threads ARE the machinery that checks the protocols; they never run
         // production work and exist only inside an exploration.
         let handle = std::thread::Builder::new()
             .name(format!("rj-model-{tid}"))

@@ -3,7 +3,7 @@
 //! Inside a model run every operation is a scheduling point recorded and
 //! explored by [`crate::chk::explore`]; outside a run each type degrades
 //! to its `std` counterpart, so code compiled against the shims (e.g.
-//! `rj_store::pool` under `--cfg rj_check`) still runs normally when it
+//! `rj_core::cancel` under `--cfg rj_check`) still runs normally when it
 //! is not being model-checked.
 //!
 //! Model identity is per-run: objects learn their scheduler id lazily on

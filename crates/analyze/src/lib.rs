@@ -12,10 +12,11 @@
 //! * [`chk`] — **rj_check**, a loom-style deterministic interleaving
 //!   explorer: shim `Mutex`/`Condvar`/`Atomic*` wrappers record every
 //!   scheduling decision and a DFS with bounded preemptions explores the
-//!   interleavings of small concurrent protocols. `rj_store`'s pool
-//!   compiles against the shims under `--cfg rj_check` and model-tests
-//!   its hot protocols (batch countdown/wake, the pending counter,
-//!   priority draining, help-first join).
+//!   interleavings of small concurrent protocols. `rj_core`'s cancel
+//!   token compiles against the shims under `--cfg rj_check` and
+//!   model-tests its cancel/observe protocol.
+
+#![forbid(unsafe_code)]
 
 pub mod chk;
 pub mod lint;

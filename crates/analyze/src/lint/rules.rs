@@ -46,7 +46,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "thread-discipline",
-        summary: "no `thread::spawn`/`thread::scope`/`thread::Builder` outside the execution core — all concurrency goes through the work-stealing pool so admission control and the 1-vs-N thread matrix stay meaningful",
+        summary: "no `thread::spawn`/`thread::scope`/`thread::Builder` outside the execution core — all concurrency is a `WorkStealingPool::run_batch` fan-out, so the pool width bounds every batch and the 1-vs-N width matrix stays meaningful",
         scope: "library sources except crates/store/src/pool.rs and shims",
     },
     RuleInfo {
@@ -379,7 +379,7 @@ pub fn check_file(file: &StrippedFile) -> Vec<Finding> {
                     "thread-discipline",
                     line,
                     format!(
-                        "`{pat}` outside `crates/store/src/pool.rs` — submit to `rj_store::pool::WorkStealingPool` instead"
+                        "`{pat}` outside `crates/store/src/pool.rs` — fan out with `rj_store::pool::WorkStealingPool::run_batch` instead"
                     ),
                 );
             }

@@ -17,6 +17,7 @@
 //! Host time and allocations are measured by the standalone `benchmark/`
 //! package, never in this crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -41,6 +41,7 @@
 //! Start with [`executor::RankJoinExecutor`], the one entry point for a
 //! join spec of any arity, or call each algorithm module directly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfhm;

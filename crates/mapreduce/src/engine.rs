@@ -1,10 +1,9 @@
 //! The job execution engine.
 //!
 //! Runs real map/reduce closures over real data, fanned out as one task per
-//! split/reducer on the shared [`WorkStealingPool`] at background priority
-//! (batch jobs yield to interactive query rounds), while
-//! charging the cluster's cost model for everything Hadoop would have paid:
-//! job/task startup, local disk scans, cross-node shuffle traffic, DFS
+//! split/reducer on the shared [`WorkStealingPool`], while charging the
+//! cluster's cost model for everything Hadoop would have paid: job/task
+//! startup, local disk scans, cross-node shuffle traffic, DFS
 //! replication, and store puts. The modelled job duration is
 //!
 //! ```text
@@ -21,7 +20,7 @@ use std::collections::BTreeMap;
 use rj_store::cluster::Cluster;
 use rj_store::error::StoreError;
 use rj_store::scan::Scan;
-use rj_store::{PoolPriority, WorkStealingPool};
+use rj_store::WorkStealingPool;
 
 use crate::counters::Counters;
 use crate::dfs::{record_weight, Dfs, DfsFile, DfsPart};
@@ -325,9 +324,7 @@ impl MapReduceEngine {
 
         let cost = self.cluster.cost_model().clone();
 
-        // One pool task per split; the shared work-stealing pool balances
-        // them across workers. Batch jobs run at `Background` priority so
-        // offline index builds yield to interactive query rounds.
+        // One pool task per split, fanned out on the shared pool's lanes.
         let cost_ref = &cost;
         let file_ref = &file;
         let tasks: Vec<Box<dyn FnOnce() -> Result<MapTaskOutput, EngineError> + Send + '_>> =
@@ -428,7 +425,7 @@ impl MapReduceEngine {
                 })
                 .collect();
         WorkStealingPool::global()
-            .run_batch_at(PoolPriority::Background, tasks)
+            .run_batch(tasks)
             .into_iter()
             .collect()
     }
@@ -447,7 +444,7 @@ impl MapReduceEngine {
         let num_nodes = self.cluster.num_nodes();
 
         // One pool task per reducer, scheduled like the map phase: on the
-        // shared pool at `Background` priority, results in reducer order.
+        // shared pool, results in reducer order.
         let tasks: Vec<ReduceTask<'_>> = groups
             .iter()
             .enumerate()
@@ -498,7 +495,7 @@ impl MapReduceEngine {
             })
             .collect();
         WorkStealingPool::global()
-            .run_batch_at(PoolPriority::Background, tasks)
+            .run_batch(tasks)
             .into_iter()
             .collect()
     }

@@ -25,6 +25,7 @@
 //! merged in task order, groups iterate in key order, and value order
 //! within a group is (task index, emit order).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counters;

@@ -2,7 +2,7 @@
 //!
 //! The lower layers answer *how* to run one top-k join well: indexed
 //! algorithms ([`rj_core`]), cost-based planning, and a
-//! process-wide work-stealing pool ([`rj_store::pool`]). This crate
+//! process-wide batch fan-out ([`rj_store::pool`]). This crate
 //! arbitrates *who* gets to use that machine when "heavy traffic from
 //! millions of users" (the paper's cloud-store setting, §1) lands on one
 //! cluster:
@@ -47,19 +47,20 @@
 //!   never served. A backend is a [`rj_core::RankJoinExecutor`] running
 //!   ISL, whose one code path serves every arity, so everything above
 //!   registration is join-arity agnostic.
-//! * **Background maintenance** — index rebuilds run at the pool's
-//!   [`rj_store::PoolPriority::Background`] class: they soak idle
-//!   capacity and never queue ahead of interactive query batches.
+//! * **Background maintenance** — index rebuilds run as their own pool
+//!   batch after each round's query groups, so a round's queries never
+//!   wait behind a rebuild.
 //!
 //! Scheduling rounds are explicit and deterministic:
 //! [`RankJoinService::run_round`] drains one admission decision onto the
 //! pool and advances the service's simulated clock by the round's
 //! makespan, which makes fairness and sharing effects reproducible in
-//! tests and benchmarks (`rj_bench`'s `serve` experiment).
+//! tests and in the host-clock benchmark's `serve_shared` workload.
 //!
 //! [`poll`]: RankJoinService::poll
 //! [`cancel`]: RankJoinService::cancel
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

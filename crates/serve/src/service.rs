@@ -4,12 +4,12 @@
 //! ([`RankJoinService::run_round`]): each round serves every valid
 //! prefix-cache hit, admits up to [`ServeConfig::round_width`] queued
 //! sessions (strict priority classes, weighted stride fairness inside a
-//! class — see [`crate::admission`]), executes one pool job per backend
-//! group at the pool's foreground class, then runs any queued index
-//! rebuilds at the background class. The service's simulated clock
-//! advances by the round's makespan (the slowest group, mirroring the
-//! store's parallel-round accounting), which is what makes fairness and
-//! sharing effects measurable: sojourn = completion clock − submit clock.
+//! class — see [`crate::admission`]), executes one pool task per backend
+//! group, then runs any queued index rebuilds as a second batch. The
+//! service's simulated clock advances by the round's makespan (the
+//! slowest group, mirroring the store's parallel-round accounting), which
+//! is what makes fairness and sharing effects measurable: sojourn =
+//! completion clock − submit clock.
 //!
 //! Every backend is a prototype [`RankJoinExecutor`] over a join spec of
 //! any arity, running ISL, and its caches are versioned against that
@@ -59,7 +59,7 @@ use rj_core::result::JoinTuple;
 use rj_core::statsmaint::SharedTableStats;
 use rj_store::cluster::Cluster;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
-use rj_store::pool::{PoolPriority, WorkStealingPool};
+use rj_store::pool::WorkStealingPool;
 
 use crate::admission::{select_round, Candidate};
 use crate::error::ServeError;
@@ -95,8 +95,8 @@ pub struct ServeConfig {
     /// cache). Off, every session runs its own execution — the control
     /// arm of the `serve` benchmark.
     pub sharing: bool,
-    /// Dedicated pool width, or `None` to share the process-wide
-    /// [`WorkStealingPool::global`] pool.
+    /// The service's pool width, or `None` for the process-wide
+    /// [`WorkStealingPool::global`] width.
     pub pool_threads: Option<usize>,
     /// How many rounds a backend's coalescing group is **held** open
     /// before executing, absorbing compatible (same-backend, non-paged)
@@ -230,20 +230,6 @@ struct ServiceState {
     charged_total: MetricsSnapshot,
 }
 
-enum PoolRef {
-    Global,
-    Owned(WorkStealingPool),
-}
-
-impl PoolRef {
-    fn get(&self) -> &WorkStealingPool {
-        match self {
-            PoolRef::Global => WorkStealingPool::global(),
-            PoolRef::Owned(pool) => pool,
-        }
-    }
-}
-
 /// One session's slice of a dispatch group (built under the service
 /// lock, executed without it).
 struct SessPlan {
@@ -313,17 +299,18 @@ struct GroupOutput {
 /// The multi-tenant serving front-end. See the crate docs for the model.
 pub struct RankJoinService {
     config: ServeConfig,
-    pool: PoolRef,
+    pool: WorkStealingPool,
     state: Mutex<ServiceState>,
 }
 
 impl RankJoinService {
     /// Creates a service with no tenants or backends registered.
     pub fn new(config: ServeConfig) -> Self {
-        let pool = match config.pool_threads {
-            Some(threads) => PoolRef::Owned(WorkStealingPool::new(threads)),
-            None => PoolRef::Global,
-        };
+        let pool = WorkStealingPool::new(
+            config
+                .pool_threads
+                .unwrap_or_else(|| WorkStealingPool::global().threads()),
+        );
         RankJoinService {
             config,
             pool,
@@ -619,8 +606,8 @@ impl RankJoinService {
         Self::finalize(&mut st, final_, clock)
     }
 
-    /// Queues a background rebuild of the backend's ISL index. It runs at
-    /// the pool's background class at the end of the next round, and (via
+    /// Queues a background rebuild of the backend's ISL index. It runs on
+    /// the pool after the next round's query groups, and (via
     /// the re-preparation's statistics invalidation) coherently
     /// invalidates the backend's prefix cache and every sharer's plans.
     pub fn schedule_rebuild(&self, backend: BackendId) -> Result<(), ServeError> {
@@ -741,8 +728,8 @@ impl RankJoinService {
             (groups, maintenance)
         };
 
-        // Phase 2 (unlocked): query groups at foreground, then index
-        // rebuilds at background. The pool parallelizes across groups;
+        // Phase 2 (unlocked): query groups, then index rebuilds, each
+        // batch fanned out on the pool. The pool parallelizes across groups;
         // sessions within a group run sequentially on their forks so
         // per-session ledger deltas never interleave. A tenant fork
         // recycles through its backend prototype's spare list (a fork
@@ -752,7 +739,7 @@ impl RankJoinService {
         // thread ran it, or on which tenant's fork a session landed on.
         // Backends registered from forks of one executor share its list;
         // their groups may run at once and reach it in either order.
-        let outputs: Vec<GroupOutput> = self.pool.get().run_batch(
+        let outputs: Vec<GroupOutput> = self.pool.run_batch(
             groups
                 .into_iter()
                 .map(|group| {
@@ -761,8 +748,7 @@ impl RankJoinService {
                 .collect(),
         );
         report.maintenance_runs = maintenance.len();
-        let maint_results: Vec<Result<(), String>> = self.pool.get().run_batch_at(
-            PoolPriority::Background,
+        let maint_results: Vec<Result<(), String>> = self.pool.run_batch(
             maintenance
                 .into_iter()
                 .map(|(_, prototype)| {
@@ -1064,7 +1050,7 @@ fn rebuild(exec: &mut RankJoinExecutor) -> rj_core::error::Result<()> {
         .map(drop)
 }
 
-/// Executes one backend group on the calling pool worker. Paged sessions
+/// Executes one backend group on the calling pool lane. Paged sessions
 /// run individually (their cursor belongs to one client) and serve their
 /// first page. Sharing on: the first non-cancelled plain session (deepest
 /// `k`) executes for the whole group — warm-started from the partial-work

@@ -476,7 +476,7 @@ fn rebuild_invalidates_the_prefix_cache_coherently() {
         .unwrap();
     service.run_until_idle().unwrap();
     assert_eq!(done(&service, deep).outcome, SessionOutcome::Complete);
-    // Write new base data and rebuild the index in the background class.
+    // Write new base data and rebuild the index in the maintenance batch.
     let client = c.client();
     client
         .mutate_row(
@@ -716,7 +716,7 @@ fn staleness_bound_crossing_enqueues_automatic_rebuild() {
         assert_eq!(service.counters().maintenance_runs, 0);
 
         // Cross the bound (5 of 60 ≈ 8% > 5%): the next round enqueues and
-        // runs the rebuild in the background class.
+        // runs the rebuild in its maintenance batch.
         for i in 1..5u32 {
             let key = format!("m_{i:03}");
             side.insert(key.as_bytes(), b"b", 0.5 + f64::from(i) * 0.05, vec![])

@@ -28,6 +28,7 @@
 //! [`hash`]) so that index layouts are reproducible across runs and
 //! platforms, which the test-suite and the experiment harness rely on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitvec;

@@ -47,6 +47,7 @@
 //! assert_eq!(rows.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell;
@@ -73,6 +74,6 @@ pub use cluster::Cluster;
 pub use costmodel::CostModel;
 pub use error::StoreError;
 pub use metrics::{MetricsSnapshot, QueryMeter};
-pub use pool::{PoolPriority, WorkStealingPool};
+pub use pool::WorkStealingPool;
 pub use row::{RowBatch, RowRef, RowResult};
 pub use scan::Scan;

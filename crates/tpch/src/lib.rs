@@ -26,6 +26,7 @@
 //! `(seed, table, i)`, so tests and benches get identical data across runs
 //! and platforms.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gen;

@@ -63,6 +63,7 @@
 //! assert!((outcome.results[0].score - 1.6).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use rj_analyze as analyze;
