@@ -74,7 +74,7 @@ impl Mapper for BucketPartitionMapper {
         let bucket = self.hist.bucket_of(score);
         let mut value = Vec::with_capacity(row.key.len() + join_value.len() + 16);
         codec::put_f64(&mut value, score);
-        codec::put_field(&mut value, &row.key);
+        codec::put_field(&mut value, row.key);
         codec::put_field(&mut value, &join_value);
         out.emit(keys::encode_u32(bucket).to_vec(), value);
     }

@@ -58,12 +58,12 @@ impl Mapper for PullMapper {
         };
         // Temp-table row: key = join value ‖ base key (unique), one cell
         // carrying the tuple.
-        let key = rj_store::keys::composite(&[join_value, &row.key]);
+        let key = rj_store::keys::composite(&[join_value, row.key]);
         out.put(
             key,
             Mutation::put(
                 &side.label,
-                &row.key,
+                row.key,
                 codec::encode_value_score(join_value, score),
             ),
         );

@@ -30,9 +30,9 @@ const JOINED_FILE: &str = "hive/__joined";
 const SORTED_FILE: &str = "hive/__sorted";
 
 /// Serializes every cell of a row — Hive's `SELECT *` shipping.
-fn full_row_payload(row: &rj_store::row::RowResult) -> Vec<u8> {
+fn full_row_payload(row: rj_store::row::RowRef<'_>) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.weight() as usize + 16);
-    for cell in &row.cells {
+    for cell in row.cells {
         codec::put_field(&mut out, cell.family.as_bytes());
         codec::put_field(&mut out, &cell.qualifier);
         codec::put_field(&mut out, &cell.value);
@@ -59,7 +59,7 @@ impl Mapper for JoinMapper {
         };
         let tagged = TaggedTuple {
             side: side_idx,
-            row_key: row.key.clone(),
+            row_key: row.key.to_vec(),
             score,
             payload: full_row_payload(row),
         };

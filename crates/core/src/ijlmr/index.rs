@@ -41,7 +41,7 @@ impl Mapper for IndexMapper {
         // Index row: key = join value; column = {CF: side label,
         // qualifier: base row key, value: score}.
         let score = Bytes::from(score.to_be_bytes());
-        out.put(join_value, index_put(&self.label, &row.key, score));
+        out.put(join_value, index_put(&self.label, row.key, score));
     }
 }
 

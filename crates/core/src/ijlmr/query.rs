@@ -31,7 +31,7 @@ impl Mapper for TopKMapper {
         // keys, values are f64 BE scores.
         let mut left: Vec<(&[u8], f64)> = Vec::new();
         let mut right: Vec<(&[u8], f64)> = Vec::new();
-        for cell in &row.cells {
+        for cell in row.cells {
             let Some(bytes) = cell.value.as_ref().get(..8) else {
                 continue;
             };
@@ -47,7 +47,7 @@ impl Mapper for TopKMapper {
                 self.top.offer(JoinTuple {
                     left_key: lk.to_vec(),
                     right_key: rk.to_vec(),
-                    join_value: row.key.clone(),
+                    join_value: row.key.to_vec(),
                     left_score: *ls,
                     right_score: *rs,
                     inner: Vec::new(),

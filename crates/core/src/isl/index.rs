@@ -66,7 +66,7 @@ impl Mapper for IndexMapper {
             keys::encode_score_desc(score).to_vec(),
             index_put(
                 &self.label,
-                &row.key,
+                row.key,
                 codec::encode_values_score(&join_values, score),
             ),
         );

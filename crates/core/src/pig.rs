@@ -60,7 +60,7 @@ impl Mapper for ProjectingJoinMapper {
         // Early projection: no payload beyond key + score.
         let tagged = TaggedTuple {
             side: side_idx,
-            row_key: row.key.clone(),
+            row_key: row.key.to_vec(),
             score,
             payload: Vec::new(),
         };

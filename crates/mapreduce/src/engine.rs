@@ -116,8 +116,26 @@ impl MapReduceEngine {
     /// Runs a job.
     ///
     /// `combiner_factory`, when given, is applied to each map task's output
-    /// before the shuffle (Pig's local top-k combiner, §3.1).
+    /// before the shuffle (Pig's local top-k combiner, §3.1). A job that
+    /// writes to a table (`put_table`) flushes it when it finishes, so its
+    /// output is frozen into region segments, as an HBase bulk load's
+    /// store files are ([`rj_store::table::Table::flush`]).
     pub fn run(
+        &self,
+        spec: &JobSpec,
+        mapper_factory: MapperFactory<'_>,
+        reducer_factory: Option<ReducerFactory<'_>>,
+        combiner_factory: Option<ReducerFactory<'_>>,
+    ) -> Result<JobResult, EngineError> {
+        let result = self.run_job(spec, mapper_factory, reducer_factory, combiner_factory)?;
+        if let Some(table) = &spec.put_table {
+            self.cluster.table(table)?.flush();
+        }
+        Ok(result)
+    }
+
+    /// [`MapReduceEngine::run`] before the flush.
+    fn run_job(
         &self,
         spec: &JobSpec,
         mapper_factory: MapperFactory<'_>,
@@ -369,8 +387,7 @@ impl MapReduceEngine {
                                         break;
                                     }
                                     input_records += 1;
-                                    let row = row.to_owned();
-                                    mapper.map(InputRecord::Row { table, row: &row }, &mut emitter);
+                                    mapper.map(InputRecord::Row { table, row }, &mut emitter);
                                 }
                                 io_seconds += client.elapsed_seconds();
                             }

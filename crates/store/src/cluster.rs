@@ -102,6 +102,10 @@ impl Cluster {
         if families.is_empty() {
             return Err(StoreError::InvalidArgument("table needs >= 1 family"));
         }
+        if families.len() > 256 {
+            // A region's segment stores a column's family index as a byte.
+            return Err(StoreError::InvalidArgument("table has > 256 families"));
+        }
         let mut tables = self.shared.tables.write();
         if tables.contains_key(name) {
             return Err(StoreError::TableExists(name.to_owned()));
@@ -162,6 +166,19 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A region's segment stores a column's family index as a byte.
+    #[test]
+    fn a_table_holds_at_most_256_families() {
+        let c = Cluster::new(1, CostModel::test());
+        let names: Vec<String> = (0..257).map(|i| format!("f{i}")).collect();
+        let families: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert!(c.create_table("widest", &families[..256]).is_ok());
+        assert!(matches!(
+            c.create_table("too_wide", &families),
+            Err(StoreError::InvalidArgument(_))
+        ));
+    }
 
     #[test]
     fn create_and_lookup_tables() {

@@ -57,6 +57,7 @@ pub mod costmodel;
 pub mod error;
 pub mod filter;
 pub mod keys;
+mod memstore;
 pub mod metrics;
 pub mod pool;
 pub mod region;

@@ -1,34 +1,58 @@
 //! Regions: contiguous row-key ranges of a table, each hosted on one node.
 //!
-//! A region stores its rows in a `BTreeMap`, mirroring HBase's sorted
-//! key-value files: point reads are cheap, and scans stream rows in
-//! ascending key order.
+//! # Row layout: a memstore over one frozen segment
 //!
-//! # Row layout
+//! A region stores its rows the way an HBase region server does. Writes
+//! land in a **memstore**, a map from row key to the row's columns: a
+//! sorted vector while it is small, a `BTreeMap` once a bulk write
+//! outgrows that ([`crate::memstore`]). A **flush** freezes the memstore
+//! into the region's **segment**, HBase's immutable sorted store file,
+//! which a memstore flush or a MapReduce bulk load (`HFileOutputFormat`)
+//! writes. A region holds at most one segment: a flush merges the
+//! memstore into the one already there. Flushes happen when data
+//! finishes arriving in bulk ([`crate::table::Table::flush`]): the TPC-H
+//! loader flushes its tables once loaded, and a MapReduce job the table
+//! it wrote. Maintained writes after that stay in the memstore. A flush
+//! bills nothing, and every write still goes through `mutate_row`.
 //!
-//! A row is one vector of `(family index, qualifier, version)` columns
-//! sorted by `(family, qualifier)` — the order a read returns cells in.
-//! A column is found by binary search, a family is one contiguous slice,
-//! and a row created by a `mutate_row` call is allocated once, sized for
-//! that call's mutations. Every table this workspace builds is narrow
-//! (base rows hold 3–4 columns, an ISL index row one, a DRJN row one per
-//! partition), so the shifting insert a later, wider write pays is a few
-//! dozen bytes; a 2 000-column row still costs only milliseconds in total.
-//! What the layout buys is the heap: a one-column index row costs one
-//! 48-byte allocation here where a per-family `BTreeMap` cost a ≈ 540-byte
-//! leaf per family — at TPC-H SF 0.01 with Q1's and Q2's four indices
-//! built, live heap went from 8.6× the stored bytes
-//! ([`Region::byte_size`]) to 3.6×, and to 3.3× once the loader shared
-//! its column names and join keys (the base tables alone: 2.9× → 2.2×).
+//! A memstore row is one vector of `(family index, qualifier, version)`
+//! columns sorted by `(family, qualifier)`, the order a read returns cells
+//! in, allocated once for the `mutate_row` call that created it. A segment
+//! is flat. All its row keys sit in one byte arena with one `u32` end per
+//! row, and its columns are parallel arrays (family index as a `u8`,
+//! qualifier, value or tombstone, timestamp) with one `u32` column end per
+//! row. A flush counts rows, key bytes and columns before it places them
+//! (the memstore holds key lengths and column counts inline, so the count
+//! reads no row), then moves every handle in one pass and copies only key
+//! bytes: each array is one allocation. At TPC-H SF 0.01 with Q1's and
+//! Q2's ISL indices built, the store held 58.48 MB of heap for 20.71 MB
+//! stored ([`Region::byte_size`]) as B-tree rows (2.82×), and holds about
+//! 39 MB (1.88×) as segments.
 //!
-//! A column stores the qualifier and value handles of the mutation that
-//! wrote it, not copies, and its family as an index into the table's
-//! names. So a write allocates here only a new row's key and column
-//! vector, or the growth of a widened row's vector or of the tombstone
-//! queue; the bytes behind a handle the writer shared across tables (a
-//! §6 insert's row-key qualifier and value-score payload) are held once
-//! for all of them. Billing and [`Region::byte_size`] count every
+//! Both halves keep the qualifier and value handles of the mutations that
+//! wrote them, not copies, and a column's family as an index into the
+//! table's names. So a write allocates only a new memstore row's key and
+//! column vector, or the growth of a widened row or of the tombstone queue;
+//! the bytes behind a handle the writer shared across rows or tables (the
+//! loader's column names and join keys, a §6 insert's row-key qualifier
+//! and value-score payload) are held once for all of them. A read lends
+//! those handles. A segment that inlined its bytes and lent zero-copy
+//! slices of them would need a 24-byte handle (offset and length beside
+//! the pointer), where a [`Bytes`] is 16: measured, that alone raised
+//! every workload's peak heap by 8–14 % and `update_stream`'s allocated
+//! bytes per op by 15 %. Billing and [`Region::byte_size`] count every
 //! column's bytes as its own, however they are held.
+//!
+//! A row lives in exactly one half. The first write to a frozen row
+//! copies it: its handles move into a new memstore row and the segment
+//! marks the row moved in a bitmap, the segment's only change after a
+//! freeze (the next flush leaves it out; until then the row's key bytes
+//! stay in the arena and its emptied slots hold no heap). So a read
+//! consults one half, a write is stale against the memstore row alone,
+//! and a region reads, bills and counts the same whether and when it was
+//! flushed. A frozen row that keeps taking writes, such as a BFHM bucket
+//! row taking update records, is one memstore row from then on, as it was
+//! before segments.
 //!
 //! # Retention
 //!
@@ -44,7 +68,8 @@
 //! stored column, touched and billed by a read that walks over it — until
 //! the cluster clock has moved more than [`TOMBSTONE_GRACE_TICKS`] past the
 //! tombstone's timestamp. It is then physically removed, and its row with
-//! it once empty. The window is safety, not tuning: a concurrent
+//! it once empty: no longer counted, read or scanned. The window is
+//! safety, not tuning: a concurrent
 //! `MaintainedSide::delete` may land its index tombstone *before* the
 //! index put of the racing, older `insert`, and the outcome is only
 //! correct because the tombstone still masks the late put. Inside the
@@ -58,16 +83,21 @@
 //! which already holds the region's write lock and already receives "now":
 //! work proportional to the garbage, no region walk, no background thread.
 //! A region nobody writes to keeps its last tombstones until it is.
+//!
+//! A purge removes a tombstone from the memstore. One that a flush froze
+//! inside its window is purged like a write: its row is copied out first.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::ops::Bound;
+use std::collections::BinaryHeap;
+use std::iter::Peekable;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::cell::{Cell, Mutation};
 use crate::filter::ServerFilter;
+use crate::memstore::{self, Memstore};
 use crate::row::{RowBatch, RowResult};
 
 /// Cluster-clock ticks a tombstone outlives its own timestamp before the
@@ -76,58 +106,63 @@ use crate::row::{RowBatch, RowResult};
 /// three indices attached is about six.
 pub const TOMBSTONE_GRACE_TICKS: u64 = 1024;
 
-/// The stored version of one column: a put or a tombstone.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Version {
-    /// A value written at a timestamp.
-    Put(u64, Bytes),
-    /// A delete tombstone at a timestamp; shadows versions at the same or
-    /// earlier timestamps.
-    Tombstone(u64),
+/// One stored column as a read sees it, from the memstore or the segment.
+#[derive(Clone, Copy, Debug)]
+struct Stored<'a> {
+    /// Index into the table's family list.
+    family: usize,
+    qualifier: &'a Bytes,
+    ts: u64,
+    /// The value of a put; `None` for a tombstone.
+    value: Option<&'a Bytes>,
 }
 
-impl Version {
+impl Stored<'_> {
     /// Newer wins; at equal timestamps tombstones shadow puts.
-    fn order_key(&self) -> (u64, u8) {
-        match self {
-            Version::Tombstone(ts) => (*ts, 1),
-            Version::Put(ts, _) => (*ts, 0),
-        }
+    fn order_key(&self) -> (u64, bool) {
+        (self.ts, self.value.is_none())
     }
 
-    /// The value and its timestamp, if this version is a put.
-    fn visible(&self) -> Option<(u64, &Bytes)> {
-        match self {
-            Version::Put(ts, v) => Some((*ts, v)),
-            Version::Tombstone(_) => None,
-        }
-    }
-
-    fn value_len(&self) -> u64 {
-        self.visible().map_or(0, |(_, v)| v.len() as u64)
+    /// Stored bytes: [`Cell::weight`] for a put, the same without a value
+    /// for a tombstone (what [`Mutation::weight`] charged for the write
+    /// that stored it).
+    fn weight(&self, row_key: &[u8], family_names: &[Arc<str>]) -> u64 {
+        let value = self.value.map_or(0, |v| v.len());
+        (row_key.len() + family_names[self.family].len() + self.qualifier.len() + 8 + value) as u64
     }
 }
 
-/// Stored bytes of one column: [`Cell::weight`] for a put, the same
-/// without a value for a tombstone (what [`Mutation::weight`] charged for
-/// the write that stored it).
-fn stored_weight(row_key: &[u8], family: &str, qualifier: &[u8], version: &Version) -> u64 {
-    (row_key.len() + family.len() + qualifier.len() + 8) as u64 + version.value_len()
-}
-
-/// One stored column. Qualifiers are refcounted so reads hand them out
-/// without copying.
+/// One memstore column: its newest version.
 #[derive(Clone, Debug)]
 struct Column {
     /// Index into the table's family list.
     family: usize,
     qualifier: Bytes,
-    /// The column's newest version.
-    version: Version,
+    ts: u64,
+    /// The value of a put; `None` for a tombstone.
+    value: Option<Bytes>,
 }
 
-/// Row payload: the stored columns, sorted by `(family, qualifier)` (see
-/// the module docs).
+impl Column {
+    fn stored(&self) -> Stored<'_> {
+        Stored {
+            family: self.family,
+            qualifier: &self.qualifier,
+            ts: self.ts,
+            value: self.value.as_ref(),
+        }
+    }
+}
+
+/// The columns of one family in a row's sorted columns.
+fn family_columns(columns: &[Column], family: usize) -> &[Column] {
+    let start = columns.partition_point(|c| c.family < family);
+    let len = columns[start..].partition_point(|c| c.family == family);
+    &columns[start..start + len]
+}
+
+/// A memstore row: its columns, sorted by `(family, qualifier)` (see the
+/// module docs).
 #[derive(Clone, Debug)]
 pub(crate) struct RowData {
     columns: Vec<Column>,
@@ -140,27 +175,327 @@ impl RowData {
         self.columns
             .binary_search_by(|c| (c.family, &c.qualifier[..]).cmp(&(family, qualifier)))
     }
+}
 
-    /// The stored columns of one family.
-    fn family(&self, family: usize) -> &[Column] {
-        let start = self.columns.partition_point(|c| c.family < family);
-        let len = self.columns[start..].partition_point(|c| c.family == family);
-        &self.columns[start..start + len]
+/// A region's frozen rows, in key order (see the module docs). Column `c`
+/// is `families[c]`, `qualifiers[c]`, `values[c]` and `timestamps[c]`.
+#[derive(Debug, Default)]
+struct Segment {
+    /// Every row's key, back to back.
+    keys: Vec<u8>,
+    /// Row `r`'s key ends at `key_ends[r]` and starts where row `r - 1`'s
+    /// ends.
+    key_ends: Vec<u32>,
+    /// Row `r`'s columns end at `column_ends[r]`, sorted by `(family,
+    /// qualifier)`.
+    column_ends: Vec<u32>,
+    families: Vec<u8>,
+    qualifiers: Vec<Bytes>,
+    /// `None` is a tombstone.
+    values: Vec<Option<Bytes>>,
+    timestamps: Vec<u64>,
+    /// Bit `r` marks row `r` moved into the memstore since the freeze.
+    /// Empty until the first move.
+    moved: Vec<u64>,
+}
+
+/// The end offset a segment array records, which must fit its `u32`.
+fn offset(end: usize) -> u32 {
+    u32::try_from(end).expect("a segment holds fewer than 2^32 key bytes and columns")
+}
+
+/// The entries `[start, end)` of an array of ends: where entry `i` starts
+/// is where entry `i - 1` ends.
+fn span(ends: &[u32], entries: Range<usize>) -> Range<usize> {
+    let start = |i: usize| i.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
+    start(entries.start)..start(entries.end)
+}
+
+impl Segment {
+    /// Number of rows, moved ones included.
+    fn len(&self) -> usize {
+        self.key_ends.len()
     }
 
-    /// The stored columns a read of `families` touches (`None` = all), in
-    /// `(family, qualifier)` order: the projection's families one slice
-    /// each, or the whole row as one.
-    fn selected<'a>(&'a self, families: Option<&'a [usize]>) -> impl Iterator<Item = &'a Column> {
-        let projected = families.into_iter().flatten();
-        let whole: &[Column] = if families.is_none() {
-            &self.columns
-        } else {
-            &[]
+    fn key(&self, row: usize) -> &[u8] {
+        &self.keys[span(&self.key_ends, row..row + 1)]
+    }
+
+    fn columns(&self, row: usize) -> Range<usize> {
+        span(&self.column_ends, row..row + 1)
+    }
+
+    /// The first row whose key is `key` or greater.
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn is_moved(&self, row: usize) -> bool {
+        let word = self.moved.get(row / 64).copied().unwrap_or(0);
+        word >> (row % 64) & 1 == 1
+    }
+
+    /// The row `key`, unless it is absent or moved.
+    fn find_row(&self, key: &[u8]) -> Option<usize> {
+        let row = self.lower_bound(key);
+        (row < self.len() && self.key(row) == key && !self.is_moved(row)).then_some(row)
+    }
+
+    fn stored(&self, column: usize) -> Stored<'_> {
+        Stored {
+            family: usize::from(self.families[column]),
+            qualifier: &self.qualifiers[column],
+            ts: self.timestamps[column],
+            value: self.values[column].as_ref(),
+        }
+    }
+
+    /// The columns of `family` among a row's `columns`.
+    fn family(&self, columns: Range<usize>, family: usize) -> Range<usize> {
+        let families = &self.families[columns.clone()];
+        let start = families.partition_point(|&f| usize::from(f) < family);
+        let len = families[start..].partition_point(|&f| usize::from(f) == family);
+        columns.start + start..columns.start + start + len
+    }
+
+    /// The column `family:qualifier` of `row`.
+    fn find_column(&self, row: usize, family: usize, qualifier: &[u8]) -> Option<usize> {
+        let columns = self.family(self.columns(row), family);
+        let at = self.qualifiers[columns.clone()]
+            .binary_search_by(|q| q[..].cmp(qualifier))
+            .ok()?;
+        Some(columns.start + at)
+    }
+
+    /// Moves `row`'s columns out, into a vector with room for `more`, and
+    /// marks the row moved (see the module docs).
+    fn take_row(&mut self, row: usize, more: usize) -> Vec<Column> {
+        if self.moved.is_empty() {
+            self.moved = vec![0; self.len().div_ceil(64)];
+        }
+        self.moved[row / 64] |= 1 << (row % 64);
+        let columns = self.columns(row);
+        let mut taken = Vec::with_capacity(columns.len() + more);
+        for c in columns {
+            taken.push(Column {
+                family: usize::from(self.families[c]),
+                qualifier: std::mem::take(&mut self.qualifiers[c]),
+                ts: self.timestamps[c],
+                value: self.values[c].take(),
+            });
+        }
+        taken
+    }
+
+    /// An empty segment with room for what it is about to be given:
+    /// every array is allocated once.
+    fn with_capacity(rows: usize, key_bytes: usize, columns: usize) -> Segment {
+        Segment {
+            keys: Vec::with_capacity(key_bytes),
+            key_ends: Vec::with_capacity(rows),
+            column_ends: Vec::with_capacity(rows),
+            families: Vec::with_capacity(columns),
+            qualifiers: Vec::with_capacity(columns),
+            values: Vec::with_capacity(columns),
+            timestamps: Vec::with_capacity(columns),
+            moved: Vec::new(),
+        }
+    }
+
+    /// Appends row `key` with its sorted `columns`.
+    fn push_row(&mut self, key: &[u8], columns: impl IntoIterator<Item = Column>) {
+        for column in columns {
+            let family = u8::try_from(column.family).expect("a table has ≤ 256 families");
+            self.families.push(family);
+            self.qualifiers.push(column.qualifier);
+            self.values.push(column.value);
+            self.timestamps.push(column.ts);
+        }
+        self.keys.extend_from_slice(key);
+        self.key_ends.push(offset(self.keys.len()));
+        self.column_ends.push(offset(self.qualifiers.len()));
+    }
+
+    /// Gives back the room left by moved rows.
+    fn trimmed(mut self) -> Segment {
+        if self.qualifiers.len() < self.qualifiers.capacity()
+            || self.keys.len() < self.keys.capacity()
+        {
+            self.keys.shrink_to_fit();
+            self.key_ends.shrink_to_fit();
+            self.column_ends.shrink_to_fit();
+            self.families.shrink_to_fit();
+            self.qualifiers.shrink_to_fit();
+            self.values.shrink_to_fit();
+            self.timestamps.shrink_to_fit();
+        }
+        self
+    }
+
+    /// The flush: `memstore` frozen into this segment's rows, in one pass
+    /// that moves every handle and copies only key bytes. The counts come
+    /// from what the memstore holds inline (key lengths and column
+    /// counts), so no row is visited twice. A memstore row replaces the
+    /// segment row it was moved from.
+    fn merged(mut self, memstore: Memstore<RowData>) -> Segment {
+        let key_bytes: usize = memstore.iter().map(|(key, _)| key.len()).sum();
+        let columns: usize = memstore.iter().map(|(_, row)| row.columns.len()).sum();
+        let mut merged = Segment::with_capacity(
+            self.len() + memstore.len(),
+            self.keys.len() + key_bytes,
+            self.qualifiers.len() + columns,
+        );
+        let mut drain = Drain::new(&mut self);
+        let mut freeze = |merged: &mut Segment, rows: Range<usize>| {
+            for row in rows {
+                let columns = drain.take(self.columns(row).len());
+                if self.is_moved(row) {
+                    columns.for_each(drop);
+                } else {
+                    merged.push_row(self.key(row), columns);
+                }
+            }
         };
-        projected
-            .flat_map(move |&family| self.family(family))
-            .chain(whole)
+        let mut next = 0;
+        for (key, row) in memstore {
+            let end = self.lower_bound(&key).max(next);
+            freeze(&mut merged, next..end);
+            next = end;
+            merged.push_row(&key, row.columns);
+        }
+        freeze(&mut merged, next..self.len());
+        merged.trimmed()
+    }
+
+    /// A copy of rows `rows`, without the moved ones.
+    fn slice(&self, rows: Range<usize>) -> Segment {
+        let mut slice = Segment::with_capacity(
+            rows.len(),
+            span(&self.key_ends, rows.clone()).len(),
+            span(&self.column_ends, rows.clone()).len(),
+        );
+        for row in rows.filter(|&row| !self.is_moved(row)) {
+            let columns = self.columns(row).map(|c| {
+                let stored = self.stored(c);
+                Column {
+                    family: stored.family,
+                    qualifier: stored.qualifier.clone(),
+                    ts: stored.ts,
+                    value: stored.value.cloned(),
+                }
+            });
+            slice.push_row(self.key(row), columns);
+        }
+        slice.trimmed()
+    }
+}
+
+/// A segment's columns, moved out in order (the flush's source).
+struct Drain {
+    families: std::vec::IntoIter<u8>,
+    qualifiers: std::vec::IntoIter<Bytes>,
+    values: std::vec::IntoIter<Option<Bytes>>,
+    timestamps: std::vec::IntoIter<u64>,
+}
+
+impl Drain {
+    /// Takes `segment`'s columns, leaving its keys, ends and moved marks.
+    fn new(segment: &mut Segment) -> Drain {
+        Drain {
+            families: std::mem::take(&mut segment.families).into_iter(),
+            qualifiers: std::mem::take(&mut segment.qualifiers).into_iter(),
+            values: std::mem::take(&mut segment.values).into_iter(),
+            timestamps: std::mem::take(&mut segment.timestamps).into_iter(),
+        }
+    }
+
+    /// The next `n` columns.
+    fn take(&mut self, n: usize) -> impl Iterator<Item = Column> + '_ {
+        (0..n).map_while(|_| {
+            Some(Column {
+                family: usize::from(self.families.next()?),
+                qualifier: self.qualifiers.next()?,
+                value: self.values.next()?,
+                ts: self.timestamps.next()?,
+            })
+        })
+    }
+}
+
+/// One stored row, held by one half.
+#[derive(Clone, Debug)]
+enum RowView<'a> {
+    Memstore(&'a [Column]),
+    /// The row's columns in the segment.
+    Frozen(&'a Segment, Range<usize>),
+}
+
+impl<'a> RowView<'a> {
+    /// Visits the stored columns a read of `families` touches (`None` =
+    /// all), in `(family, qualifier)` order.
+    fn for_each_selected(&self, families: Option<&[usize]>, mut visit: impl FnMut(Stored<'a>)) {
+        match self {
+            RowView::Memstore(columns) => {
+                let Some(families) = families else {
+                    return columns.iter().for_each(|c| visit(c.stored()));
+                };
+                for &family in families {
+                    let columns = family_columns(columns, family);
+                    columns.iter().for_each(|c| visit(c.stored()));
+                }
+            }
+            RowView::Frozen(segment, columns) => {
+                let Some(families) = families else {
+                    return columns.clone().for_each(|c| visit(segment.stored(c)));
+                };
+                for &family in families {
+                    let columns = segment.family(columns.clone(), family);
+                    columns.for_each(|c| visit(segment.stored(c)));
+                }
+            }
+        }
+    }
+}
+
+/// A region's stored rows from some key on, in key order: memstore rows
+/// merged with the segment rows not moved (no key is in both).
+struct Rows<'a> {
+    memstore: Peekable<memstore::Iter<'a, RowData>>,
+    segment: &'a Segment,
+    /// The next segment row.
+    next: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = (&'a [u8], RowView<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let segment = self.segment;
+        while self.next < segment.len() && segment.is_moved(self.next) {
+            self.next += 1;
+        }
+        let frozen = (self.next < segment.len()).then(|| segment.key(self.next));
+        let from_memstore = match (self.memstore.peek(), frozen) {
+            (Some((key, _)), Some(frozen)) => key[..] < *frozen,
+            (memstore, _) => memstore.is_some(),
+        };
+        if from_memstore {
+            let (key, row) = self.memstore.next()?;
+            return Some((key, RowView::Memstore(&row.columns)));
+        }
+        let key = frozen?;
+        let row = self.next;
+        self.next += 1;
+        Some((key, RowView::Frozen(segment, segment.columns(row))))
     }
 }
 
@@ -194,9 +529,14 @@ pub struct Region {
     pub(crate) start: Vec<u8>,
     /// Hosting node index.
     pub(crate) node: usize,
-    /// Row keys are refcounted so the purge queue names a row without
-    /// copying its key.
-    rows: BTreeMap<Bytes, RowData>,
+    /// Rows written since the last flush, each holding a column. Row keys
+    /// are refcounted so the purge queue names a row without copying its
+    /// key.
+    memstore: Memstore<RowData>,
+    /// Rows frozen by the flushes so far.
+    segment: Segment,
+    /// Stored rows: memstore rows and segment rows not moved.
+    row_count: usize,
     /// Live KV count (visible puts).
     kv_count: u64,
     /// Stored bytes: live cells plus retained tombstones.
@@ -211,7 +551,9 @@ impl Region {
         Region {
             start,
             node,
-            rows: BTreeMap::new(),
+            memstore: Memstore::default(),
+            segment: Segment::default(),
+            row_count: 0,
             kv_count: 0,
             byte_size: 0,
             purge_queue: BinaryHeap::new(),
@@ -230,7 +572,7 @@ impl Region {
 
     /// Number of rows stored.
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.row_count
     }
 
     /// Bytes stored: live cells plus tombstones still inside their grace
@@ -244,13 +586,31 @@ impl Region {
         self.kv_count
     }
 
+    /// The stored row `key`, if any.
+    fn row(&self, key: &[u8]) -> Option<RowView<'_>> {
+        if let Some(row) = self.memstore.get(key) {
+            return Some(RowView::Memstore(&row.columns));
+        }
+        let row = self.segment.find_row(key)?;
+        Some(RowView::Frozen(&self.segment, self.segment.columns(row)))
+    }
+
+    /// The stored rows from `from` (inclusive) on, in key order.
+    fn rows_from(&self, from: &[u8]) -> Rows<'_> {
+        Rows {
+            memstore: self.memstore.range_from(from).peekable(),
+            segment: &self.segment,
+            next: self.segment.lower_bound(from),
+        }
+    }
+
     /// Applies mutations to one row atomically, after dropping the
     /// region's tombstones whose grace window `now` has passed. Returns
     /// bytes written (every mutation's wire size, stale ones included).
     ///
     /// Each mutation comes with its schema family index (validated by the
     /// table before routing here); `now` is the timestamp of unpinned
-    /// mutations.
+    /// mutations. A frozen row is moved into the memstore first.
     pub(crate) fn mutate_row<'m>(
         &mut self,
         row_key: &[u8],
@@ -263,69 +623,86 @@ impl Region {
             return 0; // and no empty row is left behind
         }
         self.purge_tombstones(now, family_names);
-        if !self.rows.contains_key(row_key) {
+        let fresh;
+        let (row_handle, row) = if self.memstore.contains_key(row_key) {
+            let Some(held) = self.memstore.get_key_value_mut(row_key) else {
+                return 0;
+            };
+            held
+        } else {
             // Sized for this call's mutations: every caller's iterator
             // reports how many it can yield at most, and yields them all.
             let (at_least, at_most) = muts.size_hint();
-            let columns = Vec::with_capacity(at_most.unwrap_or(at_least));
-            self.rows
-                .insert(Bytes::copy_from_slice(row_key), RowData { columns });
-        }
-        let mut bytes = 0u64;
-        let one_row = (Bound::Included(row_key), Bound::Included(row_key));
-        if let Some((row_handle, row)) = self.rows.range_mut::<[u8], _>(one_row).next() {
-            for (fam_idx, m) in muts {
-                bytes += m.weight(row_key.len());
-                let (qualifier, version) = match m {
-                    Mutation::Put {
-                        qualifier,
-                        value,
-                        timestamp,
-                        ..
-                    } => (
-                        qualifier,
-                        Version::Put(timestamp.unwrap_or(now), value.clone()),
-                    ),
-                    Mutation::Delete {
-                        qualifier,
-                        timestamp,
-                        ..
-                    } => (qualifier, Version::Tombstone(timestamp.unwrap_or(now))),
-                };
-                let slot = row.find(fam_idx, qualifier);
-                if slot.is_ok_and(|at| version.order_key() < row.columns[at].version.order_key()) {
-                    continue; // stale on arrival: the stored version is newer
+            let more = at_most.unwrap_or(at_least);
+            let columns = match self.segment.find_row(row_key) {
+                Some(frozen) => self.segment.take_row(frozen, more),
+                None => {
+                    // A new row: its first mutation cannot be stale.
+                    self.row_count += 1;
+                    Vec::with_capacity(more)
                 }
-                if let Version::Tombstone(ts) = version {
-                    self.purge_queue.push(Reverse(DeadColumn {
-                        ts,
-                        row: row_handle.clone(),
+            };
+            fresh = Bytes::copy_from_slice(row_key);
+            let row = self.memstore.insert(fresh.clone(), RowData { columns });
+            (&fresh, row)
+        };
+        let mut bytes = 0u64;
+        for (fam_idx, m) in muts {
+            bytes += m.weight(row_key.len());
+            let (qualifier, ts, value) = match m {
+                Mutation::Put {
+                    qualifier,
+                    value,
+                    timestamp,
+                    ..
+                } => (qualifier, timestamp.unwrap_or(now), Some(value)),
+                Mutation::Delete {
+                    qualifier,
+                    timestamp,
+                    ..
+                } => (qualifier, timestamp.unwrap_or(now), None),
+            };
+            let new = Stored {
+                family: fam_idx,
+                qualifier,
+                ts,
+                value,
+            };
+            let slot = row.find(fam_idx, qualifier);
+            let old = slot.ok().map(|at| row.columns[at].stored());
+            if old.is_some_and(|old| new.order_key() < old.order_key()) {
+                continue; // stale on arrival: the stored version is newer
+            }
+            let (was_visible, old_weight) = old.map_or((false, 0), |old| {
+                (old.value.is_some(), old.weight(row_key, family_names))
+            });
+            let new_weight = new.weight(row_key, family_names);
+            if value.is_none() {
+                self.purge_queue.push(Reverse(DeadColumn {
+                    ts,
+                    row: row_handle.clone(),
+                    family: fam_idx,
+                    qualifier: qualifier.clone(),
+                }));
+            }
+            match slot {
+                Ok(at) => {
+                    let column = &mut row.columns[at];
+                    column.ts = ts;
+                    column.value = value.cloned();
+                }
+                Err(at) => {
+                    let column = Column {
                         family: fam_idx,
                         qualifier: qualifier.clone(),
-                    }));
+                        ts,
+                        value: value.cloned(),
+                    };
+                    row.columns.insert(at, column);
                 }
-                let family = &family_names[fam_idx];
-                let now_visible = version.visible().is_some();
-                let new_weight = stored_weight(row_key, family, qualifier, &version);
-                let (was_visible, old_weight) = match slot {
-                    Ok(at) => {
-                        let old = std::mem::replace(&mut row.columns[at].version, version);
-                        let old_weight = stored_weight(row_key, family, qualifier, &old);
-                        (old.visible().is_some(), old_weight)
-                    }
-                    Err(at) => {
-                        let column = Column {
-                            family: fam_idx,
-                            qualifier: qualifier.clone(),
-                            version,
-                        };
-                        row.columns.insert(at, column);
-                        (false, 0)
-                    }
-                };
-                self.kv_count = self.kv_count + u64::from(now_visible) - u64::from(was_visible);
-                self.byte_size = self.byte_size + new_weight - old_weight;
             }
+            self.kv_count = self.kv_count + u64::from(value.is_some()) - u64::from(was_visible);
+            self.byte_size = self.byte_size + new_weight - old_weight;
         }
         bytes
     }
@@ -343,28 +720,50 @@ impl Region {
             let Some(Reverse(dead)) = self.purge_queue.pop() else {
                 return;
             };
-            let Some(row) = self.rows.get_mut(&dead.row) else {
+            let is_dead = |c: Stored<'_>| c.value.is_none() && c.ts == dead.ts;
+            if !self.memstore.contains_key(&dead.row) {
+                // Frozen by a flush since it was written: copied out
+                // first, as a write would copy it.
+                let Some(frozen) = self.segment.find_row(&dead.row) else {
+                    continue;
+                };
+                let column = self
+                    .segment
+                    .find_column(frozen, dead.family, &dead.qualifier);
+                if !column.is_some_and(|c| is_dead(self.segment.stored(c))) {
+                    continue; // overwritten since
+                }
+                let columns = self.segment.take_row(frozen, 0);
+                self.memstore.insert(dead.row.clone(), RowData { columns });
+            }
+            let Some(row) = self.memstore.get_mut(&dead.row) else {
                 continue;
             };
-            let tombstone = Version::Tombstone(dead.ts);
             let Some(at) = row
                 .find(dead.family, &dead.qualifier)
                 .ok()
-                .filter(|&at| row.columns[at].version == tombstone)
+                .filter(|&at| is_dead(row.columns[at].stored()))
             else {
                 continue; // overwritten since; a newer tombstone has its own entry
             };
-            row.columns.remove(at);
-            self.byte_size -= stored_weight(
-                &dead.row,
-                &family_names[dead.family],
-                &dead.qualifier,
-                &tombstone,
-            );
+            let tombstone = row.columns.remove(at);
+            self.byte_size -= tombstone.stored().weight(&dead.row, family_names);
             if row.columns.is_empty() {
-                self.rows.remove(&dead.row);
+                self.memstore.remove(&dead.row);
+                self.row_count -= 1;
             }
         }
+    }
+
+    /// Freezes the memstore into the segment, merged with the rows already
+    /// there (see the module docs). What every read returns and bills is
+    /// unchanged; no cost is charged.
+    pub(crate) fn flush(&mut self) {
+        if self.memstore.is_empty() {
+            return;
+        }
+        let memstore = std::mem::take(&mut self.memstore);
+        self.segment = std::mem::take(&mut self.segment).merged(memstore);
     }
 
     /// Walks the stored columns of one row in the given family indices
@@ -375,27 +774,27 @@ impl Region {
     /// cells in other families) costs no heap traffic.
     fn read_row(
         key: &[u8],
-        data: &RowData,
+        row: &RowView<'_>,
         family_names: &[Arc<str>],
         families: Option<&[usize]>,
         mut emit: impl FnMut(Cell),
     ) -> ReadCost {
         let mut cost = ReadCost::default();
-        for column in data.selected(families) {
+        row.for_each_selected(families, |column| {
             // Every stored column is touched by the read path, a
             // retained tombstone included.
             cost.kvs_scanned += 1;
-            if let Some((ts, value)) = column.version.visible() {
+            if let Some(value) = column.value {
                 let cell = Cell {
                     family: Arc::clone(&family_names[column.family]),
                     qualifier: column.qualifier.clone(),
-                    timestamp: ts,
+                    timestamp: column.ts,
                     value: value.clone(),
                 };
                 cost.bytes_scanned += cell.weight(key.len());
                 emit(cell);
             }
-        }
+        });
         cost
     }
 
@@ -410,13 +809,15 @@ impl Region {
         family_names: &[Arc<str>],
         families: Option<&[usize]>,
     ) -> (Option<RowResult>, ReadCost) {
-        let Some(data) = self.rows.get(key) else {
+        let Some(row) = self.row(key) else {
             return (None, ReadCost::default());
         };
         let mut cells = Vec::new();
-        let mut cost = Self::read_row(key, data, family_names, families, |cell| {
+        let mut cost = Self::read_row(key, &row, family_names, families, |cell| {
             if cells.is_empty() {
-                cells.reserve_exact(data.selected(families).count());
+                let mut touched = 0;
+                row.for_each_selected(families, |_| touched += 1);
+                cells.reserve_exact(touched);
             }
             cells.push(cell);
         });
@@ -443,10 +844,10 @@ impl Region {
         out: &mut RowBatch,
     ) -> ReadCost {
         out.clear();
-        let Some(data) = self.rows.get(key) else {
+        let Some(row) = self.row(key) else {
             return ReadCost::default();
         };
-        let mut cost = Self::read_row(key, data, family_names, families, |cell| {
+        let mut cost = Self::read_row(key, &row, family_names, families, |cell| {
             out.push_cell(cell)
         });
         let row = out.open_row(key);
@@ -475,11 +876,8 @@ impl Region {
         out: &mut RowBatch,
     ) -> (ReadCost, bool) {
         let mut cost = ReadCost::default();
-        let range = self
-            .rows
-            .range::<[u8], _>((Bound::Included(&next_key[..]), Bound::Unbounded));
-        for (visited, (key, data)) in range.enumerate() {
-            if stop.is_some_and(|stop| &key[..] >= stop) {
+        for (visited, (key, row)) in self.rows_from(next_key).enumerate() {
+            if stop.is_some_and(|stop| key >= stop) {
                 break;
             }
             if visited == max_rows {
@@ -487,7 +885,7 @@ impl Region {
                 next_key.extend_from_slice(key);
                 return (cost, true);
             }
-            let scanned = Self::read_row(key, data, family_names, families, |cell| {
+            let scanned = Self::read_row(key, &row, family_names, families, |cell| {
                 out.push_cell(cell)
             });
             cost.kvs_scanned += scanned.kvs_scanned;
@@ -509,31 +907,31 @@ impl Region {
 
     /// Row keys in ascending order (rebalancing support).
     pub(crate) fn row_keys(&self) -> impl Iterator<Item = &[u8]> {
-        self.rows.keys().map(|k| &k[..])
+        self.rows_from(&[]).map(|(key, _)| key)
     }
 
     /// The median row key, used as an auto-split point. `None` if the
     /// region has fewer than two rows.
     pub(crate) fn split_point(&self) -> Option<Vec<u8>> {
-        if self.rows.len() < 2 {
+        if self.row_count < 2 {
             return None;
         }
-        self.row_keys().nth(self.rows.len() / 2).map(<[u8]>::to_vec)
+        self.row_keys().nth(self.row_count / 2).map(<[u8]>::to_vec)
     }
 
-    /// Live KV count and stored bytes by a full walk: what the
-    /// incrementally maintained `kv_count` and `byte_size` must equal.
-    pub(crate) fn recount(&self, family_names: &[Arc<str>]) -> (u64, u64) {
-        let mut kvs = 0u64;
-        let mut bytes = 0u64;
-        for (key, data) in &self.rows {
-            for column in &data.columns {
-                let family = &family_names[column.family];
-                kvs += u64::from(column.version.visible().is_some());
-                bytes += stored_weight(key, family, &column.qualifier, &column.version);
-            }
+    /// Stored rows, live KV count and stored bytes by a full walk: what
+    /// the incrementally maintained `row_count`, `kv_count` and
+    /// `byte_size` must equal.
+    pub(crate) fn recount(&self, family_names: &[Arc<str>]) -> (usize, u64, u64) {
+        let (mut rows, mut kvs, mut bytes) = (0, 0, 0);
+        for (key, row) in self.rows_from(&[]) {
+            rows += 1;
+            row.for_each_selected(None, |column| {
+                kvs += u64::from(column.value.is_some());
+                bytes += column.weight(key, family_names);
+            });
         }
-        (kvs, bytes)
+        (rows, kvs, bytes)
     }
 
     /// Splits off rows `>= split_key` into a new region hosted on `node`.
@@ -544,15 +942,20 @@ impl Region {
         family_names: &[Arc<str>],
     ) -> Region {
         let mut upper = Region::new(split_key.to_vec(), node);
-        upper.rows = self.rows.split_off(split_key);
+        upper.memstore = self.memstore.split_off(split_key);
+        if self.segment.len() > 0 {
+            let at = self.segment.lower_bound(split_key);
+            upper.segment = self.segment.slice(at..self.segment.len());
+            self.segment = self.segment.slice(0..at);
+        }
         let (moved, kept) = std::mem::take(&mut self.purge_queue)
             .into_iter()
             .partition(|Reverse(dead)| &dead.row[..] >= split_key);
         upper.purge_queue = moved;
         self.purge_queue = kept;
         // Recompute accounting on both sides (splits are rare).
-        (self.kv_count, self.byte_size) = self.recount(family_names);
-        (upper.kv_count, upper.byte_size) = upper.recount(family_names);
+        (self.row_count, self.kv_count, self.byte_size) = self.recount(family_names);
+        (upper.row_count, upper.kv_count, upper.byte_size) = upper.recount(family_names);
         upper
     }
 }
@@ -803,10 +1206,8 @@ mod tests {
     }
 
     fn assert_accounting_matches_a_recount(region: &Region) {
-        assert_eq!(
-            (region.kv_count(), region.byte_size()),
-            region.recount(&fams())
-        );
+        let counted = (region.row_count(), region.kv_count(), region.byte_size());
+        assert_eq!(counted, region.recount(&fams()));
     }
 
     #[test]
@@ -1096,5 +1497,149 @@ mod tests {
         assert_eq!((r.row_count(), upper.row_count()), (4, 4));
         assert_accounting_matches_a_recount(&r);
         assert_accounting_matches_a_recount(&upper);
+    }
+
+    /// §6's delete over loaded data: the tombstone replaces the frozen
+    /// column in the row the delete moved into the memstore, and once its
+    /// grace window has passed, purging it deletes the column and the
+    /// emptied row. The old value does not resurface, neither in the
+    /// region nor after a later flush, and a put older than the purged
+    /// tombstone then lands as on a never-written column (the documented
+    /// limit of the window).
+    #[test]
+    fn a_purged_tombstone_over_a_frozen_column_leaves_it_deleted() {
+        let mut r = Region::new(vec![], 0);
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+            1,
+        );
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+            1,
+        );
+        r.flush();
+        assert!(r.memstore.is_empty());
+        let ts = 10;
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
+        assert_eq!(value_of(&r, b"k"), None, "the tombstone masks the segment");
+        let (_, cost) = r.get(b"k", &fams(), None);
+        assert_eq!(cost.kvs_scanned, 1, "one column, touched once");
+        assert_eq!((r.row_count(), r.kv_count()), (2, 1));
+        assert_accounting_matches_a_recount(&r);
+
+        let now = ts + TOMBSTONE_GRACE_TICKS + 1;
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+            now,
+        );
+        assert!(r.purge_queue.is_empty());
+        assert_eq!(r.get(b"k", &fams(), None), (None, ReadCost::default()));
+        assert_eq!((r.row_count(), r.kv_count()), (1, 1));
+        assert_accounting_matches_a_recount(&r);
+        r.flush();
+        assert_eq!(r.get(b"k", &fams(), None), (None, ReadCost::default()));
+        assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
+        assert_accounting_matches_a_recount(&r);
+
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"old".to_vec(), 5),
+            now,
+        );
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"old"[..]));
+        assert_accounting_matches_a_recount(&r);
+    }
+
+    /// The first write to a frozen row moves the row into the memstore,
+    /// where a write older than its column's version is dropped on
+    /// arrival and a newer one replaces it: either way the row is read,
+    /// billed and counted once, from one half.
+    #[test]
+    fn a_write_to_a_frozen_row_moves_it_and_is_stale_against_its_columns() {
+        let mut r = Region::new(vec![], 0);
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"newest".to_vec(), 10),
+            10,
+        );
+        r.flush();
+        let stored = (r.row_count(), r.kv_count(), r.byte_size());
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"stale".to_vec(), 3),
+            11,
+        );
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 9), 12);
+        assert_eq!(r.memstore.len(), 1, "the row moved, with its column");
+        assert!(r.segment.is_moved(0));
+        assert!(
+            r.purge_queue.is_empty(),
+            "a dropped tombstone is not queued"
+        );
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"newest"[..]));
+        assert_eq!((r.row_count(), r.kv_count(), r.byte_size()), stored);
+        assert_eq!(r.row_keys().count(), 1);
+
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"new".to_vec(), 20),
+            20,
+        );
+        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"new"[..]));
+        let (_, cost) = r.get(b"k", &fams(), None);
+        assert_eq!(cost.kvs_scanned, 1, "the moved segment row is not billed");
+        assert_accounting_matches_a_recount(&r);
+    }
+
+    /// A tombstone that a flush froze inside its grace window is purged
+    /// once the window has passed: its row is copied out, the tombstone
+    /// removed, and the row with it once empty. Its key is then free, in
+    /// the region and after the next flush.
+    #[test]
+    fn a_frozen_tombstone_is_purged_with_its_row_once_its_window_passes() {
+        let mut r = Region::new(vec![], 0);
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+            1,
+        );
+        apply(
+            &mut r,
+            b"k",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), 2),
+            2,
+        );
+        let ts = 10;
+        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
+        r.flush();
+        assert_eq!((r.row_count(), r.kv_count()), (2, 1));
+        let (_, cost) = r.get(b"k", &fams(), None);
+        assert_eq!(cost.kvs_scanned, 1, "the frozen tombstone is billed");
+
+        let now = ts + TOMBSTONE_GRACE_TICKS + 1;
+        apply(
+            &mut r,
+            b"anchor",
+            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+            now,
+        );
+        assert!(r.purge_queue.is_empty());
+        assert_eq!(r.get(b"k", &fams(), None), (None, ReadCost::default()));
+        assert_eq!(r.row_keys().collect::<Vec<_>>(), [&b"anchor"[..]]);
+        assert_accounting_matches_a_recount(&r);
+        r.flush();
+        assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
+        assert_accounting_matches_a_recount(&r);
     }
 }

@@ -1,5 +1,5 @@
 //! Reference model for [`crate::region::Region`]'s retention rule, and the
-//! property test that holds the region to it.
+//! property tests that hold the region to it.
 //!
 //! The model is the store as it was before version GC: every put and every
 //! tombstone is kept, per column, in a vector sorted newest-first, and a
@@ -8,11 +8,16 @@
 //! never billing more — as long as no write arrives carrying a timestamp
 //! older than a tombstone that has outlived its grace window, which is the
 //! one case the region documents as diverging.
+//!
+//! The second test holds a region whose memstore was flushed into its
+//! segment to a twin that was never flushed, exactly: same rows, same
+//! order, same bills, same resume keys.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use crate::cell::Mutation;
 use crate::region::{Region, TOMBSTONE_GRACE_TICKS};
@@ -91,6 +96,86 @@ fn family_names() -> Vec<Arc<str>> {
     FAMILIES.iter().map(|f| Arc::from(*f)).collect()
 }
 
+/// One generated write: `(row, family, qualifier, kind, lag, step)`.
+type Op = (u8, usize, u8, u8, u64, u16);
+
+/// The write `op` stands for, with the clock moved on to its tick:
+/// `(row key, family, mutation, version)`. Mostly a few ticks pass; one
+/// step in fifty crosses the grace window, so purges happen. Pinned
+/// timestamps lag by less than the window, so none is older than a
+/// tombstone the region has already dropped.
+fn write_of(op: Op, now: &mut u64) -> ([u8; 2], usize, Mutation, Version) {
+    let (row, family, qualifier, kind, lag, step) = op;
+    *now += if step < 20 {
+        TOMBSTONE_GRACE_TICKS + 50
+    } else {
+        1 + u64::from(step % 3)
+    };
+    let key = [b'r', row];
+    let qualifier = [b'q', qualifier];
+    let pinned = (lag < 20).then(|| *now - lag);
+    let ts = pinned.unwrap_or(*now);
+    let value = vec![ts as u8, row, qualifier[1]];
+    let name = FAMILIES[family];
+    let (mutation, version) = match (kind, pinned) {
+        (2, Some(at)) => (Mutation::delete_at(name, &qualifier, at), (ts, None)),
+        (2, None) => (Mutation::delete(name, &qualifier), (ts, None)),
+        (_, Some(at)) => (
+            Mutation::put_at(name, &qualifier, value.clone(), at),
+            (ts, Some(value)),
+        ),
+        (_, None) => (
+            Mutation::put(name, &qualifier, value.clone()),
+            (ts, Some(value)),
+        ),
+    };
+    (key, family, mutation, version)
+}
+
+/// The region of `regions` (in key order) that serves `key`.
+fn route<'a>(regions: &'a mut [Region], key: &[u8]) -> &'a mut Region {
+    let at = regions.partition_point(|r| r.start_key() <= key);
+    &mut regions[at - 1]
+}
+
+/// `flushed` reads, bills and counts exactly as `plain`: the counters
+/// (which equal a recount), the row keys and split point, and every point
+/// read and scan step from every row at three batch sizes, with and
+/// without a stop key, under every projection.
+fn assert_reads_alike(
+    plain: &Region,
+    flushed: &Region,
+    names: &[Arc<str>],
+) -> Result<(), TestCaseError> {
+    let counted = (flushed.row_count(), flushed.kv_count(), flushed.byte_size());
+    prop_assert_eq!(counted, flushed.recount(names));
+    prop_assert_eq!(
+        counted,
+        (plain.row_count(), plain.kv_count(), plain.byte_size())
+    );
+    prop_assert_eq!(
+        plain.row_keys().collect::<Vec<_>>(),
+        flushed.row_keys().collect::<Vec<_>>()
+    );
+    prop_assert_eq!(plain.split_point(), flushed.split_point());
+    for projection in [None, Some(&[0, 1][..]), Some(&[0][..]), Some(&[1][..])] {
+        for row in 0u8..5 {
+            let key = [b'r', row];
+            prop_assert_eq!(
+                plain.get(&key, names, projection),
+                flushed.get(&key, names, projection)
+            );
+            for (stop, max_rows) in [(None, 1), (None, 2), (None, 100), (Some(&[b'r', 3][..]), 2)] {
+                prop_assert_eq!(
+                    plain.scan_owned(&key, stop, names, projection, None, max_rows),
+                    flushed.scan_owned(&key, stop, names, projection, None, max_rows)
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 fn cells_of(row: &crate::row::RowResult) -> Vec<ModelCell> {
     row.cells
         .iter()
@@ -126,31 +211,13 @@ proptest! {
         let mut model = ReferenceRegion::default();
         let mut now = 2 * TOMBSTONE_GRACE_TICKS;
 
-        for (row, family, qualifier, kind, lag, step) in ops {
-            // Mostly a few ticks; one step in fifty crosses the window.
-            now += if step < 20 { TOMBSTONE_GRACE_TICKS + 50 } else { 1 + u64::from(step % 3) };
-            let key = [b'r', row];
-            let qualifier = [b'q', qualifier];
-            // Pinned timestamps lag by less than the window, so none is
-            // older than a tombstone the region has already dropped.
-            let pinned = (lag < 20).then(|| now - lag);
-            let ts = pinned.unwrap_or(now);
-            let value = vec![ts as u8, row, qualifier[1]];
-            let name = FAMILIES[family];
-            let (mutation, version) = match (kind, pinned) {
-                (2, Some(at)) => (Mutation::delete_at(name, &qualifier, at), (ts, None)),
-                (2, None) => (Mutation::delete(name, &qualifier), (ts, None)),
-                (_, Some(at)) => (
-                    Mutation::put_at(name, &qualifier, value.clone(), at),
-                    (ts, Some(value)),
-                ),
-                (_, None) => (Mutation::put(name, &qualifier, value.clone()), (ts, Some(value))),
-            };
+        for op in ops {
+            let (key, family, mutation, version) = write_of(op, &mut now);
             region.mutate_row(&key, [(family, &mutation)], now, &names);
-            model.mutate(&key, family, &qualifier, version);
+            model.mutate(&key, family, &[b'q', op.2], version);
 
             prop_assert_eq!(region.kv_count(), model.kv_count());
-            prop_assert_eq!((region.kv_count(), region.byte_size()), region.recount(&names));
+            prop_assert_eq!((region.row_count(), region.kv_count(), region.byte_size()), region.recount(&names));
             for projection in [vec![0, 1], vec![0], vec![1]] {
                 let mut scanned = Vec::new();
                 let (scan_rows, scan_cost, _) =
@@ -170,6 +237,41 @@ proptest! {
                 let got: Vec<_> = scan_rows.iter().map(|r| (r.key.clone(), cells_of(r))).collect();
                 prop_assert_eq!(got, scanned);
                 prop_assert!(scan_cost.kvs_scanned <= model_touched);
+            }
+        }
+    }
+
+    /// A region flushed at a random step, flushed again at another (the
+    /// second flush merges into the first segment) and split at a third,
+    /// before or after the flushes, against a twin that is split alike
+    /// and never flushed: after every write, [`assert_reads_alike`].
+    #[test]
+    fn a_flushed_region_reads_bills_and_resumes_as_a_never_flushed_one(
+        ops in prop::collection::vec(
+            (0u8..5, 0usize..2, 0u8..3, 0u8..3, 0u64..40, 0u16..1000), 1..150),
+        flushes in (0usize..150, 0usize..150),
+        split_at in 0usize..300,
+    ) {
+        let names = family_names();
+        let mut plain = vec![Region::new(Vec::new(), 0)];
+        let mut flushed = vec![Region::new(Vec::new(), 0)];
+        let mut now = 2 * TOMBSTONE_GRACE_TICKS;
+        for (step, op) in ops.into_iter().enumerate() {
+            if step == flushes.0 || step == flushes.1 {
+                flushed.iter_mut().for_each(Region::flush);
+            }
+            if step == split_at {
+                for side in [&mut plain, &mut flushed] {
+                    let upper = side[0].split_off(&[b'r', 2], 1, &names);
+                    side.push(upper);
+                }
+            }
+            let (key, family, mutation, _) = write_of(op, &mut now);
+            for side in [&mut plain, &mut flushed] {
+                route(side, &key).mutate_row(&key, [(family, &mutation)], now, &names);
+            }
+            for (plain, flushed) in plain.iter().zip(&flushed) {
+                assert_reads_alike(plain, flushed, &names)?;
             }
         }
     }

@@ -260,6 +260,18 @@ impl Table {
         Ok((bytes, node))
     }
 
+    /// Freezes every region's memstore into its segment, as an HBase
+    /// memstore flush or a bulk load does (see [`crate::region`]): what
+    /// reads return and bill is unchanged, and the rows take a fraction of
+    /// the heap. Called once data stops arriving in bulk, by the TPC-H
+    /// loader and at the end of a MapReduce job that writes to a table. An
+    /// admin operation: no cost is charged.
+    pub fn flush(&self) {
+        for region in self.regions.read().iter() {
+            region.write().flush();
+        }
+    }
+
     /// Re-shards the table into up to `pieces` regions holding roughly
     /// equal row counts, splitting at row-count quantiles and placing
     /// split-off regions round-robin across nodes. Existing boundaries

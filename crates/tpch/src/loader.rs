@@ -19,10 +19,14 @@
 //! and one `jk` value per part and per order: a lineitem's `jk_part` value
 //! *is* its part's `jk` value, and its `jk_order` its order's. Every other
 //! value is built straight into its one `Bytes`. The store keeps the
-//! handles it is given (see `rj_store::region`), so what stays resident
-//! per row is its key, its column vector and its own values; what the
-//! store bills is unchanged, since every column is billed for its bytes
-//! however they are held.
+//! handles it is given (see `rj_store::region`). Once every row is
+//! written, [`load_all`] flushes the three tables: each region's rows are
+//! frozen into one flat segment, as an HBase bulk load's store files are,
+//! so what stays resident per row is its key's bytes in the segment's
+//! arena, one slot per column in its arrays and its own values. What the
+//! store bills is unchanged: every write went through `mutate_row` as
+//! before, the flush bills nothing, and every column is billed for its
+//! bytes however they are held.
 
 use std::sync::Arc;
 
@@ -216,6 +220,10 @@ pub fn load_all(cluster: &Cluster, cfg: &TpchConfig) -> Result<LoadStats> {
             handles.lineitem(&row),
         )?;
         stats.lineitems += 1;
+    }
+    // The load is done: freeze each table into its regions' segments.
+    for table in [PART_TABLE, ORDERS_TABLE, LINEITEM_TABLE] {
+        cluster.table(table)?.flush();
     }
     Ok(stats)
 }

@@ -381,13 +381,17 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
 /// The store's own footprint: a loaded SF-0.002 store with both binary
 /// ISL indices built holds at most this many hundredths of a heap byte
 /// per byte its tables report stored (`Table::disk_size`). Measured:
-/// 2.819–2.823 (3.299–3.301 when every loaded row copied its column
-/// names and each lineitem its join keys).
-const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 283;
+/// 1.8908, its rows frozen into region segments by the load's and the
+/// index builds' flushes (2.819–2.823 while every row was a B-tree entry,
+/// 3.299–3.301 when every loaded row also copied its column names and
+/// each lineitem its join keys).
+const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 190;
 
 /// A load shares its column names and join keys across rows and tables
-/// (`rj_tpch::loader`), and the store keeps the handles it is given: the
-/// live heap of a loaded, indexed store stays at the ratio that buys.
+/// (`rj_tpch::loader`), the store keeps the handles it is given, and a
+/// finished load or index build freezes its rows into flat region
+/// segments: the live heap of a loaded, indexed store stays at the ratio
+/// that buys.
 #[test]
 fn a_loaded_store_holds_a_bounded_heap_per_stored_byte() {
     let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
