@@ -390,8 +390,9 @@ proptest! {
     /// Re-targeting by join sweep rebuilds exactly the operator a fresh
     /// run at the new `k` would hold after the same pushes — results,
     /// threshold and termination — and the two stay equal as the descent
-    /// continues. Three sides, path and star: this is what replaying a
-    /// consumed-tuple log used to guarantee.
+    /// continues; a deeper `k` keeps what the shallower one held as its
+    /// first ranks (`prefix(k₁) ⊑ prefix(k₂)`). Three sides, path and
+    /// star: this is what replaying a consumed-tuple log used to guarantee.
     #[test]
     fn retarget_equals_fresh_run_at_new_k(
         star in any::<bool>(),
@@ -425,7 +426,12 @@ proptest! {
             push(&mut retargeted, side, t);
             push(&mut fresh, side, t);
         }
+        let shallow = retargeted.current_results();
         retargeted.retarget(new_k);
+        if new_k >= k {
+            let deep = retargeted.current_results();
+            prop_assert_eq!(&deep[..shallow.len()], &shallow[..]);
+        }
         for &(side, t) in &pushes[split..] {
             prop_assert_eq!(retargeted.current_results(), fresh.current_results());
             prop_assert_eq!(retargeted.threshold(), fresh.threshold());

@@ -521,12 +521,7 @@ impl RankJoinService {
                 // page's `PageInfo`.
                 let mut all = results;
                 Arc::make_mut(&mut all).extend(batch.results);
-                let outcome = match batch.stopped {
-                    Some(StopReason::Cancelled) => Some(SessionOutcome::Cancelled),
-                    Some(StopReason::DeadlineExpired) => Some(SessionOutcome::DeadlineExpired),
-                    None if batch.done || all.len() >= k => Some(SessionOutcome::Complete),
-                    None => None,
-                };
+                let outcome = page_outcome(batch.stopped, batch.done || all.len() >= k);
                 (outcome, all)
             }
         };
@@ -547,19 +542,10 @@ impl RankJoinService {
                     // to the partial-work cache like any completed
                     // execution's.
                     let state = cursor.pause();
-                    if state.supports_retarget() {
-                        if let Some(pinned) = state.pinned_version() {
-                            let depth = state.consumed_depth();
-                            let current = st.backends[backend].stats.version();
-                            st.backends[backend].work.offer_warm(
-                                WarmEntry {
-                                    state,
-                                    version: pinned,
-                                    depth,
-                                },
-                                current,
-                            );
-                        }
+                    let pinned = state.pinned_version();
+                    if let Some(entry) = pinned.and_then(|v| WarmEntry::donated(state, v)) {
+                        let current = st.backends[backend].stats.version();
+                        st.backends[backend].work.offer_warm(entry, current);
                     }
                 }
                 let final_ = SessFinal {
@@ -674,6 +660,17 @@ impl RankJoinService {
             .get(tenant.0)
             .map(|t| t.charged)
             .ok_or(ServeError::UnknownTenant)
+    }
+
+    /// The backend's cached warm-start donor as `(consumed depth, pinned
+    /// statistics version)`, `None` while nothing is cached.
+    pub fn warm_donor(&self, backend: BackendId) -> Result<Option<(u64, u64)>, ServeError> {
+        let st = self.lock();
+        let backend = st
+            .backends
+            .get(backend.0)
+            .ok_or(ServeError::UnknownBackend)?;
+        Ok(backend.work.warm.as_ref().map(|w| (w.depth, w.version)))
     }
 
     /// Sum of the charges billed across all finished sessions —
@@ -1166,7 +1163,7 @@ fn cancelled_unserved(id: u64) -> SessFinal {
 
 /// Runs one session's query on its own fork through the cursor stack,
 /// billing it the fork's exact ledger delta. A usable `warm` entry
-/// re-targets the donated descent state to this session's `k` — tuples
+/// re-targets a copy of the donated state to this session's `k` — tuples
 /// the donor consumed are re-joined in memory and charge nothing, so the
 /// session pays only the reads beyond the donor's prefix. Returns the terminal outcome,
 /// the paused state donated back to the cache (when re-targetable),
@@ -1185,7 +1182,7 @@ fn execute_one(
     let opened = match warm {
         Some(entry) => {
             warmed = true;
-            entry.state.clone().resume_retargeted(&fork.cluster, sess.k)
+            CursorState::clone(&entry.state).resume_retargeted(&fork.cluster, sess.k)
         }
         None => fork.executor.open_cursor(Algorithm::Isl, sess.k),
     };
@@ -1227,11 +1224,7 @@ fn execute_one(
     let donated = if failed.is_none() {
         let state = cursor.pause();
         version = state.pinned_version().unwrap_or(version);
-        state.supports_retarget().then(|| WarmEntry {
-            depth: state.consumed_depth(),
-            version,
-            state,
-        })
+        WarmEntry::donated(state, version)
     } else {
         None
     };
@@ -1251,6 +1244,16 @@ fn execute_one(
         served_by: ServedBy::Execution,
     };
     (final_, donated, warmed, version)
+}
+
+/// A served page's terminal outcome: its stop reason, else `Complete` once
+/// the session's answer is `finished`; `None` while it pages on.
+fn page_outcome(stopped: Option<StopReason>, finished: bool) -> Option<SessionOutcome> {
+    match stopped {
+        Some(StopReason::Cancelled) => Some(SessionOutcome::Cancelled),
+        Some(StopReason::DeadlineExpired) => Some(SessionOutcome::DeadlineExpired),
+        None => finished.then_some(SessionOutcome::Complete),
+    }
 }
 
 /// Serves a paged session's first page on its own fork: opens an
@@ -1295,33 +1298,22 @@ fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
         Err(e) => fail(charged, e.to_string(), out),
         Ok(batch) => {
             out.pages += 1;
-            if let Some(reason) = batch.stopped {
-                out.finals.push(SessFinal {
+            let finished = batch.done || batch.results.len() >= sess.k;
+            match page_outcome(batch.stopped, finished) {
+                Some(outcome) => out.finals.push(SessFinal {
                     id: sess.id,
-                    outcome: match reason {
-                        StopReason::Cancelled => SessionOutcome::Cancelled,
-                        StopReason::DeadlineExpired => SessionOutcome::DeadlineExpired,
-                    },
+                    outcome,
                     results: Arc::new(batch.results),
                     charged,
                     served_by: ServedBy::Execution,
-                });
-            } else if batch.done || batch.results.len() >= sess.k {
-                out.finals.push(SessFinal {
-                    id: sess.id,
-                    outcome: SessionOutcome::Complete,
-                    results: Arc::new(batch.results),
-                    charged,
-                    served_by: ServedBy::Execution,
-                });
-            } else {
-                out.paged.push(PagedFirst {
+                }),
+                None => out.paged.push(PagedFirst {
                     id: sess.id,
                     state: cursor.pause(),
                     fork: Arc::clone(fork),
                     results: batch.results,
                     charged,
-                });
+                }),
             }
         }
     }

@@ -16,13 +16,14 @@
 //!   a cancelled or deadline-stopped run holds unverified candidates
 //!   (HRJN has not proven them against the threshold), so stopped
 //!   *results* are never served from the cache.
-//! * `WarmEntry` — a paused [`CursorState`] at descent depth `d`. A
-//!   stopped run's results are unverified, but its *work* is not wasted:
-//!   the tuples it consumed can be re-targeted to any deeper `k'`
-//!   ([`CursorState::resume_retargeted`]) and the warmed execution is
-//!   billed only what it reads beyond the donor's prefix. Completed ISL
-//!   executions donate their final state too — that is what lets a later
-//!   `k' > k` query warm-start instead of descending from scratch.
+//! * `WarmEntry` — a paused [`CursorState`] at descent depth `d`, shared
+//!   behind an `Arc`. A stopped run's results are unverified, but its
+//!   *work* is not wasted: the tuples it consumed can be re-targeted to
+//!   any deeper `k'` ([`CursorState::resume_retargeted`], on a copy, so no
+//!   run changes the cached state) and the warmed execution is billed only
+//!   what it reads beyond the donor's prefix. Completed ISL executions
+//!   donate their final state too — that is what lets a later `k' > k`
+//!   query warm-start instead of descending from scratch.
 //!
 //! Coherence rides on the backend's one statistics handle
 //! ([`rj_core::SharedTableStats`], the same for a binary pair and a
@@ -131,11 +132,12 @@ impl PrefixEntry {
 
 /// A paused execution donated to the cache: the cursor state of an ISL
 /// descent (stopped mid-flight, or completed at its target `k`), reusable
-/// as a warm start for any later query on the same backend.
+/// as a warm start for any later query on the same backend. It is shared,
+/// never changed: a warm start re-targets its own copy.
 #[derive(Clone, Debug)]
 pub(crate) struct WarmEntry {
     /// The donated descent state; always [`CursorState::supports_retarget`].
-    pub state: CursorState,
+    pub state: Arc<CursorState>,
     /// The [`rj_core::SharedTableStats::version`] the state is pinned to.
     pub version: u64,
     /// Input depth the donor consumed — deeper donors warm more.
@@ -143,10 +145,14 @@ pub(crate) struct WarmEntry {
 }
 
 impl WarmEntry {
-    /// Whether this entry can warm a fresh query under the backend's
-    /// *current* statistics version.
-    pub fn usable(&self, current_version: u64) -> bool {
-        self.version == current_version
+    /// The entry a paused state donates under statistics `version`, if it
+    /// can be re-targeted.
+    pub fn donated(state: CursorState, version: u64) -> Option<Self> {
+        state.supports_retarget().then(|| WarmEntry {
+            depth: state.consumed_depth(),
+            version,
+            state: Arc::new(state),
+        })
     }
 
     /// Whether `self` should replace `current`: same freshness rules as
@@ -189,9 +195,10 @@ impl PartialWork {
         }
     }
 
-    /// The warm entry, if it is usable at the current version.
+    /// The warm entry, if it can warm a fresh query under the backend's
+    /// current statistics version.
     pub fn usable_warm(&self, current_version: u64) -> Option<&WarmEntry> {
-        self.warm.as_ref().filter(|w| w.usable(current_version))
+        self.warm.as_ref().filter(|w| w.version == current_version)
     }
 }
 

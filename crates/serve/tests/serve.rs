@@ -788,6 +788,44 @@ fn donated_cursor_state_warm_starts_deeper_queries() {
     );
 }
 
+/// Two sessions in turn warm-start from one cached donor, a paged
+/// session's completed k=50 descent (a paged session donates no prefix
+/// entry, so neither is a cache hit). Each runs on its own copy of the
+/// shared state: each answers the oracle, both are billed the same (no
+/// reads: the donor went deeper than either `k`), and the cached donor
+/// keeps its depth and version.
+#[test]
+fn warm_starts_from_one_shared_donor_never_change_it() {
+    let (service, backend, c, q) = serve_fixture(test_config());
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let paged = service
+        .submit(tenant, backend, SubmitOptions::topk(50).with_page_size(25))
+        .unwrap();
+    service.run_round().unwrap();
+    while let SessionStatus::Paged(info) = service.poll(paged).unwrap() {
+        service.next_page(info.token).unwrap();
+    }
+    assert_eq!(done(&service, paged).outcome, SessionOutcome::Complete);
+    let donor = service.warm_donor(backend).unwrap();
+    assert!(donor.is_some_and(|(depth, _)| depth > 0));
+
+    let mut charged = Vec::new();
+    for (warm_starts, k) in [(1, 10), (2, 20)] {
+        let id = service
+            .submit(tenant, backend, SubmitOptions::topk(k))
+            .unwrap();
+        service.run_until_idle().unwrap();
+        let result = done(&service, id);
+        assert_eq!(result.served_by, ServedBy::Execution);
+        assert_eq!(service.counters().warm_starts, warm_starts);
+        assert_eq!(*result.results, oracle::topk(&c, &q.with_k(k)).unwrap());
+        charged.push(result.charged);
+        assert_eq!(service.warm_donor(backend).unwrap(), donor, "k = {k}");
+    }
+    assert_eq!(charged[0], charged[1]);
+    assert_eq!(charged[0].kv_reads, 0);
+}
+
 #[test]
 fn donated_warm_state_is_never_used_across_a_stats_version_bump() {
     let (c, q) = fixture();
