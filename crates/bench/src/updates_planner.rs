@@ -19,7 +19,7 @@
 use rj_core::executor::Algorithm;
 use rj_core::maintenance::MaintainedSide;
 use rj_core::oracle;
-use rj_core::planner::{self, Objective};
+use rj_core::planner::{self, Objective, TableStats};
 use rj_tpch::{generate_update_set, TpchConfig};
 
 use crate::experiments::apply_update_set;
@@ -187,7 +187,7 @@ pub fn run_updates_planner(scale_factor: f64, rounds: usize) -> UpdatesPlannerRe
         // Fresh-stats oracle on a forked ledger (its admin reads must not
         // blur the handle's below-bound "no full pass" accounting).
         let oracle_fork = fixture.cluster.fork_metrics();
-        let fresh = planner::collect_stats(&oracle_fork, &query).expect("fresh stats");
+        let fresh = TableStats::collect(&oracle_fork, &query.to_spec()).expect("fresh stats");
         for k in K_SWEEP {
             let staleness = handle.staleness();
             let plan = ex.plan_with_k(k).expect("maintained plan");

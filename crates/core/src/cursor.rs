@@ -393,8 +393,9 @@ pub(crate) trait Step: Send + Sized {
     /// See [`RankedCursor::consumed_depth`].
     fn consumed_depth(&self) -> u64;
 
-    /// Boundary units taken, the counter `cancel_after_batches` reads: ISL
-    /// batches, BFHM steps, DRJN rounds.
+    /// Boundary units taken since the run started (a warm start's
+    /// re-target starts one), the counter `cancel_after_batches` reads:
+    /// ISL batches, BFHM steps, DRJN rounds.
     fn boundaries(&self) -> u64;
 
     /// The run's bookkeeping.
@@ -580,7 +581,8 @@ pub(crate) struct IslCore {
     /// Which side the current batch pulls from, picked at its start (see
     /// [`IslCore::advance_one_batch`]).
     pub turn: usize,
-    /// Batches completed or started.
+    /// Batches this run completed or started: a re-target starts a run,
+    /// counting only the part-way batch it continues.
     pub batches: u64,
     /// A batch is part-way through (paused by early HRJN termination —
     /// a deeper re-target continues it mid-row).
@@ -766,6 +768,7 @@ impl IslCore {
     fn retarget(&mut self, new_k: usize) {
         let spares = std::mem::take(&mut self.meta.spares);
         self.meta = CursorMeta::new(new_k, self.meta.pinned_version, spares);
+        self.batches = u64::from(self.in_batch);
         self.state.retarget(new_k);
     }
 

@@ -50,7 +50,7 @@ use crate::planner::{self, Candidates, Objective, Plan};
 use crate::query::{JoinSide, JoinSpec, RankJoinQuery};
 use crate::spare::Spares;
 use crate::stats::QueryOutcome;
-use crate::statsmaint::{SharedTableStats, DEFAULT_STALENESS_BOUND};
+use crate::statsmaint::SharedTableStats;
 use crate::{hive, ijlmr, pig};
 
 /// The algorithm suite of the paper, plus the cost-based planner.
@@ -153,8 +153,8 @@ fn prepared<'a, T>(slot: &'a Option<T>, name: &str) -> Result<&'a T> {
         .ok_or_else(|| RankJoinError::MissingIndex(format!("{name} (unprepared)")))
 }
 
-/// `(k, objective, ISL batch config, staleness-bound bits)`.
-type PlanKey = (usize, Objective, IslConfig, u64);
+/// `(k, objective, ISL batch config)`.
+type PlanKey = (usize, Objective, IslConfig);
 
 /// What planning a top-`k` run decided.
 #[derive(Clone)]
@@ -189,11 +189,6 @@ pub struct RankJoinExecutor {
     pub write_back: WriteBackPolicy,
     /// What [`Algorithm::Auto`] optimizes for (default: turnaround time).
     pub objective: Objective,
-    /// Largest fraction of any side's tuples that may mutate (through
-    /// the maintained write path) before planning stops trusting the
-    /// incrementally-maintained statistics and re-collects. See
-    /// [`crate::statsmaint`].
-    pub staleness_bound: f64,
     /// Forces the per-side access of ISL runs (one [`SideAccess`] per
     /// side) instead of planning it.
     pub access_override: Option<Vec<SideAccess>>,
@@ -205,10 +200,9 @@ pub struct RankJoinExecutor {
     /// one snapshot instead of each re-collecting.
     stats: Arc<SharedTableStats>,
     /// Plan cache: repeated `(k, objective)` queries skip planning
-    /// entirely. The ISL batch config and the staleness bound
-    /// (bit-exact) are part of the key because they are public fields
-    /// that feed the estimate/statistics decision — a caller mutating
-    /// either must not be served a plan computed under the old value.
+    /// entirely. The ISL batch config is part of the key because it is a
+    /// public field that feeds the estimate — a caller mutating it must
+    /// not be served a plan computed under the old value.
     /// Each entry records the statistics-handle version it was computed
     /// at, so maintained writes coherently invalidate plans across every
     /// executor sharing the handle.
@@ -269,7 +263,6 @@ impl RankJoinExecutor {
             isl_config: IslConfig::default(),
             write_back: WriteBackPolicy::Off,
             objective: Objective::Time,
-            staleness_bound: DEFAULT_STALENESS_BOUND,
             access_override: None,
             stats,
             plan_cache: Mutex::new(HashMap::new()),
@@ -500,7 +493,6 @@ impl RankJoinExecutor {
         fork.isl_config = self.isl_config;
         fork.write_back = self.write_back;
         fork.objective = self.objective;
-        fork.staleness_bound = self.staleness_bound;
         fork.access_override = self.access_override.clone();
         fork.spares = self.spares.clone();
         Ok(fork)
@@ -554,8 +546,8 @@ impl RankJoinExecutor {
     /// Statistics come from the shared handle: the first call collects
     /// them through the metric-free admin path; maintained writes
     /// registered on the handle update them in place; and when the
-    /// mutated fraction exceeds [`RankJoinExecutor::staleness_bound`] the
-    /// handle transparently re-collects. Cached plans are versioned
+    /// mutated fraction exceeds the handle's staleness bound it
+    /// transparently re-collects. Cached plans are versioned
     /// against the handle, so every maintained write invalidates exactly
     /// the plans it makes stale —
     /// [`Plan::explain`](crate::planner::Plan::explain) reports which
@@ -601,12 +593,7 @@ impl RankJoinExecutor {
 
     /// The versioned plan cache's answer at `k`, planned on a miss.
     fn planned(&self, k: usize) -> Result<Planned> {
-        let key = (
-            k,
-            self.objective,
-            self.isl_config,
-            self.staleness_bound.to_bits(),
-        );
+        let key = (k, self.objective, self.isl_config);
         // Fast path: a cached plan whose recorded handle version is still
         // current needs no statistics work at all (version equality means
         // no delta, invalidation, or collection happened since it was
@@ -616,9 +603,7 @@ impl RankJoinExecutor {
                 return Ok(planned.clone());
             }
         }
-        let fresh = self
-            .stats
-            .stats_for_planning(self.engine.cluster(), self.staleness_bound)?;
+        let fresh = self.stats.stats_for_planning(self.engine.cluster())?;
         let planned = match &self.query {
             Some(query) => {
                 let mut plan = planner::plan(
@@ -816,7 +801,6 @@ impl RankJoinExecutor {
 mod tests {
     use super::*;
     use crate::oracle;
-    use crate::statsmaint::StatsMaintainer;
     use crate::testsupport::running_example_cluster;
 
     #[test]
@@ -1035,73 +1019,69 @@ mod tests {
         assert_eq!(builder.stats_handle().collections(), 2);
     }
 
-    #[test]
-    fn tightening_the_staleness_bound_takes_effect_immediately() {
-        let (c, q) = running_example_cluster();
-        let mut ex = RankJoinExecutor::new(&c, q.clone());
-        ex.prepare_isl().unwrap();
-        let _ = ex.plan().unwrap();
-        // One mutation on an 11-tuple side ≈ 9% staleness.
-        ex.stats_handle()
-            .apply_delta(&crate::statsmaint::StatsDelta {
-                table: &q.left.table,
-                join_col: &q.left.join_col,
-                score_col: &q.left.score_col,
-                op: crate::statsmaint::DeltaOp::Insert,
-                join_fingerprint: 7,
-                score: 0.5,
-                entry_bytes: 32.0,
-            });
-        let p1 = ex.plan().unwrap();
-        assert!(matches!(
-            p1.stats_source,
-            crate::planner::StatsSource::Maintained { .. }
-        ));
-        // Tightening the public bound must not be masked by the cached
-        // plan: the next plan re-collects.
-        ex.staleness_bound = 0.01;
-        let p2 = ex.plan().unwrap();
-        assert!(
-            matches!(
-                p2.stats_source,
-                crate::planner::StatsSource::Recollected { .. }
-            ),
-            "bound change ignored: {:?}",
-            p2.stats_source
-        );
-        assert_eq!(ex.stats_handle().collections(), 2);
-
-        // The same contract on a three-way spec's access plans. The
-        // re-collection under the tighter bound moves the version, so
-        // the looser-bound plan cached before it is planned again from
-        // the new snapshot instead of served from the old one.
-        let (c, spec) = crate::testsupport::three_way_path_cluster(3);
-        let mut exec = crate::multiway::SpecExecutor::new(&c, spec.clone());
-        let stats = exec.stats_handle();
-        exec.plan_access(3).unwrap();
-        // One mutation on the 13-tuple side C ≈ 8% staleness.
-        let c_side = &spec.sides[2];
+    /// One maintained insert through `side` of `stats`'s spec.
+    fn insert_delta(stats: &SharedTableStats, side: usize) {
+        let side = &stats.spec().sides[side];
         stats.apply_delta(&crate::statsmaint::StatsDelta {
-            table: &c_side.table,
-            join_col: &c_side.join_col,
-            score_col: &c_side.score_col,
+            table: &side.table,
+            join_col: &side.join_col,
+            score_col: &side.score_col,
             op: crate::statsmaint::DeltaOp::Insert,
             join_fingerprint: 7,
             score: 0.5,
             entry_bytes: 32.0,
         });
-        let loose = exec.plan_access(3).unwrap();
-        assert_eq!(stats.collections(), 1);
-        exec.staleness_bound = 0.01;
-        let version = stats.version();
+    }
+
+    #[test]
+    fn a_recollection_retires_every_cached_plan_binary_and_three_way() {
+        use crate::planner::StatsSource;
+        let (c, q) = running_example_cluster();
+        let mut ex = RankJoinExecutor::new(&c, q.clone());
+        ex.prepare_isl().unwrap();
+        let stats = ex.stats_handle();
+        ex.plan().unwrap();
+        // One mutation on an 11-tuple side ≈ 9% staleness: both cached
+        // plans are re-planned from the maintained snapshot.
+        insert_delta(&stats, 0);
+        let below = [1, 3].map(|k| ex.plan_with_k(k).unwrap());
+        assert!(below
+            .iter()
+            .all(|p| matches!(p.stats_source, StatsSource::Maintained { .. })));
+        // A second one ≈ 18%: the next plan re-collects, once, and no plan
+        // from before the re-collection is served at either depth.
+        insert_delta(&stats, 0);
+        let above = [1, 3].map(|k| ex.plan_with_k(k).unwrap());
+        assert!(matches!(
+            above[0].stats_source,
+            StatsSource::Recollected { .. }
+        ));
+        assert_eq!(
+            above[1].stats_source,
+            StatsSource::Maintained { staleness: 0.0 }
+        );
+        assert_eq!(stats.collections(), 2);
+        for (old, new) in below.iter().zip(&above) {
+            assert!(!Arc::ptr_eq(old, new), "a pre-collection plan was served");
+        }
+
+        // The same contract on a three-way spec's access plans.
+        let (c, spec) = crate::testsupport::three_way_path_cluster(3);
+        let exec = crate::multiway::SpecExecutor::new(&c, spec.clone());
+        let stats = exec.stats_handle();
         exec.plan_access(3).unwrap();
+        // One mutation on the 13-tuple side C ≈ 8% staleness.
+        insert_delta(&stats, 2);
+        let below = [1, 3].map(|k| exec.plan_access(k).unwrap());
+        assert_eq!(stats.collections(), 1);
+        insert_delta(&stats, 2);
+        let version = stats.version();
+        let above = [1, 3].map(|k| exec.plan_access(k).unwrap());
         assert_eq!(stats.collections(), 2);
         assert!(stats.version() > version, "a collection moves the version");
-        exec.staleness_bound = DEFAULT_STALENESS_BOUND;
-        assert!(
-            !Arc::ptr_eq(&loose, &exec.plan_access(3).unwrap()),
-            "a plan from before the re-collection was served"
-        );
+        for (old, new) in below.iter().zip(&above) {
+            assert!(!Arc::ptr_eq(old, new), "a pre-collection plan was served");
+        }
     }
 
     #[test]

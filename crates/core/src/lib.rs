@@ -80,4 +80,4 @@ pub use query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use result::{JoinTuple, TopK};
 pub use score::ScoreFn;
 pub use stats::{Extras, QueryOutcome};
-pub use statsmaint::{SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND};
+pub use statsmaint::{SharedTableStats, StatsDelta, STALENESS_BOUND};

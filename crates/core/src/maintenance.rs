@@ -11,9 +11,10 @@
 //! [`MaintainedSide`] wraps one relation and fans every insert/delete out
 //! to whichever indices are attached: ISL, IJLMR, and/or a BFHM
 //! maintainer (whose blob handling lives in [`crate::bfhm::maintenance`]).
-//! Registered [`StatsMaintainer`]s ride the same fan-out: each mutation's
-//! statistics-relevant residue is emitted as a [`StatsDelta`], keeping the
-//! planner's histograms fresh in place (see [`crate::statsmaint`]).
+//! A registered [`SharedTableStats`] handle rides the same write: each
+//! base mutation's statistics-relevant residue is merged as a
+//! [`StatsDelta`] under the handle's lock, keeping the planner's
+//! histograms fresh in place (see [`crate::statsmaint`]).
 
 use std::sync::Arc;
 
@@ -26,7 +27,7 @@ use crate::bfhm::maintenance::BfhmMaintainer;
 use crate::codec;
 use crate::error::{RankJoinError, Result};
 use crate::query::JoinSide;
-use crate::statsmaint::{join_fingerprint, DeltaOp, StatsDelta, StatsMaintainer};
+use crate::statsmaint::{join_fingerprint, DeltaOp, SharedTableStats, StatsDelta};
 
 /// Intercepted write path for one relation and its indices.
 ///
@@ -47,7 +48,7 @@ pub struct MaintainedSide {
     isl_table: Option<String>,
     ijlmr_table: Option<String>,
     bfhm: Option<BfhmMaintainer>,
-    stats: Vec<Arc<dyn StatsMaintainer>>,
+    stats: Option<Arc<SharedTableStats>>,
 }
 
 impl MaintainedSide {
@@ -65,7 +66,7 @@ impl MaintainedSide {
             isl_table: None,
             ijlmr_table: None,
             bfhm: None,
-            stats: Vec::new(),
+            stats: None,
         }
     }
 
@@ -87,22 +88,32 @@ impl MaintainedSide {
         self
     }
 
-    /// Registers a statistics maintainer (usually an executor's
-    /// [`crate::statsmaint::SharedTableStats`] handle): every subsequent
-    /// insert/delete emits its [`StatsDelta`] here after the base and
-    /// index writes land.
-    pub fn with_stats(mut self, maintainer: Arc<dyn StatsMaintainer>) -> Self {
-        self.stats.push(maintainer);
+    /// Registers a statistics handle (usually an executor's
+    /// [`stats_handle`](crate::executor::RankJoinExecutor::stats_handle)),
+    /// replacing any registered before: every subsequent insert/delete
+    /// runs its base put under the handle's lock and merges its
+    /// [`StatsDelta`] under the same guard, so a concurrent statistics
+    /// pass counts the write exactly once. The index writes follow
+    /// outside the lock.
+    pub fn with_stats(mut self, stats: Arc<SharedTableStats>) -> Self {
+        self.stats = Some(stats);
         self
     }
 
-    /// Fans one mutation's statistics residue out to every registered
-    /// maintainer — its schema borrowed from this side, so the fan-out
-    /// allocates nothing.
-    fn emit_delta(&self, op: DeltaOp, row_key: &[u8], join_value: &[u8], score: f64) {
-        if self.stats.is_empty() {
-            return;
-        }
+    /// Runs the base write `put`; with a statistics handle, fenced by it
+    /// (see [`MaintainedSide::with_stats`]) — the delta's schema borrowed
+    /// from this side, so the merge allocates nothing of its own.
+    fn base_write(
+        &self,
+        op: DeltaOp,
+        row_key: &[u8],
+        join_value: &[u8],
+        score: f64,
+        put: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let Some(stats) = &self.stats else {
+            return put();
+        };
         let delta = StatsDelta {
             table: &self.side.table,
             join_col: &self.side.join_col,
@@ -112,9 +123,7 @@ impl MaintainedSide {
             score,
             entry_bytes: crate::planner::entry_bytes_of(join_value, row_key),
         };
-        for m in &self.stats {
-            m.apply_delta(&delta);
-        }
+        stats.fenced(&delta, put)
     }
 
     /// The wrapped side descriptor.
@@ -165,32 +174,27 @@ impl MaintainedSide {
         base.push(column(&self.join_col, Bytes::copy_from_slice(join_value)));
         base.push(column(&self.score_col, score_value.clone()));
         base.extend(extra.into_iter().map(|m| pin_ts(m, ts)));
-        client.mutate_row(&self.side.table, row_key, base)?;
+        self.base_write(DeltaOp::Insert, row_key, join_value, score, || {
+            Ok(client.mutate_row(&self.side.table, row_key, base)?)
+        })?;
 
         let row_key = Bytes::copy_from_slice(row_key);
         let entry = codec::encode_value_score(join_value, score);
         let cell = |value: &Bytes| {
             Mutation::put_shared(self.label.clone(), row_key.clone(), value.clone(), Some(ts))
         };
-        // From here on the base row exists, so the statistics delta is
-        // emitted even if an index write fails below: planner statistics
-        // describe the *base tables* (what `collect_stats` scans), and
-        // swallowing the delta on an index error would leave the
-        // staleness counter blind to drift it exists to bound.
-        let index_writes = (|| -> Result<()> {
-            if let Some(t) = &self.isl_table {
-                client.mutate_row(t, &keys::encode_score_desc(score), [cell(&entry)])?;
-            }
-            if let Some(t) = &self.ijlmr_table {
-                client.mutate_row(t, join_value, [cell(&score_value)])?;
-            }
-            if let Some(b) = &self.bfhm {
-                b.record_insert(&row_key, join_value, score, &entry, ts)?;
-            }
-            Ok(())
-        })();
-        self.emit_delta(DeltaOp::Insert, &row_key, join_value, score);
-        index_writes?;
+        // The base row and its statistics delta have landed, so an index
+        // write failing below leaves both in place: planner statistics
+        // describe the *base tables*, what a statistics pass scans.
+        if let Some(t) = &self.isl_table {
+            client.mutate_row(t, &keys::encode_score_desc(score), [cell(&entry)])?;
+        }
+        if let Some(t) = &self.ijlmr_table {
+            client.mutate_row(t, join_value, [cell(&score_value)])?;
+        }
+        if let Some(b) = &self.bfhm {
+            b.record_insert(&row_key, join_value, score, &entry, ts)?;
+        }
         Ok(ts)
     }
 
@@ -222,26 +226,23 @@ impl MaintainedSide {
             .iter()
             .map(|c| Mutation::delete_shared(c.family.clone(), c.qualifier.clone(), Some(ts)))
             .collect();
-        client.mutate_row(&self.side.table, row_key, muts)?;
+        self.base_write(DeltaOp::Delete, row_key, join_value, score, || {
+            Ok(client.mutate_row(&self.side.table, row_key, muts)?)
+        })?;
 
         let row_key = Bytes::copy_from_slice(row_key);
         let tombstone = || Mutation::delete_shared(self.label.clone(), row_key.clone(), Some(ts));
-        // As in `insert`: the base row is gone, so the delta is emitted
-        // even if an index tombstone fails below.
-        let index_writes = (|| -> Result<()> {
-            if let Some(t) = &self.isl_table {
-                client.mutate_row(t, &keys::encode_score_desc(score), [tombstone()])?;
-            }
-            if let Some(t) = &self.ijlmr_table {
-                client.mutate_row(t, join_value, [tombstone()])?;
-            }
-            if let Some(b) = &self.bfhm {
-                b.record_delete(&row_key, join_value, score, ts)?;
-            }
-            Ok(())
-        })();
-        self.emit_delta(DeltaOp::Delete, &row_key, join_value, score);
-        index_writes?;
+        // As in `insert`: the base row and its delta stay if an index
+        // tombstone fails below.
+        if let Some(t) = &self.isl_table {
+            client.mutate_row(t, &keys::encode_score_desc(score), [tombstone()])?;
+        }
+        if let Some(t) = &self.ijlmr_table {
+            client.mutate_row(t, join_value, [tombstone()])?;
+        }
+        if let Some(b) = &self.bfhm {
+            b.record_delete(&row_key, join_value, score, ts)?;
+        }
         Ok(ts)
     }
 }
@@ -338,18 +339,7 @@ mod tests {
 
     #[test]
     fn scores_outside_the_unit_interval_are_rejected_before_any_write() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         use crate::bfhm::{self, BfhmConfig};
-        use crate::statsmaint::StatsDelta;
-
-        /// Counts the statistics deltas a write emits.
-        struct Deltas(AtomicUsize);
-        impl StatsMaintainer for Deltas {
-            fn apply_delta(&self, _: &StatsDelta<'_>) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
 
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c.clone());
@@ -361,12 +351,13 @@ mod tests {
             ..Default::default()
         };
         bfhm::build_pair(&engine, &q, "bfhm_idx", &config).unwrap();
-        let deltas = Arc::new(Deltas(AtomicUsize::new(0)));
+        let stats = primed_handle(&c, &q);
         let side = MaintainedSide::new(&c, q.left.clone())
             .with_isl("isl_idx")
             .with_ijlmr("ijlmr_idx")
             .with_bfhm(BfhmMaintainer::attach(&c, "bfhm_idx", &q.left.label).unwrap())
-            .with_stats(deltas.clone());
+            .with_stats(stats.clone());
+        let version = stats.version();
         let footprint = || {
             ["r1", "isl_idx", "ijlmr_idx", "bfhm_idx"].map(|name| {
                 let table = c.table(name).unwrap();
@@ -384,12 +375,13 @@ mod tests {
         // Nothing landed: no base row, no index entry, no delta.
         assert!(c.client().get("r1", b"r1_bad").unwrap().is_none());
         assert_eq!(footprint(), before);
-        assert_eq!(deltas.0.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.version(), version);
 
         // Both ends of the domain are in it.
         side.insert(b"r1_zero", b"a", 0.0, vec![]).unwrap();
         side.insert(b"r1_one", b"a", 1.0, vec![]).unwrap();
-        assert_eq!(deltas.0.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.version(), version + 2);
+        assert_eq!(left_tuples(&stats), 13);
     }
 
     #[test]
@@ -482,56 +474,51 @@ mod tests {
         ));
     }
 
-    /// Records each delta's op and table.
-    #[derive(Default)]
-    struct Recorder(std::sync::Mutex<Vec<(DeltaOp, String)>>);
+    /// A statistics handle over `q` with its first pass collected.
+    fn primed_handle(c: &Cluster, q: &crate::query::RankJoinQuery) -> Arc<SharedTableStats> {
+        let stats = SharedTableStats::new(Arc::new(q.to_spec()));
+        stats.stats_for_planning(c).unwrap();
+        stats
+    }
 
-    impl StatsMaintainer for Recorder {
-        fn apply_delta(&self, delta: &StatsDelta<'_>) {
-            let seen = (delta.op, delta.table.to_owned());
-            self.0.lock().unwrap().push(seen);
-        }
+    /// The maintained tuple count of the left side.
+    fn left_tuples(stats: &SharedTableStats) -> u64 {
+        stats.maintained_stats().unwrap().sides[0].tuples
     }
 
     #[test]
     fn index_write_failure_still_emits_the_stats_delta() {
         let (c, q) = running_example_cluster();
-        let recorder = Arc::new(Recorder::default());
+        let stats = primed_handle(&c, &q);
+        let version = stats.version();
         // ISL table never built: the index write fails after the base
         // write lands. Statistics describe base tables, so the delta
-        // must be emitted anyway — otherwise the staleness counter goes
+        // must be merged anyway — otherwise the staleness counter goes
         // blind to drift it exists to bound.
         let side = MaintainedSide::new(&c, q.left.clone())
             .with_isl("isl_idx_missing")
-            .with_stats(recorder.clone());
+            .with_stats(stats.clone());
         assert!(side.insert(b"r1_99", b"a", 0.5, vec![]).is_err());
         assert!(c.client().get("r1", b"r1_99").unwrap().is_some());
-        let seen = recorder.0.lock().unwrap();
-        assert_eq!(seen.len(), 1, "base write landed, delta must follow");
-        assert_eq!(seen[0], (DeltaOp::Insert, "r1".to_owned()));
+        assert_eq!(stats.version(), version + 1, "base write landed");
+        assert_eq!(left_tuples(&stats), 12, "its delta merged");
+        assert!(stats.staleness() > 0.0);
     }
 
     #[test]
     fn base_write_failure_emits_no_stats_delta() {
         let (c, q) = running_example_cluster();
-        let recorder = Arc::new(Recorder::default());
-        let handle = crate::statsmaint::SharedTableStats::new(Arc::new(q.to_spec()));
-        handle.stats_for_planning(&c, 0.1).unwrap();
-        let (version, staleness) = (handle.version(), handle.staleness());
-        let side = MaintainedSide::new(&c, q.left.clone())
-            .with_stats(recorder.clone())
-            .with_stats(handle.clone());
+        let stats = primed_handle(&c, &q);
+        let (version, staleness) = (stats.version(), stats.staleness());
+        let side = MaintainedSide::new(&c, q.left.clone()).with_stats(stats.clone());
         // The base table is gone, so the base put fails and nothing was
         // written: a delta would bill the statistics for a row that does
         // not exist.
         c.drop_table("r1").unwrap();
         assert!(side.insert(b"r1_99", b"a", 0.5, vec![]).is_err());
-        assert!(
-            recorder.0.lock().unwrap().is_empty(),
-            "no base write, no delta"
-        );
-        assert_eq!(handle.version(), version);
-        assert_eq!(handle.staleness(), staleness);
+        assert_eq!(stats.version(), version, "no base write, no delta");
+        assert_eq!(stats.staleness(), staleness);
+        assert_eq!(left_tuples(&stats), 11);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! The planner works in three steps:
 //!
-//! 1. [`collect_stats`] snapshots per-input statistics ([`TableStats`]) —
+//! 1. [`TableStats::collect`] snapshots per-input statistics —
 //!    tuple counts, distinct join values, the exact expected join
 //!    cardinality, per-side score histograms, and average entry sizes —
 //!    through the store's metric-free admin paths (the statistics a real
@@ -54,7 +54,7 @@ pub(crate) const STAT_BUCKETS: usize = 100;
 pub(crate) const KV_OVERHEAD_BYTES: f64 = 24.0;
 
 /// Per-input statistics for one join side.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SideStats {
     /// Tuples with a valid `(join values, score)` extraction.
     pub tuples: u64,
@@ -119,7 +119,7 @@ impl SideStats {
 }
 
 /// Statistics for one join edge of a [`JoinSpec`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EdgeStats {
     /// Distinct join values at each endpoint: `[side a, side b]`.
     pub distinct: [u64; 2],
@@ -133,7 +133,7 @@ pub struct EdgeStats {
 /// [`JoinSpec`] it was collected for. A binary query is its two-side
 /// spec ([`RankJoinQuery::to_spec`]): side 0 is the left input, side 1
 /// the right, and edge 0 joins them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TableStats {
     /// Per-side statistics, in side order.
     pub sides: Vec<SideStats>,
@@ -142,8 +142,15 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Collects a snapshot for any [`JoinSpec`] — what [`collect_stats`]
-    /// does for a binary query.
+    /// Collects a snapshot for `spec` through the store's metric-free
+    /// admin read path (one pass per base table — the ANALYZE step;
+    /// nothing is charged to the query ledger). A binary query's snapshot
+    /// is its two-side spec's ([`RankJoinQuery::to_spec`]).
+    ///
+    /// The pass *is* visible on the handle's
+    /// [`rj_store::metrics::MetricsSnapshot::admin_kv_reads`] counter —
+    /// admin reads cost nothing, but tests and operators can see when a
+    /// full statistics pass actually ran (the staleness-bound contract).
     pub fn collect(cluster: &Cluster, spec: &JoinSpec) -> Result<TableStats> {
         collect_detailed(cluster, spec).map(|d| d.stats)
     }
@@ -168,18 +175,6 @@ pub(crate) struct DetailedStats {
     /// Per-side total indexed-entry bytes (the numerator behind
     /// `avg_entry_bytes`).
     pub entry_bytes: Vec<f64>,
-}
-
-/// Collects a [`TableStats`] snapshot for `query` through the store's
-/// metric-free admin read path (one pass per base table — the ANALYZE
-/// step; nothing is charged to the query ledger).
-///
-/// The pass *is* visible on the handle's
-/// [`rj_store::metrics::MetricsSnapshot::admin_kv_reads`] counter — admin
-/// reads cost nothing, but tests and operators can see when a full
-/// statistics pass actually ran (the staleness-bound contract).
-pub fn collect_stats(cluster: &Cluster, query: &RankJoinQuery) -> Result<TableStats> {
-    TableStats::collect(cluster, &query.to_spec())
 }
 
 /// The one statistics pass: streams every side's base table once,
@@ -335,12 +330,12 @@ impl Candidates {
 /// dimension of the prediction (see [`crate::statsmaint`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum StatsSource {
-    /// A full [`collect_stats`] pass with no maintained writes since —
+    /// A full [`TableStats::collect`] pass with no maintained writes since —
     /// the statistics are exact.
     Exact,
     /// Incrementally-maintained statistics: writes since the last full
     /// pass were folded in as deltas, and the recorded mutated fraction
-    /// stayed within the executor's staleness bound.
+    /// stayed within the handle's staleness bound.
     Maintained {
         /// Fraction of either side's tuples mutated since the last full
         /// statistics pass (the larger of the two sides' fractions).
@@ -877,7 +872,7 @@ mod tests {
 
     fn stats_and_query() -> (TableStats, RankJoinQuery) {
         let (c, q) = running_example_cluster();
-        (collect_stats(&c, &q).unwrap(), q)
+        (TableStats::collect(&c, &q.to_spec()).unwrap(), q)
     }
 
     #[test]
@@ -897,7 +892,7 @@ mod tests {
     fn stats_collection_charges_nothing_but_is_observable() {
         let (c, q) = running_example_cluster();
         let before = c.metrics().snapshot();
-        let _ = collect_stats(&c, &q).unwrap();
+        let _ = TableStats::collect(&c, &q.to_spec()).unwrap();
         let after = c.metrics().snapshot();
         // Nothing billable: no reads, writes, bytes, RPCs, or time.
         assert_eq!(after.kv_reads, before.kv_reads);

@@ -1,82 +1,68 @@
 //! Incremental statistics maintenance: keeping the planner's
 //! [`TableStats`] fresh under the §6 maintained write path.
 //!
-//! The cost-based planners ([`crate::planner`] for binary queries,
-//! [`crate::multiway::planner`] for the per-side access choice of wider
-//! specs) are only as good as the freshness of the statistics behind
-//! them — the adaptive-operator literature (Tziavelis et al., *Ranked
+//! The cost-based planners ([`crate::planner`], and
+//! [`crate::multiway::planner`] for wider specs) are only as good as the
+//! statistics behind them — the point Tziavelis et al. (*Ranked
 //! Enumeration for Database Queries*; *Optimal Join Algorithms Meet
-//! Top-k*) makes the same point for every cost-based ranked-query
-//! choice. Before this module, an executor snapshotted statistics once
-//! and only invalidated them on `prepare_*`/`attach_*`; a workload mixing
-//! [`crate::maintenance::MaintainedSide`] writes with
-//! [`crate::executor::Algorithm::Auto`] queries silently planned against
-//! histograms that no longer described the data.
-//!
-//! There is one handle for every arity: [`SharedTableStats`], keyed by
-//! the [`JoinSpec`] it describes. A binary query's handle is the one over
-//! its two-side spec ([`crate::query::RankJoinQuery::to_spec`]). It has
-//! three parts:
+//! Top-k*) make for every cost-based ranked-query choice. So the
+//! statistics follow the writes, and one object owns them:
+//! [`SharedTableStats`], one handle per [`JoinSpec`] for every arity (a
+//! binary query's is its two-side spec's).
 //!
 //! * **Deltas.** Every maintained insert/delete is reduced to a
-//!   [`StatsDelta`] — which table and columns, which join value, which
-//!   score, how many bytes — and fanned out to the registered
-//!   [`StatsMaintainer`]s, exactly like the §6 index maintenance fans
-//!   base mutations out to the attached indices.
-//! * **In-place merge.** The handle holds one maintained [`TableStats`]
-//!   snapshot per spec plus the bookkeeping a delta needs to merge
-//!   *exactly*: per edge, a join-value fingerprint sketch (so each
-//!   endpoint's distinct count and the edge's join cardinality
-//!   `Σ_v a_v·b_v` adjust incrementally), and per side a byte total.
-//!   Tuple counts, histograms, distinct counts, and join cardinality stay
-//!   exact under any interleaving; only `max_score` degrades to
-//!   bucket-granular after deletes (the true maximum of the survivors is
-//!   unknown without a recount — the same conservative deviation the BFHM
-//!   blob maintenance documents, and conservative in the same direction:
-//!   bounds only widen).
-//! * **A staleness bound the planner can reason about.** The handle
-//!   tracks the fraction of any side's tuples mutated since the last
-//!   full [`crate::planner::collect_stats`] pass. Below the executor's bound, planning
-//!   trusts the maintained snapshot (no table pass — asserted in tests
-//!   via the store's admin-read accounting); above it, the executor
-//!   transparently re-collects, and [`Plan::explain`](crate::planner::Plan::explain)
-//!   reports which path was taken via [`StatsSource`].
+//!   [`StatsDelta`] — table and columns, join value, score, bytes — and
+//!   merged into the handle registered on the writing
+//!   [`crate::maintenance::MaintainedSide`].
+//! * **In-place merge.** Next to its [`TableStats`] snapshot the handle
+//!   keeps, per edge, a join-value fingerprint sketch (so distinct counts
+//!   and the join cardinality `Σ_v a_v·b_v` adjust incrementally) and,
+//!   per side, a byte total. Everything stays exact but `max_score`,
+//!   which after deletes widens to its bucket's bound (as the BFHM blob
+//!   maintenance does).
+//! * **The staleness rule.** Up to [`STALENESS_BOUND`] of any side's
+//!   tuples mutated since the last [`TableStats::collect`] pass, planning
+//!   trusts the snapshot (no table pass — tests watch the store's admin
+//!   reads); above it the handle re-collects, and
+//!   [`Plan::explain`](crate::planner::Plan::explain) names the path
+//!   ([`StatsSource`]).
 //!
-//! The handle is `Arc`-shared: the executor that owns a spec, any
-//! `fork_metrics` clones serving the same spec concurrently, and the
-//! maintained write paths all see one set of statistics, and plan-cache
-//! entries, parked cursors and the serving layer's caches are versioned
-//! against it, so every delta, invalidation and collection coherently
-//! invalidates stale plans everywhere.
+//! The handle is `Arc`-shared by the executor, its `fork_metrics` forks
+//! and the write paths; plan caches, parked cursors and the serving
+//! layer's caches are versioned against it, so every delta, invalidation
+//! and collection retires stale plans everywhere.
+//!
+//! **The fence.** A maintained write runs its base put under the handle's
+//! lock and merges its delta under the same guard, only when the put
+//! landed; a collection holds that lock from its scan to its install. So
+//! a write lands wholly before a collection (the scan counts its row; no
+//! snapshot took its delta) or wholly after (the scan missed it; the
+//! delta merges into the new snapshot): it counts once. Index puts follow
+//! outside the lock. Under `--cfg rj_check` the lock is the
+//! `rj_analyze::chk` shim, and the `model_*` tests check the fence on
+//! every interleaving.
 //!
 //! **What the bound can and cannot see.** The mutation counter advances
-//! only on deltas, i.e. on writes routed through `MaintainedSide` — so
-//! the bound covers the maintained path's *own* imperfections (the
-//! bucket-granular `max_score` after deletes, the double-count race
-//! below, partial-failure retries, the join columns of a side with
-//! several incident edges that a one-column delta does not name), all of
-//! which do advance the counter and therefore eventually force a
-//! re-collection. Writes that bypass
-//! `MaintainedSide` entirely (raw `Client::mutate_row`) are invisible to
-//! the counter, exactly as they are invisible to the §6 index
-//! maintenance: the contract is that online mutations go through the
-//! intercepted write path, and a caller who bulk-loads around it must
-//! re-prepare (or [`SharedTableStats::invalidate`]) just as they must
-//! rebuild the indices.
-//!
-//! **Concurrency caveat.** Exactness is guaranteed for writes serialized
-//! against collections. A maintained write racing a concurrent full
-//! collection can be counted twice: its base row lands early enough for
-//! the collection's scan to see it, while its delta (blocked on the
-//! handle lock the collection holds) merges into the freshly installed
-//! snapshot afterwards. The drift is bounded by in-flight writes, every
-//! such delta still advances the mutation counter, and the next
-//! bound-crossing re-collection erases it.
+//! only on deltas, so the bound covers the maintained path's own
+//! imperfections (`max_score` after deletes, an insert over a live key,
+//! partial-failure retries, the edges of a side with several incident
+//! edges that a one-column delta does not name). Writes that bypass
+//! `MaintainedSide` (raw `Client::mutate_row`) are invisible to it, as
+//! they are to the §6 index maintenance: a caller who bulk-loads around
+//! the write path re-prepares (or [`SharedTableStats::invalidate`]s) as
+//! it rebuilds the indices.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
+
+// Under `--cfg rj_check` the lock is the rj_check shim mutex, so the
+// interleaving explorer schedules around every write and collection
+// (the `model_*` tests); otherwise it is plain `std`. See `cancel.rs`.
+#[cfg(rj_check)]
+use rj_analyze::chk::sync::{Mutex, MutexGuard};
+#[cfg(not(rj_check))]
+use std::sync::{Mutex, MutexGuard};
 
 use rj_store::cluster::Cluster;
 
@@ -87,18 +73,13 @@ use crate::planner::{
 };
 use crate::query::{Column, JoinSpec};
 
-/// Default fraction of a side's tuples that may mutate before the planner
-/// stops trusting incrementally-maintained statistics and re-collects.
-///
-/// The maintained snapshot is exact in everything but `max_score`, so
-/// the bound is really about the maintained path's residual
-/// imperfections — bucket-granular extrema after deletes, the
-/// double-count race under concurrent collection, partial-failure
-/// retries — all of which advance the mutation counter. 10% keeps
-/// re-collection rare under update-heavy workloads while bounding how
-/// long such drift can influence depth estimates. (Writes bypassing
-/// `MaintainedSide` never advance the counter — see the module docs.)
-pub const DEFAULT_STALENESS_BOUND: f64 = 0.1;
+/// Fraction of a side's tuples that may mutate before planning stops
+/// trusting the maintained snapshot and re-collects. The snapshot drifts
+/// only through the imperfections listed in the module docs, all of which
+/// advance the mutation counter; 10% keeps re-collection rare under
+/// update-heavy workloads while bounding how long such drift can steer
+/// depth estimates.
+pub const STALENESS_BOUND: f64 = 0.1;
 
 /// Seed for the join-value fingerprint hash (stable across processes —
 /// the sketch itself is in-memory only, but determinism keeps tests and
@@ -122,25 +103,18 @@ pub enum DeltaOp {
 }
 
 /// The statistics-relevant residue of one maintained base-table mutation,
-/// emitted by [`crate::maintenance::MaintainedSide`] after its base write
-/// lands.
+/// merged by [`crate::maintenance::MaintainedSide`] under the same lock
+/// as its base write, once that write lands.
 ///
-/// A delta identifies the write by the *statistics schema* it touched —
-/// base table plus join/score columns — not by side label: statistics
-/// are a function of `(table, join columns, score column)`, so a handle
-/// applies a matching delta to **every** side with that schema. A side
-/// matches when its table and score column are the delta's and the
-/// delta's join column is one of the side's incident edge columns. In
-/// particular, a self-join over one table with identical columns sees
-/// each write on both sides (exactly as a full `collect_stats` pass
-/// would); a self-join ranking the two sides by *different* columns only
-/// updates the side whose columns the write actually carried.
-///
-/// The write-path contract for a side with several incident edges: emit
-/// **one** delta per row mutation, keyed by whichever join column the
-/// writer maintains. The other edges' distinct counts drift until the
-/// staleness bound forces a re-collection — exactly the drift the bound
-/// exists to bound.
+/// A delta names the *statistics schema* it touched — base table, join
+/// and score columns — not a side label, and a handle applies it to
+/// **every** side whose table and score column are the delta's and one
+/// of whose incident edge columns is its join column, so a self-join
+/// over one table with identical columns sees each write on both sides,
+/// as a full pass would. A side with several incident edges gets **one**
+/// delta per row mutation, keyed by the join column the writer
+/// maintains; the other edges drift until the staleness bound forces a
+/// re-collection.
 ///
 /// The schema is borrowed from the writing [`crate::query::JoinSide`]: a
 /// delta owns nothing, so emitting one allocates nothing.
@@ -171,14 +145,6 @@ impl StatsDelta<'_> {
             && side.score_col == *self.score_col
             && spec.incident_edges(i).any(|(_, col)| col == self.join_col)
     }
-}
-
-/// Anything that wants to observe maintained-write deltas — the §6 write
-/// path fans each mutation out to every registered maintainer, mirroring
-/// how it fans the mutation itself out to the attached indices.
-pub trait StatsMaintainer: Send + Sync {
-    /// Folds one write's delta in.
-    fn apply_delta(&self, delta: &StatsDelta<'_>);
 }
 
 /// The maintained snapshot plus the bookkeeping deltas need to merge
@@ -308,21 +274,16 @@ pub struct PlannedStats {
     /// Which path produced it (reported by `Plan::explain`).
     pub source: StatsSource,
     /// Handle version the snapshot corresponds to — plan-cache entries
-    /// keyed on it go stale the moment another delta or invalidation
-    /// lands.
+    /// keyed on it go stale when another delta or invalidation lands.
     pub version: u64,
 }
 
 /// One spec's `Arc`-shared, incrementally-maintained statistics, for any
-/// arity (see the module docs).
-///
-/// Created with each [`crate::executor::RankJoinExecutor`] (and
-/// [`crate::multiway::SpecExecutor`]); share it across executors
-/// serving the same spec (e.g. the serving layer's `fork_metrics` clones)
-/// via `stats_handle` /
-/// [`attach_stats`](crate::executor::RankJoinExecutor::attach_stats), and
-/// register it on the write path with
-/// [`MaintainedSide::with_stats`](crate::maintenance::MaintainedSide::with_stats).
+/// arity (see the module docs). Each executor creates one and shares it
+/// (`stats_handle` /
+/// [`attach_stats`](crate::executor::RankJoinExecutor::attach_stats));
+/// [`MaintainedSide::with_stats`](crate::maintenance::MaintainedSide::with_stats)
+/// registers it on the write path.
 pub struct SharedTableStats {
     /// The spec, shared with the executor that created the handle.
     spec: Arc<JoinSpec>,
@@ -364,58 +325,58 @@ impl SharedTableStats {
         self.collections.load(Ordering::Relaxed)
     }
 
+    /// The snapshot under the handle's lock — the lock every write's
+    /// fence and every collection take (see the module docs).
+    fn lock(&self) -> MutexGuard<'_, Option<Maintained>> {
+        self.maintained.lock().expect("stats handle")
+    }
+
     /// Fraction of any side's tuples mutated since the last full pass
     /// (`f64::INFINITY` when no snapshot exists yet).
     pub fn staleness(&self) -> f64 {
-        self.maintained
-            .lock()
-            .expect("stats handle")
+        self.lock()
             .as_ref()
             .map_or(f64::INFINITY, Maintained::staleness)
+    }
+
+    /// Whether a snapshot exists and more than [`STALENESS_BOUND`] of a
+    /// side's tuples mutated since it was collected: the next planning
+    /// call re-collects.
+    pub fn is_stale(&self) -> bool {
+        self.lock()
+            .as_ref()
+            .is_some_and(|m| m.staleness() > STALENESS_BOUND)
     }
 
     /// The maintained snapshot as it stands, without triggering a
     /// collection — `None` before the first planning call or after an
     /// invalidation. Diagnostics and tests compare this against a fresh
-    /// [`crate::planner::collect_stats`] pass.
+    /// [`TableStats::collect`] pass.
     pub fn maintained_stats(&self) -> Option<TableStats> {
-        self.maintained
-            .lock()
-            .expect("stats handle")
-            .as_ref()
-            .map(|m| TableStats::clone(&m.stats))
+        self.lock().as_ref().map(|m| TableStats::clone(&m.stats))
     }
 
     /// Drops the snapshot entirely — index (re-)preparation changed the
     /// world in ways deltas don't describe. The next planning call
     /// re-collects.
     pub fn invalidate(&self) {
-        *self.maintained.lock().expect("stats handle") = None;
+        *self.lock() = None;
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The planner entry point: returns maintained statistics when the
-    /// mutated fraction is within `staleness_bound`, and transparently
-    /// runs a full pass otherwise (or when no snapshot exists yet).
-    ///
-    /// A non-finite or negative bound is treated as `0.0` — the most
-    /// conservative reading (never trust a mutated snapshot), rather
-    /// than NaN comparisons silently forcing a full pass on *every*
-    /// call, mutated or not.
-    pub fn stats_for_planning(
-        &self,
-        cluster: &Cluster,
-        staleness_bound: f64,
-    ) -> Result<PlannedStats> {
-        // f64::max(NaN, 0.0) = 0.0, which also clamps negatives.
-        let staleness_bound = staleness_bound.max(0.0);
-        let mut guard = self.maintained.lock().expect("stats handle");
+    /// mutated fraction is within [`STALENESS_BOUND`], and transparently
+    /// runs a full pass otherwise (or when no snapshot exists yet). The
+    /// pass holds the handle's lock from its scan to its install, so no
+    /// fenced write lands in between.
+    pub fn stats_for_planning(&self, cluster: &Cluster) -> Result<PlannedStats> {
+        let mut guard = self.lock();
         let source = match guard.as_ref().map(Maintained::staleness) {
-            Some(s) if s <= staleness_bound => StatsSource::Maintained { staleness: s },
+            Some(s) if s <= STALENESS_BOUND => StatsSource::Maintained { staleness: s },
             Some(s) => StatsSource::Recollected { staleness: s },
             None => StatsSource::Exact,
         };
-        if matches!(source, StatsSource::Exact | StatsSource::Recollected { .. }) {
+        if !matches!(source, StatsSource::Maintained { .. }) {
             *guard = Some(Maintained::new(collect_detailed(cluster, &self.spec)?));
             self.collections.fetch_add(1, Ordering::Relaxed);
             self.version.fetch_add(1, Ordering::AcqRel);
@@ -437,23 +398,42 @@ impl SharedTableStats {
             version: self.version(),
         })
     }
-}
 
-impl StatsMaintainer for SharedTableStats {
-    /// Folds a maintained write into **every** side whose statistics
-    /// schema the delta describes (see [`StatsDelta`]) — both sides of a
+    /// Folds one write's delta into **every** side whose statistics
+    /// schema it describes (see [`StatsDelta`]) — both sides of a
     /// same-schema self-join, exactly as a full collection pass would
     /// count the row. Deltas for schemas this spec does not touch are
-    /// ignored (a write path may broadcast to maintainers of several
-    /// specs); deltas arriving before the first collection only bump the
-    /// version (there is nothing to merge into — the first planning call
-    /// collects them anyway).
-    fn apply_delta(&self, delta: &StatsDelta<'_>) {
+    /// ignored; deltas arriving before the first collection only bump
+    /// the version (the first planning call collects them anyway).
+    ///
+    /// Unfenced: a collection between the write and this call counts
+    /// the row twice. [`crate::maintenance::MaintainedSide`] merges
+    /// through the fence; a caller writing by hand serializes its writes
+    /// against planning calls itself.
+    pub fn apply_delta(&self, delta: &StatsDelta<'_>) {
+        self.merge(&mut self.lock(), delta);
+    }
+
+    /// Runs a base write under the handle's lock and merges its delta
+    /// under the same guard when the write succeeded — the fence (see the
+    /// module docs). A failed write merges nothing.
+    pub(crate) fn fenced(
+        &self,
+        delta: &StatsDelta<'_>,
+        write: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
+        let mut guard = self.lock();
+        write()?;
+        self.merge(&mut guard, delta);
+        Ok(())
+    }
+
+    fn merge(&self, maintained: &mut Option<Maintained>, delta: &StatsDelta<'_>) {
         let spec = &self.spec;
         if !(0..spec.n()).any(|i| delta.describes(spec, i)) {
             return;
         }
-        if let Some(m) = self.maintained.lock().expect("stats handle").as_mut() {
+        if let Some(m) = maintained.as_mut() {
             for i in (0..spec.n()).filter(|&i| delta.describes(spec, i)) {
                 m.apply(spec, i, delta);
             }
@@ -465,12 +445,14 @@ impl StatsMaintainer for SharedTableStats {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::planner::{collect_stats, entry_bytes_of};
+    use crate::maintenance::MaintainedSide;
+    use crate::planner::entry_bytes_of;
     use crate::query::RankJoinQuery;
     use crate::testsupport::{put_tuple, running_example_cluster, three_way_path_cluster};
 
-    /// A delta written through side `side`'s own join column.
-    fn delta<'q>(
+    /// A delta written through side `side`'s own join column, for row
+    /// key `rk_test`.
+    pub(crate) fn delta<'q>(
         spec: &'q JoinSpec,
         side: usize,
         op: DeltaOp,
@@ -489,24 +471,32 @@ pub(crate) mod tests {
         }
     }
 
-    /// A handle over `q`'s two-side spec, and the spec.
-    fn binary_handle(q: &RankJoinQuery) -> (Arc<SharedTableStats>, Arc<JoinSpec>) {
-        let spec = Arc::new(q.to_spec());
-        (SharedTableStats::new(spec.clone()), spec)
+    /// A handle over `spec` with its first pass collected.
+    fn primed(c: &Cluster, spec: JoinSpec) -> Arc<SharedTableStats> {
+        let h = SharedTableStats::new(Arc::new(spec));
+        h.stats_for_planning(c).unwrap();
+        h
+    }
+
+    /// The handle's snapshot equals a fresh pass over `c`, field for
+    /// field.
+    pub(crate) fn assert_exact(c: &Cluster, h: &SharedTableStats) {
+        let fresh = TableStats::collect(c, h.spec()).unwrap();
+        assert_eq!(h.maintained_stats().expect("a snapshot"), fresh);
     }
 
     #[test]
     fn first_planning_call_collects_then_maintains() {
         let (c, q) = running_example_cluster();
-        let (h, _) = binary_handle(&q);
+        let h = SharedTableStats::new(Arc::new(q.to_spec()));
         assert_eq!(h.collections(), 0);
-        assert!(h.staleness().is_infinite());
-        let p = h.stats_for_planning(&c, 0.1).unwrap();
+        assert!(h.staleness().is_infinite() && !h.is_stale());
+        let p = h.stats_for_planning(&c).unwrap();
         assert_eq!(p.source, StatsSource::Exact);
         assert_eq!(h.collections(), 1);
         assert_eq!(p.stats.edges[0].pairs, 29);
         // Second call: maintained path, no new collection.
-        let p2 = h.stats_for_planning(&c, 0.1).unwrap();
+        let p2 = h.stats_for_planning(&c).unwrap();
         assert_eq!(p2.source, StatsSource::Maintained { staleness: 0.0 });
         assert_eq!(h.collections(), 1);
         assert_eq!(p2.version, p.version);
@@ -515,45 +505,21 @@ pub(crate) mod tests {
     #[test]
     fn deltas_merge_exactly_against_a_fresh_pass() {
         let (c, q) = running_example_cluster();
-        let (h, spec) = binary_handle(&q);
-        h.stats_for_planning(&c, 1.0).unwrap();
-        // Mirror two real mutations on the base table + the handle.
-        let client = c.client();
-        let ts = c.next_ts();
-        client
-            .mutate_row(
-                "r2",
-                b"rk_test",
-                vec![
-                    rj_store::cell::Mutation::put_at("d", b"jk", b"b".to_vec(), ts),
-                    rj_store::cell::Mutation::put_at(
-                        "d",
-                        b"score",
-                        0.99f64.to_be_bytes().to_vec(),
-                        ts,
-                    ),
-                ],
-            )
-            .unwrap();
-        h.apply_delta(&delta(&spec, 1, DeltaOp::Insert, b"b", 0.99));
-        let fresh = collect_stats(&c, &q).unwrap();
-        let maintained = h.maintained_stats().unwrap();
-        let (m, f) = (&maintained.sides[1], &fresh.sides[1]);
-        assert_eq!(m.tuples, f.tuples);
-        assert_eq!(m.hist, f.hist);
-        assert_eq!(maintained.edges[0].distinct, fresh.edges[0].distinct);
-        assert_eq!(maintained.edges[0].pairs, fresh.edges[0].pairs);
-        assert_eq!(m.max_score, f.max_score);
-        assert!(h.staleness() > 0.0 && h.staleness() < 0.1);
+        let h = primed(&c, q.to_spec());
+        let side = MaintainedSide::new(&c, q.right.clone()).with_stats(h.clone());
+        side.insert(b"rk_test", b"b", 0.99, vec![]).unwrap();
+        assert_exact(&c, &h);
+        assert!(h.staleness() > 0.0 && !h.is_stale());
+        side.delete(b"r2_02").unwrap();
+        assert_exact(&c, &h);
     }
 
     #[test]
     fn delete_clamps_max_score_conservatively() {
         let (c, q) = running_example_cluster();
-        let (h, spec) = binary_handle(&q);
-        h.stats_for_planning(&c, 1.0).unwrap();
+        let h = primed(&c, q.to_spec());
         // r2's max is 0.92 (r2_11); delete it from the sketch.
-        h.apply_delta(&delta(&spec, 1, DeltaOp::Delete, b"b", 0.92));
+        h.apply_delta(&delta(h.spec(), 1, DeltaOp::Delete, b"b", 0.92));
         let m = &h.maintained_stats().unwrap().sides[1];
         // True new max is 0.91 (r2_02); bucket-granular clamp gives 0.92
         // (the upper bound of bucket 91) — never below the truth.
@@ -562,11 +528,10 @@ pub(crate) mod tests {
         assert_eq!(m.tuples, 10);
     }
 
-    /// Writes through `side` (one incident edge) past a 10% bound; the
+    /// Writes through `side` (one incident edge) past the bound; the
     /// handle must re-collect. Also run over the three-way path.
     pub(crate) fn check_crossing_the_bound(c: &Cluster, spec: &JoinSpec, side: usize) {
-        let h = SharedTableStats::new(Arc::new(spec.clone()));
-        h.stats_for_planning(c, 0.1).unwrap();
+        let h = primed(c, spec.clone());
         let fresh = TableStats::collect(c, spec).unwrap();
         let edge = spec.incident_edges(side).next().unwrap().0;
         let end = usize::from(spec.edges[edge].a != side);
@@ -580,14 +545,14 @@ pub(crate) mod tests {
         assert_eq!(m.sides[side].hist[95], fresh.sides[side].hist[95] + 1);
         let distinct = |s: &TableStats| s.edges[edge].distinct[end];
         assert_eq!(distinct(&m), distinct(&fresh) + 1);
-        assert!(h.staleness() > 0.0 && h.staleness() < 0.1);
+        assert!(h.staleness() > 0.0 && !h.is_stale());
         // A second mutation on an 11- or 13-tuple side is > 10%.
         // Cancelling ops still count: staleness measures churn, not net
         // size change.
         h.apply_delta(&delta(spec, side, DeltaOp::Delete, b"zz", 0.95));
-        assert!(h.staleness() > 0.1);
+        assert!(h.is_stale());
         let v = h.version();
-        let p = h.stats_for_planning(c, 0.1).unwrap();
+        let p = h.stats_for_planning(c).unwrap();
         assert!(matches!(p.source, StatsSource::Recollected { .. }));
         assert_eq!(h.collections(), 2);
         assert!(h.version() > v, "a collection bumps the coherence version");
@@ -597,17 +562,12 @@ pub(crate) mod tests {
 
     /// A delta for a table outside `spec` moves nothing.
     pub(crate) fn check_foreign_deltas_are_ignored(c: &Cluster, spec: &JoinSpec) {
-        let h = SharedTableStats::new(Arc::new(spec.clone()));
-        h.stats_for_planning(c, 0.1).unwrap();
+        let h = primed(c, spec.clone());
         let v = h.version();
+        let write = delta(spec, 0, DeltaOp::Insert, b"x", 0.5);
         h.apply_delta(&StatsDelta {
             table: "some_other_table",
-            join_col: &("d".into(), b"jk".to_vec()),
-            score_col: &("d".into(), b"score".to_vec()),
-            op: DeltaOp::Insert,
-            join_fingerprint: 7,
-            score: 0.5,
-            entry_bytes: 32.0,
+            ..write
         });
         assert_eq!(h.staleness(), 0.0);
         assert_eq!(h.version(), v, "unrelated writes must not thrash plans");
@@ -615,11 +575,10 @@ pub(crate) mod tests {
 
     /// `invalidate` drops the snapshot; the next planning call collects.
     pub(crate) fn check_invalidate_forces_a_fresh_pass(c: &Cluster, spec: &JoinSpec) {
-        let h = SharedTableStats::new(Arc::new(spec.clone()));
-        h.stats_for_planning(c, 0.1).unwrap();
+        let h = primed(c, spec.clone());
         h.invalidate();
         assert!(h.maintained_stats().is_none());
-        let p = h.stats_for_planning(c, 0.1).unwrap();
+        let p = h.stats_for_planning(c).unwrap();
         assert_eq!(p.source, StatsSource::Exact);
         assert_eq!(h.collections(), 2);
     }
@@ -633,13 +592,12 @@ pub(crate) mod tests {
     #[test]
     fn deleting_an_unseen_join_value_cannot_understate_the_sketch() {
         let (c, q) = running_example_cluster();
-        let (h, spec) = binary_handle(&q);
-        h.stats_for_planning(&c, 1.0).unwrap();
+        let h = primed(&c, q.to_spec());
         let before = h.maintained_stats().unwrap();
         // A delete whose join value never entered the sketch (e.g. the
         // row was written by a client bypassing MaintainedSide after the
         // collection): distinct joins and join cardinality must hold.
-        h.apply_delta(&delta(&spec, 0, DeltaOp::Delete, b"never_seen", 0.3));
+        h.apply_delta(&delta(h.spec(), 0, DeltaOp::Delete, b"never_seen", 0.3));
         let after = h.maintained_stats().unwrap();
         assert_eq!(after.edges[0].distinct, before.edges[0].distinct);
         assert_eq!(after.edges[0].pairs, before.edges[0].pairs);
@@ -661,35 +619,16 @@ pub(crate) mod tests {
         for (key, j, score) in [("t0", b'x', 0.4f64), ("t1", b'x', 0.6), ("t2", b'y', 0.8)] {
             put_tuple(&client, "t", key.as_bytes(), &[j], score);
         }
-        let q = RankJoinQuery::new(
-            JoinSide::new("t", "A", ("d", b"jk"), ("d", b"score")),
-            JoinSide::new("t", "B", ("d", b"jk"), ("d", b"score")),
-            3,
-            ScoreFn::Sum,
-        );
-        let (h, _) = binary_handle(&q);
-        h.stats_for_planning(&c, 1.0).unwrap();
-        // Mirror a real insert on the table + one delta through side A's
-        // write path.
-        put_tuple(&client, "t", b"t3", b"x", 0.9);
-        h.apply_delta(&StatsDelta {
-            table: "t",
-            join_col: &("d".into(), b"jk".to_vec()),
-            score_col: &("d".into(), b"score".to_vec()),
-            op: DeltaOp::Insert,
-            join_fingerprint: join_fingerprint(b"x"),
-            score: 0.9,
-            entry_bytes: entry_bytes_of(b"x", b"t3"),
-        });
-        let fresh = collect_stats(&c, &q).unwrap();
+        let side = |label| JoinSide::new("t", label, ("d", b"jk"), ("d", b"score"));
+        let q = RankJoinQuery::new(side("A"), side("B"), 3, ScoreFn::Sum);
+        let h = primed(&c, q.to_spec());
+        // One insert through side A's write path.
+        let writer = MaintainedSide::new(&c, q.left.clone()).with_stats(h.clone());
+        writer.insert(b"t3", b"x", 0.9, vec![]).unwrap();
+        assert_exact(&c, &h);
         let m = h.maintained_stats().unwrap();
-        for (side, name) in [(0, "left"), (1, "right")] {
-            let (ms, fs) = (&m.sides[side], &fresh.sides[side]);
-            assert_eq!(ms.tuples, fs.tuples, "{name} sees the write");
-            assert_eq!(ms.hist, fs.hist);
-        }
+        assert_eq!([m.sides[0].tuples, m.sides[1].tuples], [4, 4]);
         // (2+1)² + 1² = 10 pairs for x/y fan-outs 3/1 joined with itself.
-        assert_eq!(fresh.edges[0].pairs, 10);
         assert_eq!(m.edges[0].pairs, 10, "self-join cardinality");
     }
 
@@ -702,18 +641,13 @@ pub(crate) mod tests {
     #[test]
     fn interior_side_matches_either_edge_column() {
         let (c, spec) = three_way_path_cluster(3);
-        let h = SharedTableStats::new(Arc::new(spec.clone()));
-        h.stats_for_planning(&c, 1.0).unwrap();
+        let h = primed(&c, spec.clone());
         // Side B joins A on jk1 and C on jk2; a delta naming jk2 must
         // land on B (tuples) and on edge 1's B endpoint (distinct).
+        let jk2 = ("d".to_owned(), b"jk2".to_vec());
         h.apply_delta(&StatsDelta {
-            table: "tb",
-            join_col: &("d".into(), b"jk2".to_vec()),
-            score_col: &("d".into(), b"score".to_vec()),
-            op: DeltaOp::Insert,
-            join_fingerprint: join_fingerprint(b"qq"),
-            score: 0.5,
-            entry_bytes: 32.0,
+            join_col: &jk2,
+            ..delta(&spec, 1, DeltaOp::Insert, b"qq", 0.5)
         });
         let m = h.maintained_stats().unwrap();
         assert_eq!(m.sides[1].tuples, 13);
@@ -729,5 +663,70 @@ pub(crate) mod tests {
     fn invalidate_forces_a_fresh_pass() {
         let (c, q) = running_example_cluster();
         check_invalidate_forces_a_fresh_pass(&c, &q.to_spec());
+    }
+}
+
+/// rj_check models (run with `RUSTFLAGS="--cfg rj_check" cargo test -p
+/// rj_core --lib model_`): a maintained write against the first
+/// collection, on every interleaving.
+#[cfg(all(test, rj_check))]
+mod model_tests {
+    use super::tests::{assert_exact, delta};
+    use super::*;
+    use crate::maintenance::MaintainedSide;
+    use crate::testsupport::{put_tuple, running_example_cluster};
+    use rj_analyze::chk::{self, thread, CheckOutcome, Config};
+
+    /// Runs `write` on a second thread while the first collects through
+    /// the handle, then checks the snapshot against a fresh pass.
+    fn against_a_first_collection(write: fn(&Cluster, &Arc<SharedTableStats>)) {
+        let (c, q) = running_example_cluster();
+        let h = SharedTableStats::new(Arc::new(q.to_spec()));
+        let (writer_c, writer_h) = (c.clone(), h.clone());
+        let writer = thread::spawn(move || write(&writer_c, &writer_h));
+        h.stats_for_planning(&c).unwrap();
+        writer.join();
+        assert_exact(&c, &h);
+    }
+
+    /// The maintained write path of the running example's side R2.
+    fn r2(c: &Cluster, h: &Arc<SharedTableStats>) -> MaintainedSide {
+        MaintainedSide::new(c, h.spec().sides[1].clone()).with_stats(h.clone())
+    }
+
+    #[test]
+    fn model_a_fenced_insert_is_counted_once() {
+        chk::explore(|| {
+            against_a_first_collection(|c, h| {
+                r2(c, h).insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
+            })
+        });
+    }
+
+    #[test]
+    fn model_a_fenced_delete_is_counted_once() {
+        chk::explore(|| {
+            against_a_first_collection(|c, h| {
+                r2(c, h).delete(b"r2_02").unwrap();
+            })
+        });
+    }
+
+    /// The order before the fence, rebuilt from public calls: the base
+    /// put, then the delta. A collection that runs between the two scans
+    /// the row and then merges its delta: the row is counted twice.
+    #[test]
+    fn model_an_unfenced_insert_is_counted_twice_on_some_schedule() {
+        let outcome = chk::explore_with(Config::default(), || {
+            against_a_first_collection(|c, h| {
+                put_tuple(&c.client(), "r2", b"rk_test", b"b", 0.99);
+                h.apply_delta(&delta(h.spec(), 1, DeltaOp::Insert, b"b", 0.99));
+            })
+        });
+        // The failing schedule fails the snapshot's equality, nothing else.
+        assert!(
+            matches!(&outcome, CheckOutcome::Fail { message, .. } if message.contains("left == right")),
+            "no schedule double-counts the unfenced write: {outcome:?}"
+        );
     }
 }

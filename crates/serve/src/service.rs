@@ -153,7 +153,7 @@ pub struct ServeCounters {
     /// [`RankJoinService::next_page`] resumes).
     pub pages_served: u64,
     /// Rebuilds auto-enqueued because a backend's mutated fraction
-    /// crossed its executor's staleness bound.
+    /// crossed its statistics handle's staleness bound.
     pub staleness_rebuilds: u64,
     /// Scheduling rounds run.
     pub rounds: u64,
@@ -872,24 +872,15 @@ impl RankJoinService {
             .collect()
     }
 
-    /// Enqueues a rebuild for every backend whose mutated fraction
-    /// crossed its executor's staleness bound — the serving layer's
-    /// automatic use of the maintained-statistics contract: past the
-    /// bound the planner would re-collect anyway, so the index itself is
-    /// rebuilt (and statistics re-collected) in the background instead of
-    /// letting every query pay for drift.
+    /// Enqueues a rebuild for every backend whose statistics handle is
+    /// stale — the serving layer's automatic use of the
+    /// maintained-statistics contract: past the bound the planner would
+    /// re-collect anyway, so the index itself is rebuilt (and statistics
+    /// re-collected) in the background instead of letting every query pay
+    /// for drift.
     fn enqueue_stale_rebuilds(st: &mut ServiceState) {
         for idx in 0..st.backends.len() {
-            let staleness = st.backends[idx].stats.staleness();
-            if !staleness.is_finite() {
-                continue; // nothing maintained — nothing measurably stale
-            }
-            let bound = st.backends[idx]
-                .prototype
-                .lock()
-                .expect("backend prototype poisoned")
-                .staleness_bound;
-            if staleness > bound && !st.maintenance.contains(&idx) {
+            if st.backends[idx].stats.is_stale() && !st.maintenance.contains(&idx) {
                 st.maintenance.push_back(idx);
                 st.counters.staleness_rebuilds += 1;
             }
@@ -1038,12 +1029,12 @@ fn config_sig(exec: &RankJoinExecutor) -> String {
 
 /// Rebuilds the score index, then runs one statistics pass through the
 /// handle: the rebuild invalidated the maintained snapshot, and the pass
-/// restarts the staleness clock at zero instead of leaving it unbounded
-/// (which would re-trigger the staleness-driven rebuild every round).
+/// restarts the staleness clock at zero, so the writes that follow are
+/// measured against the rebuilt world.
 fn rebuild(exec: &mut RankJoinExecutor) -> rj_core::error::Result<()> {
     exec.prepare_isl()?;
     exec.stats_handle()
-        .stats_for_planning(exec.engine().cluster(), exec.staleness_bound)
+        .stats_for_planning(exec.engine().cluster())
         .map(drop)
 }
 

@@ -680,11 +680,10 @@ fn held_group_absorbs_later_arrivals_into_one_execution() {
 #[test]
 fn staleness_bound_crossing_enqueues_automatic_rebuild() {
     // Through both doors: the binary executor, and the spec executor over
-    // the query's two-side spec. Each plans under its own bound.
+    // the query's two-side spec.
     for spec_door in [false, true] {
         let (c, q) = fixture();
-        let tune = |executor: &mut RankJoinExecutor| {
-            executor.staleness_bound = 0.05;
+        let prime = |executor: &RankJoinExecutor| {
             executor.plan().unwrap(); // prime the maintained snapshot
             executor.stats_handle()
         };
@@ -693,11 +692,11 @@ fn staleness_bound_crossing_enqueues_automatic_rebuild() {
             let mut executor = SpecExecutor::new(&c, q.to_spec());
             executor.isl_config = rj_core::isl::IslConfig::uniform(4);
             executor.prepare().unwrap();
-            let stats = tune(&mut executor);
+            let stats = prime(&executor);
             (service.register_backend(executor).unwrap(), stats)
         } else {
-            let mut executor = prepared_executor(&c, &q);
-            let stats = tune(&mut executor);
+            let executor = prepared_executor(&c, &q);
+            let stats = prime(&executor);
             (service.register_backend(executor).unwrap(), stats)
         };
         let side = rj_core::maintenance::MaintainedSide::new(&c, q.left.clone())
@@ -715,14 +714,14 @@ fn staleness_bound_crossing_enqueues_automatic_rebuild() {
         assert_eq!(service.counters().staleness_rebuilds, 0);
         assert_eq!(service.counters().maintenance_runs, 0);
 
-        // Cross the bound (5 of 60 ≈ 8% > 5%): the next round enqueues and
-        // runs the rebuild in its maintenance batch.
-        for i in 1..5u32 {
+        // Cross the bound (7 of 60 ≈ 12% > 10%): the next round enqueues
+        // and runs the rebuild in its maintenance batch.
+        for i in 1..7u32 {
             let key = format!("m_{i:03}");
             side.insert(key.as_bytes(), b"b", 0.5 + f64::from(i) * 0.05, vec![])
                 .unwrap();
         }
-        assert!(stats.staleness() > 0.05);
+        assert!(stats.is_stale());
         service.run_round().unwrap();
         let counters = service.counters();
         assert_eq!(counters.staleness_rebuilds, 1, "spec door: {spec_door}");
@@ -786,6 +785,32 @@ fn donated_cursor_state_warm_starts_deeper_queries() {
         warm_reads,
         cold_cost.kv_reads
     );
+}
+
+/// A warm start is a run of its own: its batch budget counts the
+/// batches it runs, not the donor's. A cold k = 50 session with a budget
+/// of 3 runs 3 batches and donates its state; a retry with the same
+/// budget warm-starts from it and runs 3 more (4 rows each, alternating
+/// sides) before it too is cancelled.
+#[test]
+fn a_warm_start_counts_only_its_own_batches() {
+    let (service, backend, _c, _q) = serve_fixture(test_config());
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let budgeted = || {
+        let mut opts = SubmitOptions::topk(50);
+        opts.cancel_after_batches = Some(3);
+        opts
+    };
+    let mut depths = Vec::new();
+    for warm_starts in [0, 1] {
+        let id = service.submit(tenant, backend, budgeted()).unwrap();
+        service.run_round().unwrap();
+        assert_eq!(done(&service, id).outcome, SessionOutcome::Cancelled);
+        assert_eq!(service.counters().warm_starts, warm_starts);
+        let (depth, _) = service.warm_donor(backend).unwrap().unwrap();
+        depths.push(depth);
+    }
+    assert_eq!(depths, [12, 24], "3 batches of 4 rows per run");
 }
 
 /// Two sessions in turn warm-start from one cached donor, a paged

@@ -5,7 +5,7 @@
 //! A region stores its rows the way an HBase region server does. Writes
 //! land in a **memstore**, a map from row key to the row's columns: a
 //! sorted vector while it is small, a `BTreeMap` once a bulk write
-//! outgrows that ([`crate::memstore`]). A **flush** freezes the memstore
+//! outgrows that (`memstore.rs`). A **flush** freezes the memstore
 //! into the region's **segment**, HBase's immutable sorted store file,
 //! which a memstore flush or a MapReduce bulk load (`HFileOutputFormat`)
 //! writes. A region holds at most one segment: a flush merges the

@@ -86,9 +86,7 @@ pub use rj_core::query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape}
 pub use rj_core::result::{JoinTuple, TopK};
 pub use rj_core::score::ScoreFn;
 pub use rj_core::stats::{Extras, QueryOutcome};
-pub use rj_core::statsmaint::{
-    SharedTableStats, StatsDelta, StatsMaintainer, DEFAULT_STALENESS_BOUND,
-};
+pub use rj_core::statsmaint::{SharedTableStats, StatsDelta, STALENESS_BOUND};
 pub use rj_mapreduce::MapReduceEngine;
 pub use rj_serve::{
     QueryPriority, RankJoinService, ServeConfig, ServedBy, SessionOutcome, SessionStatus,

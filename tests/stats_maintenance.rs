@@ -5,9 +5,9 @@
 //! handle on a [`MaintainedSide`] keeps the planner's [`TableStats`]
 //! exact in place under any interleaving of maintained inserts and
 //! deletes (modulo bucket-granular `max_score` after deletes); below the
-//! declared staleness bound planning never re-runs the full statistics
+//! handle's staleness bound planning never re-runs the full statistics
 //! pass (asserted via the store's admin-read accounting); above it the
-//! executor transparently re-collects; and in both regimes
+//! handle transparently re-collects; and in both regimes
 //! `Algorithm::Auto` re-plans to match a fresh-statistics oracle instead
 //! of serving the pre-mutation plan forever. The handle is the same for
 //! a three-way spec, whose maintained statistics the property test checks
@@ -254,7 +254,7 @@ proptest! {
 
     /// After an arbitrary interleaving of maintained inserts/deletes, the
     /// incrementally-maintained [`TableStats`] agree with a fresh
-    /// `collect_stats` pass — exactly for tuple counts, histograms,
+    /// statistics pass — exactly for tuple counts, histograms,
     /// distinct join values, and the expected join cardinality; within
     /// one histogram bucket for `max_score` (the documented conservative
     /// clamp after deletes) — and `Auto` stays oracle-equivalent
@@ -279,7 +279,7 @@ proptest! {
             maintained_side(&cluster, &query, &query.right, &ex),
         ];
         apply_ops(&sides, &ops, [left.len(), right.len()]);
-        let pair = planner::collect_stats(&cluster.fork_metrics(), &query).unwrap();
+        let pair = TableStats::collect(&cluster.fork_metrics(), &query.to_spec()).unwrap();
         let maintained = ex.stats_handle().maintained_stats().expect("primed snapshot");
         assert_stats_agree(&maintained, &pair)?;
 
@@ -352,7 +352,7 @@ fn assert_plans_match(got: &Plan, want: &Plan, context: &str) {
 /// A fresh-statistics oracle plan, collected on a forked ledger so its
 /// admin reads never blur the executor-side accounting.
 fn fresh_oracle_plan(cluster: &Cluster, query: &RankJoinQuery, ex: &RankJoinExecutor) -> Plan {
-    let stats = planner::collect_stats(&cluster.fork_metrics(), query).unwrap();
+    let stats = TableStats::collect(&cluster.fork_metrics(), &query.to_spec()).unwrap();
     planner::plan(
         &stats,
         query,
@@ -379,8 +379,7 @@ fn auto_replans_to_the_fresh_stats_oracle_with_bounded_recollection() {
             .collect()
     };
     let (cluster, query) = load(&rows(0.11), &rows(0.43), 10);
-    let mut ex = prepared_executor(&cluster, &query);
-    ex.staleness_bound = 0.2;
+    let ex = prepared_executor(&cluster, &query);
     let sides = [
         maintained_side(&cluster, &query, &query.left, &ex),
         maintained_side(&cluster, &query, &query.right, &ex),
@@ -391,9 +390,9 @@ fn auto_replans_to_the_fresh_stats_oracle_with_bounded_recollection() {
     assert_eq!(ex.stats_handle().collections(), 1);
     assert_plans_match(&p0, &fresh_oracle_plan(&cluster, &query, &ex), "initial");
 
-    // ── Below the bound: 4 of 40 left tuples mutate (10% < 20%). ──
+    // ── Below the bound: 3 of 40 left tuples mutate (7.5% < 10%). ──
     let admin_before = cluster.metrics().snapshot().admin_kv_reads;
-    for i in 0..4u32 {
+    for i in 0..3u32 {
         sides[0]
             .insert(
                 format!("lb{i}").as_bytes(),
@@ -424,13 +423,13 @@ fn auto_replans_to_the_fresh_stats_oracle_with_bounded_recollection() {
     assert_eq!(
         cluster.metrics().snapshot().admin_kv_reads,
         admin_before,
-        "below the staleness bound the planner must not re-run collect_stats"
+        "below the staleness bound the planner must not re-run a statistics pass"
     );
     assert_eq!(ex.stats_handle().collections(), 1);
     // Explain names the path taken.
     assert!(p1.explain().contains("maintained"));
 
-    // ── Cross the bound: 10 more left mutations (14/44 ≈ 32% > 20%). ──
+    // ── Cross the bound: 9 more left mutations (12 of 40 = 30% > 10%). ──
     for i in 0..6u32 {
         sides[0]
             .insert(
@@ -441,13 +440,13 @@ fn auto_replans_to_the_fresh_stats_oracle_with_bounded_recollection() {
             )
             .unwrap();
     }
-    for i in 0..4u32 {
+    for i in 0..3u32 {
         sides[0].delete(format!("lb{i}").as_bytes()).unwrap();
     }
-    assert!(ex.stats_handle().staleness() > 0.2);
+    assert!(ex.stats_handle().is_stale());
     let p2 = ex.plan().unwrap();
     assert!(
-        matches!(p2.stats_source, StatsSource::Recollected { staleness } if staleness > 0.2),
+        matches!(p2.stats_source, StatsSource::Recollected { staleness } if staleness > 0.1),
         "above the bound the executor must transparently re-collect, got {:?}",
         p2.stats_source
     );
@@ -532,12 +531,7 @@ fn replanning_reads_live_region_counts_after_auto_splits() {
     );
     let ex = RankJoinExecutor::new(&cluster, query.clone());
     let handle = ex.stats_handle();
-    let first = handle
-        .stats_for_planning(&cluster, 0.1)
-        .unwrap()
-        .stats
-        .sides[0]
-        .regions;
+    let first = handle.stats_for_planning(&cluster).unwrap().stats.sides[0].regions;
 
     // Trigger auto-splits on the left base table with raw writes (which
     // emit no delta and never advance the staleness clock).
@@ -562,7 +556,7 @@ fn replanning_reads_live_region_counts_after_auto_splits() {
     // The maintained snapshot was never told about any of this, yet the
     // planning entry point reports the live region count — and stays on
     // the maintained path (no re-collection).
-    let planned = handle.stats_for_planning(&cluster, 0.1).unwrap();
+    let planned = handle.stats_for_planning(&cluster).unwrap();
     assert_eq!(planned.stats.sides[0].regions, live);
     assert_eq!(handle.collections(), 1);
 }
