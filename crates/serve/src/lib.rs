@@ -40,10 +40,11 @@
 //!   requested `k`; because every algorithm returns one deterministic
 //!   total order (score, then key), a completed depth-`k'` answer serves
 //!   any later `k ≤ k'` session straight from the **result-prefix
-//!   cache**. Cache entries are versioned against the backend's one
-//!   statistics handle ([`rj_core::SharedTableStats`], for a binary pair
-//!   and a multi-way spec alike) — the same version counter maintained
-//!   writes, rebuilds and statistics passes bump — so a stale prefix is
+//!   cache**, and a donated descent warm-starts a deeper one. Both live
+//!   in one work entry per backend ([`sharing`]), at one version of the
+//!   backend's statistics handle ([`rj_core::SharedTableStats`], for a
+//!   binary pair and a multi-way spec alike) — the counter maintained
+//!   writes, rebuilds and statistics passes bump — so stale work is
 //!   never served. A backend is a [`rj_core::RankJoinExecutor`] running
 //!   ISL, whose one code path serves every arity, so everything above
 //!   registration is join-arity agnostic.

@@ -67,7 +67,7 @@ use crate::session::{
     PageInfo, PageToken, ServedBy, SessionId, SessionOutcome, SessionResult, SessionStatus,
     SubmitOptions,
 };
-use crate::sharing::{PartialWork, PrefixEntry, WarmEntry};
+use crate::sharing::{donation, Answer, WorkEntry};
 use crate::table::{PagedSession, RecState, SessionTable};
 use crate::tenant::{TenantId, TenantProfile, TenantState};
 
@@ -91,21 +91,12 @@ pub struct ServeConfig {
     /// Admission bound: a tenant with this many sessions already queued
     /// has further submits rejected with [`ServeError::QueueFull`].
     pub max_queue_per_tenant: usize,
-    /// Enables cross-query work sharing (coalescing + the result-prefix
-    /// cache). Off, every session runs its own execution — the control
-    /// arm of the `serve` benchmark.
+    /// Enables cross-query work sharing: coalescing, prefix-cache hits
+    /// and warm starts. Off, every session runs its own cold execution.
     pub sharing: bool,
     /// The service's pool width, or `None` for the process-wide
     /// [`WorkStealingPool::global`] width.
     pub pool_threads: Option<usize>,
-    /// How many rounds a backend's coalescing group is **held** open
-    /// before executing, absorbing compatible (same-backend, non-paged)
-    /// arrivals of later rounds into one shared execution. `0` (the
-    /// default) executes every group in the round that picked it. Only
-    /// meaningful with [`ServeConfig::sharing`] on; a held group is
-    /// injected with a *fresh* statistics-version capture, so writes
-    /// landing during the hold never poison its cache entry.
-    pub coalesce_hold_rounds: u64,
 }
 
 impl Default for ServeConfig {
@@ -115,7 +106,6 @@ impl Default for ServeConfig {
             max_queue_per_tenant: 64,
             sharing: true,
             pool_threads: None,
-            coalesce_hold_rounds: 0,
         }
     }
 }
@@ -145,8 +135,8 @@ pub struct ServeCounters {
     /// out of the shared answer; the other `cache_hits + coalesced -
     /// cuts_built` were handed an allocation something already held.
     pub cuts_built: u64,
-    /// Executions warm-started from a donated cursor state in the
-    /// partial-work cache (they paid only the reads beyond the donor's
+    /// Executions warm-started from the donated cursor state in their
+    /// backend's work entry (they paid only the reads beyond the donor's
     /// consumed prefix).
     pub warm_starts: u64,
     /// Pages served to paged sessions (first pages and
@@ -198,22 +188,13 @@ struct BackendState {
     prototype: Arc<Mutex<RankJoinExecutor>>,
     /// The spec's shared statistics handle — the coherence backbone:
     /// maintained writes, re-preparations and collections bump its
-    /// version, which invalidates the prefix entry below.
+    /// version, which retires the work entry below.
     stats: Arc<SharedTableStats>,
     /// Lazily created per-tenant execution forks.
     forks: HashMap<TenantId, Arc<TenantFork>>,
-    /// The partial-work cache: deepest completed answer plus deepest
-    /// donated cursor state, both at their statistics versions.
-    work: PartialWork,
-}
-
-/// A coalescing group held open across rounds (satellite of PR 8): the
-/// sessions already picked for one backend, waiting to absorb later
-/// arrivals before executing as one group.
-#[derive(Default)]
-struct HeldGroup {
-    ids: Vec<u64>,
-    age: u64,
+    /// The deepest completed answer and the deepest donated cursor state,
+    /// at one statistics version.
+    work: WorkEntry,
 }
 
 struct ServiceState {
@@ -224,8 +205,6 @@ struct ServiceState {
     /// Registration dedupe: canonical share key → backend index.
     share_keys: HashMap<(u64, String), usize>,
     maintenance: VecDeque<usize>,
-    /// Per-backend coalescing groups held open across rounds.
-    held: BTreeMap<usize, HeldGroup>,
     counters: ServeCounters,
     charged_total: MetricsSnapshot,
 }
@@ -245,17 +224,15 @@ struct SessPlan {
 /// One backend's dispatch group for a round.
 struct GroupPlan {
     backend: usize,
-    /// Statistics version sampled at dispatch; work computed by this
-    /// group is cached only if the version is still current when the
-    /// round is applied (no maintained write raced the execution).
-    version: u64,
     /// Sessions sorted deepest-`k` first; under sharing the first
     /// non-cancelled, non-paged session executes for the whole group.
     sessions: Vec<SessPlan>,
     sharing: bool,
-    /// A usable donated cursor state from the partial-work cache,
-    /// version-checked against `version` at planning time.
-    warm: Option<WarmEntry>,
+    /// The group's work, at the statistics version sampled at dispatch:
+    /// the backend's donor if it is current there. Work the group adds is
+    /// cached only if its version is still current when the round is
+    /// applied (no maintained write raced the execution).
+    work: WorkEntry,
 }
 
 /// A terminal session outcome produced off-lock by a group job.
@@ -286,9 +263,9 @@ struct GroupOutput {
     /// Simulated seconds this group's executions charged (sequential
     /// within the group).
     sim: f64,
-    prefix: Option<PrefixEntry>,
-    /// Deepest cursor state donated by this group's executions.
-    warm: Option<WarmEntry>,
+    /// The plan's work plus what the group's execution offered to it —
+    /// the entry its followers were cut from.
+    work: WorkEntry,
     executions: u64,
     coalesced: u64,
     cuts_built: u64,
@@ -321,7 +298,6 @@ impl RankJoinService {
                 table: SessionTable::default(),
                 share_keys: HashMap::new(),
                 maintenance: VecDeque::new(),
-                held: BTreeMap::new(),
                 counters: ServeCounters::default(),
                 charged_total: MetricsSnapshot::default(),
             }),
@@ -358,7 +334,7 @@ impl RankJoinService {
             prototype: Arc::new(Mutex::new(exec)),
             stats,
             forks: HashMap::new(),
-            work: PartialWork::default(),
+            work: WorkEntry::default(),
         });
         Ok(BackendId(id))
     }
@@ -539,13 +515,12 @@ impl RankJoinService {
             Some(outcome) => {
                 if outcome == SessionOutcome::Complete {
                     // The paged session's final descent state is donated
-                    // to the partial-work cache like any completed
-                    // execution's.
+                    // like any completed execution's; its answer is not.
                     let state = cursor.pause();
-                    let pinned = state.pinned_version();
-                    if let Some(entry) = pinned.and_then(|v| WarmEntry::donated(state, v)) {
-                        let current = st.backends[backend].stats.version();
-                        st.backends[backend].work.offer_warm(entry, current);
+                    if let Some(pinned) = state.pinned_version() {
+                        let backend = &mut st.backends[backend];
+                        let current = backend.stats.version();
+                        backend.work.offer(current, pinned, None, donation(state));
                     }
                 }
                 let final_ = SessFinal {
@@ -670,7 +645,7 @@ impl RankJoinService {
             .backends
             .get(backend.0)
             .ok_or(ServeError::UnknownBackend)?;
-        Ok(backend.work.warm.as_ref().map(|w| (w.depth, w.version)))
+        Ok(backend.work.donor_depth())
     }
 
     /// Sum of the charges billed across all finished sessions —
@@ -679,17 +654,16 @@ impl RankJoinService {
         self.lock().charged_total
     }
 
-    /// Runs scheduling rounds until no session is queued, no coalescing
-    /// group is held, and no maintenance is pending (parked paged
-    /// sessions do not count — they wait on their client's `next_page`).
-    /// Terminates: every round finalizes its group leaders and held
-    /// groups age monotonically, so pending work strictly shrinks.
+    /// Runs scheduling rounds until no session is queued and no
+    /// maintenance is pending (parked paged sessions do not count — they
+    /// wait on their client's `next_page`). Terminates: every round
+    /// finalizes its group leaders, so pending work strictly shrinks.
     pub fn run_until_idle(&self) -> Result<Vec<RoundReport>, ServeError> {
         let mut reports = Vec::new();
         loop {
             {
                 let st = self.lock();
-                if !st.table.has_queued() && st.maintenance.is_empty() && st.held.is_empty() {
+                if !st.table.has_queued() && st.maintenance.is_empty() {
                     return Ok(reports);
                 }
             }
@@ -703,8 +677,7 @@ impl RankJoinService {
 
         // Phase 1 (locked): drop the finished sessions whose grace window
         // closed, enqueue staleness-driven rebuilds, serve cache hits,
-        // select, plan groups (possibly holding some back to coalesce
-        // with later arrivals).
+        // select, plan groups.
         let (groups, maintenance) = {
             let mut st = self.lock();
             st.counters.rounds += 1;
@@ -716,7 +689,7 @@ impl RankJoinService {
             }
             let picked = Self::pick_round(&st, self.config.round_width);
             report.dispatched = picked.len();
-            let groups = Self::plan_groups(&mut st, &picked, &self.config)?;
+            let groups = Self::plan_groups(&mut st, &picked, self.config.sharing)?;
             let pending: Vec<usize> = st.maintenance.drain(..).collect();
             let maintenance: Vec<(usize, Arc<Mutex<RankJoinExecutor>>)> = pending
                 .into_iter()
@@ -792,12 +765,7 @@ impl RankJoinService {
             }
             let backend = &mut st.backends[output.backend];
             let current = backend.stats.version();
-            if let Some(prefix) = output.prefix {
-                backend.work.offer_completed(prefix, current);
-            }
-            if let Some(warm) = output.warm {
-                backend.work.offer_warm(warm, current);
-            }
+            backend.work.absorb(current, output.work);
         }
         for result in maint_results {
             match result {
@@ -812,9 +780,9 @@ impl RankJoinService {
         self.state.lock().expect("service state poisoned")
     }
 
-    /// Serves every queued session a current-version prefix-cache entry
-    /// can answer. Free work: no execution slot, no charge, completion
-    /// at the current clock.
+    /// Serves every queued session its backend's current answer can
+    /// serve. Free work: no execution slot, no charge, completion at the
+    /// current clock.
     fn serve_cache_hits(st: &mut ServiceState) -> Result<usize, ServeError> {
         let clock = st.clock;
         let ids: Vec<u64> = st.table.queued().map(|(id, _)| id).collect();
@@ -828,14 +796,9 @@ impl RankJoinService {
             }
             let k = record.opts.k;
             let backend = &mut st.backends[record.backend.0];
-            let version = backend.stats.version();
-            let Some(prefix) = backend.work.completed.as_mut() else {
+            let Some((results, built)) = backend.work.hit(k, backend.stats.version()) else {
                 continue;
             };
-            if !prefix.serves(k, version) {
-                continue;
-            }
-            let (results, built) = prefix.prefix(k);
             st.counters.cache_hits += 1;
             st.counters.cuts_built += u64::from(built);
             Self::finalize(
@@ -889,51 +852,21 @@ impl RankJoinService {
 
     /// Marks the picked sessions running and groups them per backend,
     /// deepest `k` first, resolving each session's (tenant, backend)
-    /// execution fork. With [`ServeConfig::coalesce_hold_rounds`] > 0,
-    /// non-paged sessions enter their backend's held group instead and
-    /// only groups old enough are released to execute this round —
-    /// absorbing the arrivals of the hold window into one execution.
+    /// execution fork. Each group starts from its backend's donor.
     fn plan_groups(
         st: &mut ServiceState,
         picked: &[u64],
-        config: &ServeConfig,
+        sharing: bool,
     ) -> Result<Vec<GroupPlan>, ServeError> {
-        let holding = config.sharing && config.coalesce_hold_rounds > 0;
         let mut by_backend: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         for &id in picked {
             let record = st.table.start(id)?;
-            let backend = record.backend.0;
-            if holding && record.opts.page_size.is_none() {
-                st.held.entry(backend).or_default().ids.push(id);
-            } else {
-                by_backend.entry(backend).or_default().push(id);
-            }
-        }
-        // Release held groups that have absorbed arrivals long enough;
-        // younger groups age one round.
-        if holding {
-            let ready: Vec<usize> = st
-                .held
-                .iter()
-                .filter(|(_, g)| g.age >= config.coalesce_hold_rounds)
-                .map(|(b, _)| *b)
-                .collect();
-            for backend in ready {
-                // rjlint: allow(no-unwrap) — `ready` keys were collected from
-                // `st.held` in the filter above, under the same borrow.
-                let group = st.held.remove(&backend).expect("held group exists");
-                by_backend.entry(backend).or_default().extend(group.ids);
-            }
-            for group in st.held.values_mut() {
-                group.age += 1;
-            }
+            by_backend.entry(record.backend.0).or_default().push(id);
         }
         let mut groups = Vec::with_capacity(by_backend.len());
         for (backend_idx, ids) in by_backend {
-            // Version captured at release time — a held group picked up
-            // rounds ago still caches only against the data it ran on.
-            let version = st.backends[backend_idx].stats.version();
-            let warm = st.backends[backend_idx].work.usable_warm(version).cloned();
+            let backend = &st.backends[backend_idx];
+            let work = backend.work.donor_only(backend.stats.version());
             let mut sessions = Vec::with_capacity(ids.len());
             for id in ids {
                 let record = st.table.get(id)?;
@@ -952,10 +885,9 @@ impl RankJoinService {
             sessions.sort_by_key(|s| (std::cmp::Reverse(s.k), s.id));
             groups.push(GroupPlan {
                 backend: backend_idx,
-                version,
                 sessions,
-                sharing: config.sharing,
-                warm,
+                sharing,
+                work,
             });
         }
         Ok(groups)
@@ -1041,11 +973,12 @@ fn rebuild(exec: &mut RankJoinExecutor) -> rj_core::error::Result<()> {
 /// Executes one backend group on the calling pool lane. Paged sessions
 /// run individually (their cursor belongs to one client) and serve their
 /// first page. Sharing on: the first non-cancelled plain session (deepest
-/// `k`) executes for the whole group — warm-started from the partial-work
-/// cache when a donated state is usable — later sessions take prefixes of
-/// its answer; if it stops early the rest are requeued but its paused
-/// cursor state is still donated. Sharing off: every session executes
-/// itself cold, and nothing is donated.
+/// `k`) leads — it executes once for the whole group, warm-started when
+/// the plan carries a donor, and offers its answer and paused state to
+/// the group's entry — and every later session is cut from that entry;
+/// if the leader stopped early the entry has no answer and they are
+/// requeued (its donated state warm-starts their rerun). Sharing off:
+/// every session executes itself cold, and nothing is offered.
 fn run_group(plan: GroupPlan) -> GroupOutput {
     let mut out = GroupOutput {
         finals: Vec::with_capacity(plan.sessions.len()),
@@ -1053,81 +986,32 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
         paged: Vec::new(),
         backend: plan.backend,
         sim: 0.0,
-        prefix: None,
-        warm: None,
+        work: plan.work,
         executions: 0,
         coalesced: 0,
         cuts_built: 0,
         warm_starts: 0,
         pages: 0,
     };
-    let (paged, plain): (Vec<&SessPlan>, Vec<&SessPlan>) =
-        plan.sessions.iter().partition(|s| s.page_size.is_some());
-    for sess in paged {
+    let sessions = &plan.sessions;
+    for (sess, page_size) in sessions.iter().filter_map(|s| Some((s, s.page_size?))) {
         if sess.policy.token.is_cancelled() {
             out.finals.push(cancelled_unserved(sess.id));
             continue;
         }
-        execute_first_page(sess, &mut out);
+        execute_first_page(sess, page_size, &mut out);
     }
-    let warm = plan.warm.as_ref().filter(|_| plan.sharing);
-    let mut rest = plain.into_iter();
-    for sess in rest.by_ref() {
+    let mut led = false;
+    for sess in sessions.iter().filter(|s| s.page_size.is_none()) {
         if sess.policy.token.is_cancelled() {
             out.finals.push(cancelled_unserved(sess.id));
             continue;
         }
-        let (final_, donated, warmed, version) = execute_one(sess, plan.version, warm);
-        out.executions += 1;
-        if warmed {
-            out.warm_starts += 1;
-        }
-        out.sim += final_.charged.sim_seconds;
-        if plan.sharing {
-            if let Some(entry) = donated {
-                if entry.improves_on(out.warm.as_ref(), version) {
-                    out.warm = Some(entry);
-                }
-            }
-        }
-        if !plan.sharing {
-            out.finals.push(final_);
-            continue;
-        }
-        let complete = matches!(final_.outcome, SessionOutcome::Complete);
-        if complete {
-            out.prefix = Some(PrefixEntry::from_completed(
-                sess.k,
-                Arc::clone(&final_.results),
-                version,
-            ));
-        }
-        out.finals.push(final_);
-        if complete {
-            break;
-        }
-        // The would-be leader stopped (cancelled / deadline / failed):
-        // its followers go back to the queue rather than inherit a
-        // partial prefix shallower than their own `k` — but its descent
-        // state was donated above, so the requeued run warm-starts.
-        for waiting in rest.by_ref() {
-            if waiting.policy.token.is_cancelled() {
-                out.finals.push(cancelled_unserved(waiting.id));
-            } else {
-                out.requeue.push(waiting.id);
-            }
-        }
-        return out;
-    }
-    // Followers cut from the entry the cache is about to be offered, so a
-    // later hit at a follower's `k` shares the follower's rows.
-    if let Some(entry) = out.prefix.as_mut() {
-        for sess in rest {
-            if sess.policy.token.is_cancelled() {
-                out.finals.push(cancelled_unserved(sess.id));
+        if plan.sharing && led {
+            let Some((results, built)) = out.work.hit(sess.k, out.work.version()) else {
+                out.requeue.push(sess.id);
                 continue;
-            }
-            let (results, built) = entry.prefix(sess.k);
+            };
             out.coalesced += 1;
             out.cuts_built += u64::from(built);
             out.finals.push(SessFinal {
@@ -1137,7 +1021,22 @@ fn run_group(plan: GroupPlan) -> GroupOutput {
                 charged: MetricsSnapshot::default(),
                 served_by: ServedBy::SharedExecution,
             });
+            continue;
         }
+        led = true;
+        let version = out.work.version();
+        let donor = out.work.donor(version).filter(|_| plan.sharing);
+        out.warm_starts += u64::from(donor.is_some());
+        let (final_, paused, version) = execute_one(sess, version, donor.map(Arc::as_ref));
+        out.executions += 1;
+        out.sim += final_.charged.sim_seconds;
+        if plan.sharing {
+            let complete = final_.outcome == SessionOutcome::Complete;
+            let answer = complete.then(|| Answer::completed(sess.k, Arc::clone(&final_.results)));
+            out.work
+                .offer(version, version, answer, paused.and_then(donation));
+        }
+        out.finals.push(final_);
     }
     out
 }
@@ -1153,28 +1052,23 @@ fn cancelled_unserved(id: u64) -> SessFinal {
 }
 
 /// Runs one session's query on its own fork through the cursor stack,
-/// billing it the fork's exact ledger delta. A usable `warm` entry
-/// re-targets a copy of the donated state to this session's `k` — tuples
-/// the donor consumed are re-joined in memory and charge nothing, so the
-/// session pays only the reads beyond the donor's prefix. Returns the terminal outcome,
-/// the paused state donated back to the cache (when re-targetable),
-/// whether the run was warm-started, and the statistics version the run
-/// read at: the cursor's pinned version, which is newer than the dispatch
-/// `version` when opening the cursor ran a statistics pass (or raced a
-/// write). Work is cached under that version.
+/// billing it the fork's exact ledger delta. A `donor` re-targets a copy
+/// of the donated state to this session's `k` — tuples the donor
+/// consumed are re-joined in memory and charge nothing, so the session
+/// pays only the reads beyond the donor's prefix. Returns the terminal
+/// outcome, the paused state (unless the run failed), and the statistics
+/// version the run read at: the cursor's pinned version, which is newer
+/// than the dispatch `version` when opening the cursor ran a statistics
+/// pass (or raced a write). Work is offered under that version.
 fn execute_one(
     sess: &SessPlan,
     mut version: u64,
-    warm: Option<&WarmEntry>,
-) -> (SessFinal, Option<WarmEntry>, bool, u64) {
+    donor: Option<&CursorState>,
+) -> (SessFinal, Option<CursorState>, u64) {
     let fork = &sess.fork;
     let meter = QueryMeter::start(fork.cluster.metrics());
-    let mut warmed = false;
-    let opened = match warm {
-        Some(entry) => {
-            warmed = true;
-            CursorState::clone(&entry.state).resume_retargeted(&fork.cluster, sess.k)
-        }
+    let opened = match donor {
+        Some(state) => state.clone().resume_retargeted(&fork.cluster, sess.k),
         None => fork.executor.open_cursor(Algorithm::Isl, sess.k),
     };
     let mut cursor = match opened {
@@ -1187,7 +1081,7 @@ fn execute_one(
                 charged: meter.finish(),
                 served_by: ServedBy::Execution,
             };
-            return (final_, None, warmed, version);
+            return (final_, None, version);
         }
     };
     let mut results: Vec<JoinTuple> = Vec::new();
@@ -1212,13 +1106,10 @@ fn execute_one(
         }
     }
     let charged = meter.finish();
-    let donated = if failed.is_none() {
-        let state = cursor.pause();
-        version = state.pinned_version().unwrap_or(version);
-        WarmEntry::donated(state, version)
-    } else {
-        None
-    };
+    let paused = failed.is_none().then(|| cursor.pause());
+    if let Some(pinned) = paused.as_ref().and_then(CursorState::pinned_version) {
+        version = pinned;
+    }
     let (outcome, results) = match (failed, stopped) {
         (Some(message), _) => (SessionOutcome::Failed(message), Arc::new(Vec::new())),
         (None, Some(StopReason::Cancelled)) => (SessionOutcome::Cancelled, Arc::new(results)),
@@ -1234,7 +1125,7 @@ fn execute_one(
         charged,
         served_by: ServedBy::Execution,
     };
-    (final_, donated, warmed, version)
+    (final_, paused, version)
 }
 
 /// A served page's terminal outcome: its stop reason, else `Complete` once
@@ -1252,15 +1143,9 @@ fn page_outcome(stopped: Option<StopReason>, finished: bool) -> Option<SessionOu
 /// resumes get the stale-continuation check), pulls one page, and either
 /// finalizes (stopped / already done) or parks the paused state into
 /// `out.paged`.
-fn execute_first_page(sess: &SessPlan, out: &mut GroupOutput) {
+fn execute_first_page(sess: &SessPlan, page_size: usize, out: &mut GroupOutput) {
     let fork = &sess.fork;
-    let page = sess
-        .page_size
-        // rjlint: allow(no-unwrap) — callers route here only for sessions
-        // admitted with a page size (the paged plan partition).
-        .expect("paged session has a page size")
-        .min(sess.k)
-        .max(1);
+    let page = page_size.min(sess.k).max(1);
     let meter = QueryMeter::start(fork.cluster.metrics());
     let fail = |charged: MetricsSnapshot, message: String, out: &mut GroupOutput| {
         out.finals.push(SessFinal {

@@ -132,8 +132,8 @@ pub struct SessionResult {
 }
 
 impl SessionResult {
-    /// Simulated seconds between submit and completion — the sojourn
-    /// time the `serve` benchmark aggregates into p50/p99/p999.
+    /// Simulated seconds between submit and completion — the session's
+    /// sojourn time.
     pub fn sojourn(&self) -> f64 {
         self.completed_at - self.submitted_at
     }

@@ -81,7 +81,6 @@ fn test_config() -> ServeConfig {
         max_queue_per_tenant: 64,
         sharing: true,
         pool_threads: Some(2),
-        coalesce_hold_rounds: 0,
     }
 }
 
@@ -642,42 +641,6 @@ fn stale_continuation_is_refused_with_typed_error() {
 }
 
 #[test]
-fn held_group_absorbs_later_arrivals_into_one_execution() {
-    let mut config = test_config();
-    config.coalesce_hold_rounds = 1;
-    let (service, backend, c, q) = serve_fixture(config);
-    let t1 = service.register_tenant("t1", 1.0).unwrap();
-    let t2 = service.register_tenant("t2", 1.0).unwrap();
-    let s1 = service.submit(t1, backend, SubmitOptions::topk(2)).unwrap();
-    let r1 = service.run_round().unwrap();
-    assert_eq!(r1.dispatched, 1);
-    assert_eq!(
-        service.counters().executions,
-        0,
-        "the group is held open, not executed"
-    );
-    assert!(matches!(service.poll(s1).unwrap(), SessionStatus::Running));
-    // A deeper compatible query arrives during the hold window...
-    let s2 = service.submit(t2, backend, SubmitOptions::topk(4)).unwrap();
-    service.run_round().unwrap();
-    // ...and the released group runs as ONE execution at the deepest k.
-    let counters = service.counters();
-    assert_eq!(counters.executions, 1);
-    assert_eq!(counters.coalesced, 1);
-    let first = done(&service, s1);
-    assert_eq!(first.served_by, ServedBy::SharedExecution);
-    assert_eq!(first.charged.kv_reads, 0, "absorbed session rides free");
-    assert_eq!(*first.results, oracle::topk(&c, &q.with_k(2)).unwrap());
-    let second = done(&service, s2);
-    assert_eq!(second.served_by, ServedBy::Execution);
-    assert_eq!(*second.results, oracle::topk(&c, &q.with_k(4)).unwrap());
-    // run_until_idle drains a freshly held group by itself.
-    let s3 = service.submit(t1, backend, SubmitOptions::topk(5)).unwrap();
-    service.run_until_idle().unwrap();
-    assert!(matches!(service.poll(s3).unwrap(), SessionStatus::Done(_)));
-}
-
-#[test]
 fn staleness_bound_crossing_enqueues_automatic_rebuild() {
     // Through both doors: the binary executor, and the spec executor over
     // the query's two-side spec.
@@ -1210,6 +1173,46 @@ fn a_prefix_cut_is_shared_while_shown_and_rebuilt_after() {
     assert_eq!(
         service.tenant_charged(tenant).unwrap().kv_reads,
         service.tenant_usage(tenant).unwrap().kv_reads
+    );
+}
+
+/// A version bump releases the stale answer, not only refuses it: the
+/// first offer at the new version — here a cancelled run's donation —
+/// drops it, so once nothing shows the rows any more, they are gone.
+#[test]
+fn a_version_bump_releases_the_stale_answer() {
+    let (c, q) = fixture();
+    let executor = prepared_executor(&c, &q);
+    let stats = executor.stats_handle();
+    let service = RankJoinService::new(test_config());
+    let backend = service.register_backend(executor).unwrap();
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let first = served_in_one_round(&service, tenant, backend, 5);
+    assert_eq!(first.served_by, ServedBy::Execution);
+    // The session's rows are the cached answer's allocation.
+    let answer = Arc::downgrade(&first.results);
+    drop(first);
+
+    stats.invalidate(); // what any maintained write does, minus the write
+    let mut opts = SubmitOptions::topk(50);
+    opts.cancel_after_batches = Some(2);
+    let stopped = service.submit(tenant, backend, opts).unwrap();
+    service.run_round().unwrap();
+    assert_eq!(done(&service, stopped).outcome, SessionOutcome::Cancelled);
+    let (_, version) = service.warm_donor(backend).unwrap().unwrap();
+    assert_eq!(
+        version,
+        stats.version(),
+        "the stopped run donated at the new version"
+    );
+
+    for _ in 0..=FINISHED_GRACE_ROUNDS {
+        service.run_round().unwrap();
+    }
+    assert_eq!(service.counters().reaped, 2);
+    assert!(
+        answer.upgrade().is_none(),
+        "the stale answer outlived its version"
     );
 }
 
