@@ -106,14 +106,6 @@ impl CheckOutcome {
     pub fn is_pass(&self) -> bool {
         matches!(self, CheckOutcome::Pass { .. })
     }
-
-    /// The failing decision vector, if any.
-    pub fn failing_schedule(&self) -> Option<&[usize]> {
-        match self {
-            CheckOutcome::Fail { schedule, .. } => Some(schedule),
-            CheckOutcome::Pass { .. } => None,
-        }
-    }
 }
 
 /// Explores `f` under the default [`Config`]; panics with the failing

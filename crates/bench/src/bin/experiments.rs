@@ -18,7 +18,7 @@
 //!               planner agreement with the measured-cheapest choice
 //!   updates-planner  interleaved refresh sets vs Auto planning: maintained
 //!                    statistics against a fresh-stats oracle per round
-//!   multiway    3-way rank joins: planner's per-side access choice vs
+//!   multiway    3-way rank joins: the default all-descend access vs
 //!               the measured-cheapest assignment over a (shape, k)
 //!               grid, plus the two-side-spec-equals-binary pin
 //!   ablations   design-choice ablations: ISL batch size (§4.2.3), BFHM

@@ -7,8 +7,8 @@
 //!   *bottleneck* shape with a small selective interior side between two
 //!   big outer sides, and a *uniform* shape) swept over `k`. Every cell
 //!   measures the KV reads of **all** `2^3` per-side access assignments
-//!   (descend vs. materialize) plus the planner's own choice; the
-//!   planner's cost-model pick must stay within a small factor of the
+//!   (descend vs. materialize) plus the executor's default access (every
+//!   side descends); the default must stay within a small factor of the
 //!   measured-cheapest assignment across the grid.
 //! * **Binary pin** — the two-side degenerate spec next to the binary
 //!   ISL executor on identical data: the spec path must charge exactly
@@ -55,17 +55,17 @@ impl Default for MultiwayBenchConfig {
     }
 }
 
-/// One grid cell: the planner's pick vs the measured-cheapest of all
-/// access assignments at one `(shape, k)`.
+/// One grid cell: the executor's default access vs the measured-cheapest
+/// of all access assignments at one `(shape, k)`.
 #[derive(Clone, Debug)]
 pub struct GridCell {
     /// Dataset shape name (`bottleneck` / `uniform`).
     pub shape: &'static str,
     /// Answer depth.
     pub k: usize,
-    /// The planner's access choice, one letter per side (`D`/`M`).
+    /// The executor's default access, one letter per side (`D`/`M`).
     pub auto_plan: String,
-    /// KV reads of the planner's choice.
+    /// KV reads of the executor's default access.
     pub auto_kv_reads: u64,
     /// The measured-cheapest assignment.
     pub best_plan: String,
@@ -74,7 +74,7 @@ pub struct GridCell {
 }
 
 impl GridCell {
-    /// `auto / cheapest` — 1.0 means the planner picked the winner.
+    /// `auto / cheapest` — 1.0 means the default access is the winner.
     pub fn ratio(&self) -> f64 {
         self.auto_kv_reads as f64 / self.best_kv_reads.max(1) as f64
     }
@@ -166,7 +166,7 @@ fn plan_name(access: &[SideAccess]) -> String {
 }
 
 /// KV-read delta of executing `proto` at `k` with the given override
-/// (`None` = the planner's own choice) on a fresh fork ledger.
+/// (`None` = the executor's default access) on a fresh fork ledger.
 fn metered_run(
     cluster: &Cluster,
     proto: &SpecExecutor,
@@ -192,8 +192,6 @@ fn run_grid(
     let mut proto = SpecExecutor::new(&cluster, spec);
     proto.prepare().expect("multiway index");
     for &k in &config.ks {
-        // Prime the statistics snapshot (and read off the planner's
-        // choice) before any fork is metered.
         let auto_access = proto.plan_access(k).expect("plan");
         let auto_kv_reads = metered_run(&cluster, &proto, k, None);
         let mut best: Option<(u64, Vec<SideAccess>)> = None;
@@ -295,7 +293,7 @@ impl MultiwayReport {
     /// Renders the report as experiment tables.
     pub fn tables(&self) -> Vec<Table> {
         let mut grid = Table::new(
-            "3-way rank join: planner's access choice vs measured-cheapest (KV reads)",
+            "3-way rank join: default access vs measured-cheapest (KV reads)",
             &[
                 "shape",
                 "k",
@@ -376,7 +374,7 @@ mod tests {
                 "cheapest can't lose to auto: {cell:?}"
             );
         }
-        // The acceptance bound: the planner's pick is never worse than
+        // The acceptance bound: the default access is never worse than
         // 1.5x the measured-cheapest assignment anywhere in the grid.
         assert!(
             report.auto_worst_ratio() <= 1.5,

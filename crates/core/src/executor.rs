@@ -6,9 +6,10 @@
 //! the right module — the shape the experiment harness, the serving layer
 //! and the examples drive everything through. ISL (§4.2) is the one
 //! algorithm whose index and HRJN descent serve any join tree, so it runs
-//! every arity: two sides descend both score lists (the paper's
-//! algorithm), three or more take the per-side access
-//! [`crate::multiway::planner`] chooses. BFHM, DRJN, IJLMR, Hive and Pig
+//! every arity the same way: every side descends its score list (the
+//! paper's algorithm), unless
+//! [`access_override`](RankJoinExecutor::access_override) forces a side
+//! to be materialized. BFHM, DRJN, IJLMR, Hive and Pig
 //! are binary algorithms: they read the spec's binary form
 //! ([`JoinSpec::as_binary`]) and answer [`RankJoinError::InvalidSpec`]
 //! for a spec without one, where [`Algorithm::Auto`] has one candidate,
@@ -45,7 +46,6 @@ use crate::drjn::{self, DrjnConfig, DrjnCore};
 use crate::error::{RankJoinError, Result};
 use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig};
-use crate::multiway::planner::choose_access;
 use crate::planner::{self, Candidates, Objective, Plan};
 use crate::query::{JoinSide, JoinSpec, RankJoinQuery};
 use crate::spare::Spares;
@@ -156,15 +156,6 @@ fn prepared<'a, T>(slot: &'a Option<T>, name: &str) -> Result<&'a T> {
 /// `(k, objective, ISL batch config)`.
 type PlanKey = (usize, Objective, IslConfig);
 
-/// What planning a top-`k` run decided.
-#[derive(Clone)]
-enum Planned {
-    /// A spec with a binary form: every prepared algorithm, ranked.
-    Ranked(Arc<Plan>),
-    /// A spec without one: the per-side access of its ISL run.
-    Access(Arc<[SideAccess]>),
-}
-
 /// What the binary algorithms and the cost-based planner answer for a
 /// spec without a binary form.
 const NOT_BINARY: RankJoinError = RankJoinError::InvalidSpec(
@@ -190,10 +181,13 @@ pub struct RankJoinExecutor {
     /// What [`Algorithm::Auto`] optimizes for (default: turnaround time).
     pub objective: Objective,
     /// Forces the per-side access of ISL runs (one [`SideAccess`] per
-    /// side) instead of planning it.
+    /// side) instead of descending every side.
     pub access_override: Option<Vec<SideAccess>>,
+    /// Every side descended: the access of an ISL run without an
+    /// override, built once and shared with every fork.
+    descend: Arc<[SideAccess]>,
     /// Shared, incrementally-maintained statistics handle. Collected
-    /// lazily on the first plan, updated in place by
+    /// lazily on the first cost-based plan, updated in place by
     /// [`crate::maintenance::MaintainedSide`] writes registered on it,
     /// and invalidated wholesale whenever an index is (re-)prepared.
     /// `Arc`-shared so `fork_metrics` clones serving the same spec reuse
@@ -206,7 +200,7 @@ pub struct RankJoinExecutor {
     /// Each entry records the statistics-handle version it was computed
     /// at, so maintained writes coherently invalidate plans across every
     /// executor sharing the handle.
-    plan_cache: Mutex<HashMap<PlanKey, (u64, Planned)>>,
+    plan_cache: Mutex<HashMap<PlanKey, (u64, Arc<Plan>)>>,
     /// Candidacy cache: which algorithms are executable right now, both
     /// positive ("ISL prepared, with this config") and negative ("BFHM
     /// not prepared — don't re-check until a `prepare_*`/`attach_*`
@@ -226,6 +220,11 @@ pub struct RankJoinExecutor {
     pub(crate) spares: Spares,
 }
 
+/// Every one of `n` sides descended.
+fn descend(n: usize) -> Arc<[SideAccess]> {
+    vec![SideAccess::Descend; n].into()
+}
+
 impl RankJoinExecutor {
     /// Creates an executor for `query` on `cluster`. The query and its
     /// two-side spec are built here, once; `query.k` is the default depth
@@ -233,7 +232,7 @@ impl RankJoinExecutor {
     pub fn new(cluster: &Cluster, query: RankJoinQuery) -> Self {
         let spec = Arc::new(query.to_spec());
         let stats = SharedTableStats::new(spec.clone());
-        RankJoinExecutor::over(cluster, spec, Some(Arc::new(query)), stats)
+        RankJoinExecutor::over(cluster, spec, Some(Arc::new(query)), stats, descend(2))
     }
 
     /// Creates an executor for `spec` of any arity on `cluster`. A spec
@@ -243,17 +242,20 @@ impl RankJoinExecutor {
         if let Some(query) = spec.as_binary() {
             return RankJoinExecutor::new(cluster, query);
         }
+        let descend = descend(spec.n());
         let spec = Arc::new(spec);
-        RankJoinExecutor::over(cluster, spec.clone(), None, SharedTableStats::new(spec))
+        let stats = SharedTableStats::new(spec.clone());
+        RankJoinExecutor::over(cluster, spec, None, stats, descend)
     }
 
     /// An executor with no index and default tuning over an already
-    /// shared spec, query and statistics handle.
+    /// shared spec, query, statistics handle and default access.
     fn over(
         cluster: &Cluster,
         spec: Arc<JoinSpec>,
         query: Option<Arc<RankJoinQuery>>,
         stats: Arc<SharedTableStats>,
+        descend: Arc<[SideAccess]>,
     ) -> Self {
         RankJoinExecutor {
             engine: MapReduceEngine::new(cluster.clone()),
@@ -264,6 +266,7 @@ impl RankJoinExecutor {
             write_back: WriteBackPolicy::Off,
             objective: Objective::Time,
             access_override: None,
+            descend,
             stats,
             plan_cache: Mutex::new(HashMap::new()),
             candidates_cache: Mutex::new(None),
@@ -456,12 +459,6 @@ impl RankJoinExecutor {
         self.attach(Index::Bfhm(config), table)
     }
 
-    /// Adopts already-built DRJN matrices without rebuilding. `config`
-    /// must match the build.
-    pub fn attach_drjn(&mut self, table: &str, config: DrjnConfig) -> Result<()> {
-        self.attach(Index::Drjn(config), table)
-    }
-
     /// The ISL index table currently prepared or attached, if any.
     pub fn isl_table(&self) -> Option<&str> {
         self.indices.isl.as_deref()
@@ -488,6 +485,7 @@ impl RankJoinExecutor {
             self.spec.clone(),
             self.query.clone(),
             self.stats.clone(),
+            self.descend.clone(),
         );
         fork.indices = self.indices.clone();
         fork.isl_config = self.isl_config;
@@ -553,77 +551,44 @@ impl RankJoinExecutor {
     /// [`Plan::explain`](crate::planner::Plan::explain) reports which
     /// statistics path the plan used.
     pub fn plan_with_k(&self, k: usize) -> Result<Arc<Plan>> {
-        self.binary_query()?;
-        match self.planned(k)? {
-            Planned::Ranked(plan) => Ok(plan),
-            Planned::Access(_) => Err(NOT_BINARY),
-        }
-    }
-
-    /// The per-side access assignment a top-`k` ISL run uses:
-    /// [`access_override`](RankJoinExecutor::access_override) if set,
-    /// both sides descended at two sides (that *is* the paper's ISL),
-    /// and otherwise the multiway planner's choice over current
-    /// statistics, cached per `k` until the statistics version moves.
-    pub fn plan_access(&self, k: usize) -> Result<Arc<[SideAccess]>> {
-        match self.fixed_access() {
-            Some(access) => Ok(access.into()),
-            None => self.planned_access(k),
-        }
-    }
-
-    /// The per-side access that needs no planning: the override, or
-    /// both sides descended at two sides.
-    fn fixed_access(&self) -> Option<&[SideAccess]> {
-        match &self.access_override {
-            Some(access) => Some(access),
-            None if self.spec.n() == 2 => Some(&[SideAccess::Descend; 2]),
-            None => None,
-        }
-    }
-
-    fn planned_access(&self, k: usize) -> Result<Arc<[SideAccess]>> {
-        match self.planned(k)? {
-            Planned::Access(access) => Ok(access),
-            Planned::Ranked(_) => Err(RankJoinError::Internal(
-                "a spec with a binary form descends both sides unplanned",
-            )),
-        }
-    }
-
-    /// The versioned plan cache's answer at `k`, planned on a miss.
-    fn planned(&self, k: usize) -> Result<Planned> {
+        let query = self.binary_query()?;
         let key = (k, self.objective, self.isl_config);
         // Fast path: a cached plan whose recorded handle version is still
         // current needs no statistics work at all (version equality means
         // no delta, invalidation, or collection happened since it was
         // computed — so the staleness verdict is unchanged too).
-        if let Some((version, planned)) = self.plan_cache.lock().expect("plan cache").get(&key) {
+        if let Some((version, plan)) = self.plan_cache.lock().expect("plan cache").get(&key) {
             if *version == self.stats.version() {
-                return Ok(planned.clone());
+                return Ok(plan.clone());
             }
         }
         let fresh = self.stats.stats_for_planning(self.engine.cluster())?;
-        let planned = match &self.query {
-            Some(query) => {
-                let mut plan = planner::plan(
-                    &fresh.stats,
-                    query,
-                    k,
-                    self.engine.cluster().cost_model(),
-                    self.objective,
-                    &self.cached_candidates(),
-                );
-                plan.stats_source = fresh.source;
-                Planned::Ranked(Arc::new(plan))
-            }
-            None => Planned::Access(choose_access(&self.spec, &fresh.stats, k).into()),
-        };
+        let mut plan = planner::plan(
+            &fresh.stats,
+            query,
+            k,
+            self.engine.cluster().cost_model(),
+            self.objective,
+            &self.cached_candidates(),
+        );
+        plan.stats_source = fresh.source;
+        let plan = Arc::new(plan);
         self.plan_cache
             .lock()
             .expect("plan cache")
-            .insert(key, (fresh.version, planned.clone()));
-        Ok(planned)
+            .insert(key, (fresh.version, plan.clone()));
+        Ok(plan)
+    }
+
+    /// The per-side access of a top-`k` ISL run at any `k`:
+    /// [`access_override`](RankJoinExecutor::access_override) if set, and
+    /// otherwise every side descended (the paper's ISL, at every arity).
+    /// It reads no statistics.
+    pub fn plan_access(&self, _k: usize) -> Result<Arc<[SideAccess]>> {
+        Ok(match &self.access_override {
+            Some(access) => access[..].into(),
+            None => self.descend.clone(),
+        })
     }
 
     /// What [`Algorithm::Auto`] runs at `k`, out of how many candidates:
@@ -646,19 +611,10 @@ impl RankJoinExecutor {
     }
 
     /// Opens the ISL descent for the top `k` with its per-side access,
-    /// pinned to the statistics version. It plans first, then pins: the
-    /// access choice may run a statistics pass, and the cursor must pin
-    /// the version as of the moment it starts reading.
+    /// pinned to the statistics version as of opening.
     fn open_isl(&self, k: usize) -> Result<StepCursor<IslCore>> {
         let table = prepared(&self.indices.isl, "isl")?;
-        let planned;
-        let access = match self.fixed_access() {
-            Some(access) => access,
-            None => {
-                planned = self.planned_access(k)?;
-                &planned[..]
-            }
-        };
+        let access = self.access_override.as_deref().unwrap_or(&self.descend);
         let cluster = self.engine.cluster();
         let core = IslCore::open(
             cluster,
@@ -1019,9 +975,9 @@ mod tests {
         assert_eq!(builder.stats_handle().collections(), 2);
     }
 
-    /// One maintained insert through `side` of `stats`'s spec.
-    fn insert_delta(stats: &SharedTableStats, side: usize) {
-        let side = &stats.spec().sides[side];
+    /// One maintained insert through the first side of `stats`'s spec.
+    fn insert_delta(stats: &SharedTableStats) {
+        let side = &stats.spec().sides[0];
         stats.apply_delta(&crate::statsmaint::StatsDelta {
             table: &side.table,
             join_col: &side.join_col,
@@ -1034,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn a_recollection_retires_every_cached_plan_binary_and_three_way() {
+    fn a_recollection_retires_every_cached_plan() {
         use crate::planner::StatsSource;
         let (c, q) = running_example_cluster();
         let mut ex = RankJoinExecutor::new(&c, q.clone());
@@ -1043,14 +999,14 @@ mod tests {
         ex.plan().unwrap();
         // One mutation on an 11-tuple side ≈ 9% staleness: both cached
         // plans are re-planned from the maintained snapshot.
-        insert_delta(&stats, 0);
+        insert_delta(&stats);
         let below = [1, 3].map(|k| ex.plan_with_k(k).unwrap());
         assert!(below
             .iter()
             .all(|p| matches!(p.stats_source, StatsSource::Maintained { .. })));
         // A second one ≈ 18%: the next plan re-collects, once, and no plan
         // from before the re-collection is served at either depth.
-        insert_delta(&stats, 0);
+        insert_delta(&stats);
         let above = [1, 3].map(|k| ex.plan_with_k(k).unwrap());
         assert!(matches!(
             above[0].stats_source,
@@ -1061,24 +1017,6 @@ mod tests {
             StatsSource::Maintained { staleness: 0.0 }
         );
         assert_eq!(stats.collections(), 2);
-        for (old, new) in below.iter().zip(&above) {
-            assert!(!Arc::ptr_eq(old, new), "a pre-collection plan was served");
-        }
-
-        // The same contract on a three-way spec's access plans.
-        let (c, spec) = crate::testsupport::three_way_path_cluster(3);
-        let exec = crate::multiway::SpecExecutor::new(&c, spec.clone());
-        let stats = exec.stats_handle();
-        exec.plan_access(3).unwrap();
-        // One mutation on the 13-tuple side C ≈ 8% staleness.
-        insert_delta(&stats, 2);
-        let below = [1, 3].map(|k| exec.plan_access(k).unwrap());
-        assert_eq!(stats.collections(), 1);
-        insert_delta(&stats, 2);
-        let version = stats.version();
-        let above = [1, 3].map(|k| exec.plan_access(k).unwrap());
-        assert_eq!(stats.collections(), 2);
-        assert!(stats.version() > version, "a collection moves the version");
         for (old, new) in below.iter().zip(&above) {
             assert!(!Arc::ptr_eq(old, new), "a pre-collection plan was served");
         }

@@ -25,7 +25,7 @@
 //! | [`drjn`] | DRJN comparator (Doulkeridis et al., ICDE 2012) as adapted in §7.1 | §7.1 |
 //! | [`hrjn`] | the centralized HRJN operator (Ilyas et al., VLDB 2003) ISL builds on, over a spec's join tree | §4.2.1 |
 //! | [`planner`] | cost-based selection over the suite, once per query at plan time ([`Algorithm::Auto`]) | Figs. 7–8 |
-//! | [`multiway`] | the per-side access choice for three or more sides and [`multiway::SpecExecutor`], the executor's spec-shaped face (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
+//! | [`multiway`] | [`multiway::SpecExecutor`], the executor's spec-shaped face for any arity (the read path itself is [`hrjn`] + [`cursor`] + [`isl`]) | §8 outlook |
 //!
 //! Every algorithm returns the same deterministic top-k (ties broken by
 //! key) and a [`rj_store::metrics::MetricsSnapshot`] with the paper's three

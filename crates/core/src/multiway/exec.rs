@@ -4,7 +4,7 @@
 //! gives it the signatures a spec-driven caller knows — no algorithm
 //! argument, because ISL is the one algorithm over any join tree — and
 //! derefs to it for everything else: the statistics handle, the per-side
-//! access plan ([`RankJoinExecutor::plan_access`]), resuming cursors and
+//! access ([`RankJoinExecutor::plan_access`]), resuming cursors and
 //! the tuning fields. A two-side spec with a binary form is its binary
 //! query's executor, so a binary query's results *and* counted metrics
 //! are the same through either door.
@@ -268,45 +268,58 @@ mod tests {
     }
 
     #[test]
-    fn access_plan_is_cached_until_the_statistics_version_moves() {
+    fn access_plan_is_the_override_or_all_descend_and_reads_no_statistics() {
         let (c, spec) = three_way_path_cluster(4);
         let mut exec = SpecExecutor::new(&c, spec.clone());
-        let stats = exec.stats_handle();
-        let first = exec.plan_access(4).unwrap();
-        assert!(Arc::ptr_eq(&first, &exec.plan_access(4).unwrap()));
-        assert_eq!(stats.collections(), 1);
-        assert!(!Arc::ptr_eq(&first, &exec.plan_access(5).unwrap()));
-
-        // A `prepare` and a maintained write each move the version: the
-        // next call plans again, and that plan is cached.
         exec.prepare().unwrap();
-        let prepared = exec.plan_access(4).unwrap();
-        assert!(!Arc::ptr_eq(&first, &prepared));
-        assert!(Arc::ptr_eq(&prepared, &exec.plan_access(4).unwrap()));
-        let side = crate::maintenance::MaintainedSide::new(&c, spec.sides[2].clone())
-            .with_stats(stats.clone());
-        side.insert(b"c_new", b"a", 0.5, Vec::new()).unwrap();
-        let written = exec.plan_access(4).unwrap();
-        assert!(!Arc::ptr_eq(&prepared, &written));
-        // An `attach` drops this executor's plans and keeps the shared
-        // statistics: it changes which index is read, not the base tables.
-        let table = exec.isl_table().unwrap().to_owned();
-        exec.attach(&table).unwrap();
-        // Opening plans, then pins: the cursor carries the version its
-        // plan was made at, and the plan it made is the one cached.
-        let collections = stats.collections();
-        let state = exec.open_cursor(4).unwrap().pause();
-        assert_eq!(state.pinned_version(), Some(stats.version()));
-        let attached = exec.plan_access(4).unwrap();
-        assert!(!Arc::ptr_eq(&written, &attached));
-        assert!(Arc::ptr_eq(&attached, &exec.plan_access(4).unwrap()));
-        assert_eq!(stats.collections(), collections);
+        let stats = exec.stats_handle();
+        // Every side descends at every `k`, from one assignment the
+        // executor's forks share; nothing collects statistics.
+        let descend = exec.plan_access(4).unwrap();
+        assert_eq!(*descend, [SideAccess::Descend; 3]);
+        assert!(Arc::ptr_eq(&descend, &exec.plan_access(25).unwrap()));
+        let fork = exec.fork_onto(&c.fork_metrics()).unwrap();
+        assert!(Arc::ptr_eq(&descend, &fork.plan_access(4).unwrap()));
+        exec.execute().unwrap();
+        assert_eq!(stats.collections(), 0);
 
-        // An override is answered as given and leaves the cache alone.
+        // An override is answered as given.
         exec.access_override = Some(vec![SideAccess::Materialize; 3]);
         assert_eq!(*exec.plan_access(4).unwrap(), [SideAccess::Materialize; 3]);
         exec.access_override = None;
-        assert!(Arc::ptr_eq(&attached, &exec.plan_access(4).unwrap()));
+
+        // A maintained write moves the version without a snapshot, and
+        // an opened cursor pins the version current at its opening.
+        let version = stats.version();
+        let side = crate::maintenance::MaintainedSide::new(&c, spec.sides[2].clone())
+            .with_stats(stats.clone());
+        side.insert(b"c_new", b"a", 0.5, Vec::new()).unwrap();
+        assert!(stats.version() > version);
+        let state = exec.open_cursor(4).unwrap().pause();
+        assert_eq!(state.pinned_version(), Some(stats.version()));
+        assert_eq!(stats.collections(), 0);
+    }
+
+    /// Cursor coherence needs no snapshot: a maintained write between
+    /// pause and resume moves the version even though the handle never
+    /// collected, and the resume is refused.
+    #[test]
+    fn a_maintained_write_stales_a_paused_cursor_that_never_collected() {
+        let (c, spec) = three_way_path_cluster(6);
+        let mut exec = SpecExecutor::new(&c, spec.clone());
+        exec.prepare().unwrap();
+        let stats = exec.stats_handle();
+        let mut cursor = exec.open_cursor(6).unwrap();
+        cursor.next_batch(1, &StopPolicy::default()).unwrap();
+        let state = cursor.pause();
+        let side = crate::maintenance::MaintainedSide::new(&c, spec.sides[0].clone())
+            .with_stats(stats.clone());
+        side.insert(b"a_new", b"a", 0.99, Vec::new()).unwrap();
+        assert!(matches!(
+            exec.resume_cursor(state),
+            Err(RankJoinError::StaleCursor { .. })
+        ));
+        assert_eq!(stats.collections(), 0);
     }
 
     #[test]

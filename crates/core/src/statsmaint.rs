@@ -1,14 +1,16 @@
 //! Incremental statistics maintenance: keeping the planner's
 //! [`TableStats`] fresh under the §6 maintained write path.
 //!
-//! The cost-based planners ([`crate::planner`], and
-//! [`crate::multiway::planner`] for wider specs) are only as good as the
-//! statistics behind them — the point Tziavelis et al. (*Ranked
+//! The cost-based planner ([`crate::planner`]) is only as good as the
+//! statistics behind it — the point Tziavelis et al. (*Ranked
 //! Enumeration for Database Queries*; *Optimal Join Algorithms Meet
 //! Top-k*) make for every cost-based ranked-query choice. So the
 //! statistics follow the writes, and one object owns them:
 //! [`SharedTableStats`], one handle per [`JoinSpec`] for every arity (a
-//! binary query's is its two-side spec's).
+//! binary query's is its two-side spec's). Only a binary plan reads the
+//! snapshot; at three or more sides nothing collects it unless asked, but
+//! the handle's version still moves on every maintained write and pins
+//! every cursor.
 //!
 //! * **Deltas.** Every maintained insert/delete is reduced to a
 //!   [`StatsDelta`] — table and columns, join value, score, bytes — and
@@ -530,7 +532,7 @@ pub(crate) mod tests {
 
     /// Writes through `side` (one incident edge) past the bound; the
     /// handle must re-collect. Also run over the three-way path.
-    pub(crate) fn check_crossing_the_bound(c: &Cluster, spec: &JoinSpec, side: usize) {
+    fn check_crossing_the_bound(c: &Cluster, spec: &JoinSpec, side: usize) {
         let h = primed(c, spec.clone());
         let fresh = TableStats::collect(c, spec).unwrap();
         let edge = spec.incident_edges(side).next().unwrap().0;
@@ -561,7 +563,7 @@ pub(crate) mod tests {
     }
 
     /// A delta for a table outside `spec` moves nothing.
-    pub(crate) fn check_foreign_deltas_are_ignored(c: &Cluster, spec: &JoinSpec) {
+    fn check_foreign_deltas_are_ignored(c: &Cluster, spec: &JoinSpec) {
         let h = primed(c, spec.clone());
         let v = h.version();
         let write = delta(spec, 0, DeltaOp::Insert, b"x", 0.5);
@@ -574,7 +576,7 @@ pub(crate) mod tests {
     }
 
     /// `invalidate` drops the snapshot; the next planning call collects.
-    pub(crate) fn check_invalidate_forces_a_fresh_pass(c: &Cluster, spec: &JoinSpec) {
+    fn check_invalidate_forces_a_fresh_pass(c: &Cluster, spec: &JoinSpec) {
         let h = primed(c, spec.clone());
         h.invalidate();
         assert!(h.maintained_stats().is_none());
@@ -663,6 +665,50 @@ pub(crate) mod tests {
     fn invalidate_forces_a_fresh_pass() {
         let (c, q) = running_example_cluster();
         check_invalidate_forces_a_fresh_pass(&c, &q.to_spec());
+    }
+
+    /// The one statistics handle over a three-way spec (writes via end
+    /// side C).
+    mod three_way {
+        use super::*;
+
+        #[test]
+        fn collect_counts_sides_and_edges() {
+            let (c, spec) = three_way_path_cluster(3);
+            let before = c.metrics().snapshot();
+            let stats = TableStats::collect(&c, &spec).unwrap();
+            let after = c.metrics().snapshot();
+            assert_eq!(stats.sides.len(), 3);
+            assert_eq!(stats.sides[0].tuples, 14);
+            assert_eq!(stats.sides[1].tuples, 12);
+            assert_eq!(stats.sides[2].tuples, 13);
+            assert_eq!(stats.edges.len(), 2);
+            for edge in &stats.edges {
+                for distinct in edge.distinct {
+                    assert!((1..=3).contains(&distinct), "values drawn from 3 letters");
+                }
+            }
+            assert_eq!(before.kv_reads, after.kv_reads, "admin path only");
+            assert!(after.admin_kv_reads > before.admin_kv_reads);
+        }
+
+        #[test]
+        fn maintained_deltas_track_and_staleness_bounds() {
+            let (c, spec) = three_way_path_cluster(3);
+            check_crossing_the_bound(&c, &spec, 2);
+        }
+
+        #[test]
+        fn foreign_deltas_are_ignored() {
+            let (c, spec) = three_way_path_cluster(3);
+            check_foreign_deltas_are_ignored(&c, &spec);
+        }
+
+        #[test]
+        fn invalidate_forces_fresh_pass() {
+            let (c, spec) = three_way_path_cluster(3);
+            check_invalidate_forces_a_fresh_pass(&c, &spec);
+        }
     }
 }
 

@@ -57,7 +57,6 @@ use rj_core::error::RankJoinError;
 use rj_core::executor::{Algorithm, RankJoinExecutor};
 use rj_core::result::JoinTuple;
 use rj_core::statsmaint::SharedTableStats;
-use rj_store::cluster::Cluster;
 use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::pool::WorkStealingPool;
 
@@ -175,14 +174,6 @@ pub struct RoundReport {
     pub maintenance_runs: usize,
 }
 
-/// Per-(tenant, backend) execution context: a metrics fork of the base
-/// cluster and an executor clone bound to it. Everything a pool job
-/// needs, shared immutably.
-pub(crate) struct TenantFork {
-    pub cluster: Cluster,
-    pub executor: RankJoinExecutor,
-}
-
 struct BackendState {
     /// The registered executor; mutated only by background rebuilds.
     prototype: Arc<Mutex<RankJoinExecutor>>,
@@ -190,8 +181,11 @@ struct BackendState {
     /// maintained writes, re-preparations and collections bump its
     /// version, which retires the work entry below.
     stats: Arc<SharedTableStats>,
-    /// Lazily created per-tenant execution forks.
-    forks: HashMap<TenantId, Arc<TenantFork>>,
+    /// Lazily created per-tenant execution forks: executor clones, each
+    /// bound to a metrics fork of the base cluster (its
+    /// `engine().cluster()`). Everything a pool job needs, shared
+    /// immutably.
+    forks: HashMap<TenantId, Arc<RankJoinExecutor>>,
     /// The deepest completed answer and the deepest donated cursor state,
     /// at one statistics version.
     work: WorkEntry,
@@ -218,7 +212,7 @@ struct SessPlan {
     /// serves one page, and parks (never coalesces).
     page_size: Option<usize>,
     policy: StopPolicy,
-    fork: Arc<TenantFork>,
+    fork: Arc<RankJoinExecutor>,
 }
 
 /// One backend's dispatch group for a round.
@@ -249,7 +243,7 @@ struct PagedFirst {
     id: u64,
     state: CursorState,
     /// The fork the page ran on — where `next_page` resumes.
-    fork: Arc<TenantFork>,
+    fork: Arc<RankJoinExecutor>,
     results: Vec<JoinTuple>,
     charged: MetricsSnapshot,
 }
@@ -454,8 +448,8 @@ impl RankJoinService {
 
         // Resume and pull off-lock; the version check happens inside the
         // executor's resume.
-        let meter = QueryMeter::start(fork.cluster.metrics());
-        let mut cursor = match fork.executor.resume_cursor(state) {
+        let meter = QueryMeter::start(fork.engine().cluster().metrics());
+        let mut cursor = match fork.resume_cursor(state) {
             Ok(cursor) => cursor,
             Err(e) => {
                 // The resume failed: the session ends, billed the pages
@@ -585,13 +579,6 @@ impl RankJoinService {
         self.lock().clock
     }
 
-    /// Advances the clock to at least `t` — how an open-loop driver
-    /// models idle time between arrivals. Never moves the clock backward.
-    pub fn advance_clock_to(&self, t: f64) {
-        let mut st = self.lock();
-        st.clock = st.clock.max(t);
-    }
-
     /// Snapshot of the service counters.
     pub fn counters(&self) -> ServeCounters {
         self.lock().counters.clone()
@@ -607,7 +594,7 @@ impl RankJoinService {
         let mut total = MetricsSnapshot::default();
         for backend in &st.backends {
             if let Some(fork) = backend.forks.get(&tenant) {
-                total += fork.cluster.metrics().snapshot();
+                total += fork.engine().cluster().metrics().snapshot();
             }
         }
         Ok(total)
@@ -620,7 +607,7 @@ impl RankJoinService {
         let mut total = MetricsSnapshot::default();
         for backend in &st.backends {
             for fork in backend.forks.values() {
-                total += fork.cluster.metrics().snapshot();
+                total += fork.engine().cluster().metrics().snapshot();
             }
         }
         total
@@ -840,7 +827,8 @@ impl RankJoinService {
     /// maintained-statistics contract: past the bound the planner would
     /// re-collect anyway, so the index itself is rebuilt (and statistics
     /// re-collected) in the background instead of letting every query pay
-    /// for drift.
+    /// for drift. Nothing plans from a multi-way spec's handle, so it
+    /// never collects and is never stale.
     fn enqueue_stale_rebuilds(st: &mut ServiceState) {
         for idx in 0..st.backends.len() {
             if st.backends[idx].stats.is_stale() && !st.maintenance.contains(&idx) {
@@ -898,16 +886,14 @@ impl RankJoinService {
         st: &mut ServiceState,
         backend_idx: usize,
         tenant: TenantId,
-    ) -> Result<Arc<TenantFork>, ServeError> {
+    ) -> Result<Arc<RankJoinExecutor>, ServeError> {
         if let Some(fork) = st.backends[backend_idx].forks.get(&tenant) {
             return Ok(Arc::clone(fork));
         }
         let prototype = Arc::clone(&st.backends[backend_idx].prototype);
         let proto = prototype.lock().expect("backend prototype poisoned");
-        let cluster = proto.engine().cluster().fork_metrics();
-        let executor = proto.fork_onto(&cluster)?;
+        let fork = Arc::new(proto.fork_onto(&proto.engine().cluster().fork_metrics())?);
         drop(proto);
-        let fork = Arc::new(TenantFork { cluster, executor });
         st.backends[backend_idx]
             .forks
             .insert(tenant, Arc::clone(&fork));
@@ -1066,10 +1052,12 @@ fn execute_one(
     donor: Option<&CursorState>,
 ) -> (SessFinal, Option<CursorState>, u64) {
     let fork = &sess.fork;
-    let meter = QueryMeter::start(fork.cluster.metrics());
+    let meter = QueryMeter::start(fork.engine().cluster().metrics());
     let opened = match donor {
-        Some(state) => state.clone().resume_retargeted(&fork.cluster, sess.k),
-        None => fork.executor.open_cursor(Algorithm::Isl, sess.k),
+        Some(state) => state
+            .clone()
+            .resume_retargeted(fork.engine().cluster(), sess.k),
+        None => fork.open_cursor(Algorithm::Isl, sess.k),
     };
     let mut cursor = match opened {
         Ok(cursor) => cursor,
@@ -1146,7 +1134,7 @@ fn page_outcome(stopped: Option<StopReason>, finished: bool) -> Option<SessionOu
 fn execute_first_page(sess: &SessPlan, page_size: usize, out: &mut GroupOutput) {
     let fork = &sess.fork;
     let page = page_size.min(sess.k).max(1);
-    let meter = QueryMeter::start(fork.cluster.metrics());
+    let meter = QueryMeter::start(fork.engine().cluster().metrics());
     let fail = |charged: MetricsSnapshot, message: String, out: &mut GroupOutput| {
         out.finals.push(SessFinal {
             id: sess.id,
@@ -1156,7 +1144,7 @@ fn execute_first_page(sess: &SessPlan, page_size: usize, out: &mut GroupOutput) 
             served_by: ServedBy::Execution,
         });
     };
-    let mut cursor = match fork.executor.open_cursor(Algorithm::Isl, sess.k) {
+    let mut cursor = match fork.open_cursor(Algorithm::Isl, sess.k) {
         Ok(cursor) => cursor,
         Err(e) => {
             let charged = meter.finish();

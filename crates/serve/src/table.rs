@@ -36,12 +36,12 @@ use std::sync::Arc;
 
 use rj_core::cancel::{CancelToken, StopPolicy};
 use rj_core::cursor::CursorState;
+use rj_core::executor::RankJoinExecutor;
 use rj_core::result::JoinTuple;
 use rj_store::metrics::MetricsSnapshot;
 
 use crate::error::ServeError;
 use crate::service::BackendId;
-use crate::service::TenantFork;
 use crate::session::{SessionResult, SubmitOptions};
 use crate::tenant::TenantId;
 
@@ -74,7 +74,7 @@ pub(crate) struct PagedSession {
     /// The paused execution (stats-version pinned at open).
     pub state: CursorState,
     /// The session's execution fork — `next_page` resumes here.
-    pub fork: Arc<TenantFork>,
+    pub fork: Arc<RankJoinExecutor>,
     /// All results certified so far, rank order, across pages.
     pub results: Arc<Vec<JoinTuple>>,
     /// Total charge across the pages served so far (billed to the tenant
@@ -323,7 +323,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use proptest::prelude::*;
-    use rj_core::executor::RankJoinExecutor;
     use rj_core::query::{JoinSide, RankJoinQuery};
     use rj_core::score::ScoreFn;
     use rj_store::cluster::Cluster;
@@ -333,7 +332,7 @@ mod tests {
     use crate::session::{ServedBy, SessionOutcome};
 
     /// A parked cursor over a four-row join — what `park` is handed.
-    fn parked_cursor() -> (CursorState, Arc<TenantFork>) {
+    fn parked_cursor() -> (CursorState, Arc<RankJoinExecutor>) {
         let cluster = Cluster::new(1, CostModel::test());
         for table in ["l", "r"] {
             cluster.create_table(table, &["d"]).unwrap();
@@ -368,7 +367,7 @@ mod tests {
             .open_cursor(rj_core::executor::Algorithm::Isl, 4)
             .unwrap()
             .pause();
-        (state, Arc::new(TenantFork { cluster, executor }))
+        (state, Arc::new(executor))
     }
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -930,6 +930,55 @@ fn spec_backend_serves_three_way_sessions() {
     assert_eq!(r2.charged.kv_reads, 0);
 }
 
+/// Nothing plans from a three-way backend's statistics, so nothing
+/// collects them: churn past the staleness bound leaves the handle
+/// un-primed and enqueues no rebuild, and the maintained writes are still
+/// served (the version they move retires the cached answer).
+#[test]
+fn a_three_way_backend_past_the_bound_enqueues_no_rebuild() {
+    let (c, spec) = three_way_fixture();
+    let mut exec = SpecExecutor::new(&c, spec.clone());
+    exec.prepare().unwrap();
+    let stats = exec.stats_handle();
+    let side = rj_core::maintenance::MaintainedSide::new(&c, spec.sides[0].clone())
+        .with_isl(exec.isl_table().unwrap())
+        .with_stats(stats.clone());
+    let service = RankJoinService::new(test_config());
+    let backend = service.register_backend(exec).unwrap();
+    let tenant = service.register_tenant("acme", 1.0).unwrap();
+    let topk = |k| {
+        let id = service
+            .submit(tenant, backend, SubmitOptions::topk(k))
+            .unwrap();
+        service.run_until_idle().unwrap();
+        done(&service, id)
+    };
+    assert_eq!(
+        *topk(5).results,
+        rj_core::oracle::topk_spec(&c, &spec.with_k(5)).unwrap()
+    );
+
+    // 4 of side A's 18 tuples (22%, past the 10% bound).
+    for i in 0..4u32 {
+        let key = format!("ta_new_{i}");
+        side.insert(key.as_bytes(), b"a", 0.9 + f64::from(i) * 0.02, vec![])
+            .unwrap();
+    }
+    let after = topk(5);
+    service.run_round().unwrap();
+    let counters = service.counters();
+    assert_eq!(counters.staleness_rebuilds, 0);
+    assert_eq!(counters.maintenance_runs, 0);
+    assert!(!stats.is_stale());
+    assert_eq!(stats.collections(), 0);
+    assert_eq!(after.outcome, SessionOutcome::Complete);
+    assert_eq!(after.served_by, ServedBy::Execution);
+    assert_eq!(
+        *after.results,
+        rj_core::oracle::topk_spec(&c, &spec.with_k(5)).unwrap()
+    );
+}
+
 #[test]
 fn three_way_spec_never_aliases_its_binary_prefix() {
     let (c, spec) = three_way_fixture();

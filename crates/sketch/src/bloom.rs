@@ -162,11 +162,6 @@ impl ClassicBloom {
     pub fn k(&self) -> u32 {
         self.k
     }
-
-    /// Empirical false-positive probability estimate `(ones/m)^k`.
-    pub fn fpp_estimate(&self) -> f64 {
-        (self.bits.count_ones() as f64 / self.bits.len() as f64).powi(self.k as i32)
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The DRJN comparator's statistical structure: a 2-D equi-width histogram.
+//! The join-value partitioning of the DRJN comparator's 2-D histogram.
 //!
 //! Doulkeridis et al. (ICDE 2012, the paper's reference `[8]`) keep, per join
 //! value, a histogram on the score axis. Because one bucket per distinct
@@ -6,127 +6,18 @@
 //! partitions under a uniform-frequency assumption. The paper's §7.1
 //! adaptation stores all buckets for one score range as the columns of a
 //! single row, so the querying node retrieves a complete batch of buckets
-//! with a single `Get`. This module provides the in-memory matrix plus the
-//! per-row wire format used by that adaptation.
+//! with a single `Get`; `rj_core::drjn` builds and reads those rows. This
+//! module provides the stable join-value → partition mapping they share.
 
 use crate::hash::{hash_bytes, reduce};
-use crate::histogram::ScoreHistogram;
 
 /// Seed for the join-value → partition mapping. Persisted layout; fixed.
 const DRJN_SEED: u64 = 0x5eed_0d12;
 
 /// Join partition of a value given a partition count — the stable mapping
-/// shared by index builders and the in-memory matrix.
+/// every DRJN index build and read shares.
 pub fn partition_for(join_value: &[u8], num_partitions: u32) -> u32 {
     reduce(hash_bytes(DRJN_SEED, join_value), num_partitions as usize) as u32
-}
-
-/// A `score-buckets × join-partitions` matrix of tuple counts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DrjnHistogram {
-    score_hist: ScoreHistogram,
-    num_partitions: u32,
-    /// Row-major counts: `counts[score_bucket * num_partitions + partition]`.
-    counts: Vec<u64>,
-}
-
-impl DrjnHistogram {
-    /// Creates an empty matrix.
-    pub fn new(num_score_buckets: u32, num_partitions: u32) -> Self {
-        assert!(num_partitions > 0, "need at least one join partition");
-        DrjnHistogram {
-            score_hist: ScoreHistogram::new(num_score_buckets),
-            num_partitions,
-            counts: vec![0; num_score_buckets as usize * num_partitions as usize],
-        }
-    }
-
-    /// Number of score buckets.
-    pub fn num_score_buckets(&self) -> u32 {
-        self.score_hist.num_buckets()
-    }
-
-    /// Number of join-value partitions.
-    pub fn num_partitions(&self) -> u32 {
-        self.num_partitions
-    }
-
-    /// The score-axis histogram (bucket 0 = highest scores).
-    pub fn score_hist(&self) -> &ScoreHistogram {
-        &self.score_hist
-    }
-
-    /// Join partition for a join value.
-    pub fn partition_of(&self, join_value: &[u8]) -> u32 {
-        partition_for(join_value, self.num_partitions)
-    }
-
-    /// Records one tuple.
-    pub fn add(&mut self, join_value: &[u8], score: f64) {
-        let b = self.score_hist.bucket_of(score) as usize;
-        let p = self.partition_of(join_value) as usize;
-        self.counts[b * self.num_partitions as usize + p] += 1;
-    }
-
-    /// Removes one tuple (refresh-set deletes); saturates at zero.
-    pub fn remove(&mut self, join_value: &[u8], score: f64) {
-        let b = self.score_hist.bucket_of(score) as usize;
-        let p = self.partition_of(join_value) as usize;
-        let c = &mut self.counts[b * self.num_partitions as usize + p];
-        *c = c.saturating_sub(1);
-    }
-
-    /// Counts for one score bucket (a "row" in the §7.1 storage layout).
-    pub fn row(&self, score_bucket: u32) -> &[u64] {
-        let p = self.num_partitions as usize;
-        let b = score_bucket as usize;
-        &self.counts[b * p..(b + 1) * p]
-    }
-
-    /// Total tuples recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Estimated join cardinality between one of our score rows and one of
-    /// `other`'s: matching partitions contribute the product of counts
-    /// (uniform-frequency assumption within a partition).
-    pub fn estimate_row_join(
-        &self,
-        my_bucket: u32,
-        other: &DrjnHistogram,
-        other_bucket: u32,
-    ) -> f64 {
-        assert_eq!(
-            self.num_partitions, other.num_partitions,
-            "DRJN join requires equal partition counts"
-        );
-        self.row(my_bucket)
-            .iter()
-            .zip(other.row(other_bucket))
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum()
-    }
-
-    /// Serializes one score-bucket row (count per partition, u64 BE).
-    pub fn encode_row(&self, score_bucket: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.num_partitions as usize * 8);
-        for &c in self.row(score_bucket) {
-            out.extend_from_slice(&c.to_be_bytes());
-        }
-        out
-    }
-
-    /// Decodes a row produced by [`DrjnHistogram::encode_row`].
-    pub fn decode_row(bytes: &[u8]) -> Result<Vec<u64>, &'static str> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err("DRJN row length not a multiple of 8");
-        }
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("8")))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -134,70 +25,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_lands_in_expected_cell() {
-        let mut h = DrjnHistogram::new(10, 4);
-        h.add(b"k1", 0.95);
-        let p = h.partition_of(b"k1");
-        assert_eq!(h.row(0)[p as usize], 1);
-        assert_eq!(h.total(), 1);
-    }
-
-    #[test]
-    fn remove_undoes_add() {
-        let mut h = DrjnHistogram::new(10, 4);
-        h.add(b"k1", 0.5);
-        h.remove(b"k1", 0.5);
-        assert_eq!(h.total(), 0);
-        h.remove(b"k1", 0.5); // saturates
-        assert_eq!(h.total(), 0);
-    }
-
-    #[test]
-    fn row_join_estimates_products() {
-        let mut a = DrjnHistogram::new(2, 8);
-        let mut b = DrjnHistogram::new(2, 8);
-        // Same join value → same partition in both histograms.
-        for _ in 0..3 {
-            a.add(b"x", 0.9);
-        }
-        for _ in 0..5 {
-            b.add(b"x", 0.9);
-        }
-        b.add(b"unrelated-y", 0.9);
-        let est = a.estimate_row_join(0, &b, 0);
-        // 3*5 from partition(x); the unrelated value may or may not share
-        // the partition — estimate is at least 15.
-        assert!(est >= 15.0);
-    }
-
-    #[test]
-    fn disjoint_partitions_estimate_zero() {
-        let mut a = DrjnHistogram::new(1, 1024);
-        let mut b = DrjnHistogram::new(1, 1024);
-        a.add(b"only-in-a", 0.5);
-        b.add(b"only-in-b", 0.5);
-        // With 1024 partitions and 2 values a collision is unlikely but
-        // possible; accept either 0 or 1 product, never more.
-        assert!(a.estimate_row_join(0, &b, 0) <= 1.0);
-    }
-
-    #[test]
-    fn row_encode_decode_roundtrip() {
-        let mut h = DrjnHistogram::new(3, 5);
-        for (i, score) in [(0u64, 0.95), (1, 0.91), (2, 0.5), (3, 0.1)] {
-            h.add(&i.to_be_bytes(), score);
-        }
-        for b in 0..3 {
-            let bytes = h.encode_row(b);
-            assert_eq!(DrjnHistogram::decode_row(&bytes).unwrap(), h.row(b));
-        }
-        assert!(DrjnHistogram::decode_row(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
     fn partition_is_deterministic() {
-        let h1 = DrjnHistogram::new(4, 100);
-        let h2 = DrjnHistogram::new(9, 100);
-        assert_eq!(h1.partition_of(b"key"), h2.partition_of(b"key"));
+        let p = partition_for(b"key", 100);
+        assert!(p < 100);
+        assert_eq!(partition_for(b"key", 100), p);
     }
 }

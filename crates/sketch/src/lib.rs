@@ -19,8 +19,9 @@
 //!   value in the NoSQL store,
 //! * [`histogram::ScoreHistogram`] — the first-level equi-width histogram on
 //!   the score axis,
-//! * [`hist2d::DrjnHistogram`] — the 2-D equi-width histogram used by the
-//!   DRJN comparator (Doulkeridis et al., ICDE 2012) as adapted in §7.1,
+//! * [`hist2d::partition_for`] — the join-value partitioning of the 2-D
+//!   equi-width histogram of the DRJN comparator (Doulkeridis et al., ICDE
+//!   2012) as adapted in §7.1,
 //! * [`flatmap::FlatMultiMap`] — the flat open-addressed multimap backing
 //!   the rank-join hot loops (HRJN seen-tuples, BFHM reverse-row cache).
 //!
@@ -45,6 +46,5 @@ pub use bitvec::BitVec;
 pub use blob::{BfhmBlob, BlobCodec};
 pub use bloom::{ClassicBloom, SingleHashBloom};
 pub use flatmap::FlatMultiMap;
-pub use hist2d::DrjnHistogram;
 pub use histogram::ScoreHistogram;
 pub use hybrid::HybridFilter;

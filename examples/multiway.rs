@@ -5,9 +5,9 @@
 //! and walks the full pipeline:
 //!
 //! 1. build the multiway score index and run the one-shot top-k;
-//! 2. show the planner's per-side access choice (descend vs. materialize
-//!    per side) and force the all-descend plan for comparison, metering
-//!    both;
+//! 2. show the default per-side access (every side descends its score
+//!    index) and force a materialization of the interior side for
+//!    comparison, metering both;
 //! 3. page the same answer through a pause/resume cursor — which
 //!    charges exactly the one-shot reads;
 //! 4. run the two-side degenerate spec next to the binary ISL executor
@@ -90,18 +90,20 @@ fn main() {
         );
     }
 
-    // -- 2. the planner's per-side access choice ------------------------
+    // -- 2. the default access vs. a materialized interior side ---------
     let access = executor.plan_access(k).unwrap();
-    println!("\nplanner access choice: {access:?}");
-    let auto_reads = reads_of(&cluster, || {
+    println!("\ndefault access: {access:?}");
+    let default_reads = reads_of(&cluster, || {
         executor.execute().unwrap();
     });
     let mut forced = executor.fork_onto(&cluster).unwrap();
-    forced.access_override = Some(vec![SideAccess::Descend; spec.n()]);
+    let mut interior = vec![SideAccess::Descend; spec.n()];
+    interior[1] = SideAccess::Materialize;
+    forced.access_override = Some(interior);
     let forced_reads = reads_of(&cluster, || {
         forced.execute().unwrap();
     });
-    println!("planner plan: {auto_reads} KV reads, forced all-descend: {forced_reads}");
+    println!("default: {default_reads} KV reads, showings materialized: {forced_reads}");
 
     // -- 3. paging through a pause/resume cursor ------------------------
     let paged_reads = reads_of(&cluster, || {
@@ -120,7 +122,7 @@ fn main() {
         }
         println!("\ncursor paging: {got} results over {pages} pages");
     });
-    println!("paged reads: {paged_reads} (one-shot paid {auto_reads})");
+    println!("paged reads: {paged_reads} (one-shot paid {default_reads})");
 
     // -- 4. the two-side degenerate form is the binary executor ---------
     let q = rankjoin::RankJoinQuery::new(

@@ -29,7 +29,8 @@ use rankjoin::core::oracle;
 use rankjoin::store::metrics::MetricsSnapshot;
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinSide, JoinSpec,
-    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, SpecExecutor, StopPolicy,
+    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, SideAccess, SpecExecutor,
+    StopPolicy,
 };
 
 /// Loads two relations and returns the top-k sum query over them.
@@ -615,7 +616,9 @@ fn stop_pages(fork: &Cluster, mut cursor: Box<dyn RankedCursor>, stop: &StopPoli
 }
 
 /// The golden of where a stop fires: ISL (batches), BFHM (steps), DRJN
-/// (rounds), a 3-way path and an ISL pair it exhausts, under
+/// (rounds), a 3-way path (with its first side materialized, the access
+/// it was recorded under, and with every side descended, the default)
+/// and an ISL pair it exhausts, under
 /// `cancel_after_batches` 1 and 2 and a deadline at half the one-shot's
 /// simulated seconds. Every page's result count, `done`, `stopped` and
 /// charge is pinned: a change to how a run is paged, metered or stopped
@@ -636,19 +639,22 @@ fn stop_boundaries_fire_exactly_where_recorded() {
     let mut path = SpecExecutor::new(&path_cluster, spec);
     path.isl_config = IslConfig::uniform(3);
     path.prepare().unwrap();
-    let _ = path.plan_access(k).unwrap();
 
     let mut got = Vec::new();
-    for run in ["ISL", "BFHM", "DRJN", "PATH3", "ISL TINY"] {
+    for run in ["ISL", "BFHM", "DRJN", "PATH3", "PATH3 DESCEND", "ISL TINY"] {
         let algorithm = match run {
             "BFHM" => Algorithm::Bfhm,
             "DRJN" => Algorithm::Drjn,
             _ => Algorithm::Isl,
         };
         let fresh = || match run {
-            "PATH3" => {
+            "PATH3" | "PATH3 DESCEND" => {
                 let fork = path_cluster.fork_metrics();
-                let ex = path.fork_onto(&fork).unwrap();
+                let mut ex = path.fork_onto(&fork).unwrap();
+                if run == "PATH3" {
+                    use SideAccess::{Descend, Materialize};
+                    ex.access_override = Some(vec![Materialize, Descend, Descend]);
+                }
                 (fork, RankJoinExecutor::from(ex))
             }
             "ISL TINY" => {
@@ -684,7 +690,8 @@ fn stop_boundaries_fire_exactly_where_recorded() {
             got.extend(stop_pages(&fork, cursor, &stop));
         }
     }
-    // Recorded before the three cursors became one.
+    // Recorded before the three cursors became one; the PATH3 DESCEND
+    // lines when every side became the default descent at every arity.
     let golden = [
         "ISL after 1",
         "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
@@ -749,6 +756,22 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
         "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
         "1 true None 0 0 0 0",
+        "PATH3 DESCEND after 1",
+        "0 false Some(Cancelled) 4 4 152 3ed0c6f7a0b5ed8d",
+        "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8e",
+        "3 false None 9 5 357 3ed4f8b588e368f0",
+        "3 false None 0 0 0 0",
+        "2 true None 8 7 319 3edd5c31593e5fb8",
+        "PATH3 DESCEND after 2",
+        "0 false Some(Cancelled) 8 6 324 3ed92a737110e454",
+        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8c",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
+        "3 false None 8 7 319 3edd5c31593e5fb8",
+        "1 true None 0 0 0 0",
+        "PATH3 DESCEND deadline",
+        "2 false Some(DeadlineExpired) 14 9 552 3ee2dfd694ccab3f",
+        "3 false Some(DeadlineExpired) 3 2 129 3ec0c6f7a0b5ed8c",
+        "3 true None 8 7 319 3edd5c31593e5fb8",
         "ISL TINY after 1",
         "0 false Some(Cancelled) 2 6 70 3ed92a737110e454",
         "2 true None 2 6 70 3ed92a737110e454",

@@ -4,8 +4,8 @@
 //!   data, at batches of 1–3 rows over sides of up to 39 rows (so the
 //!   descent's pull order decides which side is read when), are
 //!   rank-equivalent to the exhaustive N-ary oracle under every access
-//!   plan — the planner's own choice, forced all-descend, and a forced
-//!   materialization — and an *arbitrary* interleaving of `next_batch`
+//!   plan — the default (every side descends), the same descent forced
+//!   through the override, and a forced materialization — and an *arbitrary* interleaving of `next_batch`
 //!   pulls, pause/resume round-trips, and resumes on a different
 //!   executor fork charges exactly the one-shot run's ledger (`kv_reads`,
 //!   `rpc_calls`, `network_bytes`).
@@ -186,7 +186,7 @@ proptest! {
     })]
 
     /// 3- and 4-way path and star specs on arbitrary data: every access
-    /// plan (planner's choice, forced all-descend, forced
+    /// plan (the default all-descend, the same forced, a forced
     /// materialization) is rank-equivalent to the exhaustive oracle, and
     /// an arbitrary pull/pause/resume/refork schedule charges exactly the
     /// one-shot run's ledger.
@@ -197,9 +197,6 @@ proptest! {
             let mut proto = SpecExecutor::new(&cluster, spec.clone());
             proto.isl_config = IslConfig::uniform(s.batch);
             proto.prepare().unwrap();
-            // Prime the statistics snapshot so no fork pays an
-            // asymmetric collection pass.
-            proto.plan_access(s.k).unwrap();
 
             let want = oracle::topk_spec(&cluster, &spec).unwrap();
             let all = oracle::full_join_spec(&cluster, &spec).unwrap();
