@@ -277,27 +277,14 @@ pub fn run_updates(scale_factor: f64, target_mutations: usize) -> Vec<Table> {
     // Query with eager write-back (the paper's worst case): reconstruct
     // pending buckets at the start of query processing and write them
     // back inline.
-    let eager_outcome = rj_core::bfhm::run(
-        &updated.cluster,
-        &query,
-        &bfhm_table,
-        &BfhmConfig::with_buckets(updated.config.bfhm_buckets),
-        WriteBackPolicy::Eager,
-    )
-    .expect("eager bfhm query");
+    updated.executor_mut(QuerySpec::Q2).write_back = WriteBackPolicy::Eager;
+    let eager_outcome = updated.run(QuerySpec::Q2, Algorithm::Bfhm, k);
     // Correctness under updates.
     let want = oracle::topk(&updated.cluster, &query).expect("oracle");
     assert_eq!(eager_outcome.results, want, "BFHM wrong after updates");
 
     // Second query: records now compacted — overhead should vanish.
-    let compacted_outcome = rj_core::bfhm::run(
-        &updated.cluster,
-        &query,
-        &bfhm_table,
-        &BfhmConfig::with_buckets(updated.config.bfhm_buckets),
-        WriteBackPolicy::Eager,
-    )
-    .expect("compacted bfhm query");
+    let compacted_outcome = updated.run(QuerySpec::Q2, Algorithm::Bfhm, k);
 
     let overhead = |t: f64| -> String {
         format!(

@@ -326,10 +326,9 @@ impl BfhmMaintainer {
 mod tests {
     use super::*;
     use crate::bfhm::{self, BfhmConfig};
-    use crate::cursor::{CursorMeta, StepCursor};
+    use crate::executor::Algorithm;
     use crate::oracle;
-    use crate::spare::Spares;
-    use crate::testsupport::running_example_cluster;
+    use crate::testsupport::{bfhm_executor, bfhm_run, running_example_cluster};
     use rj_mapreduce::MapReduceEngine;
 
     fn build(c: &Cluster, q: &crate::query::RankJoinQuery) -> BfhmConfig {
@@ -380,7 +379,7 @@ mod tests {
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
         insert_record(&maintainer, b"r2_99", b"b", 0.99, ts);
 
-        let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
+        let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
         assert!((got.results[0].score - 1.81).abs() < 1e-9, "0.82 + 0.99");
     }
@@ -406,7 +405,7 @@ mod tests {
             .record_delete(&Bytes::from_static(b"r2_11"), b"b", 0.92, ts)
             .unwrap();
 
-        let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
+        let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
         assert!((got.results[0].score - 1.73).abs() < 1e-9, "0.82 + 0.91");
     }
@@ -430,7 +429,7 @@ mod tests {
         insert_record(&maintainer, b"r2_99", b"b", 0.99, ts);
 
         // Eager query: reconstructs + writes back bucket 0 of R2.
-        let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
+        let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
 
         // Record purged; blob reflects the insert.
@@ -455,7 +454,6 @@ mod tests {
     #[test]
     fn lazy_write_back_lands_on_the_cursor_page_that_is_done() {
         use crate::cancel::StopPolicy;
-        use crate::cursor::RankedCursor;
         let (c, q) = running_example_cluster();
         let config = build(&c, &q);
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
@@ -465,11 +463,8 @@ mod tests {
         side.insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
         assert_eq!(bucket_row_cost(&c, "R2", 0).0, 1);
 
-        let query = std::sync::Arc::new(q.clone());
-        let policy = WriteBackPolicy::Lazy;
-        let meta = CursorMeta::new(1, None, Spares::default());
-        let core = bfhm::BfhmCore::open(&c, &query, meta, "bfhm_idx", &config, policy).unwrap();
-        let mut cursor = StepCursor::new(&c, core);
+        let ex = bfhm_executor(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Lazy).unwrap();
+        let mut cursor = ex.open_cursor(Algorithm::Bfhm, 1).unwrap();
         let page = cursor.next_batch(1, &StopPolicy::never()).unwrap();
         assert!(page.done);
         assert_eq!(page.results, oracle::topk(&c, &q.with_k(1)).unwrap());
@@ -487,7 +482,6 @@ mod tests {
     #[test]
     fn a_lazy_write_back_bills_one_get_and_one_write_for_the_side_it_resolved() {
         use crate::cancel::StopPolicy;
-        use crate::cursor::RankedCursor;
         let (c, q) = running_example_cluster();
         let config = build(&c, &q);
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
@@ -498,11 +492,9 @@ mod tests {
         let (pending, row_reads) = bucket_row_cost(&c, "R2", 0);
         assert_eq!(pending, 1);
 
-        let query = std::sync::Arc::new(q.clone());
         let open = |policy| {
-            let meta = CursorMeta::new(1, None, Spares::default());
-            let core = bfhm::BfhmCore::open(&c, &query, meta, "bfhm_idx", &config, policy);
-            StepCursor::new(&c, core.unwrap())
+            let ex = bfhm_executor(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            ex.open_cursor(Algorithm::Bfhm, 1).unwrap()
         };
         let never = StopPolicy::never();
         // The same read without a write-back, then with the lazy one.
@@ -569,7 +561,7 @@ mod tests {
             .unwrap();
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
         insert_record(&maintainer, b"r2_88", b"a", 0.85, ts);
-        let got = bfhm::run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
+        let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
         // a-join: r1_10 (1.00) × r2_88 (0.85) = 1.85 is the new top.
         assert!((got.results[0].score - 1.85).abs() < 1e-9);
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
@@ -619,7 +611,7 @@ mod tests {
             assert_eq!(bucket_row_cost(&c, "R2", 1), (2, 2), "{policy:?}");
 
             let want = oracle::topk(&c, &q).unwrap();
-            let got = bfhm::run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            let got = bfhm_run(&c, &q, "bfhm_idx", &config, policy).unwrap();
             assert_eq!(got.results, want, "{policy:?}");
             if policy == WriteBackPolicy::Off {
                 // The offline sweep is this policy's write-back.
@@ -637,7 +629,7 @@ mod tests {
             }
             side.insert(b"r2_89", b"zz", 0.86, vec![]).unwrap();
             assert_eq!(bucket_row_cost(&c, "R2", 1), (1, 1), "{policy:?}");
-            let again = bfhm::run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            let again = bfhm_run(&c, &q, "bfhm_idx", &config, policy).unwrap();
             assert_eq!(again.results, want, "{policy:?}: `zz` joins nothing");
             assert!(
                 again.metrics.kv_reads < got.metrics.kv_reads,

@@ -30,8 +30,7 @@ pub mod maintenance;
 mod query;
 
 pub use index::{build_pair, index_table_name, BfhmBuildStats};
-pub use query::run;
-pub(crate) use query::{run_shared, BfhmBuffers, BfhmCore};
+pub(crate) use query::{BfhmBuffers, BfhmCore};
 
 use rj_sketch::blob::BlobCodec;
 use rj_sketch::hybrid::AlphaMode;

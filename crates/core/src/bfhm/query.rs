@@ -1,16 +1,16 @@
 //! BFHM query processing (paper §5.2, Algorithms 6–7) with the §5.3
 //! recall-guarantee loop.
 //!
-//! The driver is an owned *step machine* ([`BfhmCore`]): every
-//! [`BfhmCore::advance`] call performs one bounded unit of work — one
-//! bucket probe + estimate join, one materialization sweep, one
-//! re-examination iteration — and the machine's whole position is plain
-//! data. The one-shot entry points ([`run`] and [`run_shared`]) drain the
-//! machine until the guarantee loop ends; a cursor is the machine behind
-//! the crate's one cursor ([`crate::cursor`]'s `StepCursor`, through the
-//! `Step` trait), which pumps the *same* steps on demand, one step per
-//! stop-policy boundary. That is what makes any pause/resume schedule
-//! result- and metric-equivalent to the one-shot run by construction.
+//! The driver is an owned *step machine* ([`BfhmCore`]): every step
+//! (its `Step::step`) performs one bounded unit of work — one bucket
+//! probe + estimate join, one materialization sweep, one re-examination
+//! iteration — and the machine's whole position is plain data. It runs
+//! behind the crate's one cursor ([`crate::cursor`]'s `StepCursor`),
+//! which pumps the steps on demand, one step per stop-policy boundary;
+//! the one-shot run is that cursor drained in one pull, stopping as soon
+//! as all `k` results are certified. That is what makes any pause/resume
+//! schedule result- and metric-equivalent to the one-shot run by
+//! construction.
 //!
 //! A run keeps ids, not copies. Every fetched tuple is held once, in the
 //! reverse-row cache's columns ([`ReverseStore`]); an [`Estimate`] is a
@@ -26,7 +26,7 @@ use rj_sketch::histogram::ScoreHistogram;
 use rj_sketch::FlatMultiMap;
 use rj_store::client::{Client, Projection};
 use rj_store::cluster::Cluster;
-use rj_store::metrics::{MetricsSnapshot, QueryMeter};
+use rj_store::metrics::QueryMeter;
 use rj_store::row::RowBatch;
 
 use crate::codec;
@@ -34,8 +34,7 @@ use crate::cursor::{CursorMeta, StateInner, Step};
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
-use crate::spare::Spares;
-use crate::stats::{Extras, QueryOutcome};
+use crate::stats::Extras;
 
 use super::index::{blob_row_key, meta_of, reverse_row_key, META_ROW};
 use super::maintenance::{refresh_bucket, resolve_bucket_row, write_back_bucket, WriteBackPolicy};
@@ -302,12 +301,12 @@ enum Phase {
     Done,
 }
 
-/// The full position of a BFHM execution between two
-/// [`BfhmCore::advance`] steps — plain owned data (blobs, estimates, the
-/// reverse-row cache, the running top-k of its ids, phase + counters),
-/// detachable into a [`crate::cursor::CursorState`] and resumable on any
-/// cluster handle over the same index. Its buffers come from its
-/// executor's spares and go back there when it drops ([`crate::spare`]).
+/// The full position of a BFHM execution between two steps — plain
+/// owned data (blobs, estimates, the reverse-row cache, the running
+/// top-k of its ids, phase + counters), detachable into a
+/// [`crate::cursor::CursorState`] and resumable on any cluster handle
+/// over the same index. Its buffers come from its executor's spares and
+/// go back there when it drops ([`crate::spare`]).
 #[derive(Clone)]
 pub(crate) struct BfhmCore {
     /// Cursor bookkeeping (target k, emitted count, cumulative charge,
@@ -375,8 +374,7 @@ impl BfhmCore {
     /// A machine for the top `meta.k` of `query` (whose own `k` is not
     /// read) over a previously built BFHM index pair, its buffers taken
     /// from and given back to `meta.spares`. The index metadata read is
-    /// charged to `meta.charged` (it is part of the one-shot run's metered
-    /// cost).
+    /// charged to `meta.charged`, so the run bills it with its steps.
     pub(crate) fn open(
         cluster: &Cluster,
         query: &Arc<RankJoinQuery>,
@@ -689,9 +687,9 @@ impl BfhmCore {
 
     /// Conservative bound on anything not yet in `results`: the best
     /// non-materialized estimate and any unexamined bucket combination.
-    /// Non-increasing across [`BfhmCore::advance`] steps — new estimates
-    /// are bounded by the prior unexamined bound — which is what lets a
-    /// cursor emit everything strictly above it as final.
+    /// Non-increasing across steps — new estimates are bounded by the
+    /// prior unexamined bound — which is what lets a cursor emit
+    /// everything strictly above it as final.
     fn threat_bound(&self) -> f64 {
         let est = self
             .estimates
@@ -702,12 +700,31 @@ impl BfhmCore {
         est.max(self.unexamined_bound(true))
     }
 
+    /// Flushes pending lazy write-backs (idempotent): each `(side,
+    /// bucket)` the run resolved is re-read and compacted once, with the
+    /// run's `m`. A write-back that fails stays pending, with every one
+    /// after it.
+    fn flush_lazy_write_backs(&mut self, cluster: &Cluster) -> Result<()> {
+        while let Some(&(side, bucket)) = self.pending_write_backs.first() {
+            let label = side_label(&self.query, side);
+            let (m, codec) = (self.m, self.config.codec);
+            refresh_bucket(cluster, self.table(), label, bucket, m, codec, 1)?;
+            self.pending_write_backs.remove(0);
+        }
+        Ok(())
+    }
+}
+
+/// The guarantee loop behind the one cursor: it emits only results
+/// strictly above the machine's threat bound, which is non-increasing
+/// across steps, so an emitted result can never be displaced or preceded
+/// by later work.
+impl Step for BfhmCore {
     /// Performs one bounded step of the §5.3 guarantee loop and returns
-    /// whether the machine still has work. Stringing `advance` calls
-    /// together performs exactly the fetches of the old run-to-completion
-    /// loop, in the same order — the phases are its loop structure made
-    /// explicit.
-    fn advance(&mut self, cluster: &Cluster) -> Result<bool> {
+    /// whether the machine still has work. Stringing steps together
+    /// performs the fetches of the nested run-to-completion loops, in the
+    /// same order — the phases are their loop structure made explicit.
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
         let k = self.meta.k;
         self.steps += 1;
         match self.phase {
@@ -816,45 +833,6 @@ impl BfhmCore {
         Ok(!done)
     }
 
-    /// Flushes pending lazy write-backs (idempotent): each `(side,
-    /// bucket)` the run resolved is re-read and compacted once, with the
-    /// run's `m`. A write-back that fails stays pending, with every one
-    /// after it.
-    fn flush_lazy_write_backs(&mut self, cluster: &Cluster) -> Result<()> {
-        while let Some(&(side, bucket)) = self.pending_write_backs.first() {
-            let label = side_label(&self.query, side);
-            let (m, codec) = (self.m, self.config.codec);
-            refresh_bucket(cluster, self.table(), label, bucket, m, codec, 1)?;
-            self.pending_write_backs.remove(0);
-        }
-        Ok(())
-    }
-
-    fn finish(mut self, cluster: &Cluster, meter: QueryMeter) -> Result<QueryOutcome> {
-        self.flush_lazy_write_backs(cluster)?;
-        let [left, right] = &self.sides;
-        Ok(QueryOutcome {
-            extras: Extras::Bfhm {
-                buckets_fetched: (left.fetched.len() + right.fetched.len()) as u64,
-                bucket_gets: left.bucket_gets + right.bucket_gets,
-                estimates: self.estimates.len() as u64,
-                reverse_rows_fetched: self.reverse.cells_fetched(),
-                rounds: self.rounds,
-            },
-            ..QueryOutcome::new("BFHM", self.results(0..self.results.len()), meter.finish())
-        })
-    }
-}
-
-/// The guarantee loop behind the one cursor: it emits only results
-/// strictly above the machine's threat bound, which is non-increasing
-/// across steps, so an emitted result can never be displaced or preceded
-/// by later work.
-impl Step for BfhmCore {
-    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
-        self.advance(cluster)
-    }
-
     fn drained(&self) -> bool {
         self.meta.k == 0 || self.phase == Phase::Done
     }
@@ -907,47 +885,17 @@ impl Step for BfhmCore {
     fn ready(&mut self, cluster: &Cluster) -> Result<()> {
         self.flush_lazy_write_backs(cluster)
     }
-}
 
-/// Executes the BFHM rank join over a previously built index at the
-/// query's own `k`. This direct entry point shares its query for its one
-/// call and recycles no buffer; an executor shares one query across every
-/// run and recycles its runs' buffers.
-pub fn run(
-    cluster: &Cluster,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: &BfhmConfig,
-    write_back: WriteBackPolicy,
-) -> Result<QueryOutcome> {
-    let shared = Arc::new(query.clone());
-    let meta = CursorMeta::new(query.k, None, Spares::default());
-    run_shared(cluster, &shared, meta, index_table, config, write_back)
-}
-
-/// [`run`] for the top `meta.k` of a shared query, whose own `k` is not
-/// read, its buffers taken from and given back to `meta.spares` — the
-/// executor's entry point. It drains the machine until the guarantee
-/// loop ends, and its counters count the whole loop.
-pub(crate) fn run_shared(
-    cluster: &Cluster,
-    query: &Arc<RankJoinQuery>,
-    meta: CursorMeta,
-    index_table: &str,
-    config: &BfhmConfig,
-    write_back: WriteBackPolicy,
-) -> Result<QueryOutcome> {
-    if meta.k == 0 {
-        return Ok(QueryOutcome::new(
-            "BFHM",
-            Vec::new(),
-            MetricsSnapshot::default(),
-        ));
+    fn extras(&self) -> Extras {
+        let [left, right] = &self.sides;
+        Extras::Bfhm {
+            buckets_fetched: (left.fetched.len() + right.fetched.len()) as u64,
+            bucket_gets: left.bucket_gets + right.bucket_gets,
+            estimates: self.estimates.len() as u64,
+            reverse_rows_fetched: self.reverse.cells_fetched(),
+            rounds: self.rounds,
+        }
     }
-    let meter = QueryMeter::start(cluster.metrics());
-    let mut core = BfhmCore::open(cluster, query, meta, index_table, config, write_back)?;
-    while core.advance(cluster)? {}
-    core.finish(cluster, meter)
 }
 
 #[cfg(test)]
@@ -955,9 +903,11 @@ mod tests {
     use super::*;
     use crate::bfhm;
     use crate::cancel::StopPolicy;
-    use crate::cursor::{RankedCursor, StepCursor};
+    use crate::executor::Algorithm;
     use crate::oracle;
-    use crate::testsupport::running_example_cluster;
+    use crate::spare::Spares;
+    use crate::stats::QueryOutcome;
+    use crate::testsupport::{bfhm_executor, bfhm_run, running_example_cluster};
     use rj_mapreduce::MapReduceEngine;
     use rj_sketch::hybrid::AlphaMode;
 
@@ -979,7 +929,7 @@ mod tests {
         let (c, q) = running_example_cluster();
         let config = example_config();
         build(&c, &q, &config);
-        let got = run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
+        let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
         let scores: Vec<f64> = got.results.iter().map(|t| t.score).collect();
         assert_eq!(scores, vec![1.74, 1.73, 1.62]);
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
@@ -999,7 +949,7 @@ mod tests {
                         ..example_config()
                     };
                     let qk = q.with_k(k);
-                    let got = run(&c, &qk, "bfhm_idx", &cfg, WriteBackPolicy::Off).unwrap();
+                    let got = bfhm_run(&c, &qk, "bfhm_idx", &cfg, WriteBackPolicy::Off).unwrap();
                     assert_eq!(
                         got.results,
                         oracle::topk(&c, &qk).unwrap(),
@@ -1023,7 +973,7 @@ mod tests {
         build(&c, &q, &config);
         for k in [1, 3, 8, 38] {
             let qk = q.with_k(k);
-            let got = run(&c, &qk, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
+            let got = bfhm_run(&c, &qk, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
             assert_eq!(got.results, oracle::topk(&c, &qk).unwrap(), "k={k}");
         }
     }
@@ -1036,7 +986,7 @@ mod tests {
         let (c, q) = running_example_cluster();
         let config = example_config();
         build(&c, &q, &config);
-        let got = run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
+        let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
         let fetched = matches!(
             got.extras,
             Extras::Bfhm {
@@ -1062,7 +1012,7 @@ mod tests {
         let mut run_state = BfhmCore::open(
             &c,
             &Arc::new(q),
-            CursorMeta::new(1000, None, Spares::default()), // force exhaustion
+            CursorMeta::new(1000, 0, Spares::default()), // force exhaustion
             "bfhm_idx",
             &config,
             WriteBackPolicy::Off,
@@ -1120,13 +1070,9 @@ mod tests {
     /// skipped, so the error cannot decay into a silently shorter answer.
     fn assert_codec_error(c: &Cluster, q: &RankJoinQuery, config: &BfhmConfig) {
         let is_codec = |e: RankJoinError| matches!(e, RankJoinError::Codec(_));
-        let policy = WriteBackPolicy::Off;
-        let one_shot = run(c, q, "bfhm_idx", config, policy);
-        assert!(is_codec(one_shot.unwrap_err()));
-        let shared = Arc::new(q.clone());
-        let meta = CursorMeta::new(q.k, None, Spares::default());
-        let core = BfhmCore::open(c, &shared, meta, "bfhm_idx", config, policy).unwrap();
-        let mut cursor = StepCursor::new(c, core);
+        let ex = bfhm_executor(c, q, "bfhm_idx", config, WriteBackPolicy::Off).unwrap();
+        assert!(is_codec(ex.execute(Algorithm::Bfhm).unwrap_err()));
+        let mut cursor = ex.open_cursor(Algorithm::Bfhm, q.k).unwrap();
         for pull in 0..2 {
             let batch = cursor.next_batch(q.k, &StopPolicy::never());
             assert!(is_codec(batch.unwrap_err()), "pull {pull}");
@@ -1176,12 +1122,23 @@ mod tests {
         assert_codec_error(&c, &q, &config);
     }
 
+    /// An index table dropped under an executor that attached it is
+    /// reported when a run opens, as is one never built.
     #[test]
     fn missing_index_is_reported() {
         let (c, q) = running_example_cluster();
-        assert!(matches!(
-            run(&c, &q, "absent", &example_config(), WriteBackPolicy::Off).unwrap_err(),
-            RankJoinError::MissingIndex(_)
-        ));
+        let config = example_config();
+        let missing = |r: Result<QueryOutcome>| matches!(r, Err(RankJoinError::MissingIndex(_)));
+        assert!(missing(bfhm_run(
+            &c,
+            &q,
+            "absent",
+            &config,
+            WriteBackPolicy::Off
+        )));
+        build(&c, &q, &config);
+        let ex = bfhm_executor(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
+        c.drop_table("bfhm_idx").unwrap();
+        assert!(missing(ex.execute(Algorithm::Bfhm)));
     }
 }

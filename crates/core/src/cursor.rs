@@ -24,8 +24,8 @@
 //!   [`crate::bfhm`]) and DRJN's rounds (`DrjnCore`, in [`crate::drjn`]).
 //!   Its one `next_batch` is the one pump: it pages, meters every pull
 //!   with one [`rj_store::QueryMeter`] and stops at the algorithm's own
-//!   boundary unit (an ISL batch, a BFHM step, a DRJN round).
-//!   [`IslCursor`] is its public ISL face.
+//!   boundary unit (an ISL batch, a BFHM step, a DRJN round). A one-shot
+//!   run of any of the three is this cursor drained in one pull.
 //! * [`MaterializedCursor`] — the bulk MapReduce algorithms (Hive, Pig,
 //!   IJLMR) as cursors: the one-shot run executes on the first pull (MR
 //!   jobs are not incremental — all reads are charged then, exactly the
@@ -33,7 +33,8 @@
 //!   is also every algorithm's `k = 0` cursor, empty from the start.
 //!
 //! [`crate::executor::RankJoinExecutor`] has the uniform entry points
-//! (`open_cursor` / `resume_cursor`).
+//! (`execute_with_k` / `open_cursor` / `resume_cursor`); it is the only
+//! door to a run.
 //!
 //! # The equivalence contract
 //!
@@ -168,17 +169,15 @@ pub(crate) struct CursorMeta {
     pub emitted: usize,
     /// Cumulative metric charge.
     pub charged: MetricsSnapshot,
-    /// Statistics version pinned at open (`None` when opened outside an
-    /// executor — no coherence tracking available).
-    pub pinned_version: Option<u64>,
+    /// The statistics version the run was opened under.
+    pub pinned_version: u64,
     /// The spare list of the executor that opened the run: where its
-    /// buffers came from and go back to when it drops (no list when
-    /// opened outside an executor; [`crate::spare`]).
+    /// buffers came from and go back to when it drops ([`crate::spare`]).
     pub spares: Spares,
 }
 
 impl CursorMeta {
-    pub(crate) fn new(k: usize, pinned_version: Option<u64>, spares: Spares) -> Self {
+    pub(crate) fn new(k: usize, pinned_version: u64, spares: Spares) -> Self {
         CursorMeta {
             k,
             emitted: 0,
@@ -219,9 +218,8 @@ impl CursorMeta {
 /// refuses a version mismatch with
 /// [`RankJoinError::StaleCursor`]: the buffered tuples and scan positions
 /// were computed against the old data, so the token is permanently
-/// invalid and the query must re-run. A state with no pinned version
-/// (opened directly on a driver) resumes unchecked — the caller owns
-/// coherence.
+/// invalid and the query must re-run. Every state is pinned: the
+/// executor is the only door to a run.
 ///
 /// States are `Clone`: a serving layer can park one copy in a
 /// partial-work cache and resume another.
@@ -302,21 +300,21 @@ impl CursorState {
         }
     }
 
-    /// The statistics version the cursor was opened under, when opened
-    /// through an executor (see the coherence contract above).
-    pub fn pinned_version(&self) -> Option<u64> {
+    /// The statistics version the cursor was opened under (see the
+    /// coherence contract above).
+    pub fn pinned_version(&self) -> u64 {
         self.meta().pinned_version
     }
 
     /// Refuses the state with [`RankJoinError::StaleCursor`] when it was
     /// pinned to a statistics version other than `found`, the backend's
-    /// current one (an unpinned state passes — the caller owns coherence).
+    /// current one.
     pub(crate) fn check_version(&self, found: u64) -> Result<()> {
-        match self.pinned_version() {
-            Some(expected) if expected != found => {
-                Err(RankJoinError::StaleCursor { expected, found })
-            }
-            _ => Ok(()),
+        let expected = self.pinned_version();
+        if expected == found {
+            Ok(())
+        } else {
+            Err(RankJoinError::StaleCursor { expected, found })
         }
     }
 
@@ -348,8 +346,7 @@ impl CursorState {
     /// in-memory work: nothing already read is re-charged), emission
     /// restarts at rank 0, and the cumulative charge resets — the warmed
     /// query is billed only what *it* consumes beyond the donor prefix.
-    /// No statistics version is checked, pinned or not: the caller owns
-    /// coherence.
+    /// No statistics version is checked: the caller owns coherence.
     pub fn resume_retargeted(
         self,
         cluster: &Cluster,
@@ -415,6 +412,9 @@ pub(crate) trait Step: Send + Sized {
     fn ready(&mut self, _cluster: &Cluster) -> Result<()> {
         Ok(())
     }
+
+    /// The run's own counters, reported by its one-shot outcome.
+    fn extras(&self) -> Extras;
 }
 
 /// The one cursor over a [`Step`] run: a fresh run, or a detached one
@@ -432,6 +432,17 @@ impl<C: Step> StepCursor<C> {
             cluster: cluster.clone(),
             core,
         }
+    }
+
+    /// The cursor drained in one pull: the one-shot run. It bills what
+    /// the run charged, a read made at opening included, and reports the
+    /// run's own counters.
+    pub(crate) fn drain(mut self) -> Result<QueryOutcome> {
+        let page = self.next_batch(self.core.meta().k, &StopPolicy::never())?;
+        Ok(QueryOutcome {
+            extras: self.core.extras(),
+            ..QueryOutcome::new(self.core.algorithm(), page.results, self.charged())
+        })
     }
 }
 
@@ -579,7 +590,7 @@ pub(crate) struct IslCore {
     /// Per-side scan state, in spec side order.
     pub sides: Vec<SideScan>,
     /// Which side the current batch pulls from, picked at its start (see
-    /// [`IslCore::advance_one_batch`]).
+    /// its `Step::step`).
     pub turn: usize,
     /// Batches this run completed or started: a re-target starts a run,
     /// counting only the part-way batch it continues.
@@ -660,70 +671,6 @@ fn descend_row(
     Ok(None)
 }
 
-/// The ISL/HRJN rank join as a [`RankedCursor`]: the batched descent of
-/// [`crate::isl::run`] over every [`SideAccess::Descend`] side of a spec's
-/// score index, with [`SideAccess::Materialize`] sides bulk-ingested up
-/// front, suspendable at any batch boundary. The one-shot driver *is* this
-/// cursor drained in one call, so results and counted metrics agree by
-/// construction.
-pub struct IslCursor(pub(crate) StepCursor<IslCore>);
-
-impl IslCursor {
-    /// Opens a cursor for the top `k` of `spec` over a previously built
-    /// score index ([`crate::isl::index::build`]). The spec is shared, not
-    /// copied, and its own `k` is not read. `batch` and `access` give each
-    /// side's rows per turn and how it is consumed, in spec side order;
-    /// `pinned_version` is the statistics version an executor opens it
-    /// under (`None` when opened directly — the caller owns coherence, see
-    /// [`CursorState`]).
-    pub fn open(
-        cluster: &Cluster,
-        spec: &Arc<JoinSpec>,
-        k: usize,
-        index_table: &str,
-        batch: &[usize],
-        access: &[SideAccess],
-        pinned_version: Option<u64>,
-    ) -> Result<Self> {
-        if batch.len() != access.len() {
-            return Err(ONE_PER_SIDE);
-        }
-        let meta = CursorMeta::new(k, pinned_version, Spares::default());
-        let core = IslCore::open(cluster, spec, meta, index_table, |side| batch[side], access)?;
-        Ok(IslCursor(StepCursor::new(cluster, core)))
-    }
-}
-
-impl RankedCursor for IslCursor {
-    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
-        self.0.next_batch(n, policy)
-    }
-
-    fn pause(self: Box<Self>) -> CursorState {
-        Box::new(self.0).pause()
-    }
-
-    fn emitted(&self) -> usize {
-        self.0.emitted()
-    }
-
-    fn consumed_depth(&self) -> u64 {
-        self.0.consumed_depth()
-    }
-
-    fn charged(&self) -> MetricsSnapshot {
-        self.0.charged()
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn algorithm(&self) -> &'static str {
-        self.0.algorithm()
-    }
-}
-
 impl IslCore {
     /// The descent for the top `meta.k` of `spec`, side `i` pulling
     /// `batch(i)` rows per turn: the operator and the scans take their
@@ -801,15 +748,17 @@ impl IslCore {
         }
         Ok(())
     }
+}
 
+impl Step for IslCore {
     /// Runs exactly one batch of the descent (after the materialization
     /// pass on the first call), or finishes a part-way batch left by an
     /// earlier re-target — the body of the paper's Algorithm 4 loop.
-    /// Returns whether a batch completed at its boundary; `false` when
-    /// nothing is left to do (HRJN terminated or every input exhausted,
-    /// possibly mid-batch). No policy evaluation happens here; the pump
-    /// checks at the boundary this returns at.
-    fn advance_one_batch(&mut self, cluster: &Cluster) -> Result<bool> {
+    /// Returns whether a batch completed at its boundary with input left;
+    /// `false` when nothing is left to do (HRJN terminated or every input
+    /// exhausted, possibly mid-batch): a batch that exhausts every side is
+    /// the last, so no policy is evaluated after it.
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
         if self.drained() {
             return Ok(false);
         }
@@ -892,15 +841,7 @@ impl IslCore {
             self.in_batch = false;
             self.turn = (turn + 1) % n;
         }
-        Ok(completed)
-    }
-}
-
-impl Step for IslCore {
-    /// One batch; a batch that exhausts every side is the last, so no
-    /// policy is evaluated after it.
-    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
-        Ok(self.advance_one_batch(cluster)? && !self.state.all_exhausted())
+        Ok(completed && !self.state.all_exhausted())
     }
 
     fn drained(&self) -> bool {
@@ -955,23 +896,17 @@ impl Step for IslCore {
             "MULTIWAY"
         }
     }
-}
 
-impl StepCursor<IslCore> {
-    /// The cursor drained in one call: the one-shot run. The paper's
-    /// binary ISL also reports the tuples it consumed and the batches it
-    /// fetched.
-    pub(crate) fn drain(mut self) -> Result<QueryOutcome> {
-        let page = self.next_batch(self.core.meta.k, &StopPolicy::never())?;
-        let core = &self.core;
-        let mut outcome = QueryOutcome::new(core.algorithm(), page.results, page.metrics);
-        if core.sides.len() == 2 {
-            outcome.extras = Extras::Isl {
-                tuples_consumed: core.consumed_depth(),
-                batches: core.batches,
-            };
+    /// The paper's binary ISL reports the tuples it consumed and the
+    /// batches it fetched; more sides report none.
+    fn extras(&self) -> Extras {
+        if self.sides.len() != 2 {
+            return Extras::None;
         }
-        Ok(outcome)
+        Extras::Isl {
+            tuples_consumed: self.consumed_depth(),
+            batches: self.batches,
+        }
     }
 }
 
@@ -1018,7 +953,7 @@ impl MaterializedCursor {
         k: usize,
         source: MaterializedSource,
         algorithm: &'static str,
-        pinned_version: Option<u64>,
+        pinned_version: u64,
     ) -> Self {
         MaterializedCursor {
             cluster: cluster.clone(),
@@ -1032,13 +967,12 @@ impl MaterializedCursor {
     }
 
     /// The `k = 0` cursor of `algorithm`, any arity: empty from the start
-    /// and free, as the one-shot run at `k = 0` is. It pins no version —
-    /// there is nothing to go stale.
-    pub(crate) fn empty(cluster: &Cluster, algorithm: &'static str) -> Self {
+    /// and free, as the one-shot run at `k = 0` is, pinned like any other.
+    pub(crate) fn empty(cluster: &Cluster, algorithm: &'static str, pinned_version: u64) -> Self {
         MaterializedCursor {
             cluster: cluster.clone(),
             core: MaterializedCore {
-                meta: CursorMeta::new(0, None, Spares::default()),
+                meta: CursorMeta::new(0, pinned_version, Spares::default()),
                 run: None,
                 results: Some(Vec::new()),
                 algorithm,
@@ -1138,32 +1072,27 @@ impl RankedCursor for MaterializedCursor {
 mod tests {
     use super::*;
     use crate::executor::{Algorithm, RankJoinExecutor};
-    use crate::isl::{index, IslConfig};
+    use crate::isl::IslConfig;
     use crate::multiway::SpecExecutor;
     use crate::oracle;
     use crate::testsupport::{
         running_example_cluster, three_way_path_cluster, three_way_path_sized,
     };
-    use rj_mapreduce::MapReduceEngine;
 
-    fn built(k: usize) -> (Cluster, JoinSpec, String) {
+    /// The 3-way path fixture at `k`, its score index built.
+    fn built(k: usize) -> (Cluster, JoinSpec, SpecExecutor) {
         let (c, spec) = three_way_path_cluster(k);
-        let engine = MapReduceEngine::new(c.clone());
-        let table = index::index_table_name(&spec);
-        index::build(&engine, &spec, &table).unwrap();
-        (c, spec, table)
+        let mut ex = SpecExecutor::new(&c, spec.clone());
+        ex.prepare().unwrap();
+        (c, spec, ex)
     }
 
-    fn open(
-        c: &Cluster,
-        spec: &JoinSpec,
-        table: &str,
-        batch: usize,
-        access: &[SideAccess],
-    ) -> IslCursor {
-        let batch = vec![batch; spec.n()];
-        let shared = Arc::new(spec.clone());
-        IslCursor::open(c, &shared, spec.k, table, &batch, access, None).unwrap()
+    /// The descent of `ex`'s spec at its own `k`, every side pulling
+    /// `batch` rows per turn and consumed as `access` says.
+    fn open(ex: &mut SpecExecutor, batch: usize, access: &[SideAccess]) -> StepCursor<IslCore> {
+        ex.isl_config = IslConfig::uniform(batch);
+        ex.access_override = Some(access.to_vec());
+        ex.open_isl(ex.spec().k).unwrap()
     }
 
     fn drain(cursor: &mut dyn RankedCursor, page: usize) -> Vec<JoinTuple> {
@@ -1185,8 +1114,8 @@ mod tests {
 
     #[test]
     fn all_descend_matches_oracle() {
-        let (c, spec, table) = built(5);
-        let mut cursor = open(&c, &spec, &table, 64, &[SideAccess::Descend; 3]);
+        let (c, spec, mut ex) = built(5);
+        let mut cursor = open(&mut ex, 64, &[SideAccess::Descend; 3]);
         assert_eq!(cursor.algorithm(), "MULTIWAY");
         let got = drain(&mut cursor, 2);
         let want = oracle::topk_spec(&c, &spec).unwrap();
@@ -1197,11 +1126,11 @@ mod tests {
     fn every_access_mix_matches_oracle() {
         use SideAccess::{Descend, Materialize};
         let want = {
-            let (c, spec, _) = built(6);
+            let (c, spec) = three_way_path_cluster(6);
             oracle::topk_spec(&c, &spec).unwrap()
         };
         for mask in 0..8u8 {
-            let (c, spec, table) = built(6);
+            let (_, _, mut ex) = built(6);
             let access: Vec<SideAccess> = (0..3)
                 .map(|i| {
                     if mask & (1 << i) != 0 {
@@ -1211,7 +1140,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut cursor = open(&c, &spec, &table, 3, &access);
+            let mut cursor = open(&mut ex, 3, &access);
             let got = drain(&mut cursor, 4);
             assert_eq!(got, want, "access mask {mask:03b}");
         }
@@ -1219,18 +1148,18 @@ mod tests {
 
     #[test]
     fn pause_resume_preserves_sequence_and_charge() {
-        let (c, spec, table) = built(6);
+        let (c, _, mut ex) = built(6);
         let one_shot = {
             let before = c.metrics().snapshot();
-            let mut cursor = open(&c, &spec, &table, 2, &[SideAccess::Descend; 3]);
+            let mut cursor = open(&mut ex, 2, &[SideAccess::Descend; 3]);
             let results = drain(&mut cursor, 100);
             (results, ledger_since(&c, &before))
         };
 
-        let (c2, spec2, table2) = built(6);
+        let (c2, _, mut ex2) = built(6);
         let before = c2.metrics().snapshot();
         let mut cursor: Box<dyn RankedCursor> =
-            Box::new(open(&c2, &spec2, &table2, 2, &[SideAccess::Descend; 3]));
+            Box::new(open(&mut ex2, 2, &[SideAccess::Descend; 3]));
         let mut paged = Vec::new();
         loop {
             let batch = cursor.next_batch(1, &StopPolicy::default()).unwrap();
@@ -1248,8 +1177,8 @@ mod tests {
 
     #[test]
     fn retarget_deepens_without_rereads() {
-        let (c, spec, table) = built(2);
-        let mut cursor = open(&c, &spec, &table, 64, &[SideAccess::Descend; 3]);
+        let (c, spec, mut ex) = built(2);
+        let mut cursor = open(&mut ex, 64, &[SideAccess::Descend; 3]);
         let top2 = drain(&mut cursor, 100);
         assert_eq!(
             top2.len(),
@@ -1269,15 +1198,17 @@ mod tests {
     /// descent stands where the last consumed row left it.
     #[test]
     fn a_failed_scan_rpc_fails_the_pull_and_keeps_the_descent_position() {
-        let (c, spec, table) = built(6);
-        let mut cursor = open(&c, &spec, &table, 2, &[SideAccess::Descend; 3]);
+        let (c, _, mut ex) = built(6);
+        let table = ex.isl_table().unwrap().to_owned();
+        let mut cursor = open(&mut ex, 2, &[SideAccess::Descend; 3]);
         let first = cursor.next_batch(1, &StopPolicy::default()).unwrap();
         assert_eq!(first.results.len(), 1);
         assert!(!first.done);
         c.drop_table(&table).unwrap();
         c.create_table(&table, &["other"]).unwrap();
 
-        let position = |cursor: &IslCursor| (cursor.0.core.batches, cursor.consumed_depth());
+        let position =
+            |cursor: &StepCursor<IslCore>| (cursor.core.batches, cursor.consumed_depth());
         let mut failed_at = None;
         for _ in 0..2 {
             // A buffered row or two may still be served; then the RPC fails.
@@ -1299,36 +1230,29 @@ mod tests {
         assert!(!cursor.is_done());
     }
 
+    /// A descent for the top 0 reads nothing and is done at once.
     #[test]
     fn k_zero_is_empty_and_free() {
-        let (c, spec, table) = built(0);
+        let (c, _, mut ex) = built(0);
         let before = c.metrics().snapshot();
-        let mut cursor = open(&c, &spec, &table, 64, &[SideAccess::Descend; 3]);
+        let mut cursor = open(&mut ex, 64, &[SideAccess::Descend; 3]);
         let batch = cursor.next_batch(5, &StopPolicy::default()).unwrap();
         assert!(batch.results.is_empty());
         assert!(batch.done);
         assert_eq!(ledger_since(&c, &before), (0, 0, 0));
     }
 
+    /// Each side's batch size comes from [`IslConfig`], one per side by
+    /// construction; an access override must name one access per side,
+    /// and a run or cursor with another count is refused.
     #[test]
     fn one_batch_size_and_access_per_side_required() {
-        let (c, spec, table) = built(3);
-        for (batch, access) in [
-            (vec![4; 2], vec![SideAccess::Descend; 3]),
-            (vec![4; 3], vec![SideAccess::Descend; 2]),
-        ] {
-            assert!(matches!(
-                IslCursor::open(
-                    &c,
-                    &Arc::new(spec.clone()),
-                    3,
-                    &table,
-                    &batch,
-                    &access,
-                    None
-                ),
-                Err(RankJoinError::InvalidSpec(_))
-            ));
+        let (_, _, mut ex) = built(3);
+        for sides in [2, 4] {
+            ex.access_override = Some(vec![SideAccess::Descend; sides]);
+            let refused = |r: Result<()>| matches!(r, Err(RankJoinError::InvalidSpec(_)));
+            assert!(refused(ex.execute_with_k(3).map(drop)), "{sides} sides");
+            assert!(refused(ex.open_cursor(3).map(drop)), "{sides} sides");
         }
     }
 

@@ -24,8 +24,7 @@ mod index;
 mod query;
 
 pub use index::{build_pair, index_table_name, DrjnBuildStats};
-pub use query::run;
-pub(crate) use query::{run_shared, DrjnCore};
+pub(crate) use query::DrjnCore;
 
 /// DRJN configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

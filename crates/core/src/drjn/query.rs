@@ -1,15 +1,14 @@
 //! DRJN query processing: histogram-driven bound estimation plus
 //! map-job tuple pulls through server-side filters (paper §2/§7.1).
 //!
-//! The driver is an owned *round machine* ([`DrjnCore`]): each
-//! [`DrjnCore::advance_round`] call performs one full estimate → pull →
-//! join → re-check round, and the machine's position (seen tuples, the
-//! running top-k, matrix rows, pulled depth) is plain data. The one-shot
-//! entry points drain the machine; a cursor is the machine behind the
-//! crate's one cursor ([`crate::cursor`]'s `StepCursor`, through the
-//! `Step` trait), which pumps the same rounds on demand — one round per
-//! stop-policy boundary — and yields certified results from the
-//! materialized joins between rounds.
+//! The driver is an owned *round machine* ([`DrjnCore`]): each step (its
+//! `Step::step`) performs one full estimate → pull → join → re-check
+//! round, and the machine's position (seen tuples, the running top-k,
+//! matrix rows, pulled depth) is plain data. It runs behind the crate's
+//! one cursor ([`crate::cursor`]'s `StepCursor`), which pumps the rounds
+//! on demand — one round per stop-policy boundary — and yields certified
+//! results from the materialized joins between rounds; the one-shot run
+//! is that cursor drained in one pull.
 //!
 //! Every pulled tuple is held once, in its side's seen store
 //! ([`SeenSide`]); the running top-k is the shared id buffer ([`TopIds`])
@@ -25,7 +24,6 @@ use rj_sketch::histogram::ScoreHistogram;
 use rj_store::cell::{Cell, Mutation};
 use rj_store::cluster::Cluster;
 use rj_store::filter::ScoreInRange;
-use rj_store::metrics::{MetricsSnapshot, QueryMeter};
 use rj_store::scan::Scan;
 
 use crate::codec;
@@ -35,8 +33,7 @@ use crate::hrjn::SeenSide;
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopIds};
 use crate::score::ScoreFn;
-use crate::spare::Spares;
-use crate::stats::{Extras, QueryOutcome};
+use crate::stats::Extras;
 
 use super::index::bucket_row_key;
 use super::DrjnConfig;
@@ -239,12 +236,17 @@ impl DrjnCore {
             .combine(bound, 1.0)
             .max(self.query.score_fn.combine(1.0, bound))
     }
+}
 
-    /// One estimate → pull → join → re-check round (the loop body of the
-    /// old run-to-completion driver, verbatim). Returns `false` once the
-    /// k-th real result provably beats anything still unpulled (or the
-    /// histogram is exhausted).
-    fn advance_round(&mut self, cluster: &Cluster) -> Result<bool> {
+/// The rounds behind the one cursor: from the tuples each round
+/// materialized out of its temp table, it emits the prefix strictly above
+/// the unpulled-score bound — which is non-increasing across rounds, so
+/// emitted results are final.
+impl Step for DrjnCore {
+    /// One estimate → pull → join → re-check round. Returns `false` once
+    /// the k-th real result provably beats anything still unpulled (or
+    /// the histogram is exhausted).
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
         if self.done {
             return Ok(false);
         }
@@ -357,29 +359,6 @@ impl DrjnCore {
         Ok(true)
     }
 
-    fn finish(self, meter: QueryMeter) -> Result<QueryOutcome> {
-        let results = self.results(0..self.results.len());
-        Ok(QueryOutcome {
-            extras: Extras::Drjn {
-                rounds: self.rounds,
-                histogram_depth: u64::from(self.depth),
-                pull_jobs: self.pull_jobs,
-                tuples_pulled: self.consumed_depth(),
-            },
-            ..QueryOutcome::new("DRJN", results, meter.finish())
-        })
-    }
-}
-
-/// The rounds behind the one cursor: from the tuples each round
-/// materialized out of its temp table, it emits the prefix strictly above
-/// the unpulled-score bound — which is non-increasing across rounds, so
-/// emitted results are final.
-impl Step for DrjnCore {
-    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
-        self.advance_round(cluster)
-    }
-
     fn drained(&self) -> bool {
         self.meta.k == 0 || self.done
     }
@@ -423,58 +402,29 @@ impl Step for DrjnCore {
     fn algorithm(&self) -> &'static str {
         "DRJN"
     }
-}
 
-/// Executes the DRJN rank join over previously built matrices at the
-/// query's own `k`. This direct entry point shares its query for the one
-/// call and recycles no buffer; an executor shares one query across every
-/// run and recycles its runs' buffers.
-pub fn run(
-    engine: &MapReduceEngine,
-    query: &RankJoinQuery,
-    index_table: &str,
-    config: &DrjnConfig,
-) -> Result<QueryOutcome> {
-    let shared = Arc::new(query.clone());
-    let meta = CursorMeta::new(query.k, None, Spares::default());
-    run_shared(engine, &shared, meta, index_table, config)
-}
-
-/// [`run`] for the top `meta.k` of a shared query, whose own `k` is not
-/// read, its buffers taken from and given back to `meta.spares` — the
-/// executor's entry point. It runs rounds until the machine terminates,
-/// and its counters count every round.
-pub(crate) fn run_shared(
-    engine: &MapReduceEngine,
-    query: &Arc<RankJoinQuery>,
-    meta: CursorMeta,
-    index_table: &str,
-    config: &DrjnConfig,
-) -> Result<QueryOutcome> {
-    if meta.k == 0 {
-        return Ok(QueryOutcome::new(
-            "DRJN",
-            Vec::new(),
-            MetricsSnapshot::default(),
-        ));
+    fn extras(&self) -> Extras {
+        Extras::Drjn {
+            rounds: self.rounds,
+            histogram_depth: u64::from(self.depth),
+            pull_jobs: self.pull_jobs,
+            tuples_pulled: self.consumed_depth(),
+        }
     }
-    let cluster = engine.cluster();
-    let meter = QueryMeter::start(cluster.metrics());
-    let mut core = DrjnCore::new(cluster, query, meta, index_table, config)?;
-    while core.advance_round(cluster)? {}
-    core.finish(meter)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drjn;
+    use crate::executor::{Algorithm, RankJoinExecutor};
     use crate::oracle;
     use crate::testsupport::running_example_cluster;
 
-    fn build(c: &rj_store::cluster::Cluster, q: &RankJoinQuery, config: &DrjnConfig) {
-        let engine = MapReduceEngine::new(c.clone());
-        drjn::build_pair(&engine, q, "drjn_idx", config).unwrap();
+    /// An executor for `q` with its DRJN matrices built with `config`.
+    fn prepared(c: &Cluster, q: &RankJoinQuery, config: DrjnConfig) -> RankJoinExecutor {
+        let mut ex = RankJoinExecutor::new(c, q.clone());
+        ex.prepare_drjn(config).unwrap();
+        ex
     }
 
     #[test]
@@ -484,9 +434,8 @@ mod tests {
             num_buckets: 10,
             num_partitions: 64,
         };
-        build(&c, &q, &config);
-        let engine = MapReduceEngine::new(c.clone());
-        let got = run(&engine, &q, "drjn_idx", &config).unwrap();
+        let ex = prepared(&c, &q, config);
+        let got = ex.execute(Algorithm::Drjn).unwrap();
         let scores: Vec<f64> = got.results.iter().map(|t| t.score).collect();
         assert_eq!(scores, vec![1.74, 1.73, 1.62]);
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
@@ -499,11 +448,10 @@ mod tests {
             num_buckets: 10,
             num_partitions: 64,
         };
-        build(&c, &q, &config);
-        let engine = MapReduceEngine::new(c.clone());
+        let ex = prepared(&c, &q, config);
         for k in [1, 2, 5, 11, 38, 60] {
             let qk = q.with_k(k);
-            let got = run(&engine, &qk, "drjn_idx", &config).unwrap();
+            let got = ex.execute_with_k(Algorithm::Drjn, k).unwrap();
             assert_eq!(got.results, oracle::topk(&c, &qk).unwrap(), "k={k}");
         }
     }
@@ -517,9 +465,7 @@ mod tests {
             num_buckets: 10,
             num_partitions: 64,
         };
-        build(&c, &q, &config);
-        let engine = MapReduceEngine::new(c.clone());
-        let got = run(&engine, &q, "drjn_idx", &config).unwrap();
+        let got = prepared(&c, &q, config).execute(Algorithm::Drjn).unwrap();
         assert!(matches!(got.extras, Extras::Drjn { pull_jobs: 2.., .. }));
         // Each pull job scans both relations' projected columns fully.
         assert!(
@@ -564,12 +510,15 @@ mod tests {
         );
     }
 
+    /// Matrices dropped under the executor that built them are reported
+    /// when a run opens.
     #[test]
     fn missing_index_is_reported() {
         let (c, q) = running_example_cluster();
-        let engine = MapReduceEngine::new(c);
+        let ex = prepared(&c, &q, DrjnConfig::with_buckets(10));
+        c.drop_table(&crate::drjn::index_table_name(&q)).unwrap();
         assert!(matches!(
-            run(&engine, &q, "absent", &DrjnConfig::default()).unwrap_err(),
+            ex.execute(Algorithm::Drjn).unwrap_err(),
             RankJoinError::MissingIndex(_)
         ));
     }

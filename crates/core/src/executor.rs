@@ -604,26 +604,38 @@ impl RankJoinExecutor {
         Ok((best, plan.ranked.len()))
     }
 
-    /// The bookkeeping of a run for the top `k`, pinned to
-    /// `pinned_version`, recycling through this executor's spares.
-    fn meta(&self, k: usize, pinned_version: Option<u64>) -> CursorMeta {
-        CursorMeta::new(k, pinned_version, self.spares.clone())
+    /// The bookkeeping of a run for the top `k`, pinned to the statistics
+    /// version as of opening, recycling through this executor's spares.
+    fn meta(&self, k: usize) -> CursorMeta {
+        CursorMeta::new(k, self.stats.version(), self.spares.clone())
     }
 
-    /// Opens the ISL descent for the top `k` with its per-side access,
-    /// pinned to the statistics version as of opening.
-    fn open_isl(&self, k: usize) -> Result<StepCursor<IslCore>> {
+    /// Opens the ISL descent for the top `k` with its per-side access.
+    pub(crate) fn open_isl(&self, k: usize) -> Result<StepCursor<IslCore>> {
         let table = prepared(&self.indices.isl, "isl")?;
         let access = self.access_override.as_deref().unwrap_or(&self.descend);
         let cluster = self.engine.cluster();
-        let core = IslCore::open(
-            cluster,
-            &self.spec,
-            self.meta(k, Some(self.stats.version())),
-            table,
-            |side| self.isl_config.batch(side),
-            access,
-        )?;
+        let batch = |side| self.isl_config.batch(side);
+        let core = IslCore::open(cluster, &self.spec, self.meta(k), table, batch, access)?;
+        Ok(StepCursor::new(cluster, core))
+    }
+
+    /// Opens BFHM's guarantee loop for the top `k`, which reads the
+    /// index metadata row.
+    fn open_bfhm(&self, k: usize) -> Result<StepCursor<BfhmCore>> {
+        let query = self.binary_query()?;
+        let (table, config) = prepared(&self.indices.bfhm, "bfhm")?;
+        let cluster = self.engine.cluster();
+        let core = BfhmCore::open(cluster, query, self.meta(k), table, config, self.write_back)?;
+        Ok(StepCursor::new(cluster, core))
+    }
+
+    /// Opens DRJN's rounds for the top `k`.
+    fn open_drjn(&self, k: usize) -> Result<StepCursor<DrjnCore>> {
+        let query = self.binary_query()?;
+        let (table, config) = prepared(&self.indices.drjn, "drjn")?;
+        let cluster = self.engine.cluster();
+        let core = DrjnCore::new(cluster, query, self.meta(k), table, config)?;
         Ok(StepCursor::new(cluster, core))
     }
 
@@ -633,7 +645,8 @@ impl RankJoinExecutor {
     }
 
     /// Executes `algorithm` with an overridden `k` — over the shared
-    /// spec, which is not copied (the MapReduce baselines excepted).
+    /// spec, which is not copied (the MapReduce baselines excepted). ISL,
+    /// BFHM and DRJN run as their cursor drained in one pull.
     ///
     /// `k = 0` short-circuits to an empty, zero-cost outcome for every
     /// algorithm (the [`RankJoinQuery::with_k`] contract) — no store
@@ -646,7 +659,6 @@ impl RankJoinExecutor {
                 rj_store::metrics::MetricsSnapshot::default(),
             ));
         }
-        let cluster = self.engine.cluster();
         match algorithm {
             Algorithm::Auto => {
                 let (best, candidates) = self.choose(k)?;
@@ -655,6 +667,8 @@ impl RankJoinExecutor {
                 Ok(outcome)
             }
             Algorithm::Isl => self.open_isl(k)?.drain(),
+            Algorithm::Bfhm => self.open_bfhm(k)?.drain(),
+            Algorithm::Drjn => self.open_drjn(k)?.drain(),
             // The MapReduce baselines take the query with its `k` inside.
             Algorithm::Hive => hive::run(&self.engine, &self.binary_query()?.with_k(k)),
             Algorithm::Pig => pig::run(&self.engine, &self.binary_query()?.with_k(k)),
@@ -662,17 +676,6 @@ impl RankJoinExecutor {
                 let query = self.binary_query()?.with_k(k);
                 let t = prepared(&self.indices.ijlmr, "ijlmr")?;
                 ijlmr::run(&self.engine, &query, t)
-            }
-            Algorithm::Bfhm => {
-                let query = self.binary_query()?;
-                let (t, config) = prepared(&self.indices.bfhm, "bfhm")?;
-                let meta = self.meta(k, None);
-                bfhm::run_shared(cluster, query, meta, t, config, self.write_back)
-            }
-            Algorithm::Drjn => {
-                let query = self.binary_query()?;
-                let (t, config) = prepared(&self.indices.drjn, "drjn")?;
-                drjn::run_shared(&self.engine, query, self.meta(k, None), t, config)
             }
         }
     }
@@ -698,41 +701,23 @@ impl RankJoinExecutor {
         k_hint: usize,
     ) -> Result<Box<dyn RankedCursor>> {
         let cluster = self.engine.cluster();
+        let version = self.stats.version();
         if k_hint == 0 {
-            return Ok(Box::new(MaterializedCursor::empty(
-                cluster,
-                algorithm.name(),
-            )));
+            let name = algorithm.name();
+            return Ok(Box::new(MaterializedCursor::empty(cluster, name, version)));
         }
         let materialized = |source, name| -> Result<Box<dyn RankedCursor>> {
-            Ok(Box::new(MaterializedCursor::open(
-                cluster,
-                self.binary_query()?,
-                k_hint,
-                source,
-                name,
-                Some(self.stats.version()),
-            )))
+            let query = self.binary_query()?;
+            let cursor = MaterializedCursor::open(cluster, query, k_hint, source, name, version);
+            Ok(Box::new(cursor))
         };
         match algorithm {
             // Plan first: the first plan may run the statistics pass,
             // which bumps the handle version the cursor pins.
             Algorithm::Auto => self.open_cursor(self.choose(k_hint)?.0, k_hint),
             Algorithm::Isl => Ok(Box::new(self.open_isl(k_hint)?)),
-            Algorithm::Bfhm => {
-                let query = self.binary_query()?;
-                let (t, config) = prepared(&self.indices.bfhm, "bfhm")?;
-                let meta = self.meta(k_hint, Some(self.stats.version()));
-                let core = BfhmCore::open(cluster, query, meta, t, config, self.write_back)?;
-                Ok(Box::new(StepCursor::new(cluster, core)))
-            }
-            Algorithm::Drjn => {
-                let query = self.binary_query()?;
-                let (t, config) = prepared(&self.indices.drjn, "drjn")?;
-                let meta = self.meta(k_hint, Some(self.stats.version()));
-                let core = DrjnCore::new(cluster, query, meta, t, config)?;
-                Ok(Box::new(StepCursor::new(cluster, core)))
-            }
+            Algorithm::Bfhm => Ok(Box::new(self.open_bfhm(k_hint)?)),
+            Algorithm::Drjn => Ok(Box::new(self.open_drjn(k_hint)?)),
             Algorithm::Hive => materialized(MaterializedSource::Hive, "HIVE"),
             Algorithm::Pig => materialized(MaterializedSource::Pig, "PIG"),
             Algorithm::Ijlmr => {

@@ -28,7 +28,7 @@
 //! two-way join as the degenerate acyclic case.
 //!
 //! The ISL algorithm (§4.2) is this operator driven by batched scans over
-//! the score-ordered index ([`crate::cursor::IslCursor`]); this module
+//! the score-ordered index (the ISL descent of [`crate::cursor`]); this module
 //! keeps the core logic independent so it can be tested (and
 //! property-tested) in isolation.
 //!

@@ -39,7 +39,7 @@
 //! histograms under maintained writes (with an explicit staleness bound).
 //!
 //! Start with [`executor::RankJoinExecutor`], the one entry point for a
-//! join spec of any arity, or call each algorithm module directly.
+//! join spec of any arity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +72,7 @@ pub mod statsmaint;
 pub(crate) mod testsupport;
 
 pub use cancel::{CancelToken, StopPolicy, StopReason};
-pub use cursor::{CursorBatch, CursorState, IslCursor, RankedCursor, SideAccess};
+pub use cursor::{CursorBatch, CursorState, RankedCursor, SideAccess};
 pub use executor::{Algorithm, RankJoinExecutor};
 pub use multiway::SpecExecutor;
 pub use planner::{Objective, Plan, StatsSource, TableStats};

@@ -274,7 +274,7 @@ fn pin_ts(m: Mutation, ts: u64) -> Mutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{put_tuple, running_example_cluster};
+    use crate::testsupport::{isl_run, put_tuple, running_example_cluster};
     use crate::{ijlmr, isl, oracle};
     use rj_mapreduce::MapReduceEngine;
 
@@ -291,7 +291,7 @@ mod tests {
         side.insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
 
         // Both query paths see the new tuple (top score b: 0.82+0.99).
-        let got_isl = isl::run(&c, &q, "isl_idx", isl::IslConfig::default()).unwrap();
+        let got_isl = isl_run(&c, &q, "isl_idx").unwrap();
         let got_ijlmr = ijlmr::run(&engine, &q, "ijlmr_idx").unwrap();
         let want = oracle::topk(&c, &q).unwrap();
         assert_eq!(got_isl.results, want);
@@ -314,7 +314,7 @@ mod tests {
 
         let want = oracle::topk(&c, &q).unwrap();
         assert!((want[0].score - 1.73).abs() < 1e-9, "0.82 + 0.91 now tops");
-        let got_isl = isl::run(&c, &q, "isl_idx", isl::IslConfig::default()).unwrap();
+        let got_isl = isl_run(&c, &q, "isl_idx").unwrap();
         let got_ijlmr = ijlmr::run(&engine, &q, "ijlmr_idx").unwrap();
         assert_eq!(got_isl.results, want);
         assert_eq!(got_ijlmr.results, want);
@@ -419,7 +419,7 @@ mod tests {
             "failed delete must not write to indices"
         );
         let want = oracle::topk(&c, &q).unwrap();
-        let got_isl = isl::run(&c, &q, "isl_idx", isl::IslConfig::default()).unwrap();
+        let got_isl = isl_run(&c, &q, "isl_idx").unwrap();
         let got_ijlmr = ijlmr::run(&engine, &q, "ijlmr_idx").unwrap();
         assert_eq!(got_isl.results, want);
         assert_eq!(got_ijlmr.results, want);
@@ -428,7 +428,7 @@ mod tests {
         side.insert(b"r2_11", b"b", 0.92, vec![]).unwrap();
         side.delete(b"r2_11").unwrap();
         let want = oracle::topk(&c, &q).unwrap();
-        let got = isl::run(&c, &q, "isl_idx", isl::IslConfig::default()).unwrap();
+        let got = isl_run(&c, &q, "isl_idx").unwrap();
         assert_eq!(got.results, want);
     }
 
@@ -532,7 +532,7 @@ mod tests {
         side.delete(b"r1_99").unwrap();
         let after = oracle::topk(&c, &q).unwrap();
         assert_eq!(before, after);
-        let got = isl::run(&c, &q, "isl_idx", isl::IslConfig::default()).unwrap();
+        let got = isl_run(&c, &q, "isl_idx").unwrap();
         assert_eq!(got.results, after);
     }
 
@@ -564,11 +564,7 @@ mod tests {
                 .mutate_row("isl_idx", &keys::encode_score_desc(0.99), vec![put])
                 .unwrap();
         };
-        let isl_top = || {
-            isl::run(&c, &q, "isl_idx", isl::IslConfig::default())
-                .unwrap()
-                .results
-        };
+        let isl_top = || isl_run(&c, &q, "isl_idx").unwrap().results;
 
         // Insert (base half) → delete (base and index) → insert (index
         // half, late): the index agrees with the base table, which has no

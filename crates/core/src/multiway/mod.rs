@@ -6,10 +6,10 @@
 //! Database Queries*; *Optimal Join Algorithms Meet Top-k*) shows the
 //! same threshold machinery covers any acyclic multi-way join. The read
 //! path is therefore not in this module: the operator
-//! ([`crate::hrjn::HrjnState`]), the cursor
-//! ([`crate::cursor::IslCursor`]), the index builder
-//! ([`crate::isl::index`]) and the cell codec are each written once over
-//! a spec, and the paper's binary ISL is their two-side instance. ISL
+//! ([`crate::hrjn::HrjnState`]), the ISL descent ([`crate::cursor`]),
+//! the index builder ([`crate::isl::index`]) and the cell codec are each
+//! written once over a spec, and the paper's binary ISL is their two-side
+//! instance. ISL
 //! descends every side at every arity unless the executor's
 //! `access_override` forces a side to be materialized, so nothing here
 //! plans; what this module holds is a face:

@@ -21,10 +21,9 @@
 //!   allocates depends on what that executor and its forks ran before,
 //!   never on which thread runs it. Forks that run at the same time on
 //!   different threads draw from one list in whichever order they reach it.
-//! - The direct entry points (`isl::run`, `bfhm::run`, `drjn::run`,
-//!   [`IslCursor::open`], `HrjnState::new`, `TopIds::new`) have no
-//!   executor: they take nothing and keep nothing, like an executor's
-//!   first run.
+//! - Every ISL, BFHM and DRJN run opens through an executor. Only the
+//!   bare buffers (`HrjnState::new`, `TopIds::new`) have none: they take
+//!   nothing and keep nothing, like an executor's first run.
 //! - A list holds at most [`MAX_SPARES`] spares of each of four kinds —
 //!   seen-tuple stores (one per side of a run), top-k buffers (one per
 //!   run), scanner row batches (one per side an ISL cursor descends; a
@@ -59,7 +58,6 @@
 //! [`BfhmCore`]: crate::bfhm::BfhmCore
 //! [`RankJoinExecutor`]: crate::RankJoinExecutor
 //! [`SpecExecutor`]: crate::SpecExecutor
-//! [`IslCursor::open`]: crate::IslCursor::open
 //! [`CursorState`]: crate::CursorState
 
 use std::sync::{Arc, Mutex, PoisonError};

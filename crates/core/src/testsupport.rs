@@ -5,8 +5,47 @@ use rj_store::client::Client;
 use rj_store::cluster::Cluster;
 use rj_store::costmodel::CostModel;
 
+use crate::bfhm::maintenance::WriteBackPolicy;
+use crate::bfhm::BfhmConfig;
+use crate::error::Result;
+use crate::executor::{Algorithm, RankJoinExecutor};
 use crate::query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery};
 use crate::score::ScoreFn;
+use crate::stats::QueryOutcome;
+
+/// Runs ISL at `query`'s own `k` over the score index already built at
+/// `table`, through an executor that attaches it.
+pub(crate) fn isl_run(c: &Cluster, query: &RankJoinQuery, table: &str) -> Result<QueryOutcome> {
+    let mut ex = RankJoinExecutor::new(c, query.clone());
+    ex.attach_isl(table)?;
+    ex.execute(Algorithm::Isl)
+}
+
+/// An executor for `query` over the BFHM index already built at `table`
+/// with `config`, its runs under `write_back`.
+pub(crate) fn bfhm_executor(
+    c: &Cluster,
+    query: &RankJoinQuery,
+    table: &str,
+    config: &BfhmConfig,
+    write_back: WriteBackPolicy,
+) -> Result<RankJoinExecutor> {
+    let mut ex = RankJoinExecutor::new(c, query.clone());
+    ex.write_back = write_back;
+    ex.attach_bfhm(table, config.clone())?;
+    Ok(ex)
+}
+
+/// Runs BFHM at `query`'s own `k` through [`bfhm_executor`].
+pub(crate) fn bfhm_run(
+    c: &Cluster,
+    query: &RankJoinQuery,
+    table: &str,
+    config: &BfhmConfig,
+    write_back: WriteBackPolicy,
+) -> Result<QueryOutcome> {
+    bfhm_executor(c, query, table, config, write_back)?.execute(Algorithm::Bfhm)
+}
 
 /// Writes one tuple in the layout every fixture here uses: family `d`,
 /// the join value under `jk`, the score (f64 BE) under `score`.

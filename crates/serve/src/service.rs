@@ -511,11 +511,10 @@ impl RankJoinService {
                     // The paged session's final descent state is donated
                     // like any completed execution's; its answer is not.
                     let state = cursor.pause();
-                    if let Some(pinned) = state.pinned_version() {
-                        let backend = &mut st.backends[backend];
-                        let current = backend.stats.version();
-                        backend.work.offer(current, pinned, None, donation(state));
-                    }
+                    let backend = &mut st.backends[backend];
+                    let current = backend.stats.version();
+                    let pinned = state.pinned_version();
+                    backend.work.offer(current, pinned, None, donation(state));
                 }
                 let final_ = SessFinal {
                     id,
@@ -1048,7 +1047,7 @@ fn cancelled_unserved(id: u64) -> SessFinal {
 /// pass (or raced a write). Work is offered under that version.
 fn execute_one(
     sess: &SessPlan,
-    mut version: u64,
+    version: u64,
     donor: Option<&CursorState>,
 ) -> (SessFinal, Option<CursorState>, u64) {
     let fork = &sess.fork;
@@ -1095,9 +1094,7 @@ fn execute_one(
     }
     let charged = meter.finish();
     let paused = failed.is_none().then(|| cursor.pause());
-    if let Some(pinned) = paused.as_ref().and_then(CursorState::pinned_version) {
-        version = pinned;
-    }
+    let version = paused.as_ref().map_or(version, CursorState::pinned_version);
     let (outcome, results) = match (failed, stopped) {
         (Some(message), _) => (SessionOutcome::Failed(message), Arc::new(Vec::new())),
         (None, Some(StopReason::Cancelled)) => (SessionOutcome::Cancelled, Arc::new(results)),

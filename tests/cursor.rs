@@ -15,6 +15,10 @@
 //!   an `Auto` cursor is the cursor of the algorithm its plan chose.
 //! * Every schedule here drains a cursor on `batch.done` alone: a cursor
 //!   that has emitted all `k` results says so.
+//! * A one-shot ISL, BFHM or DRJN run is its cursor drained: it bills
+//!   exactly the cursor's lifetime charge, BFHM's read at opening
+//!   included, and both equal the ledger's delta (checked beside the
+//!   `done` pages, at k ∈ {1, 5, 12}).
 //! * Golden: where a stop fires — each page's result count, `done`,
 //!   `stopped` and ledger charge under `cancel_after_batches` 1 and 2 and
 //!   a deadline, for ISL (also over a pair it exhausts), BFHM, DRJN and a
@@ -292,9 +296,10 @@ fn maintained_write_invalidates_paused_cursor_with_typed_error() {
     let batch = cursor.next_batch(3, &StopPolicy::never()).unwrap();
     assert_eq!(batch.results.len(), 3, "3 ranks certified before the pause");
     let state = cursor.pause();
-    assert!(
-        state.pinned_version().is_some(),
-        "executor cursors pin the version"
+    assert_eq!(
+        state.pinned_version(),
+        ex.stats_handle().version(),
+        "executor cursors pin the version current at opening"
     );
 
     // A §6 maintained write lands between pause and resume…
@@ -470,10 +475,22 @@ fn an_auto_cursor_is_the_cursor_of_its_choice() {
     }
 }
 
+/// A ledger reading in the ledger's own units: the counters, and the
+/// simulated time in whole nanoseconds (the same delta, read as `f64`
+/// seconds at two clock readings, can round apart).
+fn billed(m: MetricsSnapshot) -> (u64, u64, u64, u64, u64) {
+    let nanos = (m.sim_seconds * 1e9).round() as u64;
+    (m.kv_reads, m.kv_writes, m.rpc_calls, m.network_bytes, nanos)
+}
+
 /// A BFHM or DRJN cursor that has emitted all `k` results reports `done`
 /// on the page that emitted the last one — it used to wait for its
 /// guarantee loop to end, so a loop draining on `done` alone spun on
 /// empty pages. Pulled one result a page, `k + 1` pages always suffice.
+/// And a one-shot ISL, BFHM or DRJN run is that cursor drained: it bills
+/// exactly what the cursor charged over its life (`charged()`), and both
+/// equal the ledger's delta. BFHM's index-metadata read at opening is in
+/// no page's `CursorBatch::metrics`, but it is in the charge and the bill.
 #[test]
 fn bfhm_and_drjn_cursors_are_done_once_all_k_results_are_out() {
     let rows: Vec<(u8, f64)> = (0..40u32)
@@ -482,26 +499,44 @@ fn bfhm_and_drjn_cursors_are_done_once_all_k_results_are_out() {
     let (cluster, query) = load_pair(&rows, &rows, 5);
     let ex = prepared(&cluster, &query, 3);
     let all = oracle::full_join(&cluster, &query).unwrap();
-    for algorithm in [Algorithm::Bfhm, Algorithm::Drjn] {
+    for algorithm in [Algorithm::Isl, Algorithm::Bfhm, Algorithm::Drjn] {
         for k in [1, 5, 12] {
+            let label = format!("{algorithm:?} k={k}");
             let want = oracle::topk(&cluster, &query.with_k(k)).unwrap();
+            let before = cluster.metrics().snapshot();
+            let one_shot = ex.execute_with_k(algorithm, k).unwrap();
+            let one_shot_delta = cluster.metrics().snapshot().delta_since(&before);
+
+            let before = cluster.metrics().snapshot();
             let mut cursor = ex.open_cursor(algorithm, k).unwrap();
             let mut results = Vec::new();
-            let mut pages = 0;
+            let (mut pages, mut paged) = (0, MetricsSnapshot::default());
             loop {
                 let batch = cursor.next_batch(1, &StopPolicy::never()).unwrap();
                 results.extend(batch.results);
+                paged += batch.metrics;
                 pages += 1;
                 if batch.done {
                     break;
                 }
-                assert!(
-                    pages <= k,
-                    "{algorithm:?} k={k}: no `done` after {pages} pages"
-                );
+                assert!(pages <= k, "{label}: no `done` after {pages} pages");
             }
-            assert_eq!(results.len(), k, "{algorithm:?} k={k}");
-            assert_rank_equivalent(&format!("{algorithm:?} k={k}"), &results, &want, &all);
+            let cursor_delta = cluster.metrics().snapshot().delta_since(&before);
+            assert_eq!(results.len(), k, "{label}");
+            assert_rank_equivalent(&label, &results, &want, &all);
+            assert_eq!(results, one_shot.results, "{label}");
+
+            let bill = billed(one_shot.metrics);
+            assert_eq!(bill, billed(one_shot_delta), "{label}");
+            assert_eq!(bill, billed(cursor.charged()), "{label}");
+            assert_eq!(bill, billed(cursor_delta), "{label}");
+            let opening = cursor.charged().kv_reads - paged.kv_reads;
+            let reads_at_open = algorithm == Algorithm::Bfhm;
+            assert_eq!(
+                opening > 0,
+                reads_at_open,
+                "{label}: {opening} reads in no page"
+            );
         }
     }
 }

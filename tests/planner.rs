@@ -253,7 +253,8 @@ fn score_ties_are_deterministic_across_all_algorithms() {
 }
 
 /// `k = 0` regression: empty, zero-cost result from every algorithm —
-/// through the executor and through the direct module entry points.
+/// through the executor and through the MapReduce baselines' module
+/// entry points.
 #[test]
 fn k_zero_is_empty_and_free_everywhere() {
     let (cluster, query) = tie_fixture();
@@ -265,7 +266,7 @@ fn k_zero_is_empty_and_free_everywhere() {
         assert_eq!(got.metrics.rpc_calls, 0, "{}", algo.name());
         assert_eq!(got.metrics.sim_seconds, 0.0, "{}", algo.name());
     }
-    // Direct module calls honour the same contract.
+    // The baselines' module calls honour the same contract.
     let q0 = query.with_k(0);
     let engine = ex.engine();
     assert!(rankjoin::core::hive::run(engine, &q0)
@@ -276,13 +277,6 @@ fn k_zero_is_empty_and_free_everywhere() {
         .unwrap()
         .results
         .is_empty());
-    let isl_table = rankjoin::core::isl::index_table_name(&query);
-    assert!(
-        rankjoin::core::isl::run(&cluster, &q0, &isl_table, IslConfig::default())
-            .unwrap()
-            .results
-            .is_empty()
-    );
 }
 
 /// NaN regression: a NaN score planted directly in the base table (below

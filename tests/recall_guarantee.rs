@@ -7,8 +7,8 @@ use rankjoin::sketch::blob::BlobCodec;
 use rankjoin::sketch::hybrid::AlphaMode;
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
-    BfhmConfig, BoundMode, Cluster, CostModel, JoinSide, MapReduceEngine, Mutation, RankJoinQuery,
-    ScoreFn, WriteBackPolicy,
+    Algorithm, BfhmConfig, BoundMode, Cluster, CostModel, JoinSide, MapReduceEngine, Mutation,
+    RankJoinExecutor, RankJoinQuery, ScoreFn,
 };
 
 fn adversarial_cluster(n: u64) -> (Cluster, RankJoinQuery) {
@@ -41,14 +41,27 @@ fn adversarial_cluster(n: u64) -> (Cluster, RankJoinQuery) {
     (cluster, query)
 }
 
+/// Builds `query`'s BFHM index at `table` with `config` and returns an
+/// executor that runs over it.
+fn built(
+    cluster: &Cluster,
+    query: &RankJoinQuery,
+    table: &str,
+    config: &BfhmConfig,
+) -> RankJoinExecutor {
+    let engine = MapReduceEngine::new(cluster.clone());
+    bfhm::build_pair(&engine, query, table, config).unwrap();
+    let mut ex = RankJoinExecutor::new(cluster, query.clone());
+    ex.attach_bfhm(table, config.clone()).unwrap();
+    ex
+}
+
 fn run_config(config: BfhmConfig, label: &str) {
     let (cluster, query) = adversarial_cluster(120);
-    let engine = MapReduceEngine::new(cluster.clone());
-    bfhm::build_pair(&engine, &query, "idx", &config).unwrap();
+    let ex = built(&cluster, &query, "idx", &config);
     for k in [1, 5, 10, 40, 200] {
-        let q = query.with_k(k);
-        let got = bfhm::run(&cluster, &q, "idx", &config, WriteBackPolicy::Off).unwrap();
-        let want = oracle::topk(&cluster, &q).unwrap();
+        let got = ex.execute_with_k(Algorithm::Bfhm, k).unwrap();
+        let want = oracle::topk(&cluster, &query.with_k(k)).unwrap();
         assert_eq!(got.results, want, "{label} k={k}");
     }
 }
@@ -111,7 +124,6 @@ fn conservative_bound_mode_still_exact() {
 fn raw_codec_equals_golomb() {
     // Blob wire format must not affect results, only bytes.
     let (cluster, query) = adversarial_cluster(80);
-    let engine = MapReduceEngine::new(cluster.clone());
     let golomb = BfhmConfig {
         num_buckets: 10,
         codec: BlobCodec::Golomb,
@@ -122,11 +134,9 @@ fn raw_codec_equals_golomb() {
         codec: BlobCodec::Raw,
         ..Default::default()
     };
-    bfhm::build_pair(&engine, &query, "idx_g", &golomb).unwrap();
-    bfhm::build_pair(&engine, &query, "idx_r", &raw).unwrap();
-    let got_g = bfhm::run(&cluster, &query, "idx_g", &golomb, WriteBackPolicy::Off).unwrap();
-    let got_r = bfhm::run(&cluster, &query, "idx_r", &raw, WriteBackPolicy::Off).unwrap();
-    assert_eq!(got_g.results, got_r.results);
+    let got_g = built(&cluster, &query, "idx_g", &golomb).execute(Algorithm::Bfhm);
+    let got_r = built(&cluster, &query, "idx_r", &raw).execute(Algorithm::Bfhm);
+    assert_eq!(got_g.unwrap().results, got_r.unwrap().results);
     let g_size = cluster.table("idx_g").unwrap().disk_size();
     let r_size = cluster.table("idx_r").unwrap().disk_size();
     assert!(
@@ -155,10 +165,10 @@ fn k_exceeding_join_size_returns_everything() {
         1_000_000,
         ScoreFn::Product,
     );
-    let engine = MapReduceEngine::new(cluster.clone());
     let config = BfhmConfig::with_buckets(10);
-    bfhm::build_pair(&engine, &query, "idx", &config).unwrap();
-    let got = bfhm::run(&cluster, &query, "idx", &config, WriteBackPolicy::Off).unwrap();
+    let got = built(&cluster, &query, "idx", &config)
+        .execute(Algorithm::Bfhm)
+        .unwrap();
     let want = oracle::full_join(&cluster, &query).unwrap();
     assert_eq!(got.results.len(), want.len());
     assert_eq!(got.results, want);
