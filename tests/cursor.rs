@@ -15,15 +15,16 @@
 //!   an `Auto` cursor is the cursor of the algorithm its plan chose.
 //! * Every schedule here drains a cursor on `batch.done` alone: a cursor
 //!   that has emitted all `k` results says so.
-//! * A one-shot ISL, BFHM or DRJN run is its cursor drained: it bills
+//! * A one-shot run of every algorithm is its cursor drained: it bills
 //!   exactly the cursor's lifetime charge, BFHM's read at opening
 //!   included, and both equal the ledger's delta (checked beside the
 //!   `done` pages, at k ∈ {1, 5, 12}).
 //! * Golden: where a stop fires — each page's result count, `done`,
-//!   `stopped` and ledger charge under `cancel_after_batches` 1 and 2 and
-//!   a deadline, for ISL (also over a pair it exhausts), BFHM, DRJN and a
-//!   3-way path — is pinned; and a `k = 0` cursor of every algorithm is
-//!   empty and free.
+//!   `stopped` and ledger charge under `cancel_after_batches` 1 and 2, a
+//!   deadline and a token cancelled before the first pull, for ISL (also
+//!   over a pair it exhausts), BFHM, DRJN, a 3-way path, Hive and IJLMR —
+//!   is pinned; and a `k = 0` cursor of every algorithm is empty and
+//!   free.
 
 use proptest::prelude::*;
 
@@ -483,23 +484,25 @@ fn billed(m: MetricsSnapshot) -> (u64, u64, u64, u64, u64) {
     (m.kv_reads, m.kv_writes, m.rpc_calls, m.network_bytes, nanos)
 }
 
-/// A BFHM or DRJN cursor that has emitted all `k` results reports `done`
-/// on the page that emitted the last one — it used to wait for its
-/// guarantee loop to end, so a loop draining on `done` alone spun on
-/// empty pages. Pulled one result a page, `k + 1` pages always suffice.
-/// And a one-shot ISL, BFHM or DRJN run is that cursor drained: it bills
-/// exactly what the cursor charged over its life (`charged()`), and both
-/// equal the ledger's delta. BFHM's index-metadata read at opening is in
-/// no page's `CursorBatch::metrics`, but it is in the charge and the bill.
+/// A cursor of any algorithm that has emitted all `k` results reports
+/// `done` on the page that emitted the last one — a BFHM or DRJN cursor
+/// used to wait for its guarantee loop to end, so a loop draining on
+/// `done` alone spun on empty pages. Pulled one result a page, `k + 1`
+/// pages always suffice. And a one-shot run is that cursor drained: it
+/// bills exactly what the cursor charged over its life (`charged()`), and
+/// both equal the ledger's delta. BFHM's index-metadata read at opening
+/// is in no page's `CursorBatch::metrics`, but it is in the charge and
+/// the bill; a MapReduce baseline charges its jobs to its first page.
 #[test]
-fn bfhm_and_drjn_cursors_are_done_once_all_k_results_are_out() {
+fn every_cursor_is_done_once_all_k_results_are_out() {
     let rows: Vec<(u8, f64)> = (0..40u32)
         .map(|i| ((i % 4) as u8, f64::from(i * 7 % 41) / 41.0))
         .collect();
     let (cluster, query) = load_pair(&rows, &rows, 5);
-    let ex = prepared(&cluster, &query, 3);
+    let mut ex = prepared(&cluster, &query, 3);
+    ex.prepare_ijlmr().unwrap();
     let all = oracle::full_join(&cluster, &query).unwrap();
-    for algorithm in [Algorithm::Isl, Algorithm::Bfhm, Algorithm::Drjn] {
+    for algorithm in Algorithm::ALL {
         for k in [1, 5, 12] {
             let label = format!("{algorithm:?} k={k}");
             let want = oracle::topk(&cluster, &query.with_k(k)).unwrap();
@@ -652,10 +655,11 @@ fn stop_pages(fork: &Cluster, mut cursor: Box<dyn RankedCursor>, stop: &StopPoli
 
 /// The golden of where a stop fires: ISL (batches), BFHM (steps), DRJN
 /// (rounds), a 3-way path (with its first side materialized, the access
-/// it was recorded under, and with every side descended, the default)
-/// and an ISL pair it exhausts, under
-/// `cancel_after_batches` 1 and 2 and a deadline at half the one-shot's
-/// simulated seconds. Every page's result count, `done`, `stopped` and
+/// it was recorded under, and with every side descended, the default),
+/// an ISL pair it exhausts, and the Hive and IJLMR baselines (whose one
+/// boundary is before their jobs launch), under `cancel_after_batches` 1
+/// and 2, a deadline at half the one-shot's simulated seconds, and a
+/// token cancelled before the first pull. Every page's result count, `done`, `stopped` and
 /// charge is pinned: a change to how a run is paged, metered or stopped
 /// moves it.
 #[test]
@@ -665,7 +669,8 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         .collect();
     let k = 8;
     let (cluster, query) = load_pair(&rows, &rows, k);
-    let proto = prepared(&cluster, &query, 3);
+    let mut proto = prepared(&cluster, &query, 3);
+    proto.prepare_ijlmr().unwrap();
     // Two rows a side at batch 3: ISL exhausts both sides in its second
     // batch, and no policy is evaluated after that batch.
     let (tiny_cluster, tiny_query) = load_pair(&rows[..2], &rows[..2], k);
@@ -676,10 +681,22 @@ fn stop_boundaries_fire_exactly_where_recorded() {
     path.prepare().unwrap();
 
     let mut got = Vec::new();
-    for run in ["ISL", "BFHM", "DRJN", "PATH3", "PATH3 DESCEND", "ISL TINY"] {
+    let runs = [
+        "ISL",
+        "BFHM",
+        "DRJN",
+        "PATH3",
+        "PATH3 DESCEND",
+        "ISL TINY",
+        "HIVE",
+        "IJLMR",
+    ];
+    for run in runs {
         let algorithm = match run {
             "BFHM" => Algorithm::Bfhm,
             "DRJN" => Algorithm::Drjn,
+            "HIVE" => Algorithm::Hive,
+            "IJLMR" => Algorithm::Ijlmr,
             _ => Algorithm::Isl,
         };
         let fresh = || match run {
@@ -707,7 +724,7 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         let before = fork.metrics().snapshot();
         ex.execute_with_k(algorithm, k).unwrap();
         let one_shot_sim = fork.metrics().snapshot().delta_since(&before).sim_seconds;
-        let stops = [
+        let mut stops = [
             StopPolicy {
                 cancel_after_batches: Some(1),
                 ..StopPolicy::never()
@@ -717,8 +734,11 @@ fn stop_boundaries_fire_exactly_where_recorded() {
                 ..StopPolicy::never()
             },
             StopPolicy::with_deadline(one_shot_sim / 2.0),
+            StopPolicy::default(),
         ];
-        for (name, stop) in ["after 1", "after 2", "deadline"].iter().zip(stops) {
+        stops[3].token.cancel();
+        let names = ["after 1", "after 2", "deadline", "cancelled"];
+        for (name, stop) in names.iter().zip(stops) {
             let (fork, ex) = fresh();
             let cursor = ex.open_cursor(algorithm, k).unwrap();
             got.push(format!("{run} {name}"));
@@ -726,7 +746,9 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         }
     }
     // Recorded before the three cursors became one; the PATH3 DESCEND
-    // lines when every side became the default descent at every arity.
+    // lines when every side became the default descent at every arity;
+    // the HIVE, IJLMR and `cancelled` lines before the MapReduce
+    // baselines joined the one pump.
     let golden = [
         "ISL after 1",
         "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
@@ -746,6 +768,12 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "3 false None 3 1 105 3eb0c6f7a0b5ed8c",
         "3 false None 0 0 0 0",
         "1 true None 0 0 0 0",
+        "ISL cancelled",
+        "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
+        "1 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
+        "3 false None 6 2 210 3ec0c6f7a0b5ed8d",
+        "3 false None 0 0 0 0",
+        "1 true None 0 0 0 0",
         "BFHM after 1",
         "0 false Some(Cancelled) 0 0 0 0",
         "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8d",
@@ -762,6 +790,12 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "3 false Some(DeadlineExpired) 16 12 686 3ee92a737110e453",
         "3 false None 0 0 0 0",
         "2 true None 0 0 0 0",
+        "BFHM cancelled",
+        "0 false Some(Cancelled) 0 0 0 0",
+        "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8d",
+        "3 false None 15 11 623 3ee711947cfa26a2",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
         "DRJN after 1",
         "3 false Some(Cancelled) 172 18 372 3ee1098a0ed9840d",
         "3 false None 172 16 354 3ee0fca785eb66eb",
@@ -772,6 +806,10 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "2 true None 0 0 0 0",
         "DRJN deadline",
         "3 false Some(DeadlineExpired) 172 18 372 3ee1098a0ed9840d",
+        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "2 true None 0 0 0 0",
+        "DRJN cancelled",
+        "3 false Some(Cancelled) 172 18 372 3ee1098a0ed9840d",
         "3 false None 172 16 354 3ee0fca785eb66eb",
         "2 true None 0 0 0 0",
         "PATH3 after 1",
@@ -791,6 +829,12 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
         "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
         "1 true None 0 0 0 0",
+        "PATH3 cancelled",
+        "0 false Some(Cancelled) 16 18 628 3ef2dfd694ccab3f",
+        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed90",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 true None 0 0 0 0",
         "PATH3 DESCEND after 1",
         "0 false Some(Cancelled) 4 4 152 3ed0c6f7a0b5ed8d",
         "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8e",
@@ -807,6 +851,12 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "2 false Some(DeadlineExpired) 14 9 552 3ee2dfd694ccab3f",
         "3 false Some(DeadlineExpired) 3 2 129 3ec0c6f7a0b5ed8c",
         "3 true None 8 7 319 3edd5c31593e5fb8",
+        "PATH3 DESCEND cancelled",
+        "0 false Some(Cancelled) 4 4 152 3ed0c6f7a0b5ed8d",
+        "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8e",
+        "3 false None 9 5 357 3ed4f8b588e368f0",
+        "3 false None 0 0 0 0",
+        "2 true None 8 7 319 3edd5c31593e5fb8",
         "ISL TINY after 1",
         "0 false Some(Cancelled) 2 6 70 3ed92a737110e454",
         "2 true None 2 6 70 3ed92a737110e454",
@@ -815,6 +865,45 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "ISL TINY deadline",
         "0 false Some(DeadlineExpired) 2 6 70 3ed92a737110e454",
         "2 true None 2 6 70 3ed92a737110e454",
+        "ISL TINY cancelled",
+        "0 false Some(Cancelled) 2 6 70 3ed92a737110e454",
+        "2 true None 2 6 70 3ed92a737110e454",
+        "HIVE after 1",
+        "3 false None 160 2 181108 3eb5f1d135899c18",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "HIVE after 2",
+        "3 false None 160 2 181108 3eb5f1d135899c18",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "HIVE deadline",
+        "3 false None 160 2 181108 3eb5f1d135899c18",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "HIVE cancelled",
+        "0 false Some(Cancelled) 0 0 0 0",
+        "0 false Some(Cancelled) 0 0 0 0",
+        "3 false None 160 2 181108 3eb5f1d135899c18",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "IJLMR after 1",
+        "3 false None 80 5 1904 3e5cfdb417c18a1b",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "IJLMR after 2",
+        "3 false None 80 5 1904 3e5cfdb417c18a1b",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "IJLMR deadline",
+        "3 false None 80 5 1904 3e5cfdb417c18a1b",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
+        "IJLMR cancelled",
+        "0 false Some(Cancelled) 0 0 0 0",
+        "0 false Some(Cancelled) 0 0 0 0",
+        "3 false None 80 5 1904 3e5cfdb417c18a1b",
+        "3 false None 0 0 0 0",
+        "2 true None 0 0 0 0",
     ];
     assert_eq!(got, golden);
 }
