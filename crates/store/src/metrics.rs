@@ -112,6 +112,14 @@ pub struct MetricsSnapshot {
     pub admin_kv_reads: u64,
 }
 
+/// Simulated seconds in the clock's own unit, whole nanoseconds: a
+/// reading (`n / 1e9`) converts back to exactly `n`, so the sums and
+/// differences below are exact and convert to seconds once. The same
+/// charge then reads the same at any clock position.
+fn nanos(seconds: f64) -> f64 {
+    (seconds * 1e9).round()
+}
+
 impl MetricsSnapshot {
     /// Component-wise difference `self - earlier`.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
@@ -120,8 +128,8 @@ impl MetricsSnapshot {
             kv_writes: self.kv_writes - earlier.kv_writes,
             network_bytes: self.network_bytes - earlier.network_bytes,
             rpc_calls: self.rpc_calls - earlier.rpc_calls,
-            sim_seconds: self.sim_seconds - earlier.sim_seconds,
-            node_seconds: self.node_seconds - earlier.node_seconds,
+            sim_seconds: (nanos(self.sim_seconds) - nanos(earlier.sim_seconds)) / 1e9,
+            node_seconds: (nanos(self.node_seconds) - nanos(earlier.node_seconds)) / 1e9,
             admin_kv_reads: self.admin_kv_reads - earlier.admin_kv_reads,
         }
     }
@@ -134,8 +142,8 @@ impl std::ops::AddAssign for MetricsSnapshot {
         self.kv_writes += delta.kv_writes;
         self.network_bytes += delta.network_bytes;
         self.rpc_calls += delta.rpc_calls;
-        self.sim_seconds += delta.sim_seconds;
-        self.node_seconds += delta.node_seconds;
+        self.sim_seconds = (nanos(self.sim_seconds) + nanos(delta.sim_seconds)) / 1e9;
+        self.node_seconds = (nanos(self.node_seconds) + nanos(delta.node_seconds)) / 1e9;
         self.admin_kv_reads += delta.admin_kv_reads;
     }
 }
@@ -222,6 +230,15 @@ mod tests {
         m.add_sim_seconds(0.25);
         sum += second.finish();
         assert_eq!(sum, whole.finish());
+        // The same 2 µs charge reads the same bits at any clock position.
+        let charge = || {
+            let meter = QueryMeter::start(m.clone());
+            m.add_sim_seconds(2e-6);
+            meter.finish()
+        };
+        let early = charge();
+        m.add_sim_seconds(0.3);
+        assert_eq!(charge().sim_seconds.to_bits(), early.sim_seconds.to_bits());
     }
 
     #[test]

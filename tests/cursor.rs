@@ -476,14 +476,6 @@ fn an_auto_cursor_is_the_cursor_of_its_choice() {
     }
 }
 
-/// A ledger reading in the ledger's own units: the counters, and the
-/// simulated time in whole nanoseconds (the same delta, read as `f64`
-/// seconds at two clock readings, can round apart).
-fn billed(m: MetricsSnapshot) -> (u64, u64, u64, u64, u64) {
-    let nanos = (m.sim_seconds * 1e9).round() as u64;
-    (m.kv_reads, m.kv_writes, m.rpc_calls, m.network_bytes, nanos)
-}
-
 /// A cursor of any algorithm that has emitted all `k` results reports
 /// `done` on the page that emitted the last one — a BFHM or DRJN cursor
 /// used to wait for its guarantee loop to end, so a loop draining on
@@ -529,10 +521,10 @@ fn every_cursor_is_done_once_all_k_results_are_out() {
             assert_rank_equivalent(&label, &results, &want, &all);
             assert_eq!(results, one_shot.results, "{label}");
 
-            let bill = billed(one_shot.metrics);
-            assert_eq!(bill, billed(one_shot_delta), "{label}");
-            assert_eq!(bill, billed(cursor.charged()), "{label}");
-            assert_eq!(bill, billed(cursor_delta), "{label}");
+            let bill = one_shot.metrics;
+            assert_eq!(bill, one_shot_delta, "{label}");
+            assert_eq!(bill, cursor.charged(), "{label}");
+            assert_eq!(bill, cursor_delta, "{label}");
             let opening = cursor.charged().kv_reads - paged.kv_reads;
             let reads_at_open = algorithm == Algorithm::Bfhm;
             assert_eq!(
@@ -748,7 +740,9 @@ fn stop_boundaries_fire_exactly_where_recorded() {
     // Recorded before the three cursors became one; the PATH3 DESCEND
     // lines when every side became the default descent at every arity;
     // the HIVE, IJLMR and `cancelled` lines before the MapReduce
-    // baselines joined the one pump.
+    // baselines joined the one pump. The `sim_seconds` column was
+    // re-recorded when deltas became exact in whole nanoseconds: one
+    // charge now has one bit pattern (1 µs is `3eb0c6f7a0b5ed8d`).
     let golden = [
         "ISL after 1",
         "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
@@ -758,14 +752,14 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "1 true None 0 0 0 0",
         "ISL after 2",
         "1 false Some(Cancelled) 6 2 210 3ec0c6f7a0b5ed8d",
-        "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8e",
-        "3 false None 3 1 105 3eb0c6f7a0b5ed8c",
+        "0 false Some(Cancelled) 3 1 105 3eb0c6f7a0b5ed8d",
+        "3 false None 3 1 105 3eb0c6f7a0b5ed8d",
         "3 false None 0 0 0 0",
         "1 true None 0 0 0 0",
         "ISL deadline",
         "1 false Some(DeadlineExpired) 6 2 210 3ec0c6f7a0b5ed8d",
-        "0 false Some(DeadlineExpired) 3 1 105 3eb0c6f7a0b5ed8e",
-        "3 false None 3 1 105 3eb0c6f7a0b5ed8c",
+        "0 false Some(DeadlineExpired) 3 1 105 3eb0c6f7a0b5ed8d",
+        "3 false None 3 1 105 3eb0c6f7a0b5ed8d",
         "3 false None 0 0 0 0",
         "1 true None 0 0 0 0",
         "ISL cancelled",
@@ -782,12 +776,12 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "2 true None 0 0 0 0",
         "BFHM after 2",
         "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8d",
-        "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8e",
-        "3 false None 14 10 560 3ee4f8b588e368f0",
+        "0 false Some(Cancelled) 1 1 63 3eb0c6f7a0b5ed8d",
+        "3 false None 14 10 560 3ee4f8b588e368f1",
         "3 false None 0 0 0 0",
         "2 true None 0 0 0 0",
         "BFHM deadline",
-        "3 false Some(DeadlineExpired) 16 12 686 3ee92a737110e453",
+        "3 false Some(DeadlineExpired) 16 12 686 3ee92a737110e454",
         "3 false None 0 0 0 0",
         "2 true None 0 0 0 0",
         "BFHM cancelled",
@@ -798,65 +792,65 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "2 true None 0 0 0 0",
         "DRJN after 1",
         "3 false Some(Cancelled) 172 18 372 3ee1098a0ed9840d",
-        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "3 false None 172 16 354 3ee0fca785eb66ec",
         "2 true None 0 0 0 0",
         "DRJN after 2",
         "3 false None 172 18 372 3ee1098a0ed9840d",
-        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "3 false None 172 16 354 3ee0fca785eb66ec",
         "2 true None 0 0 0 0",
         "DRJN deadline",
         "3 false Some(DeadlineExpired) 172 18 372 3ee1098a0ed9840d",
-        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "3 false None 172 16 354 3ee0fca785eb66ec",
         "2 true None 0 0 0 0",
         "DRJN cancelled",
         "3 false Some(Cancelled) 172 18 372 3ee1098a0ed9840d",
-        "3 false None 172 16 354 3ee0fca785eb66eb",
+        "3 false None 172 16 354 3ee0fca785eb66ec",
         "2 true None 0 0 0 0",
         "PATH3 after 1",
         "0 false Some(Cancelled) 16 18 628 3ef2dfd694ccab3f",
-        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed90",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8d",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
         "1 true None 0 0 0 0",
         "PATH3 after 2",
         "1 false Some(Cancelled) 19 19 742 3ef3ec460ed80a18",
-        "1 false Some(Cancelled) 3 2 114 3ec0c6f7a0b5ed88",
-        "3 false None 3 2 129 3ec0c6f7a0b5ed90",
-        "3 true None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 false Some(Cancelled) 3 2 114 3ec0c6f7a0b5ed8d",
+        "3 false None 3 2 129 3ec0c6f7a0b5ed8d",
+        "3 true None 6 4 243 3ed0c6f7a0b5ed8d",
         "PATH3 deadline",
         "0 false Some(DeadlineExpired) 16 18 628 3ef2dfd694ccab3f",
-        "1 false Some(DeadlineExpired) 3 1 114 3eb0c6f7a0b5ed90",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 false Some(DeadlineExpired) 3 1 114 3eb0c6f7a0b5ed8d",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
         "1 true None 0 0 0 0",
         "PATH3 cancelled",
         "0 false Some(Cancelled) 16 18 628 3ef2dfd694ccab3f",
-        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed90",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8c",
+        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8d",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
+        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
         "1 true None 0 0 0 0",
         "PATH3 DESCEND after 1",
         "0 false Some(Cancelled) 4 4 152 3ed0c6f7a0b5ed8d",
-        "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8e",
-        "3 false None 9 5 357 3ed4f8b588e368f0",
+        "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8d",
+        "3 false None 9 5 357 3ed4f8b588e368f1",
         "3 false None 0 0 0 0",
-        "2 true None 8 7 319 3edd5c31593e5fb8",
+        "2 true None 8 7 319 3edd5c31593e5fb7",
         "PATH3 DESCEND after 2",
         "0 false Some(Cancelled) 8 6 324 3ed92a737110e454",
-        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8c",
+        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8d",
         "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "3 false None 8 7 319 3edd5c31593e5fb8",
+        "3 false None 8 7 319 3edd5c31593e5fb7",
         "1 true None 0 0 0 0",
         "PATH3 DESCEND deadline",
         "2 false Some(DeadlineExpired) 14 9 552 3ee2dfd694ccab3f",
-        "3 false Some(DeadlineExpired) 3 2 129 3ec0c6f7a0b5ed8c",
-        "3 true None 8 7 319 3edd5c31593e5fb8",
+        "3 false Some(DeadlineExpired) 3 2 129 3ec0c6f7a0b5ed8d",
+        "3 true None 8 7 319 3edd5c31593e5fb7",
         "PATH3 DESCEND cancelled",
         "0 false Some(Cancelled) 4 4 152 3ed0c6f7a0b5ed8d",
-        "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8e",
-        "3 false None 9 5 357 3ed4f8b588e368f0",
+        "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8d",
+        "3 false None 9 5 357 3ed4f8b588e368f1",
         "3 false None 0 0 0 0",
-        "2 true None 8 7 319 3edd5c31593e5fb8",
+        "2 true None 8 7 319 3edd5c31593e5fb7",
         "ISL TINY after 1",
         "0 false Some(Cancelled) 2 6 70 3ed92a737110e454",
         "2 true None 2 6 70 3ed92a737110e454",

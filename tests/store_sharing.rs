@@ -71,7 +71,7 @@ fn a_load_and_its_index_builds_bill_and_store_exactly_as_recorded() {
             0,
             |ex| ex.prepare_isl().unwrap(),
             (
-                (3_056, 3_068, 101_110, 12_224, 0.00019303199999999967),
+                (3_056, 3_068, 101_110, 12_224, 0.000193032),
                 152_300,
                 0.0001930330985000003,
                 [
@@ -85,7 +85,7 @@ fn a_load_and_its_index_builds_bill_and_store_exactly_as_recorded() {
             1,
             |ex| ex.prepare_isl().unwrap(),
             (
-                (3_706, 3_718, 121_656, 14_074, 0.00023609400000000006),
+                (3_706, 3_718, 121_656, 14_074, 0.000236094),
                 184_506,
                 0.00023609448799999898,
                 [
@@ -99,7 +99,7 @@ fn a_load_and_its_index_builds_bill_and_store_exactly_as_recorded() {
             0,
             |ex| ex.prepare_ijlmr().unwrap(),
             (
-                (3_056, 3_074, 76_473, 12_624, 0.00017049100000000005),
+                (3_056, 3_074, 76_473, 12_624, 0.000170491),
                 115_628,
                 0.00017046441424999924,
                 [
