@@ -39,13 +39,13 @@ use rj_store::cluster::Cluster;
 
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCore};
 use crate::cursor::{
-    CursorMeta, CursorState, IslCore, MaterializedCursor, MaterializedSource, RankedCursor,
-    SideAccess, StepCursor,
+    CursorMeta, CursorState, MaterializedCursor, MaterializedSource, RankedCursor, SideAccess,
+    StepCursor,
 };
 use crate::drjn::{self, DrjnConfig, DrjnCore};
 use crate::error::{RankJoinError, Result};
 use crate::indexutil::BuildStats;
-use crate::isl::{self, IslConfig};
+use crate::isl::{self, IslConfig, IslCore};
 use crate::planner::{self, Candidates, Objective, Plan};
 use crate::query::{JoinSide, JoinSpec, RankJoinQuery};
 use crate::spare::Spares;

@@ -31,6 +31,7 @@ use crate::error::Result;
 use crate::query::RankJoinQuery;
 
 pub use index::IslBuildStats;
+pub(crate) use query::IslCore;
 
 /// ISL tuning knobs, for any arity: side 0 pulls `batch_left` rows per
 /// turn, every other side `batch_right`.

@@ -54,7 +54,7 @@
 //!
 //! [`SeenSide`]: crate::hrjn::SeenSide
 //! [`TopIds`]: crate::result::TopIds
-//! [`SideScan`]: crate::cursor::SideScan
+//! [`SideScan`]: crate::isl::query::SideScan
 //! [`BfhmCore`]: crate::bfhm::BfhmCore
 //! [`RankJoinExecutor`]: crate::RankJoinExecutor
 //! [`SpecExecutor`]: crate::SpecExecutor
