@@ -848,7 +848,7 @@ impl Step for BfhmCore {
 
     /// Keys and join values copied out of the cache for results leaving
     /// the run.
-    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+    fn results(&mut self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
         let reverse = &self.reverse;
         self.results
             .binary_results(ranks, |_, id| reverse.tuple(id))

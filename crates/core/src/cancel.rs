@@ -17,7 +17,8 @@
 //!   fully accounted before the check). A "batch" is each algorithm's
 //!   own boundary unit, all checked by the one cursor pump: an ISL
 //!   batch of index rows, a BFHM guarantee-loop step, a DRJN round; a
-//!   MapReduce baseline's cursor checks once, before its one run.
+//!   MapReduce baseline, whose jobs cannot stop once launched, is checked
+//!   before they launch.
 //! * [`StopPolicy`] — token, simulated-time deadline, and a
 //!   fault-injection hook, all checked at batch boundaries.
 //! * [`StopReason`] — why a pull stopped early, reported in

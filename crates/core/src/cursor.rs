@@ -15,22 +15,23 @@
 //!   positions, the operators' seen-tuple stores, partial accumulators),
 //!   serializable in principle, pinned to the statistics version it was
 //!   opened under.
-//! * `StepCursor` — the one cursor over the three incremental
-//!   algorithms. Each is a step machine behind the crate-private `Step`
-//!   trait: ISL's batched descent (`IslCore`, here; any number of sides —
-//!   at three or more, the multiway rank join, each batch from the side
-//!   that sets the threshold, a side optionally bulk-ingested up front,
+//! * `StepCursor` — the one cursor over all six algorithms. Each is a
+//!   step machine behind the crate-private `Step` trait: ISL's batched
+//!   descent (`IslCore`, in [`crate::isl`]; any number of sides — at
+//!   three or more, the multiway rank join, each batch from the side that
+//!   sets the threshold, a side optionally bulk-ingested up front,
 //!   [`SideAccess`]), BFHM's §5.3 guarantee loop (`BfhmCore`, in
-//!   [`crate::bfhm`]) and DRJN's rounds (`DrjnCore`, in [`crate::drjn`]).
-//!   Its one `next_batch` is the one pump: it pages, meters every pull
-//!   with one [`rj_store::QueryMeter`] and stops at the algorithm's own
-//!   boundary unit (an ISL batch, a BFHM step, a DRJN round). A one-shot
-//!   run of any of the three is this cursor drained in one pull.
-//! * [`MaterializedCursor`] — the bulk MapReduce algorithms (Hive, Pig,
-//!   IJLMR) as cursors: the one-shot run executes on the first pull (MR
-//!   jobs are not incremental — all reads are charged then, exactly the
-//!   one-shot amount) and later pulls page from the buffer for free. It
-//!   is also every algorithm's `k = 0` cursor, empty from the start.
+//!   [`crate::bfhm`]), DRJN's rounds (`DrjnCore`, in [`crate::drjn`]) and
+//!   the bulk MapReduce baselines (`MaterializedCore`, here: Hive, Pig
+//!   and IJLMR, whose one step runs every job — they are not incremental,
+//!   so all reads are charged then, exactly the one-shot amount — and
+//!   buffers the answer that later pages hand out for free). With
+//!   nothing to run, `MaterializedCore` is every algorithm's `k = 0` run,
+//!   empty from the start. Its one `next_batch` is the one pump: it
+//!   pages, meters every pull with one [`rj_store::QueryMeter`] and stops
+//!   at the algorithm's own boundary unit (an ISL batch, a BFHM step, a
+//!   DRJN round, a MapReduce run before its jobs launch). A one-shot run
+//!   is this cursor drained in one pull.
 //!
 //! [`crate::executor::RankJoinExecutor`] has the uniform entry points
 //! (`execute_with_k` / `open_cursor` / `resume_cursor`); it is the only
@@ -232,8 +233,21 @@ pub(crate) enum StateInner {
     Bfhm(Box<crate::bfhm::BfhmCore>),
     /// DRJN round state.
     Drjn(Box<crate::drjn::DrjnCore>),
-    /// Bulk-MR algorithm state (buffered one-shot answer).
+    /// Bulk-MR algorithm state (buffered one-shot answer), and every
+    /// `k = 0` state.
     Materialized(Box<MaterializedCore>),
+}
+
+/// `$body` over the run inside a [`StateInner`], whichever algorithm's.
+macro_rules! each_run {
+    ($inner:expr, $run:ident => $body:expr) => {
+        match $inner {
+            StateInner::Isl($run) => $body,
+            StateInner::Bfhm($run) => $body,
+            StateInner::Drjn($run) => $body,
+            StateInner::Materialized($run) => $body,
+        }
+    };
 }
 
 impl std::fmt::Debug for CursorState {
@@ -250,22 +264,12 @@ impl std::fmt::Debug for CursorState {
 
 impl CursorState {
     fn meta(&self) -> &CursorMeta {
-        match &self.inner {
-            StateInner::Isl(c) => &c.meta,
-            StateInner::Bfhm(c) => &c.meta,
-            StateInner::Drjn(c) => &c.meta,
-            StateInner::Materialized(c) => &c.meta,
-        }
+        each_run!(&self.inner, run => run.meta())
     }
 
     /// The algorithm driving this state.
     pub fn algorithm(&self) -> &'static str {
-        match &self.inner {
-            StateInner::Isl(c) => c.algorithm(),
-            StateInner::Bfhm(c) => c.algorithm(),
-            StateInner::Drjn(c) => c.algorithm(),
-            StateInner::Materialized(c) => c.algorithm,
-        }
+        each_run!(&self.inner, run => run.algorithm())
     }
 
     /// The `k` the paused execution targets.
@@ -286,12 +290,7 @@ impl CursorState {
     /// Input depth consumed before the pause (see
     /// [`RankedCursor::consumed_depth`]).
     pub fn consumed_depth(&self) -> u64 {
-        match &self.inner {
-            StateInner::Isl(c) => c.consumed_depth(),
-            StateInner::Bfhm(c) => c.consumed_depth(),
-            StateInner::Drjn(c) => c.consumed_depth(),
-            StateInner::Materialized(c) => c.results.as_ref().map_or(0, |r| r.len()) as u64,
-        }
+        each_run!(&self.inner, run => run.consumed_depth())
     }
 
     /// The statistics version the cursor was opened under (see the
@@ -324,14 +323,7 @@ impl CursorState {
     /// same data the cursor was consuming — see the coherence contract).
     /// Remaining work is billed to `cluster`'s metric ledger.
     pub fn resume_on(self, cluster: &Cluster) -> Result<Box<dyn RankedCursor>> {
-        match self.inner {
-            StateInner::Isl(core) => Ok(Box::new(StepCursor::new(cluster, *core))),
-            StateInner::Bfhm(core) => Ok(Box::new(StepCursor::new(cluster, *core))),
-            StateInner::Drjn(core) => Ok(Box::new(StepCursor::new(cluster, *core))),
-            StateInner::Materialized(core) => {
-                Ok(Box::new(MaterializedCursor::resume(cluster, *core)))
-            }
-        }
+        Ok(each_run!(self.inner, run => Box::new(StepCursor::new(cluster, *run))))
     }
 
     /// Re-targets an ISL state to a (usually deeper) `new_k` and resumes
@@ -359,17 +351,24 @@ impl CursorState {
 }
 
 // ---------------------------------------------------------------------
-// The one pump (ISL, BFHM, DRJN)
+// The one pump (every algorithm)
 // ---------------------------------------------------------------------
 
 /// A run the one cursor pumps: ISL's batched descent, BFHM's guarantee
-/// loop or DRJN's rounds, advanced one boundary unit at a time. Results
-/// are buffered in rank order; a run emits only the prefix it has
-/// certified final.
+/// loop, DRJN's rounds or a MapReduce baseline's jobs, advanced one
+/// boundary unit at a time. Results are buffered in rank order; a run
+/// emits only the prefix it has certified final.
 pub(crate) trait Step: Send + Sized {
     /// Advances one boundary unit on `cluster`: whether work remains (a
     /// stop policy is evaluated only then).
     fn step(&mut self, cluster: &Cluster) -> Result<bool>;
+
+    /// Whether a stop policy is also evaluated before each step: a
+    /// MapReduce run cannot stop once its jobs launch, so its one
+    /// boundary is before them.
+    fn stops_before_step(&self) -> bool {
+        false
+    }
 
     /// Whether the run has nothing left to do (`k = 0` included).
     fn drained(&self) -> bool;
@@ -378,8 +377,9 @@ pub(crate) trait Step: Send + Sized {
     /// once the run is drained.
     fn certified(&self) -> usize;
 
-    /// The buffered results of ranks `ranks`, built.
-    fn results(&self, ranks: Range<usize>) -> Vec<JoinTuple>;
+    /// The buffered results of ranks `ranks`, the next ones to emit,
+    /// built or handed over.
+    fn results(&mut self, ranks: Range<usize>) -> Vec<JoinTuple>;
 
     /// See [`RankedCursor::consumed_depth`].
     fn consumed_depth(&self) -> u64;
@@ -449,15 +449,24 @@ impl<C: Step> RankedCursor for StepCursor<C> {
         let (k, emitted) = (core.meta().k, core.meta().emitted);
         let want = emitted.saturating_add(n).min(k);
         let meter = QueryMeter::start(self.cluster.metrics());
+        let stop = |core: &C| {
+            let charged_sim = core.meta().charged.sim_seconds + meter.so_far().sim_seconds;
+            policy_stop(policy, core.boundaries(), charged_sim)
+        };
         let mut stopped = None;
         // A re-targeted ISL run may certify `want` part-way through a
         // batch; its state is consistent there, so it reads no further.
         while !core.drained() && core.certified() < want {
+            if core.stops_before_step() {
+                stopped = stop(core);
+                if stopped.is_some() {
+                    break;
+                }
+            }
             if !core.step(&self.cluster)? {
                 break;
             }
-            let charged_sim = core.meta().charged.sim_seconds + meter.so_far().sim_seconds;
-            stopped = policy_stop(policy, core.boundaries(), charged_sim);
+            stopped = stop(core);
             if stopped.is_some() {
                 break;
             }
@@ -527,10 +536,10 @@ pub enum SideAccess {
 }
 
 // ---------------------------------------------------------------------
-// Materialized (Hive / Pig / IJLMR)
+// Materialized (Hive / Pig / IJLMR, and every k = 0 run)
 // ---------------------------------------------------------------------
 
-/// Which bulk-MR algorithm a [`MaterializedCursor`] runs.
+/// Which bulk-MR algorithm a [`MaterializedCore`] runs.
 #[derive(Clone, Debug)]
 pub(crate) enum MaterializedSource {
     /// Hive-style baseline (2 MR jobs + fetch).
@@ -541,146 +550,103 @@ pub(crate) enum MaterializedSource {
     Ijlmr(Arc<str>),
 }
 
-/// Detached state of a [`MaterializedCursor`].
+/// A bulk MapReduce run as a step machine: its one step runs every job
+/// on a fresh engine over the pumping cluster and buffers the answer and
+/// the run's counters. With nothing to run it is a `k = 0` run, drained
+/// from the start.
 #[derive(Clone)]
 pub(crate) struct MaterializedCore {
-    pub meta: CursorMeta,
-    /// What the first pull runs: the executor's query, shared (the run's
-    /// `k` is `meta.k`), and the algorithm. `None` for a `k = 0` cursor.
-    pub run: Option<(Arc<RankJoinQuery>, MaterializedSource)>,
-    /// The one-shot answer, once the first pull has executed it.
-    pub results: Option<Vec<JoinTuple>>,
-    pub algorithm: &'static str,
+    meta: CursorMeta,
+    /// What the step runs: the executor's query, shared (the run's `k` is
+    /// `meta.k`), and the algorithm; `None` once it ran, or for `k = 0`.
+    run: Option<(Arc<RankJoinQuery>, MaterializedSource)>,
+    /// The answer's ranks from `meta.emitted` on.
+    unsent: Vec<JoinTuple>,
+    extras: Extras,
+    algorithm: &'static str,
 }
 
-/// Bulk MapReduce algorithms as cursors: MR jobs are not incremental, so
-/// the first pull runs the one-shot execution (charging exactly the
-/// one-shot metrics) and every later pull pages from the buffered answer
-/// for free.
-pub struct MaterializedCursor {
-    cluster: Cluster,
-    core: MaterializedCore,
-}
-
-impl MaterializedCursor {
-    pub(crate) fn open(
-        cluster: &Cluster,
-        query: &Arc<RankJoinQuery>,
-        k: usize,
-        source: MaterializedSource,
+impl MaterializedCore {
+    pub(crate) fn new(
+        meta: CursorMeta,
+        run: Option<(Arc<RankJoinQuery>, MaterializedSource)>,
         algorithm: &'static str,
-        pinned_version: u64,
     ) -> Self {
-        MaterializedCursor {
-            cluster: cluster.clone(),
-            core: MaterializedCore {
-                meta: CursorMeta::new(k, pinned_version, Spares::default()),
-                run: Some((query.clone(), source)),
-                results: None,
-                algorithm,
-            },
+        MaterializedCore {
+            meta,
+            run,
+            unsent: Vec::new(),
+            extras: Extras::None,
+            algorithm,
         }
-    }
-
-    /// The `k = 0` cursor of `algorithm`, any arity: empty from the start
-    /// and free, as the one-shot run at `k = 0` is, pinned like any other.
-    pub(crate) fn empty(cluster: &Cluster, algorithm: &'static str, pinned_version: u64) -> Self {
-        MaterializedCursor {
-            cluster: cluster.clone(),
-            core: MaterializedCore {
-                meta: CursorMeta::new(0, pinned_version, Spares::default()),
-                run: None,
-                results: Some(Vec::new()),
-                algorithm,
-            },
-        }
-    }
-
-    pub(crate) fn resume(cluster: &Cluster, core: MaterializedCore) -> Self {
-        MaterializedCursor {
-            cluster: cluster.clone(),
-            core,
-        }
-    }
-
-    fn ensure_materialized(&mut self) -> Result<MetricsSnapshot> {
-        let (None, Some((query, source))) = (&self.core.results, &self.core.run) else {
-            return Ok(MetricsSnapshot::default());
-        };
-        let meter = QueryMeter::start(self.cluster.metrics());
-        let engine = MapReduceEngine::new(self.cluster.clone());
-        // The MapReduce baselines take the query with its `k` inside.
-        let query = query.with_k(self.core.meta.k);
-        let outcome = match source {
-            MaterializedSource::Hive => crate::hive::run(&engine, &query)?,
-            MaterializedSource::Pig => crate::pig::run(&engine, &query)?,
-            MaterializedSource::Ijlmr(table) => crate::ijlmr::run(&engine, &query, table)?,
-        };
-        self.core.results = Some(outcome.results);
-        let delta = meter.finish();
-        self.core.meta.charged += delta;
-        Ok(delta)
     }
 }
 
-impl RankedCursor for MaterializedCursor {
-    fn next_batch(&mut self, n: usize, policy: &StopPolicy) -> Result<CursorBatch> {
-        // MR jobs are not interruptible mid-flight; the policy is honoured
-        // at the only step boundary there is — before launching the run.
-        if self.core.results.is_none() {
-            if let Some(reason) = policy_stop(policy, 0, self.core.meta.charged.sim_seconds) {
-                return Ok(CursorBatch {
-                    results: Vec::new(),
-                    done: false,
-                    stopped: Some(reason),
-                    metrics: MetricsSnapshot::default(),
-                });
-            }
+impl Step for MaterializedCore {
+    /// Runs the jobs: nothing is left after them. A failed job leaves the
+    /// run to do, for the next pull to retry.
+    fn step(&mut self, cluster: &Cluster) -> Result<bool> {
+        if let Some((query, source)) = &self.run {
+            let engine = MapReduceEngine::new(cluster.clone());
+            let k = self.meta.k;
+            (self.unsent, self.extras) = match source {
+                MaterializedSource::Hive => crate::hive::run(&engine, query, k)?,
+                MaterializedSource::Pig => crate::pig::run(&engine, query, k)?,
+                MaterializedSource::Ijlmr(table) => crate::ijlmr::run(&engine, query, k, table)?,
+            };
+            self.run = None;
         }
-        let metrics = self.ensure_materialized()?;
-        let results = self
-            .core
-            .results
-            .as_ref()
-            .ok_or(RankJoinError::Internal("materialization left no results"))?;
-        let emit_to = results.len().min(self.core.meta.emitted.saturating_add(n));
-        let page = results[self.core.meta.emitted..emit_to].to_vec();
-        self.core.meta.emitted = emit_to;
-        Ok(CursorBatch {
-            results: page,
-            done: self.is_done(),
-            stopped: None,
-            metrics,
-        })
+        Ok(false)
     }
 
-    fn pause(self: Box<Self>) -> CursorState {
-        CursorState {
-            inner: StateInner::Materialized(Box::new(self.core)),
+    fn stops_before_step(&self) -> bool {
+        true
+    }
+
+    fn drained(&self) -> bool {
+        self.run.is_none()
+    }
+
+    fn certified(&self) -> usize {
+        self.meta.emitted + self.unsent.len()
+    }
+
+    /// The front of the unsent answer; all of it, without a copy, when
+    /// the page takes the rest (a one-shot run's only page).
+    fn results(&mut self, ranks: Range<usize>) -> Vec<JoinTuple> {
+        if ranks.len() == self.unsent.len() {
+            return std::mem::take(&mut self.unsent);
         }
+        self.unsent.drain(..ranks.len()).collect()
     }
 
-    fn emitted(&self) -> usize {
-        self.core.meta.emitted
-    }
-
+    /// The answer's size, once the jobs ran.
     fn consumed_depth(&self) -> u64 {
-        self.core.results.as_ref().map_or(0, |r| r.len()) as u64
+        self.certified() as u64
     }
 
-    fn charged(&self) -> MetricsSnapshot {
-        self.core.meta.charged
+    fn boundaries(&self) -> u64 {
+        0
     }
 
-    fn is_done(&self) -> bool {
-        self.core
-            .results
-            .as_ref()
-            .is_some_and(|r| self.core.meta.emitted == r.len().min(self.core.meta.k))
+    fn meta(&self) -> &CursorMeta {
+        &self.meta
+    }
+
+    fn meta_mut(&mut self) -> &mut CursorMeta {
+        &mut self.meta
+    }
+
+    fn paused(self) -> StateInner {
+        StateInner::Materialized(Box::new(self))
     }
 
     fn algorithm(&self) -> &'static str {
-        self.core.algorithm
+        self.algorithm
+    }
+
+    fn extras(&self) -> Extras {
+        self.extras
     }
 }
 

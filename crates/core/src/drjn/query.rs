@@ -372,7 +372,7 @@ impl Step for DrjnCore {
         self.results.count_above(self.threat_bound())
     }
 
-    fn results(&self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
+    fn results(&mut self, ranks: std::ops::Range<usize>) -> Vec<JoinTuple> {
         let seen = &self.seen;
         self.results
             .binary_results(ranks, |side, id| tuple(seen, side, id))

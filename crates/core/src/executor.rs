@@ -15,23 +15,26 @@
 //! for a spec without one, where [`Algorithm::Auto`] has one candidate,
 //! ISL.
 //!
+//! **One door per run.** Every algorithm's run is opened in one place
+//! (`open_isl`, `open_bfhm`, `open_drjn`, `open_mr`, and `open_empty`
+//! for every `k = 0` run) as the crate's one cursor ([`crate::cursor`]);
+//! [`RankJoinExecutor::execute_with_k`] is that cursor drained in one
+//! pull, and [`RankJoinExecutor::open_cursor`] hands it out.
+//!
 //! **`k` belongs to the run, not the descriptor.** The executor builds its
 //! spec (and its binary query) once, behind `Arc`s that every run,
 //! cursor, parked [`CursorState`] and [`RankJoinExecutor::fork_onto`]
 //! fork shares. A run at any `k` passes `(descriptor, k)` to the driver;
 //! the descriptor's own `k` is only the default of
-//! [`RankJoinExecutor::execute`] and [`RankJoinExecutor::plan`]. Only the
-//! MapReduce baselines (HIVE, PIG, IJLMR) still take a copy of the query
-//! with its `k` inside.
+//! [`RankJoinExecutor::execute`] and [`RankJoinExecutor::plan`].
 //!
-//! **Spares belong to the executor.** Every ISL, BFHM and DRJN run or
-//! cursor an executor opens takes its buffers from the executor's spare
-//! list and gives them back when it drops (`crate::spare`); a
+//! **Spares belong to the executor.** Every run or cursor an executor
+//! opens takes its buffers from the executor's spare list and gives them
+//! back when it drops (`crate::spare`); a
 //! [`RankJoinExecutor::fork_onto`] fork is the same executor over another
 //! ledger and recycles through the same list.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use rj_mapreduce::MapReduceEngine;
@@ -39,11 +42,12 @@ use rj_store::cluster::Cluster;
 
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCore};
 use crate::cursor::{
-    CursorMeta, CursorState, MaterializedCursor, MaterializedSource, RankedCursor, SideAccess,
+    CursorMeta, CursorState, MaterializedCore, MaterializedSource, RankedCursor, SideAccess,
     StepCursor,
 };
 use crate::drjn::{self, DrjnConfig, DrjnCore};
 use crate::error::{RankJoinError, Result};
+use crate::ijlmr;
 use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig, IslCore};
 use crate::planner::{self, Candidates, Objective, Plan};
@@ -51,7 +55,6 @@ use crate::query::{JoinSide, JoinSpec, RankJoinQuery};
 use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 use crate::statsmaint::SharedTableStats;
-use crate::{hive, ijlmr, pig};
 
 /// The algorithm suite of the paper, plus the cost-based planner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -201,20 +204,6 @@ pub struct RankJoinExecutor {
     /// at, so maintained writes coherently invalidate plans across every
     /// executor sharing the handle.
     plan_cache: Mutex<HashMap<PlanKey, (u64, Arc<Plan>)>>,
-    /// Candidacy cache: which algorithms are executable right now, both
-    /// positive ("ISL prepared, with this config") and negative ("BFHM
-    /// not prepared — don't re-check until a `prepare_*`/`attach_*`
-    /// bump"). Invalidated only by preparation changes, never by
-    /// statistics movement, so `Auto` stops re-evaluating permanently
-    /// unprepared algorithms on every plan.
-    /// Keyed by the ISL batch config the entry was built under: the
-    /// config is a public field feeding the candidate set, so mutating it
-    /// must re-evaluate (same reason it sits in the plan-cache key).
-    candidates_cache: Mutex<Option<(IslConfig, Arc<Candidates>)>>,
-    /// How many times the candidate set was actually (re-)evaluated —
-    /// the observable the negative-candidacy caching contract is tested
-    /// against (grows on preparation changes only).
-    candidate_evaluations: AtomicU64,
     /// The buffers this executor's (and its forks') runs gave back, for
     /// their next runs.
     pub(crate) spares: Spares,
@@ -269,8 +258,6 @@ impl RankJoinExecutor {
             descend,
             stats,
             plan_cache: Mutex::new(HashMap::new()),
-            candidates_cache: Mutex::new(None),
-            candidate_evaluations: AtomicU64::new(0),
             spares: Spares::new(),
         }
     }
@@ -359,7 +346,7 @@ impl RankJoinExecutor {
     /// stale with it).
     fn invalidate_plans(&mut self) {
         self.stats.invalidate();
-        self.refresh_candidates();
+        self.clear_plans();
     }
 
     /// Drops only this executor's cached plans — used by `attach_*`:
@@ -367,15 +354,11 @@ impl RankJoinExecutor {
     /// not the base tables the shared statistics describe, so wiping the
     /// shared snapshot (and forcing every sharer through a redundant full
     /// pass) would be invalidation at the wrong altitude.
-    fn refresh_candidates(&mut self) {
+    fn clear_plans(&mut self) {
         self.plan_cache
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
             .clear();
-        *self
-            .candidates_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Builds `index` from the current base data, dropping and replacing
@@ -417,7 +400,7 @@ impl RankJoinExecutor {
             .cluster()
             .table(table)
             .map_err(|_| RankJoinError::MissingIndex(table.to_owned()))?;
-        self.refresh_candidates();
+        self.clear_plans();
         self.indices.set(&index, Some(table.into()));
         Ok(())
     }
@@ -496,39 +479,15 @@ impl RankJoinExecutor {
         Ok(fork)
     }
 
-    /// The planner's candidate set: everything currently prepared, plus
-    /// the index-free baselines. Served from the candidacy cache —
-    /// positive and negative candidacy ("BFHM is not prepared") are
-    /// evaluated once per preparation state and reused by every plan
-    /// until a `prepare_*`/`attach_*` call bumps it, rather than being
-    /// re-derived on each planning call.
+    /// The planner's candidate set: everything currently prepared (ISL
+    /// with the current `isl_config`), plus the index-free baselines.
     pub fn candidates(&self) -> Candidates {
-        (*self.cached_candidates()).clone()
-    }
-
-    /// How many times the candidate set has actually been evaluated —
-    /// stays flat across any number of plans while the preparation state
-    /// is unchanged (the negative-candidacy caching contract).
-    pub fn candidate_evaluations(&self) -> u64 {
-        self.candidate_evaluations.load(Ordering::Relaxed)
-    }
-
-    fn cached_candidates(&self) -> Arc<Candidates> {
-        let mut guard = self.candidates_cache.lock().expect("candidates cache");
-        match guard.as_ref() {
-            Some((config, cached)) if *config == self.isl_config => cached.clone(),
-            _ => {
-                self.candidate_evaluations.fetch_add(1, Ordering::Relaxed);
-                let fresh = Arc::new(Candidates {
-                    baselines: true,
-                    ijlmr: self.indices.ijlmr.is_some(),
-                    isl: self.indices.isl.as_ref().map(|_| self.isl_config),
-                    bfhm: self.indices.bfhm.as_ref().map(|(_, c)| c.clone()),
-                    drjn: self.indices.drjn.as_ref().map(|(_, c)| *c),
-                });
-                *guard = Some((self.isl_config, fresh.clone()));
-                fresh
-            }
+        Candidates {
+            baselines: true,
+            ijlmr: self.indices.ijlmr.is_some(),
+            isl: self.indices.isl.as_ref().map(|_| self.isl_config),
+            bfhm: self.indices.bfhm.as_ref().map(|(_, c)| c.clone()),
+            drjn: self.indices.drjn.as_ref().map(|(_, c)| *c),
         }
     }
 
@@ -569,7 +528,7 @@ impl RankJoinExecutor {
             k,
             self.engine.cluster().cost_model(),
             self.objective,
-            &self.cached_candidates(),
+            &self.candidates(),
         );
         plan.stats_source = fresh.source;
         let plan = Arc::new(plan);
@@ -639,27 +598,43 @@ impl RankJoinExecutor {
         Ok(StepCursor::new(cluster, core))
     }
 
+    /// Opens the run of `algorithm`, a MapReduce baseline (Hive, Pig or
+    /// IJLMR), for the top `k`: its jobs run on the first pull.
+    fn open_mr(&self, algorithm: Algorithm, k: usize) -> Result<StepCursor<MaterializedCore>> {
+        let query = self.binary_query()?.clone();
+        let source = match algorithm {
+            Algorithm::Pig => MaterializedSource::Pig,
+            Algorithm::Ijlmr => {
+                MaterializedSource::Ijlmr(prepared(&self.indices.ijlmr, "ijlmr")?.clone())
+            }
+            _ => MaterializedSource::Hive,
+        };
+        let core = MaterializedCore::new(self.meta(k), Some((query, source)), algorithm.name());
+        Ok(StepCursor::new(self.engine.cluster(), core))
+    }
+
+    /// Opens the run of `algorithm` for the top 0, at any arity: nothing
+    /// to run, so it is empty and free, with no store access and no
+    /// planning.
+    fn open_empty(&self, algorithm: Algorithm) -> StepCursor<MaterializedCore> {
+        let core = MaterializedCore::new(self.meta(0), None, algorithm.name());
+        StepCursor::new(self.engine.cluster(), core)
+    }
+
     /// Executes `algorithm` with the stored `k`.
     pub fn execute(&self, algorithm: Algorithm) -> Result<QueryOutcome> {
         self.execute_with_k(algorithm, self.spec.k)
     }
 
     /// Executes `algorithm` with an overridden `k` — over the shared
-    /// spec, which is not copied (the MapReduce baselines excepted). ISL,
-    /// BFHM and DRJN run as their cursor drained in one pull.
+    /// spec, which is not copied: the run's cursor drained in one pull.
     ///
-    /// `k = 0` short-circuits to an empty, zero-cost outcome for every
-    /// algorithm (the [`RankJoinQuery::with_k`] contract) — no store
-    /// access, no planning.
+    /// `k = 0` answers an empty, zero-cost outcome for every algorithm
+    /// (the [`RankJoinQuery::with_k`] contract) — no store access, no
+    /// planning.
     pub fn execute_with_k(&self, algorithm: Algorithm, k: usize) -> Result<QueryOutcome> {
-        if k == 0 {
-            return Ok(QueryOutcome::new(
-                algorithm.name(),
-                Vec::new(),
-                rj_store::metrics::MetricsSnapshot::default(),
-            ));
-        }
         match algorithm {
+            _ if k == 0 => self.open_empty(algorithm).drain(),
             Algorithm::Auto => {
                 let (best, candidates) = self.choose(k)?;
                 let mut outcome = self.execute_with_k(best, k)?;
@@ -669,13 +644,8 @@ impl RankJoinExecutor {
             Algorithm::Isl => self.open_isl(k)?.drain(),
             Algorithm::Bfhm => self.open_bfhm(k)?.drain(),
             Algorithm::Drjn => self.open_drjn(k)?.drain(),
-            // The MapReduce baselines take the query with its `k` inside.
-            Algorithm::Hive => hive::run(&self.engine, &self.binary_query()?.with_k(k)),
-            Algorithm::Pig => pig::run(&self.engine, &self.binary_query()?.with_k(k)),
-            Algorithm::Ijlmr => {
-                let query = self.binary_query()?.with_k(k);
-                let t = prepared(&self.indices.ijlmr, "ijlmr")?;
-                ijlmr::run(&self.engine, &query, t)
+            Algorithm::Hive | Algorithm::Pig | Algorithm::Ijlmr => {
+                self.open_mr(algorithm, k)?.drain()
             }
         }
     }
@@ -700,30 +670,16 @@ impl RankJoinExecutor {
         algorithm: Algorithm,
         k_hint: usize,
     ) -> Result<Box<dyn RankedCursor>> {
-        let cluster = self.engine.cluster();
-        let version = self.stats.version();
-        if k_hint == 0 {
-            let name = algorithm.name();
-            return Ok(Box::new(MaterializedCursor::empty(cluster, name, version)));
-        }
-        let materialized = |source, name| -> Result<Box<dyn RankedCursor>> {
-            let query = self.binary_query()?;
-            let cursor = MaterializedCursor::open(cluster, query, k_hint, source, name, version);
-            Ok(Box::new(cursor))
-        };
         match algorithm {
+            _ if k_hint == 0 => Ok(Box::new(self.open_empty(algorithm))),
             // Plan first: the first plan may run the statistics pass,
             // which bumps the handle version the cursor pins.
             Algorithm::Auto => self.open_cursor(self.choose(k_hint)?.0, k_hint),
             Algorithm::Isl => Ok(Box::new(self.open_isl(k_hint)?)),
             Algorithm::Bfhm => Ok(Box::new(self.open_bfhm(k_hint)?)),
             Algorithm::Drjn => Ok(Box::new(self.open_drjn(k_hint)?)),
-            Algorithm::Hive => materialized(MaterializedSource::Hive, "HIVE"),
-            Algorithm::Pig => materialized(MaterializedSource::Pig, "PIG"),
-            Algorithm::Ijlmr => {
-                self.binary_query()?;
-                let t = prepared(&self.indices.ijlmr, "ijlmr")?.clone();
-                materialized(MaterializedSource::Ijlmr(t), "IJLMR")
+            Algorithm::Hive | Algorithm::Pig | Algorithm::Ijlmr => {
+                Ok(Box::new(self.open_mr(algorithm, k_hint)?))
             }
         }
     }
@@ -1017,33 +973,20 @@ mod tests {
         assert!(other.attach_stats(ex.stats_handle()).is_err());
     }
 
+    /// The candidate set is what is prepared now, with the ISL config
+    /// as it stands now.
     #[test]
-    fn candidate_evaluations_stay_flat_until_preparation_changes() {
+    fn candidates_follow_preparation_and_the_isl_config() {
         let (c, q) = running_example_cluster();
         let mut ex = RankJoinExecutor::new(&c, q.clone());
         ex.prepare_isl().unwrap();
-        let evals = ex.candidate_evaluations();
-        for k in [1, 2, 3, 5, 8] {
-            let _ = ex.plan_with_k(k).unwrap();
-            let _ = ex.candidates();
-        }
-        assert_eq!(
-            ex.candidate_evaluations(),
-            evals + 1,
-            "negative candidacy (BFHM/DRJN unprepared) must be cached, \
-             not re-checked per plan"
-        );
-        // A preparation change is the re-check signal.
         ex.prepare_bfhm(BfhmConfig {
             num_buckets: 10,
             filter_bits: Some(1 << 14),
             ..Default::default()
         })
         .unwrap();
-        let _ = ex.plan().unwrap();
-        assert_eq!(ex.candidate_evaluations(), evals + 2);
         assert!(ex.candidates().bfhm.is_some());
-        // Mutating the public ISL config must not serve a stale cache.
         ex.isl_config = IslConfig::uniform(7);
         assert_eq!(ex.candidates().isl, Some(IslConfig::uniform(7)));
     }

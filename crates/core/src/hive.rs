@@ -16,13 +16,12 @@ use rj_mapreduce::job::{JobInput, JobSpec, OutputSink, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper, Reducer};
 use rj_mapreduce::MapReduceEngine;
 use rj_store::keys;
-use rj_store::metrics::QueryMeter;
 
 use crate::codec::{self, TaggedTuple};
 use crate::error::Result;
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopK};
-use crate::stats::{Extras, QueryOutcome};
+use crate::stats::Extras;
 
 /// DFS path of the materialized join result.
 const JOINED_FILE: &str = "hive/__joined";
@@ -138,17 +137,14 @@ impl Reducer for IdentityReducer {
     }
 }
 
-/// Executes the Hive-style rank join.
-pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutcome> {
-    if query.k == 0 {
-        return Ok(QueryOutcome::new(
-            "HIVE",
-            Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
-        ));
-    }
-    let meter = QueryMeter::start(engine.cluster().metrics());
-
+/// Executes the Hive-style rank join for the top `k` of `query`: the
+/// answer and the run's counters. A run goes through the executor, whose
+/// cursor meters it ([`crate::cursor`]).
+pub(crate) fn run(
+    engine: &MapReduceEngine,
+    query: &RankJoinQuery,
+    k: usize,
+) -> Result<(Vec<JoinTuple>, Extras)> {
     // Job 1: materialize the join result.
     let join_spec = JobSpec::new(
         "hive-join",
@@ -179,8 +175,8 @@ pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutco
     )?;
 
     // Final non-MapReduce stage: fetch the top-k prefix.
-    let fetched = engine.fetch_file_prefix(SORTED_FILE, query.k)?;
-    let mut top = TopK::new(query.k);
+    let fetched = engine.fetch_file_prefix(SORTED_FILE, k)?;
+    let mut top = TopK::new(k);
     for (_k, v) in &fetched {
         top.offer(codec::decode_join_tuple(v)?);
     }
@@ -188,19 +184,18 @@ pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutco
     engine.dfs().remove(JOINED_FILE);
     engine.dfs().remove(SORTED_FILE);
 
-    Ok(QueryOutcome {
-        extras: Extras::Hive {
-            mr_jobs: 2,
-            join_result_records: join_result.counters.output_records,
-            sorted_records: sort_result.counters.output_records,
-        },
-        ..QueryOutcome::new("HIVE", top.into_sorted_vec(), meter.finish())
-    })
+    let extras = Extras::Hive {
+        mr_jobs: 2,
+        join_result_records: join_result.counters.output_records,
+        sorted_records: sort_result.counters.output_records,
+    };
+    Ok((top.into_sorted_vec(), extras))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{Algorithm, RankJoinExecutor};
     use crate::oracle;
     use crate::query::JoinSide;
     use crate::score::ScoreFn;
@@ -240,6 +235,12 @@ mod tests {
         (c, q)
     }
 
+    /// `q`'s Hive run through an executor.
+    fn execute(c: &Cluster, q: &RankJoinQuery) -> crate::stats::QueryOutcome {
+        let ex = RankJoinExecutor::new(c, q.clone());
+        ex.execute(Algorithm::Hive).unwrap()
+    }
+
     #[test]
     fn matches_oracle() {
         let (c, q) = setup(
@@ -256,8 +257,7 @@ mod tests {
                 ("r4", b"a", 0.5),
             ],
         );
-        let engine = MapReduceEngine::new(c.clone());
-        let got = run(&engine, &q).unwrap();
+        let got = execute(&c, &q);
         let want = oracle::topk(&c, &q).unwrap();
         assert_eq!(got.results, want);
         assert_eq!(got.algorithm, "HIVE");
@@ -266,18 +266,17 @@ mod tests {
     #[test]
     fn empty_join_is_empty() {
         let (c, q) = setup(&[("l1", b"a", 0.9)], &[("r1", b"z", 0.7)]);
-        let engine = MapReduceEngine::new(c);
-        let got = run(&engine, &q).unwrap();
-        assert!(got.results.is_empty());
+        assert!(execute(&c, &q).results.is_empty());
     }
 
     #[test]
     fn charges_two_jobs_and_cleans_up() {
         let (c, q) = setup(&[("l1", b"a", 0.9)], &[("r1", b"a", 0.7)]);
-        let engine = MapReduceEngine::new(c.clone());
-        let got = run(&engine, &q).unwrap();
+        let got = execute(&c, &q);
         assert!(matches!(got.extras, Extras::Hive { mr_jobs: 2, .. }));
         assert!(got.metrics.kv_reads >= 6, "scans both tables fully");
+        let engine = MapReduceEngine::new(c.clone());
+        run(&engine, &q, q.k).unwrap();
         assert!(!engine.dfs().exists(JOINED_FILE));
         assert!(!engine.dfs().exists(SORTED_FILE));
     }

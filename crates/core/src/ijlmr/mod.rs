@@ -18,4 +18,4 @@ mod index;
 mod query;
 
 pub use index::{build, index_table_name, IjlmrBuildStats};
-pub use query::run;
+pub(crate) use query::run;

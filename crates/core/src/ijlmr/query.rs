@@ -9,14 +9,13 @@
 use rj_mapreduce::job::{JobInput, JobSpec, OutputSink, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper, Reducer};
 use rj_mapreduce::MapReduceEngine;
-use rj_store::metrics::QueryMeter;
 
 use crate::codec;
 use crate::error::{RankJoinError, Result};
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopK};
 use crate::score::ScoreFn;
-use crate::stats::{Extras, QueryOutcome};
+use crate::stats::Extras;
 
 struct TopKMapper {
     left_family: String,
@@ -86,24 +85,19 @@ impl Reducer for MergeReducer {
     }
 }
 
-/// Executes the IJLMR rank join over a previously built index table.
-pub fn run(
+/// Executes the IJLMR rank join for the top `k` of `query` over a
+/// previously built index table: the answer and the run's counters. A run
+/// goes through the executor, whose cursor meters it ([`crate::cursor`]).
+pub(crate) fn run(
     engine: &MapReduceEngine,
     query: &RankJoinQuery,
+    k: usize,
     index_table: &str,
-) -> Result<QueryOutcome> {
-    if query.k == 0 {
-        return Ok(QueryOutcome::new(
-            "IJLMR",
-            Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
-        ));
-    }
+) -> Result<(Vec<JoinTuple>, Extras)> {
     engine
         .cluster()
         .table(index_table)
         .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?;
-    let meter = QueryMeter::start(engine.cluster().metrics());
 
     let spec = JobSpec::new(
         "ijlmr-query",
@@ -113,7 +107,6 @@ pub fn run(
     .sink(OutputSink::Collect);
     let left_family = query.left.label.clone();
     let score_fn = query.score_fn;
-    let k = query.k;
     let result = engine.run(
         &spec,
         &move || {
@@ -127,23 +120,21 @@ pub fn run(
         None,
     )?;
 
-    let mut top = TopK::new(query.k);
+    let mut top = TopK::new(k);
     for (_k, v) in &result.collected {
         top.offer(codec::decode_join_tuple(v)?);
     }
-    Ok(QueryOutcome {
-        extras: Extras::Ijlmr {
-            mr_jobs: 1,
-            map_input_records: result.counters.map_input_records,
-        },
-        ..QueryOutcome::new("IJLMR", top.into_sorted_vec(), meter.finish())
-    })
+    let extras = Extras::Ijlmr {
+        mr_jobs: 1,
+        map_input_records: result.counters.map_input_records,
+    };
+    Ok((top.into_sorted_vec(), extras))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::running_example_cluster;
+    use crate::testsupport::{ijlmr_run, running_example_cluster};
     use crate::{ijlmr, oracle};
 
     #[test]
@@ -151,7 +142,7 @@ mod tests {
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c.clone());
         ijlmr::build(&engine, &q, "ijlmr_idx").unwrap();
-        let got = run(&engine, &q, "ijlmr_idx").unwrap();
+        let got = ijlmr_run(&c, &q, "ijlmr_idx").unwrap();
         let scores: Vec<f64> = got.results.iter().map(|t| t.score).collect();
         assert_eq!(scores, vec![1.74, 1.73, 1.62]);
         assert_eq!(got.results, oracle::topk(&c, &q).unwrap());
@@ -164,7 +155,7 @@ mod tests {
         ijlmr::build(&engine, &q, "ijlmr_idx").unwrap();
         for k in [1, 2, 5, 10, 40] {
             let qk = q.with_k(k);
-            let got = run(&engine, &qk, "ijlmr_idx").unwrap();
+            let got = ijlmr_run(&c, &qk, "ijlmr_idx").unwrap();
             assert_eq!(got.results, oracle::topk(&c, &qk).unwrap(), "k={k}");
         }
     }
@@ -174,7 +165,7 @@ mod tests {
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c);
         assert!(matches!(
-            run(&engine, &q, "nope").unwrap_err(),
+            run(&engine, &q, q.k, "nope").unwrap_err(),
             RankJoinError::MissingIndex(_)
         ));
     }
@@ -184,7 +175,7 @@ mod tests {
         let (c, q) = running_example_cluster();
         let engine = MapReduceEngine::new(c.clone());
         ijlmr::build(&engine, &q, "ijlmr_idx").unwrap();
-        let got = run(&engine, &q, "ijlmr_idx").unwrap();
+        let got = ijlmr_run(&c, &q, "ijlmr_idx").unwrap();
         // Dollar cost: the whole index is scanned (22 cells).
         assert!(got.metrics.kv_reads >= 22);
         // Bandwidth: only per-mapper top-k lists + final merge cross the

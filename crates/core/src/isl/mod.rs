@@ -8,14 +8,13 @@
 //! tuples against hash tables of everything seen, until the HRJN threshold
 //! falls below the current k-th result.
 //!
-//! Index ([`index`]), descent (the crate's one cursor, [`crate::cursor`])
-//! and operator ([`crate::hrjn`]) are written once over a
-//! [`crate::query::JoinSpec`]; the paper's binary algorithm is the
-//! two-side instance, and the functions of this module that take a
-//! [`RankJoinQuery`] are its [`RankJoinQuery::to_spec`] conversions. A
-//! run goes through the executor
-//! ([`crate::executor::RankJoinExecutor`]): a one-shot run is its cursor
-//! drained in one pull.
+//! Index ([`index`]), descent (a step machine the crate's one cursor,
+//! [`crate::cursor`], pumps) and operator ([`crate::hrjn`]) are written
+//! once over a [`crate::query::JoinSpec`]; the paper's binary algorithm
+//! is the two-side instance, and the functions of this module that take
+//! a [`RankJoinQuery`] are its [`RankJoinQuery::to_spec`] conversions. A
+//! run goes through the executor ([`crate::executor::RankJoinExecutor`]):
+//! a one-shot run is its cursor drained in one pull.
 //!
 //! The batch (row-cache) size trades time against bandwidth/dollar cost:
 //! "batching reads results in a lower disk I/O overhead, as well as a

@@ -352,7 +352,7 @@ impl Step for IslCore {
         self.state.results_above(threshold)
     }
 
-    fn results(&self, ranks: Range<usize>) -> Vec<JoinTuple> {
+    fn results(&mut self, ranks: Range<usize>) -> Vec<JoinTuple> {
         self.state.results(ranks)
     }
 

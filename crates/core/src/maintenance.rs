@@ -274,7 +274,7 @@ fn pin_ts(m: Mutation, ts: u64) -> Mutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testsupport::{isl_run, put_tuple, running_example_cluster};
+    use crate::testsupport::{ijlmr_run, isl_run, put_tuple, running_example_cluster};
     use crate::{ijlmr, isl, oracle};
     use rj_mapreduce::MapReduceEngine;
 
@@ -292,7 +292,7 @@ mod tests {
 
         // Both query paths see the new tuple (top score b: 0.82+0.99).
         let got_isl = isl_run(&c, &q, "isl_idx").unwrap();
-        let got_ijlmr = ijlmr::run(&engine, &q, "ijlmr_idx").unwrap();
+        let got_ijlmr = ijlmr_run(&c, &q, "ijlmr_idx").unwrap();
         let want = oracle::topk(&c, &q).unwrap();
         assert_eq!(got_isl.results, want);
         assert_eq!(got_ijlmr.results, want);
@@ -315,7 +315,7 @@ mod tests {
         let want = oracle::topk(&c, &q).unwrap();
         assert!((want[0].score - 1.73).abs() < 1e-9, "0.82 + 0.91 now tops");
         let got_isl = isl_run(&c, &q, "isl_idx").unwrap();
-        let got_ijlmr = ijlmr::run(&engine, &q, "ijlmr_idx").unwrap();
+        let got_ijlmr = ijlmr_run(&c, &q, "ijlmr_idx").unwrap();
         assert_eq!(got_isl.results, want);
         assert_eq!(got_ijlmr.results, want);
     }
@@ -420,7 +420,7 @@ mod tests {
         );
         let want = oracle::topk(&c, &q).unwrap();
         let got_isl = isl_run(&c, &q, "isl_idx").unwrap();
-        let got_ijlmr = ijlmr::run(&engine, &q, "ijlmr_idx").unwrap();
+        let got_ijlmr = ijlmr_run(&c, &q, "ijlmr_idx").unwrap();
         assert_eq!(got_isl.results, want);
         assert_eq!(got_ijlmr.results, want);
 

@@ -27,13 +27,12 @@ use rj_mapreduce::partition::RangePartitioner;
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper, Reducer};
 use rj_mapreduce::MapReduceEngine;
 use rj_store::keys;
-use rj_store::metrics::QueryMeter;
 
 use crate::codec::{self, TaggedTuple};
 use crate::error::Result;
 use crate::query::RankJoinQuery;
 use crate::result::{JoinTuple, TopK};
-use crate::stats::{Extras, QueryOutcome};
+use crate::stats::Extras;
 
 /// DFS path of the (projected) join result.
 const JOINED_FILE: &str = "pig/__joined";
@@ -181,16 +180,14 @@ impl Reducer for LeadingK {
     }
 }
 
-/// Executes the Pig-style rank join.
-pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutcome> {
-    if query.k == 0 {
-        return Ok(QueryOutcome::new(
-            "PIG",
-            Vec::new(),
-            rj_store::metrics::MetricsSnapshot::default(),
-        ));
-    }
-    let meter = QueryMeter::start(engine.cluster().metrics());
+/// Executes the Pig-style rank join for the top `k` of `query`: the
+/// answer and the run's counters. A run goes through the executor, whose
+/// cursor meters it ([`crate::cursor`]).
+pub(crate) fn run(
+    engine: &MapReduceEngine,
+    query: &RankJoinQuery,
+    k: usize,
+) -> Result<(Vec<JoinTuple>, Extras)> {
     let num_nodes = engine.cluster().num_nodes();
 
     // Job 1: early-projected join.
@@ -240,7 +237,6 @@ pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutco
         .collect();
 
     // Job 3: balanced order-by with combiner top-k trimming.
-    let k = query.k;
     let order_spec = JobSpec::new("pig-order", JobInput::file(JOINED_FILE), num_nodes)
         .sink(OutputSink::Collect)
         .partitioner(Arc::new(RangePartitioner::new(boundaries)));
@@ -251,29 +247,29 @@ pub fn run(engine: &MapReduceEngine, query: &RankJoinQuery) -> Result<QueryOutco
         Some(&move || Box::new(LeadingK { remaining: k })),
     )?;
 
-    let mut top = TopK::new(query.k);
+    let mut top = TopK::new(k);
     for (_k, v) in &order_result.collected {
         top.offer(codec::decode_join_tuple(v)?);
     }
 
     engine.dfs().remove(JOINED_FILE);
 
-    Ok(QueryOutcome {
-        extras: Extras::Pig {
-            mr_jobs: 3,
-            join_result_records: join_result.counters.output_records,
-            order_shuffle_bytes: order_result.counters.shuffle_bytes,
-        },
-        ..QueryOutcome::new("PIG", top.into_sorted_vec(), meter.finish())
-    })
+    let extras = Extras::Pig {
+        mr_jobs: 3,
+        join_result_records: join_result.counters.output_records,
+        order_shuffle_bytes: order_result.counters.shuffle_bytes,
+    };
+    Ok((top.into_sorted_vec(), extras))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{Algorithm, RankJoinExecutor};
+    use crate::oracle;
     use crate::query::JoinSide;
     use crate::score::ScoreFn;
-    use crate::{hive, oracle};
+    use crate::stats::QueryOutcome;
     use rj_store::cell::Mutation;
     use rj_store::cluster::Cluster;
     use rj_store::costmodel::CostModel;
@@ -321,11 +317,16 @@ mod tests {
         (c, q)
     }
 
+    /// `q`'s `algorithm` run through an executor.
+    fn execute(c: &Cluster, q: &RankJoinQuery, algorithm: Algorithm) -> QueryOutcome {
+        let ex = RankJoinExecutor::new(c, q.clone());
+        ex.execute(algorithm).unwrap()
+    }
+
     #[test]
     fn matches_oracle() {
         let (c, q) = setup(60);
-        let engine = MapReduceEngine::new(c.clone());
-        let got = run(&engine, &q).unwrap();
+        let got = execute(&c, &q, Algorithm::Pig);
         let want = oracle::topk(&c, &q).unwrap();
         assert_eq!(got.results, want);
     }
@@ -333,9 +334,8 @@ mod tests {
     #[test]
     fn ships_fewer_bytes_than_hive() {
         let (c, q) = setup(80);
-        let engine = MapReduceEngine::new(c.clone());
-        let pig = run(&engine, &q).unwrap();
-        let hive = hive::run(&engine, &q).unwrap();
+        let pig = execute(&c, &q, Algorithm::Pig);
+        let hive = execute(&c, &q, Algorithm::Hive);
         assert_eq!(pig.results, hive.results, "same answers");
         assert!(
             pig.metrics.network_bytes < hive.metrics.network_bytes,
@@ -348,8 +348,7 @@ mod tests {
     #[test]
     fn three_jobs_charged() {
         let (c, q) = setup(20);
-        let engine = MapReduceEngine::new(c);
-        let got = run(&engine, &q).unwrap();
+        let got = execute(&c, &q, Algorithm::Pig);
         assert!(matches!(got.extras, Extras::Pig { mr_jobs: 3, .. }));
     }
 
@@ -357,8 +356,7 @@ mod tests {
     fn tiny_inputs_with_k_larger_than_result() {
         let (c, mut q) = setup(3);
         q.k = 50;
-        let engine = MapReduceEngine::new(c.clone());
-        let got = run(&engine, &q).unwrap();
+        let got = execute(&c, &q, Algorithm::Pig);
         let want = oracle::topk(&c, &q).unwrap();
         assert_eq!(got.results, want);
     }

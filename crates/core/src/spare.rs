@@ -21,7 +21,7 @@
 //!   allocates depends on what that executor and its forks ran before,
 //!   never on which thread runs it. Forks that run at the same time on
 //!   different threads draw from one list in whichever order they reach it.
-//! - Every ISL, BFHM and DRJN run opens through an executor. Only the
+//! - Every run opens through an executor. Only the
 //!   bare buffers (`HrjnState::new`, `TopIds::new`) have none: they take
 //!   nothing and keep nothing, like an executor's first run.
 //! - A list holds at most [`MAX_SPARES`] spares of each of four kinds —

@@ -21,6 +21,14 @@ pub(crate) fn isl_run(c: &Cluster, query: &RankJoinQuery, table: &str) -> Result
     ex.execute(Algorithm::Isl)
 }
 
+/// Runs IJLMR at `query`'s own `k` over the inverted-list index already
+/// built at `table`, through an executor that attaches it.
+pub(crate) fn ijlmr_run(c: &Cluster, query: &RankJoinQuery, table: &str) -> Result<QueryOutcome> {
+    let mut ex = RankJoinExecutor::new(c, query.clone());
+    ex.attach_ijlmr(table)?;
+    ex.execute(Algorithm::Ijlmr)
+}
+
 /// An executor for `query` over the BFHM index already built at `table`
 /// with `config`, its runs under `write_back`.
 pub(crate) fn bfhm_executor(

@@ -716,7 +716,7 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         let before = fork.metrics().snapshot();
         ex.execute_with_k(algorithm, k).unwrap();
         let one_shot_sim = fork.metrics().snapshot().delta_since(&before).sim_seconds;
-        let mut stops = [
+        let stops = [
             StopPolicy {
                 cancel_after_batches: Some(1),
                 ..StopPolicy::never()

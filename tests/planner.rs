@@ -252,9 +252,8 @@ fn score_ties_are_deterministic_across_all_algorithms() {
     }
 }
 
-/// `k = 0` regression: empty, zero-cost result from every algorithm —
-/// through the executor and through the MapReduce baselines' module
-/// entry points.
+/// `k = 0` regression: empty, zero-cost result from every algorithm
+/// through the executor, the one door to a run.
 #[test]
 fn k_zero_is_empty_and_free_everywhere() {
     let (cluster, query) = tie_fixture();
@@ -266,17 +265,6 @@ fn k_zero_is_empty_and_free_everywhere() {
         assert_eq!(got.metrics.rpc_calls, 0, "{}", algo.name());
         assert_eq!(got.metrics.sim_seconds, 0.0, "{}", algo.name());
     }
-    // The baselines' module calls honour the same contract.
-    let q0 = query.with_k(0);
-    let engine = ex.engine();
-    assert!(rankjoin::core::hive::run(engine, &q0)
-        .unwrap()
-        .results
-        .is_empty());
-    assert!(rankjoin::core::pig::run(engine, &q0)
-        .unwrap()
-        .results
-        .is_empty());
 }
 
 /// NaN regression: a NaN score planted directly in the base table (below
