@@ -603,11 +603,12 @@ impl RankJoinExecutor {
     fn open_mr(&self, algorithm: Algorithm, k: usize) -> Result<StepCursor<MaterializedCore>> {
         let query = self.binary_query()?.clone();
         let source = match algorithm {
+            Algorithm::Hive => MaterializedSource::Hive,
             Algorithm::Pig => MaterializedSource::Pig,
             Algorithm::Ijlmr => {
                 MaterializedSource::Ijlmr(prepared(&self.indices.ijlmr, "ijlmr")?.clone())
             }
-            _ => MaterializedSource::Hive,
+            _ => return Err(RankJoinError::Internal("not a MapReduce baseline")),
         };
         let core = MaterializedCore::new(self.meta(k), Some((query, source)), algorithm.name());
         Ok(StepCursor::new(self.engine.cluster(), core))
