@@ -328,7 +328,7 @@ pub(crate) fn meta_of(row: Option<RowRef<'_>>, left_label: &str) -> Result<(usiz
         .ok_or(RankJoinError::Internal("BFHM meta m missing"))?;
     let buckets = row
         .value(left_label, META_BUCKETS)
-        .and_then(|v| keys::decode_u32(v.as_ref()))
+        .and_then(keys::decode_u32)
         .ok_or(RankJoinError::Internal("BFHM meta buckets missing"))?;
     Ok((m as usize, buckets))
 }
@@ -381,7 +381,7 @@ mod tests {
             .expect("reverse row");
         assert_eq!(rev.family_cells("R2").count(), 2);
         let cell = rev.family_cells("R2").next().unwrap();
-        let (join, score) = codec::decode_values_score(&cell.value, 1).unwrap();
+        let (join, score) = codec::decode_values_score(cell.value, 1).unwrap();
         assert_eq!(join.collect::<Vec<_>>(), [b"b"]);
         assert!(score == 0.91 || score == 0.92);
     }

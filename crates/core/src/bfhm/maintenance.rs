@@ -79,7 +79,8 @@ pub(crate) struct ResolvedBucket {
     /// Timestamp of the latest replayed mutation (0 when none).
     pub latest_ts: u64,
     /// Qualifiers of the consumed records (for write-back purging),
-    /// shared by handle with the fetched row.
+    /// shared by handle with the fetched row when it lends handles (a
+    /// memstore row, as every bucket row taking records is).
     pub consumed_qualifiers: Vec<Bytes>,
 }
 
@@ -105,12 +106,12 @@ pub(crate) fn resolve_bucket_row(
     let mut records: Vec<(u64, u8, &[u8], f64)> = Vec::new(); // (ts, op, join, score)
     let mut consumed = Vec::new();
     for cell in row.family_cells(label) {
-        let Some((op, ts, _key)) = parse_record_qualifier(&cell.qualifier) else {
+        let Some((op, ts, _key)) = parse_record_qualifier(cell.qualifier) else {
             continue;
         };
-        let (join, score) = codec::decode_one_value_score(&cell.value)?;
+        let (join, score) = codec::decode_one_value_score(cell.value)?;
         records.push((ts, op, join, score));
-        consumed.push(cell.qualifier.clone());
+        consumed.push(cell.qualifier_handle());
     }
     if records.is_empty() {
         return Ok(ResolvedBucket {
@@ -213,7 +214,7 @@ pub(crate) fn refresh_bucket(
     };
     let pending = row
         .family_cells(label)
-        .filter(|c| parse_record_qualifier(&c.qualifier).is_some())
+        .filter(|c| parse_record_qualifier(c.qualifier).is_some())
         .count();
     if pending < threshold.max(1) {
         return Ok(0);
@@ -440,7 +441,7 @@ mod tests {
             .unwrap();
         let pending = row
             .family_cells("R2")
-            .filter(|cell| parse_record_qualifier(&cell.qualifier).is_some())
+            .filter(|cell| parse_record_qualifier(cell.qualifier).is_some())
             .count();
         assert_eq!(pending, 0, "eager write-back purges records");
         let blob = BfhmBlob::decode(row.value("R2", BLOB_QUALIFIER).unwrap()).unwrap();
@@ -578,7 +579,7 @@ mod tests {
             .unwrap();
         let pending = row.map_or(0, |row| {
             row.family_cells(label)
-                .filter(|cell| parse_record_qualifier(&cell.qualifier).is_some())
+                .filter(|cell| parse_record_qualifier(cell.qualifier).is_some())
                 .count()
         });
         (

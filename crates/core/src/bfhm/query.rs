@@ -166,12 +166,12 @@ impl ReverseStore {
         let row = client.get_into(batch, projection, &reverse_row_key(bucket, pos));
         let cells = || row.into_iter().flat_map(|row| row.family_cells(label));
         for cell in cells() {
-            codec::decode_one_value_score(&cell.value)?;
+            codec::decode_one_value_score(cell.value)?;
         }
         let entry = self.index.ensure(&key);
         for cell in cells() {
-            let (join, score) = codec::decode_one_value_score(&cell.value)?;
-            self.push(entry, &cell.qualifier, join, score);
+            let (join, score) = codec::decode_one_value_score(cell.value)?;
+            self.push(entry, cell.qualifier, join, score);
         }
         Ok(())
     }
@@ -1117,7 +1117,7 @@ mod tests {
             .family_cells("R2")
             .find(|cell| cell.qualifier.ends_with(b"r2_99"))
             .expect("the insertion record");
-        let garbage = rj_store::Mutation::put("R2", &record.qualifier, b"garbage".to_vec());
+        let garbage = rj_store::Mutation::put("R2", record.qualifier, b"garbage".to_vec());
         client.put("bfhm_idx", &blob_row_key(0), garbage).unwrap();
         assert_codec_error(&c, &q, &config);
     }

@@ -21,9 +21,10 @@ use rj_mapreduce::job::{JobInput, JobSpec, TableInput};
 use rj_mapreduce::task::{Emitter, InputRecord, Mapper};
 use rj_mapreduce::MapReduceEngine;
 use rj_sketch::histogram::ScoreHistogram;
-use rj_store::cell::{Cell, Mutation};
+use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::filter::ScoreInRange;
+use rj_store::row::{CellRef, RowBatch};
 use rj_store::scan::Scan;
 
 use crate::codec;
@@ -118,10 +119,10 @@ fn join_pulled_cell(
     results: &mut TopIds,
     score_fn: ScoreFn,
     s: usize,
-    cell: &Cell,
+    cell: CellRef<'_>,
 ) -> Result<()> {
-    let (join, score) = codec::decode_one_value_score(&cell.value)?;
-    let id = seen[s].insert([join], &cell.qualifier, score);
+    let (join, score) = codec::decode_one_value_score(cell.value)?;
+    let id = seen[s].insert([join], cell.qualifier, score);
     let seen = &*seen;
     for other in seen[1 - s].matches(0, join) {
         let ids = if s == 0 { [id, other] } else { [other, id] };
@@ -258,20 +259,19 @@ impl Step for DrjnCore {
         self.rounds += 1;
         // (i) fetch matrix rows until the cumulative estimate reaches k or
         // the histogram is exhausted.
+        let mut batch = RowBatch::new();
         while self.cum_estimate < self.meta.k as f64 && self.depth < config.num_buckets {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
-                let row = client.get_with_families(
-                    &self.index_table,
-                    &bucket_row_key(self.depth),
-                    Some(std::slice::from_ref(*label)),
-                )?;
+                let projection =
+                    client.projection(&self.index_table, Some(std::slice::from_ref(*label)))?;
+                let row = client.get_into(&mut batch, &projection, &bucket_row_key(self.depth));
                 let counts: Vec<u64> = match row {
                     Some(r) => {
                         let mut v = vec![0u64; config.num_partitions as usize];
                         for cell in r.family_cells(label) {
                             if let (Some(p), Ok(c)) = (
-                                rj_store::keys::decode_u32(&cell.qualifier),
-                                cell.value.as_ref().try_into().map(u64::from_be_bytes),
+                                rj_store::keys::decode_u32(cell.qualifier),
+                                cell.value.try_into().map(u64::from_be_bytes),
                             ) {
                                 if (p as usize) < v.len() {
                                     v[p as usize] = c;
@@ -328,17 +328,16 @@ impl Step for DrjnCore {
         // before the pull, so it is re-sharded afterwards, into a layout
         // that depends only on the pulled content.
         tmp_table.rebalance(cluster.num_nodes() * 2);
-        // Coordinator fetches the temp table and joins.
-        let pulled_rows = client
-            .scan(&tmp, Scan::new().caching(1000))?
-            .collect_rows()?;
-        for row in pulled_rows {
+        // Coordinator fetches the temp table and joins the rows it lends.
+        let mut pulled = client.scan_with_batch(&tmp, Scan::new().caching(1000), batch)?;
+        while let Some(row) = pulled.next_row()? {
             for (s, label) in [&query.left.label, &query.right.label].iter().enumerate() {
                 for cell in row.family_cells(label) {
                     join_pulled_cell(&mut self.seen, &mut self.results, query.score_fn, s, cell)?;
                 }
             }
         }
+        drop(pulled);
         cluster.drop_table(&tmp)?;
 
         // (iv) terminate when the k-th real result beats anything still
@@ -481,7 +480,7 @@ mod tests {
     /// result its tuple joins into), and a good one joins and is seen.
     #[test]
     fn an_undecodable_pulled_cell_is_an_error_not_a_skipped_tuple() {
-        let cell = |key: &[u8], value: &[u8]| Cell {
+        let cell = |key: &[u8], value: &[u8]| rj_store::Cell {
             family: "R1".into(),
             qualifier: key.into(),
             timestamp: 1,
@@ -489,8 +488,9 @@ mod tests {
         };
         let mut seen = [SeenSide::new(1), SeenSide::new(1)];
         let mut results = TopIds::new(3, 2);
-        let mut pull =
-            |s, cell: &Cell| join_pulled_cell(&mut seen, &mut results, ScoreFn::Sum, s, cell);
+        let mut pull = |s, cell: &rj_store::Cell| {
+            join_pulled_cell(&mut seen, &mut results, ScoreFn::Sum, s, cell.as_cell_ref())
+        };
         pull(0, &cell(b"l1", &codec::encode_value_score(b"j", 0.5))).unwrap();
         assert!(matches!(
             pull(1, &cell(b"r0", b"garbage")),

@@ -31,10 +31,10 @@ const SORTED_FILE: &str = "hive/__sorted";
 /// Serializes every cell of a row — Hive's `SELECT *` shipping.
 fn full_row_payload(row: rj_store::row::RowRef<'_>) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.weight() as usize + 16);
-    for cell in row.cells {
+    for cell in row.cells() {
         codec::put_field(&mut out, cell.family.as_bytes());
-        codec::put_field(&mut out, &cell.qualifier);
-        codec::put_field(&mut out, &cell.value);
+        codec::put_field(&mut out, cell.qualifier);
+        codec::put_field(&mut out, cell.value);
     }
     out
 }

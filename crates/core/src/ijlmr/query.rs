@@ -30,15 +30,15 @@ impl Mapper for TopKMapper {
         // keys, values are f64 BE scores.
         let mut left: Vec<(&[u8], f64)> = Vec::new();
         let mut right: Vec<(&[u8], f64)> = Vec::new();
-        for cell in row.cells {
-            let Some(bytes) = cell.value.as_ref().get(..8) else {
+        for cell in row.cells() {
+            let Some(bytes) = cell.value.get(..8) else {
                 continue;
             };
             let score = f64::from_be_bytes(bytes.try_into().expect("8 bytes"));
-            if *cell.family == *self.left_family {
-                left.push((&cell.qualifier, score));
+            if cell.family == self.left_family {
+                left.push((cell.qualifier, score));
             } else {
-                right.push((&cell.qualifier, score));
+                right.push((cell.qualifier, score));
             }
         }
         for (lk, ls) in &left {

@@ -167,7 +167,7 @@ mod tests {
             .expect("top row");
         let cell = row.family_cells("R1").next().expect("r1_10");
         assert_eq!(cell.qualifier, b"r1_10".to_vec());
-        let (join, score) = codec::decode_values_score(&cell.value, 1).unwrap();
+        let (join, score) = codec::decode_values_score(cell.value, 1).unwrap();
         assert_eq!(join.collect::<Vec<_>>(), [b"a"]);
         assert_eq!(score, 1.0);
     }
@@ -205,10 +205,10 @@ mod tests {
         for row in client.scan("mw_idx", Scan::new().families(&["B"])).unwrap() {
             let score = keys::decode_score_desc(&row.key).unwrap();
             for cell in row.family_cells("B") {
-                let (values, s) = codec::decode_values_score(&cell.value, 2).unwrap();
+                let (values, s) = codec::decode_values_score(cell.value, 2).unwrap();
                 assert_eq!(values.len(), 2, "B has two incident edges");
                 assert_eq!(s, score);
-                assert!(codec::decode_values_score(&cell.value, 1).is_err());
+                assert!(codec::decode_values_score(cell.value, 1).is_err());
                 checked += 1;
             }
         }
@@ -223,9 +223,9 @@ mod tests {
         let client = c.client();
         for row in client.scan("mw_idx", Scan::new().families(&["A"])).unwrap() {
             for cell in row.family_cells("A") {
-                let (values, _) = codec::decode_values_score(&cell.value, 1).unwrap();
+                let (values, _) = codec::decode_values_score(cell.value, 1).unwrap();
                 assert_eq!(values.len(), 1);
-                assert!(codec::decode_values_score(&cell.value, 2).is_err());
+                assert!(codec::decode_values_score(cell.value, 2).is_err());
             }
         }
     }

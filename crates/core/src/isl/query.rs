@@ -7,11 +7,10 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rj_store::cell::Cell;
 use rj_store::client::{Client, ScannerState};
 use rj_store::cluster::Cluster;
 use rj_store::keys;
-use rj_store::row::{RowBatch, RowRef, RowResult};
+use rj_store::row::{CellRef, RowBatch, RowRef};
 use rj_store::scan::Scan;
 
 use crate::codec;
@@ -90,11 +89,13 @@ pub(crate) struct IslCore {
     pub in_batch: bool,
     /// Rows consumed within the current batch.
     pub rows_taken: usize,
-    /// The row HRJN terminated inside and the position of its first cell
-    /// not yet pushed (the one-shot loop stops pushing the instant HRJN
+    /// The position of the first cell not yet pushed of the row HRJN
+    /// terminated inside (the one-shot loop stops pushing the instant HRJN
     /// terminates; a deeper re-target must push the remainder before
-    /// reading on). The one row the cursor copies out of its scanner.
-    pub pending: Option<(RowResult, usize)>,
+    /// reading on). The row itself stays unread at the head of its side's
+    /// scanner ([`rj_store::client::Scanner::unread`]), so nothing is
+    /// copied out.
+    pub pending: Option<usize>,
     /// The HRJN operator: seen tuples of every side, bounds, exhaustion
     /// flags (the only copy of them) and the top-k buffer.
     pub state: HrjnState,
@@ -117,9 +118,9 @@ impl Drop for IslCore {
 /// does not decode (written for a different spec, or corrupt) is a typed
 /// error: joining on it, skipping it or guessing its score would all
 /// return a wrong answer silently.
-fn push_index_cell(state: &mut HrjnState, side: usize, cell: &Cell) -> Result<()> {
-    let (join_values, score) = codec::decode_values_score(&cell.value, state.edges(side))?;
-    state.push_borrowed(side, &cell.qualifier, join_values, score)
+fn push_index_cell(state: &mut HrjnState, side: usize, cell: CellRef<'_>) -> Result<()> {
+    let (join_values, score) = codec::decode_values_score(cell.value, state.edges(side))?;
+    state.push_borrowed(side, cell.qualifier, join_values, score)
 }
 
 /// Feeds every cell of `side`'s index family in `row` to HRJN. Row key =
@@ -149,8 +150,8 @@ fn descend_row(
     if keys::decode_score_desc(row.key).is_none() {
         return Ok(None);
     }
-    for (at, cell) in row.cells.iter().enumerate().skip(first_cell) {
-        if *cell.family != *family {
+    for (at, cell) in row.cells().enumerate().skip(first_cell) {
+        if cell.family != family {
             continue;
         }
         push_index_cell(state, side, cell)?;
@@ -286,20 +287,7 @@ impl Step for IslCore {
         // it consumed, and the next call continues the batch from there.
         let mut scan = None;
         let rows = (|| -> Result<bool> {
-            // The row a previous (shallower) target stopped inside goes
-            // first: its remaining cells are already read and billed,
-            // never re-fetched — a re-target that terminates again inside
-            // it leaves the scanner untouched.
-            if let Some((row, first_cell)) = self.pending.take() {
-                let cells = row.cells.len();
-                let stopped =
-                    descend_row(&mut self.state, turn, family, row.as_row_ref(), first_cell)?;
-                if let Some(next) = stopped {
-                    self.pending = (next < cells).then_some((row, next));
-                    return Ok(false);
-                }
-            }
-            while self.rows_taken < side.batch {
+            while self.rows_taken < side.batch || self.pending.is_some() {
                 let scan = match &mut scan {
                     Some(scan) => scan,
                     none => none.insert(match std::mem::take(&mut side.scan) {
@@ -314,10 +302,20 @@ impl Step for IslCore {
                     self.state.exhaust(turn);
                     break;
                 };
-                // Fetched in this batch, so paid for whatever comes of it.
-                self.rows_taken += 1;
-                if let Some(next) = descend_row(&mut self.state, turn, family, row, 0)? {
-                    self.pending = (next < row.cells.len()).then(|| (row.to_owned(), next));
+                // The row a previous (shallower) target stopped inside
+                // comes back first, its remaining cells already read and
+                // billed; any other row was fetched in this batch, so is
+                // paid for whatever comes of it.
+                let first_cell = self.pending.take().unwrap_or_else(|| {
+                    self.rows_taken += 1;
+                    0
+                });
+                let cells = row.cells().len();
+                if let Some(next) = descend_row(&mut self.state, turn, family, row, first_cell)? {
+                    if next < cells {
+                        self.pending = Some(next);
+                        scan.unread();
+                    }
                     return Ok(false);
                 }
             }

@@ -60,7 +60,7 @@ impl JoinSide {
             .value(&self.join_col.0, &self.join_col.1)
             .ok_or(RankJoinError::Internal("row lacks its join column"))?;
         let score = read_score(row, &self.score_col)?;
-        Ok((&join[..], score))
+        Ok((join, score))
     }
 }
 

@@ -14,10 +14,14 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-/// A single key-value pair as surfaced to clients. The row key lives once
-/// on the enclosing row ([`crate::row::RowRef`]); family name, qualifier
-/// and value are refcounted handles onto the region's own storage, so
-/// materializing a cell copies no bytes.
+/// A single key-value pair, owned: what an owned row
+/// ([`crate::row::RowResult`]) holds. The row key lives once on the
+/// enclosing row; family name, qualifier and value are refcounted
+/// handles. A memstore cell's are the handles its writer gave the region,
+/// so owning it copies no bytes; a frozen cell's bytes live in its
+/// segment's arena, so owning it copies them into two new handles. A
+/// read that lends its row instead ([`crate::row::CellRef`]) copies
+/// nothing into handles either way.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cell {
     /// Column family name (shared with the table schema).
@@ -42,13 +46,14 @@ impl Cell {
 
 /// A single-column mutation applied to some row.
 ///
-/// Every field is a refcounted handle, and the region keeps the qualifier
-/// and value handles it is given, not copies: a writer that puts the same
-/// family, qualifier or value into several tables (§6's base write and
-/// its index writes) builds each once and clones the handle, and a delete
-/// can tombstone a column with the handles its read of the row handed
-/// out. How the bytes are held moves neither [`Mutation::weight`] nor
-/// what the store bills.
+/// Every field is a refcounted handle, and the region's memstore keeps
+/// the qualifier and value handles it is given, not copies: a writer that
+/// puts the same family, qualifier or value into several tables (§6's base
+/// write and its index writes) builds each once and clones the handle, and
+/// a delete can tombstone a column with the handles its read of a memstore
+/// row handed out. A flush copies the bytes into its segment's arena and
+/// frees the handles. How the bytes are held moves neither
+/// [`Mutation::weight`] nor what the store bills.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// Insert/overwrite one cell.
@@ -184,16 +189,20 @@ mod tests {
         assert_eq!(p - d, 100);
     }
 
-    /// The handle a region keeps and a read lends is one pointer and one
-    /// length: `Bytes` is 16 bytes and a `Cell` 56. A zero-copy slice into
-    /// a shared arena (offset and length beside the pointer) would make
-    /// `Bytes` 24 bytes. Measured with that alone at TPC-H SF 0.01 and seed
-    /// 1, the benchmark's `peak_live_mb` rose on every workload (`isl_deep`
-    /// 74.43 → 84.00, `bfhm_auto` 75.16 → 84.98, `multiway_path` 11.73 →
-    /// 13.31, `serve_shared` 80.47 → 90.16, `update_stream` 138.45 →
-    /// 155.40), and `alloc_bytes_per_op` rose 15.3 % on `update_stream`
-    /// and 0.65 % on `serve_shared`. A change that widens the handle fails
-    /// here first.
+    /// The handle a memstore keeps and an owned cell holds is one pointer
+    /// and one length: `Bytes` is 16 bytes and a `Cell` 56. A frozen
+    /// segment holds no handle at all, so a zero-copy slice of its arena
+    /// (offset and length beside the pointer, 24 bytes) would be wider
+    /// than every handle the memstores, owned rows and batches hold. When
+    /// every stored cell held handles, widening `Bytes` to 24 bytes alone
+    /// raised `peak_live_mb` on every benchmark workload at TPC-H SF 0.01
+    /// and seed 1 (`isl_deep` 74.43 → 84.00, `bfhm_auto` 75.16 → 84.98,
+    /// `multiway_path` 11.73 → 13.31, `serve_shared` 80.47 → 90.16,
+    /// `update_stream` 138.45 → 155.40), and `alloc_bytes_per_op` rose
+    /// 15.3 % on `update_stream` and 0.65 % on `serve_shared`. A read
+    /// lends a frozen cell by copying its bytes into the reader's batch
+    /// instead ([`crate::row::RowBatch`]). A change that widens the handle
+    /// fails here first.
     #[test]
     fn the_stored_handle_is_sixteen_bytes_and_a_cell_fifty_six() {
         assert_eq!(std::mem::size_of::<Bytes>(), 16);

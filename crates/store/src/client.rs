@@ -364,6 +364,18 @@ impl Scanner<'_> {
         Ok(row)
     }
 
+    /// Hands back the row the last [`Scanner::next_row`] lent: the next
+    /// call, or the scanner resumed from [`Scanner::into_state`], lends it
+    /// again, already read and billed. A consumer that stops part-way
+    /// through a row keeps its place this way instead of copying the row
+    /// out. Does nothing if no row was lent since the last fetch or resume.
+    pub fn unread(&mut self) {
+        if self.pos > 0 {
+            self.pos -= 1;
+            self.returned -= 1;
+        }
+    }
+
     /// Every remaining row, owned.
     pub fn collect_rows(mut self) -> Result<Vec<RowResult>> {
         let mut rows = Vec::new();

@@ -40,7 +40,7 @@ pub struct ScoreAtLeast {
 impl ServerFilter for ScoreAtLeast {
     fn accept(&self, row: RowRef<'_>) -> bool {
         row.value(&self.family, &self.qualifier)
-            .and_then(|v| v.as_ref().get(..8))
+            .and_then(|v| v.get(..8))
             .and_then(|b| b.try_into().ok().map(f64::from_be_bytes))
             .is_some_and(|s| s >= self.threshold)
     }
@@ -66,7 +66,7 @@ pub struct ScoreInRange {
 impl ServerFilter for ScoreInRange {
     fn accept(&self, row: RowRef<'_>) -> bool {
         row.value(&self.family, &self.qualifier)
-            .and_then(|v| v.as_ref().get(..8))
+            .and_then(|v| v.get(..8))
             .and_then(|b| b.try_into().ok().map(f64::from_be_bytes))
             .is_some_and(|s| s >= self.min && s < self.max)
     }
@@ -95,7 +95,7 @@ pub struct HasFamily(pub String);
 
 impl ServerFilter for HasFamily {
     fn accept(&self, row: RowRef<'_>) -> bool {
-        row.cells.iter().any(|c| *c.family == *self.0)
+        row.cells().any(|c| c.family == self.0)
     }
 
     fn name(&self) -> &'static str {

@@ -42,7 +42,7 @@
 //! let client = cluster.client();
 //! client.put("t", b"row1", Mutation::put("cf", b"q", b"v".to_vec())).unwrap();
 //! let row = client.get("t", b"row1").unwrap().expect("row exists");
-//! assert_eq!(row.value("cf", b"q").unwrap().as_ref(), b"v");
+//! assert_eq!(row.value("cf", b"q").unwrap(), b"v");
 //! let rows: Vec<_> = client.scan("t", Scan::new()).unwrap().collect();
 //! assert_eq!(rows.len(), 1);
 //! ```
@@ -65,6 +65,7 @@ pub mod region;
 mod region_oracle;
 pub mod row;
 pub mod scan;
+mod segment;
 pub mod table;
 
 /// The refcounted byte buffer of [`Cell`] and [`Mutation`] fields.
@@ -76,5 +77,5 @@ pub use costmodel::CostModel;
 pub use error::StoreError;
 pub use metrics::{MetricsSnapshot, QueryMeter};
 pub use pool::WorkStealingPool;
-pub use row::{RowBatch, RowRef, RowResult};
+pub use row::{CellRef, RowBatch, RowRef, RowResult};
 pub use scan::Scan;

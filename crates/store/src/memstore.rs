@@ -24,6 +24,8 @@ use std::ops::Bound;
 
 use bytes::Bytes;
 
+use crate::region::Stored;
+
 /// The most rows a memstore holds as a sorted vector.
 pub(crate) const SMALL_ROWS: usize = 256;
 
@@ -193,6 +195,56 @@ impl<V> IntoIterator for Memstore<V> {
             Memstore::Small(rows) => IntoIter::Small(rows.into_iter()),
             Memstore::Large(rows) => IntoIter::Large(rows.into_iter()),
         }
+    }
+}
+
+/// One memstore column: its newest version.
+#[derive(Clone, Debug)]
+pub(crate) struct Column {
+    /// Index into the table's family list.
+    pub(crate) family: usize,
+    pub(crate) qualifier: Bytes,
+    pub(crate) ts: u64,
+    /// The value of a put; `None` for a tombstone.
+    pub(crate) value: Option<Bytes>,
+}
+
+impl Column {
+    pub(crate) fn stored(&self) -> Stored<'_> {
+        Stored {
+            family: self.family,
+            qualifier: &self.qualifier,
+            ts: self.ts,
+            value: self.value.as_deref(),
+            column: Some(self),
+        }
+    }
+}
+
+/// The columns of one family in a row's sorted columns.
+pub(crate) fn family_columns(columns: &[Column], family: usize) -> &[Column] {
+    let start = columns.partition_point(|c| c.family < family);
+    let len = columns[start..].partition_point(|c| c.family == family);
+    &columns[start..start + len]
+}
+
+/// A memstore row: its columns, sorted by `(family, qualifier)` (see
+/// [`crate::region`]).
+#[derive(Clone, Debug)]
+pub(crate) struct RowData {
+    pub(crate) columns: Vec<Column>,
+}
+
+impl RowData {
+    /// Where `family:qualifier` is stored (`Ok`), or where it would be
+    /// inserted (`Err`).
+    pub(crate) fn find(
+        &self,
+        family: usize,
+        qualifier: &[u8],
+    ) -> std::result::Result<usize, usize> {
+        self.columns
+            .binary_search_by(|c| (c.family, &c.qualifier[..]).cmp(&(family, qualifier)))
     }
 }
 

@@ -17,42 +17,31 @@
 //!
 //! A memstore row is one vector of `(family index, qualifier, version)`
 //! columns sorted by `(family, qualifier)`, the order a read returns cells
-//! in, allocated once for the `mutate_row` call that created it. A segment
-//! is flat. All its row keys sit in one byte arena with one `u32` end per
-//! row, and its columns are parallel arrays (family index as a `u8`,
-//! qualifier, value or tombstone, timestamp) with one `u32` column end per
-//! row. A flush counts rows, key bytes and columns before it places them
-//! (the memstore holds key lengths and column counts inline, so the count
-//! reads no row), then moves every handle in one pass and copies only key
-//! bytes: each array is one allocation. At TPC-H SF 0.01 with Q1's and
-//! Q2's ISL indices built, the store held 58.48 MB of heap for 20.71 MB
-//! stored ([`Region::byte_size`]) as B-tree rows (2.82×), and holds about
-//! 39 MB (1.88×) as segments.
+//! in, allocated once for the `mutate_row` call that created it. It keeps
+//! the qualifier and value handles of the mutations that wrote it, not
+//! copies: a write allocates only a new row's key and column vector, or
+//! the growth of a widened row or of the tombstone queue. A segment
+//! (`crate::segment`) owns its bytes instead, in per-segment arenas: a
+//! flush copies every byte once and frees the writers' handles with the
+//! memstore. At TPC-H SF 0.01 with Q1's and Q2's ISL indices built, the
+//! store held 58.48 MB of heap for 20.71 MB stored ([`Region::byte_size`])
+//! as B-tree rows (2.82×), 39.01 MB (1.88×) as segments of handles, and
+//! holds 23.19 MB (1.12×) as segments of bytes.
 //!
-//! Both halves keep the qualifier and value handles of the mutations that
-//! wrote them, not copies, and a column's family as an index into the
-//! table's names. So a write allocates only a new memstore row's key and
-//! column vector, or the growth of a widened row or of the tombstone queue;
-//! the bytes behind a handle the writer shared across rows or tables (the
-//! loader's column names and join keys, a §6 insert's row-key qualifier
-//! and value-score payload) are held once for all of them. A read lends
-//! those handles. A segment that inlined its bytes and lent zero-copy
-//! slices of them would need a 24-byte handle (offset and length beside
-//! the pointer), where a [`Bytes`] is 16: measured, that alone raised
-//! every workload's peak heap by 8–14 % and `update_stream`'s allocated
-//! bytes per op by 15 %. Billing and [`Region::byte_size`] count every
-//! column's bytes as its own, however they are held.
+//! A read lends what the half holds: a memstore cell's handles, or a
+//! frozen cell's bytes, which the reader's [`RowBatch`] copies into the
+//! buffer it recycles for row keys. Either way a read allocates nothing
+//! once its batch has grown; an owned read (`Region::get`) copies a
+//! frozen cell into two handles. Billing and [`Region::byte_size`] count
+//! every column's bytes, however they are held.
 //!
-//! A row lives in exactly one half. The first write to a frozen row
-//! copies it: its handles move into a new memstore row and the segment
-//! marks the row moved in a bitmap, the segment's only change after a
-//! freeze (the next flush leaves it out; until then the row's key bytes
-//! stay in the arena and its emptied slots hold no heap). So a read
-//! consults one half, a write is stale against the memstore row alone,
-//! and a region reads, bills and counts the same whether and when it was
-//! flushed. A frozen row that keeps taking writes, such as a BFHM bucket
-//! row taking update records, is one memstore row from then on, as it was
-//! before segments.
+//! A row lives in exactly one half. The first write to a frozen row thaws
+//! it into a new memstore row, its handles copied from the arena, and the
+//! segment marks the row moved. So a read consults one half, a write is
+//! stale against the memstore row alone, and a region reads, bills and
+//! counts the same whether and when it was flushed. A frozen row that
+//! keeps taking writes, such as a BFHM bucket row taking update records,
+//! is one memstore row from then on.
 //!
 //! # Retention
 //!
@@ -97,8 +86,9 @@ use bytes::Bytes;
 
 use crate::cell::{Cell, Mutation};
 use crate::filter::ServerFilter;
-use crate::memstore::{self, Memstore};
-use crate::row::{RowBatch, RowResult};
+use crate::memstore::{self, family_columns, Column, Memstore, RowData};
+use crate::row::{RowBatch, RowRef, RowResult};
+use crate::segment::Segment;
 
 /// Cluster-clock ticks a tombstone outlives its own timestamp before the
 /// region drops it (see the module docs). Every `mutate_row` and every
@@ -108,13 +98,16 @@ pub const TOMBSTONE_GRACE_TICKS: u64 = 1024;
 
 /// One stored column as a read sees it, from the memstore or the segment.
 #[derive(Clone, Copy, Debug)]
-struct Stored<'a> {
+pub(crate) struct Stored<'a> {
     /// Index into the table's family list.
-    family: usize,
-    qualifier: &'a Bytes,
-    ts: u64,
+    pub(crate) family: usize,
+    pub(crate) qualifier: &'a [u8],
+    pub(crate) ts: u64,
     /// The value of a put; `None` for a tombstone.
-    value: Option<&'a Bytes>,
+    pub(crate) value: Option<&'a [u8]>,
+    /// The memstore column it is, whose handles a read lends; `None` for
+    /// a frozen column.
+    pub(crate) column: Option<&'a Column>,
 }
 
 impl Stored<'_> {
@@ -127,307 +120,43 @@ impl Stored<'_> {
     /// for a tombstone (what [`Mutation::weight`] charged for the write
     /// that stored it).
     fn weight(&self, row_key: &[u8], family_names: &[Arc<str>]) -> u64 {
-        let value = self.value.map_or(0, |v| v.len());
+        let value = self.value.map_or(0, <[u8]>::len);
         (row_key.len() + family_names[self.family].len() + self.qualifier.len() + 8 + value) as u64
     }
-}
 
-/// One memstore column: its newest version.
-#[derive(Clone, Debug)]
-struct Column {
-    /// Index into the table's family list.
-    family: usize,
-    qualifier: Bytes,
-    ts: u64,
-    /// The value of a put; `None` for a tombstone.
-    value: Option<Bytes>,
-}
-
-impl Column {
-    fn stored(&self) -> Stored<'_> {
-        Stored {
-            family: self.family,
-            qualifier: &self.qualifier,
-            ts: self.ts,
-            value: self.value.as_ref(),
-        }
-    }
-}
-
-/// The columns of one family in a row's sorted columns.
-fn family_columns(columns: &[Column], family: usize) -> &[Column] {
-    let start = columns.partition_point(|c| c.family < family);
-    let len = columns[start..].partition_point(|c| c.family == family);
-    &columns[start..start + len]
-}
-
-/// A memstore row: its columns, sorted by `(family, qualifier)` (see the
-/// module docs).
-#[derive(Clone, Debug)]
-pub(crate) struct RowData {
-    columns: Vec<Column>,
-}
-
-impl RowData {
-    /// Where `family:qualifier` is stored (`Ok`), or where it would be
-    /// inserted (`Err`).
-    fn find(&self, family: usize, qualifier: &[u8]) -> std::result::Result<usize, usize> {
-        self.columns
-            .binary_search_by(|c| (c.family, &c.qualifier[..]).cmp(&(family, qualifier)))
-    }
-}
-
-/// A region's frozen rows, in key order (see the module docs). Column `c`
-/// is `families[c]`, `qualifiers[c]`, `values[c]` and `timestamps[c]`.
-#[derive(Debug, Default)]
-struct Segment {
-    /// Every row's key, back to back.
-    keys: Vec<u8>,
-    /// Row `r`'s key ends at `key_ends[r]` and starts where row `r - 1`'s
-    /// ends.
-    key_ends: Vec<u32>,
-    /// Row `r`'s columns end at `column_ends[r]`, sorted by `(family,
-    /// qualifier)`.
-    column_ends: Vec<u32>,
-    families: Vec<u8>,
-    qualifiers: Vec<Bytes>,
-    /// `None` is a tombstone.
-    values: Vec<Option<Bytes>>,
-    timestamps: Vec<u64>,
-    /// Bit `r` marks row `r` moved into the memstore since the freeze.
-    /// Empty until the first move.
-    moved: Vec<u64>,
-}
-
-/// The end offset a segment array records, which must fit its `u32`.
-fn offset(end: usize) -> u32 {
-    u32::try_from(end).expect("a segment holds fewer than 2^32 key bytes and columns")
-}
-
-/// The entries `[start, end)` of an array of ends: where entry `i` starts
-/// is where entry `i - 1` ends.
-fn span(ends: &[u32], entries: Range<usize>) -> Range<usize> {
-    let start = |i: usize| i.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
-    start(entries.start)..start(entries.end)
-}
-
-impl Segment {
-    /// Number of rows, moved ones included.
-    fn len(&self) -> usize {
-        self.key_ends.len()
-    }
-
-    fn key(&self, row: usize) -> &[u8] {
-        &self.keys[span(&self.key_ends, row..row + 1)]
-    }
-
-    fn columns(&self, row: usize) -> Range<usize> {
-        span(&self.column_ends, row..row + 1)
-    }
-
-    /// The first row whose key is `key` or greater.
-    fn lower_bound(&self, key: &[u8]) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.key(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    fn is_moved(&self, row: usize) -> bool {
-        let word = self.moved.get(row / 64).copied().unwrap_or(0);
-        word >> (row % 64) & 1 == 1
-    }
-
-    /// The row `key`, unless it is absent or moved.
-    fn find_row(&self, key: &[u8]) -> Option<usize> {
-        let row = self.lower_bound(key);
-        (row < self.len() && self.key(row) == key && !self.is_moved(row)).then_some(row)
-    }
-
-    fn stored(&self, column: usize) -> Stored<'_> {
-        Stored {
-            family: usize::from(self.families[column]),
-            qualifier: &self.qualifiers[column],
-            ts: self.timestamps[column],
-            value: self.values[column].as_ref(),
-        }
-    }
-
-    /// The columns of `family` among a row's `columns`.
-    fn family(&self, columns: Range<usize>, family: usize) -> Range<usize> {
-        let families = &self.families[columns.clone()];
-        let start = families.partition_point(|&f| usize::from(f) < family);
-        let len = families[start..].partition_point(|&f| usize::from(f) == family);
-        columns.start + start..columns.start + start + len
-    }
-
-    /// The column `family:qualifier` of `row`.
-    fn find_column(&self, row: usize, family: usize, qualifier: &[u8]) -> Option<usize> {
-        let columns = self.family(self.columns(row), family);
-        let at = self.qualifiers[columns.clone()]
-            .binary_search_by(|q| q[..].cmp(qualifier))
-            .ok()?;
-        Some(columns.start + at)
-    }
-
-    /// Moves `row`'s columns out, into a vector with room for `more`, and
-    /// marks the row moved (see the module docs).
-    fn take_row(&mut self, row: usize, more: usize) -> Vec<Column> {
-        if self.moved.is_empty() {
-            self.moved = vec![0; self.len().div_ceil(64)];
-        }
-        self.moved[row / 64] |= 1 << (row % 64);
-        let columns = self.columns(row);
-        let mut taken = Vec::with_capacity(columns.len() + more);
-        for c in columns {
-            taken.push(Column {
-                family: usize::from(self.families[c]),
-                qualifier: std::mem::take(&mut self.qualifiers[c]),
-                ts: self.timestamps[c],
-                value: self.values[c].take(),
-            });
-        }
-        taken
-    }
-
-    /// An empty segment with room for what it is about to be given:
-    /// every array is allocated once.
-    fn with_capacity(rows: usize, key_bytes: usize, columns: usize) -> Segment {
-        Segment {
-            keys: Vec::with_capacity(key_bytes),
-            key_ends: Vec::with_capacity(rows),
-            column_ends: Vec::with_capacity(rows),
-            families: Vec::with_capacity(columns),
-            qualifiers: Vec::with_capacity(columns),
-            values: Vec::with_capacity(columns),
-            timestamps: Vec::with_capacity(columns),
-            moved: Vec::new(),
-        }
-    }
-
-    /// Appends row `key` with its sorted `columns`.
-    fn push_row(&mut self, key: &[u8], columns: impl IntoIterator<Item = Column>) {
-        for column in columns {
-            let family = u8::try_from(column.family).expect("a table has ≤ 256 families");
-            self.families.push(family);
-            self.qualifiers.push(column.qualifier);
-            self.values.push(column.value);
-            self.timestamps.push(column.ts);
-        }
-        self.keys.extend_from_slice(key);
-        self.key_ends.push(offset(self.keys.len()));
-        self.column_ends.push(offset(self.qualifiers.len()));
-    }
-
-    /// Gives back the room left by moved rows.
-    fn trimmed(mut self) -> Segment {
-        if self.qualifiers.len() < self.qualifiers.capacity()
-            || self.keys.len() < self.keys.capacity()
-        {
-            self.keys.shrink_to_fit();
-            self.key_ends.shrink_to_fit();
-            self.column_ends.shrink_to_fit();
-            self.families.shrink_to_fit();
-            self.qualifiers.shrink_to_fit();
-            self.values.shrink_to_fit();
-            self.timestamps.shrink_to_fit();
-        }
-        self
-    }
-
-    /// The flush: `memstore` frozen into this segment's rows, in one pass
-    /// that moves every handle and copies only key bytes. The counts come
-    /// from what the memstore holds inline (key lengths and column
-    /// counts), so no row is visited twice. A memstore row replaces the
-    /// segment row it was moved from.
-    fn merged(mut self, memstore: Memstore<RowData>) -> Segment {
-        let key_bytes: usize = memstore.iter().map(|(key, _)| key.len()).sum();
-        let columns: usize = memstore.iter().map(|(_, row)| row.columns.len()).sum();
-        let mut merged = Segment::with_capacity(
-            self.len() + memstore.len(),
-            self.keys.len() + key_bytes,
-            self.qualifiers.len() + columns,
-        );
-        let mut drain = Drain::new(&mut self);
-        let mut freeze = |merged: &mut Segment, rows: Range<usize>| {
-            for row in rows {
-                let columns = drain.take(self.columns(row).len());
-                if self.is_moved(row) {
-                    columns.for_each(drop);
-                } else {
-                    merged.push_row(self.key(row), columns);
-                }
-            }
-        };
-        let mut next = 0;
-        for (key, row) in memstore {
-            let end = self.lower_bound(&key).max(next);
-            freeze(&mut merged, next..end);
-            next = end;
-            merged.push_row(&key, row.columns);
-        }
-        freeze(&mut merged, next..self.len());
-        merged.trimmed()
-    }
-
-    /// A copy of rows `rows`, without the moved ones.
-    fn slice(&self, rows: Range<usize>) -> Segment {
-        let mut slice = Segment::with_capacity(
-            rows.len(),
-            span(&self.key_ends, rows.clone()).len(),
-            span(&self.column_ends, rows.clone()).len(),
-        );
-        for row in rows.filter(|&row| !self.is_moved(row)) {
-            let columns = self.columns(row).map(|c| {
-                let stored = self.stored(c);
-                Column {
-                    family: stored.family,
-                    qualifier: stored.qualifier.clone(),
-                    ts: stored.ts,
-                    value: stored.value.cloned(),
-                }
-            });
-            slice.push_row(self.key(row), columns);
-        }
-        slice.trimmed()
-    }
-}
-
-/// A segment's columns, moved out in order (the flush's source).
-struct Drain {
-    families: std::vec::IntoIter<u8>,
-    qualifiers: std::vec::IntoIter<Bytes>,
-    values: std::vec::IntoIter<Option<Bytes>>,
-    timestamps: std::vec::IntoIter<u64>,
-}
-
-impl Drain {
-    /// Takes `segment`'s columns, leaving its keys, ends and moved marks.
-    fn new(segment: &mut Segment) -> Drain {
-        Drain {
-            families: std::mem::take(&mut segment.families).into_iter(),
-            qualifiers: std::mem::take(&mut segment.qualifiers).into_iter(),
-            values: std::mem::take(&mut segment.values).into_iter(),
-            timestamps: std::mem::take(&mut segment.timestamps).into_iter(),
-        }
-    }
-
-    /// The next `n` columns.
-    fn take(&mut self, n: usize) -> impl Iterator<Item = Column> + '_ {
-        (0..n).map_while(|_| {
+    /// Appends the cell, a put's, to the row `out` is writing: lending
+    /// a memstore column's handles, copying a frozen column's bytes.
+    fn lend(&self, family_names: &[Arc<str>], out: &mut RowBatch) {
+        let family = &family_names[self.family];
+        match self.column {
             Some(Column {
-                family: usize::from(self.families.next()?),
-                qualifier: self.qualifiers.next()?,
-                value: self.values.next()?,
-                ts: self.timestamps.next()?,
-            })
-        })
+                qualifier,
+                value: Some(value),
+                ..
+            }) => out.push_lent(family, self.ts, qualifier, value),
+            _ => out.push_copied(
+                family,
+                self.ts,
+                self.qualifier,
+                self.value.unwrap_or_default(),
+            ),
+        }
+    }
+
+    /// The cell, a put's, owned: a memstore column's handles, or copies
+    /// of a frozen column's bytes.
+    fn to_cell(self, family_names: &[Arc<str>]) -> Cell {
+        let (qualifier, value) = match self.column {
+            Some(c) => (c.qualifier.clone(), c.value.clone().unwrap_or_default()),
+            None => (self.qualifier.into(), self.value.unwrap_or_default().into()),
+        };
+        let family = Arc::clone(&family_names[self.family]);
+        Cell {
+            family,
+            qualifier,
+            timestamp: self.ts,
+            value,
+        }
     }
 }
 
@@ -666,7 +395,8 @@ impl Region {
                 family: fam_idx,
                 qualifier,
                 ts,
-                value,
+                value: value.map(|v| &v[..]),
+                column: None,
             };
             let slot = row.find(fam_idx, qualifier);
             let old = slot.ok().map(|at| row.columns[at].stored());
@@ -767,42 +497,56 @@ impl Region {
     }
 
     /// Walks the stored columns of one row in the given family indices
-    /// (`None` = all) and hands each visible cell to `emit`, in
-    /// `(family, qualifier)` order. Returns what the walk scanned. A cell
-    /// is a set of refcounted handles, so the walk itself allocates
-    /// nothing: a row that a projected scan merely walks over (all its
-    /// cells in other families) costs no heap traffic.
-    fn read_row(
+    /// (`None` = all) and hands each visible one to `emit`, in
+    /// `(family, qualifier)` order. Returns what the walk scanned. The walk
+    /// itself allocates nothing: a row that a projected scan merely walks
+    /// over (all its cells in other families) costs no heap traffic.
+    fn read_row<'r>(
         key: &[u8],
-        row: &RowView<'_>,
+        row: &RowView<'r>,
         family_names: &[Arc<str>],
         families: Option<&[usize]>,
-        mut emit: impl FnMut(Cell),
+        mut emit: impl FnMut(Stored<'r>),
     ) -> ReadCost {
         let mut cost = ReadCost::default();
         row.for_each_selected(families, |column| {
             // Every stored column is touched by the read path, a
             // retained tombstone included.
             cost.kvs_scanned += 1;
-            if let Some(value) = column.value {
-                let cell = Cell {
-                    family: Arc::clone(&family_names[column.family]),
-                    qualifier: column.qualifier.clone(),
-                    timestamp: column.ts,
-                    value: value.clone(),
-                };
-                cost.bytes_scanned += cell.weight(key.len());
-                emit(cell);
+            if column.value.is_some() {
+                cost.bytes_scanned += column.weight(key, family_names);
+                emit(column);
             }
         });
         cost
     }
 
+    /// [`Region::read_row`] into the row `out` is writing. The bytes it
+    /// copies from a frozen row, and the row's key, are reserved at once.
+    fn lend_row(
+        key: &[u8],
+        row: &RowView<'_>,
+        family_names: &[Arc<str>],
+        families: Option<&[usize]>,
+        out: &mut RowBatch,
+    ) -> ReadCost {
+        if let RowView::Frozen(..) = row {
+            let mut bytes = key.len();
+            row.for_each_selected(families, |c| {
+                bytes += c.qualifier.len() + c.value.map_or(0, <[u8]>::len);
+            });
+            out.reserve_bytes(bytes);
+        }
+        Self::read_row(key, row, family_names, families, |column| {
+            column.lend(family_names, out)
+        })
+    }
+
     /// Point read of one row, owned: `None` when no selected column is
     /// visible. A returned row costs its key and its `cells` vector, the
     /// latter sized on the first visible cell for the columns the read
-    /// touches. The owning adaptor beside [`Region::get_into`]: the same
-    /// walk, the same cost.
+    /// touches, and two handles per frozen cell. The owning adaptor
+    /// beside [`Region::get_into`]: the same walk, the same cost.
     pub(crate) fn get(
         &self,
         key: &[u8],
@@ -813,13 +557,13 @@ impl Region {
             return (None, ReadCost::default());
         };
         let mut cells = Vec::new();
-        let mut cost = Self::read_row(key, &row, family_names, families, |cell| {
+        let mut cost = Self::read_row(key, &row, family_names, families, |column| {
             if cells.is_empty() {
                 let mut touched = 0;
                 row.for_each_selected(families, |_| touched += 1);
                 cells.reserve_exact(touched);
             }
-            cells.push(cell);
+            cells.push(column.to_cell(family_names));
         });
         let row = (!cells.is_empty()).then(|| RowResult {
             key: key.to_vec(),
@@ -847,11 +591,9 @@ impl Region {
         let Some(row) = self.row(key) else {
             return ReadCost::default();
         };
-        let mut cost = Self::read_row(key, &row, family_names, families, |cell| {
-            out.push_cell(cell)
-        });
+        let mut cost = Self::lend_row(key, &row, family_names, families, out);
         let row = out.open_row(key);
-        if !row.cells.is_empty() {
+        if row.kv_count() > 0 {
             cost.kvs_returned = row.kv_count();
             cost.bytes_returned = row.weight();
             out.commit_row(key);
@@ -885,13 +627,11 @@ impl Region {
                 next_key.extend_from_slice(key);
                 return (cost, true);
             }
-            let scanned = Self::read_row(key, &row, family_names, families, |cell| {
-                out.push_cell(cell)
-            });
+            let scanned = Self::lend_row(key, &row, family_names, families, out);
             cost.kvs_scanned += scanned.kvs_scanned;
             cost.bytes_scanned += scanned.bytes_scanned;
             let row = out.open_row(key);
-            if row.cells.is_empty() {
+            if row.kv_count() == 0 {
                 continue;
             }
             if filter.is_none_or(|f| f.accept(row)) {
@@ -903,6 +643,24 @@ impl Region {
             }
         }
         (cost, false)
+    }
+
+    /// Lends every row with a visible cell to `visit`, in key order, each
+    /// read alone into `batch`. Bills nothing (the admin walk).
+    pub(crate) fn for_each_row(
+        &self,
+        family_names: &[Arc<str>],
+        batch: &mut RowBatch,
+        mut visit: impl FnMut(RowRef<'_>),
+    ) {
+        for (key, row) in self.rows_from(&[]) {
+            batch.clear();
+            Self::lend_row(key, &row, family_names, None, batch);
+            let row = batch.open_row(key);
+            if row.kv_count() > 0 {
+                visit(row);
+            }
+        }
     }
 
     /// Row keys in ascending order (rebalancing support).
@@ -961,38 +719,8 @@ impl Region {
 }
 
 #[cfg(test)]
-impl Region {
-    /// One scan step from `start` into a fresh batch, copied out:
-    /// `(rows, cost, resume key)`.
-    pub(crate) fn scan_owned(
-        &self,
-        start: &[u8],
-        stop: Option<&[u8]>,
-        family_names: &[Arc<str>],
-        families: Option<&[usize]>,
-        filter: Option<&dyn ServerFilter>,
-        max_rows: usize,
-    ) -> (Vec<RowResult>, ReadCost, Option<Vec<u8>>) {
-        let mut next_key = start.to_vec();
-        let mut batch = RowBatch::new();
-        let (cost, more) = self.scan_batch_into(
-            &mut next_key,
-            stop,
-            family_names,
-            families,
-            filter,
-            max_rows,
-            &mut batch,
-        );
-        let rows = batch.iter().map(|row| row.to_owned()).collect();
-        (rows, cost, more.then_some(next_key))
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::RowRef;
 
     fn fams() -> Vec<Arc<str>> {
         vec!["a".into(), "b".into()]
@@ -1008,7 +736,7 @@ mod tests {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"k1", 0, b"q", b"v1", 1);
         let (row, cost) = r.get(b"k1", &fams(), None);
-        assert_eq!(row.unwrap().value("a", b"q").unwrap().as_ref(), b"v1");
+        assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"v1");
         assert_eq!(cost.kvs_scanned, 1);
         assert_eq!(r.kv_count(), 1);
     }
@@ -1019,7 +747,7 @@ mod tests {
         put(&mut r, b"k", 0, b"q", b"old", 1);
         put(&mut r, b"k", 0, b"q", b"new", 5);
         let (row, _) = r.get(b"k", &fams(), None);
-        assert_eq!(row.unwrap().value("a", b"q").unwrap().as_ref(), b"new");
+        assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"new");
         assert_eq!(r.kv_count(), 1, "overwrite does not grow live count");
     }
 
@@ -1042,7 +770,7 @@ mod tests {
         r.mutate_row(b"k", [(0, &d)], 0, &fams());
         put(&mut r, b"k", 0, b"q", b"v2", 3);
         let (row, _) = r.get(b"k", &fams(), None);
-        assert_eq!(row.unwrap().value("a", b"q").unwrap().as_ref(), b"v2");
+        assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"v2");
     }
 
     #[test]
@@ -1051,7 +779,7 @@ mod tests {
         put(&mut r, b"k", 0, b"q", b"newest", 10);
         put(&mut r, b"k", 0, b"q", b"stale", 3);
         let (row, _) = r.get(b"k", &fams(), None);
-        assert_eq!(row.unwrap().value("a", b"q").unwrap().as_ref(), b"newest");
+        assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"newest");
     }
 
     #[test]

@@ -20,7 +20,37 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use crate::cell::Mutation;
-use crate::region::{Region, TOMBSTONE_GRACE_TICKS};
+use crate::filter::ServerFilter;
+use crate::region::{ReadCost, Region, TOMBSTONE_GRACE_TICKS};
+use crate::row::{RowBatch, RowResult};
+
+impl Region {
+    /// One scan step from `start` into a fresh batch, copied out:
+    /// `(rows, cost, resume key)`.
+    pub(crate) fn scan_owned(
+        &self,
+        start: &[u8],
+        stop: Option<&[u8]>,
+        family_names: &[Arc<str>],
+        families: Option<&[usize]>,
+        filter: Option<&dyn ServerFilter>,
+        max_rows: usize,
+    ) -> (Vec<RowResult>, ReadCost, Option<Vec<u8>>) {
+        let mut next_key = start.to_vec();
+        let mut batch = RowBatch::new();
+        let (cost, more) = self.scan_batch_into(
+            &mut next_key,
+            stop,
+            family_names,
+            families,
+            filter,
+            max_rows,
+            &mut batch,
+        );
+        let rows = batch.iter().map(|row| row.to_owned()).collect();
+        (rows, cost, more.then_some(next_key))
+    }
+}
 
 const FAMILIES: [&str; 2] = ["a", "b"];
 
@@ -99,6 +129,19 @@ fn family_names() -> Vec<Arc<str>> {
 /// One generated write: `(row, family, qualifier, kind, lag, step)`.
 type Op = (u8, usize, u8, u8, u64, u16);
 
+/// Qualifier `q` of four, 0 to 3 bytes long, each a prefix of the next.
+fn qualifier_of(q: u8) -> &'static [u8] {
+    &b"qrs"[..usize::from(q)]
+}
+
+/// What a put to `row`'s column `q` at `ts` writes: 0 to 300 bytes, a
+/// function of the three, so two puts to one column at one timestamp
+/// carry one value.
+fn value_of(ts: u64, row: u8, q: u8) -> Vec<u8> {
+    let len = (ts as usize * 31 + usize::from(row) * 7 + usize::from(q)) % 301;
+    (0..len).map(|i| (ts as usize + i) as u8 ^ row).collect()
+}
+
 /// The write `op` stands for, with the clock moved on to its tick:
 /// `(row key, family, mutation, version)`. Mostly a few ticks pass; one
 /// step in fifty crosses the grace window, so purges happen. Pinned
@@ -112,20 +155,19 @@ fn write_of(op: Op, now: &mut u64) -> ([u8; 2], usize, Mutation, Version) {
         1 + u64::from(step % 3)
     };
     let key = [b'r', row];
-    let qualifier = [b'q', qualifier];
     let pinned = (lag < 20).then(|| *now - lag);
     let ts = pinned.unwrap_or(*now);
-    let value = vec![ts as u8, row, qualifier[1]];
-    let name = FAMILIES[family];
+    let value = value_of(ts, row, qualifier);
+    let (name, qualifier) = (FAMILIES[family], qualifier_of(qualifier));
     let (mutation, version) = match (kind, pinned) {
-        (2, Some(at)) => (Mutation::delete_at(name, &qualifier, at), (ts, None)),
-        (2, None) => (Mutation::delete(name, &qualifier), (ts, None)),
+        (2, Some(at)) => (Mutation::delete_at(name, qualifier, at), (ts, None)),
+        (2, None) => (Mutation::delete(name, qualifier), (ts, None)),
         (_, Some(at)) => (
-            Mutation::put_at(name, &qualifier, value.clone(), at),
+            Mutation::put_at(name, qualifier, value.clone(), at),
             (ts, Some(value)),
         ),
         (_, None) => (
-            Mutation::put(name, &qualifier, value.clone()),
+            Mutation::put(name, qualifier, value.clone()),
             (ts, Some(value)),
         ),
     };
@@ -141,11 +183,15 @@ fn route<'a>(regions: &'a mut [Region], key: &[u8]) -> &'a mut Region {
 /// `flushed` reads, bills and counts exactly as `plain`: the counters
 /// (which equal a recount), the row keys and split point, and every point
 /// read and scan step from every row at three batch sizes, with and
-/// without a stop key, under every projection.
+/// without a stop key, under every projection. Each read is made owned
+/// and again into `batches`, one per side, which every read of a case
+/// refills: a batch lends the owned read's rows, and after a
+/// `drop_front` their tail.
 fn assert_reads_alike(
     plain: &Region,
     flushed: &Region,
     names: &[Arc<str>],
+    batches: &mut [RowBatch; 2],
 ) -> Result<(), TestCaseError> {
     let counted = (flushed.row_count(), flushed.kv_count(), flushed.byte_size());
     prop_assert_eq!(counted, flushed.recount(names));
@@ -158,18 +204,45 @@ fn assert_reads_alike(
         flushed.row_keys().collect::<Vec<_>>()
     );
     prop_assert_eq!(plain.split_point(), flushed.split_point());
+    let sides = [plain, flushed];
     for projection in [None, Some(&[0, 1][..]), Some(&[0][..]), Some(&[1][..])] {
         for row in 0u8..5 {
             let key = [b'r', row];
-            prop_assert_eq!(
-                plain.get(&key, names, projection),
-                flushed.get(&key, names, projection)
-            );
+            let read = plain.get(&key, names, projection);
+            prop_assert_eq!(&read, &flushed.get(&key, names, projection));
+            let (owned, cost) = read;
+            for (region, batch) in sides.into_iter().zip(batches.iter_mut()) {
+                prop_assert_eq!(region.get_into(&key, names, projection, batch), cost);
+                prop_assert_eq!(batch.get(0), owned.as_ref().map(RowResult::as_row_ref));
+            }
             for (stop, max_rows) in [(None, 1), (None, 2), (None, 100), (Some(&[b'r', 3][..]), 2)] {
+                let step = plain.scan_owned(&key, stop, names, projection, None, max_rows);
                 prop_assert_eq!(
-                    plain.scan_owned(&key, stop, names, projection, None, max_rows),
-                    flushed.scan_owned(&key, stop, names, projection, None, max_rows)
+                    &step,
+                    &flushed.scan_owned(&key, stop, names, projection, None, max_rows)
                 );
+                let (rows, cost, resume) = step;
+                let want: Vec<_> = rows.iter().map(RowResult::as_row_ref).collect();
+                for (region, batch) in sides.into_iter().zip(batches.iter_mut()) {
+                    let mut next_key = key.to_vec();
+                    batch.clear();
+                    let (lent, more) = region.scan_batch_into(
+                        &mut next_key,
+                        stop,
+                        names,
+                        projection,
+                        None,
+                        max_rows,
+                        batch,
+                    );
+                    prop_assert_eq!((lent, more.then_some(next_key)), (cost, resume.clone()));
+                    prop_assert_eq!(&batch.iter().collect::<Vec<_>>(), &want);
+                    batch.drop_front(1);
+                    prop_assert_eq!(
+                        batch.iter().collect::<Vec<_>>(),
+                        want.get(1..).unwrap_or_default()
+                    );
+                }
             }
         }
     }
@@ -205,7 +278,7 @@ proptest! {
     /// values would win is unspecified in HBase and in the model alike.
     #[test]
     fn region_matches_the_keep_everything_model(ops in prop::collection::vec(
-        (0u8..5, 0usize..2, 0u8..3, 0u8..3, 0u64..40, 0u16..1000), 1..150)) {
+        (0u8..5, 0usize..2, 0u8..4, 0u8..3, 0u64..40, 0u16..1000), 1..150)) {
         let names = family_names();
         let mut region = Region::new(Vec::new(), 0);
         let mut model = ReferenceRegion::default();
@@ -214,7 +287,7 @@ proptest! {
         for op in ops {
             let (key, family, mutation, version) = write_of(op, &mut now);
             region.mutate_row(&key, [(family, &mutation)], now, &names);
-            model.mutate(&key, family, &[b'q', op.2], version);
+            model.mutate(&key, family, qualifier_of(op.2), version);
 
             prop_assert_eq!(region.kv_count(), model.kv_count());
             prop_assert_eq!((region.row_count(), region.kv_count(), region.byte_size()), region.recount(&names));
@@ -248,13 +321,14 @@ proptest! {
     #[test]
     fn a_flushed_region_reads_bills_and_resumes_as_a_never_flushed_one(
         ops in prop::collection::vec(
-            (0u8..5, 0usize..2, 0u8..3, 0u8..3, 0u64..40, 0u16..1000), 1..150),
+            (0u8..5, 0usize..2, 0u8..4, 0u8..3, 0u64..40, 0u16..1000), 1..150),
         flushes in (0usize..150, 0usize..150),
         split_at in 0usize..300,
     ) {
         let names = family_names();
         let mut plain = vec![Region::new(Vec::new(), 0)];
         let mut flushed = vec![Region::new(Vec::new(), 0)];
+        let mut batches = [RowBatch::new(), RowBatch::new()];
         let mut now = 2 * TOMBSTONE_GRACE_TICKS;
         for (step, op) in ops.into_iter().enumerate() {
             if step == flushes.0 || step == flushes.1 {
@@ -271,7 +345,7 @@ proptest! {
                 route(side, &key).mutate_row(&key, [(family, &mutation)], now, &names);
             }
             for (plain, flushed) in plain.iter().zip(&flushed) {
-                assert_reads_alike(plain, flushed, &names)?;
+                assert_reads_alike(plain, flushed, &names, &mut batches)?;
             }
         }
     }

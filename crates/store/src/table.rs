@@ -41,9 +41,6 @@ pub(crate) struct ScanStep {
     pub more: bool,
 }
 
-/// Rows per step of the admin walk [`Table::for_each_row`].
-const ADMIN_WALK_ROWS: usize = 1024;
-
 /// A family projection resolved to schema indices, sorted and distinct
 /// ([`Table::resolve_families`]). One family — what every index read and
 /// index scan projects — is held inline, so resolving it allocates
@@ -438,32 +435,16 @@ impl Table {
     /// Visits every visible row in key order without any cost accounting
     /// — the admin walk behind a statistics pass (the "omniscient" view no
     /// real client has). Regions are disjoint and ordered, so walking them
-    /// in turn is key order; each is read in steps of 1 024 rows into one
-    /// reused batch, so the walk's heap use does not depend on the table's
+    /// in turn is key order; each row is read alone into one reused batch,
+    /// so the walk's heap use is its widest row's, whatever the table's
     /// size. `visit` runs under the read lock of the region it is shown a
     /// row of, so it must not write to this table.
     pub fn for_each_row(&self, mut visit: impl FnMut(RowRef<'_>)) {
-        let regions = self.regions.read();
         let mut batch = RowBatch::new();
-        let mut next_key = Vec::new();
-        for region in regions.iter() {
-            let region = region.read();
-            next_key.clear();
-            next_key.extend_from_slice(region.start_key());
-            let mut more = true;
-            while more {
-                batch.clear();
-                (_, more) = region.scan_batch_into(
-                    &mut next_key,
-                    None,
-                    &self.families,
-                    None,
-                    None,
-                    ADMIN_WALK_ROWS,
-                    &mut batch,
-                );
-                batch.iter().for_each(&mut visit);
-            }
+        for region in self.regions.read().iter() {
+            region
+                .read()
+                .for_each_row(&self.families, &mut batch, &mut visit);
         }
     }
 
@@ -506,7 +487,7 @@ mod tests {
         let m = Mutation::put("cf", b"q", b"v".to_vec());
         t.mutate_row(b"row", &[m], 7).unwrap();
         let (row, _, _) = t.get(b"row", None).unwrap();
-        assert_eq!(row.unwrap().value("cf", b"q").unwrap().as_ref(), b"v");
+        assert_eq!(row.unwrap().value("cf", b"q").unwrap(), b"v");
     }
 
     #[test]

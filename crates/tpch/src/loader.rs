@@ -18,12 +18,13 @@
 //! one qualifier handle per column name, which every row's columns share,
 //! and one `jk` value per part and per order: a lineitem's `jk_part` value
 //! *is* its part's `jk` value, and its `jk_order` its order's. Every other
-//! value is built straight into its one `Bytes`. The store keeps the
-//! handles it is given (see `rj_store::region`). Once every row is
-//! written, [`load_all`] flushes the three tables: each region's rows are
-//! frozen into one flat segment, as an HBase bulk load's store files are,
-//! so what stays resident per row is its key's bytes in the segment's
-//! arena, one slot per column in its arrays and its own values. What the
+//! value is built straight into its one `Bytes`. The store's memstore
+//! keeps the handles it is given while the load writes (see
+//! `rj_store::region`). Once every row is written, [`load_all`] flushes
+//! the three tables: each region's rows are frozen into one flat segment
+//! that owns its bytes, as an HBase bulk load's store files do, so what
+//! stays resident per column is its bytes in the segment's arenas and a
+//! few fixed-width slots, and the shared handles are freed. What the
 //! store bills is unchanged: every write went through `mutate_row` as
 //! before, the flush bills nothing, and every column is billed for its
 //! bytes however they are held.

@@ -65,10 +65,12 @@
 //! instead of materializing the grid, a cached 3-way access plan and a
 //! resumed scanner's projection allocate nothing.
 //!
-//! Under all of it sits what the store keeps resident. A load builds each
-//! column name and each join key once and the store keeps the handles it
-//! is given, so a loaded store with both binary ISL indices holds a
-//! ratcheted heap per stored byte, counted process-wide.
+//! Under all of it sits what the store keeps resident. A finished load or
+//! index build freezes its rows into region segments, which own their
+//! bytes in per-segment arenas, so a loaded store with both binary ISL
+//! indices holds a ratcheted heap per stored byte, counted process-wide.
+//! A scan of such a table copies each cell's bytes into its batch, and a
+//! warm batch takes them without allocating.
 
 use std::sync::{PoisonError, RwLock};
 
@@ -381,17 +383,17 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
 /// The store's own footprint: a loaded SF-0.002 store with both binary
 /// ISL indices built holds at most this many hundredths of a heap byte
 /// per byte its tables report stored (`Table::disk_size`). Measured:
-/// 1.8908, its rows frozen into region segments by the load's and the
-/// index builds' flushes (2.819–2.823 while every row was a B-tree entry,
-/// 3.299–3.301 when every loaded row also copied its column names and
-/// each lineitem its join keys).
-const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 190;
+/// 1.1218, its rows frozen by the load's and the index builds' flushes
+/// into region segments that own their bytes (1.8908 while a segment held
+/// each cell's qualifier and value as handles, 2.819–2.823 while every
+/// row was a B-tree entry, 3.299–3.301 when every loaded row also copied
+/// its column names and each lineitem its join keys).
+const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 113;
 
-/// A load shares its column names and join keys across rows and tables
-/// (`rj_tpch::loader`), the store keeps the handles it is given, and a
-/// finished load or index build freezes its rows into flat region
-/// segments: the live heap of a loaded, indexed store stays at the ratio
-/// that buys.
+/// A finished load or index build freezes its rows into region segments,
+/// each holding its keys, qualifiers and values in flat arenas with `u32`
+/// ends: the live heap of a loaded, indexed store stays at the ratio that
+/// buys.
 #[test]
 fn a_loaded_store_holds_a_bounded_heap_per_stored_byte() {
     let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
@@ -828,6 +830,38 @@ fn get_into_bills_what_get_bills_and_allocates_nothing_into_a_warm_batch() {
     }
     assert!(client.projection("t", Some(&["nope".to_owned()])).is_err());
     assert!(client.projection("nope", None).is_err());
+}
+
+/// A frozen index table lends its cells out of the scanner's batch, their
+/// bytes copied from the segment's arena into it: a scanner reopened on
+/// the batch an earlier scan grew refills it in place, so a scan of the
+/// whole table allocates what one of ten rows does — nothing per row.
+#[test]
+fn a_warm_scan_of_a_frozen_index_allocates_nothing_per_row() {
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    // The build flushed the index into its regions' segments.
+    let (cluster, ex) = prepared(&q2);
+    let (client, table) = (cluster.client(), ex.isl_table().unwrap());
+    let label = q2.right.label.as_str();
+    let scan = |batch, limit| {
+        let spec = Scan::new()
+            .families(&[label])
+            .caching(ISL_BATCH)
+            .limit(limit);
+        let mut scan = client.scan_with_batch(table, spec, batch).unwrap();
+        let mut rows = 0;
+        while scan.next_row().unwrap().is_some() {
+            rows += 1;
+        }
+        (scan.into_state().into_batch(), rows)
+    };
+    let (batch, all) = scan(rankjoin::store::RowBatch::new(), usize::MAX);
+    let ((batch, ten), ten_allocs) = counted(|| scan(batch, 10));
+    let ((_, again), all_allocs) = counted(|| scan(batch, usize::MAX));
+    assert_eq!((ten, again), (10, all));
+    assert!(all > 100 * ISL_BATCH, "{all} rows");
+    assert_eq!(all_allocs, ten_allocs, "{all} rows allocated per row");
 }
 
 #[test]

@@ -5,15 +5,16 @@
 //! process holds for them on the heap is a multiple of that — row and
 //! column headers, refcounts, B-tree slack — and the multiple is the
 //! store's own overhead, the floor under every workload's peak memory.
-//! A finished load or index build freezes its rows into flat region
-//! segments (see `rj_store::region`), and the loader shares its column
-//! names and join keys across rows. This test's run measures 1.55× on the
-//! base tables, 2.56× on Q2's ISL index, 2.48× on its BFHM index and 1.89×
-//! in all (2.2×, 4.1× and 2.9× while every row was a B-tree entry with its
-//! own sorted column vector; 3.6× while every row copied its names and
-//! keys, 8.6× when a row held one B-tree per family, and 13× on the
-//! one-column rows of an index table). It holds the line at 5×;
-//! `tests/alloc_budget.rs` ratchets the loaded store's own ratio.
+//! A finished load or index build freezes its rows into region segments
+//! that own their bytes in flat arenas (see `rj_store::segment`). This
+//! test's run measures 1.03× on the base tables, 1.31× on Q2's ISL index,
+//! 1.28× on its BFHM index and 1.12× in all (1.55×, 2.56×, 2.48× and 1.89×
+//! while a segment held each cell's qualifier and value as handles; 2.2×,
+//! 4.1× and 2.9× while every row was a B-tree entry with its own sorted
+//! column vector; 3.6× while every row copied its names and keys, 8.6×
+//! when a row held one B-tree per family, and 13× on the one-column rows
+//! of an index table). It holds the line at 5×; `tests/alloc_budget.rs`
+//! ratchets the loaded store's own ratio.
 //!
 //! Live bytes are process-wide, so this binary has the one test.
 

@@ -1,32 +1,19 @@
-//! How the bulk loader holds its bytes, and what the store bills it.
+//! How the store holds its bytes, and what it bills for them.
 //!
-//! A load builds its family and column-name handles once and each join
-//! key once: every row shares the names, and a lineitem's `jk_part` and
-//! `jk_order` values are its part's and its order's `jk` values. That
-//! moves no bill: every figure in the first test was recorded before the
-//! load shared anything, and the index builds after it are billed as
-//! they were too.
+//! A region's segment owns the bytes a flush froze, and its memstore the
+//! handles its writers gave it (see `rj_store::region`). Neither moves a
+//! bill: every figure in the first test was recorded while the store
+//! held handles in both halves, and the index builds after the load are
+//! billed as they were too.
 
+use rankjoin::core::ijlmr;
 use rankjoin::core::indexutil::BuildStats;
 use rankjoin::store::keys;
 use rankjoin::store::metrics::MetricsSnapshot;
-use rankjoin::store::RowResult;
+use rankjoin::store::RowBatch;
 use rankjoin::tpch::{loader, TpchConfig};
-use rankjoin::{Client, Cluster, CostModel, RankJoinExecutor, Scan};
+use rankjoin::{Cluster, CostModel, MaintainedSide, RankJoinExecutor, Scan};
 use rj_bench::QuerySpec;
-
-/// Where the stored bytes of `table`'s row `key`, column `qualifier`
-/// live: `(qualifier, value)` addresses. Two equal addresses are one
-/// allocation held twice.
-fn addresses(client: &Client, table: &str, key: &[u8], qualifier: &[u8]) -> (usize, usize) {
-    let row = client.get(table, key).unwrap().expect("the row is loaded");
-    let cell = row.cells.iter().find(|c| *c.qualifier == *qualifier);
-    let cell = cell.expect("the column is loaded");
-    (
-        cell.qualifier.as_ptr() as usize,
-        cell.value.as_ptr() as usize,
-    )
-}
 
 /// The ledger fields a write bills: `(kv_writes, rpc_calls,
 /// network_bytes, kv_reads, sim_seconds)`.
@@ -132,49 +119,60 @@ fn a_load_and_its_index_builds_bill_and_store_exactly_as_recorded() {
     }
 }
 
-/// Forty lineitems share one `jk_part` and one `jk_order` name, parts and
-/// orders one `jk` name, and each lineitem's join-key values are the ones
-/// its part and its order store.
+/// A frozen cell's bytes live in its segment's arena, so two reads of it
+/// lend equal bytes, each read its own copy. A maintained insert lands in
+/// the memstore, which keeps its writer's handles, and a read lends them:
+/// the insert's row key is one handle held by its ISL and IJLMR cells,
+/// and its score one handle held by its base row and its IJLMR cell.
 #[test]
-fn a_load_holds_each_column_name_and_join_key_once() {
+fn a_frozen_cell_reads_alike_and_a_maintained_insert_shares_its_handles() {
     let cluster = Cluster::new(3, CostModel::test());
     loader::load_all(&cluster, &TpchConfig::new(0.0005)).unwrap();
+    let query = QuerySpec::Q2.query(10);
+    let mut ex = RankJoinExecutor::new(&cluster, query.clone());
+    ex.prepare_isl().unwrap();
+    ex.prepare_ijlmr().unwrap();
     let client = cluster.client();
-    let at = |table, key: &[u8], qualifier| addresses(&client, table, key, qualifier);
-    let (part, order) = (loader::PART_TABLE, loader::ORDERS_TABLE);
-    let (jk, jk_part, jk_order) = (
-        loader::cols::JK,
-        loader::cols::JK_PART,
-        loader::cols::JK_ORDER,
-    );
-    let lineitems: Vec<RowResult> = client
-        .scan(loader::LINEITEM_TABLE, Scan::new())
-        .unwrap()
-        .take(40)
-        .collect();
-    let name = |row: &RowResult, qualifier| at(loader::LINEITEM_TABLE, &row.key, qualifier);
-    let first = keys::encode_u64(1);
-    for row in &lineitems[1..] {
-        assert_eq!(name(row, jk_part).0, name(&lineitems[0], jk_part).0);
-        assert_eq!(name(row, jk_order).0, name(&lineitems[0], jk_order).0);
+    let lineitems = client.projection(loader::LINEITEM_TABLE, None).unwrap();
+
+    let mut scan = client.scan(loader::LINEITEM_TABLE, Scan::new()).unwrap();
+    let frozen = scan.next_row().unwrap().unwrap().to_owned();
+    let (mut first, mut second) = (RowBatch::new(), RowBatch::new());
+    let reads = [&mut first, &mut second].map(|batch| {
+        client
+            .get_into(batch, &lineitems, &frozen.key)
+            .unwrap()
+            .to_owned()
+    });
+    assert_eq!(reads[0], frozen);
+    assert_eq!(reads[1], frozen);
+    let lent = [&first, &second].map(|batch| batch.get(0).unwrap());
+    for (a, b) in lent[0].cells().zip(lent[1].cells()) {
+        assert_eq!((a.qualifier, a.value), (b.qualifier, b.value));
+        assert_ne!(a.value.as_ptr(), b.value.as_ptr(), "each read copies");
     }
-    assert_eq!(
-        at(part, &first, jk).0,
-        at(order, &first, jk).0,
-        "one `jk` name"
-    );
-    for row in &lineitems {
-        let part_key = row.value(loader::FAMILY, jk_part).unwrap();
-        let order_key = row.value(loader::FAMILY, jk_order).unwrap();
-        assert_eq!(
-            name(row, jk_part).1,
-            at(part, part_key, jk).1,
-            "the part's `jk`"
-        );
-        assert_eq!(
-            name(row, jk_order).1,
-            at(order, order_key, jk).1,
-            "the order's `jk`"
-        );
-    }
+
+    let side = MaintainedSide::new(&cluster, query.right.clone())
+        .with_isl(ex.isl_table().unwrap())
+        .with_ijlmr(&ijlmr::index_table_name(&query));
+    let (key, join, score) = (loader::rowkeys::lineitem(1, 2000), keys::encode_u64(1), 0.5);
+    side.insert(&key, &join, score, vec![]).unwrap();
+    let label = query.right.label.as_str();
+    let mut batch = RowBatch::new();
+    let mut index_cell = |table: &str, row: &[u8]| {
+        let projection = client.projection(table, Some(&[label.to_owned()])).unwrap();
+        let row = client.get_into(&mut batch, &projection, row).unwrap();
+        let cell = row.cells().find(|c| c.qualifier == key);
+        cell.expect("the insert's index cell").to_cell()
+    };
+    let isl = index_cell(ex.isl_table().unwrap(), &keys::encode_score_desc(score));
+    let ijlmr = index_cell(&ijlmr::index_table_name(&query), &join);
+    assert_eq!(isl.qualifier.as_ptr(), ijlmr.qualifier.as_ptr(), "one key");
+    let base = client.get(loader::LINEITEM_TABLE, &key).unwrap().unwrap();
+    let stored = base
+        .cells
+        .iter()
+        .find(|c| *c.qualifier == *loader::cols::SCORE);
+    let stored = stored.expect("the insert's score column");
+    assert_eq!(stored.value.as_ptr(), ijlmr.value.as_ptr(), "one score");
 }
