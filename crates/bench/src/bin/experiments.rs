@@ -18,9 +18,9 @@
 //!               planner agreement with the measured-cheapest choice
 //!   updates-planner  interleaved refresh sets vs Auto planning: maintained
 //!                    statistics against a fresh-stats oracle per round
-//!   multiway    3-way rank joins: the default all-descend access vs
-//!               the measured-cheapest assignment over a (shape, k)
-//!               grid, plus the two-side-spec-equals-binary pin
+//!   multiway    3-way rank joins: the descent's KV reads over a
+//!               (shape, k) grid, plus the two-side-spec-equals-binary
+//!               pin
 //!   ablations   design-choice ablations: ISL batch size (§4.2.3), BFHM
 //!               bucket count, single-hash vs classic Bloom false
 //!               positives and Golomb vs raw blob size (§5.1)
@@ -228,8 +228,7 @@ fn main() {
             println!("{}", t.render());
         }
         println!(
-            "# multiway: auto within {:.2}x of measured-cheapest, two-side spec == binary: {}\n",
-            report.auto_worst_ratio(),
+            "# multiway: two-side spec == binary: {}\n",
             report.binary_identical()
         );
     }

@@ -3,19 +3,17 @@
 //!
 //! Two lanes, all metered on private fork ledgers:
 //!
-//! * **Plan grid** — a 3-way path join over two dataset shapes (a
+//! * **Grid** — a 3-way path join over two dataset shapes (a
 //!   *bottleneck* shape with a small selective interior side between two
 //!   big outer sides, and a *uniform* shape) swept over `k`. Every cell
-//!   measures the KV reads of **all** `2^3` per-side access assignments
-//!   (descend vs. materialize) plus the executor's default access (every
-//!   side descends); the default must stay within a small factor of the
-//!   measured-cheapest assignment across the grid.
+//!   records the KV reads of the descent, every side descending its
+//!   score list.
 //! * **Binary pin** — the two-side degenerate spec next to the binary
 //!   ISL executor on identical data: the spec path must charge exactly
 //!   the binary reads (the compatibility pin, surfaced as a benchmark
 //!   artifact).
 
-use rj_core::multiway::{SideAccess, SpecExecutor};
+use rj_core::multiway::SpecExecutor;
 use rj_core::query::{JoinSide, JoinSpec, RankJoinQuery};
 use rj_core::score::ScoreFn;
 use rj_core::{Algorithm, RankJoinExecutor};
@@ -55,29 +53,15 @@ impl Default for MultiwayBenchConfig {
     }
 }
 
-/// One grid cell: the executor's default access vs the measured-cheapest
-/// of all access assignments at one `(shape, k)`.
+/// One grid cell: the descent's KV reads at one `(shape, k)`.
 #[derive(Clone, Debug)]
 pub struct GridCell {
     /// Dataset shape name (`bottleneck` / `uniform`).
     pub shape: &'static str,
     /// Answer depth.
     pub k: usize,
-    /// The executor's default access, one letter per side (`D`/`M`).
-    pub auto_plan: String,
-    /// KV reads of the executor's default access.
-    pub auto_kv_reads: u64,
-    /// The measured-cheapest assignment.
-    pub best_plan: String,
-    /// KV reads of the measured-cheapest assignment.
-    pub best_kv_reads: u64,
-}
-
-impl GridCell {
-    /// `auto / cheapest` — 1.0 means the default access is the winner.
-    pub fn ratio(&self) -> f64 {
-        self.auto_kv_reads as f64 / self.best_kv_reads.max(1) as f64
-    }
+    /// KV reads of the run.
+    pub kv_reads: u64,
 }
 
 /// `multiway` experiment results.
@@ -94,11 +78,6 @@ pub struct MultiwayReport {
 }
 
 impl MultiwayReport {
-    /// The worst `auto / cheapest` ratio across the grid.
-    pub fn auto_worst_ratio(&self) -> f64 {
-        self.grid.iter().map(GridCell::ratio).fold(1.0, f64::max)
-    }
-
     /// Whether the two-side spec charged exactly the binary reads.
     pub fn binary_identical(&self) -> bool {
         self.binary_kv_reads == self.spec_kv_reads
@@ -154,34 +133,7 @@ fn load_three_way(rows: [usize; 3], join_values: usize, seed: u64) -> (Cluster, 
     (c, spec)
 }
 
-/// `D`/`M` string for an access assignment.
-fn plan_name(access: &[SideAccess]) -> String {
-    access
-        .iter()
-        .map(|a| match a {
-            SideAccess::Descend => 'D',
-            SideAccess::Materialize => 'M',
-        })
-        .collect()
-}
-
-/// KV-read delta of executing `proto` at `k` with the given override
-/// (`None` = the executor's default access) on a fresh fork ledger.
-fn metered_run(
-    cluster: &Cluster,
-    proto: &SpecExecutor,
-    k: usize,
-    access: Option<Vec<SideAccess>>,
-) -> u64 {
-    let fork = cluster.fork_metrics();
-    let mut ex = proto.fork_onto(&fork).expect("fork");
-    ex.access_override = access;
-    let before = fork.metrics().snapshot();
-    ex.execute_with_k(k).expect("multiway run");
-    fork.metrics().snapshot().delta_since(&before).kv_reads
-}
-
-/// The plan grid over one dataset shape.
+/// The grid over one dataset shape, each run on a fresh fork ledger.
 fn run_grid(
     shape: &'static str,
     rows: [usize; 3],
@@ -192,33 +144,12 @@ fn run_grid(
     let mut proto = SpecExecutor::new(&cluster, spec);
     proto.prepare().expect("multiway index");
     for &k in &config.ks {
-        let auto_access = proto.plan_access(k).expect("plan");
-        let auto_kv_reads = metered_run(&cluster, &proto, k, None);
-        let mut best: Option<(u64, Vec<SideAccess>)> = None;
-        for mask in 0u32..8 {
-            let access: Vec<SideAccess> = (0..3)
-                .map(|i| {
-                    if mask & (1 << i) != 0 {
-                        SideAccess::Materialize
-                    } else {
-                        SideAccess::Descend
-                    }
-                })
-                .collect();
-            let reads = metered_run(&cluster, &proto, k, Some(access.clone()));
-            if best.as_ref().is_none_or(|(r, _)| reads < *r) {
-                best = Some((reads, access));
-            }
-        }
-        let (best_kv_reads, best_access) = best.expect("eight assignments measured");
-        out.push(GridCell {
-            shape,
-            k,
-            auto_plan: plan_name(&auto_access),
-            auto_kv_reads,
-            best_plan: plan_name(&best_access),
-            best_kv_reads,
-        });
+        let fork = cluster.fork_metrics();
+        let ex = proto.fork_onto(&fork).expect("fork");
+        let before = fork.metrics().snapshot();
+        ex.execute_with_k(k).expect("multiway run");
+        let kv_reads = fork.metrics().snapshot().delta_since(&before).kv_reads;
+        out.push(GridCell { shape, k, kv_reads });
     }
 }
 
@@ -293,26 +224,14 @@ impl MultiwayReport {
     /// Renders the report as experiment tables.
     pub fn tables(&self) -> Vec<Table> {
         let mut grid = Table::new(
-            "3-way rank join: default access vs measured-cheapest (KV reads)",
-            &[
-                "shape",
-                "k",
-                "auto plan",
-                "auto reads",
-                "best plan",
-                "best reads",
-                "ratio",
-            ],
+            "3-way rank join: every side descended (KV reads)",
+            &["shape", "k", "KV reads"],
         );
         for cell in &self.grid {
             grid.row(vec![
                 cell.shape.to_owned(),
                 cell.k.to_string(),
-                cell.auto_plan.clone(),
-                cell.auto_kv_reads.to_string(),
-                cell.best_plan.clone(),
-                cell.best_kv_reads.to_string(),
-                format!("{:.2}x", cell.ratio()),
+                cell.kv_reads.to_string(),
             ]);
         }
         let mut pin = Table::new(
@@ -339,18 +258,13 @@ impl MultiwayReport {
                 Json::Obj(vec![
                     ("shape", c.shape.into()),
                     ("k", c.k.into()),
-                    ("auto_plan", c.auto_plan.as_str().into()),
-                    ("auto_kv_reads", c.auto_kv_reads.into()),
-                    ("best_plan", c.best_plan.as_str().into()),
-                    ("best_kv_reads", c.best_kv_reads.into()),
-                    ("ratio", Json::fixed(c.ratio(), 3)),
+                    ("kv_reads", c.kv_reads.into()),
                 ])
             })
             .collect();
         Json::Obj(vec![
             ("experiment", "multiway".into()),
             ("grid", Json::Arr(grid)),
-            ("auto_worst_ratio", Json::fixed(self.auto_worst_ratio(), 3)),
             ("binary_identical", self.binary_identical().into()),
             ("binary_kv_reads", self.binary_kv_reads.into()),
             ("spec_kv_reads", self.spec_kv_reads.into()),
@@ -368,20 +282,8 @@ mod tests {
         let report = run_multiway(&MultiwayBenchConfig::default());
         assert_eq!(report.grid.len(), 6, "two shapes x three ks");
         for cell in &report.grid {
-            assert!(cell.auto_kv_reads > 0 && cell.best_kv_reads > 0);
-            assert!(
-                cell.auto_kv_reads >= cell.best_kv_reads,
-                "cheapest can't lose to auto: {cell:?}"
-            );
+            assert!(cell.kv_reads > 0, "{cell:?}");
         }
-        // The acceptance bound: the default access is never worse than
-        // 1.5x the measured-cheapest assignment anywhere in the grid.
-        assert!(
-            report.auto_worst_ratio() <= 1.5,
-            "auto plan {:.2}x worse than measured-cheapest: {:?}",
-            report.auto_worst_ratio(),
-            report.grid
-        );
         assert!(
             report.binary_identical(),
             "two-side spec must charge the binary reads: {} vs {}",
@@ -389,12 +291,7 @@ mod tests {
             report.binary_kv_reads
         );
         let json = report.to_json();
-        for key in [
-            "\"experiment\"",
-            "\"grid\"",
-            "\"auto_worst_ratio\"",
-            "\"binary_identical\"",
-        ] {
+        for key in ["\"experiment\"", "\"grid\"", "\"binary_identical\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(report.tables().len(), 2);

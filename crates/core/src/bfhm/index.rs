@@ -18,8 +18,9 @@ use rj_sketch::blob::{BfhmBlob, BlobCodec};
 use rj_sketch::histogram::ScoreHistogram;
 use rj_sketch::hybrid::HybridFilter;
 use rj_store::cell::Mutation;
+use rj_store::client::Client;
 use rj_store::keys;
-use rj_store::row::{RowRef, RowResult};
+use rj_store::row::{RowBatch, RowRef};
 
 use crate::codec;
 use crate::error::{RankJoinError, Result};
@@ -309,14 +310,15 @@ pub fn build_pair(
     Ok((stats, m))
 }
 
-/// Reads `(m, num_buckets)` from the index metadata row.
+/// Reads `(m, num_buckets)` from the index metadata row, into `batch`.
 pub(crate) fn read_meta(
-    cluster: &rj_store::cluster::Cluster,
+    client: &Client,
+    batch: &mut RowBatch,
     table: &str,
     left_label: &str,
 ) -> Result<(usize, u32)> {
-    let row = cluster.client().get(table, META_ROW)?;
-    meta_of(row.as_ref().map(RowResult::as_row_ref), left_label)
+    let all = client.projection(table, None)?;
+    meta_of(client.get_into(batch, &all, META_ROW), left_label)
 }
 
 /// `(m, num_buckets)` of a metadata row read under `left_label`.
@@ -352,7 +354,8 @@ mod tests {
         assert!(stats.index_bytes > 0);
         assert_eq!(stats.jobs.len(), 2, "no counting job when m is pinned");
 
-        let (meta_m, meta_buckets) = read_meta(&c, "bfhm_idx", "R1").unwrap();
+        let (meta_m, meta_buckets) =
+            read_meta(&c.client(), &mut RowBatch::new(), "bfhm_idx", "R1").unwrap();
         assert_eq!(meta_m, m);
         assert_eq!(meta_buckets, 10);
 

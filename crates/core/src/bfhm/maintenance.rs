@@ -28,7 +28,7 @@ use rj_sketch::bloom::SingleHashBloom;
 use rj_sketch::histogram::ScoreHistogram;
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
-use rj_store::row::RowRef;
+use rj_store::row::{RowBatch, RowRef};
 use rj_store::Bytes;
 
 use crate::codec;
@@ -167,7 +167,7 @@ pub(crate) fn write_back_bucket(
     cluster: &Cluster,
     table: &str,
     label: &str,
-    bucket: u32,
+    bucket_row: &[u8],
     resolved: &ResolvedBucket,
     codec_sel: BlobCodec,
 ) -> Result<()> {
@@ -188,30 +188,23 @@ pub(crate) fn write_back_bucket(
             .iter()
             .map(|qualifier| Mutation::delete_shared(family.clone(), qualifier.clone(), ts)),
     );
-    cluster
-        .client()
-        .mutate_row(table, &blob_row_key(bucket), muts)?;
+    cluster.client().mutate_row(table, bucket_row, muts)?;
     Ok(())
 }
 
-/// Reads one bucket row of an index whose filters have `m` bits and, if at
-/// least `threshold` (≥ 1) mutation records are pending, replays and
-/// writes it back (the lazy and offline write-back). Returns the number
-/// of records compacted.
+/// If at least `threshold` (≥ 1) mutation records are pending in `row`,
+/// a bucket row read under `label` of an index whose filters have `m`
+/// bits, replays and writes it back (the lazy and offline write-back).
+/// Returns the number of records compacted.
 pub(crate) fn refresh_bucket(
     cluster: &Cluster,
     table: &str,
     label: &str,
-    bucket: u32,
+    row: RowRef<'_>,
     m: usize,
     codec_sel: BlobCodec,
     threshold: usize,
 ) -> Result<usize> {
-    let fams = [label.to_owned()];
-    let client = cluster.client();
-    let Some(row) = client.get_with_families(table, &blob_row_key(bucket), Some(&fams))? else {
-        return Ok(0);
-    };
     let pending = row
         .family_cells(label)
         .filter(|c| parse_record_qualifier(c.qualifier).is_some())
@@ -219,15 +212,16 @@ pub(crate) fn refresh_bucket(
     if pending < threshold.max(1) {
         return Ok(0);
     }
-    let resolved = resolve_bucket_row(row.as_row_ref(), label, m, Vec::with_capacity)?;
-    write_back_bucket(cluster, table, label, bucket, &resolved, codec_sel)?;
+    let resolved = resolve_bucket_row(row, label, m, Vec::with_capacity)?;
+    write_back_bucket(cluster, table, label, row.key, &resolved, codec_sel)?;
     Ok(resolved.consumed_qualifiers.len())
 }
 
 /// Offline compaction sweep: refreshes every bucket whose pending-record
 /// count is at least `threshold` ("one can choose to perform the
 /// write-back only if the number of replayed mutations is above some
-/// predefined threshold", §6). Returns total records compacted.
+/// predefined threshold", §6). Every row of the sweep is read into one
+/// batch. Returns total records compacted.
 pub fn compact_if_pending(
     cluster: &Cluster,
     table: &str,
@@ -235,10 +229,15 @@ pub fn compact_if_pending(
     codec_sel: BlobCodec,
     threshold: usize,
 ) -> Result<usize> {
-    let (m, buckets) = read_meta(cluster, table, label)?;
+    let client = cluster.client();
+    let mut batch = RowBatch::new();
+    let (m, buckets) = read_meta(&client, &mut batch, table, label)?;
+    let family = client.projection(table, Some(&[label.to_owned()]))?;
     let mut compacted = 0;
     for bucket in 0..buckets {
-        compacted += refresh_bucket(cluster, table, label, bucket, m, codec_sel, threshold)?;
+        if let Some(row) = client.get_into(&mut batch, &family, &blob_row_key(bucket)) {
+            compacted += refresh_bucket(cluster, table, label, row, m, codec_sel, threshold)?;
+        }
     }
     Ok(compacted)
 }
@@ -257,7 +256,7 @@ impl BfhmMaintainer {
     /// Attaches to a built index (reads `m` and the bucket count from the
     /// metadata row).
     pub fn attach(cluster: &Cluster, table: &str, label: &str) -> Result<Self> {
-        let (m, buckets) = read_meta(cluster, table, label)?;
+        let (m, buckets) = read_meta(&cluster.client(), &mut RowBatch::new(), table, label)?;
         Ok(BfhmMaintainer {
             cluster: cluster.clone(),
             table: table.to_owned(),
@@ -572,11 +571,12 @@ mod tests {
     /// fetch of the bucket row bills.
     fn bucket_row_cost(c: &Cluster, label: &str, bucket: u32) -> (usize, u64) {
         let before = c.metrics().snapshot();
-        let fams = [label.to_owned()];
-        let row = c
-            .client()
-            .get_with_families("bfhm_idx", &blob_row_key(bucket), Some(&fams))
+        let client = c.client();
+        let family = client
+            .projection("bfhm_idx", Some(&[label.to_owned()]))
             .unwrap();
+        let mut batch = RowBatch::new();
+        let row = client.get_into(&mut batch, &family, &blob_row_key(bucket));
         let pending = row.map_or(0, |row| {
             row.family_cells(label)
                 .filter(|cell| parse_record_qualifier(cell.qualifier).is_some())

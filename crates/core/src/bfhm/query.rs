@@ -470,7 +470,7 @@ impl BfhmCore {
                         cluster,
                         self.table(),
                         label,
-                        bucket,
+                        &blob_row_key(bucket),
                         resolved,
                         self.config.codec,
                     )?,
@@ -701,15 +701,27 @@ impl BfhmCore {
     }
 
     /// Flushes pending lazy write-backs (idempotent): each `(side,
-    /// bucket)` the run resolved is re-read and compacted once, with the
-    /// run's `m`. A write-back that fails stays pending, with every one
-    /// after it.
+    /// bucket)` the run resolved is re-read into the run's batch and
+    /// compacted once, with the run's `m`. A write-back that fails stays
+    /// pending, with every one after it.
     fn flush_lazy_write_backs(&mut self, cluster: &Cluster) -> Result<()> {
-        while let Some(&(side, bucket)) = self.pending_write_backs.first() {
-            let label = side_label(&self.query, side);
-            let (m, codec) = (self.m, self.config.codec);
-            refresh_bucket(cluster, self.table(), label, bucket, m, codec, 1)?;
-            self.pending_write_backs.remove(0);
+        let client = cluster.client();
+        let BfhmCore {
+            query,
+            projections,
+            batch,
+            config,
+            m,
+            pending_write_backs,
+            ..
+        } = self;
+        while let Some(&(side, bucket)) = pending_write_backs.first() {
+            let family = &projections[side];
+            if let Some(row) = client.get_into(batch, family, &blob_row_key(bucket)) {
+                let (table, label) = (family.table_name(), side_label(query, side));
+                refresh_bucket(cluster, table, label, row, *m, config.codec, 1)?;
+            }
+            pending_write_backs.remove(0);
         }
         Ok(())
     }
@@ -762,7 +774,7 @@ impl Step for BfhmCore {
                     self.phase = Phase::Done;
                 } else {
                     let mut stepped = false;
-                    // Materialize estimates above the actual kth score.
+                    // Phase 2 on the estimates above the actual kth score.
                     if self.materialize(cluster, kth)? {
                         stepped = true;
                     }

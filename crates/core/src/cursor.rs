@@ -19,8 +19,7 @@
 //!   step machine behind the crate-private `Step` trait: ISL's batched
 //!   descent (`IslCore`, in [`crate::isl`]; any number of sides — at
 //!   three or more, the multiway rank join, each batch from the side that
-//!   sets the threshold, a side optionally bulk-ingested up front,
-//!   [`SideAccess`]), BFHM's §5.3 guarantee loop (`BfhmCore`, in
+//!   sets the threshold), BFHM's §5.3 guarantee loop (`BfhmCore`, in
 //!   [`crate::bfhm`]), DRJN's rounds (`DrjnCore`, in [`crate::drjn`]) and
 //!   the bulk MapReduce baselines (`MaterializedCore`, here: Hive, Pig
 //!   and IJLMR, whose one step runs every job — they are not incremental,
@@ -520,22 +519,6 @@ impl<C: Step> RankedCursor for StepCursor<C> {
 }
 
 // ---------------------------------------------------------------------
-// ISL
-// ---------------------------------------------------------------------
-
-/// How one side of an ISL descent is consumed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SideAccess {
-    /// Batched descending-score index descent — the side takes turns in
-    /// the threshold race (the paper's Algorithm 4 at two sides).
-    Descend,
-    /// The side's full index family is scanned and ingested before the
-    /// descent starts — materialize-then-join, the right call for a small
-    /// side whose exhaustion tightens the threshold immediately.
-    Materialize,
-}
-
-// ---------------------------------------------------------------------
 // Materialized (Hive / Pig / IJLMR, and every k = 0 run)
 // ---------------------------------------------------------------------
 
@@ -671,10 +654,9 @@ mod tests {
     }
 
     /// The descent of `ex`'s spec at its own `k`, every side pulling
-    /// `batch` rows per turn and consumed as `access` says.
-    fn open(ex: &mut SpecExecutor, batch: usize, access: &[SideAccess]) -> StepCursor<IslCore> {
+    /// `batch` rows per turn.
+    fn open(ex: &mut SpecExecutor, batch: usize) -> StepCursor<IslCore> {
         ex.isl_config = IslConfig::uniform(batch);
-        ex.access_override = Some(access.to_vec());
         ex.open_isl(ex.spec().k).unwrap()
     }
 
@@ -698,7 +680,7 @@ mod tests {
     #[test]
     fn all_descend_matches_oracle() {
         let (c, spec, mut ex) = built(5);
-        let mut cursor = open(&mut ex, 64, &[SideAccess::Descend; 3]);
+        let mut cursor = open(&mut ex, 64);
         assert_eq!(cursor.algorithm(), "MULTIWAY");
         let got = drain(&mut cursor, 2);
         let want = oracle::topk_spec(&c, &spec).unwrap();
@@ -706,43 +688,18 @@ mod tests {
     }
 
     #[test]
-    fn every_access_mix_matches_oracle() {
-        use SideAccess::{Descend, Materialize};
-        let want = {
-            let (c, spec) = three_way_path_cluster(6);
-            oracle::topk_spec(&c, &spec).unwrap()
-        };
-        for mask in 0..8u8 {
-            let (_, _, mut ex) = built(6);
-            let access: Vec<SideAccess> = (0..3)
-                .map(|i| {
-                    if mask & (1 << i) != 0 {
-                        Materialize
-                    } else {
-                        Descend
-                    }
-                })
-                .collect();
-            let mut cursor = open(&mut ex, 3, &access);
-            let got = drain(&mut cursor, 4);
-            assert_eq!(got, want, "access mask {mask:03b}");
-        }
-    }
-
-    #[test]
     fn pause_resume_preserves_sequence_and_charge() {
         let (c, _, mut ex) = built(6);
         let one_shot = {
             let before = c.metrics().snapshot();
-            let mut cursor = open(&mut ex, 2, &[SideAccess::Descend; 3]);
+            let mut cursor = open(&mut ex, 2);
             let results = drain(&mut cursor, 100);
             (results, ledger_since(&c, &before))
         };
 
         let (c2, _, mut ex2) = built(6);
         let before = c2.metrics().snapshot();
-        let mut cursor: Box<dyn RankedCursor> =
-            Box::new(open(&mut ex2, 2, &[SideAccess::Descend; 3]));
+        let mut cursor: Box<dyn RankedCursor> = Box::new(open(&mut ex2, 2));
         let mut paged = Vec::new();
         loop {
             let batch = cursor.next_batch(1, &StopPolicy::default()).unwrap();
@@ -761,7 +718,7 @@ mod tests {
     #[test]
     fn retarget_deepens_without_rereads() {
         let (c, spec, mut ex) = built(2);
-        let mut cursor = open(&mut ex, 64, &[SideAccess::Descend; 3]);
+        let mut cursor = open(&mut ex, 64);
         let top2 = drain(&mut cursor, 100);
         assert_eq!(
             top2.len(),
@@ -783,7 +740,7 @@ mod tests {
     fn a_failed_scan_rpc_fails_the_pull_and_keeps_the_descent_position() {
         let (c, _, mut ex) = built(6);
         let table = ex.isl_table().unwrap().to_owned();
-        let mut cursor = open(&mut ex, 2, &[SideAccess::Descend; 3]);
+        let mut cursor = open(&mut ex, 2);
         let first = cursor.next_batch(1, &StopPolicy::default()).unwrap();
         assert_eq!(first.results.len(), 1);
         assert!(!first.done);
@@ -818,25 +775,11 @@ mod tests {
     fn k_zero_is_empty_and_free() {
         let (c, _, mut ex) = built(0);
         let before = c.metrics().snapshot();
-        let mut cursor = open(&mut ex, 64, &[SideAccess::Descend; 3]);
+        let mut cursor = open(&mut ex, 64);
         let batch = cursor.next_batch(5, &StopPolicy::default()).unwrap();
         assert!(batch.results.is_empty());
         assert!(batch.done);
         assert_eq!(ledger_since(&c, &before), (0, 0, 0));
-    }
-
-    /// Each side's batch size comes from [`IslConfig`], one per side by
-    /// construction; an access override must name one access per side,
-    /// and a run or cursor with another count is refused.
-    #[test]
-    fn one_batch_size_and_access_per_side_required() {
-        let (_, _, mut ex) = built(3);
-        for sides in [2, 4] {
-            ex.access_override = Some(vec![SideAccess::Descend; sides]);
-            let refused = |r: Result<()>| matches!(r, Err(RankJoinError::InvalidSpec(_)));
-            assert!(refused(ex.execute_with_k(3).map(drop)), "{sides} sides");
-            assert!(refused(ex.open_cursor(3).map(drop)), "{sides} sides");
-        }
     }
 
     /// ISL billing on the running example, in absolute terms: `(kv_reads,
@@ -880,39 +823,28 @@ mod tests {
         }
     }
 
-    /// The same for the 3-way path fixture at batch 2: all sides
-    /// descended, and the interior side materialized. The last row skews
-    /// the side sizes: the descent pulls the side whose term is the
-    /// threshold and leaves A, the 4-tuple end side, unexhausted at k = 1
-    /// (cycling the sides drains it and bills `(28, 67, 984)`).
+    /// The same for the 3-way path fixture at batch 2, every side
+    /// descended. The last row skews the side sizes: the descent pulls
+    /// the side whose term is the threshold and leaves A, the 4-tuple end
+    /// side, unexhausted at k = 1 (cycling the sides drains it and bills
+    /// `(28, 67, 984)`).
     #[test]
     fn golden_ledger_three_way_path() {
         const UNIFORM: [usize; 3] = [14, 12, 13];
         let golden = [
-            ((2, false, UNIFORM), (14, 21, 482)),
-            ((2, true, UNIFORM), (22, 34, 786)),
-            ((6, false, UNIFORM), (15, 23, 515)),
-            ((6, true, UNIFORM), (23, 36, 819)),
-            ((1, false, [4, 12, 40]), (21, 44, 723)),
+            ((2, UNIFORM), (14, 21, 482)),
+            ((6, UNIFORM), (15, 23, 515)),
+            ((1, [4, 12, 40]), (21, 44, 723)),
         ];
-        for ((k, materialize, sizes), want) in golden {
+        for ((k, sizes), want) in golden {
             let (c, spec) = three_way_path_sized(k, sizes);
             let mut ex = SpecExecutor::new(&c, spec);
             ex.isl_config = IslConfig::uniform(2);
             ex.prepare().unwrap();
-            let mut access = vec![SideAccess::Descend; 3];
-            if materialize {
-                access[1] = SideAccess::Materialize;
-            }
-            ex.access_override = Some(access);
             let before = c.metrics().snapshot();
             let out = ex.execute_with_k(k).unwrap();
             assert_eq!(out.results.len(), k);
-            assert_eq!(
-                ledger_since(&c, &before),
-                want,
-                "k={k} materialize={materialize} sizes={sizes:?}"
-            );
+            assert_eq!(ledger_since(&c, &before), want, "k={k} sizes={sizes:?}");
         }
     }
 }

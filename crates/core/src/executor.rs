@@ -7,9 +7,7 @@
 //! and the examples drive everything through. ISL (§4.2) is the one
 //! algorithm whose index and HRJN descent serve any join tree, so it runs
 //! every arity the same way: every side descends its score list (the
-//! paper's algorithm), unless
-//! [`access_override`](RankJoinExecutor::access_override) forces a side
-//! to be materialized. BFHM, DRJN, IJLMR, Hive and Pig
+//! paper's algorithm). BFHM, DRJN, IJLMR, Hive and Pig
 //! are binary algorithms: they read the spec's binary form
 //! ([`JoinSpec::as_binary`]) and answer [`RankJoinError::InvalidSpec`]
 //! for a spec without one, where [`Algorithm::Auto`] has one candidate,
@@ -42,8 +40,7 @@ use rj_store::cluster::Cluster;
 
 use crate::bfhm::{self, maintenance::WriteBackPolicy, BfhmConfig, BfhmCore};
 use crate::cursor::{
-    CursorMeta, CursorState, MaterializedCore, MaterializedSource, RankedCursor, SideAccess,
-    StepCursor,
+    CursorMeta, CursorState, MaterializedCore, MaterializedSource, RankedCursor, StepCursor,
 };
 use crate::drjn::{self, DrjnConfig, DrjnCore};
 use crate::error::{RankJoinError, Result};
@@ -183,12 +180,6 @@ pub struct RankJoinExecutor {
     pub write_back: WriteBackPolicy,
     /// What [`Algorithm::Auto`] optimizes for (default: turnaround time).
     pub objective: Objective,
-    /// Forces the per-side access of ISL runs (one [`SideAccess`] per
-    /// side) instead of descending every side.
-    pub access_override: Option<Vec<SideAccess>>,
-    /// Every side descended: the access of an ISL run without an
-    /// override, built once and shared with every fork.
-    descend: Arc<[SideAccess]>,
     /// Shared, incrementally-maintained statistics handle. Collected
     /// lazily on the first cost-based plan, updated in place by
     /// [`crate::maintenance::MaintainedSide`] writes registered on it,
@@ -209,11 +200,6 @@ pub struct RankJoinExecutor {
     pub(crate) spares: Spares,
 }
 
-/// Every one of `n` sides descended.
-fn descend(n: usize) -> Arc<[SideAccess]> {
-    vec![SideAccess::Descend; n].into()
-}
-
 impl RankJoinExecutor {
     /// Creates an executor for `query` on `cluster`. The query and its
     /// two-side spec are built here, once; `query.k` is the default depth
@@ -221,7 +207,7 @@ impl RankJoinExecutor {
     pub fn new(cluster: &Cluster, query: RankJoinQuery) -> Self {
         let spec = Arc::new(query.to_spec());
         let stats = SharedTableStats::new(spec.clone());
-        RankJoinExecutor::over(cluster, spec, Some(Arc::new(query)), stats, descend(2))
+        RankJoinExecutor::over(cluster, spec, Some(Arc::new(query)), stats)
     }
 
     /// Creates an executor for `spec` of any arity on `cluster`. A spec
@@ -231,20 +217,18 @@ impl RankJoinExecutor {
         if let Some(query) = spec.as_binary() {
             return RankJoinExecutor::new(cluster, query);
         }
-        let descend = descend(spec.n());
         let spec = Arc::new(spec);
         let stats = SharedTableStats::new(spec.clone());
-        RankJoinExecutor::over(cluster, spec, None, stats, descend)
+        RankJoinExecutor::over(cluster, spec, None, stats)
     }
 
     /// An executor with no index and default tuning over an already
-    /// shared spec, query, statistics handle and default access.
+    /// shared spec, query and statistics handle.
     fn over(
         cluster: &Cluster,
         spec: Arc<JoinSpec>,
         query: Option<Arc<RankJoinQuery>>,
         stats: Arc<SharedTableStats>,
-        descend: Arc<[SideAccess]>,
     ) -> Self {
         RankJoinExecutor {
             engine: MapReduceEngine::new(cluster.clone()),
@@ -254,8 +238,6 @@ impl RankJoinExecutor {
             isl_config: IslConfig::default(),
             write_back: WriteBackPolicy::Off,
             objective: Objective::Time,
-            access_override: None,
-            descend,
             stats,
             plan_cache: Mutex::new(HashMap::new()),
             spares: Spares::new(),
@@ -468,13 +450,11 @@ impl RankJoinExecutor {
             self.spec.clone(),
             self.query.clone(),
             self.stats.clone(),
-            self.descend.clone(),
         );
         fork.indices = self.indices.clone();
         fork.isl_config = self.isl_config;
         fork.write_back = self.write_back;
         fork.objective = self.objective;
-        fork.access_override = self.access_override.clone();
         fork.spares = self.spares.clone();
         Ok(fork)
     }
@@ -539,17 +519,6 @@ impl RankJoinExecutor {
         Ok(plan)
     }
 
-    /// The per-side access of a top-`k` ISL run at any `k`:
-    /// [`access_override`](RankJoinExecutor::access_override) if set, and
-    /// otherwise every side descended (the paper's ISL, at every arity).
-    /// It reads no statistics.
-    pub fn plan_access(&self, _k: usize) -> Result<Arc<[SideAccess]>> {
-        Ok(match &self.access_override {
-            Some(access) => access[..].into(),
-            None => self.descend.clone(),
-        })
-    }
-
     /// What [`Algorithm::Auto`] runs at `k`, out of how many candidates:
     /// the planner's cheapest for a spec with a binary form, ISL otherwise.
     fn choose(&self, k: usize) -> Result<(Algorithm, usize)> {
@@ -569,13 +538,12 @@ impl RankJoinExecutor {
         CursorMeta::new(k, self.stats.version(), self.spares.clone())
     }
 
-    /// Opens the ISL descent for the top `k` with its per-side access.
+    /// Opens the ISL descent for the top `k`.
     pub(crate) fn open_isl(&self, k: usize) -> Result<StepCursor<IslCore>> {
         let table = prepared(&self.indices.isl, "isl")?;
-        let access = self.access_override.as_deref().unwrap_or(&self.descend);
         let cluster = self.engine.cluster();
         let batch = |side| self.isl_config.batch(side);
-        let core = IslCore::open(cluster, &self.spec, self.meta(k), table, batch, access)?;
+        let core = IslCore::open(cluster, &self.spec, self.meta(k), table, batch)?;
         Ok(StepCursor::new(cluster, core))
     }
 

@@ -56,18 +56,20 @@ impl IslConfig {
     /// Same batch size for every side.
     pub fn uniform(batch: usize) -> Self {
         IslConfig {
-            batch_left: batch.max(1),
-            batch_right: batch.max(1),
+            batch_left: batch,
+            batch_right: batch,
         }
     }
 
-    /// The batch size of side `side`.
+    /// The batch size of side `side`, at least 1: a turn that pulls no
+    /// row would never end the descent.
     pub(crate) fn batch(&self, side: usize) -> usize {
-        if side == 0 {
+        let batch = if side == 0 {
             self.batch_left
         } else {
             self.batch_right
-        }
+        };
+        batch.max(1)
     }
 }
 

@@ -7,26 +7,21 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rj_store::client::{Client, ScannerState};
+use rj_store::client::ScannerState;
 use rj_store::cluster::Cluster;
 use rj_store::keys;
 use rj_store::row::{CellRef, RowBatch, RowRef};
 use rj_store::scan::Scan;
 
 use crate::codec;
-use crate::cursor::{CursorMeta, SideAccess, StateInner, Step};
+use crate::cursor::{CursorMeta, StateInner, Step};
 use crate::error::{RankJoinError, Result};
 use crate::hrjn::HrjnState;
 use crate::query::JoinSpec;
 use crate::result::JoinTuple;
 use crate::stats::Extras;
 
-/// What opening an ISL cursor with the wrong number of per-side
-/// arguments answers.
-const ONE_PER_SIDE: RankJoinError =
-    RankJoinError::InvalidSpec("one batch size and one SideAccess per side required");
-
-/// One side of the descent: how it is consumed and where its scanner
+/// One side of the descent: how many rows it pulls and where its scanner
 /// stands (its tuples live under the side's label, read through the
 /// shared spec). Its scans refill a row batch taken from the run's
 /// spares when the cursor opens, and given back when the cursor drops
@@ -35,15 +30,13 @@ const ONE_PER_SIDE: RankJoinError =
 pub(crate) struct SideScan {
     /// Index rows pulled per turn (the paper's `C_i`, §4.2.3).
     pub batch: usize,
-    pub access: SideAccess,
     scan: SideRows,
 }
 
 /// Where one side's scan stands.
 #[derive(Clone)]
 enum SideRows {
-    /// Not opened yet (always, for a materialized side): the batch its
-    /// scan will open on.
+    /// Not opened yet: the batch its scan will open on.
     Unopened(RowBatch),
     /// Detached scanner position, its batch inside.
     Open(ScannerState),
@@ -123,21 +116,10 @@ fn push_index_cell(state: &mut HrjnState, side: usize, cell: CellRef<'_>) -> Res
     state.push_borrowed(side, cell.qualifier, join_values, score)
 }
 
-/// Feeds every cell of `side`'s index family in `row` to HRJN. Row key =
-/// negated score (cells carry it exactly); each cell of the side's family
-/// = one indexed tuple.
-fn ingest_row(state: &mut HrjnState, side: usize, family: &str, row: RowRef<'_>) -> Result<()> {
-    if keys::decode_score_desc(row.key).is_none() {
-        return Ok(());
-    }
-    for cell in row.family_cells(family) {
-        push_index_cell(state, side, cell)?;
-    }
-    Ok(())
-}
-
-/// [`ingest_row`] from cell position `first_cell` on, stopping the
-/// instant HRJN terminates (Algorithm 4 tests inside the tuple loop):
+/// Feeds the cells of `side`'s index family in `row` to HRJN from cell
+/// position `first_cell` on (row key = negated score; each cell of the
+/// side's family = one indexed tuple), stopping the instant HRJN
+/// terminates (Algorithm 4 tests inside the tuple loop):
 /// `Some(next)` when it did, `next` being the position of the first cell
 /// not looked at.
 fn descend_row(
@@ -172,22 +154,15 @@ impl IslCore {
         meta: CursorMeta,
         index_table: &str,
         batch: impl Fn(usize) -> usize,
-        access: &[SideAccess],
     ) -> Result<Self> {
-        if access.len() != spec.n() {
-            return Err(ONE_PER_SIDE);
-        }
         let table = cluster
             .table(index_table)
             .map_err(|_| RankJoinError::MissingIndex(index_table.to_owned()))?
             .name_handle();
         Ok(IslCore {
-            sides: access
-                .iter()
-                .enumerate()
-                .map(|(position, &access)| SideScan {
+            sides: (0..spec.n())
+                .map(|position| SideScan {
                     batch: batch(position),
-                    access,
                     scan: SideRows::Unopened(meta.spares.batch(position)),
                 })
                 .collect(),
@@ -209,42 +184,12 @@ impl IslCore {
         self.batches = u64::from(self.in_batch);
         self.state.retarget(new_k);
     }
-
-    /// Bulk-ingests every [`SideAccess::Materialize`] side not ingested
-    /// yet: a full descending-score scan of its index family, all tuples
-    /// pushed and the side exhausted (which is the record that it ran).
-    /// Reads are charged like any scan — materialization is paid once, on
-    /// whichever pull triggers it.
-    fn materialize_sides(&mut self, client: &Client) -> Result<()> {
-        let IslCore {
-            spec,
-            table,
-            sides,
-            state,
-            ..
-        } = self;
-        for (i, side) in sides.iter_mut().enumerate() {
-            if side.access != SideAccess::Materialize || state.is_exhausted(i) {
-                continue;
-            }
-            let family = spec.sides[i].label.as_str();
-            let spec = Scan::new().families(&[family]).caching(side.batch);
-            let rows = std::mem::take(&mut side.scan).into_batch();
-            let mut scan = client.scan_with_batch(table, spec, rows)?;
-            while let Some(row) = scan.next_row()? {
-                ingest_row(state, i, family, row)?;
-            }
-            side.scan = SideRows::Unopened(scan.into_state().into_batch());
-            state.exhaust(i);
-        }
-        Ok(())
-    }
 }
 
 impl Step for IslCore {
-    /// Runs exactly one batch of the descent (after the materialization
-    /// pass on the first call), or finishes a part-way batch left by an
-    /// earlier re-target — the body of the paper's Algorithm 4 loop.
+    /// Runs exactly one batch of the descent, or finishes a part-way
+    /// batch left by an earlier re-target — the body of the paper's
+    /// Algorithm 4 loop.
     /// Returns whether a batch completed at its boundary with input left;
     /// `false` when nothing is left to do (HRJN terminated or every input
     /// exhausted, possibly mid-batch): a batch that exhausts every side is
@@ -254,15 +199,11 @@ impl Step for IslCore {
             return Ok(false);
         }
         let client = cluster.client();
-        self.materialize_sides(&client)?;
-        if self.drained() {
-            return Ok(false);
-        }
         let n = self.sides.len();
         if !self.in_batch {
             // Three or more sides pull the side that sets the threshold,
-            // two alternate (Algorithm 4); materialized sides are exhausted,
-            // and all-exhausted is `drained`, so a side with input exists.
+            // two alternate (Algorithm 4); all-exhausted is `drained`, so a
+            // side with input exists.
             // Two sides pulled by the threshold would read about 40 % less
             // but put ISL ahead of BFHM where the paper's Figure 7 has
             // BFHM lead, so the binary descent keeps the paper's order.

@@ -72,7 +72,7 @@ pub mod statsmaint;
 pub(crate) mod testsupport;
 
 pub use cancel::{CancelToken, StopPolicy, StopReason};
-pub use cursor::{CursorBatch, CursorState, RankedCursor, SideAccess};
+pub use cursor::{CursorBatch, CursorState, RankedCursor};
 pub use executor::{Algorithm, RankJoinExecutor};
 pub use multiway::SpecExecutor;
 pub use planner::{Objective, Plan, StatsSource, TableStats};

@@ -3,11 +3,10 @@
 //! [`RankJoinExecutor`] runs a [`JoinSpec`] of any arity. This newtype
 //! gives it the signatures a spec-driven caller knows — no algorithm
 //! argument, because ISL is the one algorithm over any join tree — and
-//! derefs to it for everything else: the statistics handle, the per-side
-//! access ([`RankJoinExecutor::plan_access`]), resuming cursors and
-//! the tuning fields. A two-side spec with a binary form is its binary
-//! query's executor, so a binary query's results *and* counted metrics
-//! are the same through either door.
+//! derefs to it for everything else: the statistics handle, resuming
+//! cursors and the tuning fields. A two-side spec with a binary form is
+//! its binary query's executor, so a binary query's results *and*
+//! counted metrics are the same through either door.
 
 use std::ops::{Deref, DerefMut};
 
@@ -55,6 +54,13 @@ impl SpecExecutor {
         self.0.open_cursor(Algorithm::Isl, k_hint)
     }
 
+    /// Plans a run at `k`, which reads nothing: ISL descends every side
+    /// at every `k`. It stays as the call the benchmark's seam times as
+    /// the multi-way planning step (ROADMAP item 7 loosens that pin).
+    pub fn plan_access(&self, _k: usize) -> Result<()> {
+        Ok(())
+    }
+
     /// Clones this executor onto `cluster` ([`RankJoinExecutor::fork_onto`]).
     pub fn fork_onto(&self, cluster: &Cluster) -> Result<SpecExecutor> {
         self.0.fork_onto(cluster).map(SpecExecutor)
@@ -83,11 +89,8 @@ impl From<SpecExecutor> for RankJoinExecutor {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::cancel::StopPolicy;
-    use crate::cursor::SideAccess;
     use crate::error::RankJoinError;
     use crate::oracle;
     use crate::testsupport::{running_example_cluster, three_way_path_cluster};
@@ -195,99 +198,53 @@ mod tests {
         let table = builder.isl_table().unwrap().to_owned();
 
         let star = JoinSpec::star(path.sides.clone(), 4, path.score_fn).unwrap();
-        for access in [SideAccess::Descend, SideAccess::Materialize] {
-            let mut exec = SpecExecutor::new(&c, star.clone());
-            exec.attach(&table).unwrap();
-            exec.access_override = Some(vec![access; 3]);
-            let err = exec.execute().unwrap_err();
-            assert!(matches!(err, RankJoinError::Codec(_)), "{access:?}: {err}");
-            let mut cursor = exec.open_cursor(4).unwrap();
-            assert!(matches!(
-                cursor.next_batch(1, &StopPolicy::default()),
-                Err(RankJoinError::Codec(_))
-            ));
-        }
+        let mut exec = SpecExecutor::new(&c, star);
+        exec.attach(&table).unwrap();
+        let err = exec.execute().unwrap_err();
+        assert!(matches!(err, RankJoinError::Codec(_)), "{err}");
+        let mut cursor = exec.open_cursor(4).unwrap();
+        assert!(matches!(
+            cursor.next_batch(1, &StopPolicy::default()),
+            Err(RankJoinError::Codec(_))
+        ));
         // The index still serves the spec it was built for.
         let want = oracle::topk_spec(&c, &path).unwrap();
         assert_eq!(builder.execute().unwrap().results, want);
     }
 
+    /// On a two-side spec at batch 4, each `k` answers the oracle, and
+    /// its cursor drained in pages of one answers and bills the same.
     #[test]
-    fn access_override_is_honoured() {
-        let (c, spec) = three_way_path_cluster(4);
-        let mut exec = SpecExecutor::new(&c, spec.clone());
-        exec.prepare().unwrap();
-        exec.access_override = Some(vec![
-            SideAccess::Materialize,
-            SideAccess::Descend,
-            SideAccess::Materialize,
-        ]);
-        assert_eq!(
-            *exec.plan_access(4).unwrap(),
-            *exec.access_override.clone().unwrap()
-        );
-        let outcome = exec.execute().unwrap();
-        assert_eq!(outcome.results, oracle::topk_spec(&c, &spec).unwrap());
-    }
-
-    /// The override applies at every arity: on a two-side spec each of
-    /// the four assignments answers the oracle, and its cursor drained
-    /// in pages of one answers and bills the same.
-    #[test]
-    fn access_override_is_honoured_on_two_sides() {
-        use SideAccess::{Descend, Materialize};
+    fn two_sides_page_as_they_run_one_shot() {
         let (c, q) = running_example_cluster();
         let mut exec = SpecExecutor::new(&c, q.to_spec());
         exec.isl_config = crate::isl::IslConfig::uniform(4);
         exec.prepare().unwrap();
         let bill =
             |m: rj_store::metrics::MetricsSnapshot| (m.kv_reads, m.rpc_calls, m.network_bytes);
-        for access in [
-            [Descend, Descend],
-            [Descend, Materialize],
-            [Materialize, Descend],
-            [Materialize, Materialize],
-        ] {
-            exec.access_override = Some(access.to_vec());
-            for k in [1, 3, 10, 40] {
-                let got = exec.execute_with_k(k).unwrap();
-                let want = oracle::topk(&c, &q.with_k(k)).unwrap();
-                assert_eq!(got.results, want, "{access:?} k={k}");
-                let mut cursor = exec.open_cursor(k).unwrap();
-                let mut paged = Vec::new();
-                while !cursor.is_done() {
-                    paged.extend(cursor.next_batch(1, &StopPolicy::never()).unwrap().results);
-                }
-                assert_eq!(paged, want, "{access:?} k={k}");
-                assert_eq!(
-                    bill(got.metrics),
-                    bill(cursor.charged()),
-                    "{access:?} k={k}"
-                );
+        for k in [1, 3, 10, 40] {
+            let got = exec.execute_with_k(k).unwrap();
+            let want = oracle::topk(&c, &q.with_k(k)).unwrap();
+            assert_eq!(got.results, want, "k={k}");
+            let mut cursor = exec.open_cursor(k).unwrap();
+            let mut paged = Vec::new();
+            while !cursor.is_done() {
+                paged.extend(cursor.next_batch(1, &StopPolicy::never()).unwrap().results);
             }
+            assert_eq!(paged, want, "k={k}");
+            assert_eq!(bill(got.metrics), bill(cursor.charged()), "k={k}");
         }
     }
 
     #[test]
-    fn access_plan_is_the_override_or_all_descend_and_reads_no_statistics() {
+    fn a_three_way_run_reads_no_statistics() {
         let (c, spec) = three_way_path_cluster(4);
         let mut exec = SpecExecutor::new(&c, spec.clone());
         exec.prepare().unwrap();
         let stats = exec.stats_handle();
-        // Every side descends at every `k`, from one assignment the
-        // executor's forks share; nothing collects statistics.
-        let descend = exec.plan_access(4).unwrap();
-        assert_eq!(*descend, [SideAccess::Descend; 3]);
-        assert!(Arc::ptr_eq(&descend, &exec.plan_access(25).unwrap()));
-        let fork = exec.fork_onto(&c.fork_metrics()).unwrap();
-        assert!(Arc::ptr_eq(&descend, &fork.plan_access(4).unwrap()));
+        exec.plan_access(4).unwrap();
         exec.execute().unwrap();
         assert_eq!(stats.collections(), 0);
-
-        // An override is answered as given.
-        exec.access_override = Some(vec![SideAccess::Materialize; 3]);
-        assert_eq!(*exec.plan_access(4).unwrap(), [SideAccess::Materialize; 3]);
-        exec.access_override = None;
 
         // A maintained write moves the version without a snapshot, and
         // an opened cursor pins the version current at its opening.

@@ -9,9 +9,7 @@
 //! ([`crate::hrjn::HrjnState`]), the ISL descent ([`crate::cursor`]),
 //! the index builder ([`crate::isl::index`]) and the cell codec are each
 //! written once over a spec, and the paper's binary ISL is their two-side
-//! instance. ISL
-//! descends every side at every arity unless the executor's
-//! `access_override` forces a side to be materialized, so nothing here
+//! instance. ISL descends every side at every arity, so nothing here
 //! plans; what this module holds is a face:
 //!
 //! * [`exec`] — [`exec::SpecExecutor`], the spec-shaped face of the one
@@ -20,5 +18,4 @@
 
 pub mod exec;
 
-pub use crate::cursor::SideAccess;
 pub use exec::SpecExecutor;

@@ -522,8 +522,8 @@ impl<'a> Estimator<'a> {
         let l = self.left;
         let r = self.right;
         let (dl, dr) = (self.scan_depth(0), self.scan_depth(1));
-        let bl = config.batch_left.max(1) as u64;
-        let br = config.batch_right.max(1) as u64;
+        let bl = config.batch(0) as u64;
+        let br = config.batch(1) as u64;
         let turns = dl.max(1).div_ceil(bl).max(dr.max(1).div_ceil(br));
         let consumed_l = (turns * bl).min(l.tuples.max(1));
         let consumed_r = (turns * br).min(r.tuples.max(1));

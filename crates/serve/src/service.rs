@@ -939,9 +939,9 @@ impl RankJoinService {
 
 /// The execution-configuration half of a backend's share key: two
 /// backends share work only if both the spec *and* the way it executes
-/// match.
+/// match. The service only opens ISL, so its batch sizes are that way.
 fn config_sig(exec: &RankJoinExecutor) -> String {
-    format!("isl:{:?}:{:?}", exec.isl_config, exec.access_override)
+    format!("isl:{:?}", exec.isl_config)
 }
 
 /// Rebuilds the score index, then runs one statistics pass through the

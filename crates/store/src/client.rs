@@ -32,9 +32,9 @@
 //! ([`Client::projection`]), every read refills the batch and lends the
 //! row out as a [`RowRef`], and a run of gets — BFHM's bucket and
 //! reverse-mapping reads — allocates nothing once the batch has grown to
-//! its widest row. [`Client::get`] / [`Client::get_with_families`] are the
-//! owned adaptors for one-off reads and rows that are kept: the same
-//! region walk, the same [`ReadCost`] through the same charge.
+//! its widest row. [`Client::get`] is the owned adaptor for one-off reads
+//! of a full row that is kept: the same region walk, the same
+//! [`ReadCost`] through the same charge.
 
 use std::cell::Cell as StdCell;
 use std::sync::Arc;
@@ -155,23 +155,13 @@ impl Client {
         Ok(())
     }
 
-    /// Point read of a full row, owned (see [`Client::get_with_families`]).
+    /// Point read of a full row, owned. The owning adaptor beside
+    /// [`Client::get_into`], for a caller that keeps the row or reads
+    /// once: the same region read and the same bill, plus the row's key
+    /// and its `cells` vector.
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>> {
-        self.get_with_families(table, row, None)
-    }
-
-    /// Point read restricted to certain families. The owning adaptor
-    /// beside [`Client::get_into`], for a caller that keeps the row or
-    /// reads once: the same region read and the same bill, plus the row's
-    /// key, its `cells` vector and the resolved projection.
-    pub fn get_with_families(
-        &self,
-        table: &str,
-        row: &[u8],
-        families: Option<&[String]>,
-    ) -> Result<Option<RowResult>> {
         let t = self.lookup(table)?;
-        let (result, cost, node) = t.get(row, families)?;
+        let (result, cost, node) = t.get(row, None)?;
         self.charge_read(node, &cost);
         Ok(result)
     }
@@ -187,9 +177,10 @@ impl Client {
 
     /// The borrowed point read: fills the caller's `batch` (cleared first)
     /// with the projected row and lends it out, `None` when the row has no
-    /// visible projected cell. Bills exactly what [`Client::get_with_families`]
-    /// bills for the same row, and allocates nothing once `batch` has
-    /// grown to the widest row read into it.
+    /// visible projected cell. Bills exactly what an owned read of the
+    /// same projection bills for the same row ([`Client::get`] under every
+    /// family), and allocates nothing once `batch` has grown to the
+    /// widest row read into it.
     pub fn get_into<'b>(
         &self,
         batch: &'b mut RowBatch,

@@ -4,20 +4,18 @@
 //! shared key), expresses the 3-way top-k join as a [`JoinSpec`] path,
 //! and walks the full pipeline:
 //!
-//! 1. build the multiway score index and run the one-shot top-k;
-//! 2. show the default per-side access (every side descends its score
-//!    index) and force a materialization of the interior side for
-//!    comparison, metering both;
-//! 3. page the same answer through a pause/resume cursor — which
+//! 1. build the multiway score index and run the one-shot top-k, every
+//!    side descending its score index, metering the run;
+//! 2. page the same answer through a pause/resume cursor — which
 //!    charges exactly the one-shot reads;
-//! 4. run the two-side degenerate spec next to the binary ISL executor
+//! 3. run the two-side degenerate spec next to the binary ISL executor
 //!    and show the identical results and identical metered cost.
 //!
 //! Run with: `cargo run --release --example multiway`
 
 use rankjoin::{
     Algorithm, Cluster, CostModel, JoinSide, JoinSpec, Mutation, RankJoinExecutor, ScoreFn,
-    SideAccess, SpecExecutor, StopPolicy,
+    SpecExecutor, StopPolicy,
 };
 
 /// Three relations joined on one shared key: big `movies` and `venues`
@@ -70,9 +68,11 @@ fn main() {
 
     // -- 1. the 3-way spec, indexed and executed one-shot ---------------
     let spec = JoinSpec::path(sides, k, ScoreFn::Sum).unwrap();
-    let mut executor = SpecExecutor::new(&cluster, spec.clone());
+    let mut executor = SpecExecutor::new(&cluster, spec);
     executor.prepare().unwrap();
-    let outcome = executor.execute().unwrap();
+    let mut outcome = None;
+    let one_shot_reads = reads_of(&cluster, || outcome = Some(executor.execute().unwrap()));
+    let outcome = outcome.unwrap();
     println!("top-{k} of movies |x| showings |x| venues (sum of scores):");
     for (rank, t) in outcome.results.iter().enumerate() {
         let inner: Vec<String> = t
@@ -90,22 +90,9 @@ fn main() {
         );
     }
 
-    // -- 2. the default access vs. a materialized interior side ---------
-    let access = executor.plan_access(k).unwrap();
-    println!("\ndefault access: {access:?}");
-    let default_reads = reads_of(&cluster, || {
-        executor.execute().unwrap();
-    });
-    let mut forced = executor.fork_onto(&cluster).unwrap();
-    let mut interior = vec![SideAccess::Descend; spec.n()];
-    interior[1] = SideAccess::Materialize;
-    forced.access_override = Some(interior);
-    let forced_reads = reads_of(&cluster, || {
-        forced.execute().unwrap();
-    });
-    println!("default: {default_reads} KV reads, showings materialized: {forced_reads}");
+    println!("one-shot: {one_shot_reads} KV reads");
 
-    // -- 3. paging through a pause/resume cursor ------------------------
+    // -- 2. paging through a pause/resume cursor ------------------------
     let paged_reads = reads_of(&cluster, || {
         let mut cursor = executor.open_cursor(k).unwrap();
         let mut got = 0usize;
@@ -122,9 +109,9 @@ fn main() {
         }
         println!("\ncursor paging: {got} results over {pages} pages");
     });
-    println!("paged reads: {paged_reads} (one-shot paid {default_reads})");
+    println!("paged reads: {paged_reads} (one-shot paid {one_shot_reads})");
 
-    // -- 4. the two-side degenerate form is the binary executor ---------
+    // -- 3. the two-side degenerate form is the binary executor ---------
     let q = rankjoin::RankJoinQuery::new(
         JoinSide::new("movies", "M", ("d", b"jk"), ("d", b"score")),
         JoinSide::new("venues", "V", ("d", b"jk"), ("d", b"score")),

@@ -80,7 +80,7 @@ pub use rj_core::drjn::DrjnConfig;
 pub use rj_core::executor::{Algorithm, RankJoinExecutor};
 pub use rj_core::isl::IslConfig;
 pub use rj_core::maintenance::MaintainedSide;
-pub use rj_core::multiway::{SideAccess, SpecExecutor};
+pub use rj_core::multiway::SpecExecutor;
 pub use rj_core::planner::{Objective, Plan, StatsSource};
 pub use rj_core::query::{JoinEdge, JoinSide, JoinSpec, RankJoinQuery, SpecShape};
 pub use rj_core::result::{JoinTuple, TopK};

@@ -34,8 +34,7 @@ use rankjoin::core::oracle;
 use rankjoin::store::metrics::MetricsSnapshot;
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, DrjnConfig, IslConfig, JoinSide, JoinSpec,
-    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, SideAccess, SpecExecutor,
-    StopPolicy,
+    MaintainedSide, Mutation, RankJoinExecutor, RankJoinQuery, ScoreFn, SpecExecutor, StopPolicy,
 };
 
 /// Loads two relations and returns the top-k sum query over them.
@@ -646,9 +645,8 @@ fn stop_pages(fork: &Cluster, mut cursor: Box<dyn RankedCursor>, stop: &StopPoli
 }
 
 /// The golden of where a stop fires: ISL (batches), BFHM (steps), DRJN
-/// (rounds), a 3-way path (with its first side materialized, the access
-/// it was recorded under, and with every side descended, the default),
-/// an ISL pair it exhausts, and the Hive and IJLMR baselines (whose one
+/// (rounds), a 3-way path (every side descended), an ISL pair it
+/// exhausts, and the Hive and IJLMR baselines (whose one
 /// boundary is before their jobs launch), under `cancel_after_batches` 1
 /// and 2, a deadline at half the one-shot's simulated seconds, and a
 /// token cancelled before the first pull. Every page's result count, `done`, `stopped` and
@@ -677,7 +675,6 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "ISL",
         "BFHM",
         "DRJN",
-        "PATH3",
         "PATH3 DESCEND",
         "ISL TINY",
         "HIVE",
@@ -692,13 +689,9 @@ fn stop_boundaries_fire_exactly_where_recorded() {
             _ => Algorithm::Isl,
         };
         let fresh = || match run {
-            "PATH3" | "PATH3 DESCEND" => {
+            "PATH3 DESCEND" => {
                 let fork = path_cluster.fork_metrics();
-                let mut ex = path.fork_onto(&fork).unwrap();
-                if run == "PATH3" {
-                    use SideAccess::{Descend, Materialize};
-                    ex.access_override = Some(vec![Materialize, Descend, Descend]);
-                }
+                let ex = path.fork_onto(&fork).unwrap();
                 (fork, RankJoinExecutor::from(ex))
             }
             "ISL TINY" => {
@@ -806,29 +799,6 @@ fn stop_boundaries_fire_exactly_where_recorded() {
         "3 false Some(Cancelled) 172 18 372 3ee1098a0ed9840d",
         "3 false None 172 16 354 3ee0fca785eb66ec",
         "2 true None 0 0 0 0",
-        "PATH3 after 1",
-        "0 false Some(Cancelled) 16 18 628 3ef2dfd694ccab3f",
-        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8d",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "1 true None 0 0 0 0",
-        "PATH3 after 2",
-        "1 false Some(Cancelled) 19 19 742 3ef3ec460ed80a18",
-        "1 false Some(Cancelled) 3 2 114 3ec0c6f7a0b5ed8d",
-        "3 false None 3 2 129 3ec0c6f7a0b5ed8d",
-        "3 true None 6 4 243 3ed0c6f7a0b5ed8d",
-        "PATH3 deadline",
-        "0 false Some(DeadlineExpired) 16 18 628 3ef2dfd694ccab3f",
-        "1 false Some(DeadlineExpired) 3 1 114 3eb0c6f7a0b5ed8d",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "1 true None 0 0 0 0",
-        "PATH3 cancelled",
-        "0 false Some(Cancelled) 16 18 628 3ef2dfd694ccab3f",
-        "1 false Some(Cancelled) 3 1 114 3eb0c6f7a0b5ed8d",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "3 false None 6 4 243 3ed0c6f7a0b5ed8d",
-        "1 true None 0 0 0 0",
         "PATH3 DESCEND after 1",
         "0 false Some(Cancelled) 4 4 152 3ed0c6f7a0b5ed8d",
         "0 false Some(Cancelled) 4 2 172 3ec0c6f7a0b5ed8d",

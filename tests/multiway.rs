@@ -3,11 +3,10 @@
 //! * Proptest: 3- and 4-way **path** and **star** specs over arbitrary
 //!   data, at batches of 1–3 rows over sides of up to 39 rows (so the
 //!   descent's pull order decides which side is read when), are
-//!   rank-equivalent to the exhaustive N-ary oracle under every access
-//!   plan — the default (every side descends), the same descent forced
-//!   through the override, and a forced materialization — and an *arbitrary* interleaving of `next_batch`
-//!   pulls, pause/resume round-trips, and resumes on a different
-//!   executor fork charges exactly the one-shot run's ledger (`kv_reads`,
+//!   rank-equivalent to the exhaustive N-ary oracle with every side
+//!   descending, and an *arbitrary* interleaving of `next_batch` pulls,
+//!   pause/resume round-trips, and resumes on a different executor fork
+//!   charges exactly the one-shot run's ledger (`kv_reads`,
 //!   `rpc_calls`, `network_bytes`).
 //! * Proptest: the **binary compatibility pin** — a two-side
 //!   [`rankjoin::JoinSpec`] through [`rankjoin::SpecExecutor`] is
@@ -20,7 +19,7 @@ use rankjoin::core::oracle;
 use rankjoin::store::metrics::MetricsSnapshot;
 use rankjoin::{
     Algorithm, Cluster, CostModel, IslConfig, JoinSide, JoinSpec, JoinTuple, Mutation,
-    RankJoinExecutor, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
+    RankJoinExecutor, ScoreFn, SpecExecutor, StopPolicy,
 };
 
 type SideRows = Vec<(u8, f64)>;
@@ -185,10 +184,8 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// 3- and 4-way path and star specs on arbitrary data: every access
-    /// plan (the default all-descend, the same forced, a forced
-    /// materialization) is rank-equivalent to the exhaustive oracle, and
-    /// an arbitrary pull/pause/resume/refork schedule charges exactly the
+    /// 3- and 4-way path and star specs on arbitrary data: the descent is
+    /// rank-equivalent to the exhaustive oracle, and an arbitrary pull/pause/resume/refork schedule charges exactly the
     /// one-shot run's ledger.
     #[test]
     fn three_way_specs_match_oracle_across_plans_and_schedules(s in scenario()) {
@@ -201,30 +198,13 @@ proptest! {
             let want = oracle::topk_spec(&cluster, &spec).unwrap();
             let all = oracle::full_join_spec(&cluster, &spec).unwrap();
 
-            let n = spec.n();
-            let mut materialize_one = vec![SideAccess::Descend; n];
-            materialize_one[1] = SideAccess::Materialize;
-            let overrides: [Option<Vec<SideAccess>>; 3] = [
-                None,
-                Some(vec![SideAccess::Descend; n]),
-                Some(materialize_one),
-            ];
-            for access in overrides {
-                let fork = cluster.fork_metrics();
-                let mut ex = proto.fork_onto(&fork).unwrap();
-                ex.access_override = access.clone();
-                let out = ex.execute_with_k(s.k).unwrap();
-                assert_rank_equivalent(
-                    &format!("{shape:?} {access:?}"), &out.results, &want, &all,
-                );
-            }
-
             // One-shot reference on its own metrics fork.
             let fork_ref = cluster.fork_metrics();
             let ex_ref = proto.fork_onto(&fork_ref).unwrap();
             let before = fork_ref.metrics().snapshot();
-            ex_ref.execute_with_k(s.k).unwrap();
+            let out = ex_ref.execute_with_k(s.k).unwrap();
             let one_shot = ledger(&fork_ref, &before);
+            assert_rank_equivalent(&format!("{shape:?}"), &out.results, &want, &all);
 
             // The same query through the scheduled cursor, hopping
             // between two further forks.

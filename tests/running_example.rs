@@ -79,7 +79,8 @@ fn asymmetric_isl_batches_agree() {
     let mut ex = RankJoinExecutor::new(&cluster, query.clone());
     ex.prepare_isl().unwrap();
     let want = oracle::topk(&cluster, &query).unwrap();
-    for (bl, br) in [(1usize, 16usize), (16, 1), (3, 7)] {
+    // A batch of 0 pulls one row a turn, as a batch of 1 does.
+    for (bl, br) in [(1usize, 16usize), (16, 1), (3, 7), (0, 0), (0, 16)] {
         ex.isl_config = rankjoin::IslConfig {
             batch_left: bl,
             batch_right: br,

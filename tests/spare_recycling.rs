@@ -28,7 +28,7 @@ use rankjoin::core::cursor::{CursorState, RankedCursor};
 use rankjoin::tpch::{loader, TpchConfig};
 use rankjoin::{
     Algorithm, BfhmConfig, Cluster, CostModel, IslConfig, JoinEdge, JoinSide, JoinSpec, JoinTuple,
-    QueryOutcome, RankJoinExecutor, RankJoinQuery, ScoreFn, SideAccess, SpecExecutor, StopPolicy,
+    QueryOutcome, RankJoinExecutor, RankJoinQuery, ScoreFn, SpecExecutor, StopPolicy,
 };
 
 #[global_allocator]
@@ -95,7 +95,6 @@ impl Subject for SpecExecutor {
     fn fresh(&self) -> Box<dyn Subject> {
         let mut fresh = SpecExecutor::new(self.engine().cluster(), self.spec().clone());
         fresh.isl_config = self.isl_config;
-        fresh.access_override = self.access_override.clone();
         fresh.attach(self.isl_table().unwrap()).unwrap();
         Box::new(fresh)
     }
@@ -279,7 +278,6 @@ fn a_recycled_three_way_scan_batch_answers_and_bills_as_a_fresh_one() {
     let spec = JoinSpec::new(sides, edges, 10, ScoreFn::Sum).unwrap();
     let mut three = SpecExecutor::new(&cluster, spec);
     three.isl_config = IslConfig::uniform(64);
-    three.access_override = Some(vec![SideAccess::Descend; 3]);
     three.prepare().unwrap();
     let [_, q2] = executors(&cluster);
     let q2 = Binary(q2, Algorithm::Isl);
