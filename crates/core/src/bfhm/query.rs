@@ -706,22 +706,13 @@ impl BfhmCore {
     /// pending, with every one after it.
     fn flush_lazy_write_backs(&mut self, cluster: &Cluster) -> Result<()> {
         let client = cluster.client();
-        let BfhmCore {
-            query,
-            projections,
-            batch,
-            config,
-            m,
-            pending_write_backs,
-            ..
-        } = self;
-        while let Some(&(side, bucket)) = pending_write_backs.first() {
-            let family = &projections[side];
-            if let Some(row) = client.get_into(batch, family, &blob_row_key(bucket)) {
-                let (table, label) = (family.table_name(), side_label(query, side));
-                refresh_bucket(cluster, table, label, row, *m, config.codec, 1)?;
+        while let Some(&(side, bucket)) = self.pending_write_backs.first() {
+            let family = &self.projections[side];
+            if let Some(row) = client.get_into(&mut self.batch, family, &blob_row_key(bucket)) {
+                let (table, label) = (family.table_name(), side_label(&self.query, side));
+                refresh_bucket(cluster, table, label, row, self.m, self.config.codec, 1)?;
             }
-            pending_write_backs.remove(0);
+            self.pending_write_backs.remove(0);
         }
         Ok(())
     }
