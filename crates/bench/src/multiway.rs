@@ -278,7 +278,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn multiway_bench_planner_stays_near_cheapest_and_binary_pins() {
+    fn multiway_bench_reads_every_cell_and_binary_pins() {
         let report = run_multiway(&MultiwayBenchConfig::default());
         assert_eq!(report.grid.len(), 6, "two shapes x three ks");
         for cell in &report.grid {

@@ -144,15 +144,17 @@ fn value_of(ts: u64, row: u8, q: u8) -> Vec<u8> {
 
 /// The write `op` stands for, with the clock moved on to its tick:
 /// `(row key, family, mutation, version)`. Mostly a few ticks pass; one
-/// step in fifty crosses the grace window, so purges happen. Pinned
+/// step in fifty crosses the grace window, so purges happen, and a quarter
+/// of those move the clock on by 2^32 or more, so a flush may freeze
+/// timestamps too far apart for 32-bit deltas. Pinned
 /// timestamps lag by less than the window, so none is older than a
 /// tombstone the region has already dropped.
 fn write_of(op: Op, now: &mut u64) -> ([u8; 2], usize, Mutation, Version) {
     let (row, family, qualifier, kind, lag, step) = op;
-    *now += if step < 20 {
-        TOMBSTONE_GRACE_TICKS + 50
-    } else {
-        1 + u64::from(step % 3)
+    *now += match step {
+        0..5 => (1 << 32) + u64::from(step),
+        5..20 => TOMBSTONE_GRACE_TICKS + 50,
+        _ => 1 + u64::from(step % 3),
     };
     let key = [b'r', row];
     let pinned = (lag < 20).then(|| *now - lag);
@@ -187,7 +189,7 @@ fn route<'a>(regions: &'a mut [Region], key: &[u8]) -> &'a mut Region {
 /// and again into `batches`, one per side, which every read of a case
 /// refills: a batch lends the owned read's rows, and after a
 /// `drop_front` their tail.
-fn assert_reads_alike(
+pub(crate) fn assert_reads_alike(
     plain: &Region,
     flushed: &Region,
     names: &[Arc<str>],

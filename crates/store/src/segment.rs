@@ -3,15 +3,37 @@
 //!
 //! A segment owns its bytes, as an HBase HFile block does: it holds the
 //! key, column and value bytes themselves, not handles to them. All its
-//! row keys sit in one byte arena with one `u32` end per row; every
-//! column's qualifier and value sit back to back in a second arena with
-//! two `u32` ends per column; and each column keeps its family index as a
-//! `u8`, its timestamp, and one tombstone bit. So a frozen cell costs 17
-//! bytes and a bit beside its own bytes, and no allocation of its own. A
-//! flush sizes the new segment in one counting pass over the memstore and
-//! the segment it merges into, then copies every byte once: each array
-//! is one allocation, and the writers' handles are freed with the
-//! memstore.
+//! row keys sit in one byte arena with one `u32` end per row, and every
+//! column's value in a second arena with one `u32` end per column. Each
+//! row keeps a `u32` end of its columns, sorted by `(family, qualifier)`,
+//! and each column a `u8` name code, a timestamp and one tombstone bit.
+//!
+//! What repeats is stored once, as HBase's data block encodings (`PREFIX`,
+//! `DIFF`, `FAST_DIFF`) do inside an HFile block. Each segment chooses
+//! three encodings from the rows it holds, never from the segment it was
+//! copied from:
+//! - **A name dictionary**, when its columns carry at most 256 distinct
+//!   `(family, qualifier)` names (a base table has a handful). The names
+//!   are kept once, sorted, and a column's code is its name's index, so
+//!   code order is column order. With more names (an index table has one
+//!   qualifier per row) the code is the column's family, and the
+//!   qualifier sits in the arena before the value, with a `u32` end of
+//!   its own.
+//! - **Timestamps** as `u32` deltas from the segment's least, or as `u64`s
+//!   when their span does not fit 32 bits.
+//! - **No column ends** when every row holds exactly one column: row `r`
+//!   is then column `r`.
+//!
+//! So a frozen base-table column costs 9 bytes and a bit beside its value
+//! and its row 8 bytes; an index row of one column costs 17 bytes and a
+//! bit beside its key, qualifier and value. A frozen cell needs no
+//! allocation of its own.
+//!
+//! A flush or a split builds a segment in two passes over the rows it
+//! copies: one counts their bytes, names, timestamps and columns per row,
+//! which sizes every array and picks the encodings, and one copies every
+//! byte once into arrays allocated once each. The writers' handles are
+//! freed with the memstore.
 //!
 //! A row lives in exactly one half. The first write to a frozen row
 //! thaws it: it is copied into a new memstore row, its qualifiers and
@@ -20,15 +42,19 @@
 //! bytes stay in the arenas, dead, until the next flush leaves them out.
 
 use std::ops::Range;
+use std::slice;
 
 use bytes::Bytes;
 
 use crate::memstore::{Column, Memstore, RowData};
 use crate::region::Stored;
 
+/// The most names a dictionary holds: a column's code is a `u8`.
+const MAX_NAMES: usize = 256;
+
 /// A region's frozen rows, in key order (see the module docs). Column
-/// `c` is `families[c]`, `byte_ends[c]`, `timestamps[c]` and tombstone
-/// bit `c`.
+/// `c` is `codes[c]`, `value_ends[c]` (and `qualifier_ends[c]` without a
+/// dictionary), timestamp `c` and tombstone bit `c`.
 #[derive(Debug, Default)]
 pub(crate) struct Segment {
     /// Every row's key, back to back.
@@ -37,20 +63,100 @@ pub(crate) struct Segment {
     /// ends.
     key_ends: Vec<u32>,
     /// Row `r`'s columns end at `column_ends[r]`, sorted by `(family,
-    /// qualifier)`.
+    /// qualifier)`. Empty when every row holds one column.
     column_ends: Vec<u32>,
-    families: Vec<u8>,
-    /// Every column's qualifier and then its value, back to back.
+    /// The dictionary, when the columns carry at most [`MAX_NAMES`] names.
+    names: Option<Names>,
+    /// Column `c`'s name as its index in `names`, or its family without.
+    codes: Vec<u8>,
+    /// Every column's value, back to back, each after its qualifier when
+    /// there is no dictionary.
     bytes: Vec<u8>,
-    /// Column `c`'s `(qualifier end, value end)` in `bytes`; its
-    /// qualifier starts where column `c - 1`'s value ends.
-    byte_ends: Vec<(u32, u32)>,
-    timestamps: Vec<u64>,
+    /// Column `c`'s qualifier end in `bytes`; empty with a dictionary.
+    qualifier_ends: Vec<u32>,
+    /// Column `c`'s value end in `bytes`; the column starts where column
+    /// `c - 1`'s value ends.
+    value_ends: Vec<u32>,
+    timestamps: Timestamps,
     /// Bit `c` marks column `c` a tombstone. Empty until the first.
     tombstones: Vec<u64>,
     /// Bit `r` marks row `r` moved into the memstore since the freeze.
     /// Empty until the first move.
     moved: Vec<u64>,
+}
+
+/// A segment's distinct `(family, qualifier)` names, sorted and back to
+/// back: each is its family byte and then its qualifier, so byte order
+/// is name order.
+#[derive(Debug)]
+struct Names {
+    bytes: Vec<u8>,
+    /// Name `n` ends at `ends[n]`.
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn get(&self, code: usize) -> (usize, &[u8]) {
+        let name = &self.bytes[span(&self.ends, code..code + 1)];
+        (usize::from(name[0]), &name[1..])
+    }
+
+    /// The first code whose name is `(family, qualifier)` or greater.
+    fn lower_bound(&self, family: usize, qualifier: &[u8]) -> usize {
+        partition_point(0..self.ends.len(), |code| {
+            self.get(code) < (family, qualifier)
+        })
+    }
+}
+
+/// Every column's timestamp.
+#[derive(Debug)]
+enum Timestamps {
+    /// Less the least of them, when their span fits 32 bits.
+    Deltas {
+        least: u64,
+        deltas: Vec<u32>,
+    },
+    Wide(Vec<u64>),
+}
+
+impl Default for Timestamps {
+    fn default() -> Self {
+        Timestamps::Wide(Vec::new())
+    }
+}
+
+impl Timestamps {
+    fn get(&self, column: usize) -> u64 {
+        match self {
+            Timestamps::Deltas { least, deltas } => least + u64::from(deltas[column]),
+            Timestamps::Wide(timestamps) => timestamps[column],
+        }
+    }
+
+    fn push(&mut self, ts: u64) {
+        match self {
+            Timestamps::Deltas { least, deltas } => {
+                deltas.push(u32::try_from(ts - *least).expect("the planned span fits 32 bits"));
+            }
+            Timestamps::Wide(timestamps) => timestamps.push(ts),
+        }
+    }
+}
+
+/// Where `name` sits among sorted `names` (`Ok`), or would be inserted
+/// (`Err`). A row mostly names its columns as the rows before it did, and
+/// with the same qualifier handle, so `next`, the name after the row's
+/// previous column's, is tried first, by address and then by bytes.
+fn find_name(names: &[(usize, &[u8])], next: usize, name: (usize, &[u8])) -> Result<usize, usize> {
+    match names.get(next) {
+        Some(&(family, qualifier))
+            if family == name.0 && (std::ptr::eq(qualifier, name.1) || qualifier == name.1) =>
+        {
+            Ok(next)
+        }
+        _ => names.binary_search(&name),
+    }
 }
 
 /// The end offset a segment array records, which must fit its `u32`.
@@ -89,9 +195,129 @@ fn bit(bits: &[u64], i: usize) -> bool {
 fn set_bit(bits: &mut Vec<u64>, i: usize, len: usize) {
     let words = len.max(i + 1).div_ceil(64);
     if bits.len() < words {
+        bits.reserve_exact(words - bits.len());
         bits.resize(words, 0);
     }
     bits[i / 64] |= 1 << (i % 64);
+}
+
+/// A row's sorted columns, as a flush or a split copies them.
+enum Columns<'a> {
+    Frozen(&'a Segment, Range<usize>),
+    Thawed(slice::Iter<'a, Column>),
+}
+
+impl<'a> Iterator for Columns<'a> {
+    type Item = Stored<'a>;
+
+    fn next(&mut self) -> Option<Stored<'a>> {
+        match self {
+            Columns::Frozen(segment, columns) => columns.next().map(|c| segment.stored(c)),
+            Columns::Thawed(columns) => columns.next().map(Column::stored),
+        }
+    }
+}
+
+/// What a new segment will hold, counted in one pass over its rows: the
+/// size of every array and the encodings (see the module docs).
+#[derive(Default)]
+struct Plan<'a> {
+    rows: usize,
+    key_bytes: usize,
+    columns: usize,
+    qualifier_bytes: usize,
+    value_bytes: usize,
+    /// The distinct names, sorted; `None` past [`MAX_NAMES`].
+    names: Option<Vec<(usize, &'a [u8])>>,
+    least: u64,
+    most: u64,
+    one_column_rows: bool,
+}
+
+impl<'a> Plan<'a> {
+    fn new() -> Self {
+        Plan {
+            names: Some(Vec::new()),
+            least: u64::MAX,
+            one_column_rows: true,
+            ..Plan::default()
+        }
+    }
+
+    fn count(&mut self, key: &[u8], columns: Columns<'a>) {
+        let first = self.columns;
+        let mut next = 0;
+        for column in columns {
+            self.columns += 1;
+            self.qualifier_bytes += column.qualifier.len();
+            self.value_bytes += column.value.map_or(0, <[u8]>::len);
+            self.least = self.least.min(column.ts);
+            self.most = self.most.max(column.ts);
+            let Some(names) = &mut self.names else {
+                continue;
+            };
+            let name = (column.family, column.qualifier);
+            next = match find_name(names, next, name) {
+                Ok(at) => at + 1,
+                Err(_) if names.len() == MAX_NAMES => {
+                    self.names = None;
+                    continue;
+                }
+                Err(at) => {
+                    names.insert(at, name);
+                    at + 1
+                }
+            };
+        }
+        self.rows += 1;
+        self.key_bytes += key.len();
+        self.one_column_rows &= self.columns - first == 1;
+    }
+
+    /// An empty segment encoded as planned, every array allocated once at
+    /// the size it is about to be filled to.
+    fn segment(&self) -> Segment {
+        let names = self.names.as_ref().map(|names| {
+            let bytes = names.iter().map(|(_, qualifier)| 1 + qualifier.len()).sum();
+            let mut dictionary = Names {
+                bytes: Vec::with_capacity(bytes),
+                ends: Vec::with_capacity(names.len()),
+            };
+            for &(family, qualifier) in names {
+                let family = u8::try_from(family).expect("a table has ≤ 256 families");
+                dictionary.bytes.push(family);
+                dictionary.bytes.extend_from_slice(qualifier);
+                dictionary.ends.push(offset(dictionary.bytes.len()));
+            }
+            dictionary
+        });
+        let (qualifier_ends, qualifier_bytes) = match names {
+            Some(_) => (0, 0),
+            None => (self.columns, self.qualifier_bytes),
+        };
+        let timestamps = if self.most.saturating_sub(self.least) <= u64::from(u32::MAX) {
+            Timestamps::Deltas {
+                least: self.least,
+                deltas: Vec::with_capacity(self.columns),
+            }
+        } else {
+            Timestamps::Wide(Vec::with_capacity(self.columns))
+        };
+        let column_ends = if self.one_column_rows { 0 } else { self.rows };
+        Segment {
+            keys: Vec::with_capacity(self.key_bytes),
+            key_ends: Vec::with_capacity(self.rows),
+            column_ends: Vec::with_capacity(column_ends),
+            names,
+            codes: Vec::with_capacity(self.columns),
+            bytes: Vec::with_capacity(self.value_bytes + qualifier_bytes),
+            qualifier_ends: Vec::with_capacity(qualifier_ends),
+            value_ends: Vec::with_capacity(self.columns),
+            timestamps,
+            tombstones: Vec::new(),
+            moved: Vec::new(),
+        }
+    }
 }
 
 impl Segment {
@@ -105,6 +331,9 @@ impl Segment {
     }
 
     pub(crate) fn columns(&self, row: usize) -> Range<usize> {
+        if self.column_ends.is_empty() {
+            return row..row + 1;
+        }
         span(&self.column_ends, row..row + 1)
     }
 
@@ -123,45 +352,60 @@ impl Segment {
         (row < self.len() && self.key(row) == key && !self.is_moved(row)).then_some(row)
     }
 
-    /// Where `columns` sit in `bytes`, back to back.
-    fn bytes_of(&self, columns: Range<usize>) -> Range<usize> {
-        let start = |c: usize| {
-            c.checked_sub(1)
-                .map_or(0, |prev| self.byte_ends[prev].1 as usize)
-        };
-        start(columns.start)..start(columns.end)
-    }
-
-    fn qualifier(&self, column: usize) -> &[u8] {
-        let start = self.bytes_of(column..column + 1).start;
-        &self.bytes[start..self.byte_ends[column].0 as usize]
+    /// Column `column`'s family and qualifier.
+    fn name(&self, column: usize) -> (usize, &[u8]) {
+        let code = usize::from(self.codes[column]);
+        match &self.names {
+            Some(names) => names.get(code),
+            None => {
+                let start = span(&self.value_ends, column..column + 1).start;
+                (
+                    code,
+                    &self.bytes[start..self.qualifier_ends[column] as usize],
+                )
+            }
+        }
     }
 
     pub(crate) fn stored(&self, column: usize) -> Stored<'_> {
-        let (qualifier_end, value_end) = self.byte_ends[column];
+        let (family, qualifier) = self.name(column);
+        let Range { mut start, end } = span(&self.value_ends, column..column + 1);
+        if self.names.is_none() {
+            start += qualifier.len();
+        }
         let tombstone = bit(&self.tombstones, column);
         Stored {
-            family: usize::from(self.families[column]),
-            qualifier: self.qualifier(column),
-            ts: self.timestamps[column],
-            value: (!tombstone).then(|| &self.bytes[qualifier_end as usize..value_end as usize]),
+            family,
+            qualifier,
+            ts: self.timestamps.get(column),
+            value: (!tombstone).then(|| &self.bytes[start..end]),
             column: None,
         }
     }
 
+    /// The first of `columns` whose code is `code` or greater.
+    fn first_code(&self, columns: Range<usize>, code: usize) -> usize {
+        partition_point(columns, |c| usize::from(self.codes[c]) < code)
+    }
+
     /// The columns of `family` among a row's `columns`.
     pub(crate) fn family(&self, columns: Range<usize>, family: usize) -> Range<usize> {
-        let families = &self.families[columns.clone()];
-        let start = families.partition_point(|&f| usize::from(f) < family);
-        let len = families[start..].partition_point(|&f| usize::from(f) == family);
-        columns.start + start..columns.start + start + len
+        // The family's codes: a run of the dictionary's, or the family.
+        let codes = match &self.names {
+            Some(names) => names.lower_bound(family, &[])..names.lower_bound(family + 1, &[]),
+            None => family..family + 1,
+        };
+        self.first_code(columns.clone(), codes.start)..self.first_code(columns, codes.end)
     }
 
     /// The column `family:qualifier` of `row`.
     pub(crate) fn find_column(&self, row: usize, family: usize, qualifier: &[u8]) -> Option<usize> {
         let columns = self.family(self.columns(row), family);
-        let at = partition_point(columns.clone(), |c| self.qualifier(c) < qualifier);
-        (at < columns.end && self.qualifier(at) == qualifier).then_some(at)
+        let at = match &self.names {
+            Some(names) => self.first_code(columns.clone(), names.lower_bound(family, qualifier)),
+            None => partition_point(columns.clone(), |c| self.name(c).1 < qualifier),
+        };
+        (at < columns.end && self.name(at).1 == qualifier).then_some(at)
     }
 
     /// Thaws `row`: its columns as memstore columns, in a vector with room
@@ -184,109 +428,107 @@ impl Segment {
         taken
     }
 
-    /// An empty segment with room for what it is about to be given:
-    /// every array is allocated once.
-    fn with_capacity(rows: usize, key_bytes: usize, columns: usize, bytes: usize) -> Segment {
-        Segment {
-            keys: Vec::with_capacity(key_bytes),
-            key_ends: Vec::with_capacity(rows),
-            column_ends: Vec::with_capacity(rows),
-            families: Vec::with_capacity(columns),
-            bytes: Vec::with_capacity(bytes),
-            byte_ends: Vec::with_capacity(columns),
-            timestamps: Vec::with_capacity(columns),
-            tombstones: Vec::new(),
-            moved: Vec::new(),
-        }
+    /// The encodings the segment chose, or their fallbacks, by name.
+    #[cfg(test)]
+    pub(crate) fn encodings(&self) -> [&'static str; 3] {
+        [
+            match self.names {
+                Some(_) => "dictionary",
+                None => "qualifiers in arena",
+            },
+            match self.timestamps {
+                Timestamps::Deltas { .. } => "u32 deltas",
+                Timestamps::Wide(_) => "u64 timestamps",
+            },
+            match self.column_ends.is_empty() {
+                true => "one column per row",
+                false => "column ends",
+            },
+        ]
     }
 
-    /// Appends row `key` with its sorted `columns`, copying their bytes.
-    fn push_row<'a>(&mut self, key: &[u8], columns: impl IntoIterator<Item = Stored<'a>>) {
+    /// Rows `rows` but the moved ones, as a flush or a split copies them.
+    fn frozen(&self, rows: Range<usize>) -> impl Iterator<Item = (&[u8], Columns<'_>)> {
+        rows.filter(|&row| !self.is_moved(row))
+            .map(|row| (self.key(row), Columns::Frozen(self, self.columns(row))))
+    }
+
+    /// A segment of the rows `rows()` yields, in key order: one pass
+    /// counts them and one copies them in (see the module docs).
+    fn build<'a, I>(rows: impl Fn() -> I) -> Segment
+    where
+        I: Iterator<Item = (&'a [u8], Columns<'a>)>,
+    {
+        let mut plan = Plan::new();
+        rows().for_each(|(key, columns)| plan.count(key, columns));
+        let mut segment = plan.segment();
+        let names = plan.names.as_deref();
+        rows().for_each(|(key, columns)| segment.push_row(key, columns, names));
+        segment
+    }
+
+    /// Appends row `key` with its sorted `columns`, copying their bytes
+    /// as the segment was planned to hold them, with the plan's `names`.
+    fn push_row(&mut self, key: &[u8], columns: Columns<'_>, names: Option<&[(usize, &[u8])]>) {
+        let mut next = 0;
         for column in columns {
-            let family = u8::try_from(column.family).expect("a table has ≤ 256 families");
-            self.families.push(family);
-            self.bytes.extend_from_slice(column.qualifier);
-            let qualifier_end = offset(self.bytes.len());
+            let code = match names {
+                Some(names) => {
+                    let name = (column.family, column.qualifier);
+                    let (Ok(code) | Err(code)) = find_name(names, next, name);
+                    next = code + 1;
+                    code
+                }
+                None => {
+                    self.bytes.extend_from_slice(column.qualifier);
+                    self.qualifier_ends.push(offset(self.bytes.len()));
+                    column.family
+                }
+            };
+            self.codes
+                .push(u8::try_from(code).expect("a code or a family fits a byte"));
             match column.value {
                 Some(value) => self.bytes.extend_from_slice(value),
                 // Sized at once for the columns the segment has room for.
                 None => {
-                    let planned = self.timestamps.capacity();
-                    set_bit(&mut self.tombstones, self.timestamps.len(), planned);
+                    let planned = self.value_ends.capacity();
+                    set_bit(&mut self.tombstones, self.value_ends.len(), planned);
                 }
             }
-            self.byte_ends
-                .push((qualifier_end, offset(self.bytes.len())));
+            self.value_ends.push(offset(self.bytes.len()));
             self.timestamps.push(column.ts);
         }
         self.keys.extend_from_slice(key);
         self.key_ends.push(offset(self.keys.len()));
-        self.column_ends.push(offset(self.timestamps.len()));
-    }
-
-    /// Gives back the room left by moved rows.
-    fn trimmed(mut self) -> Segment {
-        if self.bytes.len() < self.bytes.capacity() || self.keys.len() < self.keys.capacity() {
-            self.keys.shrink_to_fit();
-            self.key_ends.shrink_to_fit();
-            self.column_ends.shrink_to_fit();
-            self.families.shrink_to_fit();
-            self.bytes.shrink_to_fit();
-            self.byte_ends.shrink_to_fit();
-            self.timestamps.shrink_to_fit();
-            self.tombstones.truncate(self.timestamps.len().div_ceil(64));
-            self.tombstones.shrink_to_fit();
+        // A segment planned without column ends has no room for them.
+        if self.column_ends.capacity() > 0 {
+            self.column_ends.push(offset(self.value_ends.len()));
         }
-        self
     }
 
     /// The flush: `memstore` frozen together with this segment's rows
-    /// into a new segment, sized by one counting pass over the memstore
-    /// (key lengths and column counts it holds inline, column bytes it
-    /// does not) and filled by copying every byte once. A memstore row
-    /// replaces the segment row it was moved from.
+    /// into a new segment. A memstore row replaces the segment row it was
+    /// moved from.
     pub(crate) fn merged(self, memstore: Memstore<RowData>) -> Segment {
-        let (mut key_bytes, mut columns, mut bytes) = (0, 0, 0);
-        for (key, row) in memstore.iter() {
-            key_bytes += key.len();
-            columns += row.columns.len();
-            let held = |c: &Column| c.qualifier.len() + c.value.as_ref().map_or(0, |v| v.len());
-            bytes += row.columns.iter().map(held).sum::<usize>();
-        }
-        let mut merged = Segment::with_capacity(
-            self.len() + memstore.len(),
-            self.keys.len() + key_bytes,
-            self.timestamps.len() + columns,
-            self.bytes.len() + bytes,
-        );
-        let freeze = |merged: &mut Segment, rows: Range<usize>| {
-            for row in rows.filter(|&row| !self.is_moved(row)) {
-                merged.push_row(self.key(row), self.columns(row).map(|c| self.stored(c)));
-            }
-        };
-        let mut next = 0;
-        for (key, row) in memstore.iter() {
-            let end = self.lower_bound(key).max(next);
-            freeze(&mut merged, next..end);
-            next = end;
-            merged.push_row(key, row.columns.iter().map(Column::stored));
-        }
-        freeze(&mut merged, next..self.len());
-        merged.trimmed()
+        Segment::build(|| {
+            let mut thawed = memstore.iter().peekable();
+            let mut frozen = self.frozen(0..self.len()).peekable();
+            std::iter::from_fn(move || {
+                let from_memstore = match (thawed.peek(), frozen.peek()) {
+                    (Some((key, _)), Some((frozen, _))) => key[..] < **frozen,
+                    (thawed, _) => thawed.is_some(),
+                };
+                if !from_memstore {
+                    return frozen.next();
+                }
+                let (key, row) = thawed.next()?;
+                Some((&key[..], Columns::Thawed(row.columns.iter())))
+            })
+        })
     }
 
     /// A copy of rows `rows`, without the moved ones.
     pub(crate) fn slice(&self, rows: Range<usize>) -> Segment {
-        let columns = span(&self.column_ends, rows.clone());
-        let mut slice = Segment::with_capacity(
-            rows.len(),
-            span(&self.key_ends, rows.clone()).len(),
-            columns.len(),
-            self.bytes_of(columns).len(),
-        );
-        for row in rows.filter(|&row| !self.is_moved(row)) {
-            slice.push_row(self.key(row), self.columns(row).map(|c| self.stored(c)));
-        }
-        slice.trimmed()
+        Segment::build(|| self.frozen(rows.clone()))
     }
 }

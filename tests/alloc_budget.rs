@@ -380,17 +380,19 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
 /// The store's own footprint: a loaded SF-0.002 store with both binary
 /// ISL indices built holds at most this many hundredths of a heap byte
 /// per byte its tables report stored (`Table::disk_size`). Measured:
-/// 1.1218, its rows frozen by the load's and the index builds' flushes
-/// into region segments that own their bytes (1.8908 while a segment held
-/// each cell's qualifier and value as handles, 2.819–2.823 while every
-/// row was a B-tree entry, 3.299–3.301 when every loaded row also copied
-/// its column names and each lineitem its join keys).
-const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 113;
+/// 0.8666, its rows frozen by the load's and the index builds' flushes
+/// into region segments that own their bytes and store each repeated
+/// name, timestamp and column end once (1.1218 while each column kept
+/// its own, 1.8908 while a segment held each cell's qualifier and value
+/// as handles, 2.819–2.823 while every row was a B-tree entry,
+/// 3.299–3.301 when every loaded row also copied its column names and
+/// each lineitem its join keys).
+const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 87;
 
 /// A finished load or index build freezes its rows into region segments,
-/// each holding its keys, qualifiers and values in flat arenas with `u32`
-/// ends: the live heap of a loaded, indexed store stays at the ratio that
-/// buys.
+/// each holding its keys, names and values in flat arenas with `u32` ends
+/// and its timestamps as `u32` deltas: the live heap of a loaded, indexed
+/// store stays at the ratio that buys.
 #[test]
 fn a_loaded_store_holds_a_bounded_heap_per_stored_byte() {
     let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);

@@ -6,15 +6,22 @@
 //! column headers, refcounts, B-tree slack — and the multiple is the
 //! store's own overhead, the floor under every workload's peak memory.
 //! A finished load or index build freezes its rows into region segments
-//! that own their bytes in flat arenas (see `rj_store::segment`). This
-//! test's run measures 1.03× on the base tables, 1.31× on Q2's ISL index,
-//! 1.28× on its BFHM index and 1.12× in all (1.55×, 2.56×, 2.48× and 1.89×
-//! while a segment held each cell's qualifier and value as handles; 2.2×,
-//! 4.1× and 2.9× while every row was a B-tree entry with its own sorted
-//! column vector; 3.6× while every row copied its names and keys, 8.6×
-//! when a row held one B-tree per family, and 13× on the one-column rows
-//! of an index table). It holds the line at 5×; `tests/alloc_budget.rs`
-//! ratchets the loaded store's own ratio.
+//! that own their bytes in flat arenas and store each name, timestamp
+//! and column end only as often as it differs (see `rj_store::segment`).
+//! This test's run measures 0.73× on the base tables, 1.15× on Q2's ISL
+//! index, 1.20× on its BFHM index and 0.89× in all. Beside each ratio it
+//! prints the heap per stored column beyond the billed bytes, `(heap −
+//! stored) / cells`: negative where the store keeps once what
+//! `disk_size` bills per cell (a row's key, a family name, a qualifier
+//! shared by a table's columns). Earlier layouts measured 1.03×, 1.31×,
+//! 1.28× and 1.12× while each column kept its own qualifier, byte ends
+//! and `u64` timestamp; 1.55×, 2.56×, 2.48× and 1.89× while a segment held
+//! each cell's qualifier and value as handles; 2.2×, 4.1× and 2.9× while
+//! every row was a B-tree entry with its own sorted column vector; 3.6×
+//! while every row copied its names and keys, 8.6× when a row held one
+//! B-tree per family, and 13× on the one-column rows of an index table.
+//! It holds the line at 5×; `tests/alloc_budget.rs` ratchets the loaded
+//! store's own ratio.
 //!
 //! Live bytes are process-wide, so this binary has the one test.
 
@@ -29,14 +36,25 @@ use counting_alloc::{live_bytes, CountingAlloc};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(live heap, Σ disk_size over every table)` right now.
-fn footprint(cluster: &Cluster) -> (u64, u64) {
-    let stored = cluster
-        .table_names()
-        .iter()
-        .map(|name| cluster.table(name).unwrap().disk_size())
-        .sum();
-    (live_bytes(), stored)
+/// `(live heap, Σ disk_size, Σ kv_count)` over every table right now.
+fn footprint(cluster: &Cluster) -> (u64, u64, u64) {
+    let (mut stored, mut cells) = (0, 0);
+    for name in cluster.table_names() {
+        let table = cluster.table(&name).unwrap();
+        stored += table.disk_size();
+        cells += table.kv_count();
+    }
+    (live_bytes(), stored, cells)
+}
+
+/// What `heap` holds for `stored` bytes in `cells` cells: the ratio, and
+/// the heap per cell beyond the billed bytes.
+fn report(name: &str, heap: u64, stored: u64, cells: u64) {
+    let beyond = (heap as f64 - stored as f64) / cells as f64;
+    println!(
+        "{name}: {heap} B of heap for {stored} B stored in {cells} cells ({:.2}x, {beyond:+.2} B per cell)",
+        heap as f64 / stored as f64
+    );
 }
 
 #[test]
@@ -44,14 +62,11 @@ fn live_heap_stays_within_five_times_the_stored_bytes() {
     let start = live_bytes();
     let cluster = Cluster::new(3, CostModel::test());
     let mut ex = RankJoinExecutor::new(&cluster, QuerySpec::Q2.query(10));
-    let mut before = (start, 0);
+    let mut before = (start, 0, 0);
     let mut step = |name: &str, cluster: &Cluster| {
         let after = footprint(cluster);
-        let (heap, stored) = (after.0 - before.0, after.1 - before.1);
-        println!(
-            "{name}: {heap} B of heap for {stored} B stored ({:.2}x)",
-            heap as f64 / stored as f64
-        );
+        let (heap, stored, cells) = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
+        report(name, heap, stored, cells);
         before = after;
     };
 
@@ -62,11 +77,8 @@ fn live_heap_stays_within_five_times_the_stored_bytes() {
     ex.prepare_bfhm(BfhmConfig::default()).unwrap();
     step("BFHM index", &cluster);
 
-    let (live, stored) = footprint(&cluster);
+    let (live, stored, cells) = footprint(&cluster);
     let heap = live - start;
-    println!(
-        "total: {heap} B of heap for {stored} B stored ({:.2}x)",
-        heap as f64 / stored as f64
-    );
+    report("total", heap, stored, cells);
     assert!(heap <= 5 * stored, "{heap} B of heap for {stored} B stored");
 }
