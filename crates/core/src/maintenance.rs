@@ -16,11 +16,12 @@
 //! [`StatsDelta`] under the handle's lock, keeping the planner's
 //! histograms fresh in place (see [`crate::statsmaint`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::keys;
+use rj_store::row::RowBatch;
 use rj_store::Bytes;
 
 use crate::bfhm::maintenance::BfhmMaintainer;
@@ -34,9 +35,10 @@ use crate::statsmaint::{join_fingerprint, DeltaOp, SharedTableStats, StatsDelta}
 /// A write allocates what the store keeps. The label and column handles
 /// are resolved once, here; an insert builds its values, row-key qualifier
 /// and value-score payload once each and hands every table that stores
-/// one the same handle. A delete tombstones the base columns with the
-/// handles its read lent and shares one row-key handle across its index
-/// tombstones.
+/// one the same handle. A delete reads its row into a batch the side keeps,
+/// tombstones the base columns with the handles that row lent (a frozen
+/// cell lends none, so its qualifier is copied once), and shares one
+/// row-key handle across its index tombstones.
 pub struct MaintainedSide {
     cluster: Cluster,
     side: JoinSide,
@@ -49,6 +51,8 @@ pub struct MaintainedSide {
     ijlmr_table: Option<String>,
     bfhm: Option<BfhmMaintainer>,
     stats: Option<Arc<SharedTableStats>>,
+    /// The batch [`MaintainedSide::delete`] reads its base row into.
+    read: Mutex<RowBatch>,
 }
 
 impl MaintainedSide {
@@ -67,6 +71,7 @@ impl MaintainedSide {
             ijlmr_table: None,
             bfhm: None,
             stats: None,
+            read: Mutex::default(),
         }
     }
 
@@ -212,19 +217,25 @@ impl MaintainedSide {
     /// finite (only writable by clients bypassing the maintained path)
     /// yields [`RankJoinError::NonFiniteScore`], the same rejection
     /// `insert` applies at ingest.
+    ///
+    /// The side's read batch stays locked for the whole delete, because
+    /// the join value borrows from it. Nothing else takes that lock, so
+    /// the order is: batch lock, then the statistics fence, then the
+    /// store's region locks.
     pub fn delete(&self, row_key: &[u8]) -> Result<u64> {
         let client = self.cluster.client();
+        let projection = client.projection(&self.side.table, None)?;
+        let mut batch = self.read.lock().unwrap_or_else(PoisonError::into_inner);
         let row = client
-            .get(&self.side.table, row_key)?
+            .get_into(&mut batch, &projection, row_key)
             .ok_or(RankJoinError::MissingRow)?;
-        let (join_value, score) = self.side.extract_checked(&row)?;
+        let (join_value, score) = self.side.extract_checked(row)?;
         let ts = self.cluster.next_ts();
 
         // Tombstone every base column, with the handles the read lent.
         let muts: Vec<Mutation> = row
-            .cells
-            .iter()
-            .map(|c| Mutation::delete_shared(c.family.clone(), c.qualifier.clone(), Some(ts)))
+            .cells()
+            .map(|c| Mutation::delete_shared(c.family_handle(), c.qualifier_handle(), Some(ts)))
             .collect();
         self.base_write(DeltaOp::Delete, row_key, join_value, score, || {
             Ok(client.mutate_row(&self.side.table, row_key, muts)?)

@@ -27,14 +27,14 @@
 //!
 //! # Point reads
 //!
-//! The same two shapes. [`Client::get_into`] is `next_row`'s counterpart:
-//! the caller owns one [`RowBatch`] and a [`Projection`] resolved once
+//! One walk. [`Client::get_into`] is `next_row`'s counterpart: the caller
+//! owns one [`RowBatch`] and a [`Projection`] resolved once
 //! ([`Client::projection`]), every read refills the batch and lends the
 //! row out as a [`RowRef`], and a run of gets — BFHM's bucket and
-//! reverse-mapping reads — allocates nothing once the batch has grown to
-//! its widest row. [`Client::get`] is the owned adaptor for one-off reads
-//! of a full row that is kept: the same region walk, the same
-//! [`ReadCost`] through the same charge.
+//! reverse-mapping reads, a maintained delete's read of its base row —
+//! allocates nothing once the batch has grown to its widest row.
+//! [`Client::get`] is `get_into` on a batch of its own, copied out with
+//! [`RowRef::to_owned`], for a test or tool that keeps one full row.
 
 use std::cell::Cell as StdCell;
 use std::sync::Arc;
@@ -155,15 +155,15 @@ impl Client {
         Ok(())
     }
 
-    /// Point read of a full row, owned. The owning adaptor beside
-    /// [`Client::get_into`], for a caller that keeps the row or reads
-    /// once: the same region read and the same bill, plus the row's key
-    /// and its `cells` vector.
+    /// Point read of a full row, owned: [`Client::get_into`] under every
+    /// family into a batch of its own, copied out with
+    /// [`RowRef::to_owned`]. It bills what that read bills.
     pub fn get(&self, table: &str, row: &[u8]) -> Result<Option<RowResult>> {
-        let t = self.lookup(table)?;
-        let (result, cost, node) = t.get(row, None)?;
-        self.charge_read(node, &cost);
-        Ok(result)
+        let projection = self.projection(table, None)?;
+        let mut batch = RowBatch::new();
+        Ok(self
+            .get_into(&mut batch, &projection, row)
+            .map(RowRef::to_owned))
     }
 
     /// Resolves a family projection (`None` = every family) against
@@ -175,12 +175,11 @@ impl Client {
         Ok(Projection { table, families })
     }
 
-    /// The borrowed point read: fills the caller's `batch` (cleared first)
-    /// with the projected row and lends it out, `None` when the row has no
-    /// visible projected cell. Bills exactly what an owned read of the
-    /// same projection bills for the same row ([`Client::get`] under every
-    /// family), and allocates nothing once `batch` has grown to the
-    /// widest row read into it.
+    /// The point read: fills the caller's `batch` (cleared first) with
+    /// the projected row and lends it out, `None` when the row has no
+    /// visible projected cell. Bills what a one-row scan of the same
+    /// projection bills, and allocates nothing once `batch` has grown to
+    /// the widest row read into it.
     pub fn get_into<'b>(
         &self,
         batch: &'b mut RowBatch,
@@ -367,15 +366,6 @@ impl Scanner<'_> {
         }
     }
 
-    /// Every remaining row, owned.
-    pub fn collect_rows(mut self) -> Result<Vec<RowResult>> {
-        let mut rows = Vec::new();
-        while let Some(row) = self.next_row()? {
-            rows.push(row.to_owned());
-        }
-        Ok(rows)
-    }
-
     /// The RPC failure that ended iteration through the owned
     /// [`Iterator`] adaptor, if one did.
     pub fn error(&self) -> Option<&StoreError> {
@@ -436,8 +426,8 @@ impl Scanner<'_> {
 /// The owned adaptor over [`Scanner::next_row`]: two allocations per row.
 /// An iterator can only end, so an RPC failure ends the scan here as
 /// exhaustion would — check [`Scanner::error`] after the loop (or use
-/// [`Scanner::collect_rows`] / [`Scanner::next_row`]) where a truncated
-/// scan must not pass for a complete one.
+/// [`Scanner::next_row`]) where a truncated scan must not pass for a
+/// complete one.
 impl Iterator for Scanner<'_> {
     type Item = RowResult;
 
@@ -634,11 +624,11 @@ mod tests {
         let before = c.metrics().snapshot();
         let state = scan.into_state();
         // It resumes on the three rows it buffered, then fetches the rest.
-        let rest = cl.resume_scan(state).unwrap().collect_rows().unwrap();
-        let resumed: Vec<u64> = rest
-            .iter()
-            .map(|r| keys::decode_u64(&r.key).unwrap())
-            .collect();
+        let mut rest = cl.resume_scan(state).unwrap();
+        let mut resumed = Vec::new();
+        while let Some(row) = rest.next_row().unwrap() {
+            resumed.push(keys::decode_u64(row.key).unwrap());
+        }
         assert_eq!(resumed, (1..10).collect::<Vec<_>>());
         let d = c.metrics().snapshot().delta_since(&before);
         assert_eq!(d.kv_reads, 6, "the buffered rows are not read again");
@@ -673,8 +663,6 @@ mod tests {
                 Err(StoreError::FamilyNotFound { .. })
             ));
         }
-        let failed = cl.resume_scan(state.clone()).unwrap().collect_rows();
-        assert!(matches!(failed, Err(StoreError::FamilyNotFound { .. })));
 
         // The owned adaptor can only end; it keeps the reason.
         let mut owned = cl.resume_scan(state).unwrap();

@@ -33,9 +33,11 @@
 //! A read lends what the half holds: a memstore cell's handles, or a
 //! frozen cell's bytes, which the reader's [`RowBatch`] copies into the
 //! buffer it recycles for row keys. Either way a read allocates nothing
-//! once its batch has grown; an owned read (`Region::get`) copies a
-//! frozen cell into two handles. Billing and [`Region::byte_size`] count
-//! every column's bytes, however they are held.
+//! once its batch has grown, and a point read and a scan step are the same
+//! walk (`Region::get_into`, `Region::scan_batch_into`); a caller that
+//! keeps a row copies it out ([`RowRef::to_owned`]). Billing and
+//! [`Region::byte_size`] count every column's bytes, however they are
+//! held.
 //!
 //! A row lives in exactly one half. The first write to a frozen row thaws
 //! it into a new memstore row, its handles copied from the arena, and the
@@ -86,10 +88,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::cell::{Cell, Mutation};
+use crate::cell::Mutation;
 use crate::filter::ServerFilter;
 use crate::memstore::{self, family_columns, Column, Memstore, RowData};
-use crate::row::{RowBatch, RowRef, RowResult};
+use crate::row::{RowBatch, RowRef};
 use crate::segment::Segment;
 
 /// Cluster-clock ticks a tombstone outlives its own timestamp before the
@@ -118,7 +120,7 @@ impl Stored<'_> {
         (self.ts, self.value.is_none())
     }
 
-    /// Stored bytes: [`Cell::weight`] for a put, the same without a value
+    /// Stored bytes: [`crate::cell::Cell::weight`] for a put, the same without a value
     /// for a tombstone (what [`Mutation::weight`] charged for the write
     /// that stored it).
     fn weight(&self, row_key: &[u8], family_names: &[Arc<str>]) -> u64 {
@@ -142,22 +144,6 @@ impl Stored<'_> {
                 self.qualifier,
                 self.value.unwrap_or_default(),
             ),
-        }
-    }
-
-    /// The cell, a put's, owned: a memstore column's handles, or copies
-    /// of a frozen column's bytes.
-    fn to_cell(self, family_names: &[Arc<str>]) -> Cell {
-        let (qualifier, value) = match self.column {
-            Some(c) => (c.qualifier.clone(), c.value.clone().unwrap_or_default()),
-            None => (self.qualifier.into(), self.value.unwrap_or_default().into()),
-        };
-        let family = Arc::clone(&family_names[self.family]);
-        Cell {
-            family,
-            qualifier,
-            timestamp: self.ts,
-            value,
         }
     }
 }
@@ -499,32 +485,11 @@ impl Region {
     }
 
     /// Walks the stored columns of one row in the given family indices
-    /// (`None` = all) and hands each visible one to `emit`, in
-    /// `(family, qualifier)` order. Returns what the walk scanned. The walk
-    /// itself allocates nothing: a row that a projected scan merely walks
-    /// over (all its cells in other families) costs no heap traffic.
-    fn read_row<'r>(
-        key: &[u8],
-        row: &RowView<'r>,
-        family_names: &[Arc<str>],
-        families: Option<&[usize]>,
-        mut emit: impl FnMut(Stored<'r>),
-    ) -> ReadCost {
-        let mut cost = ReadCost::default();
-        row.for_each_selected(families, |column| {
-            // Every stored column is touched by the read path, a
-            // retained tombstone included.
-            cost.kvs_scanned += 1;
-            if column.value.is_some() {
-                cost.bytes_scanned += column.weight(key, family_names);
-                emit(column);
-            }
-        });
-        cost
-    }
-
-    /// [`Region::read_row`] into the row `out` is writing. The bytes it
-    /// copies from a frozen row, and the row's key, are reserved at once.
+    /// (`None` = all) and appends each visible one to the row `out` is
+    /// writing, in `(family, qualifier)` order. Returns what the walk
+    /// scanned. The bytes it copies from a frozen row, and the row's key,
+    /// are reserved at once; a row that a projected scan merely walks over
+    /// (all its cells in other families) costs no heap traffic.
     fn lend_row(
         key: &[u8],
         row: &RowView<'_>,
@@ -539,43 +504,17 @@ impl Region {
             });
             out.reserve_bytes(bytes);
         }
-        Self::read_row(key, row, family_names, families, |column| {
-            column.lend(family_names, out)
-        })
-    }
-
-    /// Point read of one row, owned: `None` when no selected column is
-    /// visible. A returned row costs its key and its `cells` vector, the
-    /// latter sized on the first visible cell for the columns the read
-    /// touches, and two handles per frozen cell. The owning adaptor
-    /// beside [`Region::get_into`]: the same walk, the same cost.
-    pub(crate) fn get(
-        &self,
-        key: &[u8],
-        family_names: &[Arc<str>],
-        families: Option<&[usize]>,
-    ) -> (Option<RowResult>, ReadCost) {
-        let Some(row) = self.row(key) else {
-            return (None, ReadCost::default());
-        };
-        let mut cells = Vec::new();
-        let mut cost = Self::read_row(key, &row, family_names, families, |column| {
-            if cells.is_empty() {
-                let mut touched = 0;
-                row.for_each_selected(families, |_| touched += 1);
-                cells.reserve_exact(touched);
+        let mut cost = ReadCost::default();
+        row.for_each_selected(families, |column| {
+            // Every stored column is touched by the read path, a
+            // retained tombstone included.
+            cost.kvs_scanned += 1;
+            if column.value.is_some() {
+                cost.bytes_scanned += column.weight(key, family_names);
+                column.lend(family_names, out);
             }
-            cells.push(column.to_cell(family_names));
         });
-        let row = (!cells.is_empty()).then(|| RowResult {
-            key: key.to_vec(),
-            cells,
-        });
-        if let Some(row) = &row {
-            cost.kvs_returned = row.kv_count();
-            cost.bytes_returned = row.weight();
-        }
-        (row, cost)
+        cost
     }
 
     /// Point read of one row into the caller's batch: `out` is cleared and
@@ -737,7 +676,7 @@ mod tests {
     fn put_then_get() {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"k1", 0, b"q", b"v1", 1);
-        let (row, cost) = r.get(b"k1", &fams(), None);
+        let (row, cost) = r.get_owned(b"k1", &fams(), None);
         assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"v1");
         assert_eq!(cost.kvs_scanned, 1);
         assert_eq!(r.kv_count(), 1);
@@ -748,7 +687,7 @@ mod tests {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"k", 0, b"q", b"old", 1);
         put(&mut r, b"k", 0, b"q", b"new", 5);
-        let (row, _) = r.get(b"k", &fams(), None);
+        let (row, _) = r.get_owned(b"k", &fams(), None);
         assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"new");
         assert_eq!(r.kv_count(), 1, "overwrite does not grow live count");
     }
@@ -759,7 +698,7 @@ mod tests {
         put(&mut r, b"k", 0, b"q", b"v", 5);
         let d = Mutation::delete_at("a", b"q", 5);
         r.mutate_row(b"k", [(0, &d)], 0, &fams());
-        let (row, _) = r.get(b"k", &fams(), None);
+        let (row, _) = r.get_owned(b"k", &fams(), None);
         assert!(row.is_none(), "equal-timestamp delete shadows the put");
         assert_eq!(r.kv_count(), 0);
     }
@@ -771,7 +710,7 @@ mod tests {
         let d = Mutation::delete_at("a", b"q", 2);
         r.mutate_row(b"k", [(0, &d)], 0, &fams());
         put(&mut r, b"k", 0, b"q", b"v2", 3);
-        let (row, _) = r.get(b"k", &fams(), None);
+        let (row, _) = r.get_owned(b"k", &fams(), None);
         assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"v2");
     }
 
@@ -780,7 +719,7 @@ mod tests {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"k", 0, b"q", b"newest", 10);
         put(&mut r, b"k", 0, b"q", b"stale", 3);
-        let (row, _) = r.get(b"k", &fams(), None);
+        let (row, _) = r.get_owned(b"k", &fams(), None);
         assert_eq!(row.unwrap().value("a", b"q").unwrap(), b"newest");
     }
 
@@ -811,12 +750,13 @@ mod tests {
         assert_eq!(&*rows[0].cells[0].family, "b");
     }
 
-    /// The borrowed point read is the owned one in another container: on
-    /// a present row, an absent one, one whose projected family is empty
-    /// and one holding only a tombstone, `get_into` reports the cost `get`
-    /// reports and leaves the batch holding the row `get` returns.
+    /// A point read is a one-row scan: on a present row, an absent one,
+    /// one whose projected family is empty and one holding only a
+    /// tombstone, under every projection, `get_into` bills what a scan
+    /// step from the key to `key ++ [0]` bills and leaves its batch holding
+    /// the rows the scan's holds.
     #[test]
-    fn get_into_reads_and_bills_exactly_what_get_does() {
+    fn a_point_read_bills_and_returns_what_a_one_row_scan_does() {
         let mut r = Region::new(vec![], 0);
         put(&mut r, b"both", 0, b"q1", b"va", 1);
         put(&mut r, b"both", 0, b"q2", b"vaa", 1);
@@ -826,21 +766,32 @@ mod tests {
         let tombstone = Mutation::delete_at("b", b"q", 2);
         r.mutate_row(b"dead", [(1, &tombstone)], 0, &fams());
 
-        let mut batch = RowBatch::new();
+        let (mut got, mut scanned) = (RowBatch::new(), RowBatch::new());
         let keys: [&[u8]; 4] = [b"both", b"only-a", b"dead", b"absent"];
         for key in keys {
+            let stop = [key, &[0]].concat();
             for families in [None, Some(&[0usize][..]), Some(&[1][..]), Some(&[0, 1][..])] {
-                let (owned, cost) = r.get(key, &fams(), families);
-                let lent = r.get_into(key, &fams(), families, &mut batch);
-                assert_eq!(lent, cost, "{key:?} {families:?}");
-                assert_eq!(batch.len(), usize::from(owned.is_some()));
-                assert_eq!(batch.get(0), owned.as_ref().map(RowResult::as_row_ref));
+                let cost = r.get_into(key, &fams(), families, &mut got);
+                scanned.clear();
+                let mut next_key = key.to_vec();
+                let (scan_cost, more) = r.scan_batch_into(
+                    &mut next_key,
+                    Some(&stop),
+                    &fams(),
+                    families,
+                    None,
+                    2,
+                    &mut scanned,
+                );
+                assert!(!more);
+                assert_eq!(cost, scan_cost, "{key:?} {families:?}");
+                assert!(got.iter().eq(scanned.iter()), "{key:?} {families:?}");
             }
         }
         // The tombstone is touched and billed, the row is not returned.
-        let dead = r.get_into(b"dead", &fams(), Some(&[1]), &mut batch);
+        let dead = r.get_into(b"dead", &fams(), Some(&[1]), &mut got);
         assert_eq!((dead.kvs_scanned, dead.kvs_returned), (1, 0));
-        assert!(batch.is_empty());
+        assert!(got.is_empty());
     }
 
     /// The union walk the planner's ISL cost model is calibrated against:
@@ -931,7 +882,7 @@ mod tests {
     }
 
     fn value_of(region: &Region, key: &[u8]) -> Option<Vec<u8>> {
-        let (row, _) = region.get(key, &fams(), None);
+        let (row, _) = region.get_owned(key, &fams(), None);
         row.and_then(|r| r.value("a", b"q").map(|v| v.to_vec()))
     }
 
@@ -959,7 +910,7 @@ mod tests {
         apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 9), 12);
         assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"newest"[..]));
         assert_eq!(r.byte_size(), stored, "nothing stale is kept");
-        let (_, cost) = r.get(b"k", &fams(), None);
+        let (_, cost) = r.get_owned(b"k", &fams(), None);
         assert_eq!(cost.kvs_scanned, 1, "one stored version, one KV read");
         assert!(
             r.purge_queue.is_empty(),
@@ -1020,7 +971,7 @@ mod tests {
         assert_eq!(value_of(&r, b"k"), None, "both puts stay masked");
         assert_eq!(r.kv_count(), 0);
         assert_eq!(r.row_count(), 1, "the tombstone is still stored");
-        let (_, cost) = r.get(b"k", &fams(), None);
+        let (_, cost) = r.get_owned(b"k", &fams(), None);
         assert_eq!(cost.kvs_scanned, 1, "and still touched and billed");
         // A newer put wins, as always.
         apply(
@@ -1157,7 +1108,7 @@ mod tests {
         }
         let live = COLUMNS - COLUMNS / 4;
         let sorted_cells = |r: &Region| {
-            let (row, cost) = r.get(b"wide", &fams(), None);
+            let (row, cost) = r.get_owned(b"wide", &fams(), None);
             let cells = row.unwrap().cells;
             let columns: Vec<(&str, &[u8])> = cells
                 .iter()
@@ -1256,7 +1207,7 @@ mod tests {
         let ts = 10;
         apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
         assert_eq!(value_of(&r, b"k"), None, "the tombstone masks the segment");
-        let (_, cost) = r.get(b"k", &fams(), None);
+        let (_, cost) = r.get_owned(b"k", &fams(), None);
         assert_eq!(cost.kvs_scanned, 1, "one column, touched once");
         assert_eq!((r.row_count(), r.kv_count()), (2, 1));
         assert_accounting_matches_a_recount(&r);
@@ -1269,11 +1220,17 @@ mod tests {
             now,
         );
         assert!(r.purge_queue.is_empty());
-        assert_eq!(r.get(b"k", &fams(), None), (None, ReadCost::default()));
+        assert_eq!(
+            r.get_owned(b"k", &fams(), None),
+            (None, ReadCost::default())
+        );
         assert_eq!((r.row_count(), r.kv_count()), (1, 1));
         assert_accounting_matches_a_recount(&r);
         r.flush();
-        assert_eq!(r.get(b"k", &fams(), None), (None, ReadCost::default()));
+        assert_eq!(
+            r.get_owned(b"k", &fams(), None),
+            (None, ReadCost::default())
+        );
         assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
         assert_accounting_matches_a_recount(&r);
 
@@ -1326,7 +1283,7 @@ mod tests {
             20,
         );
         assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"new"[..]));
-        let (_, cost) = r.get(b"k", &fams(), None);
+        let (_, cost) = r.get_owned(b"k", &fams(), None);
         assert_eq!(cost.kvs_scanned, 1, "the moved segment row is not billed");
         assert_accounting_matches_a_recount(&r);
     }
@@ -1354,7 +1311,7 @@ mod tests {
         apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
         r.flush();
         assert_eq!((r.row_count(), r.kv_count()), (2, 1));
-        let (_, cost) = r.get(b"k", &fams(), None);
+        let (_, cost) = r.get_owned(b"k", &fams(), None);
         assert_eq!(cost.kvs_scanned, 1, "the frozen tombstone is billed");
 
         let now = ts + TOMBSTONE_GRACE_TICKS + 1;
@@ -1365,7 +1322,10 @@ mod tests {
             now,
         );
         assert!(r.purge_queue.is_empty());
-        assert_eq!(r.get(b"k", &fams(), None), (None, ReadCost::default()));
+        assert_eq!(
+            r.get_owned(b"k", &fams(), None),
+            (None, ReadCost::default())
+        );
         assert_eq!(r.row_keys().collect::<Vec<_>>(), [&b"anchor"[..]]);
         assert_accounting_matches_a_recount(&r);
         r.flush();

@@ -14,8 +14,9 @@
 //!   refills it, so in steady state (the buffers have grown to the largest
 //!   step seen) a read allocates nothing however many rows it returns.
 //! * [`RowResult`] — an owned row (`Vec<u8>` key, `Vec<Cell>` cells):
-//!   what the owning point get returns and what [`RowRef::to_owned`]
-//!   builds for a consumer that keeps rows.
+//!   what [`RowRef::to_owned`] builds for a consumer that keeps rows, and
+//!   so what the scanner's `Iterator` adaptor and
+//!   [`crate::client::Client::get`] return.
 //!
 //! A batch holds a cell's bytes the way the region holds them. A frozen
 //! row's bytes live in its segment's arena (`crate::segment`), so the
@@ -65,6 +66,11 @@ impl<'a> CellRef<'a> {
         (row_key_len + self.family.len() + self.qualifier.len() + 8 + self.value.len()) as u64
     }
 
+    /// The family as the row's handle to it: shared, never copied.
+    pub fn family_handle(&self) -> Arc<str> {
+        Arc::clone(self.family_handle)
+    }
+
     /// The qualifier as a handle: the one the row holds, or a copy when
     /// the row copied the bytes (a frozen row's).
     pub fn qualifier_handle(&self) -> Bytes {
@@ -80,7 +86,7 @@ impl<'a> CellRef<'a> {
             .handles
             .map_or_else(|| Bytes::copy_from_slice(self.value), |(_, v)| v.clone());
         Cell {
-            family: Arc::clone(self.family_handle),
+            family: self.family_handle(),
             qualifier: self.qualifier_handle(),
             timestamp: self.timestamp,
             value,

@@ -346,19 +346,6 @@ impl Table {
         (read(&region), region.node())
     }
 
-    /// Point read, owned. Returns `(row, cost, serving node)`.
-    pub(crate) fn get(
-        &self,
-        key: &[u8],
-        families: Option<&[String]>,
-    ) -> Result<(Option<RowResult>, ReadCost, usize)> {
-        let fam_ids = self.resolve_families(families)?;
-        let ((row, cost), node) = self.read_region(key, |region| {
-            region.get(key, &self.families, fam_ids.indices())
-        });
-        Ok((row, cost, node))
-    }
-
     /// Point read into the caller's batch (cleared first; the row is its
     /// only row afterwards, if it has a visible selected cell). `families`
     /// is a projection resolved by [`Table::resolve_families`]. Returns
@@ -481,12 +468,19 @@ mod tests {
         (batch.len(), step.cost, step.more.then_some(next_key))
     }
 
+    /// A point read of every family, copied out.
+    fn get(t: &Table, key: &[u8]) -> Option<RowResult> {
+        let mut batch = RowBatch::new();
+        t.get_into(key, None, &mut batch);
+        batch.get(0).map(RowRef::to_owned)
+    }
+
     #[test]
     fn mutate_and_get_roundtrip() {
         let t = table();
         let m = Mutation::put("cf", b"q", b"v".to_vec());
         t.mutate_row(b"row", &[m], 7).unwrap();
-        let (row, _, _) = t.get(b"row", None).unwrap();
+        let row = get(&t, b"row");
         assert_eq!(row.unwrap().value("cf", b"q").unwrap(), b"v");
     }
 
@@ -543,8 +537,10 @@ mod tests {
         assert_eq!(t.row_count(), 40);
         // Every row still reachable.
         for i in 0..40u32 {
-            let (row, _, _) = t.get(&i.to_be_bytes(), None).unwrap();
-            assert!(row.is_some(), "row {i} lost after split");
+            assert!(
+                get(&t, &i.to_be_bytes()).is_some(),
+                "row {i} lost after split"
+            );
         }
     }
 
@@ -566,8 +562,10 @@ mod tests {
         assert!(infos.iter().all(|r| r.rows == 10), "{infos:?}");
         assert_eq!(t.row_count(), 40);
         for i in 0..40u32 {
-            let (row, _, _) = t.get(&i.to_be_bytes(), None).unwrap();
-            assert!(row.is_some(), "row {i} lost after rebalance");
+            assert!(
+                get(&t, &i.to_be_bytes()).is_some(),
+                "row {i} lost after rebalance"
+            );
         }
         // Idempotent: quantile boundaries already exist.
         t.rebalance(4);
@@ -611,9 +609,12 @@ mod tests {
         let t = table();
         t.mutate_row(b"k", &[Mutation::put("cf", b"q", b"v".to_vec())], 1)
             .unwrap();
-        let fams = vec!["cf".to_string(), "cf".to_string()];
-        let (row, cost, _) = t.get(b"k", Some(&fams)).unwrap();
-        assert_eq!(row.unwrap().cells.len(), 1, "no duplicate cells");
+        let fams = t
+            .resolve_families(Some(&["cf".to_string(), "cf".to_string()]))
+            .unwrap();
+        let mut batch = RowBatch::new();
+        let (cost, _) = t.get_into(b"k", fams.indices(), &mut batch);
+        assert_eq!(batch.get(0).unwrap().kv_count(), 1, "no duplicate cells");
         assert_eq!(cost.kvs_scanned, 1, "no duplicate billing");
     }
 

@@ -50,10 +50,12 @@
 //! allocates what the store keeps — a new row's key and column vector,
 //! the values, and one row-key and one value-score handle that every index
 //! cell and BFHM record of the write shares — plus the vectors it is made
-//! of: an insert 12 allocations, a delete 6, pinned exactly. A one-mutation
-//! index write passes an array, a delete's tombstones reuse the handles
-//! its read of the row lent, and a statistics delta borrows its schema, so
-//! a statistics handle adds nothing to a write. The store frees what a
+//! of: an insert 12 allocations, a delete 4, pinned exactly. A one-mutation
+//! index write passes an array, a delete reads its row into a batch its
+//! side keeps and its tombstones reuse the handles that row lent (a
+//! frozen row lends none, so each of its qualifiers is copied once), and
+//! a statistics delta borrows its schema, so a statistics handle adds
+//! nothing to a write. The store frees what a
 //! delete kills (after the tombstones' grace window), so a round of
 //! inserts and deletes allocates the same however many rounds came before
 //! it. So has the serving layer's
@@ -774,8 +776,11 @@ fn bfhm_paged_session_costs_one_shot_plus_its_pages() {
     );
 }
 
+/// A point read bills what a one-row scan of the same projection bills,
+/// ledger for ledger, returns the row that scan returns, and allocates
+/// nothing into a warm batch.
 #[test]
-fn get_into_bills_what_get_bills_and_allocates_nothing_into_a_warm_batch() {
+fn a_point_read_bills_what_a_one_row_scan_bills_and_allocates_nothing_into_a_warm_batch() {
     let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
     let cluster = Cluster::new(2, CostModel::test());
     cluster.create_table("t", &["a", "b"]).unwrap();
@@ -803,34 +808,30 @@ fn get_into_bills_what_get_bills_and_allocates_nothing_into_a_warm_batch() {
         for (i, row) in rows.into_iter().enumerate() {
             // A fresh ledger per read: its snapshot is that read's bill,
             // simulated seconds included, to the bit.
-            let (owned_side, lent_side) = (cluster.fork_metrics(), cluster.fork_metrics());
-            // The owned read is of the full row; the lent one holds its
-            // projected cells.
-            let owned = owned_side.client().get("t", row).unwrap();
-            let owned = owned.and_then(|mut owned| {
-                let projected = |family: &str| families.as_ref().is_none_or(|f| f[0] == family);
-                owned.cells.retain(|cell| projected(&cell.family));
-                (!owned.cells.is_empty()).then_some(owned)
-            });
-            let reader = lent_side.client();
+            let (scan_side, get_side) = (cluster.fork_metrics(), cluster.fork_metrics());
+            let mut scan = Scan::new().start(row).stop([row, &[0]].concat());
+            if let Some(families) = families {
+                scan = scan.families(&[families[0].as_str()]);
+            }
+            let scanned: Vec<_> = scan_side.client().scan("t", scan).unwrap().collect();
+            let reader = get_side.client();
             let (found, allocs) = counted(|| {
                 let lent = reader.get_into(&mut batch, &projection, row);
                 lent.map(|row| row.to_owned())
             });
-            assert_eq!(found, owned, "{families:?} row {i}");
-            // Under every family the two reads are one read. A projected
-            // read's bill is the region's (`region.rs` pins it against
-            // the owned read of the same projection).
-            if families.is_none() {
-                assert_eq!(
-                    lent_side.metrics().snapshot(),
-                    owned_side.metrics().snapshot(),
-                    "row {i}"
-                );
-            }
-            assert_eq!(lent_side.metrics().snapshot().rpc_calls, 1);
+            assert_eq!(
+                found.into_iter().collect::<Vec<_>>(),
+                scanned,
+                "{families:?} row {i}"
+            );
+            assert_eq!(
+                get_side.metrics().snapshot(),
+                scan_side.metrics().snapshot(),
+                "{families:?} row {i}"
+            );
+            assert_eq!(get_side.metrics().snapshot().rpc_calls, 1);
             // The `to_owned` above is the test's: key and cells.
-            let copy = 2 * u64::from(found.is_some());
+            let copy = 2 * u64::from(!scanned.is_empty());
             if i > 0 {
                 assert_eq!(allocs, copy, "{families:?} row {i}: the read allocated");
             }
@@ -1291,19 +1292,20 @@ fn maintained_write_round_cost_does_not_depend_on_rounds_before_it() {
 /// reverse cell all store; the ISL row's key and column vector; the BFHM
 /// record's qualifier; the reverse row's key and column vector.
 ///
-/// The delete's 6: the base row the delete reads (its key and cell
-/// vector), the tombstones' vector, the row-key handle its ISL and reverse
-/// tombstones share, and the BFHM tombstone record's qualifier and
-/// payload. Every tombstone of a base column is built from the handles the
-/// read lent.
+/// The delete's 4: the tombstones' vector, the row-key handle its ISL and
+/// reverse tombstones share, and the BFHM tombstone record's qualifier and
+/// payload. The delete reads the base row into the side's warm batch, and
+/// every tombstone of a base column takes the family and qualifier
+/// handles the memstore row lends.
 ///
 /// 31 and 18 while a mutation owned its family as a `String`, a value was
 /// copied from a `Vec` into its buffer, each index write copied the row
 /// key and value-score payload again and wrapped its one mutation in a
 /// vector, and each base tombstone copied the family and qualifier its
-/// read had handed out.
+/// read had handed out; 12 and 6 while the delete read its row owned (its
+/// key and cell vector).
 const MAINTAINED_INSERT_ALLOCS: u64 = 12;
-const MAINTAINED_DELETE_ALLOCS: u64 = 6;
+const MAINTAINED_DELETE_ALLOCS: u64 = 4;
 
 #[test]
 fn a_maintained_write_allocates_only_what_it_stores() {
@@ -1345,4 +1347,47 @@ fn a_maintained_write_allocates_only_what_it_stores() {
         [(MAINTAINED_INSERT_ALLOCS, MAINTAINED_DELETE_ALLOCS); 2],
         "(insert, delete) per round: {costs:?}"
     );
+}
+
+/// A warm maintained delete of a loaded Lineitem row, which the load froze
+/// into its region's segment, on a side with no index attached.
+///
+/// Its 16 allocations: the tombstones' vector and the row-key handle; one
+/// copy of each of the row's 4 qualifiers for its tombstone, since a
+/// frozen cell's bytes are copied into the side's batch and lend no
+/// handle; and the write's thaw of the row into the memstore, which copies
+/// its key, its column vector and each column's qualifier and value (10).
+/// The read itself allocates nothing into the warm batch. 22 while the
+/// delete read its row owned: the row's key and cell vector, and two
+/// handles per column.
+const FROZEN_DELETE_ALLOCS: u64 = 16;
+
+#[test]
+fn a_warm_delete_of_a_frozen_row_copies_each_qualifier_once() {
+    use rankjoin::store::region::TOMBSTONE_GRACE_TICKS;
+    let _shared = ALONE.read().unwrap_or_else(PoisonError::into_inner);
+    let [_, q2] = queries();
+    let cluster = Cluster::new(3, CostModel::test());
+    loader::load_all(&cluster, &TpchConfig::new(0.002)).unwrap();
+    let lineitems = MaintainedSide::new(&cluster, q2.right.clone());
+    let keys: Vec<Vec<u8>> = cluster
+        .client()
+        .scan(loader::LINEITEM_TABLE, Scan::new().limit(24))
+        .unwrap()
+        .map(|row| row.key)
+        .collect();
+    // Two rounds of eight grow the side's batch, the memstore and the
+    // purge queue; each round outlasts the tombstones of the one before,
+    // so the next round's first write drops them and keeps the capacity.
+    let mut costs = Vec::new();
+    for round in keys.chunks(8) {
+        costs = round
+            .iter()
+            .map(|key| counted(|| lineitems.delete(key).unwrap()).1)
+            .collect();
+        for _ in 0..=TOMBSTONE_GRACE_TICKS {
+            cluster.next_ts();
+        }
+    }
+    assert_eq!(costs, [FROZEN_DELETE_ALLOCS; 8]);
 }
