@@ -26,9 +26,11 @@
 //! memstore. At TPC-H SF 0.01 with Q1's and Q2's ISL indices built, the
 //! store held 58.48 MB of heap for 20.71 MB stored ([`Region::byte_size`])
 //! as B-tree rows (2.82×), 39.01 MB (1.88×) as segments of handles and
-//! 23.19 MB (1.12×) as segments of bytes, and holds 17.89 MB (0.86×)
-//! since a segment stores its repeated names, timestamps and column ends
-//! once.
+//! 23.19 MB (1.12×) as segments of bytes, 17.89 MB (0.86×) once a
+//! segment stored its repeated names, timestamps and column ends once,
+//! and holds 15.35 MB (0.74×) since it stores nothing it can derive: no
+//! key or qualifier ends whose widths repeat, one timestamp for a row
+//! written whole, and 16-bit timestamp deltas where their span fits.
 //!
 //! A read lends what the half holds: a memstore cell's handles, or a
 //! frozen cell's bytes, which the reader's [`RowBatch`] copies into the
@@ -43,9 +45,11 @@
 //! it into a new memstore row, its handles copied from the arena, and the
 //! segment marks the row moved. So a read consults one half, a write is
 //! stale against the memstore row alone, and a region reads, bills and
-//! counts the same whether and when it was flushed. A frozen row that
-//! keeps taking writes, such as a BFHM bucket row taking update records,
-//! is one memstore row from then on.
+//! counts the same whether and when it was flushed. A column the write
+//! supersedes is not copied: the write stores it anew under its own
+//! handles, so a delete that tombstones a whole frozen row copies none of
+//! its columns. A frozen row that keeps taking writes, such as a BFHM
+//! bucket row taking update records, is one memstore row from then on.
 //!
 //! # Retention
 //!
@@ -83,7 +87,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::iter::Peekable;
-use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -148,12 +151,38 @@ impl Stored<'_> {
     }
 }
 
+/// The column `m` writes to family `family`, stamped `now` unless it is
+/// pinned, with its qualifier and value handles.
+fn written(family: usize, m: &Mutation, now: u64) -> (Stored<'_>, &Bytes, Option<&Bytes>) {
+    let (qualifier, timestamp, value) = match m {
+        Mutation::Put {
+            qualifier,
+            value,
+            timestamp,
+            ..
+        } => (qualifier, timestamp, Some(value)),
+        Mutation::Delete {
+            qualifier,
+            timestamp,
+            ..
+        } => (qualifier, timestamp, None),
+    };
+    let new = Stored {
+        family,
+        qualifier,
+        ts: timestamp.unwrap_or(now),
+        value: value.map(|v| &v[..]),
+        column: None,
+    };
+    (new, qualifier, value)
+}
+
 /// One stored row, held by one half.
 #[derive(Clone, Debug)]
 enum RowView<'a> {
     Memstore(&'a [Column]),
-    /// The row's columns in the segment.
-    Frozen(&'a Segment, Range<usize>),
+    /// A row of the segment.
+    Frozen(&'a Segment, usize),
 }
 
 impl<'a> RowView<'a> {
@@ -170,13 +199,14 @@ impl<'a> RowView<'a> {
                     columns.iter().for_each(|c| visit(c.stored()));
                 }
             }
-            RowView::Frozen(segment, columns) => {
+            &RowView::Frozen(segment, row) => {
+                let columns = segment.columns(row);
                 let Some(families) = families else {
-                    return columns.clone().for_each(|c| visit(segment.stored(c)));
+                    return columns.for_each(|c| visit(segment.stored(row, c)));
                 };
                 for &family in families {
                     let columns = segment.family(columns.clone(), family);
-                    columns.for_each(|c| visit(segment.stored(c)));
+                    columns.for_each(|c| visit(segment.stored(row, c)));
                 }
             }
         }
@@ -212,7 +242,7 @@ impl<'a> Iterator for Rows<'a> {
         let key = frozen?;
         let row = self.next;
         self.next += 1;
-        Some((key, RowView::Frozen(segment, segment.columns(row))))
+        Some((key, RowView::Frozen(segment, row)))
     }
 }
 
@@ -309,7 +339,7 @@ impl Region {
             return Some(RowView::Memstore(&row.columns));
         }
         let row = self.segment.find_row(key)?;
-        Some(RowView::Frozen(&self.segment, self.segment.columns(row)))
+        Some(RowView::Frozen(&self.segment, row))
     }
 
     /// The stored rows from `from` (inclusive) on, in key order.
@@ -327,14 +357,19 @@ impl Region {
     ///
     /// Each mutation comes with its schema family index (validated by the
     /// table before routing here); `now` is the timestamp of unpinned
-    /// mutations. A frozen row is moved into the memstore first.
-    pub(crate) fn mutate_row<'m>(
+    /// mutations. A frozen row is moved into the memstore first, but for
+    /// the columns the call supersedes.
+    pub(crate) fn mutate_row<'m, M>(
         &mut self,
         row_key: &[u8],
-        muts: impl IntoIterator<Item = (usize, &'m Mutation)>,
+        muts: M,
         now: u64,
         family_names: &[Arc<str>],
-    ) -> u64 {
+    ) -> u64
+    where
+        M: IntoIterator<Item = (usize, &'m Mutation)>,
+        M::IntoIter: Clone,
+    {
         let mut muts = muts.into_iter().peekable();
         if muts.peek().is_none() {
             return 0; // and no empty row is left behind
@@ -352,7 +387,25 @@ impl Region {
             let (at_least, at_most) = muts.size_hint();
             let more = at_most.unwrap_or(at_least);
             let columns = match self.segment.find_row(row_key) {
-                Some(frozen) => self.segment.take_row(frozen, more),
+                Some(frozen) => {
+                    // A column whose first write in this call is not stale
+                    // against it is left frozen: the write stores it anew,
+                    // under the mutation's own handles, as on a new column.
+                    let (kv_count, byte_size) = (&mut self.kv_count, &mut self.byte_size);
+                    self.segment.take_row(frozen, more, |old| {
+                        let mut writes = muts.clone().map(|(family, m)| written(family, m, now));
+                        let first = writes.find(|(new, ..)| {
+                            (new.family, new.qualifier) == (old.family, old.qualifier)
+                        });
+                        let superseded =
+                            first.is_some_and(|(new, ..)| old.order_key() <= new.order_key());
+                        if superseded {
+                            *kv_count -= u64::from(old.value.is_some());
+                            *byte_size -= old.weight(row_key, family_names);
+                        }
+                        !superseded
+                    })
+                }
                 None => {
                     // A new row: its first mutation cannot be stale.
                     self.row_count += 1;
@@ -366,26 +419,8 @@ impl Region {
         let mut bytes = 0u64;
         for (fam_idx, m) in muts {
             bytes += m.weight(row_key.len());
-            let (qualifier, ts, value) = match m {
-                Mutation::Put {
-                    qualifier,
-                    value,
-                    timestamp,
-                    ..
-                } => (qualifier, timestamp.unwrap_or(now), Some(value)),
-                Mutation::Delete {
-                    qualifier,
-                    timestamp,
-                    ..
-                } => (qualifier, timestamp.unwrap_or(now), None),
-            };
-            let new = Stored {
-                family: fam_idx,
-                qualifier,
-                ts,
-                value: value.map(|v| &v[..]),
-                column: None,
-            };
+            let (new, qualifier, value) = written(fam_idx, m, now);
+            let ts = new.ts;
             let slot = row.find(fam_idx, qualifier);
             let old = slot.ok().map(|at| row.columns[at].stored());
             if old.is_some_and(|old| new.order_key() < old.order_key()) {
@@ -448,10 +483,10 @@ impl Region {
                 let column = self
                     .segment
                     .find_column(frozen, dead.family, &dead.qualifier);
-                if !column.is_some_and(|c| is_dead(self.segment.stored(c))) {
+                if !column.is_some_and(|c| is_dead(self.segment.stored(frozen, c))) {
                     continue; // overwritten since
                 }
-                let columns = self.segment.take_row(frozen, 0);
+                let columns = self.segment.take_row(frozen, 0, |_| true);
                 self.memstore.insert(dead.row.clone(), RowData { columns });
             }
             let Some(row) = self.memstore.get_mut(&dead.row) else {
@@ -658,6 +693,10 @@ impl Region {
         upper
     }
 }
+
+#[cfg(test)]
+#[path = "segment_tests.rs"]
+mod segment_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1331,174 +1370,5 @@ mod tests {
         r.flush();
         assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
         assert_accounting_matches_a_recount(&r);
-    }
-
-    /// Applies `m` (family `family`) to row `r<row>` of a region and of
-    /// its never-flushed twin, with the clock at `now`.
-    fn apply_both(twins: &mut [Region; 2], row: u8, family: usize, m: &Mutation, now: u64) {
-        for region in twins {
-            region.mutate_row(&[b'r', row], [(family, m)], now, &fams());
-        }
-    }
-
-    /// Puts `family:qualifier` of row `r<row>` at `ts` into both twins.
-    fn put_both(twins: &mut [Region; 2], row: u8, family: usize, qualifier: &[u8], ts: u64) {
-        let name = &fams()[family];
-        let m = Mutation::put_at(name, qualifier, vec![row; 1 + qualifier.len()], ts);
-        apply_both(twins, row, family, &m, ts);
-    }
-
-    /// Puts `count` columns of family `a`, each a name of its own, into
-    /// row `r<row>` of both twins.
-    fn put_names(twins: &mut [Region; 2], row: u8, count: u8, ts: u64) {
-        for i in 0..count {
-            put_both(twins, row, 0, &[row, i], ts);
-        }
-    }
-
-    /// Splits both twins at `r2`; returns their upper halves.
-    fn split_both(twins: &mut [Region; 2]) -> [Region; 2] {
-        twins
-            .each_mut()
-            .map(|region| region.split_off(b"r\x02", 1, &fams()))
-    }
-
-    fn assert_alike([plain, flushed]: &[Region; 2]) {
-        let mut batches = [RowBatch::new(), RowBatch::new()];
-        crate::region_oracle::assert_reads_alike(plain, flushed, &fams(), &mut batches).unwrap();
-    }
-
-    /// A segment with more than 256 names keeps each qualifier in its
-    /// arena; a split half with fewer re-encodes with a dictionary. A row
-    /// thawed from the dictionary flushes back alike, and a frozen
-    /// tombstone is found by its arena qualifier and purged.
-    #[test]
-    fn a_split_half_with_few_names_re_encodes_with_a_dictionary() {
-        let mut twins = [Region::new(vec![], 0), Region::new(vec![], 0)];
-        for row in 0..5 {
-            put_names(&mut twins, row, 100, 10);
-        }
-        let delete = Mutation::delete_at("a", &[4, 50], 11);
-        apply_both(&mut twins, 4, 0, &delete, 11);
-        twins[1].flush();
-        let arena = ["qualifiers in arena", "u32 deltas", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), arena);
-        assert_alike(&twins);
-
-        let mut uppers = split_both(&mut twins);
-        let coded = ["dictionary", "u32 deltas", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), coded, "200 names");
-        assert_eq!(uppers[1].segment.encodings(), arena, "300 names");
-        assert_alike(&twins);
-        assert_alike(&uppers);
-
-        put_both(&mut twins, 1, 1, b"new", 20);
-        assert!(twins[1].segment.is_moved(1));
-        assert_alike(&twins);
-        twins[1].flush();
-        assert_eq!(twins[1].segment.encodings(), coded);
-        assert_alike(&twins);
-
-        let now = 12 + TOMBSTONE_GRACE_TICKS;
-        put_both(&mut uppers, 2, 0, &[2, 0], now);
-        assert!(uppers[1].purge_queue.is_empty());
-        assert_eq!(uppers[1].memstore.len(), 2, "the purge thawed row r4");
-        assert_alike(&uppers);
-    }
-
-    /// A flush chooses the dictionary from the names it freezes: a coded
-    /// segment merged with a memstore that brings it past 256 names drops
-    /// it, and a flush after purges have left fewer takes it up again.
-    #[test]
-    fn a_flush_chooses_the_dictionary_from_the_names_it_freezes() {
-        let mut twins = [Region::new(vec![], 0), Region::new(vec![], 0)];
-        put_names(&mut twins, 0, 100, 10);
-        put_names(&mut twins, 1, 100, 10);
-        twins[1].flush();
-        let coded = ["dictionary", "u32 deltas", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), coded);
-        put_names(&mut twins, 2, 100, 20);
-        assert_alike(&twins);
-        twins[1].flush();
-        let arena = ["qualifiers in arena", "u32 deltas", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), arena, "300 names");
-        assert_alike(&twins);
-
-        for i in 0..100 {
-            apply_both(&mut twins, 0, 0, &Mutation::delete_at("a", &[0, i], 30), 30);
-        }
-        assert_alike(&twins);
-        put_both(&mut twins, 1, 0, &[1, 0], 31 + TOMBSTONE_GRACE_TICKS);
-        assert_eq!(twins[1].row_count(), 2, "row r0 was purged");
-        assert_alike(&twins);
-        twins[1].flush();
-        assert_eq!(twins[1].segment.encodings(), coded, "200 names");
-        assert_alike(&twins);
-    }
-
-    /// A segment whose rows each hold one column leaves out its column
-    /// ends. A flush that freezes a wider row keeps them, and a split half
-    /// of one-column rows leaves them out again.
-    #[test]
-    fn one_column_rows_leave_out_column_ends() {
-        let mut twins = [Region::new(vec![], 0), Region::new(vec![], 0)];
-        for row in 0..5 {
-            put_both(&mut twins, row, 0, b"q", 10);
-        }
-        twins[1].flush();
-        let single = ["dictionary", "u32 deltas", "one column per row"];
-        assert_eq!(twins[1].segment.encodings(), single);
-        assert_alike(&twins);
-
-        put_both(&mut twins, 1, 1, b"q", 11);
-        assert_alike(&twins);
-        twins[1].flush();
-        let mixed = ["dictionary", "u32 deltas", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), mixed);
-        assert_alike(&twins);
-
-        let uppers = split_both(&mut twins);
-        assert_eq!(twins[1].segment.encodings(), mixed, "row r1 has two");
-        assert_eq!(uppers[1].segment.encodings(), single);
-        assert_alike(&twins);
-        assert_alike(&uppers);
-    }
-
-    /// Timestamps more than 2^32 apart are stored whole: a flush that
-    /// brings a far one in widens them, a row thawed from such a segment
-    /// keeps its timestamps (a write older than one is dropped), and a
-    /// split half whose timestamps are close stores deltas again.
-    #[test]
-    fn timestamps_too_far_apart_for_deltas_are_stored_whole() {
-        const FAR: u64 = 10 + (1 << 33);
-        let mut twins = [Region::new(vec![], 0), Region::new(vec![], 0)];
-        put_both(&mut twins, 0, 0, b"q", 10);
-        put_both(&mut twins, 1, 1, b"q", 11);
-        twins[1].flush();
-        let deltas = ["dictionary", "u32 deltas", "one column per row"];
-        assert_eq!(twins[1].segment.encodings(), deltas);
-        put_both(&mut twins, 3, 0, b"q", FAR);
-        put_both(&mut twins, 4, 0, b"q", FAR + 1);
-        twins[1].flush();
-        let wide = ["dictionary", "u64 timestamps", "one column per row"];
-        assert_eq!(twins[1].segment.encodings(), wide);
-        assert_alike(&twins);
-
-        let stale = Mutation::put_at("a", b"q", b"stale".to_vec(), FAR - 1);
-        apply_both(&mut twins, 3, 0, &stale, FAR + 2);
-        put_both(&mut twins, 0, 1, b"r", 12);
-        assert!(twins[1].segment.is_moved(0) && twins[1].segment.is_moved(2));
-        assert_alike(&twins);
-        twins[1].flush();
-        let wide = ["dictionary", "u64 timestamps", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), wide);
-        assert_alike(&twins);
-
-        let uppers = split_both(&mut twins);
-        let lower = ["dictionary", "u32 deltas", "column ends"];
-        assert_eq!(twins[1].segment.encodings(), lower);
-        assert_eq!(uppers[1].segment.encodings(), deltas);
-        assert_alike(&twins);
-        assert_alike(&uppers);
     }
 }

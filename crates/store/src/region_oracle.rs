@@ -141,6 +141,14 @@ fn family_names() -> Vec<Arc<str>> {
 /// One generated write: `(row, family, qualifier, kind, lag, step)`.
 type Op = (u8, usize, u8, u8, u64, u16);
 
+/// The rows a generated write goes to: `r0` to `r4`, and `r4` with a
+/// byte more, so a segment holds keys of one width or of two.
+pub(crate) const KEYS: [&[u8]; 6] = [b"r\0", b"r\x01", b"r\x02", b"r\x03", b"r\x04", b"r\x04\0"];
+
+/// One column a generated write stores: `(family, qualifier, mutation,
+/// version)`.
+type Write = (usize, u8, Mutation, Version);
+
 /// Qualifier `q` of four, 0 to 3 bytes long, each a prefix of the next.
 fn qualifier_of(q: u8) -> &'static [u8] {
     &b"qrs"[..usize::from(q)]
@@ -154,38 +162,56 @@ fn value_of(ts: u64, row: u8, q: u8) -> Vec<u8> {
     (0..len).map(|i| (ts as usize + i) as u8 ^ row).collect()
 }
 
-/// The write `op` stands for, with the clock moved on to its tick:
-/// `(row key, family, mutation, version)`. Mostly a few ticks pass; one
-/// step in fifty crosses the grace window, so purges happen, and a quarter
-/// of those move the clock on by 2^32 or more, so a flush may freeze
-/// timestamps too far apart for 32-bit deltas. Pinned
-/// timestamps lag by less than the window, so none is older than a
+/// The write `op` stands for, with the clock moved on to its tick: its
+/// row key and the columns it stores, in one call. Mostly one column; one
+/// write in four puts every column of the row at one timestamp. Mostly a
+/// few ticks pass; one step in fifty crosses the grace window, so purges
+/// happen, and a quarter of those move the clock on by 2^32 or more, so a
+/// flush may freeze timestamps too far apart for 32-bit deltas; one step
+/// in a hundred moves it on by 2^17, past 16-bit deltas and the window.
+/// Pinned timestamps lag by less than the window, so none is older than a
 /// tombstone the region has already dropped.
-fn write_of(op: Op, now: &mut u64) -> ([u8; 2], usize, Mutation, Version) {
+fn write_of(op: Op, now: &mut u64) -> (&'static [u8], Vec<Write>) {
     let (row, family, qualifier, kind, lag, step) = op;
     *now += match step {
         0..5 => (1 << 32) + u64::from(step),
         5..20 => TOMBSTONE_GRACE_TICKS + 50,
+        20..30 => 1 << 17,
         _ => 1 + u64::from(step % 3),
     };
-    let key = [b'r', row];
     let pinned = (lag < 20).then(|| *now - lag);
     let ts = pinned.unwrap_or(*now);
-    let value = value_of(ts, row, qualifier);
-    let (name, qualifier) = (FAMILIES[family], qualifier_of(qualifier));
-    let (mutation, version) = match (kind, pinned) {
-        (2, Some(at)) => (Mutation::delete_at(name, qualifier, at), (ts, None)),
-        (2, None) => (Mutation::delete(name, qualifier), (ts, None)),
-        (_, Some(at)) => (
-            Mutation::put_at(name, qualifier, value.clone(), at),
-            (ts, Some(value)),
-        ),
-        (_, None) => (
-            Mutation::put(name, qualifier, value.clone()),
-            (ts, Some(value)),
-        ),
+    let column = |family: usize, q: u8| -> Write {
+        let (name, qualifier) = (FAMILIES[family], qualifier_of(q));
+        let value = value_of(ts, row, q);
+        let (mutation, version) = match (kind, pinned) {
+            (2, Some(at)) => (Mutation::delete_at(name, qualifier, at), (ts, None)),
+            (2, None) => (Mutation::delete(name, qualifier), (ts, None)),
+            (_, Some(at)) => (
+                Mutation::put_at(name, qualifier, value.clone(), at),
+                (ts, Some(value)),
+            ),
+            (_, None) => (
+                Mutation::put(name, qualifier, value.clone()),
+                (ts, Some(value)),
+            ),
+        };
+        (family, q, mutation, version)
     };
-    (key, family, mutation, version)
+    let writes = match kind {
+        3 => (0..2)
+            .flat_map(|f| (0..4).map(move |q| (f, q)))
+            .map(|(f, q)| column(f, q))
+            .collect(),
+        _ => vec![column(family, qualifier)],
+    };
+    (KEYS[usize::from(row)], writes)
+}
+
+/// Applies `writes` to row `key` of `region` in one call.
+fn apply(region: &mut Region, key: &[u8], writes: &[Write], now: u64, names: &[Arc<str>]) {
+    let mutations = writes.iter().map(|(family, _, m, _)| (*family, m));
+    region.mutate_row(key, mutations, now, names);
 }
 
 /// The region of `regions` (in key order) that serves `key`.
@@ -220,20 +246,19 @@ pub(crate) fn assert_reads_alike(
     prop_assert_eq!(plain.split_point(), flushed.split_point());
     let sides = [plain, flushed];
     for projection in [None, Some(&[0, 1][..]), Some(&[0][..]), Some(&[1][..])] {
-        for row in 0u8..5 {
-            let key = [b'r', row];
-            let read = plain.get_owned(&key, names, projection);
-            prop_assert_eq!(&read, &flushed.get_owned(&key, names, projection));
+        for key in KEYS {
+            let read = plain.get_owned(key, names, projection);
+            prop_assert_eq!(&read, &flushed.get_owned(key, names, projection));
             let (owned, cost) = read;
             for (region, batch) in sides.into_iter().zip(batches.iter_mut()) {
-                prop_assert_eq!(region.get_into(&key, names, projection, batch), cost);
+                prop_assert_eq!(region.get_into(key, names, projection, batch), cost);
                 prop_assert_eq!(batch.get(0), owned.as_ref().map(RowResult::as_row_ref));
             }
             for (stop, max_rows) in [(None, 1), (None, 2), (None, 100), (Some(&[b'r', 3][..]), 2)] {
-                let step = plain.scan_owned(&key, stop, names, projection, None, max_rows);
+                let step = plain.scan_owned(key, stop, names, projection, None, max_rows);
                 prop_assert_eq!(
                     &step,
-                    &flushed.scan_owned(&key, stop, names, projection, None, max_rows)
+                    &flushed.scan_owned(key, stop, names, projection, None, max_rows)
                 );
                 let (rows, cost, resume) = step;
                 let want: Vec<_> = rows.iter().map(RowResult::as_row_ref).collect();
@@ -292,16 +317,18 @@ proptest! {
     /// values would win is unspecified in HBase and in the model alike.
     #[test]
     fn region_matches_the_keep_everything_model(ops in prop::collection::vec(
-        (0u8..5, 0usize..2, 0u8..4, 0u8..3, 0u64..40, 0u16..1000), 1..150)) {
+        (0u8..6, 0usize..2, 0u8..4, 0u8..4, 0u64..40, 0u16..1000), 1..150)) {
         let names = family_names();
         let mut region = Region::new(Vec::new(), 0);
         let mut model = ReferenceRegion::default();
         let mut now = 2 * TOMBSTONE_GRACE_TICKS;
 
         for op in ops {
-            let (key, family, mutation, version) = write_of(op, &mut now);
-            region.mutate_row(&key, [(family, &mutation)], now, &names);
-            model.mutate(&key, family, qualifier_of(op.2), version);
+            let (key, writes) = write_of(op, &mut now);
+            apply(&mut region, key, &writes, now, &names);
+            for (family, q, _, version) in writes {
+                model.mutate(key, family, qualifier_of(q), version);
+            }
 
             prop_assert_eq!(region.kv_count(), model.kv_count());
             prop_assert_eq!((region.row_count(), region.kv_count(), region.byte_size()), region.recount(&names));
@@ -310,11 +337,10 @@ proptest! {
                 let (scan_rows, scan_cost, _) =
                     region.scan_owned(b"", None, &names, Some(&projection), None, 100);
                 let mut model_touched = 0;
-                for r in 0u8..5 {
-                    let key = [b'r', r];
-                    let (want, touched) = model.read(&key, &projection);
+                for key in KEYS {
+                    let (want, touched) = model.read(key, &projection);
                     model_touched += touched;
-                    let (got, cost) = region.get_owned(&key, &names, Some(&projection));
+                    let (got, cost) = region.get_owned(key, &names, Some(&projection));
                     prop_assert_eq!(got.as_ref().map(cells_of).unwrap_or_default(), want.clone());
                     prop_assert!(cost.kvs_scanned <= touched);
                     if !want.is_empty() {
@@ -335,7 +361,7 @@ proptest! {
     #[test]
     fn a_flushed_region_reads_bills_and_resumes_as_a_never_flushed_one(
         ops in prop::collection::vec(
-            (0u8..5, 0usize..2, 0u8..4, 0u8..3, 0u64..40, 0u16..1000), 1..150),
+            (0u8..6, 0usize..2, 0u8..4, 0u8..4, 0u64..40, 0u16..1000), 1..150),
         flushes in (0usize..150, 0usize..150),
         split_at in 0usize..300,
     ) {
@@ -354,9 +380,9 @@ proptest! {
                     side.push(upper);
                 }
             }
-            let (key, family, mutation, _) = write_of(op, &mut now);
+            let (key, writes) = write_of(op, &mut now);
             for side in [&mut plain, &mut flushed] {
-                route(side, &key).mutate_row(&key, [(family, &mutation)], now, &names);
+                apply(route(side, key), key, &writes, now, &names);
             }
             for (plain, flushed) in plain.iter().zip(&flushed) {
                 assert_reads_alike(plain, flushed, &names, &mut batches)?;

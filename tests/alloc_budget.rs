@@ -382,19 +382,23 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
 /// The store's own footprint: a loaded SF-0.002 store with both binary
 /// ISL indices built holds at most this many hundredths of a heap byte
 /// per byte its tables report stored (`Table::disk_size`). Measured:
-/// 0.8666, its rows frozen by the load's and the index builds' flushes
-/// into region segments that own their bytes and store each repeated
-/// name, timestamp and column end once (1.1218 while each column kept
-/// its own, 1.8908 while a segment held each cell's qualifier and value
-/// as handles, 2.819–2.823 while every row was a B-tree entry,
-/// 3.299–3.301 when every loaded row also copied its column names and
-/// each lineitem its join keys).
-const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 87;
+/// 0.7366, its rows frozen by the load's and the index builds' flushes
+/// into region segments that own their bytes, store each repeated name
+/// once and nothing they can derive: no key or qualifier ends where
+/// every key, or every qualifier of a family, has one width, one
+/// timestamp per row where a row was written whole, and timestamp deltas
+/// of 16 bits where their span fits (0.8666 with `u32` key and qualifier
+/// ends and a `u32` timestamp delta per column, 1.1218 while each column
+/// kept its own name and `u64` timestamp, 1.8908 while a segment held
+/// each cell's qualifier and value as handles, 2.819–2.823 while every
+/// row was a B-tree entry, 3.299–3.301 when every loaded row also copied
+/// its column names and each lineitem its join keys).
+const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 74;
 
 /// A finished load or index build freezes its rows into region segments,
-/// each holding its keys, names and values in flat arenas with `u32` ends
-/// and its timestamps as `u32` deltas: the live heap of a loaded, indexed
-/// store stays at the ratio that buys.
+/// each holding its keys, names and values in flat arenas and storing
+/// only what it cannot derive: the live heap of a loaded, indexed store
+/// stays at the ratio that buys.
 #[test]
 fn a_loaded_store_holds_a_bounded_heap_per_stored_byte() {
     let _alone = ALONE.write().unwrap_or_else(PoisonError::into_inner);
@@ -1352,15 +1356,17 @@ fn a_maintained_write_allocates_only_what_it_stores() {
 /// A warm maintained delete of a loaded Lineitem row, which the load froze
 /// into its region's segment, on a side with no index attached.
 ///
-/// Its 16 allocations: the tombstones' vector and the row-key handle; one
+/// Its 8 allocations: the tombstones' vector and the row-key handle; one
 /// copy of each of the row's 4 qualifiers for its tombstone, since a
 /// frozen cell's bytes are copied into the side's batch and lend no
-/// handle; and the write's thaw of the row into the memstore, which copies
-/// its key, its column vector and each column's qualifier and value (10).
-/// The read itself allocates nothing into the warm batch. 22 while the
-/// delete read its row owned: the row's key and cell vector, and two
-/// handles per column.
-const FROZEN_DELETE_ALLOCS: u64 = 16;
+/// handle; and the write's thaw of the row into the memstore, which
+/// copies its key and allocates its column vector (2). Every column the
+/// delete supersedes is stored anew under its tombstone's qualifier
+/// handle, so the thaw copies no qualifier or value. The read itself
+/// allocates nothing into the warm batch. 16 while the thaw copied each
+/// column's qualifier and value, and 22 while the delete read its row
+/// owned: the row's key and cell vector, and two handles per column.
+const FROZEN_DELETE_ALLOCS: u64 = 8;
 
 #[test]
 fn a_warm_delete_of_a_frozen_row_copies_each_qualifier_once() {

@@ -7,19 +7,22 @@
 //! store's own overhead, the floor under every workload's peak memory.
 //! A finished load or index build freezes its rows into region segments
 //! that own their bytes in flat arenas and store each name, timestamp
-//! and column end only as often as it differs (see `rj_store::segment`).
-//! This test's run measures 0.73× on the base tables, 1.15× on Q2's ISL
-//! index, 1.20× on its BFHM index and 0.89× in all. Beside each ratio it
-//! prints the heap per stored column beyond the billed bytes, `(heap −
-//! stored) / cells`: negative where the store keeps once what
-//! `disk_size` bills per cell (a row's key, a family name, a qualifier
-//! shared by a table's columns). Earlier layouts measured 1.03×, 1.31×,
-//! 1.28× and 1.12× while each column kept its own qualifier, byte ends
-//! and `u64` timestamp; 1.55×, 2.56×, 2.48× and 1.89× while a segment held
-//! each cell's qualifier and value as handles; 2.2×, 4.1× and 2.9× while
-//! every row was a B-tree entry with its own sorted column vector; 3.6×
-//! while every row copied its names and keys, 8.6× when a row held one
-//! B-tree per family, and 13× on the one-column rows of an index table.
+//! and column end only as often as it differs, and no key or qualifier
+//! end whose width repeats (see `rj_store::segment`). This test's run
+//! measures 0.63× on the base tables, 0.95× on Q2's ISL index, 1.17× on
+//! its BFHM index and 0.78× in all. Beside each ratio it prints the heap
+//! per stored column beyond the billed bytes, `(heap − stored) / cells`:
+//! negative where the store keeps once what `disk_size` bills per cell
+//! (a row's key, a family name, a qualifier shared by a table's columns,
+//! a row's timestamp). Earlier layouts measured 0.73×, 1.15×, 1.20× and
+//! 0.89× with `u32` key and qualifier ends and a `u32` timestamp delta
+//! per column; 1.03×, 1.31×, 1.28× and 1.12× while each column kept its
+//! own qualifier, byte ends and `u64` timestamp; 1.55×, 2.56×, 2.48× and
+//! 1.89× while a segment held each cell's qualifier and value as
+//! handles; 2.2×, 4.1× and 2.9× while every row was a B-tree entry with
+//! its own sorted column vector; 3.6× while every row copied its names
+//! and keys, 8.6× when a row held one B-tree per family, and 13× on the
+//! one-column rows of an index table.
 //! It holds the line at 5×; `tests/alloc_budget.rs` ratchets the loaded
 //! store's own ratio.
 //!
