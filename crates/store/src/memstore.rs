@@ -122,22 +122,26 @@ impl<V> Memstore<V> {
         }
     }
 
-    /// The rows from `from` (inclusive) on, in key order.
-    pub(crate) fn range_from(&self, from: &[u8]) -> Iter<'_, V> {
+    /// The rows from `from` (inclusive) on and before `stop` (exclusive),
+    /// if there is one, in key order.
+    pub(crate) fn range(&self, from: &[u8], stop: Option<&[u8]>) -> Iter<'_, V> {
+        // A stop at or before `from` leaves no row.
+        let stop = stop.map(|stop| stop.max(from));
         match self {
             Memstore::Small(rows) => {
-                let at = search(rows, from).unwrap_or_else(|at| at);
-                Iter::Small(rows[at..].iter())
+                let at = |key| search(rows, key).unwrap_or_else(|at| at);
+                Iter::Small(rows[at(from)..stop.map_or(rows.len(), at)].iter())
             }
             Memstore::Large(rows) => {
-                Iter::Large(rows.range::<[u8], _>((Bound::Included(from), Bound::Unbounded)))
+                let end = stop.map_or(Bound::Unbounded, Bound::Excluded);
+                Iter::Large(rows.range::<[u8], _>((Bound::Included(from), end)))
             }
         }
     }
 
     /// Every row, in key order.
     pub(crate) fn iter(&self) -> Iter<'_, V> {
-        self.range_from(&[])
+        self.range(&[], None)
     }
 
     /// Moves the rows from `key` (inclusive) on into a new memstore.
@@ -280,10 +284,16 @@ mod tests {
         assert!(keys(&memstore).iter().all(|&v| v < 100));
         assert!(keys(&upper).iter().all(|&v| v >= 100));
         let from: Vec<u32> = upper
-            .range_from(&150u32.to_be_bytes())
+            .range(&150u32.to_be_bytes(), None)
             .map(|(_, &v)| v)
             .collect();
         assert_eq!(from, (151..total).step_by(2).collect::<Vec<_>>());
+        let between = |stop: u32| -> Vec<u32> {
+            let range = upper.range(&150u32.to_be_bytes(), Some(&stop.to_be_bytes()));
+            range.map(|(_, &v)| v).collect()
+        };
+        assert_eq!(between(156), [151, 153, 155]);
+        assert_eq!(between(140), [], "a stop before the start");
     }
 
     /// Below the limit a removal keeps the vector's room, so refilling it

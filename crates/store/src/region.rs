@@ -28,16 +28,19 @@
 //! as B-tree rows (2.82×), 39.01 MB (1.88×) as segments of handles and
 //! 23.19 MB (1.12×) as segments of bytes, 17.89 MB (0.86×) once a
 //! segment stored its repeated names, timestamps and column ends once,
-//! and holds 15.35 MB (0.74×) since it stores nothing it can derive: no
-//! key or qualifier ends whose widths repeat, one timestamp for a row
-//! written whole, and 16-bit timestamp deltas where their span fits.
+//! 15.35 MB (0.74×) once it stored nothing it can derive (no key or
+//! qualifier ends whose widths repeat, one timestamp for a row written
+//! whole, 16-bit timestamp deltas where their span fits), and holds
+//! 13.31 MB (0.64×) since it stores its rows' one shape, its keys'
+//! common prefix and its ends in blocks of 16-bit offsets once.
 //!
 //! A read lends what the half holds: a memstore cell's handles, or a
 //! frozen cell's bytes, which the reader's [`RowBatch`] copies into the
-//! buffer it recycles for row keys. Either way a read allocates nothing
-//! once its batch has grown, and a point read and a scan step are the same
-//! walk (`Region::get_into`, `Region::scan_batch_into`); a caller that
-//! keeps a row copies it out ([`RowRef::to_owned`]). Billing and
+//! buffer it recycles for row keys (a frozen row's key too, written from
+//! its segment's prefix and its own suffix). Either way a read allocates
+//! nothing once its batch has grown, and a point read and a scan step
+//! are the same walk (`Region::get_into`, `Region::scan_batch_into`); a
+//! caller that keeps a row copies it out ([`RowRef::to_owned`]). Billing and
 //! [`Region::byte_size`] count every column's bytes, however they are
 //! held.
 //!
@@ -95,7 +98,7 @@ use crate::cell::Mutation;
 use crate::filter::ServerFilter;
 use crate::memstore::{self, family_columns, Column, Memstore, RowData};
 use crate::row::{RowBatch, RowRef};
-use crate::segment::Segment;
+use crate::segment::{Key, Segment};
 
 /// Cluster-clock ticks a tombstone outlives its own timestamp before the
 /// region drops it (see the module docs). Every `mutate_row` and every
@@ -126,9 +129,9 @@ impl Stored<'_> {
     /// Stored bytes: [`crate::cell::Cell::weight`] for a put, the same without a value
     /// for a tombstone (what [`Mutation::weight`] charged for the write
     /// that stored it).
-    fn weight(&self, row_key: &[u8], family_names: &[Arc<str>]) -> u64 {
+    fn weight(&self, key_len: usize, family_names: &[Arc<str>]) -> u64 {
         let value = self.value.map_or(0, <[u8]>::len);
-        (row_key.len() + family_names[self.family].len() + self.qualifier.len() + 8 + value) as u64
+        (key_len + family_names[self.family].len() + self.qualifier.len() + 8 + value) as u64
     }
 
     /// Appends the cell, a put's, to the row `out` is writing: lending
@@ -205,7 +208,7 @@ impl<'a> RowView<'a> {
                     return columns.for_each(|c| visit(segment.stored(row, c)));
                 };
                 for &family in families {
-                    let columns = segment.family(columns.clone(), family);
+                    let columns = segment.family(row, columns.clone(), family);
                     columns.for_each(|c| visit(segment.stored(row, c)));
                 }
             }
@@ -213,31 +216,33 @@ impl<'a> RowView<'a> {
     }
 }
 
-/// A region's stored rows from some key on, in key order: memstore rows
+/// A region's stored rows in a key range, in key order: memstore rows
 /// merged with the segment rows not moved (no key is in both).
 struct Rows<'a> {
     memstore: Peekable<memstore::Iter<'a, RowData>>,
     segment: &'a Segment,
     /// The next segment row.
     next: usize,
+    /// The segment row the range ends before.
+    end: usize,
 }
 
 impl<'a> Iterator for Rows<'a> {
-    type Item = (&'a [u8], RowView<'a>);
+    type Item = (Key<'a>, RowView<'a>);
 
     fn next(&mut self) -> Option<Self::Item> {
         let segment = self.segment;
-        while self.next < segment.len() && segment.is_moved(self.next) {
+        while self.next < self.end && segment.is_moved(self.next) {
             self.next += 1;
         }
-        let frozen = (self.next < segment.len()).then(|| segment.key(self.next));
+        let frozen = (self.next < self.end).then(|| segment.key(self.next));
         let from_memstore = match (self.memstore.peek(), frozen) {
-            (Some((key, _)), Some(frozen)) => key[..] < *frozen,
+            (Some((key, _)), Some(frozen)) => frozen.cmp_bytes(key).is_gt(),
             (memstore, _) => memstore.is_some(),
         };
         if from_memstore {
             let (key, row) = self.memstore.next()?;
-            return Some((key, RowView::Memstore(&row.columns)));
+            return Some((Key::whole(key), RowView::Memstore(&row.columns)));
         }
         let key = frozen?;
         let row = self.next;
@@ -342,12 +347,17 @@ impl Region {
         Some(RowView::Frozen(&self.segment, row))
     }
 
-    /// The stored rows from `from` (inclusive) on, in key order.
-    fn rows_from(&self, from: &[u8]) -> Rows<'_> {
+    /// The stored rows from `from` (inclusive) on and before `stop`
+    /// (exclusive), if there is one, in key order. Each half finds where
+    /// the range ends once, so no row's key is compared with `stop`.
+    fn rows(&self, from: &[u8], stop: Option<&[u8]>) -> Rows<'_> {
+        let next = self.segment.lower_bound(from);
+        let end = stop.map_or(self.segment.len(), |stop| self.segment.lower_bound(stop));
         Rows {
-            memstore: self.memstore.range_from(from).peekable(),
+            memstore: self.memstore.range(from, stop).peekable(),
             segment: &self.segment,
-            next: self.segment.lower_bound(from),
+            next,
+            end: end.max(next),
         }
     }
 
@@ -401,7 +411,7 @@ impl Region {
                             first.is_some_and(|(new, ..)| old.order_key() <= new.order_key());
                         if superseded {
                             *kv_count -= u64::from(old.value.is_some());
-                            *byte_size -= old.weight(row_key, family_names);
+                            *byte_size -= old.weight(row_key.len(), family_names);
                         }
                         !superseded
                     })
@@ -427,9 +437,9 @@ impl Region {
                 continue; // stale on arrival: the stored version is newer
             }
             let (was_visible, old_weight) = old.map_or((false, 0), |old| {
-                (old.value.is_some(), old.weight(row_key, family_names))
+                (old.value.is_some(), old.weight(row_key.len(), family_names))
             });
-            let new_weight = new.weight(row_key, family_names);
+            let new_weight = new.weight(row_key.len(), family_names);
             if value.is_none() {
                 self.purge_queue.push(Reverse(DeadColumn {
                     ts,
@@ -500,7 +510,7 @@ impl Region {
                 continue; // overwritten since; a newer tombstone has its own entry
             };
             let tombstone = row.columns.remove(at);
-            self.byte_size -= tombstone.stored().weight(&dead.row, family_names);
+            self.byte_size -= tombstone.stored().weight(dead.row.len(), family_names);
             if row.columns.is_empty() {
                 self.memstore.remove(&dead.row);
                 self.row_count -= 1;
@@ -526,7 +536,7 @@ impl Region {
     /// are reserved at once; a row that a projected scan merely walks over
     /// (all its cells in other families) costs no heap traffic.
     fn lend_row(
-        key: &[u8],
+        key: Key<'_>,
         row: &RowView<'_>,
         family_names: &[Arc<str>],
         families: Option<&[usize]>,
@@ -545,7 +555,7 @@ impl Region {
             // retained tombstone included.
             cost.kvs_scanned += 1;
             if column.value.is_some() {
-                cost.bytes_scanned += column.weight(key, family_names);
+                cost.bytes_scanned += column.weight(key.len(), family_names);
                 column.lend(family_names, out);
             }
         });
@@ -567,9 +577,9 @@ impl Region {
         let Some(row) = self.row(key) else {
             return ReadCost::default();
         };
+        let key = Key::whole(key);
         let mut cost = Self::lend_row(key, &row, family_names, families, out);
-        let row = out.open_row(key);
-        if row.kv_count() > 0 {
+        if let Some(row) = out.open_row(key) {
             cost.kvs_returned = row.kv_count();
             cost.bytes_returned = row.weight();
             out.commit_row(key);
@@ -594,28 +604,23 @@ impl Region {
         out: &mut RowBatch,
     ) -> (ReadCost, bool) {
         let mut cost = ReadCost::default();
-        for (visited, (key, row)) in self.rows_from(next_key).enumerate() {
-            if stop.is_some_and(|stop| key >= stop) {
-                break;
-            }
+        for (visited, (key, row)) in self.rows(next_key, stop).enumerate() {
             if visited == max_rows {
                 next_key.clear();
-                next_key.extend_from_slice(key);
+                key.write_from(0, next_key);
                 return (cost, true);
             }
             let scanned = Self::lend_row(key, &row, family_names, families, out);
             cost.kvs_scanned += scanned.kvs_scanned;
             cost.bytes_scanned += scanned.bytes_scanned;
-            let row = out.open_row(key);
-            if row.kv_count() == 0 {
-                continue;
-            }
-            if filter.is_none_or(|f| f.accept(row)) {
-                cost.kvs_returned += row.kv_count();
-                cost.bytes_returned += row.weight();
-                out.commit_row(key);
-            } else {
-                out.discard_row();
+            match out.open_row(key) {
+                Some(row) if filter.is_none_or(|f| f.accept(row)) => {
+                    cost.kvs_returned += row.kv_count();
+                    cost.bytes_returned += row.weight();
+                    out.commit_row(key);
+                }
+                Some(_) => out.discard_row(),
+                None => {}
             }
         }
         (cost, false)
@@ -629,19 +634,18 @@ impl Region {
         batch: &mut RowBatch,
         mut visit: impl FnMut(RowRef<'_>),
     ) {
-        for (key, row) in self.rows_from(&[]) {
+        for (key, row) in self.rows(&[], None) {
             batch.clear();
             Self::lend_row(key, &row, family_names, None, batch);
-            let row = batch.open_row(key);
-            if row.kv_count() > 0 {
+            if let Some(row) = batch.open_row(key) {
                 visit(row);
             }
         }
     }
 
     /// Row keys in ascending order (rebalancing support).
-    pub(crate) fn row_keys(&self) -> impl Iterator<Item = &[u8]> {
-        self.rows_from(&[]).map(|(key, _)| key)
+    pub(crate) fn row_keys(&self) -> impl Iterator<Item = Key<'_>> {
+        self.rows(&[], None).map(|(key, _)| key)
     }
 
     /// The median row key, used as an auto-split point. `None` if the
@@ -650,7 +654,7 @@ impl Region {
         if self.row_count < 2 {
             return None;
         }
-        self.row_keys().nth(self.row_count / 2).map(<[u8]>::to_vec)
+        self.row_keys().nth(self.row_count / 2).map(Key::to_vec)
     }
 
     /// Stored rows, live KV count and stored bytes by a full walk: what
@@ -658,11 +662,11 @@ impl Region {
     /// `byte_size` must equal.
     pub(crate) fn recount(&self, family_names: &[Arc<str>]) -> (usize, u64, u64) {
         let (mut rows, mut kvs, mut bytes) = (0, 0, 0);
-        for (key, row) in self.rows_from(&[]) {
+        for (key, row) in self.rows(&[], None) {
             rows += 1;
             row.for_each_selected(None, |column| {
                 kvs += u64::from(column.value.is_some());
-                bytes += column.weight(key, family_names);
+                bytes += column.weight(key.len(), family_names);
             });
         }
         (rows, kvs, bytes)
@@ -909,8 +913,8 @@ mod tests {
         let split = r.split_point().unwrap();
         let upper = r.split_off(&split, 1, &fams());
         assert_eq!(r.row_count() + upper.row_count(), 10);
-        assert!(r.row_keys().all(|k| k < split.as_slice()));
-        assert!(upper.row_keys().all(|k| k >= split.as_slice()));
+        assert!(r.row_keys().all(|k| k.cmp_bytes(&split).is_lt()));
+        assert!(upper.row_keys().all(|k| k.cmp_bytes(&split).is_ge()));
         assert_eq!(upper.node(), 1);
         assert_eq!(r.kv_count() + upper.kv_count(), 10);
     }
@@ -1365,7 +1369,10 @@ mod tests {
             r.get_owned(b"k", &fams(), None),
             (None, ReadCost::default())
         );
-        assert_eq!(r.row_keys().collect::<Vec<_>>(), [&b"anchor"[..]]);
+        assert_eq!(
+            r.row_keys().map(Key::to_vec).collect::<Vec<_>>(),
+            [b"anchor"]
+        );
         assert_accounting_matches_a_recount(&r);
         r.flush();
         assert_eq!(r.segment.len(), 1, "the flush left the purged row out");

@@ -23,6 +23,7 @@ use crate::cell::Mutation;
 use crate::filter::ServerFilter;
 use crate::region::{ReadCost, Region, TOMBSTONE_GRACE_TICKS};
 use crate::row::{RowBatch, RowResult};
+use crate::segment::Key;
 
 impl Region {
     /// A point read into a fresh batch, copied out: `(row, cost)`.
@@ -141,9 +142,17 @@ fn family_names() -> Vec<Arc<str>> {
 /// One generated write: `(row, family, qualifier, kind, lag, step)`.
 type Op = (u8, usize, u8, u8, u64, u16);
 
-/// The rows a generated write goes to: `r0` to `r4`, and `r4` with a
-/// byte more, so a segment holds keys of one width or of two.
-pub(crate) const KEYS: [&[u8]; 6] = [b"r\0", b"r\x01", b"r\x02", b"r\x03", b"r\x04", b"r\x04\0"];
+/// The rows a generated write goes to: `r0` to `r4`, `r4` with a byte
+/// more and `s`, so a segment holds keys of one width or of several, and
+/// a prefix of two bytes (a row alone), one or none.
+pub(crate) const KEYS: [&[u8]; 7] = [
+    b"r\0", b"r\x01", b"r\x02", b"r\x03", b"r\x04", b"r\x04\0", b"s",
+];
+
+/// Keys no write goes to, which [`assert_reads_alike`] reads from too:
+/// the empty key, one short of every `r` key and one past `r4` with a
+/// byte more.
+const PROBES: [&[u8]; 3] = [b"", b"r", b"r\x04\0\0"];
 
 /// One column a generated write stores: `(family, qualifier, mutation,
 /// version)`.
@@ -154,11 +163,15 @@ fn qualifier_of(q: u8) -> &'static [u8] {
     &b"qrs"[..usize::from(q)]
 }
 
-/// What a put to `row`'s column `q` at `ts` writes: 0 to 300 bytes, a
-/// function of the three, so two puts to one column at one timestamp
-/// carry one value.
+/// What a put to `row`'s column `q` at `ts` writes: 0 to 299 bytes, or
+/// for about one put to `qrs` in 300, 64 KiB (so a flush may freeze a
+/// block of values too long for 16-bit ends); a function of the three,
+/// so two puts to one column at one timestamp carry one value.
 fn value_of(ts: u64, row: u8, q: u8) -> Vec<u8> {
-    let len = (ts as usize * 31 + usize::from(row) * 7 + usize::from(q)) % 301;
+    let len = match (ts as usize * 31 + usize::from(row) * 7 + usize::from(q)) % 301 {
+        300 if q == 3 => 1 << 16,
+        len => len % 300,
+    };
     (0..len).map(|i| (ts as usize + i) as u8 ^ row).collect()
 }
 
@@ -240,13 +253,13 @@ pub(crate) fn assert_reads_alike(
         (plain.row_count(), plain.kv_count(), plain.byte_size())
     );
     prop_assert_eq!(
-        plain.row_keys().collect::<Vec<_>>(),
-        flushed.row_keys().collect::<Vec<_>>()
+        plain.row_keys().map(Key::to_vec).collect::<Vec<_>>(),
+        flushed.row_keys().map(Key::to_vec).collect::<Vec<_>>()
     );
     prop_assert_eq!(plain.split_point(), flushed.split_point());
     let sides = [plain, flushed];
     for projection in [None, Some(&[0, 1][..]), Some(&[0][..]), Some(&[1][..])] {
-        for key in KEYS {
+        for key in KEYS.into_iter().chain(PROBES) {
             let read = plain.get_owned(key, names, projection);
             prop_assert_eq!(&read, &flushed.get_owned(key, names, projection));
             let (owned, cost) = read;
@@ -317,7 +330,7 @@ proptest! {
     /// values would win is unspecified in HBase and in the model alike.
     #[test]
     fn region_matches_the_keep_everything_model(ops in prop::collection::vec(
-        (0u8..6, 0usize..2, 0u8..4, 0u8..4, 0u64..40, 0u16..1000), 1..150)) {
+        (0u8..7, 0usize..2, 0u8..4, 0u8..4, 0u64..40, 0u16..1000), 1..150)) {
         let names = family_names();
         let mut region = Region::new(Vec::new(), 0);
         let mut model = ReferenceRegion::default();
@@ -361,7 +374,7 @@ proptest! {
     #[test]
     fn a_flushed_region_reads_bills_and_resumes_as_a_never_flushed_one(
         ops in prop::collection::vec(
-            (0u8..6, 0usize..2, 0u8..4, 0u8..4, 0u64..40, 0u16..1000), 1..150),
+            (0u8..7, 0usize..2, 0u8..4, 0u8..4, 0u64..40, 0u16..1000), 1..150),
         flushes in (0usize..150, 0usize..150),
         split_at in 0usize..300,
     ) {

@@ -32,6 +32,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::cell::Cell;
+use crate::segment::Key;
 
 /// One cell as a row lends it: its parts as slices, and the handles
 /// behind them when the row holds handles (an owned row's, a memstore
@@ -409,22 +410,39 @@ impl RowBatch {
         });
     }
 
-    /// The row being written, viewed under `key`.
-    pub(crate) fn open_row<'a>(&'a self, key: &'a [u8]) -> RowRef<'a> {
+    /// The row being written, viewed under `key`, unless it has no cell.
+    /// A key in two parts (a frozen row's prefix and suffix) is written
+    /// after the row's cells first, where [`RowBatch::commit_row`] keeps
+    /// it and [`RowBatch::discard_row`] drops it; a whole key is viewed
+    /// where it is.
+    pub(crate) fn open_row<'a>(&'a mut self, key: Key<'a>) -> Option<RowRef<'a>> {
         let cell_start = self.previous(self.len()).cell_end as usize;
-        RowRef {
-            key,
-            cells: Cells::Batch(&self.cells[cell_start..], &self.bytes),
+        if cell_start == self.cells.len() {
+            return None;
         }
+        let key_start = self.bytes.len();
+        if !key.prefix.is_empty() {
+            key.write_from(0, &mut self.bytes);
+        }
+        Some(RowRef {
+            key: match key.prefix {
+                [] => key.suffix,
+                _ => &self.bytes[key_start..],
+            },
+            cells: Cells::Batch(&self.cells[cell_start..], &self.bytes),
+        })
     }
 
-    /// Makes the row being written the batch's next row, under `key`.
-    pub(crate) fn commit_row(&mut self, key: &[u8]) {
-        let key_start = offset(self.bytes.len());
-        self.bytes.extend_from_slice(key);
+    /// Makes the row that [`RowBatch::open_row`] opened under `key` the
+    /// batch's next row, copying its key unless it was written then.
+    pub(crate) fn commit_row(&mut self, key: Key<'_>) {
+        if key.prefix.is_empty() {
+            self.bytes.extend_from_slice(key.suffix);
+        }
+        let key_end = offset(self.bytes.len());
         self.ends.push(Ends {
-            key_start,
-            key_end: offset(self.bytes.len()),
+            key_start: key_end - offset(key.len()),
+            key_end,
             cell_end: offset(self.cells.len()),
         });
     }
@@ -489,18 +507,29 @@ mod tests {
     }
 
     /// Three rows of 1, 0 and 2 cells (a discarded row between them),
-    /// copied and lent in turn.
+    /// copied and lent in turn, under whole keys and keys in two parts.
     fn batch() -> RowBatch {
         let mut batch = RowBatch::new();
         push(&mut batch, cell("a", b"q", b"1"), false);
-        batch.commit_row(b"k1");
+        batch.commit_row(Key::whole(b"k1"));
         push(&mut batch, cell("a", b"q", b"dropped"), false);
-        assert_eq!(batch.open_row(b"kx").cells().len(), 1);
+        let dropped = batch.open_row(Key {
+            prefix: b"k",
+            suffix: b"x",
+        });
+        let dropped = dropped.map(|row| (row.key, row.cells().len()));
+        assert_eq!(dropped, Some((&b"kx"[..], 1)));
         batch.discard_row();
-        batch.commit_row(b"key2");
+        assert!(batch.open_row(Key::whole(b"key2")).is_none(), "no cell");
+        batch.commit_row(Key::whole(b"key2"));
         push(&mut batch, cell("a", b"q", b"3"), true);
         push(&mut batch, cell("b", b"q", b"4"), false);
-        batch.commit_row(b"k3");
+        let k3 = Key {
+            prefix: b"k3",
+            suffix: b"",
+        };
+        assert_eq!(batch.open_row(k3).map(|row| row.key), Some(&b"k3"[..]));
+        batch.commit_row(k3);
         batch
     }
 
@@ -527,7 +556,7 @@ mod tests {
         let mut batch = RowBatch::new();
         push(&mut batch, lent.clone(), true);
         push(&mut batch, cell("a", b"copied", b"v"), false);
-        batch.commit_row(b"k");
+        batch.commit_row(Key::whole(b"k"));
         let row = batch.get(0).unwrap();
         let [first, second] = [0, 1].map(|i| row.cells().nth(i).unwrap().qualifier_handle());
         assert_eq!(first.as_ptr(), lent.qualifier.as_ptr());

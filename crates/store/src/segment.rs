@@ -4,9 +4,9 @@
 //! A segment owns its bytes, as an HBase HFile block does: it holds the
 //! key, column and value bytes themselves, not handles to them. All its
 //! row keys sit in one byte arena, and every column's value in a second
-//! arena with one `u32` end per column. Each row keeps a `u32` end of its
-//! columns, sorted by `(family, qualifier)`, and each column a `u8` name
-//! code and one tombstone bit.
+//! arena with an end per column. A row's columns are sorted by `(family,
+//! qualifier)`, and each column has a `u8` name code and one tombstone
+//! bit.
 //!
 //! What repeats or can be derived is stored once, as HBase's data block
 //! encodings (`PREFIX`, `DIFF`, `FAST_DIFF`) do inside an HFile block.
@@ -20,27 +20,40 @@
 //!   qualifier per row) the code is the column's family, and the
 //!   qualifier sits in the arena before the value: all of one width per
 //!   family when every family's qualifiers have one (an index row's
-//!   qualifier is a base row key), else with a `u32` end of its own.
+//!   qualifier is a base row key), else with an end of its own.
+//! - **One row shape**, when every row holds the same names in the same
+//!   order (a base table's rows do): their `n` codes are kept once, and
+//!   column `i` of row `r` is column `r * n + i`. Else every column keeps
+//!   its code and every row the end of its columns, or no end when every
+//!   row holds exactly one column (an index row): row `r` is column `r`.
+//! - **A common key prefix**: the bytes every row key starts with, which
+//!   for sorted keys are what the first and the last share, are kept
+//!   once, and the key arena holds each key's suffix past them.
 //! - **Fixed-width keys**, when every row key has one width: row `r`'s
-//!   key is then the `r`th run of that many bytes, else it ends at a
-//!   `u32` end of its own.
+//!   suffix is then the `r`th run of that many bytes, else it ends at an
+//!   end of its own.
 //! - **One timestamp per row**, when every row's columns share one (a
 //!   row is written whole); else one per column.
 //! - **Timestamps as `u16`, `u32` or `u64` deltas** from the segment's
 //!   least, the narrowest their span fits.
-//! - **No column ends** when every row holds exactly one column: row `r`
-//!   is then column `r`.
+//! - **Ends in blocks**: an array of ends (the value ends, and the key,
+//!   qualifier and column ends where they are kept) holds a `u32` base
+//!   per block of 256 entries and a `u16` offset per entry when every
+//!   block spans less than 64 KiB, else a `u32` per entry (as for large
+//!   BFHM blobs).
 //!
-//! So a frozen base-table column costs 5 bytes and a bit beside its value
-//! and its row 6 beside its key (its column end and a `u16` timestamp);
-//! an index row of one column costs 7 bytes and a bit beside its key,
-//! qualifier and value. A frozen cell needs no allocation of its own.
+//! So a frozen base-table column costs 2 bytes and a bit beside its value
+//! (its value end) and its row 2 beside its key's suffix (a `u16`
+//! timestamp); an index row of one column costs 5 bytes and a bit beside
+//! its key's suffix, qualifier and value (its value end, code and
+//! timestamp). Each block of 256 ends adds a 4-byte base. A frozen cell
+//! needs no allocation of its own.
 //!
 //! A flush or a split builds a segment in two passes over the rows it
-//! copies: one counts their bytes, names, widths, timestamps and columns
-//! per row, which sizes every array and picks the encodings, and one
-//! copies every byte once into arrays allocated once each. The writers'
-//! handles are freed with the memstore.
+//! copies: one counts their bytes, names, widths, timestamps, columns per
+//! row, block spans and first and last keys, which sizes every array and
+//! picks the encodings, and one copies every byte once into arrays
+//! allocated once each. The writers' handles are freed with the memstore.
 //!
 //! A row lives in exactly one half. The first write to a frozen row
 //! thaws it: it is copied into a new memstore row, its qualifiers and
@@ -48,6 +61,7 @@
 //! bitmap, the segment's only change after a freeze. The moved row's
 //! bytes stay in the arenas, dead, until the next flush leaves them out.
 
+use std::cmp::Ordering;
 use std::ops::Range;
 
 use bytes::Bytes;
@@ -58,29 +72,31 @@ use crate::region::Stored;
 /// The most names a dictionary holds: a column's code is a `u8`.
 const MAX_NAMES: usize = 256;
 
+/// Entries per block of [`Ends::Blocks`], each block with a base of its
+/// own.
+const BLOCK: usize = 256;
+
 /// A region's frozen rows, in key order (see the module docs). Column
-/// `c` is `codes[c]`, `value_ends[c]` (and its qualifier's end or width
-/// without a dictionary), tombstone bit `c` and a timestamp of its own
-/// or of its row.
+/// `c` of row `r` is its code, `value_ends` entry `c` (and its
+/// qualifier's end or width without a dictionary), tombstone bit `c` and
+/// a timestamp of its own or of its row.
 #[derive(Debug, Default)]
 pub(crate) struct Segment {
     /// Number of rows, moved ones included.
     rows: usize,
-    /// Every row's key, back to back.
+    /// The bytes every row key starts with.
+    prefix: Vec<u8>,
+    /// Every row key's suffix past `prefix`, back to back.
     keys: Vec<u8>,
     key_ends: KeyEnds,
-    /// Row `r`'s columns end at `column_ends[r]`, sorted by `(family,
-    /// qualifier)`. Empty when every row holds one column.
-    column_ends: Vec<u32>,
+    layout: Layout,
     names: Names,
-    /// Column `c`'s name as its index in the dictionary, or its family.
-    codes: Vec<u8>,
     /// Every column's value, back to back, each after its qualifier when
     /// there is no dictionary.
     bytes: Vec<u8>,
     /// Column `c`'s value end in `bytes`; the column starts where column
     /// `c - 1`'s value ends.
-    value_ends: Vec<u32>,
+    value_ends: Ends,
     timestamps: Timestamps,
     /// Bit `c` marks column `c` a tombstone. Empty until the first.
     tombstones: Vec<u64>,
@@ -89,19 +105,191 @@ pub(crate) struct Segment {
     moved: Vec<u64>,
 }
 
-/// Where each row's key ends in `keys`.
+/// A row key as a segment holds it: the prefix its segment's keys share,
+/// then its own suffix. A key held whole has an empty prefix.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Key<'a> {
+    pub(crate) prefix: &'a [u8],
+    pub(crate) suffix: &'a [u8],
+}
+
+impl<'a> Key<'a> {
+    pub(crate) fn whole(key: &'a [u8]) -> Self {
+        Key {
+            prefix: &[],
+            suffix: key,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.prefix.len() + self.suffix.len()
+    }
+
+    /// How the key orders against `other`, split at the prefix's length:
+    /// mostly `other` starts with the prefix, and the suffixes decide.
+    pub(crate) fn cmp_bytes(&self, other: &[u8]) -> Ordering {
+        match other.split_at_checked(self.prefix.len()) {
+            Some((head, tail)) if head == self.prefix => self.suffix.cmp(tail),
+            _ => {
+                let head = &other[..self.prefix.len().min(other.len())];
+                self.prefix.cmp(head)
+            }
+        }
+    }
+
+    fn bytes(self) -> impl Iterator<Item = &'a u8> {
+        self.prefix.iter().chain(self.suffix)
+    }
+
+    /// Appends the key's bytes past its first `skip` to `out`.
+    pub(crate) fn write_from(&self, skip: usize, out: &mut Vec<u8>) {
+        let (prefix, suffix) = match skip.checked_sub(self.prefix.len()) {
+            None => (&self.prefix[skip..], self.suffix),
+            Some(past) => (&[][..], &self.suffix[past..]),
+        };
+        out.extend_from_slice(prefix);
+        out.extend_from_slice(suffix);
+    }
+
+    pub(crate) fn to_vec(self) -> Vec<u8> {
+        let mut key = Vec::with_capacity(self.len());
+        self.write_from(0, &mut key);
+        key
+    }
+}
+
+/// Where each entry of an array ends; an entry starts where the one
+/// before it ends (see [`Ends::span`]).
+#[derive(Debug)]
+enum Ends {
+    /// Entry `i` ends at `bases[i / BLOCK] + offsets[i]`, a block's base
+    /// being where the entry before the block ends.
+    Blocks { bases: Vec<u32>, offsets: Vec<u16> },
+    /// Entry `i` ends at `ends[i]`.
+    Wide(Vec<u32>),
+}
+
+impl Default for Ends {
+    fn default() -> Self {
+        Ends::Wide(Vec::new())
+    }
+}
+
+impl Ends {
+    /// Room for the ends `spans` counted, in blocks where they fit.
+    fn planned(spans: &Spans) -> Ends {
+        let entries = spans.count;
+        if spans.wide {
+            return Ends::Wide(Vec::with_capacity(entries));
+        }
+        Ends::Blocks {
+            bases: Vec::with_capacity(entries.div_ceil(BLOCK)),
+            offsets: Vec::with_capacity(entries),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Ends::Blocks { offsets, .. } => offsets.len(),
+            Ends::Wide(ends) => ends.len(),
+        }
+    }
+
+    /// Where entry `i` ends.
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Ends::Blocks { bases, offsets } => bases[i / BLOCK] as usize + usize::from(offsets[i]),
+            Ends::Wide(ends) => ends[i] as usize,
+        }
+    }
+
+    /// Entry `i`: from where entry `i - 1` ends to where it ends. Inside
+    /// a block, both ends are offsets from its one base.
+    fn span(&self, i: usize) -> Range<usize> {
+        match self {
+            Ends::Blocks { bases, offsets } => {
+                let base = bases[i / BLOCK] as usize;
+                let start = match i % BLOCK {
+                    0 => base,
+                    _ => base + usize::from(offsets[i - 1]),
+                };
+                start..base + usize::from(offsets[i])
+            }
+            Ends::Wide(ends) => {
+                let start = i.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
+                start..ends[i] as usize
+            }
+        }
+    }
+
+    /// Appends the next entry's end, as planned.
+    fn push(&mut self, end: usize) {
+        let at = self.len();
+        let start = at.checked_sub(1).map_or(0, |prev| self.get(prev));
+        match self {
+            Ends::Blocks { bases, offsets } => {
+                if at.is_multiple_of(BLOCK) {
+                    bases.push(offset(start));
+                }
+                let delta = end - bases[at / BLOCK] as usize;
+                offsets.push(u16::try_from(delta).expect("a planned block spans < 64 KiB"));
+            }
+            Ends::Wide(ends) => ends.push(offset(end)),
+        }
+    }
+}
+
+/// An array of ends as a plan counts it: how many, and whether a block
+/// of [`BLOCK`] spans 64 KiB or more from where the entry before it
+/// ends, so that [`Ends::Blocks`] cannot hold them.
+#[derive(Debug, Default)]
+struct Spans {
+    count: usize,
+    last: usize,
+    base: usize,
+    wide: bool,
+}
+
+impl Spans {
+    fn push(&mut self, end: usize) {
+        if self.count.is_multiple_of(BLOCK) {
+            self.base = self.last;
+        }
+        self.wide |= end - self.base > usize::from(u16::MAX);
+        self.last = end;
+        self.count += 1;
+    }
+}
+
+/// Where each row's key suffix ends in `keys`.
 #[derive(Debug)]
 enum KeyEnds {
-    /// Every key is this many bytes long.
+    /// Every suffix is this many bytes long.
     Width(usize),
-    /// Row `r`'s key ends at `ends[r]` and starts where row `r - 1`'s
-    /// ends.
-    Ends(Vec<u32>),
+    /// Row `r`'s suffix is entry `r`.
+    Ends(Ends),
 }
 
 impl Default for KeyEnds {
     fn default() -> Self {
         KeyEnds::Width(0)
+    }
+}
+
+/// Which columns each row holds, and their codes.
+#[derive(Debug)]
+enum Layout {
+    /// Every row holds one column of each of these `n` codes, in order:
+    /// column `i` of row `r` is column `r * n + i`.
+    Shape(Vec<u8>),
+    /// Column `c`'s code is `codes[c]`. Row `r`'s columns are entry `r`
+    /// of `ends`, or column `r` alone without them.
+    Codes { codes: Vec<u8>, ends: Option<Ends> },
+}
+
+impl Default for Layout {
+    fn default() -> Self {
+        Layout::Shape(Vec::new())
     }
 }
 
@@ -114,8 +302,8 @@ enum Names {
     /// bytes of the arena before the value.
     Widths(Vec<u32>),
     /// The code is the family, and column `c`'s qualifier ends in the
-    /// arena at `ends[c]`, where its value starts.
-    Ends(Vec<u32>),
+    /// arena at entry `c`, where its value starts.
+    Ends(Ends),
 }
 
 impl Default for Names {
@@ -130,13 +318,13 @@ impl Default for Names {
 #[derive(Debug)]
 struct Dictionary {
     bytes: Vec<u8>,
-    /// Name `n` ends at `ends[n]`.
-    ends: Vec<u32>,
+    /// Name `n` is entry `n`.
+    ends: Ends,
 }
 
 impl Dictionary {
     fn get(&self, code: usize) -> (usize, &[u8]) {
-        let name = &self.bytes[span(&self.ends, code..code + 1)];
+        let name = &self.bytes[self.ends.span(code)];
         (usize::from(name[0]), &name[1..])
     }
 
@@ -193,17 +381,19 @@ impl Timestamps {
     }
 }
 
+/// Whether two names are one: a row mostly names its columns as the rows
+/// before it did, with the same qualifier handle, so by address first and
+/// then by bytes.
+fn same_name(a: (usize, &[u8]), b: (usize, &[u8])) -> bool {
+    a.0 == b.0 && (std::ptr::eq(a.1, b.1) || a.1 == b.1)
+}
+
 /// Where `name` sits among sorted `names` (`Ok`), or would be inserted
-/// (`Err`). A row mostly names its columns as the rows before it did, and
-/// with the same qualifier handle, so `next`, the name after the row's
-/// previous column's, is tried first, by address and then by bytes.
+/// (`Err`). `next`, the name after the row's previous column's, is tried
+/// first.
 fn find_name(names: &[(usize, &[u8])], next: usize, name: (usize, &[u8])) -> Result<usize, usize> {
     match names.get(next) {
-        Some(&(family, qualifier))
-            if family == name.0 && (std::ptr::eq(qualifier, name.1) || qualifier == name.1) =>
-        {
-            Ok(next)
-        }
+        Some(&next_name) if same_name(next_name, name) => Ok(next),
         _ => names.binary_search(&name),
     }
 }
@@ -211,13 +401,6 @@ fn find_name(names: &[(usize, &[u8])], next: usize, name: (usize, &[u8])) -> Res
 /// The end offset a segment array records, which must fit its `u32`.
 fn offset(end: usize) -> u32 {
     u32::try_from(end).expect("a segment holds fewer than 2^32 bytes and columns")
-}
-
-/// The entries `[start, end)` of an array of ends: where entry `i` starts
-/// is where entry `i - 1` ends.
-fn span(ends: &[u32], entries: Range<usize>) -> Range<usize> {
-    let start = |i: usize| i.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
-    start(entries.start)..start(entries.end)
 }
 
 /// The first index of `range` that `before` is false on (it must be true
@@ -281,16 +464,30 @@ impl<'a> Iterator for Columns<'a> {
 #[derive(Default)]
 struct Plan<'a> {
     rows: usize,
+    /// The first key; its common prefix with `last` is every key's.
+    first: Option<Key<'a>>,
+    last: Key<'a>,
     key_bytes: usize,
     /// The width of every key so far, while they share one.
     key_width: Option<usize>,
     one_key_width: bool,
+    /// Whole keys' ends: a suffix's block spans no more than its keys'.
+    key_spans: Spans,
     columns: usize,
+    /// The first row's names, in order.
+    shape: Vec<(usize, &'a [u8])>,
+    one_shape: bool,
+    column_spans: Spans,
     qualifier_bytes: usize,
     /// Family `f`'s qualifier width, while its qualifiers share one.
     qualifier_widths: Vec<Option<usize>>,
     one_qualifier_width: bool,
     value_bytes: usize,
+    /// Value ends with a dictionary; value and qualifier ends in an arena
+    /// of qualifiers and values without one.
+    value_spans: Spans,
+    arena_spans: Spans,
+    qualifier_spans: Spans,
     /// The distinct names, sorted; `None` past [`MAX_NAMES`].
     names: Option<Vec<(usize, &'a [u8])>>,
     least: u64,
@@ -305,6 +502,7 @@ impl<'a> Plan<'a> {
             names: Some(Vec::new()),
             least: u64::MAX,
             one_key_width: true,
+            one_shape: true,
             one_qualifier_width: true,
             one_timestamp_per_row: true,
             one_column_rows: true,
@@ -312,14 +510,26 @@ impl<'a> Plan<'a> {
         }
     }
 
-    fn count(&mut self, key: &[u8], columns: Columns<'a>) {
+    fn count(&mut self, key: Key<'a>, columns: Columns<'a>) {
         let first = self.columns;
         let mut row_ts = None;
         let mut next = 0;
         for column in columns {
+            let name = (column.family, column.qualifier);
+            if self.rows == 0 {
+                self.shape.push(name);
+            } else if self.one_shape {
+                let shaped = self.shape.get(self.columns - first);
+                self.one_shape &= shaped.is_some_and(|&shaped| same_name(shaped, name));
+            }
             self.columns += 1;
             self.qualifier_bytes += column.qualifier.len();
+            self.qualifier_spans
+                .push(self.qualifier_bytes + self.value_bytes);
             self.value_bytes += column.value.map_or(0, <[u8]>::len);
+            self.arena_spans
+                .push(self.qualifier_bytes + self.value_bytes);
+            self.value_spans.push(self.value_bytes);
             self.least = self.least.min(column.ts);
             self.most = self.most.max(column.ts);
             self.one_timestamp_per_row &= *row_ts.get_or_insert(column.ts) == column.ts;
@@ -331,7 +541,6 @@ impl<'a> Plan<'a> {
             let Some(names) = &mut self.names else {
                 continue;
             };
-            let name = (column.family, column.qualifier);
             next = match find_name(names, next, name) {
                 Ok(at) => at + 1,
                 Err(_) if names.len() == MAX_NAMES => {
@@ -344,9 +553,14 @@ impl<'a> Plan<'a> {
                 }
             };
         }
+        self.one_shape &= self.columns - first == self.shape.len();
+        self.column_spans.push(self.columns);
         self.rows += 1;
         self.key_bytes += key.len();
+        self.key_spans.push(self.key_bytes);
         self.one_key_width &= same_width(&mut self.key_width, key.len());
+        self.first.get_or_insert(key);
+        self.last = key;
         self.one_timestamp_per_row &= row_ts.is_some();
         self.one_column_rows &= self.columns - first == 1;
     }
@@ -359,13 +573,13 @@ impl<'a> Plan<'a> {
                 let bytes = names.iter().map(|(_, qualifier)| 1 + qualifier.len()).sum();
                 let mut dictionary = Dictionary {
                     bytes: Vec::with_capacity(bytes),
-                    ends: Vec::with_capacity(names.len()),
+                    ends: Ends::Wide(Vec::with_capacity(names.len())),
                 };
                 for &(family, qualifier) in names {
                     let family = u8::try_from(family).expect("a table has ≤ 256 families");
                     dictionary.bytes.push(family);
                     dictionary.bytes.extend_from_slice(qualifier);
-                    dictionary.ends.push(offset(dictionary.bytes.len()));
+                    dictionary.ends.push(dictionary.bytes.len());
                 }
                 (Names::Dictionary(dictionary), 0)
             }
@@ -375,13 +589,33 @@ impl<'a> Plan<'a> {
                 (Names::Widths(widths.collect()), self.qualifier_bytes)
             }
             None => (
-                Names::Ends(Vec::with_capacity(self.columns)),
+                Names::Ends(Ends::planned(&self.qualifier_spans)),
                 self.qualifier_bytes,
             ),
         };
+        let value_spans = match &self.names {
+            Some(_) => &self.value_spans,
+            None => &self.arena_spans,
+        };
+        let layout = match &self.names {
+            Some(names) if self.one_shape => {
+                let codes = self.shape.iter().map(|&name| {
+                    let (Ok(code) | Err(code)) = find_name(names, 0, name);
+                    u8::try_from(code).expect("a code fits a byte")
+                });
+                Layout::Shape(codes.collect())
+            }
+            _ => Layout::Codes {
+                codes: Vec::with_capacity(self.columns),
+                ends: (!self.one_column_rows).then(|| Ends::planned(&self.column_spans)),
+            },
+        };
+        let (first, last) = (self.first.unwrap_or_default(), self.last);
+        let shared = first.bytes().zip(last.bytes()).take_while(|(a, b)| a == b);
+        let prefix: Vec<u8> = first.bytes().take(shared.count()).copied().collect();
         let key_ends = match self.key_width {
-            Some(width) if self.one_key_width => KeyEnds::Width(width),
-            _ => KeyEnds::Ends(Vec::with_capacity(self.rows)),
+            Some(width) if self.one_key_width => KeyEnds::Width(width - prefix.len()),
+            _ => KeyEnds::Ends(Ends::planned(&self.key_spans)),
         };
         let per_row = self.one_timestamp_per_row;
         let count = if per_row { self.rows } else { self.columns };
@@ -393,16 +627,15 @@ impl<'a> Plan<'a> {
         } else {
             Deltas::U64(Vec::with_capacity(count))
         };
-        let column_ends = if self.one_column_rows { 0 } else { self.rows };
         Segment {
             rows: 0,
-            keys: Vec::with_capacity(self.key_bytes),
+            keys: Vec::with_capacity(self.key_bytes - self.rows * prefix.len()),
+            prefix,
             key_ends,
-            column_ends: Vec::with_capacity(column_ends),
+            layout,
             names,
-            codes: Vec::with_capacity(self.columns),
             bytes: Vec::with_capacity(self.value_bytes + qualifier_bytes),
-            value_ends: Vec::with_capacity(self.columns),
+            value_ends: Ends::planned(value_spans),
             timestamps: Timestamps {
                 least: self.least.min(self.most),
                 per_row,
@@ -420,23 +653,47 @@ impl Segment {
         self.rows
     }
 
-    pub(crate) fn key(&self, row: usize) -> &[u8] {
+    fn suffix(&self, row: usize) -> &[u8] {
         match &self.key_ends {
             KeyEnds::Width(width) => &self.keys[row * width..(row + 1) * width],
-            KeyEnds::Ends(ends) => &self.keys[span(ends, row..row + 1)],
+            KeyEnds::Ends(ends) => &self.keys[ends.span(row)],
+        }
+    }
+
+    pub(crate) fn key(&self, row: usize) -> Key<'_> {
+        Key {
+            prefix: &self.prefix,
+            suffix: self.suffix(row),
         }
     }
 
     pub(crate) fn columns(&self, row: usize) -> Range<usize> {
-        if self.column_ends.is_empty() {
-            return row..row + 1;
+        match &self.layout {
+            Layout::Shape(shape) => row * shape.len()..(row + 1) * shape.len(),
+            Layout::Codes {
+                ends: Some(ends), ..
+            } => ends.span(row),
+            Layout::Codes { ends: None, .. } => row..row + 1,
         }
-        span(&self.column_ends, row..row + 1)
     }
 
-    /// The first row whose key is `key` or greater.
+    /// Column `column`'s code; it is one of row `row`'s.
+    fn code(&self, row: usize, column: usize) -> usize {
+        usize::from(match &self.layout {
+            Layout::Shape(shape) => shape[column - row * shape.len()],
+            Layout::Codes { codes, .. } => codes[column],
+        })
+    }
+
+    /// The first row whose key is `key` or greater. `key` is split at the
+    /// prefix's length, so the search compares suffixes alone.
     pub(crate) fn lower_bound(&self, key: &[u8]) -> usize {
-        partition_point(0..self.len(), |row| self.key(row) < key)
+        let (head, tail) = key.split_at(self.prefix.len().min(key.len()));
+        match head.cmp(&self.prefix) {
+            Ordering::Less => 0,
+            Ordering::Greater => self.len(),
+            Ordering::Equal => partition_point(0..self.len(), |row| self.suffix(row) < tail),
+        }
     }
 
     pub(crate) fn is_moved(&self, row: usize) -> bool {
@@ -446,27 +703,29 @@ impl Segment {
     /// The row `key`, unless it is absent or moved.
     pub(crate) fn find_row(&self, key: &[u8]) -> Option<usize> {
         let row = self.lower_bound(key);
-        (row < self.len() && self.key(row) == key && !self.is_moved(row)).then_some(row)
+        let found = row < self.len() && self.key(row).cmp_bytes(key).is_eq();
+        (found && !self.is_moved(row)).then_some(row)
     }
 
-    /// Column `column`'s family and qualifier.
-    fn name(&self, column: usize) -> (usize, &[u8]) {
-        let code = usize::from(self.codes[column]);
-        let start = || span(&self.value_ends, column..column + 1).start;
+    /// Column `column`'s family and qualifier; it is one of row `row`'s,
+    /// and its bytes start at `start` in the arena.
+    fn name(&self, row: usize, column: usize, start: usize) -> (usize, &[u8]) {
+        let code = self.code(row, column);
         match &self.names {
             Names::Dictionary(names) => names.get(code),
-            Names::Widths(widths) => {
-                let start = start();
-                (code, &self.bytes[start..start + widths[code] as usize])
-            }
-            Names::Ends(ends) => (code, &self.bytes[start()..ends[column] as usize]),
+            Names::Widths(widths) => (code, &self.bytes[start..start + widths[code] as usize]),
+            Names::Ends(ends) => (code, &self.bytes[start..ends.get(column)]),
         }
+    }
+
+    fn qualifier(&self, row: usize, column: usize) -> &[u8] {
+        self.name(row, column, self.value_ends.span(column).start).1
     }
 
     /// Column `column` of row `row`.
     pub(crate) fn stored(&self, row: usize, column: usize) -> Stored<'_> {
-        let (family, qualifier) = self.name(column);
-        let Range { mut start, end } = span(&self.value_ends, column..column + 1);
+        let Range { mut start, end } = self.value_ends.span(column);
+        let (family, qualifier) = self.name(row, column, start);
         if !matches!(self.names, Names::Dictionary(_)) {
             start += qualifier.len();
         }
@@ -480,13 +739,13 @@ impl Segment {
         }
     }
 
-    /// The first of `columns` whose code is `code` or greater.
-    fn first_code(&self, columns: Range<usize>, code: usize) -> usize {
-        partition_point(columns, |c| usize::from(self.codes[c]) < code)
+    /// The first of row `row`'s `columns` whose code is `code` or greater.
+    fn first_code(&self, row: usize, columns: Range<usize>, code: usize) -> usize {
+        partition_point(columns, |c| self.code(row, c) < code)
     }
 
-    /// The columns of `family` among a row's `columns`.
-    pub(crate) fn family(&self, columns: Range<usize>, family: usize) -> Range<usize> {
+    /// The columns of `family` among row `row`'s `columns`.
+    pub(crate) fn family(&self, row: usize, columns: Range<usize>, family: usize) -> Range<usize> {
         // The family's codes: a run of the dictionary's, or the family.
         let codes = match &self.names {
             Names::Dictionary(names) => {
@@ -494,19 +753,21 @@ impl Segment {
             }
             _ => family..family + 1,
         };
-        self.first_code(columns.clone(), codes.start)..self.first_code(columns, codes.end)
+        let start = self.first_code(row, columns.clone(), codes.start);
+        start..self.first_code(row, columns, codes.end)
     }
 
     /// The column `family:qualifier` of `row`.
     pub(crate) fn find_column(&self, row: usize, family: usize, qualifier: &[u8]) -> Option<usize> {
-        let columns = self.family(self.columns(row), family);
+        let columns = self.family(row, self.columns(row), family);
         let at = match &self.names {
             Names::Dictionary(names) => {
-                self.first_code(columns.clone(), names.lower_bound(family, qualifier))
+                let code = names.lower_bound(family, qualifier);
+                self.first_code(row, columns.clone(), code)
             }
-            _ => partition_point(columns.clone(), |c| self.name(c).1 < qualifier),
+            _ => partition_point(columns.clone(), |c| self.qualifier(row, c) < qualifier),
         };
-        (at < columns.end && self.name(at).1 == qualifier).then_some(at)
+        (at < columns.end && self.qualifier(row, at) == qualifier).then_some(at)
     }
 
     /// Thaws `row`: the columns `thaw` keeps as memstore columns, in a
@@ -549,9 +810,10 @@ impl Segment {
                 Deltas::U32(_) => "u32 deltas",
                 Deltas::U64(_) => "u64 deltas",
             },
-            match self.column_ends.is_empty() {
-                true => "one column per row",
-                false => "column ends",
+            match self.layout {
+                Layout::Shape(_) => "row shape",
+                Layout::Codes { ends: None, .. } => "one column per row",
+                Layout::Codes { ends: Some(_), .. } => "column ends",
             },
             match self.key_ends {
                 KeyEnds::Width(_) => "key width",
@@ -561,12 +823,16 @@ impl Segment {
                 true => "row timestamps",
                 false => "column timestamps",
             },
+            match self.value_ends {
+                Ends::Blocks { .. } => "u16 value ends",
+                Ends::Wide(_) => "u32 value ends",
+            },
         ];
-        names.join(", ")
+        format!("{}, {}-byte prefix", names.join(", "), self.prefix.len())
     }
 
     /// Rows `rows` but the moved ones, as a flush or a split copies them.
-    fn frozen(&self, rows: Range<usize>) -> impl Iterator<Item = (&[u8], Columns<'_>)> {
+    fn frozen(&self, rows: Range<usize>) -> impl Iterator<Item = (Key<'_>, Columns<'_>)> {
         rows.filter(|&row| !self.is_moved(row))
             .map(|row| (self.key(row), Columns::Frozen(self, row, self.columns(row))))
     }
@@ -575,48 +841,45 @@ impl Segment {
     /// counts them and one copies them in (see the module docs).
     fn build<'a, I>(rows: impl Fn() -> I) -> Segment
     where
-        I: Iterator<Item = (&'a [u8], Columns<'a>)>,
+        I: Iterator<Item = (Key<'a>, Columns<'a>)>,
     {
         let mut plan = Plan::new();
         rows().for_each(|(key, columns)| plan.count(key, columns));
         let mut segment = plan.segment();
-        let names = plan.names.as_deref();
-        rows().for_each(|(key, columns)| segment.push_row(key, columns, names));
+        rows().for_each(|(key, columns)| segment.push_row(key, columns, &plan));
         segment
     }
 
     /// Appends row `key` with its sorted `columns`, copying their bytes
-    /// as the segment was planned to hold them, with the plan's `names`.
-    fn push_row(&mut self, key: &[u8], columns: Columns<'_>, names: Option<&[(usize, &[u8])]>) {
+    /// as `plan` planned the segment to hold them.
+    fn push_row(&mut self, key: Key<'_>, columns: Columns<'_>, plan: &Plan<'_>) {
         let mut next = 0;
         let mut row_ts = None;
         for column in columns {
-            let code = match names {
-                Some(names) => {
-                    let name = (column.family, column.qualifier);
-                    let (Ok(code) | Err(code)) = find_name(names, next, name);
-                    next = code + 1;
-                    code
+            if plan.names.is_none() {
+                self.bytes.extend_from_slice(column.qualifier);
+                if let Names::Ends(ends) = &mut self.names {
+                    ends.push(self.bytes.len());
                 }
-                None => {
-                    self.bytes.extend_from_slice(column.qualifier);
-                    if let Names::Ends(ends) = &mut self.names {
-                        ends.push(offset(self.bytes.len()));
+            }
+            if let Layout::Codes { codes, .. } = &mut self.layout {
+                let code = match &plan.names {
+                    Some(names) => {
+                        let name = (column.family, column.qualifier);
+                        let (Ok(code) | Err(code)) = find_name(names, next, name);
+                        next = code + 1;
+                        code
                     }
-                    column.family
-                }
-            };
-            self.codes
-                .push(u8::try_from(code).expect("a code or a family fits a byte"));
+                    None => column.family,
+                };
+                codes.push(u8::try_from(code).expect("a code or a family fits a byte"));
+            }
             match column.value {
                 Some(value) => self.bytes.extend_from_slice(value),
                 // Sized at once for the columns the segment has room for.
-                None => {
-                    let planned = self.value_ends.capacity();
-                    set_bit(&mut self.tombstones, self.value_ends.len(), planned);
-                }
+                None => set_bit(&mut self.tombstones, self.value_ends.len(), plan.columns),
             }
-            self.value_ends.push(offset(self.bytes.len()));
+            self.value_ends.push(self.bytes.len());
             if !self.timestamps.per_row {
                 self.timestamps.push(column.ts);
             }
@@ -625,14 +888,16 @@ impl Segment {
         if let (true, Some(ts)) = (self.timestamps.per_row, row_ts) {
             self.timestamps.push(ts);
         }
-        self.keys.extend_from_slice(key);
+        key.write_from(self.prefix.len(), &mut self.keys);
         if let KeyEnds::Ends(ends) = &mut self.key_ends {
-            ends.push(offset(self.keys.len()));
+            ends.push(self.keys.len());
         }
         self.rows += 1;
-        // A segment planned without column ends has no room for them.
-        if self.column_ends.capacity() > 0 {
-            self.column_ends.push(offset(self.value_ends.len()));
+        if let Layout::Codes {
+            ends: Some(ends), ..
+        } = &mut self.layout
+        {
+            ends.push(self.value_ends.len());
         }
     }
 
@@ -645,14 +910,14 @@ impl Segment {
             let mut frozen = self.frozen(0..self.len()).peekable();
             std::iter::from_fn(move || {
                 let from_memstore = match (thawed.peek(), frozen.peek()) {
-                    (Some((key, _)), Some((frozen, _))) => key[..] < **frozen,
+                    (Some((key, _)), Some((frozen, _))) => frozen.cmp_bytes(key).is_gt(),
                     (thawed, _) => thawed.is_some(),
                 };
                 if !from_memstore {
                     return frozen.next();
                 }
                 let (key, row) = thawed.next()?;
-                Some((&key[..], Columns::Thawed(row.columns.iter())))
+                Some((Key::whole(key), Columns::Thawed(row.columns.iter())))
             })
         })
     }

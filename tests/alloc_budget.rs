@@ -382,18 +382,21 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
 /// The store's own footprint: a loaded SF-0.002 store with both binary
 /// ISL indices built holds at most this many hundredths of a heap byte
 /// per byte its tables report stored (`Table::disk_size`). Measured:
-/// 0.7366, its rows frozen by the load's and the index builds' flushes
+/// 0.6385, its rows frozen by the load's and the index builds' flushes
 /// into region segments that own their bytes, store each repeated name
 /// once and nothing they can derive: no key or qualifier ends where
 /// every key, or every qualifier of a family, has one width, one
-/// timestamp per row where a row was written whole, and timestamp deltas
-/// of 16 bits where their span fits (0.8666 with `u32` key and qualifier
+/// timestamp per row where a row was written whole, timestamp deltas of
+/// 16 bits where their span fits, one row shape where every row names
+/// the same columns, the keys' common prefix once and 16-bit ends in
+/// blocks of 256 (0.7366 with a code and a `u32` end per column, a
+/// `u32` column end per row and whole keys; 0.8666 with `u32` key and qualifier
 /// ends and a `u32` timestamp delta per column, 1.1218 while each column
 /// kept its own name and `u64` timestamp, 1.8908 while a segment held
 /// each cell's qualifier and value as handles, 2.819–2.823 while every
 /// row was a B-tree entry, 3.299–3.301 when every loaded row also copied
 /// its column names and each lineitem its join keys).
-const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 74;
+const STORE_HEAP_PER_STORED_BYTE_X100: u64 = 64;
 
 /// A finished load or index build freezes its rows into region segments,
 /// each holding its keys, names and values in flat arenas and storing

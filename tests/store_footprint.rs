@@ -7,14 +7,17 @@
 //! store's own overhead, the floor under every workload's peak memory.
 //! A finished load or index build freezes its rows into region segments
 //! that own their bytes in flat arenas and store each name, timestamp
-//! and column end only as often as it differs, and no key or qualifier
-//! end whose width repeats (see `rj_store::segment`). This test's run
-//! measures 0.63× on the base tables, 0.95× on Q2's ISL index, 1.17× on
-//! its BFHM index and 0.78× in all. Beside each ratio it prints the heap
+//! and column end only as often as it differs, no key or qualifier end
+//! whose width repeats, a row shape and a key prefix once and 16-bit
+//! ends in blocks of 256 (see `rj_store::segment`). This test's run
+//! measures 0.51× on the base tables, 0.89× on Q2's ISL index, 0.96× on
+//! its BFHM index and 0.66× in all. Beside each ratio it prints the heap
 //! per stored column beyond the billed bytes, `(heap − stored) / cells`:
 //! negative where the store keeps once what `disk_size` bills per cell
 //! (a row's key, a family name, a qualifier shared by a table's columns,
-//! a row's timestamp). Earlier layouts measured 0.73×, 1.15×, 1.20× and
+//! a row's timestamp). Earlier layouts measured 0.63×, 0.95×, 1.17× and
+//! 0.78× with a code per column, a `u32` end per value and per row's
+//! columns and whole keys; 0.73×, 1.15×, 1.20× and
 //! 0.89× with `u32` key and qualifier ends and a `u32` timestamp delta
 //! per column; 1.03×, 1.31×, 1.28× and 1.12× while each column kept its
 //! own qualifier, byte ends and `u64` timestamp; 1.55×, 2.56×, 2.48× and
