@@ -16,18 +16,46 @@
 //! probing bucket rows" variant, optionally gated by a mutation-count
 //! threshold).
 //!
-//! One conservative deviation, documented in DESIGN.md: replayed deletes
-//! do not shrink the bucket's min/max score range (the true extrema of
-//! the survivors are unknown without a recount). Stale extrema only ever
-//! widen bounds — termination tests stay sound, at worst fetching more.
+//! # Deviations from §6
+//!
+//! **A delete cancels a pending insert.** §6 only ever appends records, so
+//! a tuple inserted and deleted before any read of its bucket leaves two
+//! records there until a read replays them — and a bucket no read reaches
+//! keeps them for good: on a stream of inserts each deleted again, the
+//! index grew by every pair. So a delete first looks for its tuple's
+//! insertion record, `i ‖ ts ‖ row key` under the timestamp the insert
+//! pinned on the base row's score cell, and tombstones it while it is
+//! pending, appending a deletion record only when it is not (the insert was
+//! consumed into the blob, or predates the index, or its record has not
+//! landed yet). The look and the write are one conditional write
+//! ([`rj_store::Client::check_and_mutate_row`], HBase's `checkAndMutate`),
+//! so no write-back lands between them. Replaying the pair would have
+//! inserted the tuple and removed it again, so what every later read
+//! reconstructs is unchanged.
+//!
+//! **A write-back applies only while its records are pending.** A read
+//! replays the records it fetched, and its write-back purges them. With
+//! cancellation, a delete may tombstone one of them in between; a
+//! write-back applied after that would put the cancelled tuple into the
+//! blob for good. So the write-back is conditional too: it applies only if
+//! every record it consumed is still visible, and otherwise leaves the
+//! bucket to the next read, which replays what is then pending. The same
+//! check keeps two write-backs of one bucket from both applying.
+//!
+//! **Replayed deletes keep the score range.** A replayed delete does not
+//! shrink the bucket's min/max score range, because the true extrema of
+//! the survivors are unknown without a recount. Stale extrema only ever
+//! widen bounds: termination tests stay sound, at worst fetching more. A
+//! cancelled insert never reaches the blob, so it does not widen them.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rj_sketch::blob::{BfhmBlob, BlobCodec};
 use rj_sketch::bloom::SingleHashBloom;
 use rj_sketch::histogram::ScoreHistogram;
 use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
+use rj_store::region::Checked;
 use rj_store::row::{RowBatch, RowRef};
 use rj_store::Bytes;
 
@@ -53,13 +81,12 @@ pub enum WriteBackPolicy {
 const OP_INSERT: u8 = b'i';
 const OP_DELETE: u8 = b'd';
 
-/// Qualifier of a mutation record: `op ‖ ts(u64 BE) ‖ base row key`,
-/// built in the one buffer the store then keeps.
-fn record_qualifier(op: u8, ts: u64, row_key: &[u8]) -> Bytes {
+/// The bytes of a mutation record's qualifier, `op ‖ ts(u64 BE) ‖ base
+/// row key`, for the one buffer they are collected into.
+fn record_qualifier(op: u8, ts: u64, row_key: &[u8]) -> impl Iterator<Item = u8> + '_ {
     std::iter::once(op)
         .chain(ts.to_be_bytes())
         .chain(row_key.iter().copied())
-        .collect()
 }
 
 fn parse_record_qualifier(q: &[u8]) -> Option<(u8, u64, &[u8])> {
@@ -76,7 +103,8 @@ pub(crate) struct ResolvedBucket {
     pub blob: Option<BfhmBlob>,
     /// Whether any pending mutation records were replayed.
     pub had_mutations: bool,
-    /// Timestamp of the latest replayed mutation (0 when none).
+    /// Timestamp of the latest replayed mutation or of the stored blob,
+    /// whichever is later (0 when no record was replayed).
     pub latest_ts: u64,
     /// Qualifiers of the consumed records (for write-back purging),
     /// shared by handle with the fetched row when it lends handles (a
@@ -96,8 +124,9 @@ pub(crate) fn resolve_bucket_row(
     m: usize,
     array: impl FnOnce(usize) -> Vec<u32>,
 ) -> Result<ResolvedBucket> {
-    let mut blob: Option<BfhmBlob> = match row.value(label, BLOB_QUALIFIER) {
-        Some(bytes) => Some(BfhmBlob::decode_into(bytes, array)?),
+    let stored = row.cell(label, BLOB_QUALIFIER);
+    let mut blob: Option<BfhmBlob> = match stored {
+        Some(cell) => Some(BfhmBlob::decode_into(cell.value, array)?),
         None => None,
     };
 
@@ -124,7 +153,11 @@ pub(crate) fn resolve_bucket_row(
     // Timestamp order; inserts before deletes at equal timestamps so a
     // same-instant insert+delete cancels.
     records.sort_by_key(|(ts, op, _, _)| (*ts, u8::from(*op == OP_DELETE)));
-    let latest_ts = records.last().map(|(ts, ..)| *ts).unwrap_or(0);
+    // No older than the stored blob: a record stamped before an earlier
+    // write-back but landing after it would otherwise stamp a blob the
+    // store drops as stale, while its own record is purged.
+    let replayed = records.last().map_or(0, |(ts, ..)| *ts);
+    let latest_ts = replayed.max(stored.map_or(0, |cell| cell.timestamp));
 
     let mut b = blob.take().unwrap_or_else(|| {
         BfhmBlob::new(
@@ -158,11 +191,18 @@ pub(crate) fn resolve_bucket_row(
 }
 
 /// Writes a replayed bucket back and purges the consumed records, in one
-/// atomic row mutation stamped with the latest replayed timestamp: the
+/// atomic row mutation stamped [`ResolvedBucket::latest_ts`]: the
 /// reconstructed blob, or — when the replay emptied the bucket — a
 /// tombstone over the stored one. The one write-back of all three
 /// policies; without the empty arm a bucket whose last tuple was deleted
 /// would keep its records, and every later read would replay them again.
+///
+/// The write applies only while every consumed record is still visible
+/// (one conditional write,
+/// [`rj_store::Client::check_and_mutate_row`]): a record that a delete
+/// cancelled since the read, or that another write-back purged, leaves
+/// the bucket to the next read, which replays what is then pending.
+/// Returns whether the write applied.
 pub(crate) fn write_back_bucket(
     cluster: &Cluster,
     table: &str,
@@ -170,32 +210,42 @@ pub(crate) fn write_back_bucket(
     bucket_row: &[u8],
     resolved: &ResolvedBucket,
     codec_sel: BlobCodec,
-) -> Result<()> {
+) -> Result<bool> {
     let ts = Some(resolved.latest_ts);
-    // One family handle for the blob and every purged record.
-    let family: Arc<str> = label.into();
-    let mut muts = Vec::with_capacity(1 + resolved.consumed_qualifiers.len());
-    muts.push(match &resolved.blob {
-        Some(blob) => {
-            let value = blob.encode(codec_sel).into();
-            Mutation::put_shared(family.clone(), BLOB_QUALIFIER.into(), value, ts)
-        }
-        None => Mutation::delete_shared(family.clone(), BLOB_QUALIFIER.into(), ts),
-    });
-    muts.extend(
-        resolved
-            .consumed_qualifiers
-            .iter()
-            .map(|qualifier| Mutation::delete_shared(family.clone(), qualifier.clone(), ts)),
-    );
-    cluster.client().mutate_row(table, bucket_row, muts)?;
-    Ok(())
+    let consumed = &resolved.consumed_qualifiers;
+    let write_back = |_: &Checked<'_>| {
+        // One family handle for the blob and every purged record.
+        let family: Arc<str> = label.into();
+        let mut muts = Vec::with_capacity(1 + consumed.len());
+        muts.push(match &resolved.blob {
+            Some(blob) => {
+                let value = blob.encode(codec_sel).into();
+                Mutation::put_shared(family.clone(), BLOB_QUALIFIER.into(), value, ts)
+            }
+            None => Mutation::delete_shared(family.clone(), BLOB_QUALIFIER.into(), ts),
+        });
+        muts.extend(
+            consumed
+                .iter()
+                .map(|qualifier| Mutation::delete_shared(family.clone(), qualifier.clone(), ts)),
+        );
+        muts
+    };
+    let client = cluster.client();
+    Ok(client.check_and_mutate_row(
+        table,
+        bucket_row,
+        (label, &consumed[..]),
+        write_back,
+        Vec::new,
+    )?)
 }
 
 /// If at least `threshold` (≥ 1) mutation records are pending in `row`,
 /// a bucket row read under `label` of an index whose filters have `m`
 /// bits, replays and writes it back (the lazy and offline write-back).
-/// Returns the number of records compacted.
+/// Returns the number of records compacted: none when the write-back did
+/// not apply.
 pub(crate) fn refresh_bucket(
     cluster: &Cluster,
     table: &str,
@@ -213,8 +263,12 @@ pub(crate) fn refresh_bucket(
         return Ok(0);
     }
     let resolved = resolve_bucket_row(row, label, m, Vec::with_capacity)?;
-    write_back_bucket(cluster, table, label, row.key, &resolved, codec_sel)?;
-    Ok(resolved.consumed_qualifiers.len())
+    let written = write_back_bucket(cluster, table, label, row.key, &resolved, codec_sel)?;
+    Ok(if written {
+        resolved.consumed_qualifiers.len()
+    } else {
+        0
+    })
 }
 
 /// Offline compaction sweep: refreshes every bucket whose pending-record
@@ -250,6 +304,9 @@ pub struct BfhmMaintainer {
     label: Arc<str>,
     hist: ScoreHistogram,
     m: usize,
+    /// The buffer a delete builds the qualifier of the insertion record it
+    /// checks for in.
+    insertion: Mutex<Vec<u8>>,
 }
 
 impl BfhmMaintainer {
@@ -263,6 +320,7 @@ impl BfhmMaintainer {
             label: label.into(),
             hist: ScoreHistogram::new(buckets),
             m,
+            insertion: Mutex::default(),
         })
     }
 
@@ -292,7 +350,7 @@ impl BfhmMaintainer {
     ) -> Result<()> {
         let (bucket_row, reverse_row) = self.rows(join_value, score);
         let client = self.cluster.client();
-        let qualifier = record_qualifier(OP_INSERT, ts, row_key);
+        let qualifier = record_qualifier(OP_INSERT, ts, row_key).collect();
         let record = Mutation::put_shared(self.label.clone(), qualifier, entry.clone(), Some(ts));
         client.mutate_row(&self.table, &bucket_row, [record])?;
         let reverse =
@@ -301,22 +359,60 @@ impl BfhmMaintainer {
         Ok(())
     }
 
-    /// Records the deletion of a base tuple: a tombstone record on the
-    /// bucket row plus a vanilla reverse-mapping delete, both at `ts`.
+    /// Records the deletion of a base tuple that was inserted at
+    /// `inserted`: on the bucket row, in one conditional write, a tombstone
+    /// over the tuple's insertion record while that record is pending, or
+    /// else a deletion record; and a vanilla reverse-mapping delete. All
+    /// three at `ts`.
+    ///
+    /// A pending insertion record cancelled this way leaves nothing for a
+    /// read to replay (see the module docs). The tombstone takes the
+    /// qualifier handle the bucket row stores, and the record's qualifier
+    /// is checked for from a buffer the maintainer keeps, so a
+    /// cancellation allocates neither.
     pub fn record_delete(
         &self,
         row_key: &Bytes,
         join_value: &[u8],
         score: f64,
+        inserted: u64,
         ts: u64,
     ) -> Result<()> {
         let (bucket_row, reverse_row) = self.rows(join_value, score);
         let client = self.cluster.client();
-        let qualifier = record_qualifier(OP_DELETE, ts, row_key);
-        let entry = codec::encode_value_score(join_value, score);
-        let record = Mutation::put_shared(self.label.clone(), qualifier, entry, Some(ts));
-        client.mutate_row(&self.table, &bucket_row, [record])?;
-        let reverse = Mutation::delete_shared(self.label.clone(), row_key.clone(), Some(ts));
+        let label = &self.label;
+        let mut insertion = self
+            .insertion
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        insertion.clear();
+        insertion.extend(record_qualifier(OP_INSERT, inserted, row_key));
+        let cancel = |pending: &Checked<'_>| {
+            let qualifier = pending
+                .qualifier(&insertion)
+                .unwrap_or_else(|| Bytes::copy_from_slice(&insertion));
+            [Mutation::delete_shared(label.clone(), qualifier, Some(ts))]
+        };
+        let record = || {
+            let qualifier = record_qualifier(OP_DELETE, ts, row_key).collect();
+            let entry = codec::encode_value_score(join_value, score);
+            [Mutation::put_shared(
+                label.clone(),
+                qualifier,
+                entry,
+                Some(ts),
+            )]
+        };
+        let check = [&insertion[..]];
+        client.check_and_mutate_row(
+            &self.table,
+            &bucket_row,
+            (&**label, &check),
+            cancel,
+            record,
+        )?;
+        drop(insertion);
+        let reverse = Mutation::delete_shared(label.clone(), row_key.clone(), Some(ts));
         client.mutate_row(&self.table, &reverse_row, [reverse])?;
         Ok(())
     }
@@ -351,7 +447,7 @@ mod tests {
 
     #[test]
     fn record_qualifier_roundtrip() {
-        let q = record_qualifier(OP_INSERT, 42, b"rk");
+        let q: Vec<u8> = record_qualifier(OP_INSERT, 42, b"rk").collect();
         let (op, ts, key) = parse_record_qualifier(&q).unwrap();
         assert_eq!(op, OP_INSERT);
         assert_eq!(ts, 42);
@@ -401,8 +497,10 @@ mod tests {
         )
         .unwrap();
         let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        // A loaded tuple: the index build put it in the blob, and no
+        // insertion record is pending for it.
         maintainer
-            .record_delete(&Bytes::from_static(b"r2_11"), b"b", 0.92, ts)
+            .record_delete(&Bytes::from_static(b"r2_11"), b"b", 0.92, 0, ts)
             .unwrap();
 
         let got = bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Off).unwrap();
@@ -591,7 +689,10 @@ mod tests {
     /// A bucket whose replay deletes its last tuple is written back like
     /// any other — under every policy. It used to keep its records (only
     /// the lazy path had the empty-bucket arm), so each later read fetched,
-    /// replayed and paid for them again.
+    /// replayed and paid for them again. The tuple's insertion record is
+    /// consumed before its delete, so the delete appends a deletion record
+    /// (one still pending would be cancelled instead, leaving nothing to
+    /// replay: the next test).
     #[test]
     fn a_bucket_emptied_by_deletes_is_compacted_under_every_policy() {
         use crate::maintenance::MaintainedSide;
@@ -606,10 +707,15 @@ mod tests {
             let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
             let side = MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
             // R2 has no tuple in bucket 1 (scores in [0.8, 0.9)): this
-            // insert and delete are all the bucket holds, and cancel.
+            // tuple is all the bucket holds, in its blob once the sweep has
+            // consumed its insertion record, and its delete empties it.
             side.insert(b"r2_88", b"a", 0.85, vec![]).unwrap();
+            let n = compact_if_pending(&c, "bfhm_idx", "R2", config.codec, 1).unwrap();
+            assert_eq!(n, 1);
             side.delete(b"r2_88").unwrap();
-            assert_eq!(bucket_row_cost(&c, "R2", 1), (2, 2), "{policy:?}");
+            // The blob, the consumed record's tombstone and the deletion
+            // record.
+            assert_eq!(bucket_row_cost(&c, "R2", 1), (1, 3), "{policy:?}");
 
             let want = oracle::topk(&c, &q).unwrap();
             let got = bfhm_run(&c, &q, "bfhm_idx", &config, policy).unwrap();
@@ -617,7 +723,7 @@ mod tests {
             if policy == WriteBackPolicy::Off {
                 // The offline sweep is this policy's write-back.
                 let n = compact_if_pending(&c, "bfhm_idx", "R2", config.codec, 1).unwrap();
-                assert_eq!(n, 2);
+                assert_eq!(n, 1);
             }
             let (pending, _) = bucket_row_cost(&c, "R2", 1);
             assert_eq!(pending, 0, "{policy:?}: consumed records are purged");
@@ -639,5 +745,206 @@ mod tests {
                 got.metrics.kv_reads
             );
         }
+    }
+
+    /// A tuple inserted and deleted before any read of its bucket leaves
+    /// no record: the delete tombstones the pending insertion record
+    /// instead of appending a deletion record, so no read replays either,
+    /// and the tombstone goes with the next write once its grace window
+    /// has passed.
+    #[test]
+    fn an_insert_and_its_delete_before_any_read_leave_no_record() {
+        use crate::maintenance::MaintainedSide;
+        use rj_store::region::TOMBSTONE_GRACE_TICKS;
+        let (c, q) = running_example_cluster();
+        let config = build(&c, &q);
+        let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        let side = MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
+        let want = oracle::topk(&c, &q).unwrap();
+        let before = c.table("bfhm_idx").unwrap().kv_count();
+        // Bucket 0 has a blob; bucket 1 (scores in [0.8, 0.9)) has none.
+        side.insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
+        side.insert(b"r2_88", b"a", 0.85, vec![]).unwrap();
+        side.delete(b"r2_99").unwrap();
+        side.delete(b"r2_88").unwrap();
+        // Each bucket row holds its cancelled record's tombstone, beside
+        // bucket 0's blob.
+        assert_eq!(bucket_row_cost(&c, "R2", 0), (0, 2));
+        assert_eq!(bucket_row_cost(&c, "R2", 1), (0, 1));
+        assert_eq!(c.table("bfhm_idx").unwrap().kv_count(), before);
+        for policy in [
+            WriteBackPolicy::Eager,
+            WriteBackPolicy::Lazy,
+            WriteBackPolicy::Off,
+        ] {
+            let got = bfhm_run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            assert_eq!(got.results, want, "{policy:?}");
+        }
+        let n = compact_if_pending(&c, "bfhm_idx", "R2", config.codec, 1).unwrap();
+        assert_eq!(n, 0, "nothing to compact");
+        for _ in 0..=TOMBSTONE_GRACE_TICKS {
+            c.next_ts();
+        }
+        side.insert(b"r2_97", b"zz", 0.97, vec![]).unwrap();
+        side.insert(b"r2_87", b"zz", 0.86, vec![]).unwrap();
+        assert_eq!(
+            bucket_row_cost(&c, "R2", 0),
+            (1, 2),
+            "the blob and the new record"
+        );
+        assert_eq!(bucket_row_cost(&c, "R2", 1), (1, 1), "the new record alone");
+    }
+
+    /// Runs the offline sweep, then checks that every R2 bucket's blob
+    /// counts exactly the R2 tuples whose scores fall in it: no write was
+    /// lost, and none was applied twice.
+    fn assert_blobs_count_the_base_table(c: &Cluster) {
+        compact_if_pending(c, "bfhm_idx", "R2", BlobCodec::Golomb, 1).unwrap();
+        let hist = ScoreHistogram::new(10);
+        let mut want = vec![0; 10];
+        for row in c.table("r2").unwrap().debug_all_rows() {
+            let score = row.value("d", b"score").unwrap().try_into().unwrap();
+            want[hist.bucket_of(f64::from_be_bytes(score)) as usize] += 1;
+        }
+        let got: Vec<u64> = (0..10)
+            .map(|bucket| {
+                let row = c.client().get("bfhm_idx", &blob_row_key(bucket)).unwrap();
+                let blob = row.as_ref().and_then(|row| row.value("R2", BLOB_QUALIFIER));
+                blob.map_or(0, |b| BfhmBlob::decode(b).unwrap().filter.n_inserted())
+            })
+            .collect();
+        assert_eq!(got, want, "tuples per bucket: blobs against the base table");
+    }
+
+    /// The window between a read of a bucket and its write-back: a delete
+    /// that cancels one of the records the read replayed lands in between.
+    /// The write-back must not apply — it would put the cancelled tuple
+    /// into the blob for good — and leaves the other record to the next
+    /// read, under every policy.
+    #[test]
+    fn a_write_back_after_a_cancellation_leaves_the_bucket_to_the_next_read() {
+        use crate::maintenance::MaintainedSide;
+        for policy in [
+            WriteBackPolicy::Eager,
+            WriteBackPolicy::Lazy,
+            WriteBackPolicy::Off,
+        ] {
+            let (c, q) = running_example_cluster();
+            let config = build(&c, &q);
+            let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+            let m = maintainer.filter_bits();
+            let side = MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
+            // Two records in bucket 0, which holds R2's scores >= 0.9.
+            side.insert(b"r2_99", b"b", 0.99, vec![]).unwrap();
+            side.insert(b"r2_98", b"a", 0.95, vec![]).unwrap();
+
+            let client = c.client();
+            let family = client
+                .projection("bfhm_idx", Some(&["R2".to_owned()]))
+                .unwrap();
+            let mut batch = RowBatch::new();
+            let row = client
+                .get_into(&mut batch, &family, &blob_row_key(0))
+                .unwrap();
+            let resolved = resolve_bucket_row(row, "R2", m, Vec::with_capacity).unwrap();
+            assert_eq!(resolved.consumed_qualifiers.len(), 2);
+            side.delete(b"r2_99").unwrap();
+            let written = write_back_bucket(
+                &c,
+                "bfhm_idx",
+                "R2",
+                &blob_row_key(0),
+                &resolved,
+                config.codec,
+            )
+            .unwrap();
+            assert!(!written, "{policy:?}: a consumed record was cancelled");
+            assert_eq!(
+                bucket_row_cost(&c, "R2", 0).0,
+                1,
+                "{policy:?}: r2_98 pending"
+            );
+
+            let got = bfhm_run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            assert_eq!(got.results, oracle::topk(&c, &q).unwrap(), "{policy:?}");
+            assert_blobs_count_the_base_table(&c);
+        }
+    }
+
+    /// One thread runs maintained inserts and deletes into R2 while
+    /// another runs eager reads, whose write-backs race the deletes'
+    /// cancellations. Once both stop, BFHM agrees with the oracle under
+    /// every policy and every blob counts its bucket's tuples.
+    #[test]
+    fn maintained_writes_racing_eager_reads_agree_with_the_oracle() {
+        use crate::maintenance::MaintainedSide;
+        let (c, q) = running_example_cluster();
+        let config = build(&c, &q);
+        let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        let side = MaintainedSide::new(&c, q.right.clone()).with_bfhm(maintainer);
+        let joins: [&[u8]; 4] = [b"a", b"b", b"c", b"d"];
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..200u32 {
+                    let key = format!("r2_x{i}");
+                    let score = 0.5 + f64::from(i % 50) / 100.0;
+                    let join = joins[i as usize % joins.len()];
+                    side.insert(key.as_bytes(), join, score, vec![]).unwrap();
+                    // Every fifth tuple stays.
+                    if i % 5 != 0 {
+                        side.delete(key.as_bytes()).unwrap();
+                    }
+                }
+            });
+            scope.spawn(|| {
+                for _ in 0..40 {
+                    bfhm_run(&c, &q, "bfhm_idx", &config, WriteBackPolicy::Eager).unwrap();
+                }
+            });
+        });
+        let want = oracle::topk(&c, &q).unwrap();
+        for policy in [
+            WriteBackPolicy::Eager,
+            WriteBackPolicy::Lazy,
+            WriteBackPolicy::Off,
+        ] {
+            let got = bfhm_run(&c, &q, "bfhm_idx", &config, policy).unwrap();
+            assert_eq!(got.results, want, "{policy:?}");
+        }
+        assert_blobs_count_the_base_table(&c);
+    }
+
+    /// Two concurrent inserts into one bucket: the later-stamped record
+    /// lands first and is written back, then the earlier-stamped one
+    /// lands. Its write-back must still reach the blob. Stamped with its
+    /// own record's timestamp, the blob was dropped as older than the one
+    /// stored, while the record's purge applied: the tuple was lost.
+    #[test]
+    fn a_record_stamped_before_the_stored_blob_still_reaches_it() {
+        let (c, q) = running_example_cluster();
+        let config = build(&c, &q);
+        let maintainer = BfhmMaintainer::attach(&c, "bfhm_idx", "R2").unwrap();
+        let tuples_in_bucket_0 = || {
+            let row = c
+                .client()
+                .get("bfhm_idx", &blob_row_key(0))
+                .unwrap()
+                .unwrap();
+            let blob = BfhmBlob::decode(row.value("R2", BLOB_QUALIFIER).unwrap()).unwrap();
+            blob.filter.n_inserted()
+        };
+        let before = tuples_in_bucket_0();
+        let (early, late) = (c.next_ts(), c.next_ts());
+        insert_record(&maintainer, b"r2_98", b"a", 0.95, late);
+        assert_eq!(
+            compact_if_pending(&c, "bfhm_idx", "R2", config.codec, 1).unwrap(),
+            1
+        );
+        insert_record(&maintainer, b"r2_97", b"c", 0.96, early);
+        assert_eq!(
+            compact_if_pending(&c, "bfhm_idx", "R2", config.codec, 1).unwrap(),
+            1
+        );
+        assert_eq!(tuples_in_bucket_0(), before + 2);
     }
 }

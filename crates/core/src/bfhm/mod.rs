@@ -35,10 +35,12 @@ pub(crate) use query::{BfhmBuffers, BfhmCore};
 use rj_sketch::blob::BlobCodec;
 use rj_sketch::hybrid::AlphaMode;
 
-/// How the estimation phase bounds the k-th estimated result (see
-/// DESIGN.md §5: the paper's prose says "minimum score of the k'th
-/// estimated result" but its §5.2 walk-through terminates with the k-th
-/// estimate's *maximum* score and bucket-boundary bounds).
+/// How the estimation phase bounds the k-th estimated result. The paper
+/// is not consistent here, and the default follows its example: §5.2's
+/// prose says "minimum score of the k'th estimated result", but its
+/// walk-through terminates with the k-th estimate's *maximum* score and
+/// bucket-boundary bounds. Either way the §5.3 guarantee loop keeps recall
+/// at 100%; the two modes differ only in how much the estimation fetches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BoundMode {
     /// Reproduces the §5.2 walk-through: k-th estimate's **max** score;

@@ -466,14 +466,16 @@ impl BfhmCore {
             // compacted like any other.
             if let Some(resolved) = resolved.as_ref().filter(|r| r.had_mutations) {
                 match self.write_back {
-                    WriteBackPolicy::Eager => write_back_bucket(
-                        cluster,
-                        self.table(),
-                        label,
-                        &blob_row_key(bucket),
-                        resolved,
-                        self.config.codec,
-                    )?,
+                    WriteBackPolicy::Eager => {
+                        write_back_bucket(
+                            cluster,
+                            self.table(),
+                            label,
+                            &blob_row_key(bucket),
+                            resolved,
+                            self.config.codec,
+                        )?;
+                    }
                     // Once per `(side, bucket)`: the cursor moves past it.
                     WriteBackPolicy::Lazy => self.pending_write_backs.push((side, bucket)),
                     WriteBackPolicy::Off => {}

@@ -218,10 +218,15 @@ impl MaintainedSide {
     /// yields [`RankJoinError::NonFiniteScore`], the same rejection
     /// `insert` applies at ingest.
     ///
+    /// The BFHM maintainer is handed the timestamp of the row's score
+    /// cell, which `insert` pinned on the tuple's insertion record too, so
+    /// it can cancel that record while it is pending
+    /// ([`BfhmMaintainer::record_delete`]).
+    ///
     /// The side's read batch stays locked for the whole delete, because
     /// the join value borrows from it. Nothing else takes that lock, so
-    /// the order is: batch lock, then the statistics fence, then the
-    /// store's region locks.
+    /// the order is: batch lock, then the statistics fence or the BFHM
+    /// maintainer's buffer lock, then the store's region locks.
     pub fn delete(&self, row_key: &[u8]) -> Result<u64> {
         let client = self.cluster.client();
         let projection = client.projection(&self.side.table, None)?;
@@ -230,6 +235,10 @@ impl MaintainedSide {
             .get_into(&mut batch, &projection, row_key)
             .ok_or(RankJoinError::MissingRow)?;
         let (join_value, score) = self.side.extract_checked(row)?;
+        // `insert` pinned one timestamp on the score cell and on the
+        // tuple's BFHM insertion record.
+        let (family, qualifier) = &self.score_col;
+        let inserted = row.cell(family, qualifier).map_or(0, |cell| cell.timestamp);
         let ts = self.cluster.next_ts();
 
         // Tombstone every base column, with the handles the read lent.
@@ -252,7 +261,7 @@ impl MaintainedSide {
             client.mutate_row(t, join_value, [tombstone()])?;
         }
         if let Some(b) = &self.bfhm {
-            b.record_delete(&row_key, join_value, score, ts)?;
+            b.record_delete(&row_key, join_value, score, inserted, ts)?;
         }
         Ok(ts)
     }

@@ -43,7 +43,7 @@ use crate::cell::Mutation;
 use crate::cluster::Shared;
 use crate::error::{Result, StoreError};
 use crate::metrics::Metrics;
-use crate::region::ReadCost;
+use crate::region::{Checked, ReadCost};
 use crate::row::{RowBatch, RowRef, RowResult};
 use crate::scan::Scan;
 use crate::table::{Families, Table};
@@ -148,11 +148,44 @@ impl Client {
         let t = self.lookup(table)?;
         let ts = self.shared.clock_next();
         let (bytes, node) = t.mutate_row(row, mutations, ts)?;
-        self.metrics.add_kv_writes(mutations.len() as u64);
-        // Writes pay an append (sequential) disk cost plus shipping.
+        self.charge_write(node, mutations.len(), bytes);
+        Ok(())
+    }
+
+    /// HBase's `checkAndMutate`, in one RPC: applies `then` to one row
+    /// atomically if every `check` column (one family's qualifiers) holds
+    /// a visible value in it, and `otherwise` if not. Returns whether the
+    /// check held.
+    ///
+    /// The check and the write run under one hold of the row's region
+    /// lock, so no other write lands between them. Only the branch applied
+    /// is built, so the other allocates nothing. `then` is handed the row
+    /// it checked, whose [`Checked::qualifier`] lends the handle the
+    /// memstore stores for a checked column. The call bills exactly what
+    /// [`Client::mutate_row`] of the applied branch bills; the check itself
+    /// is not a billed read.
+    pub fn check_and_mutate_row<Q: AsRef<[u8]>, M: AsRef<[Mutation]>>(
+        &self,
+        table: &str,
+        row: &[u8],
+        check: (&str, &[Q]),
+        then: impl FnOnce(&Checked<'_>) -> M,
+        otherwise: impl FnOnce() -> M,
+    ) -> Result<bool> {
+        let t = self.lookup(table)?;
+        let ts = self.shared.clock_next();
+        let (held, mutations, bytes, node) =
+            t.check_and_mutate_row(row, check, then, otherwise, ts)?;
+        self.charge_write(node, mutations.as_ref().len(), bytes);
+        Ok(held)
+    }
+
+    /// Bills a write of `mutations` mutations and `bytes` bytes: an append
+    /// (sequential) disk cost plus shipping.
+    fn charge_write(&self, node: usize, mutations: usize, bytes: u64) {
+        self.metrics.add_kv_writes(mutations as u64);
         let server_time = bytes as f64 / self.shared.cost.disk_bandwidth;
         self.charge(node, server_time, bytes);
-        Ok(())
     }
 
     /// Point read of a full row, owned: [`Client::get_into`] under every
@@ -451,6 +484,7 @@ mod tests {
     use crate::cluster::Cluster;
     use crate::costmodel::CostModel;
     use crate::keys;
+    use bytes::Bytes;
 
     fn small_cluster() -> Cluster {
         let c = Cluster::new(2, CostModel::test());
@@ -673,6 +707,102 @@ mod tests {
             Some(StoreError::FamilyNotFound { .. })
         ));
         assert!(owned.next().is_none());
+    }
+
+    /// `check_and_mutate_row` applies `then` while every checked column
+    /// holds a visible value — in the memstore or frozen — and `otherwise`
+    /// once one is absent or tombstoned, billing what `mutate_row` of the
+    /// applied branch bills.
+    #[test]
+    fn a_conditional_write_applies_one_branch_and_bills_it_alone() {
+        let c = small_cluster();
+        let cl = c.client();
+        cl.mutate_row(
+            "t",
+            b"r",
+            [
+                Mutation::put("cf", b"a", b"1".to_vec()),
+                Mutation::put("cf", b"b", b"2".to_vec()),
+            ],
+        )
+        .unwrap();
+        let branch = |q: &[u8]| [Mutation::put("idx", q, b"x".to_vec())];
+        let conditional = |check: &[&[u8]]| {
+            let before = c.metrics().snapshot();
+            let held = cl
+                .check_and_mutate_row(
+                    "t",
+                    b"r",
+                    ("cf", check),
+                    |_| branch(b"then"),
+                    || branch(b"else"),
+                )
+                .unwrap();
+            (held, c.metrics().snapshot().delta_since(&before))
+        };
+        let before = c.metrics().snapshot();
+        cl.mutate_row("t", b"r", branch(b"then")).unwrap();
+        let plain = c.metrics().snapshot().delta_since(&before);
+
+        assert_eq!(conditional(&[b"a", b"b"]), (true, plain));
+        assert_eq!(conditional(&[]), (true, plain), "nothing to check holds");
+        assert!(!conditional(&[b"a", b"zz"]).0, "an absent column");
+        assert!(cl
+            .get("t", b"r")
+            .unwrap()
+            .unwrap()
+            .value("idx", b"else")
+            .is_some());
+        cl.delete("t", b"r", "cf", b"b").unwrap();
+        assert!(!conditional(&[b"b"]).0, "a tombstoned column");
+        c.table("t").unwrap().flush();
+        assert!(conditional(&[b"a"]).0, "a frozen column");
+        assert!(!conditional(&[b"b"]).0, "a frozen tombstone");
+        assert!(matches!(
+            cl.check_and_mutate_row(
+                "t",
+                b"r",
+                ("nope", &[b"a"]),
+                |_| branch(b"q"),
+                || branch(b"q")
+            ),
+            Err(StoreError::FamilyNotFound { .. })
+        ));
+    }
+
+    /// `then` may store the handle the memstore keeps for a checked
+    /// column instead of a copy; a frozen column lends none.
+    #[test]
+    fn a_checked_memstore_column_lends_its_qualifier_handle() {
+        let c = small_cluster();
+        let cl = c.client();
+        let qualifier = Bytes::from_static(b"q");
+        let put = Mutation::put_shared(
+            "cf".into(),
+            qualifier.clone(),
+            Bytes::from_static(b"v"),
+            None,
+        );
+        cl.mutate_row("t", b"r", [put]).unwrap();
+        let lent = || {
+            let mut lent = None;
+            cl.check_and_mutate_row(
+                "t",
+                b"r",
+                ("cf", &[b"q"]),
+                |row| {
+                    lent = row.qualifier(b"q");
+                    Vec::new()
+                },
+                Vec::new,
+            )
+            .unwrap();
+            lent
+        };
+        let handle = lent().unwrap();
+        assert_eq!(handle.as_ptr(), qualifier.as_ptr(), "the writer's handle");
+        c.table("t").unwrap().flush();
+        assert_eq!(lent(), None, "a frozen column's bytes are the segment's");
     }
 
     #[test]

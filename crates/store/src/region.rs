@@ -214,6 +214,38 @@ impl<'a> RowView<'a> {
             }
         }
     }
+
+    /// The stored column `family:qualifier`, if any.
+    fn column(&self, family: usize, qualifier: &[u8]) -> Option<Stored<'a>> {
+        match self {
+            RowView::Memstore(columns) => {
+                let columns = family_columns(columns, family);
+                let at = columns.binary_search_by(|c| c.qualifier[..].cmp(qualifier));
+                at.ok().map(|at| columns[at].stored())
+            }
+            &RowView::Frozen(segment, row) => segment
+                .find_column(row, family, qualifier)
+                .map(|column| segment.stored(row, column)),
+        }
+    }
+}
+
+/// The row a conditional write found holding a visible value in every
+/// column it checked ([`crate::client::Client::check_and_mutate_row`]),
+/// read under the region lock the write then takes.
+pub struct Checked<'a> {
+    row: Option<RowView<'a>>,
+    family: usize,
+}
+
+impl Checked<'_> {
+    /// The qualifier handle the memstore stores for the checked column
+    /// `qualifier`: a write that reuses it stores no second copy. `None`
+    /// for a frozen row's column, whose bytes its segment owns.
+    pub fn qualifier(&self, qualifier: &[u8]) -> Option<Bytes> {
+        let stored = self.row.as_ref()?.column(self.family, qualifier)?;
+        stored.column.map(|column| column.qualifier.clone())
+    }
 }
 
 /// A region's stored rows in a key range, in key order: memstore rows
@@ -359,6 +391,28 @@ impl Region {
             next,
             end: end.max(next),
         }
+    }
+
+    /// The row `key` if every `qualifiers` column of `family` holds a
+    /// visible value in it (vacuously so for no columns), `None` if one
+    /// does not.
+    pub(crate) fn check<Q: AsRef<[u8]>>(
+        &self,
+        key: &[u8],
+        family: usize,
+        qualifiers: &[Q],
+    ) -> Option<Checked<'_>> {
+        let row = self.row(key);
+        let visible = |qualifier: &Q| {
+            let column = row
+                .as_ref()
+                .and_then(|row| row.column(family, qualifier.as_ref()));
+            column.is_some_and(|column| column.value.is_some())
+        };
+        qualifiers
+            .iter()
+            .all(visible)
+            .then_some(Checked { row, family })
     }
 
     /// Applies mutations to one row atomically, after dropping the
@@ -920,16 +974,16 @@ mod tests {
     }
 
     /// Applies `m` (family `a`) to `key` with the cluster clock at `now`.
-    fn apply(region: &mut Region, key: &[u8], m: &Mutation, now: u64) {
+    pub(super) fn apply(region: &mut Region, key: &[u8], m: &Mutation, now: u64) {
         region.mutate_row(key, [(0, m)], now, &fams());
     }
 
-    fn value_of(region: &Region, key: &[u8]) -> Option<Vec<u8>> {
+    pub(super) fn value_of(region: &Region, key: &[u8]) -> Option<Vec<u8>> {
         let (row, _) = region.get_owned(key, &fams(), None);
         row.and_then(|r| r.value("a", b"q").map(|v| v.to_vec()))
     }
 
-    fn assert_accounting_matches_a_recount(region: &Region) {
+    pub(super) fn assert_accounting_matches_a_recount(region: &Region) {
         let counted = (region.row_count(), region.kv_count(), region.byte_size());
         assert_eq!(counted, region.recount(&fams()));
     }
@@ -1221,161 +1275,5 @@ mod tests {
         assert_eq!((r.row_count(), upper.row_count()), (4, 4));
         assert_accounting_matches_a_recount(&r);
         assert_accounting_matches_a_recount(&upper);
-    }
-
-    /// §6's delete over loaded data: the tombstone replaces the frozen
-    /// column in the row the delete moved into the memstore, and once its
-    /// grace window has passed, purging it deletes the column and the
-    /// emptied row. The old value does not resurface, neither in the
-    /// region nor after a later flush, and a put older than the purged
-    /// tombstone then lands as on a never-written column (the documented
-    /// limit of the window).
-    #[test]
-    fn a_purged_tombstone_over_a_frozen_column_leaves_it_deleted() {
-        let mut r = Region::new(vec![], 0);
-        apply(
-            &mut r,
-            b"k",
-            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
-            1,
-        );
-        apply(
-            &mut r,
-            b"anchor",
-            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
-            1,
-        );
-        r.flush();
-        assert!(r.memstore.is_empty());
-        let ts = 10;
-        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
-        assert_eq!(value_of(&r, b"k"), None, "the tombstone masks the segment");
-        let (_, cost) = r.get_owned(b"k", &fams(), None);
-        assert_eq!(cost.kvs_scanned, 1, "one column, touched once");
-        assert_eq!((r.row_count(), r.kv_count()), (2, 1));
-        assert_accounting_matches_a_recount(&r);
-
-        let now = ts + TOMBSTONE_GRACE_TICKS + 1;
-        apply(
-            &mut r,
-            b"anchor",
-            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
-            now,
-        );
-        assert!(r.purge_queue.is_empty());
-        assert_eq!(
-            r.get_owned(b"k", &fams(), None),
-            (None, ReadCost::default())
-        );
-        assert_eq!((r.row_count(), r.kv_count()), (1, 1));
-        assert_accounting_matches_a_recount(&r);
-        r.flush();
-        assert_eq!(
-            r.get_owned(b"k", &fams(), None),
-            (None, ReadCost::default())
-        );
-        assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
-        assert_accounting_matches_a_recount(&r);
-
-        apply(
-            &mut r,
-            b"k",
-            &Mutation::put_at("a", b"q", b"old".to_vec(), 5),
-            now,
-        );
-        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"old"[..]));
-        assert_accounting_matches_a_recount(&r);
-    }
-
-    /// The first write to a frozen row moves the row into the memstore,
-    /// where a write older than its column's version is dropped on
-    /// arrival and a newer one replaces it: either way the row is read,
-    /// billed and counted once, from one half.
-    #[test]
-    fn a_write_to_a_frozen_row_moves_it_and_is_stale_against_its_columns() {
-        let mut r = Region::new(vec![], 0);
-        apply(
-            &mut r,
-            b"k",
-            &Mutation::put_at("a", b"q", b"newest".to_vec(), 10),
-            10,
-        );
-        r.flush();
-        let stored = (r.row_count(), r.kv_count(), r.byte_size());
-        apply(
-            &mut r,
-            b"k",
-            &Mutation::put_at("a", b"q", b"stale".to_vec(), 3),
-            11,
-        );
-        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 9), 12);
-        assert_eq!(r.memstore.len(), 1, "the row moved, with its column");
-        assert!(r.segment.is_moved(0));
-        assert!(
-            r.purge_queue.is_empty(),
-            "a dropped tombstone is not queued"
-        );
-        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"newest"[..]));
-        assert_eq!((r.row_count(), r.kv_count(), r.byte_size()), stored);
-        assert_eq!(r.row_keys().count(), 1);
-
-        apply(
-            &mut r,
-            b"k",
-            &Mutation::put_at("a", b"q", b"new".to_vec(), 20),
-            20,
-        );
-        assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"new"[..]));
-        let (_, cost) = r.get_owned(b"k", &fams(), None);
-        assert_eq!(cost.kvs_scanned, 1, "the moved segment row is not billed");
-        assert_accounting_matches_a_recount(&r);
-    }
-
-    /// A tombstone that a flush froze inside its grace window is purged
-    /// once the window has passed: its row is copied out, the tombstone
-    /// removed, and the row with it once empty. Its key is then free, in
-    /// the region and after the next flush.
-    #[test]
-    fn a_frozen_tombstone_is_purged_with_its_row_once_its_window_passes() {
-        let mut r = Region::new(vec![], 0);
-        apply(
-            &mut r,
-            b"anchor",
-            &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
-            1,
-        );
-        apply(
-            &mut r,
-            b"k",
-            &Mutation::put_at("a", b"q", b"v".to_vec(), 2),
-            2,
-        );
-        let ts = 10;
-        apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
-        r.flush();
-        assert_eq!((r.row_count(), r.kv_count()), (2, 1));
-        let (_, cost) = r.get_owned(b"k", &fams(), None);
-        assert_eq!(cost.kvs_scanned, 1, "the frozen tombstone is billed");
-
-        let now = ts + TOMBSTONE_GRACE_TICKS + 1;
-        apply(
-            &mut r,
-            b"anchor",
-            &Mutation::put_at("a", b"q", b"v".to_vec(), now),
-            now,
-        );
-        assert!(r.purge_queue.is_empty());
-        assert_eq!(
-            r.get_owned(b"k", &fams(), None),
-            (None, ReadCost::default())
-        );
-        assert_eq!(
-            r.row_keys().map(Key::to_vec).collect::<Vec<_>>(),
-            [b"anchor"]
-        );
-        assert_accounting_matches_a_recount(&r);
-        r.flush();
-        assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
-        assert_accounting_matches_a_recount(&r);
     }
 }

@@ -174,11 +174,15 @@ impl<'a> RowRef<'a> {
         (0..self.cells.len()).map(move |i| self.cells.get(i))
     }
 
-    /// The visible value of `family:qualifier`, if any.
-    pub fn value(self, family: &str, qualifier: &[u8]) -> Option<&'a [u8]> {
+    /// The visible cell `family:qualifier`, if any.
+    pub fn cell(self, family: &str, qualifier: &[u8]) -> Option<CellRef<'a>> {
         self.cells()
             .find(|c| c.family == family && c.qualifier == qualifier)
-            .map(|c| c.value)
+    }
+
+    /// The visible value of `family:qualifier`, if any.
+    pub fn value(self, family: &str, qualifier: &[u8]) -> Option<&'a [u8]> {
+        self.cell(family, qualifier).map(|c| c.value)
     }
 
     /// All cells in one family.

@@ -1,8 +1,10 @@
 //! A segment's encodings against a never-flushed twin: each flush and
 //! split chooses every encoding and its fallback from the rows it copies
 //! (see [`crate::segment`]), and a region reads, bills and thaws alike
-//! either way.
+//! either way. The last tests follow a frozen row through its thaw and a
+//! frozen tombstone through its purge.
 
+use super::tests::{apply, assert_accounting_matches_a_recount, value_of};
 use super::*;
 use crate::region_oracle::KEYS;
 
@@ -595,4 +597,160 @@ fn a_row_of_a_shaped_segment_thaws_and_drops_a_stale_write() {
         "row r3 holds a:q, a:r, b:q"
     );
     assert_alike(&twins);
+}
+
+/// §6's delete over loaded data: the tombstone replaces the frozen
+/// column in the row the delete moved into the memstore, and once its
+/// grace window has passed, purging it deletes the column and the
+/// emptied row. The old value does not resurface, neither in the
+/// region nor after a later flush, and a put older than the purged
+/// tombstone then lands as on a never-written column (the documented
+/// limit of the window).
+#[test]
+fn a_purged_tombstone_over_a_frozen_column_leaves_it_deleted() {
+    let mut r = Region::new(vec![], 0);
+    apply(
+        &mut r,
+        b"k",
+        &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+        1,
+    );
+    apply(
+        &mut r,
+        b"anchor",
+        &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+        1,
+    );
+    r.flush();
+    assert!(r.memstore.is_empty());
+    let ts = 10;
+    apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
+    assert_eq!(value_of(&r, b"k"), None, "the tombstone masks the segment");
+    let (_, cost) = r.get_owned(b"k", &fams(), None);
+    assert_eq!(cost.kvs_scanned, 1, "one column, touched once");
+    assert_eq!((r.row_count(), r.kv_count()), (2, 1));
+    assert_accounting_matches_a_recount(&r);
+
+    let now = ts + TOMBSTONE_GRACE_TICKS + 1;
+    apply(
+        &mut r,
+        b"anchor",
+        &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+        now,
+    );
+    assert!(r.purge_queue.is_empty());
+    assert_eq!(
+        r.get_owned(b"k", &fams(), None),
+        (None, ReadCost::default())
+    );
+    assert_eq!((r.row_count(), r.kv_count()), (1, 1));
+    assert_accounting_matches_a_recount(&r);
+    r.flush();
+    assert_eq!(
+        r.get_owned(b"k", &fams(), None),
+        (None, ReadCost::default())
+    );
+    assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
+    assert_accounting_matches_a_recount(&r);
+
+    apply(
+        &mut r,
+        b"k",
+        &Mutation::put_at("a", b"q", b"old".to_vec(), 5),
+        now,
+    );
+    assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"old"[..]));
+    assert_accounting_matches_a_recount(&r);
+}
+
+/// The first write to a frozen row moves the row into the memstore,
+/// where a write older than its column's version is dropped on
+/// arrival and a newer one replaces it: either way the row is read,
+/// billed and counted once, from one half.
+#[test]
+fn a_write_to_a_frozen_row_moves_it_and_is_stale_against_its_columns() {
+    let mut r = Region::new(vec![], 0);
+    apply(
+        &mut r,
+        b"k",
+        &Mutation::put_at("a", b"q", b"newest".to_vec(), 10),
+        10,
+    );
+    r.flush();
+    let stored = (r.row_count(), r.kv_count(), r.byte_size());
+    apply(
+        &mut r,
+        b"k",
+        &Mutation::put_at("a", b"q", b"stale".to_vec(), 3),
+        11,
+    );
+    apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 9), 12);
+    assert_eq!(r.memstore.len(), 1, "the row moved, with its column");
+    assert!(r.segment.is_moved(0));
+    assert!(
+        r.purge_queue.is_empty(),
+        "a dropped tombstone is not queued"
+    );
+    assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"newest"[..]));
+    assert_eq!((r.row_count(), r.kv_count(), r.byte_size()), stored);
+    assert_eq!(r.row_keys().count(), 1);
+
+    apply(
+        &mut r,
+        b"k",
+        &Mutation::put_at("a", b"q", b"new".to_vec(), 20),
+        20,
+    );
+    assert_eq!(value_of(&r, b"k").as_deref(), Some(&b"new"[..]));
+    let (_, cost) = r.get_owned(b"k", &fams(), None);
+    assert_eq!(cost.kvs_scanned, 1, "the moved segment row is not billed");
+    assert_accounting_matches_a_recount(&r);
+}
+
+/// A tombstone that a flush froze inside its grace window is purged
+/// once the window has passed: its row is copied out, the tombstone
+/// removed, and the row with it once empty. Its key is then free, in
+/// the region and after the next flush.
+#[test]
+fn a_frozen_tombstone_is_purged_with_its_row_once_its_window_passes() {
+    let mut r = Region::new(vec![], 0);
+    apply(
+        &mut r,
+        b"anchor",
+        &Mutation::put_at("a", b"q", b"v".to_vec(), 1),
+        1,
+    );
+    apply(
+        &mut r,
+        b"k",
+        &Mutation::put_at("a", b"q", b"v".to_vec(), 2),
+        2,
+    );
+    let ts = 10;
+    apply(&mut r, b"k", &Mutation::delete_at("a", b"q", ts), ts);
+    r.flush();
+    assert_eq!((r.row_count(), r.kv_count()), (2, 1));
+    let (_, cost) = r.get_owned(b"k", &fams(), None);
+    assert_eq!(cost.kvs_scanned, 1, "the frozen tombstone is billed");
+
+    let now = ts + TOMBSTONE_GRACE_TICKS + 1;
+    apply(
+        &mut r,
+        b"anchor",
+        &Mutation::put_at("a", b"q", b"v".to_vec(), now),
+        now,
+    );
+    assert!(r.purge_queue.is_empty());
+    assert_eq!(
+        r.get_owned(b"k", &fams(), None),
+        (None, ReadCost::default())
+    );
+    assert_eq!(
+        r.row_keys().map(Key::to_vec).collect::<Vec<_>>(),
+        [b"anchor"]
+    );
+    assert_accounting_matches_a_recount(&r);
+    r.flush();
+    assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
+    assert_accounting_matches_a_recount(&r);
 }

@@ -8,7 +8,8 @@ use parking_lot::RwLock;
 use crate::cell::Mutation;
 use crate::error::{Result, StoreError};
 use crate::filter::ServerFilter;
-use crate::region::{ReadCost, Region};
+use crate::pool::WorkStealingPool;
+use crate::region::{Checked, ReadCost, Region};
 use crate::row::{RowBatch, RowRef, RowResult};
 
 /// Metadata about one region, as exposed to the MapReduce engine for
@@ -232,29 +233,73 @@ impl Table {
         muts: &[Mutation],
         default_ts: u64,
     ) -> Result<(u64, usize)> {
+        let (_, bytes, node) = self.write_row(key, default_ts, |_| muts)?;
+        Ok((bytes, node))
+    }
+
+    /// Applies `then` to one row atomically if every `check` column of
+    /// `family` holds a visible value in it, `otherwise` if not (HBase's
+    /// `checkAndMutate`): the check, the branch's building and its write
+    /// run under one hold of the row's region lock. `then` is handed the
+    /// row it checked. Returns whether the check held, the mutations
+    /// applied, bytes written and the serving node.
+    pub(crate) fn check_and_mutate_row<Q: AsRef<[u8]>, M: AsRef<[Mutation]>>(
+        &self,
+        key: &[u8],
+        (family, check): (&str, &[Q]),
+        then: impl FnOnce(&Checked<'_>) -> M,
+        otherwise: impl FnOnce() -> M,
+        default_ts: u64,
+    ) -> Result<(bool, M, u64, usize)> {
+        let family = self.family_index(family)?;
+        let mut held = false;
+        let (muts, bytes, node) = self.write_row(key, default_ts, |region| {
+            match region.check(key, family, check) {
+                Some(row) => {
+                    held = true;
+                    then(&row)
+                }
+                None => otherwise(),
+            }
+        })?;
+        Ok((held, muts, bytes, node))
+    }
+
+    /// Applies the mutations `decide` picks, under the write lock of the
+    /// region serving `key`, to that row atomically. Returns them, bytes
+    /// written and the serving node.
+    fn write_row<M: AsRef<[Mutation]>>(
+        &self,
+        key: &[u8],
+        default_ts: u64,
+        decide: impl FnOnce(&Region) -> M,
+    ) -> Result<(M, u64, usize)> {
         if key.is_empty() {
             return Err(StoreError::InvalidArgument("empty row key"));
         }
-        // All or nothing: an unknown family fails the call before any
-        // mutation is applied, so the second resolution below cannot miss.
-        for m in muts {
-            self.family_index(m.family())?;
-        }
-        let resolved = muts
-            .iter()
-            .filter_map(|m| Some((self.family_index(m.family()).ok()?, m)));
-        let (bytes, node, needs_split) = {
+        let (muts, bytes, node, needs_split) = {
             let regions = self.regions.read();
             let idx = Self::region_index(&regions, key);
             let mut region = regions[idx].write();
+            let muts = decide(&region);
+            // All or nothing: an unknown family fails the call before any
+            // mutation is applied, so the second resolution below cannot
+            // miss.
+            for m in muts.as_ref() {
+                self.family_index(m.family())?;
+            }
+            let resolved = muts
+                .as_ref()
+                .iter()
+                .filter_map(|m| Some((self.family_index(m.family()).ok()?, m)));
             let bytes = region.mutate_row(key, resolved, default_ts, &self.families);
             let needs_split = region.row_count() > self.split_threshold.load(Ordering::Relaxed);
-            (bytes, region.node(), needs_split)
+            (muts, bytes, region.node(), needs_split)
         };
         if needs_split {
             self.try_split(key);
         }
-        Ok((bytes, node))
+        Ok((muts, bytes, node))
     }
 
     /// Freezes every region's memstore into its segment, as an HBase
@@ -262,11 +307,17 @@ impl Table {
     /// reads return and bill is unchanged, and the rows take a fraction of
     /// the heap. Called once data stops arriving in bulk, by the TPC-H
     /// loader and at the end of a MapReduce job that writes to a table. An
-    /// admin operation: no cost is charged.
+    /// admin operation: no cost is charged. Regions are independent, so
+    /// each is frozen by its own task of one pool batch
+    /// ([`WorkStealingPool::run_batch`]), and the segments are the same at
+    /// every pool width.
     pub fn flush(&self) {
-        for region in self.regions.read().iter() {
-            region.write().flush();
-        }
+        let regions = self.regions.read();
+        let tasks = regions
+            .iter()
+            .map(|region| Box::new(move || region.write().flush()) as Box<dyn FnOnce() + Send + '_>)
+            .collect();
+        WorkStealingPool::global().run_batch(tasks);
     }
 
     /// Re-shards the table into up to `pieces` regions holding roughly
