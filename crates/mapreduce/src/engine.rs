@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use rj_store::cluster::Cluster;
 use rj_store::error::StoreError;
 use rj_store::scan::Scan;
-use rj_store::WorkStealingPool;
+use rj_store::{BulkLoad, WorkStealingPool};
 
 use crate::counters::Counters;
 use crate::dfs::{record_weight, Dfs, DfsFile, DfsPart};
@@ -85,6 +85,8 @@ struct MapTaskOutput {
     input_records: u64,
     combine_input_records: u64,
     puts: u64,
+    /// The task's puts, staged for the job's bulk load.
+    load: Option<BulkLoad>,
 }
 
 /// The MapReduce engine: a cluster handle plus a DFS namespace.
@@ -117,9 +119,12 @@ impl MapReduceEngine {
     ///
     /// `combiner_factory`, when given, is applied to each map task's output
     /// before the shuffle (Pig's local top-k combiner, §3.1). A job that
-    /// writes to a table (`put_table`) flushes it when it finishes, so its
-    /// output is frozen into region segments, as an HBase bulk load's
-    /// store files are ([`rj_store::table::Table::flush`]).
+    /// writes to a table (`put_table`) writes it as HBase's bulk load does
+    /// (`HFileOutputFormat2`, then `completebulkload`): each task stages
+    /// its puts, billed as `client.put`s of them in emit order
+    /// ([`rj_store::Client::stage`]), and when the tasks are done the
+    /// staged rows of all of them, in task order, go straight into the
+    /// table's region segments ([`rj_store::Cluster::bulk_load`]).
     pub fn run(
         &self,
         spec: &JobSpec,
@@ -127,20 +132,29 @@ impl MapReduceEngine {
         reducer_factory: Option<ReducerFactory<'_>>,
         combiner_factory: Option<ReducerFactory<'_>>,
     ) -> Result<JobResult, EngineError> {
-        let result = self.run_job(spec, mapper_factory, reducer_factory, combiner_factory)?;
+        let mut loads = Vec::new();
+        let result = self.run_job(
+            spec,
+            mapper_factory,
+            reducer_factory,
+            combiner_factory,
+            &mut loads,
+        )?;
         if let Some(table) = &spec.put_table {
-            self.cluster.table(table)?.flush();
+            self.cluster.bulk_load(table, &loads)?;
         }
         Ok(result)
     }
 
-    /// [`MapReduceEngine::run`] before the flush.
+    /// [`MapReduceEngine::run`] before the bulk load, whose rows each task
+    /// that puts adds to `loads`, in task order.
     fn run_job(
         &self,
         spec: &JobSpec,
         mapper_factory: MapperFactory<'_>,
         reducer_factory: Option<ReducerFactory<'_>>,
         combiner_factory: Option<ReducerFactory<'_>>,
+        loads: &mut Vec<BulkLoad>,
     ) -> Result<JobResult, EngineError> {
         if spec.num_reducers > 0 && reducer_factory.is_none() {
             return Err(EngineError::BadSpec("reducers requested but no factory"));
@@ -149,7 +163,8 @@ impl MapReduceEngine {
         let mut counters = Counters::default();
 
         // ------------------------------------------------------- map phase
-        let map_outputs = self.run_map_phase(spec, mapper_factory, combiner_factory)?;
+        let mut map_outputs = self.run_map_phase(spec, mapper_factory, combiner_factory)?;
+        loads.extend(map_outputs.iter_mut().filter_map(|t| t.load.take()));
         let num_nodes = self.cluster.num_nodes();
         let map_time = phase_makespan(
             map_outputs.iter().map(|t| (t.node, t.task_seconds)),
@@ -204,17 +219,17 @@ impl MapReduceEngine {
         let mut groups: Vec<ReducerGroups> = (0..num_reducers).map(|_| BTreeMap::new()).collect();
         let mut reducer_in_bytes = vec![0u64; num_reducers];
         let mut reducer_remote_bytes = vec![0u64; num_reducers];
-        for t in &map_outputs {
-            for (k, v) in &t.pairs {
-                let r = spec.partitioner.partition(k, num_reducers);
-                let w = record_weight(k, v);
+        for t in map_outputs {
+            for (k, v) in t.pairs {
+                let r = spec.partitioner.partition(&k, num_reducers);
+                let w = record_weight(&k, &v);
                 counters.shuffle_bytes += w;
                 reducer_in_bytes[r] += w;
                 if reducer_node(r) != t.node {
                     counters.shuffle_remote_bytes += w;
                     reducer_remote_bytes[r] += w;
                 }
-                groups[r].entry(k.clone()).or_default().push(v.clone());
+                groups[r].entry(k).or_default().push(v);
             }
         }
         self.cluster
@@ -229,11 +244,11 @@ impl MapReduceEngine {
             })
             .fold(0.0f64, f64::max);
         job_time += shuffle_time;
-        drop(map_outputs);
 
         // ----------------------------------------------------- reduce phase
         let reducer_factory = reducer_factory.expect("validated above");
-        let reduce_results = self.run_reduce_phase(spec, groups, reducer_factory, &cost)?;
+        let mut reduce_results = self.run_reduce_phase(spec, groups, reducer_factory, &cost)?;
+        loads.extend(reduce_results.iter_mut().filter_map(|(t, _)| t.load.take()));
         let reduce_time = phase_makespan(
             reduce_results
                 .iter()
@@ -264,6 +279,7 @@ impl MapReduceEngine {
                 input_records: 0,
                 combine_input_records: 0,
                 puts: 0,
+                load: None,
             })
             .collect();
         match &spec.sink {
@@ -412,19 +428,8 @@ impl MapReduceEngine {
                             emitter = run_combiner(cf, emitter);
                         }
 
-                        // Apply direct puts.
                         let puts = emitter.puts.len() as u64;
-                        if puts > 0 {
-                            let put_table = spec
-                                .put_table
-                                .as_deref()
-                                .ok_or(EngineError::BadSpec("puts emitted without put_table"))?;
-                            let client = self.cluster.task_client(node);
-                            for (row, m) in emitter.puts.drain(..) {
-                                client.put(put_table, &row, m)?;
-                            }
-                            io_seconds += client.elapsed_seconds();
-                        }
+                        let load = self.stage_puts(spec, node, &mut emitter, &mut io_seconds)?;
 
                         let cpu = (input_records + emitter.pair_count() as u64) as f64
                             * cost_ref.mr_cpu_per_record;
@@ -435,6 +440,7 @@ impl MapReduceEngine {
                             input_records,
                             combine_input_records: combine_input,
                             puts,
+                            load,
                         })
                     };
                     Box::new(task)
@@ -484,17 +490,7 @@ impl MapReduceEngine {
 
                     let mut io_seconds = n_values as f64 * cost.mr_cpu_per_record;
                     let puts = emitter.puts.len() as u64;
-                    if puts > 0 {
-                        let put_table = spec
-                            .put_table
-                            .as_deref()
-                            .ok_or(EngineError::BadSpec("puts emitted without put_table"))?;
-                        let client = self.cluster.task_client(node);
-                        for (row, m) in emitter.puts.drain(..) {
-                            client.put(put_table, &row, m)?;
-                        }
-                        io_seconds += client.elapsed_seconds();
-                    }
+                    let load = self.stage_puts(spec, node, &mut emitter, &mut io_seconds)?;
                     Ok((
                         ReduceTaskOutput {
                             pairs: emitter.pairs,
@@ -503,6 +499,7 @@ impl MapReduceEngine {
                             combine_input_records: n_values,
                             puts,
                             task_seconds_bits: max_state,
+                            load,
                         },
                         io_seconds,
                     ))
@@ -515,6 +512,32 @@ impl MapReduceEngine {
             .run_batch(tasks)
             .into_iter()
             .collect()
+    }
+
+    /// Stages a task's puts on node `node` for the job's bulk load, each
+    /// billed as its `client.put` would be, in emit order, on one client
+    /// whose modelled seconds join the task's. `None` when it put nothing.
+    fn stage_puts(
+        &self,
+        spec: &JobSpec,
+        node: usize,
+        emitter: &mut Emitter,
+        io_seconds: &mut f64,
+    ) -> Result<Option<BulkLoad>, EngineError> {
+        if emitter.puts.is_empty() {
+            return Ok(None);
+        }
+        let put_table = spec
+            .put_table
+            .as_deref()
+            .ok_or(EngineError::BadSpec("puts emitted without put_table"))?;
+        let client = self.cluster.task_client(node);
+        let mut load = BulkLoad::new(self.cluster.table(put_table)?);
+        for (row, m) in emitter.puts.drain(..) {
+            client.stage(&mut load, &row, std::slice::from_ref(&m))?;
+        }
+        *io_seconds += client.elapsed_seconds();
+        Ok(Some(load))
     }
 
     /// Builds a DFS file from task outputs (one part per task) and returns
@@ -581,6 +604,8 @@ struct ReduceTaskOutput {
     puts: u64,
     /// Max observed reducer state bytes (name reused from MapTaskOutput).
     task_seconds_bits: u64,
+    /// The task's puts, staged for the job's bulk load.
+    load: Option<BulkLoad>,
 }
 
 /// Applies a combiner to one map task's output.

@@ -51,8 +51,8 @@ impl Cell {
 /// puts the same family, qualifier or value into several tables (§6's base
 /// write and its index writes) builds each once and clones the handle, and
 /// a delete can tombstone a column with the handles its read of a memstore
-/// row handed out. A flush copies the bytes into its segment's arena and
-/// frees the handles. How the bytes are held moves neither
+/// row handed out. A bulk load that freezes the memstore copies the bytes
+/// into its segment's arena and frees the handles. How the bytes are held moves neither
 /// [`Mutation::weight`] nor what the store bills.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Mutation {

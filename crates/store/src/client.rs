@@ -182,7 +182,7 @@ impl Client {
 
     /// Bills a write of `mutations` mutations and `bytes` bytes: an append
     /// (sequential) disk cost plus shipping.
-    fn charge_write(&self, node: usize, mutations: usize, bytes: u64) {
+    pub(crate) fn charge_write(&self, node: usize, mutations: usize, bytes: u64) {
         self.metrics.add_kv_writes(mutations as u64);
         let server_time = bytes as f64 / self.shared.cost.disk_bandwidth;
         self.charge(node, server_time, bytes);

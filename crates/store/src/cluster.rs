@@ -85,6 +85,11 @@ impl Cluster {
         self.shared.clock.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Draws `n` consecutive logical timestamps; returns the first.
+    pub(crate) fn reserve_ticks(&self, n: u64) -> u64 {
+        self.shared.clock.fetch_add(n, Ordering::Relaxed)
+    }
+
     /// Creates a table with the given column families and a single region.
     pub fn create_table(&self, name: &str, families: &[&str]) -> Result<Arc<Table>> {
         self.create_table_with_splits(name, families, &[])

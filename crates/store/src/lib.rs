@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bulk;
 pub mod cell;
 pub mod client;
 pub mod cluster;
@@ -68,6 +69,7 @@ pub mod scan;
 mod segment;
 pub mod table;
 
+pub use bulk::BulkLoad;
 /// The refcounted byte buffer of [`Cell`] and [`Mutation`] fields.
 pub use bytes::Bytes;
 pub use cell::{Cell, Mutation};

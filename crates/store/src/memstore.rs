@@ -1,16 +1,20 @@
-//! A region's memstore: the rows written since its last flush, by key.
+//! A region's memstore: the rows its maintained writes (`mutate_row`)
+//! wrote since a bulk load last froze it, by key.
 //!
-//! After a flush the memstore takes the serving writes: a few dozen rows
-//! per region, inserted at scattered keys and removed again when their
-//! tombstones are purged. A `BTreeMap` that small allocates or frees a
-//! 450–550-byte node each time it crosses a node boundary — a root split
-//! at its twelfth row, a merge on the way back — where a loaded tree's
-//! half-full leaves absorbed the same traffic. So a memstore is a sorted
+//! Loads and index builds write region segments directly
+//! (`crate::bulk`), so the memstore takes the serving writes alone: a
+//! few dozen rows per region, inserted at scattered keys and removed
+//! again when their tombstones are purged. A `BTreeMap` that small
+//! allocates or frees a 450–550-byte node each time it crosses a node
+//! boundary — a root split at its twelfth row, a merge on the way back —
+//! where a loaded tree's half-full leaves absorbed the same traffic. So a memstore is a sorted
 //! vector while it holds at most [`SMALL_ROWS`] rows: an insert or removal
 //! moves at most that many 40-byte entries (10 KiB), and a removal keeps
 //! the capacity the next insert needs. A write that would outgrow it turns it
-//! into a `BTreeMap`, which is what a load or an index build fills before
-//! its flush; a flush starts the next memstore as an empty vector again.
+//! into a `BTreeMap`. No region of the benchmark's five workloads grows
+//! one (seed 1, 18 s each); the paper's `updates` and `updates-planner`
+//! experiments grow one each. A load that freezes a memstore starts the
+//! next as an empty vector again.
 //!
 //! Measured on the benchmark's `update_stream` (seed 1), whose memstores
 //! hold at most 45 rows: with a `BTreeMap` memstore 14.16 allocations and

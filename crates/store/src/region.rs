@@ -2,18 +2,20 @@
 //!
 //! # Row layout: a memstore over one frozen segment
 //!
-//! A region stores its rows the way an HBase region server does. Writes
-//! land in a **memstore**, a map from row key to the row's columns: a
-//! sorted vector while it is small, a `BTreeMap` once a bulk write
-//! outgrows that (`memstore.rs`). A **flush** freezes the memstore
-//! into the region's **segment**, HBase's immutable sorted store file,
-//! which a memstore flush or a MapReduce bulk load (`HFileOutputFormat`)
-//! writes. A region holds at most one segment: a flush merges the
-//! memstore into the one already there. Flushes happen when data
-//! finishes arriving in bulk ([`crate::table::Table::flush`]): the TPC-H
-//! loader flushes its tables once loaded, and a MapReduce job the table
-//! it wrote. Maintained writes after that stay in the memstore. A flush
-//! bills nothing, and every write still goes through `mutate_row`.
+//! A region stores its rows the way an HBase region server does.
+//! Maintained writes (`mutate_row`) land in a **memstore**, a map from
+//! row key to the row's columns: a sorted vector while it is small, a
+//! `BTreeMap` past that (`memstore.rs`). Bulk writes go straight into
+//! the region's **segment**, HBase's immutable sorted store file: the
+//! TPC-H loader and every MapReduce job that writes a table stage their
+//! rows and apply them as one bulk load ([`crate::bulk`]), as HBase's
+//! `HFileOutputFormat2` writes store files and `completebulkload`
+//! adopts them. A region holds at most one segment: a load builds a new
+//! one from the old segment, the memstore and the loaded rows
+//! (`Region::load`), each column keeping its newest version, so the
+//! region reads, bills and counts as if every loaded row had gone
+//! through `mutate_row` and the memstore had then been frozen. A load
+//! bills nothing; its rows were billed when they were staged.
 //!
 //! A memstore row is one vector of `(family index, qualifier, version)`
 //! columns sorted by `(family, qualifier)`, the order a read returns cells
@@ -22,8 +24,8 @@
 //! copies: a write allocates only a new row's key and column vector, or
 //! the growth of a widened row or of the tombstone queue. A segment
 //! (`crate::segment`) owns its bytes instead, in per-segment arenas: a
-//! flush copies every byte once and frees the writers' handles with the
-//! memstore. At TPC-H SF 0.01 with Q1's and Q2's ISL indices built, the
+//! load copies every byte once and frees the writers' handles with the
+//! memstore it freezes. At TPC-H SF 0.01 with Q1's and Q2's ISL indices built, the
 //! store held 58.48 MB of heap for 20.71 MB stored ([`Region::byte_size`])
 //! as B-tree rows (2.82×), 39.01 MB (1.88×) as segments of handles and
 //! 23.19 MB (1.12×) as segments of bytes, 17.89 MB (0.86×) once a
@@ -48,7 +50,7 @@
 //! it into a new memstore row, its handles copied from the arena, and the
 //! segment marks the row moved. So a read consults one half, a write is
 //! stale against the memstore row alone, and a region reads, bills and
-//! counts the same whether and when it was flushed. A column the write
+//! counts the same whether and when a load froze its memstore. A column the write
 //! supersedes is not copied: the write stores it anew under its own
 //! handles, so a delete that tombstones a whole frozen row copies none of
 //! its columns. A frozen row that keeps taking writes, such as a BFHM
@@ -84,16 +86,18 @@
 //! work proportional to the garbage, no region walk, no background thread.
 //! A region nobody writes to keeps its last tombstones until it is.
 //!
-//! A purge removes a tombstone from the memstore. One that a flush froze
+//! A purge removes a tombstone from the memstore. One that a load froze
 //! inside its window is purged like a write: its row is copied out first.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::iter::Peekable;
+use std::mem::take;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
+use crate::bulk::LoadedRow;
 use crate::cell::Mutation;
 use crate::filter::ServerFilter;
 use crate::memstore::{self, family_columns, Column, Memstore, RowData};
@@ -156,7 +160,11 @@ impl Stored<'_> {
 
 /// The column `m` writes to family `family`, stamped `now` unless it is
 /// pinned, with its qualifier and value handles.
-fn written(family: usize, m: &Mutation, now: u64) -> (Stored<'_>, &Bytes, Option<&Bytes>) {
+pub(crate) fn written(
+    family: usize,
+    m: &Mutation,
+    now: u64,
+) -> (Stored<'_>, &Bytes, Option<&Bytes>) {
     let (qualifier, timestamp, value) = match m {
         Mutation::Put {
             qualifier,
@@ -313,11 +321,11 @@ pub struct Region {
     pub(crate) start: Vec<u8>,
     /// Hosting node index.
     pub(crate) node: usize,
-    /// Rows written since the last flush, each holding a column. Row keys
+    /// Rows written since the last load, each holding a column. Row keys
     /// are refcounted so the purge queue names a row without copying its
     /// key.
     memstore: Memstore<RowData>,
-    /// Rows frozen by the flushes so far.
+    /// Rows frozen by the loads so far.
     segment: Segment,
     /// Stored rows: memstore rows and segment rows not moved.
     row_count: usize,
@@ -368,6 +376,11 @@ impl Region {
     /// Live KV count.
     pub fn kv_count(&self) -> u64 {
         self.kv_count
+    }
+
+    /// The encodings the region's segment chose, by name.
+    pub(crate) fn encodings(&self) -> String {
+        self.segment.encodings()
     }
 
     /// The stored row `key`, if any.
@@ -539,7 +552,7 @@ impl Region {
             };
             let is_dead = |c: Stored<'_>| c.value.is_none() && c.ts == dead.ts;
             if !self.memstore.contains_key(&dead.row) {
-                // Frozen by a flush since it was written: copied out
+                // Frozen by a load since it was written: copied out
                 // first, as a write would copy it.
                 let Some(frozen) = self.segment.find_row(&dead.row) else {
                     continue;
@@ -572,15 +585,114 @@ impl Region {
         }
     }
 
-    /// Freezes the memstore into the segment, merged with the rows already
-    /// there (see the module docs). What every read returns and bills is
-    /// unchanged; no cost is charged.
+    /// A load of no rows: freezes the memstore into the segment, merged
+    /// with the rows already there (see the module docs). What every read
+    /// returns and bills is unchanged; no cost is charged.
+    #[cfg(test)]
     pub(crate) fn flush(&mut self) {
-        if self.memstore.is_empty() {
+        self.load(&[], &[], 0, &[]);
+    }
+
+    /// Writes `rows` into the region as `mutate_row` calls of them would
+    /// and then freezes the memstore with them: one new segment of the old
+    /// one, the memstore and the rows (see [`crate::bulk`]). Each row is a
+    /// key and its range of `columns`, in the order written and stamped;
+    /// the rows are sorted by key, and rows of one key come in the order
+    /// written. First the tombstones a write at `now`, the last row's
+    /// tick, would purge are purged. No cost is charged.
+    pub(crate) fn load(
+        &mut self,
+        rows: &[LoadedRow<'_>],
+        columns: &[Stored<'_>],
+        now: u64,
+        family_names: &[Arc<str>],
+    ) {
+        if rows.is_empty() && self.memstore.is_empty() {
             return;
         }
-        let memstore = std::mem::take(&mut self.memstore);
-        self.segment = std::mem::take(&mut self.segment).merged(memstore);
+        if !rows.is_empty() {
+            self.purge_tombstones(now, family_names);
+        }
+        let (segment, memstore) = (take(&mut self.segment), take(&mut self.memstore));
+        let mut merged = Vec::with_capacity(columns.len());
+        let mut merged_rows = Vec::with_capacity(rows.len());
+        // A key's old columns and written ones, each with its arrival.
+        let mut arrived: Vec<(Stored<'_>, usize)> = Vec::new();
+        for group in rows.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let old = match memstore.get(key) {
+                Some(row) => Some(RowView::Memstore(&row.columns)),
+                None => segment
+                    .find_row(key)
+                    .map(|row| RowView::Frozen(&segment, row)),
+            };
+            let start = merged.len();
+            let written = &columns[group[0].1.clone()];
+            let sorted = written
+                .windows(2)
+                .all(|w| (w[0].family, w[0].qualifier) < (w[1].family, w[1].qualifier));
+            if old.is_none() && group.len() == 1 && sorted {
+                merged.extend_from_slice(written);
+            } else {
+                arrived.clear();
+                if let Some(old) = &old {
+                    old.for_each_selected(None, |c| arrived.push((c, arrived.len())));
+                }
+                for (_, range) in group {
+                    for &c in &columns[range.clone()] {
+                        arrived.push((c, arrived.len()));
+                    }
+                }
+                // Each column's versions in arrival order, of which a
+                // version replaces the stored one unless it is older.
+                arrived.sort_unstable_by(|(a, i), (b, j)| {
+                    (a.family, a.qualifier, i).cmp(&(b.family, b.qualifier, j))
+                });
+                let same = |(a, _): &(Stored<'_>, usize), (b, _): &(Stored<'_>, usize)| {
+                    (a.family, a.qualifier) == (b.family, b.qualifier)
+                };
+                for versions in arrived.chunk_by(same) {
+                    let newest =
+                        versions.iter().fold(versions[0], |stored, &version| {
+                            match version.0.order_key() < stored.0.order_key() {
+                                true => stored,
+                                false => version,
+                            }
+                        });
+                    merged.push(newest.0);
+                }
+            }
+            // A written tombstone waits for its grace window to pass; an
+            // old one is queued already.
+            for c in &merged[start..] {
+                let queued = |old: &RowView<'_>| {
+                    let stored = old.column(c.family, c.qualifier);
+                    stored.is_some_and(|o| o.value.is_none() && o.ts == c.ts)
+                };
+                if c.value.is_none() && !old.as_ref().is_some_and(queued) {
+                    self.purge_queue.push(Reverse(DeadColumn {
+                        ts: c.ts,
+                        row: Bytes::copy_from_slice(key),
+                        family: c.family,
+                        qualifier: Bytes::copy_from_slice(c.qualifier),
+                    }));
+                }
+            }
+            // The accounting: the row's old columns out, its new ones in.
+            match &old {
+                Some(old) => old.for_each_selected(None, |c| {
+                    self.kv_count -= u64::from(c.value.is_some());
+                    self.byte_size -= c.weight(key.len(), family_names);
+                }),
+                None => self.row_count += 1,
+            }
+            for c in &merged[start..] {
+                self.kv_count += u64::from(c.value.is_some());
+                self.byte_size += c.weight(key.len(), family_names);
+            }
+            merged_rows.push((key, start..merged.len()));
+        }
+        self.segment = segment.merged(&memstore, &merged_rows, &merged);
     }
 
     /// Walks the stored columns of one row in the given family indices

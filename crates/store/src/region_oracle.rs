@@ -10,8 +10,9 @@
 //! one case the region documents as diverging.
 //!
 //! The second test holds a region whose memstore was flushed into its
-//! segment to a twin that was never flushed, exactly: same rows, same
-//! order, same bills, same resume keys.
+//! segment, and which took one write as a bulk load, to a twin that was
+//! never flushed, exactly: same rows, same order, same bills, same resume
+//! keys.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use proptest::test_runner::TestCaseError;
 
 use crate::cell::Mutation;
 use crate::filter::ServerFilter;
-use crate::region::{ReadCost, Region, TOMBSTONE_GRACE_TICKS};
+use crate::region::{written, ReadCost, Region, Stored, TOMBSTONE_GRACE_TICKS};
 use crate::row::{RowBatch, RowResult};
 use crate::segment::Key;
 
@@ -237,6 +238,16 @@ fn apply(region: &mut Region, key: &[u8], writes: &[Write], now: u64, names: &[A
     region.mutate_row(key, mutations, now, names);
 }
 
+/// Loads `writes` to row `key` of `region` as a bulk load of one row at
+/// tick `now` (see [`crate::bulk`]), which freezes the memstore too.
+fn load(region: &mut Region, key: &[u8], writes: &[Write], now: u64, names: &[Arc<str>]) {
+    let columns: Vec<Stored<'_>> = writes
+        .iter()
+        .map(|(family, _, m, _)| written(*family, m, now).0)
+        .collect();
+    region.load(&[(key, 0..columns.len())], &columns, now, names);
+}
+
 /// The region of `regions` (in key order) that serves `key`.
 fn route<'a>(regions: &'a mut [Region], key: &[u8]) -> &'a mut Region {
     let at = regions.partition_point(|r| r.start_key() <= key);
@@ -381,7 +392,9 @@ proptest! {
     /// second flush merges into the first segment) and split at a third,
     /// before or after the flushes, against a twin that is split alike
     /// and never flushed: after every write, [`assert_reads_alike`]. One
-    /// case in four writes one column per row (see [`write_of`]).
+    /// case in four writes one column per row (see [`write_of`]). At a
+    /// fourth step the flushed side takes its write as a bulk load, which
+    /// merges it into a new segment with the memstore and the old one.
     #[test]
     fn a_flushed_region_reads_bills_and_resumes_as_a_never_flushed_one(
         ops in prop::collection::vec(
@@ -389,6 +402,7 @@ proptest! {
         flushes in (0usize..150, 0usize..150),
         split_at in 0usize..300,
         one_column in 0u8..4,
+        load_at in 0usize..150,
     ) {
         let names = family_names();
         let mut plain = vec![Region::new(Vec::new(), 0)];
@@ -406,8 +420,10 @@ proptest! {
                 }
             }
             let (key, writes) = write_of(op, one_column == 0, &mut now);
-            for side in [&mut plain, &mut flushed] {
-                apply(route(side, key), key, &writes, now, &names);
+            apply(route(&mut plain, key), key, &writes, now, &names);
+            match step == load_at {
+                true => load(route(&mut flushed, key), key, &writes, now, &names),
+                false => apply(route(&mut flushed, key), key, &writes, now, &names),
             }
             for (plain, flushed) in plain.iter().zip(&flushed) {
                 assert_reads_alike(plain, flushed, &names, &mut batches)?;

@@ -1,5 +1,5 @@
-//! A region's frozen rows: its segment, the bytes of every row a flush
-//! froze, in key order (see [`crate::region`] for where it sits).
+//! A region's frozen rows: its segment, the bytes of every row a bulk
+//! load wrote or froze, in key order (see [`crate::region`] for where it sits).
 //!
 //! A segment owns its bytes, as an HBase HFile block does: it holds the
 //! key, column and value bytes themselves, not handles to them. All its
@@ -49,23 +49,25 @@
 //! timestamp). Each block of 256 ends adds a 4-byte base. A frozen cell
 //! needs no allocation of its own.
 //!
-//! A flush or a split builds a segment in two passes over the rows it
+//! A load or a split builds a segment in two passes over the rows it
 //! copies: one counts their bytes, names, widths, timestamps, columns per
 //! row, block spans and first and last keys, which sizes every array and
 //! picks the encodings, and one copies every byte once into arrays
-//! allocated once each. The writers' handles are freed with the memstore.
+//! allocated once each. The writers' handles are freed with the memstore
+//! a load freezes.
 //!
 //! A row lives in exactly one half. The first write to a frozen row
 //! thaws it: it is copied into a new memstore row, its qualifiers and
 //! values made handles again, and the segment marks the row moved in a
 //! bitmap, the segment's only change after a freeze. The moved row's
-//! bytes stay in the arenas, dead, until the next flush leaves them out.
+//! bytes stay in the arenas, dead, until the next load leaves them out.
 
 use std::cmp::Ordering;
 use std::ops::Range;
 
 use bytes::Bytes;
 
+use crate::bulk::LoadedRow;
 use crate::memstore::{Column, Memstore, RowData};
 use crate::region::Stored;
 
@@ -439,11 +441,13 @@ fn same_width(seen: &mut Option<usize>, width: usize) -> bool {
     *seen.get_or_insert(width) == width
 }
 
-/// A row's sorted columns, as a flush or a split copies them.
+/// A row's sorted columns, as a load or a split copies them.
 enum Columns<'a> {
     /// Row `.1`'s columns `.2` in a segment.
     Frozen(&'a Segment, usize, Range<usize>),
     Thawed(std::slice::Iter<'a, Column>),
+    /// A bulk-loaded row's columns.
+    Loaded(std::slice::Iter<'a, Stored<'a>>),
 }
 
 impl<'a> Iterator for Columns<'a> {
@@ -455,6 +459,7 @@ impl<'a> Iterator for Columns<'a> {
                 columns.next().map(|c| segment.stored(*row, c))
             }
             Columns::Thawed(columns) => columns.next().map(Column::stored),
+            Columns::Loaded(columns) => columns.next().copied(),
         }
     }
 }
@@ -797,7 +802,6 @@ impl Segment {
     }
 
     /// The encodings the segment chose, or their fallbacks, by name.
-    #[cfg(test)]
     pub(crate) fn encodings(&self) -> String {
         let names = [
             match self.names {
@@ -831,7 +835,7 @@ impl Segment {
         format!("{}, {}-byte prefix", names.join(", "), self.prefix.len())
     }
 
-    /// Rows `rows` but the moved ones, as a flush or a split copies them.
+    /// Rows `rows` but the moved ones, as a load or a split copies them.
     fn frozen(&self, rows: Range<usize>) -> impl Iterator<Item = (Key<'_>, Columns<'_>)> {
         rows.filter(|&row| !self.is_moved(row))
             .map(|row| (self.key(row), Columns::Frozen(self, row, self.columns(row))))
@@ -901,23 +905,56 @@ impl Segment {
         }
     }
 
-    /// The flush: `memstore` frozen together with this segment's rows
-    /// into a new segment. A memstore row replaces the segment row it was
-    /// moved from.
-    pub(crate) fn merged(self, memstore: Memstore<RowData>) -> Segment {
+    /// A bulk load: this segment's rows, `memstore`'s and the `loaded`
+    /// rows frozen together into a new segment. A memstore row replaces
+    /// the segment row it was moved from, and a loaded row, each a key and
+    /// its range of `columns`, the memstore or segment row of its key,
+    /// whose columns it holds already (`Region::load`).
+    pub(crate) fn merged(
+        &self,
+        memstore: &Memstore<RowData>,
+        loaded: &[LoadedRow<'_>],
+        columns: &[Stored<'_>],
+    ) -> Segment {
         Segment::build(|| {
             let mut thawed = memstore.iter().peekable();
             let mut frozen = self.frozen(0..self.len()).peekable();
-            std::iter::from_fn(move || {
-                let from_memstore = match (thawed.peek(), frozen.peek()) {
-                    (Some((key, _)), Some((frozen, _))) => frozen.cmp_bytes(key).is_gt(),
-                    (thawed, _) => thawed.is_some(),
+            let mut loaded = loaded.iter().peekable();
+            std::iter::from_fn(move || loop {
+                let load = loaded.peek().map(|(key, _)| *key);
+                let thaw = thawed.peek().map(|(key, _)| &key[..]);
+                let freeze = frozen.peek().map(|(key, _)| *key);
+                if load.is_some() && thaw == load {
+                    thawed.next();
+                    continue;
+                }
+                if let (Some(load), Some(freeze)) = (load, freeze) {
+                    if freeze.cmp_bytes(load).is_eq() {
+                        frozen.next();
+                        continue;
+                    }
+                }
+                // The least of three distinct keys.
+                let whole = match (thaw, load) {
+                    (Some(thaw), Some(load)) => Some(thaw.min(load)),
+                    (thaw, load) => thaw.or(load),
                 };
-                if !from_memstore {
+                let from_frozen = match (freeze, whole) {
+                    (Some(freeze), Some(whole)) => freeze.cmp_bytes(whole).is_lt(),
+                    (freeze, _) => freeze.is_some(),
+                };
+                if from_frozen {
                     return frozen.next();
                 }
+                if whole.is_some() && whole == load {
+                    let (key, range) = loaded.next()?;
+                    return Some((
+                        Key::whole(key),
+                        Columns::Loaded(columns[range.clone()].iter()),
+                    ));
+                }
                 let (key, row) = thawed.next()?;
-                Some((Key::whole(key), Columns::Thawed(row.columns.iter())))
+                return Some((Key::whole(key), Columns::Thawed(row.columns.iter())));
             })
         })
     }

@@ -1,11 +1,16 @@
 //! A segment's encodings against a never-flushed twin: each flush and
 //! split chooses every encoding and its fallback from the rows it copies
 //! (see [`crate::segment`]), and a region reads, bills and thaws alike
-//! either way. The last tests follow a frozen row through its thaw and a
-//! frozen tombstone through its purge.
+//! either way. Then a frozen row follows through its thaw and a frozen
+//! tombstone through its purge, and last a bulk-loaded table is held to
+//! its put-then-flush twin (see [`crate::bulk`]).
 
 use super::tests::{apply, assert_accounting_matches_a_recount, value_of};
 use super::*;
+use crate::bulk::BulkLoad;
+use crate::client::Client;
+use crate::cluster::Cluster;
+use crate::costmodel::CostModel;
 use crate::region_oracle::KEYS;
 
 fn fams() -> Vec<Arc<str>> {
@@ -753,4 +758,180 @@ fn a_frozen_tombstone_is_purged_with_its_row_once_its_window_passes() {
     r.flush();
     assert_eq!(r.segment.len(), 1, "the flush left the purged row out");
     assert_accounting_matches_a_recount(&r);
+}
+
+/// `result`'s value; the test fails on its error.
+fn ok<T, E: std::fmt::Debug>(result: std::result::Result<T, E>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(e) => panic!("{e:?}"),
+    }
+}
+
+/// One task's rows of a bulk load: each a key and its mutations.
+type TaskRows<'a> = &'a [(&'a [u8], Vec<Mutation>)];
+
+/// Two clusters of one node, each with table `t` of families `a` and `b`
+/// split at `r3`, and each with a coordinator client.
+fn table_twins() -> [(Cluster, Client); 2] {
+    [(); 2].map(|()| {
+        let cluster = Cluster::new(1, CostModel::test());
+        ok(cluster.create_table_with_splits("t", &["a", "b"], &[KEYS[3].to_vec()]));
+        let client = cluster.client();
+        (cluster, client)
+    })
+}
+
+/// Writes `tasks`, in order, to both twins: to the first through
+/// `mutate_row`, then a flush; to the second staged in one load per task
+/// and bulk-loaded. Both bill alike, take the same ticks and leave
+/// regions that read, bill and count alike, with the same encodings.
+fn load_both(twins: &[(Cluster, Client); 2], tasks: &[TaskRows<'_>]) {
+    let [(plain, plain_client), (loaded, loaded_client)] = twins;
+    let before = [plain, loaded].map(|c| c.metrics().snapshot());
+    for (key, mutations) in tasks.iter().copied().flatten() {
+        ok(plain_client.mutate_row("t", key, mutations));
+    }
+    ok(plain.table("t")).flush();
+    let loads: Vec<BulkLoad> = tasks
+        .iter()
+        .map(|rows| {
+            let mut load = BulkLoad::new(ok(loaded.table("t")));
+            for (key, mutations) in rows.iter() {
+                ok(loaded_client.stage(&mut load, key, mutations));
+            }
+            load
+        })
+        .collect();
+    ok(loaded.bulk_load("t", &loads));
+    let billed = [plain, loaded].map(|c| c.metrics().snapshot());
+    assert_eq!(
+        billed[0].delta_since(&before[0]),
+        billed[1].delta_since(&before[1])
+    );
+    assert_eq!(
+        plain_client.elapsed_seconds(),
+        loaded_client.elapsed_seconds()
+    );
+    assert_eq!(plain.next_ts(), loaded.next_ts(), "one tick per row");
+    let tables = [plain, loaded].map(|c| ok(c.table("t")));
+    let [plain, loaded] = tables.each_ref().map(|t| t.regions());
+    assert_eq!(plain.len(), loaded.len());
+    for (plain, loaded) in plain.iter().zip(loaded.iter()) {
+        let (plain, loaded) = (plain.read(), loaded.read());
+        assert_eq!(plain.segment.encodings(), loaded.segment.encodings());
+        assert!(plain.memstore.is_empty() && loaded.memstore.is_empty());
+        let mut batches = [RowBatch::new(), RowBatch::new()];
+        let alike =
+            crate::region_oracle::assert_reads_alike(&plain, &loaded, &fams(), &mut batches);
+        assert!(alike.is_ok(), "{alike:?}");
+    }
+}
+
+/// Row `row` written whole as a base table's is: both families, their
+/// columns given out of order, one value per row.
+fn base_row(row: u8) -> (&'static [u8], Vec<Mutation>) {
+    let put = |family: &str, qualifier: &[u8]| Mutation::put(family, qualifier, vec![row; 3]);
+    let mutations = vec![put("b", b"q"), put("a", b"z"), put("a", b"q")];
+    (KEYS[usize::from(row)], mutations)
+}
+
+/// A fresh table: rows of three columns given out of order, in two
+/// tasks, over both regions.
+#[test]
+fn a_bulk_loaded_table_reads_as_its_put_then_flush_twin() {
+    let twins = table_twins();
+    let first = [2, 0, 5].map(base_row);
+    let second = [1, 4, 6].map(base_row);
+    load_both(&twins, &[&first, &second]);
+    let encodings = ok(twins[1].0.table("t")).regions()[0]
+        .read()
+        .segment
+        .encodings();
+    assert_eq!(
+        encodings,
+        "dictionary, u16 deltas, row shape, key width, row timestamps, u16 value ends, 1-byte prefix"
+    );
+}
+
+/// ISL's second side: a load into a segment whose row keys it shares
+/// under another family merges each shared row's columns.
+#[test]
+fn a_load_sharing_row_keys_under_another_family_merges_their_columns() {
+    let twins = table_twins();
+    let index_row = |row: u8, family: &str| {
+        let put = Mutation::put(family, &[b'k', row], vec![row; 9]);
+        (KEYS[usize::from(row)], vec![put])
+    };
+    let first = [0, 1, 2, 4].map(|row| index_row(row, "a"));
+    load_both(&twins, &[&first]);
+    let second = [1, 3, 4, 6].map(|row| index_row(row, "b"));
+    load_both(&twins, &[&second]);
+    let lower = ok(twins[1].0.table("t")).regions()[0]
+        .read()
+        .segment
+        .encodings();
+    assert_eq!(
+        lower,
+        "dictionary, u16 deltas, column ends, key width, column timestamps, u16 value ends, 1-byte prefix",
+        "row r1 holds a column of each side"
+    );
+}
+
+/// A region holding memstore rows and a tombstone still inside its grace
+/// window: the load freezes them with its rows, its puts land over the
+/// memstore's columns, and a pinned put older than the tombstone stays
+/// masked.
+#[test]
+fn a_load_over_memstore_rows_and_a_live_tombstone_freezes_them_alike() {
+    let twins = table_twins();
+    let first = [0, 1, 2].map(base_row);
+    load_both(&twins, &[&first]);
+    for (_, client) in &twins {
+        ok(client.mutate_row("t", KEYS[1], [Mutation::delete("a", b"q")]));
+        let put = Mutation::put("b", b"new", b"memstore".to_vec());
+        ok(client.mutate_row("t", KEYS[0], [put]));
+    }
+    let masked = twins[0].0.next_ts() - 2;
+    twins[1].0.next_ts();
+    let rows = [
+        (
+            KEYS[0],
+            vec![Mutation::put("b", b"new", b"loaded".to_vec())],
+        ),
+        (
+            KEYS[1],
+            vec![Mutation::put_at("a", b"q", b"late".to_vec(), masked - 1)],
+        ),
+        (KEYS[2], vec![Mutation::delete("a", b"z")]),
+    ];
+    load_both(&twins, &[&rows]);
+    let table = ok(twins[1].0.table("t"));
+    let region = &table.regions()[0];
+    assert_eq!(region.read().purge_queue.len(), 2, "both tombstones wait");
+    assert_eq!(value_of(&region.read(), KEYS[1]), None, "still masked");
+}
+
+/// Two tasks writing one row: the later task's rows take the later
+/// ticks, so its version of a column they share wins, and the row holds
+/// the columns of both.
+#[test]
+fn equal_keys_from_two_tasks_merge_in_task_order() {
+    let twins = table_twins();
+    let write = |family: &str, qualifier: &[u8], value: &[u8]| {
+        (
+            KEYS[4],
+            vec![Mutation::put(family, qualifier, value.to_vec())],
+        )
+    };
+    let first = [write("a", b"q", b"first"), write("b", b"q", b"first")];
+    let second = [write("a", b"q", b"second"), base_row(5)];
+    load_both(&twins, &[&first, &second]);
+    let table = ok(twins[1].0.table("t"));
+    let (row, _) = table.regions()[1].read().get_owned(KEYS[4], &fams(), None);
+    let Some(row) = row else {
+        panic!("row r4 is stored");
+    };
+    assert_eq!(row.value("a", b"q"), Some(&b"second"[..]));
+    assert_eq!(row.value("b", b"q"), Some(&b"first"[..]));
 }

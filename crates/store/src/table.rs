@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::bulk::{self, BulkLoad};
 use crate::cell::Mutation;
 use crate::error::{Result, StoreError};
 use crate::filter::ServerFilter;
@@ -197,6 +198,14 @@ impl Table {
         infos
     }
 
+    /// The encodings each region's segment chose, by name, one line per
+    /// region in key order (see `crate::segment`): what shows that two
+    /// builds of one table froze it alike.
+    pub fn segment_encodings(&self) -> Vec<String> {
+        let regions = self.regions.read();
+        regions.iter().map(|r| r.read().encodings()).collect()
+    }
+
     /// Total stored bytes — live cells plus tombstones still inside their
     /// grace window (the index-size experiment metric).
     pub fn disk_size(&self) -> u64 {
@@ -303,21 +312,61 @@ impl Table {
     }
 
     /// Freezes every region's memstore into its segment, as an HBase
-    /// memstore flush or a bulk load does (see [`crate::region`]): what
-    /// reads return and bill is unchanged, and the rows take a fraction of
-    /// the heap. Called once data stops arriving in bulk, by the TPC-H
-    /// loader and at the end of a MapReduce job that writes to a table. An
-    /// admin operation: no cost is charged. Regions are independent, so
-    /// each is frozen by its own task of one pool batch
+    /// memstore flush does (see [`crate::region`]): what reads return and
+    /// bill is unchanged, and the rows take a fraction of the heap. A bulk
+    /// load of nothing ([`crate::cluster::Cluster::bulk_load`]); loads and
+    /// index builds write their segments directly, so only tests flush.
+    #[cfg(test)]
+    pub(crate) fn flush(&self) {
+        self.load(&[], 0);
+    }
+
+    /// Writes the staged rows of `loads`, the `i`th of all at tick
+    /// `first + i`, into the segments of the regions serving them, each
+    /// region's memstore frozen with them (see [`crate::bulk`]). An admin
+    /// operation: no cost is charged. Regions are independent, so each is
+    /// built by its own task of one pool batch
     /// ([`WorkStealingPool::run_batch`]), and the segments are the same at
     /// every pool width.
-    pub fn flush(&self) {
-        let regions = self.regions.read();
-        let tasks = regions
-            .iter()
-            .map(|region| Box::new(move || region.write().flush()) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        WorkStealingPool::global().run_batch(tasks);
+    pub(crate) fn load(&self, loads: &[BulkLoad], first: u64) {
+        {
+            let regions = self.regions.read();
+            let starts: Vec<Vec<u8>> = regions
+                .iter()
+                .map(|r| r.read().start_key().to_vec())
+                .collect();
+            let route = |key: &[u8]| starts.partition_point(|start| start[..] <= *key) - 1;
+            let (mut placed, bounds) = bulk::place(loads, first, regions.len(), route);
+            let mut rest = &mut placed[..];
+            let mut tasks = Vec::with_capacity(regions.len());
+            for (region, count) in regions.iter().zip(bounds.windows(2).map(|w| w[1] - w[0])) {
+                let (mine, others) = std::mem::take(&mut rest).split_at_mut(count);
+                rest = others;
+                let task = move || {
+                    let (rows, columns, now) = bulk::region_rows(loads, mine);
+                    region.write().load(&rows, &columns, now, &self.families);
+                };
+                tasks.push(Box::new(task) as Box<dyn FnOnce() + Send + '_>);
+            }
+            WorkStealingPool::global().run_batch(tasks);
+        }
+        self.split_oversized();
+    }
+
+    /// Splits every region holding more rows than the split threshold at
+    /// its median until none does: a load fills a region at once, where
+    /// writes one by one would have split it as it grew.
+    fn split_oversized(&self) {
+        let threshold = self.split_threshold.load(Ordering::Relaxed);
+        loop {
+            let oversized = {
+                let regions = self.regions.read();
+                let region = regions.iter().find(|r| r.read().row_count() > threshold);
+                region.map(|r| r.read().start_key().to_vec())
+            };
+            let Some(key) = oversized else { return };
+            self.try_split(&key);
+        }
     }
 
     /// Re-shards the table into up to `pieces` regions holding roughly
@@ -387,6 +436,11 @@ impl Table {
             .write()
             .split_off(&split_key, node, &self.families);
         regions.insert(idx + 1, RwLock::new(new_region));
+    }
+
+    /// The node serving `key`.
+    pub(crate) fn node_of(&self, key: &[u8]) -> usize {
+        self.read_region(key, |_| ()).1
     }
 
     /// Runs `read` on the region serving `key`; returns what it returned
@@ -463,6 +517,12 @@ impl Table {
             node: region.node(),
             more,
         })
+    }
+
+    /// The regions, in key order (tests compare two tables' regions).
+    #[cfg(test)]
+    pub(crate) fn regions(&self) -> parking_lot::RwLockReadGuard<'_, Vec<RwLock<Region>>> {
+        self.regions.read()
     }
 
     #[cfg(test)]

@@ -18,16 +18,17 @@
 //! one qualifier handle per column name, which every row's columns share,
 //! and one `jk` value per part and per order: a lineitem's `jk_part` value
 //! *is* its part's `jk` value, and its `jk_order` its order's. Every other
-//! value is built straight into its one `Bytes`. The store's memstore
-//! keeps the handles it is given while the load writes (see
-//! `rj_store::region`). Once every row is written, [`load_all`] flushes
-//! the three tables: each region's rows are frozen into one flat segment
-//! that owns its bytes, as an HBase bulk load's store files do, so what
-//! stays resident per column is its bytes in the segment's arenas and a
-//! few fixed-width slots, and the shared handles are freed. What the
-//! store bills is unchanged: every write went through `mutate_row` as
-//! before, the flush bills nothing, and every column is billed for its
-//! bytes however they are held.
+//! value is built straight into its one `Bytes`. [`load_all`] writes
+//! each table as one bulk load (`rj_store::bulk`), as HBase's
+//! `HFileOutputFormat2` and `completebulkload` do: it stages every row,
+//! copying its bytes into the load's flat buffers, and then applies the
+//! load, which writes each region's rows straight into one flat segment
+//! that owns its bytes. No row passes through a memstore, so what stays
+//! resident per column is its bytes in the segment's arenas and a few
+//! fixed-width slots. What the store bills is what `mutate_row` of each
+//! row bills: staging a row bills its write, in the same order and at
+//! the same clock tick, applying the load bills nothing, and every
+//! column is billed for its bytes however they are held.
 
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ use rj_store::cell::Mutation;
 use rj_store::cluster::Cluster;
 use rj_store::error::Result;
 use rj_store::keys;
-use rj_store::Bytes;
+use rj_store::{BulkLoad, Bytes};
 
 use crate::gen::{self, TpchConfig};
 
@@ -198,34 +199,27 @@ pub fn load_all(cluster: &Cluster, cfg: &TpchConfig) -> Result<LoadStats> {
     let client = cluster.client();
     let handles = Handles::new(cfg);
     let mut stats = LoadStats::default();
+    let mut load = BulkLoad::new(cluster.table(PART_TABLE)?);
     for row in gen::parts(cfg) {
-        client.mutate_row(
-            PART_TABLE,
-            &keys::encode_u64(row.part_key),
-            handles.part(&row),
-        )?;
+        let key = keys::encode_u64(row.part_key);
+        client.stage(&mut load, &key, &handles.part(&row))?;
         stats.parts += 1;
     }
+    cluster.bulk_load(PART_TABLE, &[load])?;
+    let mut load = BulkLoad::new(cluster.table(ORDERS_TABLE)?);
     for row in gen::orders(cfg) {
-        client.mutate_row(
-            ORDERS_TABLE,
-            &keys::encode_u64(row.order_key),
-            handles.order(&row),
-        )?;
+        let key = keys::encode_u64(row.order_key);
+        client.stage(&mut load, &key, &handles.order(&row))?;
         stats.orders += 1;
     }
+    cluster.bulk_load(ORDERS_TABLE, &[load])?;
+    let mut load = BulkLoad::new(cluster.table(LINEITEM_TABLE)?);
     for row in gen::lineitems(cfg) {
-        client.mutate_row(
-            LINEITEM_TABLE,
-            &rowkeys::lineitem(row.order_key, row.line_number),
-            handles.lineitem(&row),
-        )?;
+        let key = rowkeys::lineitem(row.order_key, row.line_number);
+        client.stage(&mut load, &key, &handles.lineitem(&row))?;
         stats.lineitems += 1;
     }
-    // The load is done: freeze each table into its regions' segments.
-    for table in [PART_TABLE, ORDERS_TABLE, LINEITEM_TABLE] {
-        cluster.table(table)?.flush();
-    }
+    cluster.bulk_load(LINEITEM_TABLE, &[load])?;
     Ok(stats)
 }
 

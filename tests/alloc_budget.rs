@@ -382,8 +382,8 @@ fn assert_live_heap_flat(what: &str, run: impl Fn()) {
 /// The store's own footprint: a loaded SF-0.002 store with both binary
 /// ISL indices built holds at most this many hundredths of a heap byte
 /// per byte its tables report stored (`Table::disk_size`). Measured:
-/// 0.6385, its rows frozen by the load's and the index builds' flushes
-/// into region segments that own their bytes, store each repeated name
+/// 0.6385, its rows written by the load's and the index builds' bulk
+/// loads into region segments that own their bytes, store each repeated name
 /// once and nothing they can derive: no key or qualifier ends where
 /// every key, or every qualifier of a family, has one width, one
 /// timestamp per row where a row was written whole, timestamp deltas of

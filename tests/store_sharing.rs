@@ -1,6 +1,6 @@
 //! How the store holds its bytes, and what it bills for them.
 //!
-//! A region's segment owns the bytes a flush froze, and its memstore the
+//! A region's segment owns the bytes a bulk load wrote, and its memstore the
 //! handles its writers gave it (see `rj_store::region`). Neither moves a
 //! bill: every figure in the first test was recorded while the store
 //! held handles in both halves, and the index builds after the load are
