@@ -103,6 +103,8 @@ pub enum CheckOutcome {
 }
 
 impl CheckOutcome {
+    /// Whether every explored schedule passed. Kept for tests: the
+    /// explorer's own tests assert passes with it.
     pub fn is_pass(&self) -> bool {
         matches!(self, CheckOutcome::Pass { .. })
     }
@@ -110,7 +112,8 @@ impl CheckOutcome {
 
 /// Explores `f` under the default [`Config`]; panics with the failing
 /// schedule if any interleaving fails. Use in tests as the model-checking
-/// analogue of `#[test]` body assertions.
+/// analogue of `#[test]` body assertions. Test surface: `rj_core`'s
+/// `rj_check` models run through it.
 pub fn explore<F: Fn() + Send + Sync + 'static>(f: F) {
     match explore_with(Config::default(), f) {
         CheckOutcome::Pass { .. } => {}
@@ -171,6 +174,7 @@ pub fn explore_with<F: Fn() + Send + Sync + 'static>(config: Config, f: F) -> Ch
 /// Runs `f` once under a pinned decision vector (as reported by
 /// [`CheckOutcome::Fail`]); decisions past the vector's end follow the
 /// default non-preemptive policy. Returns the single-schedule outcome.
+/// Test surface: what reproduces a schedule a failing model reported.
 pub fn replay<F: Fn() + Send + Sync + 'static>(schedule: &[usize], f: F) -> CheckOutcome {
     install_panic_hook();
     let f: Arc<dyn Fn() + Send + Sync> = Arc::new(f);

@@ -146,11 +146,6 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Scans one already-loaded source text (the fixture-test entry point).
-pub fn scan_source(rel_path: &str, src: &str) -> Report {
-    scan_sources(&[(rel_path.to_string(), src.to_string())])
-}
-
 /// Scans a set of (relative path, source) pairs and applies suppressions.
 pub fn scan_sources(sources: &[(String, String)]) -> Report {
     let mut report = Report {

@@ -6,7 +6,7 @@
 use rj_analyze::lint::{self, Report};
 
 fn scan(path: &str, src: &str) -> Report {
-    lint::scan_source(path, src)
+    lint::scan_sources(&[(path.to_string(), src.to_string())])
 }
 
 fn rules_of(report: &Report) -> Vec<&str> {

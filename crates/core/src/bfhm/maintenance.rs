@@ -275,7 +275,9 @@ pub(crate) fn refresh_bucket(
 /// count is at least `threshold` ("one can choose to perform the
 /// write-back only if the number of replayed mutations is above some
 /// predefined threshold", §6). Every row of the sweep is read into one
-/// batch. Returns total records compacted.
+/// batch. Returns total records compacted. Kept for tests: no workload
+/// sweeps yet, and the consistency and allocation tests drain pending
+/// records with it.
 pub fn compact_if_pending(
     cluster: &Cluster,
     table: &str,

@@ -111,22 +111,6 @@ impl StopPolicy {
             cancel_after_batches: None,
         }
     }
-
-    /// Policy stopping only via `token`.
-    pub fn with_token(token: CancelToken) -> Self {
-        StopPolicy {
-            token,
-            ..StopPolicy::default()
-        }
-    }
-
-    /// Policy stopping only on a simulated-time deadline.
-    pub fn with_deadline(deadline_sim_seconds: f64) -> Self {
-        StopPolicy {
-            deadline_sim_seconds: Some(deadline_sim_seconds),
-            ..StopPolicy::default()
-        }
-    }
 }
 
 /// Why a cancellable execution stopped early.
@@ -156,14 +140,13 @@ mod tests {
 
     #[test]
     fn policy_constructors() {
-        assert!(StopPolicy::never().deadline_sim_seconds.is_none());
-        let token = CancelToken::new();
-        token.cancel();
-        assert!(StopPolicy::with_token(token).token.is_cancelled());
-        assert_eq!(
-            StopPolicy::with_deadline(2.5).deadline_sim_seconds,
-            Some(2.5)
-        );
+        let never = StopPolicy::never();
+        assert!(never.token.cancelled.is_none());
+        assert!(never.deadline_sim_seconds.is_none());
+        assert!(never.cancel_after_batches.is_none());
+        let default = StopPolicy::default();
+        assert!(default.token.cancelled.is_some());
+        assert!(default.deadline_sim_seconds.is_none());
     }
 
     #[test]
@@ -173,13 +156,14 @@ mod tests {
         assert!(!never.token.is_cancelled(), "cancelling `never` is a no-op");
         assert_eq!(policy_stop(&never, u64::MAX, f64::MAX), None);
 
-        let token = CancelToken::new();
-        let policy = StopPolicy::with_token(token.clone());
+        let policy = StopPolicy::default();
         assert_eq!(policy_stop(&policy, 1, 0.0), None);
-        token.cancel();
+        policy.token.cancel();
         assert_eq!(policy_stop(&policy, 1, 0.0), Some(StopReason::Cancelled));
-        assert!(StopPolicy::default().token.cancelled.is_some());
-        let deadline = StopPolicy::with_deadline(1.0);
+        let deadline = StopPolicy {
+            deadline_sim_seconds: Some(1.0),
+            ..StopPolicy::default()
+        };
         assert_eq!(
             policy_stop(&deadline, 1, 1.0),
             Some(StopReason::DeadlineExpired)

@@ -48,7 +48,7 @@ use crate::ijlmr;
 use crate::indexutil::BuildStats;
 use crate::isl::{self, IslConfig, IslCore};
 use crate::planner::{self, Candidates, Objective, Plan};
-use crate::query::{JoinSide, JoinSpec, RankJoinQuery};
+use crate::query::{JoinSpec, RankJoinQuery};
 use crate::spare::Spares;
 use crate::stats::QueryOutcome;
 use crate::statsmaint::SharedTableStats;
@@ -100,12 +100,6 @@ impl Algorithm {
             Algorithm::Drjn => "DRJN",
             Algorithm::Auto => "AUTO",
         }
-    }
-
-    /// Whether the algorithm needs a pre-built index. `Auto` does not: it
-    /// plans over whatever happens to be prepared.
-    pub fn needs_index(&self) -> bool {
-        !matches!(self, Algorithm::Hive | Algorithm::Pig | Algorithm::Auto)
     }
 }
 
@@ -282,42 +276,11 @@ impl RankJoinExecutor {
     /// The shared statistics handle. Register it on a
     /// [`crate::maintenance::MaintainedSide`] (via
     /// [`with_stats`](crate::maintenance::MaintainedSide::with_stats)) so
-    /// writes keep plans fresh, and hand it to other executors for the
-    /// same spec (via [`RankJoinExecutor::attach_stats`]) so they share
-    /// one snapshot; its version is the one every cursor and serving
-    /// cache over this executor pins.
+    /// writes keep plans fresh. Every [`RankJoinExecutor::fork_onto`] fork
+    /// shares it, so the forks plan from one snapshot; its version is the
+    /// one every cursor and serving cache over this executor pins.
     pub fn stats_handle(&self) -> Arc<SharedTableStats> {
         self.stats.clone()
-    }
-
-    /// Adopts another executor's statistics handle (it must describe the
-    /// same sides). `fork_metrics`-cloned executors serving one spec
-    /// attach the original's handle so statistics are collected once and
-    /// maintained coherently, instead of every fork re-collecting
-    /// identical snapshots.
-    pub fn attach_stats(&mut self, handle: Arc<SharedTableStats>) -> Result<()> {
-        // Statistics are a function of (table, join column, score column)
-        // per side; the label keys the deltas. All must match — two
-        // queries over the same tables ranking by different columns have
-        // different histograms.
-        let same_side = |a: &JoinSide, b: &JoinSide| {
-            a.table == b.table
-                && a.label == b.label
-                && a.join_col == b.join_col
-                && a.score_col == b.score_col
-        };
-        let (ours, theirs) = (&self.spec.sides, &handle.spec().sides);
-        if ours.len() != theirs.len() || !ours.iter().zip(theirs).all(|(a, b)| same_side(a, b)) {
-            return Err(RankJoinError::Internal(
-                "stats handle describes a different query pair",
-            ));
-        }
-        self.plan_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.stats = handle;
-        Ok(())
     }
 
     /// Drops cached plans and statistics — used by `prepare_*`, which
@@ -407,7 +370,9 @@ impl RankJoinExecutor {
         self.prepare(Index::Drjn(config))
     }
 
-    /// Adopts an already-built IJLMR index table without rebuilding.
+    /// Adopts an already-built IJLMR index table without rebuilding. Kept
+    /// with [`RankJoinExecutor::attach_isl`], one per index: tests share
+    /// one build across executors with it.
     pub fn attach_ijlmr(&mut self, table: &str) -> Result<()> {
         self.attach(Index::Ijlmr, table)
     }
@@ -419,7 +384,8 @@ impl RankJoinExecutor {
 
     /// Adopts an already-built BFHM index table without rebuilding.
     /// `config` must match the build (bucket count is verified at query
-    /// time against the index metadata).
+    /// time against the index metadata). Kept for tests, as
+    /// [`RankJoinExecutor::attach_ijlmr`] is.
     pub fn attach_bfhm(&mut self, table: &str, config: BfhmConfig) -> Result<()> {
         self.attach(Index::Bfhm(config), table)
     }
@@ -709,9 +675,7 @@ mod tests {
                 ex.execute(algo).unwrap_err(),
                 RankJoinError::MissingIndex(_)
             ));
-            assert!(algo.needs_index());
         }
-        assert!(!Algorithm::Hive.needs_index());
     }
 
     /// BFHM, DRJN, IJLMR, Hive and Pig join two sides: on a three-side
@@ -750,7 +714,6 @@ mod tests {
         let names: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
         assert_eq!(names, vec!["HIVE", "PIG", "IJLMR", "ISL", "BFHM", "DRJN"]);
         assert_eq!(Algorithm::Auto.name(), "AUTO");
-        assert!(!Algorithm::Auto.needs_index());
     }
 
     #[test]
@@ -850,19 +813,20 @@ mod tests {
     #[test]
     fn shared_stats_handle_collects_once_across_executors() {
         let (c, q) = running_example_cluster();
+        // An IJLMR index built by an executor with its own handle.
+        RankJoinExecutor::new(&c, q.clone())
+            .prepare_ijlmr()
+            .unwrap();
         let mut builder = RankJoinExecutor::new(&c, q.clone());
         builder.prepare_isl().unwrap();
-        builder.prepare_ijlmr().unwrap();
         let _ = builder.plan().unwrap();
         assert_eq!(builder.stats_handle().collections(), 1);
 
-        // A fork_metrics clone serving the same pair adopts the handle:
-        // no second statistics pass, observable on both the collection
-        // counter and the admin-read ledger.
+        // A fork serving the same pair shares the handle: no second
+        // statistics pass, observable on both the collection counter and
+        // the admin-read ledger.
         let fork = c.fork_metrics();
-        let mut other = RankJoinExecutor::new(&fork, q.clone());
-        other.attach_isl(&isl::index_table_name(&q)).unwrap();
-        other.attach_stats(builder.stats_handle()).unwrap();
+        let mut other = builder.fork_onto(&fork).unwrap();
         let admin_before = fork.metrics().snapshot().admin_kv_reads;
         let plan = other.plan().unwrap();
         assert_eq!(builder.stats_handle().collections(), 1);
@@ -930,16 +894,6 @@ mod tests {
         for (old, new) in below.iter().zip(&above) {
             assert!(!Arc::ptr_eq(old, new), "a pre-collection plan was served");
         }
-    }
-
-    #[test]
-    fn attach_stats_rejects_a_different_query_pair() {
-        let (c, q) = running_example_cluster();
-        let ex = RankJoinExecutor::new(&c, q.clone());
-        let mut swapped = q.clone();
-        std::mem::swap(&mut swapped.left, &mut swapped.right);
-        let mut other = RankJoinExecutor::new(&c, swapped);
-        assert!(other.attach_stats(ex.stats_handle()).is_err());
     }
 
     /// The candidate set is what is prepared now, with the ISL config

@@ -277,7 +277,7 @@ mod tests {
         assert!(got.metrics.kv_reads >= 6, "scans both tables fully");
         let engine = MapReduceEngine::new(c.clone());
         run(&engine, &q, q.k).unwrap();
-        assert!(!engine.dfs().exists(JOINED_FILE));
-        assert!(!engine.dfs().exists(SORTED_FILE));
+        assert!(engine.dfs().read(JOINED_FILE).is_none());
+        assert!(engine.dfs().read(SORTED_FILE).is_none());
     }
 }

@@ -552,7 +552,8 @@ pub type InputTuple = (Vec<u8>, Vec<Vec<u8>>, f64);
 /// lists — the reference driver used by tests, at the spec's own `k`.
 /// Two sides alternate, one tuple each; three or more pull one tuple at a
 /// time from `HrjnState::pull_side`, the order the N-way cursor's
-/// batches follow.
+/// batches follow. Kept for tests: `tests/hrjn_prop.rs` checks HRJN
+/// against the oracle with it.
 pub fn run_hrjn(spec: &JoinSpec, sides: &[Vec<InputTuple>]) -> Result<Vec<JoinTuple>> {
     if sides.len() != spec.n() {
         return Err(RankJoinError::InvalidSpec(

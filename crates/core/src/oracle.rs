@@ -53,6 +53,7 @@ pub fn topk(cluster: &Cluster, query: &RankJoinQuery) -> Result<Vec<JoinTuple>> 
 }
 
 /// Computes the *entire* join result, rank-ordered (for recall studies).
+/// Test surface, as the whole oracle is: the workspace's tests use it.
 pub fn full_join(cluster: &Cluster, query: &RankJoinQuery) -> Result<Vec<JoinTuple>> {
     let huge = RankJoinQuery {
         k: usize::MAX / 2,
@@ -137,7 +138,8 @@ fn enumerate_assignments(
     }
 }
 
-/// The entire N-ary join result, rank-ordered.
+/// The entire N-ary join result, rank-ordered. Test surface, as
+/// [`full_join`] is.
 pub fn full_join_spec(cluster: &Cluster, spec: &JoinSpec) -> Result<Vec<JoinTuple>> {
     topk_spec(cluster, &spec.with_k(usize::MAX / 2))
 }

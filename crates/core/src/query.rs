@@ -338,7 +338,8 @@ impl JoinSpec {
     }
 
     /// A star spec: side 0 is the hub, every other side joins it on the
-    /// default join columns.
+    /// default join columns. Kept for tests: the N-ary tests build the
+    /// star shape with it, as callers build paths with [`JoinSpec::path`].
     pub fn star(sides: Vec<JoinSide>, k: usize, score_fn: ScoreFn) -> Result<Self> {
         let edges = (1..sides.len())
             .map(|i| JoinEdge::on_join_cols(&sides, 0, i))

@@ -307,11 +307,6 @@ impl TopK {
         }
     }
 
-    /// Best retained score.
-    pub fn best_score(&self) -> Option<f64> {
-        self.set.first().map(|r| r.0.score)
-    }
-
     /// Consumes into a rank-ordered vector.
     pub fn into_sorted_vec(self) -> Vec<JoinTuple> {
         self.set.into_iter().map(|r| r.0).collect()
@@ -359,7 +354,7 @@ mod tests {
         assert_eq!(top.kth_score(), Some(0.4));
         top.offer(t(b"c", b"r", 0.6));
         assert_eq!(top.kth_score(), Some(0.6));
-        assert_eq!(top.best_score(), Some(0.9));
+        assert_eq!(top.iter().next().map(|t| t.score), Some(0.9));
     }
 
     #[test]

@@ -282,8 +282,8 @@ pub struct PlannedStats {
 
 /// One spec's `Arc`-shared, incrementally-maintained statistics, for any
 /// arity (see the module docs). Each executor creates one and shares it
-/// (`stats_handle` /
-/// [`attach_stats`](crate::executor::RankJoinExecutor::attach_stats));
+/// (`stats_handle`, and with every
+/// [`fork_onto`](crate::executor::RankJoinExecutor::fork_onto) fork);
 /// [`MaintainedSide::with_stats`](crate::maintenance::MaintainedSide::with_stats)
 /// registers it on the write path.
 pub struct SharedTableStats {
@@ -352,8 +352,8 @@ impl SharedTableStats {
 
     /// The maintained snapshot as it stands, without triggering a
     /// collection — `None` before the first planning call or after an
-    /// invalidation. Diagnostics and tests compare this against a fresh
-    /// [`TableStats::collect`] pass.
+    /// invalidation. Kept for tests: `tests/stats_maintenance.rs` compares
+    /// this against a fresh [`TableStats::collect`] pass.
     pub fn maintained_stats(&self) -> Option<TableStats> {
         self.lock().as_ref().map(|m| TableStats::clone(&m.stats))
     }
@@ -411,7 +411,8 @@ impl SharedTableStats {
     /// Unfenced: a collection between the write and this call counts
     /// the row twice. [`crate::maintenance::MaintainedSide`] merges
     /// through the fence; a caller writing by hand serializes its writes
-    /// against planning calls itself.
+    /// against planning calls itself. Kept for tests: an `rj_check` model
+    /// rebuilds the unfenced order with it.
     pub fn apply_delta(&self, delta: &StatsDelta<'_>) {
         self.merge(&mut self.lock(), delta);
     }

@@ -79,11 +79,6 @@ impl Dfs {
         self.files.write().remove(name).is_some()
     }
 
-    /// Whether a file exists.
-    pub fn exists(&self, name: &str) -> bool {
-        self.files.read().contains_key(name)
-    }
-
     /// Total bytes stored (all files).
     pub fn total_bytes(&self) -> u64 {
         self.files.read().values().map(DfsFile::byte_size).sum()
@@ -121,9 +116,8 @@ mod tests {
         let f = dfs.read("f").unwrap();
         assert_eq!(f.record_count(), 5);
         assert!(f.byte_size() > 0);
-        assert!(dfs.exists("f"));
         assert!(dfs.remove("f"));
-        assert!(!dfs.exists("f"));
+        assert!(dfs.read("f").is_none());
         assert!(!dfs.remove("f"));
     }
 

@@ -809,7 +809,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert!(engine.dfs().exists("tmp/stage1"));
+        assert!(engine.dfs().read("tmp/stage1").is_some());
         // Job 2: count records of the file.
         let spec2 = JobSpec::new("j2", JobInput::file("tmp/stage1"), 1).sink(OutputSink::Collect);
         let result = engine

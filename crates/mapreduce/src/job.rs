@@ -36,14 +36,6 @@ impl JobInput {
         }])
     }
 
-    /// Convenience: table input restricted to families.
-    pub fn table_families(name: &str, families: &[&str]) -> Self {
-        JobInput::Tables(vec![TableInput {
-            table: name.to_owned(),
-            families: Some(families.iter().map(|f| (*f).to_owned()).collect()),
-        }])
-    }
-
     /// Convenience: two-table join input.
     pub fn two_tables(left: TableInput, right: TableInput) -> Self {
         JobInput::Tables(vec![left, right])
@@ -185,11 +177,6 @@ mod tests {
     fn input_helpers() {
         assert!(matches!(JobInput::table("x"), JobInput::Tables(_)));
         assert!(matches!(JobInput::file("f"), JobInput::File(_)));
-        if let JobInput::Tables(ts) = JobInput::table_families("x", &["a", "b"]) {
-            assert_eq!(ts[0].families.as_ref().unwrap().len(), 2);
-        } else {
-            panic!("expected table input");
-        }
         if let JobInput::Tables(ts) =
             JobInput::two_tables(TableInput::all("l"), TableInput::projected("r", &["cf"]))
         {

@@ -42,27 +42,6 @@ impl RangePartitioner {
         boundaries.sort();
         RangePartitioner { boundaries }
     }
-
-    /// Builds boundaries from a sample of keys: picks `num_reducers - 1`
-    /// evenly spaced quantiles (Pig's sampler output).
-    pub fn from_sample(mut sample: Vec<Vec<u8>>, num_reducers: usize) -> Self {
-        sample.sort();
-        sample.dedup();
-        let mut boundaries = Vec::new();
-        if num_reducers > 1 && !sample.is_empty() {
-            for i in 1..num_reducers {
-                let idx = i * sample.len() / num_reducers;
-                boundaries.push(sample[idx.min(sample.len() - 1)].clone());
-            }
-            boundaries.dedup();
-        }
-        RangePartitioner { boundaries }
-    }
-
-    /// Number of boundary keys.
-    pub fn boundary_count(&self) -> usize {
-        self.boundaries.len()
-    }
 }
 
 impl Partitioner for RangePartitioner {
@@ -108,29 +87,16 @@ mod tests {
     }
 
     #[test]
-    fn range_from_sample_balances() {
-        let sample: Vec<Vec<u8>> = (0..1000u32).map(|i| i.to_be_bytes().to_vec()).collect();
-        let p = RangePartitioner::from_sample(sample, 4);
-        assert_eq!(p.boundary_count(), 3);
-        let mut counts = [0usize; 4];
-        for i in 0..1000u32 {
-            counts[p.partition(&i.to_be_bytes(), 4)] += 1;
-        }
-        for c in counts {
-            assert!((200..=300).contains(&c), "unbalanced: {counts:?}");
-        }
-    }
-
-    #[test]
     fn range_clamps_to_reducer_count() {
         // More boundaries than reducers: indices clamp.
         let p = RangePartitioner::new(vec![b"b".to_vec(), b"d".to_vec(), b"f".to_vec()]);
         assert_eq!(p.partition(b"z", 2), 1);
     }
 
+    /// Pig's sample job over an empty join result yields no boundaries.
     #[test]
     fn empty_sample_yields_single_partition() {
-        let p = RangePartitioner::from_sample(vec![], 4);
+        let p = RangePartitioner::new(Vec::new());
         assert_eq!(p.partition(b"anything", 4), 0);
     }
 }

@@ -624,7 +624,9 @@ impl RankJoinService {
     }
 
     /// The backend's cached warm-start donor as `(consumed depth, pinned
-    /// statistics version)`, `None` while nothing is cached.
+    /// statistics version)`, `None` while nothing is cached. Kept for
+    /// tests: the serving tests check with it that a run left the donor
+    /// alone.
     pub fn warm_donor(&self, backend: BackendId) -> Result<Option<(u64, u64)>, ServeError> {
         let st = self.lock();
         let backend = st

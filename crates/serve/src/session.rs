@@ -67,7 +67,9 @@ impl SubmitOptions {
         self
     }
 
-    /// Same options with a simulated-seconds deadline, builder-style.
+    /// Same options with a simulated-seconds deadline, builder-style. Kept
+    /// beside [`SubmitOptions::with_priority`] and
+    /// [`SubmitOptions::with_page_size`]: the serving tests submit with it.
     pub fn with_deadline(mut self, sim_seconds: f64) -> Self {
         self.deadline_sim_seconds = Some(sim_seconds);
         self
@@ -129,14 +131,6 @@ pub struct SessionResult {
     pub submitted_at: f64,
     /// Service clock when the session reached this terminal state.
     pub completed_at: f64,
-}
-
-impl SessionResult {
-    /// Simulated seconds between submit and completion — the session's
-    /// sojourn time.
-    pub fn sojourn(&self) -> f64 {
-        self.completed_at - self.submitted_at
-    }
 }
 
 /// Continuation token of a paged session: names the exact page boundary

@@ -1,9 +1,9 @@
 //! A compact, fixed-width bit vector.
 //!
-//! Backs the single-hash Bloom filters of the BFHM buckets. Supports the two
-//! operations the BFHM query algorithms need beyond set/get: bitwise AND
-//! (bucket join, paper Algorithm 7 line 4) and iteration over set positions
-//! (cardinality estimation and reverse-mapping lookups).
+//! Backs the plain Bloom filters of [`crate::bloom`]. Beyond set/get it
+//! counts set bits and ANDs two vectors, the bucket join of paper
+//! Algorithm 7 line 4 on plain filters. The BFHM's own buckets are
+//! [`crate::HybridFilter`]s, which keep a counter per set bit.
 
 /// A fixed-length bit vector stored as 64-bit words.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -62,13 +62,9 @@ impl BitVec {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` if no bit is set (an empty bucket-join result, Algorithm 7
-    /// line 5).
-    pub fn all_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Bitwise AND of two equally-sized vectors.
+    /// Bitwise AND of two equally-sized vectors. Kept for tests: the
+    /// plain-filter form of Algorithm 7's bucket join, which the BFHM does
+    /// on [`crate::HybridFilter`] counters instead.
     ///
     /// # Panics
     /// Panics if the lengths differ — BFHM bucket joins require both sides
@@ -87,34 +83,6 @@ impl BitVec {
                 .collect(),
             nbits: self.nbits,
         }
-    }
-
-    /// Iterates over set bit positions in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
-    }
-
-    /// Rebuilds a vector of `nbits` bits from sorted set-bit positions.
-    ///
-    /// # Panics
-    /// Panics if any position is out of range.
-    pub fn from_ones(nbits: usize, ones: &[u64]) -> Self {
-        let mut v = BitVec::new(nbits);
-        for &i in ones {
-            v.set(i as usize);
-        }
-        v
     }
 }
 
@@ -138,17 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_ones_is_sorted_and_complete() {
-        let mut v = BitVec::new(200);
-        let positions = [0usize, 5, 63, 64, 65, 127, 128, 199];
-        for &p in &positions {
-            v.set(p);
-        }
-        let got: Vec<usize> = v.iter_ones().collect();
-        assert_eq!(got, positions);
-    }
-
-    #[test]
     fn and_keeps_only_common_bits() {
         let mut a = BitVec::new(100);
         let mut b = BitVec::new(100);
@@ -159,8 +116,8 @@ mod tests {
             b.set(p);
         }
         let c = a.and(&b);
-        assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![10, 64]);
-        assert!(!c.all_zero());
+        let ones: Vec<usize> = (0..c.len()).filter(|&p| c.get(p)).collect();
+        assert_eq!(ones, vec![10, 64]);
     }
 
     #[test]
@@ -169,7 +126,7 @@ mod tests {
         let mut b = BitVec::new(64);
         a.set(3);
         b.set(4);
-        assert!(a.and(&b).all_zero());
+        assert_eq!(a.and(&b).count_ones(), 0);
     }
 
     #[test]
@@ -179,20 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn from_ones_roundtrip() {
-        let mut v = BitVec::new(333);
-        for p in [2usize, 70, 140, 332] {
-            v.set(p);
-        }
-        let ones: Vec<u64> = v.iter_ones().map(|p| p as u64).collect();
-        assert_eq!(BitVec::from_ones(333, &ones), v);
-    }
-
-    #[test]
     fn zero_length_vector() {
         let v = BitVec::new(0);
         assert!(v.is_empty());
-        assert!(v.all_zero());
-        assert_eq!(v.iter_ones().count(), 0);
+        assert_eq!(v.count_ones(), 0);
     }
 }

@@ -35,19 +35,6 @@ impl SingleHashBloom {
         }
     }
 
-    /// Sizes `m` so that after `n` insertions the false-positive probability
-    /// is at most `fpp`. For a single hash function `FPP = 1 - (1 - 1/m)^n ≈
-    /// n/m` for small FPP, so `m = ceil(n / fpp)`.
-    ///
-    /// This mirrors the paper's configuration: "All Bloom filters were
-    /// configured to contain the most heavily populated of the buckets with
-    /// a false positive probability of 5%" (§7.1).
-    pub fn with_capacity_fpp(n: usize, fpp: f64) -> Self {
-        assert!(fpp > 0.0 && fpp < 1.0, "fpp must be in (0,1)");
-        let m = ((n.max(1) as f64) / fpp).ceil() as usize;
-        Self::new(m.max(8))
-    }
-
     /// The bit position `h(item)` this filter assigns to `item`.
     #[inline]
     pub fn position(&self, item: &[u8]) -> usize {
@@ -119,16 +106,6 @@ impl ClassicBloom {
         }
     }
 
-    /// Sizes the filter optimally for `n` items at false-positive rate
-    /// `fpp`: `m = -n ln fpp / (ln 2)^2`, `k = (m/n) ln 2`.
-    pub fn with_capacity_fpp(n: usize, fpp: f64) -> Self {
-        assert!(fpp > 0.0 && fpp < 1.0);
-        let n = n.max(1) as f64;
-        let m = (-n * fpp.ln() / (std::f64::consts::LN_2.powi(2))).ceil() as usize;
-        let k = ((m as f64 / n) * std::f64::consts::LN_2).round().max(1.0) as u32;
-        Self::new(m.max(8), k)
-    }
-
     fn positions<'a>(&'a self, item: &'a [u8]) -> impl Iterator<Item = usize> + 'a {
         // Kirsch-Mitzenmacher double hashing: h_i = h1 + i*h2.
         let h1 = hash_bytes(0x5eed_1001, item);
@@ -139,8 +116,6 @@ impl ClassicBloom {
 
     /// Inserts `item`.
     pub fn insert(&mut self, item: &[u8]) {
-        let m = self.bits.len();
-        let _ = m;
         let positions: Vec<usize> = self.positions(item).collect();
         for p in positions {
             self.bits.set(p);
@@ -191,9 +166,11 @@ mod tests {
 
     #[test]
     fn capacity_sizing_hits_target_fpp() {
-        let n = 1000;
-        let mut f = SingleHashBloom::with_capacity_fpp(n, 0.05);
-        for i in 0..n as u64 {
+        // One hash function: `FPP ≈ n/m`, so 5 % takes `m = n / 0.05`, the
+        // paper's sizing ("a false positive probability of 5%", §7.1).
+        let n = 1000u64;
+        let mut f = SingleHashBloom::new(20 * n as usize);
+        for i in 0..n {
             f.insert(&i.to_be_bytes());
         }
         // Probe 10_000 absent items; FPP should be near 5%.
@@ -221,7 +198,8 @@ mod tests {
 
     #[test]
     fn classic_no_false_negatives() {
-        let mut f = ClassicBloom::with_capacity_fpp(500, 0.01);
+        // `m = -n ln fpp / (ln 2)^2` and `k = (m/n) ln 2` for 1 %.
+        let mut f = ClassicBloom::new(4793, 7);
         for i in 0..500u64 {
             f.insert(&i.to_be_bytes());
         }
@@ -232,7 +210,8 @@ mod tests {
 
     #[test]
     fn classic_fpp_near_target() {
-        let mut f = ClassicBloom::with_capacity_fpp(2000, 0.01);
+        // Sized as in `classic_no_false_negatives`, for 2 000 items.
+        let mut f = ClassicBloom::new(19_171, 7);
         for i in 0..2000u64 {
             f.insert(&i.to_be_bytes());
         }

@@ -128,6 +128,7 @@ impl HybridFilter {
     }
 
     /// Sum of all counters — the number of tuples recorded in this bucket.
+    /// Kept for tests: the sketch proptests check removals against it.
     pub fn total_count(&self) -> u64 {
         self.counts().iter().map(|&c| u64::from(c)).sum()
     }

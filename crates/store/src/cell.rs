@@ -87,7 +87,8 @@ impl Mutation {
         Self::put_shared(family.into(), qualifier.into(), value.into(), None)
     }
 
-    /// Convenience constructor for a put with a pinned timestamp.
+    /// Convenience constructor for a put with a pinned timestamp. Kept for
+    /// tests: the store's and `rj_core`'s unit tests pin versions with it.
     pub fn put_at(family: &str, qualifier: &[u8], value: impl Into<Bytes>, ts: u64) -> Self {
         Self::put_shared(family.into(), qualifier.into(), value.into(), Some(ts))
     }
@@ -97,7 +98,8 @@ impl Mutation {
         Self::delete_shared(family.into(), qualifier.into(), None)
     }
 
-    /// Convenience constructor for a delete with a pinned timestamp.
+    /// Convenience constructor for a delete with a pinned timestamp. Kept
+    /// for tests, as [`Mutation::put_at`] is.
     pub fn delete_at(family: &str, qualifier: &[u8], ts: u64) -> Self {
         Self::delete_shared(family.into(), qualifier.into(), Some(ts))
     }

@@ -145,7 +145,9 @@ impl Cluster {
             .ok_or_else(|| StoreError::TableNotFound(name.to_owned()))
     }
 
-    /// Names of all tables (sorted, for deterministic iteration).
+    /// Names of all tables (sorted, for deterministic iteration). Kept for
+    /// tests: the workspace's store-size and consistency tests walk every
+    /// table with it.
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.shared.tables.read().keys().cloned().collect();
         names.sort();

@@ -14,7 +14,8 @@ pub fn encode_u64(v: u64) -> [u8; 8] {
     v.to_be_bytes()
 }
 
-/// Inverse of [`encode_u64`].
+/// Inverse of [`encode_u64`]. Kept for tests: the store's, MapReduce's
+/// and the loader's tests read `u64` row keys back with it.
 #[inline]
 pub fn decode_u64(b: &[u8]) -> Option<u64> {
     Some(u64::from_be_bytes(b.get(..8)?.try_into().ok()?))
@@ -103,7 +104,8 @@ pub fn composite(parts: &[&[u8]]) -> Vec<u8> {
 
 /// The smallest key strictly greater than every key with prefix `p`
 /// (for prefix-bounded scans). Returns `None` when no such key exists
-/// (prefix is all `0xff`).
+/// (prefix is all `0xff`). Kept for tests: the store's key proptests pin
+/// the byte order a prefix scan's stop key relies on with it.
 pub fn prefix_end(p: &[u8]) -> Option<Vec<u8>> {
     let mut end = p.to_vec();
     while let Some(last) = end.last_mut() {

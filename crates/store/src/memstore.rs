@@ -1,83 +1,64 @@
 //! A region's memstore: the rows its maintained writes (`mutate_row`)
-//! wrote since a bulk load last froze it, by key.
+//! wrote since a bulk load last froze it, as one vector sorted by key.
 //!
 //! Loads and index builds write region segments directly
 //! (`crate::bulk`), so the memstore takes the serving writes alone: a
 //! few dozen rows per region, inserted at scattered keys and removed
 //! again when their tombstones are purged. A `BTreeMap` that small
 //! allocates or frees a 450–550-byte node each time it crosses a node
-//! boundary — a root split at its twelfth row, a merge on the way back —
-//! where a loaded tree's half-full leaves absorbed the same traffic. So a memstore is a sorted
-//! vector while it holds at most [`SMALL_ROWS`] rows: an insert or removal
-//! moves at most that many 40-byte entries (10 KiB), and a removal keeps
-//! the capacity the next insert needs. A write that would outgrow it turns it
-//! into a `BTreeMap`. No region of the benchmark's five workloads grows
-//! one (seed 1, 18 s each); the paper's `updates` and `updates-planner`
-//! experiments grow one each. A load that freezes a memstore starts the
-//! next as an empty vector again.
+//! boundary — a root split at its twelfth row, a merge on the way back.
+//! A sorted vector moves 40-byte entries instead, and a removal keeps the
+//! capacity the next insert needs. A load that freezes a memstore starts
+//! the next as an empty vector again.
 //!
 //! Measured on the benchmark's `update_stream` (seed 1), whose memstores
 //! hold at most 45 rows: with a `BTreeMap` memstore 14.16 allocations and
 //! 1 449.9 bytes per operation, as a sorted vector 13.97 and 1 355.7 — a
 //! store whose every row was a B-tree entry made 13.96 and 1 371.5. The
-//! limit leaves room for a region taking a few hundred rows of inserts
-//! and deletes inside one tombstone grace window.
+//! paper's `updates` and `updates-planner` experiments (`--sf-lab 0.002`)
+//! grow one region's memstore past 256 rows, where an insert moves every
+//! later entry: they ran in a median 0.338 s and 0.309 s over 11 runs on a
+//! 2-vCPU VM, against 0.353 s and 0.314 s with a `BTreeMap` past 256 rows.
 
-use std::collections::{btree_map, BTreeMap};
-use std::ops::Bound;
+use std::slice::Iter;
 
 use bytes::Bytes;
 
 use crate::region::Stored;
 
-/// The most rows a memstore holds as a sorted vector.
-pub(crate) const SMALL_ROWS: usize = 256;
-
-/// Rows by key (see the module docs).
+/// Rows by key, sorted (see the module docs).
 #[derive(Debug)]
-pub(crate) enum Memstore<V> {
-    /// At most [`SMALL_ROWS`] rows, sorted by key.
-    Small(Vec<(Bytes, V)>),
-    Large(BTreeMap<Bytes, V>),
+pub(crate) struct Memstore<V> {
+    rows: Vec<(Bytes, V)>,
 }
 
 impl<V> Default for Memstore<V> {
     fn default() -> Self {
-        Memstore::Small(Vec::new())
+        Memstore { rows: Vec::new() }
     }
-}
-
-/// Where `key` sits among sorted `rows`: `Ok` at it, `Err` where it would
-/// be inserted.
-fn search<V>(rows: &[(Bytes, V)], key: &[u8]) -> Result<usize, usize> {
-    rows.binary_search_by(|(k, _)| k[..].cmp(key))
-}
-
-fn one_row(key: &[u8]) -> (Bound<&[u8]>, Bound<&[u8]>) {
-    (Bound::Included(key), Bound::Included(key))
 }
 
 impl<V> Memstore<V> {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Memstore::Small(rows) => rows.len(),
-            Memstore::Large(rows) => rows.len(),
-        }
+    /// Where `key` sits among the rows: `Ok` at it, `Err` where it would
+    /// be inserted.
+    fn search(&self, key: &[u8]) -> Result<usize, usize> {
+        self.rows.binary_search_by(|(k, _)| k[..].cmp(key))
+    }
+
+    fn at_or_after(&self, key: &[u8]) -> usize {
+        self.search(key).unwrap_or_else(|at| at)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows.is_empty()
     }
 
     pub(crate) fn contains_key(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
+        self.search(key).is_ok()
     }
 
     pub(crate) fn get(&self, key: &[u8]) -> Option<&V> {
-        match self {
-            Memstore::Small(rows) => search(rows, key).ok().map(|at| &rows[at].1),
-            Memstore::Large(rows) => rows.get(key),
-        }
+        self.search(key).ok().map(|at| &self.rows[at].1)
     }
 
     pub(crate) fn get_mut(&mut self, key: &[u8]) -> Option<&mut V> {
@@ -86,122 +67,43 @@ impl<V> Memstore<V> {
 
     /// The row `key` and the handle it is stored under.
     pub(crate) fn get_key_value_mut(&mut self, key: &[u8]) -> Option<(&Bytes, &mut V)> {
-        match self {
-            Memstore::Small(rows) => {
-                let at = search(rows, key).ok()?;
-                let (key, value) = &mut rows[at];
-                Some((&*key, value))
-            }
-            Memstore::Large(rows) => rows.range_mut::<[u8], _>(one_row(key)).next(),
-        }
+        let at = self.search(key).ok()?;
+        let (key, value) = &mut self.rows[at];
+        Some((&*key, value))
     }
 
     /// Stores a row under a key the memstore does not hold.
     pub(crate) fn insert(&mut self, key: Bytes, value: V) -> &mut V {
-        if let Memstore::Small(rows) = self {
-            if rows.len() == SMALL_ROWS {
-                *self = Memstore::Large(std::mem::take(rows).into_iter().collect());
-            }
-        }
-        match self {
-            Memstore::Small(rows) => {
-                let at = search(rows, &key).unwrap_or_else(|at| at);
-                rows.insert(at, (key, value));
-                &mut rows[at].1
-            }
-            Memstore::Large(rows) => rows.entry(key).or_insert(value),
-        }
+        let at = self.at_or_after(&key);
+        self.rows.insert(at, (key, value));
+        &mut self.rows[at].1
     }
 
     pub(crate) fn remove(&mut self, key: &[u8]) {
-        match self {
-            Memstore::Small(rows) => {
-                if let Ok(at) = search(rows, key) {
-                    rows.remove(at);
-                }
-            }
-            Memstore::Large(rows) => {
-                rows.remove(key);
-            }
+        if let Ok(at) = self.search(key) {
+            self.rows.remove(at);
         }
     }
 
     /// The rows from `from` (inclusive) on and before `stop` (exclusive),
     /// if there is one, in key order.
-    pub(crate) fn range(&self, from: &[u8], stop: Option<&[u8]>) -> Iter<'_, V> {
+    pub(crate) fn range(&self, from: &[u8], stop: Option<&[u8]>) -> Iter<'_, (Bytes, V)> {
         // A stop at or before `from` leaves no row.
-        let stop = stop.map(|stop| stop.max(from));
-        match self {
-            Memstore::Small(rows) => {
-                let at = |key| search(rows, key).unwrap_or_else(|at| at);
-                Iter::Small(rows[at(from)..stop.map_or(rows.len(), at)].iter())
-            }
-            Memstore::Large(rows) => {
-                let end = stop.map_or(Bound::Unbounded, Bound::Excluded);
-                Iter::Large(rows.range::<[u8], _>((Bound::Included(from), end)))
-            }
-        }
+        let start = self.at_or_after(from);
+        let end = stop.map_or(self.rows.len(), |stop| self.at_or_after(stop.max(from)));
+        self.rows[start..end].iter()
     }
 
     /// Every row, in key order.
-    pub(crate) fn iter(&self) -> Iter<'_, V> {
-        self.range(&[], None)
+    pub(crate) fn iter(&self) -> Iter<'_, (Bytes, V)> {
+        self.rows.iter()
     }
 
     /// Moves the rows from `key` (inclusive) on into a new memstore.
     pub(crate) fn split_off(&mut self, key: &[u8]) -> Memstore<V> {
-        match self {
-            Memstore::Small(rows) => {
-                let at = search(rows, key).unwrap_or_else(|at| at);
-                Memstore::Small(rows.split_off(at))
-            }
-            Memstore::Large(rows) => Memstore::Large(rows.split_off(key)),
-        }
-    }
-}
-
-/// A memstore's rows in key order, borrowed.
-pub(crate) enum Iter<'a, V> {
-    Small(std::slice::Iter<'a, (Bytes, V)>),
-    Large(btree_map::Range<'a, Bytes, V>),
-}
-
-impl<'a, V> Iterator for Iter<'a, V> {
-    type Item = (&'a Bytes, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Iter::Small(rows) => rows.next().map(|(key, value)| (key, value)),
-            Iter::Large(rows) => rows.next(),
-        }
-    }
-}
-
-/// A memstore's rows in key order, moved out.
-pub(crate) enum IntoIter<V> {
-    Small(std::vec::IntoIter<(Bytes, V)>),
-    Large(btree_map::IntoIter<Bytes, V>),
-}
-
-impl<V> Iterator for IntoIter<V> {
-    type Item = (Bytes, V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            IntoIter::Small(rows) => rows.next(),
-            IntoIter::Large(rows) => rows.next(),
-        }
-    }
-}
-
-impl<V> IntoIterator for Memstore<V> {
-    type Item = (Bytes, V);
-    type IntoIter = IntoIter<V>;
-
-    fn into_iter(self) -> IntoIter<V> {
-        match self {
-            Memstore::Small(rows) => IntoIter::Small(rows.into_iter()),
-            Memstore::Large(rows) => IntoIter::Large(rows.into_iter()),
+        let at = self.at_or_after(key);
+        Memstore {
+            rows: self.rows.split_off(at),
         }
     }
 }
@@ -261,22 +163,19 @@ mod tests {
     use super::*;
 
     fn keys(memstore: &Memstore<u32>) -> Vec<u32> {
-        memstore.iter().map(|(_, &value)| value).collect()
+        memstore.iter().map(|&(_, value)| value).collect()
     }
 
-    /// Rows inserted in scattered order read back sorted, through the
-    /// vector and across its turn into a B-tree, and removals and splits
-    /// keep them so.
+    /// Rows inserted in scattered order read back sorted, and removals,
+    /// splits and ranges keep them so.
     #[test]
-    fn rows_stay_sorted_as_the_vector_grows_into_a_tree() {
+    fn rows_stay_sorted_as_the_vector_grows() {
         let mut memstore = Memstore::default();
-        let total = 3 * SMALL_ROWS as u32;
+        let total = 3 * 256u32;
         // 37 is prime to `total`: a permutation of 0..total.
         for i in 0..total {
             let value = i * 37 % total;
             memstore.insert(Bytes::from(value.to_be_bytes().to_vec()), value);
-            let large = matches!(memstore, Memstore::Large(_));
-            assert_eq!(large, memstore.len() > SMALL_ROWS);
         }
         assert_eq!(keys(&memstore), (0..total).collect::<Vec<_>>());
         for value in (0..total).step_by(2) {
@@ -289,32 +188,29 @@ mod tests {
         assert!(keys(&upper).iter().all(|&v| v >= 100));
         let from: Vec<u32> = upper
             .range(&150u32.to_be_bytes(), None)
-            .map(|(_, &v)| v)
+            .map(|&(_, v)| v)
             .collect();
         assert_eq!(from, (151..total).step_by(2).collect::<Vec<_>>());
         let between = |stop: u32| -> Vec<u32> {
             let range = upper.range(&150u32.to_be_bytes(), Some(&stop.to_be_bytes()));
-            range.map(|(_, &v)| v).collect()
+            range.map(|&(_, v)| v).collect()
         };
         assert_eq!(between(156), [151, 153, 155]);
         assert_eq!(between(140), [], "a stop before the start");
     }
 
-    /// Below the limit a removal keeps the vector's room, so refilling it
-    /// allocates nothing.
+    /// A removal keeps the vector's room, so refilling it allocates
+    /// nothing.
     #[test]
     fn a_small_memstore_keeps_its_room_across_removals() {
         let mut memstore = Memstore::default();
-        for value in 0..SMALL_ROWS as u32 {
+        for value in 0..256u32 {
             memstore.insert(Bytes::from(value.to_be_bytes().to_vec()), value);
         }
-        for value in 0..SMALL_ROWS as u32 {
+        for value in 0..256u32 {
             memstore.remove(&value.to_be_bytes());
         }
-        let Memstore::Small(rows) = &memstore else {
-            panic!("at most SMALL_ROWS rows stay a vector");
-        };
-        assert!(rows.is_empty() && rows.capacity() >= SMALL_ROWS);
+        assert!(memstore.is_empty() && memstore.rows.capacity() >= 256);
         assert_eq!(memstore.get(&0u32.to_be_bytes()), None);
     }
 }

@@ -3,9 +3,8 @@
 //! # Row layout: a memstore over one frozen segment
 //!
 //! A region stores its rows the way an HBase region server does.
-//! Maintained writes (`mutate_row`) land in a **memstore**, a map from
-//! row key to the row's columns: a sorted vector while it is small, a
-//! `BTreeMap` past that (`memstore.rs`). Bulk writes go straight into
+//! Maintained writes (`mutate_row`) land in a **memstore**, a vector of
+//! rows sorted by key (`memstore.rs`). Bulk writes go straight into
 //! the region's **segment**, HBase's immutable sorted store file: the
 //! TPC-H loader and every MapReduce job that writes a table stage their
 //! rows and apply them as one bulk load ([`crate::bulk`]), as HBase's
@@ -100,7 +99,7 @@ use bytes::Bytes;
 use crate::bulk::LoadedRow;
 use crate::cell::Mutation;
 use crate::filter::ServerFilter;
-use crate::memstore::{self, family_columns, Column, Memstore, RowData};
+use crate::memstore::{family_columns, Column, Memstore, RowData};
 use crate::row::{RowBatch, RowRef};
 use crate::segment::{Key, Segment};
 
@@ -259,7 +258,7 @@ impl Checked<'_> {
 /// A region's stored rows in a key range, in key order: memstore rows
 /// merged with the segment rows not moved (no key is in both).
 struct Rows<'a> {
-    memstore: Peekable<memstore::Iter<'a, RowData>>,
+    memstore: Peekable<std::slice::Iter<'a, (Bytes, RowData)>>,
     segment: &'a Segment,
     /// The next segment row.
     next: usize,

@@ -100,7 +100,11 @@ fn a_split_half_with_few_names_re_encodes_with_a_dictionary() {
     let now = 12 + TOMBSTONE_GRACE_TICKS;
     put_both(&mut uppers, 2, 0, &[2, 0], now);
     assert!(uppers[1].purge_queue.is_empty());
-    assert_eq!(uppers[1].memstore.len(), 2, "the purge thawed row r4");
+    assert_eq!(
+        uppers[1].memstore.iter().len(),
+        2,
+        "the purge thawed row r4"
+    );
     assert_alike(&uppers);
 }
 
@@ -285,7 +289,7 @@ fn a_family_with_two_qualifier_widths_keeps_qualifier_ends() {
 
     put_both(&mut twins, 0, 0, &[0, 0], 13 + TOMBSTONE_GRACE_TICKS);
     assert!(twins[1].purge_queue.is_empty());
-    assert_eq!(twins[1].memstore.len(), 2, "the purge thawed row r2");
+    assert_eq!(twins[1].memstore.iter().len(), 2, "the purge thawed row r2");
     assert_alike(&twins);
 }
 
@@ -690,7 +694,7 @@ fn a_write_to_a_frozen_row_moves_it_and_is_stale_against_its_columns() {
         11,
     );
     apply(&mut r, b"k", &Mutation::delete_at("a", b"q", 9), 12);
-    assert_eq!(r.memstore.len(), 1, "the row moved, with its column");
+    assert_eq!(r.memstore.iter().len(), 1, "the row moved, with its column");
     assert!(r.segment.is_moved(0));
     assert!(
         r.purge_queue.is_empty(),

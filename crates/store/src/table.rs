@@ -200,7 +200,8 @@ impl Table {
 
     /// The encodings each region's segment chose, by name, one line per
     /// region in key order (see `crate::segment`): what shows that two
-    /// builds of one table froze it alike.
+    /// builds of one table froze it alike. Kept for tests:
+    /// `tests/bulk_load.rs` compares two builds with it from outside the crate.
     pub fn segment_encodings(&self) -> Vec<String> {
         let regions = self.regions.read();
         regions.iter().map(|r| r.read().encodings()).collect()

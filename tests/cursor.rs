@@ -718,7 +718,10 @@ fn stop_boundaries_fire_exactly_where_recorded() {
                 cancel_after_batches: Some(2),
                 ..StopPolicy::never()
             },
-            StopPolicy::with_deadline(one_shot_sim / 2.0),
+            StopPolicy {
+                deadline_sim_seconds: Some(one_shot_sim / 2.0),
+                ..StopPolicy::default()
+            },
             StopPolicy::default(),
         ];
         stops[3].token.cancel();

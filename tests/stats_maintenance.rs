@@ -481,15 +481,10 @@ fn forked_executors_share_statistics_and_invalidate_coherently() {
     let _ = owner.plan().unwrap();
     assert_eq!(owner.stats_handle().collections(), 1);
 
-    // A fork (the serving layer's shape): attaches indices and the
-    // owner's statistics handle instead of re-collecting.
+    // A fork (the serving layer's shape): shares the owner's indices and
+    // statistics handle instead of re-collecting.
     let fork = cluster.fork_metrics();
-    let mut worker = RankJoinExecutor::new(&fork, query.clone());
-    worker.attach_isl(&isl::index_table_name(&query)).unwrap();
-    worker
-        .attach_ijlmr(&ijlmr::index_table_name(&query))
-        .unwrap();
-    worker.attach_stats(owner.stats_handle()).unwrap();
+    let worker = owner.fork_onto(&fork).unwrap();
     let admin_before = fork.metrics().snapshot().admin_kv_reads;
     let w1 = worker.plan().unwrap();
     assert_eq!(
